@@ -11,13 +11,17 @@
 //
 //	benchguard -baseline BENCH_campaign.json -input bench.json
 //
-// Two checks run per benchmark present in both files:
+// Three checks run per benchmark present in both files:
 //
 //   - allocs/op may not exceed the baseline beyond a hair of slack
 //     (2% + 2 — macro benchmarks pick up ±1 alloc of scheduling noise
 //     from the sweep worker pool). Benchmarks named by -zero-allocs
 //     must report exactly 0 allocs/op: the hot paths that were made
 //     allocation-free stay allocation-free.
+//   - B/op is held by the same slack rule on the overlay-size curve
+//     (BenchmarkCampaign/n=…), where bytes per cold cell are the
+//     big-world memory footprint: per-link and per-path state must stay
+//     sized by what a cell uses, not by n².
 //   - ns/op may not regress by more than -max-ns-regress (default 10%)
 //     on the benchmarks named by -ns-checked. Wall-clock is
 //     machine-dependent; the default set is the campaign hot paths,
@@ -148,6 +152,32 @@ func maxPtr(a, b *float64) *float64 {
 
 func ptr(v float64) *float64 { return &v }
 
+// overSlack reports whether a machine-independent count (allocs/op,
+// B/op) exceeds its baseline by more than 2% + 2.
+func overSlack(want, got float64) bool { return got > want*1.02+2 }
+
+// checkMemory returns one benchmark's allocation and byte failures
+// against its baseline entry.
+func checkMemory(name string, want, got Bench, zeroAllocs bool) []string {
+	var failures []string
+	if zeroAllocs && got.AllocsPerOp != nil && *got.AllocsPerOp != 0 {
+		failures = append(failures, fmt.Sprintf(
+			"%s: allocs/op = %.0f, must be 0 (allocation-free hot path)",
+			name, *got.AllocsPerOp))
+	} else if want.AllocsPerOp != nil && got.AllocsPerOp != nil && overSlack(*want.AllocsPerOp, *got.AllocsPerOp) {
+		failures = append(failures, fmt.Sprintf(
+			"%s: allocs/op regressed %.0f -> %.0f (allocation counts are machine-independent; this is a real regression)",
+			name, *want.AllocsPerOp, *got.AllocsPerOp))
+	}
+	if strings.HasPrefix(name, "BenchmarkCampaign/n=") && want.BytesPerOp != nil && got.BytesPerOp != nil &&
+		overSlack(*want.BytesPerOp, *got.BytesPerOp) {
+		failures = append(failures, fmt.Sprintf(
+			"%s: B/op regressed %.0f -> %.0f (a cold cell's bytes are its world's footprint; some slab is sized by n² again)",
+			name, *want.BytesPerOp, *got.BytesPerOp))
+	}
+	return failures
+}
+
 func main() {
 	var (
 		emit     = flag.String("emit", "", "write the parsed benchmark numbers as a JSON artifact to this file ('-' for stdout) and exit")
@@ -231,17 +261,7 @@ func main() {
 			continue
 		}
 		compared++
-		if zeroAllocs[name] && got.AllocsPerOp != nil && *got.AllocsPerOp != 0 {
-			failures = append(failures, fmt.Sprintf(
-				"%s: allocs/op = %.0f, must be 0 (allocation-free hot path)",
-				name, *got.AllocsPerOp))
-		} else if want.AllocsPerOp != nil && got.AllocsPerOp != nil {
-			if limit := *want.AllocsPerOp*1.02 + 2; *got.AllocsPerOp > limit {
-				failures = append(failures, fmt.Sprintf(
-					"%s: allocs/op regressed %.0f -> %.0f (allocation counts are machine-independent; this is a real regression)",
-					name, *want.AllocsPerOp, *got.AllocsPerOp))
-			}
-		}
+		failures = append(failures, checkMemory(name, want, got, zeroAllocs[name])...)
 		if nsChecked[name] && name != *cal && want.NsPerOp > 0 {
 			scaled := want.NsPerOp * nsScale
 			if ratio := got.NsPerOp/scaled - 1; ratio > *maxNs {

@@ -34,6 +34,23 @@ type pathStats struct {
 	lat2N     int64
 }
 
+// add folds another record's counters into ps.
+func (ps *pathStats) add(os *pathStats) {
+	ps.probes += os.probes
+	ps.firstSent += os.firstSent
+	ps.firstLost += os.firstLost
+	ps.secondSent += os.secondSent
+	ps.secondLost += os.secondLost
+	ps.bothLost += os.bothLost
+	ps.effLost += os.effLost
+	ps.latSumNS += os.latSumNS
+	ps.latN += os.latN
+	ps.lat1SumNS += os.lat1SumNS
+	ps.lat1N += os.lat1N
+	ps.lat2SumNS += os.lat2SumNS
+	ps.lat2N += os.lat2N
+}
+
 // windowState tracks the in-progress window for one (method, path).
 type windowState struct {
 	index int64 // window ordinal; -1 when unused
@@ -60,16 +77,26 @@ type Aggregator struct {
 	nHosts  int
 	nPaths  int
 
-	perPath [][]pathStats // [method][src*nHosts+dst]
+	// slot[m][src*nHosts+dst] indexes the (method, path)'s record in the
+	// stats and wins slabs; 0 means never observed. The slabs are
+	// append-only within a cell and hold one record per observed
+	// (method, path), so an aggregator's size follows what its campaign
+	// measured, not methods × hosts² — a thousand-node cell observes
+	// ~3% of its ordered pairs. Index 0 of stats is the shared all-zero
+	// record every unobserved path reads (see stat); index 0 of wins is
+	// unused. Reset truncates the slabs to that sentinel and keeps their
+	// capacity, so warm cells allocate only past the high-water mark.
+	slot  [][]int32
+	stats []pathStats
+	wins  []pathWindows // parallel to stats
 
 	// touched[m] lists the path indices with at least one observation
-	// for method m (probes > 0, appended on the 0→1 transition). Reset,
-	// Flush, and every per-path query iterate this list instead of the
-	// full nHosts² slab, so their cost scales with paths actually
-	// probed — under the landmark policy that is O(n·√n) of an O(n²)
-	// slab. Rows are kept sorted lazily (touchedSorted) because queries
-	// that accumulate floats or feed CDFs must visit paths in the same
-	// ascending order a full scan would.
+	// for method m (slot != 0, appended when the slot is assigned).
+	// Reset, Flush, and every per-path query iterate this list instead
+	// of the full nHosts² index, so their cost scales with paths
+	// actually probed. Rows are kept sorted lazily (touchedSorted)
+	// because queries that accumulate floats or feed CDFs must visit
+	// paths in the same ascending order a full scan would.
 	touched       [][]int32
 	touchedSorted []bool
 
@@ -77,7 +104,6 @@ type Aggregator struct {
 	// samples across paths per method; the 1-hour windows (Table 6)
 	// count path-hours whose effective loss rate exceeded each
 	// threshold.
-	wins        [][]pathWindows // [method][path]
 	win20Rates  []*CDF
 	hourCounts  [][]int64 // [method][threshold index]
 	hourPeriods []int64   // total flushed path-hours per method
@@ -105,6 +131,12 @@ type Aggregator struct {
 // Table6Thresholds are the loss-percentage thresholds of Table 6.
 var Table6Thresholds = []float64{0, 10, 20, 30, 40, 50, 60, 70, 80, 90}
 
+// slabStart caps the record slabs' initial capacity (and, split across
+// methods, the touched lists'): paper-size aggregators (methods × hosts²
+// below it) are fully sized at construction and never grow; big-world
+// ones start here and grow by append to what their cell observes.
+const slabStart = 1 << 14
+
 // NewAggregator creates an aggregator for a campaign with the given
 // method names over an nHosts mesh.
 func NewAggregator(methods []string, nHosts int) *Aggregator {
@@ -116,8 +148,7 @@ func NewAggregator(methods []string, nHosts int) *Aggregator {
 		methods:       append([]string(nil), methods...),
 		nHosts:        nHosts,
 		nPaths:        nHosts * nHosts,
-		perPath:       make([][]pathStats, nm),
-		wins:          make([][]pathWindows, nm),
+		slot:          make([][]int32, nm),
 		win20Rates:    make([]*CDF, nm),
 		hourCounts:    make([][]int64, nm),
 		hourPeriods:   make([]int64, nm),
@@ -126,24 +157,23 @@ func NewAggregator(methods []string, nHosts int) *Aggregator {
 		touched:       make([][]int32, nm),
 		touchedSorted: make([]bool, nm),
 	}
-	// The per-method arrays are carved from three slabs (an aggregator
+	// The per-method arrays are carved from shared slabs (an aggregator
 	// is built per sweep cell, so constructor allocation count scales
 	// with the grid). Full-slice-expression carving keeps an append on
-	// one row from stomping its neighbor; nothing appends to these.
-	pathSlab := make([]pathStats, nm*a.nPaths)
-	winSlab := make([]pathWindows, nm*a.nPaths)
-	touchSlab := make([]int32, nm*a.nPaths)
+	// one row from stomping its neighbor: a touched list that outgrows
+	// its carve moves to its own array.
+	slots := min(nm*a.nPaths, slabStart)
+	a.stats = make([]pathStats, 1, 1+slots)
+	a.wins = make([]pathWindows, 1, 1+slots)
+	tcap := min(a.nPaths, slabStart/nm)
+	slotSlab := make([]int32, nm*(a.nPaths+tcap))
+	touchSlab := slotSlab[nm*a.nPaths:]
 	hourSlab := make([]int64, nm*len(Table6Thresholds))
 	cdfs := make([]CDF, nm)
 	for m := 0; m < nm; m++ {
-		a.perPath[m] = pathSlab[m*a.nPaths : (m+1)*a.nPaths : (m+1)*a.nPaths]
-		a.wins[m] = winSlab[m*a.nPaths : (m+1)*a.nPaths : (m+1)*a.nPaths]
-		a.touched[m] = touchSlab[m*a.nPaths : m*a.nPaths : (m+1)*a.nPaths]
+		a.slot[m] = slotSlab[m*a.nPaths : (m+1)*a.nPaths : (m+1)*a.nPaths]
+		a.touched[m] = touchSlab[m*tcap : m*tcap : (m+1)*tcap]
 		a.touchedSorted[m] = true
-		for p := range a.wins[m] {
-			a.wins[m][p].w20.index = -1
-			a.wins[m][p].w60.index = -1
-		}
 		a.win20Rates[m] = &cdfs[m]
 		a.hourCounts[m] = hourSlab[m*len(Table6Thresholds) : (m+1)*len(Table6Thresholds) : (m+1)*len(Table6Thresholds)]
 	}
@@ -154,18 +184,16 @@ func NewAggregator(methods []string, nHosts int) *Aggregator {
 // method list, same host count, every counter, window, pooled sample,
 // and diurnal tally zeroed — while retaining all storage. A campaign
 // driver that reuses one aggregator across cells gets query results
-// identical to a NewAggregator per cell without re-paying the
-// O(methods × hosts²) allocation.
+// identical to a NewAggregator per cell without re-paying its
+// allocations.
 func (a *Aggregator) Reset() {
+	a.stats = a.stats[:1]
+	a.wins = a.wins[:1]
 	for m := range a.methods {
-		// Only paths that were observed have non-fresh state; clearing
-		// just those keeps cell turnover O(paths probed), not O(hosts²).
+		// Only observed paths hold a slot; clearing just those keeps
+		// cell turnover O(paths probed), not O(hosts²).
 		for _, pi := range a.touched[m] {
-			a.perPath[m][pi] = pathStats{}
-			a.wins[m][pi] = pathWindows{
-				w20: windowState{index: -1},
-				w60: windowState{index: -1},
-			}
+			a.slot[m][pi] = 0
 		}
 		a.touched[m] = a.touched[m][:0]
 		a.touchedSorted[m] = true
@@ -199,6 +227,27 @@ func (a *Aggregator) MethodIndex(name string) int {
 
 func (a *Aggregator) pathIndex(src, dst int) int { return src*a.nHosts + dst }
 
+// stat returns (method m, path pi)'s counters for reading. A path never
+// observed reads the shared all-zero record, exactly what a dense
+// methods × hosts² slab would hold for it; writers go through addSlot.
+func (a *Aggregator) stat(m, pi int) *pathStats { return &a.stats[a.slot[m][pi]] }
+
+// addSlot assigns (method m, path pi) a fresh record in the slabs and
+// lists the path as touched. The append may move the slabs: callers
+// take record pointers only afterwards.
+func (a *Aggregator) addSlot(m, pi int) int32 {
+	si := int32(len(a.stats))
+	a.stats = append(a.stats, pathStats{})
+	a.wins = append(a.wins, pathWindows{
+		w20: windowState{index: -1},
+		w60: windowState{index: -1},
+	})
+	a.slot[m][pi] = si
+	a.touched[m] = append(a.touched[m], int32(pi))
+	a.touchedSorted[m] = false
+	return si
+}
+
 // touchedPaths returns method m's observed path indices in ascending
 // order. Queries iterate it in place of a full 0..nPaths scan; ascending
 // order makes float accumulations and CDF feeds visit paths exactly as
@@ -226,12 +275,11 @@ func (a *Aggregator) observe(o *Observation) {
 		panic(err)
 	}
 	pi := a.pathIndex(o.Src, o.Dst)
-	ps := &a.perPath[o.Method][pi]
-
-	if ps.probes == 0 {
-		a.touched[o.Method] = append(a.touched[o.Method], int32(pi))
-		a.touchedSorted[o.Method] = false
+	si := a.slot[o.Method][pi]
+	if si == 0 {
+		si = a.addSlot(o.Method, pi)
 	}
+	ps := &a.stats[si]
 	ps.probes++
 	ps.firstSent++
 	if o.Lost[0] {
@@ -267,7 +315,7 @@ func (a *Aggregator) observe(o *Observation) {
 	// observeWindow(flush func(...)) — because this is the per-probe hot
 	// path: the flush closures would capture o.Method and escape,
 	// costing two allocations per observation.
-	pw := &a.wins[o.Method][pi]
+	pw := &a.wins[si]
 	if idx := o.Time / int64(WindowShort); pw.w20.index != idx {
 		if pw.w20.index >= 0 && pw.w20.sent > 0 {
 			a.win20Rates[o.Method].Add(float64(pw.w20.lost) / float64(pw.w20.sent))
@@ -332,7 +380,7 @@ func (a *Aggregator) flushHour(method int, rate float64) {
 func (a *Aggregator) Flush() {
 	for m := range a.methods {
 		for _, pi := range a.touchedPaths(m) {
-			pw := &a.wins[m][pi]
+			pw := &a.wins[a.slot[m][pi]]
 			if w := &pw.w20; w.index >= 0 && w.sent > 0 {
 				a.win20Rates[m].Add(float64(w.lost) / float64(w.sent))
 				w.index, w.sent, w.lost = -1, 0, 0
@@ -380,24 +428,11 @@ func (a *Aggregator) Merge(other *Aggregator) error {
 	other.Flush()
 	for m := range a.methods {
 		for _, pi := range other.touchedPaths(m) {
-			ps, os := &a.perPath[m][pi], &other.perPath[m][pi]
-			if ps.probes == 0 {
-				a.touched[m] = append(a.touched[m], pi)
-				a.touchedSorted[m] = false
+			si := a.slot[m][pi]
+			if si == 0 {
+				si = a.addSlot(m, int(pi))
 			}
-			ps.probes += os.probes
-			ps.firstSent += os.firstSent
-			ps.firstLost += os.firstLost
-			ps.secondSent += os.secondSent
-			ps.secondLost += os.secondLost
-			ps.bothLost += os.bothLost
-			ps.effLost += os.effLost
-			ps.latSumNS += os.latSumNS
-			ps.latN += os.latN
-			ps.lat1SumNS += os.lat1SumNS
-			ps.lat1N += os.lat1N
-			ps.lat2SumNS += os.lat2SumNS
-			ps.lat2N += os.lat2N
+			a.stats[si].add(other.stat(m, int(pi)))
 		}
 		a.win20Rates[m].Merge(other.win20Rates[m])
 		for i := range a.hourCounts[m] {
@@ -447,20 +482,7 @@ type MethodTotals struct {
 func (a *Aggregator) Totals(method int) MethodTotals {
 	var sum pathStats
 	for _, pi := range a.touchedPaths(method) {
-		ps := &a.perPath[method][pi]
-		sum.probes += ps.probes
-		sum.firstSent += ps.firstSent
-		sum.firstLost += ps.firstLost
-		sum.secondSent += ps.secondSent
-		sum.secondLost += ps.secondLost
-		sum.bothLost += ps.bothLost
-		sum.effLost += ps.effLost
-		sum.latSumNS += ps.latSumNS
-		sum.latN += ps.latN
-		sum.lat1SumNS += ps.lat1SumNS
-		sum.lat1N += ps.lat1N
-		sum.lat2SumNS += ps.lat2SumNS
-		sum.lat2N += ps.lat2N
+		sum.add(a.stat(method, int(pi)))
 	}
 	pct := func(num, den int64) float64 {
 		if den == 0 {
@@ -491,7 +513,7 @@ func (a *Aggregator) InferredSingle(method, copy int, name string) MethodTotals 
 	var sent, lost, latN int64
 	var latSum float64
 	for _, pi := range a.touchedPaths(method) {
-		ps := &a.perPath[method][pi]
+		ps := a.stat(method, int(pi))
 		if copy == 0 {
 			sent += ps.firstSent
 			lost += ps.firstLost
@@ -560,7 +582,7 @@ func (a *Aggregator) HighLossHours() Table6 {
 func (a *Aggregator) PathLossCDF(method, minProbes int) *CDF {
 	c := &CDF{}
 	for _, pi := range a.touchedPaths(method) {
-		ps := &a.perPath[method][pi]
+		ps := a.stat(method, int(pi))
 		if ps.probes < int64(minProbes) || ps.probes == 0 {
 			continue
 		}
@@ -581,7 +603,7 @@ func (a *Aggregator) WindowRateCDF(method int) *CDF {
 func (a *Aggregator) CLPByPathCDF(method int) *CDF {
 	c := &CDF{}
 	for _, pi := range a.touchedPaths(method) {
-		ps := &a.perPath[method][pi]
+		ps := a.stat(method, int(pi))
 		if ps.firstLost == 0 || ps.secondSent == 0 {
 			continue
 		}
@@ -597,7 +619,7 @@ func (a *Aggregator) CLPByPathCDF(method int) *CDF {
 func (a *Aggregator) PathLatencyCDF(method, refMethod int, minRef time.Duration) *CDF {
 	c := &CDF{}
 	for _, pi := range a.touchedPaths(method) {
-		ref := &a.perPath[refMethod][pi]
+		ref := a.stat(refMethod, int(pi))
 		if ref.latN == 0 {
 			continue
 		}
@@ -605,7 +627,7 @@ func (a *Aggregator) PathLatencyCDF(method, refMethod int, minRef time.Duration)
 		if refLat < minRef {
 			continue
 		}
-		ps := &a.perPath[method][pi]
+		ps := a.stat(method, int(pi))
 		if ps.latN == 0 {
 			continue
 		}
@@ -617,24 +639,22 @@ func (a *Aggregator) PathLatencyCDF(method, refMethod int, minRef time.Duration)
 // PathCount returns how many ordered paths have observations for the
 // method (useful for reporting "on the N paths on which...").
 func (a *Aggregator) PathCount(method int) int {
-	// Membership in touched is exactly probes > 0.
+	// Membership in touched is exactly "holds a slot", i.e. probes > 0.
 	return len(a.touched[method])
 }
 
 // PathTotals exposes one path's raw counters for a method (testing and
 // diagnostics).
 func (a *Aggregator) PathTotals(method, src, dst int) (probes, firstLost, bothLost, effLost int64) {
-	ps := &a.perPath[method][a.pathIndex(src, dst)]
+	ps := a.stat(method, a.pathIndex(src, dst))
 	return ps.probes, ps.firstLost, ps.bothLost, ps.effLost
 }
 
 // String summarizes the aggregator.
 func (a *Aggregator) String() string {
 	var total int64
-	for m := range a.methods {
-		for _, pi := range a.touched[m] {
-			total += a.perPath[m][pi].probes
-		}
+	for i := range a.stats {
+		total += a.stats[i].probes
 	}
 	return fmt.Sprintf("analysis.Aggregator{methods=%d hosts=%d probes=%d}",
 		len(a.methods), a.nHosts, total)

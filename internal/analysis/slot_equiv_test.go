@@ -1,0 +1,394 @@
+package analysis
+
+import (
+	"bytes"
+	"math/rand"
+	"reflect"
+	"testing"
+	"time"
+)
+
+// denseAgg is the reference model the slot-indexed Aggregator is held
+// to: one pathStats and one pathWindows per (method, path) in plain
+// [][] slabs, every query and the encoder a full 0..hosts² scan, Reset
+// a reallocation. It is what the aggregator was before its records
+// became touch-sized, kept here only.
+type denseAgg struct {
+	methods     []string
+	n           int
+	perPath     [][]pathStats
+	wins        [][]pathWindows
+	win20       []*CDF
+	hourCounts  [][]int64
+	hourPeriods []int64
+	hourMax     float64
+	hodSent     [][24]int64
+	hodLost     [][24]int64
+}
+
+func newDenseAgg(methods []string, n int) *denseAgg {
+	d := &denseAgg{methods: methods, n: n}
+	d.reset()
+	return d
+}
+
+func (d *denseAgg) reset() {
+	nm := len(d.methods)
+	d.perPath = make([][]pathStats, nm)
+	d.wins = make([][]pathWindows, nm)
+	d.win20 = make([]*CDF, nm)
+	d.hourCounts = make([][]int64, nm)
+	d.hourPeriods = make([]int64, nm)
+	d.hourMax = 0
+	d.hodSent = make([][24]int64, nm)
+	d.hodLost = make([][24]int64, nm)
+	for m := range d.methods {
+		d.perPath[m] = make([]pathStats, d.n*d.n)
+		d.wins[m] = make([]pathWindows, d.n*d.n)
+		for p := range d.wins[m] {
+			d.wins[m][p] = pathWindows{w20: windowState{index: -1}, w60: windowState{index: -1}}
+		}
+		d.win20[m] = &CDF{}
+		d.hourCounts[m] = make([]int64, len(Table6Thresholds))
+	}
+}
+
+func (d *denseAgg) flushHour(m int, rate float64) {
+	d.hourPeriods[m]++
+	for i, thr := range Table6Thresholds {
+		if rate*100 > thr {
+			d.hourCounts[m][i]++
+		}
+	}
+	if rate > d.hourMax {
+		d.hourMax = rate
+	}
+}
+
+// roll closes w if the observation falls in another window, feeding
+// the finished window's loss rate to emit, and counts the observation.
+func roll(w *windowState, idx int64, lost bool, emit func(rate float64)) {
+	if w.index != idx {
+		if w.index >= 0 && w.sent > 0 {
+			emit(float64(w.lost) / float64(w.sent))
+		}
+		*w = windowState{index: idx}
+	}
+	w.sent++
+	if lost {
+		w.lost++
+	}
+}
+
+func (d *denseAgg) observe(o Observation) {
+	m, pi := o.Method, o.Src*d.n+o.Dst
+	ps := &d.perPath[m][pi]
+	ps.probes++
+	ps.firstSent++
+	if o.Lost[0] {
+		ps.firstLost++
+	} else {
+		ps.lat1SumNS += float64(o.Lat[0])
+		ps.lat1N++
+	}
+	if o.Copies == 2 {
+		ps.secondSent++
+		if o.Lost[1] {
+			ps.secondLost++
+		} else {
+			ps.lat2SumNS += float64(o.Lat[1])
+			ps.lat2N++
+		}
+		if o.Lost[0] && o.Lost[1] {
+			ps.bothLost++
+		}
+	}
+	eff := o.EffectiveLost()
+	if eff {
+		ps.effLost++
+	}
+	if lat, ok := o.EffectiveLatency(); ok {
+		ps.latSumNS += float64(lat)
+		ps.latN++
+	}
+	pw := &d.wins[m][pi]
+	roll(&pw.w20, o.Time/int64(WindowShort), eff, d.win20[m].Add)
+	roll(&pw.w60, o.Time/int64(WindowHour), eff, func(r float64) { d.flushHour(m, r) })
+	hod := int(o.Time/int64(time.Hour)) % 24
+	d.hodSent[m][hod]++
+	if eff {
+		d.hodLost[m][hod]++
+	}
+}
+
+func (d *denseAgg) flush() {
+	for m := range d.methods {
+		for pi := range d.wins[m] {
+			pw := &d.wins[m][pi]
+			if w := &pw.w20; w.index >= 0 && w.sent > 0 {
+				d.win20[m].Add(float64(w.lost) / float64(w.sent))
+				*w = windowState{index: -1}
+			}
+			if w := &pw.w60; w.index >= 0 && w.sent > 0 {
+				d.flushHour(m, float64(w.lost)/float64(w.sent))
+				*w = windowState{index: -1}
+			}
+		}
+	}
+}
+
+func (d *denseAgg) merge(o *denseAgg) {
+	d.flush()
+	o.flush()
+	for m := range d.methods {
+		for pi := range d.perPath[m] {
+			d.perPath[m][pi].add(&o.perPath[m][pi])
+		}
+		d.win20[m].Merge(o.win20[m])
+		for i := range d.hourCounts[m] {
+			d.hourCounts[m][i] += o.hourCounts[m][i]
+		}
+		d.hourPeriods[m] += o.hourPeriods[m]
+		for h := 0; h < 24; h++ {
+			d.hodSent[m][h] += o.hodSent[m][h]
+			d.hodLost[m][h] += o.hodLost[m][h]
+		}
+	}
+	if o.hourMax > d.hourMax {
+		d.hourMax = o.hourMax
+	}
+}
+
+// encode writes the v2 aggregator payload from the dense slabs.
+func (d *denseAgg) encode() []byte {
+	d.flush()
+	w := &binWriter{}
+	w.u8(aggSnapshotVersion)
+	w.u32(uint32(len(d.methods)))
+	w.u32(uint32(d.n))
+	for _, m := range d.methods {
+		w.str(m)
+	}
+	for m := range d.methods {
+		for pi := range d.perPath[m] {
+			ps := &d.perPath[m][pi]
+			for _, v := range []int64{ps.probes, ps.firstSent, ps.firstLost, ps.secondSent, ps.secondLost, ps.bothLost, ps.effLost} {
+				w.i64(v)
+			}
+			w.f64(ps.latSumNS)
+			w.i64(ps.latN)
+			w.f64(ps.lat1SumNS)
+			w.i64(ps.lat1N)
+			w.f64(ps.lat2SumNS)
+			w.i64(ps.lat2N)
+		}
+	}
+	for m := range d.methods {
+		w.cdfRuns(d.win20[m])
+	}
+	w.u32(uint32(len(Table6Thresholds)))
+	for m := range d.methods {
+		for _, c := range d.hourCounts[m] {
+			w.i64(c)
+		}
+		w.i64(d.hourPeriods[m])
+	}
+	w.f64(d.hourMax)
+	for m := range d.methods {
+		for h := 0; h < 24; h++ {
+			w.i64(d.hodSent[m][h])
+		}
+		for h := 0; h < 24; h++ {
+			w.i64(d.hodLost[m][h])
+		}
+	}
+	return w.buf
+}
+
+// checkQueries compares every per-path query of a against full scans
+// of the dense model, without mutating either.
+func checkQueries(t *testing.T, label string, a *Aggregator, d *denseAgg) {
+	t.Helper()
+	for m := range d.methods {
+		var sum pathStats
+		paths := 0
+		loss, clp, lat := &CDF{}, &CDF{}, &CDF{}
+		for pi := range d.perPath[m] {
+			ps := &d.perPath[m][pi]
+			sum.add(ps)
+			if ps.probes > 0 {
+				paths++
+				loss.Add(100 * float64(ps.effLost) / float64(ps.probes))
+			}
+			if ps.firstLost > 0 && ps.secondSent > 0 {
+				clp.Add(100 * float64(ps.bothLost) / float64(ps.firstLost))
+			}
+			// Reference method 0, 1 ms floor: a path enters when both
+			// methods delivered on it.
+			if ref := &d.perPath[0][pi]; ref.latN > 0 && ps.latN > 0 &&
+				time.Duration(ref.latSumNS/float64(ref.latN)) >= time.Millisecond {
+				lat.Add(ps.latSumNS / float64(ps.latN) / float64(time.Millisecond))
+			}
+			src, dst := pi/d.n, pi%d.n
+			if p, fl, bl, el := a.PathTotals(m, src, dst); p != ps.probes || fl != ps.firstLost || bl != ps.bothLost || el != ps.effLost {
+				t.Fatalf("%s: PathTotals(%d,%d,%d) = %d %d %d %d, dense %+v", label, m, src, dst, p, fl, bl, el, *ps)
+			}
+		}
+		got := a.Totals(m)
+		if got.Probes != sum.probes || got.Pair != (sum.secondSent > 0) ||
+			(sum.probes > 0 && got.TotalLossPct != 100*float64(sum.effLost)/float64(sum.probes)) ||
+			(sum.latN > 0 && got.MeanLatency != time.Duration(sum.latSumNS/float64(sum.latN))) {
+			t.Fatalf("%s: Totals(%d) = %+v, dense sums %+v", label, m, got, sum)
+		}
+		if inf := a.InferredSingle(m, 1, "x"); inf.Probes != sum.secondSent ||
+			(sum.lat2N > 0 && inf.MeanLatency != time.Duration(sum.lat2SumNS/float64(sum.lat2N))) {
+			t.Fatalf("%s: InferredSingle(%d, second copy) = %+v, dense sums %+v", label, m, inf, sum)
+		}
+		if a.PathCount(m) != paths {
+			t.Fatalf("%s: PathCount(%d) = %d, dense %d", label, m, a.PathCount(m), paths)
+		}
+		for name, pair := range map[string][2]*CDF{
+			"PathLossCDF":    {a.PathLossCDF(m, 1), loss},
+			"CLPByPathCDF":   {a.CLPByPathCDF(m), clp},
+			"PathLatencyCDF": {a.PathLatencyCDF(m, 0, time.Millisecond), lat},
+			"WindowRateCDF":  {a.WindowRateCDF(m), d.win20[m]},
+		} {
+			if !reflect.DeepEqual(pair[0].Samples(), pair[1].Samples()) {
+				t.Fatalf("%s: %s(%d) differs from the dense scan", label, name, m)
+			}
+		}
+	}
+	if t6 := a.HighLossHours(); !reflect.DeepEqual(t6.Counts, d.hourCounts) ||
+		!reflect.DeepEqual(t6.Periods, d.hourPeriods) || t6.WorstHourPct != d.hourMax*100 {
+		t.Fatalf("%s: HighLossHours = %+v, dense counts %v periods %v max %v", label, t6, d.hourCounts, d.hourPeriods, d.hourMax)
+	}
+}
+
+// TestSlotAggregatorMatchesDenseReference drives random
+// Observe/Flush/Merge/Reset/encode→decode sequences through slot
+// aggregators and dense models in lockstep: every query after every
+// step, and the encoded bytes at every encode, must be equal. The pool
+// starts empty, so merges into an empty aggregator occur; cells after a
+// Reset cover fewer paths than the cell before, so stale slots would
+// show.
+func TestSlotAggregatorMatchesDenseReference(t *testing.T) {
+	methods := []string{"direct", "loss", "direct rand"}
+	const n, pool = 9, 3
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		aggs := make([]*Aggregator, pool)
+		refs := make([]*denseAgg, pool)
+		clock := make([]int64, pool) // per aggregator: observations arrive in time order
+		span := make([]int, pool)    // hosts the current cell's probes range over
+		for i := range aggs {
+			aggs[i] = NewAggregator(methods, n)
+			refs[i] = newDenseAgg(methods, n)
+			span[i] = n
+		}
+		for step := 0; step < 400; step++ {
+			i := rng.Intn(pool)
+			var op string
+			switch k := rng.Intn(20); {
+			case k < 12:
+				op = "observe"
+				for b := rng.Intn(60); b >= 0; b-- {
+					o := Observation{Method: rng.Intn(len(methods)), Src: rng.Intn(span[i]), Time: clock[i]}
+					o.Dst = (o.Src + 1 + rng.Intn(n-1)) % n
+					o.Copies = 1 + o.Method/2
+					for c := 0; c < o.Copies; c++ {
+						o.Lost[c] = rng.Intn(4) == 0
+						o.Lat[c] = time.Duration(1+rng.Intn(300)) * time.Millisecond / 2
+					}
+					clock[i] += int64(rng.Intn(int(7 * time.Minute)))
+					aggs[i].Observe(o)
+					refs[i].observe(o)
+				}
+			case k < 14:
+				op = "flush"
+				aggs[i].Flush()
+				refs[i].flush()
+			case k < 16:
+				op = "merge"
+				j := (i + 1 + rng.Intn(pool-1)) % pool
+				if err := aggs[i].Merge(aggs[j]); err != nil {
+					t.Fatal(err)
+				}
+				refs[i].merge(refs[j])
+				checkQueries(t, "merge source", aggs[j], refs[j])
+			case k < 18:
+				op = "reset"
+				aggs[i].Reset()
+				refs[i].reset()
+				span[i] = 1 + rng.Intn(span[i]) // the next cell is no larger
+			default:
+				op = "encode+decode"
+				enc, err := aggs[i].AppendBinary(nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(enc, refs[i].encode()) {
+					t.Fatalf("seed %d step %d: encoded bytes differ from the dense encoding", seed, step)
+				}
+				if aggs[i], err = UnmarshalAggregator(enc); err != nil {
+					t.Fatal(err)
+				}
+			}
+			checkQueries(t, op, aggs[i], refs[i])
+		}
+		for i := range aggs {
+			enc, _ := aggs[i].AppendBinary(nil)
+			if !bytes.Equal(enc, refs[i].encode()) {
+				t.Fatalf("seed %d: final encoding of aggregator %d differs from the dense encoding", seed, i)
+			}
+		}
+	}
+}
+
+// TestSlotAggregatorGrowsPastInitialSlab fills an aggregator whose
+// methods × hosts² exceeds the slabs' starting capacity, so records are
+// appended through several regrowths, and holds the result to the dense
+// encoding; refilling after Reset then reuses the grown slabs without
+// allocating.
+func TestSlotAggregatorGrowsPastInitialSlab(t *testing.T) {
+	methods := []string{"direct", "loss", "direct rand"}
+	const n = 80
+	if len(methods)*n*(n-1) <= slabStart {
+		t.Fatalf("%d observed slots fit the initial slab of %d; raise n", len(methods)*n*(n-1), slabStart)
+	}
+	var obs []Observation
+	for m := range methods {
+		for src := 0; src < n; src++ {
+			for dst := 0; dst < n; dst++ {
+				if src != dst {
+					obs = append(obs, Observation{Method: m, Src: src, Dst: dst, Copies: 1,
+						Lost: [2]bool{(src+dst+m)%5 == 0}, Lat: [2]time.Duration{time.Duration(src+dst+1) * time.Millisecond}})
+				}
+			}
+		}
+	}
+	rand.New(rand.NewSource(5)).Shuffle(len(obs), func(i, j int) { obs[i], obs[j] = obs[j], obs[i] })
+	a := NewAggregator(methods, n)
+	d := newDenseAgg(methods, n)
+	fill := func() {
+		a.Reset()
+		for i := range obs {
+			obs[i].Time = int64(i) * int64(time.Second)
+			a.Observe(obs[i])
+		}
+	}
+	fill()
+	for _, o := range obs {
+		d.observe(o)
+	}
+	checkQueries(t, "grown", a, d)
+	enc, err := a.AppendBinary(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(enc, d.encode()) {
+		t.Fatal("encoding after slab growth differs from the dense encoding")
+	}
+	if allocs := testing.AllocsPerRun(2, fill); allocs != 0 {
+		t.Fatalf("refilling a grown aggregator after Reset allocates %.0f times", allocs)
+	}
+}

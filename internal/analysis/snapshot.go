@@ -149,7 +149,7 @@ func (a *Aggregator) AppendBinary(buf []byte) ([]byte, error) {
 	}
 	for m := range a.methods {
 		for pi := 0; pi < a.nPaths; pi++ {
-			ps := &a.perPath[m][pi]
+			ps := a.stat(m, pi)
 			w.i64(ps.probes)
 			w.i64(ps.firstSent)
 			w.i64(ps.firstLost)
@@ -287,8 +287,9 @@ func UnmarshalAggregator(data []byte) (*Aggregator, error) {
 		return nil, r.err
 	}
 	// The per-path section alone needs 13 8-byte fields per (method,
-	// path); refuse implausible headers before NewAggregator allocates
-	// O(methods × hosts²) state for what a corrupt file merely claims.
+	// path); refuse a header that claims more than the payload holds
+	// before NewAggregator allocates its methods × hosts² slot index
+	// (4 bytes per claimed path) and the decode loop walks it.
 	if need := int64(nm) * int64(nHosts) * int64(nHosts) * 104; need > int64(r.remaining()) {
 		return nil, fmt.Errorf("analysis: aggregator snapshot claims %d methods × %d hosts (%d bytes of path stats) with %d bytes left",
 			nm, nHosts, need, r.remaining())
@@ -296,8 +297,16 @@ func UnmarshalAggregator(data []byte) (*Aggregator, error) {
 	a := NewAggregator(methods, nHosts)
 	for m := 0; m < nm; m++ {
 		for pi := 0; pi < a.nPaths; pi++ {
-			ps := &a.perPath[m][pi]
-			ps.probes = r.i64()
+			// The payload is dense; only observed paths get a record
+			// (and their place in the touched list, which ascending pi
+			// leaves sorted). An unobserved path's fields are all zero.
+			probes := r.i64()
+			if probes <= 0 {
+				r.take(12 * 8)
+				continue
+			}
+			ps := &a.stats[a.addSlot(m, pi)]
+			ps.probes = probes
 			ps.firstSent = r.i64()
 			ps.firstLost = r.i64()
 			ps.secondSent = r.i64()
@@ -311,14 +320,7 @@ func UnmarshalAggregator(data []byte) (*Aggregator, error) {
 			ps.lat2SumNS = r.f64()
 			ps.lat2N = r.i64()
 		}
-		// Rebuild the touched-path index the live aggregator maintains
-		// incrementally: the snapshot stores the dense slab, and every
-		// O(touched) query and Reset depends on this list being exact.
-		for pi := 0; pi < a.nPaths; pi++ {
-			if a.perPath[m][pi].probes > 0 {
-				a.touched[m] = append(a.touched[m], int32(pi))
-			}
-		}
+		a.touchedSorted[m] = true
 	}
 	for m := 0; m < nm; m++ {
 		n := int(r.u32())

@@ -21,7 +21,7 @@ func marshalV1(t *testing.T, a *Aggregator) []byte {
 	}
 	for m := range a.methods {
 		for pi := 0; pi < a.nPaths; pi++ {
-			ps := &a.perPath[m][pi]
+			ps := a.stat(m, pi)
 			w.i64(ps.probes)
 			w.i64(ps.firstSent)
 			w.i64(ps.firstLost)

@@ -35,10 +35,12 @@ const NoComponent ComponentID = -1
 // Components are not safe for concurrent use; the Network serializes
 // access.
 type Component struct {
-	id     ComponentID
-	seed   uint64
-	class  ComponentClass
-	params ComponentParams
+	id    ComponentID
+	seed  uint64
+	class ComponentClass
+	// params is the component's effective parameter set, shared with
+	// every component of the same kind (see Network.params); read-only.
+	params *ComponentParams
 	rng    Source
 	// global, when non-nil, is the network-wide congestion weather
 	// shared by all components (§2.4's correlated failure sources).
@@ -85,17 +87,18 @@ type Component struct {
 // Network slab-allocates its components and uses init directly.
 func newComponent(id ComponentID, seed uint64, class ComponentClass,
 	prof *Profile, params ComponentParams, global *globalModulator) *Component {
+	params.MeanGood = prof.effectiveMeanGood(class, params.MeanGood)
 	c := &Component{}
-	c.init(id, seed, class, prof, params, global)
+	c.init(id, seed, class, &params, global)
 	return c
 }
 
 // init constructs a component in place at virtual time 0 in the good/up
 // state with all next events drawn from the stationary processes
-// (components are slab-allocated per Network).
+// (components are slab-allocated per Network). params is the effective
+// set — profile knobs already applied — and is retained, not copied.
 func (c *Component) init(id ComponentID, seed uint64, class ComponentClass,
-	prof *Profile, params ComponentParams, global *globalModulator) {
-	params.MeanGood = prof.effectiveMeanGood(class, params.MeanGood)
+	params *ComponentParams, global *globalModulator) {
 	*c = Component{
 		id:     id,
 		seed:   seed,

@@ -2,7 +2,8 @@
 // a component-level loss/latency model in which every host's access
 // infrastructure is shared by all of its paths and every host pair has its
 // own backbone segment. It stands in for the live Internet of the paper's
-// measurement study (see DESIGN.md §2 for the substitution argument).
+// measurement study; calib_test.go holds it to the paper's headline
+// statistics, which is the argument for the substitution.
 //
 // The simulator is deterministic: the same seed, topology, profile, and
 // send schedule reproduce identical packet outcomes.
@@ -24,14 +25,20 @@ type Network struct {
 	global *globalModulator
 	// slab backs every component; Reset rebuilds components in place so
 	// successive campaigns through one Network allocate nothing.
-	slab   []Component
-	access []*Component // one per host
+	slab []Component
+	// params is the table of effective parameter sets (profile knobs
+	// applied) that components point into: the three backbone reaches
+	// (base, intl, far), then one set per access class in use, listed
+	// in accClass. A profile has a handful of sets, so sharing them
+	// keeps a 160-byte copy out of each of the O(n²) components.
+	params   []ComponentParams
+	accClass []topo.AccessClass
+	access   []*Component // one per host
 	// bb[i*n+j] is the backbone component of pair {i,j} (both orders
 	// alias one component). A flat slab keeps the O(n²) probe storm's
 	// lookups on one cache-friendly array — at n=1024 the nested
 	// [][]*Component layout cost a pointer chase per packet.
 	bb      []*Component
-	all     []*Component
 	nextPkt uint64
 	// defProf caches the DefaultProfile built for a nil-profile Reset,
 	// so profile-less cell turnover does not rebuild it per cell.
@@ -39,18 +46,16 @@ type Network struct {
 	// base[i*n+j] is the precomputed direct-path propagation floor
 	// (geographic one-way delay × route inflation) for the pair, the
 	// per-hop constant every simulated packet adds. It is derived once
-	// from inflate so the hot path reads a flat array instead of
-	// recomputing the float product per traversal.
+	// in Reset so the hot path reads a flat array instead of
+	// recomputing the float product per traversal. The inflation factor
+	// is static per i↔j pair: BGP policy routing frequently takes
+	// detours, so the direct path's propagation delay exceeds the
+	// geographic floor and sometimes exceeds a two-hop overlay
+	// composition ("the route taken by packets is frequently
+	// sub-optimal", §2.2 [1, 30]). Without it, a coordinate-derived
+	// latency matrix would satisfy the triangle inequality and
+	// latency-optimized overlay routing could never win.
 	base []Time
-	// inflate[i*n+j] is the static route-inflation factor of the direct
-	// i↔j path: BGP policy routing frequently takes detours, so the
-	// direct path's propagation delay exceeds the geographic floor and
-	// sometimes exceeds a two-hop overlay composition ("the route taken
-	// by packets is frequently sub-optimal", §2.2 [1, 30]). Without
-	// this, a coordinate-derived latency matrix would satisfy the
-	// triangle inequality and latency-optimized overlay routing could
-	// never win.
-	inflate []float64
 }
 
 // New builds a simulated network over the testbed with the given profile
@@ -87,53 +92,63 @@ func (nw *Network) Reset(tb *topo.Testbed, prof *Profile, seed uint64) {
 	// allocator pressure — scales with the grid.
 	if !sameShape {
 		nw.slab = make([]Component, n+n*(n-1)/2)
-		nw.all = make([]*Component, 0, len(nw.slab))
 		nw.access = make([]*Component, n)
 		nw.bb = make([]*Component, n*n)
-		nw.inflate = make([]float64, n*n)
 		nw.base = make([]Time, n*n)
-	} else {
-		nw.all = nw.all[:0]
 	}
+	// Components keep pointers into params, so it is sized for every
+	// set the profile can contribute before any pointer is taken.
+	if sets := 3 + len(prof.AccessParams); cap(nw.params) < sets {
+		nw.params = make([]ComponentParams, 0, sets)
+		nw.accClass = make([]topo.AccessClass, 0, sets-3)
+	}
+	nw.params = append(nw.params[:0], prof.BackboneBase, prof.BackboneIntl, prof.BackboneFar)
+	for i := range nw.params {
+		nw.params[i].MeanGood = prof.effectiveMeanGood(ClassBackbone, nw.params[i].MeanGood)
+	}
+	nw.accClass = nw.accClass[:0]
 	var id ComponentID
 	for i := 0; i < n; i++ {
-		params, ok := prof.AccessParams[tb.Host(i).Access]
-		if !ok {
-			panic(fmt.Sprintf("netsim: no params for access class %v",
-				tb.Host(i).Access))
-		}
 		c := &nw.slab[id]
 		c.init(id, combine(seed, 0xACCE55, uint64(i)),
-			ClassAccess, prof, params, nw.global)
+			ClassAccess, nw.accessParams(tb.Host(i).Access), nw.global)
 		nw.access[i] = c
-		nw.all = append(nw.all, c)
 		id++
 	}
 	var infRng Source
 	infRng.Seed(combine(seed, 0x1F1A7E, 0))
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			params := nw.backboneParams(i, j)
 			c := &nw.slab[id]
 			c.init(id, combine(seed, 0xBBBB, uint64(i)<<16|uint64(j)),
-				ClassBackbone, prof, params, nw.global)
+				ClassBackbone, nw.backboneParams(i, j), nw.global)
 			nw.bb[i*n+j] = c
 			nw.bb[j*n+i] = c
-			nw.all = append(nw.all, c)
 			id++
 
 			f := drawInflation(&infRng)
-			nw.inflate[i*n+j] = f
-			nw.inflate[j*n+i] = f
+			nw.base[i*n+j] = Time(float64(tb.BaseOneWay(i, j)) * f)
+			nw.base[j*n+i] = Time(float64(tb.BaseOneWay(j, i)) * f)
 		}
 	}
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i != j {
-				nw.base[i*n+j] = Time(float64(nw.tb.BaseOneWay(i, j)) * nw.inflate[i*n+j])
-			}
+}
+
+// accessParams returns the effective parameter set of an access class,
+// adding it to the table on the class's first use in this Reset.
+func (nw *Network) accessParams(class topo.AccessClass) *ComponentParams {
+	for i, c := range nw.accClass {
+		if c == class {
+			return &nw.params[3+i]
 		}
 	}
+	p, ok := nw.prof.AccessParams[class]
+	if !ok {
+		panic(fmt.Sprintf("netsim: no params for access class %v", class))
+	}
+	p.MeanGood = nw.prof.effectiveMeanGood(ClassAccess, p.MeanGood)
+	nw.accClass = append(nw.accClass, class)
+	nw.params = append(nw.params, p)
+	return &nw.params[len(nw.params)-1]
 }
 
 // drawInflation samples a route-inflation factor: most pairs take nearly
@@ -159,19 +174,17 @@ func (nw *Network) pairBase(i, j int) Time {
 // backboneParams picks the backbone parameter set for a host pair based on
 // how far the path reaches: domestic, trans-oceanic, or trans-Pacific
 // (Korea, the paper's lossiest site).
-func (nw *Network) backboneParams(i, j int) ComponentParams {
+func (nw *Network) backboneParams(i, j int) *ComponentParams {
 	hi, hj := nw.tb.Host(i), nw.tb.Host(j)
 	far := func(h topo.Host) bool { return h.Name == "Korea" }
 	intl := func(h topo.Host) bool { return h.Kind == topo.KindIntl }
 	switch {
 	case far(hi) || far(hj):
-		return nw.prof.BackboneFar
+		return &nw.params[2]
 	case intl(hi) != intl(hj):
-		return nw.prof.BackboneIntl
-	case intl(hi) && intl(hj):
-		return nw.prof.BackboneBase
+		return &nw.params[1]
 	default:
-		return nw.prof.BackboneBase
+		return &nw.params[0]
 	}
 }
 

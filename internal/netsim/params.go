@@ -113,7 +113,7 @@ type Profile struct {
 
 // DefaultProfile returns the calibrated substrate profile. The parameters
 // were tuned so a simulated campaign reproduces the paper's headline
-// statistics (see DESIGN.md §4 for the target bands): direct loss ≈0.4%,
+// statistics (the target bands are asserted in calib_test.go): direct loss ≈0.4%,
 // CLP(back-to-back) ≈70%, CLP(via random) ≈60%, 80% of paths under 1%
 // loss, occasional >10%-loss hours, mean direct one-way latency ≈54 ms.
 func DefaultProfile() *Profile {

@@ -48,30 +48,41 @@ func TestLandmarkPlanShape(t *testing.T) {
 }
 
 func TestLandmarkPlanProbes(t *testing.T) {
-	const n = 64
-	p := NewLandmarkPlan(n)
-	count := 0
-	for s := 0; s < n; s++ {
-		for d := 0; d < n; d++ {
-			if s == d {
-				continue
-			}
-			probes := p.Probes(s, d)
-			wantRing := d == (s+1)%n || d == (s-1+n)%n
-			want := p.IsLandmark(s) || p.IsLandmark(d) || wantRing
-			if probes != want {
-				t.Fatalf("Probes(%d,%d) = %v, want %v", s, d, probes, want)
-			}
-			if probes {
+	for _, n := range []int{2, 3, 4, 5, 9, 10, 64, 257} {
+		p := NewLandmarkPlan(n)
+		count := 0
+		// linkSlot must number exactly the probed links, without gaps
+		// or collisions: the selector sizes and indexes its link slab
+		// by it.
+		taken := make([]bool, p.PlannedLinks())
+		for s := 0; s < n; s++ {
+			for d := 0; d < n; d++ {
+				probes := p.Probes(s, d)
+				wantRing := d == (s+1)%n || d == (s-1+n)%n
+				want := s != d && (p.IsLandmark(s) || p.IsLandmark(d) || wantRing)
+				if probes != want {
+					t.Fatalf("n=%d: Probes(%d,%d) = %v, want %v", n, s, d, probes, want)
+				}
+				slot := p.linkSlot(s, d)
+				if !probes {
+					if slot != -1 {
+						t.Fatalf("n=%d: unprobed link %d→%d has slot %d", n, s, d, slot)
+					}
+					continue
+				}
+				if slot < 0 || slot >= len(taken) || taken[slot] {
+					t.Fatalf("n=%d: linkSlot(%d,%d) = %d is out of range or already taken (%d planned links)", n, s, d, slot, len(taken))
+				}
+				taken[slot] = true
 				count++
 			}
 		}
-	}
-	if count != p.PlannedLinks() {
-		t.Fatalf("counted %d planned links, PlannedLinks() = %d", count, p.PlannedLinks())
-	}
-	if full := n * (n - 1); count >= full/2 {
-		t.Fatalf("plan probes %d of %d links — not sub-quadratic", count, full)
+		if count != p.PlannedLinks() {
+			t.Fatalf("n=%d: counted %d planned links, PlannedLinks() = %d", n, count, p.PlannedLinks())
+		}
+		if full := n * (n - 1); n >= 64 && count >= full/2 {
+			t.Fatalf("n=%d: plan probes %d of %d links — not sub-quadratic", n, count, full)
+		}
 	}
 }
 

@@ -1,0 +1,179 @@
+package route
+
+import (
+	"fmt"
+	"math/rand"
+	"strings"
+	"testing"
+)
+
+// denseUnderPlan readies sel as the dense reference: its link slab is
+// carved full-mesh (one estimate per ordered pair, identity-indexed) by
+// a first write before the plan is set, so the plan only restricts via
+// candidates — the layout every selector had before link state became
+// plan-sized. The touch of 0→1 records nothing; it only costs the
+// reference a recompute.
+func denseUnderPlan(sel *Selector, plan *LandmarkPlan) {
+	sel.Link(0, 1)
+	sel.SetPlan(plan)
+	if sel.layout != nil || len(sel.est) != sel.n*sel.n {
+		panic("reference selector is not full-mesh carved")
+	}
+}
+
+// compareSelectors holds every query the campaign makes to equality on
+// every ordered pair, including pairs whose direct link is unplanned.
+func compareSelectors(t *testing.T, label string, got, want *Selector) {
+	t.Helper()
+	n := got.N()
+	var tg, tw Tables
+	got.SnapshotInto(&tg)
+	want.SnapshotInto(&tw)
+	var kg, kw []Choice
+	for src := 0; src < n; src++ {
+		for dst := 0; dst < n; dst++ {
+			if src == dst {
+				continue
+			}
+			if tg.LossVia(src, dst) != tw.LossVia(src, dst) || tg.LatVia(src, dst) != tw.LatVia(src, dst) {
+				t.Fatalf("%s: tables differ at (%d,%d): loss %d vs %d, lat %d vs %d", label, src, dst,
+					tg.LossVia(src, dst), tw.LossVia(src, dst), tg.LatVia(src, dst), tw.LatVia(src, dst))
+			}
+			if g, w := got.BestLoss(src, dst), want.BestLoss(src, dst); g != w {
+				t.Fatalf("%s: BestLoss(%d,%d) = %+v, dense reference %+v", label, src, dst, g, w)
+			}
+			if g, w := got.BestLat(src, dst), want.BestLat(src, dst); g != w {
+				t.Fatalf("%s: BestLat(%d,%d) = %+v, dense reference %+v", label, src, dst, g, w)
+			}
+			kg = got.KBestDisjointAppend(kg[:0], src, dst, 3)
+			kw = want.KBestDisjointAppend(kw[:0], src, dst, 3)
+			if len(kg) != len(kw) {
+				t.Fatalf("%s: KBestDisjoint(%d,%d) returns %d paths, dense reference %d", label, src, dst, len(kg), len(kw))
+			}
+			for i := range kg {
+				if kg[i] != kw[i] {
+					t.Fatalf("%s: KBestDisjoint(%d,%d)[%d] = %+v, dense reference %+v", label, src, dst, i, kg[i], kw[i])
+				}
+			}
+		}
+	}
+}
+
+// TestPlanCarveMatchesDenseReference: a selector whose link state is
+// carved for the landmark plan answers exactly as one holding all n²
+// estimates with the same plan set, fed the same records — through
+// refreshes, hysteresis, a Reset that changes the window, and
+// plan→mesh→plan turnover on one selector (an arena's life).
+func TestPlanCarveMatchesDenseReference(t *testing.T) {
+	const n = 40
+	plan := NewLandmarkPlan(n)
+	rng := rand.New(rand.NewSource(11))
+	sub := NewSelectorWindow(n, 50)
+	ref := NewSelectorWindow(n, 50)
+
+	unplanned := 0
+	for s := 0; s < n; s++ {
+		for d := 0; d < n; d++ {
+			if s != d && !plan.Probes(s, d) {
+				unplanned++
+			}
+		}
+	}
+	if unplanned == 0 {
+		t.Fatal("plan probes every link; the test needs unplanned direct links")
+	}
+
+	cells := []struct {
+		window int
+		plan   *LandmarkPlan
+		hyst   float64
+	}{
+		{50, plan, 0},
+		{50, plan, 0.25}, // same shape: the carve is reused
+		{20, plan, 0},    // window change re-carves
+		{20, nil, 0.25},  // mesh on the same selector grows the slab
+		{20, plan, 0},    // and back, within the mesh slab's capacity
+		{35, plan, 0.25},
+	}
+	for ci, cell := range cells {
+		if ci > 0 {
+			sub.Reset(cell.window)
+			ref.Reset(cell.window)
+		}
+		if cell.plan != nil {
+			sub.SetPlan(cell.plan)
+			denseUnderPlan(ref, cell.plan)
+		}
+		if cell.hyst > 0 {
+			sub.SetHysteresis(cell.hyst)
+			ref.SetHysteresis(cell.hyst)
+		}
+		label := func(round int) string { return fmt.Sprintf("cell %d round %d", ci, round) }
+		compareSelectors(t, label(0)+" (virgin)", sub, ref)
+		for round := 1; round <= 6; round++ {
+			driveRandom(rng, []*Selector{sub, ref}, n, 1500, cell.plan)
+			compareSelectors(t, label(round), sub, ref)
+		}
+		want := n * n
+		if cell.plan != nil {
+			want = cell.plan.PlannedLinks()
+		}
+		if len(sub.est) != want || len(sub.rings) != want*cell.window {
+			t.Fatalf("cell %d: slab holds %d links, %d ring bytes; want %d links of %d",
+				ci, len(sub.est), len(sub.rings), want, cell.window)
+		}
+	}
+}
+
+// TestPlanCarveIsLazy: constructing a selector and setting a plan
+// allocates no per-link state at all, and the first record carves for
+// the plan's links only.
+func TestPlanCarveIsLazy(t *testing.T) {
+	const n = 100
+	plan := NewLandmarkPlan(n)
+	sel := NewSelectorWindow(n, 30)
+	sel.SetPlan(plan)
+	if len(sel.est) != 0 || len(sel.rings) != 0 {
+		t.Fatalf("link state carved before first use: %d estimates, %d ring bytes", len(sel.est), len(sel.rings))
+	}
+	if c := sel.BestLoss(3, 4); !c.IsDirect() || c.Loss != 0 || c.Latency != sel.FallbackLatency() {
+		t.Fatalf("virgin BestLoss = %+v, want direct at loss 0 and the fallback latency", c)
+	}
+	lm := int(plan.Landmarks()[0])
+	sel.Record((lm+1)%n, lm, false, 10)
+	if len(sel.est) != plan.PlannedLinks() || cap(sel.est) >= n*n {
+		t.Fatalf("carved %d estimates (cap %d) for %d planned links", len(sel.est), cap(sel.est), plan.PlannedLinks())
+	}
+}
+
+// TestUnplannedLinkWritePanics: writes to a link the plan does not
+// probe fail by name instead of indexing outside the carve.
+func TestUnplannedLinkWritePanics(t *testing.T) {
+	const n = 64
+	plan := NewLandmarkPlan(n)
+	src, dst := -1, -1
+	for s := 0; s < n && src < 0; s++ {
+		for d := 0; d < n; d++ {
+			if s != d && !plan.Probes(s, d) {
+				src, dst = s, d
+				break
+			}
+		}
+	}
+	for name, write := range map[string]func(*Selector){
+		"Record": func(s *Selector) { s.Record(src, dst, false, 10) },
+		"Link":   func(s *Selector) { s.Link(src, dst) },
+	} {
+		sel := NewSelector(n)
+		sel.SetPlan(plan)
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, fmt.Sprintf("%d→%d", src, dst)) || !strings.Contains(msg, "landmark plan") {
+					t.Errorf("%s on unplanned link %d→%d: panic %q does not name the link and the plan", name, src, dst, msg)
+				}
+			}()
+			write(sel)
+		}()
+	}
+}

@@ -35,7 +35,7 @@ func NewLossWindow(size int) *LossWindow {
 }
 
 // initShared points the window at a caller-owned ring slice, letting a
-// selector back all n² windows with one dense allocation.
+// selector back every link's window with one dense allocation.
 func (w *LossWindow) initShared(ring []bool) {
 	w.ring = ring
 	w.size = len(ring)
@@ -122,8 +122,8 @@ func (e *LatencyEWMA) Reset() { e.value, e.valid = 0, false }
 // fed with Record; links learned from other nodes' link-state gossip are
 // fed with SetSummary. The two modes are exclusive per link.
 //
-// The window and EWMA are embedded by value so a selector can hold all
-// n² estimates in one flat slice; the zero value is not usable —
+// The window and EWMA are embedded by value so a selector can hold its
+// links' estimates in one flat slice; the zero value is not usable —
 // construct with NewLinkEstimate (or, inside a Selector, init).
 type LinkEstimate struct {
 	Loss    LossWindow

@@ -6,10 +6,11 @@ import (
 	"sort"
 )
 
-// MaxMeshNodes caps selector mesh sizes. The selector's estimate slab,
-// metrics cache, and snapshot tables are all sized at construction from
-// n — growth past the cap is an explicit error up front (clear message,
-// no allocation), never an implicit slice regrowth mid-campaign.
+// MaxMeshNodes caps selector mesh sizes. The selector's metrics cache
+// and snapshot tables are sized at construction from n, and its link
+// slab at first use from n or the plan — growth past the cap is an
+// explicit error up front (clear message, no allocation), never an
+// implicit slice regrowth mid-campaign.
 const MaxMeshNodes = 1 << 14
 
 // ValidateMeshSize checks that an n-node mesh fits the selector's
@@ -20,7 +21,7 @@ func ValidateMeshSize(n int) error {
 	}
 	if n > MaxMeshNodes {
 		return fmt.Errorf(
-			"route: mesh of %d nodes exceeds MaxMeshNodes (%d): the selector sizes its estimate slab and metrics cache at construction; raise MaxMeshNodes deliberately instead of relying on implicit growth",
+			"route: mesh of %d nodes exceeds MaxMeshNodes (%d): the selector sizes its metrics cache and tables from n at construction; raise MaxMeshNodes deliberately instead of relying on implicit growth",
 			n, MaxMeshNodes)
 	}
 	return nil
@@ -43,6 +44,10 @@ type LandmarkPlan struct {
 	landmarks []int32 // ascending
 	isLM      []bool
 	lmIndex   []int32 // node -> position in landmarks, -1 otherwise
+	// rowBase[src] is the slot of src's first planned link in the
+	// compact numbering of linkSlot; rowBase[n] is the planned-link
+	// count.
+	rowBase []int32
 }
 
 // landmarkPlanSeed fixes the landmark choice per overlay size.
@@ -89,7 +94,69 @@ func NewLandmarkPlan(n int) *LandmarkPlan {
 		p.isLM[lm] = true
 		p.lmIndex[lm] = int32(i)
 	}
+	p.rowBase = make([]int32, n+1)
+	for src := 0; src < n; src++ {
+		row := n - 1 // a landmark probes every other node
+		if !p.isLM[src] {
+			row = L
+			next, prev := p.ring(src)
+			if !p.isLM[next] {
+				row++
+			}
+			if !p.isLM[prev] {
+				row++
+			}
+		}
+		p.rowBase[src+1] = p.rowBase[src] + int32(row)
+	}
 	return p
+}
+
+// ring returns src's two ring neighbours.
+func (p *LandmarkPlan) ring(src int) (next, prev int) {
+	next, prev = src+1, src-1
+	if next == p.n {
+		next = 0
+	}
+	if prev < 0 {
+		prev = p.n - 1
+	}
+	return next, prev
+}
+
+// linkSlot numbers the planned links 0..PlannedLinks()-1 by plan
+// arithmetic, row-major: a landmark's row holds every other node in
+// node order; a non-landmark's row holds the landmarks in landmark
+// order, then its next and previous ring neighbours where those are not
+// landmarks themselves. Unplanned links (and the diagonal) are -1. The
+// selector stores per-link state by this number, so a plan's state is
+// sized by the links it probes, not by n².
+func (p *LandmarkPlan) linkSlot(src, dst int) int {
+	if src == dst {
+		return -1
+	}
+	base := int(p.rowBase[src])
+	if p.isLM[src] {
+		if dst > src {
+			dst--
+		}
+		return base + dst
+	}
+	if li := p.lmIndex[dst]; li >= 0 {
+		return base + int(li)
+	}
+	// A non-landmark has distinct ring neighbours: next == prev only
+	// at n = 2, where both nodes are landmarks.
+	switch next, prev := p.ring(src); dst {
+	case next:
+		return base + len(p.landmarks)
+	case prev:
+		if p.isLM[next] {
+			return base + len(p.landmarks)
+		}
+		return base + len(p.landmarks) + 1
+	}
+	return -1
 }
 
 // N returns the overlay size the plan covers.
@@ -119,16 +186,7 @@ func (p *LandmarkPlan) Probes(src, dst int) bool {
 	return d == 1 || d == p.n-1
 }
 
-// PlannedLinks counts the directed links the plan probes — the probe
-// budget the policy buys relative to full mesh's n(n-1).
-func (p *LandmarkPlan) PlannedLinks() int {
-	count := 0
-	for s := 0; s < p.n; s++ {
-		for d := 0; d < p.n; d++ {
-			if p.Probes(s, d) {
-				count++
-			}
-		}
-	}
-	return count
-}
+// PlannedLinks returns how many directed links the plan probes — the
+// probe budget the policy buys relative to full mesh's n(n-1), counted
+// once at construction.
+func (p *LandmarkPlan) PlannedLinks() int { return int(p.rowBase[p.n]) }

@@ -34,22 +34,36 @@ func (c Choice) String() string {
 // It is deliberately transport-agnostic: both the simulation campaign and
 // the real overlay node feed it probe outcomes.
 //
-// Storage is flat and dense: link state lives in a single []LinkEstimate
-// indexed src*n+dst (one backing ring buffer shared by every loss
-// window), and Snapshot writes into reusable flat []int32 tables. The
-// campaign's table refresh is the selector's hot path — an O(n³) scan
-// per refresh — so SnapshotInto first caches every link's loss rate,
-// latency estimate, and dead flag once (O(n²) divisions instead of
-// O(n³)) and runs the pair scan over those flat arrays.
+// Storage is flat: link state lives in a single []LinkEstimate (one
+// backing ring buffer shared by every loss window) holding one entry
+// per link that can be probed — all n² under full mesh, the plan's
+// O(n·√n) under a LandmarkPlan — and Snapshot writes into reusable flat
+// []int32 tables. The campaign's table refresh is the selector's hot
+// path — an O(n³) scan per refresh — so SnapshotInto first caches every
+// link's loss rate, latency estimate, and dead flag once (O(n²)
+// divisions instead of O(n³)) and runs the pair scan over those flat
+// arrays.
 //
 // Selector is not safe for concurrent use.
 type Selector struct {
-	n   int
-	est []LinkEstimate // est[src*n+dst]; diagonal entries are unused
-	// rings is the one backing array behind every loss window; window
-	// is the per-link ring length. Both are kept so Reset can re-carve
-	// (or re-zero) the rings without reallocating.
-	rings  []bool
+	n int
+	// est holds one estimate per link slot (see slot): src*n+dst under
+	// full mesh, the plan's compact numbering when carved for a
+	// LandmarkPlan (layout, nil = full mesh). rings is the one backing
+	// array behind every loss window, carveWindow probes per link. Both
+	// — with linkTouched/usedMark and their lists — are carved at the
+	// first write after a Reset and re-carved only when the plan or
+	// window then in force needs a different shape; storage is kept at
+	// its high-water mark. Between a Reset and that first write every
+	// link is virgin and reads resolve to the virgin estimate, as do
+	// reads of links the layout does not hold: loss 0, fallback
+	// latency, not dead.
+	est         []LinkEstimate
+	rings       []bool
+	layout      *LandmarkPlan
+	carveWindow int
+	virgin      LinkEstimate
+	// window is the per-link ring length the next carve uses.
 	window int
 	// fallbackLat is the latency charged to links with no samples yet,
 	// so that unmeasured paths are not spuriously attractive.
@@ -105,19 +119,22 @@ type Selector struct {
 	// selection (and leave its hysteresis state unchanged: an equal-value
 	// challenger never beats the margin), so skipping it is exact;
 	// snapshot_equiv_test.go pins equality against full rescans.
-	linkTouched  []bool  // since the last snapshot
-	touchedLinks []int32 // indices with linkTouched set, append order
-	usedMark     []bool  // since Reset — the O(touched) Reset work list
-	usedList     []int32
-	dirtyRow     []bool // per-source scratch, clear outside SnapshotInto
-	dirtyCol     []bool // per-destination scratch
+	linkTouched  []bool  // per slot, since the last snapshot
+	touchedLinks []int32 // src*n+dst of links with linkTouched set, append order
+	usedMark     []bool  // per slot, since Reset — the O(touched) Reset work list
+	usedList     []int32 // slots
+	dirtyRow     []bool  // per-source scratch, clear outside SnapshotInto
+	dirtyCol     []bool  // per-destination scratch
 	dirtyRows    []int32
 	dirtyCols    []int32
 	lastLoss     []int32 // retained tables from the last snapshot
 	lastLat      []int32
 	lastValid    bool
 	metricsValid bool // metrics cache mirrors every estimate
-	recorded     bool // any Record/Link since Reset
+	recorded     bool // any Record/Link since Reset; implies a current carve
+	// meshLive is recorded && layout == nil, as one flag so link's
+	// full-mesh case stays within the inlining budget.
+	meshLive bool
 }
 
 // latDead is the sentinel latency of a dead link in mLatAdj: far above
@@ -139,90 +156,65 @@ func NewSelectorWindow(n, window int) *Selector {
 	if err := ValidateMeshSize(n); err != nil {
 		panic(err)
 	}
-	s := &Selector{n: n}
+	s := &Selector{
+		n:         n,
+		mLoss:     make([]float64, n*n),
+		mLat:      make([]time.Duration, n*n),
+		mDead:     make([]bool, n*n),
+		mLatAdj:   make([]time.Duration, n*n),
+		colLoss:   make([]float64, n),
+		colLat:    make([]time.Duration, n),
+		colLatAdj: make([]time.Duration, n),
+		dirtyRow:  make([]bool, n),
+		dirtyCol:  make([]bool, n),
+		dirtyRows: make([]int32, 0, n),
+		dirtyCols: make([]int32, 0, n),
+		lastLoss:  make([]int32, n*n),
+		lastLat:   make([]int32, n*n),
+	}
+	for i := 0; i < n; i++ {
+		// refreshMetrics never touches the diagonal; pin the
+		// sentinels once (see latDead).
+		s.mLoss[i*n+i] = math.Inf(1)
+		s.mLatAdj[i*n+i] = latDead
+	}
+	s.virgin.init(nil)
 	s.Reset(window)
 	return s
 }
 
 // Reset returns the selector to the state NewSelectorWindow(s.N(),
 // window) would construct — empty estimates, default fallback latency,
-// hysteresis disabled — reusing the estimate slab, ring storage, and
-// snapshot scratch. Only a window-size change reallocates (the rings);
-// everything else is re-zeroed in place, so a campaign driver can run
-// successive cells through one selector without allocating.
+// hysteresis disabled, no plan — reusing the link slab, ring storage,
+// and snapshot scratch. Turnover is O(touched): only links marked used
+// since the last Reset hold any state — every other estimate (and its
+// ring segment) is still exactly as carve left it — so re-zeroing just
+// the used ones reproduces the fresh state without walking the slab,
+// and a campaign driver can run successive cells through one selector
+// without allocating. A changed window (or plan) takes effect at the
+// next carve.
 func (s *Selector) Reset(window int) {
 	if window <= 0 {
 		window = DefaultLossWindow
 	}
-	n := s.n
 	s.fallbackLat = 500 * time.Millisecond
 	s.hysteresis = 0
 	s.plan = nil
 	s.lastValid = false
 	s.metricsValid = false
 	s.recorded = false
-	switch {
-	case s.est == nil:
-		s.est = make([]LinkEstimate, n*n)
-		s.mLoss = make([]float64, n*n)
-		s.mLat = make([]time.Duration, n*n)
-		s.mDead = make([]bool, n*n)
-		s.mLatAdj = make([]time.Duration, n*n)
-		for i := 0; i < n; i++ {
-			// refreshMetrics never touches the diagonal; pin the
-			// sentinels once (see latDead).
-			s.mLoss[i*n+i] = math.Inf(1)
-			s.mLatAdj[i*n+i] = latDead
-		}
-		s.colLoss = make([]float64, n)
-		s.colLat = make([]time.Duration, n)
-		s.colLatAdj = make([]time.Duration, n)
-		s.linkTouched = make([]bool, n*n)
-		s.usedMark = make([]bool, n*n)
-		s.touchedLinks = make([]int32, 0, n*n)
-		s.usedList = make([]int32, 0, n*n)
-		s.dirtyRow = make([]bool, n)
-		s.dirtyCol = make([]bool, n)
-		s.dirtyRows = make([]int32, 0, n)
-		s.dirtyCols = make([]int32, 0, n)
-		s.lastLoss = make([]int32, n*n)
-		s.lastLat = make([]int32, n*n)
-		s.rings = make([]bool, n*n*window)
-		s.window = window
-		s.initEstimates()
-	case window == s.window:
-		// Same-window turnover is O(touched): only links marked used
-		// since the last Reset hold any state — every other estimate
-		// (and its ring segment) is still exactly as initEstimates left
-		// it, so re-zeroing just the used ones reproduces the fresh
-		// state without walking the n²·window slab.
-		for _, li := range s.usedList {
-			idx := int(li)
-			s.usedMark[idx] = false
-			s.linkTouched[idx] = false
-			ring := s.rings[idx*window : (idx+1)*window]
-			clear(ring)
-			s.est[idx] = LinkEstimate{}
-			s.est[idx].init(ring)
-		}
-		s.usedList = s.usedList[:0]
-		s.touchedLinks = s.touchedLinks[:0]
-	default:
-		// Window change: the rings must be re-carved, which re-points
-		// every estimate — the one remaining O(capacity) path.
-		clear(s.est)
-		if len(s.rings) != n*n*window {
-			s.rings = make([]bool, n*n*window)
-		} else {
-			clear(s.rings)
-		}
-		s.window = window
-		s.initEstimates()
-		clear(s.linkTouched)
-		clear(s.usedMark)
-		s.touchedLinks = s.touchedLinks[:0]
-		s.usedList = s.usedList[:0]
+	s.meshLive = false
+	s.window = window
+	for _, slot := range s.usedList {
+		s.usedMark[slot] = false
+		s.linkTouched[slot] = false
+		ring := s.est[slot].Loss.ring
+		clear(ring)
+		s.est[slot] = LinkEstimate{}
+		s.est[slot].init(ring)
 	}
+	s.usedList = s.usedList[:0]
+	s.touchedLinks = s.touchedLinks[:0]
 	// Hysteresis state buffers survive for reuse but must look freshly
 	// allocated (-1 = "no held path") if SetHysteresis re-enables them.
 	for i := range s.prevLoss {
@@ -231,20 +223,99 @@ func (s *Selector) Reset(window int) {
 	}
 }
 
-// initEstimates (re)points every off-diagonal estimate at its segment
-// of the backing ring array. One backing array for every ring keeps the
-// n² windows dense in memory and (re)construction at O(1) allocations.
-func (s *Selector) initEstimates() {
-	n, window := s.n, s.window
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i == j {
-				continue
-			}
-			idx := i*n + j
-			s.est[idx].init(s.rings[idx*window : (idx+1)*window])
+// sized returns buf resliced to n elements, reallocating only past its
+// capacity. A resliced buffer keeps its old contents: the link slab's
+// users leave everything they release zeroed, and scratch users
+// rewrite before reading.
+func sized[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
+// carve lays the link slab out for the plan and window now in force:
+// one estimate, ring segment, and pair of marks per link slot. It runs
+// at the first write after a Reset — so NewSelectorWindow followed by
+// SetPlan never materialises the n² layout — and is a no-op when the
+// slab already has that shape. Every estimate is in its reset state
+// and every ring zero on entry (Reset's invariant), so carving only
+// re-points estimates at their ring segments.
+func (s *Selector) carve() {
+	links := s.n * s.n
+	if s.plan != nil {
+		links = s.plan.PlannedLinks()
+	}
+	s.layout = s.plan
+	// Plans derive from n alone and never probe all n² pairs, so the
+	// link count identifies the slab's current layout.
+	if links == len(s.est) && s.window == s.carveWindow {
+		return
+	}
+	s.carveWindow = s.window
+	s.est = sized(s.est, links)
+	s.rings = sized(s.rings, links*s.window)
+	s.linkTouched = sized(s.linkTouched, links)
+	s.usedMark = sized(s.usedMark, links)
+	if cap(s.usedList) < links {
+		s.touchedLinks = make([]int32, 0, links)
+		s.usedList = make([]int32, 0, links)
+	}
+	for i := range s.est {
+		s.est[i].init(s.rings[i*s.window : (i+1)*s.window])
+	}
+}
+
+// slot maps the directed link src→dst to its index in the link slab, or
+// -1 for a link the layout's plan does not probe.
+func (s *Selector) slot(src, dst int) int {
+	if s.layout != nil {
+		return s.layout.linkSlot(src, dst)
+	}
+	return src*s.n + dst
+}
+
+// link returns the estimate of src→dst for reading only: the shared
+// virgin estimate stands in for every link before the first write since
+// Reset and for links the layout does not hold. The full-mesh case is
+// split out so it inlines into the via scans.
+func (s *Selector) link(src, dst int) *LinkEstimate {
+	if s.meshLive {
+		return &s.est[src*s.n+dst]
+	}
+	return s.plannedLink(src, dst)
+}
+
+func (s *Selector) plannedLink(src, dst int) *LinkEstimate {
+	if s.recorded {
+		if slot := s.layout.linkSlot(src, dst); slot >= 0 {
+			return &s.est[slot]
 		}
 	}
+	return &s.virgin
+}
+
+// writeSlot returns the slot of src→dst for mutation, carving the slab
+// on the first write since Reset. Like link, it keeps the full-mesh
+// case inlinable: Record runs once per routing probe.
+func (s *Selector) writeSlot(src, dst int) int {
+	if s.meshLive {
+		return src*s.n + dst
+	}
+	return s.carvedSlot(src, dst)
+}
+
+func (s *Selector) carvedSlot(src, dst int) int {
+	if !s.recorded {
+		s.carve()
+		s.recorded = true
+		s.meshLive = s.layout == nil
+	}
+	slot := s.slot(src, dst)
+	if slot < 0 {
+		panic(fmt.Sprintf("route: link %d→%d is not probed under the landmark plan and holds no estimate", src, dst))
+	}
+	return slot
 }
 
 // N returns the mesh size.
@@ -259,41 +330,48 @@ func (s *Selector) Link(src, dst int) *LinkEstimate {
 	if src == dst {
 		return nil
 	}
-	idx := src*s.n + dst
-	s.touch(idx)
-	return &s.est[idx]
+	slot := s.writeSlot(src, dst)
+	s.touch(src*s.n+dst, slot)
+	return &s.est[slot]
 }
 
 // Record folds one probe outcome for the directed link src→dst.
 func (s *Selector) Record(src, dst int, lost bool, lat time.Duration) {
-	idx := src*s.n + dst
-	s.est[idx].Record(lost, lat)
-	s.touch(idx)
+	slot := s.writeSlot(src, dst)
+	s.est[slot].Record(lost, lat)
+	s.touch(src*s.n+dst, slot)
 }
 
 // touch marks a link changed since the last snapshot (and used since
 // Reset). Both lists are deduplicated by their mark arrays, so the hot
 // path pays one predictable branch per probe after the first touch of
 // an interval.
-func (s *Selector) touch(idx int) {
-	s.recorded = true
-	if !s.linkTouched[idx] {
-		s.linkTouched[idx] = true
+func (s *Selector) touch(idx, slot int) {
+	if !s.linkTouched[slot] {
+		s.linkTouched[slot] = true
 		s.touchedLinks = append(s.touchedLinks, int32(idx))
-		if !s.usedMark[idx] {
-			s.usedMark[idx] = true
-			s.usedList = append(s.usedList, int32(idx))
+		if !s.usedMark[slot] {
+			s.usedMark[slot] = true
+			s.usedList = append(s.usedList, int32(slot))
 		}
 	}
 }
 
 // SetPlan restricts via candidates to the plan's landmark set (nil
-// restores full-mesh scanning) and sizes the landmark scratch. Changing
-// the plan invalidates the retained snapshot state: the next
-// SnapshotInto recomputes everything under the new candidate set.
+// restores full-mesh scanning), sizes the landmark scratch, and makes
+// the plan's links the only ones that hold estimates. Changing the
+// plan invalidates the retained snapshot state: the next SnapshotInto
+// recomputes everything under the new candidate set. The link slab is
+// laid out at the first Record/Link since Reset for the plan then in
+// force: a full-mesh slab holds every link, so a plan may still be set
+// (or swapped, or dropped) over it later, but a slab carved for a plan
+// cannot serve full mesh.
 func (s *Selector) SetPlan(p *LandmarkPlan) {
 	if p != nil && p.n != s.n {
 		panic(fmt.Sprintf("route: plan for %d nodes applied to %d-node selector", p.n, s.n))
+	}
+	if p == nil && s.recorded && s.layout != nil {
+		panic("route: SetPlan(nil) after Record: link state was laid out for the landmark plan; Reset first")
 	}
 	s.plan = p
 	s.metricsValid = false
@@ -302,20 +380,12 @@ func (s *Selector) SetPlan(p *LandmarkPlan) {
 		return
 	}
 	L := len(p.landmarks)
-	if cap(s.lmColLoss) < s.n*L {
-		s.lmColLoss = make([]float64, s.n*L)
-		s.lmColLat = make([]time.Duration, s.n*L)
-		s.lmColLatAdj = make([]time.Duration, s.n*L)
-		s.srcLmLoss = make([]float64, L)
-		s.srcLmLat = make([]time.Duration, L)
-		s.srcLmLatAdj = make([]time.Duration, L)
-	}
-	s.lmColLoss = s.lmColLoss[:s.n*L]
-	s.lmColLat = s.lmColLat[:s.n*L]
-	s.lmColLatAdj = s.lmColLatAdj[:s.n*L]
-	s.srcLmLoss = s.srcLmLoss[:L]
-	s.srcLmLat = s.srcLmLat[:L]
-	s.srcLmLatAdj = s.srcLmLatAdj[:L]
+	s.lmColLoss = sized(s.lmColLoss, s.n*L)
+	s.lmColLat = sized(s.lmColLat, s.n*L)
+	s.lmColLatAdj = sized(s.lmColLatAdj, s.n*L)
+	s.srcLmLoss = sized(s.srcLmLoss, L)
+	s.srcLmLat = sized(s.srcLmLat, L)
+	s.srcLmLatAdj = sized(s.srcLmLatAdj, L)
 }
 
 // Plan returns the active probe/scan plan (nil = full mesh).
@@ -338,7 +408,7 @@ func pathLoss(a, b float64) float64 {
 // indirect candidates, ties break toward lower latency.
 func (s *Selector) BestLoss(src, dst int) Choice {
 	const eps = 1e-9
-	direct := &s.est[src*s.n+dst]
+	direct := s.link(src, dst)
 	directChoice := Choice{
 		Via:     -1,
 		Loss:    direct.LossRate(),
@@ -350,7 +420,7 @@ func (s *Selector) BestLoss(src, dst int) Choice {
 		if via == src || via == dst {
 			continue
 		}
-		l1, l2 := &s.est[src*s.n+via], &s.est[via*s.n+dst]
+		l1, l2 := s.link(src, via), s.link(via, dst)
 		loss := pathLoss(l1.LossRate(), l2.LossRate())
 		lat := l1.LatencyEstimate(s.fallbackLat) + l2.LatencyEstimate(s.fallbackLat)
 		if loss < best.Loss-eps ||
@@ -386,7 +456,7 @@ func (s *Selector) viaAt(i int) int {
 // failed links", §4). If every candidate path crosses a dead link, the
 // direct path is returned as a last resort.
 func (s *Selector) BestLat(src, dst int) Choice {
-	direct := &s.est[src*s.n+dst]
+	direct := s.link(src, dst)
 	best := Choice{Via: -1, Loss: direct.LossRate(), Latency: direct.LatencyEstimate(s.fallbackLat)}
 	bestAlive := !direct.Dead()
 	for vi, stop := s.viaRange(); vi < stop; vi++ {
@@ -394,7 +464,7 @@ func (s *Selector) BestLat(src, dst int) Choice {
 		if via == src || via == dst {
 			continue
 		}
-		l1, l2 := &s.est[src*s.n+via], &s.est[via*s.n+dst]
+		l1, l2 := s.link(src, via), s.link(via, dst)
 		if l1.Dead() || l2.Dead() {
 			continue
 		}
@@ -527,7 +597,7 @@ func (s *Selector) SnapshotInto(t *Tables) {
 // covered by a full rescan).
 func (s *Selector) clearTouched() {
 	for _, li := range s.touchedLinks {
-		s.linkTouched[li] = false
+		s.linkTouched[s.slot(int(li)/s.n, int(li)%s.n)] = false
 	}
 	s.touchedLinks = s.touchedLinks[:0]
 }
@@ -593,8 +663,10 @@ func (s *Selector) rescanDirty() {
 	n := s.n
 	for _, li := range s.touchedLinks {
 		idx := int(li)
-		s.linkTouched[idx] = false
-		le := &s.est[idx]
+		src, dst := idx/n, idx%n
+		slot := s.slot(src, dst)
+		s.linkTouched[slot] = false
+		le := &s.est[slot]
 		loss := le.LossRate()
 		lat := le.LatencyEstimate(s.fallbackLat)
 		s.mLoss[idx] = loss
@@ -607,7 +679,6 @@ func (s *Selector) rescanDirty() {
 			s.mDead[idx] = false
 		}
 		s.mLatAdj[idx] = adj
-		src, dst := idx/n, idx%n
 		if p := s.plan; p != nil {
 			if li := p.lmIndex[src]; li >= 0 {
 				at := dst*len(p.landmarks) + int(li)
@@ -804,7 +875,7 @@ func (s *Selector) refreshMetrics() {
 			if i == j {
 				continue
 			}
-			le := &s.est[row+j]
+			le := s.link(i, j)
 			s.mLoss[row+j] = le.LossRate()
 			lat := le.LatencyEstimate(s.fallbackLat)
 			s.mLat[row+j] = lat
@@ -996,11 +1067,11 @@ func (s *Selector) SetHysteresis(margin float64) {
 // evaluate scores one candidate path.
 func (s *Selector) evaluate(src, dst, via int) Choice {
 	if via < 0 {
-		le := &s.est[src*s.n+dst]
+		le := s.link(src, dst)
 		return Choice{Via: -1, Loss: le.LossRate(),
 			Latency: le.LatencyEstimate(s.fallbackLat)}
 	}
-	l1, l2 := &s.est[src*s.n+via], &s.est[via*s.n+dst]
+	l1, l2 := s.link(src, via), s.link(via, dst)
 	return Choice{
 		Via:  via,
 		Loss: pathLoss(l1.LossRate(), l2.LossRate()),
@@ -1012,9 +1083,9 @@ func (s *Selector) evaluate(src, dst, via int) Choice {
 // pathDead reports whether a candidate path crosses a dead link.
 func (s *Selector) pathDead(src, dst, via int) bool {
 	if via < 0 {
-		return s.est[src*s.n+dst].Dead()
+		return s.link(src, dst).Dead()
 	}
-	return s.est[src*s.n+via].Dead() || s.est[via*s.n+dst].Dead()
+	return s.link(src, via).Dead() || s.link(via, dst).Dead()
 }
 
 // BestLossStable is BestLoss with hysteresis: the previously chosen path
@@ -1087,7 +1158,7 @@ func (s *Selector) KBestDisjointAppend(buf []Choice, src, dst, k int) []Choice {
 		k = max
 	}
 	start := len(buf)
-	direct := &s.est[src*s.n+dst]
+	direct := s.link(src, dst)
 	buf = append(buf, Choice{
 		Via:     -1,
 		Loss:    direct.LossRate(),
@@ -1098,7 +1169,7 @@ func (s *Selector) KBestDisjointAppend(buf []Choice, src, dst, k int) []Choice {
 		if via == src || via == dst {
 			continue
 		}
-		l1, l2 := &s.est[src*s.n+via], &s.est[via*s.n+dst]
+		l1, l2 := s.link(src, via), s.link(via, dst)
 		c := Choice{
 			Via:  via,
 			Loss: pathLoss(l1.LossRate(), l2.LossRate()),
