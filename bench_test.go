@@ -13,6 +13,7 @@ package repro
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -669,17 +670,9 @@ func BenchmarkAggregatorObserve(b *testing.B) {
 	}
 }
 
-// BenchmarkStoreAppend measures the result store's steady-state append:
-// a representative row (the metric width of a workload+resilience cell)
-// written to an already-warm segment whose column dictionary knows every
-// column. One framed write(2), zero allocations — the property benchguard
-// gates, since the coordinator appends on its completion path.
-func BenchmarkStoreAppend(b *testing.B) {
-	st, err := resultstore.Open(resultstore.SegmentPath(b.TempDir()))
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer st.Close()
+// benchStoreRow is a representative store row: the metric width of a
+// workload+resilience cell.
+func benchStoreRow() *resultstore.Row {
 	row := &resultstore.Row{
 		Kind: resultstore.KindCell, Name: "ronnarrow-scoutage-s2-r00",
 		Group: "ronnarrow-scoutage-s2", Dataset: "ronnarrow",
@@ -714,6 +707,21 @@ func BenchmarkStoreAppend(b *testing.B) {
 			row.Metrics = append(row.Metrics, resultstore.Metric{Col: "rs." + v + "." + f, Val: 97.5})
 		}
 	}
+	return row
+}
+
+// BenchmarkStoreAppend measures the result store's steady-state append:
+// a representative row written to an already-warm segment whose column
+// dictionary knows every column. One framed write(2), zero allocations —
+// the property benchguard gates, since the coordinator appends on its
+// completion path.
+func BenchmarkStoreAppend(b *testing.B) {
+	st, err := resultstore.Open(resultstore.SegmentPath(b.TempDir()))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer st.Close()
+	row := benchStoreRow()
 	if err := st.Append(row); err != nil { // warm the dictionary and buffer
 		b.Fatal(err)
 	}
@@ -723,6 +731,109 @@ func BenchmarkStoreAppend(b *testing.B) {
 		if err := st.Append(row); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// benchStoreRows is the synthetic segment's size: 400 grid points of 24
+// replica cells and one merged row.
+const benchStoreRows = 10_000
+
+// benchStoreSegment writes the synthetic segment the open and query
+// benches read: benchStoreRow's columns on every row, scenario ×
+// streams axes, one metric value per row index.
+func benchStoreSegment(b *testing.B) string {
+	b.Helper()
+	path := resultstore.SegmentPath(b.TempDir())
+	st, err := resultstore.Open(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	row := benchStoreRow()
+	scenarios := []string{"0", "outage", "storm", "flap"}
+	streams := []string{"1", "2", "4"}
+	for i := 0; i < benchStoreRows; i++ {
+		g, rep := i/25, i%25
+		row.Group = fmt.Sprintf("ronnarrow-sc%s-s%s-b%03d", scenarios[g%4], streams[g/4%3], g/12)
+		row.Axes[0].Value, row.Axes[1].Value = scenarios[g%4], streams[g/4%3]
+		if rep == 24 {
+			row.Kind, row.Name, row.Snapshot, row.Replica = resultstore.KindGroup, row.Group, "", -1
+		} else {
+			row.Kind, row.Name, row.Replica = resultstore.KindCell, fmt.Sprintf("%s-r%02d", row.Group, rep), int32(rep)
+			row.Snapshot = core.CellSnapshotRelPath(row.Name)
+		}
+		for c := range row.Metrics {
+			row.Metrics[c].Val = float64((i*31+c*17)%1009) / 1009
+		}
+		if err := st.Append(row); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		b.Fatal(err)
+	}
+	return path
+}
+
+// BenchmarkStoreOpen measures what `ronreport -store` pays before its
+// first query: ReadSegment (scan, CRC, decode) plus Unique over the
+// 10⁴-row synthetic segment. Warm: the file is in the page cache (just
+// written). Cold: every iteration decodes into a fresh Segment; the
+// previous one is garbage. B/row is the heap the decoded segment and
+// its Unique slice hold once garbage is collected.
+func BenchmarkStoreOpen(b *testing.B) {
+	path := benchStoreSegment(b)
+	var rows []*resultstore.Row
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		seg, err := resultstore.ReadSegment(path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rows = seg.Unique()
+	}
+	b.StopTimer()
+	if len(rows) != benchStoreRows {
+		b.Fatalf("opened %d unique rows, want %d", len(rows), benchStoreRows)
+	}
+	var held, freed runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&held)
+	runtime.KeepAlive(rows)
+	runtime.GC()
+	runtime.ReadMemStats(&freed)
+	b.ReportMetric(float64(held.HeapAlloc-freed.HeapAlloc)/benchStoreRows, "B/row")
+}
+
+// BenchmarkStoreQuery measures one canned query as cmd/ronreport composes
+// it — Select (two literal predicates and a "*"), GroupBy, then
+// MetricValues and Quantile per bucket — over the opened synthetic
+// segment. Warm: the segment is decoded once outside the timer and every
+// iteration reads the same rows; only the query's own results are
+// allocated.
+func BenchmarkStoreQuery(b *testing.B) {
+	seg, err := resultstore.ReadSegment(benchStoreSegment(b))
+	if err != nil {
+		b.Fatal(err)
+	}
+	rows := seg.Unique()
+	preds, err := resultstore.ParsePredicates("kind=cell,scenario=outage,dataset=*")
+	if err != nil {
+		b.Fatal(err)
+	}
+	var sink float64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sel := resultstore.Select(rows, preds)
+		for _, g := range resultstore.GroupBy(sel, "streams") {
+			vals := resultstore.MetricValues(g.Rows, "wl.mp.losspct")
+			sink += resultstore.Quantile(vals, 0.95)
+		}
+	}
+	b.StopTimer()
+	if sink == 0 {
+		b.Fatal("query produced no values")
 	}
 }
 

@@ -49,20 +49,41 @@ import (
 )
 
 func main() {
+	switch err := run(os.Args[1:]); err {
+	case nil:
+	case errUsage:
+		os.Exit(2)
+	default:
+		fatal(err)
+	}
+}
+
+// errUsage is a command-line mistake that has already been reported.
+var errUsage = errors.New("usage")
+
+// run is main with its arguments passed in, so tests can drive the
+// command line.
+func run(args []string) error {
+	fs := flag.NewFlagSet("ronreport", flag.ContinueOnError)
 	var (
-		hosts    = flag.Int("hosts", 30, "number of hosts in the mesh")
-		methods  = flag.String("methods", "direct", "comma-separated method names, indexed by the Method field in the logs")
-		sweepDir = flag.String("sweep", "", "read a ronsim sweep manifest (sweep.json) from this directory and combine its per-cell traces")
-		store    = flag.String("store", "", "query the columnar result store of this sweep output directory (or a results.seg path)")
-		reindex  = flag.Bool("reindex", false, "with -store: backfill the store from the directory's manifest and cell snapshots")
-		query    = flag.String("query", "", "with -store: comma-separated field=glob predicates (kind, name, group, dataset, replica, seed, or any axis)")
-		groupBy  = flag.String("group-by", "", "with -store -metrics: bucket selected rows by this field")
-		metrics  = flag.String("metrics", "", "with -store: comma-separated metric columns to print")
-		quantile = flag.Float64("quantile", -1, "with -store -metrics/-drill: also report this quantile (0..1)")
-		render   = flag.String("render", "", "with -store: re-render a table from each selected row (overview, table6, workload, resilience)")
-		drill    = flag.String("drill", "", "with -store: snapshot-backed CDF drill-down (pathloss, win20:<method>, clp:<method>, latency:<method>)")
+		hosts    = fs.Int("hosts", 30, "number of hosts in the mesh")
+		methods  = fs.String("methods", "direct", "comma-separated method names, indexed by the Method field in the logs")
+		sweepDir = fs.String("sweep", "", "read a ronsim sweep manifest (sweep.json) from this directory and combine its per-cell traces")
+		store    = fs.String("store", "", "query the columnar result store of this sweep output directory (or a results.seg path)")
+		reindex  = fs.Bool("reindex", false, "with -store: backfill the store from the directory's manifest and cell snapshots")
+		query    = fs.String("query", "", "with -store: comma-separated field=glob predicates (kind, name, group, dataset, replica, seed, or any axis)")
+		groupBy  = fs.String("group-by", "", "with -store -metrics: bucket selected rows by this field")
+		metrics  = fs.String("metrics", "", "with -store: comma-separated metric columns to print")
+		quantile = fs.Float64("quantile", -1, "with -store -metrics/-drill: also report this quantile (0..1)")
+		render   = fs.String("render", "", "with -store: re-render a table from each selected row (overview, table6, workload, resilience)")
+		drill    = fs.String("drill", "", "with -store: snapshot-backed CDF drill-down (pathloss, win20:<method>, clp:<method>, latency:<method>)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return nil
+		}
+		return errUsage
+	}
 
 	if *store != "" {
 		q := storeQuery{
@@ -75,31 +96,26 @@ func main() {
 			drill:    *drill,
 		}
 		q.root, q.segPath = resolveStore(*store)
-		if err := runStore(q); err != nil {
-			fatal(err)
-		}
-		return
+		return runStore(q)
 	}
 
 	if *sweepDir != "" {
-		if err := reportSweep(*sweepDir); err != nil {
-			fatal(err)
-		}
-		return
+		return reportSweep(*sweepDir)
 	}
 
-	if flag.NArg() == 0 {
+	if fs.NArg() == 0 {
 		fmt.Fprintln(os.Stderr, "ronreport: no trace files given")
-		os.Exit(2)
+		return errUsage
 	}
 	names := splitMethods(*methods)
-	agg, total, nlogs, matched, err := aggregateTraces(names, *hosts, flag.Args())
+	agg, total, nlogs, matched, err := aggregateTraces(names, *hosts, fs.Args())
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	fmt.Printf("merged %d records from %d logs\n", total, nlogs)
 	fmt.Printf("matched %d probe observations\n\n", matched)
 	printTables(agg)
+	return nil
 }
 
 // aggregateTraces reads trace files, matches sends to receives, and folds

@@ -15,6 +15,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 
@@ -79,7 +80,7 @@ func runStore(q storeQuery) error {
 	case q.drill != "":
 		return drillRows(q.root, sel, q.drill, q.quantile)
 	case q.metrics != "":
-		return printMetrics(sel, q)
+		return printMetrics(sel, q, seg.Columns)
 	default:
 		listRows(sel)
 		return nil
@@ -125,9 +126,15 @@ func renderRows(sel []*resultstore.Row, kind string) error {
 
 // printMetrics prints metric columns: raw per-row values without
 // -group-by, per-bucket count/mean (plus the requested quantile) with
-// it.
-func printMetrics(sel []*resultstore.Row, q storeQuery) error {
+// it. A column no selected row carries is an error, not a run of "-" or
+// n=0: it is nearly always a misspelling.
+func printMetrics(sel []*resultstore.Row, q storeQuery, segCols []string) error {
 	cols := splitMethods(q.metrics)
+	for _, col := range cols {
+		if !anyRowHas(sel, col) {
+			return unknownColumn(col, segCols)
+		}
+	}
 	if q.groupBy == "" && q.quantile < 0 {
 		for _, r := range sel {
 			fmt.Fprintf(flagOut, "%s", r.Name)
@@ -167,6 +174,39 @@ func printMetrics(sel []*resultstore.Row, q storeQuery) error {
 		}
 	}
 	return nil
+}
+
+func anyRowHas(rows []*resultstore.Row, col string) bool {
+	for _, r := range rows {
+		if _, ok := resultstore.MetricValue(r, col); ok {
+			return true
+		}
+	}
+	return false
+}
+
+// unknownColumn names the missing column and lists the segment's
+// columns of its family (the prefix through the first '.': t5., t6.,
+// wl., rs., win20.), or the families there are when it has none.
+func unknownColumn(col string, segCols []string) error {
+	family := func(c string) string { return c[:strings.IndexByte(c, '.')+1] }
+	var same, families []string
+	for _, c := range segCols {
+		switch f := family(c); {
+		case f == "":
+		case f == family(col):
+			same = append(same, c)
+		case !slices.Contains(families, f):
+			families = append(families, f)
+		}
+	}
+	if len(same) > 0 {
+		return fmt.Errorf("no selected row has a metric column %q; the store's %s columns are: %s",
+			col, family(col), strings.Join(same, ", "))
+	}
+	sort.Strings(families)
+	return fmt.Errorf("no selected row has a metric column %q; the store's column families are: %s",
+		col, strings.Join(families, " "))
 }
 
 // listRows prints a one-line inventory per selected row.

@@ -2,6 +2,7 @@ package resultstore
 
 import (
 	"fmt"
+	"math/bits"
 	"path"
 	"sort"
 	"strconv"
@@ -47,32 +48,61 @@ func ParsePredicates(s string) ([]Predicate, error) {
 	return preds, nil
 }
 
-// FieldValue resolves a query field against a row: fixed identity
-// fields first, then the axis map ("" when the row lacks the axis).
-func FieldValue(r *Row, field string) string {
-	switch field {
-	case "kind":
+// field is a query field resolved once: one of the row's fixed identity
+// fields, or an axis key.
+type field struct {
+	id   int    // fieldKind..fieldSeed, or fieldAxis
+	axis string // the name looked up in Row.Axes when id == fieldAxis
+}
+
+const (
+	fieldAxis = iota // the zero value: any name that is not an identity field
+	fieldKind
+	fieldName
+	fieldGroup
+	fieldDataset
+	fieldReplica
+	fieldSeed
+)
+
+var identityFields = map[string]int{
+	"kind": fieldKind, "name": fieldName, "group": fieldGroup,
+	"dataset": fieldDataset, "replica": fieldReplica, "seed": fieldSeed,
+}
+
+// resolveField maps a name to its identity field, or (the map's zero
+// value) to the axis of that name.
+func resolveField(name string) field { return field{id: identityFields[name], axis: name} }
+
+func (f field) value(r *Row) string {
+	switch f.id {
+	case fieldKind:
 		return r.Kind
-	case "name":
+	case fieldName:
 		return r.Name
-	case "group":
+	case fieldGroup:
 		return r.Group
-	case "dataset":
+	case fieldDataset:
 		return r.Dataset
-	case "replica":
+	case fieldReplica:
 		return strconv.FormatInt(int64(r.Replica), 10)
-	case "seed":
+	case fieldSeed:
 		return strconv.FormatUint(r.Seed, 10)
 	}
 	for i := range r.Axes {
-		if r.Axes[i].Key == field {
+		if r.Axes[i].Key == f.axis {
 			return r.Axes[i].Value
 		}
 	}
 	return ""
 }
 
-// Match reports whether the row satisfies every predicate.
+// FieldValue resolves a query field against a row: fixed identity
+// fields first, then the axis map ("" when the row lacks the axis).
+func FieldValue(r *Row, name string) string { return resolveField(name).value(r) }
+
+// Match reports whether the row satisfies every predicate. It is the
+// per-row definition of a query; Select is its compiled form.
 func Match(r *Row, preds []Predicate) bool {
 	for _, p := range preds {
 		ok, err := path.Match(p.Pattern, FieldValue(r, p.Field))
@@ -83,13 +113,59 @@ func Match(r *Row, preds []Predicate) bool {
 	return true
 }
 
+// matcher is one compiled predicate.
+type matcher struct {
+	field
+	op      int
+	pattern string
+}
+
+const (
+	opEqual   = iota // no glob metacharacter: the pattern is the value
+	opNoSlash        // "*": path.Match's star spans anything but '/'
+	opGlob
+)
+
+// compile resolves each predicate's field and picks the cheapest test
+// that agrees with path.Match on every value.
+func compile(preds []Predicate) []matcher {
+	ms := make([]matcher, len(preds))
+	for i, p := range preds {
+		ms[i] = matcher{field: resolveField(p.Field), op: opGlob, pattern: p.Pattern}
+		switch {
+		case p.Pattern == "*":
+			ms[i].op = opNoSlash
+		case !strings.ContainsAny(p.Pattern, `*?[\`):
+			ms[i].op = opEqual
+		}
+	}
+	return ms
+}
+
+func (m *matcher) match(r *Row) bool {
+	v := m.value(r)
+	switch m.op {
+	case opEqual:
+		return v == m.pattern
+	case opNoSlash:
+		return !strings.Contains(v, "/")
+	}
+	ok, err := path.Match(m.pattern, v)
+	return ok && err == nil
+}
+
 // Select returns the rows satisfying every predicate, in input order.
 func Select(rows []*Row, preds []Predicate) []*Row {
-	out := rows[:0:0]
+	ms := compile(preds)
+	out := make([]*Row, 0, len(rows))
+rows:
 	for _, r := range rows {
-		if Match(r, preds) {
-			out = append(out, r)
+		for i := range ms {
+			if !ms[i].match(r) {
+				continue rows
+			}
 		}
+		out = append(out, r)
 	}
 	return out
 }
@@ -109,8 +185,9 @@ func GroupBy(rows []*Row, field string) []Group {
 	}
 	byKey := map[string][]*Row{}
 	var keys []string
+	f := resolveField(field)
 	for _, r := range rows {
-		k := FieldValue(r, field)
+		k := f.value(r)
 		if _, seen := byKey[k]; !seen {
 			keys = append(keys, k)
 		}
@@ -135,12 +212,25 @@ func MetricValue(r *Row, col string) (float64, bool) {
 }
 
 // MetricValues collects a column across rows, skipping rows that lack
-// it.
+// it. A sweep's rows list their columns in one order, so the position
+// the column had on the previous row is tried before the row is
+// scanned. That equals a MetricValue loop on every row whose columns
+// are distinct — every row ReadSegment returns.
 func MetricValues(rows []*Row, col string) []float64 {
-	var out []float64
+	out := make([]float64, 0, len(rows))
+	at := 0
 	for _, r := range rows {
-		if v, ok := MetricValue(r, col); ok {
-			out = append(out, v)
+		m := r.Metrics
+		if at < len(m) && m[at].Col == col {
+			out = append(out, m[at].Val)
+			continue
+		}
+		for i := range m {
+			if m[i].Col == col {
+				at = i
+				out = append(out, m[i].Val)
+				break
+			}
 		}
 	}
 	return out
@@ -155,17 +245,68 @@ func Quantile(vals []float64, q float64) float64 {
 	if n == 0 {
 		return 0
 	}
-	sorted := append([]float64(nil), vals...)
-	sort.Float64s(sorted)
-	if q <= 0 {
-		return sorted[0]
-	}
+	idx := 0
 	if q >= 1 {
-		return sorted[n-1]
+		idx = n - 1
+	} else if q > 0 {
+		idx = min(int(q*float64(n)), n-1)
 	}
-	idx := int64(q * float64(n))
-	if idx >= int64(n) {
-		idx = int64(n) - 1
+	return selectNth(append([]float64(nil), vals...), idx)
+}
+
+// selectNth returns the value sort.Float64s would leave at v[k] — NaNs
+// first, then ascending — after partitioning only the side of each
+// pivot that holds k. v is reordered.
+func selectNth(v []float64, k int) float64 {
+	nans := 0
+	for i, x := range v {
+		if x != x {
+			v[i], v[nans] = v[nans], x
+			nans++
+		}
 	}
-	return sorted[idx]
+	if k < nans {
+		return v[k]
+	}
+	lo, hi := nans, len(v)-1
+	// Median-of-three pivots make quadratic inputs rare, not impossible;
+	// a range still wide when the budget runs out is sorted instead.
+	for budget := 2 * bits.Len(uint(len(v))); hi-lo >= 12 && budget > 0; budget-- {
+		mid := lo + (hi-lo)/2
+		if v[mid] < v[lo] {
+			v[mid], v[lo] = v[lo], v[mid]
+		}
+		if v[hi] < v[lo] {
+			v[hi], v[lo] = v[lo], v[hi]
+		}
+		if v[hi] < v[mid] {
+			v[hi], v[mid] = v[mid], v[hi]
+		}
+		pivot := v[mid]
+		i, j := lo, hi
+		for i <= j {
+			for v[i] < pivot {
+				i++
+			}
+			for pivot < v[j] {
+				j--
+			}
+			if i <= j {
+				v[i], v[j] = v[j], v[i]
+				i++
+				j--
+			}
+		}
+		// v[lo..j] <= pivot <= v[i..hi]; anything between equals pivot.
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return pivot
+		}
+	}
+	sort.Float64s(v[lo : hi+1])
+	return v[k]
 }

@@ -1,8 +1,10 @@
 package resultstore
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/analysis"
@@ -157,5 +159,177 @@ func TestQuantileMatchesCDF(t *testing.T) {
 	Quantile(in, 0.5)
 	if in[0] != 3 || in[1] != 1 || in[2] != 2 {
 		t.Errorf("Quantile reordered its input: %v", in)
+	}
+}
+
+// TestSelectMatchesMatch holds the compiled Select to the per-row Match
+// definition over generated predicates — literals, "*", "?", classes,
+// backslash escapes, on identity fields, replica/seed, present and
+// absent axes — and rows whose values include the characters a glob
+// treats specially.
+func TestSelectMatchesMatch(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	values := []string{"", "0", "0.25", "a", "b", "c", "ab", "a*", "a?c", "abc", "a/b", "[a-c]", `a\b`, "outage", "storm"}
+	pick := func(list []string) string { return list[rng.Intn(len(list))] }
+	var rows []*Row
+	for i := 0; i < 300; i++ {
+		r := &Row{Kind: pick([]string{KindCell, KindGroup}), Name: pick(values), Group: pick(values),
+			Dataset: pick(values), Replica: int32(rng.Intn(4)) - 1, Seed: uint64(rng.Intn(12))}
+		for _, key := range []string{"batch", "hysteresis", "scenario", "scenario"} { // a key may repeat
+			if rng.Intn(3) > 0 {
+				r.Axes = append(r.Axes, AxisKV{key, pick(values)})
+			}
+		}
+		rows = append(rows, r)
+	}
+	fields := []string{"kind", "name", "group", "dataset", "replica", "seed", "batch", "hysteresis", "scenario", "nosuchaxis"}
+	patterns := append([]string{"*", "?", "??", "a*", "*b", "[a-c]", "[a-c]*", "[^a]", `a\*`, `a\?c`, `\[a-c]`,
+		"a[", "cell", "group", "-1", "1", "1?", "*/*", "a/b"}, values...)
+	selected := 0
+	for trial := 0; trial < 2000; trial++ {
+		preds := make([]Predicate, 1+rng.Intn(3))
+		for i := range preds {
+			preds[i] = Predicate{pick(fields), pick(patterns)}
+		}
+		got := Select(rows, preds)
+		var want []*Row
+		for _, r := range rows {
+			if Match(r, preds) {
+				want = append(want, r)
+			}
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%v: Select kept %d rows, Match keeps %d", preds, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%v: Select row %d is %+v, Match says %+v", preds, i, got[i], want[i])
+			}
+		}
+		selected += len(got)
+	}
+	if selected == 0 {
+		t.Fatal("no generated query selected any row; the comparison is vacuous")
+	}
+}
+
+// checkMetricValues compares MetricValues with the loop it abbreviates.
+func checkMetricValues(t *testing.T, rows []*Row, col string) {
+	t.Helper()
+	var want []float64
+	for _, r := range rows {
+		if v, ok := MetricValue(r, col); ok {
+			want = append(want, v)
+		}
+	}
+	got := MetricValues(rows, col)
+	if len(got) != len(want) {
+		t.Fatalf("MetricValues(%q) has %d values, a MetricValue loop %d", col, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("MetricValues(%q)[%d] = %v, a MetricValue loop gives %v", col, i, got[i], want[i])
+		}
+	}
+}
+
+// TestMetricValuesMatchesLoop runs MetricValues' positional lookup over
+// rows whose layouts keep moving under it: testRows (reordered, missing
+// and fresh columns), then a generated mix of shuffled, truncated and
+// empty vectors, so the remembered position is by turns right, wrong,
+// out of range and pointing at another column.
+func TestMetricValuesMatchesLoop(t *testing.T) {
+	fixed := testRows()
+	var rows []*Row
+	for i := range fixed {
+		rows = append(rows, &fixed[i])
+	}
+	cols := []string{"t5.rtt", "t5.direct.order", "t5.direct.totlp", "t6.worsthour", "wl.bp.losspct", "rs.outages"}
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 400; i++ {
+		r := &Row{Kind: KindCell, Name: fmt.Sprintf("gen-r%03d", i)}
+		switch rng.Intn(4) {
+		case 0: // the previous row's layout again
+			if prev := rows[len(rows)-1]; len(prev.Metrics) > 0 {
+				r.Metrics = append([]Metric(nil), prev.Metrics...)
+				break
+			}
+			fallthrough
+		default:
+			for _, c := range rng.Perm(len(cols))[:rng.Intn(len(cols)+1)] {
+				r.Metrics = append(r.Metrics, Metric{cols[c], 0})
+			}
+		}
+		for k := range r.Metrics {
+			r.Metrics[k].Val = rng.Float64()
+		}
+		rows = append(rows, r)
+	}
+	for _, col := range append(cols, "absent") {
+		checkMetricValues(t, rows, col)
+		checkMetricValues(t, rows[:1], col)
+		checkMetricValues(t, nil, col)
+	}
+}
+
+// TestQuantileSelectsLikeSort checks the selection behind Quantile
+// against a full sort at every rank, on the inputs that break naive
+// quickselects: sorted, reversed, organ-pipe, constant, few distinct
+// values, and NaNs anywhere.
+func TestQuantileSelectsLikeSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	shapes := map[string]func(i, n int) float64{
+		"random":    func(i, n int) float64 { return rng.NormFloat64() },
+		"sorted":    func(i, n int) float64 { return float64(i) },
+		"reversed":  func(i, n int) float64 { return float64(n - i) },
+		"organpipe": func(i, n int) float64 { return float64(min(i, n-i)) },
+		"constant":  func(i, n int) float64 { return 0.25 },
+		"ties":      func(i, n int) float64 { return float64(rng.Intn(3)) },
+		"nans": func(i, n int) float64 {
+			if rng.Intn(4) == 0 {
+				return math.NaN()
+			}
+			return float64(rng.Intn(20))
+		},
+		"allnan": func(i, n int) float64 { return math.NaN() },
+	}
+	same := func(a, b float64) bool { return a == b || a != a && b != b }
+	for name, shape := range shapes {
+		for _, n := range []int{1, 2, 11, 12, 13, 40, 257, 1000} {
+			vals := make([]float64, n)
+			for i := range vals {
+				vals[i] = shape(i, n)
+			}
+			sorted := append([]float64(nil), vals...)
+			sort.Float64s(sorted)
+			for k := 0; k < n; k++ {
+				if got := selectNth(append([]float64(nil), vals...), k); !same(got, sorted[k]) {
+					t.Fatalf("%s n=%d: selectNth(%d) = %v, sorted[%d] = %v", name, n, k, got, k, sorted[k])
+				}
+			}
+			for _, q := range []float64{-1, 0, 0.5, 0.95, 1, 2, math.NaN()} {
+				k := 0
+				if q >= 1 {
+					k = n - 1
+				} else if q > 0 {
+					k = min(int(q*float64(n)), n-1)
+				}
+				if got := Quantile(vals, q); !same(got, sorted[k]) {
+					t.Fatalf("%s n=%d: Quantile(%v) = %v, want sorted[%d] = %v", name, n, q, got, k, sorted[k])
+				}
+			}
+		}
+	}
+}
+
+// TestCompileChoosesCheapestTest pins the predicate-compilation rule.
+func TestCompileChoosesCheapestTest(t *testing.T) {
+	for pattern, want := range map[string]int{
+		"*": opNoSlash, "": opEqual, "outage": opEqual, "0.25": opEqual, "a/b": opEqual, "a]": opEqual,
+		"a*": opGlob, "**": opGlob, "?": opGlob, "[a-c]": opGlob, `a\*`: opGlob,
+	} {
+		if got := compile([]Predicate{{"scenario", pattern}})[0].op; got != want {
+			t.Errorf("pattern %q compiled to op %d, want %d", pattern, got, want)
+		}
 	}
 }

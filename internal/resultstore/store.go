@@ -20,15 +20,16 @@
 // a uvarint plus eight bytes regardless of column-name length.
 //
 // Each Append is a single write(2) of fully CRC-framed bytes, so a
-// crash can only produce a torn tail; Open and ReadSegment scan blocks
-// and truncate/ignore everything from the first bad frame, making the
-// store crash-tolerant the same way the coordinator's snapshot
-// directory is. Appends are never deduplicated (a coordinator restart
-// legitimately re-appends recovered cells); readers dedupe by row
-// identity, first occurrence wins.
+// crash can only produce a torn tail; Open and ReadSegment stream the
+// file through one blockScanner and truncate/ignore everything from the
+// first bad frame, making the store crash-tolerant the same way the
+// coordinator's snapshot directory is. Appends are never deduplicated (a
+// coordinator restart legitimately re-appends recovered cells); readers
+// dedupe by row identity, first occurrence wins.
 package resultstore
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -36,6 +37,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 )
 
@@ -105,7 +107,10 @@ type Row struct {
 	// questions the flat metrics can't answer.
 	Snapshot string
 
-	Axes    []AxisKV // sorted by key
+	Axes []AxisKV // sorted by key
+	// Metrics name each column once. Append writes what it is given;
+	// ReadSegment keeps the first of a column a stored row repeats, the
+	// same first-wins rule Unique applies to whole rows.
 	Metrics []Metric
 }
 
@@ -119,8 +124,17 @@ type Store struct {
 	f    *os.File
 	buf  []byte
 	cols map[string]uint64 // column name → dictionary ID
-	rows int64
-	path string
+	// layout is the previous row's column sequence with its dictionary
+	// IDs. Nearly every row of a sweep repeats it, so Append consults
+	// cols only when a row's sequence differs.
+	layout []layoutCol
+	rows   int64
+	path   string
+}
+
+type layoutCol struct {
+	name string
+	id   uint64
 }
 
 // Open opens (creating if needed) the segment at path and positions for
@@ -149,11 +163,29 @@ func Open(path string) (*Store, error) {
 // recover scans the segment, rebuilds the dictionary and row count from
 // the valid prefix, truncates any torn tail, and seeks to the end.
 func (s *Store) recover() error {
-	data, err := io.ReadAll(s.f)
+	sc, err := newBlockScanner(s.f, s.path)
 	if err != nil {
 		return err
 	}
-	if len(data) < len(storeMagic) {
+	for sc.next() {
+		if sc.kind == blockRow {
+			s.rows++
+			continue
+		}
+		names, ok := decodeColumns(sc.payload, nil)
+		if !ok {
+			break
+		}
+		for _, n := range names {
+			if _, dup := s.cols[n]; !dup {
+				s.cols[n] = uint64(len(s.cols))
+			}
+		}
+	}
+	if sc.err != nil {
+		return sc.err
+	}
+	if sc.valid == 0 {
 		// Empty or torn-magic file: start fresh.
 		if err := s.f.Truncate(0); err != nil {
 			return err
@@ -161,102 +193,136 @@ func (s *Store) recover() error {
 		if _, err := s.f.WriteAt([]byte(storeMagic), 0); err != nil {
 			return err
 		}
-		_, err := s.f.Seek(int64(len(storeMagic)), io.SeekStart)
-		return err
-	}
-	if string(data[:len(storeMagic)]) != storeMagic {
-		return fmt.Errorf("resultstore: %s: not a result store segment", s.path)
-	}
-	valid := len(storeMagic)
-	for {
-		kind, payload, next, ok := nextBlock(data, valid)
-		if !ok {
-			break
-		}
-		if kind == blockColumns {
-			if !s.addColumns(payload) {
-				break
-			}
-		}
-		if kind == blockRow {
-			s.rows++
-		}
-		valid = next
-	}
-	if valid < len(data) {
-		if err := s.f.Truncate(int64(valid)); err != nil {
+		sc.valid = int64(len(storeMagic))
+	} else if sc.valid < sc.size {
+		if err := s.f.Truncate(sc.valid); err != nil {
 			return err
 		}
 	}
-	_, err = s.f.Seek(int64(valid), io.SeekStart)
+	_, err = s.f.Seek(sc.valid, io.SeekStart)
 	return err
 }
 
-// addColumns registers a dictionary block's names, in order.
-func (s *Store) addColumns(payload []byte) bool {
-	names, ok := decodeColumns(payload, nil)
-	if !ok {
+// blockScanner streams a segment's blocks in file order, verifying each
+// frame's CRC. It is the one reader of the framing: Open counts rows and
+// rebuilds the dictionary through it, ReadSegment decodes through it.
+//
+//	for sc.next() { use sc.kind, sc.payload; break to refuse the block }
+//
+// valid trails the loop: it is the offset just past the last block the
+// caller finished with, so breaking out on an undecodable payload leaves
+// that block on the torn side of the boundary.
+type blockScanner struct {
+	br    *bufio.Reader
+	size  int64 // file size when the scan began
+	valid int64 // 0 when the file is shorter than the magic
+	end   int64 // offset just past the current block
+
+	kind    byte
+	payload []byte // the current block's; overwritten by the next call
+	peeked  int    // bytes of br's buffer the current block still occupies
+	big     []byte // backing for a block larger than br's buffer
+	err     error  // a read failure, as opposed to a torn tail
+}
+
+// scanBufSize is the scanner's read size. Blocks are a few kB; one
+// larger than this is read into its own buffer.
+const scanBufSize = 256 << 10
+
+// newBlockScanner positions a scanner after the magic of the segment
+// open at f's start. A file too short to hold the magic scans as empty
+// with valid 0; any other magic is an error.
+func newBlockScanner(f *os.File, path string) (*blockScanner, error) {
+	info, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	sc := &blockScanner{size: info.Size()}
+	if sc.size < int64(len(storeMagic)) {
+		return sc, nil
+	}
+	sc.br = bufio.NewReaderSize(f, int(min(sc.size, scanBufSize)))
+	magic, err := sc.br.Peek(len(storeMagic))
+	if err != nil {
+		return nil, fmt.Errorf("resultstore: %s: %w", path, err)
+	}
+	if string(magic) != storeMagic {
+		return nil, fmt.Errorf("resultstore: %s: not a result store segment", path)
+	}
+	sc.br.Discard(len(storeMagic))
+	sc.end = int64(len(storeMagic))
+	return sc, nil
+}
+
+// next accepts the current block and reads the following one. It
+// returns false at the end of the file and at the first short, corrupt
+// or unknown-kind frame — the torn-tail boundary.
+func (sc *blockScanner) next() bool {
+	if sc.br == nil {
 		return false
 	}
-	for _, n := range names {
-		if _, dup := s.cols[n]; !dup {
-			s.cols[n] = uint64(len(s.cols))
-		}
+	sc.br.Discard(sc.peeked) // cannot fail: these bytes are buffered
+	sc.peeked = 0
+	sc.valid = sc.end
+	rest := sc.size - sc.valid
+	if rest < 5+4 {
+		return false
 	}
+	head, err := sc.br.Peek(5)
+	if err != nil {
+		return sc.stop(err)
+	}
+	kind := head[0]
+	frame := 5 + int64(binary.LittleEndian.Uint32(head[1:])) + 4
+	// The length is checked against what the file still holds before
+	// anything is sized by it.
+	if kind != blockColumns && kind != blockRow || frame > rest {
+		return false
+	}
+	var block []byte
+	if frame <= int64(sc.br.Size()) {
+		block, err = sc.br.Peek(int(frame))
+		sc.peeked = len(block)
+	} else {
+		if int64(cap(sc.big)) < frame {
+			sc.big = make([]byte, frame)
+		}
+		block = sc.big[:frame]
+		_, err = io.ReadFull(sc.br, block)
+	}
+	if err != nil {
+		return sc.stop(err)
+	}
+	body := block[:frame-4]
+	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(block[frame-4:]) {
+		return false
+	}
+	sc.kind, sc.payload, sc.end = kind, body[5:], sc.valid+frame
 	return true
 }
 
-// nextBlock parses one block at off. ok is false on a short, corrupt,
-// or unknown-kind frame — the torn-tail boundary.
-func nextBlock(data []byte, off int) (kind byte, payload []byte, next int, ok bool) {
-	if off+5 > len(data) {
-		return 0, nil, 0, false
+// stop ends the scan on a read error. Running out of bytes early means
+// the file shrank under the scan, which is one more torn tail.
+func (sc *blockScanner) stop(err error) bool {
+	if err != io.EOF && err != io.ErrUnexpectedEOF {
+		sc.err = err
 	}
-	kind = data[off]
-	n := int(binary.LittleEndian.Uint32(data[off+1 : off+5]))
-	end := off + 5 + n
-	if kind != blockColumns && kind != blockRow || end+4 > len(data) {
-		return 0, nil, 0, false
-	}
-	want := binary.LittleEndian.Uint32(data[end : end+4])
-	if crc32.ChecksumIEEE(data[off:end]) != want {
-		return 0, nil, 0, false
-	}
-	return kind, data[off+5 : end], end + 4, true
+	return false
 }
 
 // Append writes one row as a single framed write. New metric columns
 // are registered in a dictionary block emitted immediately before the
-// row, inside the same write. Steady state — every column already
-// registered, buffer warm — allocates nothing.
+// row, inside the same write. Steady state — the row's columns in the
+// previous row's order, buffer warm — allocates nothing and looks
+// nothing up.
 func (s *Store) Append(r *Row) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.buf = s.buf[:0]
 
-	fresh := false
-	for i := range r.Metrics {
-		if _, ok := s.cols[r.Metrics[i].Col]; !ok {
-			fresh = true
-			break
-		}
+	if !s.layoutMatches(r.Metrics) {
+		s.resolveLayout(r.Metrics)
 	}
-	if fresh {
-		var names []string // only reached for never-seen columns; allocs fine
-		for i := range r.Metrics {
-			if _, ok := s.cols[r.Metrics[i].Col]; !ok {
-				s.cols[r.Metrics[i].Col] = uint64(len(s.cols))
-				names = append(names, r.Metrics[i].Col)
-			}
-		}
-		start := s.beginBlock(blockColumns)
-		s.buf = binary.AppendUvarint(s.buf, uint64(len(names)))
-		for _, n := range names {
-			s.appendString(n)
-		}
-		s.endBlock(start)
-	}
-
 	start := s.beginBlock(blockRow)
 	s.appendRow(r)
 	s.endBlock(start)
@@ -268,8 +334,48 @@ func (s *Store) Append(r *Row) error {
 	return nil
 }
 
-// appendRow encodes the row payload. Field order is the wire contract;
-// decodeRow mirrors it exactly.
+func (s *Store) layoutMatches(metrics []Metric) bool {
+	if len(metrics) != len(s.layout) {
+		return false
+	}
+	for i := range metrics {
+		if metrics[i].Col != s.layout[i].name {
+			return false
+		}
+	}
+	return true
+}
+
+// resolveLayout makes metrics' column sequence the cached layout,
+// registering never-seen columns and framing them as a dictionary block
+// at the head of the pending write.
+func (s *Store) resolveLayout(metrics []Metric) {
+	s.layout = s.layout[:0]
+	var fresh []string // only for never-seen columns; allocs fine
+	for i := range metrics {
+		col := metrics[i].Col
+		id, ok := s.cols[col]
+		if !ok {
+			id = uint64(len(s.cols))
+			s.cols[col] = id
+			fresh = append(fresh, col)
+		}
+		s.layout = append(s.layout, layoutCol{col, id})
+	}
+	if len(fresh) == 0 {
+		return
+	}
+	start := s.beginBlock(blockColumns)
+	s.buf = binary.AppendUvarint(s.buf, uint64(len(fresh)))
+	for _, n := range fresh {
+		s.appendString(n)
+	}
+	s.endBlock(start)
+}
+
+// appendRow encodes the row payload; r.Metrics must be in s.layout's
+// order. Field order is the wire contract; rowDecoder.decode mirrors it
+// exactly.
 func (s *Store) appendRow(r *Row) {
 	k := byte(rowKindCell)
 	if r.Kind == KindGroup {
@@ -295,7 +401,7 @@ func (s *Store) appendRow(r *Row) {
 	}
 	s.buf = binary.AppendUvarint(s.buf, uint64(len(r.Metrics)))
 	for i := range r.Metrics {
-		s.buf = binary.AppendUvarint(s.buf, s.cols[r.Metrics[i].Col])
+		s.buf = binary.AppendUvarint(s.buf, s.layout[i].id)
 		s.buf = binary.LittleEndian.AppendUint64(s.buf, floatBits(r.Metrics[i].Val))
 	}
 }
@@ -347,67 +453,88 @@ type Segment struct {
 // error: decoding stops at the first bad frame and reports how many
 // bytes were left behind, mirroring the writer's Open-time truncation.
 func ReadSegment(path string) (*Segment, error) {
-	data, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	if len(data) < len(storeMagic) {
-		return &Segment{TruncatedBytes: int64(len(data))}, nil
-	}
-	if string(data[:len(storeMagic)]) != storeMagic {
-		return nil, fmt.Errorf("resultstore: %s: not a result store segment", path)
+	defer f.Close()
+	sc, err := newBlockScanner(f, path)
+	if err != nil {
+		return nil, err
 	}
 	seg := &Segment{}
-	off := len(storeMagic)
-	for {
-		kind, payload, next, ok := nextBlock(data, off)
+	dec := rowDecoder{intern: make(map[string]string)}
+	var rowBytes int64 // file bytes the decoded rows' blocks took
+	for sc.next() {
+		ok := false
+		switch sc.kind {
+		case blockColumns:
+			var cols []string
+			if cols, ok = decodeColumns(sc.payload, seg.Columns); ok {
+				seg.Columns = cols
+			}
+		case blockRow:
+			n := len(seg.Rows)
+			if n == cap(seg.Rows) {
+				seg.Rows = growRows(seg.Rows, rowBytes, sc.size-sc.valid)
+			}
+			if ok = dec.decode(&seg.Rows[:n+1][n], sc.payload, seg.Columns); ok {
+				seg.Rows = seg.Rows[:n+1]
+				rowBytes += sc.end - sc.valid
+			}
+		}
 		if !ok {
 			break
 		}
-		switch kind {
-		case blockColumns:
-			cols, ok := decodeColumns(payload, seg.Columns)
-			if !ok {
-				seg.TruncatedBytes = int64(len(data) - off)
-				return seg, nil
-			}
-			seg.Columns = cols
-		case blockRow:
-			r, ok := decodeRow(payload, seg.Columns)
-			if !ok {
-				seg.TruncatedBytes = int64(len(data) - off)
-				return seg, nil
-			}
-			seg.Rows = append(seg.Rows, r)
-		}
-		off = next
 	}
-	seg.TruncatedBytes = int64(len(data) - off)
+	if sc.err != nil {
+		return nil, fmt.Errorf("resultstore: %s: %w", path, sc.err)
+	}
+	seg.TruncatedBytes = sc.size - sc.valid
 	return seg, nil
+}
+
+// growRows reallocates a full rows for the rows still to come: the rest
+// of the file at the mean block size so far, plus a little. A sweep's
+// rows are nearly the same size, so the first guess made from a sample
+// of them is usually the last.
+func growRows(rows []Row, rowBytes, rest int64) []Row {
+	const sample = 16
+	more := int64(sample)
+	if n := int64(len(rows)); n > 0 {
+		est := rest * n / rowBytes
+		more = max(est+est/64, n/8, sample)
+	}
+	grown := make([]Row, len(rows), int64(len(rows))+more)
+	copy(grown, rows)
+	return grown
 }
 
 // Unique returns the rows deduplicated by identity (kind + name), first
 // occurrence winning — the read-side answer to re-appended rows from
 // coordinator restarts or resumed sweeps.
 func (s *Segment) Unique() []*Row {
-	seen := make(map[string]bool, len(s.Rows))
+	type identity struct{ kind, name string }
+	seen := make(map[identity]struct{}, len(s.Rows))
 	out := make([]*Row, 0, len(s.Rows))
 	for i := range s.Rows {
-		id := s.Rows[i].Identity()
-		if seen[id] {
+		r := &s.Rows[i]
+		id := identity{r.Kind, r.Name}
+		if _, dup := seen[id]; dup {
 			continue
 		}
-		seen[id] = true
-		out = append(out, &s.Rows[i])
+		seen[id] = struct{}{}
+		out = append(out, r)
 	}
 	return out
 }
 
 func decodeColumns(payload []byte, cols []string) ([]string, bool) {
 	n, payload, ok := readUvarint(payload)
-	if !ok {
+	if !ok || n > uint64(len(payload)) { // a name takes at least its length byte
 		return cols, false
 	}
+	cols = slices.Grow(cols, int(n))
 	for i := uint64(0); i < n; i++ {
 		var name string
 		name, payload, ok = readString(payload)
@@ -419,10 +546,57 @@ func decodeColumns(payload []byte, cols []string) ([]string, bool) {
 	return cols, len(payload) == 0
 }
 
-func decodeRow(payload []byte, cols []string) (Row, bool) {
-	var r Row
+// rowDecoder decodes row payloads for one ReadSegment. What a sweep's
+// rows have in common is held once: metric and axis slices are
+// exact-size carvings of shared slabs, and strings that repeat from row
+// to row (group, dataset, axis keys and values; column names are the
+// dictionary's own) are interned.
+type rowDecoder struct {
+	metrics slab[Metric]
+	axes    slab[AxisKV]
+	intern  map[string]string
+	prev    Row // the last row decoded: first guess for every repeated string
+	// seen[id] == rows marks column id as already taken by the row being
+	// decoded; a repeat is dropped, first occurrence winning.
+	seen []int
+	rows int
+}
+
+// slab hands out exact-size slices carved from chunks that double up to
+// slabMax elements, so a small segment stays small and a large one pays
+// one allocation per slabMax elements, not one (or, grown by append,
+// several) per row.
+type slab[T any] struct {
+	free  []T
+	chunk int
+}
+
+const slabMax = 1 << 12
+
+func (s *slab[T]) carve(n int) []T {
+	if n > len(s.free) {
+		s.chunk = min(max(2*s.chunk, 64), slabMax)
+		if n > s.chunk {
+			return make([]T, n)
+		}
+		s.free = make([]T, s.chunk)
+	}
+	out := s.free[:n:n]
+	s.free = s.free[n:]
+	return out
+}
+
+// Smallest encodings: an axis is two empty strings, a metric a one-byte
+// column ID and eight value bytes.
+const (
+	minAxisBytes   = 2
+	minMetricBytes = 9
+)
+
+// decode fills r from a row payload. cols is the dictionary so far.
+func (d *rowDecoder) decode(r *Row, payload []byte, cols []string) bool {
 	if len(payload) < 1+8+4+4+4+8+8+8+8 {
-		return r, false
+		return false
 	}
 	switch payload[0] {
 	case rowKindCell:
@@ -430,7 +604,7 @@ func decodeRow(payload []byte, cols []string) (Row, bool) {
 	case rowKindGroup:
 		r.Kind = KindGroup
 	default:
-		return r, false
+		return false
 	}
 	payload = payload[1:]
 	r.Seed = binary.LittleEndian.Uint64(payload)
@@ -444,49 +618,94 @@ func decodeRow(payload []byte, cols []string) (Row, bool) {
 	payload = payload[52:]
 	var ok bool
 	if r.Name, payload, ok = readString(payload); !ok {
-		return r, false
+		return false
 	}
-	if r.Group, payload, ok = readString(payload); !ok {
-		return r, false
+	if r.Group, payload, ok = d.readInterned(payload, d.prev.Group); !ok {
+		return false
 	}
-	if r.Dataset, payload, ok = readString(payload); !ok {
-		return r, false
+	if r.Dataset, payload, ok = d.readInterned(payload, d.prev.Dataset); !ok {
+		return false
 	}
 	if r.Snapshot, payload, ok = readString(payload); !ok {
-		return r, false
+		return false
 	}
+	// Both counts are held to what the rest of the payload could encode
+	// before they size anything: a CRC-valid block may still lie.
 	var n uint64
-	if n, payload, ok = readUvarint(payload); !ok {
-		return r, false
+	if n, payload, ok = readUvarint(payload); !ok || n > uint64(len(payload)/minAxisBytes) {
+		return false
 	}
-	for i := uint64(0); i < n; i++ {
-		var kv AxisKV
-		if kv.Key, payload, ok = readString(payload); !ok {
-			return r, false
-		}
-		if kv.Value, payload, ok = readString(payload); !ok {
-			return r, false
-		}
-		r.Axes = append(r.Axes, kv)
+	if n > 0 {
+		r.Axes = d.axes.carve(int(n))
 	}
-	if n, payload, ok = readUvarint(payload); !ok {
-		return r, false
-	}
-	for i := uint64(0); i < n; i++ {
-		var id uint64
-		if id, payload, ok = readUvarint(payload); !ok {
-			return r, false
+	for i := range r.Axes {
+		var guess AxisKV
+		if i < len(d.prev.Axes) {
+			guess = d.prev.Axes[i]
 		}
-		if id >= uint64(len(cols)) || len(payload) < 8 {
-			return r, false
+		kv := &r.Axes[i]
+		if kv.Key, payload, ok = d.readInterned(payload, guess.Key); !ok {
+			return false
 		}
-		r.Metrics = append(r.Metrics, Metric{
-			Col: cols[id],
-			Val: floatFromBits(binary.LittleEndian.Uint64(payload)),
-		})
-		payload = payload[8:]
+		if kv.Value, payload, ok = d.readInterned(payload, guess.Value); !ok {
+			return false
+		}
 	}
-	return r, len(payload) == 0
+	if n, payload, ok = readUvarint(payload); !ok || n > uint64(len(payload)/minMetricBytes) {
+		return false
+	}
+	d.rows++
+	for len(d.seen) < len(cols) {
+		d.seen = append(d.seen, 0)
+	}
+	metrics, kept := d.metrics.carve(int(n)), 0
+	for range metrics {
+		if len(payload) < minMetricBytes {
+			return false
+		}
+		id, w := uint64(payload[0]), 1
+		if id >= 0x80 {
+			if id, w = binary.Uvarint(payload); w <= 0 {
+				return false
+			}
+		}
+		if id >= uint64(len(cols)) || len(payload) < w+8 {
+			return false
+		}
+		if d.seen[id] != d.rows {
+			d.seen[id] = d.rows
+			metrics[kept] = Metric{
+				Col: cols[id],
+				Val: floatFromBits(binary.LittleEndian.Uint64(payload[w:])),
+			}
+			kept++
+		}
+		payload = payload[w+8:]
+	}
+	if len(payload) != 0 {
+		return false
+	}
+	if kept > 0 {
+		r.Metrics = metrics[:kept:kept]
+	}
+	d.prev = *r
+	return true
+}
+
+// readInterned reads a length-prefixed string that earlier rows have
+// probably carried: guess (the previous row's string in the same place)
+// is tried first, then the intern table.
+func (d *rowDecoder) readInterned(b []byte, guess string) (string, []byte, bool) {
+	raw, b, ok := readBytes(b)
+	if !ok || string(raw) == guess {
+		return guess, b, ok
+	}
+	s, ok := d.intern[string(raw)]
+	if !ok {
+		s = string(raw)
+		d.intern[s] = s
+	}
+	return s, b, true
 }
 
 func readUvarint(b []byte) (uint64, []byte, bool) {
@@ -497,10 +716,16 @@ func readUvarint(b []byte) (uint64, []byte, bool) {
 	return v, b[n:], true
 }
 
-func readString(b []byte) (string, []byte, bool) {
+// readBytes reads a length-prefixed byte string.
+func readBytes(b []byte) (raw, rest []byte, ok bool) {
 	n, b, ok := readUvarint(b)
 	if !ok || n > uint64(len(b)) {
-		return "", b, false
+		return nil, b, false
 	}
-	return string(b[:n]), b[n:], true
+	return b[:n], b[n:], true
+}
+
+func readString(b []byte) (string, []byte, bool) {
+	raw, b, ok := readBytes(b)
+	return string(raw), b, ok
 }

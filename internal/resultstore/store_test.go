@@ -1,6 +1,11 @@
 package resultstore
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -216,10 +221,33 @@ func TestOpenRejectsForeignFile(t *testing.T) {
 	}
 }
 
-// FuzzSegmentRecovery flips one byte anywhere past the magic and checks
-// the reader's guarantee: whatever survives decoding is an exact prefix
-// of the original rows — corruption can shorten the store, never
-// fabricate or reorder rows.
+// rowBlock frames payload as a row block with a valid CRC.
+func rowBlock(payload []byte) []byte {
+	b := []byte{blockRow, 0, 0, 0, 0}
+	binary.LittleEndian.PutUint32(b[1:], uint32(len(payload)))
+	b = append(b, payload...)
+	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
+}
+
+// lyingRow is a row payload whose fixed fields and strings are valid and
+// whose axis and metric counts are the ones given, with nothing behind
+// them.
+func lyingRow(axes, metrics uint64) []byte {
+	p := make([]byte, 1+52+4) // kind, fixed fields, four empty strings
+	p[0] = rowKindCell
+	p = binary.AppendUvarint(p, axes)
+	if axes == 0 {
+		p = binary.AppendUvarint(p, metrics)
+	}
+	return p
+}
+
+// FuzzSegmentRecovery flips one byte anywhere past the magic and/or
+// appends tail as a CRC-valid row block, and checks the reader's
+// guarantee: the original rows that survive decoding are an exact
+// prefix of what was written — corruption can shorten the store, never
+// fabricate or reorder rows — and a block the checksum vouches for is
+// still not trusted to size anything.
 func FuzzSegmentRecovery(f *testing.F) {
 	path := filepath.Join(f.TempDir(), SegmentFileName)
 	rows := make([]Row, 0, 4)
@@ -241,17 +269,29 @@ func FuzzSegmentRecovery(f *testing.F) {
 		f.Fatal(err)
 	}
 
-	f.Add(uint32(8), byte(1))
-	f.Add(uint32(9), byte(0xff))
-	f.Add(uint32(len(pristine)/2), byte(0x80))
-	f.Add(uint32(len(pristine)-1), byte(7))
+	f.Add(uint32(8), byte(1), []byte(nil))
+	f.Add(uint32(9), byte(0xff), []byte(nil))
+	f.Add(uint32(len(pristine)/2), byte(0x80), []byte(nil))
+	f.Add(uint32(len(pristine)-1), byte(7), []byte(nil))
+	// Counts no payload could back: 2⁴⁰ metrics is 24 TB of Metric.
+	f.Add(uint32(0), byte(0), lyingRow(0, 1<<40))
+	f.Add(uint32(0), byte(0), lyingRow(1<<40, 0))
+	// The largest counts the bound lets through, then found short.
+	f.Add(uint32(0), byte(0), append(lyingRow(0, 2), make([]byte, 2*minMetricBytes-1)...))
+	f.Add(uint32(0), byte(0), append(lyingRow(3, 0), make([]byte, 3*minAxisBytes)...))
 
-	f.Fuzz(func(t *testing.T, pos uint32, val byte) {
-		if int(pos) >= len(pristine) || pos < uint32(len(storeMagic)) {
+	f.Fuzz(func(t *testing.T, pos uint32, val byte, tail []byte) {
+		flip := int(pos) < len(pristine) && pos >= uint32(len(storeMagic))
+		if !flip && len(tail) == 0 {
 			t.Skip()
 		}
 		data := append([]byte(nil), pristine...)
-		data[pos] ^= val | 1 // guarantee at least one flipped bit
+		if flip {
+			data[pos] ^= val | 1 // guarantee at least one flipped bit
+		}
+		if len(tail) > 0 {
+			data = append(data, rowBlock(tail)...)
+		}
 		corrupt := filepath.Join(t.TempDir(), "corrupt.seg")
 		if err := os.WriteFile(corrupt, data, 0o644); err != nil {
 			t.Fatal(err)
@@ -260,13 +300,232 @@ func FuzzSegmentRecovery(f *testing.F) {
 		if err != nil {
 			t.Fatalf("ReadSegment errored on tail corruption: %v", err)
 		}
-		if len(seg.Rows) > len(rows) {
+		// The tail block may decode (the fuzzer is free to find a valid
+		// payload); the rows before it are the originals or fewer.
+		if len(seg.Rows) > len(rows)+1 || len(tail) == 0 && len(seg.Rows) > len(rows) {
 			t.Fatalf("decoded %d rows from a %d-row original", len(seg.Rows), len(rows))
 		}
-		for i := range seg.Rows {
+		if !flip && len(seg.Rows) < len(rows) {
+			t.Fatalf("an appended block cost %d of the rows before it", len(rows)-len(seg.Rows))
+		}
+		for i := range seg.Rows[:min(len(seg.Rows), len(rows))] {
 			if !reflect.DeepEqual(seg.Rows[i], rows[i]) {
 				t.Fatalf("row %d after corruption at %d is not the original prefix", i, pos)
 			}
 		}
+		// Open must draw the torn-tail line no later than ReadSegment's
+		// frame check does, through the same scanner.
+		reopened, err := Open(corrupt)
+		if err != nil {
+			t.Fatalf("Open errored on tail corruption: %v", err)
+		}
+		defer reopened.Close()
+		if reopened.Rows() < int64(len(seg.Rows)) {
+			t.Fatalf("Open kept %d rows, ReadSegment decoded %d", reopened.Rows(), len(seg.Rows))
+		}
 	})
+}
+
+// TestLyingCountsRejected states what the fuzz seeds above rely on: a
+// CRC-valid row block whose axis or metric count exceeds what its
+// payload could hold is refused before anything is allocated for it,
+// and everything before it is kept.
+func TestLyingCountsRejected(t *testing.T) {
+	path := filepath.Join(t.TempDir(), SegmentFileName)
+	rows := testRows()
+	writeSegment(t, path, rows)
+	clean, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, payload := range map[string][]byte{
+		"metrics": lyingRow(0, 1<<40),
+		"axes":    lyingRow(1<<40, 0),
+	} {
+		block := rowBlock(payload)
+		if err := os.WriteFile(path, append(append([]byte(nil), clean...), block...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var seg *Segment
+		allocs := testing.AllocsPerRun(1, func() {
+			if seg, err = ReadSegment(path); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if len(seg.Rows) != len(rows) || seg.TruncatedBytes != int64(len(block)) {
+			t.Errorf("2⁴⁰ %s: read %d rows, %d torn bytes; want %d rows, %d torn bytes",
+				name, len(seg.Rows), seg.TruncatedBytes, len(rows), len(block))
+		}
+		if allocs > 100 {
+			t.Errorf("2⁴⁰ %s: ReadSegment made %.0f allocations over a %d-row segment", name, allocs, len(rows))
+		}
+	}
+}
+
+// TestBlockLargerThanScanBuffer round-trips a row whose dictionary and
+// row blocks both exceed the scanner's read buffer and whose metric
+// vector exceeds a slab chunk, between ordinary rows.
+func TestBlockLargerThanScanBuffer(t *testing.T) {
+	path := filepath.Join(t.TempDir(), SegmentFileName)
+	rows := testRows()[:2]
+	big := Row{Kind: KindCell, Name: "big-r00", Group: "big", Dataset: "synthetic", Replicas: 1, Hosts: 2, Days: 1}
+	for i := 0; i*(2+8) <= scanBufSize; i++ {
+		big.Metrics = append(big.Metrics, Metric{fmt.Sprintf("x.col%06d", i), float64(i)})
+	}
+	if len(big.Metrics) <= slabMax {
+		t.Fatalf("big row has %d metrics, want more than a %d-element slab chunk", len(big.Metrics), slabMax)
+	}
+	rows = append(rows, big, testRows()[2])
+	writeSegment(t, path, rows)
+
+	st, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := st.Rows(); got != int64(len(rows)) {
+		t.Errorf("Open recovered %d rows, want %d", got, len(rows))
+	}
+	st.Close()
+	seg, err := ReadSegment(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seg.TruncatedBytes != 0 || len(seg.Rows) != len(rows) {
+		t.Fatalf("read %d rows with %d torn bytes, want %d and 0", len(seg.Rows), seg.TruncatedBytes, len(rows))
+	}
+	for i := range rows {
+		if !reflect.DeepEqual(seg.Rows[i], rows[i]) {
+			t.Errorf("row %d (%s) did not round-trip", i, rows[i].Name)
+		}
+	}
+}
+
+// TestDecodedRowsShareNothingMutable checks the slab carving: appending
+// to one decoded row's Metrics or Axes must not write into its
+// neighbour's.
+func TestDecodedRowsShareNothingMutable(t *testing.T) {
+	path := filepath.Join(t.TempDir(), SegmentFileName)
+	rows := testRows()
+	writeSegment(t, path, rows)
+	seg, err := ReadSegment(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = append(seg.Rows[0].Metrics, Metric{"scribble", -1})
+	_ = append(seg.Rows[0].Axes, AxisKV{"scribble", "x"})
+	for i := range rows {
+		if !reflect.DeepEqual(seg.Rows[i], rows[i]) {
+			t.Errorf("row %d changed after an append to row 0's slices", i)
+		}
+	}
+}
+
+// TestRepeatedColumnFirstWins: Append writes a row that names a column
+// twice as given; ReadSegment keeps the first occurrence, so the
+// positional lookup in MetricValues and the scan in MetricValue agree
+// on everything read from a segment.
+func TestRepeatedColumnFirstWins(t *testing.T) {
+	path := filepath.Join(t.TempDir(), SegmentFileName)
+	base := Row{Kind: KindCell, Group: "g", Dataset: "d", Replicas: 1}
+	var rows []Row
+	for i, m := range [][]Metric{
+		{{"a", 1}, {"b", 2}, {"c", 3}},
+		{{"b", 10}, {"a", 11}, {"b", 12}, {"c", 13}}, // b again, after a's usual place
+		{{"a", 21}, {"b", 22}, {"c", 23}},
+		{{"c", 30}, {"c", 31}, {"c", 32}},
+	} {
+		r := base
+		r.Name, r.Metrics = fmt.Sprintf("g-r%02d", i), m
+		rows = append(rows, r)
+	}
+	writeSegment(t, path, rows)
+	seg, err := ReadSegment(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(seg.Rows) != len(rows) || seg.TruncatedBytes != 0 {
+		t.Fatalf("read %d rows with %d torn bytes", len(seg.Rows), seg.TruncatedBytes)
+	}
+	want := [][]Metric{
+		{{"a", 1}, {"b", 2}, {"c", 3}},
+		{{"b", 10}, {"a", 11}, {"c", 13}},
+		{{"a", 21}, {"b", 22}, {"c", 23}},
+		{{"c", 30}},
+	}
+	for i := range want {
+		if !reflect.DeepEqual(seg.Rows[i].Metrics, want[i]) {
+			t.Errorf("row %d metrics = %v, want %v", i, seg.Rows[i].Metrics, want[i])
+		}
+	}
+	uniq := seg.Unique()
+	for _, col := range []string{"a", "b", "c", "absent"} {
+		checkMetricValues(t, uniq, col)
+	}
+}
+
+// layoutStream is an Append sequence that exercises every way a row's
+// column layout can relate to the previous row's: repeated, permuted at
+// the same length, shortened, alternating between two layouts, extended
+// by a column the dictionary has never seen (mid-stream, and twice
+// within one row), and empty.
+func layoutStream() []Row {
+	wide := []Metric{{"t5.rtt", 1}, {"t5.direct.totlp", 0.5}, {"t6.worsthour", 0.25}, {"wl.bp.losspct", 4}}
+	narrow := []Metric{{"t6.worsthour", 0.75}, {"t5.rtt", 0}}
+	var rows []Row
+	add := func(kind string, metrics []Metric) {
+		i := len(rows)
+		r := Row{Kind: kind, Name: fmt.Sprintf("g%d-r%02d", i/4, i%4), Group: fmt.Sprintf("g%d", i/4),
+			Dataset: "ronnarrow", Replica: int32(i % 4), Replicas: 1, Hosts: 12, Seed: uint64(100 + i), Days: 0.02,
+			Axes: []AxisKV{{"scenario", []string{"0", "outage"}[i%2]}}}
+		for _, m := range metrics {
+			r.Metrics = append(r.Metrics, Metric{m.Col, m.Val + float64(i)})
+		}
+		rows = append(rows, r)
+	}
+	for i := 0; i < 3; i++ {
+		add(KindCell, wide)
+	}
+	add(KindCell, []Metric{wide[3], wide[1], wide[2], wide[0]}) // same columns, same count, another order
+	add(KindCell, wide)
+	for i := 0; i < 4; i++ { // alternate: the cache misses on every row
+		add(KindCell, narrow)
+		add(KindGroup, wide)
+	}
+	add(KindCell, append(append([]Metric(nil), wide...), Metric{"rs.outages", 3})) // fresh column mid-stream
+	add(KindCell, wide)                                                            // same prefix, one shorter
+	add(KindCell, nil)
+	add(KindCell, []Metric{{"win20.loss.p95", 1}, {"t5.rtt", 2}, {"win20.loss.p95", 3}}) // fresh column, twice in one row
+	add(KindCell, []Metric{{"win20.loss.p95", 1}, {"t5.rtt", 2}, {"win20.loss.p95", 3}})
+	return rows
+}
+
+// TestLayoutCacheKeepsBytes pins the segment the layout-cached Append
+// writes for layoutStream to the digest of what the map-per-metric
+// Append it replaced wrote: the cache may only change how IDs are
+// found, never which bytes follow.
+func TestLayoutCacheKeepsBytes(t *testing.T) {
+	const want = "bbbdd2231f66b746e4e968f4b904093424eb47660f775495ae615d342738ef1c"
+	path := filepath.Join(t.TempDir(), SegmentFileName)
+	rows := layoutStream()
+	writeSegment(t, path, rows[:11])
+	st, err := Open(path) // a reopened store starts with no cached layout
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 11; i < len(rows); i++ {
+		if err := st.Append(&rows[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(data)
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Fatalf("segment digest %s, want %s (%d bytes)", got, want, len(data))
+	}
 }
