@@ -399,8 +399,15 @@ func runSweep(f sweepFlags) error {
 		}))
 	}
 
+	// The Progress hook is where a cell's full result is in hand (a
+	// sweep with -out releases each cell's aggregator once it is on disk
+	// and merged into its grid point), so the per-cell figure
+	// directories are written here, reused cells included: a killed
+	// -sweep -out run keeps the figures of every cell it finished, like
+	// its snapshots.
 	var total int
-	done := 0
+	done, wroteCells := 0, 0
+	var figErr error
 	opts = append(opts, experiment.Progress(func(r core.CellResult) {
 		done++
 		status := fmt.Sprintf("wall %5.1fs", r.Wall.Seconds())
@@ -414,6 +421,12 @@ func runSweep(f sweepFlags) error {
 		}
 		fmt.Printf("[%3d/%3d] cell %-36s seed %-20d %s\n",
 			done, total, r.Cell.Name(), r.Cell.Seed, status)
+		if f.outDir != "" && r.Err == nil && figErr == nil {
+			dir := filepath.Join(f.outDir, core.CellsDirName, r.Cell.Name())
+			if figErr = writeFigures(dir, r.Cell.Dataset, r.Res); figErr == nil {
+				wroteCells++
+			}
+		}
 	}))
 
 	e, err := experiment.New(opts...)
@@ -446,6 +459,9 @@ func runSweep(f sweepFlags) error {
 	if closeErr != nil {
 		return closeErr
 	}
+	if figErr != nil {
+		return figErr
+	}
 	fmt.Printf("\nsweep finished in %.1fs on %d workers (%d cells reused)\n\n",
 		res.Wall.Seconds(), res.Parallel, res.Reused)
 
@@ -473,18 +489,7 @@ func runSweep(f sweepFlags) error {
 	}
 
 	if f.outDir != "" {
-		wroteCells, wroteMerged := 0, 0
-		for i := range res.Cells {
-			c := &res.Cells[i]
-			if c.Res == nil {
-				continue
-			}
-			dir := filepath.Join(f.outDir, core.CellsDirName, c.Cell.Name())
-			if err := writeFigures(dir, c.Cell.Dataset, c.Res); err != nil {
-				return err
-			}
-			wroteCells++
-		}
+		wroteMerged := 0
 		for gi := range res.Groups {
 			g := &res.Groups[gi]
 			if !g.Complete() {

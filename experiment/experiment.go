@@ -22,6 +22,13 @@
 // like the built-in ones — no engine changes. See the Axis type and
 // the axis registry in this package.
 //
+// What Run returns depends on whether the experiment persists: without
+// Output, every cell of the result holds its full statistics; with
+// Output, a cell's snapshot on disk is its statistics, and the result
+// keeps each cell's counters and every merged group but no per-cell
+// aggregator (see Run). A Progress callback sees every cell whole
+// either way.
+//
 // Compatibility contract: grids over the standard axes produce cell
 // names, derived seeds, and rendered outputs byte-identical to the
 // pre-axis engine (the repo's golden digests enforce this), and
@@ -62,13 +69,8 @@ type Experiment struct {
 	remoteReady func(addr string)
 	remoteCtx   context.Context
 
-	sweep   *core.Sweep // memoized expansion
-	store   *resultstore.Store
-	snapErr error
-	// snapBuf is the snapshot encode buffer reused across cells; the
-	// Progress hook (which writes snapshots) is serialized by the sweep
-	// engine, so one buffer serves every worker without locking.
-	snapBuf []byte
+	sweep *core.Sweep // memoized expansion
+	store *resultstore.Store
 }
 
 // New builds an experiment from options. The grid is not expanded yet;
@@ -95,23 +97,7 @@ func New(opts ...Option) (*Experiment, error) {
 	if e.resumeDir != "" {
 		e.spec.Reuse = e.reuseFromSnapshots
 	}
-	userProgress := e.progress
-	e.spec.Progress = func(r core.CellResult) {
-		if userProgress != nil {
-			userProgress(r)
-		}
-		// Persist finished cells immediately so a killed run keeps
-		// everything it completed; reused cells already have their file.
-		if e.outDir != "" && r.Err == nil && !r.Cached && r.Res != nil {
-			snap := core.NewCellSnapshot(r.Cell, r.Res)
-			path := core.CellSnapshotPath(e.outDir, r.Cell.Name())
-			buf, err := snap.WriteFileBuf(path, e.snapBuf)
-			e.snapBuf = buf
-			if err != nil && e.snapErr == nil {
-				e.snapErr = err
-			}
-		}
-	}
+	e.spec.Progress = e.progress
 	if e.outDir != "" {
 		// Persisting experiments also feed the columnar result store:
 		// one row per completed cell and merged group lands in
@@ -124,6 +110,9 @@ func New(opts ...Option) (*Experiment, error) {
 		}
 		e.store = st
 		e.spec.Results = st
+		// The sweep's cell lifecycle persists each finished cell's
+		// snapshot there as it lands.
+		e.spec.OutDir = e.outDir
 	}
 	return e, nil
 }
@@ -191,6 +180,13 @@ func (e *Experiment) Shard() string { return e.shard }
 // persists a checksummed snapshot the moment it completes. With
 // Remote, the cells run on a worker fleet instead of in-process; the
 // result is byte-identical either way.
+//
+// A run with an output directory holds groups, not cells: once a cell
+// is on disk and folded into its grid point, its aggregator is released
+// (the result's Cells[i].Res keeps the counters; Res.Agg is nil), so
+// anything that needs a cell's full statistics takes them in the
+// Progress callback or reads the snapshot back. A run without one
+// returns every cell whole.
 func (e *Experiment) Run() (*core.SweepResult, error) {
 	res, err := e.run()
 	if e.store != nil {
@@ -218,14 +214,7 @@ func (e *Experiment) run() (*core.SweepResult, error) {
 	if e.remote {
 		return e.runRemote(s)
 	}
-	res, err := s.Run()
-	if err != nil {
-		return nil, err
-	}
-	if e.snapErr != nil {
-		return nil, e.snapErr
-	}
-	return res, nil
+	return s.Run()
 }
 
 // WriteManifest records the full grid — every axis with its values,
@@ -387,7 +376,9 @@ func Resume(dir string) Option {
 
 // Output persists a checksummed snapshot of every finished cell under
 // dir (cells/<cell>/cell.snap) as cells complete, and records snapshot
-// paths in manifests written by WriteManifest.
+// paths in manifests written by WriteManifest. The snapshots being a
+// second copy, Run then releases each cell's aggregator once the cell
+// is folded into its group (see Run).
 func Output(dir string) Option {
 	return func(e *Experiment) error {
 		if dir == "" {
@@ -425,7 +416,9 @@ func Configure(fn func(core.Cell, *core.Config)) Option {
 }
 
 // Progress installs a completion callback; calls are serialized but
-// arrive in completion order.
+// arrive in completion order. The callback sees the cell's full Result,
+// which is the place to consume it: a run with an Output directory
+// releases the aggregator afterwards (see Run).
 func Progress(fn func(core.CellResult)) Option {
 	return func(e *Experiment) error {
 		e.progress = fn

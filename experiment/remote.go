@@ -5,10 +5,11 @@ package experiment
 // worker fleet over HTTP. Remote(addr) turns Run into a coordinator —
 // it expands the grid once, leases cells to workers with heartbeat
 // renewal and straggler re-dispatch, validates and persists delivered
-// snapshots, and merges groups eagerly — and RunWorker is the matching
-// client loop. Because per-cell seeds derive from grid coordinates, a
-// fleet's merged output is byte-identical to a local Run of the same
-// experiment, whatever the worker count or failure schedule.
+// snapshots, and folds each into its group as it lands — and RunWorker
+// is the matching client loop. Because per-cell seeds derive from grid
+// coordinates, a fleet's merged output is byte-identical to a local Run
+// of the same experiment, whatever the worker count or failure
+// schedule.
 
 import (
 	"context"
@@ -78,18 +79,14 @@ func RunWorker(ctx context.Context, url, name string, logf func(format string, a
 // SweepResult shape a local run produces.
 func (e *Experiment) runRemote(s *core.Sweep) (*core.SweepResult, error) {
 	c, err := coord.New(coord.Config{
-		Sweep:    s,
-		LeaseTTL: e.remoteTTL,
-		OutDir:   e.outDir,
-		Filter:   e.spec.Filter,
-		Reuse:    e.spec.Reuse,
-		Results:  e.store,
-		OnCellDone: func(r core.CellResult) {
-			if e.progress != nil {
-				e.progress(r)
-			}
-		},
-		Warnf: e.warnf,
+		Sweep:      s,
+		LeaseTTL:   e.remoteTTL,
+		OutDir:     e.outDir,
+		Filter:     e.spec.Filter,
+		Reuse:      e.spec.Reuse,
+		Results:    e.store,
+		OnCellDone: e.progress,
+		Warnf:      e.warnf,
 	})
 	if err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 	"time"
@@ -127,6 +128,49 @@ func TestMergeCommutative(t *testing.T) {
 			t.Errorf("%s: merge is not commutative\n a+b %v\n b+a %v",
 				k, got[k], want[k])
 		}
+	}
+}
+
+// TestMergeAssociative checks (a⊕b)⊕c and a⊕(b⊕c) encode to the same
+// bytes — with TestMergeCommutative, what lets a group fold its replicas
+// as they land instead of after a drain. Byte equality is exact here,
+// not approximate: the only float sums are latencies in whole
+// nanoseconds, far below 2^53, so every partial sum is an integer a
+// float64 holds exactly.
+func TestMergeAssociative(t *testing.T) {
+	obs := mergeStream(30000, 6)
+	third := func(k int) *Aggregator {
+		lo, hi := int64(2*k)*int64(time.Hour), int64(2*k+2)*int64(time.Hour)
+		var part []Observation
+		for _, o := range obs {
+			if o.Time >= lo && o.Time < hi {
+				part = append(part, o)
+			}
+		}
+		if len(part) == 0 {
+			t.Fatalf("third %d of the stream is empty", k)
+		}
+		return feed(part)
+	}
+	merge := func(dst, src *Aggregator) *Aggregator {
+		t.Helper()
+		if err := dst.Merge(src); err != nil {
+			t.Fatal(err)
+		}
+		return dst
+	}
+	left := merge(merge(third(0), third(1)), third(2))
+	right := merge(third(0), merge(third(1), third(2)))
+	lb, err := left.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rb, err := right.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(lb, rb) {
+		t.Error("merge is not associative: (a+b)+c and a+(b+c) encode differently")
 	}
 }
 

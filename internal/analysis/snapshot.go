@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // aggSnapshotVersion is the version byte leading a serialized aggregator.
@@ -265,6 +266,21 @@ func readCDFRuns(r *binReader, c *CDF) error {
 // Merge. Truncated, oversized, or version-mismatched payloads return an
 // error.
 func UnmarshalAggregator(data []byte) (*Aggregator, error) {
+	return UnmarshalAggregatorInto(data, nil)
+}
+
+// UnmarshalAggregatorInto is UnmarshalAggregator decoding into scratch's
+// storage when scratch was built for the payload's method list and host
+// count, so a consumer draining a stream of same-shape snapshots (a
+// fleet coordinator) allocates no aggregator per payload. The returned
+// aggregator is scratch when it was used and a fresh one otherwise (nil
+// or differently shaped scratch); either way it carries the payload's
+// state and nothing else: scratch is Reset, and its workload and
+// resilience sections detached, before the first field is decoded, so
+// neither its previous contents nor a previous decode that failed
+// half-way can leak into this one. After an error scratch holds a
+// partial decode, which the next decode into it clears the same way.
+func UnmarshalAggregatorInto(data []byte, scratch *Aggregator) (*Aggregator, error) {
 	r := &binReader{buf: data}
 	version := r.u8()
 	if r.err == nil && (version < 1 || version > aggSnapshotVersionResilience) {
@@ -294,7 +310,22 @@ func UnmarshalAggregator(data []byte) (*Aggregator, error) {
 		return nil, fmt.Errorf("analysis: aggregator snapshot claims %d methods × %d hosts (%d bytes of path stats) with %d bytes left",
 			nm, nHosts, need, r.remaining())
 	}
-	a := NewAggregator(methods, nHosts)
+	var a *Aggregator
+	var wl *WorkloadStats
+	var res *ResilienceStats
+	if scratch != nil && scratch.nHosts == nHosts && slices.Equal(scratch.methods, methods) {
+		a = scratch
+		a.Reset()
+		// Reset zeroed the workload and resilience sections in place;
+		// detach them and reattach each only if this payload carries it,
+		// so a probe-only cell decodes to an aggregator with no such
+		// section — what a fresh decode builds — rather than an empty one
+		// that every later Merge would propagate.
+		wl, res = a.wl, a.res
+		a.wl, a.res = nil, nil
+	} else {
+		a = NewAggregator(methods, nHosts)
+	}
 	for m := 0; m < nm; m++ {
 		for pi := 0; pi < a.nPaths; pi++ {
 			// The payload is dense; only observed paths get a record
@@ -373,7 +404,9 @@ func UnmarshalAggregator(data []byte) (*Aggregator, error) {
 		readWL = r.u8() != 0
 	}
 	if readWL {
-		wl := a.ensureWorkload()
+		if a.wl = wl; wl == nil {
+			wl = a.ensureWorkload()
+		}
 		wl.DataShards = int(r.u32())
 		wl.ParityShards = int(r.u32())
 		wl.Paths = int(r.u32())
@@ -395,7 +428,9 @@ func UnmarshalAggregator(data []byte) (*Aggregator, error) {
 		}
 	}
 	if version >= aggSnapshotVersionResilience {
-		res := a.ensureResilience()
+		if a.res = res; res == nil {
+			res = a.ensureResilience()
+		}
 		res.UnderlayOutages = r.i64()
 		for i := range res.variants {
 			v := &res.variants[i]

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"reflect"
 	"testing"
+	"time"
 )
 
 // TestAggregatorSnapshotRoundTrip checks the serialization contract: an
@@ -131,4 +132,142 @@ func TestAggregatorSnapshotRejectsBadInput(t *testing.T) {
 	if _, err := UnmarshalAggregator(w.buf); err == nil {
 		t.Error("accepted a 50000-host header with no payload")
 	}
+}
+
+// TestUnmarshalIntoMatchesFresh drains a stream of snapshots through one
+// recycled aggregator, as a fleet coordinator does: probe-only →
+// workload → resilience → probe-only, then a decode that fails half-way
+// (truncated inside the workload section, then one lying about a CDF's
+// run count) followed by good ones. After every successful decode the
+// recycled aggregator must re-encode to exactly the bytes a fresh
+// UnmarshalAggregator re-encodes to — nothing inherited from the
+// previous occupant or from the failed attempt — and must merge into a
+// probe-only group without the stale workload shape tripping Merge.
+func TestUnmarshalIntoMatchesFresh(t *testing.T) {
+	probeOnly := func(n int) []byte {
+		data, err := feed(mergeStream(n, 3)).MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	withWorkload := func(k, m int) *Aggregator {
+		a := feed(mergeStream(4000, 2))
+		a.SetWorkloadMeta(k, m, 3)
+		for i := 0; i < 50; i++ {
+			a.WorkloadFrame(WorkloadBestPath, i%5 != 0, k, k-i%2, time.Duration(30+i)*time.Millisecond)
+			a.WorkloadFrame(WorkloadMultiPath, i%9 != 0, k+m, k+m-i%3, time.Duration(25+i)*time.Millisecond)
+		}
+		a.WorkloadStreamLoss(WorkloadBestPath, 20)
+		a.WorkloadStreamLoss(WorkloadMultiPath, 11.5)
+		return a
+	}
+	marshal := func(a *Aggregator) []byte {
+		data, err := a.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	workload := marshal(withWorkload(4, 2))
+	res := withWorkload(6, 1)
+	for i := 0; i < 7; i++ {
+		res.ResilienceOutage()
+		res.ResilienceProbe(ResilienceBestPath, i%2 == 0)
+		res.ResilienceProbe(ResilienceMultiPath, true)
+		res.ResilienceOutcome(ResilienceMultiPath, true, time.Duration(i+1)*time.Second)
+	}
+	resilience := marshal(res)
+	if workload[0] != aggSnapshotVersionWorkload || resilience[0] != aggSnapshotVersionResilience {
+		t.Fatalf("fixtures encode as versions %d and %d, want %d and %d",
+			workload[0], resilience[0], aggSnapshotVersionWorkload, aggSnapshotVersionResilience)
+	}
+	// A lying payload: the workload snapshot with its first CDF run count
+	// (the u32 after the first variant's seven 8-byte fields) inflated.
+	lying := append([]byte(nil), workload...)
+	wlStart := len(probeOnlyPrefix(t, workload))
+	lying[wlStart+12+7*8+3] = 0x7f
+
+	steps := []struct {
+		name string
+		data []byte
+		bad  bool
+	}{
+		{"probe-only", probeOnly(6000), false},
+		{"workload", workload, false},
+		{"resilience", resilience, false},
+		{"probe-only after sections", probeOnly(5000), false},
+		{"workload again", workload, false},
+		{"truncated inside the workload section", workload[:len(workload)-40], true},
+		{"probe-only after a failed decode", probeOnly(7000), false},
+		{"lying CDF run count", lying, true},
+		{"resilience after a failed decode", resilience, false},
+		{"probe-only last", probeOnly(6000), false},
+	}
+	var scratch *Aggregator
+	for _, st := range steps {
+		got, err := UnmarshalAggregatorInto(st.data, scratch)
+		if st.bad {
+			if err == nil {
+				t.Fatalf("%s: decode succeeded", st.name)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", st.name, err)
+		}
+		if scratch != nil && got != scratch {
+			t.Fatalf("%s: same-shape scratch was not reused", st.name)
+		}
+		scratch = got
+		fresh, err := UnmarshalAggregator(st.data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(marshal(got), marshal(fresh)) || !bytes.Equal(marshal(got), st.data) {
+			t.Errorf("%s: recycled decode re-encodes differently from a fresh one", st.name)
+		}
+		if (got.Workload() == nil) != (fresh.Workload() == nil) || (got.Resilience() == nil) != (fresh.Resilience() == nil) {
+			t.Errorf("%s: recycled decode has workload=%v resilience=%v sections, fresh has %v/%v", st.name,
+				got.Workload() != nil, got.Resilience() != nil, fresh.Workload() != nil, fresh.Resilience() != nil)
+		}
+	}
+	// The last occupant is probe-only but the storage held k=6/m=1 and
+	// k=4/m=2 shapes before: folding it into a group whose accumulator
+	// carries a third shape must not see either.
+	acc := withWorkload(3, 3)
+	if err := acc.Merge(scratch); err != nil {
+		t.Errorf("merging a recycled probe-only decode into a workload group: %v", err)
+	}
+
+	// A scratch of another shape is left alone and a fresh aggregator
+	// returned.
+	other := NewAggregator([]string{"direct"}, 6)
+	got, err := UnmarshalAggregatorInto(workload, other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got == other {
+		t.Error("decode reused a scratch built for a different method list")
+	}
+}
+
+// probeOnlyPrefix returns the leading part of a workload-bearing (v3)
+// payload that a probe-only payload of the same aggregator would
+// consist of, located by re-encoding without the workload section.
+func probeOnlyPrefix(t *testing.T, data []byte) []byte {
+	t.Helper()
+	a, err := UnmarshalAggregator(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.wl = nil
+	plain, err := a.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(plain[1:], data[1:len(plain)]) {
+		t.Fatal("workload payload does not extend the probe-only layout")
+	}
+	return plain
 }

@@ -5,11 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 	"time"
 
+	"repro/internal/analysis"
 	"repro/internal/core"
 	"repro/internal/resultstore"
 )
@@ -35,7 +35,11 @@ type Config struct {
 	// OutDir, when non-empty, persists every delivered snapshot payload
 	// verbatim under cells/<cell>/cell.snap — the same bytes and layout
 	// a single-process sweep writes, so -merge-only and ronreport work
-	// on a coordinator's output directory unchanged.
+	// on a coordinator's output directory unchanged. The snapshot being
+	// a second copy, a coordinator with an OutDir keeps a cell's
+	// aggregator only until the cell is folded into its group, then
+	// reuses it to decode a later upload; without one, every restored
+	// aggregator is kept (see Result).
 	OutDir string
 	// Filter, when non-nil, restricts the coordinator to the cells it
 	// accepts (the -cells sharding contract): filtered-out cells are
@@ -43,10 +47,14 @@ type Config struct {
 	Filter func(core.Cell) bool
 	// Reuse, when non-nil, is consulted serially for each selected cell
 	// before serving starts; returning a Result marks the cell done
-	// without leasing it (the -resume contract).
+	// without leasing it (the -resume contract). The Result is handed
+	// over: with an OutDir it is taken to come from a snapshot and its
+	// aggregator is released like any other cell's.
 	Reuse func(core.Cell, core.Config) (*core.Result, bool)
 	// OnCellDone, when non-nil, receives each first-delivered (or
-	// reused) cell; calls are serialized in completion order.
+	// reused, or recovered) cell with its full Result, before the cell
+	// is folded — the place to consume a cell's aggregator. Calls are
+	// serialized in completion order.
 	OnCellDone func(core.CellResult)
 	// OnGroupComplete, when non-nil, receives each grid point the
 	// moment its last replica lands and its replicas merge; calls are
@@ -63,9 +71,11 @@ type Config struct {
 
 // Coordinator is the fleet service: it owns the expanded grid, leases
 // cells to workers, validates and deduplicates delivered snapshots,
-// and merges each grid point eagerly as its last cell lands. It has no
-// transport of its own — Server exposes it over HTTP, and tests drive
-// it directly.
+// and runs each first delivery through the sweep's cell lifecycle,
+// which persists it, folds it into its grid point as it lands and —
+// with an OutDir — releases its aggregator for the next upload's
+// decode. It has no transport of its own — Server exposes it over HTTP,
+// and tests drive it directly.
 type Coordinator struct {
 	cfg      Config
 	sweep    *core.Sweep
@@ -77,18 +87,11 @@ type Coordinator struct {
 	cellSlot map[int]int // cell index → queue item
 	now      func() time.Time
 	start    time.Time
+	life     *core.Lifecycle
 
 	mu        sync.Mutex
-	results   []*core.Result // by cell index; first delivery wins
-	walls     []time.Duration
-	cached    []bool
-	skipped   []bool
-	rejects   []int // per cell: consecutive rejected uploads (quarantine)
-	pending   []int // per group: selected, not-yet-done cells
-	mergeable []bool
-	merged    []*core.Result
-	mergedN   int
-	expectedN int // groups that will merge (no skipped cells)
+	out       []core.CellResult // by cell index; Res set by the first delivery
+	rejects   []int             // per cell: consecutive rejected uploads (quarantine)
 	selected  int
 	reused    int
 	recovered int // cells restored from a crashed incarnation's OutDir
@@ -96,16 +99,28 @@ type Coordinator struct {
 	workers   map[string]time.Time // worker → last contact
 	err       error
 
+	// free holds aggregators the lifecycle released, for the next
+	// snapshot decode to reuse. It has its own lock: releases happen
+	// inside the lifecycle, under a group's fold lock.
+	freeMu sync.Mutex
+	free   []*analysis.Aggregator
+
 	done     chan struct{}
 	doneOnce sync.Once
 
-	cbMu sync.Mutex // serializes OnCellDone / OnGroupComplete
+	cbMu sync.Mutex // serializes OnGroupComplete
 }
 
+// maxFreeAggregators bounds the free list. Decodes take one aggregator
+// per upload and the fold gives one back per cell, so a handful covers
+// any worker count; it only fills past that when a group's out-of-order
+// window drains at once.
+const maxFreeAggregators = 8
+
 // New builds a coordinator over an expanded sweep: the full-grid
-// manifest is serialized once, the Reuse hook is applied serially
-// (fully reused groups merge immediately), and the lease queue is
-// seeded with every remaining runnable cell.
+// manifest is serialized once, reused and crash-recovered cells land
+// serially (fully satisfied groups merge immediately), and the lease
+// queue is seeded with every remaining runnable cell.
 func New(cfg Config) (*Coordinator, error) {
 	if cfg.Sweep == nil {
 		return nil, errors.New("coord: Config.Sweep is required")
@@ -128,65 +143,62 @@ func New(cfg Config) (*Coordinator, error) {
 	if c.manJSON, err = json.Marshal(c.manifest); err != nil {
 		return nil, err
 	}
-	n := len(c.cells)
-	c.results = make([]*core.Result, n)
-	c.walls = make([]time.Duration, n)
-	c.cached = make([]bool, n)
-	c.skipped = make([]bool, n)
-	c.rejects = make([]int, n)
-	c.pending = make([]int, c.sweep.NumGroups())
-	c.mergeable = make([]bool, c.sweep.NumGroups())
-	c.merged = make([]*core.Result, c.sweep.NumGroups())
-
-	// Selection and reuse run serially up front, exactly like
-	// Sweep.Run's expansion pass, so the queue only ever holds cells
-	// that genuinely need a worker. After the Reuse hook, OutDir is
-	// rescanned for snapshots a previous coordinator incarnation
-	// persisted before crashing: every delivery is written through to
-	// cells/ before it is acknowledged, so whatever a dead coordinator
-	// had accepted is exactly what its replacement finds on disk, and a
-	// restart resumes the sweep mid-flight instead of recomputing it.
-	var runnable []int
+	c.out = make([]core.CellResult, len(c.cells))
+	c.rejects = make([]int, len(c.cells))
 	for i, cell := range c.cells {
+		c.out[i].Cell = cell
 		if cfg.Filter != nil && !cfg.Filter(cell) {
-			c.skipped[i] = true
+			c.out[i].Skipped = true
 			continue
 		}
 		c.selected++
-		if cfg.Reuse != nil {
-			if res, ok := cfg.Reuse(cell, c.sweep.Config(i)); ok {
-				c.results[i] = res
-				c.cached[i] = true
-				c.reused++
-				c.doneCells++
-				continue
-			}
-		}
-		if cfg.OutDir != "" {
-			if res, ok := c.recoverCell(i, cell); ok {
-				c.results[i] = res
-				c.cached[i] = true
-				c.recovered++
-				c.doneCells++
-				continue
-			}
-		}
-		runnable = append(runnable, i)
 	}
 	if c.selected == 0 {
 		return nil, errors.New("coord: cell filter selected no cells")
 	}
-	for g := 0; g < c.sweep.NumGroups(); g++ {
-		c.mergeable[g] = true
-		for _, i := range c.sweep.GroupCells(g) {
-			if c.skipped[i] {
-				c.mergeable[g] = false
-			} else if !c.cached[i] {
-				c.pending[g]++
+	c.life = c.sweep.NewLifecycle(core.LifecycleConfig{
+		OutDir:  cfg.OutDir,
+		Results: cfg.Results,
+		OnCell:  cfg.OnCellDone,
+		Recycle: c.recycle,
+	}, func(i int) bool { return !c.out[i].Skipped })
+
+	// Reuse runs serially up front, exactly like Sweep.Run's expansion
+	// pass, so the queue only ever holds cells that genuinely need a
+	// worker. After the Reuse hook, OutDir is rescanned for snapshots a
+	// previous coordinator incarnation persisted before crashing: every
+	// delivery is written through to cells/ before it is acknowledged,
+	// so whatever a dead coordinator had accepted is exactly what its
+	// replacement finds on disk, and a restart resumes the sweep
+	// mid-flight instead of recomputing it. Each such cell lands right
+	// away — completion callback, store row (a restart re-appends rows
+	// an earlier incarnation wrote, which the store's read-side identity
+	// dedup absorbs), fold — so groups fully satisfied from snapshots
+	// merge before the first worker connects, and the pass holds one
+	// decoded cell at a time.
+	var runnable []int
+	for i, cell := range c.cells {
+		if c.out[i].Skipped {
+			continue
+		}
+		var res *core.Result
+		if cfg.Reuse != nil {
+			if r, ok := cfg.Reuse(cell, c.sweep.Config(i)); ok {
+				res = r
+				c.reused++
 			}
 		}
-		if c.mergeable[g] {
-			c.expectedN++
+		if res == nil && cfg.OutDir != "" {
+			if res = c.recoverCell(i); res != nil {
+				c.recovered++
+			}
+		}
+		if res == nil {
+			runnable = append(runnable, i)
+			continue
+		}
+		if err := c.land(core.CellResult{Cell: cell, Res: res, Cached: true}, nil); err != nil {
+			return nil, err
 		}
 	}
 	c.queue = NewLeaseQueue(len(runnable), cfg.LeaseTTL, cfg.Now)
@@ -194,63 +206,105 @@ func New(cfg Config) (*Coordinator, error) {
 	for slot, i := range runnable {
 		c.cellSlot[i] = slot
 	}
-
-	// Reused cells fire the completion callbacks now, and groups fully
-	// satisfied from snapshots merge before the first worker connects.
-	// They also land in the result store up front; a restart re-appends
-	// rows an earlier incarnation already wrote, which the store's
-	// read-side identity dedup absorbs.
-	for i := range c.cells {
-		if c.cached[i] {
-			c.notifyCell(core.CellResult{Cell: c.cells[i], Res: c.results[i], Cached: true})
-			if cfg.Results != nil {
-				if err := cfg.Results.Append(core.CellStoreRow(c.cells[i], c.results[i])); err != nil {
-					return nil, fmt.Errorf("coord: result store: %w", err)
-				}
-			}
-		}
-	}
 	c.mu.Lock()
-	for g := 0; g < c.sweep.NumGroups(); g++ {
-		if c.mergeable[g] && c.pending[g] == 0 {
-			if err := c.mergeGroupLocked(g); err != nil {
-				c.mu.Unlock()
-				return nil, err
-			}
-		}
-	}
 	c.checkDoneLocked()
 	c.mu.Unlock()
 	return c, nil
 }
 
-// recoverCell attempts crash-restart recovery for one selected cell:
-// read the snapshot a previous incarnation may have persisted under
-// OutDir, check it names this grid point (name and coordinate-derived
-// seed), and restore it against this coordinator's own Config.
-// Anything missing, torn, or mismatched means the cell is recomputed —
-// a bad file on disk must cost a re-run, never poison the merge.
-func (c *Coordinator) recoverCell(i int, cell core.Cell) (*core.Result, bool) {
-	path := core.CellSnapshotPath(c.cfg.OutDir, cell.Name())
-	snap, err := core.ReadCellSnapshot(path)
-	if err != nil {
-		if !errors.Is(err, os.ErrNotExist) {
-			c.warnf("cell %s: ignoring persisted snapshot: %v\n", cell.Name(), err)
-		}
-		return nil, false
+// recycle is the lifecycle's release hook: keep the aggregator for a
+// later decode, up to the free list's bound.
+func (c *Coordinator) recycle(agg *analysis.Aggregator) {
+	if agg == nil {
+		return
 	}
+	c.freeMu.Lock()
+	if len(c.free) < maxFreeAggregators {
+		c.free = append(c.free, agg)
+	}
+	c.freeMu.Unlock()
+}
+
+// admit validates a snapshot container for cell i: CRC and structure by
+// the container parse, the cell identity (name and coordinate-derived
+// seed) against the grid point the index names, and the aggregator
+// state by restoring it against the coordinator's own Config for that
+// cell. The aggregator decodes into a recycled one when the free list
+// has one; a rejected container gives it straight back.
+func (c *Coordinator) admit(i int, container []byte) (*core.Result, error) {
+	c.freeMu.Lock()
+	var scratch *analysis.Aggregator
+	if n := len(c.free); n > 0 {
+		scratch, c.free = c.free[n-1], c.free[:n-1]
+	}
+	c.freeMu.Unlock()
+	snap, err := core.ParseCellSnapshotInto(container, scratch)
+	if err != nil {
+		c.recycle(scratch)
+		return nil, err
+	}
+	cell := c.cells[i]
 	if snap.Name != cell.Name() || snap.Seed != cell.Seed {
-		c.warnf("cell %s: persisted snapshot names %s seed %d; recomputing\n",
-			cell.Name(), snap.Name, snap.Seed)
-		return nil, false
+		c.recycle(snap.Aggregator())
+		return nil, fmt.Errorf("coord: snapshot is for %s seed %d, cell is %s seed %d",
+			snap.Name, snap.Seed, cell.Name(), cell.Seed)
 	}
 	res, err := snap.Restore(c.sweep.Config(i))
 	if err != nil {
-		c.warnf("cell %s: persisted snapshot does not restore: %v; recomputing\n",
-			cell.Name(), err)
-		return nil, false
+		c.recycle(snap.Aggregator())
+		return nil, err
 	}
-	return res, true
+	return res, nil
+}
+
+// recoverCell attempts crash-restart recovery for one selected cell:
+// read the snapshot a previous incarnation may have persisted under
+// OutDir and admit it like an upload. Anything missing, torn, or
+// mismatched means the cell is recomputed — a bad file on disk must
+// cost a re-run, never poison the merge.
+func (c *Coordinator) recoverCell(i int) *core.Result {
+	name := c.cells[i].Name()
+	data, err := os.ReadFile(core.CellSnapshotPath(c.cfg.OutDir, name))
+	if err == nil {
+		var res *core.Result
+		if res, err = c.admit(i, data); err == nil {
+			return res
+		}
+	}
+	if !errors.Is(err, os.ErrNotExist) {
+		c.warnf("cell %s: ignoring persisted snapshot (%v); recomputing\n", name, err)
+	}
+	return nil
+}
+
+// land runs a first-delivered, reused or recovered cell through the
+// lifecycle — persist (wire is an upload's exact bytes), OnCellDone,
+// store row, fold, release — and records it. A persist, store or fold
+// failure is sticky in Err but never stops the sweep.
+func (c *Coordinator) land(cr core.CellResult, wire []byte) error {
+	merged, err := c.life.Land(&cr, wire)
+	if err != nil {
+		c.warnf("cell %s: %v\n", cr.Cell.Name(), err)
+	}
+	c.mu.Lock()
+	if err != nil && c.err == nil {
+		c.err = err
+	}
+	c.out[cr.Cell.Index] = cr
+	if merged != nil && c.cfg.OnGroupComplete != nil {
+		gr := c.groupResultLocked(cr.Cell.Group)
+		// Release the state lock around the callback: it may render
+		// tables or write figures, and must not block lease traffic.
+		c.mu.Unlock()
+		c.cbMu.Lock()
+		c.cfg.OnGroupComplete(&gr)
+		c.cbMu.Unlock()
+		c.mu.Lock()
+	}
+	c.doneCells++
+	c.checkDoneLocked()
+	c.mu.Unlock()
+	return err
 }
 
 func (c *Coordinator) warnf(format string, args ...any) {
@@ -303,37 +357,25 @@ func (c *Coordinator) Renew(id uint64) (RenewResponse, error) {
 	return RenewResponse{TTLMillis: c.queue.TTL().Milliseconds()}, nil
 }
 
-// Complete accepts a finished cell's snapshot payload: CRC and
-// structure are validated by the container parse, the cell identity
-// (name and coordinate-derived seed) must match the grid point the
-// index names, and the aggregator state must restore against the
-// coordinator's own Config for that cell. First delivery wins; any
-// later delivery of the same cell validates, reports duplicate, and
-// changes nothing — re-dispatched stragglers are expected, not errors.
+// Complete accepts a finished cell's snapshot payload once admit has
+// validated it. First delivery wins and lands (see land); any later
+// delivery of the same cell validates, reports duplicate, and changes
+// nothing — re-dispatched stragglers are expected, not errors. payload
+// is not retained: it is persisted before Complete returns and the
+// parsed snapshot copies what it keeps.
 func (c *Coordinator) Complete(cellIdx int, payload []byte, wall time.Duration) (CompleteResponse, error) {
 	if cellIdx < 0 || cellIdx >= len(c.cells) {
 		return CompleteResponse{}, fmt.Errorf("coord: cell index %d out of range", cellIdx)
 	}
 	cell := c.cells[cellIdx]
+	// A cell outside the queue and not skipped was reused or recovered:
+	// its result is already in hand, and a delivery is a duplicate
+	// after validating it.
 	slot, runnable := c.cellSlot[cellIdx]
-	if !runnable {
-		if c.skipped[cellIdx] {
-			return CompleteResponse{}, fmt.Errorf("coord: cell %s is outside this coordinator's shard", cell.Name())
-		}
-		// Reused cell: the result is already in hand; treat the
-		// delivery as a duplicate after validating it.
+	if !runnable && c.out[cellIdx].Skipped {
+		return CompleteResponse{}, fmt.Errorf("coord: cell %s is outside this coordinator's shard", cell.Name())
 	}
-	snap, err := core.ParseCellSnapshot(payload)
-	if err != nil {
-		c.noteReject(cellIdx, slot, runnable)
-		return CompleteResponse{}, err
-	}
-	if snap.Name != cell.Name() || snap.Seed != cell.Seed {
-		c.noteReject(cellIdx, slot, runnable)
-		return CompleteResponse{}, fmt.Errorf("coord: snapshot is for %s seed %d, lease was %s seed %d",
-			snap.Name, snap.Seed, cell.Name(), cell.Seed)
-	}
-	res, err := snap.Restore(c.sweep.Config(cellIdx))
+	res, err := c.admit(cellIdx, payload)
 	if err != nil {
 		c.noteReject(cellIdx, slot, runnable)
 		return CompleteResponse{}, err
@@ -342,54 +384,12 @@ func (c *Coordinator) Complete(cellIdx int, payload []byte, wall time.Duration) 
 	c.rejects[cellIdx] = 0
 	c.mu.Unlock()
 	if !runnable || !c.queue.Complete(slot) {
+		c.recycle(res.Agg)
 		return CompleteResponse{Duplicate: true}, nil
 	}
-
-	// First delivery: persist the exact wire bytes (they are the same
-	// container a local sweep writes), record the result, and merge the
-	// group if this was its last outstanding cell.
-	if c.cfg.OutDir != "" {
-		path := core.CellSnapshotPath(c.cfg.OutDir, cell.Name())
-		if err := writeFileAtomic(path, payload); err != nil {
-			c.warnf("cell %s: persisting snapshot: %v\n", cell.Name(), err)
-			c.mu.Lock()
-			if c.err == nil {
-				c.err = fmt.Errorf("coord: persisting cell %s: %w", cell.Name(), err)
-			}
-			c.mu.Unlock()
-		}
-	}
-	c.notifyCell(core.CellResult{Cell: cell, Res: res, Wall: wall})
-	// The cell's store row is appended before the group merge below can
-	// fire (merging flushes sibling aggregators; appending first keeps
-	// the row's extraction race-free and the store ordering cell-first).
-	var storeErr error
-	if c.cfg.Results != nil {
-		if err := c.cfg.Results.Append(core.CellStoreRow(cell, res)); err != nil {
-			storeErr = fmt.Errorf("coord: result store: %w", err)
-			c.warnf("cell %s: result store append: %v\n", cell.Name(), err)
-		}
-	}
-	c.mu.Lock()
-	if storeErr != nil && c.err == nil {
-		c.err = storeErr
-	}
-	c.results[cellIdx] = res
-	c.walls[cellIdx] = wall
-	c.doneCells++
-	g := cell.Group
-	if c.mergeable[g] {
-		c.pending[g]--
-		if c.pending[g] == 0 {
-			if err := c.mergeGroupLocked(g); err != nil {
-				if c.err == nil {
-					c.err = err
-				}
-			}
-		}
-	}
-	c.checkDoneLocked()
-	c.mu.Unlock()
+	// The delivery is accepted whatever land reports: a persist, store
+	// or fold failure is the coordinator's, sticky in Err.
+	c.land(core.CellResult{Cell: cell, Res: res, Wall: wall}, payload)
 	return CompleteResponse{}, nil
 }
 
@@ -419,53 +419,11 @@ func (c *Coordinator) noteReject(cellIdx, slot int, runnable bool) {
 	}
 }
 
-// mergeGroupLocked merges group g's replicas in replica order (the
-// schedule-independent order every execution mode uses) and fires
-// OnGroupComplete. Callers hold c.mu.
-func (c *Coordinator) mergeGroupLocked(g int) error {
-	idxs := c.sweep.GroupCells(g)
-	results := make([]*core.Result, len(idxs))
-	for k, i := range idxs {
-		results[k] = c.results[i]
-	}
-	merged, err := core.MergeResults(results)
-	if err != nil {
-		return fmt.Errorf("coord: merging group %s: %w", c.cells[idxs[0]].GroupName(), err)
-	}
-	c.merged[g] = merged
-	c.mergedN++
-	if c.cfg.Results != nil {
-		if err := c.cfg.Results.Append(core.GroupStoreRow(c.cells[idxs[0]], merged)); err != nil {
-			return fmt.Errorf("coord: result store: %w", err)
-		}
-	}
-	if c.cfg.OnGroupComplete != nil {
-		gr := c.groupResultLocked(g)
-		// Release the state lock around the callback: it may render
-		// tables or write figures, and must not block lease traffic.
-		c.mu.Unlock()
-		c.cbMu.Lock()
-		c.cfg.OnGroupComplete(&gr)
-		c.cbMu.Unlock()
-		c.mu.Lock()
-	}
-	return nil
-}
-
-// notifyCell fires OnCellDone, serialized.
-func (c *Coordinator) notifyCell(r core.CellResult) {
-	if c.cfg.OnCellDone == nil {
-		return
-	}
-	c.cbMu.Lock()
-	c.cfg.OnCellDone(r)
-	c.cbMu.Unlock()
-}
-
 // checkDoneLocked closes the completion channel once every selected
-// cell is done and every mergeable group has merged.
+// cell has landed — which, the fold being part of landing, is also when
+// every complete group has merged.
 func (c *Coordinator) checkDoneLocked() {
-	if c.doneCells == c.selected && c.mergedN == c.expectedN {
+	if c.doneCells == c.selected {
 		c.doneOnce.Do(func() { close(c.done) })
 	}
 }
@@ -482,7 +440,8 @@ func (c *Coordinator) Err() error {
 	return c.err
 }
 
-// groupResultLocked assembles group g's GroupResult. Callers hold c.mu.
+// groupResultLocked assembles group g's GroupResult over copies of its
+// cells' results. Callers hold c.mu.
 func (c *Coordinator) groupResultLocked(g int) core.GroupResult {
 	idxs := c.sweep.GroupCells(g)
 	first := c.cells[idxs[0]]
@@ -494,16 +453,11 @@ func (c *Coordinator) groupResultLocked(g int) core.GroupResult {
 		Hosts:   mg.Hosts,
 		Methods: mg.Methods,
 		Cells:   make([]*core.CellResult, len(idxs)),
-		Merged:  c.merged[g],
+		Merged:  c.life.Merged(g),
 	}
 	for k, i := range idxs {
-		gr.Cells[k] = &core.CellResult{
-			Cell:    c.cells[i],
-			Res:     c.results[i],
-			Wall:    c.walls[i],
-			Skipped: c.skipped[i],
-			Cached:  c.cached[i],
-		}
+		cr := c.out[i]
+		gr.Cells[k] = &cr
 	}
 	return gr
 }
@@ -524,7 +478,7 @@ func (c *Coordinator) Snapshot() Progress {
 		RecoveredCells:     c.recovered,
 		ExpiredLeases:      expired,
 		RedispatchedLeases: redispatched,
-		Complete:           c.doneCells == c.selected && c.mergedN == c.expectedN,
+		Complete:           c.doneCells == c.selected,
 	}
 	if c.cfg.Results != nil {
 		p.StoredRows = c.cfg.Results.Rows()
@@ -542,10 +496,10 @@ func (c *Coordinator) Snapshot() Progress {
 		gp := GroupProgress{
 			Name:   c.cells[idxs[0]].GroupName(),
 			Cells:  len(idxs),
-			Merged: c.merged[g] != nil,
+			Merged: c.life.Merged(g) != nil,
 		}
 		for _, i := range idxs {
-			if c.results[i] != nil {
+			if c.out[i].Res != nil {
 				gp.Done++
 			}
 		}
@@ -555,9 +509,13 @@ func (c *Coordinator) Snapshot() Progress {
 }
 
 // Result assembles the completed sweep's SweepResult — the same shape
-// Sweep.Run returns, with cells restored from delivered snapshots — so
-// callers above the fleet (the experiment builder, ronsim's reporting
-// path) are oblivious to whether cells ran locally or on a fleet.
+// Sweep.Run returns, so callers above the fleet (the experiment
+// builder, ronsim's reporting path) are oblivious to whether cells ran
+// locally or on a fleet. Groups carry their merged Result. Cells carry
+// what the lifecycle left of theirs: with an OutDir, Res holds the
+// cell's Config, Testbed, Methods and probe counters and Res.Agg is nil
+// (the snapshot under OutDir is the cell's statistics); without one,
+// every Res still owns its restored aggregator.
 func (c *Coordinator) Result() *core.SweepResult {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -566,21 +524,12 @@ func (c *Coordinator) Result() *core.SweepResult {
 		Datasets: c.sweep.Datasets(),
 		Axes:     c.sweep.Axes(),
 		Replicas: c.sweep.Replicas(),
-		Cells:    make([]core.CellResult, len(c.cells)),
+		Cells:    append([]core.CellResult(nil), c.out...),
 		Groups:   make([]core.GroupResult, c.sweep.NumGroups()),
 		Wall:     time.Since(c.start),
 		Parallel: len(c.workers),
 		Selected: c.selected,
 		Reused:   c.reused,
-	}
-	for i := range c.cells {
-		out.Cells[i] = core.CellResult{
-			Cell:    c.cells[i],
-			Res:     c.results[i],
-			Wall:    c.walls[i],
-			Skipped: c.skipped[i],
-			Cached:  c.cached[i],
-		}
 	}
 	for g := range out.Groups {
 		gr := c.groupResultLocked(g)
@@ -592,31 +541,4 @@ func (c *Coordinator) Result() *core.SweepResult {
 		out.Groups[g] = gr
 	}
 	return out
-}
-
-// writeFileAtomic writes data to path via a same-directory temp file
-// and rename, creating parent directories — the same absent-or-
-// complete guarantee CellSnapshot.WriteFile provides.
-func writeFileAtomic(path string, data []byte) error {
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return err
-	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return nil
 }

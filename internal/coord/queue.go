@@ -1,14 +1,23 @@
 // Package coord turns the sweep engine into a coordinator/worker fleet
 // over HTTP: a coordinator expands a manifest-v3 grid once, hands out
 // cell leases with heartbeat renewal and straggler re-dispatch, CRC-
-// validates finished CellSnapshot payloads idempotently, and merges
-// each grid point the moment its last replica lands — byte-identical
-// to a single-process sweep, because cell seeds derive from grid
-// coordinates and snapshots round-trip aggregator state exactly.
+// validates finished CellSnapshot payloads idempotently, and folds
+// each delivery into its grid point as it lands, through the same
+// core.Lifecycle a local sweep uses — byte-identical to a
+// single-process sweep, because cell seeds derive from grid
+// coordinates, snapshots round-trip aggregator state exactly, and a
+// group folds in replica order whatever order its cells arrive in.
+//
+// A coordinator with an output directory holds groups, not cells: a
+// delivered cell is on disk before it is acknowledged, so once folded
+// its aggregator is reused to decode a later upload, and the assembled
+// result's cells carry counters but no aggregator (see
+// Coordinator.Result). Without an output directory every restored cell
+// is kept, because nothing else holds it.
 //
 // The package is layered machbase-style: LeaseQueue is the pure lease
 // state machine (injectable clock, no I/O), Coordinator is the service
-// (grid state, snapshot validation, eager merge), Server is the HTTP
+// (grid state, snapshot validation, landing cells), Server is the HTTP
 // listener wrapping the service with graceful shutdown, and Worker is
 // the client loop a fleet machine runs.
 package coord

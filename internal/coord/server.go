@@ -1,10 +1,10 @@
 package coord
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
-	"io"
 	"net"
 	"net/http"
 	"strconv"
@@ -25,6 +25,13 @@ const maxSnapshotBytes = 64 << 20
 type Server struct {
 	coord *Coordinator
 	mux   *http.ServeMux
+	// bodies recycles /complete body buffers (*bytes.Buffer): Complete
+	// persists the payload and keeps none of it, so a buffer is free
+	// again the moment its handler returns.
+	bodies sync.Pool
+	// maxBody is the /complete body bound, maxSnapshotBytes outside
+	// tests.
+	maxBody int64
 
 	mu   sync.Mutex
 	http *http.Server
@@ -33,7 +40,8 @@ type Server struct {
 
 // NewServer wraps a coordinator with the wire protocol's routes.
 func NewServer(c *Coordinator) *Server {
-	s := &Server{coord: c, mux: http.NewServeMux()}
+	s := &Server{coord: c, mux: http.NewServeMux(), maxBody: maxSnapshotBytes}
+	s.bodies.New = func() any { return new(bytes.Buffer) }
 	s.mux.HandleFunc("GET "+PathManifest, s.handleManifest)
 	s.mux.HandleFunc("POST "+PathLease, s.handleLease)
 	s.mux.HandleFunc("POST "+PathRenew, s.handleRenew)
@@ -133,8 +141,21 @@ func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
 		}
 		wall = time.Duration(n) * time.Millisecond
 	}
-	payload, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxSnapshotBytes))
-	if err != nil {
+	// A declared length over the bound is refused before anything is
+	// read or sized from it; an undeclared (chunked) one is cut off by
+	// MaxBytesReader.
+	if r.ContentLength > s.maxBody {
+		http.Error(w, "snapshot exceeds the upload bound", http.StatusRequestEntityTooLarge)
+		return
+	}
+	buf := s.bodies.Get().(*bytes.Buffer)
+	defer s.bodies.Put(buf)
+	buf.Reset()
+	if r.ContentLength > 0 {
+		// MinRead of slack lets ReadFrom see EOF without regrowing.
+		buf.Grow(int(r.ContentLength) + bytes.MinRead)
+	}
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, s.maxBody)); err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
 			http.Error(w, err.Error(), http.StatusRequestEntityTooLarge)
@@ -143,7 +164,7 @@ func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "reading snapshot: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	resp, err := s.coord.Complete(cell, payload, wall)
+	resp, err := s.coord.Complete(cell, buf.Bytes(), wall)
 	if err != nil {
 		// A snapshot that fails validation or names the wrong cell is a
 		// client-side defect (corruption in flight, version skew), not a

@@ -44,6 +44,9 @@ type Worker struct {
 	// (replayable tests) while distinct workers de-synchronize instead
 	// of stampeding a recovering coordinator in lockstep.
 	jstate atomic.Uint64
+	// payload is the snapshot encode buffer, reused across cells: each
+	// cell is encoded and uploaded before the next one starts.
+	payload []byte
 
 	// Fault-injection hooks, exercised by the coordinator's tests: a
 	// worker that dies mid-cell, delivers twice, or never heartbeats.
@@ -150,7 +153,8 @@ func (w *Worker) log(format string, args ...any) {
 }
 
 // Run executes the worker loop until the sweep drains, the context is
-// cancelled, or the coordinator becomes unreachable.
+// cancelled, or the coordinator becomes unreachable. A Worker runs one
+// loop at a time.
 func (w *Worker) Run(ctx context.Context) error {
 	m, err := w.fetchManifest(ctx)
 	if err != nil {
@@ -231,7 +235,9 @@ func (w *Worker) Run(ctx context.Context) error {
 func (w *Worker) runCell(ctx context.Context, arena *core.Arena, sweep *core.Sweep, cell core.Cell, lease LeaseResponse) (killed bool, err error) {
 	stop := w.startHeartbeats(ctx, lease)
 	start := time.Now()
-	res, err := arena.RunRetained(sweep.Config(cell.Index))
+	// The arena-owned result is enough: it is encoded and uploaded
+	// before this worker's next Run recycles it.
+	res, err := arena.Run(sweep.Config(cell.Index))
 	wall := time.Since(start)
 	stop()
 	if err != nil {
@@ -240,10 +246,15 @@ func (w *Worker) runCell(ctx context.Context, arena *core.Arena, sweep *core.Swe
 	if w.beforeUpload != nil && !w.beforeUpload(cell) {
 		return true, nil
 	}
-	payload, err := core.NewCellSnapshot(cell, res).AppendContainer(nil)
+	payload, err := core.NewCellSnapshot(cell, res).AppendContainer(w.payload[:0])
 	if err != nil {
 		return false, fmt.Errorf("coord: cell %s: encoding snapshot: %w", cell.Name(), err)
 	}
+	// The buffer is kept for the next cell only if every upload attempt
+	// is answered 200, which the coordinator sends after reading the
+	// whole body: a failed attempt's transport may still be reading it.
+	w.payload = nil
+	clean := true
 	uploads := 1
 	if w.duplicate {
 		uploads = 2
@@ -265,6 +276,9 @@ func (w *Worker) runCell(ctx context.Context, arena *core.Arena, sweep *core.Swe
 			return false, err
 		}
 		w.log("%s: cell %s done in %v (duplicate=%v)\n", w.name, cell.Name(), wall.Round(time.Millisecond), dup)
+	}
+	if clean {
+		w.payload = payload
 	}
 	return false, nil
 }

@@ -50,9 +50,11 @@ func NewArena() *Arena { return &Arena{} }
 // Run executes one campaign in the arena. The returned Result — and in
 // particular its aggregator — is owned by the arena: it remains valid
 // only until the next Run or RunRetained on the same arena, which
-// recycles its storage. Callers that keep results across cells (the
-// sweep engine, snapshot writers) use RunRetained or finish consuming
-// the Result first.
+// recycles its storage. It is the right call for anyone done with a
+// cell before starting the next: a fleet worker encodes and uploads the
+// snapshot first, so it never needs a second aggregator. Callers whose
+// results outlive the cell — Sweep.Run, whose Lifecycle folds a cell
+// after later ones may have started — use RunRetained.
 func (a *Arena) Run(cfg Config) (*Result, error) { return a.run(cfg, false) }
 
 // RunRetained is Run, except the Result and its aggregator are freshly

@@ -227,9 +227,18 @@ func (s *CellSnapshot) WriteFileBuf(path string, scratch []byte) ([]byte, error)
 	if err != nil {
 		return scratch, err
 	}
+	return buf, WriteSnapshotFile(path, buf)
+}
 
+// WriteSnapshotFile stores an encoded snapshot container at path
+// atomically — a temporary file in the same directory, renamed into
+// place, parent directories created as needed — so readers only ever
+// see absent or complete snapshots. It is the write half of WriteFile,
+// exported for a coordinator persisting the exact bytes a worker
+// delivered.
+func WriteSnapshotFile(path string, container []byte) error {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return buf, err
+		return err
 	}
 	// A process killed between CreateTemp and rename leaves a .tmp*
 	// file behind; sweep directories are compared and rsynced whole, so
@@ -242,22 +251,22 @@ func (s *CellSnapshot) WriteFileBuf(path string, scratch []byte) ([]byte, error)
 	}
 	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
 	if err != nil {
-		return buf, err
+		return err
 	}
-	if _, err := tmp.Write(buf); err != nil {
+	if _, err := tmp.Write(container); err != nil {
 		tmp.Close()
 		os.Remove(tmp.Name())
-		return buf, err
+		return err
 	}
 	if err := tmp.Close(); err != nil {
 		os.Remove(tmp.Name())
-		return buf, err
+		return err
 	}
 	if err := os.Rename(tmp.Name(), path); err != nil {
 		os.Remove(tmp.Name())
-		return buf, err
+		return err
 	}
-	return buf, nil
+	return nil
 }
 
 // ReadCellSnapshot loads and verifies a snapshot: magic, section
@@ -269,7 +278,7 @@ func ReadCellSnapshot(path string) (*CellSnapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	return parseCellSnapshot(data, path)
+	return parseCellSnapshot(data, path, nil)
 }
 
 // ParseCellSnapshot verifies and decodes a snapshot container from
@@ -279,12 +288,23 @@ func ReadCellSnapshot(path string) (*CellSnapshot, error) {
 // a payload truncated or corrupted in flight is rejected rather than
 // merged as data.
 func ParseCellSnapshot(data []byte) (*CellSnapshot, error) {
-	return parseCellSnapshot(data, "payload")
+	return ParseCellSnapshotInto(data, nil)
+}
+
+// ParseCellSnapshotInto is ParseCellSnapshot decoding the aggregator
+// into scratch's storage when scratch has the payload's shape (see
+// analysis.UnmarshalAggregatorInto; nil scratch allocates). The caller
+// gives scratch up: on success the snapshot's Aggregator is scratch or
+// a fresh one, on error scratch holds a partial decode and is good only
+// for another decode. The snapshot aliases none of data, which may be
+// reused as soon as the call returns.
+func ParseCellSnapshotInto(data []byte, scratch *analysis.Aggregator) (*CellSnapshot, error) {
+	return parseCellSnapshot(data, "payload", scratch)
 }
 
 // parseCellSnapshot decodes a snapshot container, naming src (a path,
 // or "payload" for wire deliveries) in every error.
-func parseCellSnapshot(data []byte, src string) (*CellSnapshot, error) {
+func parseCellSnapshot(data []byte, src string, scratch *analysis.Aggregator) (*CellSnapshot, error) {
 	corrupt := func(why string) error {
 		return fmt.Errorf("core: cell snapshot %s: %s", src, why)
 	}
@@ -326,7 +346,7 @@ func parseCellSnapshot(data []byte, src string) (*CellSnapshot, error) {
 		return nil, fmt.Errorf("core: cell snapshot %s: unsupported version %d (want %d)",
 			src, snap.Version, SnapshotVersion)
 	}
-	agg, err := analysis.UnmarshalAggregator(body[off:])
+	agg, err := analysis.UnmarshalAggregatorInto(body[off:], scratch)
 	if err != nil {
 		return nil, fmt.Errorf("core: cell snapshot %s: %w", src, err)
 	}

@@ -6,10 +6,8 @@ import (
 	"runtime"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
-	"repro/internal/analysis"
 	"repro/internal/netsim"
 	"repro/internal/resultstore"
 )
@@ -67,22 +65,33 @@ type SweepSpec struct {
 	// marks the cell Cached and skips the campaign. It is how -resume
 	// and -extend reuse persisted cell snapshots. Calls are serial (in
 	// expansion order, before the worker pool starts), so the hook may
-	// touch shared state without locking.
+	// touch shared state without locking. The Result is handed over:
+	// with an OutDir it is taken to come from a snapshot, and its
+	// aggregator is released like any other cell's.
 	Reuse func(Cell, Config) (*Result, bool)
 	// Configure, when non-nil, is applied to each cell's Config after
 	// the dataset defaults, axis values, and seed. It runs serially
 	// during expansion (NewSweep), so it may capture shared state
 	// without locking — e.g. to install per-cell trace sinks.
 	Configure func(Cell, *Config)
-	// Progress, when non-nil, receives each finished cell. Calls are
-	// serialized but arrive in completion order, which varies with
-	// Parallel.
+	// Progress, when non-nil, receives each finished cell, with its full
+	// Result (see CellResult.Res for what a persisting sweep keeps
+	// afterwards). Calls are serialized but arrive in completion order,
+	// which varies with Parallel.
 	Progress func(CellResult)
 	// Results, when non-nil, receives one columnar row per completed
 	// cell (including cached ones) and per merged group, appended as
 	// they land. Append order varies with scheduling; the store's
 	// read side orders and dedupes by row identity.
 	Results *resultstore.Store
+	// OutDir, when non-empty, is the sweep output directory: every cell
+	// Run computes persists a checksummed snapshot under
+	// cells/<cell>/cell.snap the moment it finishes (reused cells
+	// already have theirs), so a killed run keeps everything it
+	// completed — and, since the snapshot is then a second copy, Run
+	// keeps each cell's aggregator only until the cell is folded into
+	// its group (see CellResult.Res).
+	OutDir string
 }
 
 // Cell is one point of an expanded sweep grid: a dataset, one value
@@ -143,6 +152,13 @@ func (c Cell) Name() string {
 type CellResult struct {
 	Cell Cell
 	// Res is the cell's campaign result; nil when the cell was Skipped.
+	// A Progress / OnCellDone callback sees it whole. In a finished
+	// SweepResult, Res keeps its Config, Testbed, Methods and probe
+	// counters, but Res.Agg is nil when the sweep persisted snapshots
+	// (an output directory was set): the aggregator was released once
+	// the cell was on disk and folded into its group, and
+	// ReadCellSnapshot brings it back. A sweep with no output directory
+	// keeps every aggregator, because there the Result is the only copy.
 	Res *Result
 	// Wall is the cell's wall-clock duration (zero for skipped or
 	// cached cells).
@@ -384,51 +400,17 @@ func (s *Sweep) GroupCells(g int) []int { return append([]int(nil), s.groups[g].
 // replicas. Each worker owns a reusable Arena, so successive cells pay
 // in-place reinitialization instead of full construction. Cells are
 // independent campaigns, so any schedule yields the same per-cell
-// results; each group's replicas are merged in replica order the moment
-// its last cell lands — concurrently across groups, on whichever worker
-// finished the group — making the merged tables byte-identical across
-// Parallel settings, and, because seeds derive from coordinates, across
-// any sharding by Filter or reuse of persisted snapshots.
+// results; every finished (or reused) cell goes through the sweep's
+// Lifecycle, which folds each group's replicas in replica order as they
+// land — concurrently across groups — making the merged tables
+// byte-identical across Parallel settings, and, because seeds derive
+// from coordinates, across any sharding by Filter or reuse of persisted
+// snapshots. With an OutDir, a cell's aggregator is released once it is
+// persisted and folded (see CellResult.Res).
 func (s *Sweep) Run() (*SweepResult, error) {
 	start := time.Now()
 	results := make([]CellResult, len(s.cells))
-	var progressMu sync.Mutex
-	progress := func(i int) {
-		if s.spec.Progress != nil {
-			progressMu.Lock()
-			s.spec.Progress(results[i])
-			progressMu.Unlock()
-		}
-	}
-	// Result-store sinks: one row per completed cell and merged group.
-	// Rows are built outside the lock (table extraction allocates, once
-	// per completion); only the append and the sticky first error are
-	// guarded. A store failure never aborts in-flight cells — the sweep
-	// finishes and the error surfaces at the end.
-	var storeMu sync.Mutex
-	var storeErr error
-	storeAppend := func(row *resultstore.Row) {
-		storeMu.Lock()
-		if err := s.spec.Results.Append(row); err != nil && storeErr == nil {
-			storeErr = err
-		}
-		storeMu.Unlock()
-	}
-	storeCell := func(i int) {
-		if s.spec.Results == nil || results[i].Err != nil || results[i].Res == nil {
-			return
-		}
-		storeAppend(CellStoreRow(results[i].Cell, results[i].Res))
-	}
-	storeGroup := func(c Cell, m *Result) {
-		if s.spec.Results == nil || m == nil {
-			return
-		}
-		storeAppend(GroupStoreRow(c, m))
-	}
-
-	var toRun []int
-	selected, reused := 0, 0
+	selected := 0
 	for i, c := range s.cells {
 		results[i] = CellResult{Cell: c}
 		if s.spec.Filter != nil && !s.spec.Filter(c) {
@@ -436,62 +418,45 @@ func (s *Sweep) Run() (*SweepResult, error) {
 			continue
 		}
 		selected++
+	}
+	if selected == 0 {
+		return nil, errors.New("core: sweep cell filter selected no cells")
+	}
+	life := s.NewLifecycle(LifecycleConfig{
+		OutDir:  s.spec.OutDir,
+		Results: s.spec.Results,
+		OnCell:  s.spec.Progress,
+	}, func(i int) bool { return !results[i].Skipped })
+	// A persist, store or fold failure never aborts in-flight cells —
+	// the sweep finishes and the first such error surfaces at the end.
+	var landMu sync.Mutex
+	var landErr error
+	land := func(i int) {
+		if _, err := life.Land(&results[i], nil); err != nil {
+			landMu.Lock()
+			if landErr == nil {
+				landErr = err
+			}
+			landMu.Unlock()
+		}
+	}
+
+	var toRun []int
+	reused := 0
+	for i, c := range s.cells {
+		if results[i].Skipped {
+			continue
+		}
 		if s.spec.Reuse != nil {
 			if res, ok := s.spec.Reuse(c, s.cfgs[i]); ok {
 				results[i].Res = res
 				results[i].Cached = true
 				reused++
-				progress(i)
-				storeCell(i)
+				land(i)
 				continue
 			}
 		}
 		toRun = append(toRun, i)
-	}
-	if selected == 0 {
-		return nil, errors.New("core: sweep cell filter selected no cells")
-	}
-
-	// Eager group merging: pending[g] counts the group's cells still in
-	// flight; the worker that drops it to zero merges the group right
-	// away (replica order, so the outcome matches a post-drain serial
-	// merge byte for byte) while other workers keep running cells.
-	// Groups with skipped cells can never complete and are left alone;
-	// groups satisfied entirely from snapshots merge in the final pass.
-	pending := make([]int32, len(s.groups))
-	mergeable := make([]bool, len(s.groups))
-	merged := make([]*Result, len(s.groups))
-	mergeErrs := make([]error, len(s.groups))
-	failed := make([]atomic.Bool, len(s.groups))
-	for g, idxs := range s.groups {
-		mergeable[g] = true
-		for _, i := range idxs {
-			if results[i].Skipped {
-				mergeable[g] = false
-			} else if !results[i].Cached {
-				pending[g]++
-			}
-		}
-	}
-	finishCell := func(i int) {
-		g := results[i].Cell.Group
-		if results[i].Err != nil {
-			failed[g].Store(true)
-		}
-		if !mergeable[g] || atomic.AddInt32(&pending[g], -1) != 0 {
-			return
-		}
-		if failed[g].Load() {
-			return // Run aborts on the cell error; nothing to merge
-		}
-		cells := make([]*CellResult, len(s.groups[g]))
-		for k, ci := range s.groups[g] {
-			cells[k] = &results[ci]
-		}
-		merged[g], mergeErrs[g] = mergeCells(cells)
-		if mergeErrs[g] == nil {
-			storeGroup(cells[0].Cell, merged[g])
-		}
 	}
 
 	workers := s.spec.Parallel
@@ -514,12 +479,7 @@ func (s *Sweep) Run() (*SweepResult, error) {
 				results[i].Res = res
 				results[i].Wall = time.Since(t0)
 				results[i].Err = err
-				progress(i)
-				// The cell row is appended before finishCell: group
-				// merges (which flush sibling aggregators) only start
-				// once every member's row is in.
-				storeCell(i)
-				finishCell(i)
+				land(i)
 			}
 		}()
 	}
@@ -539,8 +499,8 @@ func (s *Sweep) Run() (*SweepResult, error) {
 	if len(errs) > 0 {
 		return nil, errors.Join(errs...)
 	}
-	if storeErr != nil {
-		return nil, fmt.Errorf("core: result store: %w", storeErr)
+	if landErr != nil {
+		return nil, landErr
 	}
 
 	out := &SweepResult{
@@ -555,16 +515,9 @@ func (s *Sweep) Run() (*SweepResult, error) {
 		Reused:   reused,
 	}
 	for g, idxs := range s.groups {
-		if mergeErrs[g] != nil {
-			return nil, mergeErrs[g]
-		}
 		cells := make([]*CellResult, len(idxs))
-		complete := true
 		for k, i := range idxs {
 			cells[k] = &out.Cells[i]
-			if cells[k].Res == nil {
-				complete = false
-			}
 		}
 		first := cells[0].Cell
 		cfg := s.cfgs[idxs[0]]
@@ -572,75 +525,18 @@ func (s *Sweep) Run() (*SweepResult, error) {
 		for _, m := range cfg.methods() {
 			names = append(names, m.Name)
 		}
-		gr := GroupResult{
+		out.Groups[g] = GroupResult{
 			Dataset: first.Dataset,
 			Axes:    first.Axes,
 			Coords:  first.Coords,
 			Hosts:   cfg.testbed().N(),
 			Methods: names,
 			Cells:   cells,
+			Merged:  life.Merged(g),
 		}
-		if complete {
-			gr.Merged = merged[g]
-			if gr.Merged == nil {
-				// Groups the pool never merged: every cell came from a
-				// snapshot, or the sweep ran with no runnable cells.
-				m, err := mergeCells(cells)
-				if err != nil {
-					return nil, err
-				}
-				gr.Merged = m
-				storeGroup(first, m)
-			}
-		}
-		out.Groups[g] = gr
 	}
 	out.Wall = time.Since(start)
 	return out, nil
-}
-
-// mergeCells sums replicate results into a fresh Result, merging
-// aggregators in replica order so the outcome is schedule-independent.
-func mergeCells(cells []*CellResult) (*Result, error) {
-	results := make([]*Result, len(cells))
-	for i, c := range cells {
-		results[i] = c.Res
-	}
-	merged, err := MergeResults(results)
-	if err != nil {
-		return nil, fmt.Errorf("core: merging group %s: %w", cells[0].Cell.GroupName(), err)
-	}
-	return merged, nil
-}
-
-// MergeResults sums replicate campaign results into a fresh Result:
-// probe counters added, aggregators merged in the given order
-// (order-independent by Aggregator.Merge's contract). The merged
-// Config is the first replica's. It is the same combination Run
-// performs per grid point, exported so merge-only tooling can rebuild
-// merged tables from snapshot-restored replicas, byte-identical to a
-// single-machine sweep.
-func MergeResults(results []*Result) (*Result, error) {
-	if len(results) == 0 {
-		return nil, errors.New("core: MergeResults with no results")
-	}
-	base := results[0]
-	merged := &Result{
-		Config:  base.Config,
-		Testbed: base.Testbed,
-		Methods: base.Methods,
-		Agg:     analysis.NewAggregator(base.Agg.Methods(), base.Testbed.N()),
-	}
-	for i, r := range results {
-		if err := merged.Agg.Merge(r.Agg); err != nil {
-			return nil, fmt.Errorf("core: merging replica %d: %w", i, err)
-		}
-		merged.RONProbes += r.RONProbes
-		merged.MeasureProbes += r.MeasureProbes
-		merged.RouteChanges += r.RouteChanges
-	}
-	merged.MergedReplicas = len(results)
-	return merged, nil
 }
 
 // RunSweep expands and runs a sweep in one call.
