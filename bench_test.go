@@ -1,5 +1,5 @@
 // Package repro's benchmark harness regenerates every table and figure of
-// the paper's evaluation (see DESIGN.md §4 for the experiment index) and
+// the paper's evaluation (§4–§5: Tables 5–7, Figures 2–6) and
 // measures the hot paths of the implementation. Each BenchmarkTableN /
 // BenchmarkFigureN target runs a compressed campaign per iteration and
 // logs the regenerated rows or series, so
@@ -433,7 +433,7 @@ func BenchmarkWorkloadCell(b *testing.B) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "cells/sec")
 }
 
-// --- Ablation benchmarks (design choices called out in DESIGN.md §5) ---
+// --- Ablation benchmarks (one design choice varied at a time) ---
 
 // BenchmarkAblationLossWindow varies the paper's 100-probe selection
 // window: short windows react faster but flap; long windows smooth over

@@ -112,8 +112,8 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("merged %d records from %d logs\n", total, nlogs)
-	fmt.Printf("matched %d probe observations\n\n", matched)
+	fmt.Fprintf(flagOut, "merged %d records from %d logs\n", total, nlogs)
+	fmt.Fprintf(flagOut, "matched %d probe observations\n\n", matched)
 	printTables(agg)
 	return nil
 }
@@ -150,7 +150,7 @@ func aggregateTraces(names []string, hosts int, paths []string) (agg *analysis.A
 	}
 	agg.Flush()
 	if skipped > 0 {
-		fmt.Printf("(skipped %d observations with method ids beyond the %d known methods)\n",
+		fmt.Fprintf(flagOut, "(skipped %d observations with method ids beyond the %d known methods)\n",
 			skipped, len(names))
 	}
 	return agg, records, len(logSets), len(obs), nil
@@ -164,14 +164,11 @@ func aggregateTraces(names []string, hosts int, paths []string) (agg *analysis.A
 // missing — the normal state of a sharded sweep whose other shards have
 // not been copied in yet.
 func reportSweep(dir string) error {
-	// LoadManifest reads any supported version — version 3's generic
-	// axes and the legacy fixed-axis formats alike; the group and cell
-	// records this tool consumes are normalized either way.
 	m, err := experiment.LoadManifest(dir)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("sweep manifest: %d grid points\n\n", len(m.Groups))
+	fmt.Fprintf(flagOut, "sweep manifest: %d grid points\n\n", len(m.Groups))
 	reported := 0
 	resolve := func(rel string) string {
 		if filepath.IsAbs(rel) {
@@ -179,7 +176,7 @@ func reportSweep(dir string) error {
 		}
 		return filepath.Join(dir, rel)
 	}
-	for _, g := range m.Groups {
+	for g, cells := range m.RestoredGroups(dir) {
 		var combined *analysis.Aggregator
 		fromSnap, fromTrace := 0, 0
 		var missing []string
@@ -193,28 +190,29 @@ func reportSweep(dir string) error {
 			}
 			return nil
 		}
-		for _, c := range g.Cells {
-			if c.Snapshot != "" {
-				snap, err := core.ReadManifestCellSnapshot(dir, c)
-				switch {
-				case err == nil:
-					if err := merge(snap.Aggregator(), c.Name); err != nil {
-						return err
-					}
-					fromSnap++
-					continue
-				case errors.Is(err, core.ErrSnapshotMismatch):
-					// Debris from a rerun with another seed. The cell's
-					// trace file shares that run's provenance (traces
-					// carry no seed to check), so falling back would
-					// silently mix grids; count the cell as missing.
-					fmt.Printf("(cell %s: %v; not trusting its trace either)\n", c.Name, err)
-					missing = append(missing, c.Name)
-					continue
-				case !errors.Is(err, fs.ErrNotExist):
-					fmt.Printf("(cell %s: unreadable snapshot: %v; falling back to trace)\n",
-						c.Name, err)
+		for ci, rc := range cells {
+			c := g.Cells[ci]
+			switch {
+			case rc.Snap != nil:
+				// The tables need only the aggregator, so a snapshot this
+				// binary cannot restore (an axis it does not link) still
+				// counts.
+				if err := merge(rc.Snap.Aggregator(), c.Name); err != nil {
+					return err
 				}
+				fromSnap++
+				continue
+			case errors.Is(rc.Err, core.ErrSnapshotMismatch):
+				// Debris from a rerun with another seed. The cell's
+				// trace file shares that run's provenance (traces
+				// carry no seed to check), so falling back would
+				// silently mix grids; count the cell as missing.
+				fmt.Fprintf(flagOut, "(cell %s: %v; not trusting its trace either)\n", c.Name, rc.Err)
+				missing = append(missing, c.Name)
+				continue
+			case !errors.Is(rc.Err, fs.ErrNotExist):
+				fmt.Fprintf(flagOut, "(cell %s: unreadable snapshot: %v; falling back to trace)\n",
+					c.Name, rc.Err)
 			}
 			if c.Trace != "" {
 				agg, _, _, _, err := aggregateTraces(g.Methods, g.Hosts, []string{resolve(c.Trace)})
@@ -230,7 +228,7 @@ func reportSweep(dir string) error {
 			missing = append(missing, c.Name)
 		}
 		if combined == nil {
-			fmt.Printf("=== %s: no snapshots or traces found (run the shard, or rerun ronsim -sweep with -out/-trace) ===\n\n", g.Name)
+			fmt.Fprintf(flagOut, "=== %s: no snapshots or traces found (run the shard, or rerun ronsim -sweep with -out/-trace) ===\n\n", g.Name)
 			continue
 		}
 		reported++
@@ -238,7 +236,7 @@ func reportSweep(dir string) error {
 		if len(missing) > 0 {
 			src += fmt.Sprintf("; MISSING %s", strings.Join(missing, ", "))
 		}
-		fmt.Printf("=== %s: %s, %d hosts, %d replicas combined (%s) ===\n",
+		fmt.Fprintf(flagOut, "=== %s: %s, %d hosts, %d replicas combined (%s) ===\n",
 			g.Name, g.Dataset, g.Hosts, fromSnap+fromTrace, src)
 		printTables(combined)
 	}
@@ -252,13 +250,13 @@ func printTables(agg *analysis.Aggregator) {
 	// Every caller hands over a flushed aggregator; Flush is idempotent,
 	// so re-flushing here keeps the Table 6 precondition local.
 	agg.Flush()
-	fmt.Println(analysis.RenderTable5(agg.Table5(), ""))
-	fmt.Println(analysis.RenderTable6(agg.HighLossHours()))
+	fmt.Fprintln(flagOut, analysis.RenderTable5(agg.Table5(), ""))
+	fmt.Fprintln(flagOut, analysis.RenderTable6(agg.HighLossHours()))
 	// Workload-enabled cells carry delivered-frame accounting in their
 	// snapshots; render it wherever it survived the merge.
 	if ws := agg.Workload(); ws != nil && ws.HasData() {
-		fmt.Println("Workload (delivered application frames)")
-		fmt.Println(analysis.RenderWorkloadTable(ws.Table()))
+		fmt.Fprintln(flagOut, "Workload (delivered application frames)")
+		fmt.Fprintln(flagOut, analysis.RenderWorkloadTable(ws.Table()))
 	}
 }
 

@@ -24,7 +24,7 @@ import (
 	"repro/internal/resultstore"
 )
 
-// flagOut is where query output goes; tests capture it.
+// flagOut is where the command's output goes; tests capture it.
 var flagOut io.Writer = os.Stdout
 
 // storeQuery is the parsed -store flag family.

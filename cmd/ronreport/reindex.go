@@ -5,11 +5,12 @@ package main
 // becomes a cell row, and every group whose replicas all restored
 // becomes a merged group row — so pre-store sweep outputs (and
 // -merge-only reruns, which bypass the live sinks) become queryable
-// without recomputing anything. Restoration uses the snapshots' own
-// recorded metadata (RestoreStandalone), not the manifest's grid
-// re-expansion, so a store can be rebuilt by binaries that never
-// registered the sweep's custom axes. Reindexing is idempotent: rows
-// already in the segment (by identity) are skipped.
+// without recomputing anything. The cells come from the walk every
+// offline tool shares (SweepManifest.RestoredGroups): restored from the
+// snapshots' own recorded metadata, not the manifest's grid
+// re-expansion, and a cell that does not restore in this binary (an
+// axis it does not link) is reported and counted missing. Reindexing is
+// idempotent: rows already in the segment (by identity) are skipped.
 
 import (
 	"errors"
@@ -42,43 +43,33 @@ func reindexStore(root, segPath string) error {
 	defer st.Close()
 
 	cellsAdded, groupsAdded, missing := 0, 0, 0
-	for _, g := range m.Groups {
+	for g, cells := range m.RestoredGroups(root) {
 		dataset := strings.ToLower(g.Dataset)
-		results := make([]*core.Result, 0, len(g.Cells))
-		complete := true
-		for replica, c := range g.Cells {
-			snap, err := core.ReadManifestCellSnapshot(root, c)
-			if err != nil {
-				if !errors.Is(err, fs.ErrNotExist) {
-					fmt.Fprintf(flagOut, "(cell %s: skipping snapshot: %v)\n", c.Name, err)
+		results := make([]*core.Result, 0, len(cells))
+		for replica, rc := range cells {
+			c := g.Cells[replica]
+			if rc.Err != nil {
+				switch {
+				case rc.Snap != nil:
+					fmt.Fprintf(flagOut, "(cell %s: snapshot does not restore: %v)\n", c.Name, rc.Err)
+				case !errors.Is(rc.Err, fs.ErrNotExist):
+					fmt.Fprintf(flagOut, "(cell %s: skipping snapshot: %v)\n", c.Name, rc.Err)
 				}
-				complete = false
 				missing++
 				continue
 			}
-			res, err := snap.RestoreStandalone()
-			if err != nil {
-				fmt.Fprintf(flagOut, "(cell %s: snapshot does not restore: %v)\n", c.Name, err)
-				complete = false
-				missing++
-				continue
-			}
-			results = append(results, res)
+			results = append(results, rc.Res)
 			if existing["cell:"+c.Name] {
 				continue
 			}
-			rel := c.Snapshot
-			if rel == "" {
-				rel = core.CellSnapshotRelPath(c.Name)
-			}
 			row := core.StoreRow(resultstore.KindCell, c.Name, g.Name, dataset,
-				g.Axes, replica, 1, c.Seed, rel, res)
+				g.Axes, replica, 1, c.Seed, c.Snapshot, rc.Res)
 			if err := st.Append(row); err != nil {
 				return err
 			}
 			cellsAdded++
 		}
-		if !complete || len(results) == 0 || existing["group:"+g.Name] {
+		if len(results) < len(cells) || len(results) == 0 || existing["group:"+g.Name] {
 			continue
 		}
 		merged, err := core.MergeResults(results)

@@ -84,6 +84,7 @@ func TestMain(m *testing.M) {
 		}
 		defer os.RemoveAll(root)
 		fixtureDir, tornDir = filepath.Join(root, "clean"), filepath.Join(root, "torn")
+		sweepFixture.dir = filepath.Join(root, "sweep")
 		if err := writeFixture(fixtureDir); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
@@ -117,37 +118,52 @@ func runStoreCase(t *testing.T, tc storeCase) {
 	if tc.dir != nil {
 		dir = *tc.dir
 	}
-	var out bytes.Buffer
-	flagOut = &out
-	defer func() { flagOut = os.Stdout }()
-	err := run(append([]string{"-store", dir}, tc.args...))
-	if len(tc.errHas) > 0 {
+	runCLI(t, append([]string{"-store", dir}, tc.args...), tc.expect, tc.errHas)
+}
+
+// runCLI drives the command line with flagOut captured: args in, the
+// output lines (in order) and, when errHas is set, an error containing
+// each of its strings out.
+func runCLI(t *testing.T, args, expect, errHas []string) {
+	t.Helper()
+	var err error
+	out := captured(func() { err = run(args) })
+	if len(errHas) > 0 {
 		if err == nil {
-			t.Fatalf("ronreport %v succeeded, want an error containing %q", tc.args, tc.errHas)
+			t.Fatalf("ronreport %v succeeded, want an error containing %q", args, errHas)
 		}
-		for _, want := range tc.errHas {
+		for _, want := range errHas {
 			if !strings.Contains(err.Error(), want) {
-				t.Errorf("ronreport %v: error %q lacks %q", tc.args, err, want)
+				t.Errorf("ronreport %v: error %q lacks %q", args, err, want)
 			}
 		}
 	} else if err != nil {
-		t.Fatalf("ronreport %v: %v", tc.args, err)
+		t.Fatalf("ronreport %v: %v", args, err)
 	}
-	lines := strings.Split(strings.TrimSuffix(out.String(), "\n"), "\n")
-	if out.Len() == 0 {
+	lines := strings.Split(strings.TrimSuffix(out, "\n"), "\n")
+	if out == "" {
 		lines = nil
 	}
 	for i, line := range lines {
-		if i >= len(tc.expect) {
+		if i >= len(expect) {
 			break
 		}
-		if line != tc.expect[i] {
-			t.Errorf("ronreport %v line %d:\n got %q\nwant %q", tc.args, i+1, line, tc.expect[i])
+		if line != expect[i] {
+			t.Errorf("ronreport %v line %d:\n got %q\nwant %q", args, i+1, line, expect[i])
 		}
 	}
-	if len(lines) != len(tc.expect) {
-		t.Errorf("ronreport %v printed %d lines, want %d:\n%s", tc.args, len(lines), len(tc.expect), out.String())
+	if len(lines) != len(expect) {
+		t.Errorf("ronreport %v printed %d lines, want %d:\n%s", args, len(lines), len(expect), out)
 	}
+}
+
+// captured is what fn wrote to flagOut.
+func captured(fn func()) string {
+	var out bytes.Buffer
+	flagOut = &out
+	defer func() { flagOut = os.Stdout }()
+	fn()
+	return out.String()
 }
 
 // renderLines is a table rendered directly, as -render must print it.

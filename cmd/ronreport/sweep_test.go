@@ -1,0 +1,305 @@
+package main
+
+import (
+	"fmt"
+	"os"
+	"path/filepath"
+	"sync"
+	"testing"
+
+	"repro/experiment"
+	"repro/internal/analysis"
+	"repro/internal/core"
+	"repro/internal/resultstore"
+	"repro/internal/trace"
+)
+
+// The -sweep and -store -reindex command lines over a real sweep
+// directory: RONnarrow × hysteresis {0, 0.25} × 2 replicas, with
+// snapshots, traces, store and manifest as `ronsim -sweep -out DIR -trace
+// DIR/traces` leaves them. Each case damages its own copy and lists the
+// lines the command must then print.
+
+const (
+	cellA0, cellA1 = "ronnarrow-r00", "ronnarrow-r01"
+	cellB0, cellB1 = "ronnarrow-h0.25-r00", "ronnarrow-h0.25-r01"
+	headerA        = "=== ronnarrow: RONnarrow, 17 hosts, "
+	headerB        = "=== ronnarrow-h0.25: RONnarrow, 17 hosts, "
+)
+
+var sweepFixture struct {
+	once sync.Once
+	dir  string // under TestMain's root
+	err  error
+}
+
+func writeSweep(dir string) error {
+	if err := os.MkdirAll(filepath.Join(dir, "traces"), 0o755); err != nil {
+		return err
+	}
+	traceRel := func(c core.Cell) string { return filepath.Join("traces", c.Name()+".trc") }
+	var closers []func() error
+	var traceErr error
+	e, err := experiment.New(
+		experiment.Datasets(experiment.RONnarrow),
+		experiment.Days(0.01),
+		experiment.Seed(5),
+		experiment.Replicas(2),
+		experiment.AxisValues("hysteresis", "0", "0.25"),
+		experiment.Output(dir),
+		experiment.Configure(func(c core.Cell, cfg *core.Config) {
+			f, err := os.Create(filepath.Join(dir, traceRel(c)))
+			if err != nil {
+				traceErr = err
+				return
+			}
+			w, err := trace.NewWriter(f)
+			if err != nil {
+				traceErr = err
+				return
+			}
+			// Each sink writes only its own file, so no locking.
+			cfg.TraceSink = func(r trace.Record) { w.Append(r) }
+			closers = append(closers, w.Flush, f.Close)
+		}),
+	)
+	if err != nil {
+		return err
+	}
+	res, err := e.Run()
+	for _, c := range closers {
+		if cerr := c(); cerr != nil && err == nil {
+			err = cerr
+		}
+	}
+	if err == nil {
+		err = traceErr
+	}
+	if err != nil {
+		return err
+	}
+	return e.WriteManifest(res, dir, traceRel)
+}
+
+// sweepCopy returns a private copy of the fixture sweep directory.
+func sweepCopy(t *testing.T) string {
+	t.Helper()
+	sweepFixture.once.Do(func() { sweepFixture.err = writeSweep(sweepFixture.dir) })
+	if sweepFixture.err != nil {
+		t.Fatal(sweepFixture.err)
+	}
+	dir := t.TempDir()
+	if err := os.CopyFS(dir, os.DirFS(sweepFixture.dir)); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
+// dropSnapshot removes a cell's snapshot; dropTrace also removes its
+// trace file and the manifest's record of it.
+func dropSnapshot(t *testing.T, dir, cell string) {
+	t.Helper()
+	if err := os.Remove(core.CellSnapshotPath(dir, cell)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func dropTrace(t *testing.T, dir, cell string) {
+	t.Helper()
+	m, err := core.ReadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for gi := range m.Groups {
+		for ci := range m.Groups[gi].Cells {
+			if c := &m.Groups[gi].Cells[ci]; c.Name == cell {
+				if err := os.Remove(filepath.Join(dir, c.Trace)); err != nil {
+					t.Fatal(err)
+				}
+				c.Trace = ""
+			}
+		}
+	}
+	if err := m.Write(dir); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// foreignSeed rewrites a cell's snapshot as a valid one for another
+// seed — debris from a rerun with a different base seed — and returns
+// the error every reader must report for it.
+func foreignSeed(t *testing.T, dir, cell string) string {
+	t.Helper()
+	path := core.CellSnapshotPath(dir, cell)
+	snap, err := core.ReadCellSnapshot(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := snap.Seed
+	snap.Seed++
+	if err := snap.WriteFile(path); err != nil {
+		t.Fatal(err)
+	}
+	return fmt.Sprintf("core: cell snapshot %s is for %s seed %d, manifest wants %s seed %d: snapshot does not match manifest cell",
+		path, cell, snap.Seed, cell, want)
+}
+
+// corrupt overwrites a cell's snapshot with junk and returns the
+// reader's error for it.
+func corrupt(t *testing.T, dir, cell string) string {
+	t.Helper()
+	path := core.CellSnapshotPath(dir, cell)
+	if err := os.WriteFile(path, []byte("garbage"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return fmt.Sprintf("core: cell snapshot %s: too short", path)
+}
+
+func snapAgg(t *testing.T, dir, cell string) *analysis.Aggregator {
+	t.Helper()
+	snap, err := core.ReadCellSnapshot(core.CellSnapshotPath(dir, cell))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snap.Aggregator()
+}
+
+func traceAgg(t *testing.T, dir, cell string) *analysis.Aggregator {
+	t.Helper()
+	methods := snapAgg(t, sweepFixture.dir, cell).Methods()
+	agg, _, _, _, err := aggregateTraces(methods, 17, []string{filepath.Join(dir, "traces", cell+".trc")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return agg
+}
+
+// tables is what -sweep prints under a grid point's header: the given
+// replicas merged in order.
+func tables(t *testing.T, aggs ...*analysis.Aggregator) string {
+	t.Helper()
+	for _, a := range aggs[1:] {
+		if err := aggs[0].Merge(a); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return captured(func() { printTables(aggs[0]) })
+}
+
+func TestSweepCommandLine(t *testing.T) {
+	const banner = "sweep manifest: 2 grid points\n\n"
+	cases := []struct {
+		name   string
+		damage func(t *testing.T, dir string) (expect string)
+		errHas []string
+	}{
+		{name: "every cell from its snapshot",
+			damage: func(t *testing.T, dir string) string {
+				return banner +
+					headerA + "2 replicas combined (2 from snapshots, 0 from traces) ===\n" +
+					tables(t, snapAgg(t, dir, cellA0), snapAgg(t, dir, cellA1)) +
+					headerB + "2 replicas combined (2 from snapshots, 0 from traces) ===\n" +
+					tables(t, snapAgg(t, dir, cellB0), snapAgg(t, dir, cellB1))
+			}},
+		{name: "a cell with neither snapshot nor trace is named missing",
+			damage: func(t *testing.T, dir string) string {
+				dropSnapshot(t, dir, cellB1)
+				dropTrace(t, dir, cellB1)
+				return banner +
+					headerA + "2 replicas combined (2 from snapshots, 0 from traces) ===\n" +
+					tables(t, snapAgg(t, dir, cellA0), snapAgg(t, dir, cellA1)) +
+					headerB + "1 replicas combined (1 from snapshots, 0 from traces; MISSING " + cellB1 + ") ===\n" +
+					tables(t, snapAgg(t, dir, cellB0))
+			}},
+		{name: "a foreign-seed snapshot discredits the cell's trace too",
+			damage: func(t *testing.T, dir string) string {
+				msg := foreignSeed(t, dir, cellA0)
+				return banner +
+					"(cell " + cellA0 + ": " + msg + "; not trusting its trace either)\n" +
+					headerA + "1 replicas combined (1 from snapshots, 0 from traces; MISSING " + cellA0 + ") ===\n" +
+					tables(t, snapAgg(t, dir, cellA1)) +
+					headerB + "2 replicas combined (2 from snapshots, 0 from traces) ===\n" +
+					tables(t, snapAgg(t, dir, cellB0), snapAgg(t, dir, cellB1))
+			}},
+		{name: "a trace-only cell and a corrupt snapshot are rebuilt from traces",
+			damage: func(t *testing.T, dir string) string {
+				dropSnapshot(t, dir, cellA1)
+				msg := corrupt(t, dir, cellB0)
+				return banner +
+					headerA + "2 replicas combined (1 from snapshots, 1 from traces) ===\n" +
+					tables(t, snapAgg(t, dir, cellA0), traceAgg(t, dir, cellA1)) +
+					"(cell " + cellB0 + ": unreadable snapshot: " + msg + "; falling back to trace)\n" +
+					headerB + "2 replicas combined (1 from snapshots, 1 from traces) ===\n" +
+					tables(t, traceAgg(t, dir, cellB0), snapAgg(t, dir, cellB1))
+			}},
+		{name: "a grid point with nothing is reported, not fatal",
+			damage: func(t *testing.T, dir string) string {
+				for _, c := range []string{cellB0, cellB1} {
+					dropSnapshot(t, dir, c)
+					dropTrace(t, dir, c)
+				}
+				return banner +
+					headerA + "2 replicas combined (2 from snapshots, 0 from traces) ===\n" +
+					tables(t, snapAgg(t, dir, cellA0), snapAgg(t, dir, cellA1)) +
+					"=== ronnarrow-h0.25: no snapshots or traces found (run the shard, or rerun ronsim -sweep with -out/-trace) ===\n\n"
+			}},
+		{name: "nothing anywhere is an error",
+			damage: func(t *testing.T, dir string) string {
+				for _, c := range []string{cellA0, cellA1, cellB0, cellB1} {
+					dropSnapshot(t, dir, c)
+					dropTrace(t, dir, c)
+				}
+				return banner +
+					"=== ronnarrow: no snapshots or traces found (run the shard, or rerun ronsim -sweep with -out/-trace) ===\n\n" +
+					"=== ronnarrow-h0.25: no snapshots or traces found (run the shard, or rerun ronsim -sweep with -out/-trace) ===\n\n"
+			},
+			errHas: []string{"no grid point had snapshots or traces under"}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := sweepCopy(t)
+			expect := tc.damage(t, dir)
+			runCLI(t, []string{"-sweep", dir}, renderLines(expect), tc.errHas)
+		})
+	}
+}
+
+func TestReindexCommandLine(t *testing.T) {
+	cases := []struct {
+		name   string
+		damage func(t *testing.T, dir string) (expect []string)
+	}{
+		{name: "a full store gains nothing",
+			damage: func(t *testing.T, dir string) []string {
+				return []string{"reindex: added 0 cell and 0 group rows (0 cells missing); store now holds 6 rows"}
+			}},
+		{name: "a deleted store is rebuilt whole",
+			damage: func(t *testing.T, dir string) []string {
+				if err := os.Remove(resultstore.SegmentPath(dir)); err != nil {
+					t.Fatal(err)
+				}
+				return []string{"reindex: added 4 cell and 2 group rows (0 cells missing); store now holds 6 rows"}
+			}},
+		{name: "absent, foreign and corrupt snapshots are skipped, and only the first silently",
+			damage: func(t *testing.T, dir string) []string {
+				if err := os.Remove(resultstore.SegmentPath(dir)); err != nil {
+					t.Fatal(err)
+				}
+				dropSnapshot(t, dir, cellA0)
+				foreign := foreignSeed(t, dir, cellA1)
+				junk := corrupt(t, dir, cellB1)
+				return []string{
+					"(cell " + cellA1 + ": skipping snapshot: " + foreign + ")",
+					"(cell " + cellB1 + ": skipping snapshot: " + junk + ")",
+					"reindex: added 1 cell and 0 group rows (3 cells missing); store now holds 1 rows",
+				}
+			}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := sweepCopy(t)
+			expect := tc.damage(t, dir)
+			runCLI(t, []string{"-store", dir, "-reindex"}, expect, nil)
+		})
+	}
+}

@@ -8,7 +8,7 @@
 // adding a grid dimension is one Axis implementation plus one registry
 // entry. The -tablerefresh flag below is derived from the registry, the
 // sweep engine names/seeds/shards its cells generically, snapshots and
-// version 3 manifests round-trip its values, and -resume, -extend, and
+// manifests round-trip its values, and -resume, -extend, and
 // -merge-only all work — with zero changes to the engine, the manifest
 // code, or the flag plumbing.
 package main

@@ -559,32 +559,24 @@ func runMergeOnly(dir string) error {
 	merged := 0
 	var incomplete []string
 	var missingNames []string
-	for gi := range m.Groups {
-		g := &m.Groups[gi]
+	for g, cells := range m.RestoredGroups(dir) {
 		var results []*core.Result
 		var missing []string
-		for ci, c := range g.Cells {
-			snap, err := core.ReadManifestCellSnapshot(dir, c)
-			if err != nil {
-				// Name the cell by its grid coordinates, not just its
-				// label: the coordinates are what an operator pastes back
-				// into axis flags to re-run exactly the missing work.
-				coords := g.CellCoords(ci)
-				if errors.Is(err, fs.ErrNotExist) {
-					missing = append(missing, fmt.Sprintf("%s [%s]", c.Name, coords))
-				} else {
-					missing = append(missing, fmt.Sprintf("%s [%s] (%v)", c.Name, coords, err))
-				}
-				missingNames = append(missingNames, c.Name)
+		for ci, rc := range cells {
+			if rc.Err == nil {
+				results = append(results, rc.Res)
 				continue
 			}
-			res, err := snap.RestoreStandalone()
-			if err != nil {
-				missing = append(missing, fmt.Sprintf("%s [%s] (%v)", c.Name, g.CellCoords(ci), err))
-				missingNames = append(missingNames, c.Name)
-				continue
+			// Name the cell by its grid coordinates, not just its
+			// label: the coordinates are what an operator pastes back
+			// into axis flags to re-run exactly the missing work.
+			c := g.Cells[ci]
+			if errors.Is(rc.Err, fs.ErrNotExist) {
+				missing = append(missing, fmt.Sprintf("%s [%s]", c.Name, g.CellCoords(ci)))
+			} else {
+				missing = append(missing, fmt.Sprintf("%s [%s] (%v)", c.Name, g.CellCoords(ci), rc.Err))
 			}
-			results = append(results, res)
+			missingNames = append(missingNames, c.Name)
 		}
 		if len(missing) > 0 {
 			incomplete = append(incomplete, g.Name)

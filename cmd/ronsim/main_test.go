@@ -1,12 +1,14 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/experiment"
+	"repro/internal/analysis"
 	"repro/internal/core"
 	"repro/internal/resultstore"
 )
@@ -207,7 +209,8 @@ func TestShardMergeOnlyMatchesSingleRun(t *testing.T) {
 
 // TestMergeOnlyReportsMissingCells: with one shard absent, merge-only
 // must still rebuild the complete grid points and name the missing
-// cells rather than fail or fabricate.
+// cells rather than fail or fabricate — in exactly these words, which
+// operators paste back into -cells.
 func TestMergeOnlyReportsMissingCells(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs sweep campaigns")
@@ -218,8 +221,37 @@ func TestMergeOnlyReportsMissingCells(t *testing.T) {
 	if err := runSweep(f); err != nil {
 		t.Fatal(err)
 	}
-	if err := runMergeOnly(dir); err != nil {
+	var replicas []*core.Result
+	for _, cell := range []string{"ronnarrow-r00", "ronnarrow-r01"} {
+		snap, err := core.ReadCellSnapshot(core.CellSnapshotPath(dir, cell))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := snap.RestoreStandalone()
+		if err != nil {
+			t.Fatal(err)
+		}
+		replicas = append(replicas, res)
+	}
+	merged, err := core.MergeResults(replicas)
+	if err != nil {
 		t.Fatal(err)
+	}
+	banner := fmt.Sprintf("merge-only: 2 grid points in %s\n\n", filepath.Join(dir, core.ManifestName))
+	got := captureStdout(t, func() {
+		if err := runMergeOnly(dir); err != nil {
+			t.Error(err)
+		}
+	})
+	want := banner +
+		"=== merged ronnarrow: 2 replicas from snapshots ===\n" + merged.Report() + "\n" +
+		"=== ronnarrow-h0.25: MISSING 1/2 cells ===\n" +
+		"    ronnarrow-h0.25-r01 [dataset=RONnarrow hysteresis=0.25 replica=1]\n\n" +
+		fmt.Sprintf("merge-only: rebuilt 1/2 merged grid points under %s\n", filepath.Join(dir, core.MergedDirName)) +
+		"missing grid points: ronnarrow-h0.25\n" +
+		"re-run exactly the missing cells with: -sweep ... -cells ronnarrow-h0.25-r01\n"
+	if got != want {
+		t.Errorf("merge-only printed:\n%s\nwant:\n%s", got, want)
 	}
 	if _, err := os.Stat(filepath.Join(dir, core.MergedDirName, "ronnarrow")); err != nil {
 		t.Errorf("complete group not merged: %v", err)
@@ -227,7 +259,7 @@ func TestMergeOnlyReportsMissingCells(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, core.MergedDirName, "ronnarrow-h0.25")); err == nil {
 		t.Error("incomplete group was merged despite a missing cell")
 	}
-	// A corrupted snapshot counts as missing, not as data.
+	// A corrupted snapshot counts as missing, not as data, and says why.
 	snapPath := core.CellSnapshotPath(dir, "ronnarrow-r00")
 	if err := os.WriteFile(snapPath, []byte("garbage"), 0o644); err != nil {
 		t.Fatal(err)
@@ -235,9 +267,126 @@ func TestMergeOnlyReportsMissingCells(t *testing.T) {
 	if err := os.RemoveAll(filepath.Join(dir, core.MergedDirName)); err != nil {
 		t.Fatal(err)
 	}
-	if err := runMergeOnly(dir); err == nil {
-		t.Error("merge-only succeeded with no complete grid point")
+	got = captureStdout(t, func() {
+		if err := runMergeOnly(dir); err == nil {
+			t.Error("merge-only succeeded with no complete grid point")
+		}
+	})
+	want = banner +
+		"=== ronnarrow: MISSING 1/2 cells ===\n" +
+		fmt.Sprintf("    ronnarrow-r00 [dataset=RONnarrow replica=0] (core: cell snapshot %s: too short)\n\n", snapPath) +
+		"=== ronnarrow-h0.25: MISSING 1/2 cells ===\n" +
+		"    ronnarrow-h0.25-r01 [dataset=RONnarrow hysteresis=0.25 replica=1]\n\n" +
+		fmt.Sprintf("merge-only: rebuilt 0/2 merged grid points under %s\n", filepath.Join(dir, core.MergedDirName)) +
+		"missing grid points: ronnarrow, ronnarrow-h0.25\n" +
+		"re-run exactly the missing cells with: -sweep ... -cells ronnarrow-r00,ronnarrow-h0.25-r01\n"
+	if got != want {
+		t.Errorf("merge-only over a corrupt snapshot printed:\n%s\nwant:\n%s", got, want)
 	}
+}
+
+// TestOldFormatsRefused: every persisted format has one version, and an
+// artifact of any other is refused by number, never half-understood — a
+// version 2 manifest, a version 1 cell snapshot (CRC intact), and an
+// aggregator payload led by each of the four retired codec bytes. Over a
+// directory of such snapshots -merge-only lists every cell as missing
+// and -resume warns, recomputes and ends where a clean run does.
+func TestOldFormatsRefused(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs sweep campaigns")
+	}
+	dir := t.TempDir()
+	if err := runSweep(testSweepFlags(dir)); err != nil {
+		t.Fatal(err)
+	}
+	clean := readTree(t, dir)
+	m, err := core.ReadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var payload []byte
+	for _, g := range m.Groups {
+		for _, c := range g.Cells {
+			snap, err := core.ReadManifestCellSnapshot(dir, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if payload, err = snap.Aggregator().MarshalBinary(); err != nil {
+				t.Fatal(err)
+			}
+			snap.Version = 1
+			if err := snap.WriteFile(filepath.Join(dir, c.Snapshot)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	type refusal struct {
+		name string
+		read func() error
+		want string
+	}
+	cases := []refusal{
+		{"manifest version 2", func() error {
+			old := *m
+			old.Version = 2
+			oldDir := t.TempDir()
+			if err := old.Write(oldDir); err != nil {
+				t.Fatal(err)
+			}
+			_, err := core.ReadManifest(oldDir)
+			return err
+		}, "unsupported sweep manifest version 2 (want 3)"},
+		{"cell snapshot version 1", func() error {
+			_, err := core.ReadCellSnapshot(core.CellSnapshotPath(dir, "ronnarrow-r00"))
+			return err
+		}, "unsupported version 1 (want 2)"},
+	}
+	for v := byte(1); v <= 4; v++ {
+		cases = append(cases, refusal{fmt.Sprintf("aggregator codec %d", v), func() error {
+			old := append([]byte(nil), payload...)
+			old[0] = v
+			_, err := analysis.UnmarshalAggregator(old)
+			return err
+		}, fmt.Sprintf("unsupported aggregator snapshot version %d (want %d)", v, analysis.SnapshotCodecVersion)})
+	}
+	for _, tc := range cases {
+		if err := tc.read(); err == nil {
+			t.Errorf("%s was accepted", tc.name)
+		} else if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %q does not say %q", tc.name, err, tc.want)
+		}
+	}
+
+	out := captureStdout(t, func() {
+		if err := runMergeOnly(dir); err == nil {
+			t.Error("merge-only merged version 1 snapshots")
+		}
+	})
+	for _, g := range m.Groups {
+		for ci, c := range g.Cells {
+			want := fmt.Sprintf("    %s [%s] (core: cell snapshot %s: unsupported version 1 (want 2))\n",
+				c.Name, g.CellCoords(ci), filepath.Join(dir, c.Snapshot))
+			if !strings.Contains(out, want) {
+				t.Errorf("merge-only did not list %q; got:\n%s", want, out)
+			}
+		}
+	}
+
+	f := testSweepFlags(dir)
+	f.resume = true
+	out = captureStdout(t, func() {
+		if err := runSweep(f); err != nil {
+			t.Error(err)
+		}
+	})
+	if n := strings.Count(out, "ignoring unusable snapshot: core: cell snapshot"); n != 4 {
+		t.Errorf("resume warned about %d of 4 version 1 snapshots; got:\n%s", n, out)
+	}
+	if !strings.Contains(out, "(0 cells reused)") {
+		t.Errorf("resume reused version 1 snapshots; got:\n%s", out)
+	}
+	diffTrees(t, "recomputed output", clean, readTree(t, dir))
 }
 
 // TestResumeCompletesKilledSweep: a partial shard run stands in for a
@@ -309,7 +458,7 @@ func TestManifestKeepsPriorArtifactPaths(t *testing.T) {
 // TestCustomAxisShardMergeMatchesSingleRun drives the tablerefresh
 // axis — defined purely against the public experiment API — through
 // the full distributed workflow: sharded runs, snapshot persistence,
-// manifest v3, and merge-only recombination must be byte-identical to
+// the manifest, and merge-only recombination must be byte-identical to
 // an unsharded run, exactly like the built-in axes.
 func TestCustomAxisShardMergeMatchesSingleRun(t *testing.T) {
 	if testing.Short() {

@@ -33,8 +33,8 @@ type (
 	CellResult = core.CellResult
 	// SweepResult is the outcome of a whole run.
 	SweepResult = core.SweepResult
-	// SweepManifest is the on-disk record of a grid (version 3
-	// serializes the full axis set; versions 1–2 still load).
+	// SweepManifest is the on-disk record of a grid, full axis set
+	// included.
 	SweepManifest = core.SweepManifest
 	// ProfileVariant names a substrate-profile override.
 	ProfileVariant = core.ProfileVariant

@@ -2,7 +2,7 @@
 // engine: it builds multi-axis measurement-campaign grids with
 // functional options, runs them with sharding, resumption, and
 // per-cell snapshot persistence, and round-trips their full shape
-// (datasets × axes × replicas) through version 3 sweep manifests.
+// (datasets × axes × replicas) through sweep manifests.
 //
 // A minimal experiment:
 //
@@ -31,8 +31,7 @@
 //
 // Compatibility contract: grids over the standard axes produce cell
 // names, derived seeds, and rendered outputs byte-identical to the
-// pre-axis engine (the repo's golden digests enforce this), and
-// version 1/2 manifests still load with their fixed axes reconstructed.
+// pre-axis engine (the repo's golden digests enforce this).
 package experiment
 
 import (
@@ -218,8 +217,7 @@ func (e *Experiment) run() (*core.SweepResult, error) {
 }
 
 // WriteManifest records the full grid — every axis with its values,
-// per-cell seeds, and artifact paths — as a version 3 sweep.json in
-// dir. tracePath, when non-nil, maps a cell to its trace file path
+// per-cell seeds, and artifact paths — as sweep.json in dir. tracePath, when non-nil, maps a cell to its trace file path
 // relative to dir ("" for cells without one); snapshot paths are
 // recorded canonically whenever the experiment persists snapshots.
 // Artifact paths recorded by a prior manifest for the same cells
@@ -256,8 +254,7 @@ func (e *Experiment) WriteManifest(res *core.SweepResult, dir string, tracePath 
 	return m.Write(dir)
 }
 
-// LoadManifest reads a sweep manifest (any supported version; legacy
-// fixed axes come back reconstructed as generic axes) from dir.
+// LoadManifest reads the sweep manifest in dir.
 func LoadManifest(dir string) (*core.SweepManifest, error) {
 	return core.ReadManifest(dir)
 }

@@ -109,7 +109,7 @@ func TestExperimentRunAndResume(t *testing.T) {
 		t.Errorf("resume reused %d cells, want 4 (warned %d times)", rres.Reused, warns)
 	}
 
-	// Manifest round trip: version 3, all five axes, reconstructable.
+	// Manifest round trip: all five axes, reconstructable.
 	if err := e.WriteManifest(res, dir, nil); err != nil {
 		t.Fatal(err)
 	}

@@ -56,7 +56,7 @@ func TestGoldenSweepDigests(t *testing.T) {
 		experiment.Seed(42),
 		experiment.Replicas(2),
 		// "ls4-es1" exercises the profile axis's name-only
-		// reconstruction path — the same one manifest v3 uses.
+		// reconstruction path — the same one the manifest uses.
 		experiment.AxisValues("profile", "", "ls4-es1"),
 		experiment.AxisValues("hysteresis", "0", "0.25"),
 		experiment.AxisValues("probeinterval", "0", "30s"),

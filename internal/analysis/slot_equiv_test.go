@@ -159,11 +159,12 @@ func (d *denseAgg) merge(o *denseAgg) {
 	}
 }
 
-// encode writes the v2 aggregator payload from the dense slabs.
+// encode writes the probe-only aggregator payload from the dense slabs.
 func (d *denseAgg) encode() []byte {
 	d.flush()
 	w := &binWriter{}
-	w.u8(aggSnapshotVersion)
+	w.u8(SnapshotCodecVersion)
+	w.u8(0)
 	w.u32(uint32(len(d.methods)))
 	w.u32(uint32(d.n))
 	for _, m := range d.methods {

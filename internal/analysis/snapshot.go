@@ -7,45 +7,20 @@ import (
 	"slices"
 )
 
-// aggSnapshotVersion is the version byte leading a serialized aggregator.
-// Bump it on any layout change; UnmarshalAggregator rejects versions it
-// does not know.
-//
-// Version history:
-//
-//	v1: pooled window samples stored expanded — u32 count then one f64
-//	    per sample. O(path-hours) on disk for long campaigns.
-//	v2: pooled window samples stored as sorted run-length pairs — u32
-//	    run count then (f64 value, i64 multiplicity) per run, matching
-//	    the CDF's in-memory representation. O(distinct rates) on disk.
-//	    The reader still restores v1 payloads.
-//	v3: the v2 layout followed by a workload section (FEC/path shape,
-//	    per-variant frame counters, latency and per-stream loss runs).
-//	    Written only when the aggregator holds workload data, so
-//	    probe-only campaigns keep emitting byte-identical v2 payloads.
-//	v4: the v2 layout followed by a u8 workload-present flag, the
-//	    workload section when flagged, and a resilience section
-//	    (underlay outage count, per-scheme recovery counters and
-//	    time-to-recovery runs). Written only when the aggregator holds
-//	    resilience data, so scenario-off campaigns keep emitting
-//	    byte-identical v2/v3 payloads.
-const aggSnapshotVersion = 2
+// SnapshotCodecVersion is the byte leading a serialized aggregator: the
+// one codec version AppendBinary writes and UnmarshalAggregator accepts.
+// Bump it on any layout change. The byte after it flags which optional
+// sections follow the probe statistics.
+const SnapshotCodecVersion = 5
 
-// aggSnapshotVersionWorkload marks payloads carrying the trailing
-// workload section.
-const aggSnapshotVersionWorkload = 3
-
-// aggSnapshotVersionResilience marks payloads carrying the trailing
-// resilience section (and a workload-present flag before the optional
-// workload section).
-const aggSnapshotVersionResilience = 4
-
-// SnapshotCodecVersion is the aggregator codec version MarshalBinary
-// writes for probe-only campaigns (workload-bearing aggregators emit
-// aggSnapshotVersionWorkload instead), exported so containers embedding
-// the payload can record and gate on it (see internal/core's
-// loss-window guard).
-const SnapshotCodecVersion = aggSnapshotVersion
+// Section flags, the payload's second byte. A section is written only
+// when the aggregator holds its data, so a probe-only campaign's payload
+// has flags 0.
+const (
+	aggSectionWorkload   = 1 << 0 // FEC/path shape, per-variant frame counters, latency and per-stream loss runs
+	aggSectionResilience = 1 << 1 // underlay outage count, per-scheme recovery counters and time-to-recovery runs
+	aggSectionsKnown     = aggSectionWorkload | aggSectionResilience
+)
 
 // binWriter accumulates the little-endian snapshot payload.
 type binWriter struct{ buf []byte }
@@ -134,15 +109,16 @@ func (a *Aggregator) AppendBinary(buf []byte) ([]byte, error) {
 	a.Flush()
 	hasWL := a.wl != nil && a.wl.HasData()
 	hasRes := a.res != nil && a.res.HasData()
-	w := &binWriter{buf: buf}
-	switch {
-	case hasRes:
-		w.u8(aggSnapshotVersionResilience)
-	case hasWL:
-		w.u8(aggSnapshotVersionWorkload)
-	default:
-		w.u8(aggSnapshotVersion)
+	var sections uint8
+	if hasWL {
+		sections |= aggSectionWorkload
 	}
+	if hasRes {
+		sections |= aggSectionResilience
+	}
+	w := &binWriter{buf: buf}
+	w.u8(SnapshotCodecVersion)
+	w.u8(sections)
 	w.u32(uint32(len(a.methods)))
 	w.u32(uint32(a.nHosts))
 	for _, m := range a.methods {
@@ -190,15 +166,6 @@ func (a *Aggregator) AppendBinary(buf []byte) ([]byte, error) {
 			w.i64(a.hodLost[m][h])
 		}
 	}
-	if hasRes {
-		// v4 carries the workload section conditionally; flag its
-		// presence so the reader knows whether to expect it.
-		if hasWL {
-			w.u8(1)
-		} else {
-			w.u8(0)
-		}
-	}
 	if hasWL {
 		w.u32(uint32(a.wl.DataShards))
 		w.u32(uint32(a.wl.ParityShards))
@@ -231,8 +198,8 @@ func (a *Aggregator) AppendBinary(buf []byte) ([]byte, error) {
 	return w.buf, nil
 }
 
-// cdfRuns writes a CDF in the same run-length form as the v2 window
-// pools: u32 run count, then (f64 value, i64 multiplicity) per run.
+// cdfRuns writes a CDF in the same run-length form as the window pools:
+// u32 run count, then (f64 value, i64 multiplicity) per run.
 func (w *binWriter) cdfRuns(c *CDF) {
 	w.u32(uint32(c.Distinct()))
 	c.Runs(func(v float64, count int64) {
@@ -283,9 +250,13 @@ func UnmarshalAggregator(data []byte) (*Aggregator, error) {
 func UnmarshalAggregatorInto(data []byte, scratch *Aggregator) (*Aggregator, error) {
 	r := &binReader{buf: data}
 	version := r.u8()
-	if r.err == nil && (version < 1 || version > aggSnapshotVersionResilience) {
-		return nil, fmt.Errorf("analysis: unsupported aggregator snapshot version %d (want 1..%d)",
-			version, aggSnapshotVersionResilience)
+	if r.err == nil && version != SnapshotCodecVersion {
+		return nil, fmt.Errorf("analysis: unsupported aggregator snapshot version %d (want %d)",
+			version, SnapshotCodecVersion)
+	}
+	sections := r.u8()
+	if r.err == nil && sections&^aggSectionsKnown != 0 {
+		return nil, fmt.Errorf("analysis: aggregator snapshot has unknown section flags %#x", sections&^aggSectionsKnown)
 	}
 	nm := int(r.u32())
 	nHosts := int(r.u32())
@@ -358,26 +329,18 @@ func UnmarshalAggregatorInto(data []byte, scratch *Aggregator) (*Aggregator, err
 		if r.err != nil {
 			return nil, r.err
 		}
-		switch version {
-		case 1: // expanded samples: one f64 each
-			if n < 0 || n*8 > r.remaining() {
-				return nil, fmt.Errorf("analysis: aggregator snapshot claims %d window samples with %d bytes left", n, r.remaining())
+		// Pooled window samples are sorted (value, count) runs, the CDF's
+		// in-memory form: O(distinct rates), not O(path-hours).
+		if n < 0 || n*16 > r.remaining() {
+			return nil, fmt.Errorf("analysis: aggregator snapshot claims %d window-sample runs with %d bytes left", n, r.remaining())
+		}
+		for i := 0; i < n; i++ {
+			v := r.f64()
+			count := r.i64()
+			if count <= 0 {
+				return nil, fmt.Errorf("analysis: aggregator snapshot run %d has non-positive count %d", i, count)
 			}
-			for i := 0; i < n; i++ {
-				a.win20Rates[m].Add(r.f64())
-			}
-		default: // v2: (value, count) runs
-			if n < 0 || n*16 > r.remaining() {
-				return nil, fmt.Errorf("analysis: aggregator snapshot claims %d window-sample runs with %d bytes left", n, r.remaining())
-			}
-			for i := 0; i < n; i++ {
-				v := r.f64()
-				count := r.i64()
-				if count <= 0 {
-					return nil, fmt.Errorf("analysis: aggregator snapshot run %d has non-positive count %d", i, count)
-				}
-				a.win20Rates[m].AddWeighted(v, count)
-			}
+			a.win20Rates[m].AddWeighted(v, count)
 		}
 	}
 	if nt := int(r.u32()); r.err == nil && nt != len(Table6Thresholds) {
@@ -399,11 +362,7 @@ func UnmarshalAggregatorInto(data []byte, scratch *Aggregator) (*Aggregator, err
 			a.hodLost[m][h] = r.i64()
 		}
 	}
-	readWL := version >= aggSnapshotVersionWorkload
-	if version >= aggSnapshotVersionResilience {
-		readWL = r.u8() != 0
-	}
-	if readWL {
+	if sections&aggSectionWorkload != 0 {
 		if a.wl = wl; wl == nil {
 			wl = a.ensureWorkload()
 		}
@@ -427,7 +386,7 @@ func UnmarshalAggregatorInto(data []byte, scratch *Aggregator) (*Aggregator, err
 			}
 		}
 	}
-	if version >= aggSnapshotVersionResilience {
+	if sections&aggSectionResilience != 0 {
 		if a.res = res; res == nil {
 			res = a.ensureResilience()
 		}

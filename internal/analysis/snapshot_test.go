@@ -118,14 +118,15 @@ func TestAggregatorSnapshotRejectsBadInput(t *testing.T) {
 		t.Error("accepted unknown version")
 	}
 	// A huge claimed sample count must fail cleanly, not allocate wildly.
-	huge := append([]byte(nil), data[:9]...) // version + counts header
+	huge := append([]byte(nil), data[:10]...) // version + flags + counts header
 	if _, err := UnmarshalAggregator(huge); err == nil {
 		t.Error("accepted header-only input")
 	}
 	// A plausible-looking header claiming a giant mesh must be rejected
 	// before NewAggregator allocates O(hosts²) state for it.
 	w := &binWriter{}
-	w.u8(aggSnapshotVersion)
+	w.u8(SnapshotCodecVersion)
+	w.u8(0)
 	w.u32(1)
 	w.u32(50000)
 	w.str("direct")
@@ -178,9 +179,9 @@ func TestUnmarshalIntoMatchesFresh(t *testing.T) {
 		res.ResilienceOutcome(ResilienceMultiPath, true, time.Duration(i+1)*time.Second)
 	}
 	resilience := marshal(res)
-	if workload[0] != aggSnapshotVersionWorkload || resilience[0] != aggSnapshotVersionResilience {
-		t.Fatalf("fixtures encode as versions %d and %d, want %d and %d",
-			workload[0], resilience[0], aggSnapshotVersionWorkload, aggSnapshotVersionResilience)
+	if workload[1] != aggSectionWorkload || resilience[1] != aggSectionWorkload|aggSectionResilience {
+		t.Fatalf("fixtures encode with section flags %#x and %#x, want %#x and %#x",
+			workload[1], resilience[1], aggSectionWorkload, aggSectionWorkload|aggSectionResilience)
 	}
 	// A lying payload: the workload snapshot with its first CDF run count
 	// (the u32 after the first variant's seven 8-byte fields) inflated.
@@ -252,7 +253,7 @@ func TestUnmarshalIntoMatchesFresh(t *testing.T) {
 	}
 }
 
-// probeOnlyPrefix returns the leading part of a workload-bearing (v3)
+// probeOnlyPrefix returns the leading part of a workload-bearing
 // payload that a probe-only payload of the same aggregator would
 // consist of, located by re-encoding without the workload section.
 func probeOnlyPrefix(t *testing.T, data []byte) []byte {
@@ -266,7 +267,7 @@ func probeOnlyPrefix(t *testing.T, data []byte) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(plain[1:], data[1:len(plain)]) {
+	if !bytes.Equal(plain[2:], data[2:len(plain)]) { // past version and section flags
 		t.Fatal("workload payload does not extend the probe-only layout")
 	}
 	return plain

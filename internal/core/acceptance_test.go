@@ -6,7 +6,7 @@ import (
 )
 
 // TestRON2003Acceptance runs a one-day RON2003 campaign and checks the
-// reproduction bands of DESIGN.md §4 against the paper's Table 5/6 and
+// reproduction bands against the paper's Table 5/6 and
 // §4.4: who wins, by roughly what factor, and the loss-correlation
 // ordering. Absolute values are banded, not pinned — the substrate is a
 // simulator, not the authors' testbed.

@@ -26,8 +26,8 @@ func retainedAfterCell(t *testing.T, cfg Config) (uint64, *Result) {
 }
 
 // TestBigWorldFootprint holds an arena's retained memory to the memory
-// model of ARCHITECTURE.md ("Scaling to big worlds"): per-link state is
-// sized by the links the policy probes, per-path records by the
+// model of docs/ARCHITECTURE.md ("Scaling to big worlds"): per-link
+// state is sized by the links the policy probes, per-path records by the
 // (method, path) slots the cell observed, and only the documented
 // remainder — components, base latencies, the metrics cache and the
 // routing tables — by n². One budget formula bounds both policies; a

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 )
 
@@ -13,41 +12,36 @@ import (
 // directory.
 const ManifestName = "sweep.json"
 
-// ManifestVersion is the version written by Manifest: version 3, the
-// first format to serialize the full grid axis set generically instead
-// of fixed per-axis fields. ReadManifest also accepts version 1 (PR 1's
-// format, without snapshot paths or the base-seed record) and version 2
-// (fixed axes), reconstructing the generic axis form for both.
+// ManifestVersion is the one sweep manifest version: Manifest writes it
+// and ReadManifest accepts nothing else.
 const ManifestVersion = 3
 
 // SweepManifest records what a sweep wrote to its output directory, so
 // post-processing tools (cmd/ronsim -merge-only, cmd/ronreport) can find
-// and combine the per-cell artifacts without re-deriving the grid — and,
-// since version 3, enough of the spec (datasets, replicas, and every
-// axis with its full value list) that SweepSpec can re-derive it, which
-// is what lets a coordinator ship a grid to workers as pure data. A
-// sharded run writes the manifest for the FULL grid — including cells it
-// skipped — so any shard's manifest describes the whole sweep and
-// merge-only mode can report which grid points are still missing.
+// and combine the per-cell artifacts without re-deriving the grid — and
+// enough of the spec (datasets, replicas, and every axis with its full
+// value list) that SweepSpec can re-derive it, which is what lets a
+// coordinator ship a grid to workers as pure data. A sharded run writes
+// the manifest for the FULL grid — including cells it skipped — so any
+// shard's manifest describes the whole sweep and merge-only mode can
+// report which grid points are still missing.
 type SweepManifest struct {
 	Version int `json:"version"`
 	// BaseSeed and Days echo the sweep spec, for provenance and
 	// reconstruction.
 	BaseSeed uint64  `json:"baseSeed,omitempty"`
 	Days     float64 `json:"days,omitempty"`
-	// Replicas, Datasets, and Axes (version 3) record the normalized
-	// grid dimensions: dataset order, every grid axis in grid order
-	// with its complete canonical value list. ReadManifest reconstructs
-	// them for older versions by scanning the groups.
+	// Replicas, Datasets, and Axes record the normalized grid
+	// dimensions: dataset order, every grid axis in grid order with its
+	// complete canonical value list.
 	Replicas int            `json:"replicas,omitempty"`
 	Datasets []string       `json:"datasets,omitempty"`
 	Axes     []ManifestAxis `json:"axes,omitempty"`
 	// Workload records the sweep's base application-traffic
 	// configuration, applied to every cell before the grid axes refine
-	// it; nil for workload-free sweeps (and for manifests written before
-	// the field existed). Without it a manifest-derived spec would
-	// silently drop the workload base and a fleet would compute
-	// mislabeled cells.
+	// it; nil for workload-free sweeps. Without it a manifest-derived
+	// spec would silently drop the workload base and a fleet would
+	// compute mislabeled cells.
 	Workload *WorkloadConfig `json:"workload,omitempty"`
 	Groups   []ManifestGroup `json:"groups"`
 }
@@ -66,18 +60,9 @@ type ManifestGroup struct {
 	Hosts   int      `json:"hosts"`
 	Methods []string `json:"methods"`
 	// Axes are the grid point's non-default axis coordinates by axis
-	// name (canonical value encoding). ReadManifest fills it from the
-	// legacy fields for version 1 and 2 manifests.
-	Axes map[string]string `json:"axes,omitempty"`
-	// LegacyHysteresis, LegacyProfile, LegacyProbeInterval, and
-	// LegacyLossWindow are the fixed-axis fields of manifest versions 1
-	// and 2, parsed only to reconstruct Axes; version 3 never writes
-	// them.
-	LegacyHysteresis    float64        `json:"hysteresis,omitempty"`
-	LegacyProfile       string         `json:"profile,omitempty"`
-	LegacyProbeInterval string         `json:"probeInterval,omitempty"`
-	LegacyLossWindow    int            `json:"lossWindow,omitempty"`
-	Cells               []ManifestCell `json:"cells"`
+	// name (canonical value encoding).
+	Axes  map[string]string `json:"axes,omitempty"`
+	Cells []ManifestCell    `json:"cells"`
 }
 
 // CellCoords describes the group's cell at replica position i in
@@ -119,45 +104,15 @@ type ManifestCell struct {
 // map a cell to its trace and snapshot file paths relative to the
 // output directory (return "" for cells without that artifact).
 func (r *SweepResult) Manifest(tracePath, snapPath func(Cell) string) *SweepManifest {
-	m := &SweepManifest{
-		Version:  ManifestVersion,
-		BaseSeed: r.Spec.BaseSeed,
-		Days:     r.Spec.Days,
-		Replicas: r.Replicas,
-		Workload: r.Spec.Workload,
-	}
-	for _, d := range r.Datasets {
-		m.Datasets = append(m.Datasets, d.String())
-	}
-	for _, a := range r.Axes {
-		ma := ManifestAxis{Name: a.Name()}
-		for _, v := range a.Values() {
-			ma.Values = append(ma.Values, string(v))
-		}
-		m.Axes = append(m.Axes, ma)
-	}
-	for gi := range r.Groups {
-		g := &r.Groups[gi]
-		mg := ManifestGroup{
-			Name:    g.Name(),
-			Dataset: g.Dataset.String(),
-			Hosts:   g.Hosts,
-			Methods: g.Methods,
-			Axes:    g.AxisValues(),
-		}
-		for _, c := range g.Cells {
-			mc := ManifestCell{Name: c.Cell.Name(), Seed: c.Cell.Seed}
-			if tracePath != nil {
-				mc.Trace = tracePath(c.Cell)
+	return buildManifest(&r.Spec, r.Replicas, r.Datasets, r.Axes, len(r.Groups),
+		func(gi int) (int, []string, []Cell) {
+			g := &r.Groups[gi]
+			cells := make([]Cell, len(g.Cells))
+			for i, c := range g.Cells {
+				cells[i] = c.Cell
 			}
-			if snapPath != nil {
-				mc.Snapshot = snapPath(c.Cell)
-			}
-			mg.Cells = append(mg.Cells, mc)
-		}
-		m.Groups = append(m.Groups, mg)
-	}
-	return m
+			return g.Hosts, g.Methods, cells
+		}, tracePath, snapPath)
 }
 
 // Manifest records the sweep's full expanded grid before (or without)
@@ -168,39 +123,57 @@ func (r *SweepResult) Manifest(tracePath, snapPath func(Cell) string) *SweepMani
 // names, and coordinate-derived seeds. tracePath and snapPath have the
 // same contract as in SweepResult.Manifest.
 func (s *Sweep) Manifest(tracePath, snapPath func(Cell) string) *SweepManifest {
+	return buildManifest(&s.spec, s.replicas, s.datasets, s.axes, len(s.groups),
+		func(gi int) (int, []string, []Cell) {
+			idxs := s.groups[gi]
+			cfg := s.cfgs[idxs[0]]
+			var names []string
+			for _, mth := range cfg.methods() {
+				names = append(names, mth.Name)
+			}
+			cells := make([]Cell, len(idxs))
+			for i, ci := range idxs {
+				cells[i] = s.cells[ci]
+			}
+			return cfg.testbed().N(), names, cells
+		}, tracePath, snapPath)
+}
+
+// buildManifest assembles a manifest from a normalized grid. group
+// returns grid point gi's testbed size, method names and cells in
+// replica order; its name, dataset and axis coordinates are its first
+// cell's.
+func buildManifest(spec *SweepSpec, replicas int, datasets []Dataset, axes []Axis, groups int,
+	group func(gi int) (hosts int, methods []string, cells []Cell),
+	tracePath, snapPath func(Cell) string) *SweepManifest {
 	m := &SweepManifest{
 		Version:  ManifestVersion,
-		BaseSeed: s.spec.BaseSeed,
-		Days:     s.spec.Days,
-		Replicas: s.replicas,
-		Workload: s.spec.Workload,
+		BaseSeed: spec.BaseSeed,
+		Days:     spec.Days,
+		Replicas: replicas,
+		Workload: spec.Workload,
 	}
-	for _, d := range s.datasets {
+	for _, d := range datasets {
 		m.Datasets = append(m.Datasets, d.String())
 	}
-	for _, a := range s.axes {
+	for _, a := range axes {
 		ma := ManifestAxis{Name: a.Name()}
 		for _, v := range a.Values() {
 			ma.Values = append(ma.Values, string(v))
 		}
 		m.Axes = append(m.Axes, ma)
 	}
-	for _, idxs := range s.groups {
-		first := s.cells[idxs[0]]
-		cfg := s.cfgs[idxs[0]]
-		var names []string
-		for _, mth := range cfg.methods() {
-			names = append(names, mth.Name)
-		}
+	for gi := 0; gi < groups; gi++ {
+		hosts, methods, cells := group(gi)
+		first := cells[0]
 		mg := ManifestGroup{
 			Name:    first.GroupName(),
 			Dataset: first.Dataset.String(),
-			Hosts:   cfg.testbed().N(),
-			Methods: names,
+			Hosts:   hosts,
+			Methods: methods,
 			Axes:    first.AxisValues(),
 		}
-		for _, i := range idxs {
-			c := s.cells[i]
+		for _, c := range cells {
 			mc := ManifestCell{Name: c.Name(), Seed: c.Seed}
 			if tracePath != nil {
 				mc.Trace = tracePath(c)
@@ -224,13 +197,8 @@ func (m *SweepManifest) Write(dir string) error {
 	return os.WriteFile(filepath.Join(dir, ManifestName), append(data, '\n'), 0o644)
 }
 
-// ReadManifest loads ManifestName from dir. Manifests of every
-// supported version come back in the generic axis form: for versions 1
-// and 2 the legacy fixed-axis fields are lifted into per-group Axes
-// maps and the grid's axis set (value lists in original grid order) is
-// reconstructed by scanning the groups — a full cross product visits
-// each axis's values in grid order, so first-seen order is original
-// order.
+// ReadManifest loads ManifestName from dir. A manifest of any version
+// but ManifestVersion is refused by number.
 func ReadManifest(dir string) (*SweepManifest, error) {
 	data, err := os.ReadFile(filepath.Join(dir, ManifestName))
 	if err != nil {
@@ -240,82 +208,10 @@ func ReadManifest(dir string) (*SweepManifest, error) {
 	if err := json.Unmarshal(data, &m); err != nil {
 		return nil, fmt.Errorf("core: parsing %s: %w", ManifestName, err)
 	}
-	if m.Version < 1 || m.Version > ManifestVersion {
-		return nil, fmt.Errorf("core: unsupported sweep manifest version %d", m.Version)
-	}
-	if m.Version < 3 {
-		m.migrateLegacyAxes()
+	if m.Version != ManifestVersion {
+		return nil, fmt.Errorf("core: unsupported sweep manifest version %d (want %d)", m.Version, ManifestVersion)
 	}
 	return &m, nil
-}
-
-// migrateLegacyAxes converts a version 1/2 manifest's fixed-axis group
-// fields into the generic form: per-group Axes maps plus the top-level
-// axis set, dataset list, and replica count. Value lists are collected
-// strictly first-seen from the groups — expansion order visits every
-// axis's values in their original grid order, so first-seen order IS
-// original order, including for grids whose legacy value list did not
-// start with (or even contain) the axis default. Pre-seeding defaults
-// here would shift coordinate indices and corrupt every derived seed.
-func (m *SweepManifest) migrateLegacyAxes() {
-	// The legacy fixed axes in their canonical grid order; values fill
-	// in from the groups.
-	axes := []ManifestAxis{
-		{Name: "profile"},
-		{Name: "hysteresis"},
-		{Name: "probeinterval"},
-		{Name: "losswindow"},
-	}
-	seenValue := make([]map[string]bool, len(axes))
-	for i := range axes {
-		seenValue[i] = map[string]bool{}
-	}
-	seenDataset := map[string]bool{}
-	for gi := range m.Groups {
-		g := &m.Groups[gi]
-		vals := [len(standardAxisNames)]string{"", "0", "0s", "0"}
-		if g.LegacyProfile != "" {
-			vals[0] = g.LegacyProfile
-		}
-		if g.LegacyHysteresis > 0 {
-			vals[1] = formatHysteresis(g.LegacyHysteresis)
-		}
-		if g.LegacyProbeInterval != "" {
-			if iv, err := parseProbeInterval(g.LegacyProbeInterval); err == nil {
-				vals[2] = iv.String()
-			} else {
-				vals[2] = g.LegacyProbeInterval
-			}
-		}
-		if g.LegacyLossWindow > 0 {
-			vals[3] = strconv.Itoa(g.LegacyLossWindow)
-		}
-		for i := range axes {
-			if !seenValue[i][vals[i]] {
-				seenValue[i][vals[i]] = true
-				axes[i].Values = append(axes[i].Values, vals[i])
-			}
-		}
-		var ga map[string]string
-		def := [len(standardAxisNames)]string{"", "0", "0s", "0"}
-		for i, name := range standardAxisNames {
-			if vals[i] != def[i] {
-				if ga == nil {
-					ga = map[string]string{}
-				}
-				ga[name] = vals[i]
-			}
-		}
-		g.Axes = ga
-		if !seenDataset[g.Dataset] {
-			seenDataset[g.Dataset] = true
-			m.Datasets = append(m.Datasets, g.Dataset)
-		}
-		if len(g.Cells) > m.Replicas {
-			m.Replicas = len(g.Cells)
-		}
-	}
-	m.Axes = axes
 }
 
 // SweepSpec reconstructs the expandable spec the manifest records:

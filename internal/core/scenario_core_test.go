@@ -167,9 +167,10 @@ func TestScenarioCampaignResilience(t *testing.T) {
 	}
 }
 
-// TestScenarioSnapshotV4RoundTrip pins the codec: scenario-off
-// aggregators keep their pre-v4 version byte, scenario aggregators emit
-// v4, round-trip exactly, and merge.
+// TestScenarioSnapshotV4RoundTrip pins the codec's section flags (the
+// payload's second byte): a scenario-off aggregator sets none, a
+// scenario aggregator flags its resilience section, round-trips exactly,
+// and merges.
 func TestScenarioSnapshotV4RoundTrip(t *testing.T) {
 	off := DefaultConfig(RONnarrow, sweepDays)
 	off.Seed = 3
@@ -181,8 +182,8 @@ func TestScenarioSnapshotV4RoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pb[0] != analysis.SnapshotCodecVersion {
-		t.Errorf("scenario-off payload version = %d, want %d", pb[0], analysis.SnapshotCodecVersion)
+	if pb[0] != analysis.SnapshotCodecVersion || pb[1] != 0 {
+		t.Errorf("scenario-off payload leads with version %d flags %#x, want %d and 0", pb[0], pb[1], analysis.SnapshotCodecVersion)
 	}
 
 	on := off
@@ -195,8 +196,9 @@ func TestScenarioSnapshotV4RoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sb[0] != 4 {
-		t.Fatalf("scenario payload version = %d, want 4", sb[0])
+	const resilienceFlag = 1 << 1
+	if sb[1] != resilienceFlag {
+		t.Fatalf("scenario payload flags = %#x, want %#x", sb[1], resilienceFlag)
 	}
 	back, err := analysis.UnmarshalAggregator(sb)
 	if err != nil {
@@ -207,7 +209,7 @@ func TestScenarioSnapshotV4RoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(sb, sb2) {
-		t.Error("v4 payload did not round-trip byte-identically")
+		t.Error("scenario payload did not round-trip byte-identically")
 	}
 
 	// Merging a resilience-bearing aggregator into a plain one carries
@@ -223,7 +225,7 @@ func TestScenarioSnapshotV4RoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mb[0] != 4 {
-		t.Errorf("merged payload version = %d, want 4", mb[0])
+	if mb[1] != resilienceFlag {
+		t.Errorf("merged payload flags = %#x, want %#x", mb[1], resilienceFlag)
 	}
 }

@@ -6,13 +6,12 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io/fs"
+	"iter"
 	"os"
 	"path/filepath"
-	"strconv"
-	"time"
 
 	"repro/internal/analysis"
-	"repro/internal/route"
 )
 
 // Cell snapshots persist a finished cell campaign — its identity, run
@@ -31,9 +30,9 @@ import (
 // absent or trustworthy: a campaign killed mid-write never leaves a
 // half-written file under the snapshot's name.
 
-// SnapshotVersion is the current cell snapshot format version, recorded
-// in the metadata and checked on read.
-const SnapshotVersion = 1
+// SnapshotVersion is the one cell snapshot format version, recorded in
+// the metadata; a snapshot of any other version is refused by number.
+const SnapshotVersion = 2
 
 // SnapshotFileName is the snapshot file inside a cell's output
 // directory.
@@ -46,8 +45,8 @@ const (
 	MergedDirName = "merged"
 )
 
-// snapshotMagic identifies cell snapshot files; the trailing digit is a
-// coarse format generation (the JSON metadata carries the real version).
+// snapshotMagic identifies cell snapshot files; the JSON metadata
+// carries the format version.
 var snapshotMagic = []byte("RONSNAP1")
 
 // CellSnapshotRelPath returns a cell snapshot's canonical path relative
@@ -75,46 +74,26 @@ type CellSnapshot struct {
 	// Axes holds the cell's non-default axis coordinates by axis name,
 	// in each axis's canonical value encoding — the generic identity
 	// that lets any registered axis (custom ones included) round-trip
-	// through a snapshot. Snapshots written before the axis redesign
-	// lack this map; ReadCellSnapshot synthesizes it from the legacy
-	// fields below.
-	Axes map[string]string `json:"axes,omitempty"`
-	// Hysteresis, ProbeInterval, LossWindow, and Profile mirror the
-	// standard axes' coordinates in their pre-axis fixed-field form.
-	// They are written for compatibility with older readers and are
-	// the source of Axes when loading old snapshots; new code should
-	// read Axes.
-	Hysteresis    float64       `json:"hysteresis,omitempty"`
-	ProbeInterval time.Duration `json:"probeIntervalNS,omitempty"`
-	LossWindow    int           `json:"lossWindow,omitempty"`
-	// Profile names the substrate variant ("" = calibrated default).
-	// The profile parameters themselves are not persisted; restoring a
-	// snapshot never re-runs the substrate, so only the name (for
-	// labeling) matters.
-	Profile string   `json:"profile,omitempty"`
-	Hosts   int      `json:"hosts"`
-	Methods []string `json:"methods"`
+	// through a snapshot. A profile coordinate is the variant's name
+	// only: the profile parameters are not persisted, since restoring a
+	// snapshot never re-runs the substrate.
+	Axes    map[string]string `json:"axes,omitempty"`
+	Hosts   int               `json:"hosts"`
+	Methods []string          `json:"methods"`
 
 	RONProbes     int64 `json:"ronProbes"`
 	MeasureProbes int64 `json:"measureProbes"`
 	RouteChanges  int64 `json:"routeChanges"`
 
 	agg *analysis.Aggregator
-	// aggCodec is the aggregator payload's codec version (set when the
-	// snapshot is read or captured). Restore gates on it: v1 snapshots
-	// of cells with a non-default LossWindow were computed by an engine
-	// that silently ignored the -losswindow axis, so their contents are
-	// default-window results mislabeled by the cell name.
-	aggCodec uint8
 }
 
 // NewCellSnapshot captures a finished cell's result. The result's
 // aggregator is referenced, not copied; it is flushed when the snapshot
 // is written.
 func NewCellSnapshot(c Cell, res *Result) *CellSnapshot {
-	s := &CellSnapshot{
+	return &CellSnapshot{
 		Version:       SnapshotVersion,
-		aggCodec:      analysis.SnapshotCodecVersion,
 		Name:          c.Name(),
 		Seed:          c.Seed,
 		Dataset:       c.Dataset.String(),
@@ -126,55 +105,6 @@ func NewCellSnapshot(c Cell, res *Result) *CellSnapshot {
 		MeasureProbes: res.MeasureProbes,
 		RouteChanges:  res.RouteChanges,
 		agg:           res.Agg,
-	}
-	s.mirrorStandardAxes()
-	return s
-}
-
-// mirrorStandardAxes copies the standard axes' coordinates from the
-// generic Axes map into the legacy fixed fields, so snapshots written
-// by this engine stay readable by pre-axis tools.
-func (s *CellSnapshot) mirrorStandardAxes() {
-	if v, ok := s.Axes["hysteresis"]; ok {
-		if h, err := parseHysteresis(v); err == nil {
-			s.Hysteresis = h
-		}
-	}
-	if v, ok := s.Axes["probeinterval"]; ok {
-		if iv, err := parseProbeInterval(v); err == nil {
-			s.ProbeInterval = iv
-		}
-	}
-	if v, ok := s.Axes["losswindow"]; ok {
-		if w, err := parseLossWindow(v); err == nil {
-			s.LossWindow = w
-		}
-	}
-	if v, ok := s.Axes["profile"]; ok {
-		s.Profile = v
-	}
-}
-
-// legacyAxes synthesizes the generic Axes map from the fixed fields of
-// a snapshot written before the axis redesign.
-func (s *CellSnapshot) legacyAxes() {
-	set := func(name, value string) {
-		if s.Axes == nil {
-			s.Axes = map[string]string{}
-		}
-		s.Axes[name] = value
-	}
-	if s.Profile != "" {
-		set("profile", s.Profile)
-	}
-	if s.Hysteresis > 0 {
-		set("hysteresis", formatHysteresis(s.Hysteresis))
-	}
-	if s.ProbeInterval > 0 {
-		set("probeinterval", s.ProbeInterval.String())
-	}
-	if s.LossWindow > 0 {
-		set("losswindow", strconv.Itoa(s.LossWindow))
 	}
 }
 
@@ -328,14 +258,6 @@ func parseCellSnapshot(data []byte, src string, scratch *analysis.Aggregator) (*
 	if err := json.Unmarshal(body[off:off+metaLen], &snap); err != nil {
 		return nil, corrupt("metadata: " + err.Error())
 	}
-	if snap.Axes == nil {
-		// Pre-axis snapshot: lift the fixed fields into the generic map.
-		snap.legacyAxes()
-	} else {
-		// Axis-era snapshot: keep the mirrors consistent even if an
-		// older writer left them unset.
-		snap.mirrorStandardAxes()
-	}
 	off += metaLen
 	aggLen := int(binary.LittleEndian.Uint32(body[off : off+4]))
 	off += 4
@@ -350,7 +272,6 @@ func parseCellSnapshot(data []byte, src string, scratch *analysis.Aggregator) (*
 	if err != nil {
 		return nil, fmt.Errorf("core: cell snapshot %s: %w", src, err)
 	}
-	snap.aggCodec = body[off] // payload leads with its codec version
 	if agg.Hosts() != snap.Hosts {
 		return nil, corrupt(fmt.Sprintf("metadata says %d hosts, aggregator has %d", snap.Hosts, agg.Hosts()))
 	}
@@ -376,17 +297,17 @@ func parseCellSnapshot(data []byte, src string, scratch *analysis.Aggregator) (*
 var ErrSnapshotMismatch = errors.New("snapshot does not match manifest cell")
 
 // ReadManifestCellSnapshot loads the snapshot a manifest records for one
-// cell — from its recorded path, or the canonical location when the
-// manifest predates snapshot paths (version 1) — and verifies the
-// snapshot's identity against the manifest entry. The name and seed
-// check is what keeps merge tooling from silently adopting results left
-// behind by a different grid; mismatches return ErrSnapshotMismatch.
+// cell and verifies the snapshot's identity against the manifest entry.
+// The name and seed check is what keeps merge tooling from silently
+// adopting results left behind by a different grid; mismatches return
+// ErrSnapshotMismatch. A cell the manifest records no snapshot for (its
+// sweep had no output directory) reports fs.ErrNotExist, like a
+// recorded file that is absent.
 func ReadManifestCellSnapshot(dir string, c ManifestCell) (*CellSnapshot, error) {
-	rel := c.Snapshot
-	if rel == "" {
-		rel = CellSnapshotRelPath(c.Name)
+	if c.Snapshot == "" {
+		return nil, fmt.Errorf("core: manifest records no snapshot for cell %s: %w", c.Name, fs.ErrNotExist)
 	}
-	path := rel
+	path := c.Snapshot
 	if !filepath.IsAbs(path) {
 		path = filepath.Join(dir, path)
 	}
@@ -399,6 +320,44 @@ func ReadManifestCellSnapshot(dir string, c ManifestCell) (*CellSnapshot, error)
 			path, snap.Name, snap.Seed, c.Name, c.Seed, ErrSnapshotMismatch)
 	}
 	return snap, nil
+}
+
+// RestoredCell is one manifest cell as RestoredGroups found it on disk.
+type RestoredCell struct {
+	// Snap is the cell's snapshot; nil unless it loaded and matched the
+	// manifest's name and seed (see ReadManifestCellSnapshot).
+	Snap *CellSnapshot
+	// Res is Snap restored standalone; nil unless that succeeded too.
+	Res *Result
+	// Err says why Snap or Res is nil: fs.ErrNotExist for a cell nobody
+	// has computed here yet, ErrSnapshotMismatch for another grid's
+	// debris, otherwise corruption or a snapshot this binary cannot
+	// restore (see RestoreStandalone).
+	Err error
+}
+
+// RestoredGroups is the walk every offline tool shares (ronsim
+// -merge-only, ronreport -sweep and -reindex): for each manifest group
+// in grid order it loads and restores every cell's snapshot, then yields
+// the group with one RestoredCell per manifest cell, in replica order.
+// A cell that fails is reported in its RestoredCell, never by stopping
+// the walk, so a consumer sees exactly what is missing and why.
+func (m *SweepManifest) RestoredGroups(dir string) iter.Seq2[*ManifestGroup, []RestoredCell] {
+	return func(yield func(*ManifestGroup, []RestoredCell) bool) {
+		for gi := range m.Groups {
+			g := &m.Groups[gi]
+			cells := make([]RestoredCell, len(g.Cells))
+			for ci, c := range g.Cells {
+				rc := &cells[ci]
+				if rc.Snap, rc.Err = ReadManifestCellSnapshot(dir, c); rc.Err == nil {
+					rc.Res, rc.Err = rc.Snap.RestoreStandalone()
+				}
+			}
+			if !yield(g, cells) {
+				return
+			}
+		}
+	}
 }
 
 // Restore rebuilds the cell's Result under the given Config, verifying
@@ -431,15 +390,6 @@ func (s *CellSnapshot) Restore(cfg Config) (*Result, error) {
 			return nil, mismatch(fmt.Sprintf("method %d", i), s.Methods[i], m.Name)
 		}
 	}
-	// Engines before aggregator codec v2 ignored the LossWindow axis:
-	// a v1 snapshot named for a non-default window actually holds
-	// default-window results. Refuse to resume from it so the cell is
-	// recomputed rather than silently merged as mislabeled data.
-	if s.LossWindow > 0 && s.LossWindow != route.DefaultLossWindow && s.aggCodec < 2 {
-		return nil, fmt.Errorf(
-			"core: snapshot %s: written by an engine that ignored the -losswindow axis (aggregator codec v%d); recompute this cell",
-			s.Name, s.aggCodec)
-	}
 	return &Result{
 		Config:        cfg,
 		Testbed:       tb,
@@ -458,7 +408,7 @@ func (s *CellSnapshot) Restore(cfg Config) (*Result, error) {
 // binary links their definitions; an unregistered axis is a clear
 // error, never silently dropped. The profile axis is the exception: its
 // parameters are not persisted (restoring never re-runs the substrate),
-// so it is skipped exactly as the pre-axis engine did. Sweeps that
+// so it is skipped. Sweeps that
 // overrode Config.Methods cannot be restored this way; Restore with the
 // original Config covers those.
 func (s *CellSnapshot) RestoreStandalone() (*Result, error) {

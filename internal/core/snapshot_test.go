@@ -155,14 +155,9 @@ func TestReadManifestCellSnapshot(t *testing.T) {
 	if err := NewCellSnapshot(cell, res).WriteFile(CellSnapshotPath(dir, cell.Name())); err != nil {
 		t.Fatal(err)
 	}
-	mc := ManifestCell{Name: cell.Name(), Seed: cell.Seed}
+	mc := ManifestCell{Name: cell.Name(), Seed: cell.Seed, Snapshot: CellSnapshotRelPath(cell.Name())}
 	if _, err := ReadManifestCellSnapshot(dir, mc); err != nil {
 		t.Errorf("matching manifest cell rejected: %v", err)
-	}
-	// Recorded path takes precedence over the canonical one.
-	mc.Snapshot = CellSnapshotRelPath(cell.Name())
-	if _, err := ReadManifestCellSnapshot(dir, mc); err != nil {
-		t.Errorf("recorded snapshot path rejected: %v", err)
 	}
 	// A foreign-grid snapshot (wrong seed) is a mismatch, not data.
 	bad := mc
@@ -170,10 +165,15 @@ func TestReadManifestCellSnapshot(t *testing.T) {
 	if _, err := ReadManifestCellSnapshot(dir, bad); !errors.Is(err, ErrSnapshotMismatch) {
 		t.Errorf("seed mismatch error = %v, want ErrSnapshotMismatch", err)
 	}
-	// Absence surfaces as fs.ErrNotExist so callers can tell it apart.
-	gone := ManifestCell{Name: "no-such-cell", Seed: 1}
-	if _, err := ReadManifestCellSnapshot(dir, gone); !errors.Is(err, fs.ErrNotExist) {
-		t.Errorf("missing snapshot error = %v, want fs.ErrNotExist", err)
+	// Absence — of the recorded file, or of any record — surfaces as
+	// fs.ErrNotExist so callers can tell it apart.
+	for _, gone := range []ManifestCell{
+		{Name: "no-such-cell", Seed: 1, Snapshot: CellSnapshotRelPath("no-such-cell")},
+		{Name: cell.Name(), Seed: cell.Seed},
+	} {
+		if _, err := ReadManifestCellSnapshot(dir, gone); !errors.Is(err, fs.ErrNotExist) {
+			t.Errorf("missing snapshot %+v error = %v, want fs.ErrNotExist", gone, err)
+		}
 	}
 }
 

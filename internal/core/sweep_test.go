@@ -3,6 +3,7 @@ package core
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -265,7 +266,7 @@ func TestSweepManifestRoundTrip(t *testing.T) {
 	if got.Version != ManifestVersion || got.BaseSeed != 9 {
 		t.Errorf("manifest version/baseSeed = %d/%d", got.Version, got.BaseSeed)
 	}
-	// Version 3 serializes the full grid dimensions: datasets, replica
+	// The manifest serializes the full grid dimensions: datasets, replica
 	// count, and every axis (standard ones included) with its values.
 	if got.Replicas != 2 || len(got.Datasets) != 1 || got.Datasets[0] != "RONnarrow" {
 		t.Errorf("manifest replicas/datasets = %d/%v", got.Replicas, got.Datasets)
@@ -307,5 +308,41 @@ func TestSweepManifestRoundTrip(t *testing.T) {
 	}
 	if _, err := ReadManifest(dir); err == nil {
 		t.Error("ReadManifest succeeded with no manifest present")
+	}
+}
+
+func TestManifestCorruptAndUnknownAxis(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, ManifestName), []byte("{not json"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadManifest(dir); err == nil {
+		t.Error("ReadManifest accepted corrupt JSON")
+	}
+
+	// A manifest naming an axis this binary has not registered must
+	// fail spec reconstruction with an error naming the axis — never
+	// silently drop the dimension.
+	m := &SweepManifest{
+		Version:  ManifestVersion,
+		BaseSeed: 1,
+		Replicas: 1,
+		Datasets: []string{"RONnarrow"},
+		Axes: []ManifestAxis{
+			{Name: "profile", Values: []string{""}},
+			{Name: "warpfactor", Values: []string{"1", "9"}},
+		},
+	}
+	if err := m.Write(dir); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := ReadManifest(dir)
+	if err != nil {
+		t.Fatalf("reading a manifest with an unknown axis must succeed (report tools only need groups): %v", err)
+	}
+	if _, err := loaded.SweepSpec(); err == nil {
+		t.Error("SweepSpec() accepted an unregistered axis")
+	} else if !strings.Contains(err.Error(), "warpfactor") {
+		t.Errorf("unknown-axis error does not name the axis: %v", err)
 	}
 }

@@ -145,7 +145,7 @@ func runCalibration(t testing.TB, seed uint64, days float64) calibStats {
 }
 
 // TestCalibrationBands checks the substrate against the paper's headline
-// statistics (bands, not point values — see DESIGN.md §4).
+// statistics (§4.2–§4.4; bands, not point values).
 func TestCalibrationBands(t *testing.T) {
 	if testing.Short() {
 		t.Skip("calibration needs a multi-day virtual campaign")
