@@ -526,6 +526,22 @@ func BenchmarkNetworkSendDirect(b *testing.B) {
 	}
 }
 
+// BenchmarkNetworkReset measures a warm cell's network turnover at big-
+// world size: same mesh, next seed. It redraws the n(n−1)/2 inflation
+// factors and clears the component index; backbone components are built
+// by the sends that follow, not here, and nothing is allocated.
+func BenchmarkNetworkReset(b *testing.B) {
+	b.Run("n=1024", func(b *testing.B) {
+		tb := topo.Synthetic(1024)
+		nw := netsim.New(tb, nil, 1)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			nw.Reset(tb, nil, uint64(i)+2)
+		}
+	})
+}
+
 // BenchmarkNetworkSendIndirect measures a one-intermediate packet (six
 // component crossings).
 func BenchmarkNetworkSendIndirect(b *testing.B) {

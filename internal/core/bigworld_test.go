@@ -100,6 +100,26 @@ func TestBigWorldArenaReuse(t *testing.T) {
 	}
 }
 
+// TestBigWorldArenaAcrossSizes runs a 64-node, a 32-node and again a
+// 64-node cell through one arena: the network drops its component slab
+// for the smaller mesh and regrows it for the original, and each cell
+// must equal a fresh arena's bit for bit.
+func TestBigWorldArenaAcrossSizes(t *testing.T) {
+	ar := NewArena()
+	for _, nodes := range []int{64, 32, 64} {
+		cfg := shortBigWorldConfig(nodes, PolicyLandmark)
+		fresh, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reused, err := ar.Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		equalResults(t, reused, fresh)
+	}
+}
+
 func TestBigWorldConfigValidation(t *testing.T) {
 	cfg := DefaultConfig(RONnarrow, 0.01)
 	cfg.Nodes = 1

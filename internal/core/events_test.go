@@ -125,3 +125,116 @@ func TestEventQueueTieOrder(t *testing.T) {
 		t.Errorf("ties at t+1s popped out of insertion order: %v", gotSecond)
 	}
 }
+
+// stableWheel is the reference for probeStream.start: sort.Stable over
+// the four parallel slot arrays, the implementation the radix sort
+// replaced.
+type stableWheel struct{ p *probeStream }
+
+func (w stableWheel) Len() int           { return len(w.p.phases) }
+func (w stableWheel) Less(a, b int) bool { return w.p.phases[a] < w.p.phases[b] }
+func (w stableWheel) Swap(a, b int) {
+	p := w.p
+	p.phases[a], p.phases[b] = p.phases[b], p.phases[a]
+	p.srcs[a], p.srcs[b] = p.srcs[b], p.srcs[a]
+	p.dsts[a], p.dsts[b] = p.dsts[b], p.dsts[a]
+	p.seqs[a], p.seqs[b] = p.seqs[b], p.seqs[a]
+}
+
+// TestProbeWheelMatchesStableSort seeds two streams identically — random
+// phases, a forced share of exact ties, intervals whose phases need
+// every radix pass a 15 s interval does and more — and demands the radix
+// wheel equal the stable sort slot for slot. A second start on a reused
+// stream must not allocate.
+func TestProbeWheelMatchesStableSort(t *testing.T) {
+	rng := netsim.NewSource(11)
+	intervals := []netsim.Time{
+		1, 3 * netsim.Millisecond, 15 * netsim.Second,
+		1 << 33, 3 << 33, 1 << 45,
+	}
+	var got probeStream // reused across cases, like an arena's
+	for _, n := range []int{0, 1, 2, 3, 1000} {
+		for _, interval := range intervals {
+			var want probeStream
+			got.reset()
+			seq := uint64(17)
+			for i := 0; i < n; i++ {
+				phase := netsim.Time(rng.Float64() * float64(interval))
+				switch rng.Intn(4) {
+				case 0: // exact tie with an earlier slot
+					if i > 0 {
+						phase = got.phases[rng.Intn(i)]
+					}
+				case 1: // the top of the range, above 2^33 for the long intervals
+					phase = interval - 1 - netsim.Time(rng.Intn(3))
+					if phase < 0 {
+						phase = 0
+					}
+				}
+				src, dst := int32(rng.Intn(1<<14)), int32(rng.Intn(1<<14))
+				got.add(phase, src, dst, seq)
+				want.add(phase, src, dst, seq)
+				seq += 1 + uint64(rng.Intn(3))
+			}
+			got.start(interval)
+			want.interval = interval
+			sort.Stable(stableWheel{&want})
+			for i := 0; i < n; i++ {
+				if got.phases[i] != want.phases[i] || got.srcs[i] != want.srcs[i] ||
+					got.dsts[i] != want.dsts[i] || got.seqs[i] != want.seqs[i] {
+					t.Fatalf("n=%d interval=%d slot %d: got (%d,%d,%d,%d) want (%d,%d,%d,%d)",
+						n, interval, i,
+						got.phases[i], got.srcs[i], got.dsts[i], got.seqs[i],
+						want.phases[i], want.srcs[i], want.dsts[i], want.seqs[i])
+				}
+			}
+			if len(got.phases) != n || got.interval != interval {
+				t.Fatalf("n=%d: stream holds %d slots, interval %d", n, len(got.phases), got.interval)
+			}
+		}
+	}
+	// got is sorted and at its high-water size: a re-seed and re-sort on
+	// the warm stream allocates nothing.
+	phases := append([]netsim.Time(nil), got.phases...)
+	allocs := testing.AllocsPerRun(5, func() {
+		got.reset()
+		for i := len(phases) - 1; i >= 0; i-- {
+			got.add(phases[i], int32(i), int32(i), uint64(len(phases)-i))
+		}
+		got.start(1 << 45)
+	})
+	if allocs != 0 {
+		t.Fatalf("start on a reused stream allocated %.0f times", allocs)
+	}
+}
+
+// BenchmarkProbeWheelStart measures seeding's sort at the slot count of
+// an n=512 full mesh, on a warm stream (an arena's second cell). It
+// lives here, not in the root harness, because the wheel is unexported.
+func BenchmarkProbeWheelStart(b *testing.B) {
+	const n = 512
+	interval := 15 * netsim.Second
+	rng := netsim.NewSource(1)
+	phases := make([]netsim.Time, n*(n-1))
+	for i := range phases {
+		phases[i] = netsim.Time(rng.Float64() * float64(interval))
+	}
+	var p probeStream
+	p.presize(len(phases))
+	seed := func() {
+		p.reset()
+		for i, ph := range phases {
+			p.add(ph, int32(i/n), int32(i%n), uint64(i))
+		}
+	}
+	seed()
+	p.start(interval)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		seed()
+		b.StartTimer()
+		p.start(interval)
+	}
+}

@@ -35,52 +35,80 @@ const NoComponent ComponentID = -1
 // Components are not safe for concurrent use; the Network serializes
 // access.
 type Component struct {
-	id    ComponentID
-	seed  uint64
-	class ComponentClass
-	// params is the component's effective parameter set, shared with
-	// every component of the same kind (see Network.params); read-only.
-	params *ComponentParams
-	rng    Source
-	// global, when non-nil, is the network-wide congestion weather
-	// shared by all components (§2.4's correlated failure sources).
-	global *globalModulator
-
+	// The first cache line holds everything Transit reads when no
+	// process event falls between two packets: advance's two compares,
+	// the state flags, the per-packet hash seed, and the parameter set
+	// that carries the delay means. Components are slab-allocated at a
+	// multiple of the line size, so the split holds for every one.
 	now Time
-
-	// Congestion process.
-	congested bool
-	severity  float64 // drop probability while this burst lasts
-	nextCong  Time    // next congestion state flip
-
-	// Outage process.
-	down       bool
-	nextOutage Time
-
-	// Congestion-episode modulator.
-	episodeActive bool
-	episodeBoost  float64
-	nextEpisode   Time // next start (if inactive) or end (if active)
-
-	// Latency-inflation episodes.
-	latActive  bool
-	latInflate Time
-	nextLat    Time
-
 	// nextAny caches min(nextCong, nextOutage, nextEpisode, nextLat) so
 	// the per-traversal advance fast path is a single comparison; it is
 	// recomputed whenever any timer moves.
 	nextAny Time
+	seed    uint64
+	// params is the component's effective parameter set, shared with
+	// every component of the same kind (see Network.params); read-only.
+	params     *paramSet
+	severity   float64 // drop probability while this burst lasts
+	latInflate Time
+	id         ComponentID
+	class      ComponentClass
+	down       bool // outage process
+	congested  bool // congestion process
+	latActive  bool // latency-inflation episodes
+	// episodeActive is the congestion-episode modulator's state.
+	episodeActive bool
+	// bursts, outages and episodes count process events for attribution
+	// and tests. A burst and the good period before it last at least a
+	// virtual millisecond each, so 32 bits cover three months at the
+	// fastest rate the model can produce; calibrated rates are thousands
+	// of times slower.
+	bursts uint32
 
+	// The second line is the slow path's: the sequential RNG and the
+	// four process timers advanceSlow walks.
+	rng          Source
+	nextCong     Time // next congestion state flip
+	nextOutage   Time
+	nextEpisode  Time // next start (if inactive) or end (if active)
+	nextLat      Time
+	episodeBoost float64
+	outages      uint32
+	episodes     uint32
+}
+
+// paramSet is one entry of a Network's parameter table: an effective
+// ComponentParams plus what every component sharing it would otherwise
+// carry a copy of. The table is rebuilt per Reset, so the per-network
+// values stay current.
+type paramSet struct {
+	ComponentParams
 	// jitterMeanF/queueMeanF are the delay means pre-converted to
 	// float64 once, for the per-traversal exponential draws.
 	jitterMeanF float64
 	queueMeanF  float64
+	// global, when non-nil, is the network-wide congestion weather
+	// shared by all components (§2.4's correlated failure sources).
+	global *globalModulator
+}
 
-	// Counters for attribution and tests.
-	bursts   int64
-	outages  int64
-	episodes int64
+// newParamSet wraps an effective parameter set for components to share.
+func newParamSet(p ComponentParams, global *globalModulator) paramSet {
+	return paramSet{
+		ComponentParams: p,
+		jitterMeanF:     float64(p.JitterMean),
+		queueMeanF:      float64(p.QueueMean),
+		global:          global,
+	}
+}
+
+// weatherAt returns the global congestion factor at t, 1 without a
+// modulator (dividing by it is then exact).
+func (p *paramSet) weatherAt(t Time) float64 {
+	if p.global == nil {
+		return 1
+	}
+	return p.global.factorAt(t)
 }
 
 // newComponent creates a standalone component (tests and tools);
@@ -88,8 +116,9 @@ type Component struct {
 func newComponent(id ComponentID, seed uint64, class ComponentClass,
 	prof *Profile, params ComponentParams, global *globalModulator) *Component {
 	params.MeanGood = prof.effectiveMeanGood(class, params.MeanGood)
+	set := newParamSet(params, global)
 	c := &Component{}
-	c.init(id, seed, class, &params, global)
+	c.init(id, seed, class, &set, set.weatherAt(0))
 	return c
 }
 
@@ -97,20 +126,14 @@ func newComponent(id ComponentID, seed uint64, class ComponentClass,
 // state with all next events drawn from the stationary processes
 // (components are slab-allocated per Network). params is the effective
 // set — profile knobs already applied — and is retained, not copied.
+// weather0 is the global congestion factor at time 0: the modulator only
+// moves forward, so a component built after the campaign has advanced it
+// is handed the value captured at Reset instead of asking again.
 func (c *Component) init(id ComponentID, seed uint64, class ComponentClass,
-	params *ComponentParams, global *globalModulator) {
-	*c = Component{
-		id:     id,
-		seed:   seed,
-		class:  class,
-		params: params,
-		global: global,
-
-		jitterMeanF: float64(params.JitterMean),
-		queueMeanF:  float64(params.QueueMean),
-	}
+	params *paramSet, weather0 float64) {
+	*c = Component{id: id, seed: seed, class: class, params: params}
 	c.rng.Seed(seed)
-	c.nextCong = c.drawGoodEnd(0)
+	c.nextCong = c.goodEnd(0, weather0)
 	if params.MeanUp > 0 {
 		c.nextOutage = Time(c.rng.Exp(float64(params.MeanUp)))
 	} else {
@@ -145,16 +168,19 @@ func (c *Component) refreshNextAny() {
 }
 
 // drawGoodEnd returns the end time of a good period starting at t, under
-// the current diurnal factor and episode boost.
+// the current diurnal factor, episode boost and global weather.
 func (c *Component) drawGoodEnd(t Time) Time {
+	return c.goodEnd(t, c.params.weatherAt(t))
+}
+
+// goodEnd is drawGoodEnd with the global weather factor supplied.
+func (c *Component) goodEnd(t Time, weather float64) Time {
 	mean := float64(c.params.MeanGood)
 	mean /= diurnalFactor(t)
 	if c.episodeActive && c.episodeBoost > 0 {
 		mean /= c.episodeBoost
 	}
-	if c.global != nil {
-		mean /= c.global.factorAt(t)
-	}
+	mean /= weather
 	d := Time(c.rng.Exp(mean))
 	if d < Millisecond {
 		d = Millisecond
@@ -289,19 +315,19 @@ func (c *Component) Transit(t Time, pktKey uint64, travIdx uint64) (drop bool, d
 	if c.congested && hash01(key) < c.severity {
 		return true, 0
 	}
-	if c.jitterMeanF > 0 {
+	if mean := c.params.jitterMeanF; mean > 0 {
 		u := hash01(key ^ 0x9E37)
 		if u <= 0 {
 			u = 1.0 / (1 << 53)
 		}
-		delay = Time(-c.jitterMeanF * math.Log(u))
+		delay = Time(-mean * math.Log(u))
 	}
-	if c.congested && c.queueMeanF > 0 {
+	if mean := c.params.queueMeanF; c.congested && mean > 0 {
 		u := hash01(key ^ 0xC2B2)
 		if u <= 0 {
 			u = 1.0 / (1 << 53)
 		}
-		delay += Time(-c.queueMeanF * math.Log(u))
+		delay += Time(-mean * math.Log(u))
 	}
 	if c.latActive {
 		delay += c.latInflate
@@ -325,7 +351,7 @@ func (c *Component) ID() ComponentID { return c.id }
 // Stats returns lifetime event counters: loss bursts entered, outages
 // entered, and congestion episodes entered.
 func (c *Component) Stats() (bursts, outages, episodes int64) {
-	return c.bursts, c.outages, c.episodes
+	return int64(c.bursts), int64(c.outages), int64(c.episodes)
 }
 
 // ForceDown injects a deterministic outage: the component goes down at

@@ -23,23 +23,32 @@ type Network struct {
 	prof   *Profile
 	seed   uint64
 	global *globalModulator
-	// slab backs every component; Reset rebuilds components in place so
-	// successive campaigns through one Network allocate nothing.
-	slab []Component
+	// weather0 is the global congestion factor at time 0, captured in
+	// Reset before anything can advance the forward-only modulator. It
+	// is the one input of Component.init that depends on when init
+	// runs, so holding it lets backbone components be built at their
+	// first transit and still start exactly as if built at Reset.
+	weather0 float64
 	// params is the table of effective parameter sets (profile knobs
 	// applied) that components point into: the three backbone reaches
 	// (base, intl, far), then one set per access class in use, listed
 	// in accClass. A profile has a handful of sets, so sharing them
 	// keeps a 160-byte copy out of each of the O(n²) components.
-	params   []ComponentParams
+	params   []paramSet
 	accClass []topo.AccessClass
-	access   []*Component // one per host
-	// bb[i*n+j] is the backbone component of pair {i,j} (both orders
-	// alias one component). A flat slab keeps the O(n²) probe storm's
-	// lookups on one cache-friendly array — at n=1024 the nested
-	// [][]*Component layout cost a pointer chase per packet.
-	bb      []*Component
-	nextPkt uint64
+	access   []Component // one per host, rebuilt in place by Reset
+	// Backbone components exist from their first transit: a cell holds
+	// and initialises the pairs it sends packets over, not n²/2.
+	// bbSlot[i*n+j] is the slab slot of pair {i,j}'s component (both
+	// orders alias one slot), 0 while it has none. A flat index keeps
+	// the O(n²) probe storm's lookups on one cache-friendly array. The
+	// slab grows a chunk at a time so component addresses never move
+	// (scenario actions and tests hold *Component); Reset clears the
+	// index and keeps the chunks when the mesh size is unchanged.
+	bbSlot   []int32
+	bbChunks [][]Component
+	built    int32 // backbone components since Reset
+	nextPkt  uint64
 	// defProf caches the DefaultProfile built for a nil-profile Reset,
 	// so profile-less cell turnover does not rebuild it per cell.
 	defProf *Profile
@@ -58,6 +67,12 @@ type Network struct {
 	base []Time
 }
 
+// The backbone slab grows by chunks of up to bbChunk components (128 KB).
+const (
+	bbChunkShift = 10
+	bbChunk      = 1 << bbChunkShift
+)
+
 // New builds a simulated network over the testbed with the given profile
 // and seed. A nil profile means DefaultProfile.
 func New(tb *topo.Testbed, prof *Profile, seed uint64) *Network {
@@ -67,11 +82,12 @@ func New(tb *topo.Testbed, prof *Profile, seed uint64) *Network {
 }
 
 // Reset reinitializes the network in place for a new campaign over the
-// given testbed, profile, and seed, reusing the component slab and every
-// derived buffer when the mesh size matches. The resulting state — every
-// component trajectory, inflation factor, and packet-key stream — is
-// identical to what New would build, so a campaign run through a reused
-// Network is bit-for-bit the same as one run through a fresh one.
+// given testbed, profile, and seed, reusing the component slabs and every
+// derived buffer when the mesh size matches (it then allocates nothing).
+// The resulting state — every component trajectory, inflation factor, and
+// packet-key stream — is identical to what New would build, so a campaign
+// run through a reused Network is bit-for-bit the same as one run through
+// a fresh one.
 func (nw *Network) Reset(tb *topo.Testbed, prof *Profile, seed uint64) {
 	if prof == nil {
 		if nw.defProf == nil {
@@ -87,45 +103,38 @@ func (nw *Network) Reset(tb *topo.Testbed, prof *Profile, seed uint64) {
 		nw.global = &globalModulator{}
 	}
 	nw.global.reset(combine(seed, 0x61, 0x0BA1), prof.Global)
-	// All components live in one slab: a network is built (or reset)
-	// per sweep cell, so construction cost — and, on the fresh path,
-	// allocator pressure — scales with the grid.
-	if !sameShape {
-		nw.slab = make([]Component, n+n*(n-1)/2)
-		nw.access = make([]*Component, n)
-		nw.bb = make([]*Component, n*n)
+	nw.weather0 = nw.global.factorAt(0)
+	if sameShape {
+		clear(nw.bbSlot)
+	} else {
+		nw.access = make([]Component, n)
+		nw.bbSlot = make([]int32, n*n)
+		nw.bbChunks = nil
 		nw.base = make([]Time, n*n)
 	}
+	nw.built = 0
 	// Components keep pointers into params, so it is sized for every
 	// set the profile can contribute before any pointer is taken.
 	if sets := 3 + len(prof.AccessParams); cap(nw.params) < sets {
-		nw.params = make([]ComponentParams, 0, sets)
+		nw.params = make([]paramSet, 0, sets)
 		nw.accClass = make([]topo.AccessClass, 0, sets-3)
 	}
-	nw.params = append(nw.params[:0], prof.BackboneBase, prof.BackboneIntl, prof.BackboneFar)
-	for i := range nw.params {
-		nw.params[i].MeanGood = prof.effectiveMeanGood(ClassBackbone, nw.params[i].MeanGood)
+	nw.params = nw.params[:0]
+	for _, p := range [...]ComponentParams{prof.BackboneBase, prof.BackboneIntl, prof.BackboneFar} {
+		p.MeanGood = prof.effectiveMeanGood(ClassBackbone, p.MeanGood)
+		nw.params = append(nw.params, newParamSet(p, nw.global))
 	}
 	nw.accClass = nw.accClass[:0]
-	var id ComponentID
 	for i := 0; i < n; i++ {
-		c := &nw.slab[id]
-		c.init(id, combine(seed, 0xACCE55, uint64(i)),
-			ClassAccess, nw.accessParams(tb.Host(i).Access), nw.global)
-		nw.access[i] = c
-		id++
+		nw.access[i].init(ComponentID(i), combine(seed, 0xACCE55, uint64(i)),
+			ClassAccess, nw.accessParams(tb.Host(i).Access), nw.weather0)
 	}
+	// The route-inflation factors are one sequential stream over all
+	// pairs, so they — unlike the components — are drawn for every pair.
 	var infRng Source
 	infRng.Seed(combine(seed, 0x1F1A7E, 0))
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			c := &nw.slab[id]
-			c.init(id, combine(seed, 0xBBBB, uint64(i)<<16|uint64(j)),
-				ClassBackbone, nw.backboneParams(i, j), nw.global)
-			nw.bb[i*n+j] = c
-			nw.bb[j*n+i] = c
-			id++
-
 			f := drawInflation(&infRng)
 			nw.base[i*n+j] = Time(float64(tb.BaseOneWay(i, j)) * f)
 			nw.base[j*n+i] = Time(float64(tb.BaseOneWay(j, i)) * f)
@@ -133,9 +142,55 @@ func (nw *Network) Reset(tb *topo.Testbed, prof *Profile, seed uint64) {
 	}
 }
 
+// backbone returns the backbone component of the pair at flat index
+// pair (= i*n+j, i ≠ j), or nil while the pair has none; callers build
+// on nil (buildBackbone). The two halves are separate functions because
+// a body holding the build call exceeds the inlining budget, and a
+// non-inlined lookup costs the direct send ~6 %.
+func (nw *Network) backbone(pair int) *Component {
+	if s := nw.bbSlot[pair]; s != 0 {
+		return &nw.bbChunks[s>>bbChunkShift][s&(bbChunk-1)]
+	}
+	return nil
+}
+
+// buildBackbone constructs a pair's backbone component in the next slab
+// slot, exactly as a build at Reset would have: its stream is seeded
+// from (seed, i, j) alone, and its identifier keeps the dense row-major
+// numbering over i<j after the n access components.
+func (nw *Network) buildBackbone(pair int) *Component {
+	n := nw.tb.N()
+	i, j := pair/n, pair%n
+	if i > j {
+		i, j = j, i
+	}
+	nw.built++
+	slot := nw.built // slot 0 stays empty: it is the index's "none"
+	if int(slot>>bbChunkShift) == len(nw.bbChunks) {
+		// The last chunk holds just the slots that are left, so a
+		// paper-size mesh does not carry a big world's granule.
+		size := n*(n-1)/2 + 1 - len(nw.bbChunks)*bbChunk
+		if size > bbChunk {
+			size = bbChunk
+		}
+		nw.bbChunks = append(nw.bbChunks, make([]Component, size))
+	}
+	nw.bbSlot[i*n+j] = slot
+	nw.bbSlot[j*n+i] = slot
+	c := &nw.bbChunks[slot>>bbChunkShift][slot&(bbChunk-1)]
+	rank := i*n - i*(i+1)/2 + j - i - 1
+	c.init(ComponentID(n+rank), combine(nw.seed, 0xBBBB, uint64(i)<<16|uint64(j)),
+		ClassBackbone, nw.backboneParams(i, j), nw.weather0)
+	return c
+}
+
+// Materialised returns how many backbone components exist — the pairs
+// that have carried a packet (or been looked up) since Reset.
+func (nw *Network) Materialised() int { return int(nw.built) }
+
 // accessParams returns the effective parameter set of an access class,
 // adding it to the table on the class's first use in this Reset.
-func (nw *Network) accessParams(class topo.AccessClass) *ComponentParams {
+func (nw *Network) accessParams(class topo.AccessClass) *paramSet {
 	for i, c := range nw.accClass {
 		if c == class {
 			return &nw.params[3+i]
@@ -147,7 +202,7 @@ func (nw *Network) accessParams(class topo.AccessClass) *ComponentParams {
 	}
 	p.MeanGood = nw.prof.effectiveMeanGood(ClassAccess, p.MeanGood)
 	nw.accClass = append(nw.accClass, class)
-	nw.params = append(nw.params, p)
+	nw.params = append(nw.params, newParamSet(p, nw.global))
 	return &nw.params[len(nw.params)-1]
 }
 
@@ -174,7 +229,7 @@ func (nw *Network) pairBase(i, j int) Time {
 // backboneParams picks the backbone parameter set for a host pair based on
 // how far the path reaches: domestic, trans-oceanic, or trans-Pacific
 // (Korea, the paper's lossiest site).
-func (nw *Network) backboneParams(i, j int) *ComponentParams {
+func (nw *Network) backboneParams(i, j int) *paramSet {
 	hi, hj := nw.tb.Host(i), nw.tb.Host(j)
 	far := func(h topo.Host) bool { return h.Name == "Korea" }
 	intl := func(h topo.Host) bool { return h.Kind == topo.KindIntl }
@@ -196,11 +251,19 @@ func (nw *Network) Profile() *Profile { return nw.prof }
 
 // AccessComponent returns host i's access component (for tests and
 // fault-injection tooling).
-func (nw *Network) AccessComponent(i int) *Component { return nw.access[i] }
+func (nw *Network) AccessComponent(i int) *Component { return &nw.access[i] }
 
-// BackboneComponent returns the backbone component between hosts i and j.
+// BackboneComponent returns the backbone component between hosts i and
+// j, building it if the pair has carried no packet yet; nil when i == j.
 func (nw *Network) BackboneComponent(i, j int) *Component {
-	return nw.bb[i*nw.tb.N()+j]
+	if i == j {
+		return nil
+	}
+	pair := i*nw.tb.N() + j
+	if c := nw.backbone(pair); c != nil {
+		return c
+	}
+	return nw.buildBackbone(pair)
 }
 
 // Route describes an overlay-level path: the direct Internet path from Src
@@ -317,22 +380,30 @@ func (nw *Network) SendKeyed(t Time, r Route, pktKey uint64) Outcome {
 		lat += extra
 		return nil, false
 	}
-	if c, dropped := step(nw.access[r.Src], 0, 0); dropped {
+	if c, dropped := step(&nw.access[r.Src], 0, 0); dropped {
 		return Outcome{DroppedAt: c.id, DropClass: c.class}
 	}
-	if c, dropped := step(nw.bb[r.Src*n+r.Via], nw.pairBase(r.Src, r.Via), 1); dropped {
+	bb := nw.backbone(r.Src*n + r.Via)
+	if bb == nil {
+		bb = nw.buildBackbone(r.Src*n + r.Via)
+	}
+	if c, dropped := step(bb, nw.pairBase(r.Src, r.Via), 1); dropped {
 		return Outcome{DroppedAt: c.id, DropClass: c.class}
 	}
-	if c, dropped := step(nw.access[r.Via], 0, 2); dropped {
+	if c, dropped := step(&nw.access[r.Via], 0, 2); dropped {
 		return Outcome{DroppedAt: c.id, DropClass: c.class}
 	}
-	if c, dropped := step(nw.access[r.Via], Time(nw.prof.ForwardingDelay), 3); dropped {
+	if c, dropped := step(&nw.access[r.Via], Time(nw.prof.ForwardingDelay), 3); dropped {
 		return Outcome{DroppedAt: c.id, DropClass: c.class}
 	}
-	if c, dropped := step(nw.bb[r.Via*n+r.Dst], nw.pairBase(r.Via, r.Dst), 4); dropped {
+	bb = nw.backbone(r.Via*n + r.Dst)
+	if bb == nil {
+		bb = nw.buildBackbone(r.Via*n + r.Dst)
+	}
+	if c, dropped := step(bb, nw.pairBase(r.Via, r.Dst), 4); dropped {
 		return Outcome{DroppedAt: c.id, DropClass: c.class}
 	}
-	if c, dropped := step(nw.access[r.Dst], 0, 5); dropped {
+	if c, dropped := step(&nw.access[r.Dst], 0, 5); dropped {
 		return Outcome{DroppedAt: c.id, DropClass: c.class}
 	}
 	return Outcome{Delivered: true, Latency: lat, DroppedAt: NoComponent}
@@ -358,21 +429,24 @@ func (nw *Network) SendDirect(t Time, src, dst int) Outcome {
 // access complex — the same sequence, traversal indices, and arrival
 // times as SendKeyed's unrolled direct branch historically used.
 func (nw *Network) sendDirect(t Time, src, dst int, pktKey uint64) Outcome {
-	c := nw.access[src]
+	c := &nw.access[src]
 	drop, extra := c.Transit(t, pktKey, 0)
 	if drop {
 		return Outcome{DroppedAt: c.id, DropClass: c.class}
 	}
 	lat := extra
 	pair := src*nw.tb.N() + dst
-	c = nw.bb[pair]
+	c = nw.backbone(pair)
+	if c == nil {
+		c = nw.buildBackbone(pair)
+	}
 	lat += nw.base[pair]
 	drop, extra = c.Transit(t+lat, pktKey, 1)
 	if drop {
 		return Outcome{DroppedAt: c.id, DropClass: c.class}
 	}
 	lat += extra
-	c = nw.access[dst]
+	c = &nw.access[dst]
 	drop, extra = c.Transit(t+lat, pktKey, 2)
 	if drop {
 		return Outcome{DroppedAt: c.id, DropClass: c.class}

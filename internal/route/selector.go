@@ -38,7 +38,7 @@ func (c Choice) String() string {
 // backing ring buffer shared by every loss window) holding one entry
 // per link that can be probed — all n² under full mesh, the plan's
 // O(n·√n) under a LandmarkPlan — and Snapshot writes into reusable flat
-// []int32 tables. The campaign's table refresh is the selector's hot
+// []viaIdx tables. The campaign's table refresh is the selector's hot
 // path — an O(n³) scan per refresh — so SnapshotInto first caches every
 // link's loss rate, latency estimate, and dead flag once (O(n²)
 // divisions instead of O(n³)) and runs the pair scan over those flat
@@ -73,8 +73,8 @@ type Selector struct {
 	// the selection moves (RON used a similar mechanism to keep routes
 	// stable under measurement noise). State is kept per ordered pair.
 	hysteresis float64
-	prevLoss   []int32 // last chosen via per pair, -1 = direct
-	prevLat    []int32
+	prevLoss   []viaIdx // last chosen via per pair, -1 = direct
+	prevLat    []viaIdx
 
 	// Snapshot scratch, reused across refreshes: per-link metrics
 	// cached by refreshMetrics so the O(n³) pair scan reads flat
@@ -127,8 +127,8 @@ type Selector struct {
 	dirtyCol     []bool  // per-destination scratch
 	dirtyRows    []int32
 	dirtyCols    []int32
-	lastLoss     []int32 // retained tables from the last snapshot
-	lastLat      []int32
+	lastLoss     []viaIdx // retained tables from the last snapshot
+	lastLat      []viaIdx
 	lastValid    bool
 	metricsValid bool // metrics cache mirrors every estimate
 	recorded     bool // any Record/Link since Reset; implies a current carve
@@ -169,8 +169,8 @@ func NewSelectorWindow(n, window int) *Selector {
 		dirtyCol:  make([]bool, n),
 		dirtyRows: make([]int32, 0, n),
 		dirtyCols: make([]int32, 0, n),
-		lastLoss:  make([]int32, n*n),
-		lastLat:   make([]int32, n*n),
+		lastLoss:  make([]viaIdx, n*n),
+		lastLat:   make([]viaIdx, n*n),
 	}
 	for i := 0; i < n; i++ {
 		// refreshMetrics never touches the diagonal; pin the
@@ -478,15 +478,25 @@ func (s *Selector) BestLat(src, dst int) Choice {
 	return best
 }
 
+// viaIdx is the element of every n² via table — Tables' two and the
+// selector's retained and hysteresis pairs: an intermediate's node
+// index, or -1 for the direct path. Two bytes, because a running cell
+// holds eight such tables and SnapshotInto copies two per refresh.
+type viaIdx int16
+
+// MaxMeshNodes-1 must fit a viaIdx: the conversion is negative, and so
+// fails to compile, if the cap is raised past the element type.
+const _ = uint(math.MaxInt16 - (MaxMeshNodes - 1))
+
 // Tables is a full routing snapshot: for every ordered pair, the selected
 // intermediate (-1 = direct) under each optimization goal. Storage is a
-// pair of flat []int32 arrays indexed src*n+dst; the zero value is empty
+// pair of flat []viaIdx arrays indexed src*n+dst; the zero value is empty
 // and is (re)shaped by Selector.SnapshotInto without allocating once its
 // buffers reach mesh size.
 type Tables struct {
 	n       int
-	lossVia []int32
-	latVia  []int32
+	lossVia []viaIdx
+	latVia  []viaIdx
 }
 
 // N returns the mesh size the tables were computed for (0 when empty).
@@ -525,8 +535,8 @@ func (t *Tables) Diff(o *Tables) int64 {
 func (t *Tables) reshape(n int) {
 	t.n = n
 	if cap(t.lossVia) < n*n {
-		t.lossVia = make([]int32, n*n)
-		t.latVia = make([]int32, n*n)
+		t.lossVia = make([]viaIdx, n*n)
+		t.latVia = make([]viaIdx, n*n)
 		return
 	}
 	t.lossVia = t.lossVia[:n*n]
@@ -618,8 +628,8 @@ func (s *Selector) rescanAll() {
 					s.lastLat[row+dst] = -1
 					continue
 				}
-				s.lastLoss[row+dst] = int32(s.holdLoss(src, dst, s.bestLossPlan(src, dst)))
-				s.lastLat[row+dst] = int32(s.holdLat(src, dst, s.bestLatPlan(src, dst)))
+				s.lastLoss[row+dst] = viaIdx(s.holdLoss(src, dst, s.bestLossPlan(src, dst)))
+				s.lastLat[row+dst] = viaIdx(s.holdLat(src, dst, s.bestLatPlan(src, dst)))
 			}
 		}
 		return
@@ -637,8 +647,8 @@ func (s *Selector) rescanAll() {
 				s.lastLat[idx] = -1
 				continue
 			}
-			s.lastLoss[idx] = int32(s.snapLossVia(src, dst))
-			s.lastLat[idx] = int32(s.snapLatVia(src, dst))
+			s.lastLoss[idx] = viaIdx(s.snapLossVia(src, dst))
+			s.lastLat[idx] = viaIdx(s.snapLatVia(src, dst))
 		}
 	}
 }
@@ -727,8 +737,8 @@ func (s *Selector) rescanDirtyFull() {
 					continue
 				}
 				idx := src*n + dst
-				s.lastLoss[idx] = int32(s.snapLossVia(src, dst))
-				s.lastLat[idx] = int32(s.snapLatVia(src, dst))
+				s.lastLoss[idx] = viaIdx(s.snapLossVia(src, dst))
+				s.lastLat[idx] = viaIdx(s.snapLatVia(src, dst))
 			}
 			continue
 		}
@@ -738,8 +748,8 @@ func (s *Selector) rescanDirtyFull() {
 				continue
 			}
 			idx := src*n + dst
-			s.lastLoss[idx] = int32(s.snapLossVia(src, dst))
-			s.lastLat[idx] = int32(s.snapLatVia(src, dst))
+			s.lastLoss[idx] = viaIdx(s.snapLossVia(src, dst))
+			s.lastLat[idx] = viaIdx(s.snapLatVia(src, dst))
 		}
 	}
 }
@@ -759,8 +769,8 @@ func (s *Selector) rescanDirtyPlan() {
 				if src == dst {
 					continue
 				}
-				s.lastLoss[row+dst] = int32(s.holdLoss(src, dst, s.bestLossPlan(src, dst)))
-				s.lastLat[row+dst] = int32(s.holdLat(src, dst, s.bestLatPlan(src, dst)))
+				s.lastLoss[row+dst] = viaIdx(s.holdLoss(src, dst, s.bestLossPlan(src, dst)))
+				s.lastLat[row+dst] = viaIdx(s.holdLat(src, dst, s.bestLatPlan(src, dst)))
 			}
 			continue
 		}
@@ -769,8 +779,8 @@ func (s *Selector) rescanDirtyPlan() {
 			if src == dst {
 				continue
 			}
-			s.lastLoss[row+dst] = int32(s.holdLoss(src, dst, s.bestLossPlan(src, dst)))
-			s.lastLat[row+dst] = int32(s.holdLat(src, dst, s.bestLatPlan(src, dst)))
+			s.lastLoss[row+dst] = viaIdx(s.holdLoss(src, dst, s.bestLossPlan(src, dst)))
+			s.lastLat[row+dst] = viaIdx(s.holdLat(src, dst, s.bestLatPlan(src, dst)))
 		}
 	}
 }
@@ -1011,7 +1021,7 @@ func (s *Selector) holdLoss(src, dst int, best Choice) int {
 	if !s.deadCached(src, dst, cur) && !betterBy(best.Loss, held.Loss, s.hysteresis) {
 		return cur
 	}
-	s.prevLoss[src*s.n+dst] = int32(best.Via)
+	s.prevLoss[src*s.n+dst] = viaIdx(best.Via)
 	return best.Via
 }
 
@@ -1027,7 +1037,7 @@ func (s *Selector) holdLat(src, dst int, best Choice) int {
 		!betterBy(float64(best.Latency), float64(held.Latency), s.hysteresis) {
 		return cur
 	}
-	s.prevLat[src*s.n+dst] = int32(best.Via)
+	s.prevLat[src*s.n+dst] = viaIdx(best.Via)
 	return best.Via
 }
 
@@ -1055,8 +1065,8 @@ func (s *Selector) SetHysteresis(margin float64) {
 	s.metricsValid = false
 	s.lastValid = false
 	if margin > 0 && s.prevLoss == nil {
-		s.prevLoss = make([]int32, s.n*s.n)
-		s.prevLat = make([]int32, s.n*s.n)
+		s.prevLoss = make([]viaIdx, s.n*s.n)
+		s.prevLat = make([]viaIdx, s.n*s.n)
 		for i := range s.prevLoss {
 			s.prevLoss[i] = -1
 			s.prevLat[i] = -1
@@ -1102,7 +1112,7 @@ func (s *Selector) BestLossStable(src, dst int) Choice {
 	if !s.pathDead(src, dst, cur) && !betterBy(best.Loss, held.Loss, s.hysteresis) {
 		return held
 	}
-	s.prevLoss[src*s.n+dst] = int32(best.Via)
+	s.prevLoss[src*s.n+dst] = viaIdx(best.Via)
 	return best
 }
 
@@ -1118,7 +1128,7 @@ func (s *Selector) BestLatStable(src, dst int) Choice {
 		!betterBy(float64(best.Latency), float64(held.Latency), s.hysteresis) {
 		return held
 	}
-	s.prevLat[src*s.n+dst] = int32(best.Via)
+	s.prevLat[src*s.n+dst] = viaIdx(best.Via)
 	return best
 }
 
