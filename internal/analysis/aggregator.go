@@ -77,18 +77,26 @@ type Aggregator struct {
 	nHosts  int
 	nPaths  int
 
-	// slot[m][src*nHosts+dst] indexes the (method, path)'s record in the
-	// stats and wins slabs; 0 means never observed. The slabs are
-	// append-only within a cell and hold one record per observed
-	// (method, path), so an aggregator's size follows what its campaign
-	// measured, not methods × hosts² — a thousand-node cell observes
-	// ~3% of its ordered pairs. Index 0 of stats is the shared all-zero
-	// record every unobserved path reads (see stat); index 0 of wins is
-	// unused. Reset truncates the slabs to that sentinel and keeps their
-	// capacity, so warm cells allocate only past the high-water mark.
-	slot  [][]int32
-	stats []pathStats
-	wins  []pathWindows // parallel to stats
+	// slot[m*nPaths+src*nHosts+dst] numbers the (method, path)'s record
+	// in the stats and wins slabs; 0 means never observed. It is one flat
+	// array rather than a row per method: a row header would be a third
+	// dependent load on Observe's way to a record, after the slot and the
+	// chunk. Records are handed out in order within a cell, one per
+	// observed (method, path), so an aggregator's size follows what its
+	// campaign measured, not methods × hosts² — a thousand-node cell
+	// observes ~3% of its ordered pairs. The slabs are chunked (record si
+	// lives at [si>>recShift][si&recMask]): a record never moves, and
+	// growing allocates one more chunk instead of a larger copy, so a
+	// cell's peak is what it keeps. They stay two slabs, counters apart
+	// from windows, because Merge, the codec and every query walk the
+	// counters alone. Record 0 of stats is the shared all-zero record
+	// every unobserved path reads (see stat); record 0 of wins is unused.
+	// Reset rewinds nrec to that sentinel and keeps the chunks, so warm
+	// cells allocate only past the high-water mark.
+	slot  []int32
+	stats [][]pathStats
+	wins  [][]pathWindows // parallel to stats
+	nrec  int32           // records handed out, sentinel included
 
 	// touched[m] lists the path indices with at least one observation
 	// for method m (slot != 0, appended when the slot is assigned).
@@ -131,11 +139,15 @@ type Aggregator struct {
 // Table6Thresholds are the loss-percentage thresholds of Table 6.
 var Table6Thresholds = []float64{0, 10, 20, 30, 40, 50, 60, 70, 80, 90}
 
-// slabStart caps the record slabs' initial capacity (and, split across
-// methods, the touched lists'): paper-size aggregators (methods × hosts²
-// below it) are fully sized at construction and never grow; big-world
-// ones start here and grow by append to what their cell observes.
-const slabStart = 1 << 14
+// The record slabs grow in chunks of recChunk records (~600 kB of
+// counters and windows), the last one cut to what is left of methods ×
+// hosts² + 1, so a paper-size aggregator is one exact allocation of each
+// that never grows.
+const (
+	recShift = 12
+	recChunk = 1 << recShift
+	recMask  = recChunk - 1
+)
 
 // NewAggregator creates an aggregator for a campaign with the given
 // method names over an nHosts mesh.
@@ -148,7 +160,6 @@ func NewAggregator(methods []string, nHosts int) *Aggregator {
 		methods:       append([]string(nil), methods...),
 		nHosts:        nHosts,
 		nPaths:        nHosts * nHosts,
-		slot:          make([][]int32, nm),
 		win20Rates:    make([]*CDF, nm),
 		hourCounts:    make([][]int64, nm),
 		hourPeriods:   make([]int64, nm),
@@ -161,17 +172,17 @@ func NewAggregator(methods []string, nHosts int) *Aggregator {
 	// is built per sweep cell, so constructor allocation count scales
 	// with the grid). Full-slice-expression carving keeps an append on
 	// one row from stomping its neighbor: a touched list that outgrows
-	// its carve moves to its own array.
-	slots := min(nm*a.nPaths, slabStart)
-	a.stats = make([]pathStats, 1, 1+slots)
-	a.wins = make([]pathWindows, 1, 1+slots)
-	tcap := min(a.nPaths, slabStart/nm)
+	// its carve — room for every path, or for the paths one record chunk
+	// can hold — moves to its own array.
+	a.growSlabs()
+	a.nrec = 1
+	tcap := min(a.nPaths, recChunk)
 	slotSlab := make([]int32, nm*(a.nPaths+tcap))
 	touchSlab := slotSlab[nm*a.nPaths:]
+	a.slot = slotSlab[: nm*a.nPaths : nm*a.nPaths]
 	hourSlab := make([]int64, nm*len(Table6Thresholds))
 	cdfs := make([]CDF, nm)
 	for m := 0; m < nm; m++ {
-		a.slot[m] = slotSlab[m*a.nPaths : (m+1)*a.nPaths : (m+1)*a.nPaths]
 		a.touched[m] = touchSlab[m*tcap : m*tcap : (m+1)*tcap]
 		a.touchedSorted[m] = true
 		a.win20Rates[m] = &cdfs[m]
@@ -187,13 +198,12 @@ func NewAggregator(methods []string, nHosts int) *Aggregator {
 // identical to a NewAggregator per cell without re-paying its
 // allocations.
 func (a *Aggregator) Reset() {
-	a.stats = a.stats[:1]
-	a.wins = a.wins[:1]
+	a.nrec = 1
 	for m := range a.methods {
 		// Only observed paths hold a slot; clearing just those keeps
 		// cell turnover O(paths probed), not O(hosts²).
 		for _, pi := range a.touched[m] {
-			a.slot[m][pi] = 0
+			a.slot[m*a.nPaths+int(pi)] = 0
 		}
 		a.touched[m] = a.touched[m][:0]
 		a.touchedSorted[m] = true
@@ -230,19 +240,36 @@ func (a *Aggregator) pathIndex(src, dst int) int { return src*a.nHosts + dst }
 // stat returns (method m, path pi)'s counters for reading. A path never
 // observed reads the shared all-zero record, exactly what a dense
 // methods × hosts² slab would hold for it; writers go through addSlot.
-func (a *Aggregator) stat(m, pi int) *pathStats { return &a.stats[a.slot[m][pi]] }
+func (a *Aggregator) stat(m, pi int) *pathStats { return a.rec(a.slot[m*a.nPaths+pi]) }
 
-// addSlot assigns (method m, path pi) a fresh record in the slabs and
-// lists the path as touched. The append may move the slabs: callers
-// take record pointers only afterwards.
+// rec and win resolve a record number to its place in the chunks.
+func (a *Aggregator) rec(si int32) *pathStats   { return &a.stats[si>>recShift][si&recMask] }
+func (a *Aggregator) win(si int32) *pathWindows { return &a.wins[si>>recShift][si&recMask] }
+
+// growSlabs adds one chunk to each record slab: recChunk records, or
+// the rest of the sentinel plus one record per (method, path) if fewer
+// are left.
+func (a *Aggregator) growSlabs() {
+	size := min(len(a.methods)*a.nPaths+1-len(a.stats)*recChunk, recChunk)
+	a.stats = append(a.stats, make([]pathStats, size))
+	a.wins = append(a.wins, make([]pathWindows, size))
+}
+
+// addSlot assigns (method m, path pi) the next record in the slabs,
+// reset, and lists the path as touched. A chunk is allocated only when
+// the last one is full.
 func (a *Aggregator) addSlot(m, pi int) int32 {
-	si := int32(len(a.stats))
-	a.stats = append(a.stats, pathStats{})
-	a.wins = append(a.wins, pathWindows{
+	si := a.nrec
+	a.nrec++
+	if int(si>>recShift) == len(a.stats) {
+		a.growSlabs()
+	}
+	*a.rec(si) = pathStats{}
+	*a.win(si) = pathWindows{
 		w20: windowState{index: -1},
 		w60: windowState{index: -1},
-	})
-	a.slot[m][pi] = si
+	}
+	a.slot[m*a.nPaths+pi] = si
 	a.touched[m] = append(a.touched[m], int32(pi))
 	a.touchedSorted[m] = false
 	return si
@@ -275,11 +302,11 @@ func (a *Aggregator) observe(o *Observation) {
 		panic(err)
 	}
 	pi := a.pathIndex(o.Src, o.Dst)
-	si := a.slot[o.Method][pi]
+	si := a.slot[o.Method*a.nPaths+pi]
 	if si == 0 {
 		si = a.addSlot(o.Method, pi)
 	}
-	ps := &a.stats[si]
+	ps := a.rec(si)
 	ps.probes++
 	ps.firstSent++
 	if o.Lost[0] {
@@ -315,7 +342,7 @@ func (a *Aggregator) observe(o *Observation) {
 	// observeWindow(flush func(...)) — because this is the per-probe hot
 	// path: the flush closures would capture o.Method and escape,
 	// costing two allocations per observation.
-	pw := &a.wins[si]
+	pw := a.win(si)
 	if idx := o.Time / int64(WindowShort); pw.w20.index != idx {
 		if pw.w20.index >= 0 && pw.w20.sent > 0 {
 			a.win20Rates[o.Method].Add(float64(pw.w20.lost) / float64(pw.w20.sent))
@@ -380,7 +407,7 @@ func (a *Aggregator) flushHour(method int, rate float64) {
 func (a *Aggregator) Flush() {
 	for m := range a.methods {
 		for _, pi := range a.touchedPaths(m) {
-			pw := &a.wins[a.slot[m][pi]]
+			pw := a.win(a.slot[m*a.nPaths+int(pi)])
 			if w := &pw.w20; w.index >= 0 && w.sent > 0 {
 				a.win20Rates[m].Add(float64(w.lost) / float64(w.sent))
 				w.index, w.sent, w.lost = -1, 0, 0
@@ -428,11 +455,11 @@ func (a *Aggregator) Merge(other *Aggregator) error {
 	other.Flush()
 	for m := range a.methods {
 		for _, pi := range other.touchedPaths(m) {
-			si := a.slot[m][pi]
+			si := a.slot[m*a.nPaths+int(pi)]
 			if si == 0 {
 				si = a.addSlot(m, int(pi))
 			}
-			a.stats[si].add(other.stat(m, int(pi)))
+			a.rec(si).add(other.stat(m, int(pi)))
 		}
 		a.win20Rates[m].Merge(other.win20Rates[m])
 		for i := range a.hourCounts[m] {
@@ -653,8 +680,8 @@ func (a *Aggregator) PathTotals(method, src, dst int) (probes, firstLost, bothLo
 // String summarizes the aggregator.
 func (a *Aggregator) String() string {
 	var total int64
-	for i := range a.stats {
-		total += a.stats[i].probes
+	for si := int32(1); si < a.nrec; si++ {
+		total += a.rec(si).probes
 	}
 	return fmt.Sprintf("analysis.Aggregator{methods=%d hosts=%d probes=%d}",
 		len(a.methods), a.nHosts, total)

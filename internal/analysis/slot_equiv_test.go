@@ -345,17 +345,16 @@ func TestSlotAggregatorMatchesDenseReference(t *testing.T) {
 	}
 }
 
-// TestSlotAggregatorGrowsPastInitialSlab fills an aggregator whose
-// methods × hosts² exceeds the slabs' starting capacity, so records are
-// appended through several regrowths, and holds the result to the dense
-// encoding; refilling after Reset then reuses the grown slabs without
-// allocating.
+// TestSlotAggregatorGrowsPastInitialSlab takes one aggregator whose methods ×
+// hosts² spans several record chunks through a cell that crosses chunk
+// boundaries, a smaller cell in the recycled chunks, and a larger one
+// past the high-water mark, holding each to the dense model's queries
+// and encoding. Growth adds chunks and never moves a record; refilling
+// after Reset allocates nothing; a paper-size aggregator is one exact
+// chunk.
 func TestSlotAggregatorGrowsPastInitialSlab(t *testing.T) {
 	methods := []string{"direct", "loss", "direct rand"}
 	const n = 80
-	if len(methods)*n*(n-1) <= slabStart {
-		t.Fatalf("%d observed slots fit the initial slab of %d; raise n", len(methods)*n*(n-1), slabStart)
-	}
 	var obs []Observation
 	for m := range methods {
 		for src := 0; src < n; src++ {
@@ -367,29 +366,65 @@ func TestSlotAggregatorGrowsPastInitialSlab(t *testing.T) {
 			}
 		}
 	}
+	if len(obs) < 4*recChunk {
+		t.Fatalf("%d observed slots span under four chunks of %d; raise n", len(obs), recChunk)
+	}
 	rand.New(rand.NewSource(5)).Shuffle(len(obs), func(i, j int) { obs[i], obs[j] = obs[j], obs[i] })
+	for i := range obs {
+		obs[i].Time = int64(i) * int64(time.Second)
+	}
 	a := NewAggregator(methods, n)
 	d := newDenseAgg(methods, n)
-	fill := func() {
+	fill := func(k int) {
 		a.Reset()
-		for i := range obs {
-			obs[i].Time = int64(i) * int64(time.Second)
+		for i := range obs[:k] {
 			a.Observe(obs[i])
 		}
 	}
-	fill()
-	for _, o := range obs {
-		d.observe(o)
+	first := a.rec(1)
+	chunks := 1
+	// Every observation is a distinct (method, path), so a cell of k
+	// observations holds k records and the sentinel.
+	for _, k := range []int{2*recChunk + recChunk/2, recChunk / 4, len(obs)} {
+		fill(k)
+		d.reset()
+		for _, o := range obs[:k] {
+			d.observe(o)
+		}
+		chunks = max(chunks, (k+recChunk)/recChunk)
+		if len(a.stats) != chunks || len(a.wins) != chunks {
+			t.Fatalf("a cell of %d records leaves %d stats and %d wins chunks, want the high-water %d", k, len(a.stats), len(a.wins), chunks)
+		}
+		if last := len(a.stats[chunks-1]); (chunks-1)*recChunk+last > len(methods)*n*n+1 {
+			t.Fatalf("%d chunks, the last of %d records, hold more than the sentinel and one record per (method, path)", chunks, last)
+		}
+		if a.rec(1) != first {
+			t.Fatalf("record 1 moved while the slabs held %d records", k)
+		}
+		checkQueries(t, "chunked", a, d)
+		enc, err := a.AppendBinary(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(enc, d.encode()) {
+			t.Fatalf("encoding of a %d-record cell differs from the dense encoding", k)
+		}
 	}
-	checkQueries(t, "grown", a, d)
-	enc, err := a.AppendBinary(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(enc, d.encode()) {
-		t.Fatal("encoding after slab growth differs from the dense encoding")
-	}
-	if allocs := testing.AllocsPerRun(2, fill); allocs != 0 {
+	if allocs := testing.AllocsPerRun(2, func() { fill(len(obs)) }); allocs != 0 {
 		t.Fatalf("refilling a grown aggregator after Reset allocates %.0f times", allocs)
+	}
+
+	const paper = 9
+	small := NewAggregator(methods, paper)
+	for m := range methods {
+		for pi := 0; pi < paper*paper; pi++ {
+			if pi/paper != pi%paper {
+				small.Observe(Observation{Method: m, Src: pi / paper, Dst: pi % paper, Copies: 1})
+			}
+		}
+	}
+	if want := len(methods)*paper*paper + 1; len(small.stats) != 1 || len(small.stats[0]) != want || len(small.wins[0]) != want {
+		t.Fatalf("paper-size aggregator holds %d chunks, the first of %d records; want one of exactly %d",
+			len(small.stats), len(small.stats[0]), want)
 	}
 }

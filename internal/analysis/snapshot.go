@@ -307,7 +307,7 @@ func UnmarshalAggregatorInto(data []byte, scratch *Aggregator) (*Aggregator, err
 				r.take(12 * 8)
 				continue
 			}
-			ps := &a.stats[a.addSlot(m, pi)]
+			ps := a.rec(a.addSlot(m, pi))
 			ps.probes = probes
 			ps.firstSent = r.i64()
 			ps.firstLost = r.i64()

@@ -164,6 +164,7 @@ func (a *Arena) run(cfg Config, retain bool) (*Result, error) {
 	c.tb = a.tb
 	c.nw = a.nw
 	c.sel = a.sel
+	c.tables = a.sel.Tables()
 	c.plan = a.sel.Plan()
 	c.agg = agg
 	c.rng = &a.rng

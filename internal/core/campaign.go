@@ -47,11 +47,9 @@ type campaign struct {
 	queue   eventQueue
 	end     netsim.Time
 
-	// tables is the current routing snapshot; scratch is the buffer the
-	// next refresh writes into before the two swap, so steady-state
-	// refreshes allocate nothing.
-	tables  route.Tables
-	scratch route.Tables
+	// tables is a view of the selector's routing tables, current as of
+	// the last refresh; the campaign keeps no copy.
+	tables *route.Tables
 
 	// probeIvl/refreshIvl are the event recurrence intervals, converted
 	// once instead of per scheduled event.
@@ -135,8 +133,8 @@ func (c *campaign) seed() {
 		c.sel.SetHysteresis(c.cfg.Hysteresis)
 	}
 	// Start with empty tables (all direct), as a freshly booted RON
-	// would. SnapshotInto honors configured hysteresis.
-	c.sel.SnapshotInto(&c.tables)
+	// would; nothing has moved yet.
+	c.sel.Refresh()
 	// Workload seeding comes last so its RNG draws and sequence numbers
 	// extend — never perturb — the probe/measure seeding above; scenario
 	// seeding extends the workload's in turn (and draws no campaign RNG
@@ -239,14 +237,10 @@ func (c *campaign) ronFollowUp(t netsim.Time, s, d int, k uint8) {
 	}
 }
 
-// refreshTables recomputes routing tables into the scratch buffer,
-// tallies changes, and swaps it in — no per-refresh allocation.
+// refreshTables brings the routing tables up to date in place and
+// tallies the entries that moved.
 func (c *campaign) refreshTables() {
-	c.sel.SnapshotInto(&c.scratch)
-	if !c.tables.Empty() {
-		c.res.RouteChanges += c.tables.Diff(&c.scratch)
-	}
-	c.tables, c.scratch = c.scratch, c.tables
+	c.res.RouteChanges += c.sel.Refresh()
 }
 
 // resolve maps a tactic to a concrete route for src→dst under current

@@ -153,7 +153,6 @@ func TestIncrementalSnapshotMatchesFullRescan(t *testing.T) {
 				// Invalidate the twin's caches so it recomputes every
 				// metric and rescans every pair — the reference path.
 				full.metricsValid = false
-				full.lastValid = false
 				full.SnapshotInto(&tf)
 				for src := 0; src < n; src++ {
 					for dst := 0; dst < n; dst++ {

@@ -6,11 +6,11 @@ import (
 	"sort"
 )
 
-// MaxMeshNodes caps selector mesh sizes. The selector's metrics cache
-// and snapshot tables are sized at construction from n, and its link
-// slab at first use from n or the plan — growth past the cap is an
-// explicit error up front (clear message, no allocation), never an
-// implicit slice regrowth mid-campaign.
+// MaxMeshNodes caps selector mesh sizes. The selector's routing tables
+// are sized at construction from n, and its link slab and metrics cache
+// at first use from n or the plan — growth past the cap is an explicit
+// error up front (clear message, no allocation), never an implicit
+// slice regrowth mid-campaign.
 const MaxMeshNodes = 1 << 14
 
 // ValidateMeshSize checks that an n-node mesh fits the selector's
@@ -21,7 +21,7 @@ func ValidateMeshSize(n int) error {
 	}
 	if n > MaxMeshNodes {
 		return fmt.Errorf(
-			"route: mesh of %d nodes exceeds MaxMeshNodes (%d): the selector sizes its metrics cache and tables from n at construction; raise MaxMeshNodes deliberately instead of relying on implicit growth",
+			"route: mesh of %d nodes exceeds MaxMeshNodes (%d): the selector sizes its routing tables from n at construction; raise MaxMeshNodes deliberately instead of relying on implicit growth",
 			n, MaxMeshNodes)
 	}
 	return nil

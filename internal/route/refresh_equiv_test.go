@@ -1,0 +1,369 @@
+package route
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+	"time"
+)
+
+// Diff counts entries that differ between two same-shape tables, summing
+// loss- and latency-table changes. It is what the campaign ran over two
+// copies of the tables before Refresh counted its own writes, kept as
+// the reference for that count.
+func (t *Tables) Diff(o *Tables) int64 {
+	var changes int64
+	for i, v := range t.lossVia {
+		if v != o.lossVia[i] {
+			changes++
+		}
+	}
+	for i, v := range t.latVia {
+		if v != o.latVia[i] {
+			changes++
+		}
+	}
+	return changes
+}
+
+// allDirect shapes t as the tables of a freshly booted n-node mesh.
+func allDirect(t *Tables, n int) {
+	t.reshape(n)
+	t.fillDirect()
+}
+
+// TestRefreshCountMatchesDiff: the count Refresh returns is the Diff of
+// consecutive SnapshotInto copies — for incremental and full rescans,
+// under both layouts, with damping on and off, across the calls that
+// invalidate the metrics cache, and over a Reset that reuses the
+// selector (whose tables start over from all-direct).
+func TestRefreshCountMatchesDiff(t *testing.T) {
+	const n = 30
+	plan := NewLandmarkPlan(n)
+	for _, usePlan := range []bool{false, true} {
+		for _, hyst := range []float64{0, 0.25} {
+			sel := NewSelectorWindow(n, 50)
+			rng := rand.New(rand.NewSource(23))
+			var prev, cur Tables
+			var total int64
+			check := func(label string) {
+				t.Helper()
+				got := sel.Refresh()
+				if again := sel.Refresh(); again != 0 {
+					t.Fatalf("%s: a second Refresh with no new probes moved %d entries", label, again)
+				}
+				sel.SnapshotInto(&cur)
+				if want := prev.Diff(&cur); got != want {
+					t.Fatalf("%s: Refresh counted %d moved entries, Diff of the copies %d", label, got, want)
+				}
+				total += got
+				prev, cur = cur, prev
+			}
+			for cell := 0; cell < 3; cell++ {
+				if cell > 0 {
+					sel.Reset(50)
+				}
+				allDirect(&prev, n)
+				if usePlan {
+					sel.SetPlan(plan)
+				}
+				// The middle cell runs undamped on a selector that has
+				// held hysteresis state.
+				if hyst > 0 && cell != 1 {
+					sel.SetHysteresis(hyst)
+				}
+				label := func(round int) string {
+					return fmt.Sprintf("plan=%v hyst=%v cell %d round %d", usePlan, hyst, cell, round)
+				}
+				check(label(0) + " (virgin)")
+				for round := 1; round <= 14; round++ {
+					switch round {
+					case 4:
+						sel.SetFallbackLatency(80 * time.Millisecond)
+					case 8:
+						// Over a mesh-carved slab this restricts the vias
+						// mid-cell; over the plan's own it only invalidates.
+						sel.SetPlan(plan)
+					case 11:
+						if !usePlan {
+							sel.SetPlan(nil)
+						}
+					}
+					if round%5 != 0 { // every 5th refresh has no new probes
+						driveRandom(rng, []*Selector{sel}, n, 400, sel.Plan())
+					}
+					check(label(round))
+				}
+			}
+			if total == 0 {
+				t.Fatalf("plan=%v hyst=%v: no table entry ever moved; the comparison is vacuous", usePlan, hyst)
+			}
+		}
+	}
+}
+
+// TestHysteresisStateFreshAfterReuse: Reset leaves the held-path buffers
+// to the next SetHysteresis, so a cell that re-enables damping on a
+// selector that used it two cells ago — with an undamped cell between —
+// starts from "no held path" exactly as a new selector does.
+func TestHysteresisStateFreshAfterReuse(t *testing.T) {
+	const n = 20
+	reused := NewSelectorWindow(n, 50)
+	for cell, hyst := range []float64{0.3, 0, 0.3} {
+		if cell > 0 {
+			reused.Reset(50)
+		}
+		fresh := NewSelectorWindow(n, 50)
+		if hyst > 0 {
+			reused.SetHysteresis(hyst)
+			fresh.SetHysteresis(hyst)
+		}
+		rng := rand.New(rand.NewSource(int64(40 + cell)))
+		for round := 0; round < 8; round++ {
+			driveRandom(rng, []*Selector{reused, fresh}, n, 600, nil)
+			compareSelectors(t, fmt.Sprintf("cell %d round %d", cell, round), reused, fresh)
+		}
+	}
+}
+
+// checkMetricsAgainstDense holds the slot-indexed metrics cache, and the
+// landmark scratch gathered from it, to a dense n² reference derived
+// from the estimates themselves after a Refresh.
+func checkMetricsAgainstDense(t *testing.T, label string, sel *Selector) {
+	t.Helper()
+	n := sel.n
+	type metrics struct {
+		loss     float64
+		lat, adj time.Duration
+		dead     bool
+	}
+	dense := make([]metrics, n*n)
+	for src := 0; src < n; src++ {
+		for dst := 0; dst < n; dst++ {
+			m := metrics{loss: math.Inf(1), adj: latDead} // the self-link sentinels
+			if src != dst {
+				le := sel.link(src, dst)
+				m = metrics{loss: le.LossRate(), lat: le.LatencyEstimate(sel.fallbackLat), dead: le.Dead()}
+				m.adj = m.lat
+				if m.dead {
+					m.adj = latDead
+				}
+				loss, lat, adj, dead := sel.cached(src, dst)
+				if got := (metrics{loss, lat, adj, dead}); got != m {
+					t.Fatalf("%s: cached metrics of %d→%d are %+v, the estimate says %+v", label, src, dst, got, m)
+				}
+			}
+			dense[src*n+dst] = m
+		}
+	}
+	p := sel.plan
+	if p == nil {
+		for dst := 0; dst < n; dst++ {
+			sel.gatherCol(dst)
+			for via := 0; via < n; via++ {
+				m := dense[via*n+dst]
+				if sel.colLoss[via] != m.loss || sel.colLat[via] != m.lat || sel.colLatAdj[via] != m.adj {
+					t.Fatalf("%s: column scratch of %d→%d differs from the dense reference", label, via, dst)
+				}
+			}
+		}
+		return
+	}
+	L := len(p.landmarks)
+	for node := 0; node < n; node++ {
+		sel.gatherPlanRow(node)
+		for li, lm := range p.landmarks {
+			row, col := dense[node*n+int(lm)], dense[int(lm)*n+node]
+			if sel.srcLmLoss[li] != row.loss || sel.srcLmLat[li] != row.lat || sel.srcLmLatAdj[li] != row.adj {
+				t.Fatalf("%s: row scratch of %d→landmark %d differs from the dense reference", label, node, lm)
+			}
+			at := node*L + li
+			if sel.lmColLoss[at] != col.loss || sel.lmColLat[at] != col.lat || sel.lmColLatAdj[at] != col.adj {
+				t.Fatalf("%s: column scratch of landmark %d→%d differs from the dense reference", label, lm, node)
+			}
+		}
+	}
+}
+
+// TestSlotMetricsMatchDenseReference walks one selector through the
+// three layouts the metrics cache is keyed by — full mesh, the plan's
+// compact numbering, a plan set over a mesh-carved slab — and through
+// Resets that re-carve between them over the same storage, comparing the
+// cache with the dense reference after full and incremental refreshes.
+func TestSlotMetricsMatchDenseReference(t *testing.T) {
+	const n = 36
+	plan := NewLandmarkPlan(n)
+	sel := NewSelectorWindow(n, 40)
+	rng := rand.New(rand.NewSource(61))
+	for ci, layout := range []string{"mesh", "plan", "plan over mesh", "plan", "mesh"} {
+		if ci > 0 {
+			sel.Reset(40)
+		}
+		switch layout {
+		case "plan":
+			sel.SetPlan(plan)
+		case "plan over mesh":
+			denseUnderPlan(sel, plan)
+		}
+		for round := 0; round < 8; round++ {
+			if round == 5 {
+				sel.SetFallbackLatency(120 * time.Millisecond)
+			}
+			driveRandom(rng, []*Selector{sel}, n, 500, sel.Plan())
+			// Some links die: four losses in a row.
+			for k := 0; k < 3; k++ {
+				src, dst := rng.Intn(n), int(plan.landmarks[rng.Intn(len(plan.landmarks))])
+				for i := 0; src != dst && i < DefaultDeadThreshold; i++ {
+					sel.Record(src, dst, true, 0)
+				}
+			}
+			sel.Refresh()
+			checkMetricsAgainstDense(t, fmt.Sprintf("cell %d (%s) round %d", ci, layout, round), sel)
+		}
+	}
+}
+
+// planLatScanReference is the scan bestLatPlan replaced: a running strict
+// minimum over the landmark positions, starting from the direct path.
+func planLatScanReference(s *Selector, dst int, directLoss float64, directLat, directAdj time.Duration) Choice {
+	lms := s.plan.landmarks
+	L := len(lms)
+	rowAdj := s.srcLmLatAdj
+	colAdj := s.lmColLatAdj[dst*L : dst*L+L]
+	bestVia, bestLat := -1, directAdj
+	for li := 0; li < L; li++ {
+		if lat := rowAdj[li] + colAdj[li]; lat < bestLat {
+			bestVia, bestLat = li, lat
+		}
+	}
+	if bestVia < 0 {
+		return Choice{Via: -1, Loss: directLoss, Latency: directLat}
+	}
+	return Choice{Via: int(lms[bestVia]),
+		Loss:    pathLoss(s.srcLmLoss[bestVia], s.lmColLoss[dst*L+bestVia]),
+		Latency: bestLat}
+}
+
+// TestPlanLatScanMatchesReference holds the two-pass landmark latency
+// scan to the scalar loop it replaced, on scratch written directly so
+// ties are exact: equal sums at several landmark positions, a minimum
+// equal to the direct path, a dead direct link, src and dst themselves
+// landmarks (the sentinel positions), every path dead, and landmark
+// counts on both sides of a multiple of four.
+func TestPlanLatScanMatchesReference(t *testing.T) {
+	const ms = time.Millisecond
+	for _, n := range []int{10, 17, 26, 49, 64, 81, 100, 122} {
+		plan := NewLandmarkPlan(n)
+		L := len(plan.landmarks)
+		sel := NewSelector(n)
+		sel.SetPlan(plan)
+		const dst = 3
+		col := sel.lmColLatAdj[dst*L : dst*L+L]
+		check := func(label string, direct, directAdj time.Duration) {
+			t.Helper()
+			got := sel.bestLatPlan(dst, 0.125, direct, directAdj)
+			want := planLatScanReference(sel, dst, 0.125, direct, directAdj)
+			if got != want {
+				t.Fatalf("n=%d (L=%d) %s: two-pass scan picks %+v, the scalar loop %+v\nrow %v\ncol %v",
+					n, L, label, got, want, sel.srcLmLatAdj[:L], col)
+			}
+		}
+		fill := func(row, c time.Duration) {
+			for li := 0; li < L; li++ {
+				sel.srcLmLatAdj[li], col[li] = row, c
+				sel.srcLmLoss[li] = float64(li) / 64
+				sel.lmColLoss[dst*L+li] = float64(L-li) / 128
+			}
+		}
+		// Every landmark path sums to the same 60 ms.
+		fill(40*ms, 20*ms)
+		check("all sums equal, direct slower", 70*ms, 70*ms)
+		check("all sums equal to direct", 60*ms, 60*ms)
+		check("all sums equal, direct faster", 50*ms, 50*ms)
+		check("all sums equal, direct dead", 10*ms, latDead)
+		// The same minimum at a few positions, every start and stride.
+		for first := 0; first < L; first++ {
+			for stride := 1; stride <= 3; stride++ {
+				fill(40*ms, 20*ms)
+				for li := first; li < L; li += stride {
+					sel.srcLmLatAdj[li], col[li] = 15*ms, 30*ms // 45, split differently
+				}
+				label := fmt.Sprintf("minimum at %d and every %d after", first, stride)
+				check(label+", direct slower", 50*ms, 50*ms)
+				check(label+", direct equal", 45*ms, 45*ms)
+				check(label+", direct dead", 45*ms, latDead)
+			}
+		}
+		// src and dst are landmarks: their positions carry the sentinel.
+		for a := 0; a < L; a++ {
+			for b := 0; b < L; b++ {
+				fill(40*ms, 20*ms)
+				sel.srcLmLatAdj[a] = latDead
+				col[b] = latDead
+				check(fmt.Sprintf("sentinels at %d (row) and %d (column)", a, b), 61*ms, 61*ms)
+			}
+		}
+		// No live path at all: direct is the last resort.
+		fill(latDead, 20*ms)
+		check("every landmark path dead, direct dead", 30*ms, latDead)
+		check("every landmark path dead, direct alive", 30*ms, 30*ms)
+
+		// Random scratch from a small value set, so ties are the rule.
+		rng := rand.New(rand.NewSource(int64(n)))
+		draw := func() time.Duration {
+			if rng.Intn(8) == 0 {
+				return latDead
+			}
+			return time.Duration(10+5*rng.Intn(6)) * ms
+		}
+		for trial := 0; trial < 2000; trial++ {
+			for li := 0; li < L; li++ {
+				sel.srcLmLatAdj[li], col[li] = draw(), draw()
+			}
+			direct := time.Duration(20+5*rng.Intn(12)) * ms
+			adj := direct
+			if rng.Intn(6) == 0 {
+				adj = latDead
+			}
+			check(fmt.Sprintf("random trial %d", trial), direct, adj)
+		}
+	}
+}
+
+// TestPlanLatScanMatchesBestLat is the same property end to end: with
+// gossiped summaries pinning exact, heavily tied latencies and dead
+// flags, the refreshed latency table agrees with BestLat's walk over the
+// estimates on every pair, landmark endpoints included.
+func TestPlanLatScanMatchesBestLat(t *testing.T) {
+	const n = 45 // L = 7
+	plan := NewLandmarkPlan(n)
+	sel := NewSelector(n)
+	sel.SetPlan(plan)
+	rng := rand.New(rand.NewSource(8))
+	for round := 0; round < 6; round++ {
+		for src := 0; src < n; src++ {
+			for dst := 0; dst < n; dst++ {
+				if plan.Probes(src, dst) && rng.Intn(3) > 0 {
+					lat := time.Duration(10*(1+rng.Intn(4))) * time.Millisecond
+					sel.Link(src, dst).SetSummary(float64(rng.Intn(4))/8, lat, rng.Intn(10) == 0)
+				}
+			}
+		}
+		sel.Refresh()
+		tables := sel.Tables()
+		for src := 0; src < n; src++ {
+			for dst := 0; dst < n; dst++ {
+				if src == dst {
+					continue
+				}
+				if got, want := tables.LatVia(src, dst), sel.BestLat(src, dst).Via; got != want {
+					t.Fatalf("round %d: LatVia(%d,%d) = %d, BestLat = %d", round, src, dst, got, want)
+				}
+				if got, want := tables.LossVia(src, dst), sel.BestLoss(src, dst).Via; got != want {
+					t.Fatalf("round %d: LossVia(%d,%d) = %d, BestLoss = %d", round, src, dst, got, want)
+				}
+			}
+		}
+	}
+}

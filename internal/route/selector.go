@@ -37,12 +37,12 @@ func (c Choice) String() string {
 // Storage is flat: link state lives in a single []LinkEstimate (one
 // backing ring buffer shared by every loss window) holding one entry
 // per link that can be probed — all n² under full mesh, the plan's
-// O(n·√n) under a LandmarkPlan — and Snapshot writes into reusable flat
-// []viaIdx tables. The campaign's table refresh is the selector's hot
-// path — an O(n³) scan per refresh — so SnapshotInto first caches every
-// link's loss rate, latency estimate, and dead flag once (O(n²)
-// divisions instead of O(n³)) and runs the pair scan over those flat
-// arrays.
+// O(n·√n) under a LandmarkPlan — and the routing tables are one retained
+// pair of flat []viaIdx arrays that Refresh updates in place. The
+// campaign's table refresh is the selector's hot path — an O(n³) scan
+// per refresh — so Refresh first caches every link's loss rate, latency
+// estimate, and dead flag once (O(links) divisions instead of O(n³))
+// and runs the pair scan over those flat arrays.
 //
 // Selector is not safe for concurrent use.
 type Selector struct {
@@ -51,13 +51,13 @@ type Selector struct {
 	// full mesh, the plan's compact numbering when carved for a
 	// LandmarkPlan (layout, nil = full mesh). rings is the one backing
 	// array behind every loss window, carveWindow probes per link. Both
-	// — with linkTouched/usedMark and their lists — are carved at the
-	// first write after a Reset and re-carved only when the plan or
-	// window then in force needs a different shape; storage is kept at
-	// its high-water mark. Between a Reset and that first write every
-	// link is virgin and reads resolve to the virgin estimate, as do
-	// reads of links the layout does not hold: loss 0, fallback
-	// latency, not dead.
+	// — with the metrics cache, linkTouched/usedMark and their lists —
+	// are carved at the first write after a Reset and re-carved only
+	// when the plan or window then in force needs a different shape;
+	// storage is kept at its high-water mark. Between a Reset and that
+	// first write every link is virgin and reads resolve to the virgin
+	// estimate, as do reads of links the layout does not hold: loss 0,
+	// fallback latency, not dead.
 	est         []LinkEstimate
 	rings       []bool
 	layout      *LandmarkPlan
@@ -75,11 +75,17 @@ type Selector struct {
 	hysteresis float64
 	prevLoss   []viaIdx // last chosen via per pair, -1 = direct
 	prevLat    []viaIdx
+	// prevStale marks the held paths as a previous cell's: Reset leaves
+	// the buffers alone and the next SetHysteresis(margin > 0) refills
+	// them, so cells that run undamped never pay the 2 × n² writes.
+	prevStale bool
 
-	// Snapshot scratch, reused across refreshes: per-link metrics
-	// cached by refreshMetrics so the O(n³) pair scan reads flat
+	// The metrics cache, one entry per link slot like est: per-link
+	// metrics cached by refreshMetrics so the O(n³) pair scan reads flat
 	// float/duration arrays instead of re-deriving each estimate O(n)
-	// times through the LinkEstimate interface.
+	// times through the LinkEstimate interface. A link the layout does
+	// not hold has no entry and reads as the virgin constants (see
+	// cached).
 	mLoss []float64
 	mLat  []time.Duration
 	mDead []bool
@@ -100,9 +106,10 @@ type Selector struct {
 	plan *LandmarkPlan
 	// Landmark-scan scratch (sized by SetPlan; L = landmark count):
 	// lmCol* are compact column-major copies of the landmark rows of the
-	// metrics cache (entry dst*L+li mirrors m*[landmark[li]*n+dst]), and
+	// metrics cache (entry dst*L+li mirrors landmark[li]→dst), and
 	// srcLm* hold the current source row gathered over landmarks, so the
-	// O(√n) via scans read contiguous arrays.
+	// O(√n) via scans read contiguous arrays. The gathers write the
+	// latDead/+Inf sentinels where a landmark is the pair's own endpoint.
 	lmColLoss   []float64
 	lmColLat    []time.Duration
 	lmColLatAdj []time.Duration
@@ -112,24 +119,26 @@ type Selector struct {
 
 	// Incremental snapshot state. Record (and Link, conservatively —
 	// callers may mutate through the returned pointer) marks links
-	// touched; SnapshotInto re-derives only pairs whose inputs — the
-	// source row or destination column of the metrics cache — contain a
-	// touched link, against the retained lastLoss/lastLat tables. A pair
-	// whose inputs are unchanged would recompute to exactly its previous
-	// selection (and leave its hysteresis state unchanged: an equal-value
-	// challenger never beats the margin), so skipping it is exact;
+	// touched; Refresh re-derives only pairs whose inputs — the source
+	// row or destination column of the metrics cache — contain a touched
+	// link, in the retained tables. A pair whose inputs are unchanged
+	// would recompute to exactly its previous selection (and leave its
+	// hysteresis state unchanged: an equal-value challenger never beats
+	// the margin), so skipping it is exact;
 	// snapshot_equiv_test.go pins equality against full rescans.
 	linkTouched  []bool  // per slot, since the last snapshot
 	touchedLinks []int32 // src*n+dst of links with linkTouched set, append order
 	usedMark     []bool  // per slot, since Reset — the O(touched) Reset work list
 	usedList     []int32 // slots
-	dirtyRow     []bool  // per-source scratch, clear outside SnapshotInto
+	dirtyRow     []bool  // per-source scratch, clear outside Refresh
 	dirtyCol     []bool  // per-destination scratch
 	dirtyRows    []int32
 	dirtyCols    []int32
-	lastLoss     []viaIdx // retained tables from the last snapshot
-	lastLat      []viaIdx
-	lastValid    bool
+	// tables is the one copy of the routing tables, all-direct from
+	// Reset on: every rescan writes it through setPair, which counts the
+	// entries that moved into changed.
+	tables       Tables
+	changed      int64
 	metricsValid bool // metrics cache mirrors every estimate
 	recorded     bool // any Record/Link since Reset; implies a current carve
 	// meshLive is recorded && layout == nil, as one flag so link's
@@ -139,10 +148,11 @@ type Selector struct {
 
 // latDead is the sentinel latency of a dead link in mLatAdj: far above
 // any real estimate, and small enough that summing two of them cannot
-// overflow. Diagonal (self-link) entries carry the same sentinel — and
-// +Inf in mLoss — so the via scans need no src/dst skip branches: a
-// path "via" one of its own endpoints composes a sentinel and loses
-// every comparison.
+// overflow. Self-link entries — the diagonal of a full-mesh metrics
+// cache, a landmark's own position in the landmark scratch — carry the
+// same sentinel, and +Inf loss, so the via scans need no src/dst skip
+// branches: a path "via" one of its own endpoints composes a sentinel
+// and loses every comparison.
 const latDead = time.Duration(1) << 61
 
 // NewSelector creates a selector for an n-node mesh with the paper's
@@ -158,10 +168,6 @@ func NewSelectorWindow(n, window int) *Selector {
 	}
 	s := &Selector{
 		n:         n,
-		mLoss:     make([]float64, n*n),
-		mLat:      make([]time.Duration, n*n),
-		mDead:     make([]bool, n*n),
-		mLatAdj:   make([]time.Duration, n*n),
 		colLoss:   make([]float64, n),
 		colLat:    make([]time.Duration, n),
 		colLatAdj: make([]time.Duration, n),
@@ -169,15 +175,8 @@ func NewSelectorWindow(n, window int) *Selector {
 		dirtyCol:  make([]bool, n),
 		dirtyRows: make([]int32, 0, n),
 		dirtyCols: make([]int32, 0, n),
-		lastLoss:  make([]viaIdx, n*n),
-		lastLat:   make([]viaIdx, n*n),
 	}
-	for i := 0; i < n; i++ {
-		// refreshMetrics never touches the diagonal; pin the
-		// sentinels once (see latDead).
-		s.mLoss[i*n+i] = math.Inf(1)
-		s.mLatAdj[i*n+i] = latDead
-	}
+	s.tables.reshape(n)
 	s.virgin.init(nil)
 	s.Reset(window)
 	return s
@@ -185,13 +184,13 @@ func NewSelectorWindow(n, window int) *Selector {
 
 // Reset returns the selector to the state NewSelectorWindow(s.N(),
 // window) would construct — empty estimates, default fallback latency,
-// hysteresis disabled, no plan — reusing the link slab, ring storage,
-// and snapshot scratch. Turnover is O(touched): only links marked used
-// since the last Reset hold any state — every other estimate (and its
-// ring segment) is still exactly as carve left it — so re-zeroing just
-// the used ones reproduces the fresh state without walking the slab,
-// and a campaign driver can run successive cells through one selector
-// without allocating. A changed window (or plan) takes effect at the
+// hysteresis disabled, no plan, all-direct routing tables — reusing the
+// link slab, ring storage, and snapshot scratch. Link turnover is
+// O(touched): only links marked used since the last Reset hold any state
+// — every other estimate (and its ring segment) is still exactly as
+// carve left it — so re-zeroing just the used ones reproduces the fresh
+// state without walking the slab, and a campaign driver can run
+// successive cells through one selector without allocating. A changed window (or plan) takes effect at the
 // next carve.
 func (s *Selector) Reset(window int) {
 	if window <= 0 {
@@ -200,7 +199,7 @@ func (s *Selector) Reset(window int) {
 	s.fallbackLat = 500 * time.Millisecond
 	s.hysteresis = 0
 	s.plan = nil
-	s.lastValid = false
+	s.tables.fillDirect()
 	s.metricsValid = false
 	s.recorded = false
 	s.meshLive = false
@@ -215,12 +214,9 @@ func (s *Selector) Reset(window int) {
 	}
 	s.usedList = s.usedList[:0]
 	s.touchedLinks = s.touchedLinks[:0]
-	// Hysteresis state buffers survive for reuse but must look freshly
-	// allocated (-1 = "no held path") if SetHysteresis re-enables them.
-	for i := range s.prevLoss {
-		s.prevLoss[i] = -1
-		s.prevLat[i] = -1
-	}
+	// Hysteresis state buffers survive for reuse; SetHysteresis makes
+	// them look freshly allocated if this cell re-enables damping.
+	s.prevStale = true
 }
 
 // sized returns buf resliced to n elements, reallocating only past its
@@ -235,12 +231,12 @@ func sized[T any](buf []T, n int) []T {
 }
 
 // carve lays the link slab out for the plan and window now in force:
-// one estimate, ring segment, and pair of marks per link slot. It runs
-// at the first write after a Reset — so NewSelectorWindow followed by
-// SetPlan never materialises the n² layout — and is a no-op when the
-// slab already has that shape. Every estimate is in its reset state
-// and every ring zero on entry (Reset's invariant), so carving only
-// re-points estimates at their ring segments.
+// one estimate, ring segment, metrics entry and pair of marks per link
+// slot. It runs at the first write after a Reset — so NewSelectorWindow
+// followed by SetPlan never materialises the n² layout — and is a no-op
+// when the slab already has that shape. Every estimate is in its reset
+// state and every ring zero on entry (Reset's invariant), so carving
+// only re-points estimates at their ring segments.
 func (s *Selector) carve() {
 	links := s.n * s.n
 	if s.plan != nil {
@@ -257,6 +253,12 @@ func (s *Selector) carve() {
 	s.rings = sized(s.rings, links*s.window)
 	s.linkTouched = sized(s.linkTouched, links)
 	s.usedMark = sized(s.usedMark, links)
+	// The metrics cache keeps whatever an earlier layout left in it:
+	// refreshMetrics rewrites every entry before the first read.
+	s.mLoss = sized(s.mLoss, links)
+	s.mLat = sized(s.mLat, links)
+	s.mDead = sized(s.mDead, links)
+	s.mLatAdj = sized(s.mLatAdj, links)
 	if cap(s.usedList) < links {
 		s.touchedLinks = make([]int32, 0, links)
 		s.usedList = make([]int32, 0, links)
@@ -360,8 +362,8 @@ func (s *Selector) touch(idx, slot int) {
 // SetPlan restricts via candidates to the plan's landmark set (nil
 // restores full-mesh scanning), sizes the landmark scratch, and makes
 // the plan's links the only ones that hold estimates. Changing the
-// plan invalidates the retained snapshot state: the next SnapshotInto
-// recomputes everything under the new candidate set. The link slab is
+// plan invalidates the metrics cache: the next Refresh recomputes
+// everything under the new candidate set. The link slab is
 // laid out at the first Record/Link since Reset for the plan then in
 // force: a full-mesh slab holds every link, so a plan may still be set
 // (or swapped, or dropped) over it later, but a slab carved for a plan
@@ -375,7 +377,6 @@ func (s *Selector) SetPlan(p *LandmarkPlan) {
 	}
 	s.plan = p
 	s.metricsValid = false
-	s.lastValid = false
 	if p == nil {
 		return
 	}
@@ -479,9 +480,9 @@ func (s *Selector) BestLat(src, dst int) Choice {
 }
 
 // viaIdx is the element of every n² via table — Tables' two and the
-// selector's retained and hysteresis pairs: an intermediate's node
-// index, or -1 for the direct path. Two bytes, because a running cell
-// holds eight such tables and SnapshotInto copies two per refresh.
+// selector's hysteresis pair: an intermediate's node index, or -1 for
+// the direct path. Two bytes, because they are the selector's only
+// state a landmark plan cannot shrink below n².
 type viaIdx int16
 
 // MaxMeshNodes-1 must fit a viaIdx: the conversion is negative, and so
@@ -490,9 +491,10 @@ const _ = uint(math.MaxInt16 - (MaxMeshNodes - 1))
 
 // Tables is a full routing snapshot: for every ordered pair, the selected
 // intermediate (-1 = direct) under each optimization goal. Storage is a
-// pair of flat []viaIdx arrays indexed src*n+dst; the zero value is empty
-// and is (re)shaped by Selector.SnapshotInto without allocating once its
-// buffers reach mesh size.
+// pair of flat []viaIdx arrays indexed src*n+dst. The selector's own
+// (Selector.Tables) is the one Refresh keeps current; the zero value is
+// empty and is (re)shaped by Selector.SnapshotInto, which copies into it
+// without allocating once its buffers reach mesh size.
 type Tables struct {
 	n       int
 	lossVia []viaIdx
@@ -502,9 +504,6 @@ type Tables struct {
 // N returns the mesh size the tables were computed for (0 when empty).
 func (t *Tables) N() int { return t.n }
 
-// Empty reports whether the tables have never been filled.
-func (t *Tables) Empty() bool { return len(t.lossVia) == 0 }
-
 // LossVia returns the loss-optimized intermediate for src→dst, or -1 for
 // the direct path.
 func (t *Tables) LossVia(src, dst int) int { return int(t.lossVia[src*t.n+dst]) }
@@ -513,22 +512,12 @@ func (t *Tables) LossVia(src, dst int) int { return int(t.lossVia[src*t.n+dst]) 
 // for the direct path.
 func (t *Tables) LatVia(src, dst int) int { return int(t.latVia[src*t.n+dst]) }
 
-// Diff counts entries that differ between two same-shape tables, summing
-// loss- and latency-table changes (the campaign's routing-dynamism
-// counter).
-func (t *Tables) Diff(o *Tables) int64 {
-	var changes int64
-	for i, v := range t.lossVia {
-		if v != o.lossVia[i] {
-			changes++
-		}
+// fillDirect sets every pair to the direct path: a freshly booted RON's
+// tables.
+func (t *Tables) fillDirect() {
+	for i := range t.lossVia {
+		t.lossVia[i], t.latVia[i] = -1, -1
 	}
-	for i, v := range t.latVia {
-		if v != o.latVia[i] {
-			changes++
-		}
-	}
-	return changes
 }
 
 // reshape readies the tables for an n-node snapshot, reusing buffers.
@@ -543,35 +532,52 @@ func (t *Tables) reshape(n int) {
 	t.latVia = t.latVia[:n*n]
 }
 
-// Snapshot computes routing tables for all ordered pairs. Campaigns call
-// this periodically (the paper's probing updates selections continuously;
-// a 15 s refresh matches the probe interval's information rate). It
-// allocates a fresh Tables; the campaign hot path uses SnapshotInto with
-// a reused one.
+// Snapshot computes routing tables for all ordered pairs into a fresh
+// Tables. The campaign hot path reads the selector's own through Tables
+// and calls Refresh.
 func (s *Selector) Snapshot() Tables {
 	var t Tables
 	s.SnapshotInto(&t)
 	return t
 }
 
-// SnapshotInto computes routing tables for all ordered pairs into t,
-// reusing t's buffers (zero allocations once t has mesh capacity). When
-// hysteresis is enabled the damped (BestLossStable/BestLatStable)
-// selections are used; without it the plain ones, identically to
-// Snapshot's historical behavior.
-//
-// Snapshots are incremental: selections are maintained in retained
-// tables and only pairs whose inputs changed since the last snapshot —
-// a touched link in their source row or destination column — are
-// re-derived. Three tiers, cheapest first: a virgin mesh (no estimate
-// ever touched) fills the all-direct tables without even building the
-// metrics cache; a mesh with valid metrics re-derives only dirty pairs;
-// anything else (first real snapshot, or after Reset / SetPlan /
-// SetFallbackLatency / SetHysteresis) does the full rescan. Every tier
-// produces bit-identical tables to the full rescan.
+// SnapshotInto is Refresh followed by a copy of the tables into t,
+// reusing t's buffers (zero allocations once t has mesh capacity), for
+// callers that want tables of their own.
 func (s *Selector) SnapshotInto(t *Tables) {
-	n := s.n
-	t.reshape(n)
+	s.Refresh()
+	t.reshape(s.n)
+	copy(t.lossVia, s.tables.lossVia)
+	copy(t.latVia, s.tables.latVia)
+}
+
+// Tables returns the selector's routing tables, current as of the last
+// Refresh, for reading: a view of the one copy, not a snapshot — the next
+// Refresh updates it in place. A new or Reset selector's tables are
+// all-direct.
+func (s *Selector) Tables() *Tables { return &s.tables }
+
+// Refresh brings the routing tables up to date with the estimates for
+// all ordered pairs and returns how many entries moved, loss and latency
+// tables summed (the campaign's routing-dynamism counter): the count a
+// Diff of the tables before and after the call would give, where a new
+// or Reset selector's tables are all-direct, as a freshly booted RON's
+// would be. Campaigns call this periodically (the paper's probing updates
+// selections continuously; a 15 s refresh matches the probe interval's
+// information rate). When hysteresis is enabled the damped
+// (BestLossStable/BestLatStable) selections are used; without it the
+// plain ones.
+//
+// Refreshes are incremental: only pairs whose inputs changed since the
+// last one — a touched link in their source row or destination column —
+// are re-derived. Three tiers, cheapest first: a virgin mesh (no
+// estimate ever touched) keeps the all-direct tables without even
+// building the metrics cache; a mesh with valid metrics re-derives only
+// dirty pairs; anything else (first real refresh, or after Reset /
+// SetPlan / SetFallbackLatency / SetHysteresis) does the full rescan.
+// Every tier produces bit-identical tables to the full rescan.
+func (s *Selector) Refresh() int64 {
+	s.changed = 0
 	switch {
 	case !s.recorded:
 		// Virgin: every estimate is in its initial state, so every pair
@@ -579,14 +585,8 @@ func (s *Selector) SnapshotInto(t *Tables) {
 		// and any via path costs 2× the direct fallback latency. With
 		// hysteresis the held path is already direct (-1) and a tied
 		// challenger never beats the margin, so prev state is unchanged
-		// too — exactly what the full rescan would do.
-		if !s.lastValid {
-			for i := range s.lastLoss {
-				s.lastLoss[i] = -1
-				s.lastLat[i] = -1
-			}
-			s.lastValid = true
-		}
+		// too — exactly what the full rescan would do. The tables have
+		// been all-direct since Reset.
 	case !s.metricsValid:
 		s.refreshMetrics()
 		if s.plan != nil {
@@ -595,12 +595,23 @@ func (s *Selector) SnapshotInto(t *Tables) {
 		s.metricsValid = true
 		s.clearTouched()
 		s.rescanAll()
-		s.lastValid = true
 	case len(s.touchedLinks) > 0:
 		s.rescanDirty()
 	}
-	copy(t.lossVia, s.lastLoss)
-	copy(t.latVia, s.lastLat)
+	return s.changed
+}
+
+// setPair writes one pair's selections into the tables, counting the
+// entries that moved. It is their only writer between Resets.
+func (s *Selector) setPair(idx, lossVia, latVia int) {
+	if v := viaIdx(lossVia); s.tables.lossVia[idx] != v {
+		s.tables.lossVia[idx] = v
+		s.changed++
+	}
+	if v := viaIdx(latVia); s.tables.latVia[idx] != v {
+		s.tables.latVia[idx] = v
+		s.changed++
+	}
 }
 
 // clearTouched drops the pending touched-links list (their effect is
@@ -612,7 +623,8 @@ func (s *Selector) clearTouched() {
 	s.touchedLinks = s.touchedLinks[:0]
 }
 
-// rescanAll re-derives every pair's selection into the retained tables.
+// rescanAll re-derives every pair's selection into the tables. The
+// diagonal stays at the -1 Reset gave it.
 func (s *Selector) rescanAll() {
 	n := s.n
 	if s.plan != nil {
@@ -621,15 +633,10 @@ func (s *Selector) rescanAll() {
 		// contiguously in the lmCol scratch.
 		for src := 0; src < n; src++ {
 			s.gatherPlanRow(src)
-			row := src * n
 			for dst := 0; dst < n; dst++ {
-				if src == dst {
-					s.lastLoss[row+dst] = -1
-					s.lastLat[row+dst] = -1
-					continue
+				if src != dst {
+					s.rescanPlanPair(src, dst)
 				}
-				s.lastLoss[row+dst] = viaIdx(s.holdLoss(src, dst, s.bestLossPlan(src, dst)))
-				s.lastLat[row+dst] = viaIdx(s.holdLat(src, dst, s.bestLatPlan(src, dst)))
 			}
 		}
 		return
@@ -641,20 +648,44 @@ func (s *Selector) rescanAll() {
 	for dst := 0; dst < n; dst++ {
 		s.gatherCol(dst)
 		for src := 0; src < n; src++ {
-			idx := src*n + dst
-			if src == dst {
-				s.lastLoss[idx] = -1
-				s.lastLat[idx] = -1
-				continue
+			if src != dst {
+				s.rescanMeshPair(src, dst)
 			}
-			s.lastLoss[idx] = viaIdx(s.snapLossVia(src, dst))
-			s.lastLat[idx] = viaIdx(s.snapLatVia(src, dst))
 		}
 	}
 }
 
+// rescanMeshPair re-derives one pair under full-mesh scanning; the
+// destination's column must be gathered.
+func (s *Selector) rescanMeshPair(src, dst int) {
+	s.setPair(src*s.n+dst,
+		s.holdLoss(src, dst, s.bestLossCached(src, dst)),
+		s.holdLat(src, dst, s.bestLatCached(src, dst)))
+}
+
+// rescanPlanPair re-derives one pair under the landmark plan; the
+// source's landmark row must be gathered.
+func (s *Selector) rescanPlanPair(src, dst int) {
+	loss, lat, adj, _ := s.cached(src, dst)
+	s.setPair(src*s.n+dst,
+		s.holdLoss(src, dst, s.bestLossPlan(dst, loss, lat)),
+		s.holdLat(src, dst, s.bestLatPlan(dst, loss, lat, adj)))
+}
+
+// cached returns src→dst's entry of the metrics cache: loss rate,
+// latency, latency with a dead link pinned to latDead, and the dead
+// flag. A link the layout holds no slot for was never probed and reads
+// as the virgin estimate does: loss 0, the fallback latency, alive.
+func (s *Selector) cached(src, dst int) (loss float64, lat, adj time.Duration, dead bool) {
+	if slot := s.slot(src, dst); slot >= 0 {
+		return s.mLoss[slot], s.mLat[slot], s.mLatAdj[slot], s.mDead[slot]
+	}
+	return 0, s.fallbackLat, s.fallbackLat, false
+}
+
 // gatherCol copies destination dst's metrics column into the contiguous
-// column scratch.
+// column scratch. Full-mesh scanning runs over the full-mesh layout only,
+// whose slots are src*n+dst.
 func (s *Selector) gatherCol(dst int) {
 	n := s.n
 	for via := 0; via < n; via++ {
@@ -676,19 +707,7 @@ func (s *Selector) rescanDirty() {
 		src, dst := idx/n, idx%n
 		slot := s.slot(src, dst)
 		s.linkTouched[slot] = false
-		le := &s.est[slot]
-		loss := le.LossRate()
-		lat := le.LatencyEstimate(s.fallbackLat)
-		s.mLoss[idx] = loss
-		s.mLat[idx] = lat
-		adj := lat
-		if le.Dead() {
-			s.mDead[idx] = true
-			adj = latDead
-		} else {
-			s.mDead[idx] = false
-		}
-		s.mLatAdj[idx] = adj
+		loss, lat, adj := s.cacheLink(slot)
 		if p := s.plan; p != nil {
 			if li := p.lmIndex[src]; li >= 0 {
 				at := dst*len(p.landmarks) + int(li)
@@ -733,23 +752,16 @@ func (s *Selector) rescanDirtyFull() {
 		s.gatherCol(dst)
 		if colDirty {
 			for src := 0; src < n; src++ {
-				if src == dst {
-					continue
+				if src != dst {
+					s.rescanMeshPair(src, dst)
 				}
-				idx := src*n + dst
-				s.lastLoss[idx] = viaIdx(s.snapLossVia(src, dst))
-				s.lastLat[idx] = viaIdx(s.snapLatVia(src, dst))
 			}
 			continue
 		}
 		for _, sr := range s.dirtyRows {
-			src := int(sr)
-			if src == dst {
-				continue
+			if src := int(sr); src != dst {
+				s.rescanMeshPair(src, dst)
 			}
-			idx := src*n + dst
-			s.lastLoss[idx] = viaIdx(s.snapLossVia(src, dst))
-			s.lastLat[idx] = viaIdx(s.snapLatVia(src, dst))
 		}
 	}
 }
@@ -763,24 +775,18 @@ func (s *Selector) rescanDirtyPlan() {
 			continue
 		}
 		s.gatherPlanRow(src)
-		row := src * n
 		if rowDirty {
 			for dst := 0; dst < n; dst++ {
-				if src == dst {
-					continue
+				if src != dst {
+					s.rescanPlanPair(src, dst)
 				}
-				s.lastLoss[row+dst] = viaIdx(s.holdLoss(src, dst, s.bestLossPlan(src, dst)))
-				s.lastLat[row+dst] = viaIdx(s.holdLat(src, dst, s.bestLatPlan(src, dst)))
 			}
 			continue
 		}
 		for _, dc := range s.dirtyCols {
-			dst := int(dc)
-			if src == dst {
-				continue
+			if dst := int(dc); src != dst {
+				s.rescanPlanPair(src, dst)
 			}
-			s.lastLoss[row+dst] = viaIdx(s.holdLoss(src, dst, s.bestLossPlan(src, dst)))
-			s.lastLat[row+dst] = viaIdx(s.holdLat(src, dst, s.bestLatPlan(src, dst)))
 		}
 	}
 }
@@ -788,16 +794,12 @@ func (s *Selector) rescanDirtyPlan() {
 // gatherPlanCols rebuilds the compact landmark-column scratch from the
 // metrics cache (after a full refreshMetrics).
 func (s *Selector) gatherPlanCols() {
-	n := s.n
 	lms := s.plan.landmarks
 	L := len(lms)
-	for dst := 0; dst < n; dst++ {
+	for dst := 0; dst < s.n; dst++ {
 		base := dst * L
 		for li, lm := range lms {
-			idx := int(lm)*n + dst
-			s.lmColLoss[base+li] = s.mLoss[idx]
-			s.lmColLat[base+li] = s.mLat[idx]
-			s.lmColLatAdj[base+li] = s.mLatAdj[idx]
+			s.lmColLoss[base+li], s.lmColLat[base+li], s.lmColLatAdj[base+li] = s.cachedVia(int(lm), dst)
 		}
 	}
 }
@@ -805,23 +807,28 @@ func (s *Selector) gatherPlanCols() {
 // gatherPlanRow copies source src's landmark metrics into the compact
 // row scratch.
 func (s *Selector) gatherPlanRow(src int) {
-	row := src * s.n
 	for li, lm := range s.plan.landmarks {
-		idx := row + int(lm)
-		s.srcLmLoss[li] = s.mLoss[idx]
-		s.srcLmLat[li] = s.mLat[idx]
-		s.srcLmLatAdj[li] = s.mLatAdj[idx]
+		s.srcLmLoss[li], s.srcLmLat[li], s.srcLmLatAdj[li] = s.cachedVia(src, int(lm))
 	}
 }
 
+// cachedVia is cached for one leg of a via path: a landmark that is the
+// leg's other endpoint reads the self-link sentinels (see latDead).
+func (s *Selector) cachedVia(src, dst int) (loss float64, lat, adj time.Duration) {
+	if src == dst {
+		return math.Inf(1), 0, latDead
+	}
+	loss, lat, adj, _ = s.cached(src, dst)
+	return loss, lat, adj
+}
+
 // bestLossPlan is bestLossCached with via candidates restricted to the
-// plan's landmarks, reading the compact landmark scratch. Landmark
-// positions equal to src or dst read diagonal sentinels and lose every
-// comparison, exactly like the full scan.
-func (s *Selector) bestLossPlan(src, dst int) Choice {
+// plan's landmarks, reading the compact landmark scratch (the current
+// source's row, dst's column) and the pair's own direct-link metrics.
+// Landmark positions equal to src or dst read self-link sentinels and
+// lose every comparison, exactly like the full scan.
+func (s *Selector) bestLossPlan(dst int, directLoss float64, directLat time.Duration) Choice {
 	const eps = 1e-9
-	n := s.n
-	directLoss, directLat := s.mLoss[src*n+dst], s.mLat[src*n+dst]
 	if directLoss <= eps {
 		return Choice{Via: -1, Loss: directLoss, Latency: directLat}
 	}
@@ -850,54 +857,76 @@ func (s *Selector) bestLossPlan(src, dst int) Choice {
 	return Choice{Via: bestVia, Loss: bestLoss, Latency: bestLat}
 }
 
-// bestLatPlan is bestLatCached restricted to landmark vias.
-func (s *Selector) bestLatPlan(src, dst int) Choice {
-	n := s.n
+// bestLatPlan is bestLatCached restricted to landmark vias. Which of ~√n
+// near-equal sums is smallest is a coin toss to a branch predictor, so
+// the scan is two passes without one: the minimum sum through
+// independent accumulators, then the first position attaining it — the
+// landmark a running strict-minimum would have kept. The direct path
+// wins ties, as there.
+func (s *Selector) bestLatPlan(dst int, directLoss float64, directLat, directAdj time.Duration) Choice {
 	lms := s.plan.landmarks
 	L := len(lms)
-	rowAdj := s.srcLmLatAdj
+	rowAdj := s.srcLmLatAdj[:L]
 	colAdj := s.lmColLatAdj[dst*L : dst*L+L]
-	bestVia, bestLat := -1, s.mLatAdj[src*n+dst]
-	for li := 0; li < L; li++ {
-		if lat := rowAdj[li] + colAdj[li]; lat < bestLat {
-			bestVia, bestLat = li, lat
-		}
+	m0, m1, m2, m3 := directAdj, directAdj, directAdj, directAdj
+	li := 0
+	for ; li+4 <= L; li += 4 {
+		r, c := rowAdj[li:li+4], colAdj[li:li+4]
+		m0 = min(m0, r[0]+c[0])
+		m1 = min(m1, r[1]+c[1])
+		m2 = min(m2, r[2]+c[2])
+		m3 = min(m3, r[3]+c[3])
 	}
-	if bestVia < 0 {
-		return Choice{Via: -1, Loss: s.mLoss[src*n+dst], Latency: s.mLat[src*n+dst]}
+	for ; li < L; li++ {
+		m0 = min(m0, rowAdj[li]+colAdj[li])
 	}
-	return Choice{Via: int(lms[bestVia]),
-		Loss:    pathLoss(s.srcLmLoss[bestVia], s.lmColLoss[dst*L+bestVia]),
-		Latency: bestLat}
+	best := min(m0, m1, m2, m3)
+	if best >= directAdj {
+		return Choice{Via: -1, Loss: directLoss, Latency: directLat}
+	}
+	li = 0
+	for rowAdj[li]+colAdj[li] != best {
+		li++
+	}
+	return Choice{Via: int(lms[li]),
+		Loss:    pathLoss(s.srcLmLoss[li], s.lmColLoss[dst*L+li]),
+		Latency: best}
 }
 
-// refreshMetrics caches every link's loss rate, latency estimate, and
-// dead flag into the flat scratch arrays. The cached values are exactly
-// what LossRate/LatencyEstimate/Dead would return for the duration of
-// one snapshot (no probes are recorded mid-snapshot), so selections
-// computed from the cache are bit-identical to ones computed through
-// the estimates — just without re-deriving each link O(n) times.
+// refreshMetrics caches every held link's loss rate, latency estimate,
+// and dead flag into the flat metrics arrays. The cached values are
+// exactly what LossRate/LatencyEstimate/Dead would return for the
+// duration of one refresh (no probes are recorded mid-refresh), so
+// selections computed from the cache are bit-identical to ones computed
+// through the estimates — just without re-deriving each link O(n) times.
+// It walks the link slab, so a plan pays for its planned links, not n².
 func (s *Selector) refreshMetrics() {
-	n := s.n
-	for i := 0; i < n; i++ {
-		row := i * n
-		for j := 0; j < n; j++ {
-			if i == j {
-				continue
-			}
-			le := s.link(i, j)
-			s.mLoss[row+j] = le.LossRate()
-			lat := le.LatencyEstimate(s.fallbackLat)
-			s.mLat[row+j] = lat
-			if dead := le.Dead(); dead {
-				s.mDead[row+j] = true
-				s.mLatAdj[row+j] = latDead
-			} else {
-				s.mDead[row+j] = false
-				s.mLatAdj[row+j] = lat
-			}
+	for slot := range s.est {
+		s.cacheLink(slot)
+	}
+	if s.layout == nil {
+		// A full-mesh slab has a slot per self-link; pin the sentinels
+		// the via scans rely on (see latDead).
+		for i := 0; i < s.n; i++ {
+			d := i*s.n + i
+			s.mLoss[d], s.mLat[d], s.mDead[d], s.mLatAdj[d] = math.Inf(1), 0, false, latDead
 		}
 	}
+}
+
+// cacheLink re-derives one slot's metrics-cache entry from its estimate
+// and returns it.
+func (s *Selector) cacheLink(slot int) (loss float64, lat, adj time.Duration) {
+	le := &s.est[slot]
+	loss = le.LossRate()
+	lat = le.LatencyEstimate(s.fallbackLat)
+	dead := le.Dead()
+	adj = lat
+	if dead {
+		adj = latDead
+	}
+	s.mLoss[slot], s.mLat[slot], s.mDead[slot], s.mLatAdj[slot] = loss, lat, dead, adj
+	return loss, lat, adj
 }
 
 // bestLossCached is BestLoss over the refreshMetrics cache, carrying
@@ -974,40 +1003,17 @@ func (s *Selector) bestLatCached(src, dst int) Choice {
 		Latency: bestLat}
 }
 
-// evalCached scores one candidate path from the metrics cache (the
-// cached twin of evaluate).
-func (s *Selector) evalCached(src, dst, via int) Choice {
-	n := s.n
+// heldCached scores the held path — via, or the direct path when via < 0
+// — from the metrics cache and reports whether it crosses a dead link:
+// the cached twin of evaluate and pathDead.
+func (s *Selector) heldCached(src, dst, via int) (held Choice, dead bool) {
 	if via < 0 {
-		return Choice{Via: -1, Loss: s.mLoss[src*n+dst], Latency: s.mLat[src*n+dst]}
+		loss, lat, _, dead := s.cached(src, dst)
+		return Choice{Via: -1, Loss: loss, Latency: lat}, dead
 	}
-	return Choice{
-		Via:     via,
-		Loss:    pathLoss(s.mLoss[src*n+via], s.mLoss[via*n+dst]),
-		Latency: s.mLat[src*n+via] + s.mLat[via*n+dst],
-	}
-}
-
-// deadCached reports whether a candidate path crosses a dead link, from
-// the metrics cache.
-func (s *Selector) deadCached(src, dst, via int) bool {
-	n := s.n
-	if via < 0 {
-		return s.mDead[src*n+dst]
-	}
-	return s.mDead[src*n+via] || s.mDead[via*n+dst]
-}
-
-// snapLossVia picks the loss table entry for one pair during a snapshot:
-// BestLossStable's logic over the metrics cache.
-func (s *Selector) snapLossVia(src, dst int) int {
-	return s.holdLoss(src, dst, s.bestLossCached(src, dst))
-}
-
-// snapLatVia picks the latency table entry for one pair during a
-// snapshot: BestLatStable's logic over the metrics cache.
-func (s *Selector) snapLatVia(src, dst int) int {
-	return s.holdLat(src, dst, s.bestLatCached(src, dst))
+	l1, t1, _, d1 := s.cached(src, via)
+	l2, t2, _, d2 := s.cached(via, dst)
+	return Choice{Via: via, Loss: pathLoss(l1, l2), Latency: t1 + t2}, d1 || d2
 }
 
 // holdLoss applies loss-metric hysteresis to a freshly computed best
@@ -1017,8 +1023,8 @@ func (s *Selector) holdLoss(src, dst int, best Choice) int {
 		return best.Via
 	}
 	cur := int(s.prevLoss[src*s.n+dst])
-	held := s.evalCached(src, dst, cur)
-	if !s.deadCached(src, dst, cur) && !betterBy(best.Loss, held.Loss, s.hysteresis) {
+	held, dead := s.heldCached(src, dst, cur)
+	if !dead && !betterBy(best.Loss, held.Loss, s.hysteresis) {
 		return cur
 	}
 	s.prevLoss[src*s.n+dst] = viaIdx(best.Via)
@@ -1032,9 +1038,8 @@ func (s *Selector) holdLat(src, dst int, best Choice) int {
 		return best.Via
 	}
 	cur := int(s.prevLat[src*s.n+dst])
-	held := s.evalCached(src, dst, cur)
-	if !s.deadCached(src, dst, cur) &&
-		!betterBy(float64(best.Latency), float64(held.Latency), s.hysteresis) {
+	held, dead := s.heldCached(src, dst, cur)
+	if !dead && !betterBy(float64(best.Latency), float64(held.Latency), s.hysteresis) {
 		return cur
 	}
 	s.prevLat[src*s.n+dst] = viaIdx(best.Via)
@@ -1045,12 +1050,10 @@ func (s *Selector) holdLat(src, dst int, best Choice) int {
 func (s *Selector) FallbackLatency() time.Duration { return s.fallbackLat }
 
 // SetFallbackLatency overrides the unmeasured-link latency penalty.
-// The cached metrics and retained snapshot tables embed the old value,
-// so both are invalidated.
+// The cached metrics embed the old value, so the next Refresh rescans.
 func (s *Selector) SetFallbackLatency(d time.Duration) {
 	s.fallbackLat = d
 	s.metricsValid = false
-	s.lastValid = false
 }
 
 // SetHysteresis enables damped selection: a new path must improve on the
@@ -1061,16 +1064,23 @@ func (s *Selector) SetHysteresis(margin float64) {
 		margin = 0
 	}
 	s.hysteresis = margin
-	// The retained tables were derived under the old damping setting.
+	// The tables were derived under the old damping setting.
 	s.metricsValid = false
-	s.lastValid = false
-	if margin > 0 && s.prevLoss == nil {
+	if margin <= 0 {
+		return
+	}
+	if s.prevLoss == nil {
 		s.prevLoss = make([]viaIdx, s.n*s.n)
 		s.prevLat = make([]viaIdx, s.n*s.n)
+		s.prevStale = true
+	}
+	if s.prevStale {
+		// -1 = "no held path": what a fresh selector starts from.
 		for i := range s.prevLoss {
 			s.prevLoss[i] = -1
 			s.prevLat[i] = -1
 		}
+		s.prevStale = false
 	}
 }
 
