@@ -13,6 +13,7 @@ package repro
 
 import (
 	"fmt"
+	"math/rand"
 	"runtime"
 	"sort"
 	"sync"
@@ -578,6 +579,41 @@ func BenchmarkSelectorBestLoss(b *testing.B) {
 		dst := (src + 1 + i%29) % 30 // offset in [1,29]: never src
 		sel.BestLoss(src, dst)
 	}
+}
+
+// BenchmarkSelectorRecord measures one routing-probe outcome folded into
+// a full-mesh n=512 selector, the links visited as the campaign's probe
+// wheel visits them: every ordered pair once per era, in phase order —
+// a fixed random permutation, not row order. At 262 144 links the slab
+// is far larger than any cache, so each Record misses on the estimate's
+// line and on its ring word; what it costs is how many lines a link
+// spans.
+func BenchmarkSelectorRecord(b *testing.B) {
+	b.Run("n=512", func(b *testing.B) {
+		const n = 512
+		sel := route.NewSelector(n)
+		pairs := make([][2]int32, 0, n*(n-1))
+		for s := int32(0); s < n; s++ {
+			for d := int32(0); d < n; d++ {
+				if s != d {
+					pairs = append(pairs, [2]int32{s, d})
+				}
+			}
+		}
+		rand.New(rand.NewSource(1)).Shuffle(len(pairs), func(i, j int) { pairs[i], pairs[j] = pairs[j], pairs[i] })
+		era := func(probes int) {
+			for i, p := range pairs[:probes] {
+				sel.Record(int(p[0]), int(p[1]), i%16 == 0, time.Duration(10+i%64)*time.Millisecond)
+			}
+		}
+		// One era carves the slab and fills the touched lists.
+		era(len(pairs))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for left := b.N; left > 0; left -= len(pairs) {
+			era(min(left, len(pairs)))
+		}
+	})
 }
 
 // BenchmarkSelectorSnapshot measures the full 870-pair routing-table

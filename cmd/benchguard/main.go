@@ -187,7 +187,7 @@ func main() {
 		nsules   = flag.String("ns-checked", "BenchmarkSweep/serial,BenchmarkSweepTurnover,BenchmarkWorkloadCell,BenchmarkCampaign/paper,BenchmarkNetworkSendDirect,BenchmarkAggregatorObserve,BenchmarkSelectorSnapshot", "comma-separated benchmarks whose ns/op regressions fail the guard")
 		speedups = flag.String("min-speedup", "BenchmarkCampaign/n=1024:BenchmarkCampaign/n=1024-lm:5", "comma-separated slow:fast:ratio triples: when both benchmarks appear in the input, slow's ns/op must be at least ratio times fast's (the committed curve records 10.8x at n=1024; the gate floor absorbs runner noise)")
 		cal      = flag.String("calibrate", "BenchmarkComponentTransit", "benchmark used to normalize machine speed before ns/op checks ('' disables): baseline ns values are scaled by this benchmark's current/baseline ratio, clamped to [0.5,2], so the guard measures hot-path regressions relative to the machine's arithmetic speed instead of raw cross-machine deltas")
-		zeroed   = flag.String("zero-allocs", "BenchmarkNetworkSendDirect,BenchmarkNetworkReset/n=1024,BenchmarkProbeWheelStart,BenchmarkAggregatorObserve,BenchmarkSelectorSnapshot,BenchmarkSelectorBestLoss,BenchmarkComponentTransit,BenchmarkStoreAppend", "comma-separated benchmarks that must report exactly 0 allocs/op")
+		zeroed   = flag.String("zero-allocs", "BenchmarkNetworkSendDirect,BenchmarkNetworkReset/n=1024,BenchmarkProbeWheelStart,BenchmarkAggregatorObserve,BenchmarkSelectorSnapshot,BenchmarkSelectorBestLoss,BenchmarkSelectorRecord/n=512,BenchmarkComponentTransit,BenchmarkStoreAppend", "comma-separated benchmarks that must report exactly 0 allocs/op")
 	)
 	flag.Parse()
 

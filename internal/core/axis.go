@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/netsim"
+	"repro/internal/route"
 )
 
 // A sweep grid used to be a fixed cross product of hard-coded struct
@@ -320,7 +321,8 @@ func ProbeIntervalAxis(values ...time.Duration) Axis {
 	}
 }
 
-// parseLossWindow accepts a non-negative probe-window size.
+// parseLossWindow accepts a non-negative probe-window size the selector
+// can hold.
 func parseLossWindow(s string) (int, error) {
 	v, err := strconv.Atoi(s)
 	if err != nil {
@@ -328,6 +330,9 @@ func parseLossWindow(s string) (int, error) {
 	}
 	if v < 0 {
 		return 0, fmt.Errorf("loss window %d must be >= 0", v)
+	}
+	if err := route.ValidateLossWindow(v); err != nil {
+		return 0, err
 	}
 	return v, nil
 }
@@ -496,7 +501,7 @@ func init() {
 	})
 	RegisterAxis(AxisDef{
 		Name:    "losswindow",
-		Usage:   "comma-separated selection-window sizes in probes (0 = default)",
+		Usage:   fmt.Sprintf("comma-separated selection-window sizes in probes (0 = default, at most %d)", route.MaxLossWindow),
 		Default: "0",
 		New:     scalarFactory("losswindow", parseLossWindow, strconv.Itoa, LossWindowAxis),
 	})

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"strconv"
 	"testing"
 	"time"
+
+	"repro/internal/route"
 )
 
 func TestAxisCanonicalValues(t *testing.T) {
@@ -86,6 +89,71 @@ func TestNewAxisErrors(t *testing.T) {
 			t.Errorf("NewAxis(%s) accepted duplicate values", name)
 		}
 	}
+}
+
+// TestParseLossWindow: the -losswindow parser takes what the selector
+// can hold and nothing else, so a window sized like memory is a flag
+// error and not a makeslice panic mid-sweep.
+func TestParseLossWindow(t *testing.T) {
+	for _, c := range []struct {
+		in   string
+		want int
+		ok   bool
+	}{
+		{"0", 0, true},
+		{"1", 1, true},
+		{"100", 100, true},
+		{"+400", 400, true},
+		{strconv.Itoa(route.MaxLossWindow), route.MaxLossWindow, true},
+		{strconv.Itoa(route.MaxLossWindow + 1), 0, false},
+		{"2000000000", 0, false},
+		{"9223372036854775807", 0, false},
+		{"9223372036854775808", 0, false},
+		{"-1", 0, false},
+		{"1.5", 0, false},
+		{"1e3", 0, false},
+		{"0x10", 0, false},
+		{" 7", 0, false},
+		{"", 0, false},
+	} {
+		got, err := parseLossWindow(c.in)
+		if (err == nil) != c.ok || got != c.want {
+			t.Errorf("parseLossWindow(%q) = %d, %v; want %d, ok=%v", c.in, got, err, c.want, c.ok)
+		}
+	}
+	if _, err := NewAxis("losswindow", []AxisValue{"100", "65536"}); err == nil {
+		t.Error("NewAxis(losswindow) accepted a window past the cap")
+	}
+}
+
+// FuzzParseLossWindow: whatever the parser accepts is a window a
+// selector carves and a configuration validates.
+func FuzzParseLossWindow(f *testing.F) {
+	for _, seed := range []string{"0", "100", "65535", "65536", "2000000000", "-1", "+5", "1e3", "٣", "99999999999999999999"} {
+		f.Add(seed)
+	}
+	sel := route.NewSelector(2)
+	f.Fuzz(func(t *testing.T, in string) {
+		v, err := parseLossWindow(in)
+		if err != nil {
+			return
+		}
+		if v < 0 || v > route.MaxLossWindow {
+			t.Fatalf("parseLossWindow(%q) = %d, outside [0, %d]", in, v, route.MaxLossWindow)
+		}
+		cfg := DefaultConfig(RONnarrow, sweepDays)
+		cfg.LossWindow = v
+		if err := cfg.Validate(); err != nil {
+			t.Fatalf("parseLossWindow(%q) = %d, which Validate rejects: %v", in, v, err)
+		}
+		sel.Reset(v)
+		for i := 0; i < 3; i++ {
+			sel.Record(0, 1, true, 0)
+		}
+		if got := sel.BestLoss(0, 1).Loss; got != 1 {
+			t.Fatalf("window %d: three lost probes read as loss %v", v, got)
+		}
+	})
 }
 
 func TestProfileNameReconstruction(t *testing.T) {

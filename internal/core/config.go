@@ -231,6 +231,9 @@ func (c Config) validate(methods []route.Method) error {
 		return fmt.Errorf("core: measurement gap [%v,%v] invalid",
 			c.MeasureGapMin, c.MeasureGapMax)
 	}
+	if err := route.ValidateLossWindow(c.LossWindow); err != nil {
+		return err
+	}
 	if err := c.validateTopology(); err != nil {
 		return err
 	}

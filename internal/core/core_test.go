@@ -25,6 +25,8 @@ func TestConfigValidation(t *testing.T) {
 		{"table refresh", func(c *Config) { c.TableRefresh = -time.Second }},
 		{"gap min", func(c *Config) { c.MeasureGapMin = 0 }},
 		{"gap order", func(c *Config) { c.MeasureGapMax = c.MeasureGapMin / 2 }},
+		{"loss window past the cap", func(c *Config) { c.LossWindow = route.MaxLossWindow + 1 }},
+		{"loss window the size of memory", func(c *Config) { c.LossWindow = 2_000_000_000 }},
 		{"bad method", func(c *Config) {
 			c.Methods = []route.Method{{Name: "broken"}}
 		}},
@@ -37,6 +39,14 @@ func TestConfigValidation(t *testing.T) {
 				t.Error("mutated config accepted")
 			}
 		})
+	}
+	// Zero and negative windows mean the default; the cap itself is held.
+	for _, window := range []int{-1, 0, 1, route.MaxLossWindow} {
+		c := DefaultConfig(RON2003, 1)
+		c.LossWindow = window
+		if err := c.Validate(); err != nil {
+			t.Errorf("LossWindow = %d rejected: %v", window, err)
+		}
 	}
 }
 

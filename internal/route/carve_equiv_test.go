@@ -2,9 +2,11 @@ package route
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"strings"
 	"testing"
+	"time"
 )
 
 // denseUnderPlan readies sel as the dense reference: its link slab is
@@ -118,9 +120,75 @@ func TestPlanCarveMatchesDenseReference(t *testing.T) {
 		if cell.plan != nil {
 			want = cell.plan.PlannedLinks()
 		}
-		if len(sub.est) != want || len(sub.rings) != want*cell.window {
-			t.Fatalf("cell %d: slab holds %d links, %d ring bytes; want %d links of %d",
-				ci, len(sub.est), len(sub.rings), want, cell.window)
+		if words := ringWords(cell.window); len(sub.est) != want || len(sub.rings) != want*words {
+			t.Fatalf("cell %d: slab holds %d links, %d ring words; want %d links of %d words (window %d)",
+				ci, len(sub.est), len(sub.rings), want, words, cell.window)
+		}
+	}
+}
+
+// TestRecarveLeavesNoStaleBits takes one selector through windows 400 →
+// 25 → 100 and full mesh → plan → full mesh, each Reset re-carving the
+// same ring words for links of another width and numbering. A ring word
+// is 64 outcomes, so a narrower window reads words a wider one wrote: a
+// bit left set there would be subtracted from the loss count when the
+// cursor reached it. The reused selector must answer as a new one fed
+// the same records, its whole ring slab must be zero after every Reset,
+// and every link's loss count must be the population of its own words.
+func TestRecarveLeavesNoStaleBits(t *testing.T) {
+	const n = 20
+	plan := NewLandmarkPlan(n)
+	reused := NewSelectorWindow(n, 400)
+	rng := rand.New(rand.NewSource(29))
+	for ci, cell := range []struct {
+		window int
+		plan   *LandmarkPlan
+	}{
+		{400, nil}, {25, nil}, {100, nil}, // narrower, then wider, over the same words
+		{400, plan}, {25, nil}, {100, plan}, // and across layouts
+		{64, nil}, {65, plan}, {400, nil},
+	} {
+		if ci > 0 {
+			reused.Reset(cell.window)
+			for i, word := range reused.rings[:cap(reused.rings)] {
+				if word != 0 {
+					t.Fatalf("cell %d: Reset left ring word %d at %#x", ci, i, word)
+				}
+			}
+		}
+		fresh := NewSelectorWindow(n, cell.window)
+		if cell.plan != nil {
+			reused.SetPlan(cell.plan)
+			fresh.SetPlan(cell.plan)
+		}
+		for round := 0; round < 4; round++ {
+			// Enough probes per link to wrap the narrow windows, mostly
+			// lost so the words are dense with set bits.
+			for k := 0; k < 12000; k++ {
+				s, d := rng.Intn(n), rng.Intn(n)
+				if s == d || cell.plan != nil && !cell.plan.Probes(s, d) {
+					continue
+				}
+				lost := rng.Intn(4) > 0
+				for _, sel := range []*Selector{reused, fresh} {
+					sel.Record(s, d, lost, 20*time.Millisecond)
+				}
+			}
+			compareSelectors(t, fmt.Sprintf("cell %d (window %d) round %d", ci, cell.window, round), reused, fresh)
+		}
+		words := ringWords(cell.window)
+		for slot := range reused.est {
+			w := &reused.est[slot].Loss
+			if len(w.ring) != words || int(w.size) != cell.window {
+				t.Fatalf("cell %d slot %d: window of %d over %d words, want %d over %d", ci, slot, w.size, len(w.ring), cell.window, words)
+			}
+			set := 0
+			for _, word := range w.ring {
+				set += bits.OnesCount64(word)
+			}
+			if set != int(w.losses) {
+				t.Fatalf("cell %d slot %d: %d ring bits set, loss count %d", ci, slot, set, w.losses)
+			}
 		}
 	}
 }
@@ -134,7 +202,7 @@ func TestPlanCarveIsLazy(t *testing.T) {
 	sel := NewSelectorWindow(n, 30)
 	sel.SetPlan(plan)
 	if len(sel.est) != 0 || len(sel.rings) != 0 {
-		t.Fatalf("link state carved before first use: %d estimates, %d ring bytes", len(sel.est), len(sel.rings))
+		t.Fatalf("link state carved before first use: %d estimates, %d ring words", len(sel.est), len(sel.rings))
 	}
 	if c := sel.BestLoss(3, 4); !c.IsDirect() || c.Loss != 0 || c.Latency != sel.FallbackLatency() {
 		t.Fatalf("virgin BestLoss = %+v, want direct at loss 0 and the fallback latency", c)

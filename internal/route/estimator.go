@@ -1,6 +1,8 @@
 package route
 
 import (
+	"fmt"
+	"math"
 	"time"
 )
 
@@ -15,44 +17,60 @@ const DefaultLossWindow = 100
 // four probes ... to determine if the remote host is down" (§3.1).
 const DefaultDeadThreshold = 4
 
-// LossWindow is a fixed-size ring of probe outcomes yielding the average
-// loss rate over the most recent window.
-type LossWindow struct {
-	ring   []bool // true = lost
-	size   int
-	next   int
-	filled int
-	losses int
+// MaxLossWindow is the largest selection window: its cursor and counters
+// are 16-bit, so that a link's whole estimate fits one cache line.
+const MaxLossWindow = math.MaxUint16
+
+// ValidateLossWindow refuses a selection window past MaxLossWindow (zero
+// or negative selects DefaultLossWindow).
+func ValidateLossWindow(window int) error {
+	if window > MaxLossWindow {
+		return fmt.Errorf("route: loss window %d exceeds the %d-probe maximum", window, MaxLossWindow)
+	}
+	return nil
 }
 
+// LossWindow is a fixed-size ring of probe outcomes yielding the average
+// loss rate over the most recent window. The ring is a bitset, one bit
+// per probe (set = lost); bits at or past filled are zero.
+type LossWindow struct {
+	ring   []uint64
+	size   uint16
+	next   uint16
+	filled uint16
+	losses uint16
+}
+
+// ringWords is the number of ring words a window of size probes needs.
+func ringWords(size int) int { return (size + 63) / 64 }
+
 // NewLossWindow creates a window of the given size; size <= 0 uses
-// DefaultLossWindow.
+// DefaultLossWindow. It panics past MaxLossWindow.
 func NewLossWindow(size int) *LossWindow {
+	if err := ValidateLossWindow(size); err != nil {
+		panic(err)
+	}
 	if size <= 0 {
 		size = DefaultLossWindow
 	}
-	return &LossWindow{ring: make([]bool, size), size: size}
+	return &LossWindow{ring: make([]uint64, ringWords(size)), size: uint16(size)}
 }
 
-// initShared points the window at a caller-owned ring slice, letting a
-// selector back every link's window with one dense allocation.
-func (w *LossWindow) initShared(ring []bool) {
-	w.ring = ring
-	w.size = len(ring)
-}
-
-// Record adds one probe outcome.
+// Record adds one probe outcome. The outcome it displaces is read
+// whether or not the window has filled: until then that bit is zero.
 func (w *LossWindow) Record(lost bool) {
-	if w.filled == w.size {
-		if w.ring[w.next] {
-			w.losses--
-		}
-	} else {
-		w.filled++
+	word, bit := &w.ring[w.next>>6], uint64(1)<<(w.next&63)
+	if *word&bit != 0 {
+		w.losses--
 	}
-	w.ring[w.next] = lost
 	if lost {
+		*word |= bit
 		w.losses++
+	} else {
+		*word &^= bit
+	}
+	if w.filled < w.size {
+		w.filled++
 	}
 	if w.next++; w.next == w.size {
 		w.next = 0
@@ -69,13 +87,11 @@ func (w *LossWindow) Rate() float64 {
 }
 
 // Samples returns how many outcomes the window currently holds.
-func (w *LossWindow) Samples() int { return w.filled }
+func (w *LossWindow) Samples() int { return int(w.filled) }
 
 // Reset clears the window.
 func (w *LossWindow) Reset() {
-	for i := range w.ring {
-		w.ring[i] = false
-	}
+	clear(w.ring)
 	w.next, w.filled, w.losses = 0, 0, 0
 }
 
@@ -122,71 +138,78 @@ func (e *LatencyEWMA) Reset() { e.value, e.valid = 0, false }
 // fed with Record; links learned from other nodes' link-state gossip are
 // fed with SetSummary. The two modes are exclusive per link.
 //
-// The window and EWMA are embedded by value so a selector can hold its
-// links' estimates in one flat slice; the zero value is not usable —
-// construct with NewLinkEstimate (or, inside a Selector, init).
+// The window is embedded by value and the latency EWMA (at
+// DefaultEWMAAlpha) is a bare float, so a selector holds its links'
+// estimates in one flat slice, 64 bytes — one cache line — each. The
+// zero value reads as an unprobed link but cannot Record: construct with
+// NewLinkEstimate.
 type LinkEstimate struct {
 	Loss    LossWindow
-	Latency LatencyEWMA
-	// consecutiveLosses counts probe losses since the last success;
-	// DeadThreshold or more marks the link failed for the lat metric.
-	consecutiveLosses int
-	// DeadThreshold overrides DefaultDeadThreshold when positive.
-	DeadThreshold int
-
-	// summary state, for gossip-learned links.
-	useSummary  bool
-	sumLoss     float64
-	sumLat      time.Duration
-	sumLatValid bool
-	sumDead     bool
+	latency float64 // smoothed, nanoseconds; meaningful once flagLatValid
+	// summary state, for gossip-learned links; sumLat <= 0 is "unknown".
+	sumLoss float64
+	sumLat  time.Duration
+	// consecutiveLosses counts probe losses since the last success,
+	// saturating; DeadThreshold or more marks the link failed for the lat
+	// metric.
+	consecutiveLosses uint16
+	// DeadThreshold overrides DefaultDeadThreshold when non-zero. Its type
+	// is the counter's: every threshold it can hold, the counter reaches.
+	DeadThreshold uint16
+	flags         uint8
 }
+
+const (
+	flagLatValid   uint8 = 1 << iota // latency holds at least one sample
+	flagUseSummary                   // gossip-fed: read the sum* fields
+	flagSumDead                      // the gossiped failure flag
+)
 
 // NewLinkEstimate creates an estimate with default-size window and EWMA.
 func NewLinkEstimate() *LinkEstimate {
-	le := &LinkEstimate{}
-	le.init(make([]bool, DefaultLossWindow))
-	return le
-}
-
-// init readies an estimate in place over a caller-owned ring slice.
-func (le *LinkEstimate) init(ring []bool) {
-	le.Loss.initShared(ring)
-	le.Latency.alpha = DefaultEWMAAlpha
+	return &LinkEstimate{Loss: *NewLossWindow(0)}
 }
 
 // Record folds in one probe outcome. Lost probes carry no latency.
 // Recording switches the link back to locally measured mode.
 func (le *LinkEstimate) Record(lost bool, lat time.Duration) {
-	le.useSummary = false
+	le.flags &^= flagUseSummary
 	le.Loss.Record(lost)
 	if lost {
-		le.consecutiveLosses++
+		if le.consecutiveLosses != math.MaxUint16 {
+			le.consecutiveLosses++
+		}
 		return
 	}
 	le.consecutiveLosses = 0
-	le.Latency.Record(lat)
+	if le.flags&flagLatValid == 0 {
+		le.latency = float64(lat)
+		le.flags |= flagLatValid
+		return
+	}
+	le.latency += DefaultEWMAAlpha * (float64(lat) - le.latency)
 }
 
 // SetSummary overwrites the link's estimate with a remote node's gossiped
 // summary (loss fraction, smoothed latency, failure flag).
 func (le *LinkEstimate) SetSummary(loss float64, lat time.Duration, dead bool) {
-	le.useSummary = true
+	le.flags = le.flags&flagLatValid | flagUseSummary
+	if dead {
+		le.flags |= flagSumDead
+	}
 	le.sumLoss = loss
 	le.sumLat = lat
-	le.sumLatValid = lat > 0
-	le.sumDead = dead
 }
 
 // Dead reports whether the link looks completely failed: at least
 // DeadThreshold consecutive losses (§3.1's failure-detection probes), or
 // the gossiped failure flag.
 func (le *LinkEstimate) Dead() bool {
-	if le.useSummary {
-		return le.sumDead
+	if le.flags&flagUseSummary != 0 {
+		return le.flags&flagSumDead != 0
 	}
 	thr := le.DeadThreshold
-	if thr <= 0 {
+	if thr == 0 {
 		thr = DefaultDeadThreshold
 	}
 	return le.consecutiveLosses >= thr
@@ -194,7 +217,7 @@ func (le *LinkEstimate) Dead() bool {
 
 // LossRate returns the windowed loss estimate.
 func (le *LinkEstimate) LossRate() float64 {
-	if le.useSummary {
+	if le.flags&flagUseSummary != 0 {
 		return le.sumLoss
 	}
 	return le.Loss.Rate()
@@ -203,14 +226,14 @@ func (le *LinkEstimate) LossRate() float64 {
 // LatencyEstimate returns the smoothed one-way latency; if the link has
 // never delivered a probe it returns the pessimistic fallbackLat.
 func (le *LinkEstimate) LatencyEstimate(fallback time.Duration) time.Duration {
-	if le.useSummary {
-		if !le.sumLatValid {
+	if le.flags&flagUseSummary != 0 {
+		if le.sumLat <= 0 {
 			return fallback
 		}
 		return le.sumLat
 	}
-	if !le.Latency.Valid() {
+	if le.flags&flagLatValid == 0 {
 		return fallback
 	}
-	return le.Latency.Value()
+	return time.Duration(le.latency)
 }

@@ -1,0 +1,215 @@
+package route
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"strings"
+	"testing"
+	"time"
+)
+
+// boolRing is the loss window as it was before it became a bitset: one
+// bool per probe and int counters. It is kept as the reference the packed
+// window is held to.
+type boolRing struct {
+	ring                 []bool
+	next, filled, losses int
+}
+
+func (w *boolRing) record(lost bool) {
+	if w.filled == len(w.ring) {
+		if w.ring[w.next] {
+			w.losses--
+		}
+	} else {
+		w.filled++
+	}
+	w.ring[w.next] = lost
+	if lost {
+		w.losses++
+	}
+	if w.next++; w.next == len(w.ring) {
+		w.next = 0
+	}
+}
+
+func (w *boolRing) rate() float64 {
+	if w.filled == 0 {
+		return 0
+	}
+	return float64(w.losses) / float64(w.filled)
+}
+
+// TestLossWindowMatchesBoolRing: the bitset window reports the rate and
+// sample count of the bool ring after every Record — on both sides of a
+// word boundary, through more than three wrap-arounds, and again after a
+// Reset — and never sets a ring bit at or past its size.
+func TestLossWindowMatchesBoolRing(t *testing.T) {
+	for _, size := range []int{1, 25, 63, 64, 65, 100, 128, 400} {
+		w := NewLossWindow(size)
+		if len(w.ring) != (size+63)/64 {
+			t.Fatalf("window %d: ring of %d words, want %d", size, len(w.ring), (size+63)/64)
+		}
+		rng := rand.New(rand.NewSource(int64(size)))
+		for pass := 0; pass < 2; pass++ {
+			ref := &boolRing{ring: make([]bool, size)}
+			// Loss comes in bursts, so whole words fill and drain.
+			lossy := false
+			for i := 0; i < 4*size+7; i++ {
+				if rng.Intn(16) == 0 {
+					lossy = !lossy
+				}
+				lost := rng.Float64() < 0.15
+				if lossy {
+					lost = rng.Float64() < 0.9
+				}
+				w.Record(lost)
+				ref.record(lost)
+				if w.Rate() != ref.rate() || w.Samples() != ref.filled {
+					t.Fatalf("window %d pass %d probe %d: rate %v over %d samples, the bool ring has %v over %d",
+						size, pass, i, w.Rate(), w.Samples(), ref.rate(), ref.filled)
+				}
+			}
+			for i, lost := range ref.ring {
+				if got := w.ring[i/64]>>(i%64)&1 == 1; got != lost {
+					t.Fatalf("window %d pass %d: ring bit %d is %v, the bool ring has %v", size, pass, i, got, lost)
+				}
+			}
+			if tail := size % 64; tail != 0 && w.ring[len(w.ring)-1]>>tail != 0 {
+				t.Fatalf("window %d pass %d: bits past the window are set: %#x", size, pass, w.ring[len(w.ring)-1])
+			}
+			w.Reset()
+			if w.Rate() != 0 || w.Samples() != 0 {
+				t.Fatalf("window %d: Reset left rate %v over %d samples", size, w.Rate(), w.Samples())
+			}
+			for _, word := range w.ring {
+				if word != 0 {
+					t.Fatalf("window %d: Reset left ring word %#x", size, word)
+				}
+			}
+		}
+	}
+}
+
+// TestLossWindowAtMaximum: the largest window the 16-bit cursor allows
+// fills, wraps and counts every probe of a fully lost window.
+func TestLossWindowAtMaximum(t *testing.T) {
+	w := NewLossWindow(MaxLossWindow)
+	for i := 0; i < MaxLossWindow+10; i++ {
+		w.Record(true)
+	}
+	if w.Samples() != MaxLossWindow || w.Rate() != 1 {
+		t.Fatalf("full window: rate %v over %d samples, want 1 over %d", w.Rate(), w.Samples(), MaxLossWindow)
+	}
+	for i := 0; i < MaxLossWindow; i++ {
+		w.Record(false)
+	}
+	if w.Samples() != MaxLossWindow || w.Rate() != 0 {
+		t.Fatalf("turned-over window: rate %v over %d samples, want 0 over %d", w.Rate(), w.Samples(), MaxLossWindow)
+	}
+}
+
+// TestValidateLossWindow: the route package's three ways in refuse a
+// window the cursor cannot index, by name, and keep "zero or negative is
+// the default".
+func TestValidateLossWindow(t *testing.T) {
+	for _, window := range []int{-1, 0, 1, DefaultLossWindow, MaxLossWindow} {
+		if err := ValidateLossWindow(window); err != nil {
+			t.Errorf("ValidateLossWindow(%d) = %v", window, err)
+		}
+	}
+	sel := NewSelector(4)
+	for name, build := range map[string]func(window int){
+		"NewLossWindow":     func(window int) { NewLossWindow(window) },
+		"NewSelectorWindow": func(window int) { NewSelectorWindow(4, window) },
+		"Selector.Reset":    func(window int) { sel.Reset(window) },
+	} {
+		for _, window := range []int{MaxLossWindow + 1, 2_000_000_000, math.MaxInt} {
+			if err := ValidateLossWindow(window); err == nil {
+				t.Errorf("ValidateLossWindow(%d) accepted", window)
+			}
+			func() {
+				defer func() {
+					err, _ := recover().(error)
+					if err == nil || !strings.Contains(err.Error(), fmt.Sprint(window)) {
+						t.Errorf("%s(%d): panic %v does not name the window", name, window, err)
+					}
+				}()
+				build(window)
+			}()
+		}
+		build(MaxLossWindow)
+		build(-3)
+	}
+	if sel.window != DefaultLossWindow {
+		t.Errorf("Reset(-3) left window %d, want the default", sel.window)
+	}
+}
+
+// TestDeadDetectorSaturates: the 16-bit consecutive-loss counter stops at
+// its maximum instead of wrapping, so a link that has lost 70 000 probes
+// in a row is still dead — under the default threshold and under the
+// largest one the field can hold — and the first delivery revives it.
+func TestDeadDetectorSaturates(t *testing.T) {
+	for _, thr := range []uint16{0, 1, DefaultDeadThreshold, 1000, math.MaxUint16} {
+		le := NewLinkEstimate()
+		le.DeadThreshold = thr
+		want := int(thr)
+		if thr == 0 {
+			want = DefaultDeadThreshold
+		}
+		for i := 1; i <= 70_000; i++ {
+			le.Record(true, 0)
+			if dead := le.Dead(); dead != (i >= want) {
+				t.Fatalf("threshold %d: Dead() = %v after %d consecutive losses", thr, dead, i)
+			}
+		}
+		if le.consecutiveLosses != math.MaxUint16 {
+			t.Fatalf("threshold %d: counter at %d after 70000 losses, want saturated", thr, le.consecutiveLosses)
+		}
+		le.Record(false, 10*time.Millisecond)
+		if le.Dead() {
+			t.Fatalf("threshold %d: still dead after a delivery", thr)
+		}
+		for i := 1; i < want && i < 10; i++ {
+			le.Record(true, 0)
+			if le.Dead() {
+				t.Fatalf("threshold %d: dead again after only %d losses", thr, i)
+			}
+		}
+	}
+}
+
+// TestLinkEstimateMatchesEWMA: the estimate's bare-float latency average
+// is the standalone LatencyEWMA at the default gain, bit for bit, with
+// losses and a gossiped summary interleaved.
+func TestLinkEstimateMatchesEWMA(t *testing.T) {
+	le := NewLinkEstimate()
+	ref := NewLatencyEWMA(DefaultEWMAAlpha)
+	rng := rand.New(rand.NewSource(5))
+	const fallback = time.Second
+	for i := 0; i < 2000; i++ {
+		switch rng.Intn(8) {
+		case 0:
+			le.Record(true, 0)
+		case 1:
+			le.SetSummary(0.5, 7*time.Millisecond, false)
+			if got := le.LatencyEstimate(fallback); got != 7*time.Millisecond {
+				t.Fatalf("step %d: summary latency %v", i, got)
+			}
+			continue
+		default:
+			lat := time.Duration(rng.Int63n(int64(300 * time.Millisecond)))
+			le.Record(false, lat)
+			ref.Record(lat)
+		}
+		want := fallback
+		if ref.Valid() {
+			want = ref.Value()
+		}
+		if got := le.LatencyEstimate(fallback); got != want {
+			t.Fatalf("step %d: estimate %v, standalone EWMA %v", i, got, want)
+		}
+	}
+}

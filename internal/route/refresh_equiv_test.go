@@ -331,6 +331,168 @@ func TestPlanLatScanMatchesReference(t *testing.T) {
 	}
 }
 
+// TestMeshLatScanMatchesReference holds the full-mesh latency scan — the
+// same kernel over a metrics row and a gathered column — to BestLat's
+// walk over the estimates, choice for choice (via, loss and latency) and
+// in the refreshed table. Gossiped summaries pin exact latencies, so ties
+// are the rule: every via path equal, a minimum equal to the direct
+// path, a dead direct link with live vias, every via dead, rows that
+// read the fallback latency. Mesh sizes put the scan's tail on every
+// remainder of four, n = 2 and 3 leave it nothing but sentinels, and
+// n = 512 is the big-world size: each whole-mesh scenario there is an n³
+// refresh, so it runs the three marked big, compares a sample of
+// columns, and is skipped under -short.
+func TestMeshLatScanMatchesReference(t *testing.T) {
+	const ms = time.Millisecond
+	for _, n := range []int{2, 3, 5, 30, 31, 512} {
+		big := n > 31
+		if big && testing.Short() {
+			continue
+		}
+		sel := NewSelector(n)
+		var dsts []int
+		for dst := 0; dst < n; dst++ {
+			if !big || dst%128 == 0 || dst == n-1 {
+				dsts = append(dsts, dst)
+			}
+		}
+		last := n - 1
+		set := func(src, dst int, lat time.Duration, dead bool) {
+			loss := float64((src+dst)%5) / 8
+			if big && (src+dst)%8 != 0 {
+				loss = 0 // most pairs stay on the loss scan's quiet shortcut
+			}
+			sel.Link(src, dst).SetSummary(loss, lat, dead)
+		}
+		// fill gives every link 20 ms, so every via path sums to 40 ms,
+		// except the links lat overrides.
+		fill := func(lat func(src, dst int) time.Duration) {
+			for src := 0; src < n; src++ {
+				for dst := 0; dst < n; dst++ {
+					if src == dst {
+						continue
+					}
+					d := 20 * ms
+					if lat != nil && lat(src, dst) != 0 {
+						d = lat(src, dst)
+					}
+					set(src, dst, d, false)
+				}
+			}
+		}
+		rng := rand.New(rand.NewSource(int64(n)))
+		for _, sc := range []struct {
+			label  string
+			big    bool
+			rounds int
+			setup  func()
+		}{
+			{"nothing recorded: every row reads the fallback latency", false, 1, func() {
+				sel.Link(0, 1) // carves; the touch records nothing
+			}},
+			{"all sums equal, direct faster", false, 1, func() { fill(nil) }},
+			{"some direct paths slower than a field of tied vias", false, 1, func() {
+				fill(func(src, dst int) time.Duration { return time.Duration((src+dst)%3/2) * 50 * ms })
+			}},
+			{"all sums equal to the direct paths of one column; dead direct links, live tied vias", true, 1, func() {
+				fill(func(src, dst int) time.Duration {
+					if dst == last {
+						return 40 * ms
+					}
+					return 0
+				})
+				for _, dst := range dsts[:len(dsts)-1] {
+					set((dst+1)%n, dst, 20*ms, true)
+					set(dst, (dst+1)%n, 20*ms, true)
+				}
+			}},
+			// Every via dead: the direct path is the last resort, alive
+			// or not.
+			{"every first leg from node 0 dead but one", false, 1, func() {
+				fill(nil)
+				for dst := 1; dst < n; dst++ {
+					set(0, dst, 20*ms, dst != last)
+				}
+			}},
+			{"every link from node 0 dead", false, 1, func() { set(0, last, 20*ms, true) }},
+			{"odd rows unmeasured, at a fallback latency that ties measured ones", true, 1, func() {
+				sel.Reset(0)
+				sel.SetFallbackLatency(20 * ms)
+				for src := 0; src < n; src += 2 {
+					for dst := 0; dst < n; dst++ {
+						if src != dst {
+							set(src, dst, time.Duration(10*(1+(src+dst)%3))*ms, false)
+						}
+					}
+				}
+			}},
+			{"random summaries from a small value set, refreshed incrementally", true, 8, func() {
+				for k := 0; k < 8; k++ {
+					if src, dst := rng.Intn(n), rng.Intn(n); src != dst {
+						set(src, dst, time.Duration(10*(1+rng.Intn(4)))*ms, rng.Intn(8) == 0)
+					}
+				}
+			}},
+		} {
+			if big && !sc.big {
+				continue
+			}
+			for round := 0; round < sc.rounds; round++ {
+				sc.setup()
+				sel.Refresh()
+				tables := sel.Tables()
+				for _, dst := range dsts {
+					sel.gatherCol(dst)
+					for src := 0; src < n; src++ {
+						if src == dst {
+							continue
+						}
+						want := sel.BestLat(src, dst)
+						if got := sel.bestLatCached(src, dst); got != want {
+							t.Fatalf("n=%d %s: scan of %d→%d picks %+v, BestLat %+v", n, sc.label, src, dst, got, want)
+						}
+						if got := tables.LatVia(src, dst); got != want.Via {
+							t.Fatalf("n=%d %s: LatVia(%d,%d) = %d, BestLat %d", n, sc.label, src, dst, got, want.Via)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestMinSumViaMatchesScalarLoop holds the kernel itself to the running
+// strict minimum it replaced in both scans, at every length around its
+// unroll width.
+func TestMinSumViaMatchesScalarLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	draw := func() time.Duration {
+		if rng.Intn(8) == 0 {
+			return latDead
+		}
+		return time.Duration(1+rng.Intn(5)) * time.Millisecond
+	}
+	for length := 0; length <= 21; length++ {
+		row, col := make([]time.Duration, length), make([]time.Duration, length+2)
+		for trial := 0; trial < 3000; trial++ {
+			for i := range row {
+				row[i], col[i] = draw(), draw()
+			}
+			direct := draw() + time.Duration(rng.Intn(3))*time.Millisecond
+			wantVia, want := -1, direct
+			for i := range row {
+				if sum := row[i] + col[i]; sum < want {
+					wantVia, want = i, sum
+				}
+			}
+			if via, best := minSumVia(row, col, direct); via != wantVia || best != want {
+				t.Fatalf("length %d: minSumVia = (%d, %v), scalar loop (%d, %v)\nrow %v\ncol %v\ndirect %v",
+					length, via, best, wantVia, want, row, col, direct)
+			}
+		}
+	}
+}
+
 // TestPlanLatScanMatchesBestLat is the same property end to end: with
 // gossiped summaries pinning exact, heavily tied latencies and dead
 // flags, the refreshed latency table agrees with BestLat's walk over the

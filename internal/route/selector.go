@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"time"
+	"unsafe"
 )
 
 // Choice is a selected overlay path: the direct Internet path (Via < 0)
@@ -50,7 +51,8 @@ type Selector struct {
 	// est holds one estimate per link slot (see slot): src*n+dst under
 	// full mesh, the plan's compact numbering when carved for a
 	// LandmarkPlan (layout, nil = full mesh). rings is the one backing
-	// array behind every loss window, carveWindow probes per link. Both
+	// bitset behind every loss window, carveWindow bits in whole words per
+	// link. Both
 	// — with the metrics cache, linkTouched/usedMark and their lists —
 	// are carved at the first write after a Reset and re-carved only
 	// when the plan or window then in force needs a different shape;
@@ -59,7 +61,7 @@ type Selector struct {
 	// estimate, as do reads of links the layout does not hold: loss 0,
 	// fallback latency, not dead.
 	est         []LinkEstimate
-	rings       []bool
+	rings       []uint64
 	layout      *LandmarkPlan
 	carveWindow int
 	virgin      LinkEstimate
@@ -177,7 +179,6 @@ func NewSelectorWindow(n, window int) *Selector {
 		dirtyCols: make([]int32, 0, n),
 	}
 	s.tables.reshape(n)
-	s.virgin.init(nil)
 	s.Reset(window)
 	return s
 }
@@ -185,14 +186,16 @@ func NewSelectorWindow(n, window int) *Selector {
 // Reset returns the selector to the state NewSelectorWindow(s.N(),
 // window) would construct — empty estimates, default fallback latency,
 // hysteresis disabled, no plan, all-direct routing tables — reusing the
-// link slab, ring storage, and snapshot scratch. Link turnover is
-// O(touched): only links marked used since the last Reset hold any state
-// — every other estimate (and its ring segment) is still exactly as
-// carve left it — so re-zeroing just the used ones reproduces the fresh
-// state without walking the slab, and a campaign driver can run
-// successive cells through one selector without allocating. A changed window (or plan) takes effect at the
-// next carve.
+// link slab, ring storage, and snapshot scratch, so a campaign driver can
+// run successive cells through one selector without allocating. Link
+// turnover is O(touched): only links marked used since the last Reset
+// hold any state, every other estimate and ring word being exactly as
+// carve left it. A changed window (or plan) takes effect at the next
+// carve; a window past MaxLossWindow panics.
 func (s *Selector) Reset(window int) {
+	if err := ValidateLossWindow(window); err != nil {
+		panic(err)
+	}
 	if window <= 0 {
 		window = DefaultLossWindow
 	}
@@ -207,10 +210,9 @@ func (s *Selector) Reset(window int) {
 	for _, slot := range s.usedList {
 		s.usedMark[slot] = false
 		s.linkTouched[slot] = false
-		ring := s.est[slot].Loss.ring
-		clear(ring)
-		s.est[slot] = LinkEstimate{}
-		s.est[slot].init(ring)
+		le := &s.est[slot]
+		le.Loss.Reset()
+		*le = LinkEstimate{Loss: le.Loss}
 	}
 	s.usedList = s.usedList[:0]
 	s.touchedLinks = s.touchedLinks[:0]
@@ -250,7 +252,8 @@ func (s *Selector) carve() {
 	}
 	s.carveWindow = s.window
 	s.est = sized(s.est, links)
-	s.rings = sized(s.rings, links*s.window)
+	words := ringWords(s.window)
+	s.rings = sized(s.rings, links*words)
 	s.linkTouched = sized(s.linkTouched, links)
 	s.usedMark = sized(s.usedMark, links)
 	// The metrics cache keeps whatever an earlier layout left in it:
@@ -264,7 +267,7 @@ func (s *Selector) carve() {
 		s.usedList = make([]int32, 0, links)
 	}
 	for i := range s.est {
-		s.est[i].init(s.rings[i*s.window : (i+1)*s.window])
+		s.est[i].Loss = LossWindow{ring: s.rings[i*words : (i+1)*words], size: uint16(s.window)}
 	}
 }
 
@@ -488,6 +491,13 @@ type viaIdx int16
 // MaxMeshNodes-1 must fit a viaIdx: the conversion is negative, and so
 // fails to compile, if the cap is raised past the element type.
 const _ = uint(math.MaxInt16 - (MaxMeshNodes - 1))
+
+// Likewise a LinkEstimate must fit the 64-byte cache line that is its
+// slab's stride, and MaxLossWindow the window's 16-bit cursor.
+const (
+	_ = uint(64 - unsafe.Sizeof(LinkEstimate{}))
+	_ = uint(math.MaxUint16 - MaxLossWindow)
+)
 
 // Tables is a full routing snapshot: for every ordered pair, the selected
 // intermediate (-1 = direct) under each optimization goal. Storage is a
@@ -857,40 +867,48 @@ func (s *Selector) bestLossPlan(dst int, directLoss float64, directLat time.Dura
 	return Choice{Via: bestVia, Loss: bestLoss, Latency: bestLat}
 }
 
-// bestLatPlan is bestLatCached restricted to landmark vias. Which of ~√n
-// near-equal sums is smallest is a coin toss to a branch predictor, so
-// the scan is two passes without one: the minimum sum through
-// independent accumulators, then the first position attaining it — the
-// landmark a running strict-minimum would have kept. The direct path
-// wins ties, as there.
+// bestLatPlan is bestLatCached restricted to landmark vias: the same
+// kernel over the compact landmark scratch.
 func (s *Selector) bestLatPlan(dst int, directLoss float64, directLat, directAdj time.Duration) Choice {
 	lms := s.plan.landmarks
 	L := len(lms)
-	rowAdj := s.srcLmLatAdj[:L]
-	colAdj := s.lmColLatAdj[dst*L : dst*L+L]
-	m0, m1, m2, m3 := directAdj, directAdj, directAdj, directAdj
-	li := 0
-	for ; li+4 <= L; li += 4 {
-		r, c := rowAdj[li:li+4], colAdj[li:li+4]
+	li, best := minSumVia(s.srcLmLatAdj[:L], s.lmColLatAdj[dst*L:dst*L+L], directAdj)
+	if li < 0 {
+		return Choice{Via: -1, Loss: directLoss, Latency: directLat}
+	}
+	return Choice{Via: int(lms[li]),
+		Loss:    pathLoss(s.srcLmLoss[li], s.lmColLoss[dst*L+li]),
+		Latency: best}
+}
+
+// minSumVia is the latency scans' kernel: the first position whose
+// row[i]+col[i] is the smallest and strictly below direct — what a
+// running strict minimum started at direct would keep — and that sum, or
+// -1 when the direct path wins or ties. Which of many near-equal sums is
+// smallest is a coin toss to a branch predictor, so there are two passes
+// without one: the minimum through independent accumulators, then the
+// first position attaining it.
+func minSumVia(row, col []time.Duration, direct time.Duration) (int, time.Duration) {
+	col = col[:len(row)]
+	m0, m1, m2, m3 := direct, direct, direct, direct
+	i := 0
+	for ; i+4 <= len(row); i += 4 {
+		r, c := row[i:i+4], col[i:i+4]
 		m0 = min(m0, r[0]+c[0])
 		m1 = min(m1, r[1]+c[1])
 		m2 = min(m2, r[2]+c[2])
 		m3 = min(m3, r[3]+c[3])
 	}
-	for ; li < L; li++ {
-		m0 = min(m0, rowAdj[li]+colAdj[li])
+	for ; i < len(row); i++ {
+		m0 = min(m0, row[i]+col[i])
 	}
 	best := min(m0, m1, m2, m3)
-	if best >= directAdj {
-		return Choice{Via: -1, Loss: directLoss, Latency: directLat}
+	if best >= direct {
+		return -1, direct
 	}
-	li = 0
-	for rowAdj[li]+colAdj[li] != best {
-		li++
+	for i = 0; row[i]+col[i] != best; i++ {
 	}
-	return Choice{Via: int(lms[li]),
-		Loss:    pathLoss(s.srcLmLoss[li], s.lmColLoss[dst*L+li]),
-		Latency: best}
+	return i, best
 }
 
 // refreshMetrics caches every held link's loss rate, latency estimate,
@@ -973,34 +991,21 @@ func (s *Selector) bestLossCached(src, dst int) Choice {
 	return Choice{Via: bestVia, Loss: bestLoss, Latency: bestLat}
 }
 
-// bestLatCached is BestLat over the refreshMetrics cache.
+// bestLatCached is BestLat over the refreshMetrics cache, bit for bit.
+// Dead links carry the latDead sentinel, so the scan needs no dead
+// branches: a path over one sums to ≥ latDead and loses to every live
+// candidate, and a dead direct path starts the scan at latDead, which any
+// live via undercuts (BestLat's "!bestAlive" escape). Nor does it skip
+// via == src/dst: those positions read the diagonal's latDead.
 func (s *Selector) bestLatCached(src, dst int) Choice {
 	n := s.n
 	rowLoss := s.mLoss[src*n : src*n+n]
-	rowLat := s.mLat[src*n : src*n+n]
 	rowAdj := s.mLatAdj[src*n : src*n+n]
-	colLoss, colAdj := s.colLoss, s.colLatAdj
-	// Dead links carry the latDead sentinel, so the scan needs no dead
-	// branches: a path over a dead link sums to ≥ latDead and loses to
-	// every live candidate; a dead direct path starts the running best
-	// at ≥ latDead, which any live via undercuts (BestLat's
-	// "!bestAlive" escape). Selections match BestLat exactly.
-	bestVia, bestLat := -1, rowAdj[dst]
-	// No via==src/dst skips: those positions read the latDead diagonal
-	// sentinels, so their sums can never beat a live candidate (or even
-	// a dead direct path's own latDead start).
-	for via := 0; via < n; via++ {
-		lat := rowAdj[via] + colAdj[via]
-		if lat < bestLat {
-			bestVia, bestLat = via, lat
-		}
+	via, best := minSumVia(rowAdj, s.colLatAdj, rowAdj[dst])
+	if via < 0 {
+		return Choice{Via: -1, Loss: rowLoss[dst], Latency: s.mLat[src*n+dst]}
 	}
-	if bestVia < 0 {
-		return Choice{Via: -1, Loss: rowLoss[dst], Latency: rowLat[dst]}
-	}
-	return Choice{Via: bestVia,
-		Loss:    pathLoss(rowLoss[bestVia], colLoss[bestVia]),
-		Latency: bestLat}
+	return Choice{Via: via, Loss: pathLoss(rowLoss[via], s.colLoss[via]), Latency: best}
 }
 
 // heldCached scores the held path — via, or the direct path when via < 0
