@@ -28,7 +28,6 @@ import (
 	"repro/internal/resultstore"
 	"repro/internal/route"
 	"repro/internal/topo"
-	"repro/internal/wire"
 )
 
 // benchDays is the virtual campaign length per benchmark iteration: long
@@ -564,7 +563,7 @@ func BenchmarkNetworkSendIndirect(b *testing.B) {
 // BenchmarkSelectorBestLoss measures one RON path selection over 30 nodes
 // (28 candidate intermediates).
 func BenchmarkSelectorBestLoss(b *testing.B) {
-	sel := route.NewSelector(30)
+	sel := route.NewSelectorWindow(30, 0)
 	for s := 0; s < 30; s++ {
 		for d := 0; d < 30; d++ {
 			if s != d {
@@ -591,7 +590,7 @@ func BenchmarkSelectorBestLoss(b *testing.B) {
 func BenchmarkSelectorRecord(b *testing.B) {
 	b.Run("n=512", func(b *testing.B) {
 		const n = 512
-		sel := route.NewSelector(n)
+		sel := route.NewSelectorWindow(n, 0)
 		pairs := make([][2]int32, 0, n*(n-1))
 		for s := int32(0); s < n; s++ {
 			for d := int32(0); d < n; d++ {
@@ -620,7 +619,7 @@ func BenchmarkSelectorRecord(b *testing.B) {
 // recomputation the campaign performs every table-refresh interval,
 // written into a reused Tables exactly as the campaign does.
 func BenchmarkSelectorSnapshot(b *testing.B) {
-	sel := route.NewSelector(30)
+	sel := route.NewSelectorWindow(30, 0)
 	for s := 0; s < 30; s++ {
 		for d := 0; d < 30; d++ {
 			if s != d {
@@ -633,25 +632,6 @@ func BenchmarkSelectorSnapshot(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sel.SnapshotInto(&tables)
-	}
-}
-
-// BenchmarkWireProbeRoundTrip measures probe encode+decode, the per-probe
-// serialization cost of the real overlay.
-func BenchmarkWireProbeRoundTrip(b *testing.B) {
-	p := wire.ProbeRequest{ID: 1, Tactic: wire.TacticDirect, Copies: 1, Via: wire.NoNode}
-	buf := make([]byte, 0, 128)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.ID = uint64(i)
-		pkt, err := wire.BuildInto(buf, wire.Header{Type: wire.TypeProbeRequest, Src: 1, Dst: 2}, &p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, _, err := wire.Open(pkt); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

@@ -45,6 +45,7 @@ import (
 	"repro/experiment"
 	"repro/internal/analysis"
 	"repro/internal/core"
+	"repro/internal/route"
 	"repro/internal/trace"
 )
 
@@ -106,6 +107,10 @@ func run(args []string) error {
 	if fs.NArg() == 0 {
 		fmt.Fprintln(os.Stderr, "ronreport: no trace files given")
 		return errUsage
+	}
+	// -hosts sizes the matcher's and aggregator's per-host tables.
+	if err := route.ValidateMeshSize(*hosts); err != nil {
+		return err
 	}
 	names := splitMethods(*methods)
 	agg, total, nlogs, matched, err := aggregateTraces(names, *hosts, fs.Args())

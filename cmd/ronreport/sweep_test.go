@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -260,6 +261,39 @@ func TestSweepCommandLine(t *testing.T) {
 			dir := sweepCopy(t)
 			expect := tc.damage(t, dir)
 			runCLI(t, []string{"-sweep", dir}, renderLines(expect), tc.errHas)
+		})
+	}
+}
+
+// TestTraceFilesCommandLine: the trace-file form over one of the sweep's
+// real traces, and -hosts values that cannot size a mesh refused before
+// any file is read — the missing second file is never reached.
+func TestTraceFilesCommandLine(t *testing.T) {
+	dir := sweepCopy(t)
+	trc := filepath.Join(dir, "traces", cellA0+".trc")
+	missing := filepath.Join(dir, "traces", "missing.trc")
+	methods := snapAgg(t, dir, cellA0).Methods()
+	agg, records, _, matched, err := aggregateTraces(methods, 17, []string{trc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := fmt.Sprintf("merged %d records from 1 logs\nmatched %d probe observations\n\n", records, matched) +
+		captured(func() { printTables(agg) })
+	cases := []struct {
+		hosts  string
+		files  []string
+		expect []string
+		errHas []string
+	}{
+		{hosts: "17", files: []string{trc}, expect: renderLines(good)},
+		{hosts: "-1", files: []string{trc, missing}, errHas: []string{"route: mesh of -1 nodes is below the 2-node minimum"}},
+		{hosts: "0", files: []string{trc, missing}, errHas: []string{"route: mesh of 0 nodes is below the 2-node minimum"}},
+		{hosts: "70000", files: []string{trc, missing}, errHas: []string{"route: mesh of 70000 nodes exceeds MaxMeshNodes"}},
+	}
+	for _, tc := range cases {
+		t.Run("hosts="+tc.hosts, func(t *testing.T) {
+			args := append([]string{"-hosts", tc.hosts, "-methods", strings.Join(methods, ",")}, tc.files...)
+			runCLI(t, args, tc.expect, tc.errHas)
 		})
 	}
 }

@@ -132,7 +132,7 @@ func FuzzParseLossWindow(f *testing.F) {
 	for _, seed := range []string{"0", "100", "65535", "65536", "2000000000", "-1", "+5", "1e3", "٣", "99999999999999999999"} {
 		f.Add(seed)
 	}
-	sel := route.NewSelector(2)
+	sel := route.NewSelectorWindow(2, 0)
 	f.Fuzz(func(t *testing.T, in string) {
 		v, err := parseLossWindow(in)
 		if err != nil {

@@ -9,7 +9,6 @@ import (
 	"repro/internal/route"
 	"repro/internal/topo"
 	"repro/internal/trace"
-	"repro/internal/wire"
 )
 
 // Result is the outcome of a campaign: the fed aggregator plus run
@@ -304,7 +303,11 @@ func (c *campaign) measure(t netsim.Time, s int) {
 	}
 	var probeID uint64
 	if c.cfg.TraceSink != nil {
-		probeID = c.rng.Uint64() // random 64-bit identifier, §4.1
+		// §4.1's 64-bit probe identifier, a coordinate hash of the
+		// probe's index rather than a draw, so tracing leaves the RNG
+		// stream (and every table) as it is. deriveSeed is a bijection
+		// of the index for a fixed seed: ids never collide in a campaign.
+		probeID = deriveSeed(c.cfg.Seed, uint64(c.res.MeasureProbes))
 	}
 	sendAt := t
 	for i, tac := range method.Tactics {
@@ -339,18 +342,18 @@ func (c *campaign) measure(t netsim.Time, s int) {
 // check TraceSink for nil first.
 func (c *campaign) emitTrace(kind trace.Kind, node, peer int, id uint64,
 	at netsim.Time, method int, tac route.Tactic, copyIdx, copies, via int) {
-	v := wire.NoNode
+	v := trace.NoNode
 	if via >= 0 {
-		v = wire.NodeID(via)
+		v = uint16(via)
 	}
 	c.cfg.TraceSink(trace.Record{
 		Kind:      kind,
-		Node:      wire.NodeID(node),
-		Peer:      wire.NodeID(peer),
+		Node:      uint16(node),
+		Peer:      uint16(peer),
 		ProbeID:   id,
 		Time:      int64(at),
 		Method:    uint8(method),
-		Tactic:    tac.Wire(),
+		Tactic:    tac,
 		CopyIndex: uint8(copyIdx),
 		Copies:    uint8(copies),
 		Via:       v,

@@ -127,7 +127,7 @@ type Config struct {
 	// campaigns persist the same raw logs the testbed's central
 	// monitoring machine collected (feed them to internal/trace and
 	// cmd/ronreport). Records arrive in virtual-time order of the
-	// sends.
+	// sends. Setting it changes no table, figure or snapshot byte.
 	TraceSink func(trace.Record)
 
 	// Workload configures the application-traffic layer: FEC-protected

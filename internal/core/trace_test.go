@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
@@ -54,6 +55,51 @@ func TestTracePipelineConsistency(t *testing.T) {
 		if lw.N() != rw.N() || lw.Mean() != rw.Mean() {
 			t.Errorf("method %q: window samples differ: %d/%.6f vs %d/%.6f",
 				names[m], lw.N(), lw.Mean(), rw.N(), rw.Mean())
+		}
+	}
+}
+
+// TestTracingLeavesOutputUnchanged: a TraceSink observes a campaign and
+// changes nothing it computes — the report text and the aggregator's
+// snapshot bytes of a traced run equal the untraced run's at the same
+// seed — and the §4.1 probe ids it is handed are distinct.
+func TestTracingLeavesOutputUnchanged(t *testing.T) {
+	for _, ds := range []Dataset{RONnarrow, RON2003} {
+		run := func(sink func(trace.Record)) (string, []byte) {
+			cfg := DefaultConfig(ds, 0.005)
+			cfg.Seed = 29
+			cfg.TraceSink = sink
+			res, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			snap, err := res.Agg.AppendBinary(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res.Report(), snap
+		}
+		ids := make(map[uint64][2]uint16)
+		var sends int
+		plainReport, plainSnap := run(nil)
+		tracedReport, tracedSnap := run(func(r trace.Record) {
+			if r.Kind != trace.KindSend || r.CopyIndex != 0 {
+				return
+			}
+			sends++
+			if prev, dup := ids[r.ProbeID]; dup {
+				t.Fatalf("%v: probe id %#x reused: %d→%d and %d→%d", ds, r.ProbeID, prev[0], prev[1], r.Node, r.Peer)
+			}
+			ids[r.ProbeID] = [2]uint16{r.Node, r.Peer}
+		})
+		if sends == 0 {
+			t.Fatalf("%v: trace sink saw no sends", ds)
+		}
+		if tracedReport != plainReport {
+			t.Errorf("%v: tracing changed the report:\n--- untraced\n%s\n--- traced\n%s", ds, plainReport, tracedReport)
+		}
+		if !bytes.Equal(tracedSnap, plainSnap) {
+			t.Errorf("%v: tracing changed the aggregator snapshot (%d vs %d bytes)", ds, len(tracedSnap), len(plainSnap))
 		}
 	}
 }

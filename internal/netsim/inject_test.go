@@ -40,7 +40,7 @@ func TestForceDownInjectsOutage(t *testing.T) {
 	}
 	// ...while indirect routes dodge it.
 	ok := 0
-	for via := 0; via < nw.Testbed().N(); via++ {
+	for via := 0; via < nw.tb.N(); via++ {
 		if via == src || via == dst {
 			continue
 		}
@@ -280,7 +280,7 @@ func TestRouteInflationProperties(t *testing.T) {
 	// the direct path's base latency — the §2.2 suboptimal-routing
 	// premise that gives latency-optimized overlay routing room to win.
 	nw := testNetwork(99)
-	n := nw.Testbed().N()
+	n := nw.tb.N()
 	beatable := 0
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
@@ -289,7 +289,7 @@ func TestRouteInflationProperties(t *testing.T) {
 			if d1 != d2 {
 				t.Fatalf("asymmetric base latency %d↔%d", i, j)
 			}
-			if d1 < Time(nw.Testbed().BaseOneWay(i, j)) {
+			if d1 < Time(nw.tb.BaseOneWay(i, j)) {
 				t.Fatalf("deflated pair %d,%d", i, j)
 			}
 			for v := 0; v < n; v++ {

@@ -243,9 +243,6 @@ func (nw *Network) backboneParams(i, j int) *paramSet {
 	}
 }
 
-// Testbed returns the topology the network was built over.
-func (nw *Network) Testbed() *topo.Testbed { return nw.tb }
-
 // Profile returns the substrate profile in use.
 func (nw *Network) Profile() *Profile { return nw.prof }
 

@@ -101,7 +101,7 @@ func TestIndirectBaseLatencyTriangle(t *testing.T) {
 	}
 	// Route inflation keeps every direct base at or above the
 	// geographic floor.
-	if nw.BaseLatency(Direct(0, 12)) < Time(nw.Testbed().BaseOneWay(0, 12)) {
+	if nw.BaseLatency(Direct(0, 12)) < Time(nw.tb.BaseOneWay(0, 12)) {
 		t.Error("inflation must not shrink the geographic floor")
 	}
 }
@@ -127,7 +127,7 @@ func TestAccessOutageKillsAllRoutes(t *testing.T) {
 	if downAt < 0 {
 		t.Skip("no access outage in the probed horizon for this seed")
 	}
-	for via := 0; via < nw.Testbed().N(); via++ {
+	for via := 0; via < nw.tb.N(); via++ {
 		if via == 0 || via == dst {
 			continue
 		}
@@ -164,7 +164,7 @@ func TestBackboneOutageAvoidableViaIndirect(t *testing.T) {
 	// every intermediate is simultaneously impaired, which would defeat
 	// the test's premise).
 	delivered := 0
-	for via := 0; via < nw.Testbed().N(); via++ {
+	for via := 0; via < nw.tb.N(); via++ {
 		if via == src || via == dst {
 			continue
 		}
@@ -230,7 +230,7 @@ func TestBroadbandPathsLossier(t *testing.T) {
 	// between backbone-grade hosts (Figure 2's spread; the paper's
 	// worst path involved a DSL line).
 	nw := testNetwork(12)
-	tb := nw.Testbed()
+	tb := nw.tb
 	dsl := tb.Index("CA-DSL")
 	mit, cmu := tb.Index("MIT"), tb.Index("CMU")
 	var dslLost, dslSent, bgLost, bgSent int

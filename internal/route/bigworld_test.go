@@ -190,7 +190,7 @@ func TestSnapshotSteadyStateAllocs(t *testing.T) {
 }
 
 func TestSetPlanValidation(t *testing.T) {
-	sel := NewSelector(8)
+	sel := NewSelectorWindow(8, 0)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("SetPlan with mismatched n did not panic")

@@ -16,7 +16,7 @@ import (
 // plan-sized. The touch of 0→1 records nothing; it only costs the
 // reference a recompute.
 func denseUnderPlan(sel *Selector, plan *LandmarkPlan) {
-	sel.Link(0, 1)
+	touchLink(sel, 0, 1)
 	sel.SetPlan(plan)
 	if sel.layout != nil || len(sel.est) != sel.n*sel.n {
 		panic("reference selector is not full-mesh carved")
@@ -214,8 +214,8 @@ func TestPlanCarveIsLazy(t *testing.T) {
 	}
 }
 
-// TestUnplannedLinkWritePanics: writes to a link the plan does not
-// probe fail by name instead of indexing outside the carve.
+// TestUnplannedLinkWritePanics: a Record on a link the plan does not
+// probe fails by name instead of indexing outside the carve.
 func TestUnplannedLinkWritePanics(t *testing.T) {
 	const n = 64
 	plan := NewLandmarkPlan(n)
@@ -228,20 +228,13 @@ func TestUnplannedLinkWritePanics(t *testing.T) {
 			}
 		}
 	}
-	for name, write := range map[string]func(*Selector){
-		"Record": func(s *Selector) { s.Record(src, dst, false, 10) },
-		"Link":   func(s *Selector) { s.Link(src, dst) },
-	} {
-		sel := NewSelector(n)
-		sel.SetPlan(plan)
-		func() {
-			defer func() {
-				msg, _ := recover().(string)
-				if !strings.Contains(msg, fmt.Sprintf("%d→%d", src, dst)) || !strings.Contains(msg, "landmark plan") {
-					t.Errorf("%s on unplanned link %d→%d: panic %q does not name the link and the plan", name, src, dst, msg)
-				}
-			}()
-			write(sel)
-		}()
-	}
+	sel := NewSelectorWindow(n, 0)
+	sel.SetPlan(plan)
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, fmt.Sprintf("%d→%d", src, dst)) || !strings.Contains(msg, "landmark plan") {
+			t.Errorf("Record on unplanned link %d→%d: panic %q does not name the link and the plan", src, dst, msg)
+		}
+	}()
+	sel.Record(src, dst, false, 10)
 }

@@ -134,21 +134,16 @@ func (e *LatencyEWMA) Valid() bool { return e.valid }
 func (e *LatencyEWMA) Reset() { e.value, e.valid = 0, false }
 
 // LinkEstimate aggregates everything the router knows about one directed
-// virtual link (an overlay node pair). Links a node measures itself are
-// fed with Record; links learned from other nodes' link-state gossip are
-// fed with SetSummary. The two modes are exclusive per link.
+// virtual link (an overlay node pair), fed one probe outcome at a time
+// by Record.
 //
 // The window is embedded by value and the latency EWMA (at
 // DefaultEWMAAlpha) is a bare float, so a selector holds its links'
-// estimates in one flat slice, 64 bytes — one cache line — each. The
-// zero value reads as an unprobed link but cannot Record: construct with
-// NewLinkEstimate.
+// estimates in one flat slice, 48 bytes each. The zero value reads as an
+// unprobed link but cannot Record: construct with NewLinkEstimate.
 type LinkEstimate struct {
 	Loss    LossWindow
-	latency float64 // smoothed, nanoseconds; meaningful once flagLatValid
-	// summary state, for gossip-learned links; sumLat <= 0 is "unknown".
-	sumLoss float64
-	sumLat  time.Duration
+	latency float64 // smoothed, nanoseconds; meaningful once latValid
 	// consecutiveLosses counts probe losses since the last success,
 	// saturating; DeadThreshold or more marks the link failed for the lat
 	// metric.
@@ -156,14 +151,8 @@ type LinkEstimate struct {
 	// DeadThreshold overrides DefaultDeadThreshold when non-zero. Its type
 	// is the counter's: every threshold it can hold, the counter reaches.
 	DeadThreshold uint16
-	flags         uint8
+	latValid      bool // latency holds at least one sample
 }
-
-const (
-	flagLatValid   uint8 = 1 << iota // latency holds at least one sample
-	flagUseSummary                   // gossip-fed: read the sum* fields
-	flagSumDead                      // the gossiped failure flag
-)
 
 // NewLinkEstimate creates an estimate with default-size window and EWMA.
 func NewLinkEstimate() *LinkEstimate {
@@ -171,9 +160,7 @@ func NewLinkEstimate() *LinkEstimate {
 }
 
 // Record folds in one probe outcome. Lost probes carry no latency.
-// Recording switches the link back to locally measured mode.
 func (le *LinkEstimate) Record(lost bool, lat time.Duration) {
-	le.flags &^= flagUseSummary
 	le.Loss.Record(lost)
 	if lost {
 		if le.consecutiveLosses != math.MaxUint16 {
@@ -182,32 +169,17 @@ func (le *LinkEstimate) Record(lost bool, lat time.Duration) {
 		return
 	}
 	le.consecutiveLosses = 0
-	if le.flags&flagLatValid == 0 {
+	if !le.latValid {
 		le.latency = float64(lat)
-		le.flags |= flagLatValid
+		le.latValid = true
 		return
 	}
 	le.latency += DefaultEWMAAlpha * (float64(lat) - le.latency)
 }
 
-// SetSummary overwrites the link's estimate with a remote node's gossiped
-// summary (loss fraction, smoothed latency, failure flag).
-func (le *LinkEstimate) SetSummary(loss float64, lat time.Duration, dead bool) {
-	le.flags = le.flags&flagLatValid | flagUseSummary
-	if dead {
-		le.flags |= flagSumDead
-	}
-	le.sumLoss = loss
-	le.sumLat = lat
-}
-
 // Dead reports whether the link looks completely failed: at least
-// DeadThreshold consecutive losses (§3.1's failure-detection probes), or
-// the gossiped failure flag.
+// DeadThreshold consecutive losses (§3.1's failure-detection probes).
 func (le *LinkEstimate) Dead() bool {
-	if le.flags&flagUseSummary != 0 {
-		return le.flags&flagSumDead != 0
-	}
 	thr := le.DeadThreshold
 	if thr == 0 {
 		thr = DefaultDeadThreshold
@@ -217,22 +189,13 @@ func (le *LinkEstimate) Dead() bool {
 
 // LossRate returns the windowed loss estimate.
 func (le *LinkEstimate) LossRate() float64 {
-	if le.flags&flagUseSummary != 0 {
-		return le.sumLoss
-	}
 	return le.Loss.Rate()
 }
 
 // LatencyEstimate returns the smoothed one-way latency; if the link has
 // never delivered a probe it returns the pessimistic fallbackLat.
 func (le *LinkEstimate) LatencyEstimate(fallback time.Duration) time.Duration {
-	if le.flags&flagUseSummary != 0 {
-		if le.sumLat <= 0 {
-			return fallback
-		}
-		return le.sumLat
-	}
-	if le.flags&flagLatValid == 0 {
+	if !le.latValid {
 		return fallback
 	}
 	return time.Duration(le.latency)

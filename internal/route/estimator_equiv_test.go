@@ -119,7 +119,7 @@ func TestValidateLossWindow(t *testing.T) {
 			t.Errorf("ValidateLossWindow(%d) = %v", window, err)
 		}
 	}
-	sel := NewSelector(4)
+	sel := NewSelectorWindow(4, 0)
 	for name, build := range map[string]func(window int){
 		"NewLossWindow":     func(window int) { NewLossWindow(window) },
 		"NewSelectorWindow": func(window int) { NewSelectorWindow(4, window) },
@@ -183,7 +183,7 @@ func TestDeadDetectorSaturates(t *testing.T) {
 
 // TestLinkEstimateMatchesEWMA: the estimate's bare-float latency average
 // is the standalone LatencyEWMA at the default gain, bit for bit, with
-// losses and a gossiped summary interleaved.
+// losses interleaved.
 func TestLinkEstimateMatchesEWMA(t *testing.T) {
 	le := NewLinkEstimate()
 	ref := NewLatencyEWMA(DefaultEWMAAlpha)
@@ -193,12 +193,6 @@ func TestLinkEstimateMatchesEWMA(t *testing.T) {
 		switch rng.Intn(8) {
 		case 0:
 			le.Record(true, 0)
-		case 1:
-			le.SetSummary(0.5, 7*time.Millisecond, false)
-			if got := le.LatencyEstimate(fallback); got != 7*time.Millisecond {
-				t.Fatalf("step %d: summary latency %v", i, got)
-			}
-			continue
 		default:
 			lat := time.Duration(rng.Int63n(int64(300 * time.Millisecond)))
 			le.Record(false, lat)

@@ -8,7 +8,7 @@ import (
 // hystSelector builds a 3-node selector where direct 0→1 and the path via
 // node 2 have controllable loss rates.
 func hystSelector(directLoss, viaLoss float64) *Selector {
-	s := NewSelector(3)
+	s := NewSelectorWindow(3, 0)
 	s.SetHysteresis(0.5)
 	for i := 0; i < 100; i++ {
 		s.Record(0, 1, float64(i%100) < directLoss*100, 50*time.Millisecond)
@@ -71,7 +71,7 @@ func TestHysteresisAbandonsDeadIncumbent(t *testing.T) {
 }
 
 func TestHysteresisLatencyMetric(t *testing.T) {
-	s := NewSelector(3)
+	s := NewSelectorWindow(3, 0)
 	s.SetHysteresis(0.3)
 	for i := 0; i < 50; i++ {
 		s.Record(0, 1, false, 50*time.Millisecond)
@@ -111,8 +111,8 @@ func TestHysteresisDisabledEqualsPlain(t *testing.T) {
 func TestHysteresisReducesFlapping(t *testing.T) {
 	// Two near-equal alternatives with noisy measurements: the damped
 	// selector must change routes far less often than the plain one.
-	plain := NewSelector(3)
-	damped := NewSelector(3)
+	plain := NewSelectorWindow(3, 0)
+	damped := NewSelectorWindow(3, 0)
 	damped.SetHysteresis(0.5)
 
 	var plainChanges, dampedChanges int

@@ -24,7 +24,7 @@ func TestKBestDisjointProperties(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 200; trial++ {
 		n := 3 + rng.Intn(10)
-		s := NewSelector(n)
+		s := NewSelectorWindow(n, 0)
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
 				if i == j {
@@ -97,7 +97,7 @@ func TestKBestDisjointProperties(t *testing.T) {
 // allocating one, reusing a scratch buffer the way the campaign does.
 func TestKBestDisjointAppendMatches(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	s := NewSelector(8)
+	s := NewSelectorWindow(8, 0)
 	for i := 0; i < 8; i++ {
 		for j := 0; j < 8; j++ {
 			if i != j {

@@ -256,7 +256,7 @@ func TestPlanLatScanMatchesReference(t *testing.T) {
 	for _, n := range []int{10, 17, 26, 49, 64, 81, 100, 122} {
 		plan := NewLandmarkPlan(n)
 		L := len(plan.landmarks)
-		sel := NewSelector(n)
+		sel := NewSelectorWindow(n, 0)
 		sel.SetPlan(plan)
 		const dst = 3
 		col := sel.lmColLatAdj[dst*L : dst*L+L]
@@ -331,10 +331,35 @@ func TestPlanLatScanMatchesReference(t *testing.T) {
 	}
 }
 
+// touchLink returns src→dst's estimate for mutation, carving the slab
+// and marking the link touched as Record does.
+func touchLink(s *Selector, src, dst int) *LinkEstimate {
+	slot := s.writeSlot(src, dst)
+	s.touch(src*s.n+dst, slot)
+	return &s.est[slot]
+}
+
+// pinLink overwrites src→dst's estimate with exact inputs — a loss rate
+// that is a multiple of 1/8, a latency (≤ 0 reads the fallback), a dead
+// flag — so a test can stage heavily tied routing states that probe
+// outcomes reach only through long EWMA sequences.
+func pinLink(s *Selector, src, dst int, loss float64, lat time.Duration, dead bool) {
+	le := touchLink(s, src, dst)
+	le.Loss.Reset()
+	for i := 0; i < 8; i++ {
+		le.Loss.Record(float64(i) < loss*8)
+	}
+	le.latency, le.latValid = float64(lat), lat > 0
+	le.consecutiveLosses = 0
+	if dead {
+		le.consecutiveLosses = math.MaxUint16
+	}
+}
+
 // TestMeshLatScanMatchesReference holds the full-mesh latency scan — the
 // same kernel over a metrics row and a gathered column — to BestLat's
 // walk over the estimates, choice for choice (via, loss and latency) and
-// in the refreshed table. Gossiped summaries pin exact latencies, so ties
+// in the refreshed table. Pinned estimates fix exact latencies, so ties
 // are the rule: every via path equal, a minimum equal to the direct
 // path, a dead direct link with live vias, every via dead, rows that
 // read the fallback latency. Mesh sizes put the scan's tail on every
@@ -349,7 +374,7 @@ func TestMeshLatScanMatchesReference(t *testing.T) {
 		if big && testing.Short() {
 			continue
 		}
-		sel := NewSelector(n)
+		sel := NewSelectorWindow(n, 0)
 		var dsts []int
 		for dst := 0; dst < n; dst++ {
 			if !big || dst%128 == 0 || dst == n-1 {
@@ -362,7 +387,7 @@ func TestMeshLatScanMatchesReference(t *testing.T) {
 			if big && (src+dst)%8 != 0 {
 				loss = 0 // most pairs stay on the loss scan's quiet shortcut
 			}
-			sel.Link(src, dst).SetSummary(loss, lat, dead)
+			pinLink(sel, src, dst, loss, lat, dead)
 		}
 		// fill gives every link 20 ms, so every via path sums to 40 ms,
 		// except the links lat overrides.
@@ -388,7 +413,7 @@ func TestMeshLatScanMatchesReference(t *testing.T) {
 			setup  func()
 		}{
 			{"nothing recorded: every row reads the fallback latency", false, 1, func() {
-				sel.Link(0, 1) // carves; the touch records nothing
+				touchLink(sel, 0, 1) // carves; the touch records nothing
 			}},
 			{"all sums equal, direct faster", false, 1, func() { fill(nil) }},
 			{"some direct paths slower than a field of tied vias", false, 1, func() {
@@ -494,13 +519,12 @@ func TestMinSumViaMatchesScalarLoop(t *testing.T) {
 }
 
 // TestPlanLatScanMatchesBestLat is the same property end to end: with
-// gossiped summaries pinning exact, heavily tied latencies and dead
-// flags, the refreshed latency table agrees with BestLat's walk over the
+// pinned estimates fixing exact, heavily tied latencies and dead flags, the refreshed latency table agrees with BestLat's walk over the
 // estimates on every pair, landmark endpoints included.
 func TestPlanLatScanMatchesBestLat(t *testing.T) {
 	const n = 45 // L = 7
 	plan := NewLandmarkPlan(n)
-	sel := NewSelector(n)
+	sel := NewSelectorWindow(n, 0)
 	sel.SetPlan(plan)
 	rng := rand.New(rand.NewSource(8))
 	for round := 0; round < 6; round++ {
@@ -508,7 +532,7 @@ func TestPlanLatScanMatchesBestLat(t *testing.T) {
 			for dst := 0; dst < n; dst++ {
 				if plan.Probes(src, dst) && rng.Intn(3) > 0 {
 					lat := time.Duration(10*(1+rng.Intn(4))) * time.Millisecond
-					sel.Link(src, dst).SetSummary(float64(rng.Intn(4))/8, lat, rng.Intn(10) == 0)
+					pinLink(sel, src, dst, float64(rng.Intn(4))/8, lat, rng.Intn(10) == 0)
 				}
 			}
 		}

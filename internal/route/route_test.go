@@ -5,26 +5,22 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
-
-	"repro/internal/wire"
 )
 
-func TestTacticWireRoundTrip(t *testing.T) {
-	for tac := Tactic(0); tac < numTactics; tac++ {
-		w := tac.Wire()
-		got, err := TacticFromWire(w)
-		if err != nil {
-			t.Fatalf("TacticFromWire(%v): %v", w, err)
-		}
-		if got != tac {
-			t.Errorf("round trip %v → %v → %v", tac, w, got)
-		}
-		if tac.String() != w.String() {
-			t.Errorf("name mismatch: %v vs %v", tac, w)
+// TestTacticValid pins Table 4's four tactic codes: a trace record's
+// tactic byte is one of these values, and nothing else is valid.
+func TestTacticValid(t *testing.T) {
+	names := []string{"direct", "rand", "lat", "loss"}
+	for i, name := range names {
+		tac := Tactic(i)
+		if !tac.Valid() || tac.String() != name {
+			t.Errorf("Tactic(%d) = %q valid=%v, want %q valid", i, tac, tac.Valid(), name)
 		}
 	}
-	if _, err := TacticFromWire(wire.TacticCode(200)); err == nil {
-		t.Error("invalid wire tactic accepted")
+	for _, bad := range []Tactic{4, 200, 255} {
+		if bad.Valid() {
+			t.Errorf("Tactic(%d) valid", bad)
+		}
 	}
 }
 
@@ -199,7 +195,7 @@ func TestLinkEstimateFallbackLatency(t *testing.T) {
 // feed populates a 4-node selector: link (0,1) lossy, (0,2) and (2,1)
 // clean and fast, direct (0,1) slow.
 func feedSelector() *Selector {
-	s := NewSelector(4)
+	s := NewSelectorWindow(4, 0)
 	for i := 0; i < 100; i++ {
 		s.Record(0, 1, i%2 == 0, 80*time.Millisecond) // 50% loss, slow
 		s.Record(0, 2, false, 10*time.Millisecond)
@@ -235,7 +231,7 @@ func TestBestLatPrefersFastIndirect(t *testing.T) {
 func TestBestLossTieBreaksToDirect(t *testing.T) {
 	// All links clean: the direct path must win on both metrics when it
 	// is also fastest.
-	s := NewSelector(3)
+	s := NewSelectorWindow(3, 0)
 	for i := 0; i < 50; i++ {
 		s.Record(0, 1, false, 10*time.Millisecond)
 		s.Record(0, 2, false, 10*time.Millisecond)
@@ -266,7 +262,7 @@ func TestBestLatAvoidsDeadLinks(t *testing.T) {
 }
 
 func TestBestLatFallsBackToDirectWhenAllDead(t *testing.T) {
-	s := NewSelector(3)
+	s := NewSelectorWindow(3, 0)
 	for i := 0; i < DefaultDeadThreshold; i++ {
 		s.Record(0, 1, true, 0)
 		s.Record(0, 2, true, 0)
@@ -281,7 +277,7 @@ func TestBestLatFallsBackToDirectWhenAllDead(t *testing.T) {
 func TestUnmeasuredLinksNotAttractive(t *testing.T) {
 	// Links with zero samples report loss 0, but the latency fallback
 	// must stop them from beating a measured 10ms direct path.
-	s := NewSelector(4)
+	s := NewSelectorWindow(4, 0)
 	for i := 0; i < 50; i++ {
 		s.Record(0, 1, false, 10*time.Millisecond)
 	}
@@ -317,10 +313,10 @@ func TestChoiceString(t *testing.T) {
 func TestSelectorPanicsOnTinyMesh(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Error("NewSelector(1) did not panic")
+			t.Error("NewSelectorWindow(1, 0) did not panic")
 		}
 	}()
-	NewSelector(1)
+	NewSelectorWindow(1, 0)
 }
 
 func TestPathLossComposition(t *testing.T) {
@@ -338,31 +334,5 @@ func TestPathLossComposition(t *testing.T) {
 	}
 	if pathLoss(1, 0) != 1 {
 		t.Error("pathLoss(1,0) != 1")
-	}
-}
-
-func TestLinkEstimateSummaryMode(t *testing.T) {
-	le := NewLinkEstimate()
-	le.SetSummary(0.25, 70*time.Millisecond, false)
-	if le.LossRate() != 0.25 {
-		t.Errorf("summary loss = %v, want 0.25", le.LossRate())
-	}
-	if le.LatencyEstimate(time.Second) != 70*time.Millisecond {
-		t.Errorf("summary latency = %v, want 70ms", le.LatencyEstimate(time.Second))
-	}
-	if le.Dead() {
-		t.Error("summary not dead")
-	}
-	le.SetSummary(1, 0, true)
-	if !le.Dead() {
-		t.Error("summary dead flag ignored")
-	}
-	if le.LatencyEstimate(time.Second) != time.Second {
-		t.Error("zero summary latency should fall back")
-	}
-	// Local measurement switches the link back.
-	le.Record(false, 10*time.Millisecond)
-	if le.Dead() || le.LatencyEstimate(time.Second) != 10*time.Millisecond {
-		t.Error("Record did not exit summary mode")
 	}
 }

@@ -32,8 +32,7 @@ func (c Choice) String() string {
 
 // Selector maintains per-link estimates for an N-node mesh and picks
 // loss- or latency-optimized one-intermediate paths, RON-style (§3.1).
-// It is deliberately transport-agnostic: both the simulation campaign and
-// the real overlay node feed it probe outcomes.
+// The simulation campaign feeds it probe outcomes.
 //
 // Storage is flat: link state lives in a single []LinkEstimate (one
 // backing ring buffer shared by every loss window) holding one entry
@@ -119,11 +118,10 @@ type Selector struct {
 	srcLmLat    []time.Duration
 	srcLmLatAdj []time.Duration
 
-	// Incremental snapshot state. Record (and Link, conservatively —
-	// callers may mutate through the returned pointer) marks links
-	// touched; Refresh re-derives only pairs whose inputs — the source
-	// row or destination column of the metrics cache — contain a touched
-	// link, in the retained tables. A pair whose inputs are unchanged
+	// Incremental snapshot state. Record marks links touched; Refresh
+	// re-derives only pairs whose inputs — the source row or destination
+	// column of the metrics cache — contain a touched link, in the
+	// retained tables. A pair whose inputs are unchanged
 	// would recompute to exactly its previous selection (and leave its
 	// hysteresis state unchanged: an equal-value challenger never beats
 	// the margin), so skipping it is exact;
@@ -142,7 +140,7 @@ type Selector struct {
 	tables       Tables
 	changed      int64
 	metricsValid bool // metrics cache mirrors every estimate
-	recorded     bool // any Record/Link since Reset; implies a current carve
+	recorded     bool // any Record since Reset; implies a current carve
 	// meshLive is recorded && layout == nil, as one flag so link's
 	// full-mesh case stays within the inlining budget.
 	meshLive bool
@@ -156,10 +154,6 @@ type Selector struct {
 // branches: a path "via" one of its own endpoints composes a sentinel
 // and loses every comparison.
 const latDead = time.Duration(1) << 61
-
-// NewSelector creates a selector for an n-node mesh with the paper's
-// default 100-probe selection window.
-func NewSelector(n int) *Selector { return NewSelectorWindow(n, 0) }
 
 // NewSelectorWindow creates a selector whose per-link loss windows hold
 // the given number of probes ("the average loss rate over the last 100
@@ -326,20 +320,6 @@ func (s *Selector) carvedSlot(src, dst int) int {
 // N returns the mesh size.
 func (s *Selector) N() int { return s.n }
 
-// Link returns the estimate for the directed link src→dst, or nil on the
-// diagonal. The link is marked touched: callers may mutate the estimate
-// through the returned pointer (the overlay's gossip path does), and a
-// conservative mark only costs the incremental snapshot a recompute it
-// could have skipped — never a stale selection.
-func (s *Selector) Link(src, dst int) *LinkEstimate {
-	if src == dst {
-		return nil
-	}
-	slot := s.writeSlot(src, dst)
-	s.touch(src*s.n+dst, slot)
-	return &s.est[slot]
-}
-
 // Record folds one probe outcome for the directed link src→dst.
 func (s *Selector) Record(src, dst int, lost bool, lat time.Duration) {
 	slot := s.writeSlot(src, dst)
@@ -367,7 +347,7 @@ func (s *Selector) touch(idx, slot int) {
 // the plan's links the only ones that hold estimates. Changing the
 // plan invalidates the metrics cache: the next Refresh recomputes
 // everything under the new candidate set. The link slab is
-// laid out at the first Record/Link since Reset for the plan then in
+// laid out at the first Record since Reset for the plan then in
 // force: a full-mesh slab holds every link, so a plan may still be set
 // (or swapped, or dropped) over it later, but a slab carved for a plan
 // cannot serve full mesh.
@@ -492,8 +472,8 @@ type viaIdx int16
 // fails to compile, if the cap is raised past the element type.
 const _ = uint(math.MaxInt16 - (MaxMeshNodes - 1))
 
-// Likewise a LinkEstimate must fit the 64-byte cache line that is its
-// slab's stride, and MaxLossWindow the window's 16-bit cursor.
+// Likewise a LinkEstimate must fit a 64-byte cache line, and
+// MaxLossWindow the window's 16-bit cursor.
 const (
 	_ = uint(64 - unsafe.Sizeof(LinkEstimate{}))
 	_ = uint(math.MaxUint16 - MaxLossWindow)

@@ -19,8 +19,8 @@ func TestSnapshotMatchesStableSelections(t *testing.T) {
 	for _, hyst := range []float64{0, 0.3} {
 		rng := rand.New(rand.NewSource(99))
 		const n = 9
-		fast := NewSelector(n)
-		ref := NewSelector(n)
+		fast := NewSelectorWindow(n, 0)
+		ref := NewSelectorWindow(n, 0)
 		if hyst > 0 {
 			fast.SetHysteresis(hyst)
 			ref.SetHysteresis(hyst)

@@ -1,18 +1,17 @@
-// Package route implements the routing policy layer shared by the
-// simulation campaigns and the real overlay node: the per-packet routing
-// tactics and probe methods of the paper (Table 4), link-quality
-// estimators (average loss over the last 100 probes, smoothed latency),
-// and the RON-style one-intermediate path selector (§3.1).
+// Package route implements the routing policy layer of the simulation
+// campaigns: the per-packet routing tactics and probe methods of the
+// paper (Table 4), link-quality estimators (average loss over the last
+// 100 probes, smoothed latency), and the RON-style one-intermediate path
+// selector (§3.1).
 package route
 
 import (
 	"fmt"
 	"time"
-
-	"repro/internal/wire"
 )
 
-// Tactic is a per-packet routing tactic (Table 4 of the paper).
+// Tactic is a per-packet routing tactic (Table 4 of the paper). Its
+// values are the tactic byte of a §4.1 trace record.
 type Tactic uint8
 
 // Tactics.
@@ -45,29 +44,8 @@ func (t Tactic) String() string {
 	}
 }
 
-// Wire converts the tactic to its wire representation.
-func (t Tactic) Wire() wire.TacticCode {
-	switch t {
-	case Direct:
-		return wire.TacticDirect
-	case Rand:
-		return wire.TacticRand
-	case Lat:
-		return wire.TacticLat
-	case Loss:
-		return wire.TacticLoss
-	default:
-		panic(fmt.Sprintf("route: invalid tactic %d", uint8(t)))
-	}
-}
-
-// TacticFromWire converts a wire tactic code.
-func TacticFromWire(c wire.TacticCode) (Tactic, error) {
-	if !c.Valid() {
-		return 0, fmt.Errorf("route: invalid wire tactic %d", uint8(c))
-	}
-	return Tactic(c), nil
-}
+// Valid reports whether t is one of Table 4's four tactics.
+func (t Tactic) Valid() bool { return t < numTactics }
 
 // Method is a probe/transmission method: one or two packets, each with a
 // tactic, optionally separated by a send gap. The paper's methods range
@@ -98,7 +76,7 @@ func (m Method) Validate() error {
 		return fmt.Errorf("route: method %q has %d copies, want 1 or 2", m.Name, n)
 	}
 	for _, t := range m.Tactics {
-		if t >= numTactics {
+		if !t.Valid() {
 			return fmt.Errorf("route: method %q has invalid tactic %d", m.Name, t)
 		}
 	}

@@ -15,7 +15,7 @@ import (
 	"time"
 
 	"repro/internal/analysis"
-	"repro/internal/wire"
+	"repro/internal/route"
 )
 
 // Kind distinguishes send from receive records.
@@ -29,27 +29,30 @@ const (
 	KindRecv Kind = 2
 )
 
+// NoNode is the Via of a copy sent on the direct path.
+const NoNode uint16 = 0xFFFF
+
 // Record is one log line: a probe packet observed at a host.
 type Record struct {
 	Kind Kind
 	// Node is the logging host.
-	Node wire.NodeID
+	Node uint16
 	// Peer is the other endpoint: the target for sends, the origin for
 	// receives.
-	Peer wire.NodeID
-	// ProbeID is the probe's random 64-bit identifier.
+	Peer uint16
+	// ProbeID is the probe's 64-bit identifier, shared by its copies.
 	ProbeID uint64
 	// Time is the host-local timestamp in nanoseconds.
 	Time int64
 	// Method indexes the campaign's method list.
 	Method uint8
 	// Tactic is the copy's routing tactic.
-	Tactic wire.TacticCode
+	Tactic route.Tactic
 	// CopyIndex and Copies describe the probe's packet pair structure.
 	CopyIndex uint8
 	Copies    uint8
-	// Via is the intermediate used, or wire.NoNode.
-	Via wire.NodeID
+	// Via is the intermediate used, or NoNode.
+	Via uint16
 }
 
 // recordLen is the fixed encoded record size.
@@ -81,15 +84,15 @@ func (tw *Writer) Append(r Record) error {
 	}
 	var buf [recordLen]byte
 	buf[0] = byte(r.Kind)
-	be16(buf[1:], uint16(r.Node))
-	be16(buf[3:], uint16(r.Peer))
+	be16(buf[1:], r.Node)
+	be16(buf[3:], r.Peer)
 	be64(buf[5:], r.ProbeID)
 	be64(buf[13:], uint64(r.Time))
 	buf[21] = r.Method
 	buf[22] = byte(r.Tactic)
 	buf[23] = r.CopyIndex
 	buf[24] = r.Copies
-	be16(buf[25:], uint16(r.Via))
+	be16(buf[25:], r.Via)
 	if _, err := tw.w.Write(buf[:]); err != nil {
 		tw.err = err
 		return err
@@ -134,18 +137,24 @@ func ReadAll(r io.Reader) ([]Record, error) {
 		}
 		rec := Record{
 			Kind:      Kind(buf[0]),
-			Node:      wire.NodeID(rd16(buf[1:])),
-			Peer:      wire.NodeID(rd16(buf[3:])),
+			Node:      rd16(buf[1:]),
+			Peer:      rd16(buf[3:]),
 			ProbeID:   rd64(buf[5:]),
 			Time:      int64(rd64(buf[13:])),
 			Method:    buf[21],
-			Tactic:    wire.TacticCode(buf[22]),
+			Tactic:    route.Tactic(buf[22]),
 			CopyIndex: buf[23],
 			Copies:    buf[24],
-			Via:       wire.NodeID(rd16(buf[25:])),
+			Via:       rd16(buf[25:]),
 		}
 		if rec.Kind != KindSend && rec.Kind != KindRecv {
 			return nil, fmt.Errorf("%w: bad kind %d", ErrBadTrace, buf[0])
+		}
+		if !rec.Tactic.Valid() {
+			return nil, fmt.Errorf("%w: bad tactic %d", ErrBadTrace, buf[22])
+		}
+		if buf[recordLen-1] != 0 {
+			return nil, fmt.Errorf("%w: nonzero pad byte %d", ErrBadTrace, buf[recordLen-1])
 		}
 		out = append(out, rec)
 	}

@@ -2,11 +2,13 @@ package trace
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"testing"
 	"testing/quick"
 	"time"
 
-	"repro/internal/wire"
+	"repro/internal/route"
 )
 
 func TestWriterReaderRoundTrip(t *testing.T) {
@@ -17,11 +19,11 @@ func TestWriterReaderRoundTrip(t *testing.T) {
 	}
 	recs := []Record{
 		{Kind: KindSend, Node: 0, Peer: 5, ProbeID: 111, Time: 1000,
-			Method: 2, Tactic: wire.TacticDirect, CopyIndex: 0, Copies: 2, Via: wire.NoNode},
+			Method: 2, Tactic: route.Direct, CopyIndex: 0, Copies: 2, Via: NoNode},
 		{Kind: KindSend, Node: 0, Peer: 5, ProbeID: 111, Time: 1001,
-			Method: 2, Tactic: wire.TacticRand, CopyIndex: 1, Copies: 2, Via: 7},
+			Method: 2, Tactic: route.Rand, CopyIndex: 1, Copies: 2, Via: 7},
 		{Kind: KindRecv, Node: 5, Peer: 0, ProbeID: 111, Time: 54_000_000,
-			Method: 2, Tactic: wire.TacticDirect, CopyIndex: 0, Copies: 2, Via: wire.NoNode},
+			Method: 2, Tactic: route.Direct, CopyIndex: 0, Copies: 2, Via: NoNode},
 	}
 	for _, r := range recs {
 		if err := w.Append(r); err != nil {
@@ -48,6 +50,44 @@ func TestWriterReaderRoundTrip(t *testing.T) {
 	}
 }
 
+// TestTraceFormatUnchanged pins the RONTRCE1 byte layout: a fixed stream
+// of sends and receives — every tactic, direct (NoNode) and relayed
+// copies, node ids at both ends of the range, a negative timestamp —
+// encodes to the digest the writer produced when a record's node and
+// tactic fields were the overlay wire package's types.
+func TestTraceFormatUnchanged(t *testing.T) {
+	const want = "75c98d38308b966e6b051e16818f7a23360457f1ddbde7e1b8475d641b9284e9"
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		via := NoNode
+		if i%2 == 1 {
+			via = uint16(7 + i)
+		}
+		send := Record{Kind: KindSend, Node: uint16(i), Peer: uint16(0xFFFE - i),
+			ProbeID: 0x0123456789ABCDEF ^ uint64(i)<<40, Time: int64(i)*1_000_000_007 - 3,
+			Method: uint8(i * 60), Tactic: route.Tactic(i), CopyIndex: uint8(i % 2), Copies: 2, Via: via}
+		recv := send
+		recv.Kind, recv.Node, recv.Peer = KindRecv, send.Peer, send.Node
+		recv.Time += 53_000_017
+		if err := w.Append(send); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Append(recv); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != want {
+		t.Errorf("trace stream of %d bytes hashes to %s, want %s", buf.Len(), got, want)
+	}
+}
+
 func TestReadAllRejectsGarbage(t *testing.T) {
 	if _, err := ReadAll(bytes.NewReader([]byte("NOTATRACE___"))); err == nil {
 		t.Error("bad magic accepted")
@@ -70,6 +110,18 @@ func TestReadAllRejectsGarbage(t *testing.T) {
 	if _, err := ReadAll(bytes.NewReader(bad)); err == nil {
 		t.Error("bad kind accepted")
 	}
+	// A tactic byte outside Table 4's four codes.
+	bad = append([]byte(nil), buf.Bytes()...)
+	bad[len(fileMagic)+22] = 4
+	if _, err := ReadAll(bytes.NewReader(bad)); err == nil {
+		t.Error("bad tactic accepted")
+	}
+	// A pad byte the writer never sets.
+	bad = append([]byte(nil), buf.Bytes()...)
+	bad[len(fileMagic)+recordLen-1] = 1
+	if _, err := ReadAll(bytes.NewReader(bad)); err == nil {
+		t.Error("nonzero pad accepted")
+	}
 }
 
 func TestMergeSortsByTime(t *testing.T) {
@@ -87,24 +139,24 @@ func TestMergeSortsByTime(t *testing.T) {
 }
 
 // mkSend/mkRecv build paired records for matcher tests.
-func mkSend(node, peer wire.NodeID, id uint64, at time.Duration, copyIdx, copies uint8) Record {
+func mkSend(node, peer uint16, id uint64, at time.Duration, copyIdx, copies uint8) Record {
 	return Record{Kind: KindSend, Node: node, Peer: peer, ProbeID: id,
-		Time: int64(at), CopyIndex: copyIdx, Copies: copies, Via: wire.NoNode}
+		Time: int64(at), CopyIndex: copyIdx, Copies: copies, Via: NoNode}
 }
 
-func mkRecv(node, peer wire.NodeID, id uint64, at time.Duration, copyIdx uint8) Record {
+func mkRecv(node, peer uint16, id uint64, at time.Duration, copyIdx uint8) Record {
 	return Record{Kind: KindRecv, Node: node, Peer: peer, ProbeID: id,
 		Time: int64(at), CopyIndex: copyIdx}
 }
 
 // keepAlive emits periodic sends from a node so the host-failure filter
 // sees it alive for the whole horizon.
-func keepAlive(node wire.NodeID, until time.Duration) []Record {
+func keepAlive(node uint16, until time.Duration) []Record {
 	var out []Record
 	id := uint64(node) * 1_000_000
 	for at := time.Duration(0); at <= until; at += 30 * time.Second {
 		id++
-		out = append(out, mkSend(node, wire.NodeID((int(node)+1)%3), id, at, 0, 1))
+		out = append(out, mkSend(node, (node+1)%3, id, at, 0, 1))
 	}
 	return out
 }
@@ -244,15 +296,15 @@ func TestRecordRoundTripQuick(t *testing.T) {
 		method, tac, copyIdx uint8, via uint16) bool {
 		r := Record{
 			Kind:      KindSend,
-			Node:      wire.NodeID(node),
-			Peer:      wire.NodeID(peer),
+			Node:      node,
+			Peer:      peer,
 			ProbeID:   id,
 			Time:      tm,
 			Method:    method,
-			Tactic:    wire.TacticCode(tac % 4),
+			Tactic:    route.Tactic(tac % 4),
 			CopyIndex: copyIdx % 2,
 			Copies:    1 + copyIdx%2,
-			Via:       wire.NodeID(via),
+			Via:       via,
 		}
 		if kindBit {
 			r.Kind = KindRecv

@@ -1,14 +1,9 @@
-// Package wire defines the on-the-wire message formats spoken by overlay
-// nodes: probe requests and responses, one-hop-forwarded data packets, and
-// link-state gossip. The formats are fixed-layout big-endian with an
-// explicit length and a 16-bit one's-complement checksum, so they can be
-// carried directly in UDP datagrams.
-//
-// The codec follows the decode/serialize idiom used by packet libraries
-// such as gopacket: every message type has a DecodeFromBytes method that
-// parses a received buffer without retaining it, and an AppendTo method
-// that serializes into a caller-supplied slice, returning the extended
-// slice. A zero value of each message type is ready to decode into.
+// Package wire is the overlay datagram framing the deleted live overlay
+// spoke: a fixed 16-byte big-endian header with an explicit length and a
+// 16-bit one's-complement checksum, wrapped around an opaque body so a
+// datagram fits one UDP packet. The message bodies (probes, data,
+// link-state gossip) went with the overlay; nothing in the repo imports
+// this package.
 package wire
 
 import (
@@ -16,107 +11,21 @@ import (
 	"fmt"
 )
 
-// Magic is the first two bytes of every overlay datagram ("R", "N" for
-// "RON-like Network").
-const Magic uint16 = 0x524E
-
-// Version is the wire protocol version emitted by this library.
-const Version uint8 = 1
-
-// HeaderLen is the encoded size of the common Header in bytes.
-const HeaderLen = 16
-
-// MaxPacketLen bounds the total encoded size of any wire message. It is
-// chosen to stay comfortably under typical path MTUs (the paper notes FEC
-// and duplication schemes add packets rather than bytes precisely to avoid
-// MTU limits).
-const MaxPacketLen = 1400
-
-// PacketType discriminates the payload carried after the common header.
-type PacketType uint8
-
-// Wire packet types.
 const (
-	// TypeInvalid is the zero PacketType; it is never sent.
-	TypeInvalid PacketType = iota
-	// TypeProbeRequest is a one-way measurement probe.
-	TypeProbeRequest
-	// TypeProbeResponse echoes a probe back with receiver timestamps.
-	TypeProbeResponse
-	// TypeData is an application payload, possibly relayed one hop.
-	TypeData
-	// TypeLinkState is a link-state gossip message carrying a node's
-	// current view of its virtual links.
-	TypeLinkState
-	// TypeHello announces membership and keeps NAT bindings warm.
-	TypeHello
+	Magic        uint16 = 0x524E // "RN", the first two bytes of every datagram
+	Version      uint8  = 1      // the protocol version emitted and accepted
+	HeaderLen           = 16     // encoded size of Header
+	MaxPacketLen        = 1400   // whole-datagram bound, under typical path MTUs
 )
 
-// String returns the human-readable name of the packet type.
-func (t PacketType) String() string {
-	switch t {
-	case TypeInvalid:
-		return "invalid"
-	case TypeProbeRequest:
-		return "probe-request"
-	case TypeProbeResponse:
-		return "probe-response"
-	case TypeData:
-		return "data"
-	case TypeLinkState:
-		return "link-state"
-	case TypeHello:
-		return "hello"
-	default:
-		return fmt.Sprintf("unknown(%d)", uint8(t))
-	}
-}
-
-// NodeID identifies an overlay node within a mesh. IDs are small dense
-// integers assigned by configuration; 0xFFFF is reserved as "no node".
-type NodeID uint16
-
-// NoNode is the reserved NodeID meaning "absent".
-const NoNode NodeID = 0xFFFF
-
-// String returns a short printable form such as "n7".
-func (id NodeID) String() string {
-	if id == NoNode {
-		return "n-"
-	}
-	return fmt.Sprintf("n%d", uint16(id))
-}
-
-// Flag bits in Header.Flags.
-const (
-	// FlagForwarded marks a packet that has already transited an
-	// intermediate overlay node; forwarders must not relay it again
-	// (the overlay uses at most one intermediate hop, as in the paper).
-	FlagForwarded uint16 = 1 << iota
-	// FlagDuplicate marks the redundant copy of a 2-redundant
-	// transmission, letting receivers account copies separately.
-	FlagDuplicate
-	// FlagLossTriggered marks the rapid-fire probes sent after a probe
-	// loss (the paper's string of up to four 1s-spaced probes).
-	FlagLossTriggered
-)
-
-// Errors returned by decoders.
+// Errors returned by the codec.
 var (
-	// ErrTooShort indicates the buffer ends before the structure does.
-	ErrTooShort = errors.New("wire: buffer too short")
-	// ErrBadMagic indicates the buffer does not begin with Magic.
-	ErrBadMagic = errors.New("wire: bad magic")
-	// ErrBadVersion indicates an unsupported protocol version.
-	ErrBadVersion = errors.New("wire: unsupported version")
-	// ErrBadChecksum indicates checksum verification failed.
+	ErrTooShort    = errors.New("wire: buffer too short")
+	ErrBadMagic    = errors.New("wire: bad magic")
+	ErrBadVersion  = errors.New("wire: unsupported version")
 	ErrBadChecksum = errors.New("wire: checksum mismatch")
-	// ErrBadLength indicates the length field disagrees with the buffer.
-	ErrBadLength = errors.New("wire: length field mismatch")
-	// ErrTooLong indicates an encoded message would exceed MaxPacketLen.
-	ErrTooLong = errors.New("wire: message exceeds maximum packet length")
-	// ErrBadType indicates a packet type not valid for the operation.
-	ErrBadType = errors.New("wire: unexpected packet type")
+	ErrBadLength   = errors.New("wire: length field mismatch")
+	ErrTooLong     = errors.New("wire: message exceeds maximum packet length")
 )
 
 // Header is the fixed 16-byte prefix of every overlay datagram.
@@ -134,32 +43,30 @@ var (
 //	12 uint16 src node id
 //	14 uint16 dst node id
 type Header struct {
-	Type   PacketType
+	Type   uint8
 	Flags  uint16
 	Length uint16
-	Src    NodeID
-	Dst    NodeID
+	Src    uint16
+	Dst    uint16
 }
 
 // AppendTo serializes the header onto b and returns the extended slice.
-// The checksum field is written as zero; FinishPacket computes it once the
-// full datagram has been assembled.
+// The length and checksum fields are written as zero; Build patches them
+// once the full datagram has been assembled.
 func (h *Header) AppendTo(b []byte) []byte {
 	b = appendU16(b, Magic)
-	b = append(b, Version, byte(h.Type))
+	b = append(b, Version, h.Type)
 	b = appendU16(b, h.Flags)
 	b = appendU16(b, h.Length)
-	b = appendU16(b, 0) // checksum, filled by FinishPacket
+	b = appendU16(b, 0) // checksum
 	b = appendU16(b, 0) // reserved
-	b = appendU16(b, uint16(h.Src))
-	b = appendU16(b, uint16(h.Dst))
-	return b
+	b = appendU16(b, h.Src)
+	return appendU16(b, h.Dst)
 }
 
 // DecodeFromBytes parses the header from the front of b. It validates
 // magic, version, and that the length field matches len(b); it does not
-// verify the checksum (use VerifyChecksum for that, typically once per
-// received datagram).
+// verify the checksum (Open does).
 func (h *Header) DecodeFromBytes(b []byte) error {
 	if len(b) < HeaderLen {
 		return ErrTooShort
@@ -170,53 +77,64 @@ func (h *Header) DecodeFromBytes(b []byte) error {
 	if b[2] != Version {
 		return fmt.Errorf("%w: got %d want %d", ErrBadVersion, b[2], Version)
 	}
-	h.Type = PacketType(b[3])
+	h.Type = b[3]
 	h.Flags = getU16(b[4:])
 	h.Length = getU16(b[6:])
 	if int(h.Length) != len(b) {
 		return fmt.Errorf("%w: header says %d, datagram is %d bytes",
 			ErrBadLength, h.Length, len(b))
 	}
-	h.Src = NodeID(getU16(b[12:]))
-	h.Dst = NodeID(getU16(b[14:]))
+	h.Src = getU16(b[12:])
+	h.Dst = getU16(b[14:])
 	return nil
 }
 
-// FinishPacket patches the length and checksum fields of an assembled
-// datagram in place. It must be called exactly once, after the header and
-// payload have been appended, and returns the same slice for convenience.
-func FinishPacket(b []byte) ([]byte, error) {
-	if len(b) < HeaderLen {
-		return nil, ErrTooShort
-	}
+// Build assembles a complete datagram: header, body, patched length and
+// checksum.
+func Build(h Header, body []byte) ([]byte, error) {
+	return BuildInto(make([]byte, 0, HeaderLen+len(body)), h, body)
+}
+
+// BuildInto is like Build but reuses buf's storage when it is large
+// enough.
+func BuildInto(buf []byte, h Header, body []byte) ([]byte, error) {
+	b := append(h.AppendTo(buf[:0]), body...)
 	if len(b) > MaxPacketLen {
 		return nil, fmt.Errorf("%w: %d bytes", ErrTooLong, len(b))
 	}
 	putU16(b[6:], uint16(len(b)))
-	putU16(b[8:], 0)
-	putU16(b[8:], Checksum(b))
+	putU16(b[8:], checksum(b))
 	return b, nil
+}
+
+// Open validates a received datagram (magic, version, length, checksum)
+// and returns its parsed header and body bytes. The body slice aliases b.
+func Open(b []byte) (Header, []byte, error) {
+	var h Header
+	if err := h.DecodeFromBytes(b); err != nil {
+		return Header{}, nil, err
+	}
+	if !VerifyChecksum(b) {
+		return Header{}, nil, ErrBadChecksum
+	}
+	return h, b[HeaderLen:], nil
 }
 
 // VerifyChecksum reports whether the datagram's checksum field matches its
 // contents.
 func VerifyChecksum(b []byte) bool {
-	if len(b) < HeaderLen {
-		return false
-	}
-	want := getU16(b[8:])
-	// Compute with the checksum field zeroed, without mutating b.
-	sum := checksumZeroed(b, 8)
-	return sum == want
+	return len(b) >= HeaderLen && checksum(b) == getU16(b[8:])
 }
 
-// Checksum computes the 16-bit one's-complement checksum (RFC 1071 style)
-// over b. The checksum field itself must already be zero.
-func Checksum(b []byte) uint16 {
+// checksum computes the 16-bit one's-complement checksum (RFC 1071
+// style) over b, reading the checksum field at offset 8 as zero.
+func checksum(b []byte) uint16 {
 	var sum uint32
 	i := 0
 	for ; i+1 < len(b); i += 2 {
-		sum += uint32(b[i])<<8 | uint32(b[i+1])
+		if i != 8 {
+			sum += uint32(b[i])<<8 | uint32(b[i+1])
+		}
 	}
 	if i < len(b) {
 		sum += uint32(b[i]) << 8
@@ -227,51 +145,8 @@ func Checksum(b []byte) uint16 {
 	return ^uint16(sum)
 }
 
-// checksumZeroed computes Checksum(b) as if the two bytes at off were zero.
-func checksumZeroed(b []byte, off int) uint16 {
-	var sum uint32
-	i := 0
-	for ; i+1 < len(b); i += 2 {
-		if i == off {
-			continue
-		}
-		sum += uint32(b[i])<<8 | uint32(b[i+1])
-	}
-	if i < len(b) && i != off {
-		sum += uint32(b[i]) << 8
-	}
-	for sum>>16 != 0 {
-		sum = (sum & 0xFFFF) + sum>>16
-	}
-	return ^uint16(sum)
-}
-
-func appendU16(b []byte, v uint16) []byte {
-	return append(b, byte(v>>8), byte(v))
-}
-
-func appendU32(b []byte, v uint32) []byte {
-	return append(b, byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
-}
-
-func appendU64(b []byte, v uint64) []byte {
-	return append(b,
-		byte(v>>56), byte(v>>48), byte(v>>40), byte(v>>32),
-		byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
-}
-
-func appendI64(b []byte, v int64) []byte { return appendU64(b, uint64(v)) }
+func appendU16(b []byte, v uint16) []byte { return append(b, byte(v>>8), byte(v)) }
 
 func getU16(b []byte) uint16 { return uint16(b[0])<<8 | uint16(b[1]) }
-
-func getU32(b []byte) uint32 {
-	return uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3])
-}
-
-func getU64(b []byte) uint64 {
-	return uint64(getU32(b))<<32 | uint64(getU32(b[4:]))
-}
-
-func getI64(b []byte) int64 { return int64(getU64(b)) }
 
 func putU16(b []byte, v uint16) { b[0] = byte(v >> 8); b[1] = byte(v) }

@@ -3,13 +3,12 @@ package wire
 import (
 	"bytes"
 	"errors"
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
 
 func TestHeaderRoundTrip(t *testing.T) {
-	h := Header{Type: TypeProbeRequest, Flags: FlagForwarded, Src: 3, Dst: 17}
+	h := Header{Type: 1, Flags: 0xA5A5, Src: 3, Dst: 17}
 	b := h.AppendTo(nil)
 	if len(b) != HeaderLen {
 		t.Fatalf("encoded header length = %d, want %d", len(b), HeaderLen)
@@ -26,7 +25,7 @@ func TestHeaderRoundTrip(t *testing.T) {
 }
 
 func TestHeaderDecodeErrors(t *testing.T) {
-	h := Header{Type: TypeData, Src: 1, Dst: 2}
+	h := Header{Type: 3, Src: 1, Dst: 2}
 	good := h.AppendTo(nil)
 	putU16(good[6:], uint16(len(good)))
 
@@ -53,207 +52,34 @@ func TestHeaderDecodeErrors(t *testing.T) {
 	}
 }
 
-func TestProbeRequestRoundTrip(t *testing.T) {
-	p := ProbeRequest{
-		ID:            0xDEADBEEFCAFEF00D,
-		SentAt:        1234567890123,
-		Seq:           42,
-		Method:        3,
-		Tactic:        TacticRand,
-		CopyIndex:     1,
-		Copies:        2,
-		PairGapMicros: 10000,
-		Via:           NodeID(7),
-	}
-	b := p.AppendTo(nil)
-	if len(b) != probeBodyLen {
-		t.Fatalf("probe body length = %d, want %d", len(b), probeBodyLen)
-	}
-	var got ProbeRequest
-	if err := got.DecodeFromBytes(b); err != nil {
-		t.Fatalf("DecodeFromBytes: %v", err)
-	}
-	if got != p {
-		t.Errorf("round trip mismatch:\n got %+v\nwant %+v", got, p)
-	}
-}
-
-func TestProbeRequestValidation(t *testing.T) {
-	p := ProbeRequest{Tactic: TacticDirect, Copies: 1}
-	b := p.AppendTo(nil)
-
-	bad := append([]byte(nil), b...)
-	bad[21] = 200 // invalid tactic
-	var got ProbeRequest
-	if err := got.DecodeFromBytes(bad); err == nil {
-		t.Error("decode accepted invalid tactic code")
-	}
-
-	bad = append([]byte(nil), b...)
-	bad[23] = 0 // zero copies
-	if err := got.DecodeFromBytes(bad); err == nil {
-		t.Error("decode accepted zero copies")
-	}
-
-	bad = append([]byte(nil), b...)
-	bad[22] = 2 // copy index out of range
-	if err := got.DecodeFromBytes(bad); err == nil {
-		t.Error("decode accepted copy index 2")
-	}
-
-	if err := got.DecodeFromBytes(b[:probeBodyLen-1]); !errors.Is(err, ErrTooShort) {
-		t.Errorf("short probe body: err = %v, want ErrTooShort", err)
-	}
-}
-
-func TestProbeResponseRoundTrip(t *testing.T) {
-	p := ProbeResponse{
-		ID:         99,
-		EchoSentAt: -5,
-		RecvAt:     100,
-		RespSentAt: 101,
-		Tactic:     TacticLoss,
-		CopyIndex:  1,
-	}
-	b := p.AppendTo(nil)
-	var got ProbeResponse
-	if err := got.DecodeFromBytes(b); err != nil {
-		t.Fatalf("DecodeFromBytes: %v", err)
-	}
-	if got != p {
-		t.Errorf("round trip mismatch: got %+v want %+v", got, p)
-	}
-}
-
-func TestDataPacketRoundTrip(t *testing.T) {
-	d := DataPacket{
-		Origin:    2,
-		FinalDst:  9,
-		Tactic:    TacticLat,
-		CopyIndex: 1,
-		StreamID:  77,
-		Seq:       123456,
-		SentAt:    999,
-		Payload:   []byte("hello overlay world"),
-	}
-	b := d.AppendTo(nil)
-	var got DataPacket
-	if err := got.DecodeFromBytes(b); err != nil {
-		t.Fatalf("DecodeFromBytes: %v", err)
-	}
-	if got.Origin != d.Origin || got.FinalDst != d.FinalDst ||
-		got.Tactic != d.Tactic || got.CopyIndex != d.CopyIndex ||
-		got.StreamID != d.StreamID || got.Seq != d.Seq || got.SentAt != d.SentAt {
-		t.Errorf("fixed fields mismatch: got %+v want %+v", got, d)
-	}
-	if !bytes.Equal(got.Payload, d.Payload) {
-		t.Errorf("payload mismatch: got %q want %q", got.Payload, d.Payload)
-	}
-}
-
-func TestDataPacketEmptyPayload(t *testing.T) {
-	d := DataPacket{Origin: 1, FinalDst: 2}
-	b := d.AppendTo(nil)
-	var got DataPacket
-	if err := got.DecodeFromBytes(b); err != nil {
-		t.Fatalf("DecodeFromBytes: %v", err)
-	}
-	if len(got.Payload) != 0 {
-		t.Errorf("payload length = %d, want 0", len(got.Payload))
-	}
-	if err := got.DecodeFromBytes(b[:dataHeaderLen-1]); !errors.Is(err, ErrTooShort) {
-		t.Errorf("short data body: err = %v, want ErrTooShort", err)
-	}
-}
-
-func TestLinkStateRoundTrip(t *testing.T) {
-	ls := LinkState{
-		GeneratedAt: 5555,
-		Seq:         8,
-		Entries: []LinkStateEntry{
-			{Peer: 1, LossQ16: QuantizeLoss(0.01), LatencyMicros: 54130},
-			{Peer: 2, LossQ16: QuantizeLoss(0.5), LatencyMicros: 120000},
-			{Peer: 29, LossQ16: 0, LatencyMicros: 1},
-		},
-	}
-	b := ls.AppendTo(nil)
-	var got LinkState
-	if err := got.DecodeFromBytes(b); err != nil {
-		t.Fatalf("DecodeFromBytes: %v", err)
-	}
-	if got.GeneratedAt != ls.GeneratedAt || got.Seq != ls.Seq {
-		t.Errorf("fixed fields mismatch: got %+v", got)
-	}
-	if len(got.Entries) != len(ls.Entries) {
-		t.Fatalf("entry count = %d, want %d", len(got.Entries), len(ls.Entries))
-	}
-	for i := range ls.Entries {
-		if got.Entries[i] != ls.Entries[i] {
-			t.Errorf("entry %d = %+v, want %+v", i, got.Entries[i], ls.Entries[i])
-		}
-	}
-}
-
-func TestLinkStateDecodeRejectsOverflowCount(t *testing.T) {
-	ls := LinkState{Entries: []LinkStateEntry{{Peer: 1}}}
-	b := ls.AppendTo(nil)
-	putU16(b[12:], uint16(MaxLinkStateEntries+1))
-	var got LinkState
-	if err := got.DecodeFromBytes(b); err == nil {
-		t.Error("decode accepted entry count above MaxLinkStateEntries")
-	}
-	// Count larger than actual entries but under the cap must also fail.
-	putU16(b[12:], 5)
-	if err := got.DecodeFromBytes(b); !errors.Is(err, ErrTooShort) {
-		t.Errorf("truncated entries: err = %v, want ErrTooShort", err)
-	}
-}
-
-func TestHelloRoundTrip(t *testing.T) {
-	h := Hello{SentAt: 1, Seq: 2, MeshSize: 30}
-	b := h.AppendTo(nil)
-	var got Hello
-	if err := got.DecodeFromBytes(b); err != nil {
-		t.Fatalf("DecodeFromBytes: %v", err)
-	}
-	if got != h {
-		t.Errorf("round trip mismatch: got %+v want %+v", got, h)
-	}
-}
-
 func TestBuildOpenRoundTrip(t *testing.T) {
-	p := ProbeRequest{ID: 7, Tactic: TacticDirect, Copies: 1, Via: NoNode}
-	pkt, err := Build(Header{Type: TypeProbeRequest, Src: 4, Dst: 5}, &p)
+	body := []byte("probe body: id, timestamp, tactic")
+	pkt, err := Build(Header{Type: 1, Src: 4, Dst: 5}, body)
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	h, body, err := Open(pkt)
+	h, got, err := Open(pkt)
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	if h.Type != TypeProbeRequest || h.Src != 4 || h.Dst != 5 {
+	if h.Type != 1 || h.Src != 4 || h.Dst != 5 {
 		t.Errorf("header = %+v", h)
 	}
 	if int(h.Length) != len(pkt) {
 		t.Errorf("length = %d, want %d", h.Length, len(pkt))
 	}
-	var got ProbeRequest
-	if err := got.DecodeFromBytes(body); err != nil {
-		t.Fatalf("body decode: %v", err)
-	}
-	if got != p {
-		t.Errorf("body mismatch: got %+v want %+v", got, p)
+	if !bytes.Equal(got, body) {
+		t.Errorf("body mismatch: got %q want %q", got, body)
 	}
 }
 
 func TestOpenDetectsCorruption(t *testing.T) {
-	p := ProbeRequest{ID: 7, Tactic: TacticDirect, Copies: 1}
-	pkt, err := Build(Header{Type: TypeProbeRequest, Src: 4, Dst: 5}, &p)
+	pkt, err := Build(Header{Type: 1, Src: 4, Dst: 5}, []byte{7, 0, 0, 1, 0xFF})
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	// Flip each byte in turn (except length bytes, which fail earlier
-	// with ErrBadLength); Open must never accept a corrupted packet.
+	// Flip each byte in turn (length bytes fail earlier with
+	// ErrBadLength); Open must never accept a corrupted packet.
 	for i := 0; i < len(pkt); i++ {
 		mut := append([]byte(nil), pkt...)
 		mut[i] ^= 0x40
@@ -264,16 +90,14 @@ func TestOpenDetectsCorruption(t *testing.T) {
 }
 
 func TestBuildRejectsOversize(t *testing.T) {
-	d := DataPacket{Payload: make([]byte, MaxPacketLen)}
-	if _, err := Build(Header{Type: TypeData}, &d); !errors.Is(err, ErrTooLong) {
+	if _, err := Build(Header{Type: 3}, make([]byte, MaxPacketLen)); !errors.Is(err, ErrTooLong) {
 		t.Errorf("Build oversize: err = %v, want ErrTooLong", err)
 	}
 }
 
 func TestBuildIntoReusesBuffer(t *testing.T) {
 	buf := make([]byte, 0, 256)
-	p := Hello{Seq: 1}
-	pkt, err := BuildInto(buf, Header{Type: TypeHello}, &p)
+	pkt, err := BuildInto(buf, Header{Type: 5}, []byte{0, 0, 0, 1})
 	if err != nil {
 		t.Fatalf("BuildInto: %v", err)
 	}
@@ -283,14 +107,12 @@ func TestBuildIntoReusesBuffer(t *testing.T) {
 }
 
 func TestChecksumProperties(t *testing.T) {
-	// Verifying the checksum of any finished packet must succeed, and a
-	// single-bit flip anywhere must be detected.
+	// Verifying the checksum of any finished packet must succeed.
 	f := func(payload []byte, src, dst uint16) bool {
 		if len(payload) > 1024 {
 			payload = payload[:1024]
 		}
-		d := DataPacket{Origin: NodeID(src), FinalDst: NodeID(dst), Payload: payload}
-		pkt, err := Build(Header{Type: TypeData, Src: NodeID(src), Dst: NodeID(dst)}, &d)
+		pkt, err := Build(Header{Type: 3, Src: src, Dst: dst}, payload)
 		if err != nil {
 			return false
 		}
@@ -298,61 +120,5 @@ func TestChecksumProperties(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestQuantizeLoss(t *testing.T) {
-	cases := []struct {
-		in   float64
-		want uint16
-	}{
-		{-1, 0}, {0, 0}, {1, 65535}, {2, 65535},
-	}
-	for _, c := range cases {
-		if got := QuantizeLoss(c.in); got != c.want {
-			t.Errorf("QuantizeLoss(%v) = %d, want %d", c.in, got, c.want)
-		}
-	}
-	// Round-tripping through the fixed point representation must be
-	// accurate to within half a quantum.
-	for i := 0; i < 100; i++ {
-		f := float64(i) / 100
-		e := LinkStateEntry{LossQ16: QuantizeLoss(f)}
-		if diff := e.LossFraction() - f; diff > 1.0/65535 || diff < -1.0/65535 {
-			t.Errorf("loss %v round-trips to %v", f, e.LossFraction())
-		}
-	}
-}
-
-func TestTacticAndTypeStrings(t *testing.T) {
-	if TacticDirect.String() != "direct" || TacticRand.String() != "rand" ||
-		TacticLat.String() != "lat" || TacticLoss.String() != "loss" {
-		t.Error("tactic names do not match the paper's Table 4")
-	}
-	if TacticCode(77).String() == "" || PacketType(99).String() == "" {
-		t.Error("out-of-range values must still stringify")
-	}
-	if NodeID(3).String() != "n3" || NoNode.String() != "n-" {
-		t.Error("NodeID string format changed")
-	}
-}
-
-func TestProbeRequestFuzzDecodeNoPanic(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	buf := make([]byte, 64)
-	for i := 0; i < 5000; i++ {
-		n := rng.Intn(len(buf))
-		rng.Read(buf[:n])
-		var p ProbeRequest
-		_ = p.DecodeFromBytes(buf[:n]) // must not panic
-		var r ProbeResponse
-		_ = r.DecodeFromBytes(buf[:n])
-		var d DataPacket
-		_ = d.DecodeFromBytes(buf[:n])
-		var ls LinkState
-		_ = ls.DecodeFromBytes(buf[:n])
-		var hh Hello
-		_ = hh.DecodeFromBytes(buf[:n])
-		_, _, _ = Open(buf[:n])
 	}
 }
