@@ -296,13 +296,17 @@ func fecRun(nw *netsim.Network, tb *topo.Testbed, code *fec.Code,
 // compressed RONnarrow campaign merged into one set of tables — with
 // the given worker count.
 func benchSweepGrid(parallel int) (*core.SweepResult, error) {
-	return core.RunSweep(core.SweepSpec{
+	s, err := core.NewSweep(core.SweepSpec{
 		Datasets: []core.Dataset{core.RONnarrow},
 		Days:     benchDays,
 		BaseSeed: 1,
 		Replicas: 8,
 		Parallel: parallel,
 	})
+	if err != nil {
+		return nil, err
+	}
+	return s.Run()
 }
 
 // sweepSerialRef lazily measures one serial pass over the benchmark
@@ -373,8 +377,7 @@ func BenchmarkSweep(b *testing.B) {
 		var res *core.SweepResult
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			var err error
-			res, err = core.RunSweep(core.SweepSpec{
+			s, err := core.NewSweep(core.SweepSpec{
 				Datasets: []core.Dataset{core.RONnarrow},
 				Days:     benchDays,
 				BaseSeed: 1,
@@ -382,6 +385,9 @@ func BenchmarkSweep(b *testing.B) {
 				Axes:     []core.Axis{core.LossWindowAxis(0, 25, 100)},
 				Parallel: 1,
 			})
+			if err == nil {
+				res, err = s.Run()
+			}
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -26,8 +26,7 @@
 //     on the benchmarks named by -ns-checked. Wall-clock is
 //     machine-dependent; the default set is the campaign hot paths,
 //     and the threshold assumes the comparison runs on hardware
-//     comparable to where the baseline was recorded (CI pairs this
-//     with a benchstat report for context).
+//     comparable to where the baseline was recorded.
 package main
 
 import (
@@ -52,12 +51,11 @@ type Bench struct {
 	ScalingEff   *float64 `json:"scaling_eff,omitempty"`
 }
 
-// File mirrors BENCH_campaign.json: benchmark sections keyed "pre" and
-// "post", or a bare artifact with just "benchmarks".
+// File mirrors BENCH_campaign.json: a baseline section keyed "post",
+// or a bare artifact with just "benchmarks".
 type File struct {
 	Schema     int              `json:"schema,omitempty"`
 	Note       string           `json:"note,omitempty"`
-	Pre        *Section         `json:"pre,omitempty"`
 	Post       *Section         `json:"post,omitempty"`
 	Benchmarks map[string]Bench `json:"benchmarks,omitempty"`
 }

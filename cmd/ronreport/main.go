@@ -173,6 +173,17 @@ func reportSweep(dir string) error {
 	if err != nil {
 		return err
 	}
+	// A trace fallback sizes the matcher's and aggregator's tables from
+	// the manifest's group fields, so refuse any the file got wrong
+	// before a trace is read.
+	for _, g := range m.Groups {
+		if err := route.ValidateMeshSize(g.Hosts); err != nil {
+			return fmt.Errorf("group %s: %w", g.Name, err)
+		}
+		if len(g.Methods) == 0 {
+			return fmt.Errorf("group %s: no methods", g.Name)
+		}
+	}
 	fmt.Fprintf(flagOut, "sweep manifest: %d grid points\n\n", len(m.Groups))
 	reported := 0
 	resolve := func(rel string) string {

@@ -126,6 +126,23 @@ func dropTrace(t *testing.T, dir, cell string) {
 	}
 }
 
+// editGroup rewrites one group of the manifest.
+func editGroup(t *testing.T, dir, group string, mutate func(*core.ManifestGroup)) {
+	t.Helper()
+	m, err := core.ReadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for gi := range m.Groups {
+		if m.Groups[gi].Name == group {
+			mutate(&m.Groups[gi])
+		}
+	}
+	if err := m.Write(dir); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // foreignSeed rewrites a cell's snapshot as a valid one for another
 // seed — debris from a rerun with a different base seed — and returns
 // the error every reader must report for it.
@@ -189,11 +206,12 @@ func tables(t *testing.T, aggs ...*analysis.Aggregator) string {
 
 func TestSweepCommandLine(t *testing.T) {
 	const banner = "sweep manifest: 2 grid points\n\n"
-	cases := []struct {
+	type sweepCase struct {
 		name   string
 		damage func(t *testing.T, dir string) (expect string)
 		errHas []string
-	}{
+	}
+	cases := []sweepCase{
 		{name: "every cell from its snapshot",
 			damage: func(t *testing.T, dir string) string {
 				return banner +
@@ -256,11 +274,34 @@ func TestSweepCommandLine(t *testing.T) {
 			},
 			errHas: []string{"no grid point had snapshots or traces under"}},
 	}
+	// A group the manifest cannot size is refused before anything is
+	// printed, even with a cell left to rebuild from its trace.
+	for _, bad := range []struct {
+		name   string
+		mutate func(*core.ManifestGroup)
+		errHas string
+	}{
+		{"hosts -1", func(g *core.ManifestGroup) { g.Hosts = -1 }, "group ronnarrow: route: mesh of -1 nodes is below the 2-node minimum"},
+		{"hosts 0", func(g *core.ManifestGroup) { g.Hosts = 0 }, "group ronnarrow: route: mesh of 0 nodes is below the 2-node minimum"},
+		{"hosts 70000", func(g *core.ManifestGroup) { g.Hosts = 70000 }, "group ronnarrow: route: mesh of 70000 nodes exceeds MaxMeshNodes"},
+		{"no methods", func(g *core.ManifestGroup) { g.Methods = []string{} }, "group ronnarrow: no methods"},
+	} {
+		cases = append(cases, sweepCase{name: "a manifest group with " + bad.name + " is refused",
+			damage: func(t *testing.T, dir string) string {
+				dropSnapshot(t, dir, cellA0)
+				editGroup(t, dir, "ronnarrow", bad.mutate)
+				return ""
+			},
+			errHas: []string{bad.errHas}})
+	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := sweepCopy(t)
-			expect := tc.damage(t, dir)
-			runCLI(t, []string{"-sweep", dir}, renderLines(expect), tc.errHas)
+			var expect []string
+			if out := tc.damage(t, dir); out != "" {
+				expect = renderLines(out)
+			}
+			runCLI(t, []string{"-sweep", dir}, expect, tc.errHas)
 		})
 	}
 }

@@ -311,7 +311,7 @@ func TestOldFormatsRefused(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if payload, err = snap.Aggregator().MarshalBinary(); err != nil {
+			if payload, err = snap.Aggregator().AppendBinary(nil); err != nil {
 				t.Fatal(err)
 			}
 			snap.Version = 1

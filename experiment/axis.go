@@ -54,7 +54,7 @@ const (
 )
 
 // Register adds an axis kind to the global registry. Registered axes
-// reconstruct from manifests and snapshots, and RegisterAxisFlags
+// reconstruct from manifests and snapshots, and RegisterAxisValueFlags
 // derives a CLI flag for them. Call it from an init function; it
 // panics on duplicate names.
 func Register(def AxisDef) { core.RegisterAxis(def) }
@@ -99,35 +99,16 @@ const (
 // disjoint paths. Use it as the base for the Workload option.
 func DefaultWorkloadConfig() WorkloadConfig { return core.DefaultWorkloadConfig() }
 
-// RegisterAxisFlags derives one CLI flag per registered axis (those
-// with Usage set) on fs — flag name, default, and help text all come
-// from the registry, so a newly registered axis surfaces on the CLI
-// with no per-flag code. The returned function, called after fs is
-// parsed, yields the Options for every axis whose flag departed from
-// its default value list. Flags left at the default are omitted on
-// purpose: an unmentioned axis and an axis pinned to its default are
-// the same grid, and omitting untouched custom axes keeps
-// coordinate-derived seeds stable.
-func RegisterAxisFlags(fs *flag.FlagSet) func() ([]Option, error) {
-	collect := RegisterAxisValueFlags(fs)
-	return func() ([]Option, error) {
-		axes, err := collect()
-		if err != nil {
-			return nil, err
-		}
-		var opts []Option
-		for _, a := range axes {
-			opts = append(opts, Axes(a))
-		}
-		return opts, nil
-	}
-}
-
-// RegisterAxisValueFlags is RegisterAxisFlags without the Option
-// wrapping: the returned collector yields the parsed Axis for every
-// flag that departed from its default value list. Single-campaign
-// front-ends use it to apply one-value axes directly to a campaign
-// config instead of expanding a grid.
+// RegisterAxisValueFlags derives one CLI flag per registered axis
+// (those with Usage set) on fs — flag name, default, and help text all
+// come from the registry, so a newly registered axis surfaces on the
+// CLI with no per-flag code. The returned collector, called after fs
+// is parsed, yields the parsed Axis for every flag that departed from
+// its default value list; pass them to Axes for a grid, or apply
+// one-value axes directly to a campaign config. Flags left at the
+// default are omitted on purpose: an unmentioned axis and an axis
+// pinned to its default are the same grid, and omitting untouched
+// custom axes keeps coordinate-derived seeds stable.
 func RegisterAxisValueFlags(fs *flag.FlagSet) func() ([]Axis, error) {
 	type reg struct {
 		def AxisDef

@@ -269,20 +269,6 @@ func Datasets(ds ...Dataset) Option {
 	}
 }
 
-// DatasetNames is Datasets for CLI-form names ("ron2003", ...).
-func DatasetNames(names ...string) Option {
-	return func(e *Experiment) error {
-		for _, n := range names {
-			d, err := core.ParseDataset(n)
-			if err != nil {
-				return err
-			}
-			e.spec.Datasets = append(e.spec.Datasets, d)
-		}
-		return nil
-	}
-}
-
 // Days sets the virtual campaign length per cell (<=0: the engine
 // default).
 func Days(days float64) Option {

@@ -38,7 +38,6 @@ func TestParseList(t *testing.T) {
 
 func TestNewRejectsBadOptions(t *testing.T) {
 	cases := map[string]Option{
-		"bad dataset":    DatasetNames("atlantis"),
 		"bad axis value": AxisValues("hysteresis", "-1"),
 		"unknown axis":   AxisValues("warpfactor", "9"),
 		"empty resume":   Resume(""),
@@ -160,7 +159,7 @@ func TestExperimentShardMatch(t *testing.T) {
 
 func TestRegisterAxisFlags(t *testing.T) {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	collect := RegisterAxisFlags(fs)
+	collect := RegisterAxisValueFlags(fs)
 	for _, name := range []string{"hysteresis", "probeinterval", "losswindow"} {
 		if fs.Lookup(name) == nil {
 			t.Errorf("no derived flag -%s", name)
@@ -172,14 +171,14 @@ func TestRegisterAxisFlags(t *testing.T) {
 	if err := fs.Parse([]string{"-hysteresis", "0,0.25", "-losswindow", "0"}); err != nil {
 		t.Fatal(err)
 	}
-	opts, err := collect()
+	axes, err := collect()
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Only hysteresis departed from its default; untouched and
 	// default-valued flags must not materialize axes (which would
 	// perturb custom-axis seeds).
-	e, err := New(append([]Option{Datasets(RONnarrow), Days(expDays)}, opts...)...)
+	e, err := New(Datasets(RONnarrow), Days(expDays), Axes(axes...))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +203,7 @@ func TestRegisterAxisFlags(t *testing.T) {
 
 	// A bad flag value errors with the flag name.
 	fs2 := flag.NewFlagSet("test2", flag.ContinueOnError)
-	collect2 := RegisterAxisFlags(fs2)
+	collect2 := RegisterAxisValueFlags(fs2)
 	if err := fs2.Parse([]string{"-losswindow", "-5"}); err != nil {
 		t.Fatal(err)
 	}

@@ -663,16 +663,15 @@ func (a *Aggregator) PathLatencyCDF(method, refMethod int, minRef time.Duration)
 	return c
 }
 
-// PathCount returns how many ordered paths have observations for the
-// method (useful for reporting "on the N paths on which...").
-func (a *Aggregator) PathCount(method int) int {
+// pathCount returns how many ordered paths have observations for the
+// method.
+func (a *Aggregator) pathCount(method int) int {
 	// Membership in touched is exactly "holds a slot", i.e. probes > 0.
 	return len(a.touched[method])
 }
 
-// PathTotals exposes one path's raw counters for a method (testing and
-// diagnostics).
-func (a *Aggregator) PathTotals(method, src, dst int) (probes, firstLost, bothLost, effLost int64) {
+// pathTotals exposes one path's raw counters for a method to tests.
+func (a *Aggregator) pathTotals(method, src, dst int) (probes, firstLost, bothLost, effLost int64) {
 	ps := a.stat(method, a.pathIndex(src, dst))
 	return ps.probes, ps.firstLost, ps.bothLost, ps.effLost
 }

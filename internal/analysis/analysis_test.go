@@ -64,7 +64,9 @@ func TestCDFBasics(t *testing.T) {
 	if c.FractionAtMost(5) != 0 || c.Quantile(0.5) != 0 || c.Mean() != 0 {
 		t.Error("empty CDF should return zeros")
 	}
-	c.AddAll([]float64{1, 2, 3, 4})
+	for _, v := range []float64{1, 2, 3, 4} {
+		c.Add(v)
+	}
 	if got := c.FractionAtMost(2); got != 0.5 {
 		t.Errorf("F(2) = %v, want 0.5", got)
 	}
@@ -193,7 +195,7 @@ func TestAggregatorWindows(t *testing.T) {
 	if c.N() != 1 {
 		t.Fatalf("flushed windows = %d, want 1", c.N())
 	}
-	if got := c.Samples()[0]; got != 0.5 {
+	if got := c.samples()[0]; got != 0.5 {
 		t.Errorf("window rate = %v, want 0.5", got)
 	}
 	a.Flush()
@@ -266,11 +268,11 @@ func TestAggregatorPathCDFs(t *testing.T) {
 	if lc.N() != 1 {
 		t.Fatalf("latency CDF paths = %d, want 1", lc.N())
 	}
-	if got := lc.Samples()[0]; math.Abs(got-100) > 1 {
+	if got := lc.samples()[0]; math.Abs(got-100) > 1 {
 		t.Errorf("latency sample = %v ms, want ≈100 (lossy path mean)", got)
 	}
-	if a.PathCount(0) != 2 {
-		t.Errorf("PathCount = %d, want 2", a.PathCount(0))
+	if a.pathCount(0) != 2 {
+		t.Errorf("PathCount = %d, want 2", a.pathCount(0))
 	}
 }
 
@@ -294,7 +296,7 @@ func TestAggregatorCLPByPath(t *testing.T) {
 	if c.N() != 1 {
 		t.Fatalf("CLP paths = %d, want 1 (paths with first losses only)", c.N())
 	}
-	if got := c.Samples()[0]; got != 50 {
+	if got := c.samples()[0]; got != 50 {
 		t.Errorf("CLP = %v, want 50", got)
 	}
 }
@@ -445,7 +447,9 @@ func TestCDFQuickProperties(t *testing.T) {
 			return true
 		}
 		c := &CDF{}
-		c.AddAll(vals)
+		for _, v := range vals {
+			c.Add(v)
+		}
 		sorted := append([]float64(nil), vals...)
 		sort.Float64s(sorted)
 		// Reference F(x): count ≤ x.

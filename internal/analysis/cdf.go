@@ -99,13 +99,6 @@ func (c *CDF) AddWeighted(v float64, count int64) {
 	c.counts[i] = count
 }
 
-// AddAll appends many samples.
-func (c *CDF) AddAll(vs []float64) {
-	for _, v := range vs {
-		c.Add(v)
-	}
-}
-
 // Merge folds all of other's samples into c without expanding them: a
 // linear two-pointer merge of the sorted run lists, O(distinct(c) +
 // distinct(other)) regardless of how many samples the runs stand for.
@@ -319,11 +312,10 @@ func (c *CDF) Grid(lo, hi float64, points int) []Point {
 	return out
 }
 
-// Samples returns the sorted samples, expanded from the runs. It is a
-// testing/interchange convenience: its size is O(samples), which is
-// exactly what run-length storage exists to avoid — production paths
-// use Runs or Merge.
-func (c *CDF) Samples() []float64 {
+// samples returns the sorted samples, expanded from the runs, for
+// tests: its size is O(samples), which is exactly what run-length
+// storage exists to avoid — production paths use Runs or Merge.
+func (c *CDF) samples() []float64 {
 	c.compact()
 	out := make([]float64, 0, c.total)
 	for i, v := range c.vals {

@@ -27,7 +27,7 @@ func cellPayloads(f *testing.F) [][]byte {
 		if err != nil {
 			f.Fatal(err)
 		}
-		data, err := res.Agg.MarshalBinary()
+		data, err := res.Agg.AppendBinary(nil)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -105,7 +105,7 @@ func FuzzUnmarshalAggregator(f *testing.F) {
 		if err != nil {
 			return
 		}
-		first, err := a.MarshalBinary()
+		first, err := a.AppendBinary(nil)
 		if err != nil {
 			t.Fatalf("accepted input does not re-encode: %v", err)
 		}
@@ -113,7 +113,7 @@ func FuzzUnmarshalAggregator(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encoding of an accepted input is refused: %v", err)
 		}
-		second, err := b.MarshalBinary()
+		second, err := b.AppendBinary(nil)
 		if err != nil {
 			t.Fatal(err)
 		}

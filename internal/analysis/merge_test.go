@@ -64,12 +64,12 @@ func queries(a *Aggregator) map[string]any {
 		"table6": a.HighLossHours(),
 	}
 	for m := range a.Methods() {
-		out["win20-"+a.Methods()[m]] = a.WindowRateCDF(m).Samples()
-		out["pathloss-"+a.Methods()[m]] = a.PathLossCDF(m, 1).Samples()
-		out["lat-"+a.Methods()[m]] = a.PathLatencyCDF(m, m, 0).Samples()
+		out["win20-"+a.Methods()[m]] = a.WindowRateCDF(m).samples()
+		out["pathloss-"+a.Methods()[m]] = a.PathLossCDF(m, 1).samples()
+		out["lat-"+a.Methods()[m]] = a.PathLatencyCDF(m, m, 0).samples()
 		out["diurnal-"+a.Methods()[m]] = a.DiurnalProfile(m)
 	}
-	out["clp"] = a.CLPByPathCDF(1).Samples()
+	out["clp"] = a.CLPByPathCDF(1).samples()
 	return out
 }
 
@@ -161,11 +161,11 @@ func TestMergeAssociative(t *testing.T) {
 	}
 	left := merge(merge(third(0), third(1)), third(2))
 	right := merge(third(0), merge(third(1), third(2)))
-	lb, err := left.MarshalBinary()
+	lb, err := left.AppendBinary(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := right.MarshalBinary()
+	rb, err := right.AppendBinary(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,7 @@
 // millions of probes fit comfortably in memory.
 //
 // Aggregators compose: Merge folds replicate campaigns together with
-// order-independent query results, and MarshalBinary/UnmarshalAggregator
+// order-independent query results, and AppendBinary/UnmarshalAggregator
 // round-trip the complete state bit-exactly (floats as IEEE-754 bits),
 // so distributed sweep shards can persist, ship, and recombine their
 // statistics into tables byte-identical to an in-process run.

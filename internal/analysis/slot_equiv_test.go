@@ -231,8 +231,8 @@ func checkQueries(t *testing.T, label string, a *Aggregator, d *denseAgg) {
 				lat.Add(ps.latSumNS / float64(ps.latN) / float64(time.Millisecond))
 			}
 			src, dst := pi/d.n, pi%d.n
-			if p, fl, bl, el := a.PathTotals(m, src, dst); p != ps.probes || fl != ps.firstLost || bl != ps.bothLost || el != ps.effLost {
-				t.Fatalf("%s: PathTotals(%d,%d,%d) = %d %d %d %d, dense %+v", label, m, src, dst, p, fl, bl, el, *ps)
+			if p, fl, bl, el := a.pathTotals(m, src, dst); p != ps.probes || fl != ps.firstLost || bl != ps.bothLost || el != ps.effLost {
+				t.Fatalf("%s: pathTotals(%d,%d,%d) = %d %d %d %d, dense %+v", label, m, src, dst, p, fl, bl, el, *ps)
 			}
 		}
 		got := a.Totals(m)
@@ -245,8 +245,8 @@ func checkQueries(t *testing.T, label string, a *Aggregator, d *denseAgg) {
 			(sum.lat2N > 0 && inf.MeanLatency != time.Duration(sum.lat2SumNS/float64(sum.lat2N))) {
 			t.Fatalf("%s: InferredSingle(%d, second copy) = %+v, dense sums %+v", label, m, inf, sum)
 		}
-		if a.PathCount(m) != paths {
-			t.Fatalf("%s: PathCount(%d) = %d, dense %d", label, m, a.PathCount(m), paths)
+		if a.pathCount(m) != paths {
+			t.Fatalf("%s: pathCount(%d) = %d, dense %d", label, m, a.pathCount(m), paths)
 		}
 		for name, pair := range map[string][2]*CDF{
 			"PathLossCDF":    {a.PathLossCDF(m, 1), loss},
@@ -254,7 +254,7 @@ func checkQueries(t *testing.T, label string, a *Aggregator, d *denseAgg) {
 			"PathLatencyCDF": {a.PathLatencyCDF(m, 0, time.Millisecond), lat},
 			"WindowRateCDF":  {a.WindowRateCDF(m), d.win20[m]},
 		} {
-			if !reflect.DeepEqual(pair[0].Samples(), pair[1].Samples()) {
+			if !reflect.DeepEqual(pair[0].samples(), pair[1].samples()) {
 				t.Fatalf("%s: %s(%d) differs from the dense scan", label, name, m)
 			}
 		}

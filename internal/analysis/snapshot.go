@@ -87,24 +87,20 @@ func (r *binReader) remaining() int { return len(r.buf) - r.off }
 // Hosts returns the mesh size the aggregator was built for.
 func (a *Aggregator) Hosts() int { return a.nHosts }
 
-// MarshalBinary serializes the aggregator's complete statistical state —
-// per-path counters, pooled window samples, high-loss-hour tallies, and
-// diurnal profiles — so a campaign's analysis can be persisted and later
-// merged exactly (float sums round-trip bit-for-bit, so tables rebuilt
-// from snapshots are byte-identical to in-process results).
+// AppendBinary appends the aggregator's complete statistical state to
+// buf — per-path counters, pooled window samples, high-loss-hour
+// tallies, and diurnal profiles — so a campaign's analysis can be
+// persisted and later merged exactly (float sums round-trip
+// bit-for-bit, so tables rebuilt from snapshots are byte-identical to
+// in-process results). Per-cell snapshot writers reuse one encode
+// buffer across cells instead of allocating a payload-sized temporary
+// per finished cell.
 //
 // The aggregator is flushed first: in-progress windows contribute their
 // samples and the window machinery resets, exactly as Merge would do.
 // The encoding carries no integrity check of its own; wrap it in a
 // checksummed container (see internal/core's cell snapshots) when
 // writing to disk.
-func (a *Aggregator) MarshalBinary() ([]byte, error) {
-	return a.AppendBinary(nil)
-}
-
-// AppendBinary is MarshalBinary appending to buf, so per-cell snapshot
-// writers can reuse one encode buffer across cells instead of
-// allocating a payload-sized temporary per finished cell.
 func (a *Aggregator) AppendBinary(buf []byte) ([]byte, error) {
 	a.Flush()
 	hasWL := a.wl != nil && a.wl.HasData()
@@ -228,7 +224,7 @@ func readCDFRuns(r *binReader, c *CDF) error {
 	return r.err
 }
 
-// UnmarshalAggregator rebuilds an aggregator from MarshalBinary output.
+// UnmarshalAggregator rebuilds an aggregator from AppendBinary output.
 // The result is flushed (no in-progress windows) and ready to query or
 // Merge. Truncated, oversized, or version-mismatched payloads return an
 // error.

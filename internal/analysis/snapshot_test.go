@@ -15,7 +15,7 @@ func TestAggregatorSnapshotRoundTrip(t *testing.T) {
 	a := feed(mergeStream(30000, 5))
 	want := queries(a)
 
-	data, err := a.MarshalBinary()
+	data, err := a.AppendBinary(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func TestAggregatorSnapshotRoundTrip(t *testing.T) {
 			t.Errorf("query %s differs after round trip", k)
 		}
 	}
-	data2, err := b.MarshalBinary()
+	data2, err := b.AppendBinary(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,8 +43,8 @@ func TestAggregatorSnapshotRoundTrip(t *testing.T) {
 // it.
 func TestAggregatorSnapshotFlushesFirst(t *testing.T) {
 	a := feed(mergeStream(5000, 2))
-	// Don't flush; MarshalBinary must.
-	data, err := a.MarshalBinary()
+	// Don't flush; AppendBinary must.
+	data, err := a.AppendBinary(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestAggregatorSnapshotMergeEquivalence(t *testing.T) {
 	}
 
 	restore := func(a *Aggregator) *Aggregator {
-		data, err := a.MarshalBinary()
+		data, err := a.AppendBinary(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,7 +98,7 @@ func TestAggregatorSnapshotMergeEquivalence(t *testing.T) {
 
 func TestAggregatorSnapshotRejectsBadInput(t *testing.T) {
 	a := feed(mergeStream(2000, 1))
-	data, err := a.MarshalBinary()
+	data, err := a.AppendBinary(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestAggregatorSnapshotRejectsBadInput(t *testing.T) {
 // probe-only group without the stale workload shape tripping Merge.
 func TestUnmarshalIntoMatchesFresh(t *testing.T) {
 	probeOnly := func(n int) []byte {
-		data, err := feed(mergeStream(n, 3)).MarshalBinary()
+		data, err := feed(mergeStream(n, 3)).AppendBinary(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,7 +164,7 @@ func TestUnmarshalIntoMatchesFresh(t *testing.T) {
 		return a
 	}
 	marshal := func(a *Aggregator) []byte {
-		data, err := a.MarshalBinary()
+		data, err := a.AppendBinary(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -263,7 +263,7 @@ func probeOnlyPrefix(t *testing.T, data []byte) []byte {
 		t.Fatal(err)
 	}
 	a.wl = nil
-	plain, err := a.MarshalBinary()
+	plain, err := a.AppendBinary(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

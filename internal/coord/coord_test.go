@@ -29,6 +29,21 @@ func fleetSpec() core.SweepSpec {
 	}
 }
 
+// runLocal runs fleetSpec in one process: the result a fleet must
+// reproduce.
+func runLocal(t *testing.T) *core.SweepResult {
+	t.Helper()
+	s, err := core.NewSweep(fleetSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 // renderGroups renders every merged group's tables — the same artifact
 // the golden sweep test hashes — keyed by group name.
 func renderGroups(t *testing.T, res *core.SweepResult) map[string]string {
@@ -273,11 +288,7 @@ func TestCoordinatorFaultInjectionHTTP(t *testing.T) {
 
 	// Byte-identity against a single-process run, and the persisted
 	// snapshots reload cleanly.
-	local, err := core.RunSweep(fleetSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireIdentical(t, local, c.Result())
+	requireIdentical(t, runLocal(t), c.Result())
 	if err := c.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -366,11 +377,7 @@ func TestFleetEndToEnd(t *testing.T) {
 	if err := c.Err(); err != nil {
 		t.Fatal(err)
 	}
-	local, err := core.RunSweep(fleetSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireIdentical(t, local, c.Result())
+	requireIdentical(t, runLocal(t), c.Result())
 
 	res := c.Result()
 	if res.Selected != len(res.Cells) || res.Reused != 0 {

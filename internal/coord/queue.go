@@ -125,15 +125,6 @@ func NewLeaseQueue(n int, ttl time.Duration, now func() time.Time) *LeaseQueue {
 // TTL returns the queue's lease lifetime.
 func (q *LeaseQueue) TTL() time.Duration { return q.ttl }
 
-// MarkDone pre-completes an item outside any lease — how a coordinator
-// seeds the queue with cells already satisfied from on-disk snapshots
-// (-resume) so workers are never handed work that is already done.
-func (q *LeaseQueue) MarkDone(item int) bool {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.complete(item)
-}
-
 // Grant issues a lease to worker: the oldest pending item, or — when
 // none are pending — an item whose lease has expired, revoking the
 // stale lease (straggler re-dispatch). With nothing grantable it
@@ -233,11 +224,6 @@ func (q *LeaseQueue) Renew(id uint64) (Lease, error) {
 func (q *LeaseQueue) Complete(item int) (first bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return q.complete(item)
-}
-
-// complete is Complete with q.mu held.
-func (q *LeaseQueue) complete(item int) bool {
 	if item < 0 || item >= len(q.state) || q.state[item] == itemDone {
 		return false
 	}

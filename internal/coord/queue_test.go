@@ -161,23 +161,24 @@ func TestLeaseDuplicateCompletionIdempotent(t *testing.T) {
 	}
 }
 
-// TestLeaseMarkDone: items pre-completed from snapshots never grant.
-func TestLeaseMarkDone(t *testing.T) {
+// TestLeaseCompleteWithoutLease: an item completed before any lease
+// was granted for it never grants.
+func TestLeaseCompleteWithoutLease(t *testing.T) {
 	clk := newFakeClock()
 	q := NewLeaseQueue(2, time.Minute, clk.Now)
-	if !q.MarkDone(0) {
-		t.Fatal("MarkDone(0) not accepted")
+	if !q.Complete(0) {
+		t.Fatal("Complete(0) not accepted")
 	}
-	if q.MarkDone(0) {
-		t.Error("second MarkDone(0) accepted")
+	if q.Complete(0) {
+		t.Error("second Complete(0) accepted")
 	}
 	l, st := q.Grant("w1")
 	if st != Granted || l.Item != 1 {
-		t.Fatalf("grant after MarkDone: status %v item %d, want item 1", st, l.Item)
+		t.Fatalf("grant after Complete(0): status %v item %d, want item 1", st, l.Item)
 	}
 	q.Complete(1)
 	if !q.Done() {
-		t.Error("queue not drained after MarkDone + Complete")
+		t.Error("queue not drained after two completions")
 	}
 	// Out-of-range completions are rejected, not panics.
 	if q.Complete(-1) || q.Complete(2) {

@@ -194,11 +194,7 @@ func TestCoordinatorCrashRestartRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	local, err := core.RunSweep(fleetSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireIdentical(t, local, c2.Result())
+	requireIdentical(t, runLocal(t), c2.Result())
 
 	// Recovered cells surface as cached in the assembled result, and
 	// every persisted snapshot (including the rewritten torn one)
@@ -353,11 +349,7 @@ func TestFlakyProxyFleet(t *testing.T) {
 	if faults.Load() == 0 {
 		t.Fatal("proxy injected no faults; the test proved nothing")
 	}
-	local, err := core.RunSweep(fleetSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireIdentical(t, local, c.Result())
+	requireIdentical(t, runLocal(t), c.Result())
 }
 
 // TestWorkerBackoffJitter pins the retry-shaping helpers: waitBackoff

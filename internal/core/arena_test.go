@@ -128,11 +128,11 @@ func equalResults(t *testing.T, got, want *Result) {
 			got.RONProbes, got.MeasureProbes, got.RouteChanges,
 			want.RONProbes, want.MeasureProbes, want.RouteChanges)
 	}
-	gb, err := got.Agg.MarshalBinary()
+	gb, err := got.Agg.AppendBinary(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wb, err := want.Agg.MarshalBinary()
+	wb, err := want.Agg.AppendBinary(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestArenaRunRetainedIndependent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := retained.Agg.MarshalBinary()
+	want, err := retained.Agg.AppendBinary(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestArenaRunRetainedIndependent(t *testing.T) {
 	if _, err := arena.RunRetained(cfg); err != nil {
 		t.Fatal(err)
 	}
-	got, err := retained.Agg.MarshalBinary()
+	got, err := retained.Agg.AppendBinary(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -298,15 +298,12 @@ func TestCustomAxisExpansion(t *testing.T) {
 }
 
 func TestCustomAxisSnapshotRoundTrip(t *testing.T) {
-	res, err := RunSweep(SweepSpec{
+	res := runSweep(t, SweepSpec{
 		Datasets: []Dataset{RONnarrow},
 		Days:     sweepDays,
 		BaseSeed: 13,
 		Axes:     []Axis{&gapScaleAxis{vals: []AxisValue{"2"}}},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	c := res.Cells[0]
 	path := CellSnapshotPath(t.TempDir(), c.Cell.Name())
 	if err := NewCellSnapshot(c.Cell, c.Res).WriteFile(path); err != nil {

@@ -3,7 +3,11 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"hash/crc32"
+	"os"
+	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -120,5 +124,114 @@ func FuzzParseCellSnapshot(f *testing.F) {
 		if !bytes.Equal(first, second) {
 			t.Fatalf("re-encoding is not a fixed point: %d bytes, then %d", len(first), len(second))
 		}
+	})
+}
+
+// FuzzReadManifest: the manifest reader and SweepSpec never panic, and
+// a manifest they accept is a fixed point: written back and read again
+// it yields an equal spec.
+func FuzzReadManifest(f *testing.F) {
+	spec := fleetTestSpec()
+	w := DefaultWorkloadConfig()
+	spec.Workload = &w
+	s, err := NewSweep(spec)
+	if err != nil {
+		f.Fatal(err)
+	}
+	good, err := json.MarshalIndent(s.Manifest(nil, nil), "", "  ")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(good)
+	f.Add(bytes.Replace(good, []byte(`"version": 3`), []byte(`"version": 2`), 1))
+	f.Add(bytes.Replace(good, []byte(`"RONnarrow"`), []byte(`"atlantis"`), 1))
+	f.Add(bytes.Replace(good, []byte(`"hysteresis"`), []byte(`"warpfactor"`), 1))
+	f.Add(bytes.Replace(good, []byte(`"0.25"`), []byte(`"-1"`), 1))
+	f.Add([]byte("{not json"))
+	f.Add([]byte(`{"version": 3, "groups": [{"hosts": -1, "methods": []}]}`))
+	// One directory per fuzz worker: executions within a worker are
+	// sequential, and a fresh t.TempDir per input stalls the fuzzer.
+	dir := f.TempDir()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(filepath.Join(dir, ManifestName), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		m, err := ReadManifest(dir)
+		if err != nil {
+			return
+		}
+		spec, err := m.SweepSpec()
+		if err != nil {
+			return
+		}
+		if err := m.Write(dir); err != nil {
+			t.Fatalf("accepted manifest does not re-marshal: %v", err)
+		}
+		back, err := ReadManifest(dir)
+		if err != nil {
+			t.Fatalf("re-marshalled manifest does not read: %v", err)
+		}
+		spec2, err := back.SweepSpec()
+		if err != nil {
+			t.Fatalf("re-read manifest has no spec: %v", err)
+		}
+		if a, b := specView(spec), specView(spec2); !reflect.DeepEqual(a, b) {
+			t.Fatalf("spec moved through a re-marshal:\n%+v\n%+v", a, b)
+		}
+	})
+}
+
+// specView is a SweepSpec with each axis reduced to its name and values,
+// so two independently constructed specs compare with reflect.DeepEqual.
+func specView(s SweepSpec) any {
+	type axis struct {
+		Name   string
+		Values []AxisValue
+	}
+	axes := make([]axis, len(s.Axes))
+	for i, a := range s.Axes {
+		axes[i] = axis{a.Name(), a.Values()}
+	}
+	s.Axes = nil
+	return struct {
+		Spec SweepSpec
+		Axes []axis
+	}{s, axes}
+}
+
+// FuzzParseCellFilter: the -cells parser never panics, and an accepted
+// filter's Match is total over a 2-dataset × 8-replica grid and selects
+// exactly the union of what its terms select one at a time.
+func FuzzParseCellFilter(f *testing.F) {
+	for _, seed := range []string{"0", "0-3", "ron2003-r00", "ron2003", "*-r00", "ronnarrow-*",
+		"0-1,ronnarrow-*", "*-r00,tpyo-*", "*-r00,99", "", " , ", "[", "7-3", "-3", "3-", "99999999999999999999", `\`} {
+		f.Add(seed)
+	}
+	s, err := NewSweep(SweepSpec{Datasets: []Dataset{RON2003, RONnarrow}, Days: sweepDays, Replicas: 8})
+	if err != nil {
+		f.Fatal(err)
+	}
+	cells := s.Cells()
+	f.Fuzz(func(t *testing.T, spec string) {
+		filt, err := ParseCellFilter(spec)
+		if err != nil {
+			return
+		}
+		var terms []*CellFilter
+		for _, raw := range strings.Split(spec, ",") {
+			if one, err := ParseCellFilter(raw); err == nil {
+				terms = append(terms, one)
+			}
+		}
+		for _, c := range cells {
+			union := false
+			for _, one := range terms {
+				union = union || one.Match(c)
+			}
+			if filt.Match(c) != union {
+				t.Fatalf("filter %q: Match(%s) = %v, its terms one at a time say %v", spec, c.Name(), !union, union)
+			}
+		}
+		_ = filt.Validate(cells)
 	})
 }

@@ -184,10 +184,7 @@ func TestLifecycleFoldAnyArrivalOrder(t *testing.T) {
 func TestSweepRunReleasesPersistedCells(t *testing.T) {
 	spec := fleetTestSpec()
 	spec.Parallel = 2
-	kept, err := RunSweep(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	kept := runSweep(t, spec)
 	spec.OutDir = t.TempDir()
 	seen := 0
 	spec.Progress = func(cr CellResult) {
@@ -195,10 +192,7 @@ func TestSweepRunReleasesPersistedCells(t *testing.T) {
 			seen++
 		}
 	}
-	res, err := RunSweep(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runSweep(t, spec)
 	if seen != len(res.Cells) {
 		t.Errorf("Progress saw %d full results, want %d", seen, len(res.Cells))
 	}

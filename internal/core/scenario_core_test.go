@@ -151,11 +151,11 @@ func TestScenarioCampaignResilience(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fb, err := fresh.Agg.MarshalBinary()
+	fb, err := fresh.Agg.AppendBinary(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := reused.Agg.MarshalBinary()
+	rb, err := reused.Agg.AppendBinary(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestScenarioSnapshotV4RoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pb, err := plain.Agg.MarshalBinary()
+	pb, err := plain.Agg.AppendBinary(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestScenarioSnapshotV4RoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sb, err := res.Agg.MarshalBinary()
+	sb, err := res.Agg.AppendBinary(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestScenarioSnapshotV4RoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sb2, err := back.MarshalBinary()
+	sb2, err := back.AppendBinary(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestScenarioSnapshotV4RoundTrip(t *testing.T) {
 	if merged == nil || merged.UnderlayOutages != res.Agg.Resilience().UnderlayOutages {
 		t.Error("merge dropped the resilience section")
 	}
-	mb, err := plain.Agg.MarshalBinary()
+	mb, err := plain.Agg.AppendBinary(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

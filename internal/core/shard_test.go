@@ -38,10 +38,7 @@ func snapshotCells(t *testing.T, dir string, res *SweepResult) {
 // snapshots, and recombined through the snapshot path must render
 // merged tables byte-identical to a single-machine run.
 func TestShardedSweepByteIdentical(t *testing.T) {
-	single, err := RunSweep(shardSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
+	single := runSweep(t, shardSpec())
 
 	dir := t.TempDir()
 	for _, shard := range []string{"*-r00", "*-r01"} {
@@ -51,10 +48,7 @@ func TestShardedSweepByteIdentical(t *testing.T) {
 		}
 		spec := shardSpec()
 		spec.Filter = f.Match
-		res, err := RunSweep(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := runSweep(t, spec)
 		if res.Selected != 2 {
 			t.Fatalf("shard %s selected %d cells, want 2", shard, res.Selected)
 		}
@@ -108,10 +102,7 @@ func TestShardedSweepByteIdentical(t *testing.T) {
 // snapshots; a resumed full run must reuse them without recomputing,
 // and produce merged tables byte-identical to an uninterrupted run.
 func TestSweepResumeSkipsCompletedCells(t *testing.T) {
-	clean, err := RunSweep(shardSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
+	clean := runSweep(t, shardSpec())
 
 	dir := t.TempDir()
 	f, err := ParseCellFilter("*-r00")
@@ -120,10 +111,7 @@ func TestSweepResumeSkipsCompletedCells(t *testing.T) {
 	}
 	partial := shardSpec()
 	partial.Filter = f.Match
-	pres, err := RunSweep(partial)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pres := runSweep(t, partial)
 	snapshotCells(t, dir, pres)
 
 	resumed := shardSpec()
@@ -144,10 +132,7 @@ func TestSweepResumeSkipsCompletedCells(t *testing.T) {
 			recomputed++
 		}
 	}
-	rres, err := RunSweep(resumed)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rres := runSweep(t, resumed)
 	if rres.Reused != 2 {
 		t.Errorf("resume reused %d cells, want 2", rres.Reused)
 	}
@@ -179,7 +164,11 @@ func TestSweepResumeSkipsCompletedCells(t *testing.T) {
 func TestSweepFilterSelectsNothing(t *testing.T) {
 	spec := shardSpec()
 	spec.Filter = func(Cell) bool { return false }
-	if _, err := RunSweep(spec); err == nil {
+	s, err := NewSweep(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Run(); err == nil {
 		t.Error("sweep with an empty selection succeeded")
 	}
 }
@@ -189,10 +178,7 @@ func TestMergeResultsValidates(t *testing.T) {
 	if _, err := MergeResults(nil); err == nil {
 		t.Error("MergeResults accepted an empty slice")
 	}
-	res, err := RunSweep(SweepSpec{Datasets: []Dataset{RONnarrow}, Days: sweepDays, Replicas: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runSweep(t, SweepSpec{Datasets: []Dataset{RONnarrow}, Days: sweepDays, Replicas: 2})
 	merged, err := MergeResults([]*Result{res.Cells[0].Res, res.Cells[1].Res})
 	if err != nil {
 		t.Fatal(err)

@@ -23,7 +23,7 @@ import (
 //	u32 little-endian length of the JSON metadata
 //	JSON metadata (CellSnapshot's exported fields)
 //	u32 little-endian length of the aggregator payload
-//	aggregator payload (analysis.Aggregator MarshalBinary)
+//	aggregator payload (analysis.Aggregator AppendBinary)
 //	u32 little-endian IEEE CRC-32 of all preceding bytes
 //
 // The checksum plus an atomic write-then-rename makes a snapshot either

@@ -538,12 +538,3 @@ func (s *Sweep) Run() (*SweepResult, error) {
 	out.Wall = time.Since(start)
 	return out, nil
 }
-
-// RunSweep expands and runs a sweep in one call.
-func RunSweep(spec SweepSpec) (*SweepResult, error) {
-	s, err := NewSweep(spec)
-	if err != nil {
-		return nil, err
-	}
-	return s.Run()
-}

@@ -15,6 +15,20 @@ import (
 // enough probes to populate every counter.
 const sweepDays = 0.01
 
+// runSweep expands and runs spec, failing the test on any error.
+func runSweep(t *testing.T, spec SweepSpec) *SweepResult {
+	t.Helper()
+	s, err := NewSweep(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func TestSweepGridExpansion(t *testing.T) {
 	prof := netsim.DefaultProfile()
 	prof.LossScale = 2
@@ -139,14 +153,8 @@ func TestSweepDeterminismAcrossParallelism(t *testing.T) {
 	parallel := spec
 	parallel.Parallel = 4
 
-	rs, err := RunSweep(serial)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rp, err := RunSweep(parallel)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rs := runSweep(t, serial)
+	rp := runSweep(t, parallel)
 	if len(rs.Groups) != len(rp.Groups) {
 		t.Fatalf("group counts differ: %d vs %d", len(rs.Groups), len(rp.Groups))
 	}
@@ -160,15 +168,12 @@ func TestSweepDeterminismAcrossParallelism(t *testing.T) {
 }
 
 func TestSweepMergedMatchesCellSums(t *testing.T) {
-	res, err := RunSweep(SweepSpec{
+	res := runSweep(t, SweepSpec{
 		Datasets: []Dataset{RONnarrow},
 		Days:     sweepDays,
 		BaseSeed: 3,
 		Replicas: 3,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if len(res.Groups) != 1 {
 		t.Fatalf("got %d groups, want 1", len(res.Groups))
 	}
@@ -230,15 +235,12 @@ func TestSweepConfigureHook(t *testing.T) {
 }
 
 func TestSweepManifestRoundTrip(t *testing.T) {
-	res, err := RunSweep(SweepSpec{
+	res := runSweep(t, SweepSpec{
 		Datasets: []Dataset{RONnarrow},
 		Days:     sweepDays,
 		BaseSeed: 9,
 		Replicas: 2,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	m := res.Manifest(func(c Cell) string {
 		return filepath.Join("traces", c.Name()+".trc")
 	}, func(c Cell) string {

@@ -20,13 +20,13 @@ import (
 //
 //   - multi-path + FEC: the frame's k data shards plus m parity shards
 //     (a fec.Code group) are striped round-robin across the Paths best
-//     link-disjoint overlay paths (route.Selector.KBestDisjoint: the
+//     link-disjoint overlay paths (route.Selector.KBestDisjointAppend: the
 //     direct path plus distinct single-intermediate paths). The frame is
 //     delivered when any k shards arrive — the Reed–Solomon property —
 //     and its latency is the arrival of the k-th shard, the moment the
 //     receiver can reconstruct.
 //   - best-path: the same k data shards, no parity, all on the current
-//     lowest-loss path (the head of the same KBestDisjoint query, so
+//     lowest-loss path (the head of the same KBestDisjointAppend query, so
 //     both schemes see identical routing state). Delivery needs all k
 //     shards; latency is the last arrival.
 //

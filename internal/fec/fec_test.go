@@ -297,7 +297,7 @@ func TestEvenSpread(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Offsets[0] != 0 || s.Span() != 400*time.Millisecond {
+	if s.Offsets[0] != 0 || s.Offsets[4] != 400*time.Millisecond {
 		t.Errorf("spread = %v", s.Offsets)
 	}
 	for i := 1; i < 5; i++ {
@@ -312,7 +312,7 @@ func TestEvenSpread(t *testing.T) {
 		t.Error("negative span accepted")
 	}
 	one, _ := EvenSpread(1, time.Second)
-	if one.Span() != 0 {
+	if one.Offsets[0] != 0 {
 		t.Error("single shard should send immediately")
 	}
 }
@@ -332,34 +332,5 @@ func TestDataFirst(t *testing.T) {
 	}
 	if _, err := DataFirst(0, 1, time.Second); err == nil {
 		t.Error("k=0 accepted")
-	}
-}
-
-func TestRequiredSpread(t *testing.T) {
-	// Synthetic persistence resembling the paper's: 0.72 at 0, decaying
-	// with a 300ms time constant toward zero.
-	persistence := func(d time.Duration) float64 {
-		return 0.72 * math.Exp(-float64(d)/float64(300*time.Millisecond))
-	}
-	spread, ok := RequiredSpread(persistence, 0.05, 5*time.Second)
-	if !ok {
-		t.Fatal("spread not found")
-	}
-	// Analytic answer: 300ms * ln(0.72/0.05) ≈ 800ms — comfortably
-	// "nearly half a second" or more, as §5.2 argues.
-	if spread < 600*time.Millisecond || spread > time.Second {
-		t.Errorf("required spread = %v, want ≈800ms", spread)
-	}
-	// Already-satisfied target.
-	if s, ok := RequiredSpread(persistence, 0.9, time.Second); !ok || s != 0 {
-		t.Errorf("trivial target: (%v, %v)", s, ok)
-	}
-	// Unreachable target within bound.
-	if _, ok := RequiredSpread(persistence, 0.0001, 100*time.Millisecond); ok {
-		t.Error("unreachable target reported as found")
-	}
-	// Non-positive target never succeeds.
-	if _, ok := RequiredSpread(persistence, 0, time.Second); ok {
-		t.Error("zero target reported as found")
 	}
 }

@@ -16,18 +16,6 @@ type Schedule struct {
 	Offsets []time.Duration
 }
 
-// Span returns the total schedule duration (the added recovery delay an
-// interactive application would suffer, §5.2).
-func (s Schedule) Span() time.Duration {
-	var max time.Duration
-	for _, o := range s.Offsets {
-		if o > max {
-			max = o
-		}
-	}
-	return max
-}
-
 // EvenSpread schedules n shards uniformly across span: shard i departs at
 // i*span/(n-1). span 0 sends everything back-to-back.
 func EvenSpread(n int, span time.Duration) (Schedule, error) {
@@ -66,37 +54,4 @@ func DataFirst(k, m int, span time.Duration) (Schedule, error) {
 		}
 	}
 	return Schedule{Offsets: off}, nil
-}
-
-// RequiredSpread estimates how widely redundancy must be spread on a
-// single path so a parity packet escapes the burst that dropped a data
-// packet: the smallest Δ with P(burst persists Δ) ≤ target, given the
-// burst-persistence function of the channel. persistence must be
-// non-increasing; the search is bounded by maxSpread.
-//
-// With the paper's measured persistence (≈66% at 10 ms, still ≈50%+ per
-// CLP at tens of ms), targets near the unconditional loss rate need
-// spreads of hundreds of milliseconds — "the FEC information must be
-// spread out by nearly half a second" (§5.2).
-func RequiredSpread(persistence func(time.Duration) float64,
-	target float64, maxSpread time.Duration) (time.Duration, bool) {
-	if target <= 0 {
-		return maxSpread, false
-	}
-	if persistence(0) <= target {
-		return 0, true
-	}
-	lo, hi := time.Duration(0), maxSpread
-	if persistence(hi) > target {
-		return maxSpread, false
-	}
-	for hi-lo > time.Millisecond {
-		mid := lo + (hi-lo)/2
-		if persistence(mid) <= target {
-			hi = mid
-		} else {
-			lo = mid
-		}
-	}
-	return hi, true
 }

@@ -342,9 +342,6 @@ func (c *Component) Probe(t Time) (down, congested bool, severity float64) {
 	return c.down, c.congested, c.severity
 }
 
-// Class returns the component's class.
-func (c *Component) Class() ComponentClass { return c.class }
-
 // ID returns the component's identifier.
 func (c *Component) ID() ComponentID { return c.id }
 

@@ -17,7 +17,6 @@ type globalModulator struct {
 	boost    float64
 	nextFlip Time
 	params   GlobalParams
-	episodes int64
 }
 
 // GlobalParams parameterizes the network-wide congestion weather.
@@ -44,16 +43,8 @@ func DefaultGlobalParams() GlobalParams {
 	}
 }
 
-// newGlobalModulator builds the process; disabled params yield a
-// modulator whose factor is always 1.
-func newGlobalModulator(seed uint64, p GlobalParams) *globalModulator {
-	g := &globalModulator{}
-	g.reset(seed, p)
-	return g
-}
-
-// reset reinitializes the process in place to exactly the state
-// newGlobalModulator(seed, p) would construct, reusing the RNG.
+// reset (re)initializes the process in place for seed and p, reusing
+// the RNG; disabled params yield a modulator whose factor is always 1.
 func (g *globalModulator) reset(seed uint64, p GlobalParams) {
 	if g.rng == nil {
 		g.rng = NewSource(seed)
@@ -61,7 +52,7 @@ func (g *globalModulator) reset(seed uint64, p GlobalParams) {
 		g.rng.Seed(seed)
 	}
 	g.params = p
-	g.now, g.active, g.boost, g.episodes = 0, false, 0, 0
+	g.now, g.active, g.boost = 0, false, 0
 	if p.EpisodeEvery > 0 {
 		g.nextFlip = Time(g.rng.Exp(float64(p.EpisodeEvery)))
 	} else {
@@ -78,7 +69,6 @@ func (g *globalModulator) factorAt(t Time) float64 {
 			g.nextFlip += Time(g.rng.Exp(float64(g.params.EpisodeEvery)))
 		} else {
 			g.active = true
-			g.episodes++
 			g.boost = g.rng.Uniform(g.params.BoostMin, g.params.BoostMax)
 			g.nextFlip += Time(g.rng.Exp(float64(g.params.EpisodeMean)))
 		}
@@ -91,6 +81,3 @@ func (g *globalModulator) factorAt(t Time) float64 {
 	}
 	return 1
 }
-
-// Episodes returns how many global bad periods have started so far.
-func (g *globalModulator) Episodes() int64 { return g.episodes }

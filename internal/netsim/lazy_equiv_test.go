@@ -129,7 +129,7 @@ func runTwins(t *testing.T, label string, lazy, eager *Network, ops []twinOp) {
 		bb, bo, be := b.Stats()
 		ad, ac, as := a.Probe(end)
 		bd, bc, bs := b.Probe(end)
-		if a.ID() != b.ID() || a.Class() != b.Class() ||
+		if a.ID() != b.ID() || a.class != b.class ||
 			ab != bb || ao != bo || ae != be || ad != bd || ac != bc || as != bs {
 			t.Fatalf("%s: %s differs: lazy id %d stats (%d,%d,%d) probe (%v,%v,%v); pre-built id %d stats (%d,%d,%d) probe (%v,%v,%v)",
 				label, what, a.ID(), ab, ao, ae, ad, ac, as, b.ID(), bb, bo, be, bd, bc, bs)

@@ -52,6 +52,42 @@ func TestParsePredicates(t *testing.T) {
 	}
 }
 
+// FuzzParsePredicates: the -query parser never panics, and Select, the
+// compiled form, keeps exactly the rows Match accepts over a six-row
+// fixture that includes slashes and empty fields.
+func FuzzParsePredicates(f *testing.F) {
+	for _, seed := range []string{" kind=cell , scenario=outage,name=*-r0[01]", "", "noequals", "name=[bad",
+		"kind=group", "kind=cell,scenario=0", "name=a-r*", "replica=1", "seed=12", "nosuchaxis=*",
+		"nosuchaxis=x", "=x", `name=\\`, "scenario=a/*", "name=*"} {
+		f.Add(seed)
+	}
+	rows := append(queryRows(),
+		&Row{Kind: KindCell, Name: "c/r00", Group: "c", Dataset: "ron2003", Seed: 13,
+			Axes: []AxisKV{{"scenario", "a/b"}}},
+		&Row{Kind: KindGroup, Replica: -1})
+	f.Fuzz(func(t *testing.T, query string) {
+		preds, err := ParsePredicates(query)
+		if err != nil {
+			return
+		}
+		got := Select(rows, preds)
+		var want []*Row
+		for _, r := range rows {
+			if Match(r, preds) {
+				want = append(want, r)
+			}
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%q: Select kept %d rows, Match accepts %d", query, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("%q: Select row %d is %s, Match's is %s", query, i, got[i].Name, want[i].Name)
+			}
+		}
+	})
+}
+
 func TestSelect(t *testing.T) {
 	rows := queryRows()
 	cases := []struct {

@@ -13,7 +13,7 @@ func TestLandmarkPlanShape(t *testing.T) {
 		if p.N() != n {
 			t.Fatalf("n=%d: N() = %d", n, p.N())
 		}
-		lms := p.Landmarks()
+		lms := p.landmarks
 		wantL := 0
 		for wantL*wantL < n {
 			wantL++
@@ -33,14 +33,14 @@ func TestLandmarkPlanShape(t *testing.T) {
 			if i > 0 && lms[i-1] >= lm {
 				t.Fatalf("n=%d: landmarks not ascending: %v", n, lms)
 			}
-			if !p.IsLandmark(int(lm)) {
-				t.Fatalf("n=%d: IsLandmark(%d) = false", n, lm)
+			if !p.isLM[lm] {
+				t.Fatalf("n=%d: isLM[%d] = false", n, lm)
 			}
 		}
 		// Deterministic: the plan derives from n alone.
 		q := NewLandmarkPlan(n)
 		for i := range lms {
-			if q.Landmarks()[i] != lms[i] {
+			if q.landmarks[i] != lms[i] {
 				t.Fatalf("n=%d: plans differ across constructions", n)
 			}
 		}
@@ -59,7 +59,7 @@ func TestLandmarkPlanProbes(t *testing.T) {
 			for d := 0; d < n; d++ {
 				probes := p.Probes(s, d)
 				wantRing := d == (s+1)%n || d == (s-1+n)%n
-				want := s != d && (p.IsLandmark(s) || p.IsLandmark(d) || wantRing)
+				want := s != d && (p.isLM[s] || p.isLM[d] || wantRing)
 				if probes != want {
 					t.Fatalf("n=%d: Probes(%d,%d) = %v, want %v", n, s, d, probes, want)
 				}
@@ -211,7 +211,7 @@ func TestPlanRestrictsVias(t *testing.T) {
 	var tables Tables
 	sel.SnapshotInto(&tables)
 	checkVia := func(kind string, src, dst, via int) {
-		if via >= 0 && via != dst && !plan.IsLandmark(via) {
+		if via >= 0 && via != dst && !plan.isLM[via] {
 			t.Fatalf("%s(%d,%d) selected non-landmark via %d", kind, src, dst, via)
 		}
 	}

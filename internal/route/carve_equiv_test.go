@@ -204,10 +204,10 @@ func TestPlanCarveIsLazy(t *testing.T) {
 	if len(sel.est) != 0 || len(sel.rings) != 0 {
 		t.Fatalf("link state carved before first use: %d estimates, %d ring words", len(sel.est), len(sel.rings))
 	}
-	if c := sel.BestLoss(3, 4); !c.IsDirect() || c.Loss != 0 || c.Latency != sel.FallbackLatency() {
+	if c := sel.BestLoss(3, 4); !c.IsDirect() || c.Loss != 0 || c.Latency != sel.fallbackLat {
 		t.Fatalf("virgin BestLoss = %+v, want direct at loss 0 and the fallback latency", c)
 	}
-	lm := int(plan.Landmarks()[0])
+	lm := int(plan.landmarks[0])
 	sel.Record((lm+1)%n, lm, false, 10)
 	if len(sel.est) != plan.PlannedLinks() || cap(sel.est) >= n*n {
 		t.Fatalf("carved %d estimates (cap %d) for %d planned links", len(sel.est), cap(sel.est), plan.PlannedLinks())

@@ -44,9 +44,10 @@ type LossWindow struct {
 // ringWords is the number of ring words a window of size probes needs.
 func ringWords(size int) int { return (size + 63) / 64 }
 
-// NewLossWindow creates a window of the given size; size <= 0 uses
+// newLossWindow creates a standalone window of the given size (the
+// selector carves its windows from one slab); size <= 0 uses
 // DefaultLossWindow. It panics past MaxLossWindow.
-func NewLossWindow(size int) *LossWindow {
+func newLossWindow(size int) *LossWindow {
 	if err := ValidateLossWindow(size); err != nil {
 		panic(err)
 	}
@@ -85,9 +86,6 @@ func (w *LossWindow) Rate() float64 {
 	}
 	return float64(w.losses) / float64(w.filled)
 }
-
-// Samples returns how many outcomes the window currently holds.
-func (w *LossWindow) Samples() int { return int(w.filled) }
 
 // Reset clears the window.
 func (w *LossWindow) Reset() {
@@ -140,7 +138,7 @@ func (e *LatencyEWMA) Reset() { e.value, e.valid = 0, false }
 // The window is embedded by value and the latency EWMA (at
 // DefaultEWMAAlpha) is a bare float, so a selector holds its links'
 // estimates in one flat slice, 48 bytes each. The zero value reads as an
-// unprobed link but cannot Record: construct with NewLinkEstimate.
+// unprobed link but cannot Record: its window needs a ring.
 type LinkEstimate struct {
 	Loss    LossWindow
 	latency float64 // smoothed, nanoseconds; meaningful once latValid
@@ -154,9 +152,10 @@ type LinkEstimate struct {
 	latValid      bool // latency holds at least one sample
 }
 
-// NewLinkEstimate creates an estimate with default-size window and EWMA.
-func NewLinkEstimate() *LinkEstimate {
-	return &LinkEstimate{Loss: *NewLossWindow(0)}
+// newLinkEstimate creates a standalone estimate with a default-size
+// window.
+func newLinkEstimate() *LinkEstimate {
+	return &LinkEstimate{Loss: *newLossWindow(0)}
 }
 
 // Record folds in one probe outcome. Lost probes carry no latency.

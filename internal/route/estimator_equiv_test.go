@@ -47,7 +47,7 @@ func (w *boolRing) rate() float64 {
 // Reset — and never sets a ring bit at or past its size.
 func TestLossWindowMatchesBoolRing(t *testing.T) {
 	for _, size := range []int{1, 25, 63, 64, 65, 100, 128, 400} {
-		w := NewLossWindow(size)
+		w := newLossWindow(size)
 		if len(w.ring) != (size+63)/64 {
 			t.Fatalf("window %d: ring of %d words, want %d", size, len(w.ring), (size+63)/64)
 		}
@@ -66,9 +66,9 @@ func TestLossWindowMatchesBoolRing(t *testing.T) {
 				}
 				w.Record(lost)
 				ref.record(lost)
-				if w.Rate() != ref.rate() || w.Samples() != ref.filled {
+				if w.Rate() != ref.rate() || int(w.filled) != ref.filled {
 					t.Fatalf("window %d pass %d probe %d: rate %v over %d samples, the bool ring has %v over %d",
-						size, pass, i, w.Rate(), w.Samples(), ref.rate(), ref.filled)
+						size, pass, i, w.Rate(), int(w.filled), ref.rate(), ref.filled)
 				}
 			}
 			for i, lost := range ref.ring {
@@ -80,8 +80,8 @@ func TestLossWindowMatchesBoolRing(t *testing.T) {
 				t.Fatalf("window %d pass %d: bits past the window are set: %#x", size, pass, w.ring[len(w.ring)-1])
 			}
 			w.Reset()
-			if w.Rate() != 0 || w.Samples() != 0 {
-				t.Fatalf("window %d: Reset left rate %v over %d samples", size, w.Rate(), w.Samples())
+			if w.Rate() != 0 || int(w.filled) != 0 {
+				t.Fatalf("window %d: Reset left rate %v over %d samples", size, w.Rate(), int(w.filled))
 			}
 			for _, word := range w.ring {
 				if word != 0 {
@@ -95,18 +95,18 @@ func TestLossWindowMatchesBoolRing(t *testing.T) {
 // TestLossWindowAtMaximum: the largest window the 16-bit cursor allows
 // fills, wraps and counts every probe of a fully lost window.
 func TestLossWindowAtMaximum(t *testing.T) {
-	w := NewLossWindow(MaxLossWindow)
+	w := newLossWindow(MaxLossWindow)
 	for i := 0; i < MaxLossWindow+10; i++ {
 		w.Record(true)
 	}
-	if w.Samples() != MaxLossWindow || w.Rate() != 1 {
-		t.Fatalf("full window: rate %v over %d samples, want 1 over %d", w.Rate(), w.Samples(), MaxLossWindow)
+	if int(w.filled) != MaxLossWindow || w.Rate() != 1 {
+		t.Fatalf("full window: rate %v over %d samples, want 1 over %d", w.Rate(), int(w.filled), MaxLossWindow)
 	}
 	for i := 0; i < MaxLossWindow; i++ {
 		w.Record(false)
 	}
-	if w.Samples() != MaxLossWindow || w.Rate() != 0 {
-		t.Fatalf("turned-over window: rate %v over %d samples, want 0 over %d", w.Rate(), w.Samples(), MaxLossWindow)
+	if int(w.filled) != MaxLossWindow || w.Rate() != 0 {
+		t.Fatalf("turned-over window: rate %v over %d samples, want 0 over %d", w.Rate(), int(w.filled), MaxLossWindow)
 	}
 }
 
@@ -121,7 +121,7 @@ func TestValidateLossWindow(t *testing.T) {
 	}
 	sel := NewSelectorWindow(4, 0)
 	for name, build := range map[string]func(window int){
-		"NewLossWindow":     func(window int) { NewLossWindow(window) },
+		"newLossWindow":     func(window int) { newLossWindow(window) },
 		"NewSelectorWindow": func(window int) { NewSelectorWindow(4, window) },
 		"Selector.Reset":    func(window int) { sel.Reset(window) },
 	} {
@@ -153,7 +153,7 @@ func TestValidateLossWindow(t *testing.T) {
 // largest one the field can hold — and the first delivery revives it.
 func TestDeadDetectorSaturates(t *testing.T) {
 	for _, thr := range []uint16{0, 1, DefaultDeadThreshold, 1000, math.MaxUint16} {
-		le := NewLinkEstimate()
+		le := newLinkEstimate()
 		le.DeadThreshold = thr
 		want := int(thr)
 		if thr == 0 {
@@ -185,7 +185,7 @@ func TestDeadDetectorSaturates(t *testing.T) {
 // is the standalone LatencyEWMA at the default gain, bit for bit, with
 // losses interleaved.
 func TestLinkEstimateMatchesEWMA(t *testing.T) {
-	le := NewLinkEstimate()
+	le := newLinkEstimate()
 	ref := NewLatencyEWMA(DefaultEWMAAlpha)
 	rng := rand.New(rand.NewSource(5))
 	const fallback = time.Second

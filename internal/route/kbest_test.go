@@ -18,7 +18,7 @@ func pathLinks(src, dst int, c Choice) [][2]int {
 // randomized meshes and pairs, the returned paths are pairwise
 // link-disjoint, ordered by estimated loss ascending, bounded by both k
 // and n-1, and headed by the same optimum BestLoss would pick (modulo
-// BestLoss's direct-wins tie-break, which KBestDisjoint expresses
+// BestLoss's direct-wins tie-break, which KBestDisjointAppend expresses
 // through its deterministic total order).
 func TestKBestDisjointProperties(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
@@ -48,7 +48,7 @@ func TestKBestDisjointProperties(t *testing.T) {
 			dst++
 		}
 		k := 1 + rng.Intn(n+1)
-		got := s.KBestDisjoint(src, dst, k)
+		got := s.KBestDisjointAppend(nil, src, dst, k)
 
 		want := k
 		if max := n - 1; want > max {
@@ -93,8 +93,8 @@ func TestKBestDisjointProperties(t *testing.T) {
 	}
 }
 
-// TestKBestDisjointAppendMatches pins the append variant to the
-// allocating one, reusing a scratch buffer the way the campaign does.
+// TestKBestDisjointAppendMatches pins a reused scratch buffer, the way
+// the campaign calls it, to a fresh nil buffer.
 func TestKBestDisjointAppendMatches(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	s := NewSelectorWindow(8, 0)
@@ -112,7 +112,7 @@ func TestKBestDisjointAppendMatches(t *testing.T) {
 				continue
 			}
 			for k := 1; k <= 4; k++ {
-				want := s.KBestDisjoint(src, dst, k)
+				want := s.KBestDisjointAppend(nil, src, dst, k)
 				buf = s.KBestDisjointAppend(buf[:0], src, dst, k)
 				if len(buf) != len(want) {
 					t.Fatalf("(%d,%d,k=%d): append len %d vs %d", src, dst, k, len(buf), len(want))
@@ -125,10 +125,10 @@ func TestKBestDisjointAppendMatches(t *testing.T) {
 			}
 		}
 	}
-	if got := s.KBestDisjoint(3, 3, 2); got != nil {
+	if got := s.KBestDisjointAppend(nil, 3, 3, 2); got != nil {
 		t.Fatalf("src==dst returned %v", got)
 	}
-	if got := s.KBestDisjoint(0, 1, 0); got != nil {
+	if got := s.KBestDisjointAppend(nil, 0, 1, 0); got != nil {
 		t.Fatalf("k=0 returned %v", got)
 	}
 }

@@ -162,13 +162,6 @@ func (p *LandmarkPlan) linkSlot(src, dst int) int {
 // N returns the overlay size the plan covers.
 func (p *LandmarkPlan) N() int { return p.n }
 
-// Landmarks returns the landmark node indices in ascending order. The
-// returned slice must not be modified.
-func (p *LandmarkPlan) Landmarks() []int32 { return p.landmarks }
-
-// IsLandmark reports whether node i is a landmark.
-func (p *LandmarkPlan) IsLandmark(i int) bool { return p.isLM[i] }
-
 // Probes reports whether the directed link src→dst is probed under the
 // plan: any link touching a landmark, plus each node's ring neighbors
 // (so every pair keeps some direct estimate even far from landmarks).

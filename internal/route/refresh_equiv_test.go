@@ -80,7 +80,7 @@ func TestRefreshCountMatchesDiff(t *testing.T) {
 				for round := 1; round <= 14; round++ {
 					switch round {
 					case 4:
-						sel.SetFallbackLatency(80 * time.Millisecond)
+						sel.setFallbackLatency(80 * time.Millisecond)
 					case 8:
 						// Over a mesh-carved slab this restricts the vias
 						// mid-cell; over the plan's own it only invalidates.
@@ -208,7 +208,7 @@ func TestSlotMetricsMatchDenseReference(t *testing.T) {
 		}
 		for round := 0; round < 8; round++ {
 			if round == 5 {
-				sel.SetFallbackLatency(120 * time.Millisecond)
+				sel.setFallbackLatency(120 * time.Millisecond)
 			}
 			driveRandom(rng, []*Selector{sel}, n, 500, sel.Plan())
 			// Some links die: four losses in a row.
@@ -442,7 +442,7 @@ func TestMeshLatScanMatchesReference(t *testing.T) {
 			{"every link from node 0 dead", false, 1, func() { set(0, last, 20*ms, true) }},
 			{"odd rows unmeasured, at a fallback latency that ties measured ones", true, 1, func() {
 				sel.Reset(0)
-				sel.SetFallbackLatency(20 * ms)
+				sel.setFallbackLatency(20 * ms)
 				for src := 0; src < n; src += 2 {
 					for dst := 0; dst < n; dst++ {
 						if src != dst {

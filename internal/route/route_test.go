@@ -70,8 +70,8 @@ func TestMethodSetsMatchPaper(t *testing.T) {
 }
 
 func TestLossWindowBasics(t *testing.T) {
-	w := NewLossWindow(4)
-	if w.Rate() != 0 || w.Samples() != 0 {
+	w := newLossWindow(4)
+	if w.Rate() != 0 || int(w.filled) != 0 {
 		t.Error("empty window should report 0")
 	}
 	w.Record(true)
@@ -89,11 +89,11 @@ func TestLossWindowBasics(t *testing.T) {
 	if w.Rate() != 0 {
 		t.Errorf("rate after eviction = %v, want 0", w.Rate())
 	}
-	if w.Samples() != 4 {
-		t.Errorf("samples = %d, want 4", w.Samples())
+	if int(w.filled) != 4 {
+		t.Errorf("samples = %d, want 4", int(w.filled))
 	}
 	w.Reset()
-	if w.Rate() != 0 || w.Samples() != 0 {
+	if w.Rate() != 0 || int(w.filled) != 0 {
 		t.Error("reset did not clear window")
 	}
 }
@@ -101,7 +101,7 @@ func TestLossWindowBasics(t *testing.T) {
 func TestLossWindowMatchesNaive(t *testing.T) {
 	// Property: the ring buffer agrees with a naive sliding window.
 	f := func(seed uint64) bool {
-		w := NewLossWindow(100)
+		w := newLossWindow(100)
 		var hist []bool
 		s := seed
 		for i := 0; i < 500; i++ {
@@ -132,12 +132,12 @@ func TestLossWindowMatchesNaive(t *testing.T) {
 }
 
 func TestLossWindowDefaultSize(t *testing.T) {
-	w := NewLossWindow(0)
+	w := newLossWindow(0)
 	for i := 0; i < DefaultLossWindow*2; i++ {
 		w.Record(i < DefaultLossWindow) // first 100 lost, next 100 ok
 	}
-	if w.Samples() != DefaultLossWindow {
-		t.Errorf("samples = %d, want %d", w.Samples(), DefaultLossWindow)
+	if int(w.filled) != DefaultLossWindow {
+		t.Errorf("samples = %d, want %d", int(w.filled), DefaultLossWindow)
 	}
 	if w.Rate() != 0 {
 		t.Errorf("rate = %v, want 0 after window turned over", w.Rate())
@@ -164,7 +164,7 @@ func TestLatencyEWMA(t *testing.T) {
 }
 
 func TestLinkEstimateDeadDetection(t *testing.T) {
-	le := NewLinkEstimate()
+	le := newLinkEstimate()
 	for i := 0; i < DefaultDeadThreshold-1; i++ {
 		le.Record(true, 0)
 	}
@@ -182,7 +182,7 @@ func TestLinkEstimateDeadDetection(t *testing.T) {
 }
 
 func TestLinkEstimateFallbackLatency(t *testing.T) {
-	le := NewLinkEstimate()
+	le := newLinkEstimate()
 	if got := le.LatencyEstimate(time.Second); got != time.Second {
 		t.Errorf("fallback = %v, want 1s", got)
 	}

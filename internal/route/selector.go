@@ -564,7 +564,7 @@ func (s *Selector) Tables() *Tables { return &s.tables }
 // estimate ever touched) keeps the all-direct tables without even
 // building the metrics cache; a mesh with valid metrics re-derives only
 // dirty pairs; anything else (first real refresh, or after Reset /
-// SetPlan / SetFallbackLatency / SetHysteresis) does the full rescan.
+// SetPlan / setFallbackLatency / SetHysteresis) does the full rescan.
 // Every tier produces bit-identical tables to the full rescan.
 func (s *Selector) Refresh() int64 {
 	s.changed = 0
@@ -1031,12 +1031,10 @@ func (s *Selector) holdLat(src, dst int, best Choice) int {
 	return best.Via
 }
 
-// FallbackLatency returns the latency charged to unmeasured links.
-func (s *Selector) FallbackLatency() time.Duration { return s.fallbackLat }
-
-// SetFallbackLatency overrides the unmeasured-link latency penalty.
-// The cached metrics embed the old value, so the next Refresh rescans.
-func (s *Selector) SetFallbackLatency(d time.Duration) {
+// setFallbackLatency overrides the unmeasured-link latency penalty,
+// which Reset restores to 500 ms; tests vary it. The cached metrics
+// embed the old value, so the next Refresh rescans.
+func (s *Selector) setFallbackLatency(d time.Duration) {
 	s.fallbackLat = d
 	s.metricsValid = false
 }
@@ -1137,24 +1135,19 @@ func betterBy(challenger, incumbent, margin float64) bool {
 	return challenger < incumbent*(1-margin)
 }
 
-// KBestDisjoint returns up to k pairwise link-disjoint paths from src to
-// dst, ordered by estimated loss ascending (ties break toward lower
-// latency, then toward the direct path, then toward the lower via
-// index). The candidate set is the direct path plus every
+// KBestDisjointAppend appends up to k pairwise link-disjoint paths from
+// src to dst to buf, ordered by estimated loss ascending (ties break
+// toward lower latency, then toward the direct path, then toward the
+// lower via index). The candidate set is the direct path plus every
 // single-intermediate path: the direct path uses only the src→dst link
 // while a via path uses src→via and via→dst with via ∉ {src, dst}, so
 // any two candidates with distinct vias are link-disjoint by
 // construction — picking the k lowest-loss candidates yields a
 // link-disjoint set without an explicit conflict check. This is the
 // multi-path counterpart of BestLoss: a redundant sender stripes copies
-// (or FEC shards) across the returned paths (§5).
-func (s *Selector) KBestDisjoint(src, dst, k int) []Choice {
-	return s.KBestDisjointAppend(nil, src, dst, k)
-}
-
-// KBestDisjointAppend is KBestDisjoint appending into buf, so a
-// steady-state caller (the campaign workload driver) reuses one scratch
-// slice across frames instead of allocating per query.
+// (or FEC shards) across the returned paths (§5). A steady-state
+// caller (the campaign workload driver) reuses one scratch slice across
+// frames instead of allocating per query.
 func (s *Selector) KBestDisjointAppend(buf []Choice, src, dst, k int) []Choice {
 	if src == dst || k < 1 {
 		return buf
@@ -1199,7 +1192,7 @@ func (s *Selector) KBestDisjointAppend(buf []Choice, src, dst, k int) []Choice {
 	return buf
 }
 
-// kbetter orders candidates for KBestDisjoint: lower loss first, then
+// kbetter orders candidates for KBestDisjointAppend: lower loss first, then
 // lower latency, then direct before via, then lower via index. The
 // ordering is total over the candidate set (vias are distinct), so the
 // selection is deterministic.

@@ -116,12 +116,6 @@ type Spec struct {
 	Windows []Window
 }
 
-// Empty reports whether the spec schedules nothing.
-func (s *Spec) Empty() bool {
-	return len(s.Outages) == 0 && len(s.Storms) == 0 &&
-		len(s.Flaps) == 0 && len(s.Windows) == 0
-}
-
 // Validate checks the spec's internal consistency (fractions in range,
 // positive durations and counts).
 func (s *Spec) Validate() error {

@@ -2,7 +2,6 @@ package topo
 
 import (
 	"fmt"
-	"math"
 	"time"
 )
 
@@ -209,18 +208,12 @@ func synHost(rng *synRNG, kind Kind, idx, n int) Host {
 // detour unevenly, so the stretch factor varies per pair around the
 // calibrated routeStretch. The spread is wide enough that a meaningful
 // fraction of triples violate the triangle inequality (the overlay's
-// opportunity) while staying within SynTriangleViolationMax.
+// opportunity) while staying within the bound
+// TestSyntheticTriangleViolationRate enforces.
 const (
 	synStretchMin = 1.30
 	synStretchMax = 2.60
 )
-
-// SynTriangleViolationMax bounds the fraction of (i,j,k) triples whose
-// direct base latency exceeds the two-hop composition via k. The
-// property test samples triples and enforces the bound; values far
-// above it would mean the generator produced an anti-metric world where
-// "direct" has lost its meaning.
-const SynTriangleViolationMax = 0.35
 
 // synPairStretch derives the symmetric stretch factor of pair (i,j)
 // from the generator seed, independent of draw order.
@@ -256,55 +249,4 @@ func newSynthetic(hosts []Host, seed uint64) *Testbed {
 		}
 	}
 	return tb
-}
-
-// TriangleViolationRate samples up to maxTriples ordered triples
-// (i,j,k) deterministically and reports the fraction whose direct base
-// latency exceeds the composition via k (ignoring per-hop processing,
-// the geometric definition). Diagnostics and property tests use it; it
-// is not on any hot path.
-func (tb *Testbed) TriangleViolationRate(maxTriples int) float64 {
-	n := tb.N()
-	if n < 3 || maxTriples <= 0 {
-		return 0
-	}
-	rng := &synRNG{state: 0xA11CE}
-	violations, total := 0, 0
-	for total < maxTriples {
-		i := rng.intn(n)
-		j := rng.intn(n)
-		k := rng.intn(n)
-		if i == j || j == k || i == k {
-			continue
-		}
-		total++
-		if tb.baseOneWay[i][j] > tb.baseOneWay[i][k]+tb.baseOneWay[k][j] {
-			violations++
-		}
-	}
-	return float64(violations) / float64(total)
-}
-
-// Fingerprint folds every host field and base latency into one 64-bit
-// digest — the cross-process determinism witness (two processes
-// generating the same (n, seed) must agree on it). math.Float64bits
-// keeps the fold exact; any coordinate or latency drift changes it.
-func (tb *Testbed) Fingerprint() uint64 {
-	h := uint64(0x9E3779B97F4A7C15)
-	mix := func(v uint64) { h = synSplitMix(h ^ v) }
-	for _, host := range tb.hosts {
-		for _, b := range []byte(host.Name) {
-			mix(uint64(b))
-		}
-		mix(uint64(host.Kind))
-		mix(uint64(host.Access))
-		mix(math.Float64bits(host.LonDeg))
-		mix(math.Float64bits(host.LatDeg))
-	}
-	for i := range tb.hosts {
-		for j := range tb.hosts {
-			mix(uint64(tb.baseOneWay[i][j]))
-		}
-	}
-	return h
 }

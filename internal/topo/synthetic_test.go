@@ -2,6 +2,7 @@ package topo
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"os/exec"
 	"strings"
@@ -35,14 +36,14 @@ func TestSyntheticSymmetry(t *testing.T) {
 
 func TestSyntheticTriangleViolationRate(t *testing.T) {
 	for _, n := range []int{64, 256, 1024} {
-		rate := Synthetic(n).TriangleViolationRate(20000)
+		rate := triangleViolationRate(Synthetic(n), 20000)
 		if rate <= 0 {
 			t.Errorf("n=%d: no triangle-inequality violations — the synthetic "+
 				"world is metric, overlay indirection could never help latency", n)
 		}
-		if rate > SynTriangleViolationMax {
+		if rate > synTriangleViolationMax {
 			t.Errorf("n=%d: triangle violation rate %.3f exceeds bound %.3f",
-				n, rate, SynTriangleViolationMax)
+				n, rate, synTriangleViolationMax)
 		}
 	}
 }
@@ -51,7 +52,7 @@ func TestSyntheticClassMix(t *testing.T) {
 	// The generator scales Table 2's census (10/7/5/5/3 of 30); at n=300
 	// the apportionment is exact.
 	tb := Synthetic(300)
-	counts := tb.CategoryCounts()
+	counts := categoryCounts(tb)
 	want := map[Kind]int{
 		KindISP: 100, KindUniversity: 70, KindCompany: 50,
 		KindIntl: 50, KindBroadband: 30,
@@ -78,10 +79,10 @@ func TestSyntheticClassMix(t *testing.T) {
 func TestSyntheticSeedSensitivity(t *testing.T) {
 	a := SyntheticSeeded(64, 1)
 	b := SyntheticSeeded(64, 2)
-	if a.Fingerprint() == b.Fingerprint() {
+	if fingerprint(a) == fingerprint(b) {
 		t.Fatal("different seeds produced identical testbeds")
 	}
-	if a.Fingerprint() != SyntheticSeeded(64, 1).Fingerprint() {
+	if fingerprint(a) != fingerprint(SyntheticSeeded(64, 1)) {
 		t.Fatal("same seed produced different testbeds in-process")
 	}
 }
@@ -108,10 +109,10 @@ func TestSyntheticValidate(t *testing.T) {
 // sharded sweep workers would disagree about the topology.
 func TestSyntheticCrossProcessDeterminism(t *testing.T) {
 	if os.Getenv("TOPO_FINGERPRINT_HELPER") == "1" {
-		fmt.Printf("fingerprint=%#x\n", Synthetic(256).Fingerprint())
+		fmt.Printf("fingerprint=%#x\n", fingerprint(Synthetic(256)))
 		os.Exit(0)
 	}
-	local := fmt.Sprintf("fingerprint=%#x", Synthetic(256).Fingerprint())
+	local := fmt.Sprintf("fingerprint=%#x", fingerprint(Synthetic(256)))
 	cmd := exec.Command(os.Args[0], "-test.run=TestSyntheticCrossProcessDeterminism")
 	cmd.Env = append(os.Environ(), "TOPO_FINGERPRINT_HELPER=1")
 	out, err := cmd.CombinedOutput()
@@ -122,4 +123,60 @@ func TestSyntheticCrossProcessDeterminism(t *testing.T) {
 		t.Fatalf("cross-process fingerprint mismatch: want %s in helper output:\n%s",
 			local, out)
 	}
+}
+
+// synTriangleViolationMax bounds the fraction of (i,j,k) triples whose
+// direct base latency exceeds the two-hop composition via k. Values far
+// above it would mean the generator produced an anti-metric world where
+// "direct" has lost its meaning.
+const synTriangleViolationMax = 0.35
+
+// triangleViolationRate samples up to maxTriples ordered triples
+// (i,j,k) deterministically and reports the fraction whose direct base
+// latency exceeds the composition via k (ignoring per-hop processing,
+// the geometric definition).
+func triangleViolationRate(tb *Testbed, maxTriples int) float64 {
+	n := tb.N()
+	if n < 3 || maxTriples <= 0 {
+		return 0
+	}
+	rng := &synRNG{state: 0xA11CE}
+	violations, total := 0, 0
+	for total < maxTriples {
+		i := rng.intn(n)
+		j := rng.intn(n)
+		k := rng.intn(n)
+		if i == j || j == k || i == k {
+			continue
+		}
+		total++
+		if tb.baseOneWay[i][j] > tb.baseOneWay[i][k]+tb.baseOneWay[k][j] {
+			violations++
+		}
+	}
+	return float64(violations) / float64(total)
+}
+
+// fingerprint folds every host field and base latency into one 64-bit
+// digest — the cross-process determinism witness (two processes
+// generating the same (n, seed) must agree on it). math.Float64bits
+// keeps the fold exact; any coordinate or latency drift changes it.
+func fingerprint(tb *Testbed) uint64 {
+	h := uint64(0x9E3779B97F4A7C15)
+	mix := func(v uint64) { h = synSplitMix(h ^ v) }
+	for _, host := range tb.hosts {
+		for _, b := range []byte(host.Name) {
+			mix(uint64(b))
+		}
+		mix(uint64(host.Kind))
+		mix(uint64(host.Access))
+		mix(math.Float64bits(host.LonDeg))
+		mix(math.Float64bits(host.LatDeg))
+	}
+	for i := range tb.hosts {
+		for j := range tb.hosts {
+			mix(uint64(tb.baseOneWay[i][j]))
+		}
+	}
+	return h
 }

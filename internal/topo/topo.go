@@ -267,12 +267,3 @@ func ron2003Hosts() []Host {
 		{Name: "VU-NL", Location: "Amsterdam, Netherlands", Kind: KindIntl, Access: AccessEnterprise, LonDeg: 4.87, LatDeg: 52.33},
 	}
 }
-
-// CategoryCounts tallies hosts by kind, mirroring Table 2.
-func (tb *Testbed) CategoryCounts() map[Kind]int {
-	m := make(map[Kind]int)
-	for _, h := range tb.hosts {
-		m[h.Kind]++
-	}
-	return m
-}

@@ -1,0 +1,8 @@
+package a
+
+import "testing"
+
+func TestAllowed(t *testing.T) {
+	Allowed()
+	TestOnly()
+}
