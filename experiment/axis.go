@@ -26,42 +26,22 @@ type (
 	Config = core.Config
 	// Dataset selects one of the paper's measurement campaigns.
 	Dataset = core.Dataset
-	// Cell is one point of an expanded grid: dataset, one value per
-	// axis, replica, and the coordinate-derived seed.
-	Cell = core.Cell
 	// CellResult is the outcome of one cell campaign.
 	CellResult = core.CellResult
-	// SweepResult is the outcome of a whole run.
-	SweepResult = core.SweepResult
-	// SweepManifest is the on-disk record of a grid, full axis set
-	// included.
-	SweepManifest = core.SweepManifest
-	// ProfileVariant names a substrate-profile override.
-	ProfileVariant = core.ProfileVariant
-	// Result is one campaign's outcome (tables, figures, counters).
-	Result = core.Result
 	// WorkloadConfig parameterizes the multi-path + FEC application
 	// workload (streams, frame cadence, FEC group shape, path count);
 	// pass it to the Workload option.
 	WorkloadConfig = core.WorkloadConfig
 )
 
-// The datasets, re-exported.
-const (
-	RON2003   = core.RON2003
-	RONwide   = core.RONwide
-	RONnarrow = core.RONnarrow
-)
+// RONnarrow is the RONnarrow dataset, re-exported.
+const RONnarrow = core.RONnarrow
 
 // Register adds an axis kind to the global registry. Registered axes
 // reconstruct from manifests and snapshots, and RegisterAxisValueFlags
 // derives a CLI flag for them. Call it from an init function; it
 // panics on duplicate names.
 func Register(def AxisDef) { core.RegisterAxis(def) }
-
-// RegisteredAxes lists every registered axis definition in
-// registration order (the standard axes first).
-func RegisteredAxes() []AxisDef { return core.RegisteredAxes() }
 
 // NewAxis constructs a registered axis over the given values.
 func NewAxis(name string, values ...string) (Axis, error) {
@@ -72,27 +52,9 @@ func NewAxis(name string, values ...string) (Axis, error) {
 	return core.NewAxis(name, vals)
 }
 
-// ParseDataset maps a CLI-form dataset name to its Dataset.
-func ParseDataset(s string) (Dataset, error) { return core.ParseDataset(s) }
-
-// The standard axis constructors, re-exported for typed use.
-var (
-	HysteresisAxis    = core.HysteresisAxis
-	ProbeIntervalAxis = core.ProbeIntervalAxis
-	LossWindowAxis    = core.LossWindowAxis
-	ProfileAxis       = core.ProfileAxis
-	RedundancyAxis    = core.RedundancyAxis
-	PathCountAxis     = core.PathCountAxis
-	StreamsAxis       = core.StreamsAxis
-	OverlaySizeAxis   = core.OverlaySizeAxis
-	PolicyAxis        = core.PolicyAxis
-)
-
-// The probing policies, re-exported for typed PolicyAxis use.
-const (
-	PolicyFullMesh = core.PolicyFullMesh
-	PolicyLandmark = core.PolicyLandmark
-)
+// ProfileAxis is the substrate-profile axis constructor, re-exported
+// for typed use.
+var ProfileAxis = core.ProfileAxis
 
 // DefaultWorkloadConfig is the workload configuration the workload
 // axes enable when they switch a cell on: a small FEC group over two

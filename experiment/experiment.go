@@ -58,7 +58,6 @@ type Experiment struct {
 	resumeDir string
 	outDir    string
 	warnf     func(format string, args ...any)
-	progress  func(core.CellResult)
 
 	// Remote-execution settings (see remote.go): when remote is set,
 	// Run serves the grid to a worker fleet instead of computing it.
@@ -96,7 +95,6 @@ func New(opts ...Option) (*Experiment, error) {
 	if e.resumeDir != "" {
 		e.spec.Reuse = e.reuseFromSnapshots
 	}
-	e.spec.Progress = e.progress
 	if e.outDir != "" {
 		// Persisting experiments also feed the columnar result store:
 		// one row per completed cell and merged group lands in
@@ -404,7 +402,7 @@ func Configure(fn func(core.Cell, *core.Config)) Option {
 // releases the aggregator afterwards (see Run).
 func Progress(fn func(core.CellResult)) Option {
 	return func(e *Experiment) error {
-		e.progress = fn
+		e.spec.Progress = fn
 		return nil
 	}
 }

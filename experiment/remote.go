@@ -79,14 +79,11 @@ func RunWorker(ctx context.Context, url, name string, logf func(format string, a
 // SweepResult shape a local run produces.
 func (e *Experiment) runRemote(s *core.Sweep) (*core.SweepResult, error) {
 	c, err := coord.New(coord.Config{
-		Sweep:      s,
-		LeaseTTL:   e.remoteTTL,
-		OutDir:     e.outDir,
-		Filter:     e.spec.Filter,
-		Reuse:      e.spec.Reuse,
-		Results:    e.store,
-		OnCellDone: e.progress,
-		Warnf:      e.warnf,
+		Sweep:    s,
+		LeaseTTL: e.remoteTTL,
+		OutDir:   e.outDir,
+		Results:  e.store,
+		Warnf:    e.warnf,
 	})
 	if err != nil {
 		return nil, err

@@ -3,9 +3,12 @@ package experiment
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/core"
 )
 
 func remoteTestOptions(extra ...Option) []Option {
@@ -19,61 +22,118 @@ func remoteTestOptions(extra ...Option) []Option {
 }
 
 // TestRemoteRunMatchesLocal: the same experiment run in-process and as
-// a coordinator with one worker produces identical merged aggregator
-// state (compared through the rendered per-group reports).
+// a coordinator with one worker produces the same SweepResult — merged
+// aggregator state (compared through the rendered per-group reports),
+// selection and reuse counts, every cell's flags and probe counters,
+// every group's shape — both for a whole grid and for a shard resumed
+// from a prior run's snapshots, where cells are reused, computed and
+// skipped side by side.
 func TestRemoteRunMatchesLocal(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs sweep campaigns twice")
 	}
-	local, err := New(remoteTestOptions()...)
+	// The prior run persists group 0 (cells 0 and 1); the resumed shard
+	// then reuses those, computes cell 2, and skips cell 3.
+	prior := t.TempDir()
+	first, err := New(remoteTestOptions(Shard("0-1"), Output(prior))...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := local.Run()
-	if err != nil {
+	if _, err := first.Run(); err != nil {
 		t.Fatal(err)
 	}
+	cases := []struct {
+		name             string
+		opts             []Option
+		selected, reused int
+	}{
+		{"whole grid", nil, 4, 0},
+		{"resumed shard", []Option{Shard("0-2"), Resume(prior)}, 3, 2},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			local, err := New(remoteTestOptions(tc.opts...)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := local.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want.Selected != tc.selected || want.Reused != tc.reused {
+				t.Fatalf("local run selected/reused %d/%d, want %d/%d", want.Selected, want.Reused, tc.selected, tc.reused)
+			}
 
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-	defer cancel()
-	var wg sync.WaitGroup
-	remote, err := New(remoteTestOptions(
-		Remote("127.0.0.1:0"),
-		RemoteLeaseTTL(2*time.Second),
-		RemoteContext(ctx),
-		RemoteReady(func(addr string) {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				if err := RunWorker(ctx, addr, "w1", nil); err != nil {
-					t.Errorf("worker: %v", err)
-				}
-			}()
-		}),
-	)...)
-	if err != nil {
-		t.Fatal(err)
+			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+			defer cancel()
+			var wg sync.WaitGroup
+			remote, err := New(remoteTestOptions(append(tc.opts,
+				Remote("127.0.0.1:0"),
+				RemoteLeaseTTL(2*time.Second),
+				RemoteContext(ctx),
+				RemoteReady(func(addr string) {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						if err := RunWorker(ctx, addr, "w1", nil); err != nil && !errors.Is(err, context.Canceled) {
+							t.Errorf("worker: %v", err)
+						}
+					}()
+				}),
+			)...)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := remote.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The coordinator is gone; stop the worker rather than let it
+			// retry its way to that conclusion.
+			cancel()
+			wg.Wait()
+			requireSameResult(t, want, got)
+			if got.Parallel != 1 {
+				t.Errorf("remote run reports %d workers, want 1", got.Parallel)
+			}
+		})
 	}
-	got, err := remote.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
+}
 
-	if len(got.Groups) != len(want.Groups) {
-		t.Fatalf("remote run produced %d groups, local %d", len(got.Groups), len(want.Groups))
+// requireSameResult compares a remote SweepResult with the local one
+// field by field, except Wall and Parallel, which measure the run.
+func requireSameResult(t *testing.T, want, got *core.SweepResult) {
+	t.Helper()
+	if got.Selected != want.Selected || got.Reused != want.Reused {
+		t.Errorf("remote selected/reused %d/%d, local %d/%d", got.Selected, got.Reused, want.Selected, want.Reused)
+	}
+	if len(got.Cells) != len(want.Cells) || len(got.Groups) != len(want.Groups) {
+		t.Fatalf("remote run has %d cells in %d groups, local %d in %d",
+			len(got.Cells), len(got.Groups), len(want.Cells), len(want.Groups))
+	}
+	for i := range want.Cells {
+		w, g := &want.Cells[i], &got.Cells[i]
+		if w.Cell.Name() != g.Cell.Name() || w.Skipped != g.Skipped || w.Cached != g.Cached || (w.Res == nil) != (g.Res == nil) {
+			t.Fatalf("cell %d: remote %s skipped=%v cached=%v res=%v, local %s skipped=%v cached=%v res=%v", i,
+				g.Cell.Name(), g.Skipped, g.Cached, g.Res != nil, w.Cell.Name(), w.Skipped, w.Cached, w.Res != nil)
+		}
+		if w.Res != nil && (w.Res.RONProbes != g.Res.RONProbes || w.Res.MeasureProbes != g.Res.MeasureProbes ||
+			w.Res.RouteChanges != g.Res.RouteChanges) {
+			t.Errorf("cell %s: remote probe counters differ from local", w.Cell.Name())
+		}
 	}
 	for gi := range want.Groups {
 		w, g := &want.Groups[gi], &got.Groups[gi]
 		if w.Name() != g.Name() {
 			t.Fatalf("group %d: name %s vs %s", gi, g.Name(), w.Name())
 		}
-		if w.Merged.Report() != g.Merged.Report() {
+		if w.Hosts != g.Hosts || !slices.Equal(w.Methods, g.Methods) || w.Complete() != g.Complete() {
+			t.Errorf("group %s: remote hosts/methods/complete %d/%v/%v, local %d/%v/%v", w.Name(),
+				g.Hosts, g.Methods, g.Complete(), w.Hosts, w.Methods, w.Complete())
+		}
+		if w.Complete() && g.Complete() && w.Merged.Report() != g.Merged.Report() {
 			t.Errorf("group %s: remote merged report differs from local", w.Name())
 		}
-	}
-	if got.Parallel != 1 {
-		t.Errorf("remote run reports %d workers, want 1", got.Parallel)
 	}
 }
 

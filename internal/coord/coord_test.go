@@ -395,16 +395,19 @@ func TestFleetEndToEnd(t *testing.T) {
 // groups merge before any worker connects), and filtered-out cells are
 // neither leased nor accepted.
 func TestCoordinatorReuseAndFilter(t *testing.T) {
+	// Group 0's cells, precomputed below, are the "prior run" results
+	// the spec's Reuse hook hands back.
+	prior := map[int]*core.Result{}
 	spec := fleetSpec()
+	spec.Reuse = func(cell core.Cell, _ core.Config) (*core.Result, bool) {
+		res, ok := prior[cell.Index]
+		return res, ok
+	}
 	sweep, err := core.NewSweep(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cells := sweep.Cells()
-
-	// Precompute group 0's cells (indices of group 0) as "prior run"
-	// results for the Reuse hook.
-	prior := map[int]*core.Result{}
 	for _, i := range sweep.GroupCells(0) {
 		res, err := core.NewArena().RunRetained(sweep.Config(i))
 		if err != nil {
@@ -413,24 +416,13 @@ func TestCoordinatorReuseAndFilter(t *testing.T) {
 		prior[i] = res
 	}
 
-	var mergedNames []string
-	c, err := New(Config{
-		Sweep:    sweep,
-		LeaseTTL: time.Minute,
-		Reuse: func(cell core.Cell, _ core.Config) (*core.Result, bool) {
-			res, ok := prior[cell.Index]
-			return res, ok
-		},
-		OnGroupComplete: func(g *core.GroupResult) {
-			mergedNames = append(mergedNames, g.Name())
-		},
-	})
+	c, err := New(Config{Sweep: sweep, LeaseTTL: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The fully reused group merged during New, before any lease.
-	if len(mergedNames) != 1 || mergedNames[0] != cells[sweep.GroupCells(0)[0]].GroupName() {
-		t.Fatalf("reused group not merged eagerly: merged %v", mergedNames)
+	if groups := c.Snapshot().Groups; !groups[0].Merged || groups[1].Merged {
+		t.Fatalf("reused group not merged eagerly: %+v", groups)
 	}
 	// Only the non-reused cells are grantable.
 	granted := map[int]bool{}
@@ -450,11 +442,13 @@ func TestCoordinatorReuseAndFilter(t *testing.T) {
 
 	// Sharding: a filter selecting only replica 0 leaves groups
 	// unmergeable and rejects uploads for unselected cells.
-	shard, err := New(Config{
-		Sweep:    sweep,
-		LeaseTTL: time.Minute,
-		Filter:   func(cell core.Cell) bool { return cell.Replica == 0 },
-	})
+	shardSpec := fleetSpec()
+	shardSpec.Filter = func(cell core.Cell) bool { return cell.Replica == 0 }
+	shardSweep, err := core.NewSweep(shardSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shard, err := New(Config{Sweep: shardSweep, LeaseTTL: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,19 +17,25 @@ import (
 	"repro/internal/core"
 )
 
-// TestCompleteHandlerBadBodies drives /complete with bodies a worker
+// TestCompleteHandlerBadBodies drives /complete with uploads a worker
 // should never send — a declared length over the bound, an undeclared
-// one that runs over it, nothing at all, garbage, a truncated snapshot —
-// at a runnable (leased) cell and at a reused one. Oversize bodies are
-// refused with 413 before they reach the coordinator; the rest are 400s
-// that count toward quarantine for the runnable cell only. After each,
-// the cell's valid upload is still accepted.
+// one that runs over it, nothing at all, garbage, a truncated snapshot,
+// a valid snapshot with a negative or overflowing wall time — at a
+// runnable (leased) cell and at a reused one. Oversize bodies and bad
+// wall times are refused (413, 400) before they reach the coordinator;
+// the rest are 400s that count toward quarantine for the runnable cell
+// only. After each, the cell's valid upload is still accepted.
 func TestCompleteHandlerBadBodies(t *testing.T) {
-	sweep, err := core.NewSweep(fleetSpec())
+	const reusedCell, runnableCell = 0, 1
+	var prior *core.Result
+	spec := fleetSpec()
+	spec.Reuse = func(cell core.Cell, _ core.Config) (*core.Result, bool) {
+		return prior, cell.Index == reusedCell
+	}
+	sweep, err := core.NewSweep(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const reusedCell, runnableCell = 0, 1
 	valid := map[int][]byte{
 		reusedCell:   snapshotBytes(t, sweep, reusedCell),
 		runnableCell: snapshotBytes(t, sweep, runnableCell),
@@ -42,53 +48,57 @@ func TestCompleteHandlerBadBodies(t *testing.T) {
 	}
 	cases := []struct {
 		name     string
+		wall     string // the wall query parameter; "" sends 5
 		body     func(valid []byte) body
 		status   int
 		rejected bool // reaches Complete and is refused there
 	}{
-		{"declared oversize", func([]byte) body {
+		{"declared oversize", "", func([]byte) body {
 			// The handler must refuse on the header alone: the body
 			// behind it is a few bytes.
 			return body{bytes.NewReader([]byte("tiny")), bound + 1}
 		}, http.StatusRequestEntityTooLarge, false},
-		{"chunked oversize", func([]byte) body {
+		{"chunked oversize", "", func([]byte) body {
 			return body{io.LimitReader(zeroReader{}, bound+1), -1}
 		}, http.StatusRequestEntityTooLarge, false},
-		{"zero length", func([]byte) body {
+		{"zero length", "", func([]byte) body {
 			return body{http.NoBody, 0}
 		}, http.StatusBadRequest, true},
-		{"garbage", func([]byte) body {
+		{"garbage", "", func([]byte) body {
 			g := bytes.Repeat([]byte("garbage "), 64)
 			return body{bytes.NewReader(g), int64(len(g))}
 		}, http.StatusBadRequest, true},
-		{"truncated", func(v []byte) body {
+		{"truncated", "", func(v []byte) body {
 			return body{bytes.NewReader(v[:len(v)/2]), int64(len(v) / 2)}
 		}, http.StatusBadRequest, true},
-		{"truncated, chunked", func(v []byte) body {
+		{"truncated, chunked", "", func(v []byte) body {
 			return body{bytes.NewReader(v[:len(v)/2]), -1}
 		}, http.StatusBadRequest, true},
+		{"negative wall", "-5", func(v []byte) body {
+			return body{bytes.NewReader(v), int64(len(v))}
+		}, http.StatusBadRequest, false},
+		{"overflowing wall", "9300000000000", func(v []byte) body {
+			return body{bytes.NewReader(v), int64(len(v))}
+		}, http.StatusBadRequest, false},
 	}
 
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			prior, err := core.NewArena().RunRetained(sweep.Config(reusedCell))
-			if err != nil {
+			var err error
+			if prior, err = core.NewArena().RunRetained(sweep.Config(reusedCell)); err != nil {
 				t.Fatal(err)
 			}
-			c, err := New(Config{
-				Sweep:    sweep,
-				LeaseTTL: time.Minute,
-				Reuse: func(cell core.Cell, _ core.Config) (*core.Result, bool) {
-					return prior, cell.Index == reusedCell
-				},
-			})
+			c, err := New(Config{Sweep: sweep, LeaseTTL: time.Minute})
 			if err != nil {
 				t.Fatal(err)
 			}
 			srv := NewServer(c)
 			srv.maxBody = bound
-			post := func(cell int, b body) int {
-				req := httptest.NewRequest(http.MethodPost, fmt.Sprintf("%s?cell=%d&wall=5", PathComplete, cell), b.r)
+			post := func(cell int, wall string, b body) int {
+				if wall == "" {
+					wall = "5"
+				}
+				req := httptest.NewRequest(http.MethodPost, fmt.Sprintf("%s?cell=%d&wall=%s", PathComplete, cell, wall), b.r)
 				req.ContentLength = b.length
 				rec := httptest.NewRecorder()
 				srv.Handler().ServeHTTP(rec, req)
@@ -104,7 +114,7 @@ func TestCompleteHandlerBadBodies(t *testing.T) {
 			// reused one; the lease survives until the last.
 			for n := 1; n <= quarantineRejects; n++ {
 				for _, cell := range []int{reusedCell, runnableCell} {
-					if got := post(cell, tc.body(valid[cell])); got != tc.status {
+					if got := post(cell, tc.wall, tc.body(valid[cell])); got != tc.status {
 						t.Fatalf("cell %d, attempt %d: status %d, want %d", cell, n, got, tc.status)
 					}
 				}
@@ -128,7 +138,7 @@ func TestCompleteHandlerBadBodies(t *testing.T) {
 			// runnable cell, a validated duplicate for the reused one.
 			for _, cell := range []int{runnableCell, reusedCell} {
 				v := valid[cell]
-				if got := post(cell, body{bytes.NewReader(v), int64(len(v))}); got != http.StatusOK {
+				if got := post(cell, "", body{bytes.NewReader(v), int64(len(v))}); got != http.StatusOK {
 					t.Fatalf("valid upload of cell %d after %q: status %d", cell, tc.name, got)
 				}
 			}
@@ -222,8 +232,10 @@ func TestFleetDrainRetention(t *testing.T) {
 	if testing.Short() {
 		t.Skip("drains a 64-cell grid four times")
 	}
-	newSweep := func() *core.Sweep {
-		s, err := core.NewSweep(drainSpec())
+	newSweep := func(progress func(core.CellResult)) *core.Sweep {
+		spec := drainSpec()
+		spec.Progress = progress
+		s, err := core.NewSweep(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -231,7 +243,7 @@ func TestFleetDrainRetention(t *testing.T) {
 	}
 
 	// No OutDir: the in-memory results are the only copy.
-	kept, err := New(Config{Sweep: newSweep(), LeaseTTL: time.Minute})
+	kept, err := New(Config{Sweep: newSweep(nil), LeaseTTL: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,18 +264,17 @@ func TestFleetDrainRetention(t *testing.T) {
 	var ms runtime.MemStats
 	var halfway uint64
 	c, err := New(Config{
-		Sweep:    newSweep(),
-		LeaseTTL: time.Minute,
-		OutDir:   outDir,
-		OnCellDone: func(cr core.CellResult) {
+		Sweep: newSweep(func(cr core.CellResult) {
 			if cr.Res == nil || cr.Res.Agg == nil {
-				t.Errorf("cell %s: OnCellDone did not see the full result", cr.Cell.Name())
+				t.Errorf("cell %s: Progress did not see the full result", cr.Cell.Name())
 			}
 			if done.Add(1) == 32 {
 				runtime.ReadMemStats(&ms)
 				halfway = ms.TotalAlloc
 			}
-		},
+		}),
+		LeaseTTL: time.Minute,
+		OutDir:   outDir,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -303,7 +314,7 @@ func TestFleetDrainRetention(t *testing.T) {
 
 	// Every snapshot delivered twice: the second copy decodes into a
 	// recycled aggregator, validates, and must change nothing.
-	dup, err := New(Config{Sweep: newSweep(), LeaseTTL: time.Minute, OutDir: t.TempDir()})
+	dup, err := New(Config{Sweep: newSweep(nil), LeaseTTL: time.Minute, OutDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +325,7 @@ func TestFleetDrainRetention(t *testing.T) {
 	// abandoned; its replacement recovers them from OutDir through the
 	// same fold-and-release path and the fleet finishes the rest.
 	crashDir := t.TempDir()
-	sweep := newSweep()
+	sweep := newSweep(nil)
 	first, err := New(Config{Sweep: sweep, LeaseTTL: time.Minute, OutDir: crashDir})
 	if err != nil {
 		t.Fatal(err)

@@ -1,9 +1,11 @@
 // Package coord turns the sweep engine into a coordinator/worker fleet
-// over HTTP: a coordinator expands a manifest-v3 grid once, hands out
-// cell leases with heartbeat renewal and straggler re-dispatch, CRC-
-// validates finished CellSnapshot payloads idempotently, and folds
-// each delivery into its grid point as it lands, through the same
-// core.Lifecycle a local sweep uses — byte-identical to a
+// over HTTP. A coordinator is a core.SweepRun — the same run state a
+// local sweep uses, which selects cells by the spec's Filter, satisfies
+// them through its Reuse hook, lands each finished cell and assembles
+// the result — with a different dispatcher: it expands a manifest-v3
+// grid once, hands out cell leases with heartbeat renewal and straggler
+// re-dispatch, and CRC-validates finished CellSnapshot payloads
+// idempotently before landing them. The output is byte-identical to a
 // single-process sweep, because cell seeds derive from grid
 // coordinates, snapshots round-trip aggregator state exactly, and a
 // group folds in replica order whatever order its cells arrive in.
@@ -17,7 +19,7 @@
 //
 // The package is layered machbase-style: LeaseQueue is the pure lease
 // state machine (injectable clock, no I/O), Coordinator is the service
-// (grid state, snapshot validation, landing cells), Server is the HTTP
+// (the run, crash recovery, snapshot validation), Server is the HTTP
 // listener wrapping the service with graceful shutdown, and Worker is
 // the client loop a fleet machine runs.
 package coord
@@ -282,11 +284,4 @@ func (q *LeaseQueue) Counts() (pending, leased, done int) {
 		}
 	}
 	return pending, leased, len(q.state) - pending - leased
-}
-
-// Done reports whether every item has completed.
-func (q *LeaseQueue) Done() bool {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.done == len(q.state)
 }

@@ -54,8 +54,8 @@ func TestLeaseGrantOrder(t *testing.T) {
 	if _, st := q.Grant("w2"); st != Drained {
 		t.Errorf("completed queue granted status %v, want Drained", st)
 	}
-	if !q.Done() {
-		t.Error("queue with all items complete not Done")
+	if _, _, done := q.Counts(); done != 3 {
+		t.Errorf("queue with all items complete counts %d done, want 3", done)
 	}
 }
 
@@ -177,8 +177,8 @@ func TestLeaseCompleteWithoutLease(t *testing.T) {
 		t.Fatalf("grant after Complete(0): status %v item %d, want item 1", st, l.Item)
 	}
 	q.Complete(1)
-	if !q.Done() {
-		t.Error("queue not drained after two completions")
+	if _, st := q.Grant("w2"); st != Drained {
+		t.Errorf("queue not drained after two completions: grant status %v", st)
 	}
 	// Out-of-range completions are rejected, not panics.
 	if q.Complete(-1) || q.Complete(2) {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"net"
 	"net/http"
 	"strconv"
@@ -35,7 +36,6 @@ type Server struct {
 
 	mu   sync.Mutex
 	http *http.Server
-	addr string
 }
 
 // NewServer wraps a coordinator with the wire protocol's routes.
@@ -54,31 +54,11 @@ func NewServer(c *Coordinator) *Server {
 // httptest.Server or an existing mux.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Addr returns the bound listen address ("host:port") once Serve or
-// ListenAndServe has started, else "".
-func (s *Server) Addr() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.addr
-}
-
-// ListenAndServe binds addr (":0" picks a free port — read it back via
-// Addr) and serves until Shutdown. Like http.Server.ListenAndServe it
-// blocks, returning http.ErrServerClosed after a graceful shutdown.
-func (s *Server) ListenAndServe(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(ln)
-}
-
 // Serve serves the wire protocol on ln until Shutdown.
 func (s *Server) Serve(ln net.Listener) error {
 	srv := &http.Server{Handler: s.mux}
 	s.mu.Lock()
 	s.http = srv
-	s.addr = ln.Addr().String()
 	s.mu.Unlock()
 	return srv.Serve(ln)
 }
@@ -137,6 +117,10 @@ func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
 		n, err := strconv.ParseInt(ms, 10, 64)
 		if err != nil {
 			http.Error(w, "malformed wall millis: "+err.Error(), http.StatusBadRequest)
+			return
+		}
+		if n < 0 || n > math.MaxInt64/int64(time.Millisecond) {
+			http.Error(w, "wall millis out of range: "+ms, http.StatusBadRequest)
 			return
 		}
 		wall = time.Duration(n) * time.Millisecond

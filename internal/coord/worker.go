@@ -250,11 +250,11 @@ func (w *Worker) runCell(ctx context.Context, arena *core.Arena, sweep *core.Swe
 	if err != nil {
 		return false, fmt.Errorf("coord: cell %s: encoding snapshot: %w", cell.Name(), err)
 	}
-	// The buffer is kept for the next cell only if every upload attempt
-	// is answered 200, which the coordinator sends after reading the
-	// whole body: a failed attempt's transport may still be reading it.
+	// The buffer is kept for the next cell only once the uploads below
+	// are answered 200, which the coordinator sends after reading the
+	// whole body; a return before that leaves the next cell a fresh one,
+	// because a failed attempt's transport may still be reading this.
 	w.payload = nil
-	clean := true
 	uploads := 1
 	if w.duplicate {
 		uploads = 2
@@ -277,9 +277,7 @@ func (w *Worker) runCell(ctx context.Context, arena *core.Arena, sweep *core.Swe
 		}
 		w.log("%s: cell %s done in %v (duplicate=%v)\n", w.name, cell.Name(), wall.Round(time.Millisecond), dup)
 	}
-	if clean {
-		w.payload = payload
-	}
+	w.payload = payload
 	return false, nil
 }
 

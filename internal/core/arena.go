@@ -53,7 +53,7 @@ func NewArena() *Arena { return &Arena{} }
 // recycles its storage. It is the right call for anyone done with a
 // cell before starting the next: a fleet worker encodes and uploads the
 // snapshot first, so it never needs a second aggregator. Callers whose
-// results outlive the cell — Sweep.Run, whose Lifecycle folds a cell
+// results outlive the cell — Sweep.Run, whose SweepRun folds a cell
 // after later ones may have started — use RunRetained.
 func (a *Arena) Run(cfg Config) (*Result, error) { return a.run(cfg, false) }
 

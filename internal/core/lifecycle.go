@@ -4,149 +4,288 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"time"
 
 	"repro/internal/analysis"
 	"repro/internal/resultstore"
 )
 
-// LifecycleConfig is what surrounds a sweep's cells once they finish:
-// where they persist, which store takes their rows, and who is told.
-type LifecycleConfig struct {
-	// OutDir, when non-empty, is the sweep output directory: every cell
-	// that lands without already being on disk there (Cached) persists a
-	// snapshot under cells/<cell>/cell.snap before anything else
-	// happens to it.
-	OutDir string
-	// Results, when non-nil, receives one row per landed cell and one
-	// per merged group.
-	Results *resultstore.Store
-	// OnCell, when non-nil, receives every landed cell — failed ones
-	// included — with its full Result, before the cell is folded into
-	// its group. Calls are serialized, in landing order.
-	OnCell func(CellResult)
-	// Recycle, when non-nil, receives each aggregator the lifecycle
-	// releases (see Land) instead of leaving it to the collector.
-	Recycle func(*analysis.Aggregator)
-}
+// SweepRun is one execution of a sweep, the part both dispatchers share:
+// Sweep.Run computes the runnable cells over a worker pool, a fleet
+// coordinator hands them out through a lease queue, and everything
+// around the computation is here, written once. Start selects cells by
+// the spec's Filter and satisfies what it can through its Reuse hook;
+// Land is the one implementation of "a cell has landed" — persist the
+// snapshot, notify the spec's Progress hook, append the store row, fold
+// the cell into its grid point's accumulator in replica order, and,
+// once the cell is both folded and on disk, release its aggregator, so
+// a persisted sweep holds one accumulator per group plus the few cells
+// waiting for a predecessor, not every cell it ever ran; Result
+// assembles the SweepResult. Every method is safe for concurrent use;
+// cells of different groups fold concurrently.
+type SweepRun struct {
+	sweep   *Sweep
+	outDir  string
+	results *resultstore.Store
+	recycle func(*analysis.Aggregator)
+	start   time.Time
+	groups  []groupFolder
 
-// Lifecycle is the one implementation of "a cell has landed", shared by
-// every sweep driver (Sweep.Run's worker pool, a fleet coordinator's
-// uploads, its reuse and crash-recovery passes): persist the snapshot,
-// notify, append the store row, fold the cell into its grid point's
-// accumulator in replica order, and — once the cell is both folded and
-// on disk — release its aggregator, so a persisted sweep holds one
-// accumulator per group plus the few cells waiting for a predecessor,
-// not every cell it ever ran. Land is safe for concurrent use; cells of
-// different groups fold concurrently.
-type Lifecycle struct {
-	cfg    LifecycleConfig
-	groups []groupFolder
-
-	cellMu sync.Mutex // serializes OnCell
+	progressMu sync.Mutex // serializes the spec's Progress hook
 
 	// snapBuf is the snapshot encode buffer reused across cells.
 	snapMu  sync.Mutex
 	snapBuf []byte
+
+	mu                       sync.Mutex
+	cells                    []CellResult // by expansion index
+	selected, reused, landed int
+	err                      error         // first land failure
+	done                     chan struct{} // closed once every selected cell has landed
 }
 
-// NewLifecycle builds the lifecycle for one run of the sweep. selected
-// reports whether the cell at an expansion index is part of this run
-// (its shard filter accepted it); a group with an unselected cell can
-// never complete, so its cells are kept as they land and never folded.
-func (s *Sweep) NewLifecycle(cfg LifecycleConfig, selected func(i int) bool) *Lifecycle {
-	lc := &Lifecycle{cfg: cfg, groups: make([]groupFolder, len(s.groups))}
+// Start begins a run of the sweep. It marks the cells the spec's Filter
+// rejects Skipped, and fails when the filter selects none. It then calls
+// the spec's Reuse hook for each selected cell, serially in expansion
+// order, and lands every cell the hook satisfies as Cached. It returns
+// the indices of the cells left to compute, in expansion order, for the
+// caller to dispatch and Land.
+//
+// outDir, when non-empty, is the sweep output directory: every cell
+// that lands without already being on disk there (Cached) persists a
+// snapshot under cells/<cell>/cell.snap before anything else happens to
+// it. results, when non-nil, receives one row per landed cell and one
+// per merged group. recycle, when non-nil, receives each aggregator the
+// run releases (see Land) instead of leaving it to the collector.
+func (s *Sweep) Start(outDir string, results *resultstore.Store, recycle func(*analysis.Aggregator)) (*SweepRun, []int, error) {
+	r := &SweepRun{
+		sweep:   s,
+		outDir:  outDir,
+		results: results,
+		recycle: recycle,
+		start:   time.Now(),
+		groups:  make([]groupFolder, len(s.groups)),
+		cells:   make([]CellResult, len(s.cells)),
+		done:    make(chan struct{}),
+	}
+	for i, c := range s.cells {
+		r.cells[i].Cell = c
+		if s.spec.Filter != nil && !s.spec.Filter(c) {
+			r.cells[i].Skipped = true
+			continue
+		}
+		r.selected++
+	}
+	if r.selected == 0 {
+		return nil, nil, errors.New("core: sweep cell filter selected no cells")
+	}
+	// A group with an unselected cell can never complete, so its cells
+	// are kept as they land and never folded.
 	for g, idxs := range s.groups {
 		mergeable := true
 		for _, i := range idxs {
-			mergeable = mergeable && selected(i)
+			mergeable = mergeable && !r.cells[i].Skipped
 		}
 		if mergeable {
-			lc.groups[g].pending = make([]landed, len(idxs))
+			r.groups[g].pending = make([]landed, len(idxs))
 		}
 	}
-	return lc
+	var runnable []int
+	for i, c := range s.cells {
+		if r.cells[i].Skipped {
+			continue
+		}
+		if s.spec.Reuse != nil {
+			if res, ok := s.spec.Reuse(c, s.cfgs[i]); ok {
+				r.reused++
+				r.Land(CellResult{Cell: c, Res: res, Cached: true}, nil)
+				continue
+			}
+		}
+		runnable = append(runnable, i)
+	}
+	return r, runnable, nil
 }
 
-// Land takes a finished cell through the rest of its life. wire, when
-// non-nil, is the cell's already encoded snapshot container (a worker's
-// upload), persisted verbatim in place of a fresh encode.
+// Land takes a finished cell through the rest of its life and records
+// it as the run's result for that cell. wire, when non-nil, is the
+// cell's already encoded snapshot container (a worker's upload),
+// persisted verbatim in place of a fresh encode.
 //
 // Ownership: cr.Res — in particular its aggregator — is complete and
-// untouched while OnCell runs. After that it belongs to the lifecycle:
-// once the cell is folded into its group and a snapshot of it is on
-// disk (the lifecycle just wrote it, or the cell is Cached and the run
-// has an OutDir), cr.Res.Agg is set to nil and the aggregator handed to
-// Recycle. Res itself stays, with its Config, Testbed, Methods and
-// probe counters. Without an OutDir the in-memory result is the only
-// copy and nothing is released.
+// untouched while the Progress hook runs. After that it belongs to the
+// run: once the cell is folded into its group and a snapshot of it is
+// on disk (the run just wrote it, or the cell is Cached and the run has
+// an output directory), cr.Res.Agg is set to nil and the aggregator
+// handed to recycle. Res itself stays, with its Config, Testbed,
+// Methods and probe counters. Without an output directory the in-memory
+// result is the only copy and nothing is released.
 //
-// merged is non-nil when this cell completed its group. Persist, store
-// and fold failures are all reported (joined), but none stops the later
-// steps: a sweep finishes what it can and the error surfaces at the end.
-func (lc *Lifecycle) Land(cr *CellResult, wire []byte) (merged *Result, err error) {
+// Persist, store and fold failures are all reported (joined), and the
+// first is sticky in Err, but none stops the later steps: a sweep
+// finishes what it can and the error surfaces at the end.
+func (r *SweepRun) Land(cr CellResult, wire []byte) error {
+	err := r.land(&cr, wire)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.cells[cr.Cell.Index] = cr
+	if err != nil && r.err == nil {
+		r.err = err
+	}
+	if r.landed++; r.landed == r.selected {
+		close(r.done)
+	}
+	return err
+}
+
+func (r *SweepRun) land(cr *CellResult, wire []byte) error {
 	if cr.Err != nil {
 		// A failed campaign has nothing to persist or fold; its group
 		// stays short of a cell and never merges.
-		lc.notify(cr)
-		return nil, nil
+		r.notify(cr)
+		return nil
 	}
 	var errs []error
-	onDisk := lc.cfg.OutDir != ""
+	onDisk := r.outDir != ""
 	if onDisk && !cr.Cached {
-		if err := lc.persist(cr, wire); err != nil {
+		if err := r.persist(cr, wire); err != nil {
 			errs = append(errs, fmt.Errorf("core: persisting cell %s: %w", cr.Cell.Name(), err))
 			onDisk = false
 		}
 	}
-	lc.notify(cr)
+	r.notify(cr)
 
 	// The cell's row is extracted before the fold: folding flushes the
 	// aggregator and may release it.
-	if lc.cfg.Results != nil {
-		if err := lc.cfg.Results.Append(CellStoreRow(cr.Cell, cr.Res)); err != nil {
+	if r.results != nil {
+		if err := r.results.Append(CellStoreRow(cr.Cell, cr.Res)); err != nil {
 			errs = append(errs, fmt.Errorf("core: result store: %w", err))
 		}
 	}
-	merged, err = lc.groups[cr.Cell.Group].land(cr.Cell.Replica, cr.Res, onDisk, lc.cfg.Recycle)
+	merged, err := r.groups[cr.Cell.Group].land(cr.Cell.Replica, cr.Res, onDisk, r.recycle)
 	if err != nil {
 		errs = append(errs, fmt.Errorf("core: merging group %s: %w", cr.Cell.GroupName(), err))
 	}
-	if merged != nil && lc.cfg.Results != nil {
-		if err := lc.cfg.Results.Append(GroupStoreRow(cr.Cell, merged)); err != nil {
+	if merged != nil && r.results != nil {
+		if err := r.results.Append(GroupStoreRow(cr.Cell, merged)); err != nil {
 			errs = append(errs, fmt.Errorf("core: result store: %w", err))
 		}
 	}
-	return merged, errors.Join(errs...)
+	return errors.Join(errs...)
 }
 
-// persist writes the cell's snapshot under OutDir: the wire bytes when
-// the cell arrived encoded, a fresh encode otherwise.
-func (lc *Lifecycle) persist(cr *CellResult, wire []byte) error {
-	path := CellSnapshotPath(lc.cfg.OutDir, cr.Cell.Name())
+// persist writes the cell's snapshot under the output directory: the
+// wire bytes when the cell arrived encoded, a fresh encode otherwise.
+func (r *SweepRun) persist(cr *CellResult, wire []byte) error {
+	path := CellSnapshotPath(r.outDir, cr.Cell.Name())
 	if wire != nil {
 		return WriteSnapshotFile(path, wire)
 	}
-	lc.snapMu.Lock()
-	defer lc.snapMu.Unlock()
-	buf, err := NewCellSnapshot(cr.Cell, cr.Res).WriteFileBuf(path, lc.snapBuf)
-	lc.snapBuf = buf
+	r.snapMu.Lock()
+	defer r.snapMu.Unlock()
+	buf, err := NewCellSnapshot(cr.Cell, cr.Res).WriteFileBuf(path, r.snapBuf)
+	r.snapBuf = buf
 	return err
 }
 
-// notify calls OnCell, serialized.
-func (lc *Lifecycle) notify(cr *CellResult) {
-	if lc.cfg.OnCell == nil {
+// notify calls the spec's Progress hook, serialized.
+func (r *SweepRun) notify(cr *CellResult) {
+	progress := r.sweep.spec.Progress
+	if progress == nil {
 		return
 	}
-	lc.cellMu.Lock()
-	lc.cfg.OnCell(*cr)
-	lc.cellMu.Unlock()
+	r.progressMu.Lock()
+	progress(*cr)
+	r.progressMu.Unlock()
 }
 
-// Merged returns group g's merged Result, or nil while the group is
-// incomplete (cells outstanding, a cell outside this run's shard, or a
-// failed fold).
-func (lc *Lifecycle) Merged(g int) *Result { return lc.groups[g].merged() }
+// Done returns a channel closed once every selected cell has landed —
+// which, the fold being part of landing, is also when every complete
+// group has merged.
+func (r *SweepRun) Done() <-chan struct{} { return r.done }
+
+// Err returns the run's failure: every failed cell's error, joined, or
+// else the first persist, store or fold failure; nil when there is
+// none.
+func (r *SweepRun) Err() error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	var errs []error
+	for i := range r.cells {
+		if err := r.cells[i].Err; err != nil {
+			errs = append(errs, fmt.Errorf("cell %s: %w", r.cells[i].Cell.Name(), err))
+		}
+	}
+	if len(errs) > 0 {
+		return errors.Join(errs...)
+	}
+	return r.err
+}
+
+// Counts returns how many cells the run selected, how many of those the
+// Reuse hook satisfied, and how many have landed.
+func (r *SweepRun) Counts() (selected, reused, landed int) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.selected, r.reused, r.landed
+}
+
+// Group returns how many of group g's cells have landed with a result,
+// and the group's merged Result — nil while the group is incomplete
+// (cells outstanding, a cell outside this run's shard, or a failed
+// fold).
+func (r *SweepRun) Group(g int) (landed int, merged *Result) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, i := range r.sweep.groups[g] {
+		if r.cells[i].Res != nil {
+			landed++
+		}
+	}
+	return landed, r.groups[g].merged()
+}
+
+// Result assembles the run's SweepResult from what has landed so far;
+// parallel is the worker count it reports. Groups carry their merged
+// Result. Cells carry what Land left of theirs: with an output
+// directory, Res holds the cell's Config, Testbed, Methods and probe
+// counters and Res.Agg is nil (the snapshot on disk is the cell's
+// statistics); without one, every Res still owns its aggregator.
+func (r *SweepRun) Result(parallel int) *SweepResult {
+	s := r.sweep
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	out := &SweepResult{
+		Spec:     s.spec,
+		Datasets: s.Datasets(),
+		Axes:     s.Axes(),
+		Replicas: s.replicas,
+		Cells:    append([]CellResult(nil), r.cells...),
+		Groups:   make([]GroupResult, len(s.groups)),
+		Parallel: parallel,
+		Selected: r.selected,
+		Reused:   r.reused,
+	}
+	for g, idxs := range s.groups {
+		cells := make([]*CellResult, len(idxs))
+		for k, i := range idxs {
+			cells[k] = &out.Cells[i]
+		}
+		first := cells[0].Cell
+		hosts, methods := s.groupShape(g)
+		out.Groups[g] = GroupResult{
+			Dataset: first.Dataset,
+			Axes:    first.Axes,
+			Coords:  first.Coords,
+			Hosts:   hosts,
+			Methods: methods,
+			Cells:   cells,
+			Merged:  r.groups[g].merged(),
+		}
+	}
+	out.Wall = time.Since(r.start)
+	return out
+}
 
 // groupFolder owns everything about turning one grid point's landed
 // cells into its merged Result: whether the group can merge, which

@@ -84,10 +84,13 @@ func TestLifecycleFoldAnyArrivalOrder(t *testing.T) {
 	}
 
 	// An output directory plus Cached is "already on disk there": the
-	// lifecycle releases what it folds and writes nothing.
+	// run releases what it folds and writes nothing.
 	outDir := t.TempDir()
 	for name, order := range orders {
-		life := s.NewLifecycle(LifecycleConfig{OutDir: outDir}, func(int) bool { return true })
+		run, _, err := s.Start(outDir, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
 		landedRes := make([]*Result, len(cells))
 		arrived := make([][]bool, s.NumGroups())
 		for g := range arrived {
@@ -97,11 +100,11 @@ func TestLifecycleFoldAnyArrivalOrder(t *testing.T) {
 		for _, i := range order {
 			r := *base[i] // Land detaches Agg from the Result it is given
 			landedRes[i] = &r
-			merged, err := life.Land(&CellResult{Cell: cells[i], Res: &r, Cached: true}, nil)
-			if err != nil {
+			_, before := run.Group(cells[i].Group)
+			if err := run.Land(CellResult{Cell: cells[i], Res: &r, Cached: true}, nil); err != nil {
 				t.Fatalf("%s: landing %s: %v", name, cells[i].Name(), err)
 			}
-			if merged != nil {
+			if _, after := run.Group(cells[i].Group); before == nil && after != nil {
 				mergedN++
 			}
 			// Independent model of the fold: a cell waits iff some lower
@@ -125,7 +128,7 @@ func TestLifecycleFoldAnyArrivalOrder(t *testing.T) {
 			t.Errorf("%s: %d landings completed a group, want %d", name, mergedN, s.NumGroups())
 		}
 		for g, w := range wants {
-			m := life.Merged(g)
+			_, m := run.Group(g)
 			if m == nil {
 				t.Fatalf("%s: group %d did not merge", name, g)
 			}
@@ -150,11 +153,23 @@ func TestLifecycleFoldAnyArrivalOrder(t *testing.T) {
 	// The same cells with no output directory: the Result is the only
 	// copy, so nothing is released; and a group with an unselected cell
 	// neither folds nor releases.
-	life := s.NewLifecycle(LifecycleConfig{}, func(int) bool { return true })
-	shard := s.NewLifecycle(LifecycleConfig{OutDir: outDir}, func(i int) bool { return i != 0 })
+	run, _, err := s.Start("", nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := s.Spec()
+	spec.Filter = func(c Cell) bool { return c.Index != 0 }
+	sharded, err := NewSweep(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shard, _, err := sharded.Start(outDir, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := range cells {
 		r := *base[i]
-		if _, err := life.Land(&CellResult{Cell: cells[i], Res: &r}, nil); err != nil {
+		if err := run.Land(CellResult{Cell: cells[i], Res: &r}, nil); err != nil {
 			t.Fatal(err)
 		}
 		if r.Agg == nil {
@@ -164,15 +179,17 @@ func TestLifecycleFoldAnyArrivalOrder(t *testing.T) {
 			continue
 		}
 		r = *base[i]
-		if _, err := shard.Land(&CellResult{Cell: cells[i], Res: &r, Cached: true}, nil); err != nil {
+		if err := shard.Land(CellResult{Cell: cells[i], Res: &r, Cached: true}, nil); err != nil {
 			t.Fatal(err)
 		}
 		if g := cells[i].Group; (r.Agg == nil) != (g != 0) {
 			t.Errorf("cell %s of group %d: released = %v in a shard missing cell 0", cells[i].Name(), g, r.Agg == nil)
 		}
 	}
-	if shard.Merged(0) != nil || shard.Merged(1) == nil {
-		t.Errorf("shard missing cell 0: group 0 merged = %v, group 1 merged = %v", shard.Merged(0) != nil, shard.Merged(1) != nil)
+	_, m0 := shard.Group(0)
+	_, m1 := shard.Group(1)
+	if m0 != nil || m1 == nil {
+		t.Errorf("shard missing cell 0: group 0 merged = %v, group 1 merged = %v", m0 != nil, m1 != nil)
 	}
 }
 

@@ -126,16 +126,12 @@ func (s *Sweep) Manifest(tracePath, snapPath func(Cell) string) *SweepManifest {
 	return buildManifest(&s.spec, s.replicas, s.datasets, s.axes, len(s.groups),
 		func(gi int) (int, []string, []Cell) {
 			idxs := s.groups[gi]
-			cfg := s.cfgs[idxs[0]]
-			var names []string
-			for _, mth := range cfg.methods() {
-				names = append(names, mth.Name)
-			}
 			cells := make([]Cell, len(idxs))
 			for i, ci := range idxs {
 				cells[i] = s.cells[ci]
 			}
-			return cfg.testbed().N(), names, cells
+			hosts, methods := s.groupShape(gi)
+			return hosts, methods, cells
 		}, tracePath, snapPath)
 }
 

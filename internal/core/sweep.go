@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"runtime"
 	"strings"
@@ -53,9 +52,9 @@ type SweepSpec struct {
 	// Parallel caps concurrently running cells; <=0 means
 	// runtime.GOMAXPROCS(0).
 	Parallel int
-	// Filter, when non-nil, restricts Run to the cells it accepts, so
-	// disjoint shards of one grid can run on different machines against
-	// the same spec. Filtered-out cells appear in the results as
+	// Filter, when non-nil, restricts a run (Sweep.Run, or a fleet
+	// coordinator's) to the cells it accepts, so disjoint shards of one
+	// grid can run on different machines against the same spec. Filtered-out cells appear in the results as
 	// Skipped, and their groups are left unmerged (Merged == nil);
 	// merge-only tooling recombines shards afterwards. Filter does not
 	// affect expansion: every cell keeps its coordinates and seed.
@@ -64,8 +63,8 @@ type SweepSpec struct {
 	// cell with the cell and its fully built Config; returning a Result
 	// marks the cell Cached and skips the campaign. It is how -resume
 	// and -extend reuse persisted cell snapshots. Calls are serial (in
-	// expansion order, before the worker pool starts), so the hook may
-	// touch shared state without locking. The Result is handed over:
+	// expansion order, in Start, before any cell is dispatched), so the
+	// hook may touch shared state without locking. The Result is handed over:
 	// with an OutDir it is taken to come from a snapshot, and its
 	// aggregator is released like any other cell's.
 	Reuse func(Cell, Config) (*Result, bool)
@@ -152,7 +151,7 @@ func (c Cell) Name() string {
 type CellResult struct {
 	Cell Cell
 	// Res is the cell's campaign result; nil when the cell was Skipped.
-	// A Progress / OnCellDone callback sees it whole. In a finished
+	// The sweep's Progress callback sees it whole. In a finished
 	// SweepResult, Res keeps its Config, Testbed, Methods and probe
 	// counters, but Res.Agg is nil when the sweep persisted snapshots
 	// (an output directory was set): the aggregator was released once
@@ -196,22 +195,6 @@ type GroupResult struct {
 
 // Name labels the grid point.
 func (g *GroupResult) Name() string { return g.Cells[0].Cell.GroupName() }
-
-// Value returns the grid point's coordinate on the named axis.
-func (g *GroupResult) Value(axis string) (AxisValue, bool) {
-	for i, a := range g.Axes {
-		if a.Name() == axis {
-			return g.Coords[i], true
-		}
-	}
-	return "", false
-}
-
-// AxisValues returns the grid point's non-default coordinates by axis
-// name, as persisted in manifests.
-func (g *GroupResult) AxisValues() map[string]string {
-	return axisValuesByName(g.Axes, g.Coords)
-}
 
 // Complete reports whether every replica ran (or was reused), i.e.
 // whether Merged is populated.
@@ -396,76 +379,38 @@ func (s *Sweep) NumGroups() int { return len(s.groups) }
 // GroupCells returns the cell indices of group g in replica order.
 func (s *Sweep) GroupCells(g int) []int { return append([]int(nil), s.groups[g]...) }
 
+// groupShape returns group g's testbed size and method names, which
+// every cell of the grid point shares.
+func (s *Sweep) groupShape(g int) (hosts int, methods []string) {
+	cfg := s.cfgs[s.groups[g][0]]
+	ms := cfg.methods()
+	methods = make([]string, len(ms))
+	for i, m := range ms {
+		methods[i] = m.Name
+	}
+	return cfg.testbed().N(), methods
+}
+
 // Run executes every selected cell over a worker pool and merges
-// replicas. Each worker owns a reusable Arena, so successive cells pay
-// in-place reinitialization instead of full construction. Cells are
-// independent campaigns, so any schedule yields the same per-cell
-// results; every finished (or reused) cell goes through the sweep's
-// Lifecycle, which folds each group's replicas in replica order as they
-// land — concurrently across groups — making the merged tables
-// byte-identical across Parallel settings, and, because seeds derive
-// from coordinates, across any sharding by Filter or reuse of persisted
-// snapshots. With an OutDir, a cell's aggregator is released once it is
-// persisted and folded (see CellResult.Res).
+// replicas: Start selects and reuses, the pool computes what is left,
+// and every finished cell lands in the run, which folds each group's
+// replicas in replica order as they land — concurrently across groups —
+// making the merged tables byte-identical across Parallel settings,
+// and, because seeds derive from coordinates, across any sharding by
+// Filter or reuse of persisted snapshots. Each worker owns a reusable
+// Arena, so successive cells pay in-place reinitialization instead of
+// full construction. With an OutDir, a cell's aggregator is released
+// once it is persisted and folded (see CellResult.Res).
 func (s *Sweep) Run() (*SweepResult, error) {
-	start := time.Now()
-	results := make([]CellResult, len(s.cells))
-	selected := 0
-	for i, c := range s.cells {
-		results[i] = CellResult{Cell: c}
-		if s.spec.Filter != nil && !s.spec.Filter(c) {
-			results[i].Skipped = true
-			continue
-		}
-		selected++
+	run, toRun, err := s.Start(s.spec.OutDir, s.spec.Results, nil)
+	if err != nil {
+		return nil, err
 	}
-	if selected == 0 {
-		return nil, errors.New("core: sweep cell filter selected no cells")
-	}
-	life := s.NewLifecycle(LifecycleConfig{
-		OutDir:  s.spec.OutDir,
-		Results: s.spec.Results,
-		OnCell:  s.spec.Progress,
-	}, func(i int) bool { return !results[i].Skipped })
-	// A persist, store or fold failure never aborts in-flight cells —
-	// the sweep finishes and the first such error surfaces at the end.
-	var landMu sync.Mutex
-	var landErr error
-	land := func(i int) {
-		if _, err := life.Land(&results[i], nil); err != nil {
-			landMu.Lock()
-			if landErr == nil {
-				landErr = err
-			}
-			landMu.Unlock()
-		}
-	}
-
-	var toRun []int
-	reused := 0
-	for i, c := range s.cells {
-		if results[i].Skipped {
-			continue
-		}
-		if s.spec.Reuse != nil {
-			if res, ok := s.spec.Reuse(c, s.cfgs[i]); ok {
-				results[i].Res = res
-				results[i].Cached = true
-				reused++
-				land(i)
-				continue
-			}
-		}
-		toRun = append(toRun, i)
-	}
-
 	workers := s.spec.Parallel
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(toRun) {
-		workers = len(toRun)
-	}
+	workers = min(workers, len(toRun))
 	jobs := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -476,10 +421,9 @@ func (s *Sweep) Run() (*SweepResult, error) {
 			for i := range jobs {
 				t0 := time.Now()
 				res, err := arena.RunRetained(s.cfgs[i])
-				results[i].Res = res
-				results[i].Wall = time.Since(t0)
-				results[i].Err = err
-				land(i)
+				// A persist, store or fold failure never aborts in-flight
+				// cells; it surfaces from Err once the pool drains.
+				run.Land(CellResult{Cell: s.cells[i], Res: res, Wall: time.Since(t0), Err: err}, nil)
 			}
 		}()
 	}
@@ -488,53 +432,8 @@ func (s *Sweep) Run() (*SweepResult, error) {
 	}
 	close(jobs)
 	wg.Wait()
-
-	var errs []error
-	for i := range results {
-		if results[i].Err != nil {
-			errs = append(errs, fmt.Errorf("cell %s: %w",
-				results[i].Cell.Name(), results[i].Err))
-		}
+	if err := run.Err(); err != nil {
+		return nil, err
 	}
-	if len(errs) > 0 {
-		return nil, errors.Join(errs...)
-	}
-	if landErr != nil {
-		return nil, landErr
-	}
-
-	out := &SweepResult{
-		Spec:     s.spec,
-		Datasets: s.Datasets(),
-		Axes:     s.Axes(),
-		Replicas: s.replicas,
-		Cells:    results,
-		Groups:   make([]GroupResult, len(s.groups)),
-		Parallel: workers,
-		Selected: selected,
-		Reused:   reused,
-	}
-	for g, idxs := range s.groups {
-		cells := make([]*CellResult, len(idxs))
-		for k, i := range idxs {
-			cells[k] = &out.Cells[i]
-		}
-		first := cells[0].Cell
-		cfg := s.cfgs[idxs[0]]
-		names := make([]string, 0, len(cfg.methods()))
-		for _, m := range cfg.methods() {
-			names = append(names, m.Name)
-		}
-		out.Groups[g] = GroupResult{
-			Dataset: first.Dataset,
-			Axes:    first.Axes,
-			Coords:  first.Coords,
-			Hosts:   cfg.testbed().N(),
-			Methods: names,
-			Cells:   cells,
-			Merged:  life.Merged(g),
-		}
-	}
-	out.Wall = time.Since(start)
-	return out, nil
+	return run.Result(workers), nil
 }
