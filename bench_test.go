@@ -16,7 +16,6 @@ import (
 	"math/rand"
 	"runtime"
 	"sort"
-	"sync"
 	"testing"
 	"time"
 
@@ -309,34 +308,11 @@ func benchSweepGrid(parallel int) (*core.SweepResult, error) {
 	return s.Run()
 }
 
-// sweepSerialRef lazily measures one serial pass over the benchmark
-// grid, as the reference for the parallel sub-benches' scaling
-// efficiency metric.
-var (
-	sweepSerialRefOnce sync.Once
-	sweepSerialRefNs   float64
-)
-
-func sweepSerialRef(b *testing.B) float64 {
-	sweepSerialRefOnce.Do(func() {
-		t0 := time.Now()
-		if _, err := benchSweepGrid(1); err != nil {
-			b.Fatal(err)
-		}
-		sweepSerialRefNs = float64(time.Since(t0))
-	})
-	return sweepSerialRefNs
-}
-
 // BenchmarkSweep measures the sweep engine at fixed worker counts over
 // one grid: eight seed replicas of a compressed RONnarrow campaign,
 // merged into one set of tables. Each worker threads its cells through
 // a reusable campaign arena, so serial allocations band the arena's
-// cell-turnover cost; the parallel sub-benches report cells/sec plus a
-// scaling-efficiency metric (speedup over the serial reference divided
-// by the worker count — 1.0 is perfect scaling, and anything much below
-// GOMAXPROCS-proportional flags a contention regression; CI runs these
-// at GOMAXPROCS=2 and 4).
+// cell-turnover cost; every sub-bench reports cells/sec.
 func BenchmarkSweep(b *testing.B) {
 	for _, bench := range []struct {
 		name     string
@@ -358,11 +334,7 @@ func BenchmarkSweep(b *testing.B) {
 				}
 			}
 			b.StopTimer()
-			nsPerOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
 			b.ReportMetric(float64(len(res.Cells))*float64(b.N)/b.Elapsed().Seconds(), "cells/sec")
-			if bench.parallel > 1 {
-				b.ReportMetric(sweepSerialRef(b)/(nsPerOp*float64(bench.parallel)), "scaling-eff")
-			}
 			merged := res.Groups[0].Merged
 			b.Logf("%d cells on %d workers in %.2fs; merged %d measurement probes",
 				len(res.Cells), res.Parallel, res.Wall.Seconds(), merged.MeasureProbes)
@@ -401,6 +373,24 @@ func BenchmarkSweep(b *testing.B) {
 	})
 }
 
+// warmArena returns an arena that has run twelve cells of cfg's shape,
+// past its cold first cell and the seed-dependent high-water marks
+// (calendar buckets, CDF runs) the next few seeds raise, as
+// TestArenaSecondCellZeroAllocsAcrossSeeds warms. Left in the timed
+// loop, the cold cell's allocations would be divided by b.N, which
+// depends on machine speed. The warm-up seeds lie above every seed the
+// timed loop's cfg.Seed = i+1 reaches.
+func warmArena(b *testing.B, cfg core.Config) *core.Arena {
+	arena := core.NewArena()
+	for k := uint64(0); k < 12; k++ {
+		cfg.Seed = 1<<63 + k
+		if _, err := arena.Run(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return arena
+}
+
 // BenchmarkSweepTurnover measures cell turnover through one reused
 // campaign arena — the per-worker steady state of a sweep: every
 // iteration reinitializes the full campaign world (netsim slabs,
@@ -409,8 +399,8 @@ func BenchmarkSweep(b *testing.B) {
 // ~0 (pinned exactly by TestArenaSecondCellZeroAllocs); this bench
 // bands the reinitialization + campaign wall-clock as cells/sec.
 func BenchmarkSweepTurnover(b *testing.B) {
-	arena := core.NewArena()
 	cfg := core.DefaultConfig(core.RONnarrow, benchDays)
+	arena := warmArena(b, cfg)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -430,9 +420,9 @@ func BenchmarkSweepTurnover(b *testing.B) {
 // ~0 (pinned by TestArenaWorkloadSecondCellZeroAllocs); the cells/sec
 // delta against BenchmarkSweepTurnover is the workload layer's cost.
 func BenchmarkWorkloadCell(b *testing.B) {
-	arena := core.NewArena()
 	cfg := core.DefaultConfig(core.RONnarrow, benchDays)
 	cfg.Workload = core.DefaultWorkloadConfig()
+	arena := warmArena(b, cfg)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -1,32 +1,32 @@
-// Command benchguard turns `go test -bench` output into the
-// BENCH_campaign.json artifact and enforces the campaign engine's
-// performance envelope against the committed baseline.
+// Command benchguard holds the campaign engine's performance envelope
+// against the committed BENCH_campaign.json, gating only numbers the
+// machine cannot change. Timing belongs to bench/ronbench, which
+// measures it in interleaved pairs.
 //
-// Emit an artifact from a benchmark run:
+// Record the baseline from a benchmark run (the `go test` line of CI's
+// bench-guard job):
 //
-//	go test -run '^$' -bench 'Campaign|Sweep/serial|...' -benchmem . | benchguard -emit bench.json
+//	go test -run '^$' -bench '...' -benchmem . ./internal/core/ | benchguard -emit BENCH_campaign.json
 //
-// Compare a fresh run against the repo's committed baseline (the "post"
-// section of BENCH_campaign.json), failing the process on regression:
+// Check a fresh run against it, failing the process on regression:
 //
-//	benchguard -baseline BENCH_campaign.json -input bench.json
+//	benchguard -input bench.txt -baseline BENCH_campaign.json
 //
-// Three checks run per benchmark present in both files:
+// The checks, all read off the baseline:
 //
-//   - allocs/op may not exceed the baseline beyond a hair of slack
-//     (2% + 2 — macro benchmarks pick up ±1 alloc of scheduling noise
-//     from the sweep worker pool). Benchmarks named by -zero-allocs
-//     must report exactly 0 allocs/op: the hot paths that were made
-//     allocation-free stay allocation-free.
-//   - B/op is held by the same slack rule on the overlay-size curve
-//     (BenchmarkCampaign/n=…), where bytes per cold cell are the
-//     big-world memory footprint: per-link and per-path state must stay
-//     sized by what a cell uses, not by n².
-//   - ns/op may not regress by more than -max-ns-regress (default 10%)
-//     on the benchmarks named by -ns-checked. Wall-clock is
-//     machine-dependent; the default set is the campaign hot paths,
-//     and the threshold assumes the comparison runs on hardware
-//     comparable to where the baseline was recorded.
+//   - Every baseline entry must be in the run: a renamed benchmark or a
+//     narrowed -bench regex fails by name instead of dropping its check.
+//   - allocs/op: an entry recorded at 0 must read exactly 0 (the hot
+//     paths that were made allocation-free stay so); any other count
+//     may exceed its baseline by 2% + 2 (macro benchmarks pick up ±1
+//     alloc of scheduling noise from the sweep worker pool).
+//   - B/op, by the same slack, on the overlay-size curve
+//     (BenchmarkCampaign/n=…) only, where bytes per cold cell are the
+//     big-world memory footprint: per-link and per-path state must
+//     stay sized by what a cell uses, not by n².
+//   - One same-run ratio: full-mesh probing at n=1024 must stay at
+//     least minSpeedup times slower than landmark probing, a scaling
+//     law immune to host speed.
 package main
 
 import (
@@ -35,35 +35,53 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 )
 
-// Bench is one benchmark's recorded numbers.
+// The ratio gate: ns/op of ratioSlow over ratioFast in the same run.
+// Six runs on a 2-CPU container read 13.4× to 18.0×; the floor absorbs
+// runner noise.
+const (
+	ratioSlow  = "BenchmarkCampaign/n=1024"
+	ratioFast  = "BenchmarkCampaign/n=1024-lm"
+	minSpeedup = 5
+)
+
+// note is the baseline file's one line of prose.
+const note = "Data only: how each entry was recorded, and the command that regenerates the file, are in docs/ARCHITECTURE.md, 'How BENCH_campaign.json was recorded'."
+
+// Bench is one benchmark's gated numbers.
 type Bench struct {
-	NsPerOp      float64  `json:"ns_per_op"`
-	BytesPerOp   *float64 `json:"bytes_per_op,omitempty"`
-	AllocsPerOp  *float64 `json:"allocs_per_op,omitempty"`
-	ProbesPerSec *float64 `json:"probes_per_sec,omitempty"`
-	CellsPerSec  *float64 `json:"cells_per_sec,omitempty"`
-	ScalingEff   *float64 `json:"scaling_eff,omitempty"`
+	AllocsPerOp *float64 `json:"allocs_per_op,omitempty"`
+	BytesPerOp  *float64 `json:"bytes_per_op,omitempty"`
 }
 
-// File mirrors BENCH_campaign.json: a baseline section keyed "post",
-// or a bare artifact with just "benchmarks".
+// File is BENCH_campaign.json.
 type File struct {
-	Schema     int              `json:"schema,omitempty"`
-	Note       string           `json:"note,omitempty"`
-	Post       *Section         `json:"post,omitempty"`
-	Benchmarks map[string]Bench `json:"benchmarks,omitempty"`
+	Note       string           `json:"note"`
+	Benchmarks map[string]Bench `json:"benchmarks"`
 }
 
-// Section is one recorded set of benchmark numbers.
-type Section struct {
-	Go         string           `json:"go,omitempty"`
-	Benchmarks map[string]Bench `json:"benchmarks"`
+// sample is one benchmark's reading in a run: its memory numbers, and
+// ns/op for the ratio gate.
+type sample struct {
+	Bench
+	ns float64
+}
+
+// gated returns the numbers of b that the gate holds: allocs/op on
+// every benchmark, B/op on the overlay-size curve only. -emit writes
+// exactly these, so a recorded baseline is the gate, number for number.
+func gated(name string, b Bench) Bench {
+	if !strings.HasPrefix(name, "BenchmarkCampaign/n=") {
+		b.BytesPerOp = nil
+	}
+	return b
 }
 
 // benchLine matches `go test -bench` result lines, e.g.
@@ -71,8 +89,8 @@ type Section struct {
 //	BenchmarkCampaign-8  54  19558482 ns/op  3274283 probes/sec  523024 B/op  2161 allocs/op
 var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+(.*)$`)
 
-func parseBenchOutput(r io.Reader) (map[string]Bench, error) {
-	out := map[string]Bench{}
+func parseBenchOutput(r io.Reader) (map[string]sample, error) {
+	out := map[string]sample{}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
@@ -82,7 +100,7 @@ func parseBenchOutput(r io.Reader) (map[string]Bench, error) {
 		}
 		name := m[1]
 		fields := strings.Fields(m[2])
-		var b Bench
+		var s sample
 		seen := false
 		for i := 0; i+1 < len(fields); i += 2 {
 			v, err := strconv.ParseFloat(fields[i], 64)
@@ -91,39 +109,26 @@ func parseBenchOutput(r io.Reader) (map[string]Bench, error) {
 			}
 			switch fields[i+1] {
 			case "ns/op":
-				b.NsPerOp = v
+				s.ns = v
 				seen = true
 			case "B/op":
-				b.BytesPerOp = ptr(v)
+				s.BytesPerOp = ptr(v)
 			case "allocs/op":
-				b.AllocsPerOp = ptr(v)
-			case "probes/sec":
-				b.ProbesPerSec = ptr(v)
-			case "cells/sec":
-				b.CellsPerSec = ptr(v)
-			case "scaling-eff":
-				b.ScalingEff = ptr(v)
+				s.AllocsPerOp = ptr(v)
 			}
 		}
 		if !seen {
 			continue
 		}
-		// -count>1 repeats each benchmark; keep the best (minimum
-		// ns/op, maximum probes/sec) sample so scheduling noise in any
-		// single run cannot trip the guard. Allocation counts are kept
-		// at their minimum too: transient goroutine noise only ever
-		// adds allocations.
+		// -count>1 repeats each benchmark; keep the minimum of every
+		// number: transient goroutine noise only ever adds allocations,
+		// and the ratio compares the two curves' best runs.
 		if prev, ok := out[name]; ok {
-			if prev.NsPerOp < b.NsPerOp {
-				b.NsPerOp = prev.NsPerOp
-			}
-			b.BytesPerOp = minPtr(prev.BytesPerOp, b.BytesPerOp)
-			b.AllocsPerOp = minPtr(prev.AllocsPerOp, b.AllocsPerOp)
-			b.ProbesPerSec = maxPtr(prev.ProbesPerSec, b.ProbesPerSec)
-			b.CellsPerSec = maxPtr(prev.CellsPerSec, b.CellsPerSec)
-			b.ScalingEff = maxPtr(prev.ScalingEff, b.ScalingEff)
+			s.ns = min(s.ns, prev.ns)
+			s.BytesPerOp = minPtr(prev.BytesPerOp, s.BytesPerOp)
+			s.AllocsPerOp = minPtr(prev.AllocsPerOp, s.AllocsPerOp)
 		}
-		out[name] = b
+		out[name] = s
 	}
 	return out, sc.Err()
 }
@@ -138,16 +143,6 @@ func minPtr(a, b *float64) *float64 {
 	return b
 }
 
-func maxPtr(a, b *float64) *float64 {
-	if a == nil {
-		return b
-	}
-	if b == nil || *a > *b {
-		return a
-	}
-	return b
-}
-
 func ptr(v float64) *float64 { return &v }
 
 // overSlack reports whether a machine-independent count (allocs/op,
@@ -156,19 +151,21 @@ func overSlack(want, got float64) bool { return got > want*1.02+2 }
 
 // checkMemory returns one benchmark's allocation and byte failures
 // against its baseline entry.
-func checkMemory(name string, want, got Bench, zeroAllocs bool) []string {
+func checkMemory(name string, want, got Bench) []string {
+	want = gated(name, want)
 	var failures []string
-	if zeroAllocs && got.AllocsPerOp != nil && *got.AllocsPerOp != 0 {
-		failures = append(failures, fmt.Sprintf(
-			"%s: allocs/op = %.0f, must be 0 (allocation-free hot path)",
-			name, *got.AllocsPerOp))
-	} else if want.AllocsPerOp != nil && got.AllocsPerOp != nil && overSlack(*want.AllocsPerOp, *got.AllocsPerOp) {
-		failures = append(failures, fmt.Sprintf(
-			"%s: allocs/op regressed %.0f -> %.0f (allocation counts are machine-independent; this is a real regression)",
-			name, *want.AllocsPerOp, *got.AllocsPerOp))
+	if want.AllocsPerOp != nil && got.AllocsPerOp != nil {
+		if *want.AllocsPerOp == 0 && *got.AllocsPerOp != 0 {
+			failures = append(failures, fmt.Sprintf(
+				"%s: allocs/op = %.0f, must be 0 (allocation-free hot path)",
+				name, *got.AllocsPerOp))
+		} else if overSlack(*want.AllocsPerOp, *got.AllocsPerOp) {
+			failures = append(failures, fmt.Sprintf(
+				"%s: allocs/op regressed %.0f -> %.0f (allocation counts are machine-independent; this is a real regression)",
+				name, *want.AllocsPerOp, *got.AllocsPerOp))
+		}
 	}
-	if strings.HasPrefix(name, "BenchmarkCampaign/n=") && want.BytesPerOp != nil && got.BytesPerOp != nil &&
-		overSlack(*want.BytesPerOp, *got.BytesPerOp) {
+	if want.BytesPerOp != nil && got.BytesPerOp != nil && overSlack(*want.BytesPerOp, *got.BytesPerOp) {
 		failures = append(failures, fmt.Sprintf(
 			"%s: B/op regressed %.0f -> %.0f (a cold cell's bytes are its world's footprint; some slab is sized by n² again)",
 			name, *want.BytesPerOp, *got.BytesPerOp))
@@ -176,189 +173,127 @@ func checkMemory(name string, want, got Bench, zeroAllocs bool) []string {
 	return failures
 }
 
-func main() {
-	var (
-		emit     = flag.String("emit", "", "write the parsed benchmark numbers as a JSON artifact to this file ('-' for stdout) and exit")
-		input    = flag.String("input", "-", "benchmark source: a `go test -bench` output file, or a benchguard JSON artifact (detected by leading '{'); '-' reads stdin")
-		baseline = flag.String("baseline", "", "committed BENCH_campaign.json to compare against (its 'post' section)")
-		maxNs    = flag.Float64("max-ns-regress", 0.10, "maximum fractional ns/op regression on the -ns-checked benchmarks")
-		nsules   = flag.String("ns-checked", "BenchmarkSweep/serial,BenchmarkSweepTurnover,BenchmarkWorkloadCell,BenchmarkCampaign/paper,BenchmarkNetworkSendDirect,BenchmarkAggregatorObserve,BenchmarkSelectorSnapshot", "comma-separated benchmarks whose ns/op regressions fail the guard")
-		speedups = flag.String("min-speedup", "BenchmarkCampaign/n=1024:BenchmarkCampaign/n=1024-lm:5", "comma-separated slow:fast:ratio triples: when both benchmarks appear in the input, slow's ns/op must be at least ratio times fast's (the committed curve records 10.8x at n=1024; the gate floor absorbs runner noise)")
-		cal      = flag.String("calibrate", "BenchmarkComponentTransit", "benchmark used to normalize machine speed before ns/op checks ('' disables): baseline ns values are scaled by this benchmark's current/baseline ratio, clamped to [0.5,2], so the guard measures hot-path regressions relative to the machine's arithmetic speed instead of raw cross-machine deltas")
-		zeroed   = flag.String("zero-allocs", "BenchmarkNetworkSendDirect,BenchmarkNetworkReset/n=1024,BenchmarkProbeWheelStart,BenchmarkAggregatorObserve,BenchmarkSelectorSnapshot,BenchmarkSelectorBestLoss,BenchmarkSelectorRecord/n=512,BenchmarkComponentTransit,BenchmarkStoreAppend", "comma-separated benchmarks that must report exactly 0 allocs/op")
-	)
-	flag.Parse()
+// check returns every failure of a run against the baseline.
+func check(base map[string]Bench, current map[string]sample) []string {
+	var failures []string
+	for _, name := range slices.Sorted(maps.Keys(base)) {
+		want := base[name]
+		got, ok := current[name]
+		if !ok {
+			failures = append(failures, fmt.Sprintf(
+				"%s: in the baseline but not in the run (renamed, or dropped from the -bench regex?)", name))
+			continue
+		}
+		failures = append(failures, checkMemory(name, want, got.Bench)...)
+	}
+	slow, okS := current[ratioSlow]
+	fast, okF := current[ratioFast]
+	if okS && okF && !(slow.ns/fast.ns >= minSpeedup) {
+		failures = append(failures, fmt.Sprintf(
+			"%s is only %.1fx slower than %s, want >= %dx (scaling-law regression)",
+			ratioSlow, slow.ns/fast.ns, ratioFast, minSpeedup))
+	}
+	return failures
+}
 
-	current, err := readBenches(*input)
+func main() {
+	os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
+}
+
+// run is benchguard with its arguments and streams passed in; it
+// returns the process exit code.
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("benchguard", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		input    = fs.String("input", "-", "file of 'go test -bench -benchmem' output to read; '-' reads stdin")
+		baseline = fs.String("baseline", "", "committed BENCH_campaign.json to check the run against")
+		emit     = fs.String("emit", "", "instead of checking, write the run's gated numbers as a baseline file to this path ('-' for stdout)")
+	)
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	fail := func(format string, a ...any) int {
+		fmt.Fprintln(stderr, "benchguard:", fmt.Sprintf(format, a...))
+		return 1
+	}
+	if *emit == "" && *baseline == "" {
+		return fail("nothing to do: pass -emit or -baseline")
+	}
+
+	current, err := readBenches(*input, stdin)
 	if err != nil {
-		fail("reading benchmarks: %v", err)
+		return fail("reading benchmarks: %v", err)
 	}
 	if len(current) == 0 {
-		fail("no benchmark results found in %s", *input)
+		return fail("no benchmark results found in %s", *input)
 	}
 
 	if *emit != "" {
-		buf, err := json.MarshalIndent(File{Benchmarks: current}, "", "  ")
+		f := File{Note: note, Benchmarks: map[string]Bench{}}
+		for name, s := range current {
+			f.Benchmarks[name] = gated(name, s.Bench)
+		}
+		buf, err := json.MarshalIndent(f, "", "  ")
 		if err != nil {
-			fail("%v", err)
+			return fail("%v", err)
 		}
 		buf = append(buf, '\n')
 		if *emit == "-" {
-			os.Stdout.Write(buf)
+			stdout.Write(buf)
 		} else if err := os.WriteFile(*emit, buf, 0o644); err != nil {
-			fail("%v", err)
+			return fail("%v", err)
 		}
-		if *baseline == "" {
-			return
-		}
+		return 0
 	}
 
-	if *baseline == "" {
-		fail("nothing to do: pass -emit and/or -baseline")
-	}
 	base, err := readBaseline(*baseline)
 	if err != nil {
-		fail("reading baseline: %v", err)
+		return fail("reading baseline: %v", err)
 	}
-
-	toSet := func(csv string) map[string]bool {
-		set := map[string]bool{}
-		for _, n := range strings.Split(csv, ",") {
-			if n = strings.TrimSpace(n); n != "" {
-				set[n] = true
-			}
-		}
-		return set
-	}
-	nsChecked := toSet(*nsules)
-	zeroAllocs := toSet(*zeroed)
-
-	// Cross-machine normalization: ns/op baselines were recorded on one
-	// machine; scale them by the calibration benchmark's observed ratio
-	// so the 10% gate compares like with like.
-	nsScale := 1.0
-	if *cal != "" {
-		if b, okB := base[*cal]; okB && b.NsPerOp > 0 {
-			if c, okC := current[*cal]; okC && c.NsPerOp > 0 {
-				nsScale = c.NsPerOp / b.NsPerOp
-				if nsScale < 0.5 {
-					nsScale = 0.5
-				} else if nsScale > 2 {
-					nsScale = 2
-				}
-				fmt.Printf("benchguard: machine calibration via %s: x%.3f\n", *cal, nsScale)
-			}
-		}
-	}
-
-	var failures []string
-	compared := 0
-	for name, want := range base {
-		got, ok := current[name]
-		if !ok {
-			continue
-		}
-		compared++
-		failures = append(failures, checkMemory(name, want, got, zeroAllocs[name])...)
-		if nsChecked[name] && name != *cal && want.NsPerOp > 0 {
-			scaled := want.NsPerOp * nsScale
-			if ratio := got.NsPerOp/scaled - 1; ratio > *maxNs {
-				failures = append(failures, fmt.Sprintf(
-					"%s: ns/op regressed %.0f -> %.0f (+%.1f%% vs calibrated baseline, limit %.0f%%)",
-					name, scaled, got.NsPerOp, 100*ratio, 100**maxNs))
-			}
-		}
-	}
-	// Relative-speedup gates compare two benchmarks of the same run, so
-	// they are machine-independent: the n-scaling claim (landmark probing
-	// beats full-mesh at n=1024) is enforced wherever both curves ran.
-	for _, spec := range strings.Split(*speedups, ",") {
-		spec = strings.TrimSpace(spec)
-		if spec == "" {
-			continue
-		}
-		parts := strings.Split(spec, ":")
-		if len(parts) != 3 {
-			fail("bad -min-speedup entry %q (want slow:fast:ratio)", spec)
-		}
-		minRatio, err := strconv.ParseFloat(parts[2], 64)
-		if err != nil {
-			fail("bad -min-speedup ratio in %q: %v", spec, err)
-		}
-		slow, okS := current[parts[0]]
-		fast, okF := current[parts[1]]
-		if !okS || !okF {
-			continue // partial runs skip the gate
-		}
-		if fast.NsPerOp <= 0 || slow.NsPerOp/fast.NsPerOp < minRatio {
-			failures = append(failures, fmt.Sprintf(
-				"%s is only %.1fx slower than %s, want >= %.1fx (scaling-law regression)",
-				parts[0], slow.NsPerOp/fast.NsPerOp, parts[1], minRatio))
-		}
-	}
-	if compared == 0 {
-		fail("no benchmark overlaps between current run and baseline")
-	}
-	fmt.Printf("benchguard: compared %d benchmarks against baseline\n", compared)
+	failures := check(base, current)
+	fmt.Fprintf(stdout, "benchguard: checked %d baseline benchmarks\n", len(base))
 	if len(failures) > 0 {
 		for _, f := range failures {
-			fmt.Fprintln(os.Stderr, "benchguard: FAIL:", f)
+			fmt.Fprintln(stderr, "benchguard: FAIL:", f)
 		}
-		os.Exit(1)
+		return 1
 	}
-	fmt.Println("benchguard: OK")
+	fmt.Fprintln(stdout, "benchguard: OK")
+	return 0
 }
 
-// readBenches loads benchmark numbers from raw `go test -bench` output
-// or from a benchguard/BENCH_campaign.json artifact.
-func readBenches(path string) (map[string]Bench, error) {
-	var data []byte
-	var err error
+// readBenches parses `go test -bench` output from a file, or from
+// stdin when path is "-".
+func readBenches(path string, stdin io.Reader) (map[string]sample, error) {
 	if path == "-" {
-		data, err = io.ReadAll(os.Stdin)
-	} else {
-		data, err = os.ReadFile(path)
+		return parseBenchOutput(stdin)
 	}
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	trimmed := strings.TrimSpace(string(data))
-	if strings.HasPrefix(trimmed, "{") {
-		var f File
-		if err := json.Unmarshal(data, &f); err != nil {
-			return nil, err
-		}
-		if f.Benchmarks != nil {
-			return f.Benchmarks, nil
-		}
-		if f.Post != nil {
-			return f.Post.Benchmarks, nil
-		}
-		return nil, fmt.Errorf("%s: no benchmarks section", path)
-	}
-	return parseBenchOutput(strings.NewReader(string(data)))
+	defer f.Close()
+	return parseBenchOutput(f)
 }
 
-// readBaseline loads the committed baseline's post-optimization section.
+// readBaseline loads the committed baseline's entries. A field the
+// gate does not read is an error, so every number in the file is one
+// the gate holds.
 func readBaseline(path string) (map[string]Bench, error) {
-	data, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	var f File
-	if err := json.Unmarshal(data, &f); err != nil {
-		return nil, err
+	defer f.Close()
+	dec := json.NewDecoder(f)
+	dec.DisallowUnknownFields()
+	var file File
+	if err := dec.Decode(&file); err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	if f.Post != nil && len(f.Post.Benchmarks) > 0 {
-		return f.Post.Benchmarks, nil
+	if len(file.Benchmarks) == 0 {
+		return nil, fmt.Errorf("%s: no benchmarks to check against", path)
 	}
-	if len(f.Benchmarks) > 0 {
-		return f.Benchmarks, nil
-	}
-	return nil, fmt.Errorf("%s: no post/benchmarks section to compare against", path)
-}
-
-func fail(format string, args ...any) {
-	fmt.Fprintln(os.Stderr, "benchguard:", fmt.Sprintf(format, args...))
-	os.Exit(1)
+	return file.Benchmarks, nil
 }

@@ -39,8 +39,8 @@
 // different machines combine — via -merge-only — into output
 // byte-identical to a single-machine run. Every cell persists a
 // checksummed snapshot of its aggregator state under -out, so -resume
-// skips completed cells after a kill and -extend reuses them when the
-// grid grows along new axes:
+// skips completed cells after a kill, or when the grid grows along new
+// axes:
 //
 //	ronsim -sweep -replicas 4 -out results/ -cells '*-r00,*-r01'   # machine A
 //	ronsim -sweep -replicas 4 -out results/ -cells '*-r02,*-r03'   # machine B
@@ -92,7 +92,6 @@ func main() {
 		cpuProf   = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memProf   = flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
 		resume    = flag.Bool("resume", false, "sweep: reuse completed cell snapshots found under -out, running only the missing cells")
-		extend    = flag.Bool("extend", false, "sweep: like -resume for a grown grid — reuse every already-computed cell, run only the new ones")
 		mergeOnly = flag.Bool("merge-only", false, "sweep: skip running; rebuild merged/ under -out from completed cell snapshots and report missing grid points")
 
 		serve      = flag.String("serve", "", "sweep: serve the grid to a worker fleet on this address (host:port; port 0 picks one) instead of computing cells in this process")
@@ -122,8 +121,7 @@ func main() {
 		// Sweep-only flags must not silently degrade into a default
 		// single campaign that pollutes a sweep output directory.
 		for name, set := range map[string]bool{
-			"-cells": *cells != "", "-resume": *resume,
-			"-extend": *extend, "-merge-only": *mergeOnly,
+			"-cells": *cells != "", "-resume": *resume, "-merge-only": *mergeOnly,
 			"-serve": *serve != "", "-worker": *workerURL != "",
 		} {
 			if set {
@@ -176,7 +174,7 @@ func main() {
 			axisOpts:  axisOpts,
 			workload:  *workload,
 			cells:     *cells,
-			resume:    *resume || *extend,
+			resume:    *resume,
 			outDir:    *outDir,
 			traceDir:  *traceTo,
 			serve:     *serve,
@@ -277,7 +275,7 @@ type sweepFlags struct {
 // point, and — under -out — per-cell and merged output directories, a
 // checksummed snapshot of every finished cell, and a sweep.json
 // manifest that -merge-only and ronreport -sweep consume. With -cells
-// only the matching shard runs; with -resume/-extend, cells whose
+// only the matching shard runs; with -resume, cells whose
 // snapshot already exists are reused instead of recomputed.
 func runSweep(f sweepFlags) error {
 	ls, err := experiment.ParseList("lossscale", f.lossScale, parsePositiveFloat)
@@ -307,7 +305,7 @@ func runSweep(f sweepFlags) error {
 	}
 	if f.resume {
 		if f.outDir == "" {
-			return errors.New("-resume/-extend need -out: snapshots live under the output directory")
+			return errors.New("-resume needs -out: snapshots live under the output directory")
 		}
 		opts = append(opts, experiment.Resume(f.outDir))
 	}

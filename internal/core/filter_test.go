@@ -175,7 +175,7 @@ func TestSweepNewAxes(t *testing.T) {
 	}
 
 	// Axis-default cells keep their seeds when the new axes collapse to
-	// defaults — the property -extend relies on.
+	// defaults — the property -resume of a grown grid relies on.
 	plain, err := NewSweep(SweepSpec{Datasets: []Dataset{RONnarrow}, Days: sweepDays, BaseSeed: 3})
 	if err != nil {
 		t.Fatal(err)

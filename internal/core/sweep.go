@@ -62,7 +62,7 @@ type SweepSpec struct {
 	// Reuse, when non-nil, is consulted before running each selected
 	// cell with the cell and its fully built Config; returning a Result
 	// marks the cell Cached and skips the campaign. It is how -resume
-	// and -extend reuse persisted cell snapshots. Calls are serial (in
+	// reuses persisted cell snapshots. Calls are serial (in
 	// expansion order, in Start, before any cell is dispatched), so the
 	// hook may touch shared state without locking. The Result is handed over:
 	// with an OutDir it is taken to come from a snapshot, and its
