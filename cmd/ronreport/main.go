@@ -37,6 +37,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -50,22 +51,14 @@ import (
 )
 
 func main() {
-	switch err := run(os.Args[1:]); err {
-	case nil:
-	case errUsage:
-		os.Exit(2)
-	default:
-		fatal(err)
-	}
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// errUsage is a command-line mistake that has already been reported.
-var errUsage = errors.New("usage")
-
-// run is main with its arguments passed in, so tests can drive the
-// command line.
-func run(args []string) error {
+// run is ronreport with its arguments and output streams passed in; it
+// returns the process exit code.
+func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("ronreport", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
 		hosts    = fs.Int("hosts", 30, "number of hosts in the mesh")
 		methods  = fs.String("methods", "direct", "comma-separated method names, indexed by the Method field in the logs")
@@ -81,12 +74,17 @@ func run(args []string) error {
 	)
 	if err := fs.Parse(args); err != nil {
 		if err == flag.ErrHelp {
-			return nil
+			return 0
 		}
-		return errUsage
+		return 2
 	}
-
-	if *store != "" {
+	if fs.NArg() == 0 && *store == "" && *sweepDir == "" {
+		fmt.Fprintln(stderr, "ronreport: no trace files given")
+		return 2
+	}
+	var err error
+	switch {
+	case *store != "":
 		q := storeQuery{
 			reindex:  *reindex,
 			query:    *query,
@@ -97,36 +95,40 @@ func run(args []string) error {
 			drill:    *drill,
 		}
 		q.root, q.segPath = resolveStore(*store)
-		return runStore(q)
+		err = runStore(stdout, q)
+	case *sweepDir != "":
+		err = reportSweep(stdout, *sweepDir)
+	default:
+		err = reportTraces(stdout, splitMethods(*methods), *hosts, fs.Args())
 	}
+	if err != nil {
+		fmt.Fprintln(stderr, "ronreport:", err)
+		return 1
+	}
+	return 0
+}
 
-	if *sweepDir != "" {
-		return reportSweep(*sweepDir)
-	}
-
-	if fs.NArg() == 0 {
-		fmt.Fprintln(os.Stderr, "ronreport: no trace files given")
-		return errUsage
-	}
+// reportTraces prints the tables of the probe trace files given on the
+// command line.
+func reportTraces(w io.Writer, names []string, hosts int, paths []string) error {
 	// -hosts sizes the matcher's and aggregator's per-host tables.
-	if err := route.ValidateMeshSize(*hosts); err != nil {
+	if err := route.ValidateMeshSize(hosts); err != nil {
 		return err
 	}
-	names := splitMethods(*methods)
-	agg, total, nlogs, matched, err := aggregateTraces(names, *hosts, fs.Args())
+	agg, total, nlogs, matched, err := aggregateTraces(w, names, hosts, paths)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(flagOut, "merged %d records from %d logs\n", total, nlogs)
-	fmt.Fprintf(flagOut, "matched %d probe observations\n\n", matched)
-	printTables(agg)
+	fmt.Fprintf(w, "merged %d records from %d logs\n", total, nlogs)
+	fmt.Fprintf(w, "matched %d probe observations\n\n", matched)
+	printTables(w, agg)
 	return nil
 }
 
 // aggregateTraces reads trace files, matches sends to receives, and folds
 // the observations into a fresh aggregator. Observations whose method id
 // falls outside the provided name list are dropped (and reported).
-func aggregateTraces(names []string, hosts int, paths []string) (agg *analysis.Aggregator, records, logs, matched int, err error) {
+func aggregateTraces(w io.Writer, names []string, hosts int, paths []string) (agg *analysis.Aggregator, records, logs, matched int, err error) {
 	logSets := make([][]trace.Record, 0, len(paths))
 	for _, path := range paths {
 		f, err := os.Open(path)
@@ -155,7 +157,7 @@ func aggregateTraces(names []string, hosts int, paths []string) (agg *analysis.A
 	}
 	agg.Flush()
 	if skipped > 0 {
-		fmt.Fprintf(flagOut, "(skipped %d observations with method ids beyond the %d known methods)\n",
+		fmt.Fprintf(w, "(skipped %d observations with method ids beyond the %d known methods)\n",
 			skipped, len(names))
 	}
 	return agg, records, len(logSets), len(obs), nil
@@ -168,7 +170,7 @@ func aggregateTraces(names []string, hosts int, paths []string) (agg *analysis.A
 // through send/receive matching), and otherwise counts the cell as
 // missing — the normal state of a sharded sweep whose other shards have
 // not been copied in yet.
-func reportSweep(dir string) error {
+func reportSweep(w io.Writer, dir string) error {
 	m, err := experiment.LoadManifest(dir)
 	if err != nil {
 		return err
@@ -184,7 +186,7 @@ func reportSweep(dir string) error {
 			return fmt.Errorf("group %s: no methods", g.Name)
 		}
 	}
-	fmt.Fprintf(flagOut, "sweep manifest: %d grid points\n\n", len(m.Groups))
+	fmt.Fprintf(w, "sweep manifest: %d grid points\n\n", len(m.Groups))
 	reported := 0
 	resolve := func(rel string) string {
 		if filepath.IsAbs(rel) {
@@ -223,15 +225,15 @@ func reportSweep(dir string) error {
 				// trace file shares that run's provenance (traces
 				// carry no seed to check), so falling back would
 				// silently mix grids; count the cell as missing.
-				fmt.Fprintf(flagOut, "(cell %s: %v; not trusting its trace either)\n", c.Name, rc.Err)
+				fmt.Fprintf(w, "(cell %s: %v; not trusting its trace either)\n", c.Name, rc.Err)
 				missing = append(missing, c.Name)
 				continue
 			case !errors.Is(rc.Err, fs.ErrNotExist):
-				fmt.Fprintf(flagOut, "(cell %s: unreadable snapshot: %v; falling back to trace)\n",
+				fmt.Fprintf(w, "(cell %s: unreadable snapshot: %v; falling back to trace)\n",
 					c.Name, rc.Err)
 			}
 			if c.Trace != "" {
-				agg, _, _, _, err := aggregateTraces(g.Methods, g.Hosts, []string{resolve(c.Trace)})
+				agg, _, _, _, err := aggregateTraces(w, g.Methods, g.Hosts, []string{resolve(c.Trace)})
 				if err != nil {
 					return fmt.Errorf("cell %s: %w", c.Name, err)
 				}
@@ -244,7 +246,7 @@ func reportSweep(dir string) error {
 			missing = append(missing, c.Name)
 		}
 		if combined == nil {
-			fmt.Fprintf(flagOut, "=== %s: no snapshots or traces found (run the shard, or rerun ronsim -sweep with -out/-trace) ===\n\n", g.Name)
+			fmt.Fprintf(w, "=== %s: no snapshots or traces found (run the shard, or rerun ronsim -sweep with -out/-trace) ===\n\n", g.Name)
 			continue
 		}
 		reported++
@@ -252,9 +254,9 @@ func reportSweep(dir string) error {
 		if len(missing) > 0 {
 			src += fmt.Sprintf("; MISSING %s", strings.Join(missing, ", "))
 		}
-		fmt.Fprintf(flagOut, "=== %s: %s, %d hosts, %d replicas combined (%s) ===\n",
+		fmt.Fprintf(w, "=== %s: %s, %d hosts, %d replicas combined (%s) ===\n",
 			g.Name, g.Dataset, g.Hosts, fromSnap+fromTrace, src)
-		printTables(combined)
+		printTables(w, combined)
 	}
 	if reported == 0 {
 		return fmt.Errorf("no grid point had snapshots or traces under %s", dir)
@@ -262,17 +264,17 @@ func reportSweep(dir string) error {
 	return nil
 }
 
-func printTables(agg *analysis.Aggregator) {
+func printTables(w io.Writer, agg *analysis.Aggregator) {
 	// Every caller hands over a flushed aggregator; Flush is idempotent,
 	// so re-flushing here keeps the Table 6 precondition local.
 	agg.Flush()
-	fmt.Fprintln(flagOut, analysis.RenderTable5(agg.Table5(), ""))
-	fmt.Fprintln(flagOut, analysis.RenderTable6(agg.HighLossHours()))
+	fmt.Fprintln(w, analysis.RenderTable5(agg.Table5(), ""))
+	fmt.Fprintln(w, analysis.RenderTable6(agg.HighLossHours()))
 	// Workload-enabled cells carry delivered-frame accounting in their
 	// snapshots; render it wherever it survived the merge.
 	if ws := agg.Workload(); ws != nil && ws.HasData() {
-		fmt.Fprintln(flagOut, "Workload (delivered application frames)")
-		fmt.Fprintln(flagOut, analysis.RenderWorkloadTable(ws.Table()))
+		fmt.Fprintln(w, "Workload (delivered application frames)")
+		fmt.Fprintln(w, analysis.RenderWorkloadTable(ws.Table()))
 	}
 }
 
@@ -282,9 +284,4 @@ func splitMethods(s string) []string {
 		out = []string{"direct"}
 	}
 	return out
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "ronreport:", err)
-	os.Exit(1)
 }

@@ -13,7 +13,6 @@ package main
 import (
 	"fmt"
 	"io"
-	"os"
 	"path/filepath"
 	"slices"
 	"sort"
@@ -23,9 +22,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/resultstore"
 )
-
-// flagOut is where the command's output goes; tests capture it.
-var flagOut io.Writer = os.Stdout
 
 // storeQuery is the parsed -store flag family.
 type storeQuery struct {
@@ -49,9 +45,9 @@ func resolveStore(path string) (root, seg string) {
 	return path, resultstore.SegmentPath(path)
 }
 
-func runStore(q storeQuery) error {
+func runStore(w io.Writer, q storeQuery) error {
 	if q.reindex {
-		if err := reindexStore(q.root, q.segPath); err != nil {
+		if err := reindexStore(w, q.root, q.segPath); err != nil {
 			return err
 		}
 		if q.render == "" && q.metrics == "" && q.drill == "" && q.query == "" {
@@ -63,7 +59,7 @@ func runStore(q storeQuery) error {
 		return err
 	}
 	if seg.TruncatedBytes > 0 {
-		fmt.Fprintf(flagOut, "(store: ignored %d bytes of torn tail)\n", seg.TruncatedBytes)
+		fmt.Fprintf(w, "(store: ignored %d bytes of torn tail)\n", seg.TruncatedBytes)
 	}
 	rows := seg.Unique()
 	preds, err := resultstore.ParsePredicates(q.query)
@@ -76,13 +72,13 @@ func runStore(q storeQuery) error {
 	}
 	switch {
 	case q.render != "":
-		return renderRows(sel, q.render)
+		return renderRows(w, sel, q.render)
 	case q.drill != "":
-		return drillRows(q.root, sel, q.drill, q.quantile)
+		return drillRows(w, q.root, sel, q.drill, q.quantile)
 	case q.metrics != "":
-		return printMetrics(sel, q, seg.Columns)
+		return printMetrics(w, sel, q, seg.Columns)
 	default:
-		listRows(sel)
+		listRows(w, sel)
 		return nil
 	}
 }
@@ -91,7 +87,7 @@ func runStore(q storeQuery) error {
 // selected row prints the bare table — byte-identical to the matching
 // file under merged/ (or a cell's own output dir) — so CI can diff the
 // two; multiple rows are separated by === name === headers.
-func renderRows(sel []*resultstore.Row, kind string) error {
+func renderRows(w io.Writer, sel []*resultstore.Row, kind string) error {
 	for _, r := range sel {
 		t, err := resultstore.RowTables(r)
 		if err != nil {
@@ -117,9 +113,9 @@ func renderRows(sel []*resultstore.Row, kind string) error {
 			return fmt.Errorf("unknown -render kind %q (want overview, table6, workload, or resilience)", kind)
 		}
 		if len(sel) > 1 {
-			fmt.Fprintf(flagOut, "=== %s ===\n", r.Name)
+			fmt.Fprintf(w, "=== %s ===\n", r.Name)
 		}
-		fmt.Fprint(flagOut, out)
+		fmt.Fprint(w, out)
 	}
 	return nil
 }
@@ -128,7 +124,7 @@ func renderRows(sel []*resultstore.Row, kind string) error {
 // -group-by, per-bucket count/mean (plus the requested quantile) with
 // it. A column no selected row carries is an error, not a run of "-" or
 // n=0: it is nearly always a misspelling.
-func printMetrics(sel []*resultstore.Row, q storeQuery, segCols []string) error {
+func printMetrics(w io.Writer, sel []*resultstore.Row, q storeQuery, segCols []string) error {
 	cols := splitMethods(q.metrics)
 	for _, col := range cols {
 		if !anyRowHas(sel, col) {
@@ -137,15 +133,15 @@ func printMetrics(sel []*resultstore.Row, q storeQuery, segCols []string) error 
 	}
 	if q.groupBy == "" && q.quantile < 0 {
 		for _, r := range sel {
-			fmt.Fprintf(flagOut, "%s", r.Name)
+			fmt.Fprintf(w, "%s", r.Name)
 			for _, col := range cols {
 				if v, ok := resultstore.MetricValue(r, col); ok {
-					fmt.Fprintf(flagOut, " %s=%g", col, v)
+					fmt.Fprintf(w, " %s=%g", col, v)
 				} else {
-					fmt.Fprintf(flagOut, " %s=-", col)
+					fmt.Fprintf(w, " %s=-", col)
 				}
 			}
-			fmt.Fprintln(flagOut)
+			fmt.Fprintln(w)
 		}
 		return nil
 	}
@@ -157,7 +153,7 @@ func printMetrics(sel []*resultstore.Row, q storeQuery, segCols []string) error 
 		for _, col := range cols {
 			vals := resultstore.MetricValues(g.Rows, col)
 			if len(vals) == 0 {
-				fmt.Fprintf(flagOut, "%s %s n=0\n", key, col)
+				fmt.Fprintf(w, "%s %s n=0\n", key, col)
 				continue
 			}
 			mean := 0.0
@@ -165,12 +161,12 @@ func printMetrics(sel []*resultstore.Row, q storeQuery, segCols []string) error 
 				mean += v
 			}
 			mean /= float64(len(vals))
-			fmt.Fprintf(flagOut, "%s %s n=%d mean=%g", key, col, len(vals), mean)
+			fmt.Fprintf(w, "%s %s n=%d mean=%g", key, col, len(vals), mean)
 			if q.quantile >= 0 {
-				fmt.Fprintf(flagOut, " p%g=%g", 100*q.quantile,
+				fmt.Fprintf(w, " p%g=%g", 100*q.quantile,
 					resultstore.Quantile(vals, q.quantile))
 			}
-			fmt.Fprintln(flagOut)
+			fmt.Fprintln(w)
 		}
 	}
 	return nil
@@ -210,13 +206,13 @@ func unknownColumn(col string, segCols []string) error {
 }
 
 // listRows prints a one-line inventory per selected row.
-func listRows(sel []*resultstore.Row) {
+func listRows(w io.Writer, sel []*resultstore.Row) {
 	for _, r := range sel {
-		fmt.Fprintf(flagOut, "%-5s %-40s dataset=%s replicas=%d", r.Kind, r.Name, r.Dataset, r.Replicas)
+		fmt.Fprintf(w, "%-5s %-40s dataset=%s replicas=%d", r.Kind, r.Name, r.Dataset, r.Replicas)
 		for _, kv := range r.Axes {
-			fmt.Fprintf(flagOut, " %s=%s", kv.Key, kv.Value)
+			fmt.Fprintf(w, " %s=%s", kv.Key, kv.Value)
 		}
-		fmt.Fprintf(flagOut, " metrics=%d\n", len(r.Metrics))
+		fmt.Fprintf(w, " metrics=%d\n", len(r.Metrics))
 	}
 }
 
@@ -228,7 +224,7 @@ func listRows(sel []*resultstore.Row) {
 //	win20:<method>     20-minute loss-rate CDF (Fig 3)
 //	clp:<method>       per-path conditional loss CDF (Fig 4)
 //	latency:<method>   per-path latency CDF over >50 ms paths (Fig 5)
-func drillRows(root string, sel []*resultstore.Row, spec string, quantile float64) error {
+func drillRows(w io.Writer, root string, sel []*resultstore.Row, spec string, quantile float64) error {
 	what, method, _ := strings.Cut(spec, ":")
 	var cells []*resultstore.Row
 	for _, r := range sel {
@@ -278,12 +274,12 @@ func drillRows(root string, sel []*resultstore.Row, spec string, quantile float6
 	default:
 		return fmt.Errorf("unknown -drill spec %q (want pathloss, win20:<m>, clp:<m>, or latency:<m>)", spec)
 	}
-	fmt.Fprintf(flagOut, "drill %s over %d cells (%d samples)\n", spec, len(cells), cdf.N())
+	fmt.Fprintf(w, "drill %s over %d cells (%d samples)\n", spec, len(cells), cdf.N())
 	if quantile >= 0 {
-		fmt.Fprintf(flagOut, "p%g=%g\n", 100*quantile, cdf.Quantile(quantile))
+		fmt.Fprintf(w, "p%g=%g\n", 100*quantile, cdf.Quantile(quantile))
 		return nil
 	}
-	fmt.Fprintf(flagOut, "mean=%g p50=%g p90=%g p95=%g p99=%g max=%g\n",
+	fmt.Fprintf(w, "mean=%g p50=%g p90=%g p95=%g p99=%g max=%g\n",
 		cdf.Mean(), cdf.Quantile(0.5), cdf.Quantile(0.9), cdf.Quantile(0.95),
 		cdf.Quantile(0.99), cdf.Max())
 	return nil

@@ -15,6 +15,7 @@ package main
 import (
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"strings"
 
@@ -23,7 +24,7 @@ import (
 	"repro/internal/resultstore"
 )
 
-func reindexStore(root, segPath string) error {
+func reindexStore(w io.Writer, root, segPath string) error {
 	m, err := experiment.LoadManifest(root)
 	if err != nil {
 		return err
@@ -51,9 +52,9 @@ func reindexStore(root, segPath string) error {
 			if rc.Err != nil {
 				switch {
 				case rc.Snap != nil:
-					fmt.Fprintf(flagOut, "(cell %s: snapshot does not restore: %v)\n", c.Name, rc.Err)
+					fmt.Fprintf(w, "(cell %s: snapshot does not restore: %v)\n", c.Name, rc.Err)
 				case !errors.Is(rc.Err, fs.ErrNotExist):
-					fmt.Fprintf(flagOut, "(cell %s: skipping snapshot: %v)\n", c.Name, rc.Err)
+					fmt.Fprintf(w, "(cell %s: skipping snapshot: %v)\n", c.Name, rc.Err)
 				}
 				missing++
 				continue
@@ -83,7 +84,7 @@ func reindexStore(root, segPath string) error {
 		}
 		groupsAdded++
 	}
-	fmt.Fprintf(flagOut, "reindex: added %d cell and %d group rows (%d cells missing); store now holds %d rows\n",
+	fmt.Fprintf(w, "reindex: added %d cell and %d group rows (%d cells missing); store now holds %d rows\n",
 		cellsAdded, groupsAdded, missing, st.Rows())
 	return nil
 }

@@ -13,7 +13,7 @@ import (
 	"repro/internal/resultstore"
 )
 
-// The -store command line, driven through run with flagOut captured:
+// The -store command line, driven through run:
 // each case is the arguments after `-store <dir>` and the output lines
 // (or the error) they must produce over a six-row fixture segment.
 
@@ -121,25 +121,26 @@ func runStoreCase(t *testing.T, tc storeCase) {
 	runCLI(t, append([]string{"-store", dir}, tc.args...), tc.expect, tc.errHas)
 }
 
-// runCLI drives the command line with flagOut captured: args in, the
-// output lines (in order) and, when errHas is set, an error containing
-// each of its strings out.
+// runCLI drives the command line: args in, the stdout lines (in
+// order) out and, when errHas is set, exit 1 with an error containing
+// each of its strings.
 func runCLI(t *testing.T, args, expect, errHas []string) {
 	t.Helper()
-	var err error
-	out := captured(func() { err = run(args) })
+	var stdout, stderr bytes.Buffer
+	code := run(args, &stdout, &stderr)
 	if len(errHas) > 0 {
-		if err == nil {
-			t.Fatalf("ronreport %v succeeded, want an error containing %q", args, errHas)
+		if code != 1 {
+			t.Fatalf("ronreport %v exited %d, want 1 with an error containing %q", args, code, errHas)
 		}
 		for _, want := range errHas {
-			if !strings.Contains(err.Error(), want) {
-				t.Errorf("ronreport %v: error %q lacks %q", args, err, want)
+			if !strings.Contains(stderr.String(), want) {
+				t.Errorf("ronreport %v: error %q lacks %q", args, stderr.String(), want)
 			}
 		}
-	} else if err != nil {
-		t.Fatalf("ronreport %v: %v", args, err)
+	} else if code != 0 {
+		t.Fatalf("ronreport %v: exit %d: %s", args, code, stderr.String())
 	}
+	out := stdout.String()
 	lines := strings.Split(strings.TrimSuffix(out, "\n"), "\n")
 	if out == "" {
 		lines = nil
@@ -155,15 +156,6 @@ func runCLI(t *testing.T, args, expect, errHas []string) {
 	if len(lines) != len(expect) {
 		t.Errorf("ronreport %v printed %d lines, want %d:\n%s", args, len(lines), len(expect), out)
 	}
-}
-
-// captured is what fn wrote to flagOut.
-func captured(fn func()) string {
-	var out bytes.Buffer
-	flagOut = &out
-	defer func() { flagOut = os.Stdout }()
-	fn()
-	return out.String()
 }
 
 // renderLines is a table rendered directly, as -render must print it.

@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -185,7 +186,7 @@ func snapAgg(t *testing.T, dir, cell string) *analysis.Aggregator {
 func traceAgg(t *testing.T, dir, cell string) *analysis.Aggregator {
 	t.Helper()
 	methods := snapAgg(t, sweepFixture.dir, cell).Methods()
-	agg, _, _, _, err := aggregateTraces(methods, 17, []string{filepath.Join(dir, "traces", cell+".trc")})
+	agg, _, _, _, err := aggregateTraces(io.Discard, methods, 17, []string{filepath.Join(dir, "traces", cell+".trc")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +202,9 @@ func tables(t *testing.T, aggs ...*analysis.Aggregator) string {
 			t.Fatal(err)
 		}
 	}
-	return captured(func() { printTables(aggs[0]) })
+	var b strings.Builder
+	printTables(&b, aggs[0])
+	return b.String()
 }
 
 func TestSweepCommandLine(t *testing.T) {
@@ -314,12 +317,12 @@ func TestTraceFilesCommandLine(t *testing.T) {
 	trc := filepath.Join(dir, "traces", cellA0+".trc")
 	missing := filepath.Join(dir, "traces", "missing.trc")
 	methods := snapAgg(t, dir, cellA0).Methods()
-	agg, records, _, matched, err := aggregateTraces(methods, 17, []string{trc})
+	agg, records, _, matched, err := aggregateTraces(io.Discard, methods, 17, []string{trc})
 	if err != nil {
 		t.Fatal(err)
 	}
 	good := fmt.Sprintf("merged %d records from 1 logs\nmatched %d probe observations\n\n", records, matched) +
-		captured(func() { printTables(agg) })
+		tables(t, agg)
 	cases := []struct {
 		hosts  string
 		files  []string

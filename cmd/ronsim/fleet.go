@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 
@@ -13,7 +14,7 @@ import (
 // manifest, re-expand it locally, and lease-compute-upload cells until
 // the sweep drains. Ctrl-C stops cleanly; any cell mid-flight simply
 // loses its lease and re-dispatches to another worker.
-func runWorkerMode(url, name string) error {
+func runWorkerMode(stdout io.Writer, url, name string) error {
 	if name == "" {
 		host, err := os.Hostname()
 		if err != nil {
@@ -23,8 +24,8 @@ func runWorkerMode(url, name string) error {
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	fmt.Printf("worker %s joining coordinator at %s\n", name, url)
+	fmt.Fprintf(stdout, "worker %s joining coordinator at %s\n", name, url)
 	return experiment.RunWorker(ctx, url, name, func(format string, args ...any) {
-		fmt.Printf(format, args...)
+		fmt.Fprintf(stdout, format, args...)
 	})
 }

@@ -1,10 +1,9 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"fmt"
-	"io"
-	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -13,27 +12,44 @@ import (
 	"repro/experiment"
 )
 
+// joinWriter is a -serve run's stdout: when the coordinator prints its
+// "join workers with" line, join receives the address.
+type joinWriter struct {
+	mu   sync.Mutex
+	buf  bytes.Buffer
+	join func(addr string)
+}
+
+func (w *joinWriter) Write(p []byte) (int, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	const prefix = "join workers with: ronsim -sweep -worker "
+	for _, line := range strings.Split(string(p), "\n") {
+		if addr, ok := strings.CutPrefix(line, prefix); ok && w.join != nil {
+			w.join(addr)
+			w.join = nil
+		}
+	}
+	return w.buf.Write(p)
+}
+
 // TestServeFleetMatchesSingleRun drives the CLI's coordinator path end
 // to end: the same grid runs once locally and once as -serve with two
-// in-process workers, and every artifact the sweep writes — per-cell
-// figures, checksummed snapshots, merged tables, the manifest — must
-// be byte-identical between the two output directories.
+// in-process workers, joined at the address the coordinator prints, and
+// every artifact the sweep writes — per-cell figures, checksummed
+// snapshots, merged tables, the manifest — must be byte-identical
+// between the two output directories.
 func TestServeFleetMatchesSingleRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs sweep campaigns twice")
 	}
 	single, fleet := t.TempDir(), t.TempDir()
-	if err := runSweep(testSweepFlags(single)); err != nil {
-		t.Fatal(err)
-	}
+	ronsim(t, 0, testSweepArgs(single)...)
 
-	f := testSweepFlags(fleet)
-	f.serve = "127.0.0.1:0"
-	f.leaseTTL = 2 * time.Second
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 	var wg sync.WaitGroup
-	f.onServe = func(addr string) {
+	stdout := &joinWriter{join: func(addr string) {
 		for i := 0; i < 2; i++ {
 			wg.Add(1)
 			go func() {
@@ -43,75 +59,12 @@ func TestServeFleetMatchesSingleRun(t *testing.T) {
 				}
 			}()
 		}
-	}
-	if err := runSweep(f); err != nil {
-		t.Fatal(err)
+	}}
+	var stderr bytes.Buffer
+	if code := run(testSweepArgs(fleet, "-serve", "127.0.0.1:0", "-lease", "2s"), stdout, &stderr); code != 0 {
+		t.Fatalf("ronsim -serve: exit %d\nstderr: %s", code, stderr.String())
 	}
 	wg.Wait()
 
 	diffTrees(t, "fleet output", readTree(t, single), readTree(t, fleet))
-}
-
-// TestMergeOnlyMissingCellCoords locks the -merge-only missing-cell
-// report: absent cells are named with their grid coordinates (axis
-// values and replica, not just the label) and the summary offers a
-// ready-to-paste -cells filter covering exactly the missing work.
-func TestMergeOnlyMissingCellCoords(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs sweep campaigns")
-	}
-	dir := t.TempDir()
-	f := testSweepFlags(dir)
-	f.cells = "*-r00,ronnarrow-r01" // everything except ronnarrow-h0.25-r01
-	if err := runSweep(f); err != nil {
-		t.Fatal(err)
-	}
-	out := captureStdout(t, func() {
-		if err := runMergeOnly(dir); err != nil {
-			t.Error(err)
-		}
-	})
-	for _, want := range []string{
-		"ronnarrow-h0.25-r01 [dataset=RONnarrow hysteresis=0.25 replica=1]",
-		"-cells ronnarrow-h0.25-r01",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("merge-only report missing %q; got:\n%s", want, out)
-		}
-	}
-}
-
-// captureStdout runs fn with os.Stdout redirected to a pipe and
-// returns what it printed.
-func captureStdout(t *testing.T, fn func()) string {
-	t.Helper()
-	old := os.Stdout
-	r, w, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	os.Stdout = w
-	defer func() { os.Stdout = old }()
-	outCh := make(chan string)
-	go func() {
-		data, _ := io.ReadAll(r)
-		outCh <- string(data)
-	}()
-	fn()
-	w.Close()
-	out := <-outCh
-	r.Close()
-	return out
-}
-
-// TestServeRejectsTrace: -trace with -serve must refuse (traces are
-// written where cells run, which is the workers).
-func TestServeRejectsTrace(t *testing.T) {
-	f := testSweepFlags(t.TempDir())
-	f.serve = "127.0.0.1:0"
-	f.traceDir = t.TempDir()
-	err := runSweep(f)
-	if err == nil || !strings.Contains(err.Error(), "-serve") {
-		t.Fatalf("runSweep with -serve and -trace = %v, want incompatibility error", err)
-	}
 }

@@ -52,11 +52,13 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -73,141 +75,144 @@ import (
 var allDatasets = []core.Dataset{core.RON2003, core.RONwide, core.RONnarrow}
 
 func main() {
-	var (
-		dataset = flag.String("dataset", "ron2003", "dataset to reproduce: ron2003, ronwide, ronnarrow")
-		days    = flag.Float64("days", 2, "virtual campaign length in days")
-		seed    = flag.Uint64("seed", 1, "simulation seed (sweep mode: base seed for per-cell derivation)")
-		outDir  = flag.String("out", "", "directory for figure data files (omit to skip)")
-		all     = flag.Bool("all", false, "run all three datasets plus the Figure 6 model")
-		traceTo = flag.String("trace", "", "write §4.1 probe trace records to this file (sweep mode: directory of per-cell traces); analyze with ronreport")
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-		workload = flag.Bool("workload", false, "run the multi-path + FEC application workload alongside probing (default streams/FEC shape; refine with -redundancy, -paths, -streams)")
+// cmdFlags is ronsim's parsed command line.
+type cmdFlags struct {
+	dataset, outDir, traceTo     string
+	days                         float64
+	seed                         uint64
+	all, workload                bool
+	sweep, resume, mergeOnly     bool
+	replicas, parallel           int
+	lossScale, edgeShare, cells  string
+	cpuProf, memProf             string
+	serve, workerURL, workerName string
+	leaseTTL                     time.Duration
+	// axes parses the registry-derived axis flags: every registered
+	// axis (standard and custom alike) gets its value-list flag from
+	// the registry; the profile axis is driven by -lossscale/-edgeshare
+	// instead. In single-campaign mode an axis flag carries exactly one
+	// value and applies straight to the config; in sweep mode value
+	// lists expand the grid.
+	axes func() ([]core.Axis, error)
+}
 
-		sweep     = flag.Bool("sweep", false, "run a multi-campaign sweep over a worker pool and merge replicas")
-		replicas  = flag.Int("replicas", 1, "sweep: seed-varied replicates per grid point")
-		parallel  = flag.Int("parallel", 0, "sweep: max concurrent cells (0 = GOMAXPROCS)")
-		lossScale = flag.String("lossscale", "1", "sweep: comma-separated profile LossScale overrides for the grid")
-		edgeShare = flag.String("edgeshare", "1", "sweep: comma-separated profile EdgeShare overrides for the grid")
-		cells     = flag.String("cells", "", "sweep: run only this shard of the grid (comma-separated cell/group names, globs, indices, or index ranges)")
-		cpuProf   = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
-		memProf   = flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
-		resume    = flag.Bool("resume", false, "sweep: reuse completed cell snapshots found under -out, running only the missing cells")
-		mergeOnly = flag.Bool("merge-only", false, "sweep: skip running; rebuild merged/ under -out from completed cell snapshots and report missing grid points")
+// run is ronsim with its arguments and output streams passed in; it
+// returns the process exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	// Named like flag.CommandLine, so -h prints what it always has.
+	fs := flag.NewFlagSet(os.Args[0], flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var f cmdFlags
+	fs.StringVar(&f.dataset, "dataset", "ron2003", "dataset to reproduce: ron2003, ronwide, ronnarrow")
+	fs.Float64Var(&f.days, "days", 2, "virtual campaign length in days")
+	fs.Uint64Var(&f.seed, "seed", 1, "simulation seed (sweep mode: base seed for per-cell derivation)")
+	fs.StringVar(&f.outDir, "out", "", "directory for figure data files (omit to skip)")
+	fs.BoolVar(&f.all, "all", false, "run all three datasets plus the Figure 6 model")
+	fs.StringVar(&f.traceTo, "trace", "", "write §4.1 probe trace records to this file (sweep mode: directory of per-cell traces); analyze with ronreport")
 
-		serve      = flag.String("serve", "", "sweep: serve the grid to a worker fleet on this address (host:port; port 0 picks one) instead of computing cells in this process")
-		workerURL  = flag.String("worker", "", "sweep: join the fleet served by the coordinator at this URL and work cells until the sweep drains")
-		leaseTTL   = flag.Duration("lease", 0, "sweep -serve: cell lease lifetime; a worker silent this long forfeits its cell (default 1m)")
-		workerName = flag.String("workername", "", "sweep -worker: name reported to the coordinator (default host:pid)")
-	)
-	// Every registered axis (standard and custom alike) derives its
-	// value-list flag from the registry; the profile axis is driven by
-	// the -lossscale/-edgeshare pair above instead. In single-campaign
-	// mode an axis flag carries exactly one value and applies straight
-	// to the config; in sweep mode value lists expand the grid.
-	collectAxisFlags := experiment.RegisterAxisValueFlags(flag.CommandLine)
-	flag.Parse()
+	fs.BoolVar(&f.workload, "workload", false, "run the multi-path + FEC application workload alongside probing (default streams/FEC shape; refine with -redundancy, -paths, -streams)")
 
+	fs.BoolVar(&f.sweep, "sweep", false, "run a multi-campaign sweep over a worker pool and merge replicas")
+	fs.IntVar(&f.replicas, "replicas", 1, "sweep: seed-varied replicates per grid point")
+	fs.IntVar(&f.parallel, "parallel", 0, "sweep: max concurrent cells (0 = GOMAXPROCS)")
+	fs.StringVar(&f.lossScale, "lossscale", "1", "sweep: comma-separated profile LossScale overrides for the grid")
+	fs.StringVar(&f.edgeShare, "edgeshare", "1", "sweep: comma-separated profile EdgeShare overrides for the grid")
+	fs.StringVar(&f.cells, "cells", "", "sweep: run only this shard of the grid (comma-separated cell/group names, globs, indices, or index ranges)")
+	fs.StringVar(&f.cpuProf, "cpuprofile", "", "write a pprof CPU profile of the run to this file")
+	fs.StringVar(&f.memProf, "memprofile", "", "write a pprof heap profile at exit to this file")
+	fs.BoolVar(&f.resume, "resume", false, "sweep: reuse completed cell snapshots found under -out, running only the missing cells")
+	fs.BoolVar(&f.mergeOnly, "merge-only", false, "sweep: skip running; rebuild merged/ under -out from completed cell snapshots and report missing grid points")
+
+	fs.StringVar(&f.serve, "serve", "", "sweep: serve the grid to a worker fleet on this address (host:port; port 0 picks one) instead of computing cells in this process")
+	fs.StringVar(&f.workerURL, "worker", "", "sweep: join the fleet served by the coordinator at this URL and work cells until the sweep drains")
+	fs.DurationVar(&f.leaseTTL, "lease", 0, "sweep -serve: cell lease lifetime; a worker silent this long forfeits its cell (default 1m)")
+	fs.StringVar(&f.workerName, "workername", "", "sweep -worker: name reported to the coordinator (default host:pid)")
+	f.axes = experiment.RegisterAxisValueFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
+	if err := f.exec(stdout); err != nil {
+		fmt.Fprintln(stderr, "ronsim:", err)
+		return 1
+	}
+	return 0
+}
+
+// exec runs the mode the flags select.
+func (f *cmdFlags) exec(stdout io.Writer) error {
 	// Profiling hooks so perf work on the campaign engine starts from a
 	// profile of the real binary, not a reconstruction: run any workload
 	// with -cpuprofile/-memprofile and feed the output to `go tool
-	// pprof`. stopProfiles is called on every exit path, including
-	// fatal.
-	if err := startProfiles(*cpuProf, *memProf); err != nil {
-		fatal(err)
+	// pprof`.
+	stopProfiles, err := startProfiles(f.cpuProf, f.memProf)
+	if err != nil {
+		return err
 	}
 	defer stopProfiles()
 
-	if !*sweep {
+	if !f.sweep {
 		// Sweep-only flags must not silently degrade into a default
 		// single campaign that pollutes a sweep output directory.
 		for name, set := range map[string]bool{
-			"-cells": *cells != "", "-resume": *resume, "-merge-only": *mergeOnly,
-			"-serve": *serve != "", "-worker": *workerURL != "",
+			"-cells": f.cells != "", "-resume": f.resume, "-merge-only": f.mergeOnly,
+			"-serve": f.serve != "", "-worker": f.workerURL != "",
 		} {
 			if set {
-				fatal(fmt.Errorf("%s requires -sweep", name))
+				return fmt.Errorf("%s requires -sweep", name)
 			}
 		}
 	}
 
-	if *workerURL != "" {
+	if f.workerURL != "" {
 		// Worker mode: the coordinator owns the grid, the outputs, and
 		// the merge; this process only computes leased cells, so every
 		// grid and output flag belongs on the -serve side.
-		if err := runWorkerMode(*workerURL, *workerName); err != nil {
-			fatal(err)
-		}
-		return
+		return runWorkerMode(stdout, f.workerURL, f.workerName)
 	}
 
-	if *sweep {
-		if *mergeOnly {
-			if err := runMergeOnly(*outDir); err != nil {
-				fatal(err)
-			}
-			return
+	if f.sweep {
+		if f.mergeOnly {
+			return runMergeOnly(stdout, f.outDir)
 		}
-		datasets := allDatasets
-		if !*all {
-			d, err := core.ParseDataset(*dataset)
-			if err != nil {
-				fatal(err)
-			}
-			datasets = []core.Dataset{d}
-		}
-		axes, err := collectAxisFlags()
-		if err != nil {
-			fatal(err)
-		}
-		var axisOpts []experiment.Option
-		for _, a := range axes {
-			axisOpts = append(axisOpts, experiment.Axes(a))
-		}
-		if err := runSweep(sweepFlags{
-			datasets:  datasets,
-			days:      *days,
-			seed:      *seed,
-			replicas:  *replicas,
-			parallel:  *parallel,
-			lossScale: *lossScale,
-			edgeShare: *edgeShare,
-			axisOpts:  axisOpts,
-			workload:  *workload,
-			cells:     *cells,
-			resume:    *resume,
-			outDir:    *outDir,
-			traceDir:  *traceTo,
-			serve:     *serve,
-			leaseTTL:  *leaseTTL,
-		}); err != nil {
-			fatal(err)
-		}
-		return
+		return runSweep(stdout, f)
 	}
 
-	axes, err := collectAxisFlags()
+	axes, err := f.axes()
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	if *all {
-		for _, d := range allDatasets {
-			if err := runDataset(d, *days, *seed, *outDir, "", *workload, axes); err != nil {
-				fatal(err)
-			}
+	datasets, err := f.datasets()
+	if err != nil {
+		return err
+	}
+	for _, d := range datasets {
+		if err := runDataset(stdout, f, d, axes); err != nil {
+			return err
 		}
-		printFigure6(*outDir)
-		return
 	}
-	d, err := core.ParseDataset(*dataset)
+	if slices.Contains(datasets, core.RON2003) {
+		return printFigure6(stdout, f.outDir)
+	}
+	return nil
+}
+
+// datasets is what -dataset and -all select, in both single-run and
+// sweep mode.
+func (f *cmdFlags) datasets() ([]core.Dataset, error) {
+	if f.all {
+		return allDatasets, nil
+	}
+	d, err := core.ParseDataset(f.dataset)
 	if err != nil {
-		fatal(err)
+		return nil, err
 	}
-	if err := runDataset(d, *days, *seed, *outDir, *traceTo, *workload, axes); err != nil {
-		fatal(err)
-	}
-	if d == core.RON2003 {
-		printFigure6(*outDir)
-	}
+	return []core.Dataset{d}, nil
 }
 
 // parsePositiveFloat parses one profile-override value. The substrate
@@ -248,28 +253,6 @@ func profileVariants(lossScales, edgeShares []float64) []core.ProfileVariant {
 	return out
 }
 
-type sweepFlags struct {
-	datasets             []core.Dataset
-	days                 float64
-	seed                 uint64
-	replicas, parallel   int
-	lossScale, edgeShare string
-	// axisOpts carries the registry-derived axis flags (every axis
-	// whose flag departed from its default), already parsed.
-	axisOpts         []experiment.Option
-	workload         bool
-	cells            string
-	resume           bool
-	outDir, traceDir string
-	// serve, when non-empty, runs the sweep as a fleet coordinator on
-	// that address; leaseTTL is the cell lease lifetime it grants.
-	// onServe, when non-nil, additionally receives the bound address —
-	// how tests with port 0 join in-process workers.
-	serve    string
-	leaseTTL time.Duration
-	onServe  func(addr string)
-}
-
 // runSweep builds an experiment from the flags and runs it: per-cell
 // progress lines as cells finish, one merged report per complete grid
 // point, and — under -out — per-cell and merged output directories, a
@@ -277,7 +260,15 @@ type sweepFlags struct {
 // manifest that -merge-only and ronreport -sweep consume. With -cells
 // only the matching shard runs; with -resume, cells whose
 // snapshot already exists are reused instead of recomputed.
-func runSweep(f sweepFlags) error {
+func runSweep(stdout io.Writer, f *cmdFlags) error {
+	datasets, err := f.datasets()
+	if err != nil {
+		return err
+	}
+	axes, err := f.axes()
+	if err != nil {
+		return err
+	}
 	ls, err := experiment.ParseList("lossscale", f.lossScale, parsePositiveFloat)
 	if err != nil {
 		return err
@@ -288,15 +279,17 @@ func runSweep(f sweepFlags) error {
 	}
 
 	opts := []experiment.Option{
-		experiment.Datasets(f.datasets...),
+		experiment.Datasets(datasets...),
 		experiment.Days(f.days),
 		experiment.Seed(f.seed),
 		experiment.Replicas(f.replicas),
 		experiment.Parallel(f.parallel),
 		experiment.Axes(experiment.ProfileAxis(profileVariants(ls, es)...)),
-		experiment.Warn(func(format string, args ...any) { fmt.Printf(format, args...) }),
+		experiment.Warn(func(format string, args ...any) { fmt.Fprintf(stdout, format, args...) }),
 	}
-	opts = append(opts, f.axisOpts...)
+	for _, a := range axes {
+		opts = append(opts, experiment.Axes(a))
+	}
 	if f.workload {
 		opts = append(opts, experiment.Workload(experiment.DefaultWorkloadConfig()))
 	}
@@ -316,17 +309,14 @@ func runSweep(f sweepFlags) error {
 		// Campaigns run on the workers, so per-cell trace sinks in this
 		// process would never fire; refuse rather than silently write an
 		// empty trace directory.
-		if f.traceDir != "" {
+		if f.traceTo != "" {
 			return errors.New("-trace is incompatible with -serve: traces are written where cells run; use -trace on a local sweep")
 		}
 		opts = append(opts,
 			experiment.Remote(f.serve),
 			experiment.RemoteLeaseTTL(f.leaseTTL),
 			experiment.RemoteReady(func(addr string) {
-				fmt.Printf("coordinator listening on %s\njoin workers with: ronsim -sweep -worker %s\n", addr, addr)
-				if f.onServe != nil {
-					f.onServe(addr)
-				}
+				fmt.Fprintf(stdout, "coordinator listening on %s\njoin workers with: ronsim -sweep -worker %s\n", addr, addr)
 			}),
 		)
 	}
@@ -362,21 +352,21 @@ func runSweep(f sweepFlags) error {
 		}
 		return first
 	}
-	if f.traceDir != "" {
-		if err := os.MkdirAll(f.traceDir, 0o755); err != nil {
+	if f.traceTo != "" {
+		if err := os.MkdirAll(f.traceTo, 0o755); err != nil {
 			return err
 		}
 		// Trace files open lazily (so shards and resumes never clobber
 		// other runs' files), which would defer an unwritable-directory
 		// error until after hours of compute; probe writability now.
-		probe, err := os.CreateTemp(f.traceDir, ".writable*")
+		probe, err := os.CreateTemp(f.traceTo, ".writable*")
 		if err != nil {
 			return fmt.Errorf("-trace directory is not writable: %w", err)
 		}
 		probe.Close()
 		os.Remove(probe.Name())
 		opts = append(opts, experiment.Configure(func(c core.Cell, cfg *core.Config) {
-			ct := &cellTrace{path: filepath.Join(f.traceDir, c.Name()+".trc")}
+			ct := &cellTrace{path: filepath.Join(f.traceTo, c.Name()+".trc")}
 			traces[c.Index] = ct
 			cfg.TraceSink = func(r trace.Record) {
 				if ct.err != nil {
@@ -417,7 +407,7 @@ func runSweep(f sweepFlags) error {
 		default:
 			status += fmt.Sprintf("  probes %d", r.Res.MeasureProbes)
 		}
-		fmt.Printf("[%3d/%3d] cell %-36s seed %-20d %s\n",
+		fmt.Fprintf(stdout, "[%3d/%3d] cell %-36s seed %-20d %s\n",
 			done, total, r.Cell.Name(), r.Cell.Seed, status)
 		if f.outDir != "" && r.Err == nil && figErr == nil {
 			dir := filepath.Join(f.outDir, core.CellsDirName, r.Cell.Name())
@@ -446,7 +436,7 @@ func runSweep(f sweepFlags) error {
 	if f.cells != "" {
 		shard = fmt.Sprintf(" [shard -cells %s: %d of %d]", e.Shard(), total, len(gridCells))
 	}
-	fmt.Printf("=== sweep: %d cells (%.2f virtual days each), base seed %d%s ===\n",
+	fmt.Fprintf(stdout, "=== sweep: %d cells (%.2f virtual days each), base seed %d%s ===\n",
 		total, f.days, f.seed, shard)
 
 	res, err := e.Run()
@@ -460,7 +450,7 @@ func runSweep(f sweepFlags) error {
 	if figErr != nil {
 		return figErr
 	}
-	fmt.Printf("\nsweep finished in %.1fs on %d workers (%d cells reused)\n\n",
+	fmt.Fprintf(stdout, "\nsweep finished in %.1fs on %d workers (%d cells reused)\n\n",
 		res.Wall.Seconds(), res.Parallel, res.Reused)
 
 	incomplete := 0
@@ -474,15 +464,15 @@ func runSweep(f sweepFlags) error {
 					missing = append(missing, c.Cell.Name())
 				}
 			}
-			fmt.Printf("=== %s: incomplete (missing %s) ===\n",
+			fmt.Fprintf(stdout, "=== %s: incomplete (missing %s) ===\n",
 				g.Name(), strings.Join(missing, ", "))
 			continue
 		}
-		fmt.Printf("=== merged %s: %d replicas ===\n%s\n",
+		fmt.Fprintf(stdout, "=== merged %s: %d replicas ===\n%s\n",
 			g.Name(), len(g.Cells), g.Merged.Report())
 	}
 	if incomplete > 0 {
-		fmt.Printf("%d grid points are incomplete; run the remaining shards against the same spec, combine the %s/ directories, then `ronsim -sweep -merge-only -out ...`\n",
+		fmt.Fprintf(stdout, "%d grid points are incomplete; run the remaining shards against the same spec, combine the %s/ directories, then `ronsim -sweep -merge-only -out ...`\n",
 			incomplete, core.CellsDirName)
 	}
 
@@ -499,7 +489,7 @@ func runSweep(f sweepFlags) error {
 			}
 			wroteMerged++
 		}
-		fmt.Printf("wrote %d cell and %d merged output directories under %s\n",
+		fmt.Fprintf(stdout, "wrote %d cell and %d merged output directories under %s\n",
 			wroteCells, wroteMerged, f.outDir)
 	}
 
@@ -509,7 +499,7 @@ func runSweep(f sweepFlags) error {
 	// so a shard's manifest lets the coordinator see what is missing.
 	manifestDir := f.outDir
 	if manifestDir == "" {
-		manifestDir = f.traceDir
+		manifestDir = f.traceTo
 	}
 	if manifestDir == "" {
 		return nil
@@ -532,7 +522,7 @@ func runSweep(f sweepFlags) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("wrote manifest %s\n", filepath.Join(manifestDir, core.ManifestName))
+	fmt.Fprintf(stdout, "wrote manifest %s\n", filepath.Join(manifestDir, core.ManifestName))
 	return nil
 }
 
@@ -544,7 +534,7 @@ func runSweep(f sweepFlags) error {
 // replicas merge in the same order. Custom-axis cells restore through
 // the axis registry, so any axis this binary registers merges like a
 // built-in one.
-func runMergeOnly(dir string) error {
+func runMergeOnly(stdout io.Writer, dir string) error {
 	if dir == "" {
 		return errors.New("-merge-only needs -out pointing at a sweep output directory")
 	}
@@ -552,7 +542,7 @@ func runMergeOnly(dir string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("merge-only: %d grid points in %s\n\n",
+	fmt.Fprintf(stdout, "merge-only: %d grid points in %s\n\n",
 		len(m.Groups), filepath.Join(dir, core.ManifestName))
 	merged := 0
 	var incomplete []string
@@ -578,11 +568,11 @@ func runMergeOnly(dir string) error {
 		}
 		if len(missing) > 0 {
 			incomplete = append(incomplete, g.Name)
-			fmt.Printf("=== %s: MISSING %d/%d cells ===\n", g.Name, len(missing), len(g.Cells))
+			fmt.Fprintf(stdout, "=== %s: MISSING %d/%d cells ===\n", g.Name, len(missing), len(g.Cells))
 			for _, ms := range missing {
-				fmt.Printf("    %s\n", ms)
+				fmt.Fprintf(stdout, "    %s\n", ms)
 			}
-			fmt.Println()
+			fmt.Fprintln(stdout)
 			continue
 		}
 		mergedRes, err := core.MergeResults(results)
@@ -597,14 +587,14 @@ func runMergeOnly(dir string) error {
 			return err
 		}
 		merged++
-		fmt.Printf("=== merged %s: %d replicas from snapshots ===\n%s\n",
+		fmt.Fprintf(stdout, "=== merged %s: %d replicas from snapshots ===\n%s\n",
 			g.Name, len(results), mergedRes.Report())
 	}
-	fmt.Printf("merge-only: rebuilt %d/%d merged grid points under %s\n",
+	fmt.Fprintf(stdout, "merge-only: rebuilt %d/%d merged grid points under %s\n",
 		merged, len(m.Groups), filepath.Join(dir, core.MergedDirName))
 	if len(incomplete) > 0 {
-		fmt.Printf("missing grid points: %s\n", strings.Join(incomplete, ", "))
-		fmt.Printf("re-run exactly the missing cells with: -sweep ... -cells %s\n",
+		fmt.Fprintf(stdout, "missing grid points: %s\n", strings.Join(incomplete, ", "))
+		fmt.Fprintf(stdout, "re-run exactly the missing cells with: -sweep ... -cells %s\n",
 			strings.Join(missingNames, ","))
 	}
 	if merged == 0 {
@@ -648,24 +638,31 @@ func applySingleAxes(cfg *core.Config, axes []core.Axis) error {
 	return nil
 }
 
-func runDataset(d core.Dataset, days float64, seed uint64, outDir, traceTo string, workload bool, axes []core.Axis) error {
-	cfg := core.DefaultConfig(d, days)
-	cfg.Seed = seed
-	if workload {
+// runDataset runs one campaign, prints its report and inline figures,
+// and writes its output files under -out and its trace to -trace (the
+// latter only for a single -dataset, not under -all).
+func runDataset(stdout io.Writer, f *cmdFlags, d core.Dataset, axes []core.Axis) error {
+	cfg := core.DefaultConfig(d, f.days)
+	cfg.Seed = f.seed
+	if f.workload {
 		cfg.Workload = core.DefaultWorkloadConfig()
 	}
 	if err := applySingleAxes(&cfg, axes); err != nil {
 		return err
 	}
+	traceTo := f.traceTo
+	if f.all {
+		traceTo = ""
+	}
 
 	var traceW *trace.Writer
 	if traceTo != "" {
-		f, err := os.Create(traceTo)
+		file, err := os.Create(traceTo)
 		if err != nil {
 			return err
 		}
-		defer f.Close()
-		traceW, err = trace.NewWriter(f)
+		defer file.Close()
+		traceW, err = trace.NewWriter(file)
 		if err != nil {
 			return err
 		}
@@ -673,33 +670,33 @@ func runDataset(d core.Dataset, days float64, seed uint64, outDir, traceTo strin
 	}
 
 	start := time.Now()
-	fmt.Printf("=== %s: simulating %.2f virtual days (seed %d) ===\n", d, cfg.Days, seed)
+	fmt.Fprintf(stdout, "=== %s: simulating %.2f virtual days (seed %d) ===\n", d, cfg.Days, f.seed)
 	res, err := core.Run(cfg)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("(wall time %.1fs)\n\n%s\n", time.Since(start).Seconds(), res.Report())
+	fmt.Fprintf(stdout, "(wall time %.1fs)\n\n%s\n", time.Since(start).Seconds(), res.Report())
 
 	// Figures as inline CDF overlays.
 	names := res.Agg.Methods()
-	fmt.Println(analysis.RenderCDFOverlay(
+	fmt.Fprintln(stdout, analysis.RenderCDFOverlay(
 		"Figure 2: per-path long-term loss rate CDF (percent, direct path)",
 		0, 7, 15, []string{"direct"}, []*analysis.CDF{res.Figure2(50)}))
-	fmt.Println(analysis.RenderCDFOverlay(
+	fmt.Fprintln(stdout, analysis.RenderCDFOverlay(
 		"Figure 3: 20-minute loss-rate CDF per method (fraction)",
 		0, 1, 11, names, res.Figure3()))
 	f4names, f4cdfs := res.Figure4()
 	if len(f4cdfs) > 0 {
-		fmt.Println(analysis.RenderCDFOverlay(
+		fmt.Fprintln(stdout, analysis.RenderCDFOverlay(
 			"Figure 4: per-path conditional loss probability CDF (percent)",
 			0, 100, 11, f4names, f4cdfs))
 	}
-	fmt.Println(analysis.RenderCDFOverlay(
+	fmt.Fprintln(stdout, analysis.RenderCDFOverlay(
 		"Figure 5: per-path mean latency CDF, paths over 50 ms (ms)",
 		0, 300, 13, names, res.Figure5()))
 
-	if outDir != "" {
-		if err := writeFigures(outDir, d, res); err != nil {
+	if f.outDir != "" {
+		if err := writeFigures(f.outDir, d, res); err != nil {
 			return err
 		}
 	}
@@ -707,68 +704,33 @@ func runDataset(d core.Dataset, days float64, seed uint64, outDir, traceTo strin
 		if err := traceW.Flush(); err != nil {
 			return err
 		}
-		fmt.Printf("wrote %d trace records to %s\n", traceW.Count(), traceTo)
+		fmt.Fprintf(stdout, "wrote %d trace records to %s\n", traceW.Count(), traceTo)
 	}
 	return nil
 }
 
-// writeFigures emits gnuplot-style data files, one per figure.
+// writeFigures writes the result's output files, gnuplot-style data
+// for the figures and text for the tables, named <dataset>-<artifact>.
 func writeFigures(dir string, d core.Dataset, res *core.Result) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	write := func(name, content string) error {
-		path := filepath.Join(dir, fmt.Sprintf("%s-%s", strings.ToLower(d.String()), name))
-		return os.WriteFile(path, []byte(content), 0o644)
-	}
-	names := res.Agg.Methods()
-	if err := write("fig2.dat", analysis.RenderCDF("per-path loss % CDF",
-		res.Figure2(50).Grid(0, 7, 100))); err != nil {
-		return err
-	}
-	if err := write("fig3.dat", analysis.RenderCDFOverlay("20-min loss CDF",
-		0, 1, 101, names, res.Figure3())); err != nil {
-		return err
-	}
-	f4names, f4cdfs := res.Figure4()
-	if len(f4cdfs) > 0 {
-		if err := write("fig4.dat", analysis.RenderCDFOverlay("per-path CLP CDF",
-			0, 100, 101, f4names, f4cdfs)); err != nil {
+	prefix := strings.ToLower(d.String()) + "-"
+	for _, a := range res.Artifacts() {
+		if err := os.WriteFile(filepath.Join(dir, prefix+a.Name), []byte(a.Text), 0o644); err != nil {
 			return err
 		}
-	}
-	if err := write("fig5.dat", analysis.RenderCDFOverlay("latency CDF (>50ms paths)",
-		0, 300, 121, names, res.Figure5())); err != nil {
-		return err
-	}
-	if err := write("table5.txt",
-		analysis.RenderTable5(res.Table5Rows(), res.LatencyLabel())); err != nil {
-		return err
-	}
-	if err := write("table6.txt", analysis.RenderTable6(res.Agg.HighLossHours())); err != nil {
-		return err
-	}
-	// The workload and resilience tables only exist for cells that ran
-	// those layers; writing them unconditionally would break
-	// byte-identity between grids produced before and after these files
-	// existed.
-	if ws := res.Agg.Workload(); ws != nil && ws.HasData() {
-		if err := write("workload.txt", analysis.RenderWorkloadTable(ws.Table())); err != nil {
-			return err
-		}
-	}
-	if rs := res.Agg.Resilience(); rs != nil && rs.HasData() {
-		return write("resilience.txt", analysis.RenderResilienceTable(rs.Table()))
 	}
 	return nil
 }
 
-// printFigure6 renders the §5.3 design space.
-func printFigure6(outDir string) {
+// printFigure6 renders the §5.3 design space, and writes it to
+// fig6.dat under outDir when that is set.
+func printFigure6(stdout io.Writer, outDir string) error {
 	p := costmodel.Defaults()
 	ds, err := p.Space(21)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "# Figure 6: reactive vs redundant design space\n")
@@ -787,10 +749,11 @@ func printFigure6(outDir string) {
 				target*100, s)
 		}
 	}
-	fmt.Println(b.String())
-	if outDir != "" {
-		_ = os.WriteFile(filepath.Join(outDir, "fig6.dat"), []byte(b.String()), 0o644)
+	fmt.Fprintln(stdout, b.String())
+	if outDir == "" {
+		return nil
 	}
+	return os.WriteFile(filepath.Join(outDir, "fig6.dat"), []byte(b.String()), 0o644)
 }
 
 func frac(v float64) string {
@@ -800,51 +763,31 @@ func frac(v float64) string {
 	return fmt.Sprintf("%.4f", v)
 }
 
-// profiles tracks the active profiling state for stopProfiles.
-var profiles struct {
-	cpu     *os.File
-	memPath string
-}
-
-// startProfiles begins CPU profiling and records the heap-profile
-// destination; either path may be empty.
-func startProfiles(cpuPath, memPath string) error {
+// startProfiles begins CPU profiling and returns the function that
+// stops it and writes the heap profile; either path may be empty.
+func startProfiles(cpuPath, memPath string) (stop func(), err error) {
+	var cpu *os.File
 	if cpuPath != "" {
-		f, err := os.Create(cpuPath)
-		if err != nil {
-			return err
+		if cpu, err = os.Create(cpuPath); err != nil {
+			return nil, err
 		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			f.Close()
-			return err
+		if err := pprof.StartCPUProfile(cpu); err != nil {
+			cpu.Close()
+			return nil, err
 		}
-		profiles.cpu = f
 	}
-	profiles.memPath = memPath
-	return nil
-}
-
-// stopProfiles flushes the CPU profile and writes the heap profile. It
-// is safe to call more than once.
-func stopProfiles() {
-	if profiles.cpu != nil {
-		pprof.StopCPUProfile()
-		profiles.cpu.Close()
-		profiles.cpu = nil
-	}
-	if profiles.memPath != "" {
-		f, err := os.Create(profiles.memPath)
-		if err == nil {
-			runtime.GC() // up-to-date allocation statistics
-			_ = pprof.WriteHeapProfile(f)
-			f.Close()
+	return func() {
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			cpu.Close()
 		}
-		profiles.memPath = ""
-	}
-}
-
-func fatal(err error) {
-	stopProfiles()
-	fmt.Fprintln(os.Stderr, "ronsim:", err)
-	os.Exit(1)
+		if memPath != "" {
+			f, err := os.Create(memPath)
+			if err == nil {
+				runtime.GC() // up-to-date allocation statistics
+				_ = pprof.WriteHeapProfile(f)
+				f.Close()
+			}
+		}
+	}, nil
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -111,19 +112,61 @@ func TestTableRefreshAxisFlag(t *testing.T) {
 	}
 }
 
-// testSweepFlags is the tiny grid the CLI integration tests run: one
-// dataset, two hysteresis grid points, two replicas each.
-func testSweepFlags(outDir string) sweepFlags {
-	return sweepFlags{
-		datasets:  []core.Dataset{core.RONnarrow},
-		days:      0.01,
-		seed:      5,
-		replicas:  2,
-		parallel:  2,
-		lossScale: "1",
-		edgeShare: "1",
-		axisOpts:  []experiment.Option{experiment.AxisValues("hysteresis", "0", "0.25")},
-		outDir:    outDir,
+// testSweepArgs is the tiny grid the CLI integration tests run — one
+// dataset, two hysteresis grid points, two replicas each — followed by
+// extra flags; a repeated flag overrides the grid's value.
+func testSweepArgs(outDir string, extra ...string) []string {
+	return append([]string{"-sweep", "-dataset", "ronnarrow", "-days", "0.01", "-seed", "5",
+		"-replicas", "2", "-parallel", "2", "-hysteresis", "0,0.25", "-out", outDir}, extra...)
+}
+
+// ronsim runs the command line, fails the test unless it exits with
+// code, and returns what it printed to stdout and stderr.
+func ronsim(t *testing.T, code int, args ...string) (stdout, stderr string) {
+	t.Helper()
+	var out, errOut bytes.Buffer
+	if got := run(args, &out, &errOut); got != code {
+		t.Fatalf("ronsim %s: exit %d, want %d\nstderr: %s", strings.Join(args, " "), got, code, errOut.String())
+	}
+	return out.String(), errOut.String()
+}
+
+// TestCommandLineErrors: each command line fails with exit 1 and
+// exactly this one stderr line.
+func TestCommandLineErrors(t *testing.T) {
+	dir := t.TempDir()
+	// A directory where Figure 6's data file belongs.
+	blocked := filepath.Join(dir, "blocked")
+	if err := os.MkdirAll(filepath.Join(blocked, "fig6.dat"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name   string
+		args   []string
+		expect string
+	}{
+		{"fig6.dat unwritable", []string{"-dataset", "ron2003", "-days", "0.001", "-out", blocked},
+			"open " + filepath.Join(blocked, "fig6.dat") + ": is a directory"},
+		{"trace with serve", testSweepArgs(dir, "-serve", "127.0.0.1:0", "-trace", dir),
+			"-trace is incompatible with -serve: traces are written where cells run; use -trace on a local sweep"},
+		{"resume without out", testSweepArgs("", "-resume"),
+			"-resume needs -out: snapshots live under the output directory"},
+		{"merge-only without out", []string{"-sweep", "-merge-only"},
+			"-merge-only needs -out pointing at a sweep output directory"},
+		{"cells without sweep", []string{"-cells", "*-r00"}, "-cells requires -sweep"},
+		{"value list without sweep", []string{"-hysteresis", "0,0.25"},
+			"-hysteresis: a single campaign takes one value per axis; value lists need -sweep"},
+		{"unknown dataset", []string{"-dataset", "ron2002"},
+			`core: unknown dataset "ron2002" (want ron2003, ronwide, ronnarrow)`},
+		{"non-positive loss scale", testSweepArgs(dir, "-lossscale", "0"),
+			`-lossscale: bad value "0": value 0 must be > 0`},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, stderr := ronsim(t, 1, tc.args...); stderr != "ronsim: "+tc.expect+"\n" {
+				t.Errorf("stderr %q, want %q", stderr, "ronsim: "+tc.expect+"\n")
+			}
+		})
 	}
 }
 
@@ -186,19 +229,11 @@ func TestShardMergeOnlyMatchesSingleRun(t *testing.T) {
 		t.Skip("runs several sweep campaigns")
 	}
 	single, sharded := t.TempDir(), t.TempDir()
-	if err := runSweep(testSweepFlags(single)); err != nil {
-		t.Fatal(err)
-	}
+	ronsim(t, 0, testSweepArgs(single)...)
 	for _, shard := range []string{"*-r00", "*-r01"} {
-		f := testSweepFlags(sharded)
-		f.cells = shard
-		if err := runSweep(f); err != nil {
-			t.Fatalf("shard %s: %v", shard, err)
-		}
+		ronsim(t, 0, testSweepArgs(sharded, "-cells", shard)...)
 	}
-	if err := runMergeOnly(sharded); err != nil {
-		t.Fatal(err)
-	}
+	ronsim(t, 0, "-sweep", "-merge-only", "-out", sharded)
 	diffTrees(t, "merged",
 		readTree(t, filepath.Join(single, core.MergedDirName)),
 		readTree(t, filepath.Join(sharded, core.MergedDirName)))
@@ -216,11 +251,8 @@ func TestMergeOnlyReportsMissingCells(t *testing.T) {
 		t.Skip("runs sweep campaigns")
 	}
 	dir := t.TempDir()
-	f := testSweepFlags(dir)
-	f.cells = "*-r00,ronnarrow-r01" // everything except ronnarrow-h0.25-r01
-	if err := runSweep(f); err != nil {
-		t.Fatal(err)
-	}
+	// Everything except ronnarrow-h0.25-r01.
+	ronsim(t, 0, testSweepArgs(dir, "-cells", "*-r00,ronnarrow-r01")...)
 	var replicas []*core.Result
 	for _, cell := range []string{"ronnarrow-r00", "ronnarrow-r01"} {
 		snap, err := core.ReadCellSnapshot(core.CellSnapshotPath(dir, cell))
@@ -238,11 +270,7 @@ func TestMergeOnlyReportsMissingCells(t *testing.T) {
 		t.Fatal(err)
 	}
 	banner := fmt.Sprintf("merge-only: 2 grid points in %s\n\n", filepath.Join(dir, core.ManifestName))
-	got := captureStdout(t, func() {
-		if err := runMergeOnly(dir); err != nil {
-			t.Error(err)
-		}
-	})
+	got, _ := ronsim(t, 0, "-sweep", "-merge-only", "-out", dir)
 	want := banner +
 		"=== merged ronnarrow: 2 replicas from snapshots ===\n" + merged.Report() + "\n" +
 		"=== ronnarrow-h0.25: MISSING 1/2 cells ===\n" +
@@ -267,11 +295,10 @@ func TestMergeOnlyReportsMissingCells(t *testing.T) {
 	if err := os.RemoveAll(filepath.Join(dir, core.MergedDirName)); err != nil {
 		t.Fatal(err)
 	}
-	got = captureStdout(t, func() {
-		if err := runMergeOnly(dir); err == nil {
-			t.Error("merge-only succeeded with no complete grid point")
-		}
-	})
+	got, stderr := ronsim(t, 1, "-sweep", "-merge-only", "-out", dir)
+	if stderr != "ronsim: no grid point had a complete set of cell snapshots\n" {
+		t.Errorf("merge-only with no complete grid point: stderr %q", stderr)
+	}
 	want = banner +
 		"=== ronnarrow: MISSING 1/2 cells ===\n" +
 		fmt.Sprintf("    ronnarrow-r00 [dataset=RONnarrow replica=0] (core: cell snapshot %s: too short)\n\n", snapPath) +
@@ -296,9 +323,7 @@ func TestOldFormatsRefused(t *testing.T) {
 		t.Skip("runs sweep campaigns")
 	}
 	dir := t.TempDir()
-	if err := runSweep(testSweepFlags(dir)); err != nil {
-		t.Fatal(err)
-	}
+	ronsim(t, 0, testSweepArgs(dir)...)
 	clean := readTree(t, dir)
 	m, err := core.ReadManifest(dir)
 	if err != nil {
@@ -358,11 +383,7 @@ func TestOldFormatsRefused(t *testing.T) {
 		}
 	}
 
-	out := captureStdout(t, func() {
-		if err := runMergeOnly(dir); err == nil {
-			t.Error("merge-only merged version 1 snapshots")
-		}
-	})
+	out, _ := ronsim(t, 1, "-sweep", "-merge-only", "-out", dir)
 	for _, g := range m.Groups {
 		for ci, c := range g.Cells {
 			want := fmt.Sprintf("    %s [%s] (core: cell snapshot %s: unsupported version 1 (want 2))\n",
@@ -373,13 +394,7 @@ func TestOldFormatsRefused(t *testing.T) {
 		}
 	}
 
-	f := testSweepFlags(dir)
-	f.resume = true
-	out = captureStdout(t, func() {
-		if err := runSweep(f); err != nil {
-			t.Error(err)
-		}
-	})
+	out, _ = ronsim(t, 0, testSweepArgs(dir, "-resume")...)
 	if n := strings.Count(out, "ignoring unusable snapshot: core: cell snapshot"); n != 4 {
 		t.Errorf("resume warned about %d of 4 version 1 snapshots; got:\n%s", n, out)
 	}
@@ -397,19 +412,9 @@ func TestResumeCompletesKilledSweep(t *testing.T) {
 		t.Skip("runs several sweep campaigns")
 	}
 	clean, killed := t.TempDir(), t.TempDir()
-	if err := runSweep(testSweepFlags(clean)); err != nil {
-		t.Fatal(err)
-	}
-	f := testSweepFlags(killed)
-	f.cells = "*-r00"
-	if err := runSweep(f); err != nil {
-		t.Fatal(err)
-	}
-	f = testSweepFlags(killed)
-	f.resume = true
-	if err := runSweep(f); err != nil {
-		t.Fatal(err)
-	}
+	ronsim(t, 0, testSweepArgs(clean)...)
+	ronsim(t, 0, testSweepArgs(killed, "-cells", "*-r00")...)
+	ronsim(t, 0, testSweepArgs(killed, "-resume")...)
 	diffTrees(t, "resumed output", readTree(t, clean), readTree(t, killed))
 }
 
@@ -421,11 +426,7 @@ func TestManifestKeepsPriorArtifactPaths(t *testing.T) {
 		t.Skip("runs sweep campaigns")
 	}
 	dir := t.TempDir()
-	f := testSweepFlags(dir)
-	f.traceDir = filepath.Join(dir, "traces")
-	if err := runSweep(f); err != nil {
-		t.Fatal(err)
-	}
+	ronsim(t, 0, testSweepArgs(dir, "-trace", filepath.Join(dir, "traces"))...)
 	countTraces := func() int {
 		m, err := core.ReadManifest(dir)
 		if err != nil {
@@ -445,11 +446,7 @@ func TestManifestKeepsPriorArtifactPaths(t *testing.T) {
 	if before != 4 {
 		t.Fatalf("traced run recorded %d trace paths, want 4", before)
 	}
-	f = testSweepFlags(dir) // no traceDir this time
-	f.resume = true
-	if err := runSweep(f); err != nil {
-		t.Fatal(err)
-	}
+	ronsim(t, 0, testSweepArgs(dir, "-resume")...) // no -trace this time
 	if after := countTraces(); after != before {
 		t.Errorf("resume without -trace kept %d/%d manifest trace paths", after, before)
 	}
@@ -464,25 +461,16 @@ func TestCustomAxisShardMergeMatchesSingleRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs several sweep campaigns")
 	}
-	withAxis := func(dir string) sweepFlags {
-		f := testSweepFlags(dir)
-		f.axisOpts = []experiment.Option{experiment.AxisValues("tablerefresh", "0", "5s")}
-		return f
+	// Hysteresis back at its default drops that axis from the grid.
+	withAxis := func(dir string, extra ...string) []string {
+		return testSweepArgs(dir, append([]string{"-hysteresis", "0", "-tablerefresh", "0,5s"}, extra...)...)
 	}
 	single, sharded := t.TempDir(), t.TempDir()
-	if err := runSweep(withAxis(single)); err != nil {
-		t.Fatal(err)
-	}
+	ronsim(t, 0, withAxis(single)...)
 	for _, shard := range []string{"*-r00", "*-r01"} {
-		f := withAxis(sharded)
-		f.cells = shard
-		if err := runSweep(f); err != nil {
-			t.Fatalf("shard %s: %v", shard, err)
-		}
+		ronsim(t, 0, withAxis(sharded, "-cells", shard)...)
 	}
-	if err := runMergeOnly(sharded); err != nil {
-		t.Fatal(err)
-	}
+	ronsim(t, 0, "-sweep", "-merge-only", "-out", sharded)
 	if _, err := os.Stat(filepath.Join(single, core.MergedDirName, "ronnarrow-t5s")); err != nil {
 		t.Fatalf("custom-axis grid point missing from single run: %v", err)
 	}

@@ -2,30 +2,26 @@ package repro
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/experiment"
-	"repro/internal/analysis"
 	"repro/internal/coord"
 	"repro/internal/core"
 )
 
 // TestGoldenSweepDigestsFleet is the coordinator's strongest claim made
-// falsifiable: the exact golden grid (the one goldenSweepDigests locks)
+// falsifiable: the exact golden grid (the one TestGoldenSweepDigests locks)
 // runs on an in-process worker fleet under deliberate fault injection —
 // one worker killed after computing its first cell without uploading,
 // one that never heartbeats and stalls its first cell past the lease
 // TTL so it re-dispatches and double-delivers, one healthy worker
 // uploading everything twice — and every rendered merged table must
-// hash to the same digests a single-process run locked years of
-// sessions ago. Re-dispatch, duplicate delivery, and lease expiry must
-// be invisible in the output bytes.
+// equal the committed goldens a single-process run locked. Re-dispatch,
+// duplicate delivery, and lease expiry must be invisible in the output
+// bytes.
 func TestGoldenSweepDigestsFleet(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode: the golden sweep runs 32 compressed campaigns")
@@ -78,20 +74,12 @@ func TestGoldenSweepDigestsFleet(t *testing.T) {
 		}
 	}
 
-	e, err := experiment.New(
-		experiment.Datasets(experiment.RONnarrow),
-		experiment.Days(0.02),
-		experiment.Seed(42),
-		experiment.Replicas(2),
-		experiment.AxisValues("profile", "", "ls4-es1"),
-		experiment.AxisValues("hysteresis", "0", "0.25"),
-		experiment.AxisValues("probeinterval", "0", "30s"),
-		experiment.AxisValues("losswindow", "0", "25"),
+	e, err := experiment.New(goldenSweep(
 		experiment.Remote("127.0.0.1:0"),
 		experiment.RemoteLeaseTTL(ttl),
 		experiment.RemoteContext(ctx),
 		experiment.RemoteReady(func(addr string) { go startFleet(addr) }),
-	)
+	)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,26 +89,5 @@ func TestGoldenSweepDigestsFleet(t *testing.T) {
 	}
 	fleet.Wait()
 
-	arts := map[string]string{}
-	grid := ""
-	for _, c := range res.Cells {
-		grid += fmt.Sprintf("%s %d\n", c.Cell.Name(), c.Cell.Seed)
-	}
-	arts["grid"] = grid
-	for gi := range res.Groups {
-		g := &res.Groups[gi]
-		arts[g.Name()] = analysis.RenderTable5(g.Merged.Table5Rows(), g.Merged.LatencyLabel()) +
-			analysis.RenderTable6(g.Merged.Agg.HighLossHours())
-	}
-	if len(arts) != len(goldenSweepDigests) {
-		t.Fatalf("fleet produced %d artifacts, golden set has %d", len(arts), len(goldenSweepDigests))
-	}
-	for k, art := range arts {
-		sum := sha256.Sum256([]byte(art))
-		got := hex.EncodeToString(sum[:])
-		if want := goldenSweepDigests[k]; got != want {
-			t.Errorf("%s: fleet output diverged from the golden digests\n  got  %s\n  want %s\n(coordinator fault handling must be invisible in the output bytes)",
-				k, got, want)
-		}
-	}
+	checkGolden(t, "sweep", sweepGoldens(res))
 }

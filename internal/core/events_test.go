@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"sort"
 	"testing"
 
@@ -32,18 +33,93 @@ func (r *refQueue) pop() event {
 	return e
 }
 
-// TestEventQueueMatchesReference drives the calendar queue and the
-// reference through an adversarial schedule — periodic streams like the
-// campaign's, same-bucket collisions, identical timestamps (seq ties),
-// and far-future events that overflow the wheel — and demands identical
-// pop sequences.
-func TestEventQueueMatchesReference(t *testing.T) {
+// checkQueueScript runs a script of pushes and pops on the calendar
+// queue and on refQueue and demands identical pops, then drains both.
+// Like the event loop, a script pushes only at or after the time of the
+// last pop. Each op byte's low two bits choose the operation:
+//
+//	0  pop (skipped on an empty queue)
+//	1  push at the last pop's time: a same-timestamp tie
+//	2  push up to 4.3 s later, to the nanosecond: same-bucket
+//	   collisions and every bucket of the wheel
+//	3  push up to 1100 s later, in 256 ns steps: past the wheel
+//	   horizon, into the overflow heap
+//
+// Ops 2 and 3 read a little-endian uint32 delay after the op byte; a
+// truncated one ends the script.
+func checkQueueScript(t *testing.T, script []byte) {
 	var q eventQueue
 	var ref refQueue
-	rng := netsim.NewSource(7)
-
-	push := func(e event) {
+	now := netsim.Time(0)
+	pops := 0
+	pop := func() {
+		if q.len() != len(ref.evs) {
+			t.Fatalf("pop %d: len %d, reference %d", pops, q.len(), len(ref.evs))
+		}
+		got, want := q.pop(), ref.pop()
+		if got != want {
+			t.Fatalf("pop %d: %+v, reference %+v", pops, got, want)
+		}
+		now = got.t
+		pops++
+	}
+	// Each op's index tags the event it pushes, so equal pops are the
+	// same event.
+	for i, tag := 0, int32(0); i < len(script); tag++ {
+		op := script[i] & 3
+		i++
+		var delay netsim.Time
+		switch op {
+		case 0:
+			if len(ref.evs) > 0 {
+				pop()
+			}
+			continue
+		case 2, 3:
+			if i+4 > len(script) {
+				return
+			}
+			delay = netsim.Time(binary.LittleEndian.Uint32(script[i:]))
+			if op == 3 {
+				delay <<= 8
+			}
+			i += 4
+		}
+		e := event{t: now + delay, a: tag}
 		q.push(e)
+		ref.push(e)
+	}
+	for len(ref.evs) > 0 {
+		pop()
+	}
+	if q.len() != 0 {
+		t.Fatalf("queue holds %d events after the reference drained", q.len())
+	}
+}
+
+// referenceSchedule is an adversarial script for checkQueueScript —
+// periodic streams like the campaign's, same-bucket collisions,
+// identical timestamps (seq ties), and far-future events that overflow
+// the wheel — recorded by driving refQueue alone.
+func referenceSchedule(tb testing.TB) []byte {
+	var ref refQueue
+	var script []byte
+	rng := netsim.NewSource(7)
+	now := netsim.Time(0)
+	push := func(e event) {
+		var word [4]byte
+		switch d := e.t - now; {
+		case d == 0:
+			script = append(script, 1)
+		case d < 1<<32:
+			binary.LittleEndian.PutUint32(word[:], uint32(d))
+			script = append(append(script, 2), word[:]...)
+		case d%256 == 0 && d < 1<<40:
+			binary.LittleEndian.PutUint32(word[:], uint32(d>>8))
+			script = append(append(script, 3), word[:]...)
+		default:
+			tb.Fatalf("delay %v has no script encoding", d)
+		}
 		ref.push(e)
 	}
 
@@ -56,19 +132,9 @@ func TestEventQueueMatchesReference(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		push(event{t: netsim.Time(100+i*50) * netsim.Second, kind: evMeasure, a: int32(i)})
 	}
-
-	now := netsim.Time(0)
-	for step := 0; q.len() > 0; step++ {
-		if q.len() != len(ref.evs) {
-			t.Fatalf("step %d: len %d != ref %d", step, q.len(), len(ref.evs))
-		}
-		got, want := q.pop(), ref.pop()
-		if got != want {
-			t.Fatalf("step %d: pop %+v, reference %+v", step, got, want)
-		}
-		if got.t < now {
-			t.Fatalf("step %d: time went backwards: %v after %v", step, got.t, now)
-		}
+	for step := 0; len(ref.evs) > 0; step++ {
+		script = append(script, 0)
+		got := ref.pop()
 		now = got.t
 		// Reschedule some events the way the campaign does: at a fixed
 		// interval, a 1 s follow-up, or a random sub-second gap —
@@ -90,6 +156,28 @@ func TestEventQueueMatchesReference(t *testing.T) {
 			}
 		}
 	}
+	return script
+}
+
+// TestEventQueueMatchesReference replays referenceSchedule on the
+// calendar queue and the reference and demands identical pop sequences.
+func TestEventQueueMatchesReference(t *testing.T) {
+	checkQueueScript(t, referenceSchedule(t))
+}
+
+// FuzzEventQueueMatchesReference demands pop-for-pop equality with
+// refQueue on arbitrary scripts; referenceSchedule seeds the corpus.
+func FuzzEventQueueMatchesReference(f *testing.F) {
+	f.Add(referenceSchedule(f))
+	f.Add([]byte{1, 1, 0, 1, 1, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, script []byte) {
+		// refQueue pops by linear scan, so a script far longer than the
+		// seed only slows the search.
+		if len(script) > 4<<10 {
+			t.Skip("script longer than 4 KiB")
+		}
+		checkQueueScript(t, script)
+	})
 }
 
 // TestEventQueueTieOrder pins the (t, seq) contract directly: events at

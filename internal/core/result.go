@@ -114,6 +114,41 @@ func (r *Result) Figure5() []*analysis.CDF {
 	return out
 }
 
+// Artifact is one rendered output file of a campaign: its base name
+// and its text.
+type Artifact struct {
+	Name, Text string
+}
+
+// Artifacts renders the campaign's output files in write order: the
+// Figure 2–5 CDF series (fig4.dat only when a two-copy method ran),
+// Tables 5 and 6, and the workload and resilience tables when those
+// layers ran. The last two are conditional so grids without them stay
+// byte-identical to grids written before the files existed.
+func (r *Result) Artifacts() []Artifact {
+	names := r.Agg.Methods()
+	arts := []Artifact{
+		{"fig2.dat", analysis.RenderCDF("per-path loss % CDF", r.Figure2(50).Grid(0, 7, 100))},
+		{"fig3.dat", analysis.RenderCDFOverlay("20-min loss CDF", 0, 1, 101, names, r.Figure3())},
+	}
+	if f4names, f4cdfs := r.Figure4(); len(f4cdfs) > 0 {
+		arts = append(arts, Artifact{"fig4.dat",
+			analysis.RenderCDFOverlay("per-path CLP CDF", 0, 100, 101, f4names, f4cdfs)})
+	}
+	arts = append(arts,
+		Artifact{"fig5.dat", analysis.RenderCDFOverlay("latency CDF (>50ms paths)", 0, 300, 121, names, r.Figure5())},
+		Artifact{"table5.txt", analysis.RenderTable5(r.Table5Rows(), r.LatencyLabel())},
+		Artifact{"table6.txt", analysis.RenderTable6(r.Agg.HighLossHours())},
+	)
+	if ws := r.Agg.Workload(); ws != nil && ws.HasData() {
+		arts = append(arts, Artifact{"workload.txt", analysis.RenderWorkloadTable(ws.Table())})
+	}
+	if rs := r.Agg.Resilience(); rs != nil && rs.HasData() {
+		arts = append(arts, Artifact{"resilience.txt", analysis.RenderResilienceTable(rs.Table())})
+	}
+	return arts
+}
+
 // Report renders the campaign's tables as text: a header, Table 5 (or
 // Table 7 for RONwide), and Table 6.
 func (r *Result) Report() string {
