@@ -156,7 +156,7 @@ func foreignSeed(t *testing.T, dir, cell string) string {
 	}
 	want := snap.Seed
 	snap.Seed++
-	if err := snap.WriteFile(path); err != nil {
+	if _, err := snap.WriteFileBuf(path, nil); err != nil {
 		t.Fatal(err)
 	}
 	return fmt.Sprintf("core: cell snapshot %s is for %s seed %d, manifest wants %s seed %d: snapshot does not match manifest cell",

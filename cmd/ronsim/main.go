@@ -49,6 +49,7 @@
 package main
 
 import (
+	"cmp"
 	"errors"
 	"flag"
 	"fmt"
@@ -145,7 +146,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 // exec runs the mode the flags select.
-func (f *cmdFlags) exec(stdout io.Writer) error {
+func (f *cmdFlags) exec(stdout io.Writer) (err error) {
 	// Profiling hooks so perf work on the campaign engine starts from a
 	// profile of the real binary, not a reconstruction: run any workload
 	// with -cpuprofile/-memprofile and feed the output to `go tool
@@ -154,7 +155,7 @@ func (f *cmdFlags) exec(stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	defer stopProfiles()
+	defer func() { err = cmp.Or(err, stopProfiles()) }()
 
 	if !f.sweep {
 		// Sweep-only flags must not silently degrade into a default
@@ -764,8 +765,9 @@ func frac(v float64) string {
 }
 
 // startProfiles begins CPU profiling and returns the function that
-// stops it and writes the heap profile; either path may be empty.
-func startProfiles(cpuPath, memPath string) (stop func(), err error) {
+// stops it and writes the heap profile, returning the first error of
+// either; either path may be empty.
+func startProfiles(cpuPath, memPath string) (stop func() error, err error) {
 	var cpu *os.File
 	if cpuPath != "" {
 		if cpu, err = os.Create(cpuPath); err != nil {
@@ -776,18 +778,20 @@ func startProfiles(cpuPath, memPath string) (stop func(), err error) {
 			return nil, err
 		}
 	}
-	return func() {
+	return func() error {
+		var err error
 		if cpu != nil {
 			pprof.StopCPUProfile()
-			cpu.Close()
+			err = cpu.Close()
 		}
-		if memPath != "" {
-			f, err := os.Create(memPath)
-			if err == nil {
-				runtime.GC() // up-to-date allocation statistics
-				_ = pprof.WriteHeapProfile(f)
-				f.Close()
-			}
+		if memPath == "" {
+			return err
 		}
+		f, cerr := os.Create(memPath)
+		if cerr != nil {
+			return cmp.Or(err, cerr)
+		}
+		runtime.GC() // up-to-date allocation statistics
+		return cmp.Or(err, pprof.WriteHeapProfile(f), f.Close())
 	}, nil
 }

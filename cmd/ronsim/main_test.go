@@ -160,6 +160,8 @@ func TestCommandLineErrors(t *testing.T) {
 			`core: unknown dataset "ron2002" (want ron2003, ronwide, ronnarrow)`},
 		{"non-positive loss scale", testSweepArgs(dir, "-lossscale", "0"),
 			`-lossscale: bad value "0": value 0 must be > 0`},
+		{"memprofile unwritable", []string{"-dataset", "ronnarrow", "-days", "0.001", "-memprofile", filepath.Join(dir, "no", "mem.out")},
+			"open " + filepath.Join(dir, "no", "mem.out") + ": no such file or directory"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -340,7 +342,7 @@ func TestOldFormatsRefused(t *testing.T) {
 				t.Fatal(err)
 			}
 			snap.Version = 1
-			if err := snap.WriteFile(filepath.Join(dir, c.Snapshot)); err != nil {
+			if _, err := snap.WriteFileBuf(filepath.Join(dir, c.Snapshot), nil); err != nil {
 				t.Fatal(err)
 			}
 		}

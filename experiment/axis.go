@@ -26,8 +26,6 @@ type (
 	Config = core.Config
 	// Dataset selects one of the paper's measurement campaigns.
 	Dataset = core.Dataset
-	// CellResult is the outcome of one cell campaign.
-	CellResult = core.CellResult
 	// WorkloadConfig parameterizes the multi-path + FEC application
 	// workload (streams, frame cadence, FEC group shape, path count);
 	// pass it to the Workload option.

@@ -80,7 +80,7 @@ func TestExperimentRunAndResume(t *testing.T) {
 	}
 
 	var finished []string
-	e := build(Progress(func(r CellResult) { finished = append(finished, r.Cell.Name()) }))
+	e := build(Progress(func(r core.CellResult) { finished = append(finished, r.Cell.Name()) }))
 	res, err := e.Run()
 	if err != nil {
 		t.Fatal(err)

@@ -57,7 +57,7 @@ func TestCoordinatorResultStore(t *testing.T) {
 		t.Errorf("store holds %d rows, want %d", got, wantRows)
 	}
 
-	seg, err := resultstore.ReadSegment(st.Path())
+	seg, err := resultstore.ReadSegment(resultstore.SegmentPath(outDir))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -287,7 +287,7 @@ func TestCustomAxisExpansion(t *testing.T) {
 	}
 	// The custom coordinate reaches the cell's generic identity.
 	for _, c := range s.Cells() {
-		v, ok := c.Value("gapscale")
+		v, ok := cellValue(c, "gapscale")
 		if !ok {
 			t.Fatalf("cell %s has no gapscale coordinate", c.Name())
 		}
@@ -306,7 +306,7 @@ func TestCustomAxisSnapshotRoundTrip(t *testing.T) {
 	})
 	c := res.Cells[0]
 	path := CellSnapshotPath(t.TempDir(), c.Cell.Name())
-	if err := NewCellSnapshot(c.Cell, c.Res).WriteFile(path); err != nil {
+	if _, err := NewCellSnapshot(c.Cell, c.Res).WriteFileBuf(path, nil); err != nil {
 		t.Fatal(err)
 	}
 	snap, err := ReadCellSnapshot(path)

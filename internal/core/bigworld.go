@@ -61,16 +61,6 @@ func (p Policy) validate() error {
 	return nil
 }
 
-// plan returns the probe plan the policy induces on an n-host overlay,
-// or nil for full mesh (nil means "probe and scan everything" on every
-// consumer's fast path).
-func (p Policy) plan(n int) *route.LandmarkPlan {
-	if p != PolicyLandmark {
-		return nil
-	}
-	return route.NewLandmarkPlan(n)
-}
-
 // parseOverlaySize accepts an overlay size: 0 keeps the paper testbed,
 // anything else must be a valid synthetic size within the selector's
 // mesh cap.

@@ -20,6 +20,16 @@ func filterGrid(t *testing.T) []Cell {
 	return s.Cells()
 }
 
+// cellValue returns the cell's coordinate on the named axis.
+func cellValue(c Cell, axis string) (AxisValue, bool) {
+	for i, a := range c.Axes {
+		if a.Name() == axis {
+			return c.Coords[i], true
+		}
+	}
+	return "", false
+}
+
 func TestParseCellFilterForms(t *testing.T) {
 	cells := filterGrid(t) // 2 datasets × 2 hysteresis × 2 replicas = 8 cells
 	count := func(spec string) int {
@@ -139,7 +149,7 @@ func TestSweepNewAxes(t *testing.T) {
 	def := DefaultConfig(RONnarrow, sweepDays)
 	for i, c := range cells {
 		wantIv := def.ProbeInterval
-		if v, ok := c.Value("probeinterval"); !ok {
+		if v, ok := cellValue(c, "probeinterval"); !ok {
 			t.Fatalf("cell %s has no probeinterval coordinate", c.Name())
 		} else if v != "0s" {
 			iv, err := time.ParseDuration(string(v))
@@ -149,7 +159,7 @@ func TestSweepNewAxes(t *testing.T) {
 			wantIv = iv
 		}
 		wantLW := def.LossWindow
-		if v, _ := c.Value("losswindow"); v != "0" {
+		if v, _ := cellValue(c, "losswindow"); v != "0" {
 			w, err := strconv.Atoi(string(v))
 			if err != nil {
 				t.Fatal(err)

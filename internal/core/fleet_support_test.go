@@ -66,8 +66,8 @@ func TestSweepAccessors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Replicas() != 2 {
-		t.Errorf("Replicas() = %d, want 2", s.Replicas())
+	if s.replicas != 2 {
+		t.Errorf("replicas = %d, want 2", s.replicas)
 	}
 	if s.NumGroups() != 2 {
 		t.Errorf("NumGroups() = %d, want 2", s.NumGroups())

@@ -41,10 +41,8 @@ type ScenarioConfig struct {
 // Enabled reports whether a failure scenario runs.
 func (s ScenarioConfig) Enabled() bool { return s.Preset != "" && s.Preset != "0" }
 
-// Validate checks that the preset exists; the disabled zero value is
+// validate checks that the preset exists; the disabled zero value is
 // always valid.
-func (s ScenarioConfig) Validate() error { return s.validate() }
-
 func (s ScenarioConfig) validate() error {
 	if !s.Enabled() {
 		return nil

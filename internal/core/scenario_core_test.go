@@ -8,16 +8,16 @@ import (
 )
 
 func TestScenarioConfigValidate(t *testing.T) {
-	if err := (ScenarioConfig{}).Validate(); err != nil {
+	if err := (ScenarioConfig{}).validate(); err != nil {
 		t.Errorf("disabled zero value should validate: %v", err)
 	}
-	if err := (ScenarioConfig{Preset: "0"}).Validate(); err != nil {
+	if err := (ScenarioConfig{Preset: "0"}).validate(); err != nil {
 		t.Errorf("preset \"0\" should validate as off: %v", err)
 	}
-	if err := (ScenarioConfig{Preset: "storm"}).Validate(); err != nil {
+	if err := (ScenarioConfig{Preset: "storm"}).validate(); err != nil {
 		t.Errorf("storm preset should validate: %v", err)
 	}
-	if err := (ScenarioConfig{Preset: "nope"}).Validate(); err == nil {
+	if err := (ScenarioConfig{Preset: "nope"}).validate(); err == nil {
 		t.Error("unknown preset should fail validation")
 	}
 	cfg := DefaultConfig(RONnarrow, sweepDays)

@@ -27,7 +27,7 @@ func snapshotCells(t *testing.T, dir string, res *SweepResult) {
 			continue
 		}
 		snap := NewCellSnapshot(c.Cell, c.Res)
-		if err := snap.WriteFile(CellSnapshotPath(dir, c.Cell.Name())); err != nil {
+		if _, err := snap.WriteFileBuf(CellSnapshotPath(dir, c.Cell.Name()), nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -139,19 +139,11 @@ func (s *CellSnapshot) AppendContainer(buf []byte) ([]byte, error) {
 	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[start:])), nil
 }
 
-// WriteFile stores the snapshot at path atomically: the container is
-// assembled in memory, written to a temporary file in the same
-// directory, and renamed into place, so readers only ever see absent or
-// complete snapshots. Parent directories are created as needed.
-func (s *CellSnapshot) WriteFile(path string) error {
-	_, err := s.WriteFileBuf(path, nil)
-	return err
-}
-
-// WriteFileBuf is WriteFile with a caller-retained encode buffer: the
-// container is assembled into scratch's storage (grown as needed) and
-// the grown buffer is returned for the caller's next write, so
-// persisting a stream of cells allocates no per-cell temporaries.
+// WriteFileBuf stores the snapshot at path atomically (see
+// WriteSnapshotFile). The container is assembled into scratch's storage
+// (grown as needed; nil is fine) and the grown buffer is returned for
+// the caller's next write, so persisting a stream of cells allocates no
+// per-cell temporaries.
 func (s *CellSnapshot) WriteFileBuf(path string, scratch []byte) ([]byte, error) {
 	buf, err := s.AppendContainer(scratch[:0])
 	if err != nil {
@@ -163,9 +155,9 @@ func (s *CellSnapshot) WriteFileBuf(path string, scratch []byte) ([]byte, error)
 // WriteSnapshotFile stores an encoded snapshot container at path
 // atomically — a temporary file in the same directory, renamed into
 // place, parent directories created as needed — so readers only ever
-// see absent or complete snapshots. It is the write half of WriteFile,
-// exported for a coordinator persisting the exact bytes a worker
-// delivered.
+// see absent or complete snapshots. It is the write half of
+// WriteFileBuf, exported for a coordinator persisting the exact bytes
+// a worker delivered.
 func WriteSnapshotFile(path string, container []byte) error {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return err

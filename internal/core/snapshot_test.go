@@ -31,7 +31,7 @@ func runCell(t *testing.T) (Cell, *Result) {
 func TestCellSnapshotRoundTrip(t *testing.T) {
 	cell, res := runCell(t)
 	path := CellSnapshotPath(t.TempDir(), cell.Name())
-	if err := NewCellSnapshot(cell, res).WriteFile(path); err != nil {
+	if _, err := NewCellSnapshot(cell, res).WriteFileBuf(path, nil); err != nil {
 		t.Fatal(err)
 	}
 	snap, err := ReadCellSnapshot(path)
@@ -71,7 +71,7 @@ func TestCellSnapshotDetectsCorruption(t *testing.T) {
 	cell, res := runCell(t)
 	dir := t.TempDir()
 	path := CellSnapshotPath(dir, cell.Name())
-	if err := NewCellSnapshot(cell, res).WriteFile(path); err != nil {
+	if _, err := NewCellSnapshot(cell, res).WriteFileBuf(path, nil); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -119,7 +119,7 @@ func TestCellSnapshotNoPartialFiles(t *testing.T) {
 	cell, res := runCell(t)
 	dir := t.TempDir()
 	path := CellSnapshotPath(dir, cell.Name())
-	if err := NewCellSnapshot(cell, res).WriteFile(path); err != nil {
+	if _, err := NewCellSnapshot(cell, res).WriteFileBuf(path, nil); err != nil {
 		t.Fatal(err)
 	}
 	entries, err := os.ReadDir(filepath.Dir(path))
@@ -138,7 +138,7 @@ func TestCellSnapshotNoPartialFiles(t *testing.T) {
 	if err := os.WriteFile(stale, []byte("debris"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := NewCellSnapshot(cell, res).WriteFile(path); err != nil {
+	if _, err := NewCellSnapshot(cell, res).WriteFileBuf(path, nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(stale); err == nil {
@@ -152,7 +152,7 @@ func TestCellSnapshotNoPartialFiles(t *testing.T) {
 func TestReadManifestCellSnapshot(t *testing.T) {
 	cell, res := runCell(t)
 	dir := t.TempDir()
-	if err := NewCellSnapshot(cell, res).WriteFile(CellSnapshotPath(dir, cell.Name())); err != nil {
+	if _, err := NewCellSnapshot(cell, res).WriteFileBuf(CellSnapshotPath(dir, cell.Name()), nil); err != nil {
 		t.Fatal(err)
 	}
 	mc := ManifestCell{Name: cell.Name(), Seed: cell.Seed, Snapshot: CellSnapshotRelPath(cell.Name())}
@@ -180,7 +180,7 @@ func TestReadManifestCellSnapshot(t *testing.T) {
 func TestCellSnapshotRestoreRejectsWrongGrid(t *testing.T) {
 	cell, res := runCell(t)
 	path := CellSnapshotPath(t.TempDir(), cell.Name())
-	if err := NewCellSnapshot(cell, res).WriteFile(path); err != nil {
+	if _, err := NewCellSnapshot(cell, res).WriteFileBuf(path, nil); err != nil {
 		t.Fatal(err)
 	}
 	snap, err := ReadCellSnapshot(path)

@@ -115,16 +115,6 @@ type Cell struct {
 	Seed uint64
 }
 
-// Value returns the cell's coordinate on the named axis.
-func (c Cell) Value(axis string) (AxisValue, bool) {
-	for i, a := range c.Axes {
-		if a.Name() == axis {
-			return c.Coords[i], true
-		}
-	}
-	return "", false
-}
-
 // AxisValues returns the cell's non-default coordinates as an axis
 // name → canonical value map (nil when every axis is at its default) —
 // the generic identity snapshots and manifests persist.
@@ -360,9 +350,6 @@ func (s *Sweep) Axes() []Axis { return append([]Axis(nil), s.axes...) }
 
 // Datasets returns the normalized dataset list.
 func (s *Sweep) Datasets() []Dataset { return append([]Dataset(nil), s.datasets...) }
-
-// Replicas returns the normalized replicate count per grid point.
-func (s *Sweep) Replicas() int { return s.replicas }
 
 // Spec returns the spec the sweep was expanded from.
 func (s *Sweep) Spec() SweepSpec { return s.spec }

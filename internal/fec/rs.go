@@ -41,10 +41,6 @@ func (c *Code) K() int { return c.k }
 // M returns the number of parity shards.
 func (c *Code) M() int { return c.m }
 
-// Overhead returns the code's bandwidth overhead factor (k+m)/k; the
-// §5.3 cost model consumes this.
-func (c *Code) Overhead() float64 { return float64(c.k+c.m) / float64(c.k) }
-
 // Encode computes parity for the k data shards and returns the full
 // shard set (data shards aliased, parity freshly allocated).
 func (c *Code) Encode(data [][]byte) ([][]byte, error) {

@@ -66,7 +66,7 @@ func runCalibration(t testing.TB, seed uint64, days float64) calibStats {
 				edgeDrops++
 			}
 		} else {
-			latSum += o.Latency.Seconds() * 1000
+			latSum += o.Latency.Duration().Seconds() * 1000
 			latN++
 		}
 
@@ -111,7 +111,7 @@ func runCalibration(t testing.TB, seed uint64, days float64) calibStats {
 			if fr.Delivered && (!or.Delivered || fr.Latency < or.Latency) {
 				lat = fr.Latency
 			}
-			meshLatSum += lat.Seconds() * 1000
+			meshLatSum += lat.Duration().Seconds() * 1000
 			meshLatN++
 		}
 	}

@@ -58,12 +58,6 @@ type Component struct {
 	latActive  bool // latency-inflation episodes
 	// episodeActive is the congestion-episode modulator's state.
 	episodeActive bool
-	// bursts, outages and episodes count process events for attribution
-	// and tests. A burst and the good period before it last at least a
-	// virtual millisecond each, so 32 bits cover three months at the
-	// fastest rate the model can produce; calibrated rates are thousands
-	// of times slower.
-	bursts uint32
 
 	// The second line is the slow path's: the sequential RNG and the
 	// four process timers advanceSlow walks.
@@ -73,8 +67,7 @@ type Component struct {
 	nextEpisode  Time // next start (if inactive) or end (if active)
 	nextLat      Time
 	episodeBoost float64
-	outages      uint32
-	episodes     uint32
+	_            [8]byte // pads the struct to two 64-byte lines
 }
 
 // paramSet is one entry of a Network's parameter table: an effective
@@ -192,7 +185,6 @@ func (c *Component) goodEnd(t Time, weather float64) Time {
 // long mode) and severity.
 func (c *Component) drawBurst(t Time) {
 	c.congested = true
-	c.bursts++
 	var mean float64
 	if c.rng.Float64() < c.params.ShortWeight {
 		mean = float64(c.params.MeanBadShort)
@@ -244,7 +236,6 @@ func (c *Component) advanceSlow(t Time) {
 				c.nextOutage = next + Time(c.rng.Exp(float64(c.params.MeanUp)))
 			} else {
 				c.down = true
-				c.outages++
 				// Heavy-tailed repair time: most outages last
 				// minutes (routing convergence), some much longer
 				// (§2: "tens of minutes to stabilize after a
@@ -259,7 +250,6 @@ func (c *Component) advanceSlow(t Time) {
 				c.nextEpisode = next + Time(c.rng.Exp(float64(c.params.EpisodeEvery)))
 			} else {
 				c.episodeActive = true
-				c.episodes++
 				c.episodeBoost = c.rng.Uniform(
 					c.params.EpisodeBoostMin, c.params.EpisodeBoostMax)
 				c.nextEpisode = next + Time(c.rng.Exp(float64(c.params.EpisodeMean)))
@@ -342,15 +332,6 @@ func (c *Component) Probe(t Time) (down, congested bool, severity float64) {
 	return c.down, c.congested, c.severity
 }
 
-// ID returns the component's identifier.
-func (c *Component) ID() ComponentID { return c.id }
-
-// Stats returns lifetime event counters: loss bursts entered, outages
-// entered, and congestion episodes entered.
-func (c *Component) Stats() (bursts, outages, episodes int64) {
-	return int64(c.bursts), int64(c.outages), int64(c.episodes)
-}
-
 // ForceDown injects a deterministic outage: the component goes down at
 // time from and recovers at from+duration, after which the stochastic
 // outage process resumes. It is a testing/fault-injection hook; the time
@@ -359,14 +340,12 @@ func (c *Component) Stats() (bursts, outages, episodes int64) {
 // A forced outage overlapping an in-progress natural outage extends it
 // when the forced window ends later, and otherwise leaves the natural
 // recovery time alone — injection must never shorten downtime the
-// stochastic process already committed to, and the overlap counts as
-// one outage, not two.
+// stochastic process already committed to.
 func (c *Component) ForceDown(from Time, duration Time) {
 	c.advance(from)
 	until := from + duration
 	if !c.down {
 		c.down = true
-		c.outages++
 		c.nextOutage = until
 	} else if until > c.nextOutage {
 		c.nextOutage = until
@@ -383,7 +362,6 @@ func (c *Component) ForceCongestion(from Time, duration Time, severity float64) 
 	until := from + duration
 	if !c.congested {
 		c.congested = true
-		c.bursts++
 		c.nextCong = until
 	} else if until > c.nextCong {
 		c.nextCong = until

@@ -83,13 +83,6 @@ func TestComponentLossRateMatchesStationary(t *testing.T) {
 	if got < 0.05 || got > 0.40 {
 		t.Errorf("loss fraction = %.4f, want within [0.05,0.40]", got)
 	}
-	bursts, outages, _ := c.Stats()
-	if bursts == 0 {
-		t.Error("no bursts recorded")
-	}
-	if outages != 0 {
-		t.Errorf("unexpected outages: %d", outages)
-	}
 }
 
 func TestComponentBurstCorrelation(t *testing.T) {
@@ -146,9 +139,6 @@ func TestComponentOutageBlocksEverything(t *testing.T) {
 	}
 	if !sawDown {
 		t.Fatal("outage process never took the component down")
-	}
-	if _, outages, _ := c.Stats(); outages == 0 {
-		t.Error("outage counter not incremented")
 	}
 }
 
@@ -213,9 +203,6 @@ func TestComponentEpisodeRaisesLoss(t *testing.T) {
 	}
 	if hi == 0 {
 		t.Error("no high-loss minutes observed; episodes had no effect")
-	}
-	if _, _, episodes := c.Stats(); episodes == 0 {
-		t.Error("episode counter not incremented")
 	}
 }
 

@@ -125,14 +125,11 @@ func runTwins(t *testing.T, label string, lazy, eager *Network, ops []twinOp) {
 	}
 	same := func(what string, a, b *Component) {
 		t.Helper()
-		ab, ao, ae := a.Stats()
-		bb, bo, be := b.Stats()
 		ad, ac, as := a.Probe(end)
 		bd, bc, bs := b.Probe(end)
-		if a.ID() != b.ID() || a.class != b.class ||
-			ab != bb || ao != bo || ae != be || ad != bd || ac != bc || as != bs {
-			t.Fatalf("%s: %s differs: lazy id %d stats (%d,%d,%d) probe (%v,%v,%v); pre-built id %d stats (%d,%d,%d) probe (%v,%v,%v)",
-				label, what, a.ID(), ab, ao, ae, ad, ac, as, b.ID(), bb, bo, be, bd, bc, bs)
+		if a.id != b.id || a.class != b.class || a.rng != b.rng || ad != bd || ac != bc || as != bs {
+			t.Fatalf("%s: %s differs: lazy id %d rng %v probe (%v,%v,%v); pre-built id %d rng %v probe (%v,%v,%v)",
+				label, what, a.id, a.rng, ad, ac, as, b.id, b.rng, bd, bc, bs)
 		}
 	}
 	for i := 0; i < n; i++ {

@@ -243,9 +243,6 @@ func (nw *Network) backboneParams(i, j int) *paramSet {
 	}
 }
 
-// Profile returns the substrate profile in use.
-func (nw *Network) Profile() *Profile { return nw.prof }
-
 // AccessComponent returns host i's access component (for tests and
 // fault-injection tooling).
 func (nw *Network) AccessComponent(i int) *Component { return &nw.access[i] }

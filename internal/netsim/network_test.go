@@ -95,7 +95,7 @@ func TestIndirectBaseLatencyTriangle(t *testing.T) {
 		t.Error("indirect base latency should exceed each leg's base")
 	}
 	want := nw.BaseLatency(Direct(0, 12)) + nw.BaseLatency(Direct(12, 5)) +
-		Time(nw.Profile().ForwardingDelay)
+		Time(nw.prof.ForwardingDelay)
 	if nw.BaseLatency(r) != want {
 		t.Errorf("BaseLatency(%v) = %v, want %v", r, nw.BaseLatency(r), want)
 	}

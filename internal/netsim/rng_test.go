@@ -198,9 +198,6 @@ func TestDiurnalFactor(t *testing.T) {
 }
 
 func TestTimeHelpers(t *testing.T) {
-	if (90 * Second).Seconds() != 90 {
-		t.Error("Seconds conversion wrong")
-	}
 	if FromDuration((3 * Second).Duration()) != 3*Second {
 		t.Error("Duration round trip wrong")
 	}

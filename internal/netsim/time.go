@@ -28,9 +28,6 @@ func FromDuration(d time.Duration) Time { return Time(d.Nanoseconds()) }
 // Duration converts a Time delta to a time.Duration.
 func (t Time) Duration() time.Duration { return time.Duration(t) }
 
-// Seconds returns t in (fractional) seconds.
-func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
-
 // String formats the timestamp as a duration from campaign start.
 func (t Time) String() string {
 	return fmt.Sprintf("t+%s", time.Duration(t))

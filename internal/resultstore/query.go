@@ -97,22 +97,6 @@ func (f field) value(r *Row) string {
 	return ""
 }
 
-// FieldValue resolves a query field against a row: fixed identity
-// fields first, then the axis map ("" when the row lacks the axis).
-func FieldValue(r *Row, name string) string { return resolveField(name).value(r) }
-
-// Match reports whether the row satisfies every predicate. It is the
-// per-row definition of a query; Select is its compiled form.
-func Match(r *Row, preds []Predicate) bool {
-	for _, p := range preds {
-		ok, err := path.Match(p.Pattern, FieldValue(r, p.Field))
-		if err != nil || !ok {
-			return false
-		}
-	}
-	return true
-}
-
 // matcher is one compiled predicate.
 type matcher struct {
 	field

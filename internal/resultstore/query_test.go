@@ -4,11 +4,25 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"path"
 	"sort"
 	"testing"
 
 	"repro/internal/analysis"
 )
+
+// match reports whether the row satisfies every predicate. It is the
+// per-row definition of a query that Select's compiled matchers must
+// agree with.
+func match(r *Row, preds []Predicate) bool {
+	for _, p := range preds {
+		ok, err := path.Match(p.Pattern, resolveField(p.Field).value(r))
+		if err != nil || !ok {
+			return false
+		}
+	}
+	return true
+}
 
 func queryRows() []*Row {
 	return []*Row{
@@ -53,7 +67,7 @@ func TestParsePredicates(t *testing.T) {
 }
 
 // FuzzParsePredicates: the -query parser never panics, and Select, the
-// compiled form, keeps exactly the rows Match accepts over a six-row
+// compiled form, keeps exactly the rows match accepts over a six-row
 // fixture that includes slashes and empty fields.
 func FuzzParsePredicates(f *testing.F) {
 	for _, seed := range []string{" kind=cell , scenario=outage,name=*-r0[01]", "", "noequals", "name=[bad",
@@ -73,16 +87,16 @@ func FuzzParsePredicates(f *testing.F) {
 		got := Select(rows, preds)
 		var want []*Row
 		for _, r := range rows {
-			if Match(r, preds) {
+			if match(r, preds) {
 				want = append(want, r)
 			}
 		}
 		if len(got) != len(want) {
-			t.Fatalf("%q: Select kept %d rows, Match accepts %d", query, len(got), len(want))
+			t.Fatalf("%q: Select kept %d rows, match accepts %d", query, len(got), len(want))
 		}
 		for i := range got {
 			if got[i] != want[i] {
-				t.Fatalf("%q: Select row %d is %s, Match's is %s", query, i, got[i].Name, want[i].Name)
+				t.Fatalf("%q: Select row %d is %s, match's is %s", query, i, got[i].Name, want[i].Name)
 			}
 		}
 	})
@@ -198,7 +212,7 @@ func TestQuantileMatchesCDF(t *testing.T) {
 	}
 }
 
-// TestSelectMatchesMatch holds the compiled Select to the per-row Match
+// TestSelectMatchesMatch holds the compiled Select to the per-row match
 // definition over generated predicates — literals, "*", "?", classes,
 // backslash escapes, on identity fields, replica/seed, present and
 // absent axes — and rows whose values include the characters a glob
@@ -230,16 +244,16 @@ func TestSelectMatchesMatch(t *testing.T) {
 		got := Select(rows, preds)
 		var want []*Row
 		for _, r := range rows {
-			if Match(r, preds) {
+			if match(r, preds) {
 				want = append(want, r)
 			}
 		}
 		if len(got) != len(want) {
-			t.Fatalf("%v: Select kept %d rows, Match keeps %d", preds, len(got), len(want))
+			t.Fatalf("%v: Select kept %d rows, match keeps %d", preds, len(got), len(want))
 		}
 		for i := range want {
 			if got[i] != want[i] {
-				t.Fatalf("%v: Select row %d is %+v, Match says %+v", preds, i, got[i], want[i])
+				t.Fatalf("%v: Select row %d is %+v, match says %+v", preds, i, got[i], want[i])
 			}
 		}
 		selected += len(got)

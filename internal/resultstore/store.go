@@ -432,9 +432,6 @@ func (s *Store) Rows() int64 {
 	return s.rows
 }
 
-// Path returns the segment file path.
-func (s *Store) Path() string { return s.path }
-
 // Close closes the segment file.
 func (s *Store) Close() error { return s.f.Close() }
 

@@ -96,41 +96,6 @@ func (w *LossWindow) Reset() {
 // DefaultEWMAAlpha is the smoothing gain for latency estimates.
 const DefaultEWMAAlpha = 0.1
 
-// LatencyEWMA smooths one-way latency samples with an exponentially
-// weighted moving average.
-type LatencyEWMA struct {
-	alpha float64
-	value float64 // nanoseconds
-	valid bool
-}
-
-// NewLatencyEWMA creates an estimator; alpha <= 0 uses DefaultEWMAAlpha.
-func NewLatencyEWMA(alpha float64) *LatencyEWMA {
-	if alpha <= 0 || alpha > 1 {
-		alpha = DefaultEWMAAlpha
-	}
-	return &LatencyEWMA{alpha: alpha}
-}
-
-// Record adds one latency sample.
-func (e *LatencyEWMA) Record(d time.Duration) {
-	if !e.valid {
-		e.value = float64(d)
-		e.valid = true
-		return
-	}
-	e.value += e.alpha * (float64(d) - e.value)
-}
-
-// Value returns the smoothed latency, or 0 if no samples were recorded.
-func (e *LatencyEWMA) Value() time.Duration { return time.Duration(e.value) }
-
-// Valid reports whether at least one sample has been recorded.
-func (e *LatencyEWMA) Valid() bool { return e.valid }
-
-// Reset clears the estimator.
-func (e *LatencyEWMA) Reset() { e.value, e.valid = 0, false }
-
 // LinkEstimate aggregates everything the router knows about one directed
 // virtual link (an overlay node pair), fed one probe outcome at a time
 // by Record.

@@ -41,6 +41,28 @@ func (w *boolRing) rate() float64 {
 	return float64(w.losses) / float64(w.filled)
 }
 
+// latencyEWMA is the standalone latency average LinkEstimate's bare
+// float is held to: an exponentially weighted moving average of
+// one-way latency samples.
+type latencyEWMA struct {
+	alpha float64
+	value float64 // nanoseconds
+	valid bool
+}
+
+func (e *latencyEWMA) record(d time.Duration) {
+	if !e.valid {
+		e.value = float64(d)
+		e.valid = true
+		return
+	}
+	e.value += e.alpha * (float64(d) - e.value)
+}
+
+func (e *latencyEWMA) latency() time.Duration { return time.Duration(e.value) }
+
+func (e *latencyEWMA) reset() { e.value, e.valid = 0, false }
+
 // TestLossWindowMatchesBoolRing: the bitset window reports the rate and
 // sample count of the bool ring after every Record — on both sides of a
 // word boundary, through more than three wrap-arounds, and again after a
@@ -90,6 +112,65 @@ func TestLossWindowMatchesBoolRing(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzLossWindowMatchesBoolRing runs an arbitrary script of Record and
+// Reset on a window of arbitrary size and demands, after every step,
+// the bool ring's rate and sample count and no ring bit past the
+// window. The first two bytes pick the size (1 + v mod MaxLossWindow,
+// little-endian); each later byte is a step: 0xff resets, any other b
+// records outcome b&1, b>>1 + 1 times. TestLossWindowMatchesBoolRing's
+// sizes seed the corpus with its bursty outcomes, a Reset, and more.
+func FuzzLossWindowMatchesBoolRing(f *testing.F) {
+	for _, size := range []int{1, 25, 63, 64, 65, 100, 128, 400} {
+		script := []byte{byte(size - 1), byte((size - 1) >> 8)}
+		rng := rand.New(rand.NewSource(int64(size)))
+		lossy := false
+		for i := 0; i < 4*size+7; i++ {
+			if rng.Intn(16) == 0 {
+				lossy = !lossy
+			}
+			lost := rng.Float64() < 0.15
+			if lossy {
+				lost = rng.Float64() < 0.9
+			}
+			var op byte // one record of outcome op&1
+			if lost {
+				op = 1
+			}
+			script = append(script, op)
+		}
+		f.Add(append(script, 0xff, 0x21, 0x40, 0xfe))
+	}
+	f.Fuzz(func(t *testing.T, script []byte) {
+		if len(script) < 2 {
+			return
+		}
+		size := 1 + (int(script[0])|int(script[1])<<8)%MaxLossWindow
+		w, ref := newLossWindow(size), &boolRing{ring: make([]bool, size)}
+		check := func(step int) {
+			if w.Rate() != ref.rate() || int(w.filled) != ref.filled {
+				t.Fatalf("window %d step %d: rate %v over %d samples, the bool ring has %v over %d",
+					size, step, w.Rate(), int(w.filled), ref.rate(), ref.filled)
+			}
+			if tail := size % 64; tail != 0 && w.ring[len(w.ring)-1]>>tail != 0 {
+				t.Fatalf("window %d step %d: bits past the window are set: %#x", size, step, w.ring[len(w.ring)-1])
+			}
+		}
+		for step, op := range script[2:] {
+			if op == 0xff {
+				w.Reset()
+				ref = &boolRing{ring: make([]bool, size)}
+				check(step)
+				continue
+			}
+			for k := 0; k <= int(op>>1); k++ {
+				w.Record(op&1 == 1)
+				ref.record(op&1 == 1)
+				check(step)
+			}
+		}
+	})
 }
 
 // TestLossWindowAtMaximum: the largest window the 16-bit cursor allows
@@ -182,11 +263,11 @@ func TestDeadDetectorSaturates(t *testing.T) {
 }
 
 // TestLinkEstimateMatchesEWMA: the estimate's bare-float latency average
-// is the standalone LatencyEWMA at the default gain, bit for bit, with
+// is the standalone latencyEWMA at the default gain, bit for bit, with
 // losses interleaved.
 func TestLinkEstimateMatchesEWMA(t *testing.T) {
 	le := newLinkEstimate()
-	ref := NewLatencyEWMA(DefaultEWMAAlpha)
+	ref := &latencyEWMA{alpha: DefaultEWMAAlpha}
 	rng := rand.New(rand.NewSource(5))
 	const fallback = time.Second
 	for i := 0; i < 2000; i++ {
@@ -196,11 +277,11 @@ func TestLinkEstimateMatchesEWMA(t *testing.T) {
 		default:
 			lat := time.Duration(rng.Int63n(int64(300 * time.Millisecond)))
 			le.Record(false, lat)
-			ref.Record(lat)
+			ref.record(lat)
 		}
 		want := fallback
-		if ref.Valid() {
-			want = ref.Value()
+		if ref.valid {
+			want = ref.latency()
 		}
 		if got := le.LatencyEstimate(fallback); got != want {
 			t.Fatalf("step %d: estimate %v, standalone EWMA %v", i, got, want)

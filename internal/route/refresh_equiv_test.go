@@ -504,18 +504,60 @@ func TestMinSumViaMatchesScalarLoop(t *testing.T) {
 				row[i], col[i] = draw(), draw()
 			}
 			direct := draw() + time.Duration(rng.Intn(3))*time.Millisecond
-			wantVia, want := -1, direct
-			for i := range row {
-				if sum := row[i] + col[i]; sum < want {
-					wantVia, want = i, sum
-				}
-			}
-			if via, best := minSumVia(row, col, direct); via != wantVia || best != want {
-				t.Fatalf("length %d: minSumVia = (%d, %v), scalar loop (%d, %v)\nrow %v\ncol %v\ndirect %v",
-					length, via, best, wantVia, want, row, col, direct)
-			}
+			checkMinSumVia(t, row, col, direct)
 		}
 	}
+}
+
+// checkMinSumVia holds minSumVia to the scalar loop it replaced: a
+// running strict minimum started at direct, so the direct path wins
+// ties.
+func checkMinSumVia(t *testing.T, row, col []time.Duration, direct time.Duration) {
+	t.Helper()
+	wantVia, want := -1, direct
+	for i := range row {
+		if sum := row[i] + col[i]; sum < want {
+			wantVia, want = i, sum
+		}
+	}
+	if via, best := minSumVia(row, col, direct); via != wantVia || best != want {
+		t.Fatalf("length %d: minSumVia = (%d, %v), scalar loop (%d, %v)\nrow %v\ncol %v\ndirect %v",
+			len(row), via, best, wantVia, want, row, col, direct)
+	}
+}
+
+// FuzzMinSumViaMatchesScalarLoop runs checkMinSumVia on arbitrary
+// inputs. The first byte is direct, each later pair of bytes one
+// position's row and col entry; col carries two more entries than row,
+// as the scans' columns do. A byte is 0–6 ms, or latDead when its low
+// three bits are all set, so ties are the common case; direct adds 0–3
+// ms from its top two bits. TestMinSumViaMatchesScalarLoop's lengths 0–21
+// seed the corpus.
+func FuzzMinSumViaMatchesScalarLoop(f *testing.F) {
+	rng := rand.New(rand.NewSource(3))
+	for length := 0; length <= 21; length++ {
+		in := make([]byte, 1+2*length)
+		rng.Read(in)
+		f.Add(in)
+	}
+	lat := func(b byte) time.Duration {
+		if b&7 == 7 {
+			return latDead
+		}
+		return time.Duration(b&7) * time.Millisecond
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		if len(in) == 0 {
+			return
+		}
+		direct := lat(in[0]) + time.Duration(in[0]>>6)*time.Millisecond
+		n := (len(in) - 1) / 2
+		row, col := make([]time.Duration, n), make([]time.Duration, n+2)
+		for i := range row {
+			row[i], col[i] = lat(in[1+2*i]), lat(in[2+2*i])
+		}
+		checkMinSumVia(t, row, col, direct)
+	})
 }
 
 // TestPlanLatScanMatchesBestLat is the same property end to end: with

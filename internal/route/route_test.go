@@ -145,20 +145,20 @@ func TestLossWindowDefaultSize(t *testing.T) {
 }
 
 func TestLatencyEWMA(t *testing.T) {
-	e := NewLatencyEWMA(0.5)
-	if e.Valid() || e.Value() != 0 {
+	e := &latencyEWMA{alpha: 0.5}
+	if e.valid || e.latency() != 0 {
 		t.Error("fresh EWMA should be invalid/zero")
 	}
-	e.Record(100 * time.Millisecond)
-	if e.Value() != 100*time.Millisecond {
-		t.Errorf("first sample = %v, want 100ms", e.Value())
+	e.record(100 * time.Millisecond)
+	if e.latency() != 100*time.Millisecond {
+		t.Errorf("first sample = %v, want 100ms", e.latency())
 	}
-	e.Record(200 * time.Millisecond)
-	if e.Value() != 150*time.Millisecond {
-		t.Errorf("EWMA = %v, want 150ms", e.Value())
+	e.record(200 * time.Millisecond)
+	if e.latency() != 150*time.Millisecond {
+		t.Errorf("EWMA = %v, want 150ms", e.latency())
 	}
-	e.Reset()
-	if e.Valid() {
+	e.reset()
+	if e.valid {
 		t.Error("reset did not invalidate")
 	}
 }
@@ -288,7 +288,8 @@ func TestUnmeasuredLinksNotAttractive(t *testing.T) {
 
 func TestSnapshotConsistent(t *testing.T) {
 	s := feedSelector()
-	tab := s.Snapshot()
+	var tab Tables
+	s.SnapshotInto(&tab)
 	if got := tab.LossVia(0, 1); got != s.BestLoss(0, 1).Via {
 		t.Errorf("snapshot loss via = %d, want %d", got, s.BestLoss(0, 1).Via)
 	}

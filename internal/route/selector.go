@@ -491,9 +491,6 @@ type Tables struct {
 	latVia  []viaIdx
 }
 
-// N returns the mesh size the tables were computed for (0 when empty).
-func (t *Tables) N() int { return t.n }
-
 // LossVia returns the loss-optimized intermediate for src→dst, or -1 for
 // the direct path.
 func (t *Tables) LossVia(src, dst int) int { return int(t.lossVia[src*t.n+dst]) }
@@ -522,18 +519,10 @@ func (t *Tables) reshape(n int) {
 	t.latVia = t.latVia[:n*n]
 }
 
-// Snapshot computes routing tables for all ordered pairs into a fresh
-// Tables. The campaign hot path reads the selector's own through Tables
-// and calls Refresh.
-func (s *Selector) Snapshot() Tables {
-	var t Tables
-	s.SnapshotInto(&t)
-	return t
-}
-
 // SnapshotInto is Refresh followed by a copy of the tables into t,
 // reusing t's buffers (zero allocations once t has mesh capacity), for
-// callers that want tables of their own.
+// callers that want tables of their own. The campaign hot path reads
+// the selector's own through Tables and calls Refresh.
 func (s *Selector) SnapshotInto(t *Tables) {
 	s.Refresh()
 	t.reshape(s.n)

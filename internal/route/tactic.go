@@ -64,9 +64,6 @@ type Method struct {
 // Copies returns the number of packets this method transmits.
 func (m Method) Copies() int { return len(m.Tactics) }
 
-// Redundant reports whether the method sends two copies.
-func (m Method) Redundant() bool { return len(m.Tactics) == 2 }
-
 // String returns the method name.
 func (m Method) String() string { return m.Name }
 

@@ -116,10 +116,6 @@ type Testbed struct {
 	baseOneWay [][]time.Duration
 }
 
-// Hosts returns the testbed's hosts. The returned slice must not be
-// modified.
-func (tb *Testbed) Hosts() []Host { return tb.hosts }
-
 // N returns the number of hosts.
 func (tb *Testbed) N() int { return len(tb.hosts) }
 

@@ -22,7 +22,7 @@ func TestRON2002Shape(t *testing.T) {
 	}
 	// All 2002 hosts must also exist in the 2003 testbed.
 	tb3 := RON2003()
-	for _, h := range tb.Hosts() {
+	for _, h := range tb.hosts {
 		if tb3.Index(h.Name) < 0 {
 			t.Errorf("2002 host %q missing from 2003 testbed", h.Name)
 		}
@@ -56,7 +56,7 @@ func TestCategoryCountsMatchTable2(t *testing.T) {
 func TestInternet2Marks(t *testing.T) {
 	tb := RON2003()
 	var n int
-	for _, h := range tb.Hosts() {
+	for _, h := range tb.hosts {
 		if h.Internet2 {
 			n++
 			if h.Kind != KindUniversity {

@@ -5,4 +5,5 @@ import "testing"
 func TestAllowed(t *testing.T) {
 	Allowed()
 	TestOnly()
+	Encode()
 }
