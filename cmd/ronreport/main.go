@@ -46,6 +46,7 @@ import (
 	"repro/experiment"
 	"repro/internal/analysis"
 	"repro/internal/core"
+	"repro/internal/resultstore"
 	"repro/internal/route"
 	"repro/internal/trace"
 )
@@ -84,6 +85,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	var err error
 	switch {
+	case *quantile != -1 && !(*quantile >= 0 && *quantile <= 1):
+		err = fmt.Errorf("-quantile %v: want a value in [0, 1]", *quantile)
 	case *store != "":
 		q := storeQuery{
 			reindex:  *reindex,
@@ -144,7 +147,7 @@ func aggregateTraces(w io.Writer, names []string, hosts int, paths []string) (ag
 		records += len(recs)
 	}
 	merged := trace.Merge(logSets...)
-	obs := trace.Match(merged, hosts, trace.DefaultMatchOptions())
+	obs := trace.Match(merged, hosts)
 
 	agg = analysis.NewAggregator(names, hosts)
 	skipped := 0
@@ -268,13 +271,18 @@ func printTables(w io.Writer, agg *analysis.Aggregator) {
 	// Every caller hands over a flushed aggregator; Flush is idempotent,
 	// so re-flushing here keeps the Table 6 precondition local.
 	agg.Flush()
-	fmt.Fprintln(w, analysis.RenderTable5(agg.Table5(), ""))
-	fmt.Fprintln(w, analysis.RenderTable6(agg.HighLossHours()))
+	t := resultstore.Tables{Overview: agg.Table5(), Hours: agg.HighLossHours()}
 	// Workload-enabled cells carry delivered-frame accounting in their
-	// snapshots; render it wherever it survived the merge.
+	// snapshots; render it wherever it survived the merge, under its
+	// title (Tables 5 and 6 print bare).
 	if ws := agg.Workload(); ws != nil && ws.HasData() {
-		fmt.Fprintln(w, "Workload (delivered application frames)")
-		fmt.Fprintln(w, analysis.RenderWorkloadTable(ws.Table()))
+		t.Workload = ws.Table()
+	}
+	for i, s := range t.Sections() {
+		if i > 1 {
+			fmt.Fprintln(w, s.Title)
+		}
+		fmt.Fprintln(w, s.Text)
 	}
 }
 

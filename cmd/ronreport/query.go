@@ -11,6 +11,7 @@ package main
 // from the segment file alone.
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"path/filepath"
@@ -83,39 +84,30 @@ func runStore(w io.Writer, q storeQuery) error {
 	}
 }
 
-// renderRows re-renders a paper table from each selected row. A single
-// selected row prints the bare table — byte-identical to the matching
-// file under merged/ (or a cell's own output dir) — so CI can diff the
-// two; multiple rows are separated by === name === headers.
+// renderRows re-renders a table section (or an alias: overview, hours)
+// from each selected row. A single selected row prints the bare table,
+// byte-identical to the matching file under merged/ (or a cell's own
+// output dir), so CI can diff the two; multiple rows are separated by
+// === name === headers.
 func renderRows(w io.Writer, sel []*resultstore.Row, kind string) error {
+	name := cmp.Or(map[string]string{"overview": "table5", "hours": "table6"}[kind], kind)
+	if !resultstore.IsSection(name) {
+		return fmt.Errorf("unknown -render kind %q (want overview, table6, workload, or resilience)", kind)
+	}
 	for _, r := range sel {
 		t, err := resultstore.RowTables(r)
 		if err != nil {
 			return fmt.Errorf("row %s: %w", r.Name, err)
 		}
-		var out string
-		switch kind {
-		case "overview", "table5":
-			out = analysis.RenderTable5(t.Overview, t.LatencyLabel)
-		case "table6", "hours":
-			out = analysis.RenderTable6(t.Hours)
-		case "workload":
-			if t.Workload == nil {
-				return fmt.Errorf("row %s carries no workload table", r.Name)
-			}
-			out = analysis.RenderWorkloadTable(t.Workload)
-		case "resilience":
-			if t.Resilience == nil {
-				return fmt.Errorf("row %s carries no resilience table", r.Name)
-			}
-			out = analysis.RenderResilienceTable(t.Resilience)
-		default:
-			return fmt.Errorf("unknown -render kind %q (want overview, table6, workload, or resilience)", kind)
+		secs := t.Sections()
+		i := slices.IndexFunc(secs, func(s resultstore.Section) bool { return s.Name == name })
+		if i < 0 {
+			return fmt.Errorf("row %s carries no %s table", r.Name, name)
 		}
 		if len(sel) > 1 {
 			fmt.Fprintf(w, "=== %s ===\n", r.Name)
 		}
-		fmt.Fprint(w, out)
+		fmt.Fprint(w, secs[i].Text)
 	}
 	return nil
 }

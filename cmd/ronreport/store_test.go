@@ -243,6 +243,12 @@ func TestStoreCommandLine(t *testing.T) {
 		{name: "column other rows carry, none selected",
 			args:   []string{"-query", "scenario=0", "-metrics", "rs.outages"},
 			errHas: []string{`no selected row has a metric column "rs.outages"`, "rs. columns are: rs.outages"}},
+		{name: "quantile above 1",
+			args:   []string{"-query", "kind=cell", "-metrics", "t6.worsthour", "-quantile", "1.5"},
+			errHas: []string{"-quantile 1.5: want a value in [0, 1]"}},
+		{name: "quantile NaN",
+			args:   []string{"-query", "kind=cell", "-metrics", "t6.worsthour", "-quantile", "NaN"},
+			errHas: []string{"-quantile NaN: want a value in [0, 1]"}},
 		{name: "unknown render kind",
 			args:   []string{"-query", "name=a", "-render", "table7"},
 			errHas: []string{`unknown -render kind "table7"`}},

@@ -422,11 +422,12 @@ func runSweep(stdout io.Writer, f *cmdFlags) error {
 	if err != nil {
 		return err
 	}
-	gridCells, err := e.Cells()
+	sweep, err := e.Sweep()
 	if err != nil {
 		closeTraces()
 		return err
 	}
+	gridCells := sweep.Cells()
 	total = 0
 	for _, c := range gridCells {
 		if e.Match(c) {
@@ -438,7 +439,7 @@ func runSweep(stdout io.Writer, f *cmdFlags) error {
 		shard = fmt.Sprintf(" [shard -cells %s: %d of %d]", e.Shard(), total, len(gridCells))
 	}
 	fmt.Fprintf(stdout, "=== sweep: %d cells (%.2f virtual days each), base seed %d%s ===\n",
-		total, f.days, f.seed, shard)
+		total, sweep.Config(0).Days, f.seed, shard)
 
 	res, err := e.Run()
 	closeErr := closeTraces()

@@ -160,6 +160,12 @@ func TestCommandLineErrors(t *testing.T) {
 			`core: unknown dataset "ron2002" (want ron2003, ronwide, ronnarrow)`},
 		{"non-positive loss scale", testSweepArgs(dir, "-lossscale", "0"),
 			`-lossscale: bad value "0": value 0 must be > 0`},
+		{"days NaN", []string{"-dataset", "ronnarrow", "-days", "NaN"},
+			"core: Days = NaN, want > 0 and <= 106751"},
+		{"days Inf", []string{"-dataset", "ronnarrow", "-days", "Inf"},
+			"core: Days = +Inf, want > 0 and <= 106751"},
+		{"days past the clock", testSweepArgs(dir, "-days", "1e300"),
+			"core: sweep cell ronnarrow-r00: core: Days = 1e+300, want > 0 and <= 106751"},
 		{"memprofile unwritable", []string{"-dataset", "ronnarrow", "-days", "0.001", "-memprofile", filepath.Join(dir, "no", "mem.out")},
 			"open " + filepath.Join(dir, "no", "mem.out") + ": no such file or directory"},
 	}

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -138,6 +139,40 @@ func TestGoldenDigests(t *testing.T) {
 	}
 }
 
+// TestGoldenTableSet locks every table a result carries, through every
+// form it takes: one RONnarrow cell with a multi-path + FEC workload
+// under the "outage" scenario, so the workload and resilience tables
+// exist. The set holds the cell's report, its four table files, and its
+// store row as "column value" lines (floats in shortest round-trip
+// form), so a column renamed, reordered or re-encoded fails here as
+// surely as a moved table byte.
+func TestGoldenTableSet(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode: the golden campaign takes a few hundred ms")
+	}
+	cfg := core.DefaultConfig(core.RONnarrow, goldenDays)
+	cfg.Seed = 42
+	cfg.Workload = core.DefaultWorkloadConfig()
+	cfg.Scenario.Preset = "outage"
+	res, err := core.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	arts := map[string]string{"report": res.Report()}
+	for _, a := range res.Artifacts() {
+		if strings.HasSuffix(a.Name, ".txt") {
+			arts[a.Name] = a.Text
+		}
+	}
+	var row strings.Builder
+	cell := core.Cell{Dataset: cfg.Dataset, Seed: cfg.Seed}
+	for _, m := range core.CellStoreRow(cell, res).Metrics {
+		fmt.Fprintf(&row, "%s %s\n", m.Col, strconv.FormatFloat(m.Val, 'g', -1, 64))
+	}
+	arts["storerow"] = row.String()
+	checkGolden(t, "tables", arts)
+}
+
 // goldenFileDigests is the SHA-256 of every committed golden file, as
 // the digest-only goldens recorded them before the text was committed.
 // TestGoldenFilesMatchRecordedDigests hashes the committed files, not a
@@ -178,6 +213,13 @@ var goldenFileDigests = map[string]string{
 	"sweep/ronnarrow-ls4-es1-h0.25-w25":      "11ac2822513fe884515b33b2f7b4d56413db99367ae317c3ae60a956ec58d623",
 	"sweep/ronnarrow-ls4-es1-h0.25-p30s":     "9c640a78729758e0aa734b97e777397b3121d1888230819137b83adce0a7cf64",
 	"sweep/ronnarrow-ls4-es1-h0.25-p30s-w25": "2fd68e870d7fc1bb48913cd9ad85ee83ebbecdb539df729e4d3fbed14edecbe8",
+
+	"tables/report":         "b41bf763d3e8b4e9c52e3f8b061e08f9a33c05ec7404a821dcf6b60b6e2c0927",
+	"tables/resilience.txt": "9a8f9a47c6c3f1deee084eec91ab5e6a31e237b1416688edae1748833d29d57c",
+	"tables/storerow":       "e580e416f718e5d369b24981e8cefb60ae7a91ff5205d76025f9926ec068c4b9",
+	"tables/table5.txt":     "a370af7e52f170327bfbeae81f0d739d0c4a60495434f8b126dc66bb4f19c94e",
+	"tables/table6.txt":     "063a12b57b9ed020263afb60cf7c02cd6426fb3cd20b1d5c64bfa3848b4d96e4",
+	"tables/workload.txt":   "e845aded4e1a5180a4a5c52b9062d66ac596a92f848ba6a26537cdd1991d34fb",
 
 	"workload-sweep/grid":             "99215025ca61542b1c5d99c1996aec4c278ba60c92e140bfc78eb9f4d5362d4c",
 	"workload-sweep/ronnarrow":        "47e230617e7fbfe1a6c644fd35d7e53170c65d845d8ba80d61916041d1a742a0",

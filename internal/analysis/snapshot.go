@@ -139,12 +139,7 @@ func (a *Aggregator) AppendBinary(buf []byte) ([]byte, error) {
 		}
 	}
 	for m := range a.methods {
-		c := a.win20Rates[m]
-		w.u32(uint32(c.Distinct()))
-		c.Runs(func(v float64, count int64) {
-			w.f64(v)
-			w.i64(count)
-		})
+		w.cdfRuns(a.win20Rates[m])
 	}
 	w.u32(uint32(len(Table6Thresholds)))
 	for m := range a.methods {
@@ -194,8 +189,9 @@ func (a *Aggregator) AppendBinary(buf []byte) ([]byte, error) {
 	return w.buf, nil
 }
 
-// cdfRuns writes a CDF in the same run-length form as the window pools:
-// u32 run count, then (f64 value, i64 multiplicity) per run.
+// cdfRuns writes a CDF (the pooled window rates, the workload and
+// resilience distributions) in run-length form: u32 run count, then
+// (f64 value, i64 multiplicity) per run.
 func (w *binWriter) cdfRuns(c *CDF) {
 	w.u32(uint32(c.Distinct()))
 	c.Runs(func(v float64, count int64) {
@@ -320,23 +316,11 @@ func UnmarshalAggregatorInto(data []byte, scratch *Aggregator) (*Aggregator, err
 		}
 		a.touchedSorted[m] = true
 	}
+	// Pooled window samples are sorted (value, count) runs, the CDF's
+	// in-memory form: O(distinct rates), not O(path-hours).
 	for m := 0; m < nm; m++ {
-		n := int(r.u32())
-		if r.err != nil {
-			return nil, r.err
-		}
-		// Pooled window samples are sorted (value, count) runs, the CDF's
-		// in-memory form: O(distinct rates), not O(path-hours).
-		if n < 0 || n*16 > r.remaining() {
-			return nil, fmt.Errorf("analysis: aggregator snapshot claims %d window-sample runs with %d bytes left", n, r.remaining())
-		}
-		for i := 0; i < n; i++ {
-			v := r.f64()
-			count := r.i64()
-			if count <= 0 {
-				return nil, fmt.Errorf("analysis: aggregator snapshot run %d has non-positive count %d", i, count)
-			}
-			a.win20Rates[m].AddWeighted(v, count)
+		if err := readCDFRuns(r, a.win20Rates[m]); err != nil {
+			return nil, err
 		}
 	}
 	if nt := int(r.u32()); r.err == nil && nt != len(Table6Thresholds) {

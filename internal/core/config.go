@@ -23,6 +23,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"time"
 
@@ -211,6 +212,9 @@ func (c Config) validateTopology() error {
 // (RONwide; "This table presents round-trip latency numbers", Table 7).
 func (c Config) roundTrip() bool { return c.Dataset == RONwide }
 
+// maxDays is the longest campaign the virtual clock can represent.
+const maxDays = float64(math.MaxInt64 / netsim.Day)
+
 // Validate checks the configuration.
 func (c Config) Validate() error { return c.validate(c.methods()) }
 
@@ -218,8 +222,10 @@ func (c Config) Validate() error { return c.validate(c.methods()) }
 // caller, so the arena's hot path can validate against its cached
 // methods without rebuilding them per cell.
 func (c Config) validate(methods []route.Method) error {
-	if c.Days <= 0 {
-		return fmt.Errorf("core: Days = %v, want > 0", c.Days)
+	// The clock is an int64 of nanoseconds: a longer campaign's end
+	// would not fit it.
+	if !(c.Days > 0 && c.Days <= maxDays) {
+		return fmt.Errorf("core: Days = %v, want > 0 and <= %v", c.Days, maxDays)
 	}
 	if c.ProbeInterval <= 0 {
 		return fmt.Errorf("core: ProbeInterval = %v, want > 0", c.ProbeInterval)

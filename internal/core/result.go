@@ -122,9 +122,7 @@ type Artifact struct {
 
 // Artifacts renders the campaign's output files in write order: the
 // Figure 2–5 CDF series (fig4.dat only when a two-copy method ran),
-// Tables 5 and 6, and the workload and resilience tables when those
-// layers ran. The last two are conditional so grids without them stay
-// byte-identical to grids written before the files existed.
+// then <name>.txt for each of the result's table sections.
 func (r *Result) Artifacts() []Artifact {
 	names := r.Agg.Methods()
 	arts := []Artifact{
@@ -135,22 +133,16 @@ func (r *Result) Artifacts() []Artifact {
 		arts = append(arts, Artifact{"fig4.dat",
 			analysis.RenderCDFOverlay("per-path CLP CDF", 0, 100, 101, f4names, f4cdfs)})
 	}
-	arts = append(arts,
-		Artifact{"fig5.dat", analysis.RenderCDFOverlay("latency CDF (>50ms paths)", 0, 300, 121, names, r.Figure5())},
-		Artifact{"table5.txt", analysis.RenderTable5(r.Table5Rows(), r.LatencyLabel())},
-		Artifact{"table6.txt", analysis.RenderTable6(r.Agg.HighLossHours())},
-	)
-	if ws := r.Agg.Workload(); ws != nil && ws.HasData() {
-		arts = append(arts, Artifact{"workload.txt", analysis.RenderWorkloadTable(ws.Table())})
-	}
-	if rs := r.Agg.Resilience(); rs != nil && rs.HasData() {
-		arts = append(arts, Artifact{"resilience.txt", analysis.RenderResilienceTable(rs.Table())})
+	arts = append(arts, Artifact{"fig5.dat",
+		analysis.RenderCDFOverlay("latency CDF (>50ms paths)", 0, 300, 121, names, r.Figure5())})
+	for _, s := range StoreTables(r).Sections() {
+		arts = append(arts, Artifact{s.Name + ".txt", s.Text})
 	}
 	return arts
 }
 
-// Report renders the campaign's tables as text: a header, Table 5 (or
-// Table 7 for RONwide), and Table 6.
+// Report renders the campaign's tables as text: a header, then each
+// table section under its title.
 func (r *Result) Report() string {
 	var b strings.Builder
 	if r.MergedReplicas > 1 {
@@ -164,21 +156,11 @@ func (r *Result) Report() string {
 	}
 	fmt.Fprintf(&b, "probes: %d measurement, %d routing; route changes: %d\n\n",
 		r.MeasureProbes, r.RONProbes, r.RouteChanges)
-	title := "Table 5 (one-way loss percentages)"
-	if r.Config.Dataset == RONwide {
-		title = "Table 7 (expanded routing schemes, RTT latencies)"
-	}
-	fmt.Fprintf(&b, "%s\n%s\n", title,
-		analysis.RenderTable5(r.Table5Rows(), r.LatencyLabel()))
-	fmt.Fprintf(&b, "Table 6 (hour-long high-loss periods)\n%s",
-		analysis.RenderTable6(r.Agg.HighLossHours()))
-	if ws := r.Agg.Workload(); ws != nil && ws.HasData() {
-		fmt.Fprintf(&b, "\nWorkload (delivered application frames)\n%s",
-			analysis.RenderWorkloadTable(ws.Table()))
-	}
-	if rs := r.Agg.Resilience(); rs != nil && rs.HasData() {
-		fmt.Fprintf(&b, "\nResilience (recovery from injected outages)\n%s",
-			analysis.RenderResilienceTable(rs.Table()))
+	for i, s := range StoreTables(r).Sections() {
+		if i > 0 {
+			b.WriteString("\n")
+		}
+		fmt.Fprintf(&b, "%s\n%s", s.Title, s.Text)
 	}
 	return b.String()
 }

@@ -14,8 +14,9 @@ import (
 // them with the cell's identity, axis coordinates, and a few
 // query-only extras the tables don't carry.
 
-// StoreTables extracts a Result's render-ready tables. It flushes the
-// aggregator first (idempotent), exactly like the renderers do.
+// StoreTables extracts a Result's render-ready tables, the ones its
+// files, its report and its store row all carry. It flushes the
+// aggregator first (idempotent).
 func StoreTables(res *Result) resultstore.Tables {
 	res.Agg.Flush()
 	t := resultstore.Tables{
@@ -59,8 +60,7 @@ func StoreRow(kind, name, group, dataset string, axes map[string]string,
 		r.Axes = append(r.Axes, resultstore.AxisKV{Key: k, Value: v})
 	}
 	sort.Slice(r.Axes, func(i, j int) bool { return r.Axes[i].Key < r.Axes[j].Key })
-	t := StoreTables(res)
-	r.Metrics = t.Flatten(r.Metrics)
+	r.Metrics = StoreTables(res).Flatten(r.Metrics)
 	for m, method := range res.Agg.Methods() {
 		cdf := res.Agg.WindowRateCDF(m)
 		if cdf == nil || cdf.N() == 0 {

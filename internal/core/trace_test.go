@@ -28,8 +28,7 @@ func TestTracePipelineConsistency(t *testing.T) {
 		t.Fatal("trace sink received nothing")
 	}
 
-	obs := trace.Match(trace.Merge(records), res.Testbed.N(),
-		trace.DefaultMatchOptions())
+	obs := trace.Match(trace.Merge(records), res.Testbed.N())
 	if int64(len(obs)) != res.MeasureProbes {
 		t.Fatalf("matcher recovered %d probes, campaign sent %d",
 			len(obs), res.MeasureProbes)

@@ -2,6 +2,7 @@ package resultstore
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -13,10 +14,11 @@ import (
 // Tables is the set of render-ready paper tables one result row
 // carries: the overview (Table 5 rows + latency label), the high-loss
 // hours (Table 6), and — when the campaign measured them — the workload
-// and resilience comparisons. Flatten turns a Tables into the row's
-// metric vector; RowTables rebuilds it from a stored row, and the two
-// round-trip exactly (floats travel as raw bits), so every rendered
-// table is reproducible from the store byte-for-byte.
+// and resilience comparisons. It is the one owner of which text
+// sections a result has (Sections: result files, reports and `ronreport
+// -render`) and which store columns carry them (the schema Flatten and
+// RowTables walk, which round-trips floats as raw bits), so every
+// rendered table is reproducible from the store byte-for-byte.
 type Tables struct {
 	Overview     []analysis.MethodTotals
 	LatencyLabel string
@@ -25,13 +27,131 @@ type Tables struct {
 	Resilience   *analysis.ResilienceTable
 }
 
+// Section is one text table of a result: the name it is written and
+// re-rendered under (table5.txt, `-render table5`), the title Report
+// prints above it, and its rendered text.
+type Section struct {
+	Name, Title, Text string
+}
+
+// Sections returns the tables' text sections in write order: Table 5
+// and Table 6, then the workload and resilience tables exactly when the
+// result carries them, so grids without those layers stay
+// byte-identical to grids written before the layers existed.
+func (t Tables) Sections() []Section {
+	// An "RTT" label marks a round-trip campaign, which is RONwide alone
+	// (core's Config.roundTrip is Dataset == RONwide): the paper prints
+	// its expanded method set as Table 7.
+	overview := "Table 5 (one-way loss percentages)"
+	if t.LatencyLabel == "RTT" {
+		overview = "Table 7 (expanded routing schemes, RTT latencies)"
+	}
+	out := []Section{
+		{"table5", overview, analysis.RenderTable5(t.Overview, t.LatencyLabel)},
+		{"table6", "Table 6 (hour-long high-loss periods)", analysis.RenderTable6(t.Hours)},
+	}
+	if t.Workload != nil {
+		out = append(out, Section{"workload", "Workload (delivered application frames)", analysis.RenderWorkloadTable(t.Workload)})
+	}
+	if t.Resilience != nil {
+		out = append(out, Section{"resilience", "Resilience (recovery from injected outages)", analysis.RenderResilienceTable(t.Resilience)})
+	}
+	return out
+}
+
+// IsSection reports whether name is a section some result can carry:
+// one of the sections of tables that have every optional table.
+func IsSection(name string) bool {
+	all := Tables{Workload: new(analysis.WorkloadTable), Resilience: new(analysis.ResilienceTable)}
+	return slices.ContainsFunc(all.Sections(), func(s Section) bool { return s.Name == name })
+}
+
 // Metric column naming. Method names may contain spaces ("direct
 // rand", "dd 10 ms") but never dots, so `<family>.<method>.<field>`
-// parses unambiguously by family prefix + last dot.
+// parses unambiguously by family prefix + last dot. Table 6's
+// threshold columns are `t6.<method>.gt<threshold>`, in shortest form:
+// its thresholds are whole and below 10⁶, so they print dot-free.
 const (
-	colRTT       = "t5.rtt"
-	colWorstHour = "t6.worsthour"
+	colRTT        = "t5.rtt"
+	colWorstHour  = "t6.worsthour"
+	famOverview   = "t5."
+	famHours      = "t6."
+	famWorkload   = "wl."
+	famResilience = "rs."
+	sufAbove      = "gt"
+	sufOrder      = "order" // order, probes and latns serve two row types
+	sufProbes     = "probes"
+	sufLatNs      = "latns"
 )
+
+// col is one metric column of a table row of type T: the suffix it is
+// stored under, and how its value is read from and written back to the
+// row. Integers and durations travel as their exact float64 (stored
+// counters stay below 2⁵³), floats bit for bit.
+type col[T any] struct {
+	suffix string
+	get    func(*T) float64
+	set    func(*T, float64)
+}
+
+// num is the column of a numeric field of T.
+func num[T any, N ~int | ~int64 | ~float64](suffix string, field func(*T) *N) col[T] {
+	return col[T]{suffix,
+		func(r *T) float64 { return float64(*field(r)) },
+		func(r *T, v float64) { *field(r) = N(v) }}
+}
+
+// perScheme lifts the columns of a comparison table's row type R to
+// the table H: one copy per row, "bp." (best-path) then "mp."
+// (multi-path), in the table's Rows order.
+func perScheme[H, R any](rows func(*H) []R, cols ...col[R]) []col[H] {
+	var out []col[H]
+	for i, scheme := range [...]string{"bp.", "mp."} {
+		for _, c := range cols {
+			out = append(out, col[H]{scheme + c.suffix,
+				func(h *H) float64 { return c.get(&rows(h)[i]) },
+				func(h *H, v float64) { c.set(&rows(h)[i], v) }})
+		}
+	}
+	return out
+}
+
+// flattenCols appends r's columns, each named prefix + suffix.
+func flattenCols[T any](dst []Metric, prefix string, cols []col[T], r *T) []Metric {
+	for _, c := range cols {
+		dst = append(dst, Metric{prefix + c.suffix, c.get(r)})
+	}
+	return dst
+}
+
+// setCol stores v in r's column with the given suffix; a suffix the
+// schema lacks is ignored.
+func setCol[T any](cols []col[T], r *T, suffix string, v float64) {
+	for _, c := range cols {
+		if c.suffix == suffix {
+			c.set(r, v)
+			return
+		}
+	}
+}
+
+// overviewRow is one Table 5 row with its render position.
+type overviewRow struct {
+	analysis.MethodTotals
+	order int
+}
+
+var overviewCols = []col[overviewRow]{
+	num(sufOrder, func(r *overviewRow) *int { return &r.order }),
+	num(sufProbes, func(r *overviewRow) *int64 { return &r.Probes }),
+	num("1lp", func(r *overviewRow) *float64 { return &r.FirstLossPct }),
+	num("2lp", func(r *overviewRow) *float64 { return &r.SecondLossPct }),
+	num("totlp", func(r *overviewRow) *float64 { return &r.TotalLossPct }),
+	num("clp", func(r *overviewRow) *float64 { return &r.CondLossPct }),
+	num(sufLatNs, func(r *overviewRow) *time.Duration { return &r.MeanLatency }),
+	{"pair", func(r *overviewRow) float64 { return b2f(r.Pair) },
+		func(r *overviewRow, v float64) { r.Pair = v != 0 }},
+}
 
 func b2f(b bool) float64 {
 	if b {
@@ -40,72 +160,69 @@ func b2f(b bool) float64 {
 	return 0
 }
 
+// hoursRow is one method's Table 6 row: its position and path-hours,
+// then its per-threshold counts, which the gt columns carry.
+type hoursRow struct {
+	order   int
+	periods int64
+	thr     []float64
+	counts  []int64
+}
+
+var hoursCols = []col[hoursRow]{
+	num(sufOrder, func(r *hoursRow) *int { return &r.order }),
+	num("periods", func(r *hoursRow) *int64 { return &r.periods }),
+}
+
+var workloadCols = append([]col[analysis.WorkloadTable]{
+	num("k", func(t *analysis.WorkloadTable) *int { return &t.DataShards }),
+	num("m", func(t *analysis.WorkloadTable) *int { return &t.ParityShards }),
+	num("paths", func(t *analysis.WorkloadTable) *int { return &t.Paths }),
+	num("reconfail", func(t *analysis.WorkloadTable) *int64 { return &t.ReconstructFailures }),
+	num("overhead", func(t *analysis.WorkloadTable) *float64 { return &t.Overhead }),
+}, perScheme(func(t *analysis.WorkloadTable) []analysis.WorkloadTableRow { return t.Rows[:] },
+	num("frames", func(r *analysis.WorkloadTableRow) *int64 { return &r.FramesSent }),
+	num("losspct", func(r *analysis.WorkloadTableRow) *float64 { return &r.FrameLossPct }),
+	num("shardpct", func(r *analysis.WorkloadTableRow) *float64 { return &r.ShardLossPct }),
+	num(sufLatNs, func(r *analysis.WorkloadTableRow) *time.Duration { return &r.MeanLatency }),
+	num("p95latms", func(r *analysis.WorkloadTableRow) *float64 { return &r.P95LatencyMs }),
+	num("strm50pct", func(r *analysis.WorkloadTableRow) *float64 { return &r.StreamLoss50Pct }),
+)...)
+
+var resilienceCols = append([]col[analysis.ResilienceTable]{
+	num("outages", func(t *analysis.ResilienceTable) *int64 { return &t.UnderlayOutages }),
+}, perScheme(func(t *analysis.ResilienceTable) []analysis.ResilienceTableRow { return t.Rows[:] },
+	num(sufProbes, func(r *analysis.ResilienceTableRow) *int64 { return &r.ProbesSent }),
+	num("availpct", func(r *analysis.ResilienceTableRow) *float64 { return &r.AvailabilityPct }),
+	num("maskedpct", func(r *analysis.ResilienceTableRow) *float64 { return &r.MaskedPct }),
+	num("ttrns", func(r *analysis.ResilienceTableRow) *time.Duration { return &r.MeanTTR }),
+	num("p95ttrs", func(r *analysis.ResilienceTableRow) *float64 { return &r.P95TTRSeconds }),
+)...)
+
 // Flatten appends the tables' metric vector to dst. The emission order
 // is deterministic (overview rows in render order, then hours, then
 // workload, then resilience), so identical tables produce identical
 // vectors.
-func (t *Tables) Flatten(dst []Metric) []Metric {
+func (t Tables) Flatten(dst []Metric) []Metric {
 	dst = append(dst, Metric{colRTT, b2f(t.LatencyLabel == "RTT")})
 	for i := range t.Overview {
-		r := &t.Overview[i]
-		p := "t5." + r.Method + "."
-		dst = append(dst,
-			Metric{p + "order", float64(i)},
-			Metric{p + "probes", float64(r.Probes)},
-			Metric{p + "1lp", r.FirstLossPct},
-			Metric{p + "2lp", r.SecondLossPct},
-			Metric{p + "totlp", r.TotalLossPct},
-			Metric{p + "clp", r.CondLossPct},
-			Metric{p + "latns", float64(r.MeanLatency)},
-			Metric{p + "pair", b2f(r.Pair)},
-		)
+		row := overviewRow{t.Overview[i], i}
+		dst = flattenCols(dst, famOverview+row.Method+".", overviewCols, &row)
 	}
 	dst = append(dst, Metric{colWorstHour, t.Hours.WorstHourPct})
 	for j, m := range t.Hours.Methods {
-		p := "t6." + m + "."
-		dst = append(dst,
-			Metric{p + "order", float64(j)},
-			Metric{p + "periods", float64(t.Hours.Periods[j])},
-		)
+		p := famHours + m + "."
+		dst = flattenCols(dst, p, hoursCols, &hoursRow{order: j, periods: t.Hours.Periods[j]})
 		for k, thr := range t.Hours.Thresholds {
-			dst = append(dst, Metric{
-				p + "gt" + strconv.FormatFloat(thr, 'g', -1, 64),
-				float64(t.Hours.Counts[j][k]),
-			})
+			col := p + sufAbove + strconv.FormatFloat(thr, 'g', -1, 64)
+			dst = append(dst, Metric{col, float64(t.Hours.Counts[j][k])})
 		}
 	}
-	if w := t.Workload; w != nil {
-		dst = append(dst,
-			Metric{"wl.k", float64(w.DataShards)},
-			Metric{"wl.m", float64(w.ParityShards)},
-			Metric{"wl.paths", float64(w.Paths)},
-			Metric{"wl.reconfail", float64(w.ReconstructFailures)},
-			Metric{"wl.overhead", w.Overhead},
-		)
-		for i, p := range [...]string{"wl.bp.", "wl.mp."} {
-			v := &w.Rows[i]
-			dst = append(dst,
-				Metric{p + "frames", float64(v.FramesSent)},
-				Metric{p + "losspct", v.FrameLossPct},
-				Metric{p + "shardpct", v.ShardLossPct},
-				Metric{p + "latns", float64(v.MeanLatency)},
-				Metric{p + "p95latms", v.P95LatencyMs},
-				Metric{p + "strm50pct", v.StreamLoss50Pct},
-			)
-		}
+	if t.Workload != nil {
+		dst = flattenCols(dst, famWorkload, workloadCols, t.Workload)
 	}
-	if s := t.Resilience; s != nil {
-		dst = append(dst, Metric{"rs.outages", float64(s.UnderlayOutages)})
-		for i, p := range [...]string{"rs.bp.", "rs.mp."} {
-			v := &s.Rows[i]
-			dst = append(dst,
-				Metric{p + "probes", float64(v.ProbesSent)},
-				Metric{p + "availpct", v.AvailabilityPct},
-				Metric{p + "maskedpct", v.MaskedPct},
-				Metric{p + "ttrns", float64(v.MeanTTR)},
-				Metric{p + "p95ttrs", v.P95TTRSeconds},
-			)
-		}
+	if t.Resilience != nil {
+		dst = flattenCols(dst, famResilience, resilienceCols, t.Resilience)
 	}
 	return dst
 }
@@ -117,20 +234,8 @@ func (t *Tables) Flatten(dst []Metric) []Metric {
 // were flattened.
 func RowTables(r *Row) (*Tables, error) {
 	t := &Tables{LatencyLabel: "lat"}
-	type t6row struct {
-		order   int
-		periods int64
-		thr     []float64
-		counts  []int64
-	}
-	t5 := map[string]*analysis.MethodTotals{}
-	t5order := map[string]int{}
-	t6 := map[string]*t6row{}
+	t5, t6 := map[string]*overviewRow{}, map[string]*hoursRow{}
 	var t5names, t6names []string
-	wlSeen, rsSeen := false, false
-	var wl analysis.WorkloadTable
-	var rs analysis.ResilienceTable
-
 	for i := range r.Metrics {
 		col, val := r.Metrics[i].Col, r.Metrics[i].Val
 		switch {
@@ -140,71 +245,56 @@ func RowTables(r *Row) (*Tables, error) {
 			}
 		case col == colWorstHour:
 			t.Hours.WorstHourPct = val
-		case strings.HasPrefix(col, "t5."):
-			method, field, ok := splitMethodCol(col[len("t5."):])
+		case strings.HasPrefix(col, famOverview):
+			method, field, ok := splitMethodCol(col[len(famOverview):])
 			if !ok {
 				return nil, fmt.Errorf("resultstore: bad overview column %q", col)
 			}
-			mt := t5[method]
-			if mt == nil {
-				mt = &analysis.MethodTotals{Method: method}
-				t5[method] = mt
+			row := t5[method]
+			if row == nil {
+				row = &overviewRow{MethodTotals: analysis.MethodTotals{Method: method}}
+				t5[method] = row
 				t5names = append(t5names, method)
 			}
-			switch field {
-			case "order":
-				t5order[method] = int(val)
-			case "probes":
-				mt.Probes = int64(val)
-			case "1lp":
-				mt.FirstLossPct = val
-			case "2lp":
-				mt.SecondLossPct = val
-			case "totlp":
-				mt.TotalLossPct = val
-			case "clp":
-				mt.CondLossPct = val
-			case "latns":
-				mt.MeanLatency = time.Duration(int64(val))
-			case "pair":
-				mt.Pair = val != 0
-			}
-		case strings.HasPrefix(col, "t6."):
-			method, field, ok := splitMethodCol(col[len("t6."):])
+			setCol(overviewCols, row, field, val)
+		case strings.HasPrefix(col, famHours):
+			method, field, ok := splitMethodCol(col[len(famHours):])
 			if !ok {
 				return nil, fmt.Errorf("resultstore: bad hours column %q", col)
 			}
 			row := t6[method]
 			if row == nil {
-				row = &t6row{}
+				row = &hoursRow{}
 				t6[method] = row
 				t6names = append(t6names, method)
 			}
-			switch {
-			case field == "order":
-				row.order = int(val)
-			case field == "periods":
-				row.periods = int64(val)
-			case strings.HasPrefix(field, "gt"):
-				thr, err := strconv.ParseFloat(field[2:], 64)
-				if err != nil {
-					return nil, fmt.Errorf("resultstore: bad hours column %q", col)
-				}
-				row.thr = append(row.thr, thr)
-				row.counts = append(row.counts, int64(val))
+			s, above := strings.CutPrefix(field, sufAbove)
+			if !above {
+				setCol(hoursCols, row, field, val)
+				continue
 			}
-		case strings.HasPrefix(col, "wl."):
-			wlSeen = true
-			decodeWorkloadCol(&wl, col[len("wl."):], val)
-		case strings.HasPrefix(col, "rs."):
-			rsSeen = true
-			decodeResilienceCol(&rs, col[len("rs."):], val)
+			thr, err := strconv.ParseFloat(s, 64)
+			if err != nil {
+				return nil, fmt.Errorf("resultstore: bad hours column %q", col)
+			}
+			row.thr = append(row.thr, thr)
+			row.counts = append(row.counts, int64(val))
+		case strings.HasPrefix(col, famWorkload):
+			if t.Workload == nil {
+				t.Workload = new(analysis.WorkloadTable)
+			}
+			setCol(workloadCols, t.Workload, col[len(famWorkload):], val)
+		case strings.HasPrefix(col, famResilience):
+			if t.Resilience == nil {
+				t.Resilience = new(analysis.ResilienceTable)
+			}
+			setCol(resilienceCols, t.Resilience, col[len(famResilience):], val)
 		}
 	}
 
-	sort.SliceStable(t5names, func(a, b int) bool { return t5order[t5names[a]] < t5order[t5names[b]] })
+	sort.SliceStable(t5names, func(a, b int) bool { return t5[t5names[a]].order < t5[t5names[b]].order })
 	for _, m := range t5names {
-		t.Overview = append(t.Overview, *t5[m])
+		t.Overview = append(t.Overview, t5[m].MethodTotals)
 	}
 	sort.SliceStable(t6names, func(a, b int) bool { return t6[t6names[a]].order < t6[t6names[b]].order })
 	for _, m := range t6names {
@@ -218,12 +308,6 @@ func RowTables(r *Row) (*Tables, error) {
 		t.Hours.Periods = append(t.Hours.Periods, row.periods)
 		t.Hours.Counts = append(t.Hours.Counts, row.counts)
 	}
-	if wlSeen {
-		t.Workload = &wl
-	}
-	if rsSeen {
-		t.Resilience = &rs
-	}
 	return t, nil
 }
 
@@ -234,71 +318,4 @@ func splitMethodCol(s string) (method, field string, ok bool) {
 		return "", "", false
 	}
 	return s[:i], s[i+1:], true
-}
-
-func decodeWorkloadCol(w *analysis.WorkloadTable, field string, val float64) {
-	var row *analysis.WorkloadTableRow
-	switch {
-	case strings.HasPrefix(field, "bp."):
-		row, field = &w.Rows[analysis.WorkloadBestPath], field[3:]
-	case strings.HasPrefix(field, "mp."):
-		row, field = &w.Rows[analysis.WorkloadMultiPath], field[3:]
-	}
-	if row == nil {
-		switch field {
-		case "k":
-			w.DataShards = int(val)
-		case "m":
-			w.ParityShards = int(val)
-		case "paths":
-			w.Paths = int(val)
-		case "reconfail":
-			w.ReconstructFailures = int64(val)
-		case "overhead":
-			w.Overhead = val
-		}
-		return
-	}
-	switch field {
-	case "frames":
-		row.FramesSent = int64(val)
-	case "losspct":
-		row.FrameLossPct = val
-	case "shardpct":
-		row.ShardLossPct = val
-	case "latns":
-		row.MeanLatency = time.Duration(int64(val))
-	case "p95latms":
-		row.P95LatencyMs = val
-	case "strm50pct":
-		row.StreamLoss50Pct = val
-	}
-}
-
-func decodeResilienceCol(s *analysis.ResilienceTable, field string, val float64) {
-	var row *analysis.ResilienceTableRow
-	switch {
-	case strings.HasPrefix(field, "bp."):
-		row, field = &s.Rows[analysis.ResilienceBestPath], field[3:]
-	case strings.HasPrefix(field, "mp."):
-		row, field = &s.Rows[analysis.ResilienceMultiPath], field[3:]
-	}
-	if row == nil {
-		if field == "outages" {
-			s.UnderlayOutages = int64(val)
-		}
-		return
-	}
-	switch field {
-	case "probes":
-		row.ProbesSent = int64(val)
-	case "availpct":
-		row.AvailabilityPct = val
-	case "maskedpct":
-		row.MaskedPct = val
-	case "ttrns":
-		row.MeanTTR = time.Duration(int64(val))
-	case "p95ttrs":
-		row.P95TTRSeconds = val
-	}
 }

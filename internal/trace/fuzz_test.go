@@ -90,7 +90,7 @@ func FuzzReadTrace(f *testing.F) {
 		if again := encode(t, recs); !bytes.Equal(again, data) {
 			t.Fatalf("accepted %d bytes re-encode to %d different bytes", len(data), len(again))
 		}
-		obs := trace.Match(trace.Merge(recs), hosts, trace.DefaultMatchOptions())
+		obs := trace.Match(trace.Merge(recs), hosts)
 		agg := analysis.NewAggregator(names, hosts)
 		for _, o := range obs {
 			if o.Method < len(names) {

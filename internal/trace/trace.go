@@ -193,37 +193,22 @@ func rd64(b []byte) uint64 {
 		uint64(b[6])<<8 | uint64(b[7])
 }
 
-// MatchOptions tune the §4.1 post-processor.
-type MatchOptions struct {
-	// ReceiveWindow is how long after its send a receive still counts
+// The §4.1 post-processor's two constants, the paper's values.
+const (
+	// receiveWindow is how long after its send a receive still counts
 	// ("finds all probes that were received within 1 hour").
-	ReceiveWindow time.Duration
-	// HostFailureGap is the send-silence beyond which a host is
+	receiveWindow = time.Hour
+	// hostFailureGap is the send-silence beyond which a host is
 	// considered down ("a host to have failed if it stops sending
 	// probes for more than 90 seconds"); probes aimed at a failed host
 	// are disregarded.
-	HostFailureGap time.Duration
-}
-
-// DefaultMatchOptions are the paper's values.
-func DefaultMatchOptions() MatchOptions {
-	return MatchOptions{
-		ReceiveWindow:  time.Hour,
-		HostFailureGap: 90 * time.Second,
-	}
-}
+	hostFailureGap = 90 * time.Second
+)
 
 // Match post-processes a merged record stream into probe observations:
 // per-probe copies are matched to receives, losses inferred, and probes
 // aimed at failed hosts dropped. nHosts bounds node indices.
-func Match(records []Record, nHosts int, opts MatchOptions) []analysis.Observation {
-	if opts.ReceiveWindow <= 0 {
-		opts.ReceiveWindow = time.Hour
-	}
-	if opts.HostFailureGap <= 0 {
-		opts.HostFailureGap = 90 * time.Second
-	}
-
+func Match(records []Record, nHosts int) []analysis.Observation {
 	// Collect each host's send activity for the failure filter.
 	sendTimes := make([][]int64, nHosts)
 	for _, r := range records {
@@ -242,7 +227,7 @@ func Match(records []Record, nHosts int, opts MatchOptions) []analysis.Observati
 			return false
 		}
 		i := sort.Search(len(ts), func(i int) bool { return ts[i] >= t })
-		gap := int64(opts.HostFailureGap)
+		gap := int64(hostFailureGap)
 		if i < len(ts) && ts[i]-t <= gap {
 			return true
 		}
@@ -298,7 +283,7 @@ func Match(records []Record, nHosts int, opts MatchOptions) []analysis.Observati
 			}
 			cs := &ps.c[r.CopyIndex]
 			if cs.have && cs.recvAt == 0 &&
-				r.Time-cs.sent <= int64(opts.ReceiveWindow) && r.Time >= cs.sent {
+				r.Time-cs.sent <= int64(receiveWindow) && r.Time >= cs.sent {
 				cs.recvAt = r.Time
 			}
 		}

@@ -173,7 +173,7 @@ func TestMatchBasicLossAndLatency(t *testing.T) {
 		mkSend(0, 1, 555000042, time.Minute, 1, 2),
 		mkRecv(1, 0, 555000042, time.Minute+50*time.Millisecond, 0),
 	)
-	obs := Match(Merge(recs), 3, DefaultMatchOptions())
+	obs := Match(Merge(recs), 3)
 
 	var found bool
 	for _, o := range obs {
@@ -203,7 +203,7 @@ func TestMatchReceiveWindow(t *testing.T) {
 		mkSend(0, 1, 555000077, time.Minute+time.Second, 0, 1),
 		mkRecv(1, 0, 555000077, 2*time.Hour, 0),
 	)
-	obs := Match(Merge(recs), 3, DefaultMatchOptions())
+	obs := Match(Merge(recs), 3)
 	for _, o := range obs {
 		if o.Src == 0 && o.Dst == 1 && o.Time == int64(time.Minute+time.Second) {
 			if !o.Lost[0] {
@@ -230,7 +230,7 @@ func TestMatchHostFailureFilter(t *testing.T) {
 	// disregarded even though it was "lost".
 	recs = append(recs, mkSend(0, 1, 601, 12*time.Minute, 0, 1))
 
-	obs := Match(Merge(recs), 3, DefaultMatchOptions())
+	obs := Match(Merge(recs), 3)
 	var sawAlive, sawDead bool
 	for _, o := range obs {
 		if o.Src == 0 && o.Dst == 1 {
@@ -261,7 +261,7 @@ func TestMatchIgnoresDuplicateReceives(t *testing.T) {
 		mkRecv(1, 0, 555000009, at+10*time.Millisecond, 0),
 		mkRecv(1, 0, 555000009, at+20*time.Millisecond, 0), // dup
 	)
-	obs := Match(Merge(recs), 3, DefaultMatchOptions())
+	obs := Match(Merge(recs), 3)
 	for _, o := range obs {
 		if o.Src == 0 && o.Dst == 1 && o.Time == int64(at) {
 			if o.Lat[0] != 10*time.Millisecond {
@@ -281,7 +281,7 @@ func TestMatchSkipsIncompleteProbes(t *testing.T) {
 	// Claims two copies but only copy 0 was logged as sent.
 	const at = time.Minute + time.Second // off the keepAlive grid
 	recs = append(recs, mkSend(0, 1, 555000088, at, 0, 2))
-	obs := Match(Merge(recs), 3, DefaultMatchOptions())
+	obs := Match(Merge(recs), 3)
 	for _, o := range obs {
 		if o.Src == 0 && o.Dst == 1 && o.Time == int64(at) {
 			t.Fatal("incomplete probe pair emitted")
