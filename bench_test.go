@@ -346,6 +346,10 @@ func BenchmarkSweep(b *testing.B) {
 	// the default) is perf-tracked alongside the default-window engine.
 	// Serial, so the number bands the per-cell cost, not pool speedup.
 	b.Run("losswindow-grid", func(b *testing.B) {
+		windows, err := core.NewAxis("losswindow", []core.AxisValue{"0", "25", "100"})
+		if err != nil {
+			b.Fatal(err)
+		}
 		var res *core.SweepResult
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -354,7 +358,7 @@ func BenchmarkSweep(b *testing.B) {
 				Days:     benchDays,
 				BaseSeed: 1,
 				Replicas: 2,
-				Axes:     []core.Axis{core.LossWindowAxis(0, 25, 100)},
+				Axes:     []core.Axis{windows},
 				Parallel: 1,
 			})
 			if err == nil {

@@ -11,10 +11,11 @@
 // Sweep mode expands a grid of campaigns — datasets × grid axes × seed
 // replicas — runs the cells over a worker pool, and merges each grid
 // point's replicas into one set of tables. The axis flags (-hysteresis,
-// -probeinterval, -losswindow, -tablerefresh, and the -lossscale ×
-// -edgeshare profile crossing) are derived from the experiment
-// package's axis registry; a newly registered axis gets its flag, cell
-// naming, seeding, snapshots, and manifest round-trips for free:
+// -probeinterval, -losswindow, -tablerefresh, ...) are derived from the
+// experiment package's axis registry, beside the -lossscale ×
+// -edgeshare profile crossing; a newly registered axis gets its flag,
+// cell naming, seeding, snapshots, and manifest round-trips for free
+// (without -sweep each takes one value, for the single campaign):
 //
 //	ronsim -sweep -replicas 8 -parallel 0 -days 0.5 -out results/
 //	ronsim -sweep -all -hysteresis 0,0.25 -lossscale 1,4 -replicas 4
@@ -60,7 +61,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"slices"
-	"strconv"
 	"strings"
 	"time"
 
@@ -68,7 +68,6 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/core"
 	"repro/internal/costmodel"
-	"repro/internal/netsim"
 	"repro/internal/trace"
 )
 
@@ -94,9 +93,7 @@ type cmdFlags struct {
 	// axes parses the registry-derived axis flags: every registered
 	// axis (standard and custom alike) gets its value-list flag from
 	// the registry; the profile axis is driven by -lossscale/-edgeshare
-	// instead. In single-campaign mode an axis flag carries exactly one
-	// value and applies straight to the config; in sweep mode value
-	// lists expand the grid.
+	// instead (gridAxes adds it).
 	axes func() ([]core.Axis, error)
 }
 
@@ -119,8 +116,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.BoolVar(&f.sweep, "sweep", false, "run a multi-campaign sweep over a worker pool and merge replicas")
 	fs.IntVar(&f.replicas, "replicas", 1, "sweep: seed-varied replicates per grid point")
 	fs.IntVar(&f.parallel, "parallel", 0, "sweep: max concurrent cells (0 = GOMAXPROCS)")
-	fs.StringVar(&f.lossScale, "lossscale", "1", "sweep: comma-separated profile LossScale overrides for the grid")
-	fs.StringVar(&f.edgeShare, "edgeshare", "1", "sweep: comma-separated profile EdgeShare overrides for the grid")
+	fs.StringVar(&f.lossScale, "lossscale", "1", "comma-separated profile LossScale overrides for the grid")
+	fs.StringVar(&f.edgeShare, "edgeshare", "1", "comma-separated profile EdgeShare overrides for the grid")
 	fs.StringVar(&f.cells, "cells", "", "sweep: run only this shard of the grid (comma-separated cell/group names, globs, indices, or index ranges)")
 	fs.StringVar(&f.cpuProf, "cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	fs.StringVar(&f.memProf, "memprofile", "", "write a pprof heap profile at exit to this file")
@@ -184,7 +181,7 @@ func (f *cmdFlags) exec(stdout io.Writer) (err error) {
 		return runSweep(stdout, f)
 	}
 
-	axes, err := f.axes()
+	axes, err := f.gridAxes()
 	if err != nil {
 		return err
 	}
@@ -216,42 +213,29 @@ func (f *cmdFlags) datasets() ([]core.Dataset, error) {
 	return []core.Dataset{d}, nil
 }
 
-// parsePositiveFloat parses one profile-override value. The substrate
-// only honors LossScale/EdgeShare when > 0 (netsim treats non-positive
-// values as the calibrated default, which would silently turn a sweep
-// axis into a mislabeled baseline), so non-positive values are errors.
-func parsePositiveFloat(s string) (float64, error) {
-	v, err := strconv.ParseFloat(s, 64)
+// gridAxes is every axis the flags set: the profile axis crossed from
+// -lossscale × -edgeshare, then the registry-derived axis flags that
+// departed from their defaults. In single-campaign mode each carries
+// exactly one value and applies straight to the config; in sweep mode
+// value lists expand the grid.
+func (f *cmdFlags) gridAxes() ([]core.Axis, error) {
+	ls, err := experiment.ParseList("lossscale", f.lossScale, core.ParseProfileScale)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	if v <= 0 {
-		return 0, fmt.Errorf("value %g must be > 0", v)
+	es, err := experiment.ParseList("edgeshare", f.edgeShare, core.ParseProfileScale)
+	if err != nil {
+		return nil, err
 	}
-	return v, nil
-}
-
-// profileVariants crosses LossScale × EdgeShare overrides into named
-// profile variants. The (1,1) point is the calibrated default and keeps
-// an empty name.
-func profileVariants(lossScales, edgeShares []float64) []core.ProfileVariant {
-	var out []core.ProfileVariant
-	for _, ls := range lossScales {
-		for _, es := range edgeShares {
-			if ls == 1 && es == 1 {
-				out = append(out, core.ProfileVariant{})
-				continue
-			}
-			p := netsim.DefaultProfile()
-			p.LossScale = ls
-			p.EdgeShare = es
-			out = append(out, core.ProfileVariant{
-				Name:    fmt.Sprintf("ls%g-es%g", ls, es),
-				Profile: p,
-			})
-		}
+	profile, err := core.ProfileGrid(ls, es)
+	if err != nil {
+		return nil, err
 	}
-	return out
+	axes, err := f.axes()
+	if err != nil {
+		return nil, err
+	}
+	return append([]core.Axis{profile}, axes...), nil
 }
 
 // runSweep builds an experiment from the flags and runs it: per-cell
@@ -266,15 +250,7 @@ func runSweep(stdout io.Writer, f *cmdFlags) error {
 	if err != nil {
 		return err
 	}
-	axes, err := f.axes()
-	if err != nil {
-		return err
-	}
-	ls, err := experiment.ParseList("lossscale", f.lossScale, parsePositiveFloat)
-	if err != nil {
-		return err
-	}
-	es, err := experiment.ParseList("edgeshare", f.edgeShare, parsePositiveFloat)
+	axes, err := f.gridAxes()
 	if err != nil {
 		return err
 	}
@@ -285,7 +261,6 @@ func runSweep(stdout io.Writer, f *cmdFlags) error {
 		experiment.Seed(f.seed),
 		experiment.Replicas(f.replicas),
 		experiment.Parallel(f.parallel),
-		experiment.Axes(experiment.ProfileAxis(profileVariants(ls, es)...)),
 		experiment.Warn(func(format string, args ...any) { fmt.Fprintf(stdout, format, args...) }),
 	}
 	for _, a := range axes {
@@ -625,16 +600,19 @@ func manifestTracePath(manifestDir, tracePath string) string {
 // keeps a forgotten -sweep from silently running only part of one.
 func applySingleAxes(cfg *core.Config, axes []core.Axis) error {
 	for _, a := range axes {
-		flagName := a.Name()
-		if def, ok := core.LookupAxis(a.Name()); ok && def.Flag != "" {
-			flagName = def.Flag
+		def, _ := core.LookupAxis(a.Name())
+		flagName := "-" + cmp.Or(def.Flag, def.Name)
+		if def.Usage == "" {
+			// The one axis without a flag of its own: the profile,
+			// crossed from two flags.
+			flagName = "-lossscale/-edgeshare"
 		}
 		vals := a.Values()
 		if len(vals) != 1 {
-			return fmt.Errorf("-%s: a single campaign takes one value per axis; value lists need -sweep", flagName)
+			return fmt.Errorf("%s: a single campaign takes one value per axis; value lists need -sweep", flagName)
 		}
 		if err := a.Apply(vals[0], cfg); err != nil {
-			return fmt.Errorf("-%s: %w", flagName, err)
+			return fmt.Errorf("%s: %w", flagName, err)
 		}
 	}
 	return nil

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -14,14 +15,16 @@ import (
 	"repro/internal/resultstore"
 )
 
+// TestParsePositiveFloat: -lossscale and -edgeshare take finite
+// values > 0, parsed by core's one profile rule.
 func TestParsePositiveFloat(t *testing.T) {
-	got, err := experiment.ParseList("lossscale", "1, 4,8", parsePositiveFloat)
+	got, err := experiment.ParseList("lossscale", "1, 4,8", core.ParseProfileScale)
 	if err != nil || len(got) != 3 || got[0] != 1 || got[1] != 4 || got[2] != 8 {
-		t.Errorf("ParseList(parsePositiveFloat) = %v, %v", got, err)
+		t.Errorf("ParseList(ParseProfileScale) = %v, %v", got, err)
 	}
-	for _, bad := range []string{"0.25,bogus", " , ", "0", "-1"} {
-		if _, err := experiment.ParseList("lossscale", bad, parsePositiveFloat); err == nil {
-			t.Errorf("ParseList(parsePositiveFloat) accepted %q", bad)
+	for _, bad := range []string{"0.25,bogus", " , ", "0", "-1", "NaN", "Inf", "-0"} {
+		if _, err := experiment.ParseList("lossscale", bad, core.ParseProfileScale); err == nil {
+			t.Errorf("ParseList(ParseProfileScale) accepted %q", bad)
 		}
 	}
 }
@@ -56,20 +59,28 @@ func TestApplySingleAxes(t *testing.T) {
 	}
 }
 
+// TestProfileVariants: -lossscale × -edgeshare cross into the profile
+// axis, LossScale outermost; the (1,1) point is the calibrated default.
 func TestProfileVariants(t *testing.T) {
-	vs := profileVariants([]float64{1, 4}, []float64{1, 2})
-	if len(vs) != 4 {
-		t.Fatalf("got %d variants, want 4", len(vs))
+	f := cmdFlags{lossScale: "1,4", edgeShare: "1,2",
+		axes: func() ([]core.Axis, error) { return nil, nil }}
+	axes, err := f.gridAxes()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if vs[0].Name != "" || vs[0].Profile != nil {
-		t.Errorf("(1,1) should be the default variant, got %+v", vs[0])
+	vs := axes[0].Values()
+	if want := []core.AxisValue{"", "ls1-es2", "ls4-es1", "ls4-es2"}; !slices.Equal(vs, want) {
+		t.Fatalf("profile values %q, want %q", vs, want)
 	}
-	if vs[3].Name != "ls4-es2" || vs[3].Profile == nil {
-		t.Errorf("(4,2) variant = %+v", vs[3])
+	var cfg core.Config
+	if err := axes[0].Apply(vs[0], &cfg); err != nil || cfg.Profile != nil {
+		t.Errorf("(1,1) should be the default profile, got %+v, %v", cfg.Profile, err)
 	}
-	if vs[3].Profile.LossScale != 4 || vs[3].Profile.EdgeShare != 2 {
-		t.Errorf("variant profile knobs = %v/%v",
-			vs[3].Profile.LossScale, vs[3].Profile.EdgeShare)
+	if err := axes[0].Apply(vs[3], &cfg); err != nil || cfg.Profile == nil {
+		t.Fatalf("(4,2) profile = %+v, %v", cfg.Profile, err)
+	}
+	if cfg.Profile.LossScale != 4 || cfg.Profile.EdgeShare != 2 {
+		t.Errorf("variant profile knobs = %v/%v", cfg.Profile.LossScale, cfg.Profile.EdgeShare)
 	}
 }
 
@@ -160,6 +171,22 @@ func TestCommandLineErrors(t *testing.T) {
 			`core: unknown dataset "ron2002" (want ron2003, ronwide, ronnarrow)`},
 		{"non-positive loss scale", testSweepArgs(dir, "-lossscale", "0"),
 			`-lossscale: bad value "0": value 0 must be > 0`},
+		{"loss-scale list without sweep", []string{"-dataset", "ronnarrow", "-days", "0.001", "-lossscale", "4,8"},
+			"-lossscale/-edgeshare: a single campaign takes one value per axis; value lists need -sweep"},
+		{"negative edge share without sweep", []string{"-dataset", "ronnarrow", "-days", "0.001", "-edgeshare", "-3"},
+			`-edgeshare: bad value "-3": value -3 must be > 0`},
+		{"loss scale NaN", testSweepArgs(dir, "-lossscale", "NaN"),
+			`-lossscale: bad value "NaN": value NaN is not finite`},
+		{"loss scale Inf", testSweepArgs(dir, "-lossscale", "Inf"),
+			`-lossscale: bad value "Inf": value Inf is not finite`},
+		{"hysteresis NaN", []string{"-dataset", "ronnarrow", "-days", "0.001", "-hysteresis", "NaN"},
+			`-hysteresis: core: axis hysteresis: bad value "NaN": value NaN is not finite`},
+		{"redundancy NaN", []string{"-dataset", "ronnarrow", "-days", "0.001", "-redundancy", "NaN"},
+			`-redundancy: core: axis redundancy: bad value "NaN": value NaN is not finite`},
+		{"hysteresis NaN in a grid", testSweepArgs(dir, "-hysteresis", "0,NaN"),
+			`-hysteresis: core: axis hysteresis: bad value "NaN": value NaN is not finite`},
+		{"hysteresis -0 is 0", testSweepArgs(dir, "-hysteresis", "0,-0"),
+			`-hysteresis: core: axis hysteresis: duplicate value "0"`},
 		{"days NaN", []string{"-dataset", "ronnarrow", "-days", "NaN"},
 			"core: Days = NaN, want > 0 and <= 106751"},
 		{"days Inf", []string{"-dataset", "ronnarrow", "-days", "Inf"},
@@ -175,6 +202,29 @@ func TestCommandLineErrors(t *testing.T) {
 				t.Errorf("stderr %q, want %q", stderr, "ronsim: "+tc.expect+"\n")
 			}
 		})
+	}
+}
+
+// TestSingleRunTakesProfileFlags: without -sweep, -lossscale and
+// -edgeshare set the one campaign's substrate, and naming the
+// calibrated (1, 1) point is the default run.
+func TestSingleRunTakesProfileFlags(t *testing.T) {
+	report := func(args ...string) string {
+		out, _ := ronsim(t, 0, append([]string{"-dataset", "ronnarrow", "-days", "0.01"}, args...)...)
+		var keep []string
+		for _, line := range strings.Split(out, "\n") {
+			if !strings.HasPrefix(line, "(wall time") {
+				keep = append(keep, line)
+			}
+		}
+		return strings.Join(keep, "\n")
+	}
+	base := report()
+	if report("-lossscale", "4") == base {
+		t.Error("-lossscale 4 printed the default run's report")
+	}
+	if report("-lossscale", "1", "-edgeshare", "1.0") != base {
+		t.Error("-lossscale 1 -edgeshare 1.0 departed from the default run")
 	}
 }
 

@@ -5,11 +5,12 @@
 // point's merged Table 5 and delivered-frame workload table.
 //
 // The custom "gapscale" axis is the point of the demo: a new grid
-// dimension is one Axis implementation plus one Register call. The
-// engine names, seeds, shards, snapshots, and serializes its cells
-// exactly like the built-in axes, with no engine changes. (The same
-// pattern at CLI scale: cmd/ronsim/axis_tablerefresh.go, whose
-// -tablerefresh flag is derived from this registry.)
+// dimension is one Register call with one AxisDef — how a value
+// parses, labels a cell, and configures a campaign. The engine names,
+// seeds, shards, snapshots, and serializes its cells exactly like the
+// built-in axes, with no engine changes. (The same pattern at CLI
+// scale: cmd/ronsim/axis_tablerefresh.go, whose -tablerefresh flag is
+// derived from this registry.)
 //
 //	go run ./examples/quickstart
 package main
@@ -24,41 +25,32 @@ import (
 	"repro/internal/analysis"
 )
 
-// gapScaleAxis scales the §4.1 measurement-probe pacing: value "2"
-// doubles the random inter-probe gap, halving the sampling rate. It
-// implements experiment.Axis — Name, Values, Apply, Label — and
-// nothing else.
-type gapScaleAxis struct{ vals []experiment.AxisValue }
-
-func (a *gapScaleAxis) Name() string                   { return "gapscale" }
-func (a *gapScaleAxis) Values() []experiment.AxisValue { return a.vals }
-
-func (a *gapScaleAxis) Apply(v experiment.AxisValue, cfg *experiment.Config) error {
-	scale, err := strconv.Atoi(string(v))
-	if err != nil || scale < 1 {
-		return fmt.Errorf("axis gapscale: bad value %q", v)
-	}
-	cfg.MeasureGapMin *= time.Duration(scale)
-	cfg.MeasureGapMax *= time.Duration(scale)
-	return nil
-}
-
-func (a *gapScaleAxis) Label(v experiment.AxisValue) string {
-	if v == "1" {
-		return "" // the default: stays out of cell names and snapshots
-	}
-	return "-g" + string(v)
-}
-
+// The gapscale axis scales the §4.1 measurement-probe pacing: value
+// "2" doubles the random inter-probe gap, halving the sampling rate.
+// Registering it makes the axis reconstructable from manifests and
+// snapshots (and would derive a -gapscale flag in a CLI).
 func init() {
-	// Registering makes the axis reconstructable from manifests and
-	// snapshots (and would derive a -gapscale flag in a CLI).
 	experiment.Register(experiment.AxisDef{
 		Name:    "gapscale",
 		Usage:   "comma-separated measurement-gap scale factors (1 = paper pacing)",
 		Default: "1",
-		New: func(values []experiment.AxisValue) (experiment.Axis, error) {
-			return &gapScaleAxis{vals: values}, nil
+		Parse: func(s string) (experiment.AxisValue, error) {
+			scale, err := strconv.Atoi(s)
+			if err != nil || scale < 1 {
+				return "", fmt.Errorf("gap scale %q is not a positive integer", s)
+			}
+			return experiment.AxisValue(strconv.Itoa(scale)), nil
+		},
+		Label: func(v experiment.AxisValue) string {
+			if v == "1" {
+				return "" // the default: stays out of cell names and snapshots
+			}
+			return "-g" + string(v)
+		},
+		Apply: func(v experiment.AxisValue, cfg *experiment.Config) {
+			scale, _ := strconv.Atoi(string(v))
+			cfg.MeasureGapMin *= time.Duration(scale)
+			cfg.MeasureGapMax *= time.Duration(scale)
 		},
 	})
 }

@@ -1,8 +1,10 @@
 package experiment
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 )
@@ -10,19 +12,19 @@ import (
 // The engine's grid types, re-exported so custom axes and experiment
 // consumers depend only on this package.
 type (
-	// Axis is one dimension of a sweep grid: a named, ordered value
-	// set that knows how to configure a campaign for each value and
-	// how each value labels a cell. Implement it (and Register the
-	// implementation) to add a grid dimension without touching the
-	// engine. See core.Axis for the full method contract.
+	// Axis is one dimension of a sweep grid: a registered axis kind and
+	// the canonical values it sweeps. Build one with NewAxis, or add
+	// one to a grid by name with AxisValues.
 	Axis = core.Axis
 	// AxisValue is an axis value's canonical string encoding — what
 	// appears in CLI lists, cell snapshots, and manifests.
 	AxisValue = core.AxisValue
-	// AxisDef is an axis registry entry: constructor plus CLI flag
-	// metadata.
+	// AxisDef is the one definition of an axis kind: its name and CLI
+	// flag metadata, and how a value parses, labels a cell, and
+	// configures a campaign. Register one to add a grid dimension
+	// without touching the engine.
 	AxisDef = core.AxisDef
-	// Config parameterizes one campaign; Axis.Apply mutates it.
+	// Config parameterizes one campaign; AxisDef.Apply mutates it.
 	Config = core.Config
 	// Dataset selects one of the paper's measurement campaigns.
 	Dataset = core.Dataset
@@ -50,10 +52,6 @@ func NewAxis(name string, values ...string) (Axis, error) {
 	return core.NewAxis(name, vals)
 }
 
-// ProfileAxis is the substrate-profile axis constructor, re-exported
-// for typed use.
-var ProfileAxis = core.ProfileAxis
-
 // DefaultWorkloadConfig is the workload configuration the workload
 // axes enable when they switch a cell on: a small FEC group over two
 // disjoint paths. Use it as the base for the Workload option.
@@ -79,56 +77,23 @@ func RegisterAxisValueFlags(fs *flag.FlagSet) func() ([]Axis, error) {
 		if def.Usage == "" {
 			continue
 		}
-		name := def.Name
-		if def.Flag != "" {
-			name = def.Flag
-		}
-		regs = append(regs, reg{def, fs.String(name, def.Default, def.Usage)})
+		regs = append(regs, reg{def, fs.String(cmp.Or(def.Flag, def.Name), def.Default, def.Usage)})
 	}
 	return func() ([]Axis, error) {
 		var axes []Axis
 		for _, r := range regs {
-			axis, err := axisFromFlag(r.def, *r.val)
+			axis, err := NewAxis(r.def.Name, SplitList(*r.val)...)
 			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("-%s: %w", cmp.Or(r.def.Flag, r.def.Name), err)
 			}
-			if axis != nil {
+			dflt, err := NewAxis(r.def.Name, SplitList(r.def.Default)...)
+			if err != nil {
+				return nil, fmt.Errorf("axis %s: bad registered default %q: %w", r.def.Name, r.def.Default, err)
+			}
+			if !slices.Equal(axis.Values(), dflt.Values()) {
 				axes = append(axes, axis)
 			}
 		}
 		return axes, nil
 	}
-}
-
-// axisFromFlag parses one axis flag value, returning nil when the
-// canonical values equal the flag default's.
-func axisFromFlag(def AxisDef, value string) (Axis, error) {
-	flagName := def.Name
-	if def.Flag != "" {
-		flagName = def.Flag
-	}
-	axis, err := NewAxis(def.Name, SplitList(value)...)
-	if err != nil {
-		return nil, fmt.Errorf("-%s: %w", flagName, err)
-	}
-	defAxis, err := NewAxis(def.Name, SplitList(def.Default)...)
-	if err != nil {
-		return nil, fmt.Errorf("axis %s: bad registered default %q: %w", def.Name, def.Default, err)
-	}
-	if sameValues(axis.Values(), defAxis.Values()) {
-		return nil, nil
-	}
-	return axis, nil
-}
-
-func sameValues(a, b []AxisValue) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

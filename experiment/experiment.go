@@ -16,10 +16,10 @@
 //	res, err := e.Run()
 //
 // Grid dimensions are Axis values, not struct fields: any package can
-// define a new axis (a named value set that knows how to configure a
-// campaign and label a cell) and register it with Register, after
-// which it sweeps, shards, resumes, snapshots, and serializes exactly
-// like the built-in ones — no engine changes. See the Axis type and
+// define a new axis kind (an AxisDef: how a value parses, labels a
+// cell, and configures a campaign) and register it with Register,
+// after which it sweeps, shards, resumes, snapshots, and serializes
+// exactly like the built-in ones — no engine changes. See AxisDef and
 // the axis registry in this package.
 //
 // What Run returns depends on whether the experiment persists: without
@@ -318,11 +318,7 @@ func Axes(axes ...core.Axis) Option {
 // (canonical or CLI form) — the data-driven form of Axes.
 func AxisValues(name string, values ...string) Option {
 	return func(e *Experiment) error {
-		vals := make([]core.AxisValue, len(values))
-		for i, v := range values {
-			vals[i] = core.AxisValue(v)
-		}
-		a, err := core.NewAxis(name, vals)
+		a, err := NewAxis(name, values...)
 		if err != nil {
 			return err
 		}

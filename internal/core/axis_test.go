@@ -1,9 +1,13 @@
 package core
 
 import (
+	"fmt"
+	"math"
+	"reflect"
+	"slices"
 	"strconv"
+	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/route"
 )
@@ -14,9 +18,12 @@ func TestAxisCanonicalValues(t *testing.T) {
 		want []AxisValue
 	}{
 		{HysteresisAxis(0, 0.25), []AxisValue{"0", "0.25"}},
-		{ProbeIntervalAxis(0, 30*time.Second, 2*time.Minute), []AxisValue{"0s", "30s", "2m0s"}},
-		{LossWindowAxis(0, 50), []AxisValue{"0", "50"}},
-		{ProfileAxis(ProfileVariant{}, ProfileVariant{Name: "ls4-es1"}), []AxisValue{"", "ls4-es1"}},
+		{mustAxis(t, "probeinterval", "0", "30s", "2m"), []AxisValue{"0s", "30s", "2m0s"}},
+		{mustAxis(t, "losswindow", "0", "50"), []AxisValue{"0", "50"}},
+		{mustAxis(t, "profile", "", "ls4-es1"), []AxisValue{"", "ls4-es1"}},
+		{HysteresisAxis(math.Copysign(0, -1), 1e-7), []AxisValue{"0", "1e-07"}},
+		{mustAxis(t, "redundancy", "-0", "0.5"), []AxisValue{"0", "0.5"}},
+		{mustAxis(t, "profile", "ls1-es1", "ls04-es1"), []AxisValue{"", "ls4-es1"}},
 	}
 	for _, c := range cases {
 		got := c.axis.Values()
@@ -52,12 +59,12 @@ func TestAxisLabels(t *testing.T) {
 	}{
 		{HysteresisAxis(0), "0", ""},
 		{HysteresisAxis(0.25), "0.25", "-h0.25"},
-		{ProbeIntervalAxis(0), "0s", ""},
-		{ProbeIntervalAxis(30 * time.Second), "30s", "-p30s"},
-		{LossWindowAxis(0), "0", ""},
-		{LossWindowAxis(50), "50", "-w50"},
-		{ProfileAxis(ProfileVariant{}), "", ""},
-		{ProfileAxis(ProfileVariant{Name: "ls4-es2"}), "ls4-es2", "-ls4-es2"},
+		{mustAxis(t, "probeinterval", "0"), "0s", ""},
+		{mustAxis(t, "probeinterval", "30s"), "30s", "-p30s"},
+		{mustAxis(t, "losswindow", "0"), "0", ""},
+		{mustAxis(t, "losswindow", "50"), "50", "-w50"},
+		{mustAxis(t, "profile", ""), "", ""},
+		{mustAxis(t, "profile", "ls4-es2"), "ls4-es2", "-ls4-es2"},
 	}
 	for _, c := range cases {
 		if got := c.axis.Label(c.v); got != c.want {
@@ -75,6 +82,7 @@ func TestNewAxisErrors(t *testing.T) {
 		"probeinterval": {"-5s"},
 		"losswindow":    {"1.5"},
 		"profile":       {"lossy"},
+		"redundancy":    {"NaN"},
 	}
 	for name, values := range bad {
 		if _, err := NewAxis(name, values); err == nil {
@@ -85,8 +93,27 @@ func TestNewAxisErrors(t *testing.T) {
 		if _, err := NewAxis(name, nil); err == nil {
 			t.Errorf("NewAxis(%s) accepted an empty value list", name)
 		}
-		if _, err := NewAxis(name, []AxisValue{"0", "0"}); name != "profile" && err == nil {
+		if _, err := NewAxis(name, []AxisValue{"0", "0"}); err == nil {
 			t.Errorf("NewAxis(%s) accepted duplicate values", name)
+		}
+	}
+	// Non-finite floats are no value of any axis, and -0 is 0.
+	for name, values := range map[string][]AxisValue{
+		"hysteresis": {"NaN"}, "redundancy": {"+Inf"}, "profile": {"lsNaN-es1"},
+	} {
+		if _, err := NewAxis(name, values); err == nil {
+			t.Errorf("NewAxis(%s, %v) accepted a non-finite value", name, values)
+		}
+	}
+	if _, err := NewAxis("hysteresis", []AxisValue{"0", "-0"}); err == nil {
+		t.Error("NewAxis(hysteresis) took -0 for a second value")
+	}
+	// A typed constructor keeps what it cannot parse, for NewSweep to
+	// refuse.
+	for _, a := range []Axis{HysteresisAxis(math.NaN()), RedundancyAxis(9), ScenarioAxis("nosuch")} {
+		if _, err := NewSweep(SweepSpec{Datasets: []Dataset{RONnarrow}, Days: sweepDays,
+			Axes: []Axis{a}}); err == nil {
+			t.Errorf("NewSweep accepted %s %v", a.Name(), a.Values())
 		}
 	}
 }
@@ -156,18 +183,87 @@ func FuzzParseLossWindow(f *testing.F) {
 	})
 }
 
+// TestProfileNameReconstruction: a profile value names its LossScale ×
+// EdgeShare override of the calibrated profile, so any run can rebuild
+// the profile from the name alone.
+// FuzzAxisValues: axis values reach the parsers from outside the
+// program, through sweep.json and cell snapshots. Whatever value list a
+// registered axis accepts round-trips through NewAxis, names distinct
+// grid points, applies its unlabeled value exactly as the axis's
+// Default, and configures campaigns Validate accepts.
+func FuzzAxisValues(f *testing.F) {
+	defs := RegisteredAxes()
+	for i := range defs {
+		for _, list := range []string{
+			"-1", "-5s", "1.5", "lossy", "0,0", "", // TestNewAxisErrors
+			"0", "1", "100", "+400", "65535", "65536", "1e3", "0x10", " 7", "9223372036854775808", // TestParseLossWindow
+			"NaN", "-0", "Inf", "lsNaN-es1", "0,-0", "ls4-es1,ls1-es1", "0,30s", "fullmesh,landmark", "outage", "2,1",
+		} {
+			f.Add(byte(i), list)
+		}
+	}
+	f.Fuzz(func(t *testing.T, pick byte, list string) {
+		def := defs[int(pick)%len(defs)]
+		var values []AxisValue
+		for _, v := range strings.Split(list, ",") {
+			values = append(values, AxisValue(v))
+		}
+		a, err := NewAxis(def.Name, values)
+		if err != nil {
+			return
+		}
+		vals := a.Values()
+		if again, err := NewAxis(def.Name, vals); err != nil || !slices.Equal(again.Values(), vals) {
+			t.Fatalf("axis %s: %q canonicalized to %q, which rebuilds as %v, %v", def.Name, list, vals, again.Values(), err)
+		}
+		base := DefaultConfig(RONnarrow, sweepDays)
+		dflt := base
+		if err := mustAxis(t, def.Name, AxisValue(def.Default)).Apply(AxisValue(def.Default), &dflt); err != nil {
+			t.Fatal(err)
+		}
+		labels := map[string]AxisValue{}
+		for i, v := range vals {
+			label := a.Label(v)
+			if prev, dup := labels[label]; dup || slices.Contains(vals[:i], v) {
+				t.Fatalf("axis %s: values %q and %q share label %q (or value)", def.Name, prev, v, label)
+			}
+			labels[label] = v
+			cfg := base
+			if err := a.Apply(v, &cfg); err != nil {
+				t.Fatalf("axis %s: canonical value %q does not apply: %v", def.Name, v, err)
+			}
+			if label == "" && !reflect.DeepEqual(cfg, dflt) {
+				t.Fatalf("axis %s: unlabeled value %q configures %+v, the default %q %+v", def.Name, v, cfg, def.Default, dflt)
+			}
+			if err := cfg.Validate(); err != nil {
+				t.Fatalf("axis %s: value %q configures a campaign Validate rejects: %v", def.Name, v, err)
+			}
+		}
+	})
+}
+
 func TestProfileNameReconstruction(t *testing.T) {
-	pv, err := parseProfileName("ls4-es0.5")
-	if err != nil {
+	cfg := DefaultConfig(RONnarrow, sweepDays)
+	if err := applyAxisValue("profile", "ls4-es0.5", &cfg); err != nil {
 		t.Fatal(err)
 	}
-	if pv.Profile == nil || pv.Profile.LossScale != 4 || pv.Profile.EdgeShare != 0.5 {
-		t.Errorf("reconstructed profile = %+v", pv.Profile)
+	if p := cfg.Profile; p == nil || p.LossScale != 4 || p.EdgeShare != 0.5 {
+		t.Errorf("reconstructed profile = %+v", p)
 	}
-	for _, bad := range []string{"lossy", "ls4", "ls04-es1", "ls0-es1", "ls4-es-2"} {
+	if err := applyAxisValue("profile", "", &cfg); err != nil || cfg.Profile != nil {
+		t.Errorf("the default profile value left %+v, %v", cfg.Profile, err)
+	}
+	for _, bad := range []string{"lossy", "ls4", "ls0-es1", "ls4-es-2", "es1-ls4", "lsNaN-es1", "ls+Inf-es1", "ls4-es1x"} {
 		if _, err := parseProfileName(bad); err == nil {
 			t.Errorf("parseProfileName(%q) accepted", bad)
 		}
+	}
+	grid, err := ProfileGrid([]float64{1, 4}, []float64{1, 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := grid.Values(), []AxisValue{"", "ls1-es0.5", "ls4-es1", "ls4-es0.5"}; !slices.Equal(got, want) {
+		t.Errorf("ProfileGrid values = %v, want %v", got, want)
 	}
 }
 
@@ -184,40 +280,36 @@ func TestApplyAxisValue(t *testing.T) {
 	}
 }
 
-// gapScaleAxis is a custom test axis defined outside the standard set:
-// it scales the §4.1 measurement-probe gap. It exists to prove the
-// engine treats registered custom axes exactly like built-in ones.
-type gapScaleAxis struct{ vals []AxisValue }
-
-func (a *gapScaleAxis) Name() string        { return "gapscale" }
-func (a *gapScaleAxis) Values() []AxisValue { return a.vals }
-func (a *gapScaleAxis) Apply(v AxisValue, cfg *Config) error {
-	if v == "1" {
-		return nil
+// mustAxis builds a registered axis, failing the test on an error.
+func mustAxis(t testing.TB, name string, values ...AxisValue) Axis {
+	t.Helper()
+	a, err := NewAxis(name, values)
+	if err != nil {
+		t.Fatal(err)
 	}
-	switch v {
-	case "2":
-		cfg.MeasureGapMin *= 2
-		cfg.MeasureGapMax *= 2
-	default:
-		return nil
-	}
-	return nil
-}
-func (a *gapScaleAxis) Label(v AxisValue) string {
-	if v == "1" {
-		return ""
-	}
-	return "-g" + string(v)
+	return a
 }
 
+// gapscale is a custom test axis defined outside the standard set: it
+// scales the §4.1 measurement-probe gap by 1 or 2. It exists to prove
+// the engine treats registered custom axes exactly like built-in ones.
 func init() {
 	RegisterAxis(AxisDef{
 		Name:    "gapscale",
 		Usage:   "test: measurement-gap scale factors",
 		Default: "1",
-		New: func(values []AxisValue) (Axis, error) {
-			return &gapScaleAxis{vals: append([]AxisValue(nil), values...)}, nil
+		Parse: func(s string) (AxisValue, error) {
+			if s != "1" && s != "2" {
+				return "", fmt.Errorf("gap scale %q is not 1 or 2", s)
+			}
+			return AxisValue(s), nil
+		},
+		Label: prefixLabel("-g", "1"),
+		Apply: func(v AxisValue, cfg *Config) {
+			if v == "2" {
+				cfg.MeasureGapMin *= 2
+				cfg.MeasureGapMax *= 2
+			}
 		},
 	})
 }
@@ -232,7 +324,7 @@ func TestCustomAxisPinnedToDefaultIsDropped(t *testing.T) {
 		t.Fatal(err)
 	}
 	pinned, err := NewSweep(SweepSpec{Datasets: []Dataset{RONnarrow}, Days: sweepDays, BaseSeed: 5,
-		Axes: []Axis{&gapScaleAxis{vals: []AxisValue{"1"}}}})
+		Axes: []Axis{mustAxis(t, "gapscale", "1")}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +346,7 @@ func TestCustomAxisExpansion(t *testing.T) {
 		Axes: []Axis{
 			// Deliberately out of canonical order: normalization must
 			// pin the standard axis ahead of the custom one regardless.
-			&gapScaleAxis{vals: []AxisValue{"1", "2"}},
+			mustAxis(t, "gapscale", "1", "2"),
 			HysteresisAxis(0, 0.25),
 		},
 	}
@@ -302,7 +394,7 @@ func TestCustomAxisSnapshotRoundTrip(t *testing.T) {
 		Datasets: []Dataset{RONnarrow},
 		Days:     sweepDays,
 		BaseSeed: 13,
-		Axes:     []Axis{&gapScaleAxis{vals: []AxisValue{"2"}}},
+		Axes:     []Axis{mustAxis(t, "gapscale", "2")},
 	})
 	c := res.Cells[0]
 	path := CellSnapshotPath(t.TempDir(), c.Cell.Name())

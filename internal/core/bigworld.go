@@ -81,57 +81,29 @@ func parseOverlaySize(s string) (int, error) {
 	return v, nil
 }
 
-// OverlaySizeAxis sweeps Config.Nodes, the synthetic overlay size; the
+// overlaySizeDef sweeps Config.Nodes, the synthetic overlay size; the
 // zero value keeps the dataset's paper testbed (and an empty label, so
 // grids without the axis are unchanged) and positive values label cells
 // "-n<size>". The CLI flag is -nodes.
-func OverlaySizeAxis(values ...int) Axis {
-	return &scalarAxis[int]{
-		name:   "overlaysize",
-		vals:   canonicalize(values, strconv.Itoa),
-		parse:  parseOverlaySize,
-		format: strconv.Itoa,
-		label: func(v int) string {
-			if v > 0 {
-				return fmt.Sprintf("-n%d", v)
-			}
-			return ""
-		},
-		apply: func(v int, cfg *Config) { cfg.Nodes = v },
-	}
-}
+var overlaySizeDef = typedDef(AxisDef{
+	Name:    "overlaysize",
+	Flag:    "nodes",
+	Usage:   "comma-separated synthetic overlay sizes (0 = paper testbed)",
+	Default: "0",
+	Label:   prefixLabel("-n", "0"),
+}, parseOverlaySize, strconv.Itoa, func(v int, cfg *Config) { cfg.Nodes = v })
 
-// PolicyAxis sweeps Config.Policy over probing policies; "fullmesh"
+// policyDef sweeps Config.Policy over probing policies; "fullmesh"
 // (the paper's system) is the unlabeled default and "landmark" labels
 // cells "-lm".
-func PolicyAxis(values ...Policy) Axis {
-	return &scalarAxis[Policy]{
-		name:   "policy",
-		vals:   canonicalize(values, Policy.String),
-		parse:  ParsePolicy,
-		format: Policy.String,
-		label: func(v Policy) string {
-			if v == PolicyLandmark {
-				return "-lm"
-			}
-			return ""
-		},
-		apply: func(v Policy, cfg *Config) { cfg.Policy = v },
-	}
-}
-
-func init() {
-	RegisterAxis(AxisDef{
-		Name:    "overlaysize",
-		Flag:    "nodes",
-		Usage:   "comma-separated synthetic overlay sizes (0 = paper testbed)",
-		Default: "0",
-		New:     scalarFactory("overlaysize", parseOverlaySize, strconv.Itoa, OverlaySizeAxis),
-	})
-	RegisterAxis(AxisDef{
-		Name:    "policy",
-		Usage:   "comma-separated probing policies (fullmesh, landmark)",
-		Default: "fullmesh",
-		New:     scalarFactory("policy", ParsePolicy, Policy.String, PolicyAxis),
-	})
-}
+var policyDef = typedDef(AxisDef{
+	Name:    "policy",
+	Usage:   "comma-separated probing policies (fullmesh, landmark)",
+	Default: "fullmesh",
+	Label: func(v AxisValue) string {
+		if v == AxisValue(PolicyLandmark.String()) {
+			return "-lm"
+		}
+		return ""
+	},
+}, ParsePolicy, Policy.String, func(v Policy, cfg *Config) { cfg.Policy = v })

@@ -196,8 +196,8 @@ func TestBigWorldSweepNames(t *testing.T) {
 		Datasets: []Dataset{RONnarrow},
 		Days:     0.005,
 		Axes: []Axis{
-			OverlaySizeAxis(0, 48),
-			PolicyAxis(PolicyFullMesh, PolicyLandmark),
+			mustAxis(t, "overlaysize", "0", "48"),
+			mustAxis(t, "policy", "fullmesh", "landmark"),
 		},
 		Replicas: 1,
 	}

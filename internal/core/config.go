@@ -227,6 +227,12 @@ func (c Config) validate(methods []route.Method) error {
 	if !(c.Days > 0 && c.Days <= maxDays) {
 		return fmt.Errorf("core: Days = %v, want > 0 and <= %v", c.Days, maxDays)
 	}
+	if !finite(c.Hysteresis) || c.Hysteresis < 0 {
+		return fmt.Errorf("core: Hysteresis = %v, want finite and >= 0", c.Hysteresis)
+	}
+	if p := c.Profile; p != nil && !(finite(p.LossScale) && finite(p.EdgeShare)) {
+		return fmt.Errorf("core: profile LossScale = %v, EdgeShare = %v, want finite", p.LossScale, p.EdgeShare)
+	}
 	if c.ProbeInterval <= 0 {
 		return fmt.Errorf("core: ProbeInterval = %v, want > 0", c.ProbeInterval)
 	}

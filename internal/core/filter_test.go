@@ -131,8 +131,8 @@ func TestSweepNewAxes(t *testing.T) {
 		Days:     sweepDays,
 		BaseSeed: 3,
 		Axes: []Axis{
-			ProbeIntervalAxis(0, 30*time.Second),
-			LossWindowAxis(0, 50),
+			mustAxis(t, "probeinterval", "0", "30s"),
+			mustAxis(t, "losswindow", "0", "50"),
 		},
 		Configure: func(c Cell, cfg *Config) {
 			cells = append(cells, c)
@@ -198,12 +198,10 @@ func TestSweepNewAxes(t *testing.T) {
 	}
 
 	// Negative axis values are rejected.
-	if _, err := NewSweep(SweepSpec{Datasets: []Dataset{RONnarrow}, Days: sweepDays,
-		Axes: []Axis{ProbeIntervalAxis(-time.Second)}}); err == nil {
-		t.Error("NewSweep accepted a negative probe interval")
+	if _, err := NewAxis("probeinterval", []AxisValue{"-1s"}); err == nil {
+		t.Error("NewAxis accepted a negative probe interval")
 	}
-	if _, err := NewSweep(SweepSpec{Datasets: []Dataset{RONnarrow}, Days: sweepDays,
-		Axes: []Axis{LossWindowAxis(-1)}}); err == nil {
-		t.Error("NewSweep accepted a negative loss window")
+	if _, err := NewAxis("losswindow", []AxisValue{"-1"}); err == nil {
+		t.Error("NewAxis accepted a negative loss window")
 	}
 }

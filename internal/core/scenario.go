@@ -56,57 +56,33 @@ func (s ScenarioConfig) validate() error {
 
 // --- scenario axis ---
 
-// parseScenario validates a scenario axis value: "0" (or empty,
-// canonicalized to "0") is off, anything else must name a preset.
-func parseScenario(s string) (string, error) {
-	if s == "" || s == "0" {
-		return "0", nil
-	}
-	if _, ok := scenario.Preset(s); !ok {
-		return "", fmt.Errorf("unknown scenario %q (want 0 for off, or one of: %s)",
-			s, strings.Join(scenario.Names(), ", "))
-	}
-	return s, nil
+// scenarioDef sweeps scripted failure scenarios by preset name. The
+// value "0" (or empty) is the unlabeled default, no scenario; preset
+// names label cells "-sc<name>".
+var scenarioDef = AxisDef{
+	Name:    "scenario",
+	Usage:   "comma-separated failure-scenario presets (0 = none)",
+	Default: "0",
+	Parse: func(s string) (AxisValue, error) {
+		if s == "" || s == "0" {
+			return "0", nil
+		}
+		if _, ok := scenario.Preset(s); !ok {
+			return "", fmt.Errorf("unknown scenario %q (want 0 for off, or one of: %s)",
+				s, strings.Join(scenario.Names(), ", "))
+		}
+		return AxisValue(s), nil
+	},
+	Label: prefixLabel("-sc", "0"),
+	Apply: func(v AxisValue, cfg *Config) {
+		if v != "0" {
+			cfg.Scenario.Preset = string(v)
+		}
+	},
 }
 
-func formatScenario(v string) string {
-	if v == "" {
-		return "0"
-	}
-	return v
-}
-
-// ScenarioAxis sweeps scripted failure scenarios by preset name. The
-// value "0" is the unlabeled default (no scenario); preset names label
-// cells "-sc<name>".
-func ScenarioAxis(values ...string) Axis {
-	return &scalarAxis[string]{
-		name:   "scenario",
-		vals:   canonicalize(values, formatScenario),
-		parse:  parseScenario,
-		format: formatScenario,
-		label: func(v string) string {
-			if v == "" || v == "0" {
-				return ""
-			}
-			return "-sc" + v
-		},
-		apply: func(v string, cfg *Config) {
-			if v != "" && v != "0" {
-				cfg.Scenario.Preset = v
-			}
-		},
-	}
-}
-
-func init() {
-	RegisterAxis(AxisDef{
-		Name:    "scenario",
-		Usage:   "comma-separated failure-scenario presets (0 = none)",
-		Default: "0",
-		New:     scalarFactory("scenario", parseScenario, formatScenario, ScenarioAxis),
-	})
-}
+// ScenarioAxis sweeps the scenario axis over preset names.
+func ScenarioAxis(values ...string) Axis { return typedAxis(&scenarioDef, values) }
 
 // --- campaign failure driver ---
 

@@ -398,11 +398,9 @@ func (s *CellSnapshot) Restore(cfg Config) (*Result, error) {
 // spec in hand. Every recorded axis coordinate is re-applied through
 // the axis registry, so custom axes round-trip as long as the restoring
 // binary links their definitions; an unregistered axis is a clear
-// error, never silently dropped. The profile axis is the exception: its
-// parameters are not persisted (restoring never re-runs the substrate),
-// so it is skipped. Sweeps that
-// overrode Config.Methods cannot be restored this way; Restore with the
-// original Config covers those.
+// error, never silently dropped. Sweeps that overrode Config.Methods
+// cannot be restored this way; Restore with the original Config covers
+// those.
 func (s *CellSnapshot) RestoreStandalone() (*Result, error) {
 	d, err := ParseDataset(s.Dataset)
 	if err != nil {
@@ -411,9 +409,6 @@ func (s *CellSnapshot) RestoreStandalone() (*Result, error) {
 	cfg := DefaultConfig(d, s.Days)
 	cfg.Seed = s.Seed
 	for _, name := range sortedAxisNames(s.Axes) {
-		if name == "profile" {
-			continue
-		}
 		if err := applyAxisValue(name, AxisValue(s.Axes[name]), &cfg); err != nil {
 			return nil, fmt.Errorf("core: snapshot %s: %w", s.Name, err)
 		}

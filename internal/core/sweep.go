@@ -7,18 +7,8 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/netsim"
 	"repro/internal/resultstore"
 )
-
-// ProfileVariant names one substrate-profile override in a sweep grid.
-type ProfileVariant struct {
-	// Name labels the variant in cell names and output paths; empty
-	// means the calibrated default profile.
-	Name string
-	// Profile is the override; nil selects the calibrated default.
-	Profile *netsim.Profile
-}
 
 // SweepSpec describes a grid of campaigns: the cross product of
 // datasets × grid axes, each point run Replicas times under derived

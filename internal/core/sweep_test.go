@@ -5,10 +5,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/analysis"
-	"repro/internal/netsim"
 )
 
 // sweepDays keeps sweep-test campaigns short: ~15 virtual minutes is
@@ -30,15 +28,13 @@ func runSweep(t *testing.T, spec SweepSpec) *SweepResult {
 }
 
 func TestSweepGridExpansion(t *testing.T) {
-	prof := netsim.DefaultProfile()
-	prof.LossScale = 2
 	spec := SweepSpec{
 		Datasets: []Dataset{RON2003, RONnarrow},
 		Days:     sweepDays,
 		BaseSeed: 7,
 		Replicas: 3,
 		Axes: []Axis{
-			ProfileAxis(ProfileVariant{}, ProfileVariant{Name: "lossy", Profile: prof}),
+			mustAxis(t, "profile", "", "ls2-es1"),
 			HysteresisAxis(0, 0.25),
 		},
 	}
@@ -88,7 +84,7 @@ func TestSweepRejectsDuplicateGridPoints(t *testing.T) {
 		"hysteresis": {Datasets: []Dataset{RONnarrow}, Days: sweepDays,
 			Axes: []Axis{HysteresisAxis(0.25, 0.25)}},
 		"profile": {Datasets: []Dataset{RONnarrow}, Days: sweepDays,
-			Axes: []Axis{ProfileAxis(ProfileVariant{}, ProfileVariant{})}},
+			Axes: []Axis{{def: &profileDef, vals: []AxisValue{"", ""}}}},
 		"axis twice": {Datasets: []Dataset{RONnarrow}, Days: sweepDays,
 			Axes: []Axis{HysteresisAxis(0), HysteresisAxis(0.25)}},
 	} {
@@ -105,8 +101,8 @@ func TestSweepSeedsStableAcrossGridGrowth(t *testing.T) {
 	big.Replicas = 5
 	big.Axes = []Axis{
 		HysteresisAxis(0, 0.5),
-		ProbeIntervalAxis(0, 30*time.Second),
-		LossWindowAxis(0, 50),
+		mustAxis(t, "probeinterval", "0", "30s"),
+		mustAxis(t, "losswindow", "0", "50"),
 	}
 	sSmall, err := NewSweep(small)
 	if err != nil {

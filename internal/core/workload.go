@@ -126,141 +126,74 @@ func enableWorkloadDefaults(cfg *Config) {
 
 // --- workload axes ---
 
-// parseRedundancy accepts a redundancy rate m/k in [0, 8].
-func parseRedundancy(s string) (float64, error) {
-	v, err := strconv.ParseFloat(s, 64)
-	if err != nil {
-		return 0, err
+// redundancyDef sweeps the FEC redundancy rate m/k in [0, 8]: each
+// positive value enables the workload (DefaultWorkloadConfig when not
+// already enabled) and sets ParityShards to round(rate·DataShards), at
+// least 1. The zero value is the unlabeled default and leaves the
+// config untouched; cells with a positive rate are labeled
+// "-red<rate>".
+var redundancyDef = typedDef(AxisDef{
+	Name:    "redundancy",
+	Usage:   "comma-separated FEC redundancy rates m/k (0 = workload off/default)",
+	Default: "0",
+	Label:   prefixLabel("-red", "0"),
+}, func(s string) (float64, error) {
+	v, err := parseFinite(s)
+	if err == nil && (v < 0 || v > 8) {
+		err = fmt.Errorf("redundancy rate %g out of [0, 8]", v)
 	}
-	if v < 0 || v > 8 {
-		return 0, fmt.Errorf("redundancy rate %g out of [0, 8]", v)
+	return v, err
+}, formatFloat, func(v float64, cfg *Config) {
+	if v > 0 {
+		enableWorkloadDefaults(cfg)
+		cfg.Workload.ParityShards = max(1, int(math.Round(v*float64(cfg.Workload.DataShards))))
 	}
-	return v, nil
-}
+})
 
-func formatRedundancy(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+// RedundancyAxis sweeps the redundancy axis over typed rates. Invalid
+// values surface when the axis is used (NewSweep), not at construction.
+func RedundancyAxis(values ...float64) Axis { return typedAxis(&redundancyDef, values) }
 
-// RedundancyAxis sweeps the FEC redundancy rate m/k: each positive value
-// enables the workload (DefaultWorkloadConfig when not already enabled)
-// and sets ParityShards to round(rate·DataShards), at least 1. The zero
-// value is the unlabeled default and leaves the config untouched; cells
-// with a positive rate are labeled "-red<rate>".
-func RedundancyAxis(values ...float64) Axis {
-	return &scalarAxis[float64]{
-		name:   "redundancy",
-		vals:   canonicalize(values, formatRedundancy),
-		parse:  parseRedundancy,
-		format: formatRedundancy,
-		label: func(v float64) string {
-			if v > 0 {
-				return fmt.Sprintf("-red%g", v)
-			}
-			return ""
-		},
-		apply: func(v float64, cfg *Config) {
-			if v > 0 {
-				enableWorkloadDefaults(cfg)
-				m := int(math.Round(v * float64(cfg.Workload.DataShards)))
-				if m < 1 {
-					m = 1
-				}
-				cfg.Workload.ParityShards = m
-			}
-		},
+// pathsDef sweeps the number of link-disjoint paths, in [0, 16], frames
+// are striped across. Positive values enable the workload and set
+// Paths, labeling cells "-k<paths>"; 0 is the unlabeled default.
+var pathsDef = typedDef(AxisDef{
+	Name:    "paths",
+	Usage:   "comma-separated disjoint-path counts for workload striping (0 = workload off/default)",
+	Default: "0",
+	Label:   prefixLabel("-k", "0"),
+}, intIn("path count", 16), strconv.Itoa, func(v int, cfg *Config) {
+	if v > 0 {
+		enableWorkloadDefaults(cfg)
+		cfg.Workload.Paths = v
 	}
-}
+})
 
-// parsePathCount accepts a disjoint-path count in [0, 16].
-func parsePathCount(s string) (int, error) {
-	v, err := strconv.Atoi(s)
-	if err != nil {
-		return 0, err
+// streamsDef sweeps the stream mix (how many concurrent application
+// streams, in [0, 65536], load the mesh). Positive values enable the
+// workload and set Streams, labeling cells "-st<count>"; 0 is the
+// unlabeled default.
+var streamsDef = typedDef(AxisDef{
+	Name:    "streams",
+	Usage:   "comma-separated workload stream counts (0 = workload off/default)",
+	Default: "0",
+	Label:   prefixLabel("-st", "0"),
+}, intIn("stream count", 1<<16), strconv.Itoa, func(v int, cfg *Config) {
+	if v > 0 {
+		enableWorkloadDefaults(cfg)
+		cfg.Workload.Streams = v
 	}
-	if v < 0 || v > 16 {
-		return 0, fmt.Errorf("path count %d out of [0, 16]", v)
-	}
-	return v, nil
-}
+})
 
-// PathCountAxis sweeps the number of link-disjoint paths frames are
-// striped across. Positive values enable the workload and set Paths,
-// labeling cells "-k<paths>"; 0 is the unlabeled default.
-func PathCountAxis(values ...int) Axis {
-	return &scalarAxis[int]{
-		name:   "paths",
-		vals:   canonicalize(values, strconv.Itoa),
-		parse:  parsePathCount,
-		format: strconv.Itoa,
-		label: func(v int) string {
-			if v > 0 {
-				return fmt.Sprintf("-k%d", v)
-			}
-			return ""
-		},
-		apply: func(v int, cfg *Config) {
-			if v > 0 {
-				enableWorkloadDefaults(cfg)
-				cfg.Workload.Paths = v
-			}
-		},
+// intIn returns a parser for an integer in [0, hi].
+func intIn(what string, hi int) func(string) (int, error) {
+	return func(s string) (int, error) {
+		v, err := strconv.Atoi(s)
+		if err == nil && (v < 0 || v > hi) {
+			err = fmt.Errorf("%s %d out of [0, %d]", what, v, hi)
+		}
+		return v, err
 	}
-}
-
-// parseStreams accepts a stream count in [0, 65536].
-func parseStreams(s string) (int, error) {
-	v, err := strconv.Atoi(s)
-	if err != nil {
-		return 0, err
-	}
-	if v < 0 || v > 1<<16 {
-		return 0, fmt.Errorf("stream count %d out of [0, %d]", v, 1<<16)
-	}
-	return v, nil
-}
-
-// StreamsAxis sweeps the stream mix (how many concurrent application
-// streams load the mesh). Positive values enable the workload and set
-// Streams, labeling cells "-st<count>"; 0 is the unlabeled default.
-func StreamsAxis(values ...int) Axis {
-	return &scalarAxis[int]{
-		name:   "streams",
-		vals:   canonicalize(values, strconv.Itoa),
-		parse:  parseStreams,
-		format: strconv.Itoa,
-		label: func(v int) string {
-			if v > 0 {
-				return fmt.Sprintf("-st%d", v)
-			}
-			return ""
-		},
-		apply: func(v int, cfg *Config) {
-			if v > 0 {
-				enableWorkloadDefaults(cfg)
-				cfg.Workload.Streams = v
-			}
-		},
-	}
-}
-
-func init() {
-	RegisterAxis(AxisDef{
-		Name:    "redundancy",
-		Usage:   "comma-separated FEC redundancy rates m/k (0 = workload off/default)",
-		Default: "0",
-		New:     scalarFactory("redundancy", parseRedundancy, formatRedundancy, RedundancyAxis),
-	})
-	RegisterAxis(AxisDef{
-		Name:    "paths",
-		Usage:   "comma-separated disjoint-path counts for workload striping (0 = workload off/default)",
-		Default: "0",
-		New:     scalarFactory("paths", parsePathCount, strconv.Itoa, PathCountAxis),
-	})
-	RegisterAxis(AxisDef{
-		Name:    "streams",
-		Usage:   "comma-separated workload stream counts (0 = workload off/default)",
-		Default: "0",
-		New:     scalarFactory("streams", parseStreams, strconv.Itoa, StreamsAxis),
-	})
 }
 
 // --- campaign traffic driver ---

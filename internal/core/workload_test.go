@@ -164,7 +164,7 @@ func TestWorkloadAxes(t *testing.T) {
 	}
 
 	cfg = base()
-	if err := PathCountAxis(0, 3).Apply("3", cfg); err != nil {
+	if err := mustAxis(t, "paths", "0", "3").Apply("3", cfg); err != nil {
 		t.Fatal(err)
 	}
 	if !cfg.Workload.Enabled() || cfg.Workload.Paths != 3 {
@@ -172,7 +172,7 @@ func TestWorkloadAxes(t *testing.T) {
 	}
 
 	cfg = base()
-	if err := StreamsAxis(0, 8).Apply("8", cfg); err != nil {
+	if err := mustAxis(t, "streams", "0", "8").Apply("8", cfg); err != nil {
 		t.Fatal(err)
 	}
 	if !cfg.Workload.Enabled() || cfg.Workload.Streams != 8 {
@@ -181,7 +181,7 @@ func TestWorkloadAxes(t *testing.T) {
 	// Refinement on an already-enabled workload must not reset other
 	// fields back to defaults.
 	cfg.Workload.Paths = 4
-	if err := StreamsAxis(0, 2).Apply("2", cfg); err != nil {
+	if err := mustAxis(t, "streams", "0", "2").Apply("2", cfg); err != nil {
 		t.Fatal(err)
 	}
 	if cfg.Workload.Paths != 4 || cfg.Workload.Streams != 2 {

@@ -23,12 +23,14 @@ func (nw *Network) materialiseAll() {
 }
 
 // twinOp is one step of a schedule driven through both networks: a send
-// (key 0 lets the network draw the packet key) or a fault injection on
+// (key 0 lets the network draw the packet key; fused sends a direct
+// route through the lazy network's SendDirect) or a fault injection on
 // the backbone of (r.Src, r.Dst).
 type twinOp struct {
 	t     Time
 	r     Route
 	key   uint64
+	fused bool
 	fault twinFault
 }
 
@@ -114,10 +116,13 @@ func runTwins(t *testing.T, label string, lazy, eager *Network, ops []twinOp) {
 			continue
 		}
 		var got, want Outcome
-		if op.key == 0 {
-			got, want = lazy.Send(op.t, op.r), eager.Send(op.t, op.r)
-		} else {
+		switch {
+		case op.key != 0:
 			got, want = lazy.SendKeyed(op.t, op.r, op.key), eager.SendKeyed(op.t, op.r, op.key)
+		case op.fused:
+			got, want = lazy.SendDirect(op.t, op.r.Src, op.r.Dst), eager.Send(op.t, op.r)
+		default:
+			got, want = lazy.Send(op.t, op.r), eager.Send(op.t, op.r)
 		}
 		if got != want {
 			t.Fatalf("%s: op %d (%v at %v): lazy %+v, pre-built %+v", label, i, op.r, op.t, got, want)
@@ -143,24 +148,21 @@ func runTwins(t *testing.T, label string, lazy, eager *Network, ops []twinOp) {
 	}
 }
 
-// TestLazyBackboneMatchesEager holds a network that builds backbone
-// components at first transit to one that has them all from Reset:
-// identical outcome streams and component state, whatever the global
-// weather is doing at time 0 (the one input of construction that
-// depends on when it runs), with faults injected on never-touched
-// pairs, and across Resets that change the mesh size on one Network.
-func TestLazyBackboneMatchesEager(t *testing.T) {
+// twinWeather is a global-weather profile the twins run under.
+type twinWeather struct {
+	name string
+	prof *Profile
+	// storm0 demands a weather episode in force at time 0.
+	storm0 bool
+}
+
+func twinWeathers() []twinWeather {
 	withGlobal := func(g GlobalParams) *Profile {
 		p := DefaultProfile()
 		p.Global = g
 		return p
 	}
-	profiles := []struct {
-		name string
-		prof *Profile
-		// storm0 demands a weather episode in force at time 0.
-		storm0 bool
-	}{
+	return []twinWeather{
 		{"default", nil, false},
 		{"storm-at-0", withGlobal(GlobalParams{
 			EpisodeEvery: 1, EpisodeMean: 2 * Minute, BoostMin: 8, BoostMax: 25}), true},
@@ -168,6 +170,16 @@ func TestLazyBackboneMatchesEager(t *testing.T) {
 			EpisodeEvery: 2 * Second, EpisodeMean: Minute, BoostMin: 8, BoostMax: 25}), false},
 		{"no-weather", withGlobal(GlobalParams{}), false},
 	}
+}
+
+// TestLazyBackboneMatchesEager holds a network that builds backbone
+// components at first transit to one that has them all from Reset:
+// identical outcome streams and component state, whatever the global
+// weather is doing at time 0 (the one input of construction that
+// depends on when it runs), with faults injected on never-touched
+// pairs, and across Resets that change the mesh size on one Network.
+func TestLazyBackboneMatchesEager(t *testing.T) {
+	profiles := twinWeathers()
 	testbeds := []*topo.Testbed{topo.RON2003(), topo.Synthetic(64)}
 	for _, tb := range testbeds {
 		ops := twinSchedule(uint64(tb.N()), tb.N(), 12000)
@@ -207,4 +219,132 @@ func TestLazyBackboneMatchesEager(t *testing.T) {
 	}); allocs != 0 {
 		t.Fatalf("warm same-size Reset and rebuild allocated %.0f times", allocs)
 	}
+}
+
+// twinRun is one Network's life between Resets: its mesh size, seed,
+// and schedule.
+type twinRun struct {
+	n    int
+	seed uint64
+	ops  []twinOp
+}
+
+// decodeTwinRuns reads fuzzer bytes as a header (mesh size 3–24,
+// weather, seed) and then 6-byte steps (code, a, b, c, dt, skew). A
+// step advances the clock by dt·4 ms; a and b pick the pair, and code%8
+// the step: a direct send (0–2; through SendDirect on the lazy side when
+// code&8), an indirect send via host c (3–4), a keyed send (5; via c
+// when c is odd), a fault on the pair's backbone (6; ForceDown when
+// code&8, else ForceCongestion), or a Reset to mesh size 3+a%22 with
+// seed b (7). code&16 sends 10–20 ms behind the clock. A fault on a
+// pair a send or an earlier fault may have built is skipped: it is not
+// a lazy-network question.
+func decodeTwinRuns(data []byte) (weather int, runs []twinRun) {
+	if len(data) < 3 {
+		return 0, nil
+	}
+	weather = int(data[1]) % len(twinWeathers())
+	run := twinRun{n: 3 + int(data[0])%22, seed: uint64(data[2])}
+	touched := map[[2]int]bool{}
+	touch := func(i, j int) { touched[[2]int{min(i, j), max(i, j)}] = true }
+	var clock Time
+	for data = data[3:]; len(data) >= 6; data = data[6:] {
+		code, a, b, c := data[0], int(data[1]), int(data[2]), int(data[3])
+		clock += Time(data[4]) * 4 * Millisecond
+		if code%8 == 7 {
+			runs = append(runs, run)
+			run = twinRun{n: 3 + a%22, seed: uint64(b)}
+			clear(touched)
+			continue
+		}
+		n := run.n
+		src := a % n
+		dst := (src + 1 + b%(n-1)) % n
+		op := twinOp{t: clock, r: Direct(src, dst)}
+		if code%8 == 6 {
+			if touched[[2]int{min(src, dst), max(src, dst)}] {
+				continue
+			}
+			op.fault = forceCongestion
+			if code&8 != 0 {
+				op.fault = forceDown
+			}
+			touch(src, dst) // injecting builds the component
+			run.ops = append(run.ops, op)
+			continue
+		}
+		if code%8 == 5 {
+			op.key = 1 + uint64(a)<<40 ^ uint64(b)<<20 ^ uint64(c)<<8 ^ uint64(data[5])
+		}
+		if code%8 == 3 || code%8 == 4 || (code%8 == 5 && c%2 == 1) {
+			// The c%(n-2)-th host that is neither endpoint.
+			via := c % (n - 2)
+			for _, h := range []int{min(src, dst), max(src, dst)} {
+				if via >= h {
+					via++
+				}
+			}
+			op.r = Indirect(src, dst, via)
+			touch(src, via)
+			touch(via, dst)
+		} else {
+			op.fused = code%8 < 3 && code&8 != 0
+			touch(src, dst)
+		}
+		if code&16 != 0 {
+			op.t = max(0, op.t-10*Millisecond-Time(data[5]%11)*Millisecond)
+		}
+		run.ops = append(run.ops, op)
+	}
+	return weather, append(runs, run)
+}
+
+// FuzzLazyNetworkMatchesEager drives fuzzer-written schedules through
+// runTwins: one Network building backbone components at first transit,
+// Reset between runs to other mesh sizes, against a fully built network
+// per run. Seeds are TestLazyBackboneMatchesEager's schedule shape,
+// shrunk: sends off the last two hosts, a fault on each of two of their
+// untouched pairs, sends everywhere, then a Reset to another size.
+func FuzzLazyNetworkMatchesEager(f *testing.F) {
+	for w := range twinWeathers() {
+		for _, sizes := range [][2]int{{24, 5}, {5, 24}} {
+			n, next := sizes[0], sizes[1]
+			rng := NewSource(uint64(n*4 + w))
+			data := []byte{byte(n - 3), byte(w), byte(rng.Intn(256))}
+			step := func(code byte, a, b int) {
+				data = append(data, code, byte(a), byte(b), byte(rng.Intn(256)), byte(rng.Intn(200)), byte(rng.Intn(256)))
+			}
+			// sends appends k sends of the first kinds step codes
+			// between the first hosts hosts of an n-host mesh.
+			sends := func(n, hosts, kinds, k int) {
+				for i := 0; i < k; i++ {
+					src, dst := rng.Intn(hosts), rng.Intn(hosts-1)
+					if dst >= src {
+						dst++
+					}
+					step(byte(rng.Intn(kinds)|rng.Intn(4)<<3), src, (dst-src-1+n)%n)
+				}
+			}
+			sends(n, n-2, 3, 20)
+			step(6|8, n-2, 0) // ForceDown on (n-2, n-1)
+			step(6, n-1, 0)   // ForceCongestion on (n-1, 0)
+			sends(n, n, 6, 20)
+			step(7, next-3, rng.Intn(256))
+			sends(next, next, 6, 20)
+			f.Add(data)
+		}
+	}
+	weathers := twinWeathers()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		weather, runs := decodeTwinRuns(data)
+		prof := weathers[weather].prof
+		lazy := &Network{}
+		for i, run := range runs {
+			tb := topo.Synthetic(run.n)
+			lazy.Reset(tb, prof, run.seed)
+			eager := New(tb, prof, run.seed)
+			eager.materialiseAll()
+			runTwins(t, fmt.Sprintf("run %d (n=%d, %s)", i, run.n, weathers[weather].name), lazy, eager, run.ops)
+		}
+	})
 }
