@@ -779,7 +779,7 @@ const benchStoreRows = 10_000
 // benchStoreSegment writes the synthetic segment the open and query
 // benches read: benchStoreRow's columns on every row, scenario ×
 // streams axes, one metric value per row index.
-func benchStoreSegment(b *testing.B) string {
+func benchStoreSegment(b testing.TB) string {
 	b.Helper()
 	path := resultstore.SegmentPath(b.TempDir())
 	st, err := resultstore.Open(path)
@@ -834,13 +834,44 @@ func BenchmarkStoreOpen(b *testing.B) {
 	if len(rows) != benchStoreRows {
 		b.Fatalf("opened %d unique rows, want %d", len(rows), benchStoreRows)
 	}
+	b.ReportMetric(heapPerRow(rows), "B/row")
+}
+
+// heapPerRow is the heap the synthetic segment's opened rows hold once
+// garbage is collected, per row: the live heap with rows, less the live
+// heap after they are let go. Neither the caller nor this function may
+// use rows after the KeepAlive, or the second collection keeps them too.
+func heapPerRow(rows []*resultstore.Row) float64 {
 	var held, freed runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&held)
 	runtime.KeepAlive(rows)
 	runtime.GC()
 	runtime.ReadMemStats(&freed)
-	b.ReportMetric(float64(held.HeapAlloc-freed.HeapAlloc)/benchStoreRows, "B/row")
+	return float64(int64(held.HeapAlloc)-int64(freed.HeapAlloc)) / benchStoreRows
+}
+
+// TestStoreOpenHeapPerRow holds BenchmarkStoreOpen's B/row under a
+// bound: a decoded row keeps its metric values in 8 pointer-free bytes
+// each and shares its column names with every row of the same layout,
+// about 1.2 kB a row on this 86-column segment. A 24-byte
+// Metric{Col, Val} per column per row reads 2.6 kB.
+func TestStoreOpenHeapPerRow(t *testing.T) {
+	const bound = 1600
+	seg, err := resultstore.ReadSegment(benchStoreSegment(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := seg.Unique()
+	if len(rows) != benchStoreRows {
+		t.Fatalf("opened %d unique rows, want %d", len(rows), benchStoreRows)
+	}
+	seg = nil // only rows may keep the segment alive
+	got := heapPerRow(rows)
+	t.Logf("an opened row holds %.0f B of heap (bound %d)", got, bound)
+	if got > bound {
+		t.Fatalf("an opened row holds %.0f B of heap, want at most %d", got, bound)
+	}
 }
 
 // BenchmarkStoreQuery measures one canned query as cmd/ronreport composes

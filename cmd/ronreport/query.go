@@ -204,7 +204,7 @@ func listRows(w io.Writer, sel []*resultstore.Row) {
 		for _, kv := range r.Axes {
 			fmt.Fprintf(w, " %s=%s", kv.Key, kv.Value)
 		}
-		fmt.Fprintf(w, " metrics=%d\n", len(r.Metrics))
+		fmt.Fprintf(w, " metrics=%d\n", r.NumMetrics())
 	}
 }
 

@@ -229,57 +229,139 @@ func (w stableWheel) Swap(a, b int) {
 	p.seqs[a], p.seqs[b] = p.seqs[b], p.seqs[a]
 }
 
-// TestProbeWheelMatchesStableSort seeds two streams identically — random
-// phases, a forced share of exact ties, intervals whose phases need
-// every radix pass a 15 s interval does and more — and demands the radix
-// wheel equal the stable sort slot for slot. A second start on a reused
-// stream must not allocate.
-func TestProbeWheelMatchesStableSort(t *testing.T) {
+// A probe-wheel case is a byte string: six bytes of interval−1
+// (little-endian, reduced mod 2⁴⁵, so intervals run 1 to 2⁴⁵), then one
+// record per slot. A record's tag byte is odd for an exact tie — the
+// phase of the earlier slot the next two bytes name, modulo the slots
+// so far — or even for six bytes of phase, reduced mod the interval.
+// Two bytes each of src and dst (14 bits) follow, then a byte b that
+// advances the next slot's sequence number by 1 + b. A short record
+// ends the case.
+const maxWheelInterval = 1 << 45
+
+func le48(b []byte) uint64 {
+	return uint64(binary.LittleEndian.Uint16(b[4:]))<<32 | uint64(binary.LittleEndian.Uint32(b))
+}
+
+func append48(b []byte, v uint64) []byte {
+	return binary.LittleEndian.AppendUint16(binary.LittleEndian.AppendUint32(b, uint32(v)), uint16(v>>32))
+}
+
+// wheelCase decodes a case: the interval, then each slot as it is added.
+func wheelCase(b []byte, add func(phase netsim.Time, src, dst int32, seq uint64)) (netsim.Time, bool) {
+	if len(b) < 6 {
+		return 0, false
+	}
+	interval := 1 + netsim.Time(le48(b)%maxWheelInterval)
+	b = b[6:]
+	var phases []netsim.Time
+	seq := uint64(17)
+	for len(b) > 0 {
+		tag := b[0]
+		var phase netsim.Time
+		if tag&1 == 1 {
+			if len(b) < 3+5 {
+				break
+			}
+			if len(phases) > 0 {
+				phase = phases[int(binary.LittleEndian.Uint16(b[1:]))%len(phases)]
+			}
+			b = b[3:]
+		} else {
+			if len(b) < 7+5 {
+				break
+			}
+			phase = netsim.Time(le48(b[1:]) % uint64(interval))
+			b = b[7:]
+		}
+		src := int32(binary.LittleEndian.Uint16(b) & (1<<14 - 1))
+		dst := int32(binary.LittleEndian.Uint16(b[2:]) & (1<<14 - 1))
+		phases = append(phases, phase)
+		add(phase, src, dst, seq)
+		seq += 1 + uint64(b[4])
+		b = b[5:]
+	}
+	return interval, true
+}
+
+// wheelCases are TestProbeWheelMatchesStableSort's cases: n slots of
+// random phases with a forced share of exact ties and of phases at the
+// top of the range, over intervals whose phases need every radix pass
+// a 15 s interval does and more.
+func wheelCases() [][]byte {
 	rng := netsim.NewSource(11)
 	intervals := []netsim.Time{
 		1, 3 * netsim.Millisecond, 15 * netsim.Second,
-		1 << 33, 3 << 33, 1 << 45,
+		1 << 33, 3 << 33, maxWheelInterval,
 	}
-	var got probeStream // reused across cases, like an arena's
+	var cases [][]byte
 	for _, n := range []int{0, 1, 2, 3, 1000} {
 		for _, interval := range intervals {
-			var want probeStream
-			got.reset()
-			seq := uint64(17)
+			b := append48(nil, uint64(interval-1))
 			for i := 0; i < n; i++ {
 				phase := netsim.Time(rng.Float64() * float64(interval))
 				switch rng.Intn(4) {
 				case 0: // exact tie with an earlier slot
 					if i > 0 {
-						phase = got.phases[rng.Intn(i)]
+						b = binary.LittleEndian.AppendUint16(append(b, 1), uint16(rng.Intn(i)))
+						break
 					}
-				case 1: // the top of the range, above 2^33 for the long intervals
-					phase = interval - 1 - netsim.Time(rng.Intn(3))
-					if phase < 0 {
-						phase = 0
+					fallthrough
+				default:
+					if rng.Intn(3) == 0 { // the top of the range, above 2^33 for the long intervals
+						phase = max(interval-1-netsim.Time(rng.Intn(3)), 0)
 					}
+					b = append48(append(b, 0), uint64(phase))
 				}
-				src, dst := int32(rng.Intn(1<<14)), int32(rng.Intn(1<<14))
-				got.add(phase, src, dst, seq)
-				want.add(phase, src, dst, seq)
-				seq += 1 + uint64(rng.Intn(3))
+				b = binary.LittleEndian.AppendUint16(b, uint16(rng.Intn(1<<14)))
+				b = binary.LittleEndian.AppendUint16(b, uint16(rng.Intn(1<<14)))
+				b = append(b, byte(rng.Intn(3)))
 			}
-			got.start(interval)
-			want.interval = interval
-			sort.Stable(stableWheel{&want})
-			for i := 0; i < n; i++ {
-				if got.phases[i] != want.phases[i] || got.srcs[i] != want.srcs[i] ||
-					got.dsts[i] != want.dsts[i] || got.seqs[i] != want.seqs[i] {
-					t.Fatalf("n=%d interval=%d slot %d: got (%d,%d,%d,%d) want (%d,%d,%d,%d)",
-						n, interval, i,
-						got.phases[i], got.srcs[i], got.dsts[i], got.seqs[i],
-						want.phases[i], want.srcs[i], want.dsts[i], want.seqs[i])
-				}
-			}
-			if len(got.phases) != n || got.interval != interval {
-				t.Fatalf("n=%d: stream holds %d slots, interval %d", n, len(got.phases), got.interval)
-			}
+			cases = append(cases, b)
 		}
+	}
+	return cases
+}
+
+// checkWheelCase seeds got (reset first, so a reused stream's capacity
+// carries over) and a fresh reference from a case, and demands the
+// radix wheel equal the stable sort slot for slot.
+func checkWheelCase(t testing.TB, got *probeStream, c []byte) {
+	t.Helper()
+	var want probeStream
+	got.reset()
+	interval, ok := wheelCase(c, func(phase netsim.Time, src, dst int32, seq uint64) {
+		got.add(phase, src, dst, seq)
+		want.add(phase, src, dst, seq)
+	})
+	if !ok {
+		return
+	}
+	got.start(interval)
+	want.interval = interval
+	sort.Stable(stableWheel{&want})
+	n := len(want.phases)
+	if len(got.phases) != n || got.interval != interval {
+		t.Fatalf("n=%d: stream holds %d slots, interval %d", n, len(got.phases), got.interval)
+	}
+	for i := 0; i < n; i++ {
+		if got.phases[i] != want.phases[i] || got.srcs[i] != want.srcs[i] ||
+			got.dsts[i] != want.dsts[i] || got.seqs[i] != want.seqs[i] {
+			t.Fatalf("n=%d interval=%d slot %d: got (%d,%d,%d,%d) want (%d,%d,%d,%d)",
+				n, interval, i,
+				got.phases[i], got.srcs[i], got.dsts[i], got.seqs[i],
+				want.phases[i], want.srcs[i], want.dsts[i], want.seqs[i])
+		}
+	}
+}
+
+// TestProbeWheelMatchesStableSort runs wheelCases on one reused stream,
+// like an arena's. A second start on the reused stream must not
+// allocate.
+func TestProbeWheelMatchesStableSort(t *testing.T) {
+	var got probeStream
+	for _, c := range wheelCases() {
+		checkWheelCase(t, &got, c)
 	}
 	// got is sorted and at its high-water size: a re-seed and re-sort on
 	// the warm stream allocates nothing.
@@ -289,11 +371,27 @@ func TestProbeWheelMatchesStableSort(t *testing.T) {
 		for i := len(phases) - 1; i >= 0; i-- {
 			got.add(phases[i], int32(i), int32(i), uint64(len(phases)-i))
 		}
-		got.start(1 << 45)
+		got.start(maxWheelInterval)
 	})
 	if allocs != 0 {
 		t.Fatalf("start on a reused stream allocated %.0f times", allocs)
 	}
+}
+
+// FuzzProbeWheelMatchesStableSort demands slot-for-slot equality with
+// the stable sort on arbitrary cases (see wheelCase), on one stream
+// reused across inputs; wheelCases seed the corpus.
+func FuzzProbeWheelMatchesStableSort(f *testing.F) {
+	for _, c := range wheelCases() {
+		f.Add(c)
+	}
+	var got probeStream
+	f.Fuzz(func(t *testing.T, c []byte) {
+		if len(c) > 64<<10 {
+			t.Skip("case longer than 64 KiB")
+		}
+		checkWheelCase(t, &got, c)
+	})
 }
 
 // BenchmarkProbeWheelStart measures seeding's sort at the slot count of

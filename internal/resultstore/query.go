@@ -187,9 +187,9 @@ func GroupBy(rows []*Row, field string) []Group {
 
 // MetricValue looks up one metric column on a row.
 func MetricValue(r *Row, col string) (float64, bool) {
-	for i := range r.Metrics {
-		if r.Metrics[i].Col == col {
-			return r.Metrics[i].Val, true
+	for i := range r.NumMetrics() {
+		if c, v := r.MetricAt(i); c == col {
+			return v, true
 		}
 	}
 	return 0, false
@@ -204,15 +204,17 @@ func MetricValues(rows []*Row, col string) []float64 {
 	out := make([]float64, 0, len(rows))
 	at := 0
 	for _, r := range rows {
-		m := r.Metrics
-		if at < len(m) && m[at].Col == col {
-			out = append(out, m[at].Val)
-			continue
+		n := r.NumMetrics()
+		if at < n {
+			if c, v := r.MetricAt(at); c == col {
+				out = append(out, v)
+				continue
+			}
 		}
-		for i := range m {
-			if m[i].Col == col {
+		for i := range n {
+			if c, v := r.MetricAt(i); c == col {
 				at = i
-				out = append(out, m[i].Val)
+				out = append(out, v)
 				break
 			}
 		}

@@ -13,8 +13,9 @@
 //	block*: [kind u8][payloadLen u32][payload][crc32 u32 IEEE over kind+len+payload]
 //
 // Block kind 1 is a column dictionary: a uvarint count followed by that
-// many length-prefixed column names; IDs are assigned in file order of
-// first appearance, so readers rebuild the dictionary by accumulation.
+// many length-prefixed column names; IDs are assigned in file order, so
+// readers rebuild the dictionary by accumulation. A name appears in one
+// block once, and in no later block.
 // Block kind 2 is one row (see appendRow for the field layout); metric
 // columns reference dictionary IDs, so the per-row cost of a metric is
 // a uvarint plus eight bytes regardless of column-name length.
@@ -85,6 +86,16 @@ type Metric struct {
 // Row is one stored result: a completed cell (Kind == KindCell, one
 // replica campaign) or a merged group (Kind == KindGroup, all replicas
 // of one grid point folded together).
+//
+// A row's metric vector has two forms. The write form is Metrics, what
+// producers build (core.CellStoreRow, Tables.Flatten). The read form is
+// what ReadSegment returns: Metrics is nil, the column names are a
+// slice shared by every row of the segment with the same column
+// sequence, and the values are a pointer-free []float64 of the row's
+// own. NumMetrics and MetricAt read whichever form the row holds, and
+// they are the only code that knows both: Append, MetricValue,
+// MetricValues and RowTables read through them, so a hand-built row and
+// a decoded one read the same.
 type Row struct {
 	Kind    string
 	Name    string // cell name ("...-r00") or group name
@@ -108,10 +119,33 @@ type Row struct {
 	Snapshot string
 
 	Axes []AxisKV // sorted by key
-	// Metrics name each column once. Append writes what it is given;
-	// ReadSegment keeps the first of a column a stored row repeats, the
-	// same first-wins rule Unique applies to whole rows.
+	// Metrics is the write form of the metric vector, which names each
+	// column once. Append writes what it is given; ReadSegment keeps the
+	// first of a column a stored row repeats, the same first-wins rule
+	// Unique applies to whole rows, and returns it in the read form.
 	Metrics []Metric
+
+	// The read form: cols[i] names vals[i]. cols is shared, never
+	// written through; vals is cut to cap == len.
+	cols []string
+	vals []float64
+}
+
+// NumMetrics returns how many metric columns the row carries.
+func (r *Row) NumMetrics() int {
+	if r.Metrics != nil {
+		return len(r.Metrics)
+	}
+	return len(r.vals)
+}
+
+// MetricAt returns the row's i-th metric column and its value,
+// 0 <= i < NumMetrics().
+func (r *Row) MetricAt(i int) (col string, val float64) {
+	if r.Metrics != nil {
+		return r.Metrics[i].Col, r.Metrics[i].Val
+	}
+	return r.cols[i], r.vals[i]
 }
 
 // Identity returns the row's dedup key: kind plus name.
@@ -123,10 +157,10 @@ type Store struct {
 	mu   sync.Mutex
 	f    *os.File
 	buf  []byte
-	cols map[string]uint64 // column name → dictionary ID
+	dict dictionary
 	// layout is the previous row's column sequence with its dictionary
 	// IDs. Nearly every row of a sweep repeats it, so Append consults
-	// cols only when a row's sequence differs.
+	// dict only when a row's sequence differs.
 	layout []layoutCol
 	rows   int64
 	path   string
@@ -152,7 +186,7 @@ func Open(path string) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Store{f: f, cols: make(map[string]uint64), path: path}
+	s := &Store{f: f, path: path}
 	if err := s.recover(); err != nil {
 		f.Close()
 		return nil, err
@@ -172,14 +206,8 @@ func (s *Store) recover() error {
 			s.rows++
 			continue
 		}
-		names, ok := decodeColumns(sc.payload, nil)
-		if !ok {
+		if !s.dict.decode(sc.payload) {
 			break
-		}
-		for _, n := range names {
-			if _, dup := s.cols[n]; !dup {
-				s.cols[n] = uint64(len(s.cols))
-			}
 		}
 	}
 	if sc.err != nil {
@@ -320,8 +348,8 @@ func (s *Store) Append(r *Row) error {
 	defer s.mu.Unlock()
 	s.buf = s.buf[:0]
 
-	if !s.layoutMatches(r.Metrics) {
-		s.resolveLayout(r.Metrics)
+	if !s.layoutMatches(r) {
+		s.resolveLayout(r)
 	}
 	start := s.beginBlock(blockRow)
 	s.appendRow(r)
@@ -334,30 +362,29 @@ func (s *Store) Append(r *Row) error {
 	return nil
 }
 
-func (s *Store) layoutMatches(metrics []Metric) bool {
-	if len(metrics) != len(s.layout) {
+func (s *Store) layoutMatches(r *Row) bool {
+	if r.NumMetrics() != len(s.layout) {
 		return false
 	}
-	for i := range metrics {
-		if metrics[i].Col != s.layout[i].name {
+	for i := range s.layout {
+		if col, _ := r.MetricAt(i); col != s.layout[i].name {
 			return false
 		}
 	}
 	return true
 }
 
-// resolveLayout makes metrics' column sequence the cached layout,
+// resolveLayout makes r's column sequence the cached layout,
 // registering never-seen columns and framing them as a dictionary block
 // at the head of the pending write.
-func (s *Store) resolveLayout(metrics []Metric) {
+func (s *Store) resolveLayout(r *Row) {
 	s.layout = s.layout[:0]
 	var fresh []string // only for never-seen columns; allocs fine
-	for i := range metrics {
-		col := metrics[i].Col
-		id, ok := s.cols[col]
+	for i := range r.NumMetrics() {
+		col, _ := r.MetricAt(i)
+		id, ok := s.dict.ids[col]
 		if !ok {
-			id = uint64(len(s.cols))
-			s.cols[col] = id
+			id = s.dict.add(col)
 			fresh = append(fresh, col)
 		}
 		s.layout = append(s.layout, layoutCol{col, id})
@@ -373,7 +400,7 @@ func (s *Store) resolveLayout(metrics []Metric) {
 	s.endBlock(start)
 }
 
-// appendRow encodes the row payload; r.Metrics must be in s.layout's
+// appendRow encodes the row payload; r's columns must be in s.layout's
 // order. Field order is the wire contract; rowDecoder.decode mirrors it
 // exactly.
 func (s *Store) appendRow(r *Row) {
@@ -399,10 +426,11 @@ func (s *Store) appendRow(r *Row) {
 		s.appendString(r.Axes[i].Key)
 		s.appendString(r.Axes[i].Value)
 	}
-	s.buf = binary.AppendUvarint(s.buf, uint64(len(r.Metrics)))
-	for i := range r.Metrics {
+	s.buf = binary.AppendUvarint(s.buf, uint64(len(s.layout)))
+	for i := range s.layout {
+		_, val := r.MetricAt(i)
 		s.buf = binary.AppendUvarint(s.buf, s.layout[i].id)
-		s.buf = binary.LittleEndian.AppendUint64(s.buf, floatBits(r.Metrics[i].Val))
+		s.buf = binary.LittleEndian.AppendUint64(s.buf, floatBits(val))
 	}
 }
 
@@ -460,22 +488,21 @@ func ReadSegment(path string) (*Segment, error) {
 		return nil, err
 	}
 	seg := &Segment{}
-	dec := rowDecoder{intern: make(map[string]string)}
+	var dict dictionary
+	dec := rowDecoder{intern: make(map[string]string), layouts: make(map[string][]string)}
 	var rowBytes int64 // file bytes the decoded rows' blocks took
 	for sc.next() {
 		ok := false
 		switch sc.kind {
 		case blockColumns:
-			var cols []string
-			if cols, ok = decodeColumns(sc.payload, seg.Columns); ok {
-				seg.Columns = cols
-			}
+			ok = dict.decode(sc.payload)
 		case blockRow:
 			n := len(seg.Rows)
 			if n == cap(seg.Rows) {
 				seg.Rows = growRows(seg.Rows, rowBytes, sc.size-sc.valid)
+				dec.reserve(cap(seg.Rows) - n)
 			}
-			if ok = dec.decode(&seg.Rows[:n+1][n], sc.payload, seg.Columns); ok {
+			if ok = dec.decode(&seg.Rows[:n+1][n], sc.payload, dict.names); ok {
 				seg.Rows = seg.Rows[:n+1]
 				rowBytes += sc.end - sc.valid
 			}
@@ -487,6 +514,7 @@ func ReadSegment(path string) (*Segment, error) {
 	if sc.err != nil {
 		return nil, fmt.Errorf("resultstore: %s: %w", path, sc.err)
 	}
+	seg.Columns = dict.names
 	seg.TruncatedBytes = sc.size - sc.valid
 	return seg, nil
 }
@@ -526,43 +554,88 @@ func (s *Segment) Unique() []*Row {
 	return out
 }
 
-func decodeColumns(payload []byte, cols []string) ([]string, bool) {
+// dictionary is a segment's column dictionary: names in ID order, IDs
+// assigned in file order, and the reverse index. Open rebuilds the
+// writer's and ReadSegment the reader's through decode, so both sides
+// assign every column the same ID.
+type dictionary struct {
+	names []string
+	ids   map[string]uint64
+}
+
+func (d *dictionary) add(name string) uint64 {
+	if d.ids == nil { // decode has grown names to fit its first block
+		d.ids = make(map[string]uint64, cap(d.names))
+	}
+	id := uint64(len(d.names))
+	d.names = append(d.names, name)
+	d.ids[name] = id
+	return id
+}
+
+// decode adds a dictionary block's names. The writer only ever registers
+// a name once, so a block that names a column the dictionary already
+// holds, or one twice, is refused whole like any undecodable block: it
+// is the torn boundary, and the dictionary is left as it was.
+func (d *dictionary) decode(payload []byte) bool {
 	n, payload, ok := readUvarint(payload)
 	if !ok || n > uint64(len(payload)) { // a name takes at least its length byte
-		return cols, false
+		return false
 	}
-	cols = slices.Grow(cols, int(n))
-	for i := uint64(0); i < n; i++ {
+	start := len(d.names)
+	d.names = slices.Grow(d.names, int(n))
+	for i := uint64(0); ok && i < n; i++ {
 		var name string
-		name, payload, ok = readString(payload)
-		if !ok {
-			return cols, false
+		if name, payload, ok = readString(payload); ok {
+			if _, dup := d.ids[name]; dup {
+				ok = false
+			} else {
+				d.add(name)
+			}
 		}
-		cols = append(cols, name)
 	}
-	return cols, len(payload) == 0
+	if ok && len(payload) == 0 {
+		return true
+	}
+	for _, name := range d.names[start:] {
+		delete(d.ids, name)
+	}
+	d.names = d.names[:start]
+	return false
 }
 
 // rowDecoder decodes row payloads for one ReadSegment. What a sweep's
-// rows have in common is held once: metric and axis slices are
-// exact-size carvings of shared slabs, and strings that repeat from row
-// to row (group, dataset, axis keys and values; column names are the
-// dictionary's own) are interned.
+// rows have in common is held once: value and axis slices are
+// exact-size carvings of shared slabs, a column sequence's names slice
+// is built once and shared by every row that has it, and strings that
+// repeat from row to row (group, dataset, axis keys and values) are
+// interned.
 type rowDecoder struct {
-	metrics slab[Metric]
-	axes    slab[AxisKV]
-	intern  map[string]string
-	prev    Row // the last row decoded: first guess for every repeated string
+	vals   slab[float64]
+	axes   slab[AxisKV]
+	intern map[string]string
+	prev   Row // the last row decoded: first guess for every repeated string
 	// seen[id] == rows marks column id as already taken by the row being
 	// decoded; a repeat is dropped, first occurrence winning.
 	seen []int
 	rows int
+	// carved counts the values carved for the rows so far.
+	carved int64
+	// seq is the kept column IDs of the row being decoded, prevSeq the
+	// last row's that had columns, and prevNames its names slice.
+	// layouts holds every sequence's names slice, keyed by its IDs as
+	// uvarints (key is the scratch the key is built in).
+	seq, prevSeq []uint64
+	prevNames    []string
+	layouts      map[string][]string
+	key          []byte
 }
 
 // slab hands out exact-size slices carved from chunks that double up to
 // slabMax elements, so a small segment stays small and a large one pays
 // one allocation per slabMax elements, not one (or, grown by append,
-// several) per row.
+// several) per row. rowDecoder.reserve sizes the value slab's chunks
+// from the file instead.
 type slab[T any] struct {
 	free  []T
 	chunk int
@@ -581,6 +654,21 @@ func (s *slab[T]) carve(n int) []T {
 	out := s.free[:n:n]
 	s.free = s.free[n:]
 	return out
+}
+
+// reserve sizes the value slab's next chunk for rows more rows at the
+// mean count of values so far: the estimate growRows just sized
+// Segment.Rows by. A segment's values are then one allocation, made
+// before the rows that fill it are decoded. The chunk is bounded by the
+// file: every value carved so far took at least nine of the row bytes
+// the estimate extrapolates.
+func (d *rowDecoder) reserve(rows int) {
+	if d.rows == 0 {
+		return
+	}
+	if n := int(int64(rows) * d.carved / int64(d.rows)); n > len(d.vals.free) {
+		d.vals.free = make([]float64, n)
+	}
 }
 
 // Smallest encodings: an axis is two empty strings, a metric a one-byte
@@ -655,8 +743,9 @@ func (d *rowDecoder) decode(r *Row, payload []byte, cols []string) bool {
 	for len(d.seen) < len(cols) {
 		d.seen = append(d.seen, 0)
 	}
-	metrics, kept := d.metrics.carve(int(n)), 0
-	for range metrics {
+	vals, seq := d.vals.carve(int(n)), slices.Grow(d.seq[:0], int(n))
+	d.carved += int64(n)
+	for range vals {
 		if len(payload) < minMetricBytes {
 			return false
 		}
@@ -671,22 +760,44 @@ func (d *rowDecoder) decode(r *Row, payload []byte, cols []string) bool {
 		}
 		if d.seen[id] != d.rows {
 			d.seen[id] = d.rows
-			metrics[kept] = Metric{
-				Col: cols[id],
-				Val: floatFromBits(binary.LittleEndian.Uint64(payload[w:])),
-			}
-			kept++
+			vals[len(seq)] = floatFromBits(binary.LittleEndian.Uint64(payload[w:]))
+			seq = append(seq, id)
 		}
 		payload = payload[w+8:]
 	}
+	d.seq = seq
 	if len(payload) != 0 {
 		return false
 	}
-	if kept > 0 {
-		r.Metrics = metrics[:kept:kept]
+	if kept := len(seq); kept > 0 {
+		r.cols, r.vals = d.names(cols), vals[:kept:kept]
 	}
 	d.prev = *r
 	return true
+}
+
+// names returns the shared names slice of the column sequence in d.seq:
+// the previous row's when the sequence is the same, else the one an
+// earlier row with this sequence was given, else a new one made of the
+// dictionary's own strings.
+func (d *rowDecoder) names(cols []string) []string {
+	if slices.Equal(d.seq, d.prevSeq) {
+		return d.prevNames
+	}
+	d.key = d.key[:0]
+	for _, id := range d.seq {
+		d.key = binary.AppendUvarint(d.key, id)
+	}
+	names, ok := d.layouts[string(d.key)]
+	if !ok {
+		names = make([]string, len(d.seq))
+		for i, id := range d.seq {
+			names[i] = cols[id]
+		}
+		d.layouts[string(d.key)] = names
+	}
+	d.seq, d.prevSeq, d.prevNames = d.prevSeq, d.seq, names
+	return names
 }
 
 // readInterned reads a length-prefixed string that earlier rows have

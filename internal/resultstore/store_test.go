@@ -53,6 +53,18 @@ func testRows() []Row {
 	}
 }
 
+// asWritten returns r with its metric vector in the write form, so a
+// decoded row and the row it was written from compare with DeepEqual.
+func asWritten(r Row) Row {
+	var metrics []Metric
+	for i := range r.NumMetrics() {
+		col, val := r.MetricAt(i)
+		metrics = append(metrics, Metric{col, val})
+	}
+	r.Metrics, r.cols, r.vals = metrics, nil, nil
+	return r
+}
+
 func writeSegment(t *testing.T, path string, rows []Row) {
 	t.Helper()
 	st, err := Open(path)
@@ -86,9 +98,23 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatalf("read %d rows, wrote %d", len(seg.Rows), len(rows))
 	}
 	for i := range rows {
-		if !reflect.DeepEqual(seg.Rows[i], rows[i]) {
-			t.Errorf("row %d round-trip mismatch:\n got %+v\nwant %+v", i, seg.Rows[i], rows[i])
+		if seg.Rows[i].Metrics != nil {
+			t.Errorf("decoded row %d holds the write form", i)
 		}
+		if !reflect.DeepEqual(asWritten(seg.Rows[i]), asWritten(rows[i])) {
+			t.Errorf("row %d round-trip mismatch:\n got %+v\nwant %+v", i, asWritten(seg.Rows[i]), rows[i])
+		}
+	}
+	// Append reads the read form too: the decoded rows write the same
+	// segment again.
+	again := filepath.Join(t.TempDir(), SegmentFileName)
+	writeSegment(t, again, seg.Rows)
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(again); err != nil || string(got) != string(want) {
+		t.Errorf("re-appending the decoded rows wrote other bytes (err %v)", err)
 	}
 }
 
@@ -122,7 +148,7 @@ func TestReopenExtends(t *testing.T) {
 		t.Fatalf("read %d rows after reopen, want %d", len(seg.Rows), len(rows))
 	}
 	for i := range rows {
-		if !reflect.DeepEqual(seg.Rows[i], rows[i]) {
+		if !reflect.DeepEqual(asWritten(seg.Rows[i]), asWritten(rows[i])) {
 			t.Errorf("row %d mismatch after reopen-append", i)
 		}
 	}
@@ -177,11 +203,11 @@ func TestTruncationRecovery(t *testing.T) {
 			t.Fatalf("cut %d: recovered %d rows from a %d-row original", cut, n, len(rows))
 		}
 		for i := 0; i < n; i++ {
-			if !reflect.DeepEqual(seg.Rows[i], rows[i]) {
+			if !reflect.DeepEqual(asWritten(seg.Rows[i]), asWritten(rows[i])) {
 				t.Fatalf("cut %d: recovered row %d is not the original prefix", cut, i)
 			}
 		}
-		if !reflect.DeepEqual(seg.Rows[n], heal) {
+		if !reflect.DeepEqual(asWritten(seg.Rows[n]), asWritten(heal)) {
 			t.Fatalf("cut %d: healing row did not round-trip", cut)
 		}
 	}
@@ -221,12 +247,23 @@ func TestOpenRejectsForeignFile(t *testing.T) {
 	}
 }
 
-// rowBlock frames payload as a row block with a valid CRC.
-func rowBlock(payload []byte) []byte {
-	b := []byte{blockRow, 0, 0, 0, 0}
+// frameBlock frames payload as a block of the given kind with a valid
+// CRC.
+func frameBlock(kind byte, payload []byte) []byte {
+	b := []byte{kind, 0, 0, 0, 0}
 	binary.LittleEndian.PutUint32(b[1:], uint32(len(payload)))
 	b = append(b, payload...)
 	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
+}
+
+// columnsPayload is a dictionary block's payload naming names.
+func columnsPayload(names ...string) []byte {
+	p := binary.AppendUvarint(nil, uint64(len(names)))
+	for _, n := range names {
+		p = binary.AppendUvarint(p, uint64(len(n)))
+		p = append(p, n...)
+	}
+	return p
 }
 
 // lyingRow is a row payload whose fixed fields and strings are valid and
@@ -243,11 +280,13 @@ func lyingRow(axes, metrics uint64) []byte {
 }
 
 // FuzzSegmentRecovery flips one byte anywhere past the magic and/or
-// appends tail as a CRC-valid row block, and checks the reader's
-// guarantee: the original rows that survive decoding are an exact
-// prefix of what was written — corruption can shorten the store, never
-// fabricate or reorder rows — and a block the checksum vouches for is
-// still not trusted to size anything.
+// appends tail as a CRC-valid row block (a dictionary block when dict
+// is set), and checks the reader's guarantee: the original rows that
+// survive decoding are an exact prefix of what was written — corruption
+// can shorten the store, never fabricate or reorder rows — and a block
+// the checksum vouches for is still not trusted to size anything. When
+// Open and ReadSegment keep the same rows, a row appended after Open
+// must read back as written: both sides hold one dictionary.
 func FuzzSegmentRecovery(f *testing.F) {
 	path := filepath.Join(f.TempDir(), SegmentFileName)
 	rows := make([]Row, 0, 4)
@@ -269,18 +308,22 @@ func FuzzSegmentRecovery(f *testing.F) {
 		f.Fatal(err)
 	}
 
-	f.Add(uint32(8), byte(1), []byte(nil))
-	f.Add(uint32(9), byte(0xff), []byte(nil))
-	f.Add(uint32(len(pristine)/2), byte(0x80), []byte(nil))
-	f.Add(uint32(len(pristine)-1), byte(7), []byte(nil))
-	// Counts no payload could back: 2⁴⁰ metrics is 24 TB of Metric.
-	f.Add(uint32(0), byte(0), lyingRow(0, 1<<40))
-	f.Add(uint32(0), byte(0), lyingRow(1<<40, 0))
+	f.Add(uint32(8), byte(1), []byte(nil), false)
+	f.Add(uint32(9), byte(0xff), []byte(nil), false)
+	f.Add(uint32(len(pristine)/2), byte(0x80), []byte(nil), false)
+	f.Add(uint32(len(pristine)-1), byte(7), []byte(nil), false)
+	// Counts no payload could back: 2⁴⁰ metrics is 8 TB of values.
+	f.Add(uint32(0), byte(0), lyingRow(0, 1<<40), false)
+	f.Add(uint32(0), byte(0), lyingRow(1<<40, 0), false)
 	// The largest counts the bound lets through, then found short.
-	f.Add(uint32(0), byte(0), append(lyingRow(0, 2), make([]byte, 2*minMetricBytes-1)...))
-	f.Add(uint32(0), byte(0), append(lyingRow(3, 0), make([]byte, 3*minAxisBytes)...))
+	f.Add(uint32(0), byte(0), append(lyingRow(0, 2), make([]byte, 2*minMetricBytes-1)...), false)
+	f.Add(uint32(0), byte(0), append(lyingRow(3, 0), make([]byte, 3*minAxisBytes)...), false)
+	// Dictionary blocks naming a column twice, or one already held.
+	f.Add(uint32(0), byte(0), columnsPayload("x", "x"), true)
+	f.Add(uint32(0), byte(0), columnsPayload("fresh", "t5.rtt"), true)
+	f.Add(uint32(0), byte(0), columnsPayload("fresh"), true)
 
-	f.Fuzz(func(t *testing.T, pos uint32, val byte, tail []byte) {
+	f.Fuzz(func(t *testing.T, pos uint32, val byte, tail []byte, dict bool) {
 		flip := int(pos) < len(pristine) && pos >= uint32(len(storeMagic))
 		if !flip && len(tail) == 0 {
 			t.Skip()
@@ -290,7 +333,11 @@ func FuzzSegmentRecovery(f *testing.F) {
 			data[pos] ^= val | 1 // guarantee at least one flipped bit
 		}
 		if len(tail) > 0 {
-			data = append(data, rowBlock(tail)...)
+			kind := byte(blockRow)
+			if dict {
+				kind = blockColumns
+			}
+			data = append(data, frameBlock(kind, tail)...)
 		}
 		corrupt := filepath.Join(t.TempDir(), "corrupt.seg")
 		if err := os.WriteFile(corrupt, data, 0o644); err != nil {
@@ -309,7 +356,7 @@ func FuzzSegmentRecovery(f *testing.F) {
 			t.Fatalf("an appended block cost %d of the rows before it", len(rows)-len(seg.Rows))
 		}
 		for i := range seg.Rows[:min(len(seg.Rows), len(rows))] {
-			if !reflect.DeepEqual(seg.Rows[i], rows[i]) {
+			if !reflect.DeepEqual(asWritten(seg.Rows[i]), asWritten(rows[i])) {
 				t.Fatalf("row %d after corruption at %d is not the original prefix", i, pos)
 			}
 		}
@@ -319,11 +366,90 @@ func FuzzSegmentRecovery(f *testing.F) {
 		if err != nil {
 			t.Fatalf("Open errored on tail corruption: %v", err)
 		}
-		defer reopened.Close()
-		if reopened.Rows() < int64(len(seg.Rows)) {
-			t.Fatalf("Open kept %d rows, ReadSegment decoded %d", reopened.Rows(), len(seg.Rows))
+		kept := reopened.Rows()
+		if kept < int64(len(seg.Rows)) {
+			reopened.Close()
+			t.Fatalf("Open kept %d rows, ReadSegment decoded %d", kept, len(seg.Rows))
+		}
+		heal := Row{Kind: KindCell, Name: "heal-r00", Group: "heal", Dataset: "synthetic", Replicas: 1,
+			Metrics: []Metric{{"heal.fresh", 7}, {"t5.rtt", 1}}}
+		err = reopened.Append(&heal)
+		if cerr := reopened.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if kept != int64(len(seg.Rows)) {
+			return // a row block Open counts and ReadSegment refuses ends the read first
+		}
+		healed, err := ReadSegment(corrupt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := len(healed.Rows); n != len(seg.Rows)+1 || healed.TruncatedBytes != 0 {
+			t.Fatalf("healed segment reads %d rows with %d torn bytes, want %d and 0", n, healed.TruncatedBytes, len(seg.Rows)+1)
+		}
+		if got := asWritten(healed.Rows[len(seg.Rows)]); !reflect.DeepEqual(got, asWritten(heal)) {
+			t.Fatalf("row appended after Open reads back as %v, want %v", got.Metrics, heal.Metrics)
 		}
 	})
+}
+
+// TestRepeatedDictionaryNameIsTorn pins one rule for Open and
+// ReadSegment: a dictionary block that names a column twice, or one the
+// dictionary already holds, is the torn boundary on both sides. Were
+// the writer to assign IDs without the repeat and the reader with it,
+// every later column ID would mean another name to the reader.
+func TestRepeatedDictionaryNameIsTorn(t *testing.T) {
+	y := Row{Kind: KindCell, Name: "y-r00", Group: "y", Dataset: "synthetic", Replicas: 1, Metrics: []Metric{{"y", 7}}}
+	for _, c := range []struct {
+		name  string
+		rows  []Row  // written first
+		block []byte // then this dictionary block
+		cols  []string
+	}{
+		{"one name twice", nil, columnsPayload("x", "x"), []string{"y"}},
+		{"a name already held", testRows()[2:3], columnsPayload("fresh", "t5.rtt"), []string{"t5.rtt", "t5.direct.totlp", "y"}},
+	} {
+		path := filepath.Join(t.TempDir(), SegmentFileName)
+		writeSegment(t, path, c.rows)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, append(data, frameBlock(blockColumns, c.block)...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		st, err := Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := y
+		err = st.Append(&r)
+		if cerr := st.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		seg, err := ReadSegment(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(seg.Columns, c.cols) || seg.TruncatedBytes != 0 {
+			t.Errorf("%s: columns %q with %d torn bytes, want %q and 0", c.name, seg.Columns, seg.TruncatedBytes, c.cols)
+		}
+		want := append(append([]Row(nil), c.rows...), y)
+		if len(seg.Rows) != len(want) {
+			t.Fatalf("%s: read %d rows, want %d", c.name, len(seg.Rows), len(want))
+		}
+		for i := range want {
+			if got := asWritten(seg.Rows[i]); !reflect.DeepEqual(got, asWritten(want[i])) {
+				t.Errorf("%s: row %d reads back as %v, want %v", c.name, i, got.Metrics, want[i].Metrics)
+			}
+		}
+	}
 }
 
 // TestLyingCountsRejected states what the fuzz seeds above rely on: a
@@ -342,7 +468,7 @@ func TestLyingCountsRejected(t *testing.T) {
 		"metrics": lyingRow(0, 1<<40),
 		"axes":    lyingRow(1<<40, 0),
 	} {
-		block := rowBlock(payload)
+		block := frameBlock(blockRow, payload)
 		if err := os.WriteFile(path, append(append([]byte(nil), clean...), block...), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -394,15 +520,15 @@ func TestBlockLargerThanScanBuffer(t *testing.T) {
 		t.Fatalf("read %d rows with %d torn bytes, want %d and 0", len(seg.Rows), seg.TruncatedBytes, len(rows))
 	}
 	for i := range rows {
-		if !reflect.DeepEqual(seg.Rows[i], rows[i]) {
+		if !reflect.DeepEqual(asWritten(seg.Rows[i]), asWritten(rows[i])) {
 			t.Errorf("row %d (%s) did not round-trip", i, rows[i].Name)
 		}
 	}
 }
 
 // TestDecodedRowsShareNothingMutable checks the slab carving: appending
-// to one decoded row's Metrics or Axes must not write into its
-// neighbour's.
+// to one decoded row's values, names or Axes must not write into its
+// neighbour's or into the names other rows share.
 func TestDecodedRowsShareNothingMutable(t *testing.T) {
 	path := filepath.Join(t.TempDir(), SegmentFileName)
 	rows := testRows()
@@ -411,10 +537,11 @@ func TestDecodedRowsShareNothingMutable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = append(seg.Rows[0].Metrics, Metric{"scribble", -1})
+	_ = append(seg.Rows[0].vals, -1)
+	_ = append(seg.Rows[0].cols, "scribble")
 	_ = append(seg.Rows[0].Axes, AxisKV{"scribble", "x"})
 	for i := range rows {
-		if !reflect.DeepEqual(seg.Rows[i], rows[i]) {
+		if !reflect.DeepEqual(asWritten(seg.Rows[i]), asWritten(rows[i])) {
 			t.Errorf("row %d changed after an append to row 0's slices", i)
 		}
 	}
@@ -453,8 +580,8 @@ func TestRepeatedColumnFirstWins(t *testing.T) {
 		{{"c", 30}},
 	}
 	for i := range want {
-		if !reflect.DeepEqual(seg.Rows[i].Metrics, want[i]) {
-			t.Errorf("row %d metrics = %v, want %v", i, seg.Rows[i].Metrics, want[i])
+		if got := asWritten(seg.Rows[i]).Metrics; !reflect.DeepEqual(got, want[i]) {
+			t.Errorf("row %d metrics = %v, want %v", i, got, want[i])
 		}
 	}
 	uniq := seg.Unique()

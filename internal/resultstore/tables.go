@@ -236,8 +236,8 @@ func RowTables(r *Row) (*Tables, error) {
 	t := &Tables{LatencyLabel: "lat"}
 	t5, t6 := map[string]*overviewRow{}, map[string]*hoursRow{}
 	var t5names, t6names []string
-	for i := range r.Metrics {
-		col, val := r.Metrics[i].Col, r.Metrics[i].Val
+	for i := range r.NumMetrics() {
+		col, val := r.MetricAt(i)
 		switch {
 		case col == colRTT:
 			if val != 0 {
