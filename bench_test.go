@@ -379,7 +379,7 @@ func BenchmarkSweep(b *testing.B) {
 
 // warmArena returns an arena that has run twelve cells of cfg's shape,
 // past its cold first cell and the seed-dependent high-water marks
-// (calendar buckets, CDF runs) the next few seeds raise, as
+// (the event heap, CDF runs) the next few seeds raise, as
 // TestArenaSecondCellZeroAllocsAcrossSeeds warms. Left in the timed
 // loop, the cold cell's allocations would be divided by b.N, which
 // depends on machine speed. The warm-up seeds lie above every seed the
@@ -398,7 +398,7 @@ func warmArena(b *testing.B, cfg core.Config) *core.Arena {
 // BenchmarkSweepTurnover measures cell turnover through one reused
 // campaign arena — the per-worker steady state of a sweep: every
 // iteration reinitializes the full campaign world (netsim slabs,
-// selector rings, aggregator windows, calendar queue, probe stream) in
+// selector rings, aggregator windows, event heap, probe stream) in
 // place for a fresh seed and runs the cell. Steady-state allocs/op is
 // ~0 (pinned exactly by TestArenaSecondCellZeroAllocs); this bench
 // bands the reinitialization + campaign wall-clock as cells/sec.

@@ -11,7 +11,7 @@ import (
 // that owns every piece of heavy campaign state — the netsim.Network
 // component slab, the route.Selector estimate slab and routing-table
 // buffers, an analysis.Aggregator's window and run-length CDF storage,
-// the calendar event queue and probe-stream slabs, and the campaign RNG.
+// the event heap and probe-stream slabs, and the campaign RNG.
 // Running successive cells of a sweep through one arena reinitializes
 // that state in place instead of reconstructing it, so steady-state cell
 // turnover allocates nothing while producing results bit-identical to a
@@ -169,7 +169,7 @@ func (a *Arena) run(cfg Config, retain bool) (*Result, error) {
 	c.agg = agg
 	c.rng = &a.rng
 	c.methods = a.methods
-	c.queue.reset()
+	c.queue.reset(n)
 	c.probes.reset()
 	c.end = netsim.Time(cfg.Days * float64(netsim.Day))
 	c.probeIvl = netsim.FromDuration(cfg.ProbeInterval)

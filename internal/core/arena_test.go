@@ -10,15 +10,15 @@ import (
 // TestArenaSecondCellZeroAllocs pins the arena's core contract: once a
 // worker's arena has run one cell, running further cells through it
 // allocates nothing. Every slab — netsim components, selector rings,
-// aggregator windows and CDF runs, calendar-queue buckets, probe-stream
-// slots, routing tables — must be reinitialized in place.
+// aggregator windows and CDF runs, the event heap, probe-stream slots,
+// routing tables — must be reinitialized in place.
 func TestArenaSecondCellZeroAllocs(t *testing.T) {
 	a := NewArena()
 	cfg := DefaultConfig(RONnarrow, 0.01)
 	cfg.Seed = 7
 	// First cell builds the arena; one more settles scratch buffers
 	// whose high-water marks depend on observed data (CDF run storage,
-	// overgrown calendar buckets).
+	// an event heap grown by a burst of loss follow-ups).
 	for i := 0; i < 2; i++ {
 		if _, err := a.Run(cfg); err != nil {
 			t.Fatal(err)
@@ -41,7 +41,7 @@ func TestArenaSecondCellZeroAllocs(t *testing.T) {
 func TestArenaSecondCellZeroAllocsAcrossSeeds(t *testing.T) {
 	a := NewArena()
 	cfg := DefaultConfig(RONnarrow, 0.01)
-	// Warm across several seeds so every seed-dependent bucket and CDF
+	// Warm across several seeds so every seed-dependent heap and CDF
 	// high-water mark has been visited.
 	for seed := uint64(1); seed <= 12; seed++ {
 		cfg.Seed = seed
@@ -57,9 +57,10 @@ func TestArenaSecondCellZeroAllocsAcrossSeeds(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// Distinct seeds can still nudge a rare high-water mark (a calendar
-	// bucket deeper than any seen, a new distinct loss rate); allow a
-	// hair while pinning the steady state at "effectively zero".
+	// Distinct seeds can still nudge a rare high-water mark (more loss
+	// follow-ups pending at once than any seen, a new distinct loss
+	// rate); allow a hair while pinning the steady state at
+	// "effectively zero".
 	if allocs > 1 {
 		t.Fatalf("reused arena cross-seed cell run allocated %v objects, want ~0", allocs)
 	}

@@ -86,7 +86,7 @@ func (a Axis) Values() []AxisValue { return slices.Clone(a.vals) }
 // restoration applies values recorded by other runs. An error marks the
 // value invalid and fails sweep expansion.
 func (a Axis) Apply(v AxisValue, cfg *Config) error {
-	c, err := a.def.Parse(string(v))
+	c, err := a.canonical(v)
 	if err != nil {
 		return fmt.Errorf("core: axis %s: %w", a.def.Name, err)
 	}
@@ -97,14 +97,24 @@ func (a Axis) Apply(v AxisValue, cfg *Config) error {
 // Label returns the value's contribution to cell and group names; see
 // AxisDef.Label.
 func (a Axis) Label(v AxisValue) string {
-	c, err := a.def.Parse(string(v))
+	c, err := a.canonical(v)
 	if err != nil {
-		// Invalid values cannot reach naming: Apply rejects them during
-		// expansion first. Make them visible rather than silent if an
-		// axis is misused directly.
+		// Invalid values cannot reach naming: NewSweep rejects them
+		// first. Make them visible rather than silent if an axis is
+		// misused directly.
 		return "-invalid(" + string(v) + ")"
 	}
 	return a.def.Label(c)
+}
+
+// canonical returns v's canonical form. A swept value is canonical
+// already (NewSweep has checked every one), so only a value from
+// elsewhere — a snapshot, a manifest, a caller — is parsed again.
+func (a Axis) canonical(v AxisValue) (AxisValue, error) {
+	if slices.Contains(a.vals, v) {
+		return v, nil
+	}
+	return a.def.Parse(string(v))
 }
 
 // axisRegistry holds every registered axis kind in registration order:
@@ -445,6 +455,13 @@ func normalizeAxes(axes []Axis) ([]Axis, error) {
 	for _, a := range axes {
 		if a.def == nil {
 			return nil, fmt.Errorf("core: sweep spec contains a zero Axis")
+		}
+		// A typed constructor keeps a value it cannot parse; refuse it
+		// here, before canonical takes the swept values on trust.
+		for _, v := range a.vals {
+			if _, err := a.def.Parse(string(v)); err != nil {
+				return nil, fmt.Errorf("core: axis %s: bad value %q: %w", a.def.Name, v, err)
+			}
 		}
 		name := a.Name()
 		if _, dup := seen[name]; dup {

@@ -70,6 +70,21 @@ func TestAxisLabels(t *testing.T) {
 		if got := c.axis.Label(c.v); got != c.want {
 			t.Errorf("%s.Label(%q) = %q, want %q", c.axis.Name(), c.v, got, c.want)
 		}
+		// A swept value is canonical: naming and configuring a cell by
+		// it costs what the def's own Label and Apply cost, with no
+		// re-parse (which re-formats, allocating, per cell and axis).
+		var cfg Config
+		for _, p := range []struct {
+			op        string
+			axis, def func()
+		}{
+			{"Label", func() { c.axis.Label(c.v) }, func() { c.axis.def.Label(c.v) }},
+			{"Apply", func() { _ = c.axis.Apply(c.v, &cfg) }, func() { c.axis.def.Apply(c.v, &cfg) }},
+		} {
+			if got, want := testing.AllocsPerRun(10, p.axis), testing.AllocsPerRun(10, p.def); got != want {
+				t.Errorf("%s.%s(%q): %.0f allocs, the def's own %.0f", c.axis.Name(), p.op, c.v, got, want)
+			}
+		}
 	}
 }
 

@@ -57,7 +57,7 @@ type campaign struct {
 
 	// probes is the implicit routing-probe schedule: one phase per
 	// ordered pair, recurring every probeIvl. Strict periodicity means
-	// these — half of all campaign events — never touch the event
+	// these — the bulk of a campaign's events — never touch the event
 	// queue; the loop merges the sorted phase wheel with the queue by
 	// time (see loop for the tie rule).
 	probes probeStream
@@ -92,34 +92,25 @@ func Run(cfg Config) (*Result, error) {
 func (c *campaign) seed() {
 	n := c.tb.N()
 	interval := c.probeIvl
+	// Under the landmark policy only planned links carry probe streams:
+	// O(n·√n) of them instead of n(n-1). Both policies draw phases in
+	// row-major pair order, so fullmesh cells (plan == nil) keep the
+	// exact historical RNG draw order.
 	if c.plan != nil {
-		// Landmark policy: only planned links carry probe streams —
-		// O(n·√n) of them instead of n(n-1). Row-major order like the
-		// full mesh, so fullmesh cells (plan == nil) keep the exact
-		// historical RNG draw order.
 		c.probes.presize(c.plan.PlannedLinks())
-		for s := 0; s < n; s++ {
-			for d := 0; d < n; d++ {
-				if s == d || !c.plan.Probes(s, d) {
-					continue
-				}
-				phase := netsim.Time(c.rng.Float64() * float64(interval))
-				c.probes.add(phase, int32(s), int32(d), c.queue.takeSeq())
-			}
-		}
 	} else {
 		c.probes.presize(n * (n - 1))
-		for s := 0; s < n; s++ {
-			for d := 0; d < n; d++ {
-				if s == d {
-					continue
-				}
-				phase := netsim.Time(c.rng.Float64() * float64(interval))
-				// Sequence numbers are consumed in the same order the
-				// retired engine pushed these events, so ties against
-				// queued events resolve identically.
-				c.probes.add(phase, int32(s), int32(d), c.queue.takeSeq())
+	}
+	for s := 0; s < n; s++ {
+		for d := 0; d < n; d++ {
+			if s == d || (c.plan != nil && !c.plan.Probes(s, d)) {
+				continue
 			}
+			phase := netsim.Time(c.rng.Float64() * float64(interval))
+			// Sequence numbers are consumed in the same order the
+			// retired engine pushed these events, so ties against
+			// queued events resolve identically.
+			c.probes.add(phase, int32(s), int32(d), c.queue.takeSeq())
 		}
 	}
 	c.probes.start(interval)
@@ -162,22 +153,16 @@ func (c *campaign) measureGap() netsim.Time {
 // the old engine's for every configuration, including probe intervals
 // that collide exactly with follow-up or measurement times.
 func (c *campaign) loop() {
-	// The queue head is cached across iterations and re-read only after
-	// a queue mutation (pop, or a handler that pushed); probe-stream
-	// iterations that push nothing skip the peek entirely.
-	qt, qSeq, qOK := c.queue.peek()
 	for {
 		pt, pSeq, pOK := c.probes.peek()
 		if pOK && pt >= c.end {
 			pOK = false // stream ended; drain the queue
 		}
+		qt, qSeq, qOK := c.queue.peek()
 		if pOK && (!qOK || pt < qt || (pt == qt && pSeq < qSeq)) {
 			a, b := c.probes.pair()
-			pushed := c.ronProbe(pt, int(a), int(b))
+			c.ronProbe(pt, int(a), int(b))
 			c.probes.advance(c.queue.takeSeq())
-			if pushed {
-				qt, qSeq, qOK = c.queue.peek()
-			}
 			continue
 		}
 		if !qOK {
@@ -204,24 +189,20 @@ func (c *campaign) loop() {
 				c.scenarioEvent(e.t, int(e.a), e.k)
 			}
 		}
-		qt, qSeq, qOK = c.queue.peek()
 	}
 }
 
 // ronProbe sends one §3.1 routing probe on the direct virtual link s→d
 // and folds the outcome into the selector. A loss triggers the follow-up
-// string; the return value reports whether an event was pushed (so the
-// loop knows its cached queue head is stale).
-func (c *campaign) ronProbe(t netsim.Time, s, d int) bool {
+// string.
+func (c *campaign) ronProbe(t netsim.Time, s, d int) {
 	c.res.RONProbes++
 	o := c.nw.SendDirect(t, s, d)
 	c.sel.Record(s, d, !o.Delivered, o.Latency.Duration())
 	if !o.Delivered {
 		c.queue.push(event{t: t + netsim.Second, kind: evRONFollowUp,
 			a: int32(s), b: int32(d), k: 1})
-		return true
 	}
-	return false
 }
 
 // ronFollowUp sends the k-th of up to four 1s-spaced probes after a loss,

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"math/bits"
-
-	"repro/internal/netsim"
-)
+import "repro/internal/netsim"
 
 // eventKind discriminates campaign events.
 type eventKind uint8
@@ -46,263 +42,89 @@ func (e *event) less(o *event) bool {
 	return e.seq < o.seq
 }
 
-// Calendar geometry. The campaign's event population is a few hundred
-// strictly periodic streams — per-pair routing probes and the table
-// refresh every ProbeInterval (15 s), measurement probes every ~1 s per
-// node, follow-ups 1 s apart — so a calendar queue with a wheel wide
-// enough to cover the longest recurrence turns every push and pop into
-// O(1) bucket work. Width is a power of two of nanoseconds (2^26 ns ≈
-// 67 ms) so bucket mapping is a shift+mask; 512 buckets give a horizon
-// of 2^35 ns ≈ 34.4 s, comfortably past the 15 s default interval,
-// while keeping the wheel's working set small enough to stay cached (a
-// campaign's ~300 live events land ~1-3 per occupied bucket). Events
-// beyond the horizon (sparse: only extreme -probeinterval sweeps
-// produce them) fall back to a binary heap.
-const (
-	bucketShift   = 26
-	bucketCount   = 512 // must be a power of two
-	bucketMask    = bucketCount - 1
-	bucketWidth   = netsim.Time(1) << bucketShift
-	wheelHorizon  = netsim.Time(bucketCount) << bucketShift
-	occupancyLen  = bucketCount / 64
-	occupancyMask = 63
-)
-
-// eventQueue is a bucketed calendar queue over virtual time with a
-// binary-heap overflow for events beyond the wheel horizon. It pops in
-// exactly the (t, seq) order of a global min-heap — the campaign's
-// outputs are bit-for-bit independent of the queue implementation — but
-// both push and pop are O(1) for the periodic event population instead
-// of O(log n), and steady-state operation allocates nothing (bucket
-// slices retain their capacity across reuse).
-//
-// Two invariants make the fast path correct:
-//
-//  1. Events are only pushed at or after the time of the event being
-//     processed, and window advancement stops at the first occupied
-//     bucket, so every bucketed event's time lies within one horizon of
-//     windowStart. Buckets therefore map one-to-one onto windows: all
-//     events in a bucket belong to the same bucketWidth window, and the
-//     minimum of the current bucket is the global bucketed minimum.
-//  2. Overflow events are consulted by peeking the heap top whenever
-//     the wheel reaches the top's window, so they interleave with
-//     bucketed events in exact (t, seq) order without ever migrating.
+// eventQueue is a binary min-heap of events on (t, seq), the total
+// order the campaign pops in. The §3.1 routing probes — n(n−1) strictly
+// periodic events, the bulk of a campaign — never enter it (they ride
+// probeStream), so it holds only about one event per node: each node's
+// next §4.1 measurement probe, the table refresh, pending loss
+// follow-ups, workload frames and scenario firings.
 //
 // The zero value is ready to use.
 type eventQueue struct {
-	buckets [][]event
-	// occupied is a bitmap over buckets; advancing the window skips
-	// empty stretches 64 buckets per word instead of one at a time
-	// (this matters when the queue drains at campaign end and the
-	// remaining events are 15 s apart).
-	occupied    []uint64
-	windowStart netsim.Time // start of the current bucket's window
-	cur         int         // bucket index of the current window
-	// curIdx is the consumption cursor into buckets[cur]: entries
-	// before it are already popped, entries from it on are sorted by
-	// (t, seq). The bucket is sorted once when the window arrives
-	// (sortCurrent), after which each pop is a cursor advance rather
-	// than a min-scan plus swap-remove.
-	curIdx   int
-	count    int
-	overflow []event // min-heap on (t, seq) for t ≥ windowStart+horizon
-	seq      uint64
+	heap []event
+	seq  uint64
 }
 
 // push schedules an event, assigning its sequence number.
 func (q *eventQueue) push(e event) {
-	if q.buckets == nil {
-		q.init()
-	}
 	e.seq = q.seq
 	q.seq++
-	q.count++
-	if e.t >= q.windowStart+wheelHorizon {
-		q.heapPush(e)
-		return
-	}
-	b := q.cur
-	if e.t >= q.windowStart {
-		b = int(e.t>>bucketShift) & bucketMask
-	}
-	// An e.t before windowStart cannot happen for campaign schedules
-	// (events are pushed at or after the popped event's time); routing
-	// such a push to the current bucket keeps ordering correct anyway,
-	// via the sorted insert below.
-	if len(q.buckets[b]) == 0 {
-		q.occupied[b>>6] |= 1 << (uint(b) & occupancyMask)
-	}
-	q.buckets[b] = append(q.buckets[b], e)
-	if b == q.cur {
-		// The current bucket's tail is kept sorted while it is being
-		// consumed; bubble the new event into place. Rare: schedules
-		// whose gaps exceed the bucket width (all defaults do) never
-		// push into the window being drained, except before the first
-		// pop when cur is still the seed bucket.
-		s := q.buckets[b]
-		for i := len(s) - 1; i > q.curIdx && s[i].less(&s[i-1]); i-- {
-			s[i], s[i-1] = s[i-1], s[i]
+	i := len(q.heap)
+	q.heap = append(q.heap, e)
+	h := q.heap
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !e.less(&h[parent]) {
+			break
 		}
+		h[i] = h[parent]
+		i = parent
 	}
-}
-
-// bucketSeedCap is each bucket's pre-carved slab capacity; buckets
-// needing more fall back to individual append growth. 8 absorbs most
-// of the follow-up clusters a global congestion episode synchronizes
-// into one window (many pairs lose probes at once, all rescheduling
-// +1 s), so campaigns with fresh seeds rarely grow a reused queue's
-// buckets, while keeping the per-arena slab at 128 KB (16 measured no
-// fewer steady-state growths but doubled the slab's zeroing and cache
-// cost, visible at 4 workers on one core).
-const bucketSeedCap = 8
-
-// init lays every bucket out in one slab (len 0, cap bucketSeedCap,
-// three-index sliced so an overgrown bucket reallocates on its own
-// instead of stomping its neighbor) — one allocation instead of a few
-// thousand append-growth steps per campaign.
-func (q *eventQueue) init() {
-	q.buckets = make([][]event, bucketCount)
-	slab := make([]event, bucketCount*bucketSeedCap)
-	for i := range q.buckets {
-		o := i * bucketSeedCap
-		q.buckets[i] = slab[o : o : o+bucketSeedCap]
-	}
-	q.occupied = make([]uint64, occupancyLen)
-}
-
-// reset empties the queue back to its ready-to-use zero state, keeping
-// every bucket's grown capacity (and the overflow heap's), so a reused
-// queue serves its next campaign without reallocating. Behavior is
-// indistinguishable from a fresh queue: all ordering state is derived
-// from the fields reset here.
-func (q *eventQueue) reset() {
-	if q.buckets == nil {
-		return // zero value, already ready
-	}
-	for i := range q.buckets {
-		q.buckets[i] = q.buckets[i][:0]
-	}
-	clear(q.occupied)
-	q.windowStart, q.cur, q.curIdx = 0, 0, 0
-	q.count = 0
-	q.overflow = q.overflow[:0]
-	q.seq = 0
+	h[i] = e
 }
 
 // pop removes and returns the earliest event. It must not be called on
 // an empty queue.
 func (q *eventQueue) pop() event {
-	b := q.buckets[q.cur]
-	if q.curIdx < len(b) {
-		e := b[q.curIdx]
-		if len(q.overflow) > 0 {
-			// An overflow event whose window has arrived competes with
-			// the bucket head on (t, seq).
-			if top := &q.overflow[0]; top.t < q.windowStart+bucketWidth && top.less(&e) {
-				return q.heapPop()
-			}
-		}
-		q.curIdx++
-		q.count--
-		if q.curIdx == len(b) {
-			q.buckets[q.cur] = b[:0]
-			q.curIdx = 0
-			q.occupied[q.cur>>6] &^= 1 << (uint(q.cur) & occupancyMask)
-		}
-		return e
+	h := q.heap
+	top, last := h[0], h[len(h)-1]
+	h = h[:len(h)-1]
+	q.heap = h
+	if len(h) == 0 {
+		return top
 	}
-	return q.popSlow()
-}
-
-// popSlow advances the window to the next occupied bucket (or due
-// overflow event), sorts the bucket it lands on, and pops from it.
-func (q *eventQueue) popSlow() event {
+	i := 0
 	for {
-		if len(q.overflow) > 0 && q.overflow[0].t < q.windowStart+bucketWidth {
-			return q.heapPop()
+		c := 2*i + 1
+		if c >= len(h) {
+			break
 		}
-		q.advance()
-		if b := q.buckets[q.cur]; len(b) > 0 {
-			q.sortCurrent(b)
-			return q.pop()
+		if r := c + 1; r < len(h) && h[r].less(&h[c]) {
+			c = r
 		}
+		if !h[c].less(&last) {
+			break
+		}
+		h[i] = h[c]
+		i = c
 	}
+	h[i] = last
+	return top
 }
 
-// sortCurrent insertion-sorts the just-arrived bucket by (t, seq);
-// buckets hold one window's events (a handful), so the quadratic sort
-// is the cheap choice.
-func (q *eventQueue) sortCurrent(b []event) {
-	for i := 1; i < len(b); i++ {
-		for j := i; j > 0 && b[j].less(&b[j-1]); j-- {
-			b[j], b[j-1] = b[j-1], b[j]
-		}
+// reset empties the queue for a campaign over n nodes, keeping its
+// capacity, so a reused queue serves its next campaign without
+// reallocating. A queue too small for one pending measurement probe per
+// node plus the table refresh is grown to that once, instead of by
+// append doublings during the cell.
+func (q *eventQueue) reset(n int) {
+	if cap(q.heap) < n+1 {
+		q.heap = make([]event, 0, n+1)
 	}
-	q.curIdx = 0
-}
-
-// advance moves the window forward to the next bucket that can hold the
-// minimum: the nearest occupied bucket, capped by the overflow top's
-// window so overflow events are never skipped past.
-func (q *eventQueue) advance() {
-	steps := q.nextOccupiedDelta()
-	if len(q.overflow) > 0 {
-		if d := int((q.overflow[0].t - q.windowStart) >> bucketShift); d < steps {
-			steps = d
-		}
-	}
-	if steps < 1 {
-		steps = 1
-	}
-	q.cur = (q.cur + steps) & bucketMask
-	q.windowStart += netsim.Time(steps) << bucketShift
-}
-
-// nextOccupiedDelta returns the distance (in buckets, ≥ 1) from cur to
-// the next occupied bucket, or bucketCount if none is occupied.
-func (q *eventQueue) nextOccupiedDelta() int {
-	start := q.cur + 1
-	for scanned := 0; scanned < bucketCount; {
-		word := (start + scanned) >> 6
-		bit := uint(start+scanned) & occupancyMask
-		w := q.occupied[word&(occupancyLen-1)] >> bit
-		if w != 0 {
-			return start + scanned + bits.TrailingZeros64(w) - q.cur
-		}
-		scanned += 64 - int(bit)
-	}
-	return bucketCount
+	q.heap = q.heap[:0]
+	q.seq = 0
 }
 
 // len returns the number of pending events.
-func (q *eventQueue) len() int { return q.count }
+func (q *eventQueue) len() int { return len(q.heap) }
 
 // peek reports the time and sequence number of the earliest pending
-// event without removing it. It may advance the window machinery
-// (cheap, removes nothing); ok is false on an empty queue.
+// event without removing it; ok is false on an empty queue.
 func (q *eventQueue) peek() (t netsim.Time, seq uint64, ok bool) {
-	if q.count == 0 {
+	if len(q.heap) == 0 {
 		return 0, 0, false
 	}
-	for {
-		b := q.buckets[q.cur]
-		if q.curIdx < len(b) {
-			e := &b[q.curIdx]
-			if len(q.overflow) > 0 {
-				if top := &q.overflow[0]; top.t < q.windowStart+bucketWidth && top.less(e) {
-					return top.t, top.seq, true
-				}
-			}
-			return e.t, e.seq, true
-		}
-		if len(q.overflow) > 0 && q.overflow[0].t < q.windowStart+bucketWidth {
-			return q.overflow[0].t, q.overflow[0].seq, true
-		}
-		q.advance()
-		if b := q.buckets[q.cur]; len(b) > 0 {
-			q.sortCurrent(b)
-		}
-	}
+	return q.heap[0].t, q.heap[0].seq, true
 }
 
 // takeSeq consumes the next sequence number without pushing an event.
@@ -464,44 +286,4 @@ func (p *probeStream) advance(nextSeq uint64) {
 		p.cursor = 0
 		p.era += p.interval
 	}
-}
-
-// heapPush inserts into the overflow min-heap on (t, seq).
-func (q *eventQueue) heapPush(e event) {
-	q.overflow = append(q.overflow, e)
-	i := len(q.overflow) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !q.overflow[i].less(&q.overflow[parent]) {
-			break
-		}
-		q.overflow[i], q.overflow[parent] = q.overflow[parent], q.overflow[i]
-		i = parent
-	}
-}
-
-// heapPop removes the overflow minimum.
-func (q *eventQueue) heapPop() event {
-	top := q.overflow[0]
-	last := len(q.overflow) - 1
-	q.overflow[0] = q.overflow[last]
-	q.overflow = q.overflow[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < last && q.overflow[l].less(&q.overflow[smallest]) {
-			smallest = l
-		}
-		if r < last && q.overflow[r].less(&q.overflow[smallest]) {
-			smallest = r
-		}
-		if smallest == i {
-			break
-		}
-		q.overflow[i], q.overflow[smallest] = q.overflow[smallest], q.overflow[i]
-		i = smallest
-	}
-	q.count--
-	return top
 }

@@ -9,7 +9,7 @@ import (
 )
 
 // refQueue is the reference implementation: a sorted-on-demand list
-// ordered by (t, seq), the contract the calendar queue must match.
+// ordered by (t, seq), the contract the event heap must match.
 type refQueue struct {
 	evs []event
 	seq uint64
@@ -33,17 +33,17 @@ func (r *refQueue) pop() event {
 	return e
 }
 
-// checkQueueScript runs a script of pushes and pops on the calendar
-// queue and on refQueue and demands identical pops, then drains both.
-// Like the event loop, a script pushes only at or after the time of the
-// last pop. Each op byte's low two bits choose the operation:
+// checkQueueScript runs a script of pushes and pops on the event heap
+// and on refQueue and demands identical pops, then drains both. Like
+// the event loop, a script pushes only at or after the time of the last
+// pop. Each op byte's low two bits choose the operation:
 //
 //	0  pop (skipped on an empty queue)
 //	1  push at the last pop's time: a same-timestamp tie
-//	2  push up to 4.3 s later, to the nanosecond: same-bucket
-//	   collisions and every bucket of the wheel
-//	3  push up to 1100 s later, in 256 ns steps: past the wheel
-//	   horizon, into the overflow heap
+//	2  push up to 4.3 s later, to the nanosecond: the spread of the
+//	   measurement probes and follow-ups
+//	3  push up to 1100 s later, in 256 ns steps: far-future events
+//	   that many nearer ones must overtake
 //
 // Ops 2 and 3 read a little-endian uint32 delay after the op byte; a
 // truncated one ends the script.
@@ -98,9 +98,9 @@ func checkQueueScript(t *testing.T, script []byte) {
 }
 
 // referenceSchedule is an adversarial script for checkQueueScript —
-// periodic streams like the campaign's, same-bucket collisions,
-// identical timestamps (seq ties), and far-future events that overflow
-// the wheel — recorded by driving refQueue alone.
+// periodic streams like the campaign's, near-coincident times,
+// identical timestamps (seq ties), and far-future events — recorded by
+// driving refQueue alone.
 func referenceSchedule(tb testing.TB) []byte {
 	var ref refQueue
 	var script []byte
@@ -128,7 +128,7 @@ func referenceSchedule(tb testing.TB) []byte {
 	for i := 0; i < 40; i++ {
 		push(event{t: netsim.Time(i%8) * netsim.Second, kind: evRONProbe, a: int32(i)})
 	}
-	// Far-future events beyond the wheel horizon (34 s): overflow path.
+	// Far-future events, minutes past the periodic streams.
 	for i := 0; i < 10; i++ {
 		push(event{t: netsim.Time(100+i*50) * netsim.Second, kind: evMeasure, a: int32(i)})
 	}
@@ -160,7 +160,7 @@ func referenceSchedule(tb testing.TB) []byte {
 }
 
 // TestEventQueueMatchesReference replays referenceSchedule on the
-// calendar queue and the reference and demands identical pop sequences.
+// event heap and the reference and demands identical pop sequences.
 func TestEventQueueMatchesReference(t *testing.T) {
 	checkQueueScript(t, referenceSchedule(t))
 }

@@ -253,7 +253,7 @@ func planLatScanReference(s *Selector, dst int, directLoss float64, directLat, d
 // counts on both sides of a multiple of four.
 func TestPlanLatScanMatchesReference(t *testing.T) {
 	const ms = time.Millisecond
-	for _, n := range []int{10, 17, 26, 49, 64, 81, 100, 122} {
+	for _, n := range planLatSizes {
 		plan := NewLandmarkPlan(n)
 		L := len(plan.landmarks)
 		sel := NewSelectorWindow(n, 0)
@@ -329,6 +329,141 @@ func TestPlanLatScanMatchesReference(t *testing.T) {
 			check(fmt.Sprintf("random trial %d", trial), direct, adj)
 		}
 	}
+}
+
+// planLatSizes are the overlay sizes the landmark latency scan is held
+// at: landmark counts on both sides of a multiple of four.
+var planLatSizes = []int{10, 17, 26, 49, 64, 81, 100, 122}
+
+// scanLat decodes one latency byte of the scan fuzzers' cases: its low
+// three bits are 10–40 ms in 5 ms steps, or latDead when all are set,
+// so equal sums are the common case; the next three bits are a loss
+// rate in eighths.
+func scanLat(b byte) (time.Duration, float64) {
+	loss := float64(b>>3&7) / 8
+	if b&7 == 7 {
+		return latDead, loss
+	}
+	return time.Duration(10+5*int(b&7)) * time.Millisecond, loss
+}
+
+// A landmark scan case is a byte string: the overlay size (an index
+// into planLatSizes), the direct path — 20–95 ms in 5 ms steps from the
+// low four bits, a dead direct link when bit 4 is set, a loss rate in
+// eighths from the top three — then one (row, column) scanLat byte pair
+// per landmark position. Positions past the pairs given reuse them
+// cyclically, so a short case is a field of ties. A case with no pair
+// is empty.
+func planLatCase(sizeIdx int, direct byte, pairs ...[2]byte) []byte {
+	b := []byte{byte(sizeIdx), direct}
+	for _, p := range pairs {
+		b = append(b, p[0], p[1])
+	}
+	return b
+}
+
+// planLatSeeds are TestPlanLatScanMatchesReference's case families in
+// planLatCase form: all sums equal against a slower, equal, faster and
+// dead direct path; the minimum at a few positions by start and stride;
+// sentinels at landmark src and dst positions; every path dead.
+func planLatSeeds() [][]byte {
+	const (
+		dflt       = 6 | 2<<3 // 40 ms
+		dfltC      = 2 | 1<<3 // 20 ms: every default path sums to 60 ms
+		minR       = 1        // 15 ms
+		minC       = 4        // 30 ms: a 45 ms path, split differently
+		dead       = 7
+		deadDirect = 1 << 4
+	)
+	var seeds [][]byte
+	for si, n := range planLatSizes {
+		L := len(NewLandmarkPlan(n).landmarks)
+		// field is one pair per position, the default path where set
+		// leaves it alone.
+		field := func(set func(li int, p *[2]byte)) [][2]byte {
+			pairs := make([][2]byte, L)
+			for li := range pairs {
+				pairs[li] = [2]byte{dflt, dfltC}
+				set(li, &pairs[li])
+			}
+			return pairs
+		}
+		for _, d := range []byte{10, 8, 6, 2 | deadDirect} { // 70, 60, 50 ms, dead
+			seeds = append(seeds, planLatCase(si, d, [2]byte{dflt, dfltC}))
+		}
+		for first := 0; first < min(L, 4); first++ {
+			for stride := 1; stride <= 3; stride++ {
+				pairs := field(func(li int, p *[2]byte) {
+					if li >= first && (li-first)%stride == 0 {
+						*p = [2]byte{minR, minC}
+					}
+				})
+				for _, d := range []byte{6, 5, 5 | deadDirect} { // 50, 45 ms, dead
+					seeds = append(seeds, planLatCase(si, d, pairs...))
+				}
+			}
+		}
+		for _, a := range []int{0, L / 2, L - 1} {
+			for _, c := range []int{0, L - 1} {
+				pairs := field(func(li int, p *[2]byte) {
+					if li == a {
+						p[0] = dead
+					}
+					if li == c {
+						p[1] = dead
+					}
+				})
+				seeds = append(seeds, planLatCase(si, 9, pairs...)) // 65 ms
+			}
+		}
+		seeds = append(seeds,
+			planLatCase(si, 2|deadDirect, [2]byte{dead, dfltC}),
+			planLatCase(si, 2, [2]byte{dead, dfltC}))
+	}
+	return seeds
+}
+
+// checkPlanLatCase runs one planLatCase through bestLatPlan and
+// planLatScanReference on scratch written directly, and demands the
+// same choice.
+func checkPlanLatCase(t *testing.T, in []byte) {
+	t.Helper()
+	if len(in) < 4 {
+		return
+	}
+	n := planLatSizes[int(in[0])%len(planLatSizes)]
+	sel := NewSelectorWindow(n, 0)
+	sel.SetPlan(NewLandmarkPlan(n))
+	L := len(sel.plan.landmarks)
+	const dst = 3
+	direct := time.Duration(20+5*int(in[1]&15)) * time.Millisecond
+	directAdj := direct
+	if in[1]&(1<<4) != 0 {
+		directAdj = latDead
+	}
+	directLoss := float64(in[1]>>5) / 8
+	pairs := in[2 : 2+(len(in)-2)/2*2]
+	for li := 0; li < L; li++ {
+		p := pairs[2*li%len(pairs):]
+		sel.srcLmLatAdj[li], sel.srcLmLoss[li] = scanLat(p[0])
+		sel.lmColLatAdj[dst*L+li], sel.lmColLoss[dst*L+li] = scanLat(p[1])
+	}
+	got := sel.bestLatPlan(dst, directLoss, direct, directAdj)
+	want := planLatScanReference(sel, dst, directLoss, direct, directAdj)
+	if got != want {
+		t.Fatalf("n=%d (L=%d): two-pass scan picks %+v, the scalar loop %+v\nrow %v\ncol %v\ndirect %v (adjusted %v)",
+			n, L, got, want, sel.srcLmLatAdj[:L], sel.lmColLatAdj[dst*L:dst*L+L], direct, directAdj)
+	}
+}
+
+// FuzzPlanLatScanMatchesReference holds the landmark latency scan to
+// the scalar loop it replaced on arbitrary planLatCase inputs;
+// planLatSeeds seed the corpus.
+func FuzzPlanLatScanMatchesReference(f *testing.F) {
+	for _, c := range planLatSeeds() {
+		f.Add(c)
+	}
+	f.Fuzz(checkPlanLatCase)
 }
 
 // touchLink returns src→dst's estimate for mutation, carving the slab
@@ -484,6 +619,122 @@ func TestMeshLatScanMatchesReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// A full-mesh scan case is a byte string: the mesh size n (2–31), the
+// source, the destination (an offset from the source, so never equal
+// to it), the fallback latency (10–45 ms in 5 ms steps from the low
+// three bits, so unmeasured links tie measured ones), the direct link, then one (row, column)
+// link pair per intermediate — src→via and via→dst, in via order —
+// reused cyclically past the pairs given. A link byte's low three bits
+// are 10–35 ms in 5 ms steps, 6 for a link never measured (it reads the
+// fallback latency) or 7 for a dead one; the next three bits are its
+// loss rate in eighths. Links the case does not name stay unmeasured.
+func meshLatCase(n, src, dstOff int, fallback, direct byte, pairs ...[2]byte) []byte {
+	b := []byte{byte(n - 2), byte(src), byte(dstOff), fallback, direct}
+	for _, p := range pairs {
+		b = append(b, p[0], p[1])
+	}
+	return b
+}
+
+// meshLatSeeds are TestMeshLatScanMatchesReference's case families in
+// meshLatCase form, at its mesh sizes up to 31: nothing measured; all
+// sums equal against a faster direct link, an unmeasured one reading an
+// equal fallback, and a dead one; a direct link slower than some vias;
+// most first legs dead; every via dead; unmeasured legs whose fallback
+// ties measured latencies.
+func meshLatSeeds() [][]byte {
+	const (
+		l10    = 0
+		l20    = 2 | 1<<3
+		l35    = 5 | 3<<3
+		unmeas = 6
+		dead   = 7 | 2<<3
+		fb20   = 2 // fallback 20 ms
+		fb40   = 6 // fallback 40 ms
+	)
+	tied := [2]byte{l20, l20} // every via path sums to 40 ms
+	var seeds [][]byte
+	for _, n := range []int{2, 3, 5, 30, 31} {
+		for _, src := range []int{0, n - 1} {
+			seeds = append(seeds,
+				meshLatCase(n, src, 0, fb20, unmeas),
+				meshLatCase(n, src, n-2, fb20, l20, tied),
+				meshLatCase(n, src, 1, fb40, unmeas, tied),
+				meshLatCase(n, src, 1, fb20, l35, tied, [2]byte{l10, l20}),
+				meshLatCase(n, src, 1, fb20, dead, tied),
+				meshLatCase(n, src, 1, fb20, l20, [2]byte{dead, l20}, [2]byte{dead, l20}, tied),
+				meshLatCase(n, src, 1, fb20, dead, [2]byte{dead, l20}, [2]byte{l20, dead}),
+				meshLatCase(n, src, 1, fb20, l20, [2]byte{unmeas, l20}, [2]byte{l10, unmeas}),
+			)
+		}
+	}
+	return seeds
+}
+
+// checkMeshLatCase stages one meshLatCase on a fresh full-mesh selector,
+// refreshes it, and holds the cached scan to BestLat's walk over the
+// estimates — choice for choice and in the latency table — for every
+// source towards the case's destination.
+func checkMeshLatCase(t *testing.T, in []byte) {
+	t.Helper()
+	if len(in) < 5 {
+		return
+	}
+	n := 2 + int(in[0])%30
+	src := int(in[1]) % n
+	dst := (src + 1 + int(in[2])%(n-1)) % n
+	sel := NewSelectorWindow(n, 0)
+	sel.setFallbackLatency(time.Duration(10+5*int(in[3]&7)) * time.Millisecond)
+	set := func(a, b int, v byte) {
+		lat, loss := scanLat(v)
+		switch v & 7 {
+		case 6:
+		case 7:
+			pinLink(sel, a, b, loss, 20*time.Millisecond, true)
+		default:
+			pinLink(sel, a, b, loss, lat, false)
+		}
+	}
+	touchLink(sel, src, dst) // carves; the touch records nothing
+	set(src, dst, in[4])
+	if pairs := in[5 : 5+(len(in)-5)/2*2]; len(pairs) > 0 {
+		for via, k := 0, 0; via < n; via++ {
+			if via == src || via == dst {
+				continue
+			}
+			p := pairs[2*k%len(pairs):]
+			set(src, via, p[0])
+			set(via, dst, p[1])
+			k++
+		}
+	}
+	sel.Refresh()
+	sel.gatherCol(dst)
+	tables := sel.Tables()
+	for s := 0; s < n; s++ {
+		if s == dst {
+			continue
+		}
+		want := sel.BestLat(s, dst)
+		if got := sel.bestLatCached(s, dst); got != want {
+			t.Fatalf("n=%d case %d→%d: scan of %d→%d picks %+v, BestLat %+v", n, src, dst, s, dst, got, want)
+		}
+		if got := tables.LatVia(s, dst); got != want.Via {
+			t.Fatalf("n=%d case %d→%d: LatVia(%d,%d) = %d, BestLat %d", n, src, dst, s, dst, got, want.Via)
+		}
+	}
+}
+
+// FuzzMeshLatScanMatchesReference holds the full-mesh latency scan to
+// BestLat on arbitrary meshLatCase inputs; meshLatSeeds seed the
+// corpus.
+func FuzzMeshLatScanMatchesReference(f *testing.F) {
+	for _, c := range meshLatSeeds() {
+		f.Add(c)
+	}
+	f.Fuzz(checkMeshLatCase)
 }
 
 // TestMinSumViaMatchesScalarLoop holds the kernel itself to the running
