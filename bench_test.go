@@ -618,6 +618,9 @@ func BenchmarkSelectorRecord(b *testing.B) {
 // BenchmarkSelectorSnapshot measures the full 870-pair routing-table
 // recomputation the campaign performs every table-refresh interval,
 // written into a reused Tables exactly as the campaign does.
+// SetHysteresis(0) invalidates the metrics cache without allocating, so
+// every iteration is a full rescan; without it, no link is touched after
+// the first and Refresh would return at once, leaving only the copy.
 func BenchmarkSelectorSnapshot(b *testing.B) {
 	sel := route.NewSelectorWindow(30, 0)
 	for s := 0; s < 30; s++ {
@@ -631,6 +634,7 @@ func BenchmarkSelectorSnapshot(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		sel.SetHysteresis(0)
 		sel.SnapshotInto(&tables)
 	}
 }

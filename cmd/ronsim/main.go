@@ -167,6 +167,15 @@ func (f *cmdFlags) exec(stdout io.Writer) (err error) {
 		}
 	}
 
+	// DefaultConfig and NewSweep read 0 as "unset"; an explicit
+	// non-positive length or replica count is refused, not defaulted.
+	if f.days <= 0 {
+		return fmt.Errorf("-days %v: want a positive virtual length", f.days)
+	}
+	if f.replicas < 1 {
+		return fmt.Errorf("-replicas %d: want at least 1", f.replicas)
+	}
+
 	if f.workerURL != "" {
 		// Worker mode: the coordinator owns the grid, the outputs, and
 		// the merge; this process only computes leased cells, so every

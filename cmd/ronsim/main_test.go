@@ -191,6 +191,16 @@ func TestCommandLineErrors(t *testing.T) {
 			"core: Days = NaN, want > 0 and <= 106751"},
 		{"days Inf", []string{"-dataset", "ronnarrow", "-days", "Inf"},
 			"core: Days = +Inf, want > 0 and <= 106751"},
+		{"days 0", []string{"-dataset", "ronnarrow", "-days", "0"},
+			"-days 0: want a positive virtual length"},
+		{"days negative", []string{"-dataset", "ronnarrow", "-days", "-1"},
+			"-days -1: want a positive virtual length"},
+		{"days negative in a sweep", testSweepArgs(dir, "-days", "-1"),
+			"-days -1: want a positive virtual length"},
+		{"replicas 0", testSweepArgs(dir, "-replicas", "0"),
+			"-replicas 0: want at least 1"},
+		{"replicas negative", testSweepArgs(dir, "-replicas", "-1"),
+			"-replicas -1: want at least 1"},
 		{"days past the clock", testSweepArgs(dir, "-days", "1e300"),
 			"core: sweep cell ronnarrow-r00: core: Days = 1e+300, want > 0 and <= 106751"},
 		{"memprofile unwritable", []string{"-dataset", "ronnarrow", "-days", "0.001", "-memprofile", filepath.Join(dir, "no", "mem.out")},

@@ -267,8 +267,8 @@ func Datasets(ds ...Dataset) Option {
 	}
 }
 
-// Days sets the virtual campaign length per cell (<=0: the engine
-// default).
+// Days sets the virtual campaign length per cell (0: the engine
+// default; a negative length fails the cell's validation).
 func Days(days float64) Option {
 	return func(e *Experiment) error {
 		e.spec.Days = days

@@ -146,10 +146,12 @@ type Config struct {
 }
 
 // DefaultConfig returns the paper-faithful configuration for a dataset at
-// the given virtual length. Days <= 0 selects a 2-day campaign — long
-// enough for stable Table 5 statistics while keeping the default run fast.
+// the given virtual length. Days == 0, the unset value, selects a 2-day
+// campaign — long enough for stable Table 5 statistics while keeping the
+// default run fast; any other value, a negative one included, is kept
+// for Validate to judge.
 func DefaultConfig(d Dataset, days float64) Config {
-	if days <= 0 {
+	if days == 0 {
 		days = 2
 	}
 	return Config{

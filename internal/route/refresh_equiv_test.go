@@ -128,8 +128,8 @@ func TestHysteresisStateFreshAfterReuse(t *testing.T) {
 }
 
 // checkMetricsAgainstDense holds the slot-indexed metrics cache, and the
-// landmark scratch gathered from it, to a dense n² reference derived
-// from the estimates themselves after a Refresh.
+// landmark row table and column scratch gathered from it, to a dense n²
+// reference derived from the estimates themselves after a Refresh.
 func checkMetricsAgainstDense(t *testing.T, label string, sel *Selector) {
 	t.Helper()
 	n := sel.n
@@ -172,14 +172,14 @@ func checkMetricsAgainstDense(t *testing.T, label string, sel *Selector) {
 	}
 	L := len(p.landmarks)
 	for node := 0; node < n; node++ {
-		sel.gatherPlanRow(node)
+		sel.gatherCol(node)
 		for li, lm := range p.landmarks {
 			row, col := dense[node*n+int(lm)], dense[int(lm)*n+node]
-			if sel.srcLmLoss[li] != row.loss || sel.srcLmLat[li] != row.lat || sel.srcLmLatAdj[li] != row.adj {
-				t.Fatalf("%s: row scratch of %d→landmark %d differs from the dense reference", label, node, lm)
-			}
 			at := node*L + li
-			if sel.lmColLoss[at] != col.loss || sel.lmColLat[at] != col.lat || sel.lmColLatAdj[at] != col.adj {
+			if sel.lmRowLoss[at] != row.loss || sel.lmRowLat[at] != row.lat || sel.lmRowLatAdj[at] != row.adj {
+				t.Fatalf("%s: row table of %d→landmark %d differs from the dense reference", label, node, lm)
+			}
+			if sel.colLoss[li] != col.loss || sel.colLat[li] != col.lat || sel.colLatAdj[li] != col.adj {
 				t.Fatalf("%s: column scratch of landmark %d→%d differs from the dense reference", label, lm, node)
 			}
 		}
@@ -224,29 +224,28 @@ func TestSlotMetricsMatchDenseReference(t *testing.T) {
 	}
 }
 
-// planLatScanReference is the scan bestLatPlan replaced: a running strict
-// minimum over the landmark positions, starting from the direct path.
-func planLatScanReference(s *Selector, dst int, directLoss float64, directLat, directAdj time.Duration) Choice {
-	lms := s.plan.landmarks
-	L := len(lms)
-	rowAdj := s.srcLmLatAdj
-	colAdj := s.lmColLatAdj[dst*L : dst*L+L]
+// planLatScanReference is the scan the two-pass latency kernel replaced,
+// over a landmark row and the gathered column: a running strict minimum
+// over the landmark positions, starting from the direct path. Its Via is
+// a landmark position, as the kernel's is.
+func planLatScanReference(s *Selector, rowLoss []float64, rowAdj []time.Duration, directLoss float64, directLat, directAdj time.Duration) Choice {
 	bestVia, bestLat := -1, directAdj
-	for li := 0; li < L; li++ {
-		if lat := rowAdj[li] + colAdj[li]; lat < bestLat {
+	for li := range rowAdj {
+		if lat := rowAdj[li] + s.colLatAdj[li]; lat < bestLat {
 			bestVia, bestLat = li, lat
 		}
 	}
 	if bestVia < 0 {
 		return Choice{Via: -1, Loss: directLoss, Latency: directLat}
 	}
-	return Choice{Via: int(lms[bestVia]),
-		Loss:    pathLoss(s.srcLmLoss[bestVia], s.lmColLoss[dst*L+bestVia]),
+	return Choice{Via: bestVia,
+		Loss:    pathLoss(rowLoss[bestVia], s.colLoss[bestVia]),
 		Latency: bestLat}
 }
 
-// TestPlanLatScanMatchesReference holds the two-pass landmark latency
-// scan to the scalar loop it replaced, on scratch written directly so
+// TestPlanLatScanMatchesReference holds the two-pass latency scan over
+// landmark positions to the scalar loop it replaced, on the landmark
+// row table and column scratch written directly so
 // ties are exact: equal sums at several landmark positions, a minimum
 // equal to the direct path, a dead direct link, src and dst themselves
 // landmarks (the sentinel positions), every path dead, and landmark
@@ -258,22 +257,23 @@ func TestPlanLatScanMatchesReference(t *testing.T) {
 		L := len(plan.landmarks)
 		sel := NewSelectorWindow(n, 0)
 		sel.SetPlan(plan)
-		const dst = 3
-		col := sel.lmColLatAdj[dst*L : dst*L+L]
+		const src = 3
+		rowAdj, rowLoss := sel.lmRowLatAdj[src*L:src*L+L], sel.lmRowLoss[src*L:src*L+L]
+		col := sel.colLatAdj[:L]
 		check := func(label string, direct, directAdj time.Duration) {
 			t.Helper()
-			got := sel.bestLatPlan(dst, 0.125, direct, directAdj)
-			want := planLatScanReference(sel, dst, 0.125, direct, directAdj)
+			got := sel.bestLatCached(rowLoss, rowAdj, 0.125, direct, directAdj)
+			want := planLatScanReference(sel, rowLoss, rowAdj, 0.125, direct, directAdj)
 			if got != want {
 				t.Fatalf("n=%d (L=%d) %s: two-pass scan picks %+v, the scalar loop %+v\nrow %v\ncol %v",
-					n, L, label, got, want, sel.srcLmLatAdj[:L], col)
+					n, L, label, got, want, rowAdj, col)
 			}
 		}
 		fill := func(row, c time.Duration) {
 			for li := 0; li < L; li++ {
-				sel.srcLmLatAdj[li], col[li] = row, c
-				sel.srcLmLoss[li] = float64(li) / 64
-				sel.lmColLoss[dst*L+li] = float64(L-li) / 128
+				rowAdj[li], col[li] = row, c
+				rowLoss[li] = float64(li) / 64
+				sel.colLoss[li] = float64(L-li) / 128
 			}
 		}
 		// Every landmark path sums to the same 60 ms.
@@ -287,7 +287,7 @@ func TestPlanLatScanMatchesReference(t *testing.T) {
 			for stride := 1; stride <= 3; stride++ {
 				fill(40*ms, 20*ms)
 				for li := first; li < L; li += stride {
-					sel.srcLmLatAdj[li], col[li] = 15*ms, 30*ms // 45, split differently
+					rowAdj[li], col[li] = 15*ms, 30*ms // 45, split differently
 				}
 				label := fmt.Sprintf("minimum at %d and every %d after", first, stride)
 				check(label+", direct slower", 50*ms, 50*ms)
@@ -299,7 +299,7 @@ func TestPlanLatScanMatchesReference(t *testing.T) {
 		for a := 0; a < L; a++ {
 			for b := 0; b < L; b++ {
 				fill(40*ms, 20*ms)
-				sel.srcLmLatAdj[a] = latDead
+				rowAdj[a] = latDead
 				col[b] = latDead
 				check(fmt.Sprintf("sentinels at %d (row) and %d (column)", a, b), 61*ms, 61*ms)
 			}
@@ -319,7 +319,7 @@ func TestPlanLatScanMatchesReference(t *testing.T) {
 		}
 		for trial := 0; trial < 2000; trial++ {
 			for li := 0; li < L; li++ {
-				sel.srcLmLatAdj[li], col[li] = draw(), draw()
+				rowAdj[li], col[li] = draw(), draw()
 			}
 			direct := time.Duration(20+5*rng.Intn(12)) * ms
 			adj := direct
@@ -423,9 +423,9 @@ func planLatSeeds() [][]byte {
 	return seeds
 }
 
-// checkPlanLatCase runs one planLatCase through bestLatPlan and
-// planLatScanReference on scratch written directly, and demands the
-// same choice.
+// checkPlanLatCase runs one planLatCase through bestLatCached and
+// planLatScanReference on a landmark row and column scratch written
+// directly, and demands the same choice.
 func checkPlanLatCase(t *testing.T, in []byte) {
 	t.Helper()
 	if len(in) < 4 {
@@ -435,7 +435,8 @@ func checkPlanLatCase(t *testing.T, in []byte) {
 	sel := NewSelectorWindow(n, 0)
 	sel.SetPlan(NewLandmarkPlan(n))
 	L := len(sel.plan.landmarks)
-	const dst = 3
+	const src = 3
+	rowAdj, rowLoss := sel.lmRowLatAdj[src*L:src*L+L], sel.lmRowLoss[src*L:src*L+L]
 	direct := time.Duration(20+5*int(in[1]&15)) * time.Millisecond
 	directAdj := direct
 	if in[1]&(1<<4) != 0 {
@@ -445,14 +446,14 @@ func checkPlanLatCase(t *testing.T, in []byte) {
 	pairs := in[2 : 2+(len(in)-2)/2*2]
 	for li := 0; li < L; li++ {
 		p := pairs[2*li%len(pairs):]
-		sel.srcLmLatAdj[li], sel.srcLmLoss[li] = scanLat(p[0])
-		sel.lmColLatAdj[dst*L+li], sel.lmColLoss[dst*L+li] = scanLat(p[1])
+		rowAdj[li], rowLoss[li] = scanLat(p[0])
+		sel.colLatAdj[li], sel.colLoss[li] = scanLat(p[1])
 	}
-	got := sel.bestLatPlan(dst, directLoss, direct, directAdj)
-	want := planLatScanReference(sel, dst, directLoss, direct, directAdj)
+	got := sel.bestLatCached(rowLoss, rowAdj, directLoss, direct, directAdj)
+	want := planLatScanReference(sel, rowLoss, rowAdj, directLoss, direct, directAdj)
 	if got != want {
 		t.Fatalf("n=%d (L=%d): two-pass scan picks %+v, the scalar loop %+v\nrow %v\ncol %v\ndirect %v (adjusted %v)",
-			n, L, got, want, sel.srcLmLatAdj[:L], sel.lmColLatAdj[dst*L:dst*L+L], direct, directAdj)
+			n, L, got, want, rowAdj, sel.colLatAdj[:L], direct, directAdj)
 	}
 }
 
@@ -601,14 +602,15 @@ func TestMeshLatScanMatchesReference(t *testing.T) {
 				sc.setup()
 				sel.Refresh()
 				tables := sel.Tables()
+				v := sel.viaRows()
 				for _, dst := range dsts {
-					sel.gatherCol(dst)
+					v.dpos = sel.gatherCol(dst)
 					for src := 0; src < n; src++ {
 						if src == dst {
 							continue
 						}
 						want := sel.BestLat(src, dst)
-						if got := sel.bestLatCached(src, dst); got != want {
+						if _, got := sel.bestCached(&v, src, dst); got != want {
 							t.Fatalf("n=%d %s: scan of %d→%d picks %+v, BestLat %+v", n, sc.label, src, dst, got, want)
 						}
 						if got := tables.LatVia(src, dst); got != want.Via {
@@ -711,14 +713,15 @@ func checkMeshLatCase(t *testing.T, in []byte) {
 		}
 	}
 	sel.Refresh()
-	sel.gatherCol(dst)
+	v := sel.viaRows()
+	v.dpos = sel.gatherCol(dst)
 	tables := sel.Tables()
 	for s := 0; s < n; s++ {
 		if s == dst {
 			continue
 		}
 		want := sel.BestLat(s, dst)
-		if got := sel.bestLatCached(s, dst); got != want {
+		if _, got := sel.bestCached(&v, s, dst); got != want {
 			t.Fatalf("n=%d case %d→%d: scan of %d→%d picks %+v, BestLat %+v", n, src, dst, s, dst, got, want)
 		}
 		if got := tables.LatVia(s, dst); got != want.Via {

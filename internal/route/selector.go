@@ -38,7 +38,8 @@ func (c Choice) String() string {
 // backing ring buffer shared by every loss window) holding one entry
 // per link that can be probed — all n² under full mesh, the plan's
 // O(n·√n) under a LandmarkPlan — and the routing tables are one retained
-// pair of flat []viaIdx arrays that Refresh updates in place. The
+// pair of flat []viaIdx arrays, stored destination-major (dst*n+src),
+// that Refresh updates in place. The
 // campaign's table refresh is the selector's hot path — an O(n³) scan
 // per refresh — so Refresh first caches every link's loss rate, latency
 // estimate, and dead flag once (O(links) divisions instead of O(n³))
@@ -74,7 +75,7 @@ type Selector struct {
 	// the selection moves (RON used a similar mechanism to keep routes
 	// stable under measurement noise). State is kept per ordered pair.
 	hysteresis float64
-	prevLoss   []viaIdx // last chosen via per pair, -1 = direct
+	prevLoss   []viaIdx // last chosen via per pair, -1 = direct; dst*n+src like the tables
 	prevLat    []viaIdx
 	// prevStale marks the held paths as a previous cell's: Reset leaves
 	// the buffers alone and the next SetHysteresis(margin > 0) refills
@@ -95,8 +96,9 @@ type Selector struct {
 	// a dead link sums to ≥ latDead and can never undercut a live one.
 	mLatAdj []time.Duration
 	// colLoss/colLat/colLatAdj hold the metrics column of the
-	// destination currently being snapshotted, so the O(n) via scans
-	// read contiguous arrays instead of strided ones.
+	// destination currently being rescanned over the via candidates
+	// (entry i mirrors candidate i→dst), so the via scans read
+	// contiguous arrays instead of strided ones.
 	colLoss   []float64
 	colLat    []time.Duration
 	colLatAdj []time.Duration
@@ -105,18 +107,14 @@ type Selector struct {
 	// (the landmark policy). nil — the default — scans every node, the
 	// paper's behavior.
 	plan *LandmarkPlan
-	// Landmark-scan scratch (sized by SetPlan; L = landmark count):
-	// lmCol* are compact column-major copies of the landmark rows of the
-	// metrics cache (entry dst*L+li mirrors landmark[li]→dst), and
-	// srcLm* hold the current source row gathered over landmarks, so the
-	// O(√n) via scans read contiguous arrays. The gathers write the
-	// latDead/+Inf sentinels where a landmark is the pair's own endpoint.
-	lmColLoss   []float64
-	lmColLat    []time.Duration
-	lmColLatAdj []time.Duration
-	srcLmLoss   []float64
-	srcLmLat    []time.Duration
-	srcLmLatAdj []time.Duration
+	// lmRow* is the n×L landmark row table a plan's via scans read as
+	// each source's row (sized by SetPlan; L = landmark count): entry
+	// src*L+li mirrors src→landmark[li] in the metrics cache, with the
+	// self-link sentinels where the landmark is src itself. Full mesh
+	// needs no copy: its rows are the metrics cache's own.
+	lmRowLoss   []float64
+	lmRowLat    []time.Duration
+	lmRowLatAdj []time.Duration
 
 	// Incremental snapshot state. Record marks links touched; Refresh
 	// re-derives only pairs whose inputs — the source row or destination
@@ -131,9 +129,8 @@ type Selector struct {
 	usedMark     []bool  // per slot, since Reset — the O(touched) Reset work list
 	usedList     []int32 // slots
 	dirtyRow     []bool  // per-source scratch, clear outside Refresh
-	dirtyCol     []bool  // per-destination scratch
+	dirtyCol     []bool  // per-destination scratch, cleared by the rescan
 	dirtyRows    []int32
-	dirtyCols    []int32
 	// tables is the one copy of the routing tables, all-direct from
 	// Reset on: every rescan writes it through setPair, which counts the
 	// entries that moved into changed.
@@ -149,8 +146,8 @@ type Selector struct {
 // latDead is the sentinel latency of a dead link in mLatAdj: far above
 // any real estimate, and small enough that summing two of them cannot
 // overflow. Self-link entries — the diagonal of a full-mesh metrics
-// cache, a landmark's own position in the landmark scratch — carry the
-// same sentinel, and +Inf loss, so the via scans need no src/dst skip
+// cache, a landmark's own position in a landmark row or column — carry
+// the same sentinel, and +Inf loss, so the via scans need no src/dst skip
 // branches: a path "via" one of its own endpoints composes a sentinel
 // and loses every comparison.
 const latDead = time.Duration(1) << 61
@@ -170,7 +167,6 @@ func NewSelectorWindow(n, window int) *Selector {
 		dirtyRow:  make([]bool, n),
 		dirtyCol:  make([]bool, n),
 		dirtyRows: make([]int32, 0, n),
-		dirtyCols: make([]int32, 0, n),
 	}
 	s.tables.reshape(n)
 	s.Reset(window)
@@ -343,7 +339,7 @@ func (s *Selector) touch(idx, slot int) {
 }
 
 // SetPlan restricts via candidates to the plan's landmark set (nil
-// restores full-mesh scanning), sizes the landmark scratch, and makes
+// restores full-mesh scanning), sizes the landmark row table, and makes
 // the plan's links the only ones that hold estimates. Changing the
 // plan invalidates the metrics cache: the next Refresh recomputes
 // everything under the new candidate set. The link slab is
@@ -364,12 +360,9 @@ func (s *Selector) SetPlan(p *LandmarkPlan) {
 		return
 	}
 	L := len(p.landmarks)
-	s.lmColLoss = sized(s.lmColLoss, s.n*L)
-	s.lmColLat = sized(s.lmColLat, s.n*L)
-	s.lmColLatAdj = sized(s.lmColLatAdj, s.n*L)
-	s.srcLmLoss = sized(s.srcLmLoss, L)
-	s.srcLmLat = sized(s.srcLmLat, L)
-	s.srcLmLatAdj = sized(s.srcLmLatAdj, L)
+	s.lmRowLoss = sized(s.lmRowLoss, s.n*L)
+	s.lmRowLat = sized(s.lmRowLat, s.n*L)
+	s.lmRowLatAdj = sized(s.lmRowLatAdj, s.n*L)
 }
 
 // Plan returns the active probe/scan plan (nil = full mesh).
@@ -481,7 +474,8 @@ const (
 
 // Tables is a full routing snapshot: for every ordered pair, the selected
 // intermediate (-1 = direct) under each optimization goal. Storage is a
-// pair of flat []viaIdx arrays indexed src*n+dst. The selector's own
+// pair of flat []viaIdx arrays indexed destination-major, dst*n+src: the
+// order in which Refresh derives pairs. The selector's own
 // (Selector.Tables) is the one Refresh keeps current; the zero value is
 // empty and is (re)shaped by Selector.SnapshotInto, which copies into it
 // without allocating once its buffers reach mesh size.
@@ -493,11 +487,11 @@ type Tables struct {
 
 // LossVia returns the loss-optimized intermediate for src→dst, or -1 for
 // the direct path.
-func (t *Tables) LossVia(src, dst int) int { return int(t.lossVia[src*t.n+dst]) }
+func (t *Tables) LossVia(src, dst int) int { return int(t.lossVia[dst*t.n+src]) }
 
 // LatVia returns the latency-optimized intermediate for src→dst, or -1
 // for the direct path.
-func (t *Tables) LatVia(src, dst int) int { return int(t.latVia[src*t.n+dst]) }
+func (t *Tables) LatVia(src, dst int) int { return int(t.latVia[dst*t.n+src]) }
 
 // fillDirect sets every pair to the direct path: a freshly booted RON's
 // tables.
@@ -569,19 +563,20 @@ func (s *Selector) Refresh() int64 {
 	case !s.metricsValid:
 		s.refreshMetrics()
 		if s.plan != nil {
-			s.gatherPlanCols()
+			s.gatherLandmarkRows()
 		}
 		s.metricsValid = true
 		s.clearTouched()
-		s.rescanAll()
+		s.rescan(true)
 	case len(s.touchedLinks) > 0:
 		s.rescanDirty()
 	}
 	return s.changed
 }
 
-// setPair writes one pair's selections into the tables, counting the
-// entries that moved. It is their only writer between Resets.
+// setPair writes one pair's selections into the tables at idx =
+// dst*n+src, counting the entries that moved. It is their only writer
+// between Resets.
 func (s *Selector) setPair(idx, lossVia, latVia int) {
 	if v := viaIdx(lossVia); s.tables.lossVia[idx] != v {
 		s.tables.lossVia[idx] = v
@@ -602,53 +597,95 @@ func (s *Selector) clearTouched() {
 	s.touchedLinks = s.touchedLinks[:0]
 }
 
-// rescanAll re-derives every pair's selection into the tables. The
-// diagonal stays at the -1 Reset gave it.
-func (s *Selector) rescanAll() {
+// viaRows is what a rescan reads of the via candidates: source src's
+// metrics row over them at [src*k, src*k+k) of loss, lat and adj, and
+// the node at each candidate position (nodes is nil under full mesh,
+// where position and node coincide). Full mesh reads the metrics
+// cache's own rows, whose diagonal holds the self-link sentinels; a
+// plan reads the landmark row table. dpos is the position of the
+// destination being rescanned, -1 when it is not a candidate.
+type viaRows struct {
+	loss     []float64
+	lat, adj []time.Duration
+	k        int
+	nodes    []int32
+	dpos     int
+}
+
+// viaRows returns the rows of the candidate set now in force.
+func (s *Selector) viaRows() viaRows {
+	if p := s.plan; p != nil {
+		return viaRows{loss: s.lmRowLoss, lat: s.lmRowLat, adj: s.lmRowLatAdj, k: len(p.landmarks), nodes: p.landmarks}
+	}
+	return viaRows{loss: s.mLoss, lat: s.mLat, adj: s.mLatAdj, k: s.n}
+}
+
+// node maps a kernel's candidate position to its node; the direct
+// path's -1 stays.
+func (v *viaRows) node(pos int) int {
+	if pos < 0 || v.nodes == nil {
+		return pos
+	}
+	return int(v.nodes[pos])
+}
+
+// rescan re-derives pairs into the tables destination by destination —
+// every pair when all is set, else exactly the pairs that read a dirty
+// row or column (see rescanDirty) — gathering each destination's
+// candidate column once for its sources. The per-pair selections are
+// independent, so the order does not affect the result; it only makes
+// the table writes sequential. The diagonal stays at the -1 Reset gave
+// it.
+func (s *Selector) rescan(all bool) {
 	n := s.n
-	if s.plan != nil {
-		// Source-major: the source row's landmark entries are gathered
-		// once per src, and each destination's landmark column lives
-		// contiguously in the lmCol scratch.
-		for src := 0; src < n; src++ {
-			s.gatherPlanRow(src)
-			for dst := 0; dst < n; dst++ {
+	v := s.viaRows()
+	for dst := 0; dst < n; dst++ {
+		every := all || s.dirtyCol[dst]
+		s.dirtyCol[dst] = false
+		if !every && len(s.dirtyRows) == 0 {
+			continue
+		}
+		v.dpos = s.gatherCol(dst)
+		if every {
+			for src := 0; src < n; src++ {
 				if src != dst {
-					s.rescanPlanPair(src, dst)
+					s.rescanPair(&v, src, dst)
 				}
 			}
+			continue
 		}
-		return
-	}
-	// Destination-major order so each destination's metrics column is
-	// gathered once into contiguous scratch for the n src scans. The
-	// per-pair selections are independent, so iteration order does not
-	// affect the result.
-	for dst := 0; dst < n; dst++ {
-		s.gatherCol(dst)
-		for src := 0; src < n; src++ {
-			if src != dst {
-				s.rescanMeshPair(src, dst)
+		for _, sr := range s.dirtyRows {
+			if src := int(sr); src != dst {
+				s.rescanPair(&v, src, dst)
 			}
 		}
 	}
 }
 
-// rescanMeshPair re-derives one pair under full-mesh scanning; the
-// destination's column must be gathered.
-func (s *Selector) rescanMeshPair(src, dst int) {
-	s.setPair(src*s.n+dst,
-		s.holdLoss(src, dst, s.bestLossCached(src, dst)),
-		s.holdLat(src, dst, s.bestLatCached(src, dst)))
+// rescanPair re-derives one pair; dst's column must be gathered.
+func (s *Selector) rescanPair(v *viaRows, src, dst int) {
+	byLoss, byLat := s.bestCached(v, src, dst)
+	s.setPair(dst*s.n+src, s.holdLoss(src, dst, byLoss), s.holdLat(src, dst, byLat))
 }
 
-// rescanPlanPair re-derives one pair under the landmark plan; the
-// source's landmark row must be gathered.
-func (s *Selector) rescanPlanPair(src, dst int) {
-	loss, lat, adj, _ := s.cached(src, dst)
-	s.setPair(src*s.n+dst,
-		s.holdLoss(src, dst, s.bestLossPlan(dst, loss, lat)),
-		s.holdLat(src, dst, s.bestLatPlan(dst, loss, lat, adj)))
+// bestCached is BestLoss and BestLat of src→dst over the metrics cache:
+// src's row in v against dst's gathered column. The direct link is read
+// from the row where dst is a candidate, as it always is under full
+// mesh, and from the cache otherwise.
+func (s *Selector) bestCached(v *viaRows, src, dst int) (byLoss, byLat Choice) {
+	lo, hi := src*v.k, src*v.k+v.k
+	rowLoss, rowLat, rowAdj := v.loss[lo:hi], v.lat[lo:hi], v.adj[lo:hi]
+	var loss float64
+	var lat, adj time.Duration
+	if d := v.dpos; d >= 0 {
+		loss, lat, adj = rowLoss[d], rowLat[d], rowAdj[d]
+	} else {
+		loss, lat, adj, _ = s.cached(src, dst)
+	}
+	byLoss = s.bestLossCached(rowLoss, rowLat, loss, lat)
+	byLat = s.bestLatCached(rowLoss, rowAdj, loss, lat, adj)
+	byLoss.Via, byLat.Via = v.node(byLoss.Via), v.node(byLat.Via)
+	return byLoss, byLat
 }
 
 // cached returns src→dst's entry of the metrics cache: loss rate,
@@ -662,15 +699,37 @@ func (s *Selector) cached(src, dst int) (loss float64, lat, adj time.Duration, d
 	return 0, s.fallbackLat, s.fallbackLat, false
 }
 
-// gatherCol copies destination dst's metrics column into the contiguous
-// column scratch. Full-mesh scanning runs over the full-mesh layout only,
-// whose slots are src*n+dst.
-func (s *Selector) gatherCol(dst int) {
+// gatherCol copies destination dst's metrics column over the via
+// candidates into the column scratch and returns dst's own candidate
+// position, -1 when it is not one. Full-mesh scanning runs over the
+// full-mesh layout only, whose slots are src*n+dst and whose diagonal
+// holds the sentinels.
+func (s *Selector) gatherCol(dst int) int {
+	if p := s.plan; p != nil {
+		for li, lm := range p.landmarks {
+			s.colLoss[li], s.colLat[li], s.colLatAdj[li] = s.cachedVia(int(lm), dst)
+		}
+		return int(p.lmIndex[dst])
+	}
 	n := s.n
 	for via := 0; via < n; via++ {
 		s.colLoss[via] = s.mLoss[via*n+dst]
 		s.colLat[via] = s.mLat[via*n+dst]
 		s.colLatAdj[via] = s.mLatAdj[via*n+dst]
+	}
+	return dst
+}
+
+// gatherLandmarkRows rebuilds the landmark row table from the metrics
+// cache (after a full refreshMetrics); rescanDirty keeps it current.
+func (s *Selector) gatherLandmarkRows() {
+	lms := s.plan.landmarks
+	L := len(lms)
+	for src := 0; src < s.n; src++ {
+		for li, lm := range lms {
+			at := src*L + li
+			s.lmRowLoss[at], s.lmRowLat[at], s.lmRowLatAdj[at] = s.cachedVia(src, int(lm))
+		}
 	}
 }
 
@@ -688,110 +747,26 @@ func (s *Selector) rescanDirty() {
 		s.linkTouched[slot] = false
 		loss, lat, adj := s.cacheLink(slot)
 		if p := s.plan; p != nil {
-			if li := p.lmIndex[src]; li >= 0 {
-				at := dst*len(p.landmarks) + int(li)
-				s.lmColLoss[at] = loss
-				s.lmColLat[at] = lat
-				s.lmColLatAdj[at] = adj
+			if li := p.lmIndex[dst]; li >= 0 {
+				at := src*len(p.landmarks) + int(li)
+				s.lmRowLoss[at], s.lmRowLat[at], s.lmRowLatAdj[at] = loss, lat, adj
 			}
 		}
 		if !s.dirtyRow[src] {
 			s.dirtyRow[src] = true
 			s.dirtyRows = append(s.dirtyRows, int32(src))
 		}
-		if !s.dirtyCol[dst] {
-			s.dirtyCol[dst] = true
-			s.dirtyCols = append(s.dirtyCols, int32(dst))
-		}
+		s.dirtyCol[dst] = true
 	}
 	s.touchedLinks = s.touchedLinks[:0]
-	if s.plan != nil {
-		s.rescanDirtyPlan()
-	} else {
-		s.rescanDirtyFull()
-	}
+	s.rescan(false)
 	for _, r := range s.dirtyRows {
 		s.dirtyRow[r] = false
 	}
-	for _, c := range s.dirtyCols {
-		s.dirtyCol[c] = false
-	}
 	s.dirtyRows = s.dirtyRows[:0]
-	s.dirtyCols = s.dirtyCols[:0]
 }
 
-// rescanDirtyFull re-derives dirty pairs under full-mesh scanning.
-func (s *Selector) rescanDirtyFull() {
-	n := s.n
-	for dst := 0; dst < n; dst++ {
-		colDirty := s.dirtyCol[dst]
-		if !colDirty && len(s.dirtyRows) == 0 {
-			continue
-		}
-		s.gatherCol(dst)
-		if colDirty {
-			for src := 0; src < n; src++ {
-				if src != dst {
-					s.rescanMeshPair(src, dst)
-				}
-			}
-			continue
-		}
-		for _, sr := range s.dirtyRows {
-			if src := int(sr); src != dst {
-				s.rescanMeshPair(src, dst)
-			}
-		}
-	}
-}
-
-// rescanDirtyPlan re-derives dirty pairs under the landmark plan.
-func (s *Selector) rescanDirtyPlan() {
-	n := s.n
-	for src := 0; src < n; src++ {
-		rowDirty := s.dirtyRow[src]
-		if !rowDirty && len(s.dirtyCols) == 0 {
-			continue
-		}
-		s.gatherPlanRow(src)
-		if rowDirty {
-			for dst := 0; dst < n; dst++ {
-				if src != dst {
-					s.rescanPlanPair(src, dst)
-				}
-			}
-			continue
-		}
-		for _, dc := range s.dirtyCols {
-			if dst := int(dc); src != dst {
-				s.rescanPlanPair(src, dst)
-			}
-		}
-	}
-}
-
-// gatherPlanCols rebuilds the compact landmark-column scratch from the
-// metrics cache (after a full refreshMetrics).
-func (s *Selector) gatherPlanCols() {
-	lms := s.plan.landmarks
-	L := len(lms)
-	for dst := 0; dst < s.n; dst++ {
-		base := dst * L
-		for li, lm := range lms {
-			s.lmColLoss[base+li], s.lmColLat[base+li], s.lmColLatAdj[base+li] = s.cachedVia(int(lm), dst)
-		}
-	}
-}
-
-// gatherPlanRow copies source src's landmark metrics into the compact
-// row scratch.
-func (s *Selector) gatherPlanRow(src int) {
-	for li, lm := range s.plan.landmarks {
-		s.srcLmLoss[li], s.srcLmLat[li], s.srcLmLatAdj[li] = s.cachedVia(src, int(lm))
-	}
-}
-
-// cachedVia is cached for one leg of a via path: a landmark that is the
+// cachedVia is cached for one leg of a via path: a candidate that is the
 // leg's other endpoint reads the self-link sentinels (see latDead).
 func (s *Selector) cachedVia(src, dst int) (loss float64, lat, adj time.Duration) {
 	if src == dst {
@@ -799,55 +774,6 @@ func (s *Selector) cachedVia(src, dst int) (loss float64, lat, adj time.Duration
 	}
 	loss, lat, adj, _ = s.cached(src, dst)
 	return loss, lat, adj
-}
-
-// bestLossPlan is bestLossCached with via candidates restricted to the
-// plan's landmarks, reading the compact landmark scratch (the current
-// source's row, dst's column) and the pair's own direct-link metrics.
-// Landmark positions equal to src or dst read self-link sentinels and
-// lose every comparison, exactly like the full scan.
-func (s *Selector) bestLossPlan(dst int, directLoss float64, directLat time.Duration) Choice {
-	const eps = 1e-9
-	if directLoss <= eps {
-		return Choice{Via: -1, Loss: directLoss, Latency: directLat}
-	}
-	lms := s.plan.landmarks
-	L := len(lms)
-	rowLoss, rowLat := s.srcLmLoss, s.srcLmLat
-	colLoss := s.lmColLoss[dst*L : dst*L+L]
-	colLat := s.lmColLat[dst*L : dst*L+L]
-	bestVia, bestLoss, bestLat := -1, directLoss, directLat
-	for li := 0; li < L; li++ {
-		loss := pathLoss(rowLoss[li], colLoss[li])
-		if loss < bestLoss-eps {
-			bestVia, bestLoss = int(lms[li]), loss
-			bestLat = rowLat[li] + colLat[li]
-			continue
-		}
-		if bestVia >= 0 && loss < bestLoss+eps {
-			if lat := rowLat[li] + colLat[li]; lat < bestLat {
-				bestVia, bestLoss, bestLat = int(lms[li]), loss, lat
-			}
-		}
-	}
-	if directLoss <= bestLoss+eps {
-		return Choice{Via: -1, Loss: directLoss, Latency: directLat}
-	}
-	return Choice{Via: bestVia, Loss: bestLoss, Latency: bestLat}
-}
-
-// bestLatPlan is bestLatCached restricted to landmark vias: the same
-// kernel over the compact landmark scratch.
-func (s *Selector) bestLatPlan(dst int, directLoss float64, directLat, directAdj time.Duration) Choice {
-	lms := s.plan.landmarks
-	L := len(lms)
-	li, best := minSumVia(s.srcLmLatAdj[:L], s.lmColLatAdj[dst*L:dst*L+L], directAdj)
-	if li < 0 {
-		return Choice{Via: -1, Loss: directLoss, Latency: directLat}
-	}
-	return Choice{Via: int(lms[li]),
-		Loss:    pathLoss(s.srcLmLoss[li], s.lmColLoss[dst*L+li]),
-		Latency: best}
 }
 
 // minSumVia is the latency scans' kernel: the first position whose
@@ -916,16 +842,14 @@ func (s *Selector) cacheLink(slot int) (loss float64, lat, adj time.Duration) {
 	return loss, lat, adj
 }
 
-// bestLossCached is BestLoss over the refreshMetrics cache, carrying
-// only the scalars the comparisons need. The comparison structure
-// mirrors BestLoss exactly — same eps, same tie-breaks, same float
-// expression — so the two agree bit-for-bit.
-func (s *Selector) bestLossCached(src, dst int) Choice {
+// bestLossCached is BestLoss over one source row of the metrics cache
+// and the gathered column, carrying only the scalars the comparisons
+// need; it serves either candidate set, and the Via of its choice is a
+// candidate position. The comparison structure mirrors BestLoss exactly
+// — same eps, same tie-breaks, same float expression, candidates in the
+// same ascending order — so the two agree bit-for-bit.
+func (s *Selector) bestLossCached(rowLoss []float64, rowLat []time.Duration, directLoss float64, directLat time.Duration) Choice {
 	const eps = 1e-9
-	n := s.n
-	rowLoss := s.mLoss[src*n : src*n+n]
-	rowLat := s.mLat[src*n : src*n+n]
-	directLoss, directLat := rowLoss[dst], rowLat[dst]
 	// Quiet-mesh shortcut: loss rates are probabilities in [0,1], so
 	// every candidate's composed loss is ≥ 0 and the final direct-wins
 	// tie-break (direct ≤ best+eps) must fire when the direct path's
@@ -935,13 +859,15 @@ func (s *Selector) bestLossCached(src, dst int) Choice {
 	if directLoss <= eps {
 		return Choice{Via: -1, Loss: directLoss, Latency: directLat}
 	}
-	colLoss, colLat := s.colLoss, s.colLat
+	k := len(rowLoss)
+	rowLat = rowLat[:k]
+	colLoss, colLat := s.colLoss[:k], s.colLat[:k]
 	bestVia, bestLoss, bestLat := -1, directLoss, directLat
-	// No via==src/dst skips: those positions read the diagonal
+	// No via==src/dst skips: those positions read the self-link
 	// sentinels (+Inf loss), whose composed loss compares false against
 	// everything (including via NaN when the other link is fully
 	// lossy), exactly like the explicit skip.
-	for via := 0; via < n; via++ {
+	for via := 0; via < k; via++ {
 		loss := pathLoss(rowLoss[via], colLoss[via])
 		if loss < bestLoss-eps {
 			bestVia, bestLoss = via, loss
@@ -960,19 +886,17 @@ func (s *Selector) bestLossCached(src, dst int) Choice {
 	return Choice{Via: bestVia, Loss: bestLoss, Latency: bestLat}
 }
 
-// bestLatCached is BestLat over the refreshMetrics cache, bit for bit.
-// Dead links carry the latDead sentinel, so the scan needs no dead
-// branches: a path over one sums to ≥ latDead and loses to every live
-// candidate, and a dead direct path starts the scan at latDead, which any
-// live via undercuts (BestLat's "!bestAlive" escape). Nor does it skip
-// via == src/dst: those positions read the diagonal's latDead.
-func (s *Selector) bestLatCached(src, dst int) Choice {
-	n := s.n
-	rowLoss := s.mLoss[src*n : src*n+n]
-	rowAdj := s.mLatAdj[src*n : src*n+n]
-	via, best := minSumVia(rowAdj, s.colLatAdj, rowAdj[dst])
+// bestLatCached is BestLat over one source row and the gathered column,
+// bit for bit, its Via a candidate position like bestLossCached's. Dead
+// links carry the latDead sentinel, so the scan needs no dead branches:
+// a path over one sums to ≥ latDead and loses to every live candidate,
+// and a dead direct path (directAdj = latDead) starts the scan there,
+// where any live via undercuts it (BestLat's "!bestAlive" escape). Nor
+// does it skip via == src/dst: those positions read the sentinels too.
+func (s *Selector) bestLatCached(rowLoss []float64, rowAdj []time.Duration, directLoss float64, directLat, directAdj time.Duration) Choice {
+	via, best := minSumVia(rowAdj, s.colLatAdj, directAdj)
 	if via < 0 {
-		return Choice{Via: -1, Loss: rowLoss[dst], Latency: s.mLat[src*n+dst]}
+		return Choice{Via: -1, Loss: directLoss, Latency: directLat}
 	}
 	return Choice{Via: via, Loss: pathLoss(rowLoss[via], s.colLoss[via]), Latency: best}
 }
@@ -996,12 +920,12 @@ func (s *Selector) holdLoss(src, dst int, best Choice) int {
 	if s.hysteresis <= 0 {
 		return best.Via
 	}
-	cur := int(s.prevLoss[src*s.n+dst])
+	cur := int(s.prevLoss[dst*s.n+src])
 	held, dead := s.heldCached(src, dst, cur)
 	if !dead && !betterBy(best.Loss, held.Loss, s.hysteresis) {
 		return cur
 	}
-	s.prevLoss[src*s.n+dst] = viaIdx(best.Via)
+	s.prevLoss[dst*s.n+src] = viaIdx(best.Via)
 	return best.Via
 }
 
@@ -1011,12 +935,12 @@ func (s *Selector) holdLat(src, dst int, best Choice) int {
 	if s.hysteresis <= 0 {
 		return best.Via
 	}
-	cur := int(s.prevLat[src*s.n+dst])
+	cur := int(s.prevLat[dst*s.n+src])
 	held, dead := s.heldCached(src, dst, cur)
 	if !dead && !betterBy(float64(best.Latency), float64(held.Latency), s.hysteresis) {
 		return cur
 	}
-	s.prevLat[src*s.n+dst] = viaIdx(best.Via)
+	s.prevLat[dst*s.n+src] = viaIdx(best.Via)
 	return best.Via
 }
 
@@ -1089,12 +1013,12 @@ func (s *Selector) BestLossStable(src, dst int) Choice {
 	if s.hysteresis <= 0 {
 		return best
 	}
-	cur := int(s.prevLoss[src*s.n+dst])
+	cur := int(s.prevLoss[dst*s.n+src])
 	held := s.evaluate(src, dst, cur)
 	if !s.pathDead(src, dst, cur) && !betterBy(best.Loss, held.Loss, s.hysteresis) {
 		return held
 	}
-	s.prevLoss[src*s.n+dst] = viaIdx(best.Via)
+	s.prevLoss[dst*s.n+src] = viaIdx(best.Via)
 	return best
 }
 
@@ -1104,13 +1028,13 @@ func (s *Selector) BestLatStable(src, dst int) Choice {
 	if s.hysteresis <= 0 {
 		return best
 	}
-	cur := int(s.prevLat[src*s.n+dst])
+	cur := int(s.prevLat[dst*s.n+src])
 	held := s.evaluate(src, dst, cur)
 	if !s.pathDead(src, dst, cur) &&
 		!betterBy(float64(best.Latency), float64(held.Latency), s.hysteresis) {
 		return held
 	}
-	s.prevLat[src*s.n+dst] = viaIdx(best.Via)
+	s.prevLat[dst*s.n+src] = viaIdx(best.Via)
 	return best
 }
 
