@@ -37,7 +37,7 @@ package experiment
 import (
 	"context"
 	"errors"
-	"io/fs"
+	"fmt"
 	"time"
 
 	"repro/internal/core"
@@ -51,13 +51,11 @@ type Option func(*Experiment) error
 // run-time policies (sharding, resumption, output persistence) that
 // surround it. Build with New; zero values are not useful.
 type Experiment struct {
-	spec      core.SweepSpec
-	axes      []core.Axis
-	shard     string
-	filter    *core.CellFilter
-	resumeDir string
-	outDir    string
-	warnf     func(format string, args ...any)
+	spec   core.SweepSpec
+	axes   []core.Axis
+	shard  string
+	filter *core.CellFilter
+	outDir string
 
 	// Remote-execution settings (see remote.go): when remote is set,
 	// Run serves the grid to a worker fleet instead of computing it.
@@ -74,7 +72,7 @@ type Experiment struct {
 // New builds an experiment from options. The grid is not expanded yet;
 // Cells or Run do that.
 func New(opts ...Option) (*Experiment, error) {
-	e := &Experiment{warnf: func(string, ...any) {}}
+	e := &Experiment{}
 	for _, opt := range opts {
 		if opt == nil {
 			continue
@@ -91,9 +89,6 @@ func New(opts ...Option) (*Experiment, error) {
 		}
 		e.filter = f
 		e.spec.Filter = f.Match
-	}
-	if e.resumeDir != "" {
-		e.spec.Reuse = e.reuseFromSnapshots
 	}
 	if e.outDir != "" {
 		// Persisting experiments also feed the columnar result store:
@@ -112,26 +107,6 @@ func New(opts ...Option) (*Experiment, error) {
 		e.spec.OutDir = e.outDir
 	}
 	return e, nil
-}
-
-// reuseFromSnapshots satisfies cells from persisted snapshots under the
-// resume directory, recomputing (never failing) on unusable or
-// foreign-grid snapshots.
-func (e *Experiment) reuseFromSnapshots(c core.Cell, cfg core.Config) (*core.Result, bool) {
-	snap, err := core.ReadCellSnapshot(core.CellSnapshotPath(e.resumeDir, c.Name()))
-	if err != nil {
-		if !errors.Is(err, fs.ErrNotExist) {
-			e.warnf("cell %s: ignoring unusable snapshot: %v\n", c.Name(), err)
-		}
-		return nil, false
-	}
-	res, err := snap.Restore(cfg)
-	if err != nil {
-		e.warnf("cell %s: snapshot is from a different grid (%v); recomputing\n",
-			c.Name(), err)
-		return nil, false
-	}
-	return res, true
 }
 
 // Sweep expands the grid (once; the expansion is memoized) and
@@ -285,9 +260,13 @@ func Seed(seed uint64) Option {
 	}
 }
 
-// Replicas sets the number of seed-varied replicates per grid point.
+// Replicas sets the number of seed-varied replicates per grid point
+// (0: one; a negative count is refused).
 func Replicas(n int) Option {
 	return func(e *Experiment) error {
+		if n < 0 {
+			return fmt.Errorf("experiment: Replicas(%d): want a count >= 0", n)
+		}
 		e.spec.Replicas = n
 		return nil
 	}
@@ -346,7 +325,7 @@ func Resume(dir string) Option {
 		if dir == "" {
 			return errors.New("experiment: Resume needs a snapshot directory")
 		}
-		e.resumeDir = dir
+		e.spec.Resume = dir
 		return nil
 	}
 }
@@ -407,9 +386,7 @@ func Progress(fn func(core.CellResult)) Option {
 // forces a recompute, for example) to fn; the default discards them.
 func Warn(fn func(format string, args ...any)) Option {
 	return func(e *Experiment) error {
-		if fn != nil {
-			e.warnf = fn
-		}
+		e.spec.Warnf = fn
 		return nil
 	}
 }

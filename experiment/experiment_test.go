@@ -38,11 +38,12 @@ func TestParseList(t *testing.T) {
 
 func TestNewRejectsBadOptions(t *testing.T) {
 	cases := map[string]Option{
-		"bad axis value": AxisValues("hysteresis", "-1"),
-		"unknown axis":   AxisValues("warpfactor", "9"),
-		"empty resume":   Resume(""),
-		"empty output":   Output(""),
-		"bad shard":      Shard("["),
+		"bad axis value":    AxisValues("hysteresis", "-1"),
+		"unknown axis":      AxisValues("warpfactor", "9"),
+		"empty resume":      Resume(""),
+		"empty output":      Output(""),
+		"bad shard":         Shard("["),
+		"negative replicas": Replicas(-1),
 	}
 	for name, opt := range cases {
 		if _, err := New(opt); err == nil {

@@ -83,7 +83,6 @@ func (e *Experiment) runRemote(s *core.Sweep) (*core.SweepResult, error) {
 		LeaseTTL: e.remoteTTL,
 		OutDir:   e.outDir,
 		Results:  e.store,
-		Warnf:    e.warnf,
 	})
 	if err != nil {
 		return nil, err

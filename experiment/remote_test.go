@@ -2,12 +2,18 @@ package experiment
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
+	"net/http"
+	"os"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/coord"
 	"repro/internal/core"
 )
 
@@ -188,5 +194,90 @@ func TestRemoteContextCancel(t *testing.T) {
 	}
 	if _, err := e.Run(); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled remote run = %v, want context.Canceled", err)
+	}
+}
+
+// TestRemoteResumeReloadsEachSnapshotOnce is what `ronsim -sweep -serve
+// -resume -out d` builds: a coordinator whose resume and output
+// directories are one. Over a d holding one valid and one truncated
+// snapshot it reads each file once: the valid cell is reused once and
+// counted in /progress's reusedCells, and the truncated one costs a
+// recompute and exactly one warning, which names the file.
+func TestRemoteResumeReloadsEachSnapshotOnce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs sweep campaigns")
+	}
+	dir := t.TempDir()
+	first, err := New(remoteTestOptions(Shard("0-1"), Output(dir))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prior, err := first.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	torn := core.CellSnapshotPath(dir, prior.Cells[1].Cell.Name())
+	data, err := os.ReadFile(torn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(torn, data[:len(data)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	var (
+		warns    []string
+		progress coord.Progress
+		wg       sync.WaitGroup
+	)
+	e, err := New(remoteTestOptions(
+		Shard("0-1"),
+		Resume(dir),
+		Output(dir),
+		Warn(func(format string, args ...any) { warns = append(warns, fmt.Sprintf(format, args...)) }),
+		Remote("127.0.0.1:0"),
+		RemoteContext(ctx),
+		RemoteReady(func(addr string) {
+			resp, err := http.Get("http://" + addr + coord.PathProgress)
+			if err != nil {
+				t.Error(err)
+			} else {
+				if err := json.NewDecoder(resp.Body).Decode(&progress); err != nil {
+					t.Error(err)
+				}
+				resp.Body.Close()
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if err := RunWorker(ctx, addr, "w1", nil); err != nil && !errors.Is(err, context.Canceled) {
+					t.Errorf("worker: %v", err)
+				}
+			}()
+		}),
+	)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := e.Run()
+	cancel()
+	wg.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(warns) != 1 || !strings.Contains(warns[0], "ignoring unusable snapshot") || !strings.Contains(warns[0], torn) {
+		t.Errorf("warnings %q, want exactly one naming %s", warns, torn)
+	}
+	if progress.ReusedCells != 1 || progress.DoneCells != 1 {
+		t.Errorf("/progress before any worker: reused %d done %d, want 1/1", progress.ReusedCells, progress.DoneCells)
+	}
+	if res.Reused != 1 || !res.Cells[0].Cached || res.Cells[1].Cached {
+		t.Errorf("reused %d, cached %v/%v; want the valid cell alone reused",
+			res.Reused, res.Cells[0].Cached, res.Cells[1].Cached)
+	}
+	if _, err := core.ReadCellSnapshot(torn); err != nil {
+		t.Errorf("recomputed cell not persisted over the torn file: %v", err)
 	}
 }

@@ -2,6 +2,8 @@ package analysis
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -206,6 +208,19 @@ func (d *denseAgg) encode() []byte {
 	return w.buf
 }
 
+// cdfRun is one (value, count) run of a CDF.
+type cdfRun struct {
+	v float64
+	n int64
+}
+
+// runs lists c's runs: equal runs are equal samples, compared at a cost
+// that does not grow with the counts merges multiply.
+func runs(c *CDF) (out []cdfRun) {
+	c.Runs(func(v float64, n int64) { out = append(out, cdfRun{v, n}) })
+	return out
+}
+
 // checkQueries compares every per-path query of a against full scans
 // of the dense model, without mutating either.
 func checkQueries(t *testing.T, label string, a *Aggregator, d *denseAgg) {
@@ -254,7 +269,7 @@ func checkQueries(t *testing.T, label string, a *Aggregator, d *denseAgg) {
 			"PathLatencyCDF": {a.PathLatencyCDF(m, 0, time.Millisecond), lat},
 			"WindowRateCDF":  {a.WindowRateCDF(m), d.win20[m]},
 		} {
-			if !reflect.DeepEqual(pair[0].samples(), pair[1].samples()) {
+			if !reflect.DeepEqual(runs(pair[0]), runs(pair[1])) {
 				t.Fatalf("%s: %s(%d) differs from the dense scan", label, name, m)
 			}
 		}
@@ -265,84 +280,192 @@ func checkQueries(t *testing.T, label string, a *Aggregator, d *denseAgg) {
 	}
 }
 
-// TestSlotAggregatorMatchesDenseReference drives random
-// Observe/Flush/Merge/Reset/encode→decode sequences through slot
-// aggregators and dense models in lockstep: every query after every
-// step, and the encoded bytes at every encode, must be equal. The pool
-// starts empty, so merges into an empty aggregator occur; cells after a
-// Reset cover fewer paths than the cell before, so stale slots would
-// show.
-func TestSlotAggregatorMatchesDenseReference(t *testing.T) {
-	methods := []string{"direct", "loss", "direct rand"}
-	const n, pool = 9, 3
-	for seed := int64(1); seed <= 4; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		aggs := make([]*Aggregator, pool)
-		refs := make([]*denseAgg, pool)
-		clock := make([]int64, pool) // per aggregator: observations arrive in time order
-		span := make([]int, pool)    // hosts the current cell's probes range over
-		for i := range aggs {
-			aggs[i] = NewAggregator(methods, n)
-			refs[i] = newDenseAgg(methods, n)
-			span[i] = n
+// The slot/dense schedules run over a pool of slotPool aggregators of
+// slotHosts hosts and these methods; "direct rand" sends two copies.
+const slotPool, slotHosts = 3, 9
+
+var slotMethods = []string{"direct", "loss", "direct rand"}
+
+// slotSteps is the length of a seed's schedule, and the most steps a
+// script runs: past it the bytes are ignored, so a fuzz input's cost is
+// bounded.
+const slotSteps = 400
+
+// slotMaxWeight bounds how many cells' observations one aggregator
+// holds through merges (a Reset starts it at 1): a merge past it is
+// skipped, so no counter a script can build comes near overflow.
+const slotMaxWeight = 1 << 16
+
+// slotMaxClockStep bounds the time between one aggregator's successive
+// observations, so windows of both lengths open, roll and stay open.
+const slotMaxClockStep = int64(7 * time.Minute)
+
+// runSlotScript decodes script into Observe/Flush/Merge/Reset/
+// encode→decode steps over slot aggregators and dense models in
+// lockstep: every query after every step, and the encoded bytes at
+// every encode and at the end, must be equal. Each step is an op byte
+// (aggregator op%slotPool, kind op/slotPool%20: <12 observe, <14 flush,
+// <16 merge, <18 reset, else encode+decode) and its arguments:
+//
+//	observe: count%60+1 observations, each method, src%span, dst
+//	         offset%(hosts-1), per copy a lost byte (lost when %4 == 0)
+//	         and a u16 latency ((v%300+1) ms / 2), then a 5-byte clock
+//	         step (%slotMaxClockStep)
+//	merge:   source offset%(slotPool-1) past the target; skipped when
+//	         the two weights sum past slotMaxWeight
+//	reset:   the next cell's span, 1 + b%span: never larger
+//
+// Multi-byte values are little-endian; a script that ends mid-step
+// reads zeros, and one longer than slotSteps steps is cut there. The pool starts empty, so merges into an empty
+// aggregator occur; cells after a Reset cover fewer paths than the cell
+// before, so stale slots would show.
+func runSlotScript(t *testing.T, script []byte) {
+	next := func() uint64 {
+		if len(script) == 0 {
+			return 0
 		}
-		for step := 0; step < 400; step++ {
-			i := rng.Intn(pool)
-			var op string
-			switch k := rng.Intn(20); {
-			case k < 12:
-				op = "observe"
-				for b := rng.Intn(60); b >= 0; b-- {
-					o := Observation{Method: rng.Intn(len(methods)), Src: rng.Intn(span[i]), Time: clock[i]}
-					o.Dst = (o.Src + 1 + rng.Intn(n-1)) % n
-					o.Copies = 1 + o.Method/2
-					for c := 0; c < o.Copies; c++ {
-						o.Lost[c] = rng.Intn(4) == 0
-						o.Lat[c] = time.Duration(1+rng.Intn(300)) * time.Millisecond / 2
-					}
-					clock[i] += int64(rng.Intn(int(7 * time.Minute)))
-					aggs[i].Observe(o)
-					refs[i].observe(o)
+		b := script[0]
+		script = script[1:]
+		return uint64(b)
+	}
+	le := func(n int) (v uint64) {
+		for k := 0; k < n; k++ {
+			v |= next() << (8 * k)
+		}
+		return v
+	}
+	aggs := make([]*Aggregator, slotPool)
+	refs := make([]*denseAgg, slotPool)
+	clock := make([]int64, slotPool) // per aggregator: observations arrive in time order
+	span := make([]int, slotPool)    // hosts the current cell's probes range over
+	weight := make([]int, slotPool)  // cells folded in since the last Reset
+	for i := range aggs {
+		aggs[i] = NewAggregator(slotMethods, slotHosts)
+		refs[i] = newDenseAgg(slotMethods, slotHosts)
+		span[i], weight[i] = slotHosts, 1
+	}
+	for step := 0; step < slotSteps && len(script) > 0; step++ {
+		b := int(next())
+		i := b % slotPool
+		var op string
+		switch k := b / slotPool % 20; {
+		case k < 12:
+			op = "observe"
+			for c := next() % 60; ; c-- {
+				o := Observation{Method: int(next() % uint64(len(slotMethods))), Src: int(next() % uint64(span[i])), Time: clock[i]}
+				o.Dst = (o.Src + 1 + int(next()%(slotHosts-1))) % slotHosts
+				o.Copies = 1 + o.Method/2
+				for c := 0; c < o.Copies; c++ {
+					o.Lost[c] = next()%4 == 0
+					o.Lat[c] = time.Duration(1+le(2)%300) * time.Millisecond / 2
 				}
-			case k < 14:
-				op = "flush"
-				aggs[i].Flush()
-				refs[i].flush()
-			case k < 16:
-				op = "merge"
-				j := (i + 1 + rng.Intn(pool-1)) % pool
-				if err := aggs[i].Merge(aggs[j]); err != nil {
-					t.Fatal(err)
-				}
-				refs[i].merge(refs[j])
-				checkQueries(t, "merge source", aggs[j], refs[j])
-			case k < 18:
-				op = "reset"
-				aggs[i].Reset()
-				refs[i].reset()
-				span[i] = 1 + rng.Intn(span[i]) // the next cell is no larger
-			default:
-				op = "encode+decode"
-				enc, err := aggs[i].AppendBinary(nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(enc, refs[i].encode()) {
-					t.Fatalf("seed %d step %d: encoded bytes differ from the dense encoding", seed, step)
-				}
-				if aggs[i], err = UnmarshalAggregator(enc); err != nil {
-					t.Fatal(err)
+				clock[i] += int64(le(5) % uint64(slotMaxClockStep))
+				aggs[i].Observe(o)
+				refs[i].observe(o)
+				if c == 0 {
+					break
 				}
 			}
-			checkQueries(t, op, aggs[i], refs[i])
-		}
-		for i := range aggs {
-			enc, _ := aggs[i].AppendBinary(nil)
+		case k < 14:
+			op = "flush"
+			aggs[i].Flush()
+			refs[i].flush()
+		case k < 16:
+			op = "merge"
+			j := (i + 1 + int(next()%(slotPool-1))) % slotPool
+			if weight[i]+weight[j] > slotMaxWeight {
+				break
+			}
+			weight[i] += weight[j]
+			if err := aggs[i].Merge(aggs[j]); err != nil {
+				t.Fatal(err)
+			}
+			refs[i].merge(refs[j])
+			checkQueries(t, fmt.Sprintf("step %d: merge source", step), aggs[j], refs[j])
+		case k < 18:
+			op = "reset"
+			aggs[i].Reset()
+			refs[i].reset()
+			span[i] = 1 + int(next()%uint64(span[i])) // the next cell is no larger
+			weight[i] = 1
+		default:
+			op = "encode+decode"
+			enc, err := aggs[i].AppendBinary(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if !bytes.Equal(enc, refs[i].encode()) {
-				t.Fatalf("seed %d: final encoding of aggregator %d differs from the dense encoding", seed, i)
+				t.Fatalf("step %d: encoded bytes differ from the dense encoding", step)
 			}
+			if aggs[i], err = UnmarshalAggregator(enc); err != nil {
+				t.Fatal(err)
+			}
+		}
+		checkQueries(t, fmt.Sprintf("step %d: %s", step, op), aggs[i], refs[i])
+	}
+	for i := range aggs {
+		enc, _ := aggs[i].AppendBinary(nil)
+		if !bytes.Equal(enc, refs[i].encode()) {
+			t.Fatalf("final encoding of aggregator %d differs from the dense encoding", i)
 		}
 	}
+}
+
+// slotSchedule is the slotSteps-step random script of one seed, in
+// runSlotScript's encoding.
+func slotSchedule(seed int64) []byte {
+	rng := rand.New(rand.NewSource(seed))
+	var script []byte
+	span := []int{slotHosts, slotHosts, slotHosts}
+	for step := 0; step < slotSteps; step++ {
+		i, k := rng.Intn(slotPool), rng.Intn(20)
+		script = append(script, byte(k*slotPool+i))
+		switch {
+		case k < 12:
+			c := rng.Intn(60)
+			script = append(script, byte(c))
+			for ; c >= 0; c-- {
+				m := rng.Intn(len(slotMethods))
+				script = append(script, byte(m), byte(rng.Intn(span[i])), byte(rng.Intn(slotHosts-1)))
+				for c := 0; c < 1+m/2; c++ {
+					lost := byte(1)
+					if rng.Intn(4) == 0 {
+						lost = 0
+					}
+					script = append(script, lost)
+					script = binary.LittleEndian.AppendUint16(script, uint16(rng.Intn(300)))
+				}
+				dt := binary.LittleEndian.AppendUint64(nil, uint64(rng.Int63n(slotMaxClockStep)))
+				script = append(script, dt[:5]...)
+			}
+		case k < 14:
+		case k < 16:
+			script = append(script, byte(rng.Intn(slotPool-1)))
+		case k < 18:
+			r := rng.Intn(span[i])
+			span[i] = 1 + r
+			script = append(script, byte(r))
+		}
+	}
+	return script
+}
+
+// TestSlotAggregatorMatchesDenseReference runs four seeds' random
+// schedules through runSlotScript.
+func TestSlotAggregatorMatchesDenseReference(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		t.Run(fmt.Sprint("seed ", seed), func(t *testing.T) { runSlotScript(t, slotSchedule(seed)) })
+	}
+}
+
+// FuzzSlotAggregatorMatchesDenseReference holds the slot aggregator to
+// the dense model on any script, seeded with the four schedules of
+// TestSlotAggregatorMatchesDenseReference.
+func FuzzSlotAggregatorMatchesDenseReference(f *testing.F) {
+	for seed := int64(1); seed <= 4; seed++ {
+		f.Add(slotSchedule(seed))
+	}
+	f.Fuzz(runSlotScript)
 }
 
 // TestSlotAggregatorGrowsPastInitialSlab takes one aggregator whose methods ×
@@ -353,7 +476,7 @@ func TestSlotAggregatorMatchesDenseReference(t *testing.T) {
 // after Reset allocates nothing; a paper-size aggregator is one exact
 // chunk.
 func TestSlotAggregatorGrowsPastInitialSlab(t *testing.T) {
-	methods := []string{"direct", "loss", "direct rand"}
+	methods := slotMethods
 	const n = 80
 	var obs []Observation
 	for m := range methods {

@@ -395,25 +395,21 @@ func TestFleetEndToEnd(t *testing.T) {
 // groups merge before any worker connects), and filtered-out cells are
 // neither leased nor accepted.
 func TestCoordinatorReuseAndFilter(t *testing.T) {
-	// Group 0's cells, precomputed below, are the "prior run" results
-	// the spec's Reuse hook hands back.
-	prior := map[int]*core.Result{}
+	// Group 0's cells, persisted below, are the "prior run" results
+	// the spec's Resume directory hands back.
+	prior := map[int]bool{}
 	spec := fleetSpec()
-	spec.Reuse = func(cell core.Cell, _ core.Config) (*core.Result, bool) {
-		res, ok := prior[cell.Index]
-		return res, ok
-	}
+	spec.Resume = t.TempDir()
 	sweep, err := core.NewSweep(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cells := sweep.Cells()
 	for _, i := range sweep.GroupCells(0) {
-		res, err := core.NewArena().RunRetained(sweep.Config(i))
-		if err != nil {
+		if err := core.WriteSnapshotFile(core.CellSnapshotPath(spec.Resume, cells[i].Name()), snapshotBytes(t, sweep, i)); err != nil {
 			t.Fatal(err)
 		}
-		prior[i] = res
+		prior[i] = true
 	}
 
 	c, err := New(Config{Sweep: sweep, LeaseTTL: time.Minute})
@@ -434,8 +430,7 @@ func TestCoordinatorReuseAndFilter(t *testing.T) {
 		granted[c.slotCell[l.Item]] = true
 	}
 	for i := range cells {
-		_, reused := prior[i]
-		if granted[i] == reused {
+		if reused := prior[i]; granted[i] == reused {
 			t.Errorf("cell %d: reused=%v granted=%v", i, reused, granted[i])
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
 	"sort"
 	"sync"
 	"time"
@@ -24,8 +23,9 @@ const quarantineRejects = 3
 // Config configures a Coordinator. Sweep is required; everything else
 // has working defaults. The sweep spec's own hooks apply exactly as in
 // a local run, because both go through core.SweepRun: Filter restricts
-// the cells leased, Reuse satisfies cells before serving starts, and
-// Progress sees every landed cell whole, before it is folded.
+// the cells leased, Resume satisfies cells before serving starts,
+// Progress sees every landed cell whole, before it is folded, and Warnf
+// receives non-fatal notices.
 type Config struct {
 	// Sweep is the expanded grid to distribute.
 	Sweep *core.Sweep
@@ -42,15 +42,15 @@ type Config struct {
 	// a second copy, a coordinator with an OutDir keeps a cell's
 	// aggregator only until the cell is folded into its group, then
 	// reuses it to decode a later upload; without one, every restored
-	// aggregator is kept (see Result).
+	// aggregator is kept (see Result). Snapshots already under OutDir —
+	// a crashed incarnation's — are reloaded at New as a resumed run
+	// reloads its Resume directory, with no flag (see core.Sweep.Start).
 	OutDir string
 	// Results, when non-nil, receives one columnar row per completed
-	// cell (first delivery, reused, or crash-recovered) and per merged
-	// group. A restarted coordinator re-appends rows for recovered
+	// cell (first delivery, or reloaded from disk) and per merged
+	// group. A restarted coordinator re-appends rows for reloaded
 	// cells; the store's read side dedupes by row identity.
 	Results *resultstore.Store
-	// Warnf receives non-fatal notices; nil discards them.
-	Warnf func(format string, args ...any)
 }
 
 // Coordinator is the fleet service: a sweep run (core.SweepRun) whose
@@ -70,9 +70,6 @@ type Coordinator struct {
 	slotCell []int       // queue item → cell index
 	cellSlot map[int]int // cell index → queue item
 	now      func() time.Time
-	// recovered counts cells restored from a crashed incarnation's
-	// OutDir; it is set in New and read-only after.
-	recovered int
 
 	mu      sync.Mutex
 	rejects []int                // per cell: consecutive rejected uploads (quarantine)
@@ -92,10 +89,10 @@ type Coordinator struct {
 const maxFreeAggregators = 8
 
 // New builds a coordinator over an expanded sweep: the full-grid
-// manifest is serialized once, the run selects and reuses cells as a
-// local run does, crash-recovered cells land serially (fully satisfied
-// groups merge immediately), and the lease queue is seeded with every
-// remaining runnable cell.
+// manifest is serialized once, the run selects cells and reloads those
+// already on disk (the spec's Resume directory and OutDir; fully
+// satisfied groups merge immediately), and the lease queue is seeded
+// with every remaining runnable cell.
 func New(cfg Config) (*Coordinator, error) {
 	if cfg.Sweep == nil {
 		return nil, errors.New("coord: Config.Sweep is required")
@@ -116,7 +113,7 @@ func New(cfg Config) (*Coordinator, error) {
 		return nil, err
 	}
 	c.rejects = make([]int, len(c.cells))
-	run, runnable, err := c.sweep.Start(cfg.OutDir, cfg.Results, c.recycle)
+	run, runnable, err := c.sweep.Start(cfg.OutDir, true, cfg.Results, c.recycle)
 	if err != nil {
 		return nil, err
 	}
@@ -124,33 +121,6 @@ func New(cfg Config) (*Coordinator, error) {
 		return nil, err
 	}
 	c.run = run
-
-	// After the Reuse pass, OutDir is rescanned for snapshots a previous
-	// coordinator incarnation persisted before crashing: every delivery
-	// is written through to cells/ before it is acknowledged, so
-	// whatever a dead coordinator had accepted is exactly what its
-	// replacement finds on disk, and a restart resumes the sweep
-	// mid-flight instead of recomputing it. Each such cell lands right
-	// away — Progress hook, store row (a restart re-appends rows an
-	// earlier incarnation wrote, which the store's read-side identity
-	// dedup absorbs), fold — so groups fully satisfied from snapshots
-	// merge before the first worker connects, and the pass holds one
-	// decoded cell at a time.
-	if cfg.OutDir != "" {
-		queued := runnable[:0]
-		for _, i := range runnable {
-			res := c.recoverCell(i)
-			if res == nil {
-				queued = append(queued, i)
-				continue
-			}
-			c.recovered++
-			if err := run.Land(core.CellResult{Cell: c.cells[i], Res: res, Cached: true}, nil); err != nil {
-				return nil, err
-			}
-		}
-		runnable = queued
-	}
 	c.queue = NewLeaseQueue(len(runnable), cfg.LeaseTTL, cfg.Now)
 	c.slotCell = runnable
 	for slot, i := range runnable {
@@ -172,12 +142,9 @@ func (c *Coordinator) recycle(agg *analysis.Aggregator) {
 	c.freeMu.Unlock()
 }
 
-// admit validates a snapshot container for cell i: CRC and structure by
-// the container parse, the cell identity (name and coordinate-derived
-// seed) against the grid point the index names, and the aggregator
-// state by restoring it against the coordinator's own Config for that
-// cell. The aggregator decodes into a recycled one when the free list
-// has one; a rejected container gives it straight back.
+// admit runs the sweep's admission check (core.Sweep.AdmitCell) on an
+// upload for cell i, decoding into a recycled aggregator when the free
+// list has one; a rejected container gives it straight back.
 func (c *Coordinator) admit(i int, container []byte) (*core.Result, error) {
 	c.freeMu.Lock()
 	var scratch *analysis.Aggregator
@@ -185,48 +152,16 @@ func (c *Coordinator) admit(i int, container []byte) (*core.Result, error) {
 		scratch, c.free = c.free[n-1], c.free[:n-1]
 	}
 	c.freeMu.Unlock()
-	snap, err := core.ParseCellSnapshotInto(container, scratch)
+	res, err := c.sweep.AdmitCell(i, container, scratch)
 	if err != nil {
 		c.recycle(scratch)
-		return nil, err
 	}
-	cell := c.cells[i]
-	if snap.Name != cell.Name() || snap.Seed != cell.Seed {
-		c.recycle(snap.Aggregator())
-		return nil, fmt.Errorf("coord: snapshot is for %s seed %d, cell is %s seed %d",
-			snap.Name, snap.Seed, cell.Name(), cell.Seed)
-	}
-	res, err := snap.Restore(c.sweep.Config(i))
-	if err != nil {
-		c.recycle(snap.Aggregator())
-		return nil, err
-	}
-	return res, nil
-}
-
-// recoverCell attempts crash-restart recovery for one selected cell:
-// read the snapshot a previous incarnation may have persisted under
-// OutDir and admit it like an upload. Anything missing, torn, or
-// mismatched means the cell is recomputed — a bad file on disk must
-// cost a re-run, never poison the merge.
-func (c *Coordinator) recoverCell(i int) *core.Result {
-	name := c.cells[i].Name()
-	data, err := os.ReadFile(core.CellSnapshotPath(c.cfg.OutDir, name))
-	if err == nil {
-		var res *core.Result
-		if res, err = c.admit(i, data); err == nil {
-			return res
-		}
-	}
-	if !errors.Is(err, os.ErrNotExist) {
-		c.warnf("cell %s: ignoring persisted snapshot (%v); recomputing\n", name, err)
-	}
-	return nil
+	return res, err
 }
 
 func (c *Coordinator) warnf(format string, args ...any) {
-	if c.cfg.Warnf != nil {
-		c.cfg.Warnf(format, args...)
+	if warnf := c.sweep.Spec().Warnf; warnf != nil {
+		warnf(format, args...)
 	}
 }
 
@@ -282,7 +217,7 @@ func (c *Coordinator) Complete(cellIdx int, payload []byte, wall time.Duration) 
 		return CompleteResponse{}, fmt.Errorf("coord: cell index %d out of range", cellIdx)
 	}
 	cell := c.cells[cellIdx]
-	// A cell outside the queue and not skipped was reused or recovered:
+	// A cell outside the queue and not skipped was reloaded from disk:
 	// its result is already in hand, and a delivery is a duplicate
 	// after validating it.
 	slot, runnable := c.cellSlot[cellIdx]
@@ -355,7 +290,6 @@ func (c *Coordinator) Snapshot() Progress {
 		LeasedCells:        leased,
 		PendingCells:       pending,
 		ReusedCells:        reused,
-		RecoveredCells:     c.recovered,
 		ExpiredLeases:      expired,
 		RedispatchedLeases: redispatched,
 		Complete:           done == selected,

@@ -27,11 +27,8 @@ import (
 // only. After each, the cell's valid upload is still accepted.
 func TestCompleteHandlerBadBodies(t *testing.T) {
 	const reusedCell, runnableCell = 0, 1
-	var prior *core.Result
 	spec := fleetSpec()
-	spec.Reuse = func(cell core.Cell, _ core.Config) (*core.Result, bool) {
-		return prior, cell.Index == reusedCell
-	}
+	spec.Resume = t.TempDir()
 	sweep, err := core.NewSweep(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -39,6 +36,11 @@ func TestCompleteHandlerBadBodies(t *testing.T) {
 	valid := map[int][]byte{
 		reusedCell:   snapshotBytes(t, sweep, reusedCell),
 		runnableCell: snapshotBytes(t, sweep, runnableCell),
+	}
+	// The reused cell's snapshot is the prior run every coordinator
+	// below reloads.
+	if err := core.WriteSnapshotFile(core.CellSnapshotPath(spec.Resume, sweep.Cells()[reusedCell].Name()), valid[reusedCell]); err != nil {
+		t.Fatal(err)
 	}
 	bound := int64(len(valid[runnableCell]) + 4096)
 
@@ -84,10 +86,6 @@ func TestCompleteHandlerBadBodies(t *testing.T) {
 
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			var err error
-			if prior, err = core.NewArena().RunRetained(sweep.Config(reusedCell)); err != nil {
-				t.Fatal(err)
-			}
 			c, err := New(Config{Sweep: sweep, LeaseTTL: time.Minute})
 			if err != nil {
 				t.Fatal(err)
@@ -352,8 +350,8 @@ func TestFleetDrainRetention(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if prog := second.Snapshot(); prog.RecoveredCells != 40 {
-		t.Fatalf("restart recovered %d cells, want 40", prog.RecoveredCells)
+	if prog := second.Snapshot(); prog.ReusedCells != 40 {
+		t.Fatalf("restart reloaded %d cells, want 40", prog.ReusedCells)
 	}
 	drain(t, second)
 	restarted := second.Result()

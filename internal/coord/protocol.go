@@ -88,10 +88,10 @@ type Progress struct {
 	DoneCells     int `json:"doneCells"`
 	LeasedCells   int `json:"leasedCells"`
 	PendingCells  int `json:"pendingCells"`
-	ReusedCells   int `json:"reusedCells"`
-	// RecoveredCells counts cells satisfied from snapshots a previous
-	// coordinator incarnation persisted to OutDir before it crashed.
-	RecoveredCells int `json:"recoveredCells"`
+	// ReusedCells counts cells satisfied from snapshots on disk: the
+	// spec's Resume directory, or what a previous coordinator
+	// incarnation persisted to OutDir before it crashed.
+	ReusedCells int `json:"reusedCells"`
 	// ExpiredLeases counts leases revoked past their deadline;
 	// RedispatchedLeases counts grants that handed out a cell some
 	// earlier lease had already held.

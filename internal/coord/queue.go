@@ -1,7 +1,7 @@
 // Package coord turns the sweep engine into a coordinator/worker fleet
 // over HTTP. A coordinator is a core.SweepRun — the same run state a
-// local sweep uses, which selects cells by the spec's Filter, satisfies
-// them through its Reuse hook, lands each finished cell and assembles
+// local sweep uses, which selects cells by the spec's Filter, reloads
+// those already on disk, lands each finished cell and assembles
 // the result — with a different dispatcher: it expands a manifest-v3
 // grid once, hands out cell leases with heartbeat renewal and straggler
 // re-dispatch, and CRC-validates finished CellSnapshot payloads

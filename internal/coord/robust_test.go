@@ -149,18 +149,19 @@ func TestCoordinatorCrashRestartRecovery(t *testing.T) {
 
 	// Incarnation #2 over the same OutDir.
 	var warns []string
-	cfg2 := cfg
-	cfg2.Warnf = func(format string, args ...any) {
+	spec.Warnf = func(format string, args ...any) {
 		warns = append(warns, fmt.Sprintf(format, args...))
 	}
-	c2, err := New(cfg2)
+	if cfg.Sweep, err = core.NewSweep(spec); err != nil {
+		t.Fatal(err)
+	}
+	c2, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	prog := c2.Snapshot()
-	if prog.RecoveredCells != 2 || prog.DoneCells != 2 || prog.ReusedCells != 0 {
-		t.Fatalf("restart progress: recovered %d done %d reused %d, want 2/2/0",
-			prog.RecoveredCells, prog.DoneCells, prog.ReusedCells)
+	if prog.DoneCells != 2 || prog.ReusedCells != 2 {
+		t.Fatalf("restart progress: done %d reused %d, want 2/2", prog.DoneCells, prog.ReusedCells)
 	}
 	tornWarned := false
 	for _, w := range warns {

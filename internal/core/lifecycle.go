@@ -3,6 +3,9 @@ package core
 import (
 	"errors"
 	"fmt"
+	"io/fs"
+	"os"
+	"path/filepath"
 	"sync"
 	"time"
 
@@ -14,7 +17,7 @@ import (
 // Sweep.Run computes the runnable cells over a worker pool, a fleet
 // coordinator hands them out through a lease queue, and everything
 // around the computation is here, written once. Start selects cells by
-// the spec's Filter and satisfies what it can through its Reuse hook;
+// the spec's Filter and reloads what it can from snapshots on disk;
 // Land is the one implementation of "a cell has landed" — persist the
 // snapshot, notify the spec's Progress hook, append the store row, fold
 // the cell into its grid point's accumulator in replica order, and,
@@ -45,19 +48,23 @@ type SweepRun struct {
 }
 
 // Start begins a run of the sweep. It marks the cells the spec's Filter
-// rejects Skipped, and fails when the filter selects none. It then calls
-// the spec's Reuse hook for each selected cell, serially in expansion
-// order, and lands every cell the hook satisfies as Cached. It returns
-// the indices of the cells left to compute, in expansion order, for the
-// caller to dispatch and Land.
+// rejects Skipped, and fails when the filter selects none. It then
+// reloads, serially in expansion order, every selected cell whose
+// snapshot under the spec's Resume directory — or, when recoverOut is
+// set, under outDir — passes the cell's admission check, and lands it
+// as Cached (see reload). It returns the indices of the cells left to
+// compute, in expansion order, for the caller to dispatch and Land.
 //
 // outDir, when non-empty, is the sweep output directory: every cell
 // that lands without already being on disk there (Cached) persists a
 // snapshot under cells/<cell>/cell.snap before anything else happens to
-// it. results, when non-nil, receives one row per landed cell and one
-// per merged group. recycle, when non-nil, receives each aggregator the
-// run releases (see Land) instead of leaving it to the collector.
-func (s *Sweep) Start(outDir string, results *resultstore.Store, recycle func(*analysis.Aggregator)) (*SweepRun, []int, error) {
+// it. recoverOut is a coordinator's crash recovery, which needs no
+// flag: every delivery was on disk before it was acknowledged, so what
+// a dead incarnation accepted is what its replacement reloads. results,
+// when non-nil, receives one row per landed cell and one per merged
+// group. recycle, when non-nil, receives each aggregator the run
+// releases (see Land) instead of leaving it to the collector.
+func (s *Sweep) Start(outDir string, recoverOut bool, results *resultstore.Store, recycle func(*analysis.Aggregator)) (*SweepRun, []int, error) {
 	r := &SweepRun{
 		sweep:   s,
 		outDir:  outDir,
@@ -90,21 +97,48 @@ func (s *Sweep) Start(outDir string, results *resultstore.Store, recycle func(*a
 			r.groups[g].pending = make([]landed, len(idxs))
 		}
 	}
+	dirs := []string{s.spec.Resume}
+	if recoverOut && (s.spec.Resume == "" || filepath.Clean(outDir) != filepath.Clean(s.spec.Resume)) {
+		dirs = append(dirs, outDir)
+	}
 	var runnable []int
-	for i, c := range s.cells {
-		if r.cells[i].Skipped {
-			continue
+	for i := range s.cells {
+		if !r.cells[i].Skipped && !r.reload(i, dirs) {
+			runnable = append(runnable, i)
 		}
-		if s.spec.Reuse != nil {
-			if res, ok := s.spec.Reuse(c, s.cfgs[i]); ok {
-				r.reused++
-				r.Land(CellResult{Cell: c, Res: res, Cached: true}, nil)
-				continue
-			}
-		}
-		runnable = append(runnable, i)
 	}
 	return r, runnable, nil
+}
+
+// reload is the one place a file on disk satisfies a cell of a run:
+// the cell's snapshot in the first of dirs (empty entries skipped) that
+// passes AdmitCell's check lands as Cached at once, so the pass holds
+// one decoded cell at a time. An absent file is silent; any other
+// failure warns once, naming the file, and leaves the cell runnable — a
+// bad file costs a recompute, never a poisoned merge.
+func (r *SweepRun) reload(i int, dirs []string) bool {
+	s := r.sweep
+	c := s.cells[i]
+	for _, dir := range dirs {
+		if dir == "" {
+			continue
+		}
+		path := CellSnapshotPath(dir, c.Name())
+		data, err := os.ReadFile(path)
+		var res *Result
+		if err == nil {
+			res, err = s.admit(i, data, path, nil)
+		}
+		if err == nil {
+			r.reused++
+			r.Land(CellResult{Cell: c, Res: res, Cached: true}, nil)
+			return true
+		}
+		if !errors.Is(err, fs.ErrNotExist) {
+			s.warnf("cell %s: ignoring unusable snapshot: %v\n", c.Name(), err)
+		}
+	}
+	return false
 }
 
 // Land takes a finished cell through the rest of its life and records
@@ -222,8 +256,8 @@ func (r *SweepRun) Err() error {
 	return r.err
 }
 
-// Counts returns how many cells the run selected, how many of those the
-// Reuse hook satisfied, and how many have landed.
+// Counts returns how many cells the run selected, how many of those
+// were reloaded from disk, and how many have landed.
 func (r *SweepRun) Counts() (selected, reused, landed int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -87,7 +87,7 @@ func TestLifecycleFoldAnyArrivalOrder(t *testing.T) {
 	// run releases what it folds and writes nothing.
 	outDir := t.TempDir()
 	for name, order := range orders {
-		run, _, err := s.Start(outDir, nil, nil)
+		run, _, err := s.Start(outDir, false, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -153,7 +153,7 @@ func TestLifecycleFoldAnyArrivalOrder(t *testing.T) {
 	// The same cells with no output directory: the Result is the only
 	// copy, so nothing is released; and a group with an unselected cell
 	// neither folds nor releases.
-	run, _, err := s.Start("", nil, nil)
+	run, _, err := s.Start("", false, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestLifecycleFoldAnyArrivalOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shard, _, err := sharded.Start(outDir, nil, nil)
+	shard, _, err := sharded.Start(outDir, false, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -204,24 +204,37 @@ func ReadCellSnapshot(path string) (*CellSnapshot, error) {
 }
 
 // ParseCellSnapshot verifies and decodes a snapshot container from
-// memory — the same checks ReadCellSnapshot performs on a file. It is
-// how a coordinator validates a snapshot payload delivered over the
-// wire before trusting its contents: CRC-32 first, then structure, so
-// a payload truncated or corrupted in flight is rejected rather than
-// merged as data.
+// memory — the same checks ReadCellSnapshot performs on a file: CRC-32
+// first, then structure, so a payload truncated or corrupted in flight
+// is rejected rather than read as data.
 func ParseCellSnapshot(data []byte) (*CellSnapshot, error) {
-	return ParseCellSnapshotInto(data, nil)
+	return parseCellSnapshot(data, "payload", nil)
 }
 
-// ParseCellSnapshotInto is ParseCellSnapshot decoding the aggregator
-// into scratch's storage when scratch has the payload's shape (see
-// analysis.UnmarshalAggregatorInto; nil scratch allocates). The caller
-// gives scratch up: on success the snapshot's Aggregator is scratch or
-// a fresh one, on error scratch holds a partial decode and is good only
-// for another decode. The snapshot aliases none of data, which may be
-// reused as soon as the call returns.
-func ParseCellSnapshotInto(data []byte, scratch *analysis.Aggregator) (*CellSnapshot, error) {
-	return parseCellSnapshot(data, "payload", scratch)
+// AdmitCell is the one check that decides whether a snapshot container
+// is cell i's result — for a worker's upload, and (through Start's
+// reload) for a file on disk: CRC and structure by the container parse,
+// the cell's identity (name and coordinate-derived seed) against cell
+// i, and the aggregator by restoring it under Config(i). The aggregator
+// decodes into scratch's storage when scratch has the payload's shape
+// (see analysis.UnmarshalAggregatorInto; nil allocates). The caller
+// gives scratch up on success; on error scratch is the caller's again,
+// good only for another decode. The Result aliases none of container.
+func (s *Sweep) AdmitCell(i int, container []byte, scratch *analysis.Aggregator) (*Result, error) {
+	return s.admit(i, container, "payload", scratch)
+}
+
+// admit is AdmitCell naming src (a path, or "payload") in every error.
+func (s *Sweep) admit(i int, data []byte, src string, scratch *analysis.Aggregator) (*Result, error) {
+	snap, err := parseCellSnapshot(data, src, scratch)
+	if err != nil {
+		return nil, err
+	}
+	if c := s.cells[i]; snap.Name != c.Name() || snap.Seed != c.Seed {
+		return nil, fmt.Errorf("core: cell snapshot %s is for %s seed %d, cell is %s seed %d",
+			src, snap.Name, snap.Seed, c.Name(), c.Seed)
+	}
+	return snap.restore(s.cfgs[i], "core: cell snapshot "+src)
 }
 
 // parseCellSnapshot decodes a snapshot container, naming src (a path,
@@ -357,8 +370,13 @@ func (m *SweepManifest) RestoredGroups(dir string) iter.Seq2[*ManifestGroup, []R
 // campaign length, testbed size, and method set must all match, so a
 // resumed sweep never silently adopts results from a different grid.
 func (s *CellSnapshot) Restore(cfg Config) (*Result, error) {
+	return s.restore(cfg, "core: snapshot "+s.Name)
+}
+
+// restore is Restore with every error prefixed by src.
+func (s *CellSnapshot) restore(cfg Config, src string) (*Result, error) {
 	mismatch := func(what string, got, want any) error {
-		return fmt.Errorf("core: snapshot %s: %s is %v, grid wants %v", s.Name, what, got, want)
+		return fmt.Errorf("%s: %s is %v, grid wants %v", src, what, got, want)
 	}
 	if ds := cfg.Dataset.String(); s.Dataset != ds {
 		return nil, mismatch("dataset", s.Dataset, ds)

@@ -26,7 +26,7 @@ type SweepSpec struct {
 	// depend on worker count or completion order.
 	BaseSeed uint64
 	// Replicas is the number of seed-varied replicates per grid point;
-	// <=0 means 1.
+	// 0 means 1, and a negative count is refused.
 	Replicas int
 	// Axes are the grid's value axes. The four standard axes (profile,
 	// hysteresis, probeinterval, losswindow) are always part of the
@@ -49,15 +49,13 @@ type SweepSpec struct {
 	// merge-only tooling recombines shards afterwards. Filter does not
 	// affect expansion: every cell keeps its coordinates and seed.
 	Filter func(Cell) bool
-	// Reuse, when non-nil, is consulted before running each selected
-	// cell with the cell and its fully built Config; returning a Result
-	// marks the cell Cached and skips the campaign. It is how -resume
-	// reuses persisted cell snapshots. Calls are serial (in
-	// expansion order, in Start, before any cell is dispatched), so the
-	// hook may touch shared state without locking. The Result is handed over:
-	// with an OutDir it is taken to come from a snapshot, and its
-	// aggregator is released like any other cell's.
-	Reuse func(Cell, Config) (*Result, bool)
+	// Resume, when non-empty, is a sweep output directory whose cell
+	// snapshots satisfy cells before any is dispatched: a selected cell
+	// whose cells/<cell>/cell.snap there passes the cell's admission
+	// check (Sweep.AdmitCell) lands Cached instead of running (see
+	// Sweep.Start). It is how -resume reuses a killed or smaller run's
+	// cells.
+	Resume string
 	// Configure, when non-nil, is applied to each cell's Config after
 	// the dataset defaults, axis values, and seed. It runs serially
 	// during expansion (NewSweep), so it may capture shared state
@@ -81,6 +79,10 @@ type SweepSpec struct {
 	// keeps each cell's aggregator only until the cell is folded into
 	// its group (see CellResult.Res).
 	OutDir string
+	// Warnf, when non-nil, receives non-fatal notices: a snapshot on
+	// disk that could not satisfy its cell, and a fleet coordinator's
+	// landing failures and quarantined leases. Nil discards them.
+	Warnf func(format string, args ...any)
 }
 
 // Cell is one point of an expanded sweep grid: a dataset, one value
@@ -145,8 +147,9 @@ type CellResult struct {
 	Err  error
 	// Skipped marks a cell excluded by the sweep's Filter; Res is nil.
 	Skipped bool
-	// Cached marks a cell whose Res came from SweepSpec.Reuse (a
-	// persisted snapshot) rather than a fresh campaign.
+	// Cached marks a cell whose Res came from a snapshot on disk (the
+	// spec's Resume directory, or a restarted coordinator's output
+	// directory) rather than a fresh campaign.
 	Cached bool
 }
 
@@ -200,7 +203,7 @@ type SweepResult struct {
 	// selected cell was reused).
 	Parallel int
 	// Selected counts cells accepted by the Filter (all cells when
-	// there is none); Reused counts those satisfied by Reuse.
+	// there is none); Reused counts those reloaded from disk (Cached).
 	Selected, Reused int
 }
 
@@ -260,9 +263,10 @@ func NewSweep(spec SweepSpec) (*Sweep, error) {
 		combos *= len(values[i])
 	}
 	replicas := spec.Replicas
-	if replicas <= 0 {
-		replicas = 1
+	if replicas < 0 {
+		return nil, fmt.Errorf("core: sweep Replicas = %d, want >= 0 (0 means 1)", replicas)
 	}
+	replicas = max(replicas, 1)
 	s := &Sweep{spec: spec, datasets: datasets, axes: axes, replicas: replicas}
 	// Cell names double as output paths (trace files, figure dirs), so
 	// duplicate grid points — duplicated axis values, colliding profile
@@ -346,9 +350,15 @@ func (s *Sweep) Spec() SweepSpec { return s.spec }
 
 // Config returns the fully built Config of the cell at expansion index
 // i — dataset defaults, axis values, derived seed, and the Configure
-// hook already applied. A coordinator uses it to validate incoming
-// snapshots against the exact grid point it handed out.
+// hook already applied: the grid point AdmitCell holds a snapshot to.
 func (s *Sweep) Config(i int) Config { return s.cfgs[i] }
+
+// warnf passes a non-fatal notice to the spec's Warnf, if any.
+func (s *Sweep) warnf(format string, args ...any) {
+	if s.spec.Warnf != nil {
+		s.spec.Warnf(format, args...)
+	}
+}
 
 // NumGroups returns the number of grid points in the expanded grid.
 func (s *Sweep) NumGroups() int { return len(s.groups) }
@@ -379,7 +389,7 @@ func (s *Sweep) groupShape(g int) (hosts int, methods []string) {
 // full construction. With an OutDir, a cell's aggregator is released
 // once it is persisted and folded (see CellResult.Res).
 func (s *Sweep) Run() (*SweepResult, error) {
-	run, toRun, err := s.Start(s.spec.OutDir, s.spec.Results, nil)
+	run, toRun, err := s.Start(s.spec.OutDir, false, s.spec.Results, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -94,6 +94,19 @@ func TestSweepRejectsDuplicateGridPoints(t *testing.T) {
 	}
 }
 
+// TestSweepReplicaCounts: 0 replicas means one, as Days 0 means the
+// default length; a negative count is an error naming it, not a
+// silent one-replica sweep.
+func TestSweepReplicaCounts(t *testing.T) {
+	s, err := NewSweep(SweepSpec{Datasets: []Dataset{RONnarrow}, Days: sweepDays})
+	if err != nil || len(s.Cells()) != 1 {
+		t.Fatalf("Replicas 0: %v, want one cell", err)
+	}
+	if _, err := NewSweep(SweepSpec{Datasets: []Dataset{RONnarrow}, Days: sweepDays, Replicas: -1}); err == nil || !strings.Contains(err.Error(), "-1") {
+		t.Errorf("Replicas -1: error %v, want one naming the count", err)
+	}
+}
+
 func TestSweepSeedsStableAcrossGridGrowth(t *testing.T) {
 	small := SweepSpec{Datasets: []Dataset{RONnarrow}, Days: sweepDays,
 		BaseSeed: 1, Replicas: 2}

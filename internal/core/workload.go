@@ -56,10 +56,6 @@ type WorkloadConfig struct {
 	// FrameInterval is the period between one stream's frames (an
 	// interactive sender's packetization clock).
 	FrameInterval time.Duration
-	// FrameSize is the application frame size in bytes; shards carry
-	// FrameSize/DataShards bytes. Delivery accounting is size-agnostic,
-	// but the size keeps code groups concrete for tests and examples.
-	FrameSize int
 	// DataShards (k) and ParityShards (m) define the fec.Code group:
 	// n = k+m shards per frame, any k reconstruct.
 	DataShards   int
@@ -76,7 +72,6 @@ func DefaultWorkloadConfig() WorkloadConfig {
 	return WorkloadConfig{
 		Streams:       4,
 		FrameInterval: time.Second,
-		FrameSize:     1024,
 		DataShards:    4,
 		ParityShards:  1,
 		Paths:         2,
@@ -106,10 +101,6 @@ func (w WorkloadConfig) validate() error {
 	}
 	if w.Paths < 1 || w.Paths > 16 {
 		return fmt.Errorf("core: workload Paths = %d, want 1..16", w.Paths)
-	}
-	if w.FrameSize < w.DataShards {
-		return fmt.Errorf("core: workload FrameSize = %d too small for %d data shards",
-			w.FrameSize, w.DataShards)
 	}
 	return nil
 }
@@ -215,19 +206,16 @@ type wlStream struct {
 }
 
 // workloadState is the campaign's workload slab: stream table, shard
-// schedule, cached code, and per-frame scratch. It lives on the
+// schedule, and per-frame scratch. It lives on the
 // campaign struct and is re-seeded in place each cell, preserving the
 // arena's zero-steady-state-allocation guarantee.
 type workloadState struct {
 	streams []wlStream
 	// offsets[i] is shard i's send offset within a frame (a converted
-	// fec.DataFirst schedule); rebuilt only when the (k, m) group
-	// changes.
-	offsets []netsim.Time
-	// code is the cached fec.Code for (codeK, codeM); building it per
-	// cell would allocate its encoding matrix on every cell turnover.
-	code         *fec.Code
-	codeK, codeM int
+	// fec.DataFirst schedule) for the (offK, offM) group; rebuilt only
+	// when the group changes (k >= 1, so the zero value never matches).
+	offsets    []netsim.Time
+	offK, offM int
 	// paths/lats are per-frame scratch: the disjoint-path query buffer
 	// and the delivered-shard arrival times.
 	paths []route.Choice
@@ -256,17 +244,13 @@ func (c *campaign) seedWorkload() {
 	}
 	st.interval = netsim.FromDuration(w.FrameInterval)
 
-	if st.code == nil || st.codeK != w.DataShards || st.codeM != w.ParityShards {
-		code, err := fec.NewCode(w.DataShards, w.ParityShards)
-		if err != nil {
-			// validate() bounds (k, m) before any campaign runs.
-			panic(fmt.Sprintf("core: workload FEC group: %v", err))
-		}
+	if st.offK != w.DataShards || st.offM != w.ParityShards {
 		sched, err := fec.DataFirst(w.DataShards, w.ParityShards, wlParitySpread)
 		if err != nil {
+			// validate() bounds (k, m) before any campaign runs.
 			panic(fmt.Sprintf("core: workload shard schedule: %v", err))
 		}
-		st.code, st.codeK, st.codeM = code, w.DataShards, w.ParityShards
+		st.offK, st.offM = w.DataShards, w.ParityShards
 		if cap(st.offsets) < st.n {
 			st.offsets = make([]netsim.Time, st.n)
 		} else {

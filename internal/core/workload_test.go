@@ -119,7 +119,6 @@ func TestWorkloadConfigValidate(t *testing.T) {
 		func(w *WorkloadConfig) { w.DataShards, w.ParityShards = 200, 100 },
 		func(w *WorkloadConfig) { w.Paths = 0 },
 		func(w *WorkloadConfig) { w.Paths = 17 },
-		func(w *WorkloadConfig) { w.FrameSize = 1 },
 	}
 	for i, mutate := range bad {
 		w := DefaultWorkloadConfig()
