@@ -381,3 +381,47 @@ func TestReindexCommandLine(t *testing.T) {
 		})
 	}
 }
+
+// TestDrillCommandLine pins -drill over the fixture sweep's four cells:
+// each distribution, with and without -quantile, and the two ways a
+// drill is refused.
+func TestDrillCommandLine(t *testing.T) {
+	dir := sweepCopy(t)
+	drill := func(spec string, quantile ...string) []string {
+		return append([]string{"-query", "kind=cell", "-drill", spec}, quantile...)
+	}
+	cases := []storeCase{
+		{name: "pathloss", args: drill("pathloss"), expect: []string{
+			"drill pathloss over 4 cells (272 samples)",
+			"mean=0.05873563074551493 p50=0 p90=0 p95=0 p99=1.4285714285714286 max=1.492537313432836"}},
+		{name: "pathloss quantile", args: drill("pathloss", "-quantile", "0.99"), expect: []string{
+			"drill pathloss over 4 cells (272 samples)",
+			"p99=1.4285714285714286"}},
+		{name: "win20", args: drill("win20:loss"), expect: []string{
+			"drill win20:loss over 4 cells (1088 samples)",
+			"mean=0.0008251035292408392 p50=0 p90=0 p95=0 p99=0.045454545454545456 max=0.125"}},
+		{name: "win20 quantile", args: drill("win20:loss", "-quantile", "0.99"), expect: []string{
+			"drill win20:loss over 4 cells (1088 samples)",
+			"p99=0.045454545454545456"}},
+		{name: "clp", args: drill("clp:direct rand"), expect: []string{
+			"drill clp:direct rand over 4 cells (20 samples)",
+			"mean=60 p50=100 p90=100 p95=100 p99=100 max=100"}},
+		{name: "clp quantile", args: drill("clp:direct rand", "-quantile", "0.25"), expect: []string{
+			"drill clp:direct rand over 4 cells (20 samples)",
+			"p25=0"}},
+		{name: "latency", args: drill("latency:lat loss"), expect: []string{
+			"drill latency:lat loss over 4 cells (88 samples)",
+			"mean=82.18021338592088 p50=71.88501197058824 p90=119.52417307692308 p95=123.7512951923077 p99=138.05666956976745 max=138.05666956976745"}},
+		{name: "latency quantile", args: drill("latency:lat loss", "-quantile", "0.5"), expect: []string{
+			"drill latency:lat loss over 4 cells (88 samples)",
+			"p50=71.88501197058824"}},
+		{name: "unknown method", args: drill("clp:direct"),
+			errHas: []string{`drill clp: unknown method "direct" (have: loss, direct rand, lat loss)`}},
+		{name: "no snapshot-backed cell rows", args: []string{"-query", "kind=group", "-drill", "pathloss"},
+			errHas: []string{"drill-down needs snapshot-backed cell rows; none selected"}},
+	}
+	for _, tc := range cases {
+		tc.dir = &dir
+		t.Run(tc.name, func(t *testing.T) { runStoreCase(t, tc) })
+	}
+}

@@ -136,6 +136,64 @@ func TestExperimentRunAndResume(t *testing.T) {
 	}
 }
 
+// TestResumeIntoNewOutputIsSelfContained: a sweep resumed from one
+// complete directory into another writes every reused cell's snapshot
+// under the new one, so the manifest it records there restores whole
+// and merges to the same tables as the first run.
+func TestResumeIntoNewOutputIsSelfContained(t *testing.T) {
+	a, b := t.TempDir(), t.TempDir()
+	build := func(opts ...Option) *Experiment {
+		e, err := New(append([]Option{Datasets(RONnarrow), Days(expDays), Seed(23), Replicas(2)}, opts...)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	first, err := build(Output(a)).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := build(Resume(a), Output(b))
+	res, err := e.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Reused != len(first.Cells) {
+		t.Fatalf("resume reused %d cells, want %d", res.Reused, len(first.Cells))
+	}
+	if err := e.WriteManifest(res, b, nil); err != nil {
+		t.Fatal(err)
+	}
+	m, err := LoadManifest(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gi := 0
+	for g, cells := range m.RestoredGroups(b) {
+		var results []*core.Result
+		for ci, rc := range cells {
+			if rc.Err != nil {
+				t.Fatalf("group %s cell %s does not restore from %s: %v", g.Name, g.Cells[ci].Name, b, rc.Err)
+			}
+			results = append(results, rc.Res)
+		}
+		merged, err := core.MergeResults(results)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := first.Groups[gi].Merged.Artifacts()
+		for k, art := range merged.Artifacts() {
+			if art != want[k] {
+				t.Errorf("group %s: %s restored from %s differs from the first run's", g.Name, art.Name, b)
+			}
+		}
+		gi++
+	}
+	if gi != len(first.Groups) {
+		t.Errorf("manifest under %s restores %d groups, want %d", b, gi, len(first.Groups))
+	}
+}
+
 func TestExperimentShardMatch(t *testing.T) {
 	e, err := New(
 		Datasets(RONnarrow), Days(expDays), Replicas(2), Shard("*-r00"),

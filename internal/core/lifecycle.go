@@ -56,9 +56,9 @@ type SweepRun struct {
 // compute, in expansion order, for the caller to dispatch and Land.
 //
 // outDir, when non-empty, is the sweep output directory: every cell
-// that lands without already being on disk there (Cached) persists a
-// snapshot under cells/<cell>/cell.snap before anything else happens to
-// it. recoverOut is a coordinator's crash recovery, which needs no
+// that lands without already being on disk there (a Cached cell
+// reloaded from it) persists a snapshot under cells/<cell>/cell.snap
+// before anything else happens to it. recoverOut is a coordinator's crash recovery, which needs no
 // flag: every delivery was on disk before it was acknowledged, so what
 // a dead incarnation accepted is what its replacement reloads. results,
 // when non-nil, receives one row per landed cell and one per merged
@@ -113,7 +113,10 @@ func (s *Sweep) Start(outDir string, recoverOut bool, results *resultstore.Store
 // reload is the one place a file on disk satisfies a cell of a run:
 // the cell's snapshot in the first of dirs (empty entries skipped) that
 // passes AdmitCell's check lands as Cached at once, so the pass holds
-// one decoded cell at a time. An absent file is silent; any other
+// one decoded cell at a time. A snapshot taken from a directory other
+// than the output directory lands with the bytes just read as its wire
+// form, so the output directory ends up holding every cell its
+// manifest names. An absent file is silent; any other
 // failure warns once, naming the file, and leaves the cell runnable — a
 // bad file costs a recompute, never a poisoned merge.
 func (r *SweepRun) reload(i int, dirs []string) bool {
@@ -130,8 +133,12 @@ func (r *SweepRun) reload(i int, dirs []string) bool {
 			res, err = s.admit(i, data, path, nil)
 		}
 		if err == nil {
+			var wire []byte
+			if r.outDir != "" && filepath.Clean(dir) != filepath.Clean(r.outDir) {
+				wire = data
+			}
 			r.reused++
-			r.Land(CellResult{Cell: c, Res: res, Cached: true}, nil)
+			r.Land(CellResult{Cell: c, Res: res, Cached: true}, wire)
 			return true
 		}
 		if !errors.Is(err, fs.ErrNotExist) {
@@ -143,8 +150,9 @@ func (r *SweepRun) reload(i int, dirs []string) bool {
 
 // Land takes a finished cell through the rest of its life and records
 // it as the run's result for that cell. wire, when non-nil, is the
-// cell's already encoded snapshot container (a worker's upload),
-// persisted verbatim in place of a fresh encode.
+// cell's already encoded snapshot container (a worker's upload, or a
+// Cached cell read from outside the output directory), persisted
+// verbatim in place of a fresh encode.
 //
 // Ownership: cr.Res — in particular its aggregator — is complete and
 // untouched while the Progress hook runs. After that it belongs to the
@@ -181,7 +189,7 @@ func (r *SweepRun) land(cr *CellResult, wire []byte) error {
 	}
 	var errs []error
 	onDisk := r.outDir != ""
-	if onDisk && !cr.Cached {
+	if onDisk && (!cr.Cached || wire != nil) {
 		if err := r.persist(cr, wire); err != nil {
 			errs = append(errs, fmt.Errorf("core: persisting cell %s: %w", cr.Cell.Name(), err))
 			onDisk = false

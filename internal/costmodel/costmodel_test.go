@@ -72,7 +72,7 @@ func TestRedundantOverheadLinearInFlow(t *testing.T) {
 }
 
 func TestCopiesForImprovement(t *testing.T) {
-	p := Defaults() // CLP 0.62, shared 0.5
+	p := Defaults() // the published CLP and independence limit
 	if got := p.CopiesForImprovement(0); got != 1 {
 		t.Errorf("no improvement needs %d copies, want 1", got)
 	}

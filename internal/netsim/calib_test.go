@@ -1,7 +1,6 @@
 package netsim
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/topo"
@@ -145,7 +144,8 @@ func runCalibration(t testing.TB, seed uint64, days float64) calibStats {
 }
 
 // TestCalibrationBands checks the substrate against the paper's headline
-// statistics (§4.2–§4.4; bands, not point values).
+// statistics (§4.2–§4.5; bands, not point values), named by their rows
+// in the root package's published table (fidelity_test.go).
 func TestCalibrationBands(t *testing.T) {
 	if testing.Short() {
 		t.Skip("calibration needs a multi-day virtual campaign")
@@ -158,15 +158,16 @@ func TestCalibrationBands(t *testing.T) {
 			t.Errorf("%s = %.4f, want within [%.4f, %.4f]", name, got, lo, hi)
 		}
 	}
-	// Paper: 0.42% direct loss (2003), 0.74% (2002).
+	// Rows "loss of direct*" and "loss of direct (2002)".
 	check("direct loss", s.directLoss, 0.002, 0.008)
-	// Paper §4.4: CLP back-to-back 72.15%, dd10 66%, dd20 65%, rand 62%.
+	// Rows "CLP direct direct", "CLP dd 10 ms", "CLP dd 20 ms" and "CLP
+	// direct rand".
 	check("CLP direct direct", s.clpDD, 0.60, 0.85)
 	check("CLP dd 10ms", s.clpDD10, 0.55, 0.80)
 	check("CLP dd 20ms", s.clpDD20, 0.50, 0.78)
 	check("CLP direct rand", s.clpRand, 0.45, 0.72)
-	// Orderings from Table 5. dd10 and dd20 sit ~1 point apart in the
-	// paper (66.08 vs 65.28), so allow sampling noise between them.
+	// Row "CLP falls with spacing". The paper's dd10 and dd20 sit about
+	// a point apart, so allow sampling noise between them.
 	const eps = 0.04
 	if !(s.clpDD > s.clpDD10+0.02) {
 		t.Errorf("want CLP(dd)=%.3f > CLP(dd10)=%.3f", s.clpDD, s.clpDD10)
@@ -181,12 +182,12 @@ func TestCalibrationBands(t *testing.T) {
 	if !(s.totRand < s.totDD) {
 		t.Errorf("want totlp(direct rand)=%.5f < totlp(dd)=%.5f", s.totRand, s.totDD)
 	}
-	// Paper Table 5: rand-copy loss (2lp) 2.66% in 2003, 1.85% in 2002,
-	// 1.12% in RONwide; band generously.
+	// Rows "rand-copy loss", "rand-copy loss (2002)" and "rand-copy loss
+	// (RONwide)"; band generously.
 	check("rand copy loss", s.randLoss, 0.004, 0.035)
-	// Paper: mean direct one-way latency 54.13 ms.
+	// Row "direct latency".
 	check("mean direct latency ms", s.meanLatMS, 35, 75)
-	// Mesh routing reduces latency by ~2-3 ms (§4.5).
+	// Row "mesh latency cut".
 	if !(s.meshLatMS < s.meanLatMS) {
 		t.Errorf("mesh latency %.2f should undercut direct %.2f",
 			s.meshLatMS, s.meanLatMS)
@@ -212,7 +213,3 @@ func TestCalibrationSeedStability(t *testing.T) {
 		t.Errorf("want CLP(rand)=%.3f < CLP(dd)=%.3f", s.clpRand, s.clpDD)
 	}
 }
-
-// helper for examples/diagnostics; keeps fmt imported meaningfully even
-// when logs are disabled.
-var _ = fmt.Sprintf

@@ -65,17 +65,13 @@ func compareSelectors(t *testing.T, label string, got, want *Selector) {
 // carved for the landmark plan answers exactly as one holding all n²
 // estimates with the same plan set, fed the same records — through
 // refreshes, hysteresis, a Reset that changes the window, and
-// plan→mesh→plan turnover on one selector (an arena's life).
+// plan→mesh→plan turnover on one selector (an arena's life). The
+// schedule is FuzzPlanCarveMatchesDenseReference's first seed.
 func TestPlanCarveMatchesDenseReference(t *testing.T) {
-	const n = 40
-	plan := NewLandmarkPlan(n)
-	rng := rand.New(rand.NewSource(11))
-	sub := NewSelectorWindow(n, 50)
-	ref := NewSelectorWindow(n, 50)
-
+	plan := NewLandmarkPlan(carveSizes[0])
 	unplanned := 0
-	for s := 0; s < n; s++ {
-		for d := 0; d < n; d++ {
+	for s := 0; s < plan.n; s++ {
+		for d := 0; d < plan.n; d++ {
 			if s != d && !plan.Probes(s, d) {
 				unplanned++
 			}
@@ -84,48 +80,126 @@ func TestPlanCarveMatchesDenseReference(t *testing.T) {
 	if unplanned == 0 {
 		t.Fatal("plan probes every link; the test needs unplanned direct links")
 	}
+	checkCarveCase(t, carveSeeds()[0])
+}
 
-	cells := []struct {
-		window int
-		plan   *LandmarkPlan
-		hyst   float64
-	}{
-		{50, plan, 0},
-		{50, plan, 0.25}, // same shape: the carve is reused
-		{20, plan, 0},    // window change re-carves
-		{20, nil, 0.25},  // mesh on the same selector grows the slab
-		{20, plan, 0},    // and back, within the mesh slab's capacity
-		{35, plan, 0.25},
+// carveSizes are the mesh sizes a carve case picks from.
+var carveSizes = []int{40, 17, 5}
+
+// Carve case steps, three bytes each: an op byte, then a and b.
+const (
+	carveCell  = iota // Reset to window a+1; b&1 sets the plan, b&2 hysteresis 0.25
+	carveDrive        // 50·(a%32+1) random probes from seed b
+	carveProbe        // one probe a→b, lost if op&4, latency 5 ms·(op>>3+1)
+	carveOps
+)
+
+// carveCase encodes a schedule: the mesh size's index, then the steps.
+func carveCase(size byte, steps ...[3]byte) []byte {
+	in := []byte{size}
+	for _, st := range steps {
+		in = append(in, st[:]...)
 	}
-	for ci, cell := range cells {
-		if ci > 0 {
-			sub.Reset(cell.window)
-			ref.Reset(cell.window)
+	return in
+}
+
+// carveSeeds: the schedule of TestPlanCarveMatchesDenseReference —
+// windows 50 → 50 → 20 → 20 → 20 → 35, each cell driven for six rounds
+// of 1500 probes — then small cases on the other sizes.
+func carveSeeds() [][]byte {
+	var sched [][3]byte
+	seed := byte(11)
+	for _, c := range []struct{ window, flags byte }{
+		{50, 1},
+		{50, 1 | 2}, // same shape: the carve is reused
+		{20, 1},     // window change re-carves
+		{20, 2},     // mesh on the same selector grows the slab
+		{20, 1},     // and back, within the mesh slab's capacity
+		{35, 1 | 2},
+	} {
+		sched = append(sched, [3]byte{carveCell, c.window - 1, c.flags})
+		for round := 0; round < 6; round++ {
+			sched = append(sched, [3]byte{carveDrive, 29, seed})
+			seed++
 		}
-		if cell.plan != nil {
-			sub.SetPlan(cell.plan)
-			denseUnderPlan(ref, cell.plan)
+	}
+	return [][]byte{
+		carveCase(0, sched...),
+		carveCase(1, [3]byte{carveCell, 63, 1}, [3]byte{carveDrive, 10, 3}, [3]byte{carveCell, 64, 3}, [3]byte{carveDrive, 10, 4}),
+		carveCase(2, [3]byte{carveCell, 7, 3}, [3]byte{carveProbe | 4, 0, 1}, [3]byte{carveProbe, 1, 0}, [3]byte{carveCell, 7, 0}, [3]byte{carveDrive, 2, 9}),
+	}
+}
+
+// checkCarveCase runs a schedule on a plan-carved selector and on the
+// dense reference, comparing every query after every step, and checks
+// that the carved slab holds exactly the layout's links once written.
+func checkCarveCase(t *testing.T, in []byte) {
+	t.Helper()
+	if len(in) == 0 {
+		return
+	}
+	n := carveSizes[int(in[0])%len(carveSizes)]
+	plan := NewLandmarkPlan(n)
+	sub, ref := NewSelectorWindow(n, 0), NewSelectorWindow(n, 0)
+	var cellPlan *LandmarkPlan
+	steps := in[1:]
+	for i := 0; i+3 <= len(steps); i += 3 {
+		op, a, b := steps[i], int(steps[i+1]), int(steps[i+2])
+		switch op % carveOps {
+		case carveCell:
+			window := a + 1
+			sub.Reset(window)
+			ref.Reset(window)
+			cellPlan = nil
+			if b&1 != 0 {
+				cellPlan = plan
+				sub.SetPlan(plan)
+				denseUnderPlan(ref, plan)
+			}
+			if b&2 != 0 {
+				sub.SetHysteresis(0.25)
+				ref.SetHysteresis(0.25)
+			}
+		case carveDrive:
+			driveRandom(rand.New(rand.NewSource(int64(b))), []*Selector{sub, ref}, n, 50*(a%32+1), cellPlan)
+		case carveProbe:
+			src, dst := a%n, b%n
+			if src == dst || cellPlan != nil && !cellPlan.Probes(src, dst) {
+				break
+			}
+			lost, lat := op&4 != 0, 5*time.Millisecond*time.Duration(op>>3+1)
+			sub.Record(src, dst, lost, lat)
+			ref.Record(src, dst, lost, lat)
 		}
-		if cell.hyst > 0 {
-			sub.SetHysteresis(cell.hyst)
-			ref.SetHysteresis(cell.hyst)
-		}
-		label := func(round int) string { return fmt.Sprintf("cell %d round %d", ci, round) }
-		compareSelectors(t, label(0)+" (virgin)", sub, ref)
-		for round := 1; round <= 6; round++ {
-			driveRandom(rng, []*Selector{sub, ref}, n, 1500, cell.plan)
-			compareSelectors(t, label(round), sub, ref)
-		}
-		want := n * n
-		if cell.plan != nil {
-			want = cell.plan.PlannedLinks()
-		}
-		if words := ringWords(cell.window); len(sub.est) != want || len(sub.rings) != want*words {
-			t.Fatalf("cell %d: slab holds %d links, %d ring words; want %d links of %d words (window %d)",
-				ci, len(sub.est), len(sub.rings), want, words, cell.window)
+		compareSelectors(t, fmt.Sprintf("n=%d step %d (op %d)", n, i/3, op%carveOps), sub, ref)
+		if sub.recorded {
+			want := n * n
+			if cellPlan != nil {
+				want = cellPlan.PlannedLinks()
+			}
+			if words := ringWords(sub.window); len(sub.est) != want || len(sub.rings) != want*words {
+				t.Fatalf("n=%d step %d: slab holds %d links, %d ring words; want %d links of %d words (window %d)",
+					n, i/3, len(sub.est), len(sub.rings), want, words, sub.window)
+			}
 		}
 	}
 }
+
+// FuzzPlanCarveMatchesDenseReference holds the plan-carved selector to
+// the dense reference on arbitrary schedules of cells and probes;
+// carveSeeds seed the corpus. A case runs at most carveFuzzSteps steps,
+// so the fuzzer spends its time on many short schedules rather than on
+// the long one the test runs whole.
+func FuzzPlanCarveMatchesDenseReference(f *testing.F) {
+	for _, c := range carveSeeds() {
+		f.Add(c)
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		checkCarveCase(t, in[:min(len(in), 1+3*carveFuzzSteps)])
+	})
+}
+
+const carveFuzzSteps = 12
 
 // TestRecarveLeavesNoStaleBits takes one selector through windows 400 →
 // 25 → 100 and full mesh → plan → full mesh, each Reset re-carving the

@@ -96,8 +96,9 @@ func TestBaseLatencyProperties(t *testing.T) {
 		}
 	}
 	mean := sum / time.Duration(count)
-	// The paper's mean direct one-way latency is 54.13 ms; the base
-	// matrix sits below that since congestion adds queueing delay.
+	// The published mean direct one-way latency (row "direct latency" of
+	// the root package's published table) sits above the base matrix,
+	// since congestion adds queueing delay.
 	if mean < 15*time.Millisecond || mean > 70*time.Millisecond {
 		t.Errorf("mean base one-way latency = %v, want within [15ms,70ms]", mean)
 	}
