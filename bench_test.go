@@ -38,7 +38,7 @@ func runCampaign(b *testing.B, d core.Dataset, days float64) *core.Result {
 	b.Helper()
 	cfg := core.DefaultConfig(d, days)
 	cfg.Seed = uint64(1)
-	res, err := core.Run(cfg)
+	res, err := core.NewArena().Run(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func BenchmarkCampaign(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			res, err = core.Run(cfg)
+			res, err = core.NewArena().Run(cfg)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -451,7 +451,7 @@ func BenchmarkAblationLossWindow(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				cfg := core.DefaultConfig(core.RONnarrow, benchDays)
 				cfg.LossWindow = w
-				res, err := core.Run(cfg)
+				res, err := core.NewArena().Run(cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -472,7 +472,7 @@ func BenchmarkAblationProbeInterval(b *testing.B) {
 				cfg := core.DefaultConfig(core.RONnarrow, benchDays)
 				cfg.ProbeInterval = iv
 				cfg.TableRefresh = iv
-				res, err := core.Run(cfg)
+				res, err := core.NewArena().Run(cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -495,7 +495,7 @@ func BenchmarkAblationEdgeShare(b *testing.B) {
 				prof.EdgeShare = es
 				cfg := core.DefaultConfig(core.RON2003, benchDays)
 				cfg.Profile = prof
-				res, err := core.Run(cfg)
+				res, err := core.NewArena().Run(cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -979,7 +979,7 @@ func BenchmarkAblationHysteresis(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				cfg := core.DefaultConfig(core.RONnarrow, benchDays)
 				cfg.Hysteresis = h
-				res, err := core.Run(cfg)
+				res, err := core.NewArena().Run(cfg)
 				if err != nil {
 					b.Fatal(err)
 				}

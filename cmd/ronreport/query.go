@@ -209,15 +209,16 @@ func listRows(w io.Writer, sel []*resultstore.Row) {
 }
 
 // drillRows answers a CDF-level question by restoring the selected cell
-// rows' backing snapshots, merging them in name order, and reading the
-// requested distribution off the merged aggregator. Specs:
+// rows' backing snapshots and reading the requested distribution off
+// their merged aggregator: one distribution per grid point (Row.Group),
+// in group-name order, its cells merged in name order, so cells of
+// different grid points are never pooled. Specs:
 //
 //	pathloss           per-path long-term loss CDF, direct method (Fig 2)
 //	win20:<method>     20-minute loss-rate CDF (Fig 3)
 //	clp:<method>       per-path conditional loss CDF (Fig 4)
 //	latency:<method>   per-path latency CDF over >50 ms paths (Fig 5)
 func drillRows(w io.Writer, root string, sel []*resultstore.Row, spec string, quantile float64) error {
-	what, method, _ := strings.Cut(spec, ":")
 	var cells []*resultstore.Row
 	for _, r := range sel {
 		if r.Kind == resultstore.KindCell && r.Snapshot != "" {
@@ -227,7 +228,25 @@ func drillRows(w io.Writer, root string, sel []*resultstore.Row, spec string, qu
 	if len(cells) == 0 {
 		return fmt.Errorf("drill-down needs snapshot-backed cell rows; none selected (add kind=cell to the query)")
 	}
-	sort.Slice(cells, func(i, j int) bool { return cells[i].Name < cells[j].Name })
+	slices.SortFunc(cells, func(a, b *resultstore.Row) int {
+		return cmp.Or(cmp.Compare(a.Group, b.Group), cmp.Compare(a.Name, b.Name))
+	})
+	for len(cells) > 0 {
+		n := 1
+		for n < len(cells) && cells[n].Group == cells[0].Group {
+			n++
+		}
+		if err := drillGroup(w, root, cells[:n], spec, quantile); err != nil {
+			return err
+		}
+		cells = cells[n:]
+	}
+	return nil
+}
+
+// drillGroup prints one grid point's distribution for drillRows.
+func drillGroup(w io.Writer, root string, cells []*resultstore.Row, spec string, quantile float64) error {
+	what, method, _ := strings.Cut(spec, ":")
 	results := make([]*core.Result, 0, len(cells))
 	for _, r := range cells {
 		snap, err := core.ReadCellSnapshot(filepath.Join(root, filepath.FromSlash(r.Snapshot)))
@@ -266,7 +285,7 @@ func drillRows(w io.Writer, root string, sel []*resultstore.Row, spec string, qu
 	default:
 		return fmt.Errorf("unknown -drill spec %q (want pathloss, win20:<m>, clp:<m>, or latency:<m>)", spec)
 	}
-	fmt.Fprintf(w, "drill %s over %d cells (%d samples)\n", spec, len(cells), cdf.N())
+	fmt.Fprintf(w, "drill %s in %s over %d cells (%d samples)\n", spec, cells[0].Group, len(cells), cdf.N())
 	if quantile >= 0 {
 		fmt.Fprintf(w, "p%g=%g\n", 100*quantile, cdf.Quantile(quantile))
 		return nil

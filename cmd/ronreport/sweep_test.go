@@ -383,8 +383,9 @@ func TestReindexCommandLine(t *testing.T) {
 }
 
 // TestDrillCommandLine pins -drill over the fixture sweep's four cells:
-// each distribution, with and without -quantile, and the two ways a
-// drill is refused.
+// each distribution, with and without -quantile, one per grid point
+// (hysteresis 0 and 0.25, two replicas each) and never the two pooled,
+// and the two ways a drill is refused.
 func TestDrillCommandLine(t *testing.T) {
 	dir := sweepCopy(t)
 	drill := func(spec string, quantile ...string) []string {
@@ -392,29 +393,48 @@ func TestDrillCommandLine(t *testing.T) {
 	}
 	cases := []storeCase{
 		{name: "pathloss", args: drill("pathloss"), expect: []string{
-			"drill pathloss over 4 cells (272 samples)",
-			"mean=0.05873563074551493 p50=0 p90=0 p95=0 p99=1.4285714285714286 max=1.492537313432836"}},
+			"drill pathloss in ronnarrow over 2 cells (14 samples)",
+			"mean=0 p50=0 p90=0 p95=0 p99=0 max=0",
+			"drill pathloss in ronnarrow-h0.25 over 2 cells (17 samples)",
+			"mean=0 p50=0 p90=0 p95=0 p99=0 max=0"}},
 		{name: "pathloss quantile", args: drill("pathloss", "-quantile", "0.99"), expect: []string{
-			"drill pathloss over 4 cells (272 samples)",
-			"p99=1.4285714285714286"}},
+			"drill pathloss in ronnarrow over 2 cells (14 samples)",
+			"p99=0",
+			"drill pathloss in ronnarrow-h0.25 over 2 cells (17 samples)",
+			"p99=0"}},
 		{name: "win20", args: drill("win20:loss"), expect: []string{
-			"drill win20:loss over 4 cells (1088 samples)",
-			"mean=0.0008251035292408392 p50=0 p90=0 p95=0 p99=0.045454545454545456 max=0.125"}},
+			"drill win20:loss in ronnarrow over 2 cells (544 samples)",
+			"mean=0.0005662496840176793 p50=0 p90=0 p95=0 p99=0.037037037037037035 max=0.05263157894736842",
+			"drill win20:loss in ronnarrow-h0.25 over 2 cells (544 samples)",
+			"mean=0.0010839573744639988 p50=0 p90=0 p95=0 p99=0.05 max=0.125"}},
 		{name: "win20 quantile", args: drill("win20:loss", "-quantile", "0.99"), expect: []string{
-			"drill win20:loss over 4 cells (1088 samples)",
-			"p99=0.045454545454545456"}},
+			"drill win20:loss in ronnarrow over 2 cells (544 samples)",
+			"p99=0.037037037037037035",
+			"drill win20:loss in ronnarrow-h0.25 over 2 cells (544 samples)",
+			"p99=0.05"}},
+		{name: "win20 one group", args: []string{"-query", "kind=cell,group=ronnarrow-h0.25", "-drill", "win20:loss"}, expect: []string{
+			"drill win20:loss in ronnarrow-h0.25 over 2 cells (544 samples)",
+			"mean=0.0010839573744639988 p50=0 p90=0 p95=0 p99=0.05 max=0.125"}},
 		{name: "clp", args: drill("clp:direct rand"), expect: []string{
-			"drill clp:direct rand over 4 cells (20 samples)",
-			"mean=60 p50=100 p90=100 p95=100 p99=100 max=100"}},
+			"drill clp:direct rand in ronnarrow over 2 cells (11 samples)",
+			"mean=72.72727272727273 p50=100 p90=100 p95=100 p99=100 max=100",
+			"drill clp:direct rand in ronnarrow-h0.25 over 2 cells (9 samples)",
+			"mean=44.44444444444444 p50=0 p90=100 p95=100 p99=100 max=100"}},
 		{name: "clp quantile", args: drill("clp:direct rand", "-quantile", "0.25"), expect: []string{
-			"drill clp:direct rand over 4 cells (20 samples)",
+			"drill clp:direct rand in ronnarrow over 2 cells (11 samples)",
+			"p25=0",
+			"drill clp:direct rand in ronnarrow-h0.25 over 2 cells (9 samples)",
 			"p25=0"}},
 		{name: "latency", args: drill("latency:lat loss"), expect: []string{
-			"drill latency:lat loss over 4 cells (88 samples)",
-			"mean=82.18021338592088 p50=71.88501197058824 p90=119.52417307692308 p95=123.7512951923077 p99=138.05666956976745 max=138.05666956976745"}},
+			"drill latency:lat loss in ronnarrow over 2 cells (90 samples)",
+			"mean=79.22313895773047 p50=71.8824858125 p90=113.6353595862069 p95=114.349249825 p99=124.39717319354838 max=124.39717319354838",
+			"drill latency:lat loss in ronnarrow-h0.25 over 2 cells (90 samples)",
+			"mean=83.59501687803089 p50=71.42650976470588 p90=123.4718391395349 p95=136.82351797435896 p99=149.20030487179488 max=149.20030487179488"}},
 		{name: "latency quantile", args: drill("latency:lat loss", "-quantile", "0.5"), expect: []string{
-			"drill latency:lat loss over 4 cells (88 samples)",
-			"p50=71.88501197058824"}},
+			"drill latency:lat loss in ronnarrow over 2 cells (90 samples)",
+			"p50=71.8824858125",
+			"drill latency:lat loss in ronnarrow-h0.25 over 2 cells (90 samples)",
+			"p50=71.42650976470588"}},
 		{name: "unknown method", args: drill("clp:direct"),
 			errHas: []string{`drill clp: unknown method "direct" (have: loss, direct rand, lat loss)`}},
 		{name: "no snapshot-backed cell rows", args: []string{"-query", "kind=group", "-drill", "pathloss"},

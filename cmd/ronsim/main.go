@@ -8,14 +8,20 @@
 //	ronsim -dataset ron2003 -days 2 -seed 1 -out results/
 //	ronsim -all -days 1
 //
+// Both modes run one experiment built from the same flags. Without
+// -sweep it is one campaign per dataset, seeded with -seed, printed
+// whole — report and Figures 2–5 — with its files under -out named
+// <dataset>-<artifact>, and its probe trace in the -trace file. Flags
+// such a run would ignore are refused instead: a value list, -replicas
+// past 1, -trace with -all, and the shard, resume and fleet flags.
+//
 // Sweep mode expands a grid of campaigns — datasets × grid axes × seed
 // replicas — runs the cells over a worker pool, and merges each grid
 // point's replicas into one set of tables. The axis flags (-hysteresis,
 // -probeinterval, -losswindow, -tablerefresh, ...) are derived from the
 // experiment package's axis registry, beside the -lossscale ×
 // -edgeshare profile crossing; a newly registered axis gets its flag,
-// cell naming, seeding, snapshots, and manifest round-trips for free
-// (without -sweep each takes one value, for the single campaign):
+// cell naming, seeding, snapshots, and manifest round-trips for free:
 //
 //	ronsim -sweep -replicas 8 -parallel 0 -days 0.5 -out results/
 //	ronsim -sweep -all -hysteresis 0,0.25 -lossscale 1,4 -replicas 4
@@ -71,7 +77,7 @@ import (
 	"repro/internal/trace"
 )
 
-// allDatasets is what -all expands to, in both single-run and sweep mode.
+// allDatasets is what -all expands to.
 var allDatasets = []core.Dataset{core.RON2003, core.RONwide, core.RONnarrow}
 
 func main() {
@@ -156,13 +162,19 @@ func (f *cmdFlags) exec(stdout io.Writer) (err error) {
 
 	if !f.sweep {
 		// Sweep-only flags must not silently degrade into a default
-		// single campaign that pollutes a sweep output directory.
-		for name, set := range map[string]bool{
-			"-cells": f.cells != "", "-resume": f.resume, "-merge-only": f.mergeOnly,
-			"-serve": f.serve != "", "-worker": f.workerURL != "",
+		// single campaign: one that pollutes a sweep output directory,
+		// runs one replica of several, or traces nothing under -all.
+		for _, opt := range []struct {
+			name string
+			set  bool
+		}{
+			{"-cells", f.cells != ""}, {"-resume", f.resume}, {"-merge-only", f.mergeOnly},
+			{"-serve", f.serve != ""}, {"-worker", f.workerURL != ""},
+			{fmt.Sprintf("-replicas %d", f.replicas), f.replicas > 1},
+			{"-trace with -all", f.all && f.traceTo != ""},
 		} {
-			if set {
-				return fmt.Errorf("%s requires -sweep", name)
+			if opt.set {
+				return fmt.Errorf("%s requires -sweep", opt.name)
 			}
 		}
 	}
@@ -175,6 +187,12 @@ func (f *cmdFlags) exec(stdout io.Writer) (err error) {
 	if f.replicas < 1 {
 		return fmt.Errorf("-replicas %d: want at least 1", f.replicas)
 	}
+	if f.serve != "" && f.traceTo != "" {
+		// Campaigns run on the workers, so per-cell trace sinks in this
+		// process would never fire; refuse rather than silently write an
+		// empty trace directory.
+		return errors.New("-trace is incompatible with -serve: traces are written where cells run; use -trace on a local sweep")
+	}
 
 	if f.workerURL != "" {
 		// Worker mode: the coordinator owns the grid, the outputs, and
@@ -182,51 +200,19 @@ func (f *cmdFlags) exec(stdout io.Writer) (err error) {
 		// grid and output flag belongs on the -serve side.
 		return runWorkerMode(stdout, f.workerURL, f.workerName)
 	}
-
+	if f.mergeOnly {
+		return runMergeOnly(stdout, f.outDir)
+	}
 	if f.sweep {
-		if f.mergeOnly {
-			return runMergeOnly(stdout, f.outDir)
-		}
 		return runSweep(stdout, f)
 	}
-
-	axes, err := f.gridAxes()
-	if err != nil {
-		return err
-	}
-	datasets, err := f.datasets()
-	if err != nil {
-		return err
-	}
-	for _, d := range datasets {
-		if err := runDataset(stdout, f, d, axes); err != nil {
-			return err
-		}
-	}
-	if slices.Contains(datasets, core.RON2003) {
-		return printFigure6(stdout, f.outDir)
-	}
-	return nil
-}
-
-// datasets is what -dataset and -all select, in both single-run and
-// sweep mode.
-func (f *cmdFlags) datasets() ([]core.Dataset, error) {
-	if f.all {
-		return allDatasets, nil
-	}
-	d, err := core.ParseDataset(f.dataset)
-	if err != nil {
-		return nil, err
-	}
-	return []core.Dataset{d}, nil
+	return runSingle(stdout, f)
 }
 
 // gridAxes is every axis the flags set: the profile axis crossed from
 // -lossscale × -edgeshare, then the registry-derived axis flags that
-// departed from their defaults. In single-campaign mode each carries
-// exactly one value and applies straight to the config; in sweep mode
-// value lists expand the grid.
+// departed from their defaults. In sweep mode value lists expand the
+// grid; a single run takes one value per axis.
 func (f *cmdFlags) gridAxes() ([]core.Axis, error) {
 	ls, err := experiment.ParseList("lossscale", f.lossScale, core.ParseProfileScale)
 	if err != nil {
@@ -247,6 +233,179 @@ func (f *cmdFlags) gridAxes() ([]core.Axis, error) {
 	return append([]core.Axis{profile}, axes...), nil
 }
 
+// cellTrace is one cell's trace file. A sweep opens it on the cell's
+// first record, so skipped shard cells and snapshot-reused cells never
+// clobber trace files written by an earlier or remote run. Each sink
+// touches only its own cellTrace, so no locking is needed even though
+// sinks run on worker goroutines.
+type cellTrace struct {
+	path string
+	file *os.File
+	w    *trace.Writer
+	err  error
+}
+
+// open creates the trace file and writes its header.
+func (ct *cellTrace) open() {
+	if ct.file, ct.err = os.Create(ct.path); ct.err == nil {
+		ct.w, ct.err = trace.NewWriter(ct.file)
+	}
+}
+
+// cellTraces holds the trace of every cell, by expansion index, that
+// the Configure hook gave one.
+type cellTraces map[int]*cellTrace
+
+// close flushes and closes every opened trace file and returns the
+// first error any of them met.
+func (ts cellTraces) close() error {
+	var first error
+	for _, ct := range ts {
+		if ct.err != nil && first == nil {
+			first = fmt.Errorf("trace %s: %w", ct.path, ct.err)
+		}
+		if ct.w == nil {
+			continue
+		}
+		if err := ct.w.Flush(); err != nil && first == nil {
+			first = err
+		}
+		if err := ct.file.Close(); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
+}
+
+// experiment builds the experiment the flags describe, in sweep and
+// single-run mode alike: datasets, days, seed, axes, workload and
+// -parallel, then each mode's own options. A single run is a one-cell
+// experiment per dataset that keeps -seed as its campaign seed and
+// takes one value per axis. Under -trace every cell gets a trace: the
+// -trace file itself in a single run, <cell>.trc under the -trace
+// directory in a sweep (installed by the Configure hook, which runs
+// serially at expansion).
+func (f *cmdFlags) experiment(stdout io.Writer, opts ...experiment.Option) (*experiment.Experiment, cellTraces, error) {
+	datasets := allDatasets
+	if !f.all {
+		d, err := core.ParseDataset(f.dataset)
+		if err != nil {
+			return nil, nil, err
+		}
+		datasets = []core.Dataset{d}
+	}
+	axes, err := f.gridAxes()
+	if err != nil {
+		return nil, nil, err
+	}
+	opts = append(opts,
+		experiment.Datasets(datasets...),
+		experiment.Days(f.days),
+		experiment.Seed(f.seed),
+		experiment.Replicas(f.replicas),
+		experiment.Parallel(f.parallel),
+		experiment.Warn(func(format string, args ...any) { fmt.Fprintf(stdout, format, args...) }),
+	)
+	for _, a := range axes {
+		if !f.sweep && len(a.Values()) != 1 {
+			def, _ := core.LookupAxis(a.Name())
+			flagName := "-" + cmp.Or(def.Flag, def.Name)
+			if def.Usage == "" {
+				// The one axis without a flag of its own: the profile,
+				// crossed from two flags.
+				flagName = "-lossscale/-edgeshare"
+			}
+			return nil, nil, fmt.Errorf("%s: a single campaign takes one value per axis; value lists need -sweep", flagName)
+		}
+		opts = append(opts, experiment.Axes(a))
+	}
+	if f.workload {
+		opts = append(opts, experiment.Workload(experiment.DefaultWorkloadConfig()))
+	}
+
+	traces := cellTraces{}
+	switch {
+	case f.traceTo == "":
+	case f.sweep:
+		if err := os.MkdirAll(f.traceTo, 0o755); err != nil {
+			return nil, nil, err
+		}
+		// Trace files open lazily, which would defer an unwritable
+		// directory until after hours of compute; probe it now.
+		probe, err := os.CreateTemp(f.traceTo, ".writable*")
+		if err != nil {
+			return nil, nil, fmt.Errorf("-trace directory is not writable: %w", err)
+		}
+		probe.Close()
+		os.Remove(probe.Name())
+	default:
+		// A single run has one cell (index 0; its refusals see to
+		// that), traced to the -trace file itself, opened now so an
+		// unwritable path fails before the campaign.
+		ct := &cellTrace{path: f.traceTo}
+		if ct.open(); ct.err != nil {
+			return nil, nil, ct.err
+		}
+		traces[0] = ct
+	}
+	opts = append(opts, experiment.Configure(func(c core.Cell, cfg *core.Config) {
+		if !f.sweep {
+			cfg.Seed = f.seed
+		}
+		if f.traceTo == "" {
+			return
+		}
+		ct := traces[c.Index]
+		if ct == nil {
+			ct = &cellTrace{path: filepath.Join(f.traceTo, c.Name()+".trc")}
+			traces[c.Index] = ct
+		}
+		cfg.TraceSink = func(r trace.Record) {
+			if ct.w == nil && ct.err == nil {
+				ct.open()
+			}
+			if ct.err == nil {
+				ct.err = ct.w.Append(r)
+			}
+		}
+	}))
+	e, err := experiment.New(opts...)
+	return e, traces, err
+}
+
+// runSingle runs the campaigns the flags select, one per dataset, and
+// prints each whole in dataset order: its report, the Figure 2–5
+// overlays, its <dataset>-<artifact> files under -out and its trace
+// count; then Figure 6 when RON2003 ran.
+func runSingle(stdout io.Writer, f *cmdFlags) error {
+	e, traces, err := f.experiment(stdout)
+	if err != nil {
+		return err
+	}
+	res, err := e.Run()
+	if err = cmp.Or(err, traces.close()); err != nil {
+		return err
+	}
+	for _, c := range res.Cells {
+		r := c.Res
+		fmt.Fprintf(stdout, "=== %s: simulating %.2f virtual days (seed %d) ===\n", c.Cell.Dataset, r.Config.Days, r.Config.Seed)
+		fmt.Fprintf(stdout, "(wall time %.1fs)\n\n%s\n", c.Wall.Seconds(), r.Report())
+		printFigures(stdout, r)
+		if f.outDir != "" {
+			if err := writeFigures(f.outDir, c.Cell.Dataset, r); err != nil {
+				return err
+			}
+		}
+		if ct := traces[c.Cell.Index]; ct != nil {
+			fmt.Fprintf(stdout, "wrote %d trace records to %s\n", ct.w.Count(), ct.path)
+		}
+	}
+	if slices.Contains(res.Datasets, core.RON2003) {
+		return printFigure6(stdout, f.outDir)
+	}
+	return nil
+}
+
 // runSweep builds an experiment from the flags and runs it: per-cell
 // progress lines as cells finish, one merged report per complete grid
 // point, and — under -out — per-cell and merged output directories, a
@@ -255,29 +414,7 @@ func (f *cmdFlags) gridAxes() ([]core.Axis, error) {
 // only the matching shard runs; with -resume, cells whose
 // snapshot already exists are reused instead of recomputed.
 func runSweep(stdout io.Writer, f *cmdFlags) error {
-	datasets, err := f.datasets()
-	if err != nil {
-		return err
-	}
-	axes, err := f.gridAxes()
-	if err != nil {
-		return err
-	}
-
-	opts := []experiment.Option{
-		experiment.Datasets(datasets...),
-		experiment.Days(f.days),
-		experiment.Seed(f.seed),
-		experiment.Replicas(f.replicas),
-		experiment.Parallel(f.parallel),
-		experiment.Warn(func(format string, args ...any) { fmt.Fprintf(stdout, format, args...) }),
-	}
-	for _, a := range axes {
-		opts = append(opts, experiment.Axes(a))
-	}
-	if f.workload {
-		opts = append(opts, experiment.Workload(experiment.DefaultWorkloadConfig()))
-	}
+	var opts []experiment.Option
 	if f.cells != "" {
 		opts = append(opts, experiment.Shard(f.cells))
 	}
@@ -291,12 +428,6 @@ func runSweep(stdout io.Writer, f *cmdFlags) error {
 		opts = append(opts, experiment.Output(f.outDir))
 	}
 	if f.serve != "" {
-		// Campaigns run on the workers, so per-cell trace sinks in this
-		// process would never fire; refuse rather than silently write an
-		// empty trace directory.
-		if f.traceTo != "" {
-			return errors.New("-trace is incompatible with -serve: traces are written where cells run; use -trace on a local sweep")
-		}
 		opts = append(opts,
 			experiment.Remote(f.serve),
 			experiment.RemoteLeaseTTL(f.leaseTTL),
@@ -304,72 +435,6 @@ func runSweep(stdout io.Writer, f *cmdFlags) error {
 				fmt.Fprintf(stdout, "coordinator listening on %s\njoin workers with: ronsim -sweep -worker %s\n", addr, addr)
 			}),
 		)
-	}
-
-	// Per-cell trace writers. The Configure hook (serial, at expansion)
-	// only records the intended path; the file is opened lazily on the
-	// first record, so skipped shard cells and snapshot-reused cells
-	// never clobber trace files written by an earlier or remote run.
-	// Each sink touches only its own cellTrace, so no locking is needed
-	// even though sinks run on worker goroutines.
-	type cellTrace struct {
-		path string
-		file *os.File
-		w    *trace.Writer
-		err  error
-	}
-	traces := map[int]*cellTrace{}
-	closeTraces := func() error {
-		var first error
-		for _, ct := range traces {
-			if ct.err != nil && first == nil {
-				first = fmt.Errorf("trace %s: %w", ct.path, ct.err)
-			}
-			if ct.w == nil {
-				continue
-			}
-			if err := ct.w.Flush(); err != nil && first == nil {
-				first = err
-			}
-			if err := ct.file.Close(); err != nil && first == nil {
-				first = err
-			}
-		}
-		return first
-	}
-	if f.traceTo != "" {
-		if err := os.MkdirAll(f.traceTo, 0o755); err != nil {
-			return err
-		}
-		// Trace files open lazily (so shards and resumes never clobber
-		// other runs' files), which would defer an unwritable-directory
-		// error until after hours of compute; probe writability now.
-		probe, err := os.CreateTemp(f.traceTo, ".writable*")
-		if err != nil {
-			return fmt.Errorf("-trace directory is not writable: %w", err)
-		}
-		probe.Close()
-		os.Remove(probe.Name())
-		opts = append(opts, experiment.Configure(func(c core.Cell, cfg *core.Config) {
-			ct := &cellTrace{path: filepath.Join(f.traceTo, c.Name()+".trc")}
-			traces[c.Index] = ct
-			cfg.TraceSink = func(r trace.Record) {
-				if ct.err != nil {
-					return
-				}
-				if ct.w == nil {
-					ct.file, ct.err = os.Create(ct.path)
-					if ct.err != nil {
-						return
-					}
-					ct.w, ct.err = trace.NewWriter(ct.file)
-					if ct.err != nil {
-						return
-					}
-				}
-				ct.err = ct.w.Append(r)
-			}
-		}))
 	}
 
 	// The Progress hook is where a cell's full result is in hand (a
@@ -402,13 +467,12 @@ func runSweep(stdout io.Writer, f *cmdFlags) error {
 		}
 	}))
 
-	e, err := experiment.New(opts...)
+	e, traces, err := f.experiment(stdout, opts...)
 	if err != nil {
 		return err
 	}
 	sweep, err := e.Sweep()
 	if err != nil {
-		closeTraces()
 		return err
 	}
 	gridCells := sweep.Cells()
@@ -426,15 +490,8 @@ func runSweep(stdout io.Writer, f *cmdFlags) error {
 		total, sweep.Config(0).Days, f.seed, shard)
 
 	res, err := e.Run()
-	closeErr := closeTraces()
-	if err != nil {
+	if err = cmp.Or(err, traces.close(), figErr); err != nil {
 		return err
-	}
-	if closeErr != nil {
-		return closeErr
-	}
-	if figErr != nil {
-		return figErr
 	}
 	fmt.Fprintf(stdout, "\nsweep finished in %.1fs on %d workers (%d cells reused)\n\n",
 		res.Wall.Seconds(), res.Parallel, res.Reused)
@@ -604,69 +661,8 @@ func manifestTracePath(manifestDir, tracePath string) string {
 	return pathAbs
 }
 
-// applySingleAxes applies single-campaign axis flag values to cfg. A
-// value list is a grid, and a grid needs -sweep — rejecting it here
-// keeps a forgotten -sweep from silently running only part of one.
-func applySingleAxes(cfg *core.Config, axes []core.Axis) error {
-	for _, a := range axes {
-		def, _ := core.LookupAxis(a.Name())
-		flagName := "-" + cmp.Or(def.Flag, def.Name)
-		if def.Usage == "" {
-			// The one axis without a flag of its own: the profile,
-			// crossed from two flags.
-			flagName = "-lossscale/-edgeshare"
-		}
-		vals := a.Values()
-		if len(vals) != 1 {
-			return fmt.Errorf("%s: a single campaign takes one value per axis; value lists need -sweep", flagName)
-		}
-		if err := a.Apply(vals[0], cfg); err != nil {
-			return fmt.Errorf("%s: %w", flagName, err)
-		}
-	}
-	return nil
-}
-
-// runDataset runs one campaign, prints its report and inline figures,
-// and writes its output files under -out and its trace to -trace (the
-// latter only for a single -dataset, not under -all).
-func runDataset(stdout io.Writer, f *cmdFlags, d core.Dataset, axes []core.Axis) error {
-	cfg := core.DefaultConfig(d, f.days)
-	cfg.Seed = f.seed
-	if f.workload {
-		cfg.Workload = core.DefaultWorkloadConfig()
-	}
-	if err := applySingleAxes(&cfg, axes); err != nil {
-		return err
-	}
-	traceTo := f.traceTo
-	if f.all {
-		traceTo = ""
-	}
-
-	var traceW *trace.Writer
-	if traceTo != "" {
-		file, err := os.Create(traceTo)
-		if err != nil {
-			return err
-		}
-		defer file.Close()
-		traceW, err = trace.NewWriter(file)
-		if err != nil {
-			return err
-		}
-		cfg.TraceSink = func(r trace.Record) { _ = traceW.Append(r) }
-	}
-
-	start := time.Now()
-	fmt.Fprintf(stdout, "=== %s: simulating %.2f virtual days (seed %d) ===\n", d, cfg.Days, f.seed)
-	res, err := core.Run(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(stdout, "(wall time %.1fs)\n\n%s\n", time.Since(start).Seconds(), res.Report())
-
-	// Figures as inline CDF overlays.
+// printFigures prints the result's Figures 2–5 as inline CDF overlays.
+func printFigures(stdout io.Writer, res *core.Result) {
 	names := res.Agg.Methods()
 	fmt.Fprintln(stdout, analysis.RenderCDFOverlay(
 		"Figure 2: per-path long-term loss rate CDF (percent, direct path)",
@@ -683,19 +679,6 @@ func runDataset(stdout io.Writer, f *cmdFlags, d core.Dataset, axes []core.Axis)
 	fmt.Fprintln(stdout, analysis.RenderCDFOverlay(
 		"Figure 5: per-path mean latency CDF, paths over 50 ms (ms)",
 		0, 300, 13, names, res.Figure5()))
-
-	if f.outDir != "" {
-		if err := writeFigures(f.outDir, d, res); err != nil {
-			return err
-		}
-	}
-	if traceW != nil {
-		if err := traceW.Flush(); err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "wrote %d trace records to %s\n", traceW.Count(), traceTo)
-	}
-	return nil
 }
 
 // writeFigures writes the result's output files, gnuplot-style data

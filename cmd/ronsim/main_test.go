@@ -13,6 +13,7 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/core"
 	"repro/internal/resultstore"
+	"repro/internal/trace"
 )
 
 // TestParsePositiveFloat: -lossscale and -edgeshare take finite
@@ -26,36 +27,6 @@ func TestParsePositiveFloat(t *testing.T) {
 		if _, err := experiment.ParseList("lossscale", bad, core.ParseProfileScale); err == nil {
 			t.Errorf("ParseList(ParseProfileScale) accepted %q", bad)
 		}
-	}
-}
-
-// TestApplySingleAxes: in single-campaign mode an axis flag applies
-// its one value straight to the config, and a value list (a grid) is
-// an explicit error pointing at -sweep — never a silent no-op.
-func TestApplySingleAxes(t *testing.T) {
-	overlay, err := experiment.NewAxis("overlaysize", "96")
-	if err != nil {
-		t.Fatal(err)
-	}
-	policy, err := experiment.NewAxis("policy", "landmark")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := core.DefaultConfig(core.RONnarrow, 0.01)
-	if err := applySingleAxes(&cfg, []core.Axis{overlay, policy}); err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Nodes != 96 || cfg.Policy != core.PolicyLandmark {
-		t.Fatalf("applied config Nodes=%d Policy=%v, want 96/landmark", cfg.Nodes, cfg.Policy)
-	}
-
-	grid, err := experiment.NewAxis("overlaysize", "0", "96")
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = applySingleAxes(&cfg, []core.Axis{grid})
-	if err == nil || !strings.Contains(err.Error(), "-nodes") || !strings.Contains(err.Error(), "-sweep") {
-		t.Fatalf("value list error = %v, want mention of -nodes and -sweep", err)
 	}
 }
 
@@ -167,6 +138,14 @@ func TestCommandLineErrors(t *testing.T) {
 		{"cells without sweep", []string{"-cells", "*-r00"}, "-cells requires -sweep"},
 		{"value list without sweep", []string{"-hysteresis", "0,0.25"},
 			"-hysteresis: a single campaign takes one value per axis; value lists need -sweep"},
+		{"nodes list without sweep", []string{"-dataset", "ronnarrow", "-nodes", "0,96"},
+			"-nodes: a single campaign takes one value per axis; value lists need -sweep"},
+		{"replicas without sweep", []string{"-dataset", "ronnarrow", "-days", "0.001", "-replicas", "4"},
+			"-replicas 4 requires -sweep"},
+		{"trace under all without sweep", []string{"-all", "-days", "0.001", "-trace", filepath.Join(dir, "t.trc")},
+			"-trace with -all requires -sweep"},
+		{"trace unwritable", []string{"-dataset", "ronnarrow", "-days", "0.001", "-trace", filepath.Join(dir, "no", "t.trc")},
+			"open " + filepath.Join(dir, "no", "t.trc") + ": no such file or directory"},
 		{"unknown dataset", []string{"-dataset", "ron2002"},
 			`core: unknown dataset "ron2002" (want ron2003, ronwide, ronnarrow)`},
 		{"non-positive loss scale", testSweepArgs(dir, "-lossscale", "0"),
@@ -188,9 +167,9 @@ func TestCommandLineErrors(t *testing.T) {
 		{"hysteresis -0 is 0", testSweepArgs(dir, "-hysteresis", "0,-0"),
 			`-hysteresis: core: axis hysteresis: duplicate value "0"`},
 		{"days NaN", []string{"-dataset", "ronnarrow", "-days", "NaN"},
-			"core: Days = NaN, want > 0 and <= 106751"},
+			"core: sweep cell ronnarrow-r00: core: Days = NaN, want > 0 and <= 106751"},
 		{"days Inf", []string{"-dataset", "ronnarrow", "-days", "Inf"},
-			"core: Days = +Inf, want > 0 and <= 106751"},
+			"core: sweep cell ronnarrow-r00: core: Days = +Inf, want > 0 and <= 106751"},
 		{"days 0", []string{"-dataset", "ronnarrow", "-days", "0"},
 			"-days 0: want a positive virtual length"},
 		{"days negative", []string{"-dataset", "ronnarrow", "-days", "-1"},
@@ -215,26 +194,117 @@ func TestCommandLineErrors(t *testing.T) {
 	}
 }
 
+// singleRun runs a 0.01-day RONnarrow campaign without -sweep, with
+// extra flags, and returns its stdout less the (wall time) line.
+func singleRun(t *testing.T, args ...string) string {
+	t.Helper()
+	out, _ := ronsim(t, 0, append([]string{"-dataset", "ronnarrow", "-days", "0.01"}, args...)...)
+	var keep []string
+	for _, line := range strings.Split(out, "\n") {
+		if !strings.HasPrefix(line, "(wall time") {
+			keep = append(keep, line)
+		}
+	}
+	return strings.Join(keep, "\n")
+}
+
 // TestSingleRunTakesProfileFlags: without -sweep, -lossscale and
 // -edgeshare set the one campaign's substrate, and naming the
 // calibrated (1, 1) point is the default run.
 func TestSingleRunTakesProfileFlags(t *testing.T) {
-	report := func(args ...string) string {
-		out, _ := ronsim(t, 0, append([]string{"-dataset", "ronnarrow", "-days", "0.01"}, args...)...)
-		var keep []string
-		for _, line := range strings.Split(out, "\n") {
-			if !strings.HasPrefix(line, "(wall time") {
-				keep = append(keep, line)
-			}
-		}
-		return strings.Join(keep, "\n")
-	}
-	base := report()
-	if report("-lossscale", "4") == base {
+	base := singleRun(t)
+	if singleRun(t, "-lossscale", "4") == base {
 		t.Error("-lossscale 4 printed the default run's report")
 	}
-	if report("-lossscale", "1", "-edgeshare", "1.0") != base {
+	if singleRun(t, "-lossscale", "1", "-edgeshare", "1.0") != base {
 		t.Error("-lossscale 1 -edgeshare 1.0 departed from the default run")
+	}
+}
+
+// TestSingleRunMatchesGoldens: a run without -sweep writes the root
+// golden campaigns' files under -out as <dataset>-<artifact> and prints
+// each golden report, in dataset order, byte for byte; and a
+// registry-derived axis flag (-nodes, -policy) sets the one campaign's
+// world.
+func TestSingleRunMatchesGoldens(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the golden campaigns")
+	}
+	goldens := filepath.Join("..", "..", "testdata", "golden")
+	for _, tc := range []struct {
+		name string
+		args []string
+		sets []string
+	}{
+		{"ronnarrow", []string{"-dataset", "ronnarrow"}, []string{"RONnarrow"}},
+		{"all", []string{"-all"}, []string{"RON2003", "RONnarrow"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			out, _ := ronsim(t, 0, append(tc.args, "-days", "0.048", "-seed", "42", "-out", dir)...)
+			for _, set := range tc.sets {
+				entries, err := os.ReadDir(filepath.Join(goldens, set))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, e := range entries {
+					want, err := os.ReadFile(filepath.Join(goldens, set, e.Name()))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if e.Name() == "report" {
+						i := strings.Index(out, string(want))
+						if i < 0 {
+							t.Fatalf("stdout lacks the %s report in dataset order:\n%s", set, out)
+						}
+						out = out[i+len(want):]
+						continue
+					}
+					name := strings.ToLower(set) + "-" + e.Name()
+					if got, err := os.ReadFile(filepath.Join(dir, name)); err != nil {
+						t.Error(err)
+					} else if !bytes.Equal(got, want) {
+						t.Errorf("%s differs from %s", name, filepath.Join(set, e.Name()))
+					}
+				}
+			}
+		})
+	}
+
+	t.Run("nodes 96 landmark", func(t *testing.T) {
+		lm := singleRun(t, "-nodes", "96", "-policy", "landmark")
+		if !strings.Contains(lm, "dataset RONnarrow: 96 hosts, 9120 paths") {
+			t.Errorf("-nodes 96 report does not name 96 hosts:\n%s", lm)
+		}
+		if lm == singleRun(t, "-nodes", "96") {
+			t.Error("-policy landmark printed the full-mesh run's report")
+		}
+	})
+}
+
+// TestSingleRunTrace: without -sweep, -trace names the trace file
+// itself. It holds every record the campaign emitted, or the header
+// alone when it emitted none, and tracing moves no report byte.
+func TestSingleRunTrace(t *testing.T) {
+	dir := t.TempDir()
+	for _, days := range []string{"0.01", "0.000001"} {
+		path := filepath.Join(dir, days+".trc")
+		traced := singleRun(t, "-days", days, "-trace", path)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		records, err := trace.ReadAll(bytes.NewReader(data))
+		if err != nil {
+			t.Fatalf("-days %s: %v", days, err)
+		}
+		if days == "0.01" && len(records) == 0 {
+			t.Fatal("a 0.01-day campaign traced no records")
+		}
+		line := fmt.Sprintf("wrote %d trace records to %s\n", len(records), path)
+		if plain := singleRun(t, "-days", days); strings.Replace(traced, line, "", 1) != plain {
+			t.Errorf("-days %s: traced stdout is not the untraced one plus %q:\n%s", days, line, traced)
+		}
 	}
 }
 

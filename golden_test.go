@@ -126,7 +126,7 @@ func TestGoldenDigests(t *testing.T) {
 		t.Run(d.String(), func(t *testing.T) {
 			cfg := core.DefaultConfig(d, goldenDays)
 			cfg.Seed = 42
-			res, err := core.Run(cfg)
+			res, err := core.NewArena().Run(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -154,7 +154,7 @@ func TestGoldenTableSet(t *testing.T) {
 	cfg.Seed = 42
 	cfg.Workload = core.DefaultWorkloadConfig()
 	cfg.Scenario.Preset = "outage"
-	res, err := core.Run(cfg)
+	res, err := core.NewArena().Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

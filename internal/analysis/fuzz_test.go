@@ -23,7 +23,7 @@ func cellPayloads(f *testing.F) [][]byte {
 	scenario.Scenario.Preset = "outage"
 	var out [][]byte
 	for _, cfg := range []core.Config{probe, workload, scenario} {
-		res, err := core.Run(cfg)
+		res, err := core.NewArena().Run(cfg)
 		if err != nil {
 			f.Fatal(err)
 		}

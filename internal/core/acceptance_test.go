@@ -18,7 +18,7 @@ func TestRON2003Acceptance(t *testing.T) {
 	}
 	cfg := DefaultConfig(RON2003, 1)
 	cfg.Seed = 1
-	res, err := Run(cfg)
+	res, err := NewArena().Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestRONwideAcceptance(t *testing.T) {
 	}
 	cfg := DefaultConfig(RONwide, 0.5)
 	cfg.Seed = 3
-	res, err := Run(cfg)
+	res, err := NewArena().Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

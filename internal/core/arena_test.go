@@ -92,7 +92,7 @@ func TestArenaWorkloadSecondCellZeroAllocs(t *testing.T) {
 
 // TestArenaWorkloadToggleMatchesFreshRun interleaves workload-enabled
 // and workload-free cells through one arena and cross-checks each
-// against a fresh standalone Run: workload state must neither leak into
+// against a fresh arena's Run: workload state must neither leak into
 // later plain cells (which would break sweep byte-identity) nor carry
 // stale streams into the next workload cell.
 func TestArenaWorkloadToggleMatchesFreshRun(t *testing.T) {
@@ -103,7 +103,7 @@ func TestArenaWorkloadToggleMatchesFreshRun(t *testing.T) {
 	loaded.Workload = DefaultWorkloadConfig()
 	loaded.Workload.Streams = 2
 	for i, cfg := range []Config{plain, loaded, plain, loaded} {
-		fresh, err := Run(cfg)
+		fresh, err := NewArena().Run(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -145,7 +145,7 @@ func equalResults(t *testing.T, got, want *Result) {
 // TestArenaMatchesFreshRun drives one arena through a randomized
 // sequence of heterogeneous cells — datasets, seeds, loss windows,
 // hysteresis, probe intervals, campaign lengths — and cross-checks every
-// cell against a fresh standalone Run of the same Config. Any Reset path
+// cell against a fresh arena's Run of the same Config. Any Reset path
 // that leaks state from a previous cell (an unzeroed ring, a stale
 // hysteresis table, an RNG not reseeded, a queue epoch carried over)
 // shows up as a diverging result.
@@ -172,7 +172,7 @@ func TestArenaMatchesFreshRun(t *testing.T) {
 			cfg.ProbeInterval = 5 * time.Second
 			cfg.TableRefresh = 5 * time.Second
 		}
-		fresh, err := Run(cfg)
+		fresh, err := NewArena().Run(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

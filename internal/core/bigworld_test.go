@@ -18,7 +18,7 @@ func shortBigWorldConfig(nodes int, policy Policy) Config {
 func TestBigWorldCampaignRuns(t *testing.T) {
 	for _, policy := range []Policy{PolicyFullMesh, PolicyLandmark} {
 		cfg := shortBigWorldConfig(64, policy)
-		res, err := Run(cfg)
+		res, err := NewArena().Run(cfg)
 		if err != nil {
 			t.Fatalf("%v: %v", policy, err)
 		}
@@ -35,11 +35,11 @@ func TestBigWorldCampaignRuns(t *testing.T) {
 // TestBigWorldLandmarkProbeBudget pins the policy's point: the landmark
 // campaign sends a small fraction of full-mesh probes at the same size.
 func TestBigWorldLandmarkProbeBudget(t *testing.T) {
-	full, err := Run(shortBigWorldConfig(128, PolicyFullMesh))
+	full, err := NewArena().Run(shortBigWorldConfig(128, PolicyFullMesh))
 	if err != nil {
 		t.Fatal(err)
 	}
-	lm, err := Run(shortBigWorldConfig(128, PolicyLandmark))
+	lm, err := NewArena().Run(shortBigWorldConfig(128, PolicyLandmark))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,11 +58,11 @@ func TestBigWorldLandmarkProbeBudget(t *testing.T) {
 // separate arenas and requires identical counters and aggregator text.
 func TestBigWorldDeterminism(t *testing.T) {
 	cfg := shortBigWorldConfig(64, PolicyLandmark)
-	a, err := Run(cfg)
+	a, err := NewArena().Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(cfg)
+	b, err := NewArena().Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestBigWorldArenaAcrossSizes(t *testing.T) {
 	ar := NewArena()
 	for _, nodes := range []int{64, 32, 64} {
 		cfg := shortBigWorldConfig(nodes, PolicyLandmark)
-		fresh, err := Run(cfg)
+		fresh, err := NewArena().Run(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,7 +131,7 @@ func TestBigWorldConfigValidation(t *testing.T) {
 		t.Error("Nodes=1<<20: expected error")
 	}
 	// The arena must reject before constructing the topology (no panic).
-	if _, err := Run(cfg); err == nil {
+	if _, err := NewArena().Run(cfg); err == nil {
 		t.Error("Run with huge Nodes: expected error")
 	}
 	cfg.Nodes = 0

@@ -77,14 +77,6 @@ type campaign struct {
 	res *Result
 }
 
-// Run executes a campaign and returns its results. It wraps a throwaway
-// Arena, so the Result is independent and safe to retain; campaign
-// drivers running many cells keep a long-lived Arena instead and get
-// allocation-free cell turnover.
-func Run(cfg Config) (*Result, error) {
-	return NewArena().Run(cfg)
-}
-
 // seed schedules the initial events: one routing probe per ordered pair
 // (phase-jittered across the probe interval, carried by the implicit
 // probe stream), the periodic table refresh, and one measurement probe

@@ -109,11 +109,11 @@ func TestEventQueueOrdering(t *testing.T) {
 func TestCampaignDeterminism(t *testing.T) {
 	cfg := DefaultConfig(RONnarrow, 0.05)
 	cfg.Seed = 99
-	a, err := Run(cfg)
+	a, err := NewArena().Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(cfg)
+	b, err := NewArena().Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestCampaignDeterminism(t *testing.T) {
 	}
 	// A different seed must differ.
 	cfg.Seed = 100
-	c, err := Run(cfg)
+	c, err := NewArena().Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestCampaignDeterminism(t *testing.T) {
 
 func TestCampaignProbeVolume(t *testing.T) {
 	cfg := DefaultConfig(RONnarrow, 0.05) // 72 virtual minutes
-	res, err := Run(cfg)
+	res, err := NewArena().Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestCampaignProbeVolume(t *testing.T) {
 
 func TestCampaignObservationsCoverMethodsAndPaths(t *testing.T) {
 	cfg := DefaultConfig(RONnarrow, 0.05)
-	res, err := Run(cfg)
+	res, err := NewArena().Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestCampaignObservationsCoverMethodsAndPaths(t *testing.T) {
 
 func TestTable5RowOrder(t *testing.T) {
 	cfg := DefaultConfig(RONnarrow, 0.02)
-	res, err := Run(cfg)
+	res, err := NewArena().Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestTable5RowOrder(t *testing.T) {
 
 func TestRONwideReportUsesRTT(t *testing.T) {
 	cfg := DefaultConfig(RONwide, 0.02)
-	res, err := Run(cfg)
+	res, err := NewArena().Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestRONwideReportUsesRTT(t *testing.T) {
 
 func TestFigureAccessors(t *testing.T) {
 	cfg := DefaultConfig(RON2003, 0.02)
-	res, err := Run(cfg)
+	res, err := NewArena().Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,13 +258,13 @@ func TestFigureAccessors(t *testing.T) {
 func TestCampaignHysteresisReducesRouteChanges(t *testing.T) {
 	base := DefaultConfig(RONnarrow, 0.05)
 	base.Seed = 5
-	plain, err := Run(base)
+	plain, err := NewArena().Run(base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	damped := base
 	damped.Hysteresis = 0.5
-	stable, err := Run(damped)
+	stable, err := NewArena().Run(damped)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +310,7 @@ func TestCampaignDiurnalVariation(t *testing.T) {
 	prof.BackboneIntl = strip(prof.BackboneIntl)
 	prof.BackboneFar = strip(prof.BackboneFar)
 	cfg.Profile = prof
-	res, err := Run(cfg)
+	res, err := NewArena().Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,7 +26,7 @@ func cellContainers(f *testing.F) [][]byte {
 	scenario.Scenario.Preset = "outage"
 	var out [][]byte
 	for _, cfg := range []Config{probe, workload, scenario} {
-		res, err := Run(cfg)
+		res, err := NewArena().Run(cfg)
 		if err != nil {
 			f.Fatal(err)
 		}

@@ -115,7 +115,7 @@ func TestScenarioCampaignResilience(t *testing.T) {
 	cfg.Seed = 11
 	cfg.Scenario.Preset = "storm"
 
-	fresh, err := Run(cfg)
+	fresh, err := NewArena().Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestScenarioCampaignResilience(t *testing.T) {
 func TestScenarioSnapshotV4RoundTrip(t *testing.T) {
 	off := DefaultConfig(RONnarrow, sweepDays)
 	off.Seed = 3
-	plain, err := Run(off)
+	plain, err := NewArena().Run(off)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestScenarioSnapshotV4RoundTrip(t *testing.T) {
 
 	on := off
 	on.Scenario.Preset = "outage"
-	res, err := Run(on)
+	res, err := NewArena().Run(on)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,8 +36,9 @@ func StoreTables(res *Result) resultstore.Tables {
 // StoreRow builds one result-store row from a campaign (or merged)
 // Result plus the identity the caller knows: kind, names, axis map,
 // replica coordinates, and the backing snapshot path (cell rows only).
-// The metric vector is the flattened table set plus per-method 20-probe
-// window-rate quantiles (win20.<method>.p50/p95/mean) for loss-rate
+// The metric vector is the flattened table set plus, per method, the
+// p50, p95 and mean (win20.<method>.p50/p95/mean) of Figure 3's pooled
+// 20-minute loss rates (analysis.WindowShort windows), for loss-rate
 // queries that don't need a table.
 func StoreRow(kind, name, group, dataset string, axes map[string]string,
 	replica, replicas int, seed uint64, snapshot string, res *Result) *resultstore.Row {

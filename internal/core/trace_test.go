@@ -20,7 +20,7 @@ func TestTracePipelineConsistency(t *testing.T) {
 	cfg := DefaultConfig(RONnarrow, 0.03)
 	cfg.Seed = 17
 	cfg.TraceSink = func(r trace.Record) { records = append(records, r) }
-	res, err := Run(cfg)
+	res, err := NewArena().Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestTracingLeavesOutputUnchanged(t *testing.T) {
 			cfg := DefaultConfig(ds, 0.005)
 			cfg.Seed = 29
 			cfg.TraceSink = sink
-			res, err := Run(cfg)
+			res, err := NewArena().Run(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -108,7 +108,7 @@ func TestTraceRecordsWellFormed(t *testing.T) {
 	var records []trace.Record
 	cfg := DefaultConfig(RON2003, 0.005)
 	cfg.TraceSink = func(r trace.Record) { records = append(records, r) }
-	res, err := Run(cfg)
+	res, err := NewArena().Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -198,7 +198,7 @@ func TestWorkloadCampaignAccounting(t *testing.T) {
 	cfg.Workload = DefaultWorkloadConfig()
 	cfg.Workload.Streams = 2
 	cfg.Workload.FrameInterval = 500 * time.Millisecond
-	res, err := Run(cfg)
+	res, err := NewArena().Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

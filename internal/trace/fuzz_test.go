@@ -43,7 +43,7 @@ func FuzzReadTrace(f *testing.F) {
 			cellRecs = append(cellRecs, r)
 		}
 	}
-	res, err := core.Run(cfg)
+	res, err := core.NewArena().Run(cfg)
 	if err != nil {
 		f.Fatal(err)
 	}
