@@ -1,7 +1,7 @@
 package repro
 
 import (
-	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/experiment"
@@ -14,7 +14,7 @@ import (
 // rows whose axis coordinates answer `ronreport -store` queries with no
 // registration anywhere in the query path — predicates and group-by
 // resolve axis fields dynamically from the row's kv list — and a stored
-// big-world cell snapshot restores standalone to the exact synthetic
+// big-world cell snapshot reads back under the exact synthetic
 // configuration that produced it.
 func TestStoreBigWorldAxesQueryable(t *testing.T) {
 	if testing.Short() {
@@ -33,7 +33,11 @@ func TestStoreBigWorldAxesQueryable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Run(); err != nil {
+	run, err := e.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.WriteManifest(run, dir, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -88,13 +92,22 @@ func TestStoreBigWorldAxesQueryable(t *testing.T) {
 		t.Fatalf("group-by overlaysize buckets = %v, want {\"\":2, \"48\":2}", byKey)
 	}
 
-	// The drill path: restore the stored big-world snapshot standalone
-	// and confirm the axis coordinates round-tripped into the config.
-	snap, err := core.ReadCellSnapshot(filepath.Join(dir, filepath.FromSlash(lmRow.Snapshot)))
+	// The drill path: read the stored big-world cell's snapshot under
+	// the grid its manifest records and confirm the axis coordinates
+	// round-tripped into the config.
+	m, err := experiment.LoadManifest(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := snap.RestoreStandalone()
+	s, err := m.Sweep()
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := slices.IndexFunc(s.Cells(), func(c core.Cell) bool { return c.Name() == lmRow.Name })
+	if i < 0 {
+		t.Fatalf("row %s is not a cell of the manifest's grid", lmRow.Name)
+	}
+	res, err := s.ReadCell(i, dir)
 	if err != nil {
 		t.Fatal(err)
 	}

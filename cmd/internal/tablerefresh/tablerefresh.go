@@ -1,16 +1,20 @@
-// The tablerefresh axis sweeps how often routing tables are recomputed
-// from current estimates — the route-dissemination latency of §3.1's
-// probe→table loop, a design-space knob the fixed-axis engine never
-// had.
+// Package tablerefresh registers the tablerefresh axis, which sweeps
+// how often routing tables are recomputed from current estimates — the
+// route-dissemination latency of §3.1's probe→table loop, a
+// design-space knob the fixed-axis engine never had. It exports
+// nothing: ronsim and ronreport import it for its init, so both
+// binaries know the axis — ronsim derives its -tablerefresh flag and
+// runs the grid, ronreport reads the sweep directories it leaves.
 //
 // It is deliberately defined entirely against the public
 // repro/experiment package, as the proof of the axis redesign's payoff:
-// adding a grid dimension is one registered AxisDef. The -tablerefresh
-// flag is derived from the registry, the sweep engine names/seeds/shards
-// its cells generically, snapshots and manifests round-trip its values,
-// and -resume and -merge-only both work — with zero changes to the
-// engine, the manifest code, or the flag plumbing.
-package main
+// adding a grid dimension is one registered AxisDef. The flag is
+// derived from the registry, the sweep engine names/seeds/shards its
+// cells generically, snapshots and manifests round-trip its values,
+// and -resume, -merge-only, ronreport -sweep, -reindex and -drill all
+// work — with zero changes to the engine, the manifest code, or the
+// flag plumbing.
+package tablerefresh
 
 import (
 	"fmt"

@@ -8,13 +8,15 @@
 //
 //	ronreport -hosts 30 -methods "loss,direct rand,lat loss" node0.trc node1.trc ...
 //
-// With -sweep, ronreport instead reads a ronsim sweep output directory
-// (its sweep.json manifest) and combines each grid point's replicas via
-// aggregator merging. Cells with persisted snapshots (written by every
-// ronsim -sweep -out run) are restored exactly; cells with only trace
-// files are rebuilt through the §4.1 matching pipeline. Grid points with
-// neither — e.g. shards still running on another machine — are reported
-// as missing:
+// With -sweep, ronreport instead reads a ronsim sweep output directory:
+// it re-expands the grid its sweep.json manifest records and folds each
+// grid point's replicas in replica order, printing the same tables the
+// sweep wrote under merged/. Cells with persisted snapshots (written by
+// every ronsim -sweep -out run) are read through the admission check a
+// resumed sweep uses; cells with only trace files are rebuilt through
+// the §4.1 matching pipeline under the cell's own configuration. Grid
+// points with neither — e.g. shards still running on another machine —
+// are reported as missing:
 //
 //	ronsim -sweep -replicas 4 -out results/ -trace results/traces
 //	ronreport -sweep results/
@@ -43,6 +45,7 @@ import (
 	"path/filepath"
 	"strings"
 
+	_ "repro/cmd/internal/tablerefresh" // reads sweeps over the tablerefresh axis
 	"repro/experiment"
 	"repro/internal/analysis"
 	"repro/internal/core"
@@ -118,41 +121,42 @@ func reportTraces(w io.Writer, names []string, hosts int, paths []string) error 
 	if err := route.ValidateMeshSize(hosts); err != nil {
 		return err
 	}
-	agg, total, nlogs, matched, err := aggregateTraces(w, names, hosts, paths)
+	agg := analysis.NewAggregator(names, hosts)
+	total, nlogs, matched, err := aggregateTraces(w, agg, paths)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "merged %d records from %d logs\n", total, nlogs)
 	fmt.Fprintf(w, "matched %d probe observations\n\n", matched)
-	printTables(w, agg)
+	printSections(w, resultstore.Tables{Overview: agg.Table5(), Hours: agg.HighLossHours()})
 	return nil
 }
 
-// aggregateTraces reads trace files, matches sends to receives, and folds
-// the observations into a fresh aggregator. Observations whose method id
-// falls outside the provided name list are dropped (and reported).
-func aggregateTraces(w io.Writer, names []string, hosts int, paths []string) (agg *analysis.Aggregator, records, logs, matched int, err error) {
+// aggregateTraces reads trace files, matches sends to receives over
+// agg's hosts, and folds the observations into agg. Observations whose
+// method id falls outside agg's methods are dropped (and reported).
+func aggregateTraces(w io.Writer, agg *analysis.Aggregator, paths []string) (records, logs, matched int, err error) {
 	logSets := make([][]trace.Record, 0, len(paths))
 	for _, path := range paths {
 		f, err := os.Open(path)
 		if err != nil {
-			return nil, 0, 0, 0, err
+			return 0, 0, 0, err
 		}
 		recs, err := trace.ReadAll(f)
 		f.Close()
 		if err != nil {
-			return nil, 0, 0, 0, fmt.Errorf("%s: %w", path, err)
+			return 0, 0, 0, fmt.Errorf("%s: %w", path, err)
 		}
 		logSets = append(logSets, recs)
 		records += len(recs)
 	}
 	merged := trace.Merge(logSets...)
-	obs := trace.Match(merged, hosts)
+	obs := trace.Match(merged, agg.Hosts())
 
-	agg = analysis.NewAggregator(names, hosts)
+	methods := len(agg.Methods())
 	skipped := 0
 	for _, o := range obs {
-		if o.Method >= len(names) {
+		if o.Method >= methods {
 			skipped++
 			continue
 		}
@@ -161,33 +165,29 @@ func aggregateTraces(w io.Writer, names []string, hosts int, paths []string) (ag
 	agg.Flush()
 	if skipped > 0 {
 		fmt.Fprintf(w, "(skipped %d observations with method ids beyond the %d known methods)\n",
-			skipped, len(names))
+			skipped, methods)
 	}
-	return agg, records, len(logSets), len(obs), nil
+	return records, len(logSets), len(obs), nil
 }
 
-// reportSweep rebuilds each sweep grid point from its replicate
-// artifacts and prints the combined tables, mirroring what ronsim's
-// in-process merge produced. Per cell it prefers the persisted snapshot
-// (exact aggregator state), falls back to the trace file (rebuilt
-// through send/receive matching), and otherwise counts the cell as
-// missing — the normal state of a sharded sweep whose other shards have
-// not been copied in yet.
+// reportSweep rebuilds each grid point of the sweep in dir from its
+// replicate artifacts and prints its tables: the sections of
+// core.StoreTables, so each equals the sweep's
+// merged/<group>/<dataset>-<section>.txt. It re-expands the manifest's
+// grid (an axis this binary does not register is an error), and per
+// cell prefers the snapshot, read through the admission check a resumed
+// sweep uses; falls back to the trace file, replayed under the cell's
+// own Config; and otherwise counts the cell as missing — the normal
+// state of a sharded sweep whose other shards have not been copied in
+// yet. Replicas fold in replica order, as the sweep's own merge does.
 func reportSweep(w io.Writer, dir string) error {
 	m, err := experiment.LoadManifest(dir)
 	if err != nil {
 		return err
 	}
-	// A trace fallback sizes the matcher's and aggregator's tables from
-	// the manifest's group fields, so refuse any the file got wrong
-	// before a trace is read.
-	for _, g := range m.Groups {
-		if err := route.ValidateMeshSize(g.Hosts); err != nil {
-			return fmt.Errorf("group %s: %w", g.Name, err)
-		}
-		if len(g.Methods) == 0 {
-			return fmt.Errorf("group %s: no methods", g.Name)
-		}
+	s, err := m.Sweep()
+	if err != nil {
+		return err
 	}
 	fmt.Fprintf(w, "sweep manifest: %d grid points\n\n", len(m.Groups))
 	reported := 0
@@ -197,60 +197,48 @@ func reportSweep(w io.Writer, dir string) error {
 		}
 		return filepath.Join(dir, rel)
 	}
-	for g, cells := range m.RestoredGroups(dir) {
-		var combined *analysis.Aggregator
+	for g := range m.Groups {
+		mg := &m.Groups[g]
+		var results []*core.Result
 		fromSnap, fromTrace := 0, 0
 		var missing []string
-		merge := func(agg *analysis.Aggregator, name string) error {
-			if combined == nil {
-				combined = agg
-				return nil
-			}
-			if err := combined.Merge(agg); err != nil {
-				return fmt.Errorf("cell %s: %w", name, err)
-			}
-			return nil
-		}
-		for ci, rc := range cells {
-			c := g.Cells[ci]
+		for k, i := range s.GroupCells(g) {
+			c := mg.Cells[k]
+			res, err := s.ReadCell(i, dir)
 			switch {
-			case rc.Snap != nil:
-				// The tables need only the aggregator, so a snapshot this
-				// binary cannot restore (an axis it does not link) still
-				// counts.
-				if err := merge(rc.Snap.Aggregator(), c.Name); err != nil {
-					return err
-				}
+			case err == nil:
+				results = append(results, res)
 				fromSnap++
 				continue
-			case errors.Is(rc.Err, core.ErrSnapshotMismatch):
-				// Debris from a rerun with another seed. The cell's
-				// trace file shares that run's provenance (traces
+			case errors.Is(err, core.ErrSnapshotMismatch):
+				// Debris from another grid (another seed or -days). The
+				// cell's trace file shares that run's provenance (traces
 				// carry no seed to check), so falling back would
 				// silently mix grids; count the cell as missing.
-				fmt.Fprintf(w, "(cell %s: %v; not trusting its trace either)\n", c.Name, rc.Err)
+				fmt.Fprintf(w, "(cell %s: %v; not trusting its trace either)\n", c.Name, err)
 				missing = append(missing, c.Name)
 				continue
-			case !errors.Is(rc.Err, fs.ErrNotExist):
-				fmt.Fprintf(w, "(cell %s: unreadable snapshot: %v; falling back to trace)\n",
-					c.Name, rc.Err)
+			case !errors.Is(err, fs.ErrNotExist):
+				fmt.Fprintf(w, "(cell %s: unreadable snapshot: %v; falling back to trace)\n", c.Name, err)
 			}
-			if c.Trace != "" {
-				agg, _, _, _, err := aggregateTraces(w, g.Methods, g.Hosts, []string{resolve(c.Trace)})
-				if err != nil {
-					return fmt.Errorf("cell %s: %w", c.Name, err)
-				}
-				if err := merge(agg, c.Name); err != nil {
-					return err
-				}
-				fromTrace++
+			if c.Trace == "" {
+				missing = append(missing, c.Name)
 				continue
 			}
-			missing = append(missing, c.Name)
+			res = s.EmptyResult(i)
+			if _, _, _, err := aggregateTraces(w, res.Agg, []string{resolve(c.Trace)}); err != nil {
+				return fmt.Errorf("cell %s: %w", c.Name, err)
+			}
+			results = append(results, res)
+			fromTrace++
 		}
-		if combined == nil {
-			fmt.Fprintf(w, "=== %s: no snapshots or traces found (run the shard, or rerun ronsim -sweep with -out/-trace) ===\n\n", g.Name)
+		if len(results) == 0 {
+			fmt.Fprintf(w, "=== %s: no snapshots or traces found (run the shard, or rerun ronsim -sweep with -out/-trace) ===\n\n", mg.Name)
 			continue
+		}
+		merged, err := core.MergeResults(results)
+		if err != nil {
+			return fmt.Errorf("group %s: %w", mg.Name, err)
 		}
 		reported++
 		src := fmt.Sprintf("%d from snapshots, %d from traces", fromSnap, fromTrace)
@@ -258,8 +246,8 @@ func reportSweep(w io.Writer, dir string) error {
 			src += fmt.Sprintf("; MISSING %s", strings.Join(missing, ", "))
 		}
 		fmt.Fprintf(w, "=== %s: %s, %d hosts, %d replicas combined (%s) ===\n",
-			g.Name, g.Dataset, g.Hosts, fromSnap+fromTrace, src)
-		printTables(w, combined)
+			mg.Name, mg.Dataset, mg.Hosts, len(results), src)
+		printSections(w, core.StoreTables(merged))
 	}
 	if reported == 0 {
 		return fmt.Errorf("no grid point had snapshots or traces under %s", dir)
@@ -267,22 +255,12 @@ func reportSweep(w io.Writer, dir string) error {
 	return nil
 }
 
-func printTables(w io.Writer, agg *analysis.Aggregator) {
-	// Every caller hands over a flushed aggregator; Flush is idempotent,
-	// so re-flushing here keeps the Table 6 precondition local.
-	agg.Flush()
-	t := resultstore.Tables{Overview: agg.Table5(), Hours: agg.HighLossHours()}
-	// Workload-enabled cells carry delivered-frame accounting in their
-	// snapshots; render it wherever it survived the merge, under its
-	// title (Tables 5 and 6 print bare).
-	if ws := agg.Workload(); ws != nil && ws.HasData() {
-		t.Workload = ws.Table()
-	}
-	for i, s := range t.Sections() {
-		if i > 1 {
-			fmt.Fprintln(w, s.Title)
-		}
-		fmt.Fprintln(w, s.Text)
+// printSections prints each table section under its title, followed by
+// a blank line; the text between a title and that line is the
+// section's file under merged/ byte for byte.
+func printSections(w io.Writer, t resultstore.Tables) {
+	for _, s := range t.Sections() {
+		fmt.Fprintf(w, "%s\n%s\n", s.Title, s.Text)
 	}
 }
 

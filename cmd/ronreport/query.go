@@ -19,6 +19,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/experiment"
 	"repro/internal/analysis"
 	"repro/internal/core"
 	"repro/internal/resultstore"
@@ -208,11 +209,13 @@ func listRows(w io.Writer, sel []*resultstore.Row) {
 	}
 }
 
-// drillRows answers a CDF-level question by restoring the selected cell
-// rows' backing snapshots and reading the requested distribution off
-// their merged aggregator: one distribution per grid point (Row.Group),
-// in group-name order, its cells merged in name order, so cells of
-// different grid points are never pooled. Specs:
+// drillRows answers a CDF-level question by reading the selected cell
+// rows' snapshots and reading the requested distribution off their
+// merged aggregator: one distribution per grid point (Row.Group), in
+// group-name order, its cells merged in name order, so cells of
+// different grid points are never pooled. A row is read as the cell of
+// its name in the grid the sweep's manifest records, through the
+// admission check every snapshot read passes (Sweep.ReadCell). Specs:
 //
 //	pathloss           per-path long-term loss CDF, direct method (Fig 2)
 //	win20:<method>     20-minute loss-rate CDF (Fig 3)
@@ -228,6 +231,18 @@ func drillRows(w io.Writer, root string, sel []*resultstore.Row, spec string, qu
 	if len(cells) == 0 {
 		return fmt.Errorf("drill-down needs snapshot-backed cell rows; none selected (add kind=cell to the query)")
 	}
+	m, err := experiment.LoadManifest(root)
+	if err != nil {
+		return err
+	}
+	s, err := m.Sweep()
+	if err != nil {
+		return err
+	}
+	index := map[string]int{}
+	for _, c := range s.Cells() {
+		index[c.Name()] = c.Index
+	}
 	slices.SortFunc(cells, func(a, b *resultstore.Row) int {
 		return cmp.Or(cmp.Compare(a.Group, b.Group), cmp.Compare(a.Name, b.Name))
 	})
@@ -236,7 +251,19 @@ func drillRows(w io.Writer, root string, sel []*resultstore.Row, spec string, qu
 		for n < len(cells) && cells[n].Group == cells[0].Group {
 			n++
 		}
-		if err := drillGroup(w, root, cells[:n], spec, quantile); err != nil {
+		results := make([]*core.Result, 0, n)
+		for _, r := range cells[:n] {
+			i, ok := index[r.Name]
+			if !ok {
+				return fmt.Errorf("cell %s: not in the grid of %s", r.Name, filepath.Join(root, core.ManifestName))
+			}
+			res, err := s.ReadCell(i, root)
+			if err != nil {
+				return fmt.Errorf("cell %s: %w", r.Name, err)
+			}
+			results = append(results, res)
+		}
+		if err := drillGroup(w, cells[0].Group, results, spec, quantile); err != nil {
 			return err
 		}
 		cells = cells[n:]
@@ -244,30 +271,23 @@ func drillRows(w io.Writer, root string, sel []*resultstore.Row, spec string, qu
 	return nil
 }
 
-// drillGroup prints one grid point's distribution for drillRows.
-func drillGroup(w io.Writer, root string, cells []*resultstore.Row, spec string, quantile float64) error {
+// drillGroup prints one grid point's distribution, over its cells'
+// results, for drillRows.
+func drillGroup(w io.Writer, group string, results []*core.Result, spec string, quantile float64) error {
 	what, method, _ := strings.Cut(spec, ":")
-	results := make([]*core.Result, 0, len(cells))
-	for _, r := range cells {
-		snap, err := core.ReadCellSnapshot(filepath.Join(root, filepath.FromSlash(r.Snapshot)))
-		if err != nil {
-			return fmt.Errorf("cell %s: %w", r.Name, err)
-		}
-		res, err := snap.RestoreStandalone()
-		if err != nil {
-			return fmt.Errorf("cell %s: %w", r.Name, err)
-		}
-		results = append(results, res)
-	}
 	merged, err := core.MergeResults(results)
 	if err != nil {
 		return err
 	}
 	merged.Agg.Flush()
 	var cdf *analysis.CDF
+	var kept string
 	switch what {
 	case "pathloss":
-		cdf = merged.Figure2(50)
+		cdf = merged.Figure2(core.Figure2MinProbes)
+		// Figure 2's probe minimum drops short-lived paths; say how
+		// many, so quantiles over a handful of paths are not misread.
+		kept = fmt.Sprintf("; %d of %d paths with ≥ %d probes", cdf.N(), merged.Testbed.Paths(), core.Figure2MinProbes)
 	case "win20", "clp", "latency":
 		m := merged.Agg.MethodIndex(method)
 		if m < 0 {
@@ -285,7 +305,7 @@ func drillGroup(w io.Writer, root string, cells []*resultstore.Row, spec string,
 	default:
 		return fmt.Errorf("unknown -drill spec %q (want pathloss, win20:<m>, clp:<m>, or latency:<m>)", spec)
 	}
-	fmt.Fprintf(w, "drill %s in %s over %d cells (%d samples)\n", spec, cells[0].Group, len(cells), cdf.N())
+	fmt.Fprintf(w, "drill %s in %s over %d cells (%d samples%s)\n", spec, group, len(results), cdf.N(), kept)
 	if quantile >= 0 {
 		fmt.Fprintf(w, "p%g=%g\n", 100*quantile, cdf.Quantile(quantile))
 		return nil

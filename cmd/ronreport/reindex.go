@@ -1,15 +1,15 @@
 package main
 
 // -reindex backfills a result store from a sweep output directory's
-// persisted artifacts: every manifest cell with a restorable snapshot
-// becomes a cell row, and every group whose replicas all restored
+// persisted snapshots: every cell whose snapshot passes its admission
+// check becomes a cell row, and every group whose replicas all passed
 // becomes a merged group row — so pre-store sweep outputs (and
 // -merge-only reruns, which bypass the live sinks) become queryable
-// without recomputing anything. The cells come from the walk every
-// offline tool shares (SweepManifest.RestoredGroups): restored from the
-// snapshots' own recorded metadata, not the manifest's grid
-// re-expansion, and a cell that does not restore in this binary (an
-// axis it does not link) is reported and counted missing. Reindexing is
+// without recomputing anything. The cells are the manifest's grid
+// re-expanded, each read with Sweep.ReadCell and turned into rows by
+// the builders a live sweep appends with (core.CellStoreRow,
+// core.GroupStoreRow), so a snapshot of another grid point adds no row
+// and a rebuilt store holds the rows the live one did. Reindexing is
 // idempotent: rows already in the segment (by identity) are skipped.
 
 import (
@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
-	"strings"
 
 	"repro/experiment"
 	"repro/internal/core"
@@ -26,6 +25,10 @@ import (
 
 func reindexStore(w io.Writer, root, segPath string) error {
 	m, err := experiment.LoadManifest(root)
+	if err != nil {
+		return err
+	}
+	s, err := m.Sweep()
 	if err != nil {
 		return err
 	}
@@ -43,43 +46,39 @@ func reindexStore(w io.Writer, root, segPath string) error {
 	}
 	defer st.Close()
 
+	cells := s.Cells()
 	cellsAdded, groupsAdded, missing := 0, 0, 0
-	for g, cells := range m.RestoredGroups(root) {
-		dataset := strings.ToLower(g.Dataset)
-		results := make([]*core.Result, 0, len(cells))
-		for replica, rc := range cells {
-			c := g.Cells[replica]
-			if rc.Err != nil {
-				switch {
-				case rc.Snap != nil:
-					fmt.Fprintf(w, "(cell %s: snapshot does not restore: %v)\n", c.Name, rc.Err)
-				case !errors.Is(rc.Err, fs.ErrNotExist):
-					fmt.Fprintf(w, "(cell %s: skipping snapshot: %v)\n", c.Name, rc.Err)
+	for g := range s.NumGroups() {
+		idxs := s.GroupCells(g)
+		results := make([]*core.Result, 0, len(idxs))
+		for _, i := range idxs {
+			c := cells[i]
+			res, err := s.ReadCell(i, root)
+			if err != nil {
+				if !errors.Is(err, fs.ErrNotExist) {
+					fmt.Fprintf(w, "(cell %s: skipping snapshot: %v)\n", c.Name(), err)
 				}
 				missing++
 				continue
 			}
-			results = append(results, rc.Res)
-			if existing["cell:"+c.Name] {
+			results = append(results, res)
+			if existing["cell:"+c.Name()] {
 				continue
 			}
-			row := core.StoreRow(resultstore.KindCell, c.Name, g.Name, dataset,
-				g.Axes, replica, 1, c.Seed, c.Snapshot, rc.Res)
-			if err := st.Append(row); err != nil {
+			if err := st.Append(core.CellStoreRow(c, res)); err != nil {
 				return err
 			}
 			cellsAdded++
 		}
-		if len(results) < len(cells) || len(results) == 0 || existing["group:"+g.Name] {
+		first := cells[idxs[0]]
+		if len(results) < len(idxs) || existing["group:"+first.GroupName()] {
 			continue
 		}
 		merged, err := core.MergeResults(results)
 		if err != nil {
-			return fmt.Errorf("group %s: %w", g.Name, err)
+			return fmt.Errorf("group %s: %w", first.GroupName(), err)
 		}
-		row := core.StoreRow(resultstore.KindGroup, g.Name, g.Name, dataset,
-			g.Axes, -1, len(results), 0, "", merged)
-		if err := st.Append(row); err != nil {
+		if err := st.Append(core.GroupStoreRow(first, merged)); err != nil {
 			return err
 		}
 		groupsAdded++

@@ -1,8 +1,11 @@
 package main
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -35,19 +38,22 @@ var sweepFixture struct {
 	err  error
 }
 
-func writeSweep(dir string) error {
+// writeSweep runs a sweep into dir as `ronsim -sweep -out DIR -trace
+// DIR/traces` would leave it — 0.01-day cells, base seed 5, two
+// replicas, unless opts say otherwise — with snapshots, traces, store,
+// manifest, and every complete grid point's files under merged/, named
+// as ronsim names them.
+func writeSweep(dir string, opts ...experiment.Option) error {
 	if err := os.MkdirAll(filepath.Join(dir, "traces"), 0o755); err != nil {
 		return err
 	}
 	traceRel := func(c core.Cell) string { return filepath.Join("traces", c.Name()+".trc") }
 	var closers []func() error
 	var traceErr error
-	e, err := experiment.New(
-		experiment.Datasets(experiment.RONnarrow),
+	e, err := experiment.New(append([]experiment.Option{
 		experiment.Days(0.01),
 		experiment.Seed(5),
 		experiment.Replicas(2),
-		experiment.AxisValues("hysteresis", "0", "0.25"),
 		experiment.Output(dir),
 		experiment.Configure(func(c core.Cell, cfg *core.Config) {
 			f, err := os.Create(filepath.Join(dir, traceRel(c)))
@@ -64,7 +70,7 @@ func writeSweep(dir string) error {
 			cfg.TraceSink = func(r trace.Record) { w.Append(r) }
 			closers = append(closers, w.Flush, f.Close)
 		}),
-	)
+	}, opts...)...)
 	if err != nil {
 		return err
 	}
@@ -80,18 +86,48 @@ func writeSweep(dir string) error {
 	if err != nil {
 		return err
 	}
+	for _, g := range res.Groups {
+		if !g.Complete() {
+			continue
+		}
+		gdir := filepath.Join(dir, core.MergedDirName, g.Name())
+		if err := os.MkdirAll(gdir, 0o755); err != nil {
+			return err
+		}
+		prefix := strings.ToLower(g.Dataset.String()) + "-"
+		for _, a := range g.Merged.Artifacts() {
+			if err := os.WriteFile(filepath.Join(gdir, prefix+a.Name), []byte(a.Text), 0o644); err != nil {
+				return err
+			}
+		}
+	}
 	return e.WriteManifest(res, dir, traceRel)
 }
 
-// sweepCopy returns a private copy of the fixture sweep directory.
+// sweepCopy returns a private copy of the fixture sweep directory:
+// RONnarrow × hysteresis {0, 0.25} × 2 replicas.
 func sweepCopy(t *testing.T) string {
 	t.Helper()
-	sweepFixture.once.Do(func() { sweepFixture.err = writeSweep(sweepFixture.dir) })
+	sweepFixture.once.Do(func() {
+		sweepFixture.err = writeSweep(sweepFixture.dir,
+			experiment.Datasets(experiment.RONnarrow),
+			experiment.AxisValues("hysteresis", "0", "0.25"))
+	})
 	if sweepFixture.err != nil {
 		t.Fatal(sweepFixture.err)
 	}
 	dir := t.TempDir()
 	if err := os.CopyFS(dir, os.DirFS(sweepFixture.dir)); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
+// newSweep writes a sweep with writeSweep into a fresh directory.
+func newSweep(t *testing.T, opts ...experiment.Option) string {
+	t.Helper()
+	dir := t.TempDir()
+	if err := writeSweep(dir, opts...); err != nil {
 		t.Fatal(err)
 	}
 	return dir
@@ -150,7 +186,11 @@ func editGroup(t *testing.T, dir, group string, mutate func(*core.ManifestGroup)
 func foreignSeed(t *testing.T, dir, cell string) string {
 	t.Helper()
 	path := core.CellSnapshotPath(dir, cell)
-	snap, err := core.ReadCellSnapshot(path)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := core.ParseCellSnapshot(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +199,7 @@ func foreignSeed(t *testing.T, dir, cell string) string {
 	if _, err := snap.WriteFileBuf(path, nil); err != nil {
 		t.Fatal(err)
 	}
-	return fmt.Sprintf("core: cell snapshot %s is for %s seed %d, manifest wants %s seed %d: snapshot does not match manifest cell",
+	return fmt.Sprintf("core: cell snapshot %s is for %s seed %d, cell is %s seed %d: snapshot belongs to another grid",
 		path, cell, snap.Seed, cell, want)
 }
 
@@ -174,36 +214,60 @@ func corrupt(t *testing.T, dir, cell string) string {
 	return fmt.Sprintf("core: cell snapshot %s: too short", path)
 }
 
-func snapAgg(t *testing.T, dir, cell string) *analysis.Aggregator {
+// gridCell re-expands the grid of the manifest in dir and returns it
+// with the expansion index of the named cell.
+func gridCell(t *testing.T, dir, cell string) (*core.Sweep, int) {
 	t.Helper()
-	snap, err := core.ReadCellSnapshot(core.CellSnapshotPath(dir, cell))
+	m, err := core.ReadManifest(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return snap.Aggregator()
+	s, err := m.Sweep()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range s.Cells() {
+		if c.Name() == cell {
+			return s, c.Index
+		}
+	}
+	t.Fatalf("no cell %s in the grid of %s", cell, dir)
+	return nil, 0
 }
 
-func traceAgg(t *testing.T, dir, cell string) *analysis.Aggregator {
+// snapRes is a cell read from its snapshot under dir.
+func snapRes(t *testing.T, dir, cell string) *core.Result {
 	t.Helper()
-	methods := snapAgg(t, sweepFixture.dir, cell).Methods()
-	agg, _, _, _, err := aggregateTraces(io.Discard, methods, 17, []string{filepath.Join(dir, "traces", cell+".trc")})
+	s, i := gridCell(t, dir, cell)
+	res, err := s.ReadCell(i, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return agg
+	return res
+}
+
+// traceRes is a cell rebuilt from its trace under dir.
+func traceRes(t *testing.T, dir, cell string) *core.Result {
+	t.Helper()
+	s, i := gridCell(t, dir, cell)
+	res := s.EmptyResult(i)
+	if _, _, _, err := aggregateTraces(io.Discard, res.Agg, []string{filepath.Join(dir, "traces", cell+".trc")}); err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 // tables is what -sweep prints under a grid point's header: the given
-// replicas merged in order.
-func tables(t *testing.T, aggs ...*analysis.Aggregator) string {
+// replicas folded in order, every section of their tables under its
+// title.
+func tables(t *testing.T, results ...*core.Result) string {
 	t.Helper()
-	for _, a := range aggs[1:] {
-		if err := aggs[0].Merge(a); err != nil {
-			t.Fatal(err)
-		}
+	merged, err := core.MergeResults(results)
+	if err != nil {
+		t.Fatal(err)
 	}
 	var b strings.Builder
-	printTables(&b, aggs[0])
+	printSections(&b, core.StoreTables(merged))
 	return b.String()
 }
 
@@ -219,9 +283,9 @@ func TestSweepCommandLine(t *testing.T) {
 			damage: func(t *testing.T, dir string) string {
 				return banner +
 					headerA + "2 replicas combined (2 from snapshots, 0 from traces) ===\n" +
-					tables(t, snapAgg(t, dir, cellA0), snapAgg(t, dir, cellA1)) +
+					tables(t, snapRes(t, dir, cellA0), snapRes(t, dir, cellA1)) +
 					headerB + "2 replicas combined (2 from snapshots, 0 from traces) ===\n" +
-					tables(t, snapAgg(t, dir, cellB0), snapAgg(t, dir, cellB1))
+					tables(t, snapRes(t, dir, cellB0), snapRes(t, dir, cellB1))
 			}},
 		{name: "a cell with neither snapshot nor trace is named missing",
 			damage: func(t *testing.T, dir string) string {
@@ -229,9 +293,9 @@ func TestSweepCommandLine(t *testing.T) {
 				dropTrace(t, dir, cellB1)
 				return banner +
 					headerA + "2 replicas combined (2 from snapshots, 0 from traces) ===\n" +
-					tables(t, snapAgg(t, dir, cellA0), snapAgg(t, dir, cellA1)) +
+					tables(t, snapRes(t, dir, cellA0), snapRes(t, dir, cellA1)) +
 					headerB + "1 replicas combined (1 from snapshots, 0 from traces; MISSING " + cellB1 + ") ===\n" +
-					tables(t, snapAgg(t, dir, cellB0))
+					tables(t, snapRes(t, dir, cellB0))
 			}},
 		{name: "a foreign-seed snapshot discredits the cell's trace too",
 			damage: func(t *testing.T, dir string) string {
@@ -239,9 +303,9 @@ func TestSweepCommandLine(t *testing.T) {
 				return banner +
 					"(cell " + cellA0 + ": " + msg + "; not trusting its trace either)\n" +
 					headerA + "1 replicas combined (1 from snapshots, 0 from traces; MISSING " + cellA0 + ") ===\n" +
-					tables(t, snapAgg(t, dir, cellA1)) +
+					tables(t, snapRes(t, dir, cellA1)) +
 					headerB + "2 replicas combined (2 from snapshots, 0 from traces) ===\n" +
-					tables(t, snapAgg(t, dir, cellB0), snapAgg(t, dir, cellB1))
+					tables(t, snapRes(t, dir, cellB0), snapRes(t, dir, cellB1))
 			}},
 		{name: "a trace-only cell and a corrupt snapshot are rebuilt from traces",
 			damage: func(t *testing.T, dir string) string {
@@ -249,10 +313,10 @@ func TestSweepCommandLine(t *testing.T) {
 				msg := corrupt(t, dir, cellB0)
 				return banner +
 					headerA + "2 replicas combined (1 from snapshots, 1 from traces) ===\n" +
-					tables(t, snapAgg(t, dir, cellA0), traceAgg(t, dir, cellA1)) +
+					tables(t, snapRes(t, dir, cellA0), traceRes(t, dir, cellA1)) +
 					"(cell " + cellB0 + ": unreadable snapshot: " + msg + "; falling back to trace)\n" +
 					headerB + "2 replicas combined (1 from snapshots, 1 from traces) ===\n" +
-					tables(t, traceAgg(t, dir, cellB0), snapAgg(t, dir, cellB1))
+					tables(t, traceRes(t, dir, cellB0), snapRes(t, dir, cellB1))
 			}},
 		{name: "a grid point with nothing is reported, not fatal",
 			damage: func(t *testing.T, dir string) string {
@@ -262,7 +326,7 @@ func TestSweepCommandLine(t *testing.T) {
 				}
 				return banner +
 					headerA + "2 replicas combined (2 from snapshots, 0 from traces) ===\n" +
-					tables(t, snapAgg(t, dir, cellA0), snapAgg(t, dir, cellA1)) +
+					tables(t, snapRes(t, dir, cellA0), snapRes(t, dir, cellA1)) +
 					"=== ronnarrow-h0.25: no snapshots or traces found (run the shard, or rerun ronsim -sweep with -out/-trace) ===\n\n"
 			}},
 		{name: "nothing anywhere is an error",
@@ -276,18 +340,32 @@ func TestSweepCommandLine(t *testing.T) {
 					"=== ronnarrow-h0.25: no snapshots or traces found (run the shard, or rerun ronsim -sweep with -out/-trace) ===\n\n"
 			},
 			errHas: []string{"no grid point had snapshots or traces under"}},
+		{name: "a manifest axis no linked package registers is refused",
+			damage: func(t *testing.T, dir string) string {
+				m, err := core.ReadManifest(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				m.Axes = append(m.Axes, core.ManifestAxis{Name: "warpfactor", Values: []string{"1"}})
+				if err := m.Write(dir); err != nil {
+					t.Fatal(err)
+				}
+				return ""
+			},
+			errHas: []string{`core: manifest axis "warpfactor": core: axis "warpfactor" is not registered in this binary`}},
 	}
-	// A group the manifest cannot size is refused before anything is
-	// printed, even with a cell left to rebuild from its trace.
+	// A manifest whose group disagrees with its own grid is refused
+	// before anything is printed, even with a cell left to rebuild from
+	// its trace.
 	for _, bad := range []struct {
 		name   string
 		mutate func(*core.ManifestGroup)
 		errHas string
 	}{
-		{"hosts -1", func(g *core.ManifestGroup) { g.Hosts = -1 }, "group ronnarrow: route: mesh of -1 nodes is below the 2-node minimum"},
-		{"hosts 0", func(g *core.ManifestGroup) { g.Hosts = 0 }, "group ronnarrow: route: mesh of 0 nodes is below the 2-node minimum"},
-		{"hosts 70000", func(g *core.ManifestGroup) { g.Hosts = 70000 }, "group ronnarrow: route: mesh of 70000 nodes exceeds MaxMeshNodes"},
-		{"no methods", func(g *core.ManifestGroup) { g.Methods = []string{} }, "group ronnarrow: no methods"},
+		{"hosts -1", func(g *core.ManifestGroup) { g.Hosts = -1 }, "core: manifest group ronnarrow does not match its grid: hosts -1, grid has 17"},
+		{"hosts 0", func(g *core.ManifestGroup) { g.Hosts = 0 }, "core: manifest group ronnarrow does not match its grid: hosts 0, grid has 17"},
+		{"hosts 70000", func(g *core.ManifestGroup) { g.Hosts = 70000 }, "core: manifest group ronnarrow does not match its grid: hosts 70000, grid has 17"},
+		{"no methods", func(g *core.ManifestGroup) { g.Methods = []string{} }, `core: manifest group ronnarrow does not match its grid: methods [], grid has ["loss" "direct rand" "lat loss"]`},
 	} {
 		cases = append(cases, sweepCase{name: "a manifest group with " + bad.name + " is refused",
 			damage: func(t *testing.T, dir string) string {
@@ -316,13 +394,15 @@ func TestTraceFilesCommandLine(t *testing.T) {
 	dir := sweepCopy(t)
 	trc := filepath.Join(dir, "traces", cellA0+".trc")
 	missing := filepath.Join(dir, "traces", "missing.trc")
-	methods := snapAgg(t, dir, cellA0).Methods()
-	agg, records, _, matched, err := aggregateTraces(io.Discard, methods, 17, []string{trc})
+	methods := snapRes(t, dir, cellA0).Agg.Methods()
+	agg := analysis.NewAggregator(methods, 17)
+	records, _, matched, err := aggregateTraces(io.Discard, agg, []string{trc})
 	if err != nil {
 		t.Fatal(err)
 	}
-	good := fmt.Sprintf("merged %d records from 1 logs\nmatched %d probe observations\n\n", records, matched) +
-		tables(t, agg)
+	var b strings.Builder
+	printSections(&b, resultstore.Tables{Overview: agg.Table5(), Hours: agg.HighLossHours()})
+	good := fmt.Sprintf("merged %d records from 1 logs\nmatched %d probe observations\n\n", records, matched) + b.String()
 	cases := []struct {
 		hosts  string
 		files  []string
@@ -393,14 +473,14 @@ func TestDrillCommandLine(t *testing.T) {
 	}
 	cases := []storeCase{
 		{name: "pathloss", args: drill("pathloss"), expect: []string{
-			"drill pathloss in ronnarrow over 2 cells (14 samples)",
+			"drill pathloss in ronnarrow over 2 cells (14 samples; 14 of 272 paths with ≥ 50 probes)",
 			"mean=0 p50=0 p90=0 p95=0 p99=0 max=0",
-			"drill pathloss in ronnarrow-h0.25 over 2 cells (17 samples)",
+			"drill pathloss in ronnarrow-h0.25 over 2 cells (17 samples; 17 of 272 paths with ≥ 50 probes)",
 			"mean=0 p50=0 p90=0 p95=0 p99=0 max=0"}},
 		{name: "pathloss quantile", args: drill("pathloss", "-quantile", "0.99"), expect: []string{
-			"drill pathloss in ronnarrow over 2 cells (14 samples)",
+			"drill pathloss in ronnarrow over 2 cells (14 samples; 14 of 272 paths with ≥ 50 probes)",
 			"p99=0",
-			"drill pathloss in ronnarrow-h0.25 over 2 cells (17 samples)",
+			"drill pathloss in ronnarrow-h0.25 over 2 cells (17 samples; 17 of 272 paths with ≥ 50 probes)",
 			"p99=0"}},
 		{name: "win20", args: drill("win20:loss"), expect: []string{
 			"drill win20:loss in ronnarrow over 2 cells (544 samples)",
@@ -443,5 +523,141 @@ func TestDrillCommandLine(t *testing.T) {
 	for _, tc := range cases {
 		tc.dir = &dir
 		t.Run(tc.name, func(t *testing.T) { runStoreCase(t, tc) })
+	}
+}
+
+// mergedOutput is what -sweep must print over a sweep directory whose
+// every cell has its snapshot: per grid point the header, then each
+// table file the sweep wrote under merged/<group>/, byte for byte,
+// under its section's title.
+func mergedOutput(t *testing.T, dir string) string {
+	t.Helper()
+	m, err := core.ReadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	titles := map[string]string{
+		"table5":     "Table 5 (one-way loss percentages)",
+		"table6":     "Table 6 (hour-long high-loss periods)",
+		"workload":   "Workload (delivered application frames)",
+		"resilience": "Resilience (recovery from injected outages)",
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "sweep manifest: %d grid points\n\n", len(m.Groups))
+	for _, g := range m.Groups {
+		n := len(g.Cells)
+		fmt.Fprintf(&b, "=== %s: %s, %d hosts, %d replicas combined (%d from snapshots, 0 from traces) ===\n",
+			g.Name, g.Dataset, g.Hosts, n, n)
+		for _, sec := range []string{"table5", "table6", "workload", "resilience"} {
+			text, err := os.ReadFile(filepath.Join(dir, core.MergedDirName, g.Name, strings.ToLower(g.Dataset)+"-"+sec+".txt"))
+			if errors.Is(err, fs.ErrNotExist) {
+				continue
+			} else if err != nil {
+				t.Fatal(err)
+			}
+			title := titles[sec]
+			if sec == "table5" && g.Dataset == "RONwide" {
+				title = "Table 7 (expanded routing schemes, RTT latencies)"
+			}
+			fmt.Fprintf(&b, "%s\n%s\n", title, text)
+		}
+	}
+	return b.String()
+}
+
+// runSweepCLI runs -sweep over dir and returns what it printed.
+func runSweepCLI(t *testing.T, dir string) string {
+	t.Helper()
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-sweep", dir}, &stdout, &stderr); code != 0 {
+		t.Fatalf("ronreport -sweep %s: exit %d: %s", dir, code, stderr.String())
+	}
+	return stdout.String()
+}
+
+// TestSweepTablesMatchMerged: -sweep prints every table section the
+// sweep wrote under merged/, titled, byte for byte — RONnarrow grid
+// points with the paper's inferred direct* and lat* rows, a RONwide
+// cell's Table 7 with RTT latencies, and a scripted-outage cell's
+// resilience table.
+func TestSweepTablesMatchMerged(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		dir   func(t *testing.T) string
+		shows []string
+	}{
+		{"ronnarrow hysteresis grid", sweepCopy, []string{"direct*", "lat*"}},
+		{"ronwide cell", func(t *testing.T) string {
+			return newSweep(t, experiment.Datasets(core.RONwide), experiment.Replicas(1))
+		}, []string{"Table 7 (expanded routing schemes, RTT latencies)", "RTT"}},
+		{"outage cell", func(t *testing.T) string {
+			return newSweep(t, experiment.Datasets(experiment.RONnarrow), experiment.Replicas(1),
+				experiment.AxisValues("scenario", "outage"))
+		}, []string{"Resilience (recovery from injected outages)"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := tc.dir(t)
+			got, want := runSweepCLI(t, dir), mergedOutput(t, dir)
+			if got != want {
+				t.Errorf("-sweep printed:\n%s\nwant the merged/ tables:\n%s", got, want)
+			}
+			for _, s := range tc.shows {
+				if !strings.Contains(got, s) {
+					t.Errorf("-sweep output lacks %q", s)
+				}
+			}
+		})
+	}
+}
+
+// TestAnotherDaysSnapshotRefused: a replica copied in from the same
+// command at another -days has the seed its grid coordinates give, so
+// only the admission check a resumed sweep runs tells it apart:
+// -reindex adds no row for it, and -sweep combines neither it nor its
+// trace, which shares its provenance.
+func TestAnotherDaysSnapshotRefused(t *testing.T) {
+	grid := func(days float64) string {
+		return newSweep(t, experiment.Datasets(experiment.RONnarrow), experiment.Days(days), experiment.Seed(3))
+	}
+	dir, other := grid(0.002), grid(0.004)
+	path := core.CellSnapshotPath(dir, cellA1)
+	data, err := os.ReadFile(core.CellSnapshotPath(other, cellA1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(resultstore.SegmentPath(dir)); err != nil {
+		t.Fatal(err)
+	}
+	reason := "core: cell snapshot " + path + ": days is 0.004, grid wants 0.002: snapshot belongs to another grid"
+	runCLI(t, []string{"-store", dir, "-reindex"}, []string{
+		"(cell " + cellA1 + ": skipping snapshot: " + reason + ")",
+		"reindex: added 1 cell and 0 group rows (1 cells missing); store now holds 1 rows",
+	}, nil)
+	runCLI(t, []string{"-sweep", dir}, renderLines("sweep manifest: 1 grid points\n\n"+
+		"(cell "+cellA1+": "+reason+"; not trusting its trace either)\n"+
+		headerA+"1 replicas combined (1 from snapshots, 0 from traces; MISSING "+cellA1+") ===\n"+
+		tables(t, snapRes(t, dir, cellA0))), nil)
+}
+
+// TestCustomAxisSweepReadable: ronreport links the tablerefresh axis
+// ronsim sweeps, so over a -tablerefresh 0,5s sweep -reindex restores
+// the t5s cells, -drill reads them, and -sweep prints their tables.
+func TestCustomAxisSweepReadable(t *testing.T) {
+	dir := newSweep(t, experiment.Datasets(experiment.RONnarrow), experiment.AxisValues("tablerefresh", "0", "5s"))
+	if err := os.Remove(resultstore.SegmentPath(dir)); err != nil {
+		t.Fatal(err)
+	}
+	runCLI(t, []string{"-store", dir, "-reindex"}, []string{
+		"reindex: added 4 cell and 2 group rows (0 cells missing); store now holds 6 rows",
+	}, nil)
+	runCLI(t, []string{"-store", dir, "-query", "kind=cell,group=ronnarrow-t5s", "-drill", "win20:loss"}, []string{
+		"drill win20:loss in ronnarrow-t5s over 2 cells (544 samples)",
+		"mean=0.0013115552754131299 p50=0 p90=0 p95=0 p99=0.047619047619047616 max=0.10526315789473684",
+	}, nil)
+	if got, want := runSweepCLI(t, dir), mergedOutput(t, dir); got != want {
+		t.Errorf("-sweep printed:\n%s\nwant the merged/ tables:\n%s", got, want)
 	}
 }

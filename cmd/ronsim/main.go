@@ -70,6 +70,7 @@ import (
 	"strings"
 	"time"
 
+	_ "repro/cmd/internal/tablerefresh" // registers the -tablerefresh axis
 	"repro/experiment"
 	"repro/internal/analysis"
 	"repro/internal/core"
@@ -160,6 +161,13 @@ func (f *cmdFlags) exec(stdout io.Writer) (err error) {
 	}
 	defer func() { err = cmp.Or(err, stopProfiles()) }()
 
+	// Fleet flags outside their mode would be silently ignored.
+	if f.leaseTTL != 0 && f.serve == "" {
+		return errors.New("-lease requires -serve")
+	}
+	if f.workerName != "" && f.workerURL == "" {
+		return errors.New("-workername requires -worker")
+	}
 	if !f.sweep {
 		// Sweep-only flags must not silently degrade into a default
 		// single campaign: one that pollutes a sweep output directory,
@@ -572,11 +580,12 @@ func runSweep(stdout io.Writer, f *cmdFlags) error {
 // runMergeOnly rebuilds merged/ from whatever completed cell snapshots
 // exist under dir — its own run's, a resumed run's, or shards copied in
 // from other machines — and reports the grid points still missing
-// cells. Rebuilt tables are byte-identical to a single-machine sweep
+// cells. It re-expands the manifest's grid and reads each cell through
+// the admission check a live run's -resume uses (Sweep.ReadCell), so a
+// snapshot of another grid point counts as missing, with -resume's
+// reason. Rebuilt tables are byte-identical to a single-machine sweep
 // because the snapshots round-trip aggregator state exactly and
-// replicas merge in the same order. Custom-axis cells restore through
-// the axis registry, so any axis this binary registers merges like a
-// built-in one.
+// replicas merge in the same order.
 func runMergeOnly(stdout io.Writer, dir string) error {
 	if dir == "" {
 		return errors.New("-merge-only needs -out pointing at a sweep output directory")
@@ -585,33 +594,41 @@ func runMergeOnly(stdout io.Writer, dir string) error {
 	if err != nil {
 		return err
 	}
+	s, err := m.Sweep()
+	if err != nil {
+		return err
+	}
 	fmt.Fprintf(stdout, "merge-only: %d grid points in %s\n\n",
 		len(m.Groups), filepath.Join(dir, core.ManifestName))
+	cells := s.Cells()
 	merged := 0
 	var incomplete []string
 	var missingNames []string
-	for g, cells := range m.RestoredGroups(dir) {
+	for g := range m.Groups {
+		mg := &m.Groups[g]
+		idxs := s.GroupCells(g)
 		var results []*core.Result
 		var missing []string
-		for ci, rc := range cells {
-			if rc.Err == nil {
-				results = append(results, rc.Res)
+		for k, i := range idxs {
+			res, err := s.ReadCell(i, dir)
+			if err == nil {
+				results = append(results, res)
 				continue
 			}
 			// Name the cell by its grid coordinates, not just its
 			// label: the coordinates are what an operator pastes back
 			// into axis flags to re-run exactly the missing work.
-			c := g.Cells[ci]
-			if errors.Is(rc.Err, fs.ErrNotExist) {
-				missing = append(missing, fmt.Sprintf("%s [%s]", c.Name, g.CellCoords(ci)))
+			name := cells[i].Name()
+			if errors.Is(err, fs.ErrNotExist) {
+				missing = append(missing, fmt.Sprintf("%s [%s]", name, mg.CellCoords(k)))
 			} else {
-				missing = append(missing, fmt.Sprintf("%s [%s] (%v)", c.Name, g.CellCoords(ci), rc.Err))
+				missing = append(missing, fmt.Sprintf("%s [%s] (%v)", name, mg.CellCoords(k), err))
 			}
-			missingNames = append(missingNames, c.Name)
+			missingNames = append(missingNames, name)
 		}
 		if len(missing) > 0 {
-			incomplete = append(incomplete, g.Name)
-			fmt.Fprintf(stdout, "=== %s: MISSING %d/%d cells ===\n", g.Name, len(missing), len(g.Cells))
+			incomplete = append(incomplete, mg.Name)
+			fmt.Fprintf(stdout, "=== %s: MISSING %d/%d cells ===\n", mg.Name, len(missing), len(idxs))
 			for _, ms := range missing {
 				fmt.Fprintf(stdout, "    %s\n", ms)
 			}
@@ -620,18 +637,14 @@ func runMergeOnly(stdout io.Writer, dir string) error {
 		}
 		mergedRes, err := core.MergeResults(results)
 		if err != nil {
-			return fmt.Errorf("group %s: %w", g.Name, err)
+			return fmt.Errorf("group %s: %w", mg.Name, err)
 		}
-		d, err := core.ParseDataset(g.Dataset)
-		if err != nil {
-			return fmt.Errorf("group %s: %w", g.Name, err)
-		}
-		if err := writeFigures(filepath.Join(dir, core.MergedDirName, g.Name), d, mergedRes); err != nil {
+		if err := writeFigures(filepath.Join(dir, core.MergedDirName, mg.Name), cells[idxs[0]].Dataset, mergedRes); err != nil {
 			return err
 		}
 		merged++
 		fmt.Fprintf(stdout, "=== merged %s: %d replicas from snapshots ===\n%s\n",
-			g.Name, len(results), mergedRes.Report())
+			mg.Name, len(results), mergedRes.Report())
 	}
 	fmt.Fprintf(stdout, "merge-only: rebuilt %d/%d merged grid points under %s\n",
 		merged, len(m.Groups), filepath.Join(dir, core.MergedDirName))
@@ -666,7 +679,7 @@ func printFigures(stdout io.Writer, res *core.Result) {
 	names := res.Agg.Methods()
 	fmt.Fprintln(stdout, analysis.RenderCDFOverlay(
 		"Figure 2: per-path long-term loss rate CDF (percent, direct path)",
-		0, 7, 15, []string{"direct"}, []*analysis.CDF{res.Figure2(50)}))
+		0, 7, 15, []string{"direct"}, []*analysis.CDF{res.Figure2(core.Figure2MinProbes)}))
 	fmt.Fprintln(stdout, analysis.RenderCDFOverlay(
 		"Figure 3: 20-minute loss-rate CDF per method (fraction)",
 		0, 1, 11, names, res.Figure3()))

@@ -182,6 +182,14 @@ func TestCommandLineErrors(t *testing.T) {
 			"-replicas -1: want at least 1"},
 		{"days past the clock", testSweepArgs(dir, "-days", "1e300"),
 			"core: sweep cell ronnarrow-r00: core: Days = 1e+300, want > 0 and <= 106751"},
+		{"lease without serve", []string{"-dataset", "ronnarrow", "-days", "0.001", "-lease", "1m"},
+			"-lease requires -serve"},
+		{"lease on a local sweep", testSweepArgs(dir, "-lease", "1m"),
+			"-lease requires -serve"},
+		{"workername without worker", []string{"-dataset", "ronnarrow", "-days", "0.001", "-workername", "x"},
+			"-workername requires -worker"},
+		{"workername on a server", testSweepArgs(dir, "-serve", "127.0.0.1:0", "-workername", "x"),
+			"-workername requires -worker"},
 		{"memprofile unwritable", []string{"-dataset", "ronnarrow", "-days", "0.001", "-memprofile", filepath.Join(dir, "no", "mem.out")},
 			"open " + filepath.Join(dir, "no", "mem.out") + ": no such file or directory"},
 	}
@@ -391,13 +399,10 @@ func TestMergeOnlyReportsMissingCells(t *testing.T) {
 	dir := t.TempDir()
 	// Everything except ronnarrow-h0.25-r01.
 	ronsim(t, 0, testSweepArgs(dir, "-cells", "*-r00,ronnarrow-r01")...)
+	s := manifestSweep(t, dir)
 	var replicas []*core.Result
-	for _, cell := range []string{"ronnarrow-r00", "ronnarrow-r01"} {
-		snap, err := core.ReadCellSnapshot(core.CellSnapshotPath(dir, cell))
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := snap.RestoreStandalone()
+	for _, i := range s.GroupCells(0) {
+		res, err := s.ReadCell(i, dir)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -450,6 +455,48 @@ func TestMergeOnlyReportsMissingCells(t *testing.T) {
 	}
 }
 
+// TestMergeOnlyRefusesAnotherDaysSnapshot: a replica copied in from the
+// same command at another -days carries the seed its grid coordinates
+// give, so only the admission check tells it apart. -merge-only lists it
+// missing with the reason -resume gives for it, and merges nothing.
+func TestMergeOnlyRefusesAnotherDaysSnapshot(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs sweep campaigns")
+	}
+	grid := func(dir, days string, extra ...string) []string {
+		return append([]string{"-sweep", "-dataset", "ronnarrow", "-days", days,
+			"-replicas", "2", "-seed", "3", "-out", dir}, extra...)
+	}
+	dir, other := t.TempDir(), t.TempDir()
+	ronsim(t, 0, grid(dir, "0.002")...)
+	ronsim(t, 0, grid(other, "0.004")...)
+	path := core.CellSnapshotPath(dir, "ronnarrow-r01")
+	data, err := os.ReadFile(core.CellSnapshotPath(other, "ronnarrow-r01"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.RemoveAll(filepath.Join(dir, core.MergedDirName)); err != nil {
+		t.Fatal(err)
+	}
+	reason := "core: cell snapshot " + path + ": days is 0.004, grid wants 0.002: snapshot belongs to another grid"
+	got, stderr := ronsim(t, 1, "-sweep", "-merge-only", "-out", dir)
+	want := fmt.Sprintf("merge-only: 1 grid points in %s\n\n", filepath.Join(dir, core.ManifestName)) +
+		"=== ronnarrow: MISSING 1/2 cells ===\n" +
+		"    ronnarrow-r01 [dataset=RONnarrow replica=1] (" + reason + ")\n\n" +
+		fmt.Sprintf("merge-only: rebuilt 0/1 merged grid points under %s\n", filepath.Join(dir, core.MergedDirName)) +
+		"missing grid points: ronnarrow\n" +
+		"re-run exactly the missing cells with: -sweep ... -cells ronnarrow-r01\n"
+	if got != want || stderr != "ronsim: no grid point had a complete set of cell snapshots\n" {
+		t.Errorf("merge-only over another -days replica printed:\n%s%s\nwant:\n%s", got, stderr, want)
+	}
+	if out, _ := ronsim(t, 0, grid(dir, "0.002", "-resume")...); !strings.Contains(out, "cell ronnarrow-r01: ignoring unusable snapshot: "+reason+"\n") {
+		t.Errorf("-resume does not give the same reason; printed:\n%s", out)
+	}
+}
+
 // TestOldFormatsRefused: every persisted format has one version, and an
 // artifact of any other is refused by number, never half-understood — a
 // version 2 manifest, a version 1 cell snapshot (CRC intact), and an
@@ -467,20 +514,24 @@ func TestOldFormatsRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	s := manifestSweep(t, dir)
 	var payload []byte
-	for _, g := range m.Groups {
-		for _, c := range g.Cells {
-			snap, err := core.ReadManifestCellSnapshot(dir, c)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if payload, err = snap.Aggregator().AppendBinary(nil); err != nil {
-				t.Fatal(err)
-			}
-			snap.Version = 1
-			if _, err := snap.WriteFileBuf(filepath.Join(dir, c.Snapshot), nil); err != nil {
-				t.Fatal(err)
-			}
+	for i, c := range s.Cells() {
+		res, err := s.ReadCell(i, dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if payload, err = res.Agg.AppendBinary(nil); err != nil {
+			t.Fatal(err)
+		}
+		path := core.CellSnapshotPath(dir, c.Name())
+		snap, err := readSnapshot(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap.Version = 1
+		if _, err := snap.WriteFileBuf(path, nil); err != nil {
+			t.Fatal(err)
 		}
 	}
 
@@ -501,7 +552,7 @@ func TestOldFormatsRefused(t *testing.T) {
 			return err
 		}, "unsupported sweep manifest version 2 (want 3)"},
 		{"cell snapshot version 1", func() error {
-			_, err := core.ReadCellSnapshot(core.CellSnapshotPath(dir, "ronnarrow-r00"))
+			_, err := readSnapshot(core.CellSnapshotPath(dir, "ronnarrow-r00"))
 			return err
 		}, "unsupported version 1 (want 2)"},
 	}
@@ -641,4 +692,27 @@ func TestFracFormatting(t *testing.T) {
 	if frac(0.5) != "0.5000" {
 		t.Errorf("frac(0.5) = %q", frac(0.5))
 	}
+}
+
+// readSnapshot parses the cell snapshot file at path.
+func readSnapshot(path string) (*core.CellSnapshot, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	return core.ParseCellSnapshot(data)
+}
+
+// manifestSweep re-expands the grid of the sweep manifest in dir.
+func manifestSweep(t *testing.T, dir string) *core.Sweep {
+	t.Helper()
+	m, err := core.ReadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := m.Sweep()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
 }

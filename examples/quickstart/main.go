@@ -9,8 +9,8 @@
 // parses, labels a cell, and configures a campaign. The engine names,
 // seeds, shards, snapshots, and serializes its cells exactly like the
 // built-in axes, with no engine changes. (The same pattern at CLI
-// scale: cmd/ronsim/axis_tablerefresh.go, whose -tablerefresh flag is
-// derived from this registry.)
+// scale: cmd/internal/tablerefresh, whose -tablerefresh flag ronsim
+// derives from this registry.)
 //
 //	go run ./examples/quickstart
 package main

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"flag"
+	"os"
 	"strconv"
 	"strings"
 	"testing"
@@ -93,7 +94,7 @@ func TestExperimentRunAndResume(t *testing.T) {
 		t.Errorf("progress saw %d cells, want 4", len(finished))
 	}
 	for _, c := range res.Cells {
-		if _, err := core.ReadCellSnapshot(core.CellSnapshotPath(dir, c.Cell.Name())); err != nil {
+		if _, err := readSnapshot(core.CellSnapshotPath(dir, c.Cell.Name())); err != nil {
 			t.Errorf("cell %s: no persisted snapshot: %v", c.Cell.Name(), err)
 		}
 	}
@@ -168,14 +169,18 @@ func TestResumeIntoNewOutputIsSelfContained(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gi := 0
-	for g, cells := range m.RestoredGroups(b) {
+	s, err := m.Sweep()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for gi := range m.Groups {
 		var results []*core.Result
-		for ci, rc := range cells {
-			if rc.Err != nil {
-				t.Fatalf("group %s cell %s does not restore from %s: %v", g.Name, g.Cells[ci].Name, b, rc.Err)
+		for _, i := range s.GroupCells(gi) {
+			res, err := s.ReadCell(i, b)
+			if err != nil {
+				t.Fatalf("group %s: a cell does not restore from %s: %v", m.Groups[gi].Name, b, err)
 			}
-			results = append(results, rc.Res)
+			results = append(results, res)
 		}
 		merged, err := core.MergeResults(results)
 		if err != nil {
@@ -184,13 +189,12 @@ func TestResumeIntoNewOutputIsSelfContained(t *testing.T) {
 		want := first.Groups[gi].Merged.Artifacts()
 		for k, art := range merged.Artifacts() {
 			if art != want[k] {
-				t.Errorf("group %s: %s restored from %s differs from the first run's", g.Name, art.Name, b)
+				t.Errorf("group %s: %s restored from %s differs from the first run's", m.Groups[gi].Name, art.Name, b)
 			}
 		}
-		gi++
 	}
-	if gi != len(first.Groups) {
-		t.Errorf("manifest under %s restores %d groups, want %d", b, gi, len(first.Groups))
+	if len(m.Groups) != len(first.Groups) {
+		t.Errorf("manifest under %s restores %d groups, want %d", b, len(m.Groups), len(first.Groups))
 	}
 }
 
@@ -269,4 +273,13 @@ func TestRegisterAxisFlags(t *testing.T) {
 	if _, err := collect2(); err == nil || !strings.Contains(err.Error(), "-losswindow") {
 		t.Errorf("bad axis flag error = %v", err)
 	}
+}
+
+// readSnapshot parses the cell snapshot file at path.
+func readSnapshot(path string) (*core.CellSnapshot, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	return core.ParseCellSnapshot(data)
 }

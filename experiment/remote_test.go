@@ -277,7 +277,7 @@ func TestRemoteResumeReloadsEachSnapshotOnce(t *testing.T) {
 		t.Errorf("reused %d, cached %v/%v; want the valid cell alone reused",
 			res.Reused, res.Cells[0].Cached, res.Cells[1].Cached)
 	}
-	if _, err := core.ReadCellSnapshot(torn); err != nil {
+	if _, err := readSnapshot(torn); err != nil {
 		t.Errorf("recomputed cell not persisted over the torn file: %v", err)
 	}
 }

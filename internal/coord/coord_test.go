@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -294,7 +295,7 @@ func TestCoordinatorFaultInjectionHTTP(t *testing.T) {
 	}
 	for _, cell := range cells {
 		path := core.CellSnapshotPath(outDir, cell.Name())
-		if _, err := core.ReadCellSnapshot(path); err != nil {
+		if _, err := readSnapshot(path); err != nil {
 			t.Errorf("persisted snapshot %s: %v", path, err)
 		}
 	}
@@ -465,4 +466,13 @@ func TestCoordinatorReuseAndFilter(t *testing.T) {
 	if _, err := shard.Complete(r1, payload, 0); err == nil {
 		t.Error("upload for a filtered-out cell accepted")
 	}
+}
+
+// readSnapshot parses the cell snapshot file at path.
+func readSnapshot(path string) (*core.CellSnapshot, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	return core.ParseCellSnapshot(data)
 }

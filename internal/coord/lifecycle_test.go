@@ -290,7 +290,7 @@ func TestFleetDrainRetention(t *testing.T) {
 		if cr.Res == nil || cr.Res.Agg != nil {
 			t.Fatalf("cell %s: want a Result without an aggregator, got %+v", cr.Cell.Name(), cr.Res)
 		}
-		snap, err := core.ReadCellSnapshot(core.CellSnapshotPath(outDir, cr.Cell.Name()))
+		snap, err := readSnapshot(core.CellSnapshotPath(outDir, cr.Cell.Name()))
 		if err != nil {
 			t.Fatal(err)
 		}

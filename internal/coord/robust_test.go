@@ -210,7 +210,7 @@ func TestCoordinatorCrashRestartRecovery(t *testing.T) {
 		t.Errorf("%d cells cached in restart result, want 2", cachedN)
 	}
 	for _, cell := range cells {
-		if _, err := core.ReadCellSnapshot(core.CellSnapshotPath(outDir, cell.Name())); err != nil {
+		if _, err := readSnapshot(core.CellSnapshotPath(outDir, cell.Name())); err != nil {
 			t.Errorf("persisted snapshot for %s: %v", cell.Name(), err)
 		}
 	}

@@ -221,17 +221,6 @@ func typedAxis[T any](def *AxisDef, values []T) Axis {
 	return Axis{def: def, vals: vals}
 }
 
-// applyAxisValue applies one named axis value to a config via the
-// registry — the restoration path for snapshots and manifests written
-// by other processes.
-func applyAxisValue(name string, value AxisValue, cfg *Config) error {
-	def := lookupAxis(name)
-	if def == nil {
-		return fmt.Errorf("core: axis %q is not registered in this binary; link the package that defines it", name)
-	}
-	return Axis{def: def}.Apply(value, cfg)
-}
-
 // --- value helpers shared by the built-in axes ---
 
 // typedDef fills def's Parse and Apply from a typed parse/format pair:

@@ -259,13 +259,14 @@ func FuzzAxisValues(f *testing.F) {
 
 func TestProfileNameReconstruction(t *testing.T) {
 	cfg := DefaultConfig(RONnarrow, sweepDays)
-	if err := applyAxisValue("profile", "ls4-es0.5", &cfg); err != nil {
+	profile := mustAxis(t, "profile", "", "ls4-es0.5")
+	if err := profile.Apply("ls4-es0.5", &cfg); err != nil {
 		t.Fatal(err)
 	}
 	if p := cfg.Profile; p == nil || p.LossScale != 4 || p.EdgeShare != 0.5 {
 		t.Errorf("reconstructed profile = %+v", p)
 	}
-	if err := applyAxisValue("profile", "", &cfg); err != nil || cfg.Profile != nil {
+	if err := profile.Apply("", &cfg); err != nil || cfg.Profile != nil {
 		t.Errorf("the default profile value left %+v, %v", cfg.Profile, err)
 	}
 	for _, bad := range []string{"lossy", "ls4", "ls0-es1", "ls4-es-2", "es1-ls4", "lsNaN-es1", "ls+Inf-es1", "ls4-es1x"} {
@@ -282,16 +283,19 @@ func TestProfileNameReconstruction(t *testing.T) {
 	}
 }
 
+// TestApplyAxisValue: a value applied through the registry's axis
+// configures its field, and an axis no package registers is refused
+// when the axis is built, naming the registry.
 func TestApplyAxisValue(t *testing.T) {
 	cfg := DefaultConfig(RONnarrow, sweepDays)
-	if err := applyAxisValue("losswindow", "25", &cfg); err != nil {
+	if err := mustAxis(t, "losswindow", "25").Apply("25", &cfg); err != nil {
 		t.Fatal(err)
 	}
 	if cfg.LossWindow != 25 {
 		t.Errorf("losswindow apply left window %d", cfg.LossWindow)
 	}
-	if err := applyAxisValue("warpfactor", "9", &cfg); err == nil {
-		t.Error("applyAxisValue accepted an unregistered axis")
+	if _, err := NewAxis("warpfactor", []AxisValue{"9"}); err == nil || !strings.Contains(err.Error(), "not registered") {
+		t.Errorf("NewAxis of an unregistered axis: %v, want a not-registered error", err)
 	}
 }
 
@@ -412,18 +416,21 @@ func TestCustomAxisSnapshotRoundTrip(t *testing.T) {
 		Axes:     []Axis{mustAxis(t, "gapscale", "2")},
 	})
 	c := res.Cells[0]
-	path := CellSnapshotPath(t.TempDir(), c.Cell.Name())
+	dir := t.TempDir()
+	path := CellSnapshotPath(dir, c.Cell.Name())
 	if _, err := NewCellSnapshot(c.Cell, c.Res).WriteFileBuf(path, nil); err != nil {
 		t.Fatal(err)
 	}
-	snap, err := ReadCellSnapshot(path)
+	if snap := readSnapshot(t, path); snap.Axes["gapscale"] != "2" {
+		t.Errorf("snapshot axes = %v, want gapscale=2", snap.Axes)
+	}
+	// The grid re-expanded from the manifest re-applies the custom axis
+	// through the registry, and the snapshot reads back under it.
+	s, err := res.Manifest(nil, nil).Sweep()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.Axes["gapscale"] != "2" {
-		t.Errorf("snapshot axes = %v, want gapscale=2", snap.Axes)
-	}
-	restored, err := snap.RestoreStandalone()
+	restored, err := s.ReadCell(0, dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
-	"os"
 	"path/filepath"
 	"sync"
 	"time"
@@ -112,7 +111,7 @@ func (s *Sweep) Start(outDir string, recoverOut bool, results *resultstore.Store
 
 // reload is the one place a file on disk satisfies a cell of a run:
 // the cell's snapshot in the first of dirs (empty entries skipped) that
-// passes AdmitCell's check lands as Cached at once, so the pass holds
+// ReadCell admits lands as Cached at once, so the pass holds
 // one decoded cell at a time. A snapshot taken from a directory other
 // than the output directory lands with the bytes just read as its wire
 // form, so the output directory ends up holding every cell its
@@ -126,12 +125,7 @@ func (r *SweepRun) reload(i int, dirs []string) bool {
 		if dir == "" {
 			continue
 		}
-		path := CellSnapshotPath(dir, c.Name())
-		data, err := os.ReadFile(path)
-		var res *Result
-		if err == nil {
-			res, err = s.admit(i, data, path, nil)
-		}
+		res, data, err := s.readCell(i, dir)
 		if err == nil {
 			var wire []byte
 			if r.outDir != "" && filepath.Clean(dir) != filepath.Clean(r.outDir) {

@@ -221,17 +221,18 @@ func TestSweepRunReleasesPersistedCells(t *testing.T) {
 		if c.Res == nil || c.Res.Agg != nil {
 			t.Fatalf("cell %s: want a Result without an aggregator, got %+v", c.Cell.Name(), c.Res)
 		}
-		snap, err := ReadCellSnapshot(CellSnapshotPath(spec.OutDir, c.Cell.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
+		snap := readSnapshot(t, CellSnapshotPath(spec.OutDir, c.Cell.Name()))
 		if c.Res.MeasureProbes != snap.MeasureProbes || c.Res.RONProbes != snap.RONProbes ||
 			c.Res.RouteChanges != snap.RouteChanges || c.Res.Testbed.N() != snap.Hosts ||
 			len(c.Res.Methods) != len(snap.Methods) || c.Res.Config.Seed != snap.Seed {
 			t.Errorf("cell %s: released Result disagrees with its snapshot", c.Cell.Name())
 		}
+		restored, err := snap.Restore(c.Res.Config)
+		if err != nil {
+			t.Fatal(err)
+		}
 		want, _ := k.Res.Agg.AppendBinary(nil)
-		got, _ := snap.Aggregator().AppendBinary(nil)
+		got, _ := restored.Agg.AppendBinary(nil)
 		if !bytes.Equal(got, want) {
 			t.Errorf("cell %s: snapshot aggregator differs from the kept one", c.Cell.Name())
 		}

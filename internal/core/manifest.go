@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 )
 
@@ -18,8 +19,7 @@ const ManifestVersion = 3
 
 // SweepManifest records what a sweep wrote to its output directory, so
 // post-processing tools (cmd/ronsim -merge-only, cmd/ronreport) can find
-// and combine the per-cell artifacts without re-deriving the grid — and
-// enough of the spec (datasets, replicas, and every axis with its full
+// and combine the per-cell artifacts — and enough of the spec (datasets, replicas, and every axis with its full
 // value list) that SweepSpec can re-derive it, which is what lets a
 // coordinator ship a grid to workers as pure data. A sharded run writes
 // the manifest for the FULL grid — including cells it skipped — so any
@@ -91,9 +91,9 @@ type ManifestCell struct {
 	// Trace is the cell's probe-trace file, relative to the manifest's
 	// directory; empty when the sweep ran without tracing.
 	Trace string `json:"trace,omitempty"`
-	// Snapshot is the cell's persisted-state file (see ReadCellSnapshot),
-	// relative to the manifest's directory; empty when the sweep ran
-	// without an output directory. The file exists only for cells that
+	// Snapshot is the cell's persisted-state file, relative to the
+	// manifest's directory (CellSnapshotRelPath, where Sweep.ReadCell
+	// reads it); empty when the sweep ran without an output directory. The file exists only for cells that
 	// have actually completed on some machine — under sharding, each
 	// shard records the same canonical path and fills in its own cells.
 	Snapshot string `json:"snapshot,omitempty"`
@@ -244,4 +244,50 @@ func (m *SweepManifest) SweepSpec() (SweepSpec, error) {
 		spec.Axes = append(spec.Axes, a)
 	}
 	return spec, nil
+}
+
+// Sweep re-expands the manifest's grid (SweepSpec, then NewSweep): the
+// cells and Configs of the run that wrote it, against which the offline
+// tools admit that run's snapshots (Sweep.ReadCell), exactly as the run
+// itself would. It also checks that the expansion lists the manifest's
+// groups in order — the same names, testbed sizes and method sets, and
+// the same cells with the same seeds — so the manifest's group g and
+// cell k (with its trace path) are the expansion's group g, replica k.
+func (m *SweepManifest) Sweep() (*Sweep, error) {
+	spec, err := m.SweepSpec()
+	if err != nil {
+		return nil, err
+	}
+	s, err := NewSweep(spec)
+	if err != nil {
+		return nil, err
+	}
+	if len(m.Groups) != len(s.groups) {
+		return nil, fmt.Errorf("core: manifest lists %d groups, its grid has %d", len(m.Groups), len(s.groups))
+	}
+	for g, idxs := range s.groups {
+		mg := &m.Groups[g]
+		hosts, methods := s.groupShape(g)
+		var what string
+		switch first := s.cells[idxs[0]]; {
+		case mg.Name != first.GroupName():
+			what = fmt.Sprintf("grid has %s in its place", first.GroupName())
+		case mg.Hosts != hosts:
+			what = fmt.Sprintf("hosts %d, grid has %d", mg.Hosts, hosts)
+		case !slices.Equal(mg.Methods, methods):
+			what = fmt.Sprintf("methods %q, grid has %q", mg.Methods, methods)
+		case len(mg.Cells) != len(idxs):
+			what = fmt.Sprintf("%d cells, grid has %d", len(mg.Cells), len(idxs))
+		}
+		for k := 0; what == "" && k < len(idxs); k++ {
+			if c := s.cells[idxs[k]]; mg.Cells[k].Name != c.Name() || mg.Cells[k].Seed != c.Seed {
+				what = fmt.Sprintf("cell %s seed %d, grid has %s seed %d",
+					mg.Cells[k].Name, mg.Cells[k].Seed, c.Name(), c.Seed)
+			}
+		}
+		if what != "" {
+			return nil, fmt.Errorf("core: manifest group %s does not match its grid: %s", mg.Name, what)
+		}
+	}
+	return s, nil
 }

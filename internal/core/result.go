@@ -68,6 +68,10 @@ func (r *Result) DirectMethodIndex() int {
 	return 0
 }
 
+// Figure2MinProbes is the observation count a path needs to enter
+// Figure 2's CDF in the rendered figures.
+const Figure2MinProbes = 50
+
 // Figure2 returns the per-path long-term loss CDF (percent) for the
 // direct path, as in Figure 2. Paths need minProbes observations to
 // count.
@@ -126,7 +130,7 @@ type Artifact struct {
 func (r *Result) Artifacts() []Artifact {
 	names := r.Agg.Methods()
 	arts := []Artifact{
-		{"fig2.dat", analysis.RenderCDF("per-path loss % CDF", r.Figure2(50).Grid(0, 7, 100))},
+		{"fig2.dat", analysis.RenderCDF("per-path loss % CDF", r.Figure2(Figure2MinProbes).Grid(0, 7, 100))},
 		{"fig3.dat", analysis.RenderCDFOverlay("20-min loss CDF", 0, 1, 101, names, r.Figure3())},
 	}
 	if f4names, f4cdfs := r.Figure4(); len(f4cdfs) > 0 {

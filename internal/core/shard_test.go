@@ -65,16 +65,17 @@ func TestShardedSweepByteIdentical(t *testing.T) {
 	}
 
 	// Coordinator: rebuild each grid point from the union of snapshots,
-	// exactly as merge-only mode does.
+	// exactly as merge-only mode does — the grid re-expanded from the
+	// manifest, every cell read through the admission check.
+	s, err := single.Manifest(nil, nil).Sweep()
+	if err != nil {
+		t.Fatal(err)
+	}
 	for gi := range single.Groups {
 		g := &single.Groups[gi]
 		var results []*Result
 		for _, c := range g.Cells {
-			snap, err := ReadCellSnapshot(CellSnapshotPath(dir, c.Cell.Name()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := snap.RestoreStandalone()
+			res, err := s.ReadCell(c.Cell.Index, dir)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -6,8 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io/fs"
-	"iter"
 	"os"
 	"path/filepath"
 
@@ -108,10 +106,6 @@ func NewCellSnapshot(c Cell, res *Result) *CellSnapshot {
 	}
 }
 
-// Aggregator returns the snapshot's decoded aggregator state. It is
-// flushed and ready to query or merge.
-func (s *CellSnapshot) Aggregator() *analysis.Aggregator { return s.agg }
-
 // AppendContainer appends the snapshot's on-disk container — magic,
 // length-prefixed JSON metadata, length-prefixed aggregator payload,
 // trailing CRC-32 of the container bytes — to buf and returns the
@@ -191,37 +185,48 @@ func WriteSnapshotFile(path string, container []byte) error {
 	return nil
 }
 
-// ReadCellSnapshot loads and verifies a snapshot: magic, section
-// lengths, CRC-32, version, and metadata/aggregator consistency. Any
-// corruption — truncation, bit flips, a stray file — yields an error
-// rather than bad statistics.
-func ReadCellSnapshot(path string) (*CellSnapshot, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return parseCellSnapshot(data, path, nil)
-}
-
 // ParseCellSnapshot verifies and decodes a snapshot container from
-// memory — the same checks ReadCellSnapshot performs on a file: CRC-32
-// first, then structure, so a payload truncated or corrupted in flight
-// is rejected rather than read as data.
+// memory: CRC-32 first, then structure, magic, version, and
+// metadata/aggregator consistency, so a payload truncated or corrupted
+// in flight — or a stray file — is rejected rather than read as data.
 func ParseCellSnapshot(data []byte) (*CellSnapshot, error) {
 	return parseCellSnapshot(data, "payload", nil)
 }
 
 // AdmitCell is the one check that decides whether a snapshot container
-// is cell i's result — for a worker's upload, and (through Start's
-// reload) for a file on disk: CRC and structure by the container parse,
-// the cell's identity (name and coordinate-derived seed) against cell
-// i, and the aggregator by restoring it under Config(i). The aggregator
-// decodes into scratch's storage when scratch has the payload's shape
-// (see analysis.UnmarshalAggregatorInto; nil allocates). The caller
-// gives scratch up on success; on error scratch is the caller's again,
-// good only for another decode. The Result aliases none of container.
+// is cell i's result — for a worker's upload, and (through ReadCell) for
+// a file on disk: CRC and structure by the container parse, the cell's
+// identity (name and coordinate-derived seed) against cell i, and the
+// aggregator by restoring it under Config(i). A snapshot that parses but
+// belongs to another grid point fails with an error wrapping
+// ErrSnapshotMismatch. The aggregator decodes into scratch's storage
+// when scratch has the payload's shape (see
+// analysis.UnmarshalAggregatorInto; nil allocates). The caller gives
+// scratch up on success; on error scratch is the caller's again, good
+// only for another decode. The Result aliases none of container.
 func (s *Sweep) AdmitCell(i int, container []byte, scratch *analysis.Aggregator) (*Result, error) {
 	return s.admit(i, container, "payload", scratch)
+}
+
+// ReadCell reads cell i's snapshot from the sweep output directory dir
+// (CellSnapshotPath) and admits it: every read of a snapshot file, a
+// run's reload and the offline tools' alike, passes AdmitCell's check
+// against this sweep's cell and Config. An absent file reports
+// fs.ErrNotExist.
+func (s *Sweep) ReadCell(i int, dir string) (*Result, error) {
+	res, _, err := s.readCell(i, dir)
+	return res, err
+}
+
+// readCell is ReadCell also returning the container bytes it read.
+func (s *Sweep) readCell(i int, dir string) (*Result, []byte, error) {
+	path := CellSnapshotPath(dir, s.cells[i].Name())
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	res, err := s.admit(i, data, path, nil)
+	return res, data, err
 }
 
 // admit is AdmitCell naming src (a path, or "payload") in every error.
@@ -231,8 +236,8 @@ func (s *Sweep) admit(i int, data []byte, src string, scratch *analysis.Aggregat
 		return nil, err
 	}
 	if c := s.cells[i]; snap.Name != c.Name() || snap.Seed != c.Seed {
-		return nil, fmt.Errorf("core: cell snapshot %s is for %s seed %d, cell is %s seed %d",
-			src, snap.Name, snap.Seed, c.Name(), c.Seed)
+		return nil, fmt.Errorf("core: cell snapshot %s is for %s seed %d, cell is %s seed %d: %w",
+			src, snap.Name, snap.Seed, c.Name(), c.Seed, ErrSnapshotMismatch)
 	}
 	return snap.restore(s.cfgs[i], "core: cell snapshot "+src)
 }
@@ -294,81 +299,20 @@ func parseCellSnapshot(data []byte, src string, scratch *analysis.Aggregator) (*
 }
 
 // ErrSnapshotMismatch reports a snapshot that is internally valid but
-// belongs to a different cell or seed than the manifest expects —
-// typically debris from a rerun with another base seed. Distinguishable
-// from corruption (checksum errors) and absence (fs.ErrNotExist) so
-// consumers can decide whether other artifacts with the same provenance
-// (trace files) are still trustworthy.
-var ErrSnapshotMismatch = errors.New("snapshot does not match manifest cell")
-
-// ReadManifestCellSnapshot loads the snapshot a manifest records for one
-// cell and verifies the snapshot's identity against the manifest entry.
-// The name and seed check is what keeps merge tooling from silently
-// adopting results left behind by a different grid; mismatches return
-// ErrSnapshotMismatch. A cell the manifest records no snapshot for (its
-// sweep had no output directory) reports fs.ErrNotExist, like a
-// recorded file that is absent.
-func ReadManifestCellSnapshot(dir string, c ManifestCell) (*CellSnapshot, error) {
-	if c.Snapshot == "" {
-		return nil, fmt.Errorf("core: manifest records no snapshot for cell %s: %w", c.Name, fs.ErrNotExist)
-	}
-	path := c.Snapshot
-	if !filepath.IsAbs(path) {
-		path = filepath.Join(dir, path)
-	}
-	snap, err := ReadCellSnapshot(path)
-	if err != nil {
-		return nil, err
-	}
-	if snap.Name != c.Name || snap.Seed != c.Seed {
-		return nil, fmt.Errorf("core: cell snapshot %s is for %s seed %d, manifest wants %s seed %d: %w",
-			path, snap.Name, snap.Seed, c.Name, c.Seed, ErrSnapshotMismatch)
-	}
-	return snap, nil
-}
-
-// RestoredCell is one manifest cell as RestoredGroups found it on disk.
-type RestoredCell struct {
-	// Snap is the cell's snapshot; nil unless it loaded and matched the
-	// manifest's name and seed (see ReadManifestCellSnapshot).
-	Snap *CellSnapshot
-	// Res is Snap restored standalone; nil unless that succeeded too.
-	Res *Result
-	// Err says why Snap or Res is nil: fs.ErrNotExist for a cell nobody
-	// has computed here yet, ErrSnapshotMismatch for another grid's
-	// debris, otherwise corruption or a snapshot this binary cannot
-	// restore (see RestoreStandalone).
-	Err error
-}
-
-// RestoredGroups is the walk every offline tool shares (ronsim
-// -merge-only, ronreport -sweep and -reindex): for each manifest group
-// in grid order it loads and restores every cell's snapshot, then yields
-// the group with one RestoredCell per manifest cell, in replica order.
-// A cell that fails is reported in its RestoredCell, never by stopping
-// the walk, so a consumer sees exactly what is missing and why.
-func (m *SweepManifest) RestoredGroups(dir string) iter.Seq2[*ManifestGroup, []RestoredCell] {
-	return func(yield func(*ManifestGroup, []RestoredCell) bool) {
-		for gi := range m.Groups {
-			g := &m.Groups[gi]
-			cells := make([]RestoredCell, len(g.Cells))
-			for ci, c := range g.Cells {
-				rc := &cells[ci]
-				if rc.Snap, rc.Err = ReadManifestCellSnapshot(dir, c); rc.Err == nil {
-					rc.Res, rc.Err = rc.Snap.RestoreStandalone()
-				}
-			}
-			if !yield(g, cells) {
-				return
-			}
-		}
-	}
-}
+// belongs to another grid point than the cell it was read for: another
+// name or seed, or another dataset, campaign length, testbed size or
+// method set than the cell's Config — typically debris from a rerun
+// with another base seed or -days. Distinguishable from corruption
+// (checksum errors) and absence (fs.ErrNotExist) so consumers can
+// decide whether other artifacts with the same provenance (trace files)
+// are still trustworthy.
+var ErrSnapshotMismatch = errors.New("snapshot belongs to another grid")
 
 // Restore rebuilds the cell's Result under the given Config, verifying
 // that the snapshot belongs to that exact grid point — dataset, seed,
-// campaign length, testbed size, and method set must all match, so a
-// resumed sweep never silently adopts results from a different grid.
+// campaign length, testbed size, and method set must all match (a
+// mismatch wraps ErrSnapshotMismatch), so a resumed sweep never
+// silently adopts results from a different grid.
 func (s *CellSnapshot) Restore(cfg Config) (*Result, error) {
 	return s.restore(cfg, "core: snapshot "+s.Name)
 }
@@ -376,7 +320,7 @@ func (s *CellSnapshot) Restore(cfg Config) (*Result, error) {
 // restore is Restore with every error prefixed by src.
 func (s *CellSnapshot) restore(cfg Config, src string) (*Result, error) {
 	mismatch := func(what string, got, want any) error {
-		return fmt.Errorf("%s: %s is %v, grid wants %v", src, what, got, want)
+		return fmt.Errorf("%s: %s is %v, grid wants %v: %w", src, what, got, want, ErrSnapshotMismatch)
 	}
 	if ds := cfg.Dataset.String(); s.Dataset != ds {
 		return nil, mismatch("dataset", s.Dataset, ds)
@@ -409,27 +353,4 @@ func (s *CellSnapshot) restore(cfg Config, src string) (*Result, error) {
 		MeasureProbes: s.MeasureProbes,
 		RouteChanges:  s.RouteChanges,
 	}, nil
-}
-
-// RestoreStandalone rebuilds the cell's Result from the snapshot's own
-// metadata, for tools (merge-only mode, ronreport) that have no sweep
-// spec in hand. Every recorded axis coordinate is re-applied through
-// the axis registry, so custom axes round-trip as long as the restoring
-// binary links their definitions; an unregistered axis is a clear
-// error, never silently dropped. Sweeps that overrode Config.Methods
-// cannot be restored this way; Restore with the original Config covers
-// those.
-func (s *CellSnapshot) RestoreStandalone() (*Result, error) {
-	d, err := ParseDataset(s.Dataset)
-	if err != nil {
-		return nil, fmt.Errorf("core: snapshot %s: %w", s.Name, err)
-	}
-	cfg := DefaultConfig(d, s.Days)
-	cfg.Seed = s.Seed
-	for _, name := range sortedAxisNames(s.Axes) {
-		if err := applyAxisValue(name, AxisValue(s.Axes[name]), &cfg); err != nil {
-			return nil, fmt.Errorf("core: snapshot %s: %w", s.Name, err)
-		}
-	}
-	return s.Restore(cfg)
 }

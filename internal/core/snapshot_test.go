@@ -9,23 +9,32 @@ import (
 	"testing"
 )
 
+// cellSpec is the one-cell grid runCell runs.
+func cellSpec() SweepSpec {
+	return SweepSpec{Datasets: []Dataset{RONnarrow}, Days: sweepDays, BaseSeed: 11}
+}
+
 // runCell runs one short campaign and returns its cell and result, the
 // raw material for snapshot tests.
 func runCell(t *testing.T) (Cell, *Result) {
 	t.Helper()
-	s, err := NewSweep(SweepSpec{
-		Datasets: []Dataset{RONnarrow},
-		Days:     sweepDays,
-		BaseSeed: 11,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runSweep(t, cellSpec())
 	return res.Cells[0].Cell, res.Cells[0].Res
+}
+
+// readSnapshot parses the snapshot file at path, failing the test if it
+// is absent or does not parse.
+func readSnapshot(t *testing.T, path string) *CellSnapshot {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := ParseCellSnapshot(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snap
 }
 
 func TestCellSnapshotRoundTrip(t *testing.T) {
@@ -34,10 +43,7 @@ func TestCellSnapshotRoundTrip(t *testing.T) {
 	if _, err := NewCellSnapshot(cell, res).WriteFileBuf(path, nil); err != nil {
 		t.Fatal(err)
 	}
-	snap, err := ReadCellSnapshot(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	snap := readSnapshot(t, path)
 	if snap.Name != cell.Name() || snap.Seed != cell.Seed ||
 		snap.Dataset != "RONnarrow" || snap.Hosts != res.Testbed.N() {
 		t.Errorf("snapshot meta = %+v", snap)
@@ -56,14 +62,6 @@ func TestCellSnapshotRoundTrip(t *testing.T) {
 	// The restored result renders the same report bytes.
 	if got, want := restored.Report(), res.Report(); got != want {
 		t.Errorf("restored report differs:\n%s\nwant:\n%s", got, want)
-	}
-	// RestoreStandalone (no external config) must agree too.
-	alone, err := snap.RestoreStandalone()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := alone.Report(), res.Report(); got != want {
-		t.Errorf("standalone-restored report differs:\n%s\nwant:\n%s", got, want)
 	}
 }
 
@@ -88,21 +86,13 @@ func TestCellSnapshotDetectsCorruption(t *testing.T) {
 		"not a snapshot":         []byte("definitely not a snapshot file"),
 	}
 	for name, bad := range cases {
-		p := filepath.Join(dir, "bad.snap")
-		if err := os.WriteFile(p, bad, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := ReadCellSnapshot(p); err == nil {
-			t.Errorf("%s: ReadCellSnapshot accepted corrupted file", name)
+		if _, err := ParseCellSnapshot(bad); err == nil {
+			t.Errorf("%s: ParseCellSnapshot accepted a corrupted file", name)
 		}
 	}
-	if _, err := ReadCellSnapshot(filepath.Join(dir, "absent.snap")); err == nil {
-		t.Error("ReadCellSnapshot succeeded on a missing file")
-	}
-
-	// The original file still reads fine (corruption tests wrote copies).
-	if _, err := ReadCellSnapshot(path); err != nil {
-		t.Errorf("pristine snapshot failed to read: %v", err)
+	// The original bytes still parse (the cases were copies).
+	if _, err := ParseCellSnapshot(data); err != nil {
+		t.Errorf("pristine snapshot failed to parse: %v", err)
 	}
 }
 
@@ -144,36 +134,55 @@ func TestCellSnapshotNoPartialFiles(t *testing.T) {
 	if _, err := os.Stat(stale); err == nil {
 		t.Error("stale .tmp debris survived a rewrite")
 	}
-	if _, err := ReadCellSnapshot(path); err != nil {
-		t.Errorf("snapshot unreadable after debris sweep: %v", err)
-	}
+	readSnapshot(t, path)
 }
 
-func TestReadManifestCellSnapshot(t *testing.T) {
+// TestSweepReadCell: the one reader of snapshot files admits a cell's
+// own snapshot, reports another grid's as ErrSnapshotMismatch — another
+// base seed, or another campaign length under the same seeds — and
+// tells absence (fs.ErrNotExist) and corruption apart from both.
+func TestSweepReadCell(t *testing.T) {
 	cell, res := runCell(t)
 	dir := t.TempDir()
-	if _, err := NewCellSnapshot(cell, res).WriteFileBuf(CellSnapshotPath(dir, cell.Name()), nil); err != nil {
+	path := CellSnapshotPath(dir, cell.Name())
+	if _, err := NewCellSnapshot(cell, res).WriteFileBuf(path, nil); err != nil {
 		t.Fatal(err)
 	}
-	mc := ManifestCell{Name: cell.Name(), Seed: cell.Seed, Snapshot: CellSnapshotRelPath(cell.Name())}
-	if _, err := ReadManifestCellSnapshot(dir, mc); err != nil {
-		t.Errorf("matching manifest cell rejected: %v", err)
-	}
-	// A foreign-grid snapshot (wrong seed) is a mismatch, not data.
-	bad := mc
-	bad.Seed++
-	if _, err := ReadManifestCellSnapshot(dir, bad); !errors.Is(err, ErrSnapshotMismatch) {
-		t.Errorf("seed mismatch error = %v, want ErrSnapshotMismatch", err)
-	}
-	// Absence — of the recorded file, or of any record — surfaces as
-	// fs.ErrNotExist so callers can tell it apart.
-	for _, gone := range []ManifestCell{
-		{Name: "no-such-cell", Seed: 1, Snapshot: CellSnapshotRelPath("no-such-cell")},
-		{Name: cell.Name(), Seed: cell.Seed},
-	} {
-		if _, err := ReadManifestCellSnapshot(dir, gone); !errors.Is(err, fs.ErrNotExist) {
-			t.Errorf("missing snapshot %+v error = %v, want fs.ErrNotExist", gone, err)
+	sweep := func(mutate func(*SweepSpec)) *Sweep {
+		spec := cellSpec()
+		mutate(&spec)
+		s, err := NewSweep(spec)
+		if err != nil {
+			t.Fatal(err)
 		}
+		return s
+	}
+	own := sweep(func(*SweepSpec) {})
+	got, err := own.ReadCell(0, dir)
+	if err != nil {
+		t.Fatalf("the cell's own snapshot rejected: %v", err)
+	}
+	if got.Report() != res.Report() {
+		t.Errorf("read-back report differs:\n%s\nwant:\n%s", got.Report(), res.Report())
+	}
+	for name, mutate := range map[string]func(*SweepSpec){
+		"seed": func(s *SweepSpec) { s.BaseSeed++ },
+		"days": func(s *SweepSpec) { s.Days *= 2 },
+	} {
+		if _, err := sweep(mutate).ReadCell(0, dir); !errors.Is(err, ErrSnapshotMismatch) {
+			t.Errorf("a snapshot from a grid with another %s: error %v, want ErrSnapshotMismatch", name, err)
+		} else if !strings.Contains(err.Error(), name) || !strings.Contains(err.Error(), path) {
+			t.Errorf("%s mismatch error does not name the field and the file: %v", name, err)
+		}
+	}
+	if _, err := own.ReadCell(0, t.TempDir()); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("absent snapshot: error %v, want fs.ErrNotExist", err)
+	}
+	if err := os.WriteFile(path, []byte("garbage"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := own.ReadCell(0, dir); err == nil || errors.Is(err, ErrSnapshotMismatch) || errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("corrupt snapshot: error %v, want a parse error", err)
 	}
 }
 
@@ -183,10 +192,7 @@ func TestCellSnapshotRestoreRejectsWrongGrid(t *testing.T) {
 	if _, err := NewCellSnapshot(cell, res).WriteFileBuf(path, nil); err != nil {
 		t.Fatal(err)
 	}
-	snap, err := ReadCellSnapshot(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	snap := readSnapshot(t, path)
 
 	for name, mutate := range map[string]func(*Config){
 		"seed":    func(c *Config) { c.Seed++ },
@@ -195,8 +201,8 @@ func TestCellSnapshotRestoreRejectsWrongGrid(t *testing.T) {
 	} {
 		cfg := res.Config
 		mutate(&cfg)
-		if _, err := snap.Restore(cfg); err == nil {
-			t.Errorf("Restore accepted a config with a different %s", name)
+		if _, err := snap.Restore(cfg); !errors.Is(err, ErrSnapshotMismatch) {
+			t.Errorf("Restore of a config with a different %s: error %v, want ErrSnapshotMismatch", name, err)
 		} else if !strings.Contains(err.Error(), name) {
 			t.Errorf("%s mismatch error does not name the field: %v", name, err)
 		}

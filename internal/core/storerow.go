@@ -10,7 +10,7 @@ import (
 // The result-store bridge: how a finished campaign Result becomes one
 // flat row of the columnar sink. StoreTables extracts the render-ready
 // table views (the byte-identity contract: resultstore.RowTables on
-// the stored row re-renders every paper table exactly); StoreRow wraps
+// the stored row re-renders every paper table exactly); storeRow wraps
 // them with the cell's identity, axis coordinates, and a few
 // query-only extras the tables don't carry.
 
@@ -33,14 +33,14 @@ func StoreTables(res *Result) resultstore.Tables {
 	return t
 }
 
-// StoreRow builds one result-store row from a campaign (or merged)
+// storeRow builds one result-store row from a campaign (or merged)
 // Result plus the identity the caller knows: kind, names, axis map,
 // replica coordinates, and the backing snapshot path (cell rows only).
 // The metric vector is the flattened table set plus, per method, the
 // p50, p95 and mean (win20.<method>.p50/p95/mean) of Figure 3's pooled
 // 20-minute loss rates (analysis.WindowShort windows), for loss-rate
 // queries that don't need a table.
-func StoreRow(kind, name, group, dataset string, axes map[string]string,
+func storeRow(kind, name, group, dataset string, axes map[string]string,
 	replica, replicas int, seed uint64, snapshot string, res *Result) *resultstore.Row {
 	r := &resultstore.Row{
 		Kind:          kind,
@@ -79,7 +79,7 @@ func StoreRow(kind, name, group, dataset string, axes map[string]string,
 
 // CellStoreRow builds the store row for one completed cell.
 func CellStoreRow(c Cell, res *Result) *resultstore.Row {
-	return StoreRow(resultstore.KindCell, c.Name(), c.GroupName(),
+	return storeRow(resultstore.KindCell, c.Name(), c.GroupName(),
 		strings.ToLower(c.Dataset.String()), c.AxisValues(),
 		c.Replica, 1, c.Seed, CellSnapshotRelPath(c.Name()), res)
 }
@@ -92,7 +92,7 @@ func GroupStoreRow(c Cell, merged *Result) *resultstore.Row {
 	if replicas == 0 {
 		replicas = 1
 	}
-	return StoreRow(resultstore.KindGroup, c.GroupName(), c.GroupName(),
+	return storeRow(resultstore.KindGroup, c.GroupName(), c.GroupName(),
 		strings.ToLower(c.Dataset.String()), c.AxisValues(),
 		-1, replicas, 0, "", merged)
 }

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/analysis"
 	"repro/internal/resultstore"
 )
 
@@ -138,7 +139,7 @@ type CellResult struct {
 	// counters, but Res.Agg is nil when the sweep persisted snapshots
 	// (an output directory was set): the aggregator was released once
 	// the cell was on disk and folded into its group, and
-	// ReadCellSnapshot brings it back. A sweep with no output directory
+	// Sweep.ReadCell brings it back. A sweep with no output directory
 	// keeps every aggregator, because there the Result is the only copy.
 	Res *Result
 	// Wall is the cell's wall-clock duration (zero for skipped or
@@ -352,6 +353,21 @@ func (s *Sweep) Spec() SweepSpec { return s.spec }
 // i — dataset defaults, axis values, derived seed, and the Configure
 // hook already applied: the grid point AdmitCell holds a snapshot to.
 func (s *Sweep) Config(i int) Config { return s.cfgs[i] }
+
+// EmptyResult returns a Result for cell i that no campaign produced:
+// the cell's Config, testbed and methods, an empty aggregator of that
+// shape, and no run counters. ronreport -sweep replays the probe trace
+// of a cell without a usable snapshot into its aggregator.
+func (s *Sweep) EmptyResult(i int) *Result {
+	cfg := s.cfgs[i]
+	hosts, methods := s.groupShape(s.cells[i].Group)
+	return &Result{
+		Config:  cfg,
+		Testbed: cfg.testbed(),
+		Methods: cfg.methods(),
+		Agg:     analysis.NewAggregator(methods, hosts),
+	}
+}
 
 // warnf passes a non-fatal notice to the spec's Warnf, if any.
 func (s *Sweep) warnf(format string, args ...any) {
