@@ -2,11 +2,16 @@
 // central monitoring machine did (§4.1): it merges per-node binary trace
 // files, matches receives to sends within one hour, filters probes aimed
 // at failed hosts (90 s send silence), and prints the Table 5 loss
-// statistics for the methods found in the logs.
+// statistics for the methods found in the logs. With -dataset the mesh,
+// the methods and the tables are the dataset's, rendered as a campaign
+// of it renders them (Table 5's inferred single-path rows, RONwide as
+// Table 7): the trace of a ronsim -dataset ronnarrow run prints the
+// Tables 5 and 6 that run printed.
 //
 // Usage:
 //
 //	ronreport -hosts 30 -methods "loss,direct rand,lat loss" node0.trc node1.trc ...
+//	ronreport -dataset ronnarrow f.trc
 //
 // With -sweep, ronreport instead reads a ronsim sweep output directory:
 // it re-expands the grid its sweep.json manifest records and folds each
@@ -66,6 +71,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var (
 		hosts    = fs.Int("hosts", 30, "number of hosts in the mesh")
 		methods  = fs.String("methods", "direct", "comma-separated method names, indexed by the Method field in the logs")
+		dataset  = fs.String("dataset", "", "with trace files: take the mesh, methods and tables from this dataset (ron2003, ronwide, ronnarrow) instead of -hosts and -methods")
 		sweepDir = fs.String("sweep", "", "read a ronsim sweep manifest (sweep.json) from this directory and combine its per-cell traces")
 		store    = fs.String("store", "", "query the columnar result store of this sweep output directory (or a results.seg path)")
 		reindex  = fs.Bool("reindex", false, "with -store: backfill the store from the directory's manifest and cell snapshots")
@@ -105,7 +111,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case *sweepDir != "":
 		err = reportSweep(stdout, *sweepDir)
 	default:
-		err = reportTraces(stdout, splitMethods(*methods), *hosts, fs.Args())
+		err = reportTraces(stdout, splitMethods(*methods), *hosts, *dataset, fs.Args())
 	}
 	if err != nil {
 		fmt.Fprintln(stderr, "ronreport:", err)
@@ -115,20 +121,40 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 // reportTraces prints the tables of the probe trace files given on the
-// command line.
-func reportTraces(w io.Writer, names []string, hosts int, paths []string) error {
-	// -hosts sizes the matcher's and aggregator's per-host tables.
-	if err := route.ValidateMeshSize(hosts); err != nil {
-		return err
+// command line: with a dataset, the sections of core.StoreTables for a
+// campaign of it; without, Tables 5 and 6 over names and hosts.
+func reportTraces(w io.Writer, names []string, hosts int, dataset string, paths []string) error {
+	var res *core.Result
+	if dataset != "" {
+		d, err := core.ParseDataset(dataset)
+		if err != nil {
+			return err
+		}
+		// A one-cell grid of the dataset has a campaign's shape: its
+		// testbed, methods and latency semantics.
+		s, err := core.NewSweep(core.SweepSpec{Datasets: []core.Dataset{d}, Days: 1, Replicas: 1})
+		if err != nil {
+			return err
+		}
+		res = s.EmptyResult(0)
+	} else {
+		// -hosts sizes the matcher's and aggregator's per-host tables.
+		if err := route.ValidateMeshSize(hosts); err != nil {
+			return err
+		}
+		res = &core.Result{Agg: analysis.NewAggregator(names, hosts)}
 	}
-	agg := analysis.NewAggregator(names, hosts)
-	total, nlogs, matched, err := aggregateTraces(w, agg, paths)
+	total, nlogs, matched, err := aggregateTraces(w, res.Agg, paths)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "merged %d records from %d logs\n", total, nlogs)
 	fmt.Fprintf(w, "matched %d probe observations\n\n", matched)
-	printSections(w, resultstore.Tables{Overview: agg.Table5(), Hours: agg.HighLossHours()})
+	tables := resultstore.Tables{Overview: res.Agg.Table5(), Hours: res.Agg.HighLossHours()}
+	if dataset != "" {
+		tables = core.StoreTables(res)
+	}
+	printSections(w, tables)
 	return nil
 }
 

@@ -422,6 +422,52 @@ func TestTraceFilesCommandLine(t *testing.T) {
 	}
 }
 
+// TestTraceDatasetMatchesCampaign is `ronsim -dataset ronnarrow -days
+// 0.01 -seed 2 -trace f.trc` then `ronreport -dataset ronnarrow f.trc`:
+// the trace form prints the campaign's own Table 5, with its inferred
+// direct* and lat* rows, and Table 6, line for line.
+func TestTraceDatasetMatchesCampaign(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "f.trc")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	tw, err := trace.NewWriter(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var werr error
+	e, err := experiment.New(experiment.Datasets(core.RONnarrow), experiment.Days(0.01),
+		experiment.Configure(func(_ core.Cell, cfg *core.Config) {
+			cfg.Seed = 2
+			cfg.TraceSink = func(r trace.Record) {
+				if werr == nil {
+					werr = tw.Append(r)
+				}
+			}
+		}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sr, err := e.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := errors.Join(werr, tw.Flush()); err != nil {
+		t.Fatal(err)
+	}
+	res := sr.Cells[0].Res
+	var b strings.Builder
+	printSections(&b, core.StoreTables(res))
+	if !strings.Contains(b.String(), "\ndirect* ") || !strings.Contains(b.String(), "\nlat* ") {
+		t.Fatalf("the campaign's Table 5 lacks its inferred rows:\n%s", b.String())
+	}
+	want := fmt.Sprintf("merged %d records from 1 logs\nmatched %d probe observations\n\n", tw.Count(), res.MeasureProbes) + b.String()
+	runCLI(t, []string{"-dataset", "ronnarrow", path}, renderLines(want), nil)
+	runCLI(t, []string{"-dataset", "ronfoo", path}, nil, []string{`unknown dataset "ronfoo"`})
+}
+
 func TestReindexCommandLine(t *testing.T) {
 	cases := []struct {
 		name   string

@@ -2,6 +2,10 @@ package repro
 
 import (
 	"context"
+	"encoding/json"
+	"fmt"
+	"net/http"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -16,11 +20,11 @@ import (
 // falsifiable: the exact golden grid (the one TestGoldenSweepDigests locks)
 // runs on an in-process worker fleet under deliberate fault injection —
 // one worker killed after computing its first cell without uploading,
-// one that never heartbeats and stalls its first cell past the lease
-// TTL so it re-dispatches and double-delivers, one healthy worker
-// uploading everything twice — and every rendered merged table must
-// equal the committed goldens a single-process run locked. Re-dispatch,
-// duplicate delivery, and lease expiry must be invisible in the output
+// one that never heartbeats and stalls its first cell until it has been
+// re-dispatched, then delivers it late, one healthy worker uploading
+// everything twice — and every rendered merged table must equal the
+// committed goldens a single-process run locked. Re-dispatch, duplicate
+// and late delivery, and lease expiry must be invisible in the output
 // bytes.
 func TestGoldenSweepDigestsFleet(t *testing.T) {
 	if testing.Short() {
@@ -30,7 +34,17 @@ func TestGoldenSweepDigestsFleet(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
 	defer cancel()
 
-	var fleet sync.WaitGroup
+	var (
+		fleet       sync.WaitGroup
+		logMu       sync.Mutex
+		logLines    []string
+		stalledCell string
+	)
+	logf := func(format string, args ...any) {
+		logMu.Lock()
+		defer logMu.Unlock()
+		logLines = append(logLines, fmt.Sprintf(format, args...))
+	}
 	startFleet := func(addr string) {
 		// The victim runs first, alone, so it deterministically owns a
 		// cell: it computes it, exits without uploading, and leaves an
@@ -49,16 +63,19 @@ func TestGoldenSweepDigestsFleet(t *testing.T) {
 			t.Error("victim worker got no cell; kill path untested")
 		}
 
-		// Straggler: no heartbeats, first cell stalled past the TTL so
-		// its lease expires mid-compute and the cell re-dispatches; its
-		// late delivery then races the healthy copy. Only the first cell
-		// stalls, to keep the test fast.
+		// Straggler: no heartbeats, first cell stalled until /progress
+		// counts it re-dispatched (the victim's cell is the other
+		// re-dispatch), so its lease expires and the doubler recomputes
+		// it; its late delivery then races the healthy copy. Only the
+		// first cell stalls, to keep the test fast.
 		var stalled atomic.Bool
 		straggler := coord.NewWorker(addr, coord.WithName("straggler"),
 			coord.WithoutHeartbeats(),
-			coord.WithBeforeUpload(func(core.Cell) bool {
+			coord.WithLogf(logf),
+			coord.WithBeforeUpload(func(c core.Cell) bool {
 				if stalled.CompareAndSwap(false, true) {
-					time.Sleep(2 * ttl)
+					stalledCell = c.Name()
+					awaitRedispatches(t, ctx, addr, 2)
 				}
 				return true
 			}))
@@ -89,5 +106,40 @@ func TestGoldenSweepDigestsFleet(t *testing.T) {
 	}
 	fleet.Wait()
 
+	// The late delivery reached a coordinator still serving: answered
+	// 200, whether it landed first or as a duplicate.
+	if stalledCell == "" {
+		t.Fatal("straggler got no cell; late-delivery path untested")
+	}
+	answered := false
+	for _, line := range logLines {
+		answered = answered || strings.HasPrefix(line, "straggler: cell "+stalledCell+" done in ")
+	}
+	if !answered {
+		t.Errorf("straggler's late delivery of %s was not answered 200:\n%s", stalledCell, strings.Join(logLines, ""))
+	}
 	checkGolden(t, "sweep", sweepGoldens(res))
+}
+
+// awaitRedispatches polls the coordinator's /progress until it counts n
+// re-dispatched leases, or ctx ends.
+func awaitRedispatches(t *testing.T, ctx context.Context, addr string, n int64) {
+	for ctx.Err() == nil {
+		resp, err := http.Get("http://" + addr + coord.PathProgress)
+		if err != nil {
+			t.Errorf("polling /progress: %v", err)
+			return
+		}
+		var p coord.Progress
+		err = json.NewDecoder(resp.Body).Decode(&p)
+		resp.Body.Close()
+		if err != nil {
+			t.Errorf("decoding /progress: %v", err)
+			return
+		}
+		if p.RedispatchedLeases >= n {
+			return
+		}
+		time.Sleep(time.Millisecond)
+	}
 }

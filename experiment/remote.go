@@ -64,8 +64,9 @@ func RemoteContext(ctx context.Context) Option {
 }
 
 // RunWorker joins the fleet served by the coordinator at url and works
-// cells until the sweep drains, ctx ends, or the coordinator becomes
-// unreachable. logf, when non-nil, receives per-cell progress lines.
+// cells until the coordinator answers that the sweep is done, ctx ends,
+// or the coordinator becomes unreachable. logf, when non-nil, receives
+// per-cell progress lines.
 func RunWorker(ctx context.Context, url, name string, logf func(format string, args ...any)) error {
 	opts := []coord.WorkerOption{coord.WithLogf(logf)}
 	if name != "" {
@@ -75,8 +76,9 @@ func RunWorker(ctx context.Context, url, name string, logf func(format string, a
 }
 
 // runRemote is Run's coordinator path: serve the grid, wait for the
-// fleet (or the context), shut down gracefully, and return the same
-// SweepResult shape a local run produces.
+// fleet to finish it and hear that it is done (or for the context),
+// shut down gracefully, and return the same SweepResult shape a local
+// run produces.
 func (e *Experiment) runRemote(s *core.Sweep) (*core.SweepResult, error) {
 	c, err := coord.New(coord.Config{
 		Sweep:    s,
@@ -105,6 +107,7 @@ func (e *Experiment) runRemote(s *core.Sweep) (*core.SweepResult, error) {
 	var runErr error
 	select {
 	case <-c.Done():
+		c.WaitFleet(ctx)
 	case <-ctx.Done():
 		runErr = ctx.Err()
 	case err := <-serveErr:

@@ -1,6 +1,7 @@
 package coord
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -19,6 +20,12 @@ import (
 // heartbeating would otherwise hold its cell forever, since neither
 // expiry nor completion ever frees it.
 const quarantineRejects = 3
+
+// leaseHold caps how long a lease request is held waiting for work. It
+// sits below common proxy and load-balancer idle timeouts, so a held
+// request is answered — with a bare wait, "ask again now" — before
+// anything between worker and coordinator gives up on it.
+const leaseHold = 25 * time.Second
 
 // Config configures a Coordinator. Sweep is required; everything else
 // has working defaults. The sweep spec's own hooks apply exactly as in
@@ -74,6 +81,9 @@ type Coordinator struct {
 	mu      sync.Mutex
 	rejects []int                // per cell: consecutive rejected uploads (quarantine)
 	workers map[string]time.Time // worker → last contact
+	told    map[string]bool      // worker → last answered done
+	// dismiss is signalled at each done answer (see WaitFleet).
+	dismiss chan struct{}
 
 	// free holds aggregators the run released, for the next snapshot
 	// decode to reuse. It has its own lock: releases happen inside the
@@ -104,6 +114,8 @@ func New(cfg Config) (*Coordinator, error) {
 		cellSlot: map[int]int{},
 		now:      cfg.Now,
 		workers:  map[string]time.Time{},
+		told:     map[string]bool{},
+		dismiss:  make(chan struct{}, 1),
 	}
 	if c.now == nil {
 		c.now = time.Now
@@ -169,19 +181,22 @@ func (c *Coordinator) warnf(format string, args ...any) {
 // workers.
 func (c *Coordinator) ManifestJSON() []byte { return c.manJSON }
 
-// Grant leases the next runnable cell to worker.
+// Grant leases the next runnable cell to worker, without blocking.
 func (c *Coordinator) Grant(worker string) LeaseResponse {
+	l, st := c.queue.Grant(worker)
 	c.mu.Lock()
 	c.workers[worker] = c.now()
+	c.told[worker] = st == Drained
 	c.mu.Unlock()
-	l, st := c.queue.Grant(worker)
 	switch st {
 	case Drained:
+		select {
+		case c.dismiss <- struct{}{}:
+		default:
+		}
 		return LeaseResponse{Status: StatusDone}
 	case Wait:
-		// Suggest re-asking well inside a TTL so an expiry is picked up
-		// promptly without hammering the coordinator.
-		return LeaseResponse{Status: StatusWait, RetryMillis: c.queue.TTL().Milliseconds()/4 + 1}
+		return LeaseResponse{Status: StatusWait}
 	}
 	cell := c.cells[c.slotCell[l.Item]]
 	return LeaseResponse{
@@ -191,6 +206,58 @@ func (c *Coordinator) Grant(worker string) LeaseResponse {
 		Name:      cell.Name(),
 		Seed:      cell.Seed,
 		TTLMillis: c.queue.TTL().Milliseconds(),
+	}
+}
+
+// holdGrant is Grant held open while the queue says wait: it answers as
+// soon as a cell can be granted or the sweep is done, waking on a
+// completion (the last one drains the queue) or requeue and at the
+// earliest live lease deadline. When ctx ends or leaseHold passes it
+// answers whatever one more Grant says, a bare wait unless work just
+// turned up.
+func (c *Coordinator) holdGrant(ctx context.Context, worker string) LeaseResponse {
+	hold := time.After(leaseHold)
+	for {
+		// Taken before Grant, so a change in between is not lost.
+		changed, expiry := c.queue.Changed()
+		if resp := c.Grant(worker); resp.Status != StatusWait {
+			return resp
+		}
+		select {
+		case <-changed:
+		case <-time.After(expiry.Sub(c.now())):
+		case <-ctx.Done():
+			return c.Grant(worker)
+		case <-hold:
+			return c.Grant(worker)
+		}
+	}
+}
+
+// WaitFleet returns once every live worker — one heard from within the
+// lease TTL — has been answered done, or when ctx ends. Called after
+// Done, it keeps the coordinator serving until the fleet has heard that
+// the sweep is over. A worker silent for longer is one the lease rule
+// already treats as dead, so the wait is bounded by one TTL.
+func (c *Coordinator) WaitFleet(ctx context.Context) {
+	for {
+		c.mu.Lock()
+		now, last := c.now(), time.Time{}
+		for name, at := range c.workers {
+			if silent := at.Add(c.queue.TTL()); !c.told[name] && silent.After(last) {
+				last = silent
+			}
+		}
+		c.mu.Unlock()
+		if !last.After(now) {
+			return
+		}
+		select {
+		case <-c.dismiss:
+		case <-time.After(last.Sub(now)):
+		case <-ctx.Done():
+			return
+		}
 	}
 }
 

@@ -3,7 +3,6 @@ package coord
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -167,9 +166,8 @@ func drainSpec() core.SweepSpec {
 	}
 }
 
-// drain runs a fleet of two workers against c over httptest until the
-// sweep completes, then stops them (an idle worker may be parked in its
-// wait-for-lease back-off when the last cell lands).
+// drain runs a fleet of two workers against c over httptest until each
+// is answered done.
 func drain(t *testing.T, c *Coordinator, opts ...WorkerOption) {
 	t.Helper()
 	ts := httptest.NewServer(NewServer(c).Handler())
@@ -182,18 +180,17 @@ func drain(t *testing.T, c *Coordinator, opts ...WorkerOption) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if err := w.Run(ctx); err != nil && !errors.Is(err, context.Canceled) {
+			if err := w.Run(ctx); err != nil {
 				t.Errorf("worker: %v", err)
 			}
 		}()
 	}
+	wg.Wait()
 	select {
 	case <-c.Done():
-	case <-ctx.Done():
-		t.Error("coordinator not done within the drain's deadline")
+	default:
+		t.Fatal("workers exited before the coordinator was done")
 	}
-	cancel()
-	wg.Wait()
 	if err := c.Err(); err != nil {
 		t.Fatal(err)
 	}

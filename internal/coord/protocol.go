@@ -9,7 +9,8 @@ package coord
 //	GET  /manifest  → SweepManifest JSON: the full grid as pure data;
 //	                  workers re-expand it with SweepSpec().
 //	POST /lease     ← {"worker": name}
-//	                → LeaseResponse: a cell grant, a wait hint, or done.
+//	                → LeaseResponse, held until a grant or done; a bare
+//	                  wait (hold cap, shutdown) means "ask again now".
 //	POST /renew     ← {"lease": id}
 //	                → RenewResponse, or HTTP 410 when the lease is
 //	                  expired or revoked (the cell may re-dispatch).
@@ -42,8 +43,9 @@ type LeaseRequest struct {
 
 // LeaseResponse answers a lease request. With Status == StatusGranted,
 // Lease/Cell/Name/Seed identify the work and TTLMillis its heartbeat
-// deadline; with StatusWait, RetryMillis suggests when to ask again;
-// with StatusDone the sweep is complete and the worker should exit.
+// deadline; StatusWait asks the worker to ask again at once (the
+// coordinator already held the request as long as it will); with
+// StatusDone the sweep is complete and the worker should exit.
 type LeaseResponse struct {
 	Status string `json:"status"`
 	Lease  uint64 `json:"lease,omitempty"`
@@ -51,11 +53,10 @@ type LeaseResponse struct {
 	// Name and Seed let the worker cross-check its own expansion before
 	// computing — a registry or version skew fails loudly here instead
 	// of producing a mislabeled result.
-	Cell        int    `json:"cell,omitempty"`
-	Name        string `json:"name,omitempty"`
-	Seed        uint64 `json:"seed,omitempty"`
-	TTLMillis   int64  `json:"ttlMillis,omitempty"`
-	RetryMillis int64  `json:"retryMillis,omitempty"`
+	Cell      int    `json:"cell,omitempty"`
+	Name      string `json:"name,omitempty"`
+	Seed      uint64 `json:"seed,omitempty"`
+	TTLMillis int64  `json:"ttlMillis,omitempty"`
 }
 
 // RenewRequest heartbeats a lease.

@@ -67,7 +67,7 @@ const (
 	// Granted: a lease was issued.
 	Granted GrantStatus = iota
 	// Wait: nothing is grantable right now, but live leases are still
-	// outstanding — poll again; an expiry may free work.
+	// outstanding; a completion, a requeue or an expiry may free work.
 	Wait
 	// Drained: every item is done; workers can exit.
 	Drained
@@ -92,6 +92,9 @@ type LeaseQueue struct {
 	ever   []bool           // item → has been leased at least once
 	nextID uint64
 	done   int
+	// changed is closed, and replaced, at every completion and requeue
+	// (see Changed).
+	changed chan struct{}
 
 	// Fleet-health counters (see Stats): leases revoked past their
 	// deadline, and grants of items that had already been leased before
@@ -110,13 +113,14 @@ func NewLeaseQueue(n int, ttl time.Duration, now func() time.Time) *LeaseQueue {
 		now = time.Now
 	}
 	q := &LeaseQueue{
-		now:    now,
-		ttl:    ttl,
-		state:  make([]itemState, n),
-		fifo:   make([]int, 0, n),
-		leases: make(map[uint64]Lease),
-		holder: make([]uint64, n),
-		ever:   make([]bool, n),
+		now:     now,
+		ttl:     ttl,
+		state:   make([]itemState, n),
+		fifo:    make([]int, 0, n),
+		leases:  make(map[uint64]Lease),
+		holder:  make([]uint64, n),
+		ever:    make([]bool, n),
+		changed: make(chan struct{}),
 	}
 	for i := 0; i < n; i++ {
 		q.fifo = append(q.fifo, i)
@@ -208,6 +212,7 @@ func (q *LeaseQueue) Renew(id uint64) (Lease, error) {
 			q.state[l.Item] = itemPending
 			q.holder[l.Item] = 0
 			q.fifo = append(q.fifo, l.Item)
+			q.notify()
 		}
 		return Lease{}, ErrLeaseExpired
 	}
@@ -235,6 +240,7 @@ func (q *LeaseQueue) Complete(item int) (first bool) {
 	}
 	q.state[item] = itemDone
 	q.done++
+	q.notify()
 	return true
 }
 
@@ -256,8 +262,32 @@ func (q *LeaseQueue) Requeue(item int) bool {
 	if q.state[item] == itemLeased {
 		q.state[item] = itemPending
 		q.fifo = append(q.fifo, item)
+		q.notify()
 	}
 	return true
+}
+
+// notify wakes everyone waiting on Changed; callers hold q.mu.
+func (q *LeaseQueue) notify() {
+	close(q.changed)
+	q.changed = make(chan struct{})
+}
+
+// Changed returns a channel closed at the next completion or requeue,
+// and the earliest live lease deadline (zero with none): the events
+// that can make an item grantable, or the queue drained. Take both
+// before Grant, so a change in between is not missed; a lease granted
+// in between expires no earlier than those already live.
+func (q *LeaseQueue) Changed() (<-chan struct{}, time.Time) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	var next time.Time
+	for _, l := range q.leases {
+		if next.IsZero() || l.Expires.Before(next) {
+			next = l.Expires
+		}
+	}
+	return q.changed, next
 }
 
 // Stats returns the fleet-health counters: leases revoked past their

@@ -56,15 +56,20 @@ func (s *Server) Handler() http.Handler { return s.mux }
 
 // Serve serves the wire protocol on ln until Shutdown.
 func (s *Server) Serve(ln net.Listener) error {
-	srv := &http.Server{Handler: s.mux}
+	// Shutdown cancels every request's context, which http.Server's own
+	// does not, so held lease requests are answered, not waited out.
+	ctx, stop := context.WithCancel(context.Background())
+	srv := &http.Server{Handler: s.mux, BaseContext: func(net.Listener) context.Context { return ctx }}
+	srv.RegisterOnShutdown(stop)
 	s.mu.Lock()
 	s.http = srv
 	s.mu.Unlock()
 	return srv.Serve(ln)
 }
 
-// Shutdown gracefully stops the server: in-flight uploads complete,
-// new connections are refused. Safe to call before Serve (no-op).
+// Shutdown gracefully stops the server: held lease requests are
+// answered at once, in-flight uploads complete, new connections are
+// refused. Safe to call before Serve (no-op).
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	srv := s.http
@@ -86,7 +91,7 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "malformed lease request: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	writeJSON(w, s.coord.Grant(req.Worker))
+	writeJSON(w, s.coord.holdGrant(r.Context(), req.Worker))
 }
 
 func (s *Server) handleRenew(w http.ResponseWriter, r *http.Request) {

@@ -17,11 +17,10 @@ import (
 	"repro/internal/core"
 )
 
-// Worker retry policy: transient failures (a coordinator restarting
-// mid-sweep, a flaky proxy in between) are retried with exponential
-// backoff from retryBase, capped at retryCap, for at most
-// retryAttempts tries per request. The same cap bounds the idle
-// wait-loop's growth between lease asks.
+// Worker retry policy: transient failures (a coordinator not up yet or
+// restarting mid-sweep, a flaky proxy in between) are retried with
+// exponential backoff from retryBase, capped at retryCap, for at most
+// retryAttempts tries per request.
 const (
 	retryBase     = 250 * time.Millisecond
 	retryCap      = 30 * time.Second
@@ -47,6 +46,8 @@ type Worker struct {
 	// payload is the snapshot encode buffer, reused across cells: each
 	// cell is encoded and uploaded before the next one starts.
 	payload []byte
+	// attempts is the tries per request, retryAttempts outside tests.
+	attempts int
 
 	// Fault-injection hooks, exercised by the coordinator's tests: a
 	// worker that dies mid-cell, delivers twice, or never heartbeats.
@@ -101,9 +102,10 @@ func NewWorker(url string, opts ...WorkerOption) *Worker {
 		url = "http://" + url
 	}
 	w := &Worker{
-		base:   strings.TrimRight(url, "/"),
-		name:   "worker",
-		client: &http.Client{},
+		base:     strings.TrimRight(url, "/"),
+		name:     "worker",
+		client:   &http.Client{},
+		attempts: retryAttempts,
 	}
 	for _, o := range opts {
 		o(w)
@@ -131,21 +133,6 @@ func (w *Worker) jitter(d time.Duration) time.Duration {
 	return time.Duration(float64(d) * (0.75 + 0.5*u))
 }
 
-// waitBackoff doubles the coordinator's retry hint once per
-// consecutive wait, capped at retryCap: near the end of a sweep every
-// idle worker polls for the few in-flight cells, and without backoff
-// that tail is a thundering herd.
-func waitBackoff(hint time.Duration, waits int) time.Duration {
-	d := hint
-	for i := 0; i < waits && d < retryCap; i++ {
-		d *= 2
-	}
-	if d > retryCap {
-		d = retryCap
-	}
-	return d
-}
-
 func (w *Worker) log(format string, args ...any) {
 	if w.logf != nil {
 		w.logf(format, args...)
@@ -156,9 +143,14 @@ func (w *Worker) log(format string, args ...any) {
 // cancelled, or the coordinator becomes unreachable. A Worker runs one
 // loop at a time.
 func (w *Worker) Run(ctx context.Context) error {
-	m, err := w.fetchManifest(ctx)
-	if err != nil {
-		return err
+	// The manifest fetch retries like any request, so a worker started
+	// moments before its coordinator (the two-terminal quickstart, the
+	// CI e2e job) syncs up instead of dying.
+	var m core.SweepManifest
+	if err := w.retryTransient(ctx, "manifest fetch", func() error {
+		return w.call(ctx, PathManifest, nil, &m)
+	}); err != nil {
+		return fmt.Errorf("coord: fetching the manifest from %s: %w", w.base, err)
 	}
 	spec, err := m.SweepSpec()
 	if err != nil {
@@ -171,68 +163,55 @@ func (w *Worker) Run(ctx context.Context) error {
 	cells := sweep.Cells()
 	arena := core.NewArena()
 
-	waits := 0
 	for {
-		lease, err := w.lease(ctx)
-		if err != nil {
-			// The coordinator exits the moment the sweep drains, so a
-			// worker mid-poll races its shutdown; a vanished coordinator
-			// — still gone after the transient-retry budget — is the
-			// normal end of a fleet's life, not a worker failure.
-			if isUnreachableErr(err) {
-				w.log("%s: coordinator gone (%v); exiting\n", w.name, err)
+		var lease LeaseResponse
+		err := w.retryTransient(ctx, "lease request", func() error {
+			return w.call(ctx, PathLease, LeaseRequest{Worker: w.name}, &lease)
+		})
+		if err == nil {
+			switch lease.Status {
+			case StatusDone:
+				w.log("%s: sweep drained, exiting\n", w.name)
+				return nil
+			case StatusWait:
+				continue // held as long as the coordinator would: ask again
+			}
+			if lease.Cell < 0 || lease.Cell >= len(cells) {
+				return fmt.Errorf("coord: leased cell index %d outside local grid of %d cells", lease.Cell, len(cells))
+			}
+			cell := cells[lease.Cell]
+			// Cross-check the local expansion against the grant: a
+			// registry or version skew must fail loudly here, before any
+			// compute, not surface as a mislabeled result.
+			if cell.Name() != lease.Name || cell.Seed != lease.Seed {
+				return fmt.Errorf("coord: grid skew: coordinator leased %s seed %d, local expansion has %s seed %d at index %d",
+					lease.Name, lease.Seed, cell.Name(), cell.Seed, lease.Cell)
+			}
+			var vetoed bool
+			if vetoed, err = w.runCell(ctx, arena, sweep, cell, lease); vetoed {
+				w.log("%s: exiting before upload of %s (fault injection)\n", w.name, cell.Name())
 				return nil
 			}
-			return err
 		}
-		switch lease.Status {
-		case StatusDone:
-			w.log("%s: sweep drained, exiting\n", w.name)
+		// The coordinator answers every live worker done before it exits,
+		// so one still gone after the transient-retry budget crashed, or
+		// counts this worker dead by the lease rule (a straggler whose
+		// cell was re-dispatched and the sweep finished without it). The
+		// sweep is not this worker's to finish: exit cleanly.
+		if isUnreachableErr(err) {
+			w.log("%s: coordinator gone (%v); exiting\n", w.name, err)
 			return nil
-		case StatusWait:
-			// Honor the coordinator's hint on the first ask, then back
-			// off exponentially (capped, jittered) while consecutive
-			// waits pile up.
-			retry := time.Duration(lease.RetryMillis) * time.Millisecond
-			if retry <= 0 {
-				retry = time.Second
-			}
-			retry = w.jitter(waitBackoff(retry, waits))
-			waits++
-			select {
-			case <-ctx.Done():
-				return ctx.Err()
-			case <-time.After(retry):
-			}
-			continue
 		}
-		waits = 0
-		if lease.Cell < 0 || lease.Cell >= len(cells) {
-			return fmt.Errorf("coord: leased cell index %d outside local grid of %d cells", lease.Cell, len(cells))
-		}
-		cell := cells[lease.Cell]
-		// Cross-check the local expansion against the grant: a registry
-		// or version skew must fail loudly here, before any compute, not
-		// surface as a mislabeled result.
-		if cell.Name() != lease.Name || cell.Seed != lease.Seed {
-			return fmt.Errorf("coord: grid skew: coordinator leased %s seed %d, local expansion has %s seed %d at index %d",
-				lease.Name, lease.Seed, cell.Name(), cell.Seed, lease.Cell)
-		}
-		killed, err := w.runCell(ctx, arena, sweep, cell, lease)
 		if err != nil {
 			return err
-		}
-		if killed {
-			w.log("%s: exiting before upload of %s (fault injection)\n", w.name, cell.Name())
-			return nil
 		}
 	}
 }
 
 // runCell computes one leased cell with heartbeats and uploads it.
-// killed reports that the BeforeUpload hook vetoed the upload and the
-// worker should exit.
-func (w *Worker) runCell(ctx context.Context, arena *core.Arena, sweep *core.Sweep, cell core.Cell, lease LeaseResponse) (killed bool, err error) {
+// vetoed reports that the BeforeUpload hook stopped the upload, and the
+// worker with it.
+func (w *Worker) runCell(ctx context.Context, arena *core.Arena, sweep *core.Sweep, cell core.Cell, lease LeaseResponse) (vetoed bool, err error) {
 	stop := w.startHeartbeats(ctx, lease)
 	start := time.Now()
 	// The arena-owned result is enough: it is encoded and uploaded
@@ -259,23 +238,16 @@ func (w *Worker) runCell(ctx context.Context, arena *core.Arena, sweep *core.Swe
 	if w.duplicate {
 		uploads = 2
 	}
+	path := fmt.Sprintf("%s?cell=%d&wall=%d", PathComplete, cell.Index, wall.Milliseconds())
 	for i := 0; i < uploads; i++ {
-		var dup bool
-		err := w.retryTransient(ctx, "upload of "+cell.Name(), func() (err error) {
-			dup, err = w.upload(ctx, cell, payload, wall)
-			return err
+		var cr CompleteResponse
+		err := w.retryTransient(ctx, "upload of "+cell.Name(), func() error {
+			return w.call(ctx, path, payload, &cr)
 		})
 		if err != nil {
-			// A straggler's late delivery can land after the re-dispatched
-			// copy completed the sweep and the coordinator shut down; its
-			// result was redundant by construction, so exit cleanly.
-			if isUnreachableErr(err) {
-				w.log("%s: coordinator gone before upload of %s (%v); exiting\n", w.name, cell.Name(), err)
-				return true, nil
-			}
-			return false, err
+			return false, fmt.Errorf("coord: upload of %s: %w", cell.Name(), err)
 		}
-		w.log("%s: cell %s done in %v (duplicate=%v)\n", w.name, cell.Name(), wall.Round(time.Millisecond), dup)
+		w.log("%s: cell %s done in %v (duplicate=%v)\n", w.name, cell.Name(), wall.Round(time.Millisecond), cr.Duplicate)
 	}
 	w.payload = payload
 	return false, nil
@@ -338,7 +310,7 @@ func (w *Worker) retryTransient(ctx context.Context, what string, fn func() erro
 	delay := retryBase
 	for attempt := 0; ; attempt++ {
 		err := fn()
-		if err == nil || !isTransientErr(err) || attempt == retryAttempts-1 {
+		if err == nil || !isTransientErr(err) || attempt >= w.attempts-1 {
 			return err
 		}
 		d := w.jitter(delay)
@@ -383,7 +355,7 @@ func (w *Worker) startHeartbeats(ctx context.Context, lease LeaseResponse) (stop
 			case <-t.C:
 			}
 			var resp RenewResponse
-			err := w.postJSON(hbCtx, PathRenew, RenewRequest{Lease: lease.Lease}, &resp)
+			err := w.call(hbCtx, PathRenew, RenewRequest{Lease: lease.Lease}, &resp)
 			if err != nil {
 				if hbCtx.Err() != nil {
 					return
@@ -403,116 +375,41 @@ func (w *Worker) startHeartbeats(ctx context.Context, lease LeaseResponse) (stop
 	}
 }
 
-// fetchManifest GETs the grid manifest, retrying connection failures
-// for ~15s so a worker started moments before its coordinator (the
-// two-terminal quickstart, the CI e2e job) syncs up instead of dying.
-func (w *Worker) fetchManifest(ctx context.Context) (*core.SweepManifest, error) {
-	var lastErr error
-	for attempt := 0; attempt < 30; attempt++ {
-		if attempt > 0 {
-			select {
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			case <-time.After(500 * time.Millisecond):
+// call makes one request to path and decodes a 200 reply's JSON into
+// out: a GET when in is nil, else a POST of in — as is when it is a
+// snapshot container ([]byte), JSON-encoded otherwise. Any other status
+// comes back as an *httpStatusError.
+func (w *Worker) call(ctx context.Context, path string, in, out any) error {
+	method, body := http.MethodGet, []byte(nil)
+	if in != nil {
+		method = http.MethodPost
+		var ok bool
+		if body, ok = in.([]byte); !ok {
+			var err error
+			if body, err = json.Marshal(in); err != nil {
+				return err
 			}
 		}
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, w.base+PathManifest, nil)
-		if err != nil {
-			return nil, err
-		}
-		resp, err := w.client.Do(req)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		body, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		if resp.StatusCode >= 500 {
-			// A proxy fronting a coordinator that has not come up yet;
-			// keep trying alongside connection failures.
-			lastErr = fmt.Errorf("coord: manifest fetch: %s: %s", resp.Status, strings.TrimSpace(string(body)))
-			continue
-		}
-		if resp.StatusCode != http.StatusOK {
-			return nil, fmt.Errorf("coord: manifest fetch: %s: %s", resp.Status, strings.TrimSpace(string(body)))
-		}
-		var m core.SweepManifest
-		if err := json.Unmarshal(body, &m); err != nil {
-			return nil, fmt.Errorf("coord: decoding manifest: %w", err)
-		}
-		return &m, nil
 	}
-	return nil, fmt.Errorf("coord: coordinator unreachable at %s: %w", w.base, lastErr)
-}
-
-// lease POSTs a lease request, riding out transient failures.
-func (w *Worker) lease(ctx context.Context) (LeaseResponse, error) {
-	var resp LeaseResponse
-	err := w.retryTransient(ctx, "lease request", func() error {
-		resp = LeaseResponse{}
-		return w.postJSON(ctx, PathLease, LeaseRequest{Worker: w.name}, &resp)
-	})
-	if err != nil {
-		return LeaseResponse{}, err
-	}
-	return resp, nil
-}
-
-// upload POSTs a finished cell's snapshot container.
-func (w *Worker) upload(ctx context.Context, cell core.Cell, payload []byte, wall time.Duration) (duplicate bool, err error) {
-	url := fmt.Sprintf("%s%s?cell=%d&wall=%d", w.base, PathComplete, cell.Index, wall.Milliseconds())
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(payload))
-	if err != nil {
-		return false, err
-	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	resp, err := w.client.Do(req)
-	if err != nil {
-		return false, fmt.Errorf("coord: uploading cell %s: %w", cell.Name(), err)
-	}
-	body, readErr := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if readErr != nil {
-		return false, readErr
-	}
-	if resp.StatusCode != http.StatusOK {
-		return false, &httpStatusError{code: resp.StatusCode,
-			msg: fmt.Sprintf("coord: uploading cell %s: %s: %s", cell.Name(), resp.Status, strings.TrimSpace(string(body)))}
-	}
-	var cr CompleteResponse
-	if err := json.Unmarshal(body, &cr); err != nil {
-		return false, fmt.Errorf("coord: decoding complete response: %w", err)
-	}
-	return cr.Duplicate, nil
-}
-
-// postJSON POSTs v to path and decodes the JSON reply into out.
-func (w *Worker) postJSON(ctx context.Context, path string, v, out any) error {
-	body, err := json.Marshal(v)
+	req, err := http.NewRequestWithContext(ctx, method, w.base+path, bytes.NewReader(body))
 	if err != nil {
 		return err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.base+path, bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
 	resp, err := w.client.Do(req)
 	if err != nil {
 		return err
 	}
-	data, readErr := io.ReadAll(resp.Body)
+	data, err := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if readErr != nil {
-		return readErr
+	if err != nil {
+		return err
 	}
 	if resp.StatusCode != http.StatusOK {
 		return &httpStatusError{code: resp.StatusCode,
 			msg: fmt.Sprintf("coord: %s: %s: %s", path, resp.Status, strings.TrimSpace(string(data)))}
 	}
-	return json.Unmarshal(data, out)
+	if err := json.Unmarshal(data, out); err != nil {
+		return fmt.Errorf("coord: %s: decoding reply: %w", path, err)
+	}
+	return nil
 }
