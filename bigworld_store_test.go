@@ -99,7 +99,7 @@ func TestStoreBigWorldAxesQueryable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := m.Sweep()
+	s, err := m.Sweep(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

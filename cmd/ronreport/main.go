@@ -18,10 +18,11 @@
 // grid point's replicas in replica order, printing the same tables the
 // sweep wrote under merged/. Cells with persisted snapshots (written by
 // every ronsim -sweep -out run) are read through the admission check a
-// resumed sweep uses; cells with only trace files are rebuilt through
-// the §4.1 matching pipeline under the cell's own configuration. Grid
-// points with neither — e.g. shards still running on another machine —
-// are reported as missing:
+// resumed sweep uses; cells with no snapshot file but a trace file are
+// rebuilt through the §4.1 matching pipeline under the cell's own
+// configuration. Cells with neither, or with a snapshot the check
+// refuses — e.g. shards still running on another machine — are
+// reported as missing:
 //
 //	ronsim -sweep -replicas 4 -out results/ -trace results/traces
 //	ronreport -sweep results/
@@ -201,17 +202,21 @@ func aggregateTraces(w io.Writer, agg *analysis.Aggregator, paths []string) (rec
 // core.StoreTables, so each equals the sweep's
 // merged/<group>/<dataset>-<section>.txt. It re-expands the manifest's
 // grid (an axis this binary does not register is an error), and per
-// cell prefers the snapshot, read through the admission check a resumed
-// sweep uses; falls back to the trace file, replayed under the cell's
-// own Config; and otherwise counts the cell as missing — the normal
-// state of a sharded sweep whose other shards have not been copied in
-// yet. Replicas fold in replica order, as the sweep's own merge does.
+// cell reads the snapshot through the admission check a resumed sweep
+// uses; when the cell has no snapshot file, replays its trace file
+// under the cell's own Config; and otherwise — no trace, or a snapshot
+// the check refuses — counts the cell as missing, the normal state of
+// a sharded sweep whose other shards have not been copied in yet.
+// Replicas fold in replica order, as the sweep's own merge does. It
+// keeps its own read rather than a run's reload (Sweep.Start, as
+// -merge-only and -reindex use) because it merges partial grid points
+// and folds in replayed traces, which a run never does.
 func reportSweep(w io.Writer, dir string) error {
 	m, err := experiment.LoadManifest(dir)
 	if err != nil {
 		return err
 	}
-	s, err := m.Sweep()
+	s, err := m.Sweep(nil, nil)
 	if err != nil {
 		return err
 	}
@@ -233,30 +238,27 @@ func reportSweep(w io.Writer, dir string) error {
 			res, err := s.ReadCell(i, dir)
 			switch {
 			case err == nil:
-				results = append(results, res)
 				fromSnap++
-				continue
-			case errors.Is(err, core.ErrSnapshotMismatch):
-				// Debris from another grid (another seed or -days). The
-				// cell's trace file shares that run's provenance (traces
-				// carry no seed to check), so falling back would
-				// silently mix grids; count the cell as missing.
+			case !errors.Is(err, fs.ErrNotExist):
+				// A refused snapshot, corrupt or from another grid (another
+				// seed or -days), leaves the cell's provenance unproven,
+				// and its trace file shares it (traces carry no seed to
+				// check): falling back would risk mixing grids, so the
+				// cell counts as missing.
 				fmt.Fprintf(w, "(cell %s: %v; not trusting its trace either)\n", c.Name, err)
 				missing = append(missing, c.Name)
 				continue
-			case !errors.Is(err, fs.ErrNotExist):
-				fmt.Fprintf(w, "(cell %s: unreadable snapshot: %v; falling back to trace)\n", c.Name, err)
-			}
-			if c.Trace == "" {
+			case c.Trace == "":
 				missing = append(missing, c.Name)
 				continue
-			}
-			res = s.EmptyResult(i)
-			if _, _, _, err := aggregateTraces(w, res.Agg, []string{resolve(c.Trace)}); err != nil {
-				return fmt.Errorf("cell %s: %w", c.Name, err)
+			default:
+				res = s.EmptyResult(i)
+				if _, _, _, err := aggregateTraces(w, res.Agg, []string{resolve(c.Trace)}); err != nil {
+					return fmt.Errorf("cell %s: %w", c.Name, err)
+				}
+				fromTrace++
 			}
 			results = append(results, res)
-			fromTrace++
 		}
 		if len(results) == 0 {
 			fmt.Fprintf(w, "=== %s: no snapshots or traces found (run the shard, or rerun ronsim -sweep with -out/-trace) ===\n\n", mg.Name)

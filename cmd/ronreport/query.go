@@ -235,7 +235,7 @@ func drillRows(w io.Writer, root string, sel []*resultstore.Row, spec string, qu
 	if err != nil {
 		return err
 	}
-	s, err := m.Sweep()
+	s, err := m.Sweep(nil, nil)
 	if err != nil {
 		return err
 	}

@@ -1,22 +1,22 @@
 package main
 
 // -reindex backfills a result store from a sweep output directory's
-// persisted snapshots: every cell whose snapshot passes its admission
-// check becomes a cell row, and every group whose replicas all passed
-// becomes a merged group row — so pre-store sweep outputs (and
-// -merge-only reruns, which bypass the live sinks) become queryable
-// without recomputing anything. The cells are the manifest's grid
-// re-expanded, each read with Sweep.ReadCell and turned into rows by
-// the builders a live sweep appends with (core.CellStoreRow,
-// core.GroupStoreRow), so a snapshot of another grid point adds no row
-// and a rebuilt store holds the rows the live one did. Reindexing is
-// idempotent: rows already in the segment (by identity) are skipped.
+// persisted snapshots, so pre-store sweep outputs (and -merge-only
+// reruns, which bypass the live sinks) become queryable without
+// recomputing anything. It is a resumed run of the manifest's grid
+// that dispatches nothing, its Filter selecting the grid points the
+// segment has no group row for: Sweep.Start reloads their cells
+// through -resume's admission check and appends rows as a live run
+// does, so a refused snapshot adds no row and a rebuilt store holds
+// the rows the live one did, in grid order. A cell row the segment
+// already holds is appended again and deduped by identity on read.
 
 import (
 	"errors"
 	"fmt"
 	"io"
 	"io/fs"
+	"slices"
 
 	"repro/experiment"
 	"repro/internal/core"
@@ -28,16 +28,19 @@ func reindexStore(w io.Writer, root, segPath string) error {
 	if err != nil {
 		return err
 	}
-	s, err := m.Sweep()
-	if err != nil {
-		return err
-	}
-	existing := map[string]bool{}
+	grouped := map[string]bool{} // grid points the segment has a row for
 	if seg, err := resultstore.ReadSegment(segPath); err == nil {
 		for i := range seg.Rows {
-			existing[seg.Rows[i].Identity()] = true
+			if r := &seg.Rows[i]; r.Kind == resultstore.KindGroup {
+				grouped[r.Name] = true
+			}
 		}
 	} else if !errors.Is(err, fs.ErrNotExist) {
+		return err
+	}
+	s, err := m.Sweep(func(format string, args ...any) { fmt.Fprintf(w, format, args...) },
+		func(c core.Cell) bool { return !grouped[c.GroupName()] })
+	if err != nil {
 		return err
 	}
 	st, err := resultstore.Open(segPath)
@@ -46,44 +49,24 @@ func reindexStore(w io.Writer, root, segPath string) error {
 	}
 	defer st.Close()
 
-	cells := s.Cells()
-	cellsAdded, groupsAdded, missing := 0, 0, 0
-	for g := range s.NumGroups() {
-		idxs := s.GroupCells(g)
-		results := make([]*core.Result, 0, len(idxs))
-		for _, i := range idxs {
-			c := cells[i]
-			res, err := s.ReadCell(i, root)
-			if err != nil {
-				if !errors.Is(err, fs.ErrNotExist) {
-					fmt.Fprintf(w, "(cell %s: skipping snapshot: %v)\n", c.Name(), err)
-				}
-				missing++
-				continue
-			}
-			results = append(results, res)
-			if existing["cell:"+c.Name()] {
-				continue
-			}
-			if err := st.Append(core.CellStoreRow(c, res)); err != nil {
-				return err
-			}
-			cellsAdded++
-		}
-		first := cells[idxs[0]]
-		if len(results) < len(idxs) || existing["group:"+first.GroupName()] {
-			continue
-		}
-		merged, err := core.MergeResults(results)
+	cells, groups, missing := 0, 0, 0
+	if slices.ContainsFunc(m.Groups, func(g core.ManifestGroup) bool { return !grouped[g.Name] }) {
+		run, _, err := s.Start(root, true, st, nil)
 		if err != nil {
-			return fmt.Errorf("group %s: %w", first.GroupName(), err)
-		}
-		if err := st.Append(core.GroupStoreRow(first, merged)); err != nil {
 			return err
 		}
-		groupsAdded++
+		if err := run.Err(); err != nil {
+			return err
+		}
+		res := run.Result(0)
+		cells, missing = res.Reused, res.Selected-res.Reused
+		for gi := range res.Groups {
+			if res.Groups[gi].Complete() {
+				groups++
+			}
+		}
 	}
 	fmt.Fprintf(w, "reindex: added %d cell and %d group rows (%d cells missing); store now holds %d rows\n",
-		cellsAdded, groupsAdded, missing, st.Rows())
-	return nil
+		cells, groups, missing, st.Rows())
+	return st.Close()
 }

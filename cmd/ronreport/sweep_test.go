@@ -222,7 +222,7 @@ func gridCell(t *testing.T, dir, cell string) (*core.Sweep, int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := m.Sweep()
+	s, err := m.Sweep(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,16 +307,19 @@ func TestSweepCommandLine(t *testing.T) {
 					headerB + "2 replicas combined (2 from snapshots, 0 from traces) ===\n" +
 					tables(t, snapRes(t, dir, cellB0), snapRes(t, dir, cellB1))
 			}},
-		{name: "a trace-only cell and a corrupt snapshot are rebuilt from traces",
+		// A trace is replayed only for a cell with no snapshot file: a
+		// corrupt snapshot proves no more about its trace than a
+		// foreign one does.
+		{name: "a trace-only cell is replayed, a corrupt one is missing",
 			damage: func(t *testing.T, dir string) string {
 				dropSnapshot(t, dir, cellA1)
 				msg := corrupt(t, dir, cellB0)
 				return banner +
 					headerA + "2 replicas combined (1 from snapshots, 1 from traces) ===\n" +
 					tables(t, snapRes(t, dir, cellA0), traceRes(t, dir, cellA1)) +
-					"(cell " + cellB0 + ": unreadable snapshot: " + msg + "; falling back to trace)\n" +
-					headerB + "2 replicas combined (1 from snapshots, 1 from traces) ===\n" +
-					tables(t, traceRes(t, dir, cellB0), snapRes(t, dir, cellB1))
+					"(cell " + cellB0 + ": " + msg + "; not trusting its trace either)\n" +
+					headerB + "1 replicas combined (1 from snapshots, 0 from traces; MISSING " + cellB0 + ") ===\n" +
+					tables(t, snapRes(t, dir, cellB1))
 			}},
 		{name: "a grid point with nothing is reported, not fatal",
 			damage: func(t *testing.T, dir string) string {
@@ -422,67 +425,107 @@ func TestTraceFilesCommandLine(t *testing.T) {
 	}
 }
 
-// TestTraceDatasetMatchesCampaign is `ronsim -dataset ronnarrow -days
-// 0.01 -seed 2 -trace f.trc` then `ronreport -dataset ronnarrow f.trc`:
-// the trace form prints the campaign's own Table 5, with its inferred
-// direct* and lat* rows, and Table 6, line for line.
+// TestTraceDatasetMatchesCampaign is `ronsim -dataset D -days 0.01
+// -seed 2 -trace f.trc` then `ronreport -dataset D f.trc`: the trace
+// form prints the campaign's own Table 5, with its inferred direct* and
+// lat* rows, and Table 6, line for line — for RONwide its Table 7, whose
+// latencies are round trips the trace records as such.
 func TestTraceDatasetMatchesCampaign(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "f.trc")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	tw, err := trace.NewWriter(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var werr error
-	e, err := experiment.New(experiment.Datasets(core.RONnarrow), experiment.Days(0.01),
-		experiment.Configure(func(_ core.Cell, cfg *core.Config) {
-			cfg.Seed = 2
-			cfg.TraceSink = func(r trace.Record) {
-				if werr == nil {
-					werr = tw.Append(r)
+	for _, tc := range []struct {
+		dataset core.Dataset
+		shows   []string
+	}{
+		{core.RONnarrow, []string{"\ndirect* ", "\nlat* "}},
+		{core.RONwide, []string{"Table 7 (expanded routing schemes, RTT latencies)"}},
+	} {
+		t.Run(tc.dataset.String(), func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "f.trc")
+			f, err := os.Create(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			tw, err := trace.NewWriter(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var werr error
+			e, err := experiment.New(experiment.Datasets(tc.dataset), experiment.Days(0.01),
+				experiment.Configure(func(_ core.Cell, cfg *core.Config) {
+					cfg.Seed = 2
+					cfg.TraceSink = func(r trace.Record) {
+						if werr == nil {
+							werr = tw.Append(r)
+						}
+					}
+				}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sr, err := e.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := errors.Join(werr, tw.Flush()); err != nil {
+				t.Fatal(err)
+			}
+			res := sr.Cells[0].Res
+			var b strings.Builder
+			printSections(&b, core.StoreTables(res))
+			for _, s := range tc.shows {
+				if !strings.Contains(b.String(), s) {
+					t.Fatalf("the campaign's tables lack %q:\n%s", s, b.String())
 				}
 			}
-		}))
-	if err != nil {
-		t.Fatal(err)
+			want := fmt.Sprintf("merged %d records from 1 logs\nmatched %d probe observations\n\n", tw.Count(), res.MeasureProbes) + b.String()
+			runCLI(t, []string{"-dataset", strings.ToLower(tc.dataset.String()), path}, renderLines(want), nil)
+			runCLI(t, []string{"-dataset", "ronfoo", path}, nil, []string{`unknown dataset "ronfoo"`})
+		})
 	}
-	sr, err := e.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := errors.Join(werr, tw.Flush()); err != nil {
-		t.Fatal(err)
-	}
-	res := sr.Cells[0].Res
-	var b strings.Builder
-	printSections(&b, core.StoreTables(res))
-	if !strings.Contains(b.String(), "\ndirect* ") || !strings.Contains(b.String(), "\nlat* ") {
-		t.Fatalf("the campaign's Table 5 lacks its inferred rows:\n%s", b.String())
-	}
-	want := fmt.Sprintf("merged %d records from 1 logs\nmatched %d probe observations\n\n", tw.Count(), res.MeasureProbes) + b.String()
-	runCLI(t, []string{"-dataset", "ronnarrow", path}, renderLines(want), nil)
-	runCLI(t, []string{"-dataset", "ronfoo", path}, nil, []string{`unknown dataset "ronfoo"`})
 }
 
 func TestReindexCommandLine(t *testing.T) {
 	cases := []struct {
 		name   string
 		damage func(t *testing.T, dir string) (expect []string)
+		// grouped: every grid point ends with a group row whose -render
+		// equals its files under merged/.
+		grouped bool
 	}{
-		{name: "a full store gains nothing",
+		{name: "a full store gains nothing", grouped: true,
 			damage: func(t *testing.T, dir string) []string {
 				return []string{"reindex: added 0 cell and 0 group rows (0 cells missing); store now holds 6 rows"}
 			}},
-		{name: "a deleted store is rebuilt whole",
+		{name: "a deleted store is rebuilt whole", grouped: true,
 			damage: func(t *testing.T, dir string) []string {
 				if err := os.Remove(resultstore.SegmentPath(dir)); err != nil {
 					t.Fatal(err)
 				}
 				return []string{"reindex: added 4 cell and 2 group rows (0 cells missing); store now holds 6 rows"}
+			}},
+		// Two live -cells shards each append their cells' rows, and
+		// neither completes a grid point. Every grid point lacks its
+		// group row, so every cell row is appended again (readers
+		// dedupe by identity) beside the group rows.
+		{name: "cell rows from two live shards gain their group rows", grouped: true,
+			damage: func(t *testing.T, dir string) []string {
+				if err := os.Remove(resultstore.SegmentPath(dir)); err != nil {
+					t.Fatal(err)
+				}
+				for _, shard := range []string{"*-r00", "*-r01"} {
+					e, err := experiment.New(experiment.Datasets(experiment.RONnarrow),
+						experiment.AxisValues("hysteresis", "0", "0.25"), experiment.Days(0.01),
+						experiment.Seed(5), experiment.Replicas(2), experiment.Output(dir), experiment.Shard(shard))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if _, err := e.Run(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				runCLI(t, []string{"-store", dir, "-query", "kind=group"}, nil,
+					[]string{`query "kind=group" selected no rows (store has 4)`})
+				return []string{"reindex: added 4 cell and 2 group rows (0 cells missing); store now holds 10 rows"}
 			}},
 		{name: "absent, foreign and corrupt snapshots are skipped, and only the first silently",
 			damage: func(t *testing.T, dir string) []string {
@@ -493,8 +536,8 @@ func TestReindexCommandLine(t *testing.T) {
 				foreign := foreignSeed(t, dir, cellA1)
 				junk := corrupt(t, dir, cellB1)
 				return []string{
-					"(cell " + cellA1 + ": skipping snapshot: " + foreign + ")",
-					"(cell " + cellB1 + ": skipping snapshot: " + junk + ")",
+					"cell " + cellA1 + ": ignoring unusable snapshot: " + foreign,
+					"cell " + cellB1 + ": ignoring unusable snapshot: " + junk,
 					"reindex: added 1 cell and 0 group rows (3 cells missing); store now holds 1 rows",
 				}
 			}},
@@ -504,6 +547,18 @@ func TestReindexCommandLine(t *testing.T) {
 			dir := sweepCopy(t)
 			expect := tc.damage(t, dir)
 			runCLI(t, []string{"-store", dir, "-reindex"}, expect, nil)
+			if !tc.grouped {
+				return
+			}
+			for _, g := range []string{"ronnarrow", "ronnarrow-h0.25"} {
+				for render, file := range map[string]string{"overview": "table5", "table6": "table6"} {
+					want, err := os.ReadFile(filepath.Join(dir, core.MergedDirName, g, "ronnarrow-"+file+".txt"))
+					if err != nil {
+						t.Fatal(err)
+					}
+					runCLI(t, []string{"-store", dir, "-query", "kind=group,name=" + g, "-render", render}, renderLines(string(want)), nil)
+				}
+			}
 		})
 	}
 }
@@ -679,7 +734,7 @@ func TestAnotherDaysSnapshotRefused(t *testing.T) {
 	}
 	reason := "core: cell snapshot " + path + ": days is 0.004, grid wants 0.002: snapshot belongs to another grid"
 	runCLI(t, []string{"-store", dir, "-reindex"}, []string{
-		"(cell " + cellA1 + ": skipping snapshot: " + reason + ")",
+		"cell " + cellA1 + ": ignoring unusable snapshot: " + reason,
 		"reindex: added 1 cell and 0 group rows (1 cells missing); store now holds 1 rows",
 	}, nil)
 	runCLI(t, []string{"-sweep", dir}, renderLines("sweep manifest: 1 grid points\n\n"+

@@ -61,7 +61,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"io/fs"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -580,12 +579,13 @@ func runSweep(stdout io.Writer, f *cmdFlags) error {
 // runMergeOnly rebuilds merged/ from whatever completed cell snapshots
 // exist under dir — its own run's, a resumed run's, or shards copied in
 // from other machines — and reports the grid points still missing
-// cells. It re-expands the manifest's grid and reads each cell through
-// the admission check a live run's -resume uses (Sweep.ReadCell), so a
-// snapshot of another grid point counts as missing, with -resume's
-// reason. Rebuilt tables are byte-identical to a single-machine sweep
-// because the snapshots round-trip aggregator state exactly and
-// replicas merge in the same order.
+// cells. It is a resumed run of the manifest's re-expanded grid that
+// dispatches nothing: Sweep.Start reloads every cell through the
+// admission check -resume uses, warning once (in -resume's words) for
+// each snapshot it refuses, and folds each grid point in replica order,
+// so a snapshot of another grid point counts as missing and rebuilt
+// tables are byte-identical to a single-machine sweep. It passes no
+// result store and rewrites nothing under cells/.
 func runMergeOnly(stdout io.Writer, dir string) error {
 	if dir == "" {
 		return errors.New("-merge-only needs -out pointing at a sweep output directory")
@@ -594,57 +594,46 @@ func runMergeOnly(stdout io.Writer, dir string) error {
 	if err != nil {
 		return err
 	}
-	s, err := m.Sweep()
+	s, err := m.Sweep(func(format string, args ...any) { fmt.Fprintf(stdout, format, args...) }, nil)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(stdout, "merge-only: %d grid points in %s\n\n",
 		len(m.Groups), filepath.Join(dir, core.ManifestName))
-	cells := s.Cells()
+	run, _, err := s.Start(dir, true, nil, nil)
+	if err != nil {
+		return err
+	}
+	if err := run.Err(); err != nil {
+		return err
+	}
+	res := run.Result(0)
 	merged := 0
-	var incomplete []string
-	var missingNames []string
-	for g := range m.Groups {
-		mg := &m.Groups[g]
-		idxs := s.GroupCells(g)
-		var results []*core.Result
-		var missing []string
-		for k, i := range idxs {
-			res, err := s.ReadCell(i, dir)
-			if err == nil {
-				results = append(results, res)
-				continue
+	var incomplete, missingNames []string
+	for gi := range res.Groups {
+		g, mg := &res.Groups[gi], &m.Groups[gi]
+		if g.Complete() {
+			if err := writeFigures(filepath.Join(dir, core.MergedDirName, mg.Name), g.Dataset, g.Merged); err != nil {
+				return err
 			}
-			// Name the cell by its grid coordinates, not just its
-			// label: the coordinates are what an operator pastes back
-			// into axis flags to re-run exactly the missing work.
-			name := cells[i].Name()
-			if errors.Is(err, fs.ErrNotExist) {
-				missing = append(missing, fmt.Sprintf("%s [%s]", name, mg.CellCoords(k)))
-			} else {
-				missing = append(missing, fmt.Sprintf("%s [%s] (%v)", name, mg.CellCoords(k), err))
-			}
-			missingNames = append(missingNames, name)
-		}
-		if len(missing) > 0 {
-			incomplete = append(incomplete, mg.Name)
-			fmt.Fprintf(stdout, "=== %s: MISSING %d/%d cells ===\n", mg.Name, len(missing), len(idxs))
-			for _, ms := range missing {
-				fmt.Fprintf(stdout, "    %s\n", ms)
-			}
-			fmt.Fprintln(stdout)
+			merged++
+			fmt.Fprintf(stdout, "=== merged %s: %d replicas from snapshots ===\n%s\n",
+				mg.Name, len(g.Cells), g.Merged.Report())
 			continue
 		}
-		mergedRes, err := core.MergeResults(results)
-		if err != nil {
-			return fmt.Errorf("group %s: %w", mg.Name, err)
+		incomplete = append(incomplete, mg.Name)
+		landed, _ := run.Group(gi)
+		fmt.Fprintf(stdout, "=== %s: MISSING %d/%d cells ===\n", mg.Name, len(g.Cells)-landed, len(g.Cells))
+		for k, c := range g.Cells {
+			if c.Res == nil {
+				// Name the cell by its grid coordinates, not just its
+				// label: the coordinates are what an operator pastes
+				// back into axis flags to re-run exactly the missing work.
+				fmt.Fprintf(stdout, "    %s [%s]\n", c.Cell.Name(), mg.CellCoords(k))
+				missingNames = append(missingNames, c.Cell.Name())
+			}
 		}
-		if err := writeFigures(filepath.Join(dir, core.MergedDirName, mg.Name), cells[idxs[0]].Dataset, mergedRes); err != nil {
-			return err
-		}
-		merged++
-		fmt.Fprintf(stdout, "=== merged %s: %d replicas from snapshots ===\n%s\n",
-			mg.Name, len(results), mergedRes.Report())
+		fmt.Fprintln(stdout)
 	}
 	fmt.Fprintf(stdout, "merge-only: rebuilt %d/%d merged grid points under %s\n",
 		merged, len(m.Groups), filepath.Join(dir, core.MergedDirName))

@@ -379,6 +379,11 @@ func TestShardMergeOnlyMatchesSingleRun(t *testing.T) {
 	for _, shard := range []string{"*-r00", "*-r01"} {
 		ronsim(t, 0, testSweepArgs(sharded, "-cells", shard)...)
 	}
+	cells := readTree(t, filepath.Join(sharded, core.CellsDirName))
+	seg, err := os.ReadFile(resultstore.SegmentPath(sharded))
+	if err != nil {
+		t.Fatal(err)
+	}
 	ronsim(t, 0, "-sweep", "-merge-only", "-out", sharded)
 	diffTrees(t, "merged",
 		readTree(t, filepath.Join(single, core.MergedDirName)),
@@ -386,6 +391,11 @@ func TestShardMergeOnlyMatchesSingleRun(t *testing.T) {
 	diffTrees(t, "cells",
 		readTree(t, filepath.Join(single, core.CellsDirName)),
 		readTree(t, filepath.Join(sharded, core.CellsDirName)))
+	// -merge-only reads the shards' output and writes only merged/.
+	diffTrees(t, "cells after -merge-only", cells, readTree(t, filepath.Join(sharded, core.CellsDirName)))
+	if after, err := os.ReadFile(resultstore.SegmentPath(sharded)); err != nil || !bytes.Equal(after, seg) {
+		t.Errorf("-merge-only changed %s (read error %v)", resultstore.SegmentPath(sharded), err)
+	}
 }
 
 // TestMergeOnlyReportsMissingCells: with one shard absent, merge-only
@@ -443,8 +453,9 @@ func TestMergeOnlyReportsMissingCells(t *testing.T) {
 		t.Errorf("merge-only with no complete grid point: stderr %q", stderr)
 	}
 	want = banner +
+		fmt.Sprintf("cell ronnarrow-r00: ignoring unusable snapshot: core: cell snapshot %s: too short\n", snapPath) +
 		"=== ronnarrow: MISSING 1/2 cells ===\n" +
-		fmt.Sprintf("    ronnarrow-r00 [dataset=RONnarrow replica=0] (core: cell snapshot %s: too short)\n\n", snapPath) +
+		"    ronnarrow-r00 [dataset=RONnarrow replica=0]\n\n" +
 		"=== ronnarrow-h0.25: MISSING 1/2 cells ===\n" +
 		"    ronnarrow-h0.25-r01 [dataset=RONnarrow hysteresis=0.25 replica=1]\n\n" +
 		fmt.Sprintf("merge-only: rebuilt 0/2 merged grid points under %s\n", filepath.Join(dir, core.MergedDirName)) +
@@ -484,8 +495,9 @@ func TestMergeOnlyRefusesAnotherDaysSnapshot(t *testing.T) {
 	reason := "core: cell snapshot " + path + ": days is 0.004, grid wants 0.002: snapshot belongs to another grid"
 	got, stderr := ronsim(t, 1, "-sweep", "-merge-only", "-out", dir)
 	want := fmt.Sprintf("merge-only: 1 grid points in %s\n\n", filepath.Join(dir, core.ManifestName)) +
+		"cell ronnarrow-r01: ignoring unusable snapshot: " + reason + "\n" +
 		"=== ronnarrow: MISSING 1/2 cells ===\n" +
-		"    ronnarrow-r01 [dataset=RONnarrow replica=1] (" + reason + ")\n\n" +
+		"    ronnarrow-r01 [dataset=RONnarrow replica=1]\n\n" +
 		fmt.Sprintf("merge-only: rebuilt 0/1 merged grid points under %s\n", filepath.Join(dir, core.MergedDirName)) +
 		"missing grid points: ronnarrow\n" +
 		"re-run exactly the missing cells with: -sweep ... -cells ronnarrow-r01\n"
@@ -575,10 +587,14 @@ func TestOldFormatsRefused(t *testing.T) {
 	out, _ := ronsim(t, 1, "-sweep", "-merge-only", "-out", dir)
 	for _, g := range m.Groups {
 		for ci, c := range g.Cells {
-			want := fmt.Sprintf("    %s [%s] (core: cell snapshot %s: unsupported version 1 (want 2))\n",
-				c.Name, g.CellCoords(ci), filepath.Join(dir, c.Snapshot))
-			if !strings.Contains(out, want) {
-				t.Errorf("merge-only did not list %q; got:\n%s", want, out)
+			for _, want := range []string{
+				fmt.Sprintf("cell %s: ignoring unusable snapshot: core: cell snapshot %s: unsupported version 1 (want 2)\n",
+					c.Name, filepath.Join(dir, c.Snapshot)),
+				fmt.Sprintf("    %s [%s]\n", c.Name, g.CellCoords(ci)),
+			} {
+				if !strings.Contains(out, want) {
+					t.Errorf("merge-only did not print %q; got:\n%s", want, out)
+				}
 			}
 		}
 	}
@@ -710,7 +726,7 @@ func manifestSweep(t *testing.T, dir string) *core.Sweep {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := m.Sweep()
+	s, err := m.Sweep(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -169,7 +169,7 @@ func TestResumeIntoNewOutputIsSelfContained(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := m.Sweep()
+	s, err := m.Sweep(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -66,7 +66,7 @@ func TestCoordinatorResultStore(t *testing.T) {
 	}
 	byID := map[string]bool{}
 	for _, r := range seg.Unique() {
-		byID[r.Identity()] = true
+		byID[r.Kind+":"+r.Name] = true
 	}
 	for _, cr := range res.Cells {
 		if !byID["cell:"+cr.Cell.Name()] {

@@ -426,7 +426,7 @@ func TestCustomAxisSnapshotRoundTrip(t *testing.T) {
 	}
 	// The grid re-expanded from the manifest re-applies the custom axis
 	// through the registry, and the snapshot reads back under it.
-	s, err := res.Manifest(nil, nil).Sweep()
+	s, err := res.Manifest(nil, nil).Sweep(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

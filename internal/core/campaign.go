@@ -299,11 +299,14 @@ func (c *campaign) measure(t netsim.Time, s int) {
 			continue
 		}
 		lat := o.Latency.Duration()
-		if c.cfg.TraceSink != nil {
-			c.emitTrace(trace.KindRecv, d, s, probeID, sendAt+o.Latency, m, tac, i, method.Copies(), r.Via)
-		}
 		if c.cfg.roundTrip() {
 			lat += c.reverseLatency(sendAt+o.Latency, d, s)
+		}
+		if c.cfg.TraceSink != nil {
+			// The receive is stamped when the measured latency has
+			// passed — the response's return for a round-trip campaign —
+			// so a replayed trace observes what the campaign did.
+			c.emitTrace(trace.KindRecv, d, s, probeID, sendAt+netsim.FromDuration(lat), m, tac, i, method.Copies(), r.Via)
 		}
 		obs.Lat[i] = lat
 	}

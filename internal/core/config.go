@@ -3,21 +3,25 @@
 // simulated substrate, feeds the routing selector and the statistics
 // aggregator, and exposes the results as the paper's tables and figures.
 //
-// Beyond single campaigns (Run), the package provides the sweep engine
-// (SweepSpec, NewSweep, Sweep.Run): deterministic expansion of a
-// campaign grid over first-class value axes (Axis, the axis registry)
-// whose per-cell seeds derive from grid coordinates via splitmix64, a
-// worker pool that runs cells in any order without affecting results,
-// and replica merging into per-grid-point tables. Sweeps are
-// distributable and resumable: CellFilter shards a grid across
-// machines, CellSnapshot persists each finished cell's aggregator
-// state (axis coordinates included) in a checksummed container, and
-// SweepManifest records the full grid — every axis with its values —
-// so merge-only tooling can recombine any union of completed cells —
-// byte-identical to a single-machine run — report what is missing, and
-// re-derive the grid elsewhere. The public repro/experiment package is
-// the intended consumer surface: a functional-options builder, the
-// axis registry's CLI flag derivation, and custom-axis registration.
+// A campaign runs in an Arena (NewArena, Arena.Run), which keeps its
+// world and buffers for the next campaign of the same shape. Every
+// other run is a sweep (SweepSpec, NewSweep, Sweep.Run):
+// deterministic expansion of a campaign grid over first-class value
+// axes (Axis, the axis registry) whose per-cell seeds derive from
+// grid coordinates via splitmix64, one run state (Sweep.Start,
+// SweepRun) that reloads, lands and folds cells whichever dispatcher
+// computes them, and replica merging into per-grid-point tables.
+// Sweeps are distributable and resumable: CellFilter shards a grid
+// across machines, CellSnapshot persists each finished cell's
+// aggregator state (axis coordinates included) in a checksummed
+// container, and SweepManifest records the full grid — every axis
+// with its values — so an offline pass (a run of the manifest's grid
+// that dispatches nothing) can recombine any union of completed cells
+// — byte-identical to a single-machine run — report what is missing,
+// and re-derive the grid elsewhere. The public repro/experiment
+// package is the intended consumer surface: a functional-options
+// builder, the axis registry's CLI flag derivation, and custom-axis
+// registration.
 // See docs/ARCHITECTURE.md for the lifecycle and file formats.
 package core
 

@@ -59,7 +59,10 @@ type SweepRun struct {
 // reloaded from it) persists a snapshot under cells/<cell>/cell.snap
 // before anything else happens to it. recoverOut is a coordinator's crash recovery, which needs no
 // flag: every delivery was on disk before it was acknowledged, so what
-// a dead incarnation accepted is what its replacement reloads. results,
+// a dead incarnation accepted is what its replacement reloads. It is
+// also the offline passes' whole read (ronsim -merge-only, ronreport
+// -reindex): a run that dispatches none of the cells left over and
+// reads Result as it stands. results,
 // when non-nil, receives one row per landed cell and one per merged
 // group. recycle, when non-nil, receives each aggregator the run
 // releases (see Land) instead of leaving it to the collector.
@@ -412,8 +415,9 @@ func (g *groupFolder) merged() *Result {
 // (order-independent by Aggregator.Merge's contract). The merged
 // Config is the first replica's. It is the fold every sweep driver runs
 // per grid point — the results landed in order, none released —
-// exported so merge-only tooling can rebuild merged tables from
-// snapshot-restored replicas, byte-identical to a single-machine sweep.
+// exported for readers that merge what a run never would: a partial
+// grid point, replicas rebuilt from traces, or a subset of store rows
+// (ronreport -sweep and -drill).
 func MergeResults(results []*Result) (*Result, error) {
 	if len(results) == 0 {
 		return nil, errors.New("core: MergeResults with no results")

@@ -246,18 +246,23 @@ func (m *SweepManifest) SweepSpec() (SweepSpec, error) {
 	return spec, nil
 }
 
-// Sweep re-expands the manifest's grid (SweepSpec, then NewSweep): the
-// cells and Configs of the run that wrote it, against which the offline
-// tools admit that run's snapshots (Sweep.ReadCell), exactly as the run
-// itself would. It also checks that the expansion lists the manifest's
-// groups in order — the same names, testbed sizes and method sets, and
-// the same cells with the same seeds — so the manifest's group g and
-// cell k (with its trace path) are the expansion's group g, replica k.
-func (m *SweepManifest) Sweep() (*Sweep, error) {
+// Sweep re-expands the manifest's grid (SweepSpec, then NewSweep):
+// the cells and Configs of the run that wrote it, against which the
+// offline tools admit that run's snapshots (Sweep.Start's reload, or
+// Sweep.ReadCell), exactly as the run itself would. It also checks
+// that the expansion lists the manifest's groups in order — the same
+// names, testbed sizes and method sets, and the same cells with the
+// same seeds — so the manifest's group g and cell k (with its trace
+// path) are the expansion's group g, replica k.
+// warnf and filter, either may be nil, become the spec's Warnf and
+// Filter: the two hooks an offline pass that reads the directory
+// through Start (a run that dispatches nothing) gives the run.
+func (m *SweepManifest) Sweep(warnf func(format string, args ...any), filter func(Cell) bool) (*Sweep, error) {
 	spec, err := m.SweepSpec()
 	if err != nil {
 		return nil, err
 	}
+	spec.Warnf, spec.Filter = warnf, filter
 	s, err := NewSweep(spec)
 	if err != nil {
 		return nil, err

@@ -67,7 +67,7 @@ func TestShardedSweepByteIdentical(t *testing.T) {
 	// Coordinator: rebuild each grid point from the union of snapshots,
 	// exactly as merge-only mode does — the grid re-expanded from the
 	// manifest, every cell read through the admission check.
-	s, err := single.Manifest(nil, nil).Sweep()
+	s, err := single.Manifest(nil, nil).Sweep(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -148,9 +148,6 @@ func (r *Row) MetricAt(i int) (col string, val float64) {
 	return r.cols[i], r.vals[i]
 }
 
-// Identity returns the row's dedup key: kind plus name.
-func (r *Row) Identity() string { return r.Kind + ":" + r.Name }
-
 // Store is the append side: an open segment file plus the running
 // column dictionary. Safe for concurrent Append.
 type Store struct {

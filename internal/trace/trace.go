@@ -25,7 +25,9 @@ type Kind uint8
 const (
 	// KindSend logs a probe packet leaving its origin.
 	KindSend Kind = 1
-	// KindRecv logs a probe packet arriving at its target.
+	// KindRecv logs a probe packet arriving at its target. A
+	// round-trip campaign (RONwide) stamps it when the response is back
+	// at the origin, so the latency a match derives is the RTT.
 	KindRecv Kind = 2
 )
 

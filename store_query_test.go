@@ -53,7 +53,7 @@ func TestStoreRendersMatchDirect(t *testing.T) {
 	}
 	byID := make(map[string]*resultstore.Row, len(rows))
 	for _, r := range rows {
-		byID[r.Identity()] = r
+		byID[r.Kind+":"+r.Name] = r
 	}
 	for _, c := range res.Cells {
 		r := byID["cell:"+c.Cell.Name()]
