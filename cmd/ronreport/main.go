@@ -93,8 +93,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "ronreport: no trace files given")
 		return 2
 	}
-	var err error
+	err := misplacedFlag(fs, *store, *sweepDir, *dataset)
 	switch {
+	case err != nil:
 	case *quantile != -1 && !(*quantile >= 0 && *quantile <= 1):
 		err = fmt.Errorf("-quantile %v: want a value in [0, 1]", *quantile)
 	case *store != "":
@@ -119,6 +120,31 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return 0
+}
+
+// misplacedFlag refuses the first flag, in table order, given outside
+// the mode that reads it, which would silently ignore it. fs.Visit
+// sees only given flags, so a default (-hosts 30) is no use.
+func misplacedFlag(fs *flag.FlagSet, store, sweepDir, dataset string) error {
+	given := map[string]bool{"trace file arguments": fs.NArg() > 0}
+	fs.Visit(func(f *flag.Flag) { given["-"+f.Name] = true })
+	for _, r := range []struct {
+		flags  []string
+		misuse bool
+		format string // %s is the flag
+	}{
+		{[]string{"-reindex", "-query", "-group-by", "-metrics", "-quantile", "-render", "-drill"}, store == "", "%s requires -store"},
+		{[]string{"-hosts", "-methods", "-dataset", "trace file arguments"}, store+sweepDir != "", "%s: -store and -sweep read no trace files"},
+		{[]string{"-sweep"}, store != "", "%s with -store: give one of the two"},
+		{[]string{"-hosts", "-methods"}, dataset != "", "%s with -dataset: the dataset sets the mesh and methods"},
+	} {
+		for _, f := range r.flags {
+			if r.misuse && given[f] {
+				return fmt.Errorf(r.format, f)
+			}
+		}
+	}
+	return nil
 }
 
 // reportTraces prints the tables of the probe trace files given on the
@@ -221,7 +247,7 @@ func reportSweep(w io.Writer, dir string) error {
 		return err
 	}
 	fmt.Fprintf(w, "sweep manifest: %d grid points\n\n", len(m.Groups))
-	reported := 0
+	reported, refusedAll := 0, 0
 	resolve := func(rel string) string {
 		if filepath.IsAbs(rel) {
 			return rel
@@ -231,7 +257,7 @@ func reportSweep(w io.Writer, dir string) error {
 	for g := range m.Groups {
 		mg := &m.Groups[g]
 		var results []*core.Result
-		fromSnap, fromTrace := 0, 0
+		fromSnap, fromTrace, refused := 0, 0, 0
 		var missing []string
 		for k, i := range s.GroupCells(g) {
 			c := mg.Cells[k]
@@ -247,6 +273,7 @@ func reportSweep(w io.Writer, dir string) error {
 				// cell counts as missing.
 				fmt.Fprintf(w, "(cell %s: %v; not trusting its trace either)\n", c.Name, err)
 				missing = append(missing, c.Name)
+				refused++
 				continue
 			case c.Trace == "":
 				missing = append(missing, c.Name)
@@ -260,8 +287,14 @@ func reportSweep(w io.Writer, dir string) error {
 			}
 			results = append(results, res)
 		}
+		refusedAll += refused
 		if len(results) == 0 {
-			fmt.Fprintf(w, "=== %s: no snapshots or traces found (run the shard, or rerun ronsim -sweep with -out/-trace) ===\n\n", mg.Name)
+			why := "no snapshots or traces found (run the shard, or rerun ronsim -sweep with -out/-trace)"
+			if refused > 0 {
+				why = fmt.Sprintf("MISSING %d/%d cells, %d refused snapshots (rerun ronsim -sweep -resume to recompute them)",
+					len(missing), len(mg.Cells), refused)
+			}
+			fmt.Fprintf(w, "=== %s: %s ===\n\n", mg.Name, why)
 			continue
 		}
 		merged, err := core.MergeResults(results)
@@ -278,7 +311,7 @@ func reportSweep(w io.Writer, dir string) error {
 		printSections(w, core.StoreTables(merged))
 	}
 	if reported == 0 {
-		return fmt.Errorf("no grid point had snapshots or traces under %s", dir)
+		return fmt.Errorf("no grid point had snapshots or traces under %s: %d snapshots refused", dir, refusedAll)
 	}
 	return nil
 }

@@ -118,7 +118,10 @@ func renderRows(w io.Writer, sel []*resultstore.Row, kind string) error {
 // it. A column no selected row carries is an error, not a run of "-" or
 // n=0: it is nearly always a misspelling.
 func printMetrics(w io.Writer, sel []*resultstore.Row, q storeQuery, segCols []string) error {
-	cols := splitMethods(q.metrics)
+	cols := experiment.SplitList(q.metrics)
+	if len(cols) == 0 {
+		return fmt.Errorf("-metrics %q names no column", q.metrics)
+	}
 	for _, col := range cols {
 		if !anyRowHas(sel, col) {
 			return unknownColumn(col, segCols)

@@ -258,6 +258,21 @@ func TestStoreCommandLine(t *testing.T) {
 		{name: "malformed query",
 			args:   []string{"-query", "scenario"},
 			errHas: []string{`bad predicate "scenario"`}},
+		{name: "metrics naming no column",
+			args:   []string{"-metrics", ","},
+			errHas: []string{`-metrics "," names no column`}},
+		{name: "trace-file flags are refused",
+			args:   []string{"-hosts", "3", "-dataset", "ronfoo", "bogus.trc"},
+			errHas: []string{"-hosts: -store and -sweep read no trace files"}},
+		{name: "a given -methods is refused",
+			args:   []string{"-methods", "direct"},
+			errHas: []string{"-methods: -store and -sweep read no trace files"}},
+		{name: "a trace file argument is refused",
+			args:   []string{"-query", "kind=group", "bogus.trc"},
+			errHas: []string{"trace file arguments: -store and -sweep read no trace files"}},
+		{name: "-sweep with -store is refused",
+			args:   []string{"-sweep", "elsewhere"},
+			errHas: []string{"-sweep with -store: give one of the two"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) { runStoreCase(t, tc) })

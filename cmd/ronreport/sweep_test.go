@@ -276,8 +276,10 @@ func TestSweepCommandLine(t *testing.T) {
 	type sweepCase struct {
 		name   string
 		damage func(t *testing.T, dir string) (expect string)
+		args   []string // after -sweep <dir>
 		errHas []string
 	}
+	intact := func(*testing.T, string) string { return "" }
 	cases := []sweepCase{
 		{name: "every cell from its snapshot",
 			damage: func(t *testing.T, dir string) string {
@@ -343,6 +345,31 @@ func TestSweepCommandLine(t *testing.T) {
 					"=== ronnarrow-h0.25: no snapshots or traces found (run the shard, or rerun ronsim -sweep with -out/-trace) ===\n\n"
 			},
 			errHas: []string{"no grid point had snapshots or traces under"}},
+		{name: "refused snapshots are counted, not reported as not found",
+			damage: func(t *testing.T, dir string) string {
+				out := banner
+				for _, g := range [][2]string{{cellA0, cellA1}, {cellB0, cellB1}} {
+					for _, c := range g {
+						out += "(cell " + c + ": " + corrupt(t, dir, c) + "; not trusting its trace either)\n"
+					}
+					name := strings.TrimSuffix(g[0], "-r00")
+					out += "=== " + name + ": MISSING 2/2 cells, 2 refused snapshots (rerun ronsim -sweep -resume to recompute them) ===\n\n"
+				}
+				return out
+			},
+			errHas: []string{"no grid point had snapshots or traces under", ": 4 snapshots refused"}},
+		{name: "the first misplaced flag in table order is named",
+			damage: intact,
+			args:   []string{"-query", "kind=cell", "-metrics", "x", "-hosts", "5", "extra.trc"},
+			errHas: []string{"-query requires -store"}},
+		{name: "a given -hosts is refused",
+			damage: intact,
+			args:   []string{"-hosts", "30"},
+			errHas: []string{"-hosts: -store and -sweep read no trace files"}},
+		{name: "a trace file argument is refused",
+			damage: intact,
+			args:   []string{"extra.trc"},
+			errHas: []string{"trace file arguments: -store and -sweep read no trace files"}},
 		{name: "a manifest axis no linked package registers is refused",
 			damage: func(t *testing.T, dir string) string {
 				m, err := core.ReadManifest(dir)
@@ -385,7 +412,7 @@ func TestSweepCommandLine(t *testing.T) {
 			if out := tc.damage(t, dir); out != "" {
 				expect = renderLines(out)
 			}
-			runCLI(t, []string{"-sweep", dir}, expect, tc.errHas)
+			runCLI(t, append([]string{"-sweep", dir}, tc.args...), expect, tc.errHas)
 		})
 	}
 }
@@ -408,18 +435,22 @@ func TestTraceFilesCommandLine(t *testing.T) {
 	good := fmt.Sprintf("merged %d records from 1 logs\nmatched %d probe observations\n\n", records, matched) + b.String()
 	cases := []struct {
 		hosts  string
+		flags  []string // before the files
 		files  []string
 		expect []string
 		errHas []string
 	}{
 		{hosts: "17", files: []string{trc}, expect: renderLines(good)},
+		{hosts: "17", flags: []string{"-query", "kind=cell"}, files: []string{trc, missing}, errHas: []string{"-query requires -store"}},
+		{hosts: "17", flags: []string{"-render", "overview"}, files: []string{trc, missing}, errHas: []string{"-render requires -store"}},
+		{hosts: "17", flags: []string{"-dataset", "ronnarrow"}, files: []string{trc, missing}, errHas: []string{"-hosts with -dataset: the dataset sets the mesh and methods"}},
 		{hosts: "-1", files: []string{trc, missing}, errHas: []string{"route: mesh of -1 nodes is below the 2-node minimum"}},
 		{hosts: "0", files: []string{trc, missing}, errHas: []string{"route: mesh of 0 nodes is below the 2-node minimum"}},
 		{hosts: "70000", files: []string{trc, missing}, errHas: []string{"route: mesh of 70000 nodes exceeds MaxMeshNodes"}},
 	}
 	for _, tc := range cases {
-		t.Run("hosts="+tc.hosts, func(t *testing.T) {
-			args := append([]string{"-hosts", tc.hosts, "-methods", strings.Join(methods, ",")}, tc.files...)
+		t.Run(strings.Join(append([]string{"hosts=" + tc.hosts}, tc.flags...), " "), func(t *testing.T) {
+			args := append(append([]string{"-hosts", tc.hosts, "-methods", strings.Join(methods, ",")}, tc.flags...), tc.files...)
 			runCLI(t, args, tc.expect, tc.errHas)
 		})
 	}

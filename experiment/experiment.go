@@ -190,13 +190,14 @@ func (e *Experiment) run() (*core.SweepResult, error) {
 }
 
 // WriteManifest records the full grid — every axis with its values,
-// per-cell seeds, and artifact paths — as sweep.json in dir. tracePath, when non-nil, maps a cell to its trace file path
-// relative to dir ("" for cells without one); snapshot paths are
-// recorded canonically whenever the experiment persists snapshots.
-// Artifact paths recorded by a prior manifest for the same cells
-// (matched by name and seed) are carried forward rather than blanked,
-// so a rerun that records fewer artifacts — a resume without tracing,
-// a merge pass — never orphans intact files.
+// per-cell seeds, and artifact paths — as sweep.json in dir. tracePath,
+// when non-nil, maps a cell to its trace file path relative to dir (""
+// for cells without one); snapshot paths are recorded canonically
+// whenever the experiment persists snapshots. Artifact paths recorded
+// by a prior manifest for the same cells (matched by name and seed) are
+// carried forward rather than blanked, so a rerun that records fewer
+// artifacts — a resume without tracing, a merge pass — never orphans
+// intact files.
 func (e *Experiment) WriteManifest(res *core.SweepResult, dir string, tracePath func(core.Cell) string) error {
 	var snapPath func(core.Cell) string
 	if e.outDir != "" {

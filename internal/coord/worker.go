@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"io"
 	"net/http"
 	"net/url"
@@ -15,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/detmath"
 )
 
 // Worker retry policy: transient failures (a coordinator not up yet or
@@ -111,25 +113,16 @@ func NewWorker(url string, opts ...WorkerOption) *Worker {
 		o(w)
 	}
 	// FNV-1a of the (option-final) name seeds the jitter stream.
-	seed := uint64(14695981039346656037)
-	for i := 0; i < len(w.name); i++ {
-		seed ^= uint64(w.name[i])
-		seed *= 1099511628211
-	}
-	w.jstate.Store(seed)
+	h := fnv.New64a()
+	h.Write([]byte(w.name)) // a hash.Hash's Write never fails
+	w.jstate.Store(h.Sum64())
 	return w
 }
 
 // jitter scales d by a factor in [0.75, 1.25) drawn from the worker's
-// jitter stream (splitmix64: an atomic add, then a local mix).
+// jitter stream (splitmix64: an atomic Gamma step, then a local mix).
 func (w *Worker) jitter(d time.Duration) time.Duration {
-	z := w.jstate.Add(0x9E3779B97F4A7C15)
-	z ^= z >> 30
-	z *= 0xBF58476D1CE4E5B9
-	z ^= z >> 27
-	z *= 0x94D049BB133111EB
-	z ^= z >> 31
-	u := float64(z>>11) / (1 << 53)
+	u := detmath.Unit(detmath.Mix(w.jstate.Add(detmath.Gamma) - detmath.Gamma))
 	return time.Duration(float64(d) * (0.75 + 0.5*u))
 }
 

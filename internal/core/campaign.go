@@ -131,9 +131,7 @@ func (c *campaign) seed() {
 
 // measureGap draws the §4.1 inter-probe pause.
 func (c *campaign) measureGap() netsim.Time {
-	lo := float64(c.cfg.MeasureGapMin)
-	hi := float64(c.cfg.MeasureGapMax)
-	return netsim.Time(c.rng.Uniform(lo, hi))
+	return netsim.Time(c.rng.Uniform(float64(c.cfg.MeasureGapMin), float64(c.cfg.MeasureGapMax)))
 }
 
 // loop merges the implicit probe stream with the event queue in global

@@ -57,12 +57,12 @@ type SweepRun struct {
 // outDir, when non-empty, is the sweep output directory: every cell
 // that lands without already being on disk there (a Cached cell
 // reloaded from it) persists a snapshot under cells/<cell>/cell.snap
-// before anything else happens to it. recoverOut is a coordinator's crash recovery, which needs no
-// flag: every delivery was on disk before it was acknowledged, so what
-// a dead incarnation accepted is what its replacement reloads. It is
-// also the offline passes' whole read (ronsim -merge-only, ronreport
-// -reindex): a run that dispatches none of the cells left over and
-// reads Result as it stands. results,
+// before anything else happens to it. recoverOut is a coordinator's
+// crash recovery, which needs no flag: every delivery was on disk
+// before it was acknowledged, so what a dead incarnation accepted is
+// what its replacement reloads. It is also the offline passes' whole
+// read (ronsim -merge-only, ronreport -reindex): a run that dispatches
+// none of the cells left over and reads Result as it stands. results,
 // when non-nil, receives one row per landed cell and one per merged
 // group. recycle, when non-nil, receives each aggregator the run
 // releases (see Land) instead of leaving it to the collector.

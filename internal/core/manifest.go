@@ -18,13 +18,14 @@ const ManifestName = "sweep.json"
 const ManifestVersion = 3
 
 // SweepManifest records what a sweep wrote to its output directory, so
-// post-processing tools (cmd/ronsim -merge-only, cmd/ronreport) can find
-// and combine the per-cell artifacts — and enough of the spec (datasets, replicas, and every axis with its full
-// value list) that SweepSpec can re-derive it, which is what lets a
-// coordinator ship a grid to workers as pure data. A sharded run writes
-// the manifest for the FULL grid — including cells it skipped — so any
-// shard's manifest describes the whole sweep and merge-only mode can
-// report which grid points are still missing.
+// post-processing tools (cmd/ronsim -merge-only, cmd/ronreport) can
+// find and combine the per-cell artifacts — and enough of the spec
+// (datasets, replicas, and every axis with its full value list) that
+// SweepSpec can re-derive it, which is what lets a coordinator ship a
+// grid to workers as pure data. A sharded run writes the manifest for
+// the FULL grid — including cells it skipped — so any shard's manifest
+// describes the whole sweep and merge-only mode can report which grid
+// points are still missing.
 type SweepManifest struct {
 	Version int `json:"version"`
 	// BaseSeed and Days echo the sweep spec, for provenance and

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/analysis"
+	"repro/internal/detmath"
 	"repro/internal/resultstore"
 )
 
@@ -222,24 +223,16 @@ type Sweep struct {
 	groups [][]int
 }
 
-// splitmix64 is the SplitMix64 finalizer, the standard way to turn
-// correlated integers into decorrelated seeds.
-func splitmix64(x uint64) uint64 {
-	x += 0x9E3779B97F4A7C15
-	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-	return x ^ (x >> 31)
-}
-
-// deriveSeed mixes the base seed with cell coordinates. Using the
-// coordinates — not the flat cell index — means a cell keeps its seed
-// when the grid grows along another axis. (Adding a whole new axis
-// appends a coordinate and re-seeds the grid; growing an existing
-// axis's value list does not.)
+// deriveSeed mixes the base seed with cell coordinates through
+// splitmix64, the standard way to turn correlated integers into
+// decorrelated seeds. Using the coordinates — not the flat cell index —
+// means a cell keeps its seed when the grid grows along another axis.
+// (Adding a whole new axis appends a coordinate and re-seeds the grid;
+// growing an existing axis's value list does not.)
 func deriveSeed(base uint64, parts ...uint64) uint64 {
-	x := splitmix64(base)
+	x := detmath.Mix(base)
 	for _, p := range parts {
-		x = splitmix64(x ^ p)
+		x = detmath.Mix(x ^ p)
 	}
 	return x
 }

@@ -2,6 +2,8 @@ package netsim
 
 import (
 	"math"
+
+	"repro/internal/detmath"
 )
 
 // never is a sentinel Time for "no scheduled event".
@@ -299,25 +301,16 @@ func (c *Component) Transit(t Time, pktKey uint64, travIdx uint64) (drop bool, d
 	// Per-packet draws are stateless hashes of key, so the drop decision
 	// can run before the jitter draw: a congestion-dropped packet skips
 	// its (discarded) delay computation without perturbing any other
-	// packet's outcome. The exponential draws are hashExp inlined by
-	// hand — same expressions, pre-converted means — because the two
-	// calls are the innermost per-packet arithmetic in the simulator.
+	// packet's outcome. Every draw inlines here (the means are
+	// pre-converted): this is the simulator's innermost arithmetic.
 	if c.congested && hash01(key) < c.severity {
 		return true, 0
 	}
 	if mean := c.params.jitterMeanF; mean > 0 {
-		u := hash01(key ^ 0x9E37)
-		if u <= 0 {
-			u = 1.0 / (1 << 53)
-		}
-		delay = Time(-mean * math.Log(u))
+		delay = Time(detmath.Exp(hash01(key^0x9E37), mean))
 	}
 	if mean := c.params.queueMeanF; c.congested && mean > 0 {
-		u := hash01(key ^ 0xC2B2)
-		if u <= 0 {
-			u = 1.0 / (1 << 53)
-		}
-		delay += Time(-mean * math.Log(u))
+		delay += Time(detmath.Exp(hash01(key^0xC2B2), mean))
 	}
 	if c.latActive {
 		delay += c.latInflate

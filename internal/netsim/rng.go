@@ -1,9 +1,13 @@
 package netsim
 
-import "math"
+import (
+	"math"
 
-// This file provides the deterministic random-number machinery used by the
-// simulator. Two kinds of randomness are needed:
+	"repro/internal/detmath"
+)
+
+// This file shapes the simulator's random streams from the draws that
+// package detmath defines. Two kinds of randomness are needed:
 //
 //   - Sequential draws that evolve a component's state machine through
 //     time (burst start/stop, outage start/stop, episode arrivals). These
@@ -18,15 +22,6 @@ import "math"
 //     results bit-reproducible even if callers interleave sends on
 //     different paths in different orders.
 
-// splitmix64 is the SplitMix64 mixing function; it is used both to derive
-// seeds and as the per-packet hash.
-func splitmix64(x uint64) uint64 {
-	x += 0x9E3779B97F4A7C15
-	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-	return x ^ (x >> 31)
-}
-
 // Source is a small, fast deterministic PRNG (xorshift128+ seeded via
 // SplitMix64). The zero value is not usable; construct with NewSource.
 type Source struct {
@@ -40,13 +35,11 @@ func NewSource(seed uint64) *Source {
 	return s
 }
 
-// Seed resets the source to the stream identified by seed.
+// Seed resets the source to the stream identified by seed. It never
+// makes xorshift's stuck all-zero state: s1 is Mix(s0), and Mix(0) ≠ 0.
 func (s *Source) Seed(seed uint64) {
-	s.s0 = splitmix64(seed)
-	s.s1 = splitmix64(s.s0)
-	if s.s0 == 0 && s.s1 == 0 {
-		s.s1 = 1
-	}
+	s.s0 = detmath.Mix(seed)
+	s.s1 = detmath.Mix(s.s0)
 }
 
 // Uint64 returns the next 64 random bits.
@@ -60,14 +53,9 @@ func (s *Source) Uint64() uint64 {
 	return x + y
 }
 
-// inv53 is 2^-53; multiplying by it equals dividing by 2^53 exactly
-// (both only adjust the exponent), and a float multiply is several times
-// cheaper than a divide on every CPU this runs on.
-const inv53 = 1.0 / (1 << 53)
-
 // Float64 returns a uniform value in [0,1).
 func (s *Source) Float64() float64 {
-	return float64(s.Uint64()>>11) * inv53
+	return detmath.Unit(s.Uint64())
 }
 
 // Exp returns an exponentially distributed value with the given mean.
@@ -76,12 +64,7 @@ func (s *Source) Exp(mean float64) float64 {
 	if mean <= 0 {
 		return 0
 	}
-	u := s.Float64()
-	// Guard the log; Float64 can return exactly 0.
-	if u <= 0 {
-		u = 1.0 / (1 << 53)
-	}
-	return -mean * math.Log(u)
+	return detmath.Exp(s.Float64(), mean)
 }
 
 // Uniform returns a uniform value in [lo, hi).
@@ -106,50 +89,35 @@ func (s *Source) LogNormal(mu, sigma float64) float64 {
 // Norm returns a standard normal deviate (Box–Muller; one value per call,
 // the second is discarded to keep the stream shape simple).
 func (s *Source) Norm() float64 {
-	u1 := s.Float64()
-	if u1 <= 0 {
-		u1 = 1.0 / (1 << 53)
-	}
-	u2 := s.Float64()
-	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
+	u1, u2 := s.Float64(), s.Float64()
+	// detmath.Exp(u1, 2) is -2·ln u1, with the deviates' guard on u1 = 0.
+	return math.Sqrt(detmath.Exp(u1, 2)) * math.Cos(2*math.Pi*u2)
 }
 
 // hash01 maps an arbitrary 64-bit key to a uniform float in [0,1),
 // deterministically. Used for per-packet decisions.
 func hash01(key uint64) float64 {
-	return float64(splitmix64(key)>>11) * inv53
-}
-
-// hashExp maps a key to an exponential deviate with the given mean.
-func hashExp(key uint64, mean float64) float64 {
-	if mean <= 0 {
-		return 0
-	}
-	u := hash01(key)
-	if u <= 0 {
-		u = 1.0 / (1 << 53)
-	}
-	return -mean * math.Log(u)
+	return detmath.Unit(detmath.Mix(key))
 }
 
 // combine mixes several values into one hash key.
 func combine(a, b, c uint64) uint64 {
-	return splitmix64(a ^ splitmix64(b^splitmix64(c)))
+	return detmath.Mix(a ^ detmath.Mix(b^detmath.Mix(c)))
 }
 
-// smallMix caches splitmix64 of the small traversal indices so the
+// smallMix caches detmath.Mix of the small traversal indices so the
 // per-traversal key derivation skips the innermost hash round.
 var smallMix = func() [8]uint64 {
 	var t [8]uint64
 	for i := range t {
-		t[i] = splitmix64(uint64(i))
+		t[i] = detmath.Mix(uint64(i))
 	}
 	return t
 }()
 
 // transitKey is combine(seed, pktKey, travIdx) with the inner
-// splitmix64(travIdx) read from a table (travIdx < 8 always: at most six
+// detmath.Mix(travIdx) read from a table (travIdx < 8 always: at most six
 // traversals per packet).
 func transitKey(seed, pktKey, travIdx uint64) uint64 {
-	return splitmix64(seed ^ splitmix64(pktKey^smallMix[travIdx]))
+	return detmath.Mix(seed ^ detmath.Mix(pktKey^smallMix[travIdx]))
 }

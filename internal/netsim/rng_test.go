@@ -3,7 +3,6 @@ package netsim
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestSourceDeterminism(t *testing.T) {
@@ -154,16 +153,30 @@ func TestHash01Properties(t *testing.T) {
 	}
 }
 
-func TestHashExpDeterministicAndNonNegative(t *testing.T) {
-	f := func(key uint64) bool {
-		v := hashExp(key, 1000)
-		return v >= 0 && v == hashExp(key, 1000)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-	if hashExp(1, 0) != 0 {
-		t.Error("hashExp with zero mean should be 0")
+// TestSourceKnownAnswers pins the first draws of two seeds, recorded
+// from the generator before its primitives moved to package detmath.
+func TestSourceKnownAnswers(t *testing.T) {
+	for _, c := range []struct {
+		seed             uint64
+		u64              [3]uint64
+		f64, exp, normal uint64 // float64 bits after a re-seed
+	}{
+		{1, [3]uint64{0x9750df82cfe9ec21, 0x1c84236b9449141a, 0xcacaefd88224dc59},
+			0x3fe2ea1bf059fd3d, 0x40812569a145db22, 0xbfe0e9e149607809},
+		{42, [3]uint64{0x5103651900dd72c1, 0xed1387e8a9935754, 0x199117e88029aca6},
+			0x3fd440d94640375c, 0x403332e894ce69da, 0x3fd75e6481e9bb83},
+	} {
+		s := NewSource(c.seed)
+		for i, want := range c.u64 {
+			if got := s.Uint64(); got != want {
+				t.Errorf("seed %d: Uint64 draw %d = %#x, want %#x", c.seed, i, got, want)
+			}
+		}
+		s.Seed(c.seed)
+		f, e, n := s.Float64(), s.Exp(250), s.Norm()
+		if got := [3]uint64{math.Float64bits(f), math.Float64bits(e), math.Float64bits(n)}; got != [3]uint64{c.f64, c.exp, c.normal} {
+			t.Errorf("seed %d: Float64, Exp(250), Norm bits = %#x, want %#x", c.seed, got, [3]uint64{c.f64, c.exp, c.normal})
+		}
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+
+	"repro/internal/detmath"
 )
 
 // MaxMeshNodes caps selector mesh sizes. The selector's routing tables
@@ -53,14 +55,6 @@ type LandmarkPlan struct {
 // landmarkPlanSeed fixes the landmark choice per overlay size.
 const landmarkPlanSeed = 0x4C_4D_53_45 // "LMSE"
 
-// planSplitMix is splitmix64 (private copy; see topo's for rationale).
-func planSplitMix(x uint64) uint64 {
-	x += 0x9E3779B97F4A7C15
-	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-	return x ^ (x >> 31)
-}
-
 // NewLandmarkPlan builds the canonical landmark plan for an n-node
 // overlay: L = ⌈√n⌉ landmarks chosen by a seeded partial Fisher-Yates
 // over the node set. Panics on sizes outside the selector's mesh cap.
@@ -73,9 +67,9 @@ func NewLandmarkPlan(n int) *LandmarkPlan {
 	for i := range perm {
 		perm[i] = int32(i)
 	}
-	state := planSplitMix(uint64(landmarkPlanSeed) ^ uint64(n)<<24)
+	state := detmath.Mix(uint64(landmarkPlanSeed) ^ uint64(n)<<24)
 	for i := 0; i < L; i++ {
-		state = planSplitMix(state)
+		state = detmath.Mix(state)
 		j := i + int(state%uint64(n-i))
 		perm[i], perm[j] = perm[j], perm[i]
 	}

@@ -20,6 +20,8 @@ import (
 	"fmt"
 	"sort"
 	"time"
+
+	"repro/internal/detmath"
 )
 
 // Target selects the class of component an action hits.
@@ -179,14 +181,10 @@ func (s *Spec) Validate() error {
 type rng struct{ s uint64 }
 
 func (r *rng) next() uint64 {
-	r.s += 0x9E3779B97F4A7C15
-	z := r.s
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
+	x := r.s
+	r.s += detmath.Gamma
+	return detmath.Mix(x)
 }
-
-func (r *rng) float64() float64 { return float64(r.next()>>11) / (1 << 53) }
 
 func (r *rng) intn(n int) int { return int(r.next() % uint64(n)) }
 
@@ -194,7 +192,7 @@ func (r *rng) between(lo, hi time.Duration) time.Duration {
 	if hi <= lo {
 		return lo
 	}
-	return lo + time.Duration(r.float64()*float64(hi-lo))
+	return lo + time.Duration(detmath.Unit(r.next())*float64(hi-lo))
 }
 
 // Compile expands the spec over a mesh of hosts and a campaign of the

@@ -3,6 +3,8 @@ package topo
 import (
 	"fmt"
 	"time"
+
+	"repro/internal/detmath"
 )
 
 // Synthetic topologies scale the RON2003 testbed's host-class mix to
@@ -78,27 +80,15 @@ var synKindMix = []struct {
 	{KindBroadband, 3},
 }
 
-// synSplitMix is splitmix64, the same generator family the sweep
-// engine derives cell seeds with; topo keeps a private copy so the
-// package stays dependency-free.
-func synSplitMix(x uint64) uint64 {
-	x += 0x9E3779B97F4A7C15
-	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-	return x ^ (x >> 31)
-}
-
-// synRNG is a tiny deterministic stream over splitmix64.
+// synRNG is a tiny deterministic stream: detmath.Mix of a +1 counter.
 type synRNG struct{ state uint64 }
 
 func (r *synRNG) next() uint64 {
 	r.state++
-	return synSplitMix(r.state)
+	return detmath.Mix(r.state)
 }
 
-func (r *synRNG) float64() float64 {
-	return float64(r.next()>>11) / (1 << 53)
-}
+func (r *synRNG) float64() float64 { return detmath.Unit(r.next()) }
 
 func (r *synRNG) intn(n int) int {
 	return int(r.next() % uint64(n))
@@ -126,7 +116,7 @@ func SyntheticSeeded(n int, seed uint64) *Testbed {
 	if err := ValidateSyntheticSize(n); err != nil {
 		panic(err)
 	}
-	rng := &synRNG{state: synSplitMix(seed) ^ uint64(n)<<20}
+	rng := &synRNG{state: detmath.Mix(seed) ^ uint64(n)<<20}
 	hosts := make([]Host, 0, n)
 	total := 0
 	for _, mix := range synKindMix {
@@ -221,8 +211,7 @@ func synPairStretch(seed uint64, i, j int) float64 {
 	if i > j {
 		i, j = j, i
 	}
-	h := synSplitMix(seed ^ 0xB6D0_5E7C ^ uint64(i)<<32 ^ uint64(j))
-	u := float64(h>>11) / (1 << 53)
+	u := detmath.Unit(detmath.Mix(seed ^ 0xB6D0_5E7C ^ uint64(i)<<32 ^ uint64(j)))
 	return synStretchMin + u*(synStretchMax-synStretchMin)
 }
 
