@@ -307,10 +307,10 @@ func (c *Component) Transit(t Time, pktKey uint64, travIdx uint64) (drop bool, d
 		return true, 0
 	}
 	if mean := c.params.jitterMeanF; mean > 0 {
-		delay = Time(detmath.Exp(hash01(key^0x9E37), mean))
+		delay = Time(detmath.ExpInt(hash01(key^0x9E37), mean))
 	}
 	if mean := c.params.queueMeanF; c.congested && mean > 0 {
-		delay += Time(detmath.Exp(hash01(key^0xC2B2), mean))
+		delay += Time(detmath.ExpInt(hash01(key^0xC2B2), mean))
 	}
 	if c.latActive {
 		delay += c.latInflate

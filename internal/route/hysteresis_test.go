@@ -110,9 +110,16 @@ func TestHysteresisDisabledEqualsPlain(t *testing.T) {
 
 func TestHysteresisReducesFlapping(t *testing.T) {
 	// Two near-equal alternatives with noisy measurements: the damped
-	// selector must change routes far less often than the plain one.
-	plain := NewSelectorWindow(3, 0)
-	damped := NewSelectorWindow(3, 0)
+	// selector must change routes far less often than the plain one. A
+	// 30-probe window holds three 10-probe rounds, so the estimates
+	// follow the alternation (the default window holds a whole number
+	// of round pairs and averages it away): after a round where the
+	// direct path looks lossy it reads 4/30 against the via path's
+	// 1−(29/30)², after the next 2/30 against 1−(28/30)². The plain
+	// pick changes every round; once on the via path, the damped one
+	// never sees the direct path lead it by the 0.5 margin.
+	plain := NewSelectorWindow(3, 30)
+	damped := NewSelectorWindow(3, 30)
 	damped.SetHysteresis(0.5)
 
 	var plainChanges, dampedChanges int
@@ -136,8 +143,9 @@ func TestHysteresisReducesFlapping(t *testing.T) {
 			lastDamped = v
 		}
 	}
+	t.Logf("route changes over 200 rounds: plain %d, damped %d", plainChanges, dampedChanges)
 	if plainChanges < 3 {
-		t.Skipf("noise pattern did not induce flapping (%d changes)", plainChanges)
+		t.Fatalf("noise pattern did not induce flapping (%d changes)", plainChanges)
 	}
 	if dampedChanges*2 >= plainChanges {
 		t.Errorf("hysteresis did not damp flapping: %d vs %d changes",
