@@ -639,6 +639,54 @@ func BenchmarkSelectorSnapshot(b *testing.B) {
 	}
 }
 
+// BenchmarkSelectorRefresh measures one full routing-table rescan of a
+// big world: n=1024 under the landmark plan (the bigworld_landmark
+// cell's refresh, n²·√n) and n=512 full mesh (bigworld_mesh's, n³).
+// Every probed link holds a few recorded probes — some lossy, one in
+// 200 dead — so the loss scan runs for the lossy direct paths and the
+// latency scan meets sentinels. As in BenchmarkSelectorSnapshot,
+// SetHysteresis(0) invalidates the metrics cache without allocating, so
+// every iteration re-derives every link's metrics and every pair.
+func BenchmarkSelectorRefresh(b *testing.B) {
+	for _, bc := range []struct {
+		name     string
+		n        int
+		landmark bool
+	}{{"n=1024-lm", 1024, true}, {"n=512", 512, false}} {
+		b.Run(bc.name, func(b *testing.B) {
+			sel := route.NewSelectorWindow(bc.n, 0)
+			var plan *route.LandmarkPlan
+			if bc.landmark {
+				plan = route.NewLandmarkPlan(bc.n)
+				sel.SetPlan(plan)
+			}
+			rng := rand.New(rand.NewSource(1))
+			for s := 0; s < bc.n; s++ {
+				for d := 0; d < bc.n; d++ {
+					if s == d || (plan != nil && !plan.Probes(s, d)) {
+						continue
+					}
+					for k := 0; k < 4; k++ {
+						sel.Record(s, d, rng.Intn(50) == 0, time.Duration(10+rng.Intn(200))*time.Millisecond)
+					}
+					if rng.Intn(200) == 0 {
+						for k := 0; k < route.DefaultDeadThreshold; k++ {
+							sel.Record(s, d, true, 0)
+						}
+					}
+				}
+			}
+			sel.Refresh()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sel.SetHysteresis(0)
+				sel.Refresh()
+			}
+		})
+	}
+}
+
 // BenchmarkRSEncode measures (5,1) parity generation over 1 kB shards.
 func BenchmarkRSEncode(b *testing.B) {
 	code, err := fec.NewCode(5, 1)

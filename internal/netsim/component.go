@@ -176,6 +176,9 @@ func (c *Component) goodEnd(t Time, weather float64) Time {
 		mean /= c.episodeBoost
 	}
 	mean /= weather
+	// Good periods, like the outage and episode draws in advanceSlow,
+	// stay on Exp: their means (12.5 s and up) are past where ExpInt's
+	// fast path pays (see Source.ExpInt).
 	d := Time(c.rng.Exp(mean))
 	if d < Millisecond {
 		d = Millisecond
@@ -193,7 +196,7 @@ func (c *Component) drawBurst(t Time) {
 	} else {
 		mean = float64(c.params.MeanBadLong)
 	}
-	d := Time(c.rng.Exp(mean))
+	d := Time(c.rng.ExpInt(mean))
 	if d < Millisecond {
 		d = Millisecond
 	}

@@ -67,6 +67,21 @@ func (s *Source) Exp(mean float64) float64 {
 	return detmath.Exp(s.Float64(), mean)
 }
 
+// ExpInt returns int64(s.Exp(mean)), exactly, from the same draw (none
+// for a mean ≤ 0), through detmath.ExpInt's table log. It pays for
+// short means only: ExpInt falls back to math.Log on about
+// 4·mean·2⁻³⁷ of its draws (mean in nanoseconds), and on every draw
+// once the mean passes 2³⁶ ns, so burst durations (15 ms and 2.5 s
+// means) use it, while good periods (12.5 s and up) and the hour- and
+// day-scale process draws stay on Exp, where the fast path would mostly
+// add its own cost to math.Log's.
+func (s *Source) ExpInt(mean float64) int64 {
+	if mean <= 0 {
+		return 0
+	}
+	return detmath.ExpInt(s.Float64(), mean)
+}
+
 // Uniform returns a uniform value in [lo, hi).
 func (s *Source) Uniform(lo, hi float64) float64 {
 	return lo + (hi-lo)*s.Float64()

@@ -3,6 +3,7 @@ package netsim
 import (
 	"math"
 	"testing"
+	"time"
 )
 
 func TestSourceDeterminism(t *testing.T) {
@@ -53,6 +54,30 @@ func TestExpMean(t *testing.T) {
 	}
 	if s.Exp(0) != 0 || s.Exp(-5) != 0 {
 		t.Error("Exp with non-positive mean should return 0")
+	}
+}
+
+// TestSourceExpIntMatchesExp: the burst durations' ExpInt draw is
+// Time(Exp) of the same draw, on 10⁶ draws at each burst mean of the
+// built-in classes (15 ms and 2.5 s), and a mean ≤ 0 returns 0 without
+// consuming a draw, as Exp does.
+func TestSourceExpIntMatchesExp(t *testing.T) {
+	for _, mean := range []time.Duration{15 * time.Millisecond, 2500 * time.Millisecond} {
+		a, b := NewSource(uint64(mean)), NewSource(uint64(mean))
+		for i := 0; i < 1_000_000; i++ {
+			if got, want := Time(a.ExpInt(float64(mean))), Time(b.Exp(float64(mean))); got != want {
+				t.Fatalf("mean %v, draw %d: Time(ExpInt) = %d, Time(Exp) = %d", mean, i, got, want)
+			}
+		}
+	}
+	a, b := NewSource(7), NewSource(7)
+	for _, mean := range []float64{0, -5} {
+		if got, want := a.ExpInt(mean), int64(b.Exp(mean)); got != 0 || want != 0 {
+			t.Fatalf("mean %v: ExpInt = %d, Exp = %d, want 0", mean, got, want)
+		}
+	}
+	if a.Uint64() != b.Uint64() {
+		t.Fatal("ExpInt with a non-positive mean consumed a draw")
 	}
 }
 

@@ -123,8 +123,13 @@ func newLinkEstimate() *LinkEstimate {
 	return &LinkEstimate{Loss: *newLossWindow(0)}
 }
 
-// Record folds in one probe outcome. Lost probes carry no latency.
+// Record folds in one probe outcome. Lost probes carry no latency; a
+// delivered probe's latency outside [0, maxLatency) panics, since the
+// selector's dead-link sentinel must stay above any two live legs.
 func (le *LinkEstimate) Record(lost bool, lat time.Duration) {
+	if !lost && uint64(lat) >= uint64(maxLatency) {
+		panic(badLatency("probe latency", lat))
+	}
 	le.Loss.Record(lost)
 	if lost {
 		if le.consecutiveLosses != math.MaxUint16 {
@@ -138,7 +143,9 @@ func (le *LinkEstimate) Record(lost bool, lat time.Duration) {
 		le.latValid = true
 		return
 	}
-	le.latency += DefaultEWMAAlpha * (float64(lat) - le.latency)
+	// The product is rounded explicitly so that no architecture fuses it
+	// into the sum (see pathLoss).
+	le.latency += float64(DefaultEWMAAlpha * (float64(lat) - le.latency))
 }
 
 // Dead reports whether the link looks completely failed: at least

@@ -128,8 +128,11 @@ func TestHysteresisStateFreshAfterReuse(t *testing.T) {
 }
 
 // checkMetricsAgainstDense holds the slot-indexed metrics cache, and the
-// landmark row table and column scratch gathered from it, to a dense n²
-// reference derived from the estimates themselves after a Refresh.
+// landmark row table, column scratch and direct column gathered from
+// it, to a dense n² reference derived from the estimates themselves
+// after a Refresh, keys included: a full-mesh metrics row's at their
+// destination's position, a landmark row's at the landmark's, every
+// other at position 0.
 func checkMetricsAgainstDense(t *testing.T, label string, sel *Selector) {
 	t.Helper()
 	n := sel.n
@@ -149,10 +152,13 @@ func checkMetricsAgainstDense(t *testing.T, label string, sel *Selector) {
 				if m.dead {
 					m.adj = latDead
 				}
-				loss, lat, adj, dead := sel.cached(src, dst)
-				if got := (metrics{loss, lat, adj, dead}); got != m {
-					t.Fatalf("%s: cached metrics of %d→%d are %+v, the estimate says %+v", label, src, dst, got, m)
+				loss, lat, key, dead := sel.cached(src, dst)
+				if loss != m.loss || lat != m.lat || key != packLat(m.adj, 0) || dead != m.dead {
+					t.Fatalf("%s: cached metrics of %d→%d are %v %v %#x %v, the estimate says %+v", label, src, dst, loss, lat, key, dead, m)
 				}
+			}
+			if sel.layout == nil && sel.mLatKey[src*n+dst] != packLat(m.adj, dst) {
+				t.Fatalf("%s: metrics row key of %d→%d is %#x, want %#x", label, src, dst, sel.mLatKey[src*n+dst], packLat(m.adj, dst))
 			}
 			dense[src*n+dst] = m
 		}
@@ -163,7 +169,7 @@ func checkMetricsAgainstDense(t *testing.T, label string, sel *Selector) {
 			sel.gatherCol(dst)
 			for via := 0; via < n; via++ {
 				m := dense[via*n+dst]
-				if sel.colLoss[via] != m.loss || sel.colLat[via] != m.lat || sel.colLatAdj[via] != m.adj {
+				if sel.colLoss[via] != m.loss || sel.colLat[via] != m.lat || sel.colKey[via] != packLat(m.adj, 0) {
 					t.Fatalf("%s: column scratch of %d→%d differs from the dense reference", label, via, dst)
 				}
 			}
@@ -171,16 +177,30 @@ func checkMetricsAgainstDense(t *testing.T, label string, sel *Selector) {
 		return
 	}
 	L := len(p.landmarks)
+	virgin := metrics{lat: sel.fallbackLat, adj: sel.fallbackLat}
 	for node := 0; node < n; node++ {
-		sel.gatherCol(node)
+		dpos := sel.gatherCol(node)
 		for li, lm := range p.landmarks {
 			row, col := dense[node*n+int(lm)], dense[int(lm)*n+node]
 			at := node*L + li
-			if sel.lmRowLoss[at] != row.loss || sel.lmRowLat[at] != row.lat || sel.lmRowLatAdj[at] != row.adj {
+			if sel.lmRowLoss[at] != row.loss || sel.lmRowLat[at] != row.lat || sel.lmRowKey[at] != packLat(row.adj, li) {
 				t.Fatalf("%s: row table of %d→landmark %d differs from the dense reference", label, node, lm)
 			}
-			if sel.colLoss[li] != col.loss || sel.colLat[li] != col.lat || sel.colLatAdj[li] != col.adj {
+			if sel.colLoss[li] != col.loss || sel.colLat[li] != col.lat || sel.colKey[li] != packLat(col.adj, 0) {
 				t.Fatalf("%s: column scratch of landmark %d→%d differs from the dense reference", label, lm, node)
+			}
+		}
+		sel.gatherDirect(node, dpos)
+		for src := 0; src < n; src++ {
+			if m := dense[src*n+node]; src != node &&
+				(sel.dirLoss[src] != m.loss || sel.dirLat[src] != m.lat || sel.dirKey[src] != packLat(m.adj, 0)) {
+				t.Fatalf("%s: direct column of %d→%d differs from the dense reference", label, src, node)
+			}
+		}
+		sel.restoreDirect(node, dpos)
+		for src := 0; src < n; src++ {
+			if sel.dirLoss[src] != virgin.loss || sel.dirLat[src] != virgin.lat || sel.dirKey[src] != packLat(virgin.adj, 0) {
+				t.Fatalf("%s: direct column entry %d is not the virgin estimate's after destination %d", label, src, node)
 			}
 		}
 	}
@@ -224,14 +244,14 @@ func TestSlotMetricsMatchDenseReference(t *testing.T) {
 	}
 }
 
-// planLatScanReference is the scan the two-pass latency kernel replaced,
-// over a landmark row and the gathered column: a running strict minimum
-// over the landmark positions, starting from the direct path. Its Via is
-// a landmark position, as the kernel's is.
-func planLatScanReference(s *Selector, rowLoss []float64, rowAdj []time.Duration, directLoss float64, directLat, directAdj time.Duration) Choice {
+// planLatScanReference is the scan the latency kernel replaced, over a
+// landmark row and the gathered column as plain durations: a running
+// strict minimum over the landmark positions, starting from the direct
+// path. Its Via is a landmark position, as the kernel's is.
+func planLatScanReference(rowLoss, colLoss []float64, rowAdj, colAdj []time.Duration, directLoss float64, directLat, directAdj time.Duration) Choice {
 	bestVia, bestLat := -1, directAdj
 	for li := range rowAdj {
-		if lat := rowAdj[li] + s.colLatAdj[li]; lat < bestLat {
+		if lat := rowAdj[li] + colAdj[li]; lat < bestLat {
 			bestVia, bestLat = li, lat
 		}
 	}
@@ -239,11 +259,42 @@ func planLatScanReference(s *Selector, rowLoss []float64, rowAdj []time.Duration
 		return Choice{Via: -1, Loss: directLoss, Latency: directLat}
 	}
 	return Choice{Via: bestVia,
-		Loss:    pathLoss(rowLoss[bestVia], s.colLoss[bestVia]),
+		Loss:    pathLoss(rowLoss[bestVia], colLoss[bestVia]),
 		Latency: bestLat}
 }
 
-// TestPlanLatScanMatchesReference holds the two-pass latency scan over
+// scanLatChoice is BestLat of one pair as the rescan derives it from the
+// arrays it reads: minSumVia over a source's row keys and the gathered
+// column's keys against the direct comparand, composed into a Choice
+// whose Via is a candidate position.
+func scanLatChoice(s *Selector, rowLoss []float64, rowKey []latKey, directLoss float64, directLat time.Duration, directKey latKey) Choice {
+	via, lat := minSumVia(rowKey, s.colKey, directKey)
+	if via < 0 {
+		return Choice{Via: -1, Loss: directLoss, Latency: directLat}
+	}
+	return Choice{Via: via, Loss: pathLoss(rowLoss[via], s.colLoss[via]), Latency: lat}
+}
+
+// checkPlanLatScan packs a landmark row and column given as plain
+// durations into src's row of sel's landmark row table and the column
+// scratch, as gatherLandmarkRows and gatherCol store them, and demands
+// the kernel's choice be the scalar loop's.
+func checkPlanLatScan(t *testing.T, label string, sel *Selector, src int, rowLoss []float64, rowAdj, colAdj []time.Duration, directLoss float64, direct, directAdj time.Duration) {
+	t.Helper()
+	L := len(rowAdj)
+	rowKey := sel.lmRowKey[src*L : src*L+L]
+	for li := range rowAdj {
+		rowKey[li], sel.colKey[li] = packLat(rowAdj[li], li), packLat(colAdj[li], 0)
+	}
+	got := scanLatChoice(sel, rowLoss, rowKey, directLoss, direct, packLat(directAdj, 0))
+	want := planLatScanReference(rowLoss, sel.colLoss[:L], rowAdj, colAdj, directLoss, direct, directAdj)
+	if got != want {
+		t.Fatalf("n=%d (L=%d) %s: packed scan picks %+v, the scalar loop %+v\nrow %v\ncol %v\ndirect %v (adjusted %v)",
+			sel.n, L, label, got, want, rowAdj, colAdj, direct, directAdj)
+	}
+}
+
+// TestPlanLatScanMatchesReference holds the packed latency scan over
 // landmark positions to the scalar loop it replaced, on the landmark
 // row table and column scratch written directly so
 // ties are exact: equal sums at several landmark positions, a minimum
@@ -258,16 +309,11 @@ func TestPlanLatScanMatchesReference(t *testing.T) {
 		sel := NewSelectorWindow(n, 0)
 		sel.SetPlan(plan)
 		const src = 3
-		rowAdj, rowLoss := sel.lmRowLatAdj[src*L:src*L+L], sel.lmRowLoss[src*L:src*L+L]
-		col := sel.colLatAdj[:L]
+		rowLoss := sel.lmRowLoss[src*L : src*L+L]
+		rowAdj, col := make([]time.Duration, L), make([]time.Duration, L)
 		check := func(label string, direct, directAdj time.Duration) {
 			t.Helper()
-			got := sel.bestLatCached(rowLoss, rowAdj, 0.125, direct, directAdj)
-			want := planLatScanReference(sel, rowLoss, rowAdj, 0.125, direct, directAdj)
-			if got != want {
-				t.Fatalf("n=%d (L=%d) %s: two-pass scan picks %+v, the scalar loop %+v\nrow %v\ncol %v",
-					n, L, label, got, want, rowAdj, col)
-			}
+			checkPlanLatScan(t, label, sel, src, rowLoss, rowAdj, col, 0.125, direct, directAdj)
 		}
 		fill := func(row, c time.Duration) {
 			for li := 0; li < L; li++ {
@@ -423,7 +469,7 @@ func planLatSeeds() [][]byte {
 	return seeds
 }
 
-// checkPlanLatCase runs one planLatCase through bestLatCached and
+// checkPlanLatCase runs one planLatCase through the packed kernel and
 // planLatScanReference on a landmark row and column scratch written
 // directly, and demands the same choice.
 func checkPlanLatCase(t *testing.T, in []byte) {
@@ -436,7 +482,8 @@ func checkPlanLatCase(t *testing.T, in []byte) {
 	sel.SetPlan(NewLandmarkPlan(n))
 	L := len(sel.plan.landmarks)
 	const src = 3
-	rowAdj, rowLoss := sel.lmRowLatAdj[src*L:src*L+L], sel.lmRowLoss[src*L:src*L+L]
+	rowLoss := sel.lmRowLoss[src*L : src*L+L]
+	rowAdj, colAdj := make([]time.Duration, L), make([]time.Duration, L)
 	direct := time.Duration(20+5*int(in[1]&15)) * time.Millisecond
 	directAdj := direct
 	if in[1]&(1<<4) != 0 {
@@ -447,14 +494,9 @@ func checkPlanLatCase(t *testing.T, in []byte) {
 	for li := 0; li < L; li++ {
 		p := pairs[2*li%len(pairs):]
 		rowAdj[li], rowLoss[li] = scanLat(p[0])
-		sel.colLatAdj[li], sel.colLoss[li] = scanLat(p[1])
+		colAdj[li], sel.colLoss[li] = scanLat(p[1])
 	}
-	got := sel.bestLatCached(rowLoss, rowAdj, directLoss, direct, directAdj)
-	want := planLatScanReference(sel, rowLoss, rowAdj, directLoss, direct, directAdj)
-	if got != want {
-		t.Fatalf("n=%d (L=%d): two-pass scan picks %+v, the scalar loop %+v\nrow %v\ncol %v\ndirect %v (adjusted %v)",
-			n, L, got, want, rowAdj, sel.colLatAdj[:L], direct, directAdj)
-	}
+	checkPlanLatScan(t, "case", sel, src, rowLoss, rowAdj, colAdj, directLoss, direct, directAdj)
 }
 
 // FuzzPlanLatScanMatchesReference holds the landmark latency scan to
@@ -490,6 +532,14 @@ func pinLink(s *Selector, src, dst int, loss float64, lat time.Duration, dead bo
 	if dead {
 		le.consecutiveLosses = math.MaxUint16
 	}
+}
+
+// meshLatChoice is scanLatChoice of src→dst under full mesh with dst's
+// column gathered: src's metrics row is the scan row, and the column's
+// entry src the direct path, as rescanDst reads them.
+func meshLatChoice(s *Selector, src int) Choice {
+	lo, hi := src*s.n, src*s.n+s.n
+	return scanLatChoice(s, s.mLoss[lo:hi], s.mLatKey[lo:hi], s.colLoss[src], s.colLat[src], s.colKey[src])
 }
 
 // TestMeshLatScanMatchesReference holds the full-mesh latency scan — the
@@ -602,15 +652,14 @@ func TestMeshLatScanMatchesReference(t *testing.T) {
 				sc.setup()
 				sel.Refresh()
 				tables := sel.Tables()
-				v := sel.viaRows()
 				for _, dst := range dsts {
-					v.dpos = sel.gatherCol(dst)
+					sel.gatherCol(dst)
 					for src := 0; src < n; src++ {
 						if src == dst {
 							continue
 						}
 						want := sel.BestLat(src, dst)
-						if _, got := sel.bestCached(&v, src, dst); got != want {
+						if got := meshLatChoice(sel, src); got != want {
 							t.Fatalf("n=%d %s: scan of %d→%d picks %+v, BestLat %+v", n, sc.label, src, dst, got, want)
 						}
 						if got := tables.LatVia(src, dst); got != want.Via {
@@ -713,15 +762,14 @@ func checkMeshLatCase(t *testing.T, in []byte) {
 		}
 	}
 	sel.Refresh()
-	v := sel.viaRows()
-	v.dpos = sel.gatherCol(dst)
+	sel.gatherCol(dst)
 	tables := sel.Tables()
 	for s := 0; s < n; s++ {
 		if s == dst {
 			continue
 		}
 		want := sel.BestLat(s, dst)
-		if _, got := sel.bestCached(&v, s, dst); got != want {
+		if got := meshLatChoice(sel, s); got != want {
 			t.Fatalf("n=%d case %d→%d: scan of %d→%d picks %+v, BestLat %+v", n, src, dst, s, dst, got, want)
 		}
 		if got := tables.LatVia(s, dst); got != want.Via {
@@ -740,9 +788,12 @@ func FuzzMeshLatScanMatchesReference(f *testing.F) {
 	f.Fuzz(checkMeshLatCase)
 }
 
-// TestMinSumViaMatchesScalarLoop holds the kernel itself to the running
-// strict minimum it replaced in both scans, at every length around its
-// unroll width.
+// TestMinSumViaMatchesScalarLoop holds the packed kernel to the running
+// strict minimum over plain durations it replaced in both scans, at
+// every length around its unroll width, and on a row of MaxMeshNodes
+// entries: ties at the last position, 2¹⁴−1, whose key has every
+// position bit set, and sums of two dead legs (2·latDead), the largest a
+// key holds.
 func TestMinSumViaMatchesScalarLoop(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	draw := func() time.Duration {
@@ -761,11 +812,47 @@ func TestMinSumViaMatchesScalarLoop(t *testing.T) {
 			checkMinSumVia(t, row, col, direct)
 		}
 	}
+
+	const ms = time.Millisecond
+	row, col := make([]time.Duration, MaxMeshNodes), make([]time.Duration, MaxMeshNodes)
+	last := MaxMeshNodes - 1
+	fill := func(r, c time.Duration) {
+		for i := range row {
+			row[i], col[i] = r, c
+		}
+	}
+	for trial := 0; trial < 20; trial++ {
+		for i := range row {
+			row[i], col[i] = draw(), draw()
+		}
+		checkMinSumVia(t, row, col, draw()+time.Duration(rng.Intn(3))*ms)
+	}
+	for _, direct := range []time.Duration{5 * ms, 6 * ms, latDead} {
+		fill(6*ms, 4*ms)
+		row[last] = ms // the minimum, 5 ms, at the last position alone
+		checkMinSumVia(t, row, col, direct)
+		row[last-1], col[last-1] = 3*ms, 2*ms // tied one position earlier
+		checkMinSumVia(t, row, col, direct)
+		row[last-1] = latDead // the earlier one's first leg dead
+		checkMinSumVia(t, row, col, direct)
+	}
+	// Every path over two dead legs: the direct path wins, dead or not.
+	fill(latDead, latDead)
+	checkMinSumVia(t, row, col, latDead)
+	checkMinSumVia(t, row, col, 7*ms)
+	// Against a comparand above every sum, the last position's two dead
+	// legs are the minimum.
+	fill(latDead+ms, latDead)
+	row[last] = latDead
+	checkMinSumVia(t, row, col, 2*latDead+ms)
+	col[0] = latDead - ms // and then tied by position 0
+	checkMinSumVia(t, row, col, 2*latDead+ms)
 }
 
-// checkMinSumVia holds minSumVia to the scalar loop it replaced: a
-// running strict minimum started at direct, so the direct path wins
-// ties.
+// checkMinSumVia holds minSumVia to the scalar loop it replaced, over
+// plain durations: a running strict minimum started at direct, so the
+// direct path wins ties. The kernel reads them as the scans store them,
+// packed: a row entry at its position, a column entry and direct at 0.
 func checkMinSumVia(t *testing.T, row, col []time.Duration, direct time.Duration) {
 	t.Helper()
 	wantVia, want := -1, direct
@@ -774,7 +861,17 @@ func checkMinSumVia(t *testing.T, row, col []time.Duration, direct time.Duration
 			wantVia, want = i, sum
 		}
 	}
-	if via, best := minSumVia(row, col, direct); via != wantVia || best != want {
+	rowKey, colKey := make([]latKey, len(row)), make([]latKey, len(col))
+	for i, d := range row {
+		rowKey[i] = packLat(d, i)
+	}
+	for i, d := range col {
+		colKey[i] = packLat(d, 0)
+	}
+	if via, best := minSumVia(rowKey, colKey, packLat(direct, 0)); via != wantVia || best != want {
+		if len(row) > 64 {
+			t.Fatalf("length %d: minSumVia = (%d, %v), scalar loop (%d, %v), direct %v", len(row), via, best, wantVia, want, direct)
+		}
 		t.Fatalf("length %d: minSumVia = (%d, %v), scalar loop (%d, %v)\nrow %v\ncol %v\ndirect %v",
 			len(row), via, best, wantVia, want, row, col, direct)
 	}

@@ -1,6 +1,7 @@
 package route
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -335,5 +336,49 @@ func TestPathLossComposition(t *testing.T) {
 	}
 	if pathLoss(1, 0) != 1 {
 		t.Error("pathLoss(1,0) != 1")
+	}
+}
+
+// TestLatencyOutsideBoundRefused: Record refuses a delivered probe's
+// latency, and setFallbackLatency a fallback, outside [0, maxLatency),
+// the range the latency scans' dead-link sentinel relies on. Just inside
+// it, two live legs still undercut both a dead direct path and a path
+// over a dead leg, as BestLat has it.
+func TestLatencyOutsideBoundRefused(t *testing.T) {
+	sel := NewSelectorWindow(4, 0)
+	refused := func(label string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s was accepted", label)
+			}
+		}()
+		f()
+	}
+	for _, d := range []time.Duration{maxLatency, maxLatency + 1, latDead, math.MaxInt64, -1} {
+		refused(fmt.Sprintf("probe latency %v", d), func() { sel.Record(0, 1, false, d) })
+		refused(fmt.Sprintf("fallback latency %v", d), func() { sel.setFallbackLatency(d) })
+	}
+	if sel.link(0, 1).LossRate() != 0 || sel.link(0, 1).LatencyEstimate(0) != 0 {
+		t.Fatal("a refused probe changed the link's estimate")
+	}
+	sel.Record(0, 1, true, latDead) // a lost probe carries no latency
+
+	const top = maxLatency - 1
+	sel.Reset(0)
+	sel.setFallbackLatency(top)
+	for i := 0; i < DefaultDeadThreshold; i++ {
+		sel.Record(0, 1, true, 0)
+		sel.Record(3, 1, true, 0)
+	}
+	sel.Record(0, 2, false, top)
+	sel.Record(2, 1, false, top)
+	sel.Record(0, 3, false, time.Millisecond)
+	sel.Refresh()
+	if got := sel.BestLat(0, 1); got.Via != 2 || got.Latency != 2*top {
+		t.Fatalf("BestLat(0,1) = %+v, want via 2 at %v", got, 2*top)
+	}
+	if got := sel.Tables().LatVia(0, 1); got != 2 {
+		t.Fatalf("LatVia(0,1) = %d, want 2", got)
 	}
 }

@@ -91,17 +91,31 @@ type Selector struct {
 	mLoss []float64
 	mLat  []time.Duration
 	mDead []bool
-	// mLatAdj mirrors mLat with dead links pinned to latDead, letting
-	// the latency scan drop its per-via dead-flag branches: a path over
-	// a dead link sums to ≥ latDead and can never undercut a live one.
-	mLatAdj []time.Duration
-	// colLoss/colLat/colLatAdj hold the metrics column of the
-	// destination currently being rescanned over the via candidates
-	// (entry i mirrors candidate i→dst), so the via scans read
+	// mLatKey mirrors mLat as latency-scan keys (see latKey), dead links
+	// pinned to latDead, letting the latency scan drop its per-via
+	// dead-flag branches: a path over a dead link sums to ≥ latDead and
+	// can never undercut a live one. Under the full-mesh layout the key
+	// of src→dst carries position dst, so a metrics row is a scan row in
+	// place; under a plan's it carries position 0.
+	mLatKey []latKey
+	// colLoss/colLat/colKey hold the metrics column of the destination
+	// currently being rescanned over the via candidates (entry i mirrors
+	// candidate i→dst, its key at position 0), so the via scans read
 	// contiguous arrays instead of strided ones.
-	colLoss   []float64
-	colLat    []time.Duration
-	colLatAdj []time.Duration
+	colLoss []float64
+	colLat  []time.Duration
+	colKey  []latKey
+	// dirLoss/dirLat/dirKey are a plan's direct column: entry src holds
+	// src→dst's metrics for the destination being rescanned (see
+	// gatherDirect) and the virgin estimate's between destinations.
+	// Under full mesh the gathered column over every node is the direct
+	// column.
+	dirLoss []float64
+	dirLat  []time.Duration
+	dirKey  []latKey
+	// allNodes lists every node in order: the sources of a destination
+	// rescanned whole.
+	allNodes []int32
 
 	// plan, when non-nil, restricts via candidates to its landmark set
 	// (the landmark policy). nil — the default — scans every node, the
@@ -112,9 +126,10 @@ type Selector struct {
 	// src*L+li mirrors src→landmark[li] in the metrics cache, with the
 	// self-link sentinels where the landmark is src itself. Full mesh
 	// needs no copy: its rows are the metrics cache's own.
-	lmRowLoss   []float64
-	lmRowLat    []time.Duration
-	lmRowLatAdj []time.Duration
+	// A row entry's key carries its landmark position.
+	lmRowLoss []float64
+	lmRowLat  []time.Duration
+	lmRowKey  []latKey
 
 	// Incremental snapshot state. Record marks links touched; Refresh
 	// re-derives only pairs whose inputs — the source row or destination
@@ -132,8 +147,8 @@ type Selector struct {
 	dirtyCol     []bool  // per-destination scratch, cleared by the rescan
 	dirtyRows    []int32
 	// tables is the one copy of the routing tables, all-direct from
-	// Reset on: every rescan writes it through setPair, which counts the
-	// entries that moved into changed.
+	// Reset on: rescanDst is its only writer between Resets and counts
+	// the entries that moved into changed.
 	tables       Tables
 	changed      int64
 	metricsValid bool // metrics cache mirrors every estimate
@@ -143,14 +158,52 @@ type Selector struct {
 	meshLive bool
 }
 
-// latDead is the sentinel latency of a dead link in mLatAdj: far above
-// any real estimate, and small enough that summing two of them cannot
-// overflow. Self-link entries — the diagonal of a full-mesh metrics
-// cache, a landmark's own position in a landmark row or column — carry
-// the same sentinel, and +Inf loss, so the via scans need no src/dst skip
-// branches: a path "via" one of its own endpoints composes a sentinel
-// and loses every comparison.
-const latDead = time.Duration(1) << 61
+// latDead is the sentinel latency of a dead link in the latency keys:
+// twice any latency an estimate can hold (maxLatency), and small enough
+// that two of them plus a position fit a latKey. Self-link entries — the
+// diagonal of a full-mesh metrics cache, a landmark's own position in a
+// landmark row or column — carry the same sentinel, and +Inf loss, so
+// the via scans need no src/dst skip branches: a path "via" one of its
+// own endpoints composes a sentinel and loses every comparison.
+const latDead = time.Duration(1) << 47
+
+// maxLatency bounds every latency an estimate can report: Record
+// refuses a probe latency outside [0, maxLatency), and
+// setFallbackLatency such a fallback. Two live legs then sum below one
+// sentinel, so a path over a dead link never undercuts a live one, and a
+// dead direct path (latDead) loses to every live via, as BestLat has it.
+const maxLatency = latDead / 2
+
+// latKey is a latency-scan input: a latency (or latDead) shifted left by
+// posBits, with a candidate position in the low bits of a scan row's
+// entry and zero in a column's entry or a direct comparand. A row entry
+// plus a column entry is then the path's latency over the row entry's
+// position, so one min over row[i]+col[i] orders the candidates by
+// latency and then by position — its result is the smallest sum and the
+// first position attaining it — and is below directAdj<<posBits exactly
+// when that sum is below directAdj.
+type latKey int64
+
+const (
+	posBits = 14
+	posMask = 1<<posBits - 1
+)
+
+// Every candidate position, a node index below MaxMeshNodes, must fit
+// posBits, and two sentinels plus a position a latKey: either conversion
+// is negative, and so fails to compile, if a bound moves past it.
+const (
+	_ = uint(1<<posBits - MaxMeshNodes)
+	_ = uint(math.MaxInt64 - (2*int64(latDead)<<posBits | posMask))
+)
+
+// packLat is the latKey of latency lat at candidate position pos.
+func packLat(lat time.Duration, pos int) latKey { return latKey(lat)<<posBits | latKey(pos) }
+
+// badLatency describes a latency outside [0, maxLatency) for a panic.
+func badLatency(what string, d time.Duration) string {
+	return fmt.Sprintf("route: %s %v is outside [0, %v): the latency scans' dead-link sentinel needs two live legs to sum below it", what, d, maxLatency)
+}
 
 // NewSelectorWindow creates a selector whose per-link loss windows hold
 // the given number of probes ("the average loss rate over the last 100
@@ -163,10 +216,17 @@ func NewSelectorWindow(n, window int) *Selector {
 		n:         n,
 		colLoss:   make([]float64, n),
 		colLat:    make([]time.Duration, n),
-		colLatAdj: make([]time.Duration, n),
+		colKey:    make([]latKey, n),
+		dirLoss:   make([]float64, n),
+		dirLat:    make([]time.Duration, n),
+		dirKey:    make([]latKey, n),
+		allNodes:  make([]int32, n),
 		dirtyRow:  make([]bool, n),
 		dirtyCol:  make([]bool, n),
 		dirtyRows: make([]int32, 0, n),
+	}
+	for i := range s.allNodes {
+		s.allNodes[i] = int32(i)
 	}
 	s.tables.reshape(n)
 	s.Reset(window)
@@ -251,7 +311,7 @@ func (s *Selector) carve() {
 	s.mLoss = sized(s.mLoss, links)
 	s.mLat = sized(s.mLat, links)
 	s.mDead = sized(s.mDead, links)
-	s.mLatAdj = sized(s.mLatAdj, links)
+	s.mLatKey = sized(s.mLatKey, links)
 	if cap(s.usedList) < links {
 		s.touchedLinks = make([]int32, 0, links)
 		s.usedList = make([]int32, 0, links)
@@ -362,7 +422,7 @@ func (s *Selector) SetPlan(p *LandmarkPlan) {
 	L := len(p.landmarks)
 	s.lmRowLoss = sized(s.lmRowLoss, s.n*L)
 	s.lmRowLat = sized(s.lmRowLat, s.n*L)
-	s.lmRowLatAdj = sized(s.lmRowLatAdj, s.n*L)
+	s.lmRowKey = sized(s.lmRowKey, s.n*L)
 }
 
 // Plan returns the active probe/scan plan (nil = full mesh).
@@ -372,19 +432,26 @@ func (s *Selector) Plan() *LandmarkPlan { return s.plan }
 // link independence: 1-(1-a)(1-b). (The whole point of the paper is that
 // this assumption is optimistic on the real Internet; the selector still
 // uses it, as RON did.)
+//
+// The product is rounded explicitly: Go may otherwise fuse it into the
+// subtraction on architectures with a fused multiply-add (arm64), and
+// the tables must not depend on the build target.
 func pathLoss(a, b float64) float64 {
-	return 1 - (1-a)*(1-b)
+	return 1 - float64((1-a)*(1-b))
 }
+
+// lossEps is the loss scans' tie margin: a candidate within it of the
+// best so far ties, and the direct path wins a tie.
+const lossEps = 1e-9
 
 // BestLoss returns the loss-optimized path from src to dst: the direct
 // path or the best single-intermediate path, whichever has the lowest
 // estimated loss rate. When the direct path ties the minimum (within
-// eps), it wins — RON prefers the native path when indirection gains
+// lossEps), it wins — RON prefers the native path when indirection gains
 // nothing, and on a quiet mesh this keeps the loss-optimized route from
 // collapsing onto the latency-optimized one. Among strictly better
 // indirect candidates, ties break toward lower latency.
 func (s *Selector) BestLoss(src, dst int) Choice {
-	const eps = 1e-9
 	direct := s.link(src, dst)
 	directChoice := Choice{
 		Via:     -1,
@@ -400,12 +467,12 @@ func (s *Selector) BestLoss(src, dst int) Choice {
 		l1, l2 := s.link(src, via), s.link(via, dst)
 		loss := pathLoss(l1.LossRate(), l2.LossRate())
 		lat := l1.LatencyEstimate(s.fallbackLat) + l2.LatencyEstimate(s.fallbackLat)
-		if loss < best.Loss-eps ||
-			(loss < best.Loss+eps && !best.IsDirect() && lat < best.Latency) {
+		if loss < best.Loss-lossEps ||
+			(loss < best.Loss+lossEps && !best.IsDirect() && lat < best.Latency) {
 			best = Choice{Via: via, Loss: loss, Latency: lat}
 		}
 	}
-	if directChoice.Loss <= best.Loss+eps {
+	if directChoice.Loss <= best.Loss+lossEps {
 		return directChoice
 	}
 	return best
@@ -564,6 +631,7 @@ func (s *Selector) Refresh() int64 {
 		s.refreshMetrics()
 		if s.plan != nil {
 			s.gatherLandmarkRows()
+			s.fillDirect(0, s.n)
 		}
 		s.metricsValid = true
 		s.clearTouched()
@@ -572,20 +640,6 @@ func (s *Selector) Refresh() int64 {
 		s.rescanDirty()
 	}
 	return s.changed
-}
-
-// setPair writes one pair's selections into the tables at idx =
-// dst*n+src, counting the entries that moved. It is their only writer
-// between Resets.
-func (s *Selector) setPair(idx, lossVia, latVia int) {
-	if v := viaIdx(lossVia); s.tables.lossVia[idx] != v {
-		s.tables.lossVia[idx] = v
-		s.changed++
-	}
-	if v := viaIdx(latVia); s.tables.latVia[idx] != v {
-		s.tables.latVia[idx] = v
-		s.changed++
-	}
 }
 
 // clearTouched drops the pending touched-links list (their effect is
@@ -598,26 +652,25 @@ func (s *Selector) clearTouched() {
 }
 
 // viaRows is what a rescan reads of the via candidates: source src's
-// metrics row over them at [src*k, src*k+k) of loss, lat and adj, and
+// metrics row over them at [src*k, src*k+k) of loss, lat and key, and
 // the node at each candidate position (nodes is nil under full mesh,
 // where position and node coincide). Full mesh reads the metrics
 // cache's own rows, whose diagonal holds the self-link sentinels; a
-// plan reads the landmark row table. dpos is the position of the
-// destination being rescanned, -1 when it is not a candidate.
+// plan reads the landmark row table.
 type viaRows struct {
-	loss     []float64
-	lat, adj []time.Duration
-	k        int
-	nodes    []int32
-	dpos     int
+	loss  []float64
+	lat   []time.Duration
+	key   []latKey
+	k     int
+	nodes []int32
 }
 
 // viaRows returns the rows of the candidate set now in force.
 func (s *Selector) viaRows() viaRows {
 	if p := s.plan; p != nil {
-		return viaRows{loss: s.lmRowLoss, lat: s.lmRowLat, adj: s.lmRowLatAdj, k: len(p.landmarks), nodes: p.landmarks}
+		return viaRows{loss: s.lmRowLoss, lat: s.lmRowLat, key: s.lmRowKey, k: len(p.landmarks), nodes: p.landmarks}
 	}
-	return viaRows{loss: s.mLoss, lat: s.mLat, adj: s.mLatAdj, k: s.n}
+	return viaRows{loss: s.mLoss, lat: s.mLat, key: s.mLatKey, k: s.n}
 }
 
 // node maps a kernel's candidate position to its node; the direct
@@ -629,74 +682,96 @@ func (v *viaRows) node(pos int) int {
 	return int(v.nodes[pos])
 }
 
-// rescan re-derives pairs into the tables destination by destination —
+// rescan re-derives pairs into the tables destination by destination:
 // every pair when all is set, else exactly the pairs that read a dirty
-// row or column (see rescanDirty) — gathering each destination's
-// candidate column once for its sources. The per-pair selections are
+// row or column (see rescanDirty). The per-pair selections are
 // independent, so the order does not affect the result; it only makes
-// the table writes sequential. The diagonal stays at the -1 Reset gave
-// it.
+// the table writes sequential.
 func (s *Selector) rescan(all bool) {
-	n := s.n
 	v := s.viaRows()
-	for dst := 0; dst < n; dst++ {
-		every := all || s.dirtyCol[dst]
+	for dst := 0; dst < s.n; dst++ {
+		srcs := s.dirtyRows
+		if all || s.dirtyCol[dst] {
+			srcs = s.allNodes
+		}
 		s.dirtyCol[dst] = false
-		if !every && len(s.dirtyRows) == 0 {
-			continue
-		}
-		v.dpos = s.gatherCol(dst)
-		if every {
-			for src := 0; src < n; src++ {
-				if src != dst {
-					s.rescanPair(&v, src, dst)
-				}
-			}
-			continue
-		}
-		for _, sr := range s.dirtyRows {
-			if src := int(sr); src != dst {
-				s.rescanPair(&v, src, dst)
-			}
+		if len(srcs) > 0 {
+			s.rescanDst(&v, dst, srcs)
 		}
 	}
 }
 
-// rescanPair re-derives one pair; dst's column must be gathered.
-func (s *Selector) rescanPair(v *viaRows, src, dst int) {
-	byLoss, byLat := s.bestCached(v, src, dst)
-	s.setPair(dst*s.n+src, s.holdLoss(src, dst, byLoss), s.holdLat(src, dst, byLat))
-}
-
-// bestCached is BestLoss and BestLat of src→dst over the metrics cache:
-// src's row in v against dst's gathered column. The direct link is read
-// from the row where dst is a candidate, as it always is under full
-// mesh, and from the cache otherwise.
-func (s *Selector) bestCached(v *viaRows, src, dst int) (byLoss, byLat Choice) {
-	lo, hi := src*v.k, src*v.k+v.k
-	rowLoss, rowLat, rowAdj := v.loss[lo:hi], v.lat[lo:hi], v.adj[lo:hi]
-	var loss float64
-	var lat, adj time.Duration
-	if d := v.dpos; d >= 0 {
-		loss, lat, adj = rowLoss[d], rowLat[d], rowAdj[d]
-	} else {
-		loss, lat, adj, _ = s.cached(src, dst)
+// rescanDst re-derives the pairs src→dst for every src in srcs but dst
+// itself, whose diagonal entry stays at the -1 Reset gave it. It is BestLoss
+// and BestLat (or their Stable forms under hysteresis) of each pair
+// over the metrics cache, bit for bit: dst's candidate column and direct
+// column are gathered once, and each source's row is read in place.
+// It is the tables' only writer between Resets and counts the entries
+// it moves.
+func (s *Selector) rescanDst(v *viaRows, dst int, srcs []int32) {
+	n, k := s.n, v.k
+	dpos := s.gatherCol(dst)
+	colLoss, colLat, colKey := s.colLoss[:k], s.colLat[:k], s.colKey[:k]
+	// Full mesh: the column over every node is the direct column too.
+	dirLoss, dirLat, dirKey := colLoss, colLat, colKey
+	if v.nodes != nil {
+		s.gatherDirect(dst, dpos)
+		dirLoss, dirLat, dirKey = s.dirLoss, s.dirLat, s.dirKey
 	}
-	byLoss = s.bestLossCached(rowLoss, rowLat, loss, lat)
-	byLat = s.bestLatCached(rowLoss, rowAdj, loss, lat, adj)
-	byLoss.Via, byLat.Via = v.node(byLoss.Via), v.node(byLat.Via)
-	return byLoss, byLat
+	dirLoss, dirLat, dirKey = dirLoss[:n], dirLat[:n], dirKey[:n]
+	lossT, latT := s.tables.lossVia[dst*n:dst*n+n], s.tables.latVia[dst*n:dst*n+n]
+	changed := int64(0)
+	for _, sr := range srcs {
+		src := int(sr)
+		if src == dst {
+			continue
+		}
+		lo, hi := src*k, src*k+k
+		directLoss, directLat := dirLoss[src], dirLat[src]
+		// Quiet-mesh shortcut: loss rates are probabilities in [0,1], so
+		// every candidate's composed loss is ≥ 0 and BestLoss's final
+		// direct-wins tie-break (direct ≤ best+eps) must fire when the
+		// direct path's own loss is ≤ eps. Most pairs are lossless most
+		// of the time, so this skips the via scan for the dominant case —
+		// with a result provably identical to running it.
+		lossPos, loss := -1, directLoss
+		if directLoss > lossEps {
+			lossPos, loss = bestLossVia(v.loss[lo:hi], colLoss, v.lat[lo:hi], colLat, directLoss, directLat)
+		}
+		latPos, lat := minSumVia(v.key[lo:hi], colKey, dirKey[src])
+		lossVia, latVia := v.node(lossPos), v.node(latPos)
+		if s.hysteresis > 0 {
+			if latPos < 0 {
+				lat = directLat
+			}
+			lossVia = s.holdLoss(src, dst, lossVia, loss)
+			latVia = s.holdLat(src, dst, latVia, lat)
+		}
+		if w := viaIdx(lossVia); lossT[src] != w {
+			lossT[src] = w
+			changed++
+		}
+		if w := viaIdx(latVia); latT[src] != w {
+			latT[src] = w
+			changed++
+		}
+	}
+	s.changed += changed
+	if v.nodes != nil {
+		s.restoreDirect(dst, dpos)
+	}
 }
 
 // cached returns src→dst's entry of the metrics cache: loss rate,
-// latency, latency with a dead link pinned to latDead, and the dead
-// flag. A link the layout holds no slot for was never probed and reads
-// as the virgin estimate does: loss 0, the fallback latency, alive.
-func (s *Selector) cached(src, dst int) (loss float64, lat, adj time.Duration, dead bool) {
+// latency, latency key at position 0 (a dead link's pinned to latDead),
+// and the dead flag. A link the layout holds no slot for was never
+// probed and reads as the virgin estimate does: loss 0, the fallback
+// latency, alive.
+func (s *Selector) cached(src, dst int) (loss float64, lat time.Duration, key latKey, dead bool) {
 	if slot := s.slot(src, dst); slot >= 0 {
-		return s.mLoss[slot], s.mLat[slot], s.mLatAdj[slot], s.mDead[slot]
+		return s.mLoss[slot], s.mLat[slot], s.mLatKey[slot] &^ posMask, s.mDead[slot]
 	}
-	return 0, s.fallbackLat, s.fallbackLat, false
+	return 0, s.fallbackLat, packLat(s.fallbackLat, 0), false
 }
 
 // gatherCol copies destination dst's metrics column over the via
@@ -707,7 +782,7 @@ func (s *Selector) cached(src, dst int) (loss float64, lat, adj time.Duration, d
 func (s *Selector) gatherCol(dst int) int {
 	if p := s.plan; p != nil {
 		for li, lm := range p.landmarks {
-			s.colLoss[li], s.colLat[li], s.colLatAdj[li] = s.cachedVia(int(lm), dst)
+			s.colLoss[li], s.colLat[li], s.colKey[li] = s.cachedVia(int(lm), dst)
 		}
 		return int(p.lmIndex[dst])
 	}
@@ -715,9 +790,59 @@ func (s *Selector) gatherCol(dst int) int {
 	for via := 0; via < n; via++ {
 		s.colLoss[via] = s.mLoss[via*n+dst]
 		s.colLat[via] = s.mLat[via*n+dst]
-		s.colLatAdj[via] = s.mLatAdj[via*n+dst]
+		s.colKey[via] = s.mLatKey[via*n+dst] &^ posMask
 	}
 	return dst
+}
+
+// gatherDirect writes a plan's direct column for destination dst, whose
+// candidate position is dpos: src→dst's metrics at entry src, the key at
+// position 0. Every node probes a landmark, and a full-mesh slab (a plan
+// set over it) holds every link, so those columns are read whole. A
+// non-landmark under the plan's own layout is probed only by the
+// landmarks, whose entries its gathered candidate column holds, and by
+// its two ring neighbours; every other entry keeps the virgin estimate's
+// metrics, so only those L+2 are patched.
+func (s *Selector) gatherDirect(dst, dpos int) {
+	p := s.plan
+	if dpos >= 0 || s.layout == nil {
+		for src := 0; src < s.n; src++ {
+			s.dirLoss[src], s.dirLat[src], s.dirKey[src], _ = s.cached(src, dst)
+		}
+		return
+	}
+	for li, lm := range p.landmarks {
+		s.dirLoss[lm], s.dirLat[lm], s.dirKey[lm] = s.colLoss[li], s.colLat[li], s.colKey[li]
+	}
+	next, prev := p.ring(dst)
+	for _, src := range [2]int{next, prev} {
+		s.dirLoss[src], s.dirLat[src], s.dirKey[src], _ = s.cached(src, dst)
+	}
+}
+
+// restoreDirect returns the entries gatherDirect(dst, dpos) wrote to the
+// virgin estimate's metrics.
+func (s *Selector) restoreDirect(dst, dpos int) {
+	p := s.plan
+	if dpos >= 0 || s.layout == nil {
+		s.fillDirect(0, s.n)
+		return
+	}
+	for _, lm := range p.landmarks {
+		s.fillDirect(int(lm), int(lm)+1)
+	}
+	next, prev := p.ring(dst)
+	s.fillDirect(next, next+1)
+	s.fillDirect(prev, prev+1)
+}
+
+// fillDirect sets the direct column's entries [from, to) to the virgin
+// estimate's metrics: loss 0, the fallback latency, alive.
+func (s *Selector) fillDirect(from, to int) {
+	key := packLat(s.fallbackLat, 0)
+	for src := from; src < to; src++ {
+		s.dirLoss[src], s.dirLat[src], s.dirKey[src] = 0, s.fallbackLat, key
+	}
 }
 
 // gatherLandmarkRows rebuilds the landmark row table from the metrics
@@ -728,7 +853,9 @@ func (s *Selector) gatherLandmarkRows() {
 	for src := 0; src < s.n; src++ {
 		for li, lm := range lms {
 			at := src*L + li
-			s.lmRowLoss[at], s.lmRowLat[at], s.lmRowLatAdj[at] = s.cachedVia(src, int(lm))
+			var key latKey
+			s.lmRowLoss[at], s.lmRowLat[at], key = s.cachedVia(src, int(lm))
+			s.lmRowKey[at] = key | latKey(li)
 		}
 	}
 }
@@ -745,11 +872,15 @@ func (s *Selector) rescanDirty() {
 		src, dst := idx/n, idx%n
 		slot := s.slot(src, dst)
 		s.linkTouched[slot] = false
-		loss, lat, adj := s.cacheLink(slot)
+		pos := dst
+		if s.layout != nil {
+			pos = 0
+		}
+		loss, lat, key := s.cacheLink(slot, pos)
 		if p := s.plan; p != nil {
 			if li := p.lmIndex[dst]; li >= 0 {
 				at := src*len(p.landmarks) + int(li)
-				s.lmRowLoss[at], s.lmRowLat[at], s.lmRowLatAdj[at] = loss, lat, adj
+				s.lmRowLoss[at], s.lmRowLat[at], s.lmRowKey[at] = loss, lat, key|latKey(li)
 			}
 		}
 		if !s.dirtyRow[src] {
@@ -768,42 +899,38 @@ func (s *Selector) rescanDirty() {
 
 // cachedVia is cached for one leg of a via path: a candidate that is the
 // leg's other endpoint reads the self-link sentinels (see latDead).
-func (s *Selector) cachedVia(src, dst int) (loss float64, lat, adj time.Duration) {
+func (s *Selector) cachedVia(src, dst int) (loss float64, lat time.Duration, key latKey) {
 	if src == dst {
-		return math.Inf(1), 0, latDead
+		return math.Inf(1), 0, packLat(latDead, 0)
 	}
-	loss, lat, adj, _ = s.cached(src, dst)
-	return loss, lat, adj
+	loss, lat, key, _ = s.cached(src, dst)
+	return loss, lat, key
 }
 
-// minSumVia is the latency scans' kernel: the first position whose
-// row[i]+col[i] is the smallest and strictly below direct — what a
-// running strict minimum started at direct would keep — and that sum, or
-// -1 when the direct path wins or ties. Which of many near-equal sums is
-// smallest is a coin toss to a branch predictor, so there are two passes
-// without one: the minimum through independent accumulators, then the
-// first position attaining it.
-func minSumVia(row, col []time.Duration, direct time.Duration) (int, time.Duration) {
+// minSumVia is the latency scans' kernel over packed keys (see latKey):
+// the first position whose row[i]+col[i] is the smallest and strictly
+// below direct — what a running strict minimum started at direct would
+// keep — and that sum's latency, or -1 and direct's latency when the
+// direct path wins or ties. The keys make it one pass of independent
+// min accumulators with no data-dependent branch: which of many
+// near-equal sums is smallest is a coin toss to a branch predictor, and
+// the position rides in the low bits, so no second pass looks for it.
+func minSumVia(row, col []latKey, direct latKey) (int, time.Duration) {
 	col = col[:len(row)]
 	m0, m1, m2, m3 := direct, direct, direct, direct
-	i := 0
-	for ; i+4 <= len(row); i += 4 {
-		r, c := row[i:i+4], col[i:i+4]
-		m0 = min(m0, r[0]+c[0])
-		m1 = min(m1, r[1]+c[1])
-		m2 = min(m2, r[2]+c[2])
-		m3 = min(m3, r[3]+c[3])
+	for i := 3; i < len(row); i += 4 {
+		m0 = min(m0, row[i-3]+col[i-3])
+		m1 = min(m1, row[i-2]+col[i-2])
+		m2 = min(m2, row[i-1]+col[i-1])
+		m3 = min(m3, row[i]+col[i])
 	}
-	for ; i < len(row); i++ {
+	for i := len(row) &^ 3; i < len(row); i++ {
 		m0 = min(m0, row[i]+col[i])
 	}
-	best := min(m0, m1, m2, m3)
-	if best >= direct {
-		return -1, direct
+	if best := min(m0, m1, m2, m3); best < direct {
+		return int(best & posMask), time.Duration(best >> posBits)
 	}
-	for i = 0; row[i]+col[i] != best; i++ {
-	}
-	return i, best
+	return -1, time.Duration(direct >> posBits)
 }
 
 // refreshMetrics caches every held link's loss rate, latency estimate,
@@ -811,57 +938,56 @@ func minSumVia(row, col []time.Duration, direct time.Duration) (int, time.Durati
 // exactly what LossRate/LatencyEstimate/Dead would return for the
 // duration of one refresh (no probes are recorded mid-refresh), so
 // selections computed from the cache are bit-identical to ones computed
-// through the estimates — just without re-deriving each link O(n) times.
-// It walks the link slab, so a plan pays for its planned links, not n².
+// through the estimates — just without re-deriving each link O(n)
+// times. It walks the link slab, so a plan pays for its planned links,
+// not n².
 func (s *Selector) refreshMetrics() {
-	for slot := range s.est {
-		s.cacheLink(slot)
+	if s.layout != nil {
+		for slot := range s.est {
+			s.cacheLink(slot, 0)
+		}
+		return
 	}
-	if s.layout == nil {
+	n := s.n
+	for src := 0; src < n; src++ {
+		for dst := 0; dst < n; dst++ {
+			s.cacheLink(src*n+dst, dst)
+		}
 		// A full-mesh slab has a slot per self-link; pin the sentinels
 		// the via scans rely on (see latDead).
-		for i := 0; i < s.n; i++ {
-			d := i*s.n + i
-			s.mLoss[d], s.mLat[d], s.mDead[d], s.mLatAdj[d] = math.Inf(1), 0, false, latDead
-		}
+		d := src*n + src
+		s.mLoss[d], s.mLat[d], s.mDead[d], s.mLatKey[d] = math.Inf(1), 0, false, packLat(latDead, src)
 	}
 }
 
-// cacheLink re-derives one slot's metrics-cache entry from its estimate
-// and returns it.
-func (s *Selector) cacheLink(slot int) (loss float64, lat, adj time.Duration) {
+// cacheLink re-derives one slot's metrics-cache entry from its estimate,
+// its key at candidate position pos, and returns it with the key at
+// position 0.
+func (s *Selector) cacheLink(slot, pos int) (loss float64, lat time.Duration, key latKey) {
 	le := &s.est[slot]
 	loss = le.LossRate()
 	lat = le.LatencyEstimate(s.fallbackLat)
 	dead := le.Dead()
-	adj = lat
+	adj := lat
 	if dead {
 		adj = latDead
 	}
-	s.mLoss[slot], s.mLat[slot], s.mDead[slot], s.mLatAdj[slot] = loss, lat, dead, adj
-	return loss, lat, adj
+	key = packLat(adj, 0)
+	s.mLoss[slot], s.mLat[slot], s.mDead[slot], s.mLatKey[slot] = loss, lat, dead, key|latKey(pos)
+	return loss, lat, key
 }
 
-// bestLossCached is BestLoss over one source row of the metrics cache
-// and the gathered column, carrying only the scalars the comparisons
-// need; it serves either candidate set, and the Via of its choice is a
-// candidate position. The comparison structure mirrors BestLoss exactly
-// — same eps, same tie-breaks, same float expression, candidates in the
-// same ascending order — so the two agree bit-for-bit.
-func (s *Selector) bestLossCached(rowLoss []float64, rowLat []time.Duration, directLoss float64, directLat time.Duration) Choice {
-	const eps = 1e-9
-	// Quiet-mesh shortcut: loss rates are probabilities in [0,1], so
-	// every candidate's composed loss is ≥ 0 and the final direct-wins
-	// tie-break (direct ≤ best+eps) must fire when the direct path's
-	// own loss is ≤ eps. Most pairs are lossless most of the time, so
-	// this skips the via scan for the dominant case — with a result
-	// provably identical to running it.
-	if directLoss <= eps {
-		return Choice{Via: -1, Loss: directLoss, Latency: directLat}
-	}
+// bestLossVia is BestLoss's scan over one source row of the metrics
+// cache and the gathered column, for a direct path lossier than lossEps
+// (rescanDst takes the quiet-mesh shortcut otherwise): the winning
+// candidate position and its loss, or -1 and directLoss when the direct
+// path wins. It carries only the scalars the comparisons need, and
+// mirrors BestLoss exactly — same eps, same tie-breaks, same float
+// expression, candidates in the same ascending order — so the two agree
+// bit for bit.
+func bestLossVia(rowLoss, colLoss []float64, rowLat, colLat []time.Duration, directLoss float64, directLat time.Duration) (int, float64) {
 	k := len(rowLoss)
-	rowLat = rowLat[:k]
-	colLoss, colLat := s.colLoss[:k], s.colLat[:k]
+	colLoss, rowLat, colLat = colLoss[:k], rowLat[:k], colLat[:k]
 	bestVia, bestLoss, bestLat := -1, directLoss, directLat
 	// No via==src/dst skips: those positions read the self-link
 	// sentinels (+Inf loss), whose composed loss compares false against
@@ -869,36 +995,21 @@ func (s *Selector) bestLossCached(rowLoss []float64, rowLat []time.Duration, dir
 	// lossy), exactly like the explicit skip.
 	for via := 0; via < k; via++ {
 		loss := pathLoss(rowLoss[via], colLoss[via])
-		if loss < bestLoss-eps {
+		if loss < bestLoss-lossEps {
 			bestVia, bestLoss = via, loss
 			bestLat = rowLat[via] + colLat[via]
 			continue
 		}
-		if bestVia >= 0 && loss < bestLoss+eps {
+		if bestVia >= 0 && loss < bestLoss+lossEps {
 			if lat := rowLat[via] + colLat[via]; lat < bestLat {
 				bestVia, bestLoss, bestLat = via, loss, lat
 			}
 		}
 	}
-	if directLoss <= bestLoss+eps {
-		return Choice{Via: -1, Loss: directLoss, Latency: directLat}
+	if directLoss <= bestLoss+lossEps {
+		return -1, directLoss
 	}
-	return Choice{Via: bestVia, Loss: bestLoss, Latency: bestLat}
-}
-
-// bestLatCached is BestLat over one source row and the gathered column,
-// bit for bit, its Via a candidate position like bestLossCached's. Dead
-// links carry the latDead sentinel, so the scan needs no dead branches:
-// a path over one sums to ≥ latDead and loses to every live candidate,
-// and a dead direct path (directAdj = latDead) starts the scan there,
-// where any live via undercuts it (BestLat's "!bestAlive" escape). Nor
-// does it skip via == src/dst: those positions read the sentinels too.
-func (s *Selector) bestLatCached(rowLoss []float64, rowAdj []time.Duration, directLoss float64, directLat, directAdj time.Duration) Choice {
-	via, best := minSumVia(rowAdj, s.colLatAdj, directAdj)
-	if via < 0 {
-		return Choice{Via: -1, Loss: directLoss, Latency: directLat}
-	}
-	return Choice{Via: via, Loss: pathLoss(rowLoss[via], s.colLoss[via]), Latency: best}
+	return bestVia, bestLoss
 }
 
 // heldCached scores the held path — via, or the direct path when via < 0
@@ -915,39 +1026,38 @@ func (s *Selector) heldCached(src, dst, via int) (held Choice, dead bool) {
 }
 
 // holdLoss applies loss-metric hysteresis to a freshly computed best
-// choice, updating the held path when it switches.
-func (s *Selector) holdLoss(src, dst int, best Choice) int {
-	if s.hysteresis <= 0 {
-		return best.Via
-	}
+// path, via with loss rate loss: it returns the path to select,
+// updating the held one when it switches.
+func (s *Selector) holdLoss(src, dst, via int, loss float64) int {
 	cur := int(s.prevLoss[dst*s.n+src])
 	held, dead := s.heldCached(src, dst, cur)
-	if !dead && !betterBy(best.Loss, held.Loss, s.hysteresis) {
+	if !dead && !betterBy(loss, held.Loss, s.hysteresis) {
 		return cur
 	}
-	s.prevLoss[dst*s.n+src] = viaIdx(best.Via)
-	return best.Via
+	s.prevLoss[dst*s.n+src] = viaIdx(via)
+	return via
 }
 
 // holdLat applies latency-metric hysteresis to a freshly computed best
-// choice.
-func (s *Selector) holdLat(src, dst int, best Choice) int {
-	if s.hysteresis <= 0 {
-		return best.Via
-	}
+// path, via with latency lat.
+func (s *Selector) holdLat(src, dst, via int, lat time.Duration) int {
 	cur := int(s.prevLat[dst*s.n+src])
 	held, dead := s.heldCached(src, dst, cur)
-	if !dead && !betterBy(float64(best.Latency), float64(held.Latency), s.hysteresis) {
+	if !dead && !betterBy(float64(lat), float64(held.Latency), s.hysteresis) {
 		return cur
 	}
-	s.prevLat[dst*s.n+src] = viaIdx(best.Via)
-	return best.Via
+	s.prevLat[dst*s.n+src] = viaIdx(via)
+	return via
 }
 
 // setFallbackLatency overrides the unmeasured-link latency penalty,
 // which Reset restores to 500 ms; tests vary it. The cached metrics
-// embed the old value, so the next Refresh rescans.
+// embed the old value, so the next Refresh rescans. A fallback outside
+// [0, maxLatency) panics.
 func (s *Selector) setFallbackLatency(d time.Duration) {
+	if uint64(d) >= uint64(maxLatency) {
+		panic(badLatency("fallback latency", d))
+	}
 	s.fallbackLat = d
 	s.metricsValid = false
 }
