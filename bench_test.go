@@ -641,18 +641,20 @@ func BenchmarkSelectorSnapshot(b *testing.B) {
 
 // BenchmarkSelectorRefresh measures one full routing-table rescan of a
 // big world: n=1024 under the landmark plan (the bigworld_landmark
-// cell's refresh, n²·√n) and n=512 full mesh (bigworld_mesh's, n³).
-// Every probed link holds a few recorded probes — some lossy, one in
-// 200 dead — so the loss scan runs for the lossy direct paths and the
-// latency scan meets sentinels. As in BenchmarkSelectorSnapshot,
-// SetHysteresis(0) invalidates the metrics cache without allocating, so
+// cell's refresh, n²·√n) and n=512 full mesh (bigworld_mesh's, n³);
+// n=1024-lm-h is the landmark case damped at a 0.25 margin, whose pairs
+// also score their held paths. Every probed link holds a few recorded
+// probes — some lossy, one in 200 dead — so the loss scan runs for the
+// lossy direct paths and the latency scan meets sentinels. As in BenchmarkSelectorSnapshot,
+// SetHysteresis invalidates the metrics cache without allocating, so
 // every iteration re-derives every link's metrics and every pair.
 func BenchmarkSelectorRefresh(b *testing.B) {
 	for _, bc := range []struct {
 		name     string
 		n        int
 		landmark bool
-	}{{"n=1024-lm", 1024, true}, {"n=512", 512, false}} {
+		margin   float64
+	}{{"n=1024-lm", 1024, true, 0}, {"n=1024-lm-h", 1024, true, 0.25}, {"n=512", 512, false, 0}} {
 		b.Run(bc.name, func(b *testing.B) {
 			sel := route.NewSelectorWindow(bc.n, 0)
 			var plan *route.LandmarkPlan
@@ -660,6 +662,7 @@ func BenchmarkSelectorRefresh(b *testing.B) {
 				plan = route.NewLandmarkPlan(bc.n)
 				sel.SetPlan(plan)
 			}
+			sel.SetHysteresis(bc.margin)
 			rng := rand.New(rand.NewSource(1))
 			for s := 0; s < bc.n; s++ {
 				for d := 0; d < bc.n; d++ {
@@ -680,7 +683,7 @@ func BenchmarkSelectorRefresh(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				sel.SetHysteresis(0)
+				sel.SetHysteresis(bc.margin)
 				sel.Refresh()
 			}
 		})

@@ -35,15 +35,23 @@ func TestGoldenSweepDigestsFleet(t *testing.T) {
 	defer cancel()
 
 	var (
-		fleet       sync.WaitGroup
-		logMu       sync.Mutex
-		logLines    []string
-		stalledCell string
+		fleet    sync.WaitGroup
+		logMu    sync.Mutex
+		logLines []string
+		// stalledCell is the straggler's stalled cell, published by its
+		// upload hook; delivered closes when the straggler logs that
+		// cell answered.
+		stalledCell atomic.Pointer[string]
+		delivered   = make(chan struct{})
 	)
 	logf := func(format string, args ...any) {
+		line := fmt.Sprintf(format, args...)
 		logMu.Lock()
 		defer logMu.Unlock()
-		logLines = append(logLines, fmt.Sprintf(format, args...))
+		logLines = append(logLines, line)
+		if name := stalledCell.Load(); name != nil && strings.HasPrefix(line, "straggler: cell "+*name+" done in ") {
+			close(delivered)
+		}
 	}
 	startFleet := func(addr string) {
 		// The victim runs first, alone, so it deterministically owns a
@@ -66,20 +74,44 @@ func TestGoldenSweepDigestsFleet(t *testing.T) {
 		// Straggler: no heartbeats, first cell stalled until /progress
 		// counts it re-dispatched (the victim's cell is the other
 		// re-dispatch), so its lease expires and the doubler recomputes
-		// it; its late delivery then races the healthy copy. Only the
-		// first cell stalls, to keep the test fast.
-		var stalled atomic.Bool
+		// it; its late delivery then lands before the healthy copy. Only
+		// the first cell stalls, to keep the test fast.
 		straggler := coord.NewWorker(addr, coord.WithName("straggler"),
 			coord.WithoutHeartbeats(),
 			coord.WithLogf(logf),
 			coord.WithBeforeUpload(func(c core.Cell) bool {
-				if stalled.CompareAndSwap(false, true) {
-					stalledCell = c.Name()
-					awaitRedispatches(t, ctx, addr, 2)
+				if name := c.Name(); stalledCell.CompareAndSwap(nil, &name) {
+					awaitProgress(t, ctx, addr, func(p coord.Progress) bool { return p.RedispatchedLeases >= 2 })
 				}
 				return true
 			}))
-		doubler := coord.NewWorker(addr, coord.WithName("doubler"), coord.WithDuplicateUploads())
+		// The doubler holds its copy of the stalled cell, and with it
+		// the end of the grid, until the straggler's late delivery is
+		// answered and the straggler has asked for its next lease: the
+		// coordinator then counts it live and answers it done before
+		// closing. It was last seen at the grant of the cell whose lease
+		// has since expired, over a TTL ago, so being seen within one
+		// means a new request. The victim's cell, the lower index, is
+		// re-dispatched first, so the straggler's wait for two
+		// re-dispatches is over by then.
+		doubler := coord.NewWorker(addr, coord.WithName("doubler"), coord.WithDuplicateUploads(),
+			coord.WithBeforeUpload(func(c core.Cell) bool {
+				if name := stalledCell.Load(); name != nil && c.Name() == *name {
+					select {
+					case <-delivered:
+					case <-ctx.Done():
+					}
+					awaitProgress(t, ctx, addr, func(p coord.Progress) bool {
+						for _, w := range p.Workers {
+							if w.Name == "straggler" {
+								return w.SecondsSinceSeen < ttl.Seconds()
+							}
+						}
+						return false
+					})
+				}
+				return true
+			}))
 		for _, w := range []*coord.Worker{straggler, doubler} {
 			fleet.Add(1)
 			go func() {
@@ -106,24 +138,23 @@ func TestGoldenSweepDigestsFleet(t *testing.T) {
 	}
 	fleet.Wait()
 
-	// The late delivery reached a coordinator still serving: answered
-	// 200, whether it landed first or as a duplicate.
-	if stalledCell == "" {
+	// The late delivery reached a coordinator still serving and was
+	// answered 200; the doubler's copy, held for it, is the duplicate.
+	name := stalledCell.Load()
+	if name == nil {
 		t.Fatal("straggler got no cell; late-delivery path untested")
 	}
-	answered := false
-	for _, line := range logLines {
-		answered = answered || strings.HasPrefix(line, "straggler: cell "+stalledCell+" done in ")
-	}
-	if !answered {
-		t.Errorf("straggler's late delivery of %s was not answered 200:\n%s", stalledCell, strings.Join(logLines, ""))
+	select {
+	case <-delivered:
+	default:
+		t.Errorf("straggler's late delivery of %s was not answered 200:\n%s", *name, strings.Join(logLines, ""))
 	}
 	checkGolden(t, "sweep", sweepGoldens(res))
 }
 
-// awaitRedispatches polls the coordinator's /progress until it counts n
-// re-dispatched leases, or ctx ends.
-func awaitRedispatches(t *testing.T, ctx context.Context, addr string, n int64) {
+// awaitProgress polls the coordinator's /progress until done holds, or
+// ctx ends.
+func awaitProgress(t *testing.T, ctx context.Context, addr string, done func(coord.Progress) bool) {
 	for ctx.Err() == nil {
 		resp, err := http.Get("http://" + addr + coord.PathProgress)
 		if err != nil {
@@ -137,7 +168,7 @@ func awaitRedispatches(t *testing.T, ctx context.Context, addr string, n int64) 
 			t.Errorf("decoding /progress: %v", err)
 			return
 		}
-		if p.RedispatchedLeases >= n {
+		if done(p) {
 			return
 		}
 		time.Sleep(time.Millisecond)

@@ -68,11 +68,12 @@ func TestBigWorldFootprint(t *testing.T) {
 		// Bytes per probed link: a 64 B estimate (one cache line; route
 		// holds that at compile time), its loss-window ring at one bit a
 		// probe (two words at DefaultLossWindow: 16), its 25 B
-		// metrics-cache entry, two marks (2), two list entries (8), a
-		// 24 B probe-stream slot and the wheel's 8 B of sort scratch.
-		// That is 147; the rest is size-class rounding, and too little
-		// for a second cache line of estimate or a byte-per-probe ring.
-		perLink = 160
+		// metrics-cache entry, its used mark (1) and used-list entry
+		// (4), a 24 B probe-stream slot and the wheel's 8 B of sort
+		// scratch. That is 142; the rest is size-class rounding, and too
+		// little for a second cache line of estimate or a byte-per-probe
+		// ring.
+		perLink = 155
 		// Bytes per measurement probe: at most one new 104 B counter
 		// record, 48 B window pair and touched-list entry each. Records
 		// come in chunks that are never regrown, so the only slack is

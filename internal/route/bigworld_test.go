@@ -123,11 +123,13 @@ func driveRandom(rng *rand.Rand, sels []*Selector, n, probes int, plan *Landmark
 	}
 }
 
-// TestIncrementalSnapshotMatchesFullRescan is the incremental contract:
-// a selector using dirty-link tracking across refreshes must emit tables
-// byte-identical to a twin forced to rescan every pair from scratch each
-// refresh, across randomized campaigns — with and without hysteresis,
-// under both probing policies, including refreshes with no new probes.
+// TestIncrementalSnapshotMatchesFullRescan is the snapshot contract: a
+// selector refreshed after each probe batch — a rescan of every pair, or
+// a no-op when nothing was recorded since the last refresh — must emit
+// tables byte-identical to a twin forced to rescan every pair from
+// scratch each refresh, across randomized campaigns — with and without
+// hysteresis, under both probing policies, including refreshes with no
+// new probes, where the no-op must keep what the twin's rescan derives.
 func TestIncrementalSnapshotMatchesFullRescan(t *testing.T) {
 	for _, hyst := range []float64{0, 0.25} {
 		for _, usePlan := range []bool{false, true} {
@@ -159,7 +161,7 @@ func TestIncrementalSnapshotMatchesFullRescan(t *testing.T) {
 					for dst := 0; dst < n; dst++ {
 						if ti.LossVia(src, dst) != tf.LossVia(src, dst) ||
 							ti.LatVia(src, dst) != tf.LatVia(src, dst) {
-							t.Fatalf("hyst=%v plan=%v round %d: (%d,%d) incremental (loss %d, lat %d) != full (loss %d, lat %d)",
+							t.Fatalf("hyst=%v plan=%v round %d: (%d,%d) refreshed (loss %d, lat %d) != full (loss %d, lat %d)",
 								hyst, usePlan, round, src, dst,
 								ti.LossVia(src, dst), ti.LatVia(src, dst),
 								tf.LossVia(src, dst), tf.LatVia(src, dst))
@@ -187,8 +189,8 @@ func allLandmarkPlan(n int) *LandmarkPlan {
 // TestAllLandmarkPlanMatchesFullMesh: a plan with every node a landmark
 // restricts nothing, so a selector under it must keep exactly the tables
 // of a full-mesh one fed the same probes, and count the same moved
-// entries at every Refresh — incremental ones, full ones after the
-// fallback latency changes, and ones with no new probes — with damping
+// entries at every Refresh — after new probes, after the fallback
+// latency changes, and with no new probes — with damping
 // on and off. Both policies run the one rescan; only where a source's
 // row is read from differs.
 func TestAllLandmarkPlanMatchesFullMesh(t *testing.T) {
@@ -309,9 +311,12 @@ func planBestLatScript(cfg byte) []byte {
 
 // FuzzRefreshMatchesReference runs an arbitrary refresh script on a
 // selector and on a twin forced to a full rescan at every refresh, and
-// after each refresh demands equal tables and equal Refresh counts; with
-// hysteresis off every entry must also equal BestLoss/BestLat's walk
-// over the estimates. Under the plan only the links it probes are
+// after each refresh demands equal tables and equal Refresh counts, so a
+// refresh with nothing recorded since the last must be a no-op that
+// keeps exactly the tables a rescan derives; with hysteresis off every
+// entry must also equal BestLoss/BestLat's walk over the estimates (the
+// damped tables are held to BestLossStable/BestLatStable by
+// FuzzSnapshotMatchesStableSelections). Under the plan only the links it probes are
 // recorded, as campaigns do. The schedules of
 // TestIncrementalSnapshotMatchesFullRescan (both policies, both margins)
 // and TestPlanLatScanMatchesBestLat seed the corpus.

@@ -34,7 +34,7 @@ func allDirect(t *Tables, n int) {
 }
 
 // TestRefreshCountMatchesDiff: the count Refresh returns is the Diff of
-// consecutive SnapshotInto copies — for incremental and full rescans,
+// consecutive SnapshotInto copies — for rescans and no-op refreshes,
 // under both layouts, with damping on and off, across the calls that
 // invalidate the metrics cache, and over a Reset that reuses the
 // selector (whose tables start over from all-direct).
@@ -210,7 +210,7 @@ func checkMetricsAgainstDense(t *testing.T, label string, sel *Selector) {
 // three layouts the metrics cache is keyed by — full mesh, the plan's
 // compact numbering, a plan set over a mesh-carved slab — and through
 // Resets that re-carve between them over the same storage, comparing the
-// cache with the dense reference after full and incremental refreshes.
+// cache with the dense reference after every refresh.
 func TestSlotMetricsMatchDenseReference(t *testing.T) {
 	const n = 36
 	plan := NewLandmarkPlan(n)
@@ -513,7 +513,7 @@ func FuzzPlanLatScanMatchesReference(f *testing.F) {
 // and marking the link touched as Record does.
 func touchLink(s *Selector, src, dst int) *LinkEstimate {
 	slot := s.writeSlot(src, dst)
-	s.touch(src*s.n+dst, slot)
+	s.touch(slot)
 	return &s.est[slot]
 }
 
@@ -637,7 +637,7 @@ func TestMeshLatScanMatchesReference(t *testing.T) {
 					}
 				}
 			}},
-			{"random summaries from a small value set, refreshed incrementally", true, 8, func() {
+			{"random summaries from a small value set, refreshed after each batch", true, 8, func() {
 				for k := 0; k < 8; k++ {
 					if src, dst := rng.Intn(n), rng.Intn(n); src != dst {
 						set(src, dst, time.Duration(10*(1+rng.Intn(4)))*ms, rng.Intn(8) == 0)

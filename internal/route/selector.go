@@ -43,7 +43,9 @@ func (c Choice) String() string {
 // campaign's table refresh is the selector's hot path — an O(n³) scan
 // per refresh — so Refresh first caches every link's loss rate, latency
 // estimate, and dead flag once (O(links) divisions instead of O(n³))
-// and runs the pair scan over those flat arrays.
+// and runs the pair scan over those flat arrays. A Refresh with no
+// Record since the last one finds the cache valid and does nothing; any
+// other rescans every pair.
 //
 // Selector is not safe for concurrent use.
 type Selector struct {
@@ -53,7 +55,7 @@ type Selector struct {
 	// LandmarkPlan (layout, nil = full mesh). rings is the one backing
 	// bitset behind every loss window, carveWindow bits in whole words per
 	// link. Both
-	// — with the metrics cache, linkTouched/usedMark and their lists —
+	// — with the metrics cache, usedMark and usedList —
 	// are carved at the first write after a Reset and re-carved only
 	// when the plan or window then in force needs a different shape;
 	// storage is kept at its high-water mark. Between a Reset and that
@@ -113,9 +115,6 @@ type Selector struct {
 	dirLoss []float64
 	dirLat  []time.Duration
 	dirKey  []latKey
-	// allNodes lists every node in order: the sources of a destination
-	// rescanned whole.
-	allNodes []int32
 
 	// plan, when non-nil, restricts via candidates to its landmark set
 	// (the landmark policy). nil — the default — scans every node, the
@@ -131,27 +130,14 @@ type Selector struct {
 	lmRowLat  []time.Duration
 	lmRowKey  []latKey
 
-	// Incremental snapshot state. Record marks links touched; Refresh
-	// re-derives only pairs whose inputs — the source row or destination
-	// column of the metrics cache — contain a touched link, in the
-	// retained tables. A pair whose inputs are unchanged
-	// would recompute to exactly its previous selection (and leave its
-	// hysteresis state unchanged: an equal-value challenger never beats
-	// the margin), so skipping it is exact;
-	// snapshot_equiv_test.go pins equality against full rescans.
-	linkTouched  []bool  // per slot, since the last snapshot
-	touchedLinks []int32 // src*n+dst of links with linkTouched set, append order
-	usedMark     []bool  // per slot, since Reset — the O(touched) Reset work list
-	usedList     []int32 // slots
-	dirtyRow     []bool  // per-source scratch, clear outside Refresh
-	dirtyCol     []bool  // per-destination scratch, cleared by the rescan
-	dirtyRows    []int32
+	usedMark []bool  // per slot, since Reset — the O(touched) Reset work list
+	usedList []int32 // slots
 	// tables is the one copy of the routing tables, all-direct from
 	// Reset on: rescanDst is its only writer between Resets and counts
 	// the entries that moved into changed.
 	tables       Tables
 	changed      int64
-	metricsValid bool // metrics cache mirrors every estimate
+	metricsValid bool // metrics cache and tables are current; Record and every setter clear it
 	recorded     bool // any Record since Reset; implies a current carve
 	// meshLive is recorded && layout == nil, as one flag so link's
 	// full-mesh case stays within the inlining budget.
@@ -213,20 +199,13 @@ func NewSelectorWindow(n, window int) *Selector {
 		panic(err)
 	}
 	s := &Selector{
-		n:         n,
-		colLoss:   make([]float64, n),
-		colLat:    make([]time.Duration, n),
-		colKey:    make([]latKey, n),
-		dirLoss:   make([]float64, n),
-		dirLat:    make([]time.Duration, n),
-		dirKey:    make([]latKey, n),
-		allNodes:  make([]int32, n),
-		dirtyRow:  make([]bool, n),
-		dirtyCol:  make([]bool, n),
-		dirtyRows: make([]int32, 0, n),
-	}
-	for i := range s.allNodes {
-		s.allNodes[i] = int32(i)
+		n:       n,
+		colLoss: make([]float64, n),
+		colLat:  make([]time.Duration, n),
+		colKey:  make([]latKey, n),
+		dirLoss: make([]float64, n),
+		dirLat:  make([]time.Duration, n),
+		dirKey:  make([]latKey, n),
 	}
 	s.tables.reshape(n)
 	s.Reset(window)
@@ -259,13 +238,11 @@ func (s *Selector) Reset(window int) {
 	s.window = window
 	for _, slot := range s.usedList {
 		s.usedMark[slot] = false
-		s.linkTouched[slot] = false
 		le := &s.est[slot]
 		le.Loss.Reset()
 		*le = LinkEstimate{Loss: le.Loss}
 	}
 	s.usedList = s.usedList[:0]
-	s.touchedLinks = s.touchedLinks[:0]
 	// Hysteresis state buffers survive for reuse; SetHysteresis makes
 	// them look freshly allocated if this cell re-enables damping.
 	s.prevStale = true
@@ -283,7 +260,7 @@ func sized[T any](buf []T, n int) []T {
 }
 
 // carve lays the link slab out for the plan and window now in force:
-// one estimate, ring segment, metrics entry and pair of marks per link
+// one estimate, ring segment, metrics entry and used mark per link
 // slot. It runs at the first write after a Reset — so NewSelectorWindow
 // followed by SetPlan never materialises the n² layout — and is a no-op
 // when the slab already has that shape. Every estimate is in its reset
@@ -304,7 +281,6 @@ func (s *Selector) carve() {
 	s.est = sized(s.est, links)
 	words := ringWords(s.window)
 	s.rings = sized(s.rings, links*words)
-	s.linkTouched = sized(s.linkTouched, links)
 	s.usedMark = sized(s.usedMark, links)
 	// The metrics cache keeps whatever an earlier layout left in it:
 	// refreshMetrics rewrites every entry before the first read.
@@ -313,7 +289,6 @@ func (s *Selector) carve() {
 	s.mDead = sized(s.mDead, links)
 	s.mLatKey = sized(s.mLatKey, links)
 	if cap(s.usedList) < links {
-		s.touchedLinks = make([]int32, 0, links)
 		s.usedList = make([]int32, 0, links)
 	}
 	for i := range s.est {
@@ -380,21 +355,17 @@ func (s *Selector) N() int { return s.n }
 func (s *Selector) Record(src, dst int, lost bool, lat time.Duration) {
 	slot := s.writeSlot(src, dst)
 	s.est[slot].Record(lost, lat)
-	s.touch(src*s.n+dst, slot)
+	s.touch(slot)
 }
 
-// touch marks a link changed since the last snapshot (and used since
-// Reset). Both lists are deduplicated by their mark arrays, so the hot
-// path pays one predictable branch per probe after the first touch of
-// an interval.
-func (s *Selector) touch(idx, slot int) {
-	if !s.linkTouched[slot] {
-		s.linkTouched[slot] = true
-		s.touchedLinks = append(s.touchedLinks, int32(idx))
-		if !s.usedMark[slot] {
-			s.usedMark[slot] = true
-			s.usedList = append(s.usedList, int32(slot))
-		}
+// touch marks a link's estimate changed: the metrics cache goes stale,
+// and the link joins the used list (deduplicated by its mark) that Reset
+// walks.
+func (s *Selector) touch(slot int) {
+	s.metricsValid = false
+	if !s.usedMark[slot] {
+		s.usedMark[slot] = true
+		s.usedList = append(s.usedList, int32(slot))
 	}
 }
 
@@ -608,47 +579,33 @@ func (s *Selector) Tables() *Tables { return &s.tables }
 // (BestLossStable/BestLatStable) selections are used; without it the
 // plain ones.
 //
-// Refreshes are incremental: only pairs whose inputs changed since the
-// last one — a touched link in their source row or destination column —
-// are re-derived. Three tiers, cheapest first: a virgin mesh (no
-// estimate ever touched) keeps the all-direct tables without even
-// building the metrics cache; a mesh with valid metrics re-derives only
-// dirty pairs; anything else (first real refresh, or after Reset /
-// SetPlan / setFallbackLatency / SetHysteresis) does the full rescan.
-// Every tier produces bit-identical tables to the full rescan.
+// A refresh with no Record since the last one (and no SetPlan,
+// setFallbackLatency or SetHysteresis) finds the metrics cache valid and
+// does nothing; any other rebuilds the cache and rescans every pair.
+// RON probes every link once per refresh interval (§3.1), so at the
+// default 15 s refresh every link has a new sample by then anyway.
 func (s *Selector) Refresh() int64 {
-	s.changed = 0
-	switch {
-	case !s.recorded:
+	if !s.recorded || s.metricsValid {
 		// Virgin: every estimate is in its initial state, so every pair
 		// selects the direct path — loss 0 hits the quiet-mesh shortcut,
 		// and any via path costs 2× the direct fallback latency. With
 		// hysteresis the held path is already direct (-1) and a tied
 		// challenger never beats the margin, so prev state is unchanged
 		// too — exactly what the full rescan would do. The tables have
-		// been all-direct since Reset.
-	case !s.metricsValid:
-		s.refreshMetrics()
-		if s.plan != nil {
-			s.gatherLandmarkRows()
-			s.fillDirect(0, s.n)
-		}
-		s.metricsValid = true
-		s.clearTouched()
-		s.rescan(true)
-	case len(s.touchedLinks) > 0:
-		s.rescanDirty()
+		// been all-direct since Reset. A valid cache means every pair's
+		// inputs are those of the last rescan, which would recompute the
+		// same selections and hold the same paths.
+		return 0
 	}
+	s.refreshMetrics()
+	if s.plan != nil {
+		s.gatherLandmarkRows()
+		s.fillDirect(0, s.n)
+	}
+	s.metricsValid = true
+	s.changed = 0
+	s.rescan()
 	return s.changed
-}
-
-// clearTouched drops the pending touched-links list (their effect is
-// covered by a full rescan).
-func (s *Selector) clearTouched() {
-	for _, li := range s.touchedLinks {
-		s.linkTouched[s.slot(int(li)/s.n, int(li)%s.n)] = false
-	}
-	s.touchedLinks = s.touchedLinks[:0]
 }
 
 // viaRows is what a rescan reads of the via candidates: source src's
@@ -682,33 +639,24 @@ func (v *viaRows) node(pos int) int {
 	return int(v.nodes[pos])
 }
 
-// rescan re-derives pairs into the tables destination by destination:
-// every pair when all is set, else exactly the pairs that read a dirty
-// row or column (see rescanDirty). The per-pair selections are
-// independent, so the order does not affect the result; it only makes
-// the table writes sequential.
-func (s *Selector) rescan(all bool) {
+// rescan re-derives every pair into the tables destination by
+// destination. The per-pair selections are independent, so the order
+// does not affect the result; it only makes the table writes sequential.
+func (s *Selector) rescan() {
 	v := s.viaRows()
 	for dst := 0; dst < s.n; dst++ {
-		srcs := s.dirtyRows
-		if all || s.dirtyCol[dst] {
-			srcs = s.allNodes
-		}
-		s.dirtyCol[dst] = false
-		if len(srcs) > 0 {
-			s.rescanDst(&v, dst, srcs)
-		}
+		s.rescanDst(&v, dst)
 	}
 }
 
-// rescanDst re-derives the pairs src→dst for every src in srcs but dst
+// rescanDst re-derives the pairs src→dst for every source but dst
 // itself, whose diagonal entry stays at the -1 Reset gave it. It is BestLoss
 // and BestLat (or their Stable forms under hysteresis) of each pair
 // over the metrics cache, bit for bit: dst's candidate column and direct
 // column are gathered once, and each source's row is read in place.
 // It is the tables' only writer between Resets and counts the entries
 // it moves.
-func (s *Selector) rescanDst(v *viaRows, dst int, srcs []int32) {
+func (s *Selector) rescanDst(v *viaRows, dst int) {
 	n, k := s.n, v.k
 	dpos := s.gatherCol(dst)
 	colLoss, colLat, colKey := s.colLoss[:k], s.colLat[:k], s.colKey[:k]
@@ -721,8 +669,7 @@ func (s *Selector) rescanDst(v *viaRows, dst int, srcs []int32) {
 	dirLoss, dirLat, dirKey = dirLoss[:n], dirLat[:n], dirKey[:n]
 	lossT, latT := s.tables.lossVia[dst*n:dst*n+n], s.tables.latVia[dst*n:dst*n+n]
 	changed := int64(0)
-	for _, sr := range srcs {
-		src := int(sr)
+	for src := 0; src < n; src++ {
 		if src == dst {
 			continue
 		}
@@ -846,7 +793,7 @@ func (s *Selector) fillDirect(from, to int) {
 }
 
 // gatherLandmarkRows rebuilds the landmark row table from the metrics
-// cache (after a full refreshMetrics); rescanDirty keeps it current.
+// cache (after refreshMetrics).
 func (s *Selector) gatherLandmarkRows() {
 	lms := s.plan.landmarks
 	L := len(lms)
@@ -858,43 +805,6 @@ func (s *Selector) gatherLandmarkRows() {
 			s.lmRowKey[at] = key | latKey(li)
 		}
 	}
-}
-
-// rescanDirty refreshes the metrics of touched links, marks their rows
-// and columns dirty, and re-derives exactly the pairs that read a dirty
-// row or column. Pairs left alone have bit-identical inputs to the last
-// snapshot, so their retained selections (and hysteresis state) are
-// what a full rescan would recompute.
-func (s *Selector) rescanDirty() {
-	n := s.n
-	for _, li := range s.touchedLinks {
-		idx := int(li)
-		src, dst := idx/n, idx%n
-		slot := s.slot(src, dst)
-		s.linkTouched[slot] = false
-		pos := dst
-		if s.layout != nil {
-			pos = 0
-		}
-		loss, lat, key := s.cacheLink(slot, pos)
-		if p := s.plan; p != nil {
-			if li := p.lmIndex[dst]; li >= 0 {
-				at := src*len(p.landmarks) + int(li)
-				s.lmRowLoss[at], s.lmRowLat[at], s.lmRowKey[at] = loss, lat, key|latKey(li)
-			}
-		}
-		if !s.dirtyRow[src] {
-			s.dirtyRow[src] = true
-			s.dirtyRows = append(s.dirtyRows, int32(src))
-		}
-		s.dirtyCol[dst] = true
-	}
-	s.touchedLinks = s.touchedLinks[:0]
-	s.rescan(false)
-	for _, r := range s.dirtyRows {
-		s.dirtyRow[r] = false
-	}
-	s.dirtyRows = s.dirtyRows[:0]
 }
 
 // cachedVia is cached for one leg of a via path: a candidate that is the
@@ -961,20 +871,16 @@ func (s *Selector) refreshMetrics() {
 }
 
 // cacheLink re-derives one slot's metrics-cache entry from its estimate,
-// its key at candidate position pos, and returns it with the key at
-// position 0.
-func (s *Selector) cacheLink(slot, pos int) (loss float64, lat time.Duration, key latKey) {
+// its key at candidate position pos.
+func (s *Selector) cacheLink(slot, pos int) {
 	le := &s.est[slot]
-	loss = le.LossRate()
-	lat = le.LatencyEstimate(s.fallbackLat)
+	lat := le.LatencyEstimate(s.fallbackLat)
 	dead := le.Dead()
 	adj := lat
 	if dead {
 		adj = latDead
 	}
-	key = packLat(adj, 0)
-	s.mLoss[slot], s.mLat[slot], s.mDead[slot], s.mLatKey[slot] = loss, lat, dead, key|latKey(pos)
-	return loss, lat, key
+	s.mLoss[slot], s.mLat[slot], s.mDead[slot], s.mLatKey[slot] = le.LossRate(), lat, dead, packLat(adj, pos)
 }
 
 // bestLossVia is BestLoss's scan over one source row of the metrics
