@@ -585,21 +585,27 @@ func BenchmarkSelectorBestLoss(b *testing.B) {
 // wheel visits them: every ordered pair once per era, in phase order —
 // a fixed random permutation, not row order. At 262 144 links the slab
 // is far larger than any cache, so each Record misses on the estimate's
-// line and on its ring word; what it costs is how many lines a link
-// spans.
+// line; what it costs is how many lines a link spans.
+//
+// n=512-w200 is the same at a 200-probe window, past the 128 outcomes a
+// record holds itself, and times only eras whose outcome lands in ring
+// positions 128–199: each timed Record also writes a word of the
+// selector's spill slab. The selector and its era count persist across
+// the benchmark's rounds, and the eras in between are recorded with the
+// timer stopped.
 func BenchmarkSelectorRecord(b *testing.B) {
-	b.Run("n=512", func(b *testing.B) {
-		const n = 512
-		sel := route.NewSelectorWindow(n, 0)
-		pairs := make([][2]int32, 0, n*(n-1))
-		for s := int32(0); s < n; s++ {
-			for d := int32(0); d < n; d++ {
-				if s != d {
-					pairs = append(pairs, [2]int32{s, d})
-				}
+	const n = 512
+	pairs := make([][2]int32, 0, n*(n-1))
+	for s := int32(0); s < n; s++ {
+		for d := int32(0); d < n; d++ {
+			if s != d {
+				pairs = append(pairs, [2]int32{s, d})
 			}
 		}
-		rand.New(rand.NewSource(1)).Shuffle(len(pairs), func(i, j int) { pairs[i], pairs[j] = pairs[j], pairs[i] })
+	}
+	rand.New(rand.NewSource(1)).Shuffle(len(pairs), func(i, j int) { pairs[i], pairs[j] = pairs[j], pairs[i] })
+	b.Run("n=512", func(b *testing.B) {
+		sel := route.NewSelectorWindow(n, 0)
 		era := func(probes int) {
 			for i, p := range pairs[:probes] {
 				sel.Record(int(p[0]), int(p[1]), i%16 == 0, time.Duration(10+i%64)*time.Millisecond)
@@ -611,6 +617,40 @@ func BenchmarkSelectorRecord(b *testing.B) {
 		b.ResetTimer()
 		for left := b.N; left > 0; left -= len(pairs) {
 			era(min(left, len(pairs)))
+		}
+	})
+	const window, inline = 200, 128
+	var spill struct {
+		sel       *route.Selector
+		era, next int // completed eras; the next pair of the current one
+	}
+	b.Run("n=512-w200", func(b *testing.B) {
+		if spill.sel == nil {
+			spill.sel = route.NewSelectorWindow(n, window)
+		}
+		sel := spill.sel
+		record := func(probes int) {
+			for i, p := range pairs[spill.next : spill.next+probes] {
+				sel.Record(int(p[0]), int(p[1]), (spill.next+i)%16 == 0, time.Duration(10+i%64)*time.Millisecond)
+			}
+			if spill.next += probes; spill.next == len(pairs) {
+				spill.next = 0
+				spill.era++
+			}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for left := b.N; left > 0; {
+			if spill.next == 0 && spill.era%window < inline {
+				b.StopTimer()
+				for spill.era%window < inline {
+					record(len(pairs))
+				}
+				b.StartTimer()
+			}
+			k := min(left, len(pairs)-spill.next)
+			record(k)
+			left -= k
 		}
 	})
 }

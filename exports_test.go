@@ -47,10 +47,6 @@ var exportAllowlist = []allowedExport{
 		"reads component state without consuming packet randomness; the ground truth transit is checked against"},
 	{"internal/netsim.Network.Materialised", "TestLazyBackboneMatchesEager",
 		"counts built backbone components: the footprint tests' exact metric"},
-	{"internal/route.Selector.BestLatStable", "TestSnapshotMatchesStableSelections",
-		"the per-pair hysteresis reference the snapshot tables are compared against"},
-	{"internal/route.Selector.BestLossStable", "TestSnapshotMatchesStableSelections",
-		"the per-pair hysteresis reference the snapshot tables are compared against"},
 }
 
 // TestExportsHaveCallers is the "no caller, no code" rule, resolved by

@@ -278,7 +278,7 @@ func (c *CDF) Mean() float64 {
 	c.compact()
 	var sum float64
 	for i, v := range c.vals {
-		sum += v * float64(c.counts[i])
+		sum += float64(v * float64(c.counts[i]))
 	}
 	return sum / float64(c.total)
 }
@@ -306,7 +306,7 @@ func (c *CDF) Grid(lo, hi float64, points int) []Point {
 	out := make([]Point, points)
 	step := (hi - lo) / float64(points-1)
 	for i := range out {
-		x := lo + float64(i)*step
+		x := lo + float64(float64(i)*step)
 		out[i] = Point{X: x, F: c.FractionAtMost(x)}
 	}
 	return out

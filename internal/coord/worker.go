@@ -123,7 +123,7 @@ func NewWorker(url string, opts ...WorkerOption) *Worker {
 // jitter stream (splitmix64: an atomic Gamma step, then a local mix).
 func (w *Worker) jitter(d time.Duration) time.Duration {
 	u := detmath.Unit(detmath.Mix(w.jstate.Add(detmath.Gamma) - detmath.Gamma))
-	return time.Duration(float64(d) * (0.75 + 0.5*u))
+	return time.Duration(float64(d) * (0.75 + float64(0.5*u)))
 }
 
 func (w *Worker) log(format string, args ...any) {

@@ -1,6 +1,9 @@
 package core
 
-import "repro/internal/netsim"
+import (
+	"repro/internal/netsim"
+	"repro/internal/route"
+)
 
 // eventKind discriminates campaign events.
 type eventKind uint8
@@ -148,8 +151,7 @@ func (q *eventQueue) takeSeq() uint64 {
 // the same offset.
 type probeStream struct {
 	phases []netsim.Time // sorted ascending within one era
-	srcs   []int32       // parallel to phases
-	dsts   []int32
+	pairs  []uint32      // parallel to phases: src<<pairBits | dst
 	// seqs carries each slot's sequence number for its NEXT firing,
 	// drawn from the shared eventQueue counter (takeSeq) at the
 	// previous firing — exactly when the retired engine pushed the
@@ -164,6 +166,18 @@ type probeStream struct {
 	perm, permNext []int32
 }
 
+// pairBits is the width of a node index in a packed slot pair: every
+// index is below route.MaxMeshNodes, so src<<pairBits | dst is exact.
+const pairBits = 14
+
+// A node index must fit pairBits, and a packed pair 32 bits: either
+// conversion is negative, and so fails to compile, if a bound moves
+// past it.
+const (
+	_ = uint(1<<pairBits - route.MaxMeshNodes)
+	_ = uint(32 - 2*pairBits)
+)
+
 // presize readies the slot arrays for n pairs in one allocation each
 // (instead of log n append-growth steps) on the fresh path; reused
 // streams with enough capacity keep their arrays.
@@ -172,8 +186,7 @@ func (p *probeStream) presize(n int) {
 		return
 	}
 	p.phases = make([]netsim.Time, 0, n)
-	p.srcs = make([]int32, 0, n)
-	p.dsts = make([]int32, 0, n)
+	p.pairs = make([]uint32, 0, n)
 	p.seqs = make([]uint64, 0, n)
 }
 
@@ -181,8 +194,7 @@ func (p *probeStream) presize(n int) {
 // with the sequence number its first firing carries.
 func (p *probeStream) add(phase netsim.Time, src, dst int32, seq uint64) {
 	p.phases = append(p.phases, phase)
-	p.srcs = append(p.srcs, src)
-	p.dsts = append(p.dsts, dst)
+	p.pairs = append(p.pairs, uint32(src)<<pairBits|uint32(dst))
 	p.seqs = append(p.seqs, seq)
 }
 
@@ -190,8 +202,7 @@ func (p *probeStream) add(phase netsim.Time, src, dst int32, seq uint64) {
 // reused stream re-seeds without reallocating.
 func (p *probeStream) reset() {
 	p.phases = p.phases[:0]
-	p.srcs = p.srcs[:0]
-	p.dsts = p.dsts[:0]
+	p.pairs = p.pairs[:0]
 	p.seqs = p.seqs[:0]
 	p.cursor = 0
 	p.era = 0
@@ -207,7 +218,7 @@ const radixBits = 12
 // phases fire in the order they were seeded, matching the retired
 // queue's sequence tie-break. The sort is an LSD radix sort of a slot
 // permutation — linear in the slot count, and stable because every
-// counting pass is — which is then applied to the four arrays in place;
+// counting pass is — which is then applied to the three arrays in place;
 // phases are non-negative (a fraction of the interval), so their digits
 // order them.
 func (p *probeStream) start(interval netsim.Time) {
@@ -250,15 +261,14 @@ func (p *probeStream) start(interval netsim.Time) {
 		if from == i {
 			continue
 		}
-		phase, src, dst, seq := p.phases[i], p.srcs[i], p.dsts[i], p.seqs[i]
+		phase, pair, seq := p.phases[i], p.pairs[i], p.seqs[i]
 		at := i
 		for from != i {
-			p.phases[at], p.srcs[at], p.dsts[at], p.seqs[at] =
-				p.phases[from], p.srcs[from], p.dsts[from], p.seqs[from]
+			p.phases[at], p.pairs[at], p.seqs[at] = p.phases[from], p.pairs[from], p.seqs[from]
 			perm[at] = int32(at)
 			at, from = from, int(perm[from])
 		}
-		p.phases[at], p.srcs[at], p.dsts[at], p.seqs[at] = phase, src, dst, seq
+		p.phases[at], p.pairs[at], p.seqs[at] = phase, pair, seq
 		perm[at] = int32(at)
 	}
 }
@@ -274,7 +284,8 @@ func (p *probeStream) peek() (netsim.Time, uint64, bool) {
 
 // pair returns the next probe's ordered pair.
 func (p *probeStream) pair() (src, dst int32) {
-	return p.srcs[p.cursor], p.dsts[p.cursor]
+	v := p.pairs[p.cursor]
+	return int32(v >> pairBits), int32(v & (1<<pairBits - 1))
 }
 
 // advance moves past the current probe, storing the sequence number its

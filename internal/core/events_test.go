@@ -215,7 +215,7 @@ func TestEventQueueTieOrder(t *testing.T) {
 }
 
 // stableWheel is the reference for probeStream.start: sort.Stable over
-// the four parallel slot arrays, the implementation the radix sort
+// the three parallel slot arrays, the implementation the radix sort
 // replaced.
 type stableWheel struct{ p *probeStream }
 
@@ -224,8 +224,7 @@ func (w stableWheel) Less(a, b int) bool { return w.p.phases[a] < w.p.phases[b] 
 func (w stableWheel) Swap(a, b int) {
 	p := w.p
 	p.phases[a], p.phases[b] = p.phases[b], p.phases[a]
-	p.srcs[a], p.srcs[b] = p.srcs[b], p.srcs[a]
-	p.dsts[a], p.dsts[b] = p.dsts[b], p.dsts[a]
+	p.pairs[a], p.pairs[b] = p.pairs[b], p.pairs[a]
 	p.seqs[a], p.seqs[b] = p.seqs[b], p.seqs[a]
 }
 
@@ -325,14 +324,17 @@ func wheelCases() [][]byte {
 
 // checkWheelCase seeds got (reset first, so a reused stream's capacity
 // carries over) and a fresh reference from a case, and demands the
-// radix wheel equal the stable sort slot for slot.
+// radix wheel equal the stable sort slot for slot, each slot's pair
+// reading back as seeded.
 func checkWheelCase(t testing.TB, got *probeStream, c []byte) {
 	t.Helper()
 	var want probeStream
 	got.reset()
+	seeded := map[uint64][2]int32{} // sequence numbers are distinct
 	interval, ok := wheelCase(c, func(phase netsim.Time, src, dst int32, seq uint64) {
 		got.add(phase, src, dst, seq)
 		want.add(phase, src, dst, seq)
+		seeded[seq] = [2]int32{src, dst}
 	})
 	if !ok {
 		return
@@ -345,14 +347,18 @@ func checkWheelCase(t testing.TB, got *probeStream, c []byte) {
 		t.Fatalf("n=%d: stream holds %d slots, interval %d", n, len(got.phases), got.interval)
 	}
 	for i := 0; i < n; i++ {
-		if got.phases[i] != want.phases[i] || got.srcs[i] != want.srcs[i] ||
-			got.dsts[i] != want.dsts[i] || got.seqs[i] != want.seqs[i] {
-			t.Fatalf("n=%d interval=%d slot %d: got (%d,%d,%d,%d) want (%d,%d,%d,%d)",
+		if got.phases[i] != want.phases[i] || got.pairs[i] != want.pairs[i] || got.seqs[i] != want.seqs[i] {
+			t.Fatalf("n=%d interval=%d slot %d: got (%d,%#x,%d) want (%d,%#x,%d)",
 				n, interval, i,
-				got.phases[i], got.srcs[i], got.dsts[i], got.seqs[i],
-				want.phases[i], want.srcs[i], want.dsts[i], want.seqs[i])
+				got.phases[i], got.pairs[i], got.seqs[i],
+				want.phases[i], want.pairs[i], want.seqs[i])
+		}
+		got.cursor = i
+		if src, dst := got.pair(); [2]int32{src, dst} != seeded[got.seqs[i]] {
+			t.Fatalf("n=%d slot %d: pair reads %d→%d, seeded as %v", n, i, src, dst, seeded[got.seqs[i]])
 		}
 	}
+	got.cursor = 0
 }
 
 // TestProbeWheelMatchesStableSort runs wheelCases on one reused stream,

@@ -65,15 +65,14 @@ func TestBigWorldFootprint(t *testing.T) {
 		// latency matrix (8). That is 36; the rest is allocator
 		// size-class rounding.
 		perPair = 40
-		// Bytes per probed link: a 64 B estimate (one cache line; route
-		// holds that at compile time), its loss-window ring at one bit a
-		// probe (two words at DefaultLossWindow: 16), its 25 B
-		// metrics-cache entry, its used mark (1) and used-list entry
-		// (4), a 24 B probe-stream slot and the wheel's 8 B of sort
-		// scratch. That is 142; the rest is size-class rounding, and too
-		// little for a second cache line of estimate or a byte-per-probe
-		// ring.
-		perLink = 155
+		// Bytes per probed link: a 32 B estimate holding its own
+		// loss-window ring (half a cache line; route holds that at
+		// compile time), its 24 B metrics-cache entry, its used-list
+		// entry (4), a 20 B probe-stream slot and the wheel's 8 B of
+		// sort scratch. That is 88; the rest is size-class rounding, and
+		// too little for a second half-line of estimate or a
+		// byte-per-probe ring.
+		perLink = 101
 		// Bytes per measurement probe: at most one new 104 B counter
 		// record, 48 B window pair and touched-list entry each. Records
 		// come in chunks that are never regrown, so the only slack is

@@ -23,8 +23,10 @@ func Mix(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// Unit maps the top 53 bits of x to a uniform float64 in [0,1).
-func Unit(x uint64) float64 { return float64(x>>11) * 0x1p-53 }
+// Unit maps the top 53 bits of x to a uniform float64 in [0,1). The
+// scaling is exact, and rounded explicitly all the same, so that an
+// inlined caller's sum never fuses with it on any architecture.
+func Unit(x uint64) float64 { return float64(float64(x>>11) * 0x1p-53) }
 
 // Exp is the exponential deviate of the given mean at a uniform u in
 // [0,1), reading u = 0 as 2⁻⁵³ so that the deviate stays finite.

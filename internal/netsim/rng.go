@@ -84,7 +84,7 @@ func (s *Source) ExpInt(mean float64) int64 {
 
 // Uniform returns a uniform value in [lo, hi).
 func (s *Source) Uniform(lo, hi float64) float64 {
-	return lo + (hi-lo)*s.Float64()
+	return lo + float64((hi-lo)*s.Float64())
 }
 
 // Intn returns a uniform int in [0, n). n must be positive.
@@ -98,7 +98,7 @@ func (s *Source) Intn(n int) int {
 // LogNormal returns a log-normally distributed value whose underlying
 // normal has the given mu and sigma (natural-log parameters).
 func (s *Source) LogNormal(mu, sigma float64) float64 {
-	return math.Exp(mu + sigma*s.Norm())
+	return math.Exp(mu + float64(sigma*s.Norm()))
 }
 
 // Norm returns a standard normal deviate (Box–Muller; one value per call,

@@ -55,5 +55,5 @@ func diurnalFactor(t Time) float64 {
 	// A raised cosine centered on 15:00: 0.3 at trough, ~1.7 at peak.
 	const peakAt = 15.0 / 24.0
 	phase := 2 * math.Pi * (frac - peakAt)
-	return 1.0 + 0.7*math.Cos(phase)
+	return 1.0 + float64(0.7*math.Cos(phase))
 }

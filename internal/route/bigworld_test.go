@@ -239,8 +239,10 @@ func TestAllLandmarkPlanMatchesFullMesh(t *testing.T) {
 
 // A refresh script is FuzzRefreshMatchesReference's input: a header of
 // two bytes — n = 3 + b0 mod 38, then b1: bit 0 the landmark plan, bit 1
-// a hysteresis margin of 0.25, bits 2–3 the fallback latency (10–40 ms)
-// — and then steps. A byte ≥ refreshStep refreshes and checks; any other
+// a hysteresis margin of 0.25, bits 2–3 the fallback latency (10–40 ms),
+// bit 4 (with bit 0) a late plan: set only at the second refresh, over a
+// slab carved full-mesh whose every link is recorded, so paths held from
+// the first may run via nodes the plan does not scan — and then steps. A byte ≥ refreshStep refreshes and checks; any other
 // is a record op followed by its source and destination bytes (each mod
 // n): bit 0 lost, bits 1–2 the repeat count less one (four losses kill a
 // link), bits 3–4 the latency of a delivered probe, 10–40 ms like the
@@ -313,10 +315,12 @@ func planBestLatScript(cfg byte) []byte {
 // selector and on a twin forced to a full rescan at every refresh, and
 // after each refresh demands equal tables and equal Refresh counts, so a
 // refresh with nothing recorded since the last must be a no-op that
-// keeps exactly the tables a rescan derives; with hysteresis off every
-// entry must also equal BestLoss/BestLat's walk over the estimates (the
-// damped tables are held to BestLossStable/BestLatStable by
-// FuzzSnapshotMatchesStableSelections). Under the plan only the links it probes are
+// keeps exactly the tables a rescan derives. Every entry must also equal
+// BestLoss/BestLat's walk over the estimates, or with hysteresis on the
+// damped twin's — BestLossStable/BestLatStable of a third selector fed
+// the same probes, queried in destination-major order — so a held path
+// scored from the rescan's row, column and direct entries is held to one
+// scored from the estimates. Under the plan only the links it probes are
 // recorded, as campaigns do. The schedules of
 // TestIncrementalSnapshotMatchesFullRescan (both policies, both margins)
 // and TestPlanLatScanMatchesBestLat seed the corpus.
@@ -325,6 +329,9 @@ func FuzzRefreshMatchesReference(f *testing.F) {
 		f.Add(incrementalScript(cfg|2<<2, 0))
 		f.Add(incrementalScript(cfg|1<<1|2<<2, 0.25))
 	}
+	late := incrementalScript(1<<1|2<<2, 0.25)
+	late[1] |= 1 | 1<<4
+	f.Add(late)
 	f.Add(planBestLatScript(0))
 	f.Add(planBestLatScript(1 << 2))
 	f.Add([]byte{0, 0})
@@ -342,13 +349,22 @@ func FuzzRefreshMatchesReference(f *testing.F) {
 			hyst = 0.25
 		}
 		fallback := time.Duration(10*(1+int(cfg>>2&3))) * time.Millisecond
-		inc, full := NewSelectorWindow(n, 0), NewSelectorWindow(n, 0)
-		for _, sel := range []*Selector{inc, full} {
-			sel.SetPlan(plan)
+		late := plan != nil && cfg&(1<<4) != 0
+		inc, full, twin := NewSelectorWindow(n, 0), NewSelectorWindow(n, 0), NewSelectorWindow(n, 0)
+		for _, sel := range []*Selector{inc, full, twin} {
+			if !late {
+				sel.SetPlan(plan)
+			}
 			sel.SetHysteresis(hyst)
 			sel.setFallbackLatency(fallback)
 		}
+		refreshes := 0
 		check := func(step int) {
+			if refreshes++; late && refreshes == 2 {
+				for _, sel := range []*Selector{inc, full, twin} {
+					sel.SetPlan(plan)
+				}
+			}
 			full.setFallbackLatency(fallback) // the next Refresh rescans every pair
 			if got, want := inc.Refresh(), full.Refresh(); got != want {
 				t.Fatalf("step %d: Refresh moved %d entries, the full rescan %d", step, got, want)
@@ -358,6 +374,19 @@ func FuzzRefreshMatchesReference(f *testing.F) {
 				t.Fatalf("step %d: tables differ from the full rescan's in %d entries", step, d)
 			}
 			if hyst > 0 {
+				for dst := 0; dst < n; dst++ {
+					for src := 0; src < n; src++ {
+						if src == dst {
+							continue
+						}
+						if got, want := tables.LossVia(src, dst), twin.BestLossStable(src, dst).Via; got != want {
+							t.Fatalf("step %d: LossVia(%d,%d) = %d, BestLossStable = %d", step, src, dst, got, want)
+						}
+						if got, want := tables.LatVia(src, dst), twin.BestLatStable(src, dst).Via; got != want {
+							t.Fatalf("step %d: LatVia(%d,%d) = %d, BestLatStable = %d", step, src, dst, got, want)
+						}
+					}
+				}
 				return
 			}
 			for src := 0; src < n; src++ {
@@ -385,7 +414,7 @@ func FuzzRefreshMatchesReference(f *testing.F) {
 			}
 			src, dst := int(script[i+1])%n, int(script[i+2])%n
 			i += 2
-			if src == dst || plan != nil && !plan.Probes(src, dst) {
+			if src == dst || plan != nil && !late && !plan.Probes(src, dst) {
 				continue
 			}
 			lost := op&1 != 0
@@ -396,6 +425,7 @@ func FuzzRefreshMatchesReference(f *testing.F) {
 			for range 1 + int(op>>1&3) {
 				inc.Record(src, dst, lost, lat)
 				full.Record(src, dst, lost, lat)
+				twin.Record(src, dst, lost, lat)
 			}
 		}
 		check(len(script))

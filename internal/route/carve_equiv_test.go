@@ -177,9 +177,9 @@ func checkCarveCase(t *testing.T, in []byte) {
 			if cellPlan != nil {
 				want = cellPlan.PlannedLinks()
 			}
-			if words := ringWords(sub.window); len(sub.est) != want || len(sub.rings) != want*words {
-				t.Fatalf("n=%d step %d: slab holds %d links, %d ring words; want %d links of %d words (window %d)",
-					n, i/3, len(sub.est), len(sub.rings), want, words, sub.window)
+			if words := spillWords(sub.window); len(sub.est) != want || len(sub.spill) != want*words {
+				t.Fatalf("n=%d step %d: slab holds %d links, %d spill words; want %d links of %d words (window %d)",
+					n, i/3, len(sub.est), len(sub.spill), want, words, sub.window)
 			}
 		}
 	}
@@ -203,12 +203,13 @@ const carveFuzzSteps = 12
 
 // TestRecarveLeavesNoStaleBits takes one selector through windows 400 →
 // 25 → 100 and full mesh → plan → full mesh, each Reset re-carving the
-// same ring words for links of another width and numbering. A ring word
-// is 64 outcomes, so a narrower window reads words a wider one wrote: a
-// bit left set there would be subtracted from the loss count when the
-// cursor reached it. The reused selector must answer as a new one fed
-// the same records, its whole ring slab must be zero after every Reset,
-// and every link's loss count must be the population of its own words.
+// same records and spill words for links of another width and
+// numbering. A ring word is 64 outcomes, so a narrower window reads
+// words a wider one wrote: a bit left set there would be subtracted from
+// the loss count when the cursor reached it. The reused selector must
+// answer as a new one fed the same records, its whole record slab and
+// spill slab must be zero after every Reset, and every link's loss count
+// must be the population of its own words.
 func TestRecarveLeavesNoStaleBits(t *testing.T) {
 	const n = 20
 	plan := NewLandmarkPlan(n)
@@ -220,13 +221,18 @@ func TestRecarveLeavesNoStaleBits(t *testing.T) {
 	}{
 		{400, nil}, {25, nil}, {100, nil}, // narrower, then wider, over the same words
 		{400, plan}, {25, nil}, {100, plan}, // and across layouts
-		{64, nil}, {65, plan}, {400, nil},
+		{64, nil}, {65, plan}, {400, nil}, {129, nil}, {200, plan}, {128, nil},
 	} {
 		if ci > 0 {
 			reused.Reset(cell.window)
-			for i, word := range reused.rings[:cap(reused.rings)] {
+			for i, word := range reused.spill[:cap(reused.spill)] {
 				if word != 0 {
-					t.Fatalf("cell %d: Reset left ring word %d at %#x", ci, i, word)
+					t.Fatalf("cell %d: Reset left spill word %d at %#x", ci, i, word)
+				}
+			}
+			for i, le := range reused.est[:cap(reused.est)] {
+				if le != (LinkEstimate{}) {
+					t.Fatalf("cell %d: Reset left record %d at %+v", ci, i, le)
 				}
 			}
 		}
@@ -250,18 +256,19 @@ func TestRecarveLeavesNoStaleBits(t *testing.T) {
 			}
 			compareSelectors(t, fmt.Sprintf("cell %d (window %d) round %d", ci, cell.window, round), reused, fresh)
 		}
-		words := ringWords(cell.window)
+		sw := spillWords(cell.window)
+		if reused.spillWords != sw || len(reused.spill) != sw*len(reused.est) {
+			t.Fatalf("cell %d: %d spill words for %d links, %d per link; want %d per link (window %d)",
+				ci, len(reused.spill), len(reused.est), reused.spillWords, sw, cell.window)
+		}
 		for slot := range reused.est {
-			w := &reused.est[slot].Loss
-			if len(w.ring) != words || int(w.size) != cell.window {
-				t.Fatalf("cell %d slot %d: window of %d over %d words, want %d over %d", ci, slot, w.size, len(w.ring), cell.window, words)
-			}
+			le := &reused.est[slot]
 			set := 0
-			for _, word := range w.ring {
+			for _, word := range append(le.ring[:], reused.spill[slot*sw:(slot+1)*sw]...) {
 				set += bits.OnesCount64(word)
 			}
-			if set != int(w.losses) {
-				t.Fatalf("cell %d slot %d: %d ring bits set, loss count %d", ci, slot, set, w.losses)
+			if set != int(le.losses) {
+				t.Fatalf("cell %d slot %d: %d ring bits set, loss count %d", ci, slot, set, le.losses)
 			}
 		}
 	}
@@ -275,8 +282,8 @@ func TestPlanCarveIsLazy(t *testing.T) {
 	plan := NewLandmarkPlan(n)
 	sel := NewSelectorWindow(n, 30)
 	sel.SetPlan(plan)
-	if len(sel.est) != 0 || len(sel.rings) != 0 {
-		t.Fatalf("link state carved before first use: %d estimates, %d ring words", len(sel.est), len(sel.rings))
+	if len(sel.est) != 0 || cap(sel.usedList) != 0 {
+		t.Fatalf("link state carved before first use: %d estimates, used list of %d", len(sel.est), cap(sel.usedList))
 	}
 	if c := sel.BestLoss(3, 4); !c.IsDirect() || c.Loss != 0 || c.Latency != sel.fallbackLat {
 		t.Fatalf("virgin BestLoss = %+v, want direct at loss 0 and the fallback latency", c)

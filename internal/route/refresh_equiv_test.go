@@ -147,14 +147,14 @@ func checkMetricsAgainstDense(t *testing.T, label string, sel *Selector) {
 			m := metrics{loss: math.Inf(1), adj: latDead} // the self-link sentinels
 			if src != dst {
 				le := sel.link(src, dst)
-				m = metrics{loss: le.LossRate(), lat: le.LatencyEstimate(sel.fallbackLat), dead: le.Dead()}
+				m = metrics{loss: le.LossRate(sel.window), lat: le.LatencyEstimate(sel.fallbackLat), dead: le.Dead(DefaultDeadThreshold)}
 				m.adj = m.lat
 				if m.dead {
 					m.adj = latDead
 				}
-				loss, lat, key, dead := sel.cached(src, dst)
-				if loss != m.loss || lat != m.lat || key != packLat(m.adj, 0) || dead != m.dead {
-					t.Fatalf("%s: cached metrics of %d→%d are %v %v %#x %v, the estimate says %+v", label, src, dst, loss, lat, key, dead, m)
+				loss, lat, key := sel.cached(src, dst)
+				if loss != m.loss || lat != m.lat || key != packLat(m.adj, 0) || keyDead(key) != m.dead {
+					t.Fatalf("%s: cached metrics of %d→%d are %v %v %#x, the estimate says %+v", label, src, dst, loss, lat, key, m)
 				}
 			}
 			if sel.layout == nil && sel.mLatKey[src*n+dst] != packLat(m.adj, dst) {
@@ -510,10 +510,14 @@ func FuzzPlanLatScanMatchesReference(f *testing.F) {
 }
 
 // touchLink returns src→dst's estimate for mutation, carving the slab
-// and marking the link touched as Record does.
+// and doing Record's bookkeeping: an empty record joins the used list,
+// and the metrics cache goes stale.
 func touchLink(s *Selector, src, dst int) *LinkEstimate {
 	slot := s.writeSlot(src, dst)
-	s.touch(slot)
+	if s.est[slot].empty() {
+		s.usedList = append(s.usedList, int32(slot))
+	}
+	s.metricsValid = false
 	return &s.est[slot]
 }
 
@@ -523,11 +527,14 @@ func touchLink(s *Selector, src, dst int) *LinkEstimate {
 // outcomes reach only through long EWMA sequences.
 func pinLink(s *Selector, src, dst int, loss float64, lat time.Duration, dead bool) {
 	le := touchLink(s, src, dst)
-	le.Loss.Reset()
+	*le = LinkEstimate{}
 	for i := 0; i < 8; i++ {
-		le.Loss.Record(float64(i) < loss*8)
+		le.Record(float64(i) < loss*8, 0, s.window, nil)
 	}
-	le.latency, le.latValid = float64(lat), lat > 0
+	le.latency, le.flags = float64(lat), le.flags&^latValid
+	if lat > 0 {
+		le.flags |= latValid
+	}
 	le.consecutiveLosses = 0
 	if dead {
 		le.consecutiveLosses = math.MaxUint16

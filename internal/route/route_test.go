@@ -71,8 +71,8 @@ func TestMethodSetsMatchPaper(t *testing.T) {
 }
 
 func TestLossWindowBasics(t *testing.T) {
-	w := newLossWindow(4)
-	if w.Rate() != 0 || int(w.filled) != 0 {
+	w := newOneLink(4)
+	if w.Rate() != 0 || w.filled() != 0 {
 		t.Error("empty window should report 0")
 	}
 	w.Record(true)
@@ -90,11 +90,11 @@ func TestLossWindowBasics(t *testing.T) {
 	if w.Rate() != 0 {
 		t.Errorf("rate after eviction = %v, want 0", w.Rate())
 	}
-	if int(w.filled) != 4 {
-		t.Errorf("samples = %d, want 4", int(w.filled))
+	if w.filled() != 4 {
+		t.Errorf("samples = %d, want 4", w.filled())
 	}
 	w.Reset()
-	if w.Rate() != 0 || int(w.filled) != 0 {
+	if w.Rate() != 0 || w.filled() != 0 {
 		t.Error("reset did not clear window")
 	}
 }
@@ -102,7 +102,7 @@ func TestLossWindowBasics(t *testing.T) {
 func TestLossWindowMatchesNaive(t *testing.T) {
 	// Property: the ring buffer agrees with a naive sliding window.
 	f := func(seed uint64) bool {
-		w := newLossWindow(100)
+		w := newOneLink(100)
 		var hist []bool
 		s := seed
 		for i := 0; i < 500; i++ {
@@ -133,12 +133,12 @@ func TestLossWindowMatchesNaive(t *testing.T) {
 }
 
 func TestLossWindowDefaultSize(t *testing.T) {
-	w := newLossWindow(0)
+	w := newOneLink(0)
 	for i := 0; i < DefaultLossWindow*2; i++ {
 		w.Record(i < DefaultLossWindow) // first 100 lost, next 100 ok
 	}
-	if int(w.filled) != DefaultLossWindow {
-		t.Errorf("samples = %d, want %d", int(w.filled), DefaultLossWindow)
+	if w.filled() != DefaultLossWindow {
+		t.Errorf("samples = %d, want %d", w.filled(), DefaultLossWindow)
 	}
 	if w.Rate() != 0 {
 		t.Errorf("rate = %v, want 0 after window turned over", w.Rate())
@@ -165,29 +165,29 @@ func TestLatencyEWMA(t *testing.T) {
 }
 
 func TestLinkEstimateDeadDetection(t *testing.T) {
-	le := newLinkEstimate()
+	var le LinkEstimate
 	for i := 0; i < DefaultDeadThreshold-1; i++ {
-		le.Record(true, 0)
+		le.Record(true, 0, DefaultLossWindow, nil)
 	}
-	if le.Dead() {
+	if le.Dead(DefaultDeadThreshold) {
 		t.Error("dead before threshold")
 	}
-	le.Record(true, 0)
-	if !le.Dead() {
+	le.Record(true, 0, DefaultLossWindow, nil)
+	if !le.Dead(DefaultDeadThreshold) {
 		t.Error("not dead at threshold")
 	}
-	le.Record(false, 10*time.Millisecond)
-	if le.Dead() {
+	le.Record(false, 10*time.Millisecond, DefaultLossWindow, nil)
+	if le.Dead(DefaultDeadThreshold) {
 		t.Error("a delivered probe must revive the link")
 	}
 }
 
 func TestLinkEstimateFallbackLatency(t *testing.T) {
-	le := newLinkEstimate()
+	var le LinkEstimate
 	if got := le.LatencyEstimate(time.Second); got != time.Second {
 		t.Errorf("fallback = %v, want 1s", got)
 	}
-	le.Record(false, 20*time.Millisecond)
+	le.Record(false, 20*time.Millisecond, DefaultLossWindow, nil)
 	if got := le.LatencyEstimate(time.Second); got != 20*time.Millisecond {
 		t.Errorf("estimate = %v, want 20ms", got)
 	}
@@ -359,7 +359,7 @@ func TestLatencyOutsideBoundRefused(t *testing.T) {
 		refused(fmt.Sprintf("probe latency %v", d), func() { sel.Record(0, 1, false, d) })
 		refused(fmt.Sprintf("fallback latency %v", d), func() { sel.setFallbackLatency(d) })
 	}
-	if sel.link(0, 1).LossRate() != 0 || sel.link(0, 1).LatencyEstimate(0) != 0 {
+	if sel.link(0, 1).LossRate(sel.window) != 0 || sel.link(0, 1).LatencyEstimate(0) != 0 {
 		t.Fatal("a refused probe changed the link's estimate")
 	}
 	sel.Record(0, 1, true, latDead) // a lost probe carries no latency

@@ -34,12 +34,14 @@ func (c Choice) String() string {
 // loss- or latency-optimized one-intermediate paths, RON-style (§3.1).
 // The simulation campaign feeds it probe outcomes.
 //
-// Storage is flat: link state lives in a single []LinkEstimate (one
-// backing ring buffer shared by every loss window) holding one entry
-// per link that can be probed — all n² under full mesh, the plan's
-// O(n·√n) under a LandmarkPlan — and the routing tables are one retained
-// pair of flat []viaIdx arrays, stored destination-major (dst*n+src),
-// that Refresh updates in place. The
+// Storage is flat: link state lives in a single []LinkEstimate, one
+// 32-byte record per link that can be probed — all n² under full mesh,
+// the plan's O(n·√n) under a LandmarkPlan — so a routing probe touches
+// one half cache line of it; the routing tables are one retained pair
+// of flat []viaIdx arrays, stored destination-major (dst*n+src), that
+// Refresh updates in place. The selector owns what the records share:
+// the window size, the dead threshold (DefaultDeadThreshold), and the
+// ring words of windows past a record's 128 inline outcomes. The
 // campaign's table refresh is the selector's hot path — an O(n³) scan
 // per refresh — so Refresh first caches every link's loss rate, latency
 // estimate, and dead flag once (O(links) divisions instead of O(n³))
@@ -52,22 +54,24 @@ type Selector struct {
 	n int
 	// est holds one estimate per link slot (see slot): src*n+dst under
 	// full mesh, the plan's compact numbering when carved for a
-	// LandmarkPlan (layout, nil = full mesh). rings is the one backing
-	// bitset behind every loss window, carveWindow bits in whole words per
-	// link. Both
-	// — with the metrics cache, usedMark and usedList —
-	// are carved at the first write after a Reset and re-carved only
-	// when the plan or window then in force needs a different shape;
-	// storage is kept at its high-water mark. Between a Reset and that
-	// first write every link is virgin and reads resolve to the virgin
-	// estimate, as do reads of links the layout does not hold: loss 0,
-	// fallback latency, not dead.
-	est         []LinkEstimate
-	rings       []uint64
-	layout      *LandmarkPlan
-	carveWindow int
-	virgin      LinkEstimate
-	// window is the per-link ring length the next carve uses.
+	// LandmarkPlan (layout, nil = full mesh). spill holds the ring words
+	// past each record's inline outcomes, spillWords per slot (none at
+	// windows up to 128). Both — with the metrics cache and usedList — are
+	// carved at the first write after a Reset and re-carved only when the
+	// plan or window then in force needs a different shape; storage is
+	// kept at its high-water mark, and every record and spill word no
+	// used link holds is zero. Between a Reset and that first write every
+	// link is virgin and reads resolve to the virgin estimate, as do reads
+	// of links the layout does not hold: loss 0, fallback latency, not
+	// dead.
+	est        []LinkEstimate
+	spill      []uint64
+	spillWords int
+	layout     *LandmarkPlan
+	virgin     LinkEstimate
+	// window is every link's ring length, set by Reset: between a Reset
+	// and the carve that follows it every record is empty, so a record
+	// reads the same under any window.
 	window int
 	// fallbackLat is the latency charged to links with no samples yet,
 	// so that unmeasured paths are not spuriously attractive.
@@ -92,11 +96,11 @@ type Selector struct {
 	// cached).
 	mLoss []float64
 	mLat  []time.Duration
-	mDead []bool
 	// mLatKey mirrors mLat as latency-scan keys (see latKey), dead links
-	// pinned to latDead, letting the latency scan drop its per-via
-	// dead-flag branches: a path over a dead link sums to ≥ latDead and
-	// can never undercut a live one. Under the full-mesh layout the key
+	// pinned to latDead — a link is dead exactly when its key is (see
+	// keyDead) — letting the latency scan drop its per-via dead-flag
+	// branches: a path over a dead link sums to ≥ latDead and can never
+	// undercut a live one. Under the full-mesh layout the key
 	// of src→dst carries position dst, so a metrics row is a scan row in
 	// place; under a plan's it carries position 0.
 	mLatKey []latKey
@@ -130,8 +134,9 @@ type Selector struct {
 	lmRowLat  []time.Duration
 	lmRowKey  []latKey
 
-	usedMark []bool  // per slot, since Reset — the O(touched) Reset work list
-	usedList []int32 // slots
+	// usedList holds the slots recorded since Reset — the O(touched)
+	// Reset work list. Record adds a slot when it finds the record empty.
+	usedList []int32
 	// tables is the one copy of the routing tables, all-direct from
 	// Reset on: rescanDst is its only writer between Resets and counts
 	// the entries that moved into changed.
@@ -186,6 +191,11 @@ const (
 // packLat is the latKey of latency lat at candidate position pos.
 func packLat(lat time.Duration, pos int) latKey { return latKey(lat)<<posBits | latKey(pos) }
 
+// keyDead reports whether a latency key is a dead link's (or a self-link
+// sentinel's), whatever position it carries: every live latency is
+// below maxLatency.
+func keyDead(k latKey) bool { return k >= latKey(latDead)<<posBits }
+
 // badLatency describes a latency outside [0, maxLatency) for a panic.
 func badLatency(what string, d time.Duration) string {
 	return fmt.Sprintf("route: %s %v is outside [0, %v): the latency scans' dead-link sentinel needs two live legs to sum below it", what, d, maxLatency)
@@ -215,12 +225,12 @@ func NewSelectorWindow(n, window int) *Selector {
 // Reset returns the selector to the state NewSelectorWindow(s.N(),
 // window) would construct — empty estimates, default fallback latency,
 // hysteresis disabled, no plan, all-direct routing tables — reusing the
-// link slab, ring storage, and snapshot scratch, so a campaign driver can
+// link slab, spill words, and snapshot scratch, so a campaign driver can
 // run successive cells through one selector without allocating. Link
-// turnover is O(touched): only links marked used since the last Reset
-// hold any state, every other estimate and ring word being exactly as
-// carve left it. A changed window (or plan) takes effect at the next
-// carve; a window past MaxLossWindow panics.
+// turnover is O(touched): only links on the used list hold any state,
+// every other record and spill word being zero. A changed window (or
+// plan) takes effect at the next carve; a window past MaxLossWindow
+// panics.
 func (s *Selector) Reset(window int) {
 	if err := ValidateLossWindow(window); err != nil {
 		panic(err)
@@ -236,11 +246,12 @@ func (s *Selector) Reset(window int) {
 	s.recorded = false
 	s.meshLive = false
 	s.window = window
+	sw := s.spillWords
 	for _, slot := range s.usedList {
-		s.usedMark[slot] = false
-		le := &s.est[slot]
-		le.Loss.Reset()
-		*le = LinkEstimate{Loss: le.Loss}
+		s.est[slot] = LinkEstimate{}
+		if sw > 0 {
+			clear(s.spill[int(slot)*sw:][:sw])
+		}
 	}
 	s.usedList = s.usedList[:0]
 	// Hysteresis state buffers survive for reuse; SetHysteresis makes
@@ -260,39 +271,33 @@ func sized[T any](buf []T, n int) []T {
 }
 
 // carve lays the link slab out for the plan and window now in force:
-// one estimate, ring segment, metrics entry and used mark per link
+// one estimate, spillWords spill words and one metrics entry per link
 // slot. It runs at the first write after a Reset — so NewSelectorWindow
 // followed by SetPlan never materialises the n² layout — and is a no-op
-// when the slab already has that shape. Every estimate is in its reset
-// state and every ring zero on entry (Reset's invariant), so carving
-// only re-points estimates at their ring segments.
+// when the slab already has that shape. Every record and spill word is
+// zero on entry (Reset's invariant) in any shape, so carving only sizes
+// the slabs.
 func (s *Selector) carve() {
 	links := s.n * s.n
 	if s.plan != nil {
 		links = s.plan.PlannedLinks()
 	}
 	s.layout = s.plan
+	s.spillWords = spillWords(s.window)
 	// Plans derive from n alone and never probe all n² pairs, so the
 	// link count identifies the slab's current layout.
-	if links == len(s.est) && s.window == s.carveWindow {
+	if links == len(s.est) && links*s.spillWords == len(s.spill) {
 		return
 	}
-	s.carveWindow = s.window
 	s.est = sized(s.est, links)
-	words := ringWords(s.window)
-	s.rings = sized(s.rings, links*words)
-	s.usedMark = sized(s.usedMark, links)
+	s.spill = sized(s.spill, links*s.spillWords)
 	// The metrics cache keeps whatever an earlier layout left in it:
 	// refreshMetrics rewrites every entry before the first read.
 	s.mLoss = sized(s.mLoss, links)
 	s.mLat = sized(s.mLat, links)
-	s.mDead = sized(s.mDead, links)
 	s.mLatKey = sized(s.mLatKey, links)
 	if cap(s.usedList) < links {
 		s.usedList = make([]int32, 0, links)
-	}
-	for i := range s.est {
-		s.est[i].Loss = LossWindow{ring: s.rings[i*words : (i+1)*words], size: uint16(s.window)}
 	}
 }
 
@@ -351,22 +356,18 @@ func (s *Selector) carvedSlot(src, dst int) int {
 // N returns the mesh size.
 func (s *Selector) N() int { return s.n }
 
-// Record folds one probe outcome for the directed link src→dst.
+// Record folds one probe outcome for the directed link src→dst. A
+// record found empty joins the used list Reset walks; either way the
+// metrics cache goes stale.
 func (s *Selector) Record(src, dst int, lost bool, lat time.Duration) {
 	slot := s.writeSlot(src, dst)
-	s.est[slot].Record(lost, lat)
-	s.touch(slot)
-}
-
-// touch marks a link's estimate changed: the metrics cache goes stale,
-// and the link joins the used list (deduplicated by its mark) that Reset
-// walks.
-func (s *Selector) touch(slot int) {
-	s.metricsValid = false
-	if !s.usedMark[slot] {
-		s.usedMark[slot] = true
+	le := &s.est[slot]
+	first := le.empty()
+	le.Record(lost, lat, s.window, s.spill[slot*s.spillWords:])
+	if first {
 		s.usedList = append(s.usedList, int32(slot))
 	}
+	s.metricsValid = false
 }
 
 // SetPlan restricts via candidates to the plan's landmark set (nil
@@ -426,7 +427,7 @@ func (s *Selector) BestLoss(src, dst int) Choice {
 	direct := s.link(src, dst)
 	directChoice := Choice{
 		Via:     -1,
-		Loss:    direct.LossRate(),
+		Loss:    direct.LossRate(s.window),
 		Latency: direct.LatencyEstimate(s.fallbackLat),
 	}
 	best := directChoice
@@ -436,7 +437,7 @@ func (s *Selector) BestLoss(src, dst int) Choice {
 			continue
 		}
 		l1, l2 := s.link(src, via), s.link(via, dst)
-		loss := pathLoss(l1.LossRate(), l2.LossRate())
+		loss := pathLoss(l1.LossRate(s.window), l2.LossRate(s.window))
 		lat := l1.LatencyEstimate(s.fallbackLat) + l2.LatencyEstimate(s.fallbackLat)
 		if loss < best.Loss-lossEps ||
 			(loss < best.Loss+lossEps && !best.IsDirect() && lat < best.Latency) {
@@ -466,33 +467,6 @@ func (s *Selector) viaAt(i int) int {
 	return i
 }
 
-// BestLat returns the latency-optimized path from src to dst, skipping
-// completely failed links ("minimizes latency and avoids completely
-// failed links", §4). If every candidate path crosses a dead link, the
-// direct path is returned as a last resort.
-func (s *Selector) BestLat(src, dst int) Choice {
-	direct := s.link(src, dst)
-	best := Choice{Via: -1, Loss: direct.LossRate(), Latency: direct.LatencyEstimate(s.fallbackLat)}
-	bestAlive := !direct.Dead()
-	for vi, stop := s.viaRange(); vi < stop; vi++ {
-		via := s.viaAt(vi)
-		if via == src || via == dst {
-			continue
-		}
-		l1, l2 := s.link(src, via), s.link(via, dst)
-		if l1.Dead() || l2.Dead() {
-			continue
-		}
-		lat := l1.LatencyEstimate(s.fallbackLat) + l2.LatencyEstimate(s.fallbackLat)
-		loss := pathLoss(l1.LossRate(), l2.LossRate())
-		if !bestAlive || lat < best.Latency {
-			best = Choice{Via: via, Loss: loss, Latency: lat}
-			bestAlive = true
-		}
-	}
-	return best
-}
-
 // viaIdx is the element of every n² via table — Tables' two and the
 // selector's hysteresis pair: an intermediate's node index, or -1 for
 // the direct path. Two bytes, because they are the selector's only
@@ -503,10 +477,11 @@ type viaIdx int16
 // fails to compile, if the cap is raised past the element type.
 const _ = uint(math.MaxInt16 - (MaxMeshNodes - 1))
 
-// Likewise a LinkEstimate must fit a 64-byte cache line, and
-// MaxLossWindow the window's 16-bit cursor.
+// Likewise a LinkEstimate must be exactly 32 bytes, half a cache line,
+// and MaxLossWindow must fit the record's 16-bit cursor.
 const (
-	_ = uint(64 - unsafe.Sizeof(LinkEstimate{}))
+	_ = uint(32 - unsafe.Sizeof(LinkEstimate{}))
+	_ = uint(unsafe.Sizeof(LinkEstimate{}) - 32)
 	_ = uint(math.MaxUint16 - MaxLossWindow)
 )
 
@@ -575,9 +550,9 @@ func (s *Selector) Tables() *Tables { return &s.tables }
 // or Reset selector's tables are all-direct, as a freshly booted RON's
 // would be. Campaigns call this periodically (the paper's probing updates
 // selections continuously; a 15 s refresh matches the probe interval's
-// information rate). When hysteresis is enabled the damped
-// (BestLossStable/BestLatStable) selections are used; without it the
-// plain ones.
+// information rate). When hysteresis is enabled each pair keeps its held
+// path unless the fresh one beats it by the margin or it crosses a dead
+// link (see SetHysteresis); without it the plain selections.
 //
 // A refresh with no Record since the last one (and no SetPlan,
 // setFallbackLatency or SetHysteresis) finds the metrics cache valid and
@@ -651,11 +626,11 @@ func (s *Selector) rescan() {
 
 // rescanDst re-derives the pairs src→dst for every source but dst
 // itself, whose diagonal entry stays at the -1 Reset gave it. It is BestLoss
-// and BestLat (or their Stable forms under hysteresis) of each pair
-// over the metrics cache, bit for bit: dst's candidate column and direct
-// column are gathered once, and each source's row is read in place.
-// It is the tables' only writer between Resets and counts the entries
-// it moves.
+// and BestLat of each pair over the metrics cache, bit for bit, damped
+// under hysteresis: dst's candidate column and direct column are
+// gathered once, and each source's row is read in place; a held path is
+// scored from the same arrays (see heldPath). It is the tables' only
+// writer between Resets and counts the entries it moves.
 func (s *Selector) rescanDst(v *viaRows, dst int) {
 	n, k := s.n, v.k
 	dpos := s.gatherCol(dst)
@@ -691,8 +666,24 @@ func (s *Selector) rescanDst(v *viaRows, dst int) {
 			if latPos < 0 {
 				lat = directLat
 			}
-			lossVia = s.holdLoss(src, dst, lossVia, loss)
-			latVia = s.holdLat(src, dst, latVia, lat)
+			// A held path equal to the fresh one is selected either way.
+			at := dst*n + src
+			if cur := int(s.prevLoss[at]); cur != lossVia {
+				hl, _, dead := s.heldPath(v, src, dst, cur, directLoss, directLat, dirKey[src])
+				if !dead && !betterBy(loss, hl, s.hysteresis) {
+					lossVia = cur
+				} else {
+					s.prevLoss[at] = viaIdx(lossVia)
+				}
+			}
+			if cur := int(s.prevLat[at]); cur != latVia {
+				_, hl, dead := s.heldPath(v, src, dst, cur, directLoss, directLat, dirKey[src])
+				if !dead && !betterBy(float64(lat), float64(hl), s.hysteresis) {
+					latVia = cur
+				} else {
+					s.prevLat[at] = viaIdx(latVia)
+				}
+			}
 		}
 		if w := viaIdx(lossVia); lossT[src] != w {
 			lossT[src] = w
@@ -709,16 +700,38 @@ func (s *Selector) rescanDst(v *viaRows, dst int) {
 	}
 }
 
-// cached returns src→dst's entry of the metrics cache: loss rate,
-// latency, latency key at position 0 (a dead link's pinned to latDead),
-// and the dead flag. A link the layout holds no slot for was never
-// probed and reads as the virgin estimate does: loss 0, the fallback
-// latency, alive.
-func (s *Selector) cached(src, dst int) (loss float64, lat time.Duration, key latKey, dead bool) {
-	if slot := s.slot(src, dst); slot >= 0 {
-		return s.mLoss[slot], s.mLat[slot], s.mLatKey[slot] &^ posMask, s.mDead[slot]
+// heldPath scores a held path of src→dst — via, or the direct path when
+// via < 0 — from what rescanDst holds for destination dst: the direct
+// path's loss, latency and key, src's row entry at via's candidate
+// position and the gathered column's. It returns the path's loss,
+// latency, and whether it crosses a dead link. A via that is no longer a
+// candidate (held across a SetPlan) is read from the metrics cache.
+func (s *Selector) heldPath(v *viaRows, src, dst, via int, directLoss float64, directLat time.Duration, directKey latKey) (float64, time.Duration, bool) {
+	if via < 0 {
+		return directLoss, directLat, keyDead(directKey)
 	}
-	return 0, s.fallbackLat, packLat(s.fallbackLat, 0), false
+	pos := via
+	if v.nodes != nil {
+		if pos = int(s.plan.lmIndex[via]); pos < 0 {
+			l1, t1, k1 := s.cached(src, via)
+			l2, t2, k2 := s.cached(via, dst)
+			return pathLoss(l1, l2), t1 + t2, keyDead(k1) || keyDead(k2)
+		}
+	}
+	at := src*v.k + pos
+	return pathLoss(v.loss[at], s.colLoss[pos]), v.lat[at] + s.colLat[pos], keyDead(v.key[at]) || keyDead(s.colKey[pos])
+}
+
+// cached returns src→dst's entry of the metrics cache: loss rate,
+// latency, and latency key at position 0 (a dead link's pinned to
+// latDead). A link the layout holds no slot for was never probed and
+// reads as the virgin estimate does: loss 0, the fallback latency,
+// alive.
+func (s *Selector) cached(src, dst int) (loss float64, lat time.Duration, key latKey) {
+	if slot := s.slot(src, dst); slot >= 0 {
+		return s.mLoss[slot], s.mLat[slot], s.mLatKey[slot] &^ posMask
+	}
+	return 0, s.fallbackLat, packLat(s.fallbackLat, 0)
 }
 
 // gatherCol copies destination dst's metrics column over the via
@@ -754,7 +767,7 @@ func (s *Selector) gatherDirect(dst, dpos int) {
 	p := s.plan
 	if dpos >= 0 || s.layout == nil {
 		for src := 0; src < s.n; src++ {
-			s.dirLoss[src], s.dirLat[src], s.dirKey[src], _ = s.cached(src, dst)
+			s.dirLoss[src], s.dirLat[src], s.dirKey[src] = s.cached(src, dst)
 		}
 		return
 	}
@@ -763,7 +776,7 @@ func (s *Selector) gatherDirect(dst, dpos int) {
 	}
 	next, prev := p.ring(dst)
 	for _, src := range [2]int{next, prev} {
-		s.dirLoss[src], s.dirLat[src], s.dirKey[src], _ = s.cached(src, dst)
+		s.dirLoss[src], s.dirLat[src], s.dirKey[src] = s.cached(src, dst)
 	}
 }
 
@@ -813,8 +826,7 @@ func (s *Selector) cachedVia(src, dst int) (loss float64, lat time.Duration, key
 	if src == dst {
 		return math.Inf(1), 0, packLat(latDead, 0)
 	}
-	loss, lat, key, _ = s.cached(src, dst)
-	return loss, lat, key
+	return s.cached(src, dst)
 }
 
 // minSumVia is the latency scans' kernel over packed keys (see latKey):
@@ -866,7 +878,7 @@ func (s *Selector) refreshMetrics() {
 		// A full-mesh slab has a slot per self-link; pin the sentinels
 		// the via scans rely on (see latDead).
 		d := src*n + src
-		s.mLoss[d], s.mLat[d], s.mDead[d], s.mLatKey[d] = math.Inf(1), 0, false, packLat(latDead, src)
+		s.mLoss[d], s.mLat[d], s.mLatKey[d] = math.Inf(1), 0, packLat(latDead, src)
 	}
 }
 
@@ -875,12 +887,11 @@ func (s *Selector) refreshMetrics() {
 func (s *Selector) cacheLink(slot, pos int) {
 	le := &s.est[slot]
 	lat := le.LatencyEstimate(s.fallbackLat)
-	dead := le.Dead()
 	adj := lat
-	if dead {
+	if le.Dead(DefaultDeadThreshold) {
 		adj = latDead
 	}
-	s.mLoss[slot], s.mLat[slot], s.mDead[slot], s.mLatKey[slot] = le.LossRate(), lat, dead, packLat(adj, pos)
+	s.mLoss[slot], s.mLat[slot], s.mLatKey[slot] = le.LossRate(s.window), lat, packLat(adj, pos)
 }
 
 // bestLossVia is BestLoss's scan over one source row of the metrics
@@ -918,44 +929,6 @@ func bestLossVia(rowLoss, colLoss []float64, rowLat, colLat []time.Duration, dir
 	return bestVia, bestLoss
 }
 
-// heldCached scores the held path — via, or the direct path when via < 0
-// — from the metrics cache and reports whether it crosses a dead link:
-// the cached twin of evaluate and pathDead.
-func (s *Selector) heldCached(src, dst, via int) (held Choice, dead bool) {
-	if via < 0 {
-		loss, lat, _, dead := s.cached(src, dst)
-		return Choice{Via: -1, Loss: loss, Latency: lat}, dead
-	}
-	l1, t1, _, d1 := s.cached(src, via)
-	l2, t2, _, d2 := s.cached(via, dst)
-	return Choice{Via: via, Loss: pathLoss(l1, l2), Latency: t1 + t2}, d1 || d2
-}
-
-// holdLoss applies loss-metric hysteresis to a freshly computed best
-// path, via with loss rate loss: it returns the path to select,
-// updating the held one when it switches.
-func (s *Selector) holdLoss(src, dst, via int, loss float64) int {
-	cur := int(s.prevLoss[dst*s.n+src])
-	held, dead := s.heldCached(src, dst, cur)
-	if !dead && !betterBy(loss, held.Loss, s.hysteresis) {
-		return cur
-	}
-	s.prevLoss[dst*s.n+src] = viaIdx(via)
-	return via
-}
-
-// holdLat applies latency-metric hysteresis to a freshly computed best
-// path, via with latency lat.
-func (s *Selector) holdLat(src, dst, via int, lat time.Duration) int {
-	cur := int(s.prevLat[dst*s.n+src])
-	held, dead := s.heldCached(src, dst, cur)
-	if !dead && !betterBy(float64(lat), float64(held.Latency), s.hysteresis) {
-		return cur
-	}
-	s.prevLat[dst*s.n+src] = viaIdx(via)
-	return via
-}
-
 // setFallbackLatency overrides the unmeasured-link latency penalty,
 // which Reset restores to 500 ms; tests vary it. The cached metrics
 // embed the old value, so the next Refresh rescans. A fallback outside
@@ -969,8 +942,10 @@ func (s *Selector) setFallbackLatency(d time.Duration) {
 }
 
 // SetHysteresis enables damped selection: a new path must improve on the
-// currently held path's metric by margin (e.g. 0.25 = 25% better) before
-// BestLossStable/BestLatStable switch away from it. Zero disables.
+// currently held path's metric by margin (e.g. 0.25 = 25% better) —
+// absolute when the held path's is ~0 — before Refresh switches a pair
+// away from it, unless the held path crosses a dead link. State is kept
+// per ordered pair. Zero disables.
 func (s *Selector) SetHysteresis(margin float64) {
 	if margin < 0 {
 		margin = 0
@@ -994,64 +969,6 @@ func (s *Selector) SetHysteresis(margin float64) {
 		}
 		s.prevStale = false
 	}
-}
-
-// evaluate scores one candidate path.
-func (s *Selector) evaluate(src, dst, via int) Choice {
-	if via < 0 {
-		le := s.link(src, dst)
-		return Choice{Via: -1, Loss: le.LossRate(),
-			Latency: le.LatencyEstimate(s.fallbackLat)}
-	}
-	l1, l2 := s.link(src, via), s.link(via, dst)
-	return Choice{
-		Via:  via,
-		Loss: pathLoss(l1.LossRate(), l2.LossRate()),
-		Latency: l1.LatencyEstimate(s.fallbackLat) +
-			l2.LatencyEstimate(s.fallbackLat),
-	}
-}
-
-// pathDead reports whether a candidate path crosses a dead link.
-func (s *Selector) pathDead(src, dst, via int) bool {
-	if via < 0 {
-		return s.link(src, dst).Dead()
-	}
-	return s.link(src, via).Dead() || s.link(via, dst).Dead()
-}
-
-// BestLossStable is BestLoss with hysteresis: the previously chosen path
-// is kept unless the fresh optimum beats its loss estimate by the
-// configured margin (absolute when the incumbent's loss is ~0), or the
-// incumbent crosses a dead link. Without hysteresis it equals BestLoss.
-func (s *Selector) BestLossStable(src, dst int) Choice {
-	best := s.BestLoss(src, dst)
-	if s.hysteresis <= 0 {
-		return best
-	}
-	cur := int(s.prevLoss[dst*s.n+src])
-	held := s.evaluate(src, dst, cur)
-	if !s.pathDead(src, dst, cur) && !betterBy(best.Loss, held.Loss, s.hysteresis) {
-		return held
-	}
-	s.prevLoss[dst*s.n+src] = viaIdx(best.Via)
-	return best
-}
-
-// BestLatStable is BestLat with hysteresis on the latency metric.
-func (s *Selector) BestLatStable(src, dst int) Choice {
-	best := s.BestLat(src, dst)
-	if s.hysteresis <= 0 {
-		return best
-	}
-	cur := int(s.prevLat[dst*s.n+src])
-	held := s.evaluate(src, dst, cur)
-	if !s.pathDead(src, dst, cur) &&
-		!betterBy(float64(best.Latency), float64(held.Latency), s.hysteresis) {
-		return held
-	}
-	s.prevLat[dst*s.n+src] = viaIdx(best.Via)
-	return best
 }
 
 // betterBy reports whether challenger improves on incumbent by the
@@ -1088,7 +1005,7 @@ func (s *Selector) KBestDisjointAppend(buf []Choice, src, dst, k int) []Choice {
 	direct := s.link(src, dst)
 	buf = append(buf, Choice{
 		Via:     -1,
-		Loss:    direct.LossRate(),
+		Loss:    direct.LossRate(s.window),
 		Latency: direct.LatencyEstimate(s.fallbackLat),
 	})
 	for vi, stop := s.viaRange(); vi < stop; vi++ {
@@ -1099,7 +1016,7 @@ func (s *Selector) KBestDisjointAppend(buf []Choice, src, dst, k int) []Choice {
 		l1, l2 := s.link(src, via), s.link(via, dst)
 		c := Choice{
 			Via:  via,
-			Loss: pathLoss(l1.LossRate(), l2.LossRate()),
+			Loss: pathLoss(l1.LossRate(s.window), l2.LossRate(s.window)),
 			Latency: l1.LatencyEstimate(s.fallbackLat) +
 				l2.LatencyEstimate(s.fallbackLat),
 		}

@@ -154,8 +154,8 @@ func synHost(rng *synRNG, kind Kind, idx, n int) Host {
 			break
 		}
 	}
-	lon := metro.lon + (rng.float64()-0.5)*0.8
-	lat := metro.lat + (rng.float64()-0.5)*0.8
+	lon := metro.lon + float64((rng.float64()-0.5)*0.8)
+	lat := metro.lat + float64((rng.float64()-0.5)*0.8)
 	var access AccessClass
 	switch kind {
 	case KindUniversity:
@@ -212,7 +212,7 @@ func synPairStretch(seed uint64, i, j int) float64 {
 		i, j = j, i
 	}
 	u := detmath.Unit(detmath.Mix(seed ^ 0xB6D0_5E7C ^ uint64(i)<<32 ^ uint64(j)))
-	return synStretchMin + u*(synStretchMax-synStretchMin)
+	return synStretchMin + float64(u*(synStretchMax-synStretchMin))
 }
 
 // newSynthetic builds the testbed over generated hosts with per-pair

@@ -161,8 +161,8 @@ func greatCircleKM(lat1, lon1, lat2, lon2 float64) float64 {
 	φ1, φ2 := lat1*d, lat2*d
 	Δφ := (lat2 - lat1) * d
 	Δλ := (lon2 - lon1) * d
-	a := math.Sin(Δφ/2)*math.Sin(Δφ/2) +
-		math.Cos(φ1)*math.Cos(φ2)*math.Sin(Δλ/2)*math.Sin(Δλ/2)
+	a := float64(math.Sin(Δφ/2)*math.Sin(Δφ/2)) +
+		float64(math.Cos(φ1)*math.Cos(φ2)*math.Sin(Δλ/2)*math.Sin(Δλ/2))
 	return 2 * earthRadiusKM * math.Asin(math.Min(1, math.Sqrt(a)))
 }
 
