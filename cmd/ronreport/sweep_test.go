@@ -66,8 +66,14 @@ func writeSweep(dir string, opts ...experiment.Option) error {
 				traceErr = err
 				return
 			}
-			// Each sink writes only its own file, so no locking.
-			cfg.TraceSink = func(r trace.Record) { w.Append(r) }
+			// Each hook writes only its own file, so no locking.
+			var recs []trace.Record
+			cfg.OnProbe = func(p *analysis.Probe) {
+				recs = trace.AppendProbe(recs[:0], p)
+				for _, r := range recs {
+					w.Append(r)
+				}
+			}
 			closers = append(closers, w.Flush, f.Close)
 		}),
 	}, opts...)...)
@@ -484,9 +490,13 @@ func TestTraceDatasetMatchesCampaign(t *testing.T) {
 			e, err := experiment.New(experiment.Datasets(tc.dataset), experiment.Days(0.01),
 				experiment.Configure(func(_ core.Cell, cfg *core.Config) {
 					cfg.Seed = 2
-					cfg.TraceSink = func(r trace.Record) {
-						if werr == nil {
-							werr = tw.Append(r)
+					var recs []trace.Record
+					cfg.OnProbe = func(p *analysis.Probe) {
+						recs = trace.AppendProbe(recs[:0], p)
+						for _, r := range recs {
+							if werr == nil {
+								werr = tw.Append(r)
+							}
 						}
 					}
 				}))

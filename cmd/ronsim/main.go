@@ -195,7 +195,7 @@ func (f *cmdFlags) exec(stdout io.Writer) (err error) {
 		return fmt.Errorf("-replicas %d: want at least 1", f.replicas)
 	}
 	if f.serve != "" && f.traceTo != "" {
-		// Campaigns run on the workers, so per-cell trace sinks in this
+		// Campaigns run on the workers, so per-cell probe hooks in this
 		// process would never fire; refuse rather than silently write an
 		// empty trace directory.
 		return errors.New("-trace is incompatible with -serve: traces are written where cells run; use -trace on a local sweep")
@@ -241,10 +241,10 @@ func (f *cmdFlags) gridAxes() ([]core.Axis, error) {
 }
 
 // cellTrace is one cell's trace file. A sweep opens it on the cell's
-// first record, so skipped shard cells and snapshot-reused cells never
-// clobber trace files written by an earlier or remote run. Each sink
-// touches only its own cellTrace, so no locking is needed even though
-// sinks run on worker goroutines.
+// first probe, so skipped shard cells and snapshot-reused cells never
+// clobber trace files written by an earlier or remote run. Each cell's
+// probe hook touches only its own cellTrace, so no locking is needed
+// even though hooks run on worker goroutines.
 type cellTrace struct {
 	path string
 	file *os.File
@@ -367,12 +367,16 @@ func (f *cmdFlags) experiment(stdout io.Writer, opts ...experiment.Option) (*exp
 			ct = &cellTrace{path: filepath.Join(f.traceTo, c.Name()+".trc")}
 			traces[c.Index] = ct
 		}
-		cfg.TraceSink = func(r trace.Record) {
+		var recs []trace.Record // one probe's, reused
+		cfg.OnProbe = func(p *analysis.Probe) {
 			if ct.w == nil && ct.err == nil {
 				ct.open()
 			}
-			if ct.err == nil {
-				ct.err = ct.w.Append(r)
+			recs = trace.AppendProbe(recs[:0], p)
+			for _, r := range recs {
+				if ct.err == nil {
+					ct.err = ct.w.Append(r)
+				}
 			}
 		}
 	}))

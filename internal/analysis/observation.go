@@ -40,6 +40,22 @@ type Observation struct {
 	Lat [2]time.Duration
 }
 
+// Probe is one measurement probe as a campaign sent it: the Observation
+// its aggregator received, plus what the probe's §4.1 log records carry
+// beyond it. internal/trace turns it into those records.
+type Probe struct {
+	Observation
+	// ID is the probe's 64-bit §4.1 identifier, shared by its copies.
+	ID uint64
+	// Sent holds each copy's send time, nanoseconds since campaign
+	// start; Via its intermediate, -1 for the direct path; Tactic its
+	// routing tactic as a route.Tactic value. Only the first Copies
+	// entries are meaningful.
+	Sent   [2]int64
+	Via    [2]int
+	Tactic [2]uint8
+}
+
 // EffectiveLost reports whether the probe failed end-to-end: every copy
 // lost. This is the loss notion behind totlp in Table 5 and the windowed
 // rates of Figure 3 and Table 6.

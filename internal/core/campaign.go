@@ -8,7 +8,6 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/route"
 	"repro/internal/topo"
-	"repro/internal/trace"
 )
 
 // Result is the outcome of a campaign: the fed aggregator plus run
@@ -73,6 +72,9 @@ type campaign struct {
 	// sc is the scripted-failure slab (compiled actions, outage
 	// watches); dormant unless cfg.Scenario is enabled.
 	sc scenarioState
+
+	// probe is the measurement probe in flight, reused for every one.
+	probe analysis.Probe
 
 	res *Result
 }
@@ -250,7 +252,7 @@ func (c *campaign) randVia(src, dst int) int {
 
 // measure executes one §4.1 measurement probe from node s: pick the next
 // method in the node's rotation, a random destination, send the copies,
-// and record the observation.
+// hand the probe to Config.OnProbe when set, and record the observation.
 func (c *campaign) measure(t netsim.Time, s int) {
 	m := c.perNodeMethod[s]
 	if next := m + 1; next == len(c.methods) {
@@ -265,73 +267,42 @@ func (c *campaign) measure(t netsim.Time, s int) {
 		d++
 	}
 
-	obs := analysis.Observation{
+	p := &c.probe
+	*p = analysis.Probe{Observation: analysis.Observation{
 		Method: m,
 		Src:    s,
 		Dst:    d,
 		Time:   int64(t),
 		Copies: method.Copies(),
-	}
-	var probeID uint64
-	if c.cfg.TraceSink != nil {
-		// §4.1's 64-bit probe identifier, a coordinate hash of the
-		// probe's index rather than a draw, so tracing leaves the RNG
-		// stream (and every table) as it is. deriveSeed is a bijection
-		// of the index for a fixed seed: ids never collide in a campaign.
-		probeID = deriveSeed(c.cfg.Seed, uint64(c.res.MeasureProbes))
-	}
+	}}
 	sendAt := t
 	for i, tac := range method.Tactics {
 		if i == 1 && method.Gap > 0 {
 			sendAt = t + netsim.FromDuration(method.Gap)
 		}
 		r := c.resolve(tac, s, d)
-		// The nil-sink check lives at the call sites so the traceless
-		// hot path does not evaluate emitTrace's argument list.
-		if c.cfg.TraceSink != nil {
-			c.emitTrace(trace.KindSend, s, d, probeID, sendAt, m, tac, i, method.Copies(), r.Via)
-		}
+		p.Sent[i], p.Via[i], p.Tactic[i] = int64(sendAt), r.Via, uint8(tac)
 		o := c.nw.Send(sendAt, r)
 		if !o.Delivered {
-			obs.Lost[i] = true
+			p.Lost[i] = true
 			continue
 		}
 		lat := o.Latency.Duration()
 		if c.cfg.roundTrip() {
 			lat += c.reverseLatency(sendAt+o.Latency, d, s)
 		}
-		if c.cfg.TraceSink != nil {
-			// The receive is stamped when the measured latency has
-			// passed — the response's return for a round-trip campaign —
-			// so a replayed trace observes what the campaign did.
-			c.emitTrace(trace.KindRecv, d, s, probeID, sendAt+netsim.FromDuration(lat), m, tac, i, method.Copies(), r.Via)
-		}
-		obs.Lat[i] = lat
+		p.Lat[i] = lat
+	}
+	if c.cfg.OnProbe != nil {
+		// §4.1's 64-bit probe identifier, a coordinate hash of the
+		// probe's index rather than a draw, so watching leaves the RNG
+		// stream (and every table) as it is. deriveSeed is a bijection
+		// of the index for a fixed seed: ids never collide in a campaign.
+		p.ID = deriveSeed(c.cfg.Seed, uint64(c.res.MeasureProbes))
+		c.cfg.OnProbe(p)
 	}
 	c.res.MeasureProbes++
-	c.agg.Observe(obs)
-}
-
-// emitTrace forwards one §4.1 log record to the configured sink. Callers
-// check TraceSink for nil first.
-func (c *campaign) emitTrace(kind trace.Kind, node, peer int, id uint64,
-	at netsim.Time, method int, tac route.Tactic, copyIdx, copies, via int) {
-	v := trace.NoNode
-	if via >= 0 {
-		v = uint16(via)
-	}
-	c.cfg.TraceSink(trace.Record{
-		Kind:      kind,
-		Node:      uint16(node),
-		Peer:      uint16(peer),
-		ProbeID:   id,
-		Time:      int64(at),
-		Method:    uint8(method),
-		Tactic:    tac,
-		CopyIndex: uint8(copyIdx),
-		Copies:    uint8(copies),
-		Via:       v,
-	})
+	c.agg.Observe(p.Observation)
 }
 
 // reverseLatency measures the return leg for round-trip campaigns

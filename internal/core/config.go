@@ -31,10 +31,10 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/analysis"
 	"repro/internal/netsim"
 	"repro/internal/route"
 	"repro/internal/topo"
-	"repro/internal/trace"
 )
 
 // Dataset selects one of the paper's three measurement campaigns
@@ -127,13 +127,13 @@ type Config struct {
 	// 0.6 and 1.2 seconds", §4.1).
 	MeasureGapMin, MeasureGapMax time.Duration
 
-	// TraceSink, when non-nil, receives a §4.1-style log record for
-	// every measurement-probe packet sent and received, letting
-	// campaigns persist the same raw logs the testbed's central
-	// monitoring machine collected (feed them to internal/trace and
-	// cmd/ronreport). Records arrive in virtual-time order of the
-	// sends. Setting it changes no table, figure or snapshot byte.
-	TraceSink func(trace.Record)
+	// OnProbe, when non-nil, is called at the end of every §4.1
+	// measurement probe with the probe as sent (internal/trace writes it
+	// as the raw logs the testbed's central monitoring machine
+	// collected). Probes arrive in virtual-time order; the value is
+	// reused for the next one, so read it during the call only. Setting
+	// it changes no table, figure or snapshot byte.
+	OnProbe func(*analysis.Probe)
 
 	// Workload configures the application-traffic layer: FEC-protected
 	// periodic frame streams striped across link-disjoint overlay paths,

@@ -61,7 +61,7 @@ type SweepSpec struct {
 	// Configure, when non-nil, is applied to each cell's Config after
 	// the dataset defaults, axis values, and seed. It runs serially
 	// during expansion (NewSweep), so it may capture shared state
-	// without locking — e.g. to install per-cell trace sinks.
+	// without locking — e.g. to install per-cell probe hooks.
 	Configure func(Cell, *Config)
 	// Progress, when non-nil, receives each finished cell, with its full
 	// Result (see CellResult.Res for what a persisting sweep keeps

@@ -9,65 +9,70 @@ import (
 	"repro/internal/trace"
 )
 
+// traceDatasets are the campaigns the trace tests run: RONwide's
+// receive is stamped when the response is back, the others' on arrival.
+var traceDatasets = []Dataset{RONnarrow, RON2003, RONwide}
+
 // TestTracePipelineConsistency runs a campaign that both aggregates its
-// observations directly and emits §4.1 trace records, then pushes the
-// records through the full offline pipeline (merge → match → aggregate)
-// and checks the two paths produce identical Table 5 statistics. This is
-// the strongest check we have that the trace matcher implements exactly
-// the semantics the campaign assumes.
+// observations directly and hands each probe to a hook that writes its
+// §4.1 trace records, then pushes the records through the full offline
+// pipeline (merge → match → aggregate): the replayed aggregator's
+// encoded payload must equal the engine's byte for byte, for every
+// dataset. This is the paper's own method (§4.1: per-host logs, merged
+// and matched offline), and the strongest check that the trace matcher
+// implements exactly the semantics the campaign assumes.
 func TestTracePipelineConsistency(t *testing.T) {
-	var records []trace.Record
-	cfg := DefaultConfig(RONnarrow, 0.03)
-	cfg.Seed = 17
-	cfg.TraceSink = func(r trace.Record) { records = append(records, r) }
-	res, err := NewArena().Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(records) == 0 {
-		t.Fatal("trace sink received nothing")
-	}
+	for _, ds := range traceDatasets {
+		t.Run(ds.String(), func(t *testing.T) {
+			var records []trace.Record
+			cfg := DefaultConfig(ds, 0.03)
+			cfg.Seed = 17
+			cfg.OnProbe = func(p *analysis.Probe) { records = trace.AppendProbe(records, p) }
+			res, err := NewArena().Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(records) == 0 {
+				t.Fatal("the probe hook wrote no records")
+			}
 
-	obs := trace.Match(trace.Merge(records), res.Testbed.N())
-	if int64(len(obs)) != res.MeasureProbes {
-		t.Fatalf("matcher recovered %d probes, campaign sent %d",
-			len(obs), res.MeasureProbes)
-	}
+			obs := trace.Match(trace.Merge(records), res.Testbed.N())
+			if int64(len(obs)) != res.MeasureProbes {
+				t.Fatalf("matcher recovered %d probes, campaign sent %d",
+					len(obs), res.MeasureProbes)
+			}
+			offline := analysis.NewAggregator(res.Agg.Methods(), res.Testbed.N())
+			for _, o := range obs {
+				offline.Observe(o)
+			}
+			offline.Flush()
 
-	names := res.Agg.Methods()
-	offline := analysis.NewAggregator(names, res.Testbed.N())
-	for _, o := range obs {
-		offline.Observe(o)
-	}
-	offline.Flush()
-
-	for m := range names {
-		live := res.Agg.Totals(m)
-		re := offline.Totals(m)
-		if live != re {
-			t.Errorf("method %q: live %+v != offline %+v", names[m], live, re)
-		}
-	}
-	// The window machinery must agree too (same observation times).
-	for m := range names {
-		lw, rw := res.Agg.WindowRateCDF(m), offline.WindowRateCDF(m)
-		if lw.N() != rw.N() || lw.Mean() != rw.Mean() {
-			t.Errorf("method %q: window samples differ: %d/%.6f vs %d/%.6f",
-				names[m], lw.N(), lw.Mean(), rw.N(), rw.Mean())
-		}
+			live, err := res.Agg.AppendBinary(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			replayed, err := offline.AppendBinary(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(live, replayed) {
+				t.Fatalf("replayed payload (%d bytes) differs from the engine's (%d bytes)", len(replayed), len(live))
+			}
+		})
 	}
 }
 
-// TestTracingLeavesOutputUnchanged: a TraceSink observes a campaign and
-// changes nothing it computes — the report text and the aggregator's
-// snapshot bytes of a traced run equal the untraced run's at the same
+// TestTracingLeavesOutputUnchanged: a probe hook watches a campaign and
+// changes nothing it computes — for every watcher (none, the trace
+// writer, a counting hook) and every dataset, the report text and the
+// aggregator's snapshot bytes equal the unwatched run's at the same
 // seed — and the §4.1 probe ids it is handed are distinct.
 func TestTracingLeavesOutputUnchanged(t *testing.T) {
-	for _, ds := range []Dataset{RONnarrow, RON2003} {
-		run := func(sink func(trace.Record)) (string, []byte) {
+	for _, ds := range traceDatasets {
+		run := func(hook func(*analysis.Probe)) (string, []byte) {
 			cfg := DefaultConfig(ds, 0.005)
 			cfg.Seed = 29
-			cfg.TraceSink = sink
+			cfg.OnProbe = hook
 			res, err := NewArena().Run(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -78,27 +83,46 @@ func TestTracingLeavesOutputUnchanged(t *testing.T) {
 			}
 			return res.Report(), snap
 		}
-		ids := make(map[uint64][2]uint16)
-		var sends int
+		var file bytes.Buffer
+		tw, err := trace.NewWriter(&file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var recs []trace.Record
+		ids := make(map[uint64][2]int)
+		var probes int
+		watchers := []struct {
+			name string
+			hook func(*analysis.Probe)
+		}{
+			{"trace writer", func(p *analysis.Probe) {
+				recs = trace.AppendProbe(recs[:0], p)
+				for _, r := range recs {
+					if err := tw.Append(r); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}},
+			{"counting", func(p *analysis.Probe) {
+				probes++
+				if prev, dup := ids[p.ID]; dup {
+					t.Fatalf("%v: probe id %#x reused: %d→%d and %d→%d", ds, p.ID, prev[0], prev[1], p.Src, p.Dst)
+				}
+				ids[p.ID] = [2]int{p.Src, p.Dst}
+			}},
+		}
 		plainReport, plainSnap := run(nil)
-		tracedReport, tracedSnap := run(func(r trace.Record) {
-			if r.Kind != trace.KindSend || r.CopyIndex != 0 {
-				return
+		for _, w := range watchers {
+			report, snap := run(w.hook)
+			if report != plainReport {
+				t.Errorf("%v: the %s hook changed the report:\n--- unwatched\n%s\n--- watched\n%s", ds, w.name, plainReport, report)
 			}
-			sends++
-			if prev, dup := ids[r.ProbeID]; dup {
-				t.Fatalf("%v: probe id %#x reused: %d→%d and %d→%d", ds, r.ProbeID, prev[0], prev[1], r.Node, r.Peer)
+			if !bytes.Equal(snap, plainSnap) {
+				t.Errorf("%v: the %s hook changed the aggregator snapshot (%d vs %d bytes)", ds, w.name, len(snap), len(plainSnap))
 			}
-			ids[r.ProbeID] = [2]uint16{r.Node, r.Peer}
-		})
-		if sends == 0 {
-			t.Fatalf("%v: trace sink saw no sends", ds)
 		}
-		if tracedReport != plainReport {
-			t.Errorf("%v: tracing changed the report:\n--- untraced\n%s\n--- traced\n%s", ds, plainReport, tracedReport)
-		}
-		if !bytes.Equal(tracedSnap, plainSnap) {
-			t.Errorf("%v: tracing changed the aggregator snapshot (%d vs %d bytes)", ds, len(tracedSnap), len(plainSnap))
+		if tw.Count() == 0 || probes == 0 {
+			t.Fatalf("%v: a watcher saw nothing: %d records, %d probes", ds, tw.Count(), probes)
 		}
 	}
 }
@@ -107,7 +131,7 @@ func TestTracingLeavesOutputUnchanged(t *testing.T) {
 func TestTraceRecordsWellFormed(t *testing.T) {
 	var records []trace.Record
 	cfg := DefaultConfig(RON2003, 0.005)
-	cfg.TraceSink = func(r trace.Record) { records = append(records, r) }
+	cfg.OnProbe = func(p *analysis.Probe) { records = trace.AppendProbe(records, p) }
 	res, err := NewArena().Run(cfg)
 	if err != nil {
 		t.Fatal(err)

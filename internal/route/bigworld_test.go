@@ -239,10 +239,8 @@ func TestAllLandmarkPlanMatchesFullMesh(t *testing.T) {
 
 // A refresh script is FuzzRefreshMatchesReference's input: a header of
 // two bytes — n = 3 + b0 mod 38, then b1: bit 0 the landmark plan, bit 1
-// a hysteresis margin of 0.25, bits 2–3 the fallback latency (10–40 ms),
-// bit 4 (with bit 0) a late plan: set only at the second refresh, over a
-// slab carved full-mesh whose every link is recorded, so paths held from
-// the first may run via nodes the plan does not scan — and then steps. A byte ≥ refreshStep refreshes and checks; any other
+// a hysteresis margin of 0.25, bits 2–3 the fallback latency (10–40 ms)
+// — and then steps. A byte ≥ refreshStep refreshes and checks; any other
 // is a record op followed by its source and destination bytes (each mod
 // n): bit 0 lost, bits 1–2 the repeat count less one (four losses kill a
 // link), bits 3–4 the latency of a delivered probe, 10–40 ms like the
@@ -329,9 +327,6 @@ func FuzzRefreshMatchesReference(f *testing.F) {
 		f.Add(incrementalScript(cfg|2<<2, 0))
 		f.Add(incrementalScript(cfg|1<<1|2<<2, 0.25))
 	}
-	late := incrementalScript(1<<1|2<<2, 0.25)
-	late[1] |= 1 | 1<<4
-	f.Add(late)
 	f.Add(planBestLatScript(0))
 	f.Add(planBestLatScript(1 << 2))
 	f.Add([]byte{0, 0})
@@ -349,22 +344,13 @@ func FuzzRefreshMatchesReference(f *testing.F) {
 			hyst = 0.25
 		}
 		fallback := time.Duration(10*(1+int(cfg>>2&3))) * time.Millisecond
-		late := plan != nil && cfg&(1<<4) != 0
 		inc, full, twin := NewSelectorWindow(n, 0), NewSelectorWindow(n, 0), NewSelectorWindow(n, 0)
 		for _, sel := range []*Selector{inc, full, twin} {
-			if !late {
-				sel.SetPlan(plan)
-			}
+			sel.SetPlan(plan)
 			sel.SetHysteresis(hyst)
 			sel.setFallbackLatency(fallback)
 		}
-		refreshes := 0
 		check := func(step int) {
-			if refreshes++; late && refreshes == 2 {
-				for _, sel := range []*Selector{inc, full, twin} {
-					sel.SetPlan(plan)
-				}
-			}
 			full.setFallbackLatency(fallback) // the next Refresh rescans every pair
 			if got, want := inc.Refresh(), full.Refresh(); got != want {
 				t.Fatalf("step %d: Refresh moved %d entries, the full rescan %d", step, got, want)
@@ -414,7 +400,7 @@ func FuzzRefreshMatchesReference(f *testing.F) {
 			}
 			src, dst := int(script[i+1])%n, int(script[i+2])%n
 			i += 2
-			if src == dst || plan != nil && !late && !plan.Probes(src, dst) {
+			if src == dst || plan != nil && !plan.Probes(src, dst) {
 				continue
 			}
 			lost := op&1 != 0
@@ -451,14 +437,29 @@ func TestSnapshotSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestSetPlanValidation: SetPlan panics on a plan for another mesh
+// size, and after a Record until a Reset, since the link slab is laid
+// out for the plan in force at the first Record.
 func TestSetPlanValidation(t *testing.T) {
+	panics := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", what)
+			}
+		}()
+		f()
+	}
 	sel := NewSelectorWindow(8, 0)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("SetPlan with mismatched n did not panic")
-		}
-	}()
-	sel.SetPlan(NewLandmarkPlan(9))
+	panics("SetPlan with mismatched n", func() { sel.SetPlan(NewLandmarkPlan(9)) })
+	plan := NewLandmarkPlan(8)
+	sel.SetPlan(plan)
+	sel.SetPlan(nil) // before any Record a cell may still change its plan
+	sel.Record(0, 1, false, 10*time.Millisecond)
+	panics("SetPlan after Record", func() { sel.SetPlan(plan) })
+	panics("SetPlan(nil) after Record", func() { sel.SetPlan(nil) })
+	sel.Reset(0)
+	sel.SetPlan(plan)
 }
 
 // TestPlanRestrictsVias: under a plan, every selected via must be a

@@ -9,18 +9,20 @@ import (
 	"time"
 )
 
-// denseUnderPlan readies sel as the dense reference: its link slab is
-// carved full-mesh (one estimate per ordered pair, identity-indexed) by
-// a first write before the plan is set, so the plan only restricts via
-// candidates — the layout every selector had before link state became
-// plan-sized. The touch of 0→1 records nothing; it only costs the
-// reference a recompute.
-func denseUnderPlan(sel *Selector, plan *LandmarkPlan) {
-	touchLink(sel, 0, 1)
-	sel.SetPlan(plan)
-	if sel.layout != nil || len(sel.est) != sel.n*sel.n {
-		panic("reference selector is not full-mesh carved")
+// densePlan is the dense reference's plan: plan's landmarks, so the
+// same via candidates, but every row numbered as a landmark's (all n-1
+// other nodes in node order), so a selector under it holds an estimate
+// for every ordered pair. Fed only plan's links, it answers as plan's
+// compact carve must.
+func densePlan(plan *LandmarkPlan) *LandmarkPlan {
+	n := plan.n
+	p := &LandmarkPlan{n: n, landmarks: plan.landmarks, isLM: make([]bool, n),
+		lmIndex: plan.lmIndex, rowBase: make([]int32, n+1)}
+	for i := 0; i < n; i++ {
+		p.isLM[i] = true
+		p.rowBase[i+1] = int32((i + 1) * (n - 1))
 	}
+	return p
 }
 
 // compareSelectors holds every query the campaign makes to equality on
@@ -62,11 +64,12 @@ func compareSelectors(t *testing.T, label string, got, want *Selector) {
 }
 
 // TestPlanCarveMatchesDenseReference: a selector whose link state is
-// carved for the landmark plan answers exactly as one holding all n²
-// estimates with the same plan set, fed the same records — through
-// refreshes, hysteresis, a Reset that changes the window, and
-// plan→mesh→plan turnover on one selector (an arena's life). The
-// schedule is FuzzPlanCarveMatchesDenseReference's first seed.
+// carved for the landmark plan answers exactly as one holding an
+// estimate per ordered pair under the same landmarks (densePlan), fed
+// the same records — through refreshes, hysteresis, a Reset that
+// changes the window, and plan→mesh→plan turnover on one selector (an
+// arena's life). The schedule is FuzzPlanCarveMatchesDenseReference's
+// first seed.
 func TestPlanCarveMatchesDenseReference(t *testing.T) {
 	plan := NewLandmarkPlan(carveSizes[0])
 	unplanned := 0
@@ -140,6 +143,7 @@ func checkCarveCase(t *testing.T, in []byte) {
 	}
 	n := carveSizes[int(in[0])%len(carveSizes)]
 	plan := NewLandmarkPlan(n)
+	dense := densePlan(plan)
 	sub, ref := NewSelectorWindow(n, 0), NewSelectorWindow(n, 0)
 	var cellPlan *LandmarkPlan
 	steps := in[1:]
@@ -154,7 +158,7 @@ func checkCarveCase(t *testing.T, in []byte) {
 			if b&1 != 0 {
 				cellPlan = plan
 				sub.SetPlan(plan)
-				denseUnderPlan(ref, plan)
+				ref.SetPlan(dense)
 			}
 			if b&2 != 0 {
 				sub.SetHysteresis(0.25)

@@ -78,17 +78,8 @@ func TestRefreshCountMatchesDiff(t *testing.T) {
 				}
 				check(label(0) + " (virgin)")
 				for round := 1; round <= 14; round++ {
-					switch round {
-					case 4:
+					if round == 4 {
 						sel.setFallbackLatency(80 * time.Millisecond)
-					case 8:
-						// Over a mesh-carved slab this restricts the vias
-						// mid-cell; over the plan's own it only invalidates.
-						sel.SetPlan(plan)
-					case 11:
-						if !usePlan {
-							sel.SetPlan(nil)
-						}
 					}
 					if round%5 != 0 { // every 5th refresh has no new probes
 						driveRandom(rng, []*Selector{sel}, n, 400, sel.Plan())
@@ -157,7 +148,7 @@ func checkMetricsAgainstDense(t *testing.T, label string, sel *Selector) {
 					t.Fatalf("%s: cached metrics of %d→%d are %v %v %#x, the estimate says %+v", label, src, dst, loss, lat, key, m)
 				}
 			}
-			if sel.layout == nil && sel.mLatKey[src*n+dst] != packLat(m.adj, dst) {
+			if sel.plan == nil && sel.mLatKey[src*n+dst] != packLat(m.adj, dst) {
 				t.Fatalf("%s: metrics row key of %d→%d is %#x, want %#x", label, src, dst, sel.mLatKey[src*n+dst], packLat(m.adj, dst))
 			}
 			dense[src*n+dst] = m
@@ -207,24 +198,21 @@ func checkMetricsAgainstDense(t *testing.T, label string, sel *Selector) {
 }
 
 // TestSlotMetricsMatchDenseReference walks one selector through the
-// three layouts the metrics cache is keyed by — full mesh, the plan's
-// compact numbering, a plan set over a mesh-carved slab — and through
-// Resets that re-carve between them over the same storage, comparing the
-// cache with the dense reference after every refresh.
+// two layouts the metrics cache is keyed by — full mesh and the plan's
+// compact numbering — and through Resets that re-carve between them
+// over the same storage, comparing the cache with the dense reference
+// after every refresh.
 func TestSlotMetricsMatchDenseReference(t *testing.T) {
 	const n = 36
 	plan := NewLandmarkPlan(n)
 	sel := NewSelectorWindow(n, 40)
 	rng := rand.New(rand.NewSource(61))
-	for ci, layout := range []string{"mesh", "plan", "plan over mesh", "plan", "mesh"} {
+	for ci, layout := range []string{"mesh", "plan", "mesh", "plan", "mesh"} {
 		if ci > 0 {
 			sel.Reset(40)
 		}
-		switch layout {
-		case "plan":
+		if layout == "plan" {
 			sel.SetPlan(plan)
-		case "plan over mesh":
-			denseUnderPlan(sel, plan)
 		}
 		for round := 0; round < 8; round++ {
 			if round == 5 {

@@ -53,21 +53,19 @@ func (c Choice) String() string {
 type Selector struct {
 	n int
 	// est holds one estimate per link slot (see slot): src*n+dst under
-	// full mesh, the plan's compact numbering when carved for a
-	// LandmarkPlan (layout, nil = full mesh). spill holds the ring words
-	// past each record's inline outcomes, spillWords per slot (none at
-	// windows up to 128). Both — with the metrics cache and usedList — are
-	// carved at the first write after a Reset and re-carved only when the
-	// plan or window then in force needs a different shape; storage is
-	// kept at its high-water mark, and every record and spill word no
-	// used link holds is zero. Between a Reset and that first write every
-	// link is virgin and reads resolve to the virgin estimate, as do reads
-	// of links the layout does not hold: loss 0, fallback latency, not
-	// dead.
+	// full mesh, the plan's compact numbering under a LandmarkPlan.
+	// spill holds the ring words past each record's inline outcomes,
+	// spillWords per slot (none at windows up to 128). Both — with the
+	// metrics cache and usedList — are carved at the first write after a
+	// Reset for the plan and window then in force, and re-carved only
+	// when a later cell needs a different shape; storage is kept at its
+	// high-water mark, and every record and spill word no used link holds
+	// is zero. Between a Reset and that first write every link is virgin
+	// and reads resolve to the virgin estimate, as do reads of links the
+	// plan does not probe: loss 0, fallback latency, not dead.
 	est        []LinkEstimate
 	spill      []uint64
 	spillWords int
-	layout     *LandmarkPlan
 	virgin     LinkEstimate
 	// window is every link's ring length, set by Reset: between a Reset
 	// and the carve that follows it every record is empty, so a record
@@ -91,8 +89,8 @@ type Selector struct {
 	// The metrics cache, one entry per link slot like est: per-link
 	// metrics cached by refreshMetrics so the O(n³) pair scan reads flat
 	// float/duration arrays instead of re-deriving each estimate O(n)
-	// times through the LinkEstimate interface. A link the layout does
-	// not hold has no entry and reads as the virgin constants (see
+	// times through the LinkEstimate interface. A link the plan does
+	// not probe has no entry and reads as the virgin constants (see
 	// cached).
 	mLoss []float64
 	mLat  []time.Duration
@@ -100,7 +98,7 @@ type Selector struct {
 	// pinned to latDead — a link is dead exactly when its key is (see
 	// keyDead) — letting the latency scan drop its per-via dead-flag
 	// branches: a path over a dead link sums to ≥ latDead and can never
-	// undercut a live one. Under the full-mesh layout the key
+	// undercut a live one. Under full mesh the key
 	// of src→dst carries position dst, so a metrics row is a scan row in
 	// place; under a plan's it carries position 0.
 	mLatKey []latKey
@@ -144,7 +142,7 @@ type Selector struct {
 	changed      int64
 	metricsValid bool // metrics cache and tables are current; Record and every setter clear it
 	recorded     bool // any Record since Reset; implies a current carve
-	// meshLive is recorded && layout == nil, as one flag so link's
+	// meshLive is recorded && plan == nil, as one flag so link's
 	// full-mesh case stays within the inlining budget.
 	meshLive bool
 }
@@ -282,7 +280,6 @@ func (s *Selector) carve() {
 	if s.plan != nil {
 		links = s.plan.PlannedLinks()
 	}
-	s.layout = s.plan
 	s.spillWords = spillWords(s.window)
 	// Plans derive from n alone and never probe all n² pairs, so the
 	// link count identifies the slab's current layout.
@@ -302,17 +299,17 @@ func (s *Selector) carve() {
 }
 
 // slot maps the directed link src→dst to its index in the link slab, or
-// -1 for a link the layout's plan does not probe.
+// -1 for a link the plan does not probe.
 func (s *Selector) slot(src, dst int) int {
-	if s.layout != nil {
-		return s.layout.linkSlot(src, dst)
+	if s.plan != nil {
+		return s.plan.linkSlot(src, dst)
 	}
 	return src*s.n + dst
 }
 
 // link returns the estimate of src→dst for reading only: the shared
 // virgin estimate stands in for every link before the first write since
-// Reset and for links the layout does not hold. The full-mesh case is
+// Reset and for links the plan does not probe. The full-mesh case is
 // split out so it inlines into the via scans.
 func (s *Selector) link(src, dst int) *LinkEstimate {
 	if s.meshLive {
@@ -323,7 +320,7 @@ func (s *Selector) link(src, dst int) *LinkEstimate {
 
 func (s *Selector) plannedLink(src, dst int) *LinkEstimate {
 	if s.recorded {
-		if slot := s.layout.linkSlot(src, dst); slot >= 0 {
+		if slot := s.plan.linkSlot(src, dst); slot >= 0 {
 			return &s.est[slot]
 		}
 	}
@@ -344,7 +341,7 @@ func (s *Selector) carvedSlot(src, dst int) int {
 	if !s.recorded {
 		s.carve()
 		s.recorded = true
-		s.meshLive = s.layout == nil
+		s.meshLive = s.plan == nil
 	}
 	slot := s.slot(src, dst)
 	if slot < 0 {
@@ -372,22 +369,17 @@ func (s *Selector) Record(src, dst int, lost bool, lat time.Duration) {
 
 // SetPlan restricts via candidates to the plan's landmark set (nil
 // restores full-mesh scanning), sizes the landmark row table, and makes
-// the plan's links the only ones that hold estimates. Changing the
-// plan invalidates the metrics cache: the next Refresh recomputes
-// everything under the new candidate set. The link slab is
-// laid out at the first Record since Reset for the plan then in
-// force: a full-mesh slab holds every link, so a plan may still be set
-// (or swapped, or dropped) over it later, but a slab carved for a plan
-// cannot serve full mesh.
+// the plan's links the only ones that hold estimates. A cell's plan is
+// set before its first Record: the link slab is laid out for the plan
+// in force then, so SetPlan after a Record panics until a Reset.
 func (s *Selector) SetPlan(p *LandmarkPlan) {
 	if p != nil && p.n != s.n {
 		panic(fmt.Sprintf("route: plan for %d nodes applied to %d-node selector", p.n, s.n))
 	}
-	if p == nil && s.recorded && s.layout != nil {
-		panic("route: SetPlan(nil) after Record: link state was laid out for the landmark plan; Reset first")
+	if s.recorded {
+		panic("route: SetPlan after Record: link state is laid out for the plan in force; Reset first")
 	}
 	s.plan = p
-	s.metricsValid = false
 	if p == nil {
 		return
 	}
@@ -554,7 +546,7 @@ func (s *Selector) Tables() *Tables { return &s.tables }
 // path unless the fresh one beats it by the margin or it crosses a dead
 // link (see SetHysteresis); without it the plain selections.
 //
-// A refresh with no Record since the last one (and no SetPlan,
+// A refresh with no Record since the last one (and no
 // setFallbackLatency or SetHysteresis) finds the metrics cache valid and
 // does nothing; any other rebuilds the cache and rescans every pair.
 // RON probes every link once per refresh interval (§3.1), so at the
@@ -704,19 +696,15 @@ func (s *Selector) rescanDst(v *viaRows, dst int) {
 // via < 0 — from what rescanDst holds for destination dst: the direct
 // path's loss, latency and key, src's row entry at via's candidate
 // position and the gathered column's. It returns the path's loss,
-// latency, and whether it crosses a dead link. A via that is no longer a
-// candidate (held across a SetPlan) is read from the metrics cache.
+// latency, and whether it crosses a dead link. The plan is fixed for
+// the cell, so a held via is always a candidate.
 func (s *Selector) heldPath(v *viaRows, src, dst, via int, directLoss float64, directLat time.Duration, directKey latKey) (float64, time.Duration, bool) {
 	if via < 0 {
 		return directLoss, directLat, keyDead(directKey)
 	}
 	pos := via
 	if v.nodes != nil {
-		if pos = int(s.plan.lmIndex[via]); pos < 0 {
-			l1, t1, k1 := s.cached(src, via)
-			l2, t2, k2 := s.cached(via, dst)
-			return pathLoss(l1, l2), t1 + t2, keyDead(k1) || keyDead(k2)
-		}
+		pos = int(s.plan.lmIndex[via])
 	}
 	at := src*v.k + pos
 	return pathLoss(v.loss[at], s.colLoss[pos]), v.lat[at] + s.colLat[pos], keyDead(v.key[at]) || keyDead(s.colKey[pos])
@@ -724,7 +712,7 @@ func (s *Selector) heldPath(v *viaRows, src, dst, via int, directLoss float64, d
 
 // cached returns src→dst's entry of the metrics cache: loss rate,
 // latency, and latency key at position 0 (a dead link's pinned to
-// latDead). A link the layout holds no slot for was never probed and
+// latDead). A link the plan holds no slot for was never probed and
 // reads as the virgin estimate does: loss 0, the fallback latency,
 // alive.
 func (s *Selector) cached(src, dst int) (loss float64, lat time.Duration, key latKey) {
@@ -736,9 +724,8 @@ func (s *Selector) cached(src, dst int) (loss float64, lat time.Duration, key la
 
 // gatherCol copies destination dst's metrics column over the via
 // candidates into the column scratch and returns dst's own candidate
-// position, -1 when it is not one. Full-mesh scanning runs over the
-// full-mesh layout only, whose slots are src*n+dst and whose diagonal
-// holds the sentinels.
+// position, -1 when it is not one. Full-mesh slots are src*n+dst, and
+// the diagonal holds the sentinels.
 func (s *Selector) gatherCol(dst int) int {
 	if p := s.plan; p != nil {
 		for li, lm := range p.landmarks {
@@ -757,15 +744,14 @@ func (s *Selector) gatherCol(dst int) int {
 
 // gatherDirect writes a plan's direct column for destination dst, whose
 // candidate position is dpos: src→dst's metrics at entry src, the key at
-// position 0. Every node probes a landmark, and a full-mesh slab (a plan
-// set over it) holds every link, so those columns are read whole. A
-// non-landmark under the plan's own layout is probed only by the
-// landmarks, whose entries its gathered candidate column holds, and by
-// its two ring neighbours; every other entry keeps the virgin estimate's
-// metrics, so only those L+2 are patched.
+// position 0. Every node probes a landmark, so a landmark's column is
+// read whole. A non-landmark is probed only by the landmarks, whose
+// entries its gathered candidate column holds, and by its two ring
+// neighbours; every other entry keeps the virgin estimate's metrics, so
+// only those L+2 are patched.
 func (s *Selector) gatherDirect(dst, dpos int) {
 	p := s.plan
-	if dpos >= 0 || s.layout == nil {
+	if dpos >= 0 {
 		for src := 0; src < s.n; src++ {
 			s.dirLoss[src], s.dirLat[src], s.dirKey[src] = s.cached(src, dst)
 		}
@@ -784,7 +770,7 @@ func (s *Selector) gatherDirect(dst, dpos int) {
 // virgin estimate's metrics.
 func (s *Selector) restoreDirect(dst, dpos int) {
 	p := s.plan
-	if dpos >= 0 || s.layout == nil {
+	if dpos >= 0 {
 		s.fillDirect(0, s.n)
 		return
 	}
@@ -864,7 +850,7 @@ func minSumVia(row, col []latKey, direct latKey) (int, time.Duration) {
 // times. It walks the link slab, so a plan pays for its planned links,
 // not n².
 func (s *Selector) refreshMetrics() {
-	if s.layout != nil {
+	if s.plan != nil {
 		for slot := range s.est {
 			s.cacheLink(slot, 0)
 		}

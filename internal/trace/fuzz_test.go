@@ -38,9 +38,9 @@ func FuzzReadTrace(f *testing.F) {
 	cfg := core.DefaultConfig(core.RONnarrow, 0.0002)
 	cfg.Seed = 3
 	var cellRecs []trace.Record
-	cfg.TraceSink = func(r trace.Record) {
+	cfg.OnProbe = func(p *analysis.Probe) {
 		if len(cellRecs) < 96 {
-			cellRecs = append(cellRecs, r)
+			cellRecs = trace.AppendProbe(cellRecs, p)
 		}
 	}
 	res, err := core.NewArena().Run(cfg)
@@ -49,7 +49,7 @@ func FuzzReadTrace(f *testing.F) {
 	}
 	names := res.Agg.Methods()
 	hosts := res.Testbed.N()
-	cell := encode(f, cellRecs)
+	cell := encode(f, cellRecs[:96])
 	f.Add(cell)
 	f.Add(cell[:len(cell)/2])
 	f.Add(cell[:8])

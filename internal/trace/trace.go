@@ -8,9 +8,11 @@ package trace
 
 import (
 	"bufio"
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"time"
 
@@ -165,15 +167,8 @@ func ReadAll(r io.Reader) ([]Record, error) {
 // Merge combines per-node record slices into one stream sorted by time
 // (stable across equal timestamps).
 func Merge(logs ...[]Record) []Record {
-	var total int
-	for _, l := range logs {
-		total += len(l)
-	}
-	out := make([]Record, 0, total)
-	for _, l := range logs {
-		out = append(out, l...)
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Time < out[j].Time })
+	out := slices.Concat(logs...)
+	slices.SortStableFunc(out, func(a, b Record) int { return cmp.Compare(a.Time, b.Time) })
 	return out
 }
 
@@ -206,6 +201,31 @@ const (
 	// are disregarded.
 	hostFailureGap = 90 * time.Second
 )
+
+// AppendProbe appends the §4.1 log records of one measurement probe to
+// dst and returns the extended slice: for each copy its send, then its
+// receive if the copy was delivered. The receive is stamped at the send
+// time plus the copy's measured latency — when the response is back, in
+// a round-trip campaign — so Match, its inverse, recovers the probe's
+// observation exactly.
+func AppendProbe(dst []Record, p *analysis.Probe) []Record {
+	o := &p.Observation
+	for i := 0; i < o.Copies; i++ {
+		r := Record{Kind: KindSend, Node: uint16(o.Src), Peer: uint16(o.Dst), ProbeID: p.ID,
+			Time: p.Sent[i], Method: uint8(o.Method), Tactic: route.Tactic(p.Tactic[i]),
+			CopyIndex: uint8(i), Copies: uint8(o.Copies), Via: NoNode}
+		if p.Via[i] >= 0 {
+			r.Via = uint16(p.Via[i])
+		}
+		dst = append(dst, r)
+		if !o.Lost[i] {
+			r.Kind, r.Node, r.Peer = KindRecv, r.Peer, r.Node
+			r.Time += int64(o.Lat[i])
+			dst = append(dst, r)
+		}
+	}
+	return dst
+}
 
 // Match post-processes a merged record stream into probe observations:
 // per-probe copies are matched to receives, losses inferred, and probes

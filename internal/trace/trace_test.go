@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
 
+	"repro/internal/analysis"
 	"repro/internal/route"
 )
 
@@ -135,6 +137,40 @@ func TestMergeSortsByTime(t *testing.T) {
 		if m[i].Time < m[i-1].Time {
 			t.Fatal("merge not time-sorted")
 		}
+	}
+}
+
+// TestAppendProbeRecords pins the records of one probe: per copy its
+// send at that copy's own send time, then — if delivered — its receive,
+// endpoints swapped, stamped at the send time plus the measured latency
+// (a round trip's, in RONwide). Match inverts them to the observation.
+func TestAppendProbeRecords(t *testing.T) {
+	p := analysis.Probe{
+		Observation: analysis.Observation{Method: 3, Src: 2, Dst: 1, Time: int64(time.Minute), Copies: 2,
+			Lost: [2]bool{false, true}, Lat: [2]time.Duration{80 * time.Millisecond}},
+		ID:     0xfeed,
+		Sent:   [2]int64{int64(time.Minute), int64(time.Minute + 20*time.Millisecond)},
+		Via:    [2]int{-1, 0},
+		Tactic: [2]uint8{uint8(route.Direct), uint8(route.Rand)},
+	}
+	send0 := Record{Kind: KindSend, Node: 2, Peer: 1, ProbeID: 0xfeed, Time: int64(time.Minute),
+		Method: 3, Tactic: route.Direct, CopyIndex: 0, Copies: 2, Via: NoNode}
+	recv0 := send0
+	recv0.Kind, recv0.Node, recv0.Peer, recv0.Time = KindRecv, 1, 2, int64(time.Minute+80*time.Millisecond)
+	send1 := send0
+	send1.Time, send1.Tactic, send1.CopyIndex, send1.Via = int64(time.Minute+20*time.Millisecond), route.Rand, 1, 0
+	prefix := []Record{{Kind: KindSend, Time: 7}}
+	got := AppendProbe(prefix, &p)
+	if want := []Record{prefix[0], send0, recv0, send1}; !slices.Equal(got, want) {
+		t.Fatalf("AppendProbe =\n%+v\nwant\n%+v", got, want)
+	}
+
+	// Host 1 keeps sending, so the failure filter keeps the probe.
+	recs := append(got[1:], keepAlive(1, 10*time.Minute)...)
+	obs := Match(Merge(recs), 3)
+	i := slices.IndexFunc(obs, func(o analysis.Observation) bool { return o.Src == 2 })
+	if i < 0 || obs[i] != p.Observation {
+		t.Fatalf("Match = %+v, want one of them %+v", obs, p.Observation)
 	}
 }
 
